@@ -2,7 +2,10 @@
 //! and `k* = 256` codes, printing codes/sec, effective GB/s and the
 //! speedup over the seed scalar path, and writing
 //! `reports/kernels_sweep.json`. Every point is cross-checked to return a
-//! bit-identical top-k to the scalar reference.
+//! bit-identical top-k to the scalar reference. A `lut_build` section
+//! reports LUT construction in tables/sec for L2 and inner product at both
+//! widths, every entry cross-checked against the `metric::*` oracle; any
+//! divergence exits non-zero.
 //!
 //! `--smoke` shrinks the run for CI; `--telemetry <path>` writes a metric
 //! snapshot with per-point `kernel.*` counters.
@@ -49,6 +52,15 @@ fn main() {
             eprintln!(
                 "FAIL: dispatch {} k*={} diverged from the scalar reference",
                 p.dispatch, p.kstar
+            );
+            std::process::exit(1);
+        }
+    }
+    for p in &sweep.lut_build {
+        if !p.identical_to_oracle {
+            eprintln!(
+                "FAIL: {} k*={} LUT diverged from the metric::* oracle",
+                p.metric, p.kstar
             );
             std::process::exit(1);
         }

@@ -9,12 +9,17 @@
 //! also cross-checked to return a bit-identical top-k to the scalar
 //! reference — the summation-order invariant, measured rather than
 //! assumed.
+//!
+//! A second section, `lut_build`, times LUT construction (the
+//! distance-table kernel) for L2 and inner product at both widths, each
+//! point cross-checked entry by entry, bit for bit, against the
+//! `metric::{l2_squared, dot}` oracle.
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::{TopK, VectorSet};
+use anna_vector::{metric, Metric, TopK, VectorSet};
 
 use crate::json::Json;
 
@@ -35,6 +40,23 @@ pub struct KernelPoint {
     pub identical_to_scalar: bool,
 }
 
+/// One measured LUT-construction point: one metric at one `k*`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LutBuildPoint {
+    /// Codewords per table.
+    pub kstar: usize,
+    /// `l2` (rebuilt per visited cluster) or `inner-product`.
+    pub metric: Metric,
+    /// Whole `m × k*` LUTs built per second, single thread: L2 rebuilt in
+    /// place in a warm slot (the batch engine's path), inner product
+    /// through `Lut::build_ip` (once per query, so it allocates).
+    pub tables_per_sec: f64,
+    /// Nanoseconds per table entry.
+    pub ns_per_entry: f64,
+    /// Whether every entry equalled the `metric::*` oracle bit for bit.
+    pub identical_to_oracle: bool,
+}
+
 /// The sweep result.
 #[derive(Debug, Clone)]
 pub struct KernelsSweep {
@@ -48,6 +70,8 @@ pub struct KernelsSweep {
     pub default_dispatch: String,
     /// Measured points, scalar first within each width.
     pub points: Vec<KernelPoint>,
+    /// LUT-construction points: `{l2, inner-product} × k* ∈ {16, 256}`.
+    pub lut_build: Vec<LutBuildPoint>,
 }
 
 /// Deterministic SplitMix64 stream for synthetic codes (the bench crate
@@ -175,7 +199,73 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
         passes,
         default_dispatch: KernelDispatch::current().name().to_string(),
         points,
+        lut_build: lut_build_points(passes),
     }
+}
+
+/// Times LUT construction at the benchmark's shape (`dim 64`, `m 16`, so
+/// 4-dimensional sub-vectors): `200 × passes` builds per point, after an
+/// oracle cross-check of every entry.
+fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
+    let m = 16usize;
+    let dim = m * 4;
+    let train = VectorSet::from_fn(dim, 512, |r, c| ((r * 37 + c * 11) % 41) as f32 * 0.25);
+    let q: Vec<f32> = (0..dim).map(|i| (i % 7) as f32 * 0.75 - 1.0).collect();
+    let centroid: Vec<f32> = (0..dim).map(|i| (i % 3) as f32 * 0.5).collect();
+    let residual_oracle = metric::sub(&q, &centroid);
+    let builds = 200 * passes.max(1);
+
+    let mut points = Vec::new();
+    for kstar in [16usize, 256] {
+        let book = PqCodebook::train(
+            &train,
+            &PqConfig {
+                m,
+                kstar,
+                iters: 4,
+                seed: 1,
+            },
+        );
+        let sub = book.sub_dim();
+        for metric_kind in [Metric::L2, Metric::InnerProduct] {
+            let mut slot = Lut::placeholder();
+            let mut residual = Vec::new();
+            let mut build = |slot: &mut Lut| match metric_kind {
+                Metric::L2 => {
+                    slot.rebuild_l2(&q, &centroid, &book, LutPrecision::F32, &mut residual)
+                }
+                Metric::InnerProduct => *slot = Lut::build_ip(&q, &book, LutPrecision::F32),
+            };
+            build(&mut slot);
+            let identical = (0..book.m()).all(|i| {
+                let span = i * sub..(i + 1) * sub;
+                (0..book.kstar()).all(|c| {
+                    let w = book.book(i).row(c);
+                    let want = match metric_kind {
+                        Metric::L2 => -metric::l2_squared(&residual_oracle[span.clone()], w),
+                        Metric::InnerProduct => metric::dot(&q[span.clone()], w),
+                    };
+                    slot.get(i, c).to_bits() == want.to_bits()
+                })
+            });
+
+            let start = std::time::Instant::now();
+            for _ in 0..builds {
+                build(&mut slot);
+                std::hint::black_box(slot.entries());
+            }
+            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            let entries = (builds * book.m() * book.kstar()) as f64;
+            points.push(LutBuildPoint {
+                kstar,
+                metric: metric_kind,
+                tables_per_sec: builds as f64 / secs,
+                ns_per_entry: secs * 1e9 / entries,
+                identical_to_oracle: identical,
+            });
+        }
+    }
+    points
 }
 
 impl KernelsSweep {
@@ -203,6 +293,22 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
+            .set(
+                "lut_build",
+                Json::Arr(
+                    self.lut_build
+                        .iter()
+                        .map(|p| {
+                            Json::obj()
+                                .set("kstar", p.kstar)
+                                .set("metric", p.metric.to_string().as_str())
+                                .set("tables_per_sec", p.tables_per_sec)
+                                .set("ns_per_entry", p.ns_per_entry)
+                                .set("identical_to_oracle", p.identical_to_oracle)
+                        })
+                        .collect(),
+                ),
+            )
     }
 
     /// Text rendering.
@@ -220,6 +326,20 @@ impl KernelsSweep {
                 p.gbps,
                 p.speedup_vs_scalar,
                 p.identical_to_scalar
+            ));
+        }
+        s.push_str(&format!(
+            "\n=== LUT build (m=16, sub-dim 4) ===\n{:<6} {:<14} {:>12} {:>10} {:>10}\n",
+            "k*", "metric", "tables/sec", "ns/entry", "identical"
+        ));
+        for p in &self.lut_build {
+            s.push_str(&format!(
+                "{:<6} {:<14} {:>12.0} {:>10.2} {:>10}\n",
+                p.kstar,
+                p.metric.to_string(),
+                p.tables_per_sec,
+                p.ns_per_entry,
+                p.identical_to_oracle
             ));
         }
         s
@@ -259,6 +379,16 @@ mod tests {
         }
         assert!(sweep.best_speedup_at(16).is_some());
         assert!(sweep.best_speedup_at(512).is_none());
+        // LUT build: {l2, ip} x {16, 256}, every entry equal to the oracle.
+        assert_eq!(sweep.lut_build.len(), 4);
+        for p in &sweep.lut_build {
+            assert!(p.tables_per_sec > 0.0, "{} k*={}", p.metric, p.kstar);
+            assert!(
+                p.identical_to_oracle,
+                "{} k*={} LUT diverged from metric::*",
+                p.metric, p.kstar
+            );
+        }
     }
 
     #[test]
@@ -288,6 +418,9 @@ mod tests {
             "\"gbps\"",
             "\"speedup_vs_scalar\"",
             "\"identical_to_scalar\"",
+            "\"lut_build\"",
+            "\"tables_per_sec\"",
+            "\"identical_to_oracle\"",
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }

@@ -522,6 +522,35 @@ mod tests {
     }
 
     #[test]
+    fn loaded_codebooks_carry_an_in_sync_dim_major_copy() {
+        // The distance-table kernel reads only the dimension-major copy,
+        // so a reader that rebuilt the row-major books alone would build
+        // wrong LUTs silently.
+        for kstar in [16usize, 256] {
+            let (_, index) = build(Metric::L2, kstar);
+            let mut v1 = Vec::new();
+            write_index(&mut v1, &index).unwrap();
+            let mut v2 = Vec::new();
+            write_segment(&mut v2, &index).unwrap();
+            let loaded = [
+                read_index(&v1[..]).unwrap().codebook().clone(),
+                read_index(&v2[..]).unwrap().codebook().clone(),
+                read_segment_hot(&v2[..]).unwrap().codebook,
+            ];
+            for book in &loaded {
+                assert_eq!(book, index.codebook());
+                for i in 0..book.m() {
+                    assert_eq!(
+                        book.dim_major(i),
+                        &anna_quant::DimMajor::new(book.book(i)),
+                        "k*={kstar} table {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn roundtrip_is_byte_stable() {
         let (_, index) = build(Metric::L2, 16);
         let mut a = Vec::new();

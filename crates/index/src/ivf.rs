@@ -222,10 +222,12 @@ impl IvfPqIndex {
                 codes: PackedCodes::new(config.m, width),
             })
             .collect();
+        let mut codes = vec![0u8; codebook.m()];
         for (i, r) in residuals.iter().enumerate() {
             let cl = &mut clusters[assignment[i]];
             cl.ids.push(i as u64);
-            cl.codes.push(&codebook.encode(r));
+            codebook.encode_into(r, &mut codes);
+            cl.codes.push(&codes);
         }
 
         Self {
@@ -348,10 +350,14 @@ impl IvfPqIndex {
     pub fn add(&mut self, vectors: &VectorSet) -> Vec<u64> {
         assert_eq!(vectors.dim(), self.dim, "vector dimension mismatch");
         let mut ids = Vec::with_capacity(vectors.len());
+        let mut residual = Vec::with_capacity(self.dim);
+        let mut codes = vec![0u8; self.codebook.m()];
         for v in vectors.iter() {
             let cid = self.coarse.assign(v);
-            let residual = metric::sub(v, self.coarse.centroids().row(cid));
-            let codes = self.codebook.encode(&residual);
+            let centroid = self.coarse.centroids().row(cid);
+            residual.clear();
+            residual.extend(v.iter().zip(centroid).map(|(x, y)| x - y));
+            self.codebook.encode_into(&residual, &mut codes);
             let id = self.num_vectors;
             self.clusters[cid].ids.push(id);
             self.clusters[cid].codes.push(&codes);

@@ -34,6 +34,17 @@
 //! parallel engine's serial-equals-parallel determinism guarantee survives
 //! kernel selection.
 //!
+//! The invariant reaches back through **LUT construction** too. The table
+//! entries being summed come from the distance-table kernel
+//! ([`anna_quant::dist_table`]), which is vertical in the same sense: one
+//! codeword per lane, each lane running exactly
+//! [`metric::l2_squared`](anna_vector::metric::l2_squared)'s /
+//! [`metric::dot`](anna_vector::metric::dot)'s addition sequence (four
+//! strided accumulators over chunks of 4 dimensions, `((a0 + a1) + a2) +
+//! a3`, then the tail, no FMA). Every entry is the scalar function's value
+//! bit for bit, so a score is the same f32 from query to heap whichever
+//! way either stage was vectorised.
+//!
 //! The two code widths mirror the paper's CPU story: `k* = 16`
 //! (Faiss16/ScaNN16) is fast because the 16-entry LUT fits vector
 //! registers; `k* = 256` (Faiss256) cannot, which is why the paper finds

@@ -6,7 +6,8 @@
 //! encoded vector costs `M` lookups and `M − 1` additions.
 
 use anna_quant::pq::PqCodebook;
-use anna_vector::{f16, metric};
+use anna_quant::DimMajor;
+use anna_vector::f16;
 use serde::{Deserialize, Serialize};
 
 /// Precision at which LUT entries are stored.
@@ -67,23 +68,8 @@ impl Lut {
     /// Panics if `q.len() != book.dim()`.
     pub fn build_ip(q: &[f32], book: &PqCodebook, precision: LutPrecision) -> Self {
         assert_eq!(q.len(), book.dim(), "query dimension mismatch");
-        let m = book.m();
-        let kstar = book.kstar();
-        let sub = book.sub_dim();
-        let mut entries = Vec::with_capacity(m * kstar);
-        for i in 0..m {
-            let qi = &q[i * sub..(i + 1) * sub];
-            for c in 0..kstar {
-                entries.push(metric::dot(qi, book.book(i).row(c)));
-            }
-        }
-        let mut lut = Self {
-            m,
-            kstar,
-            entries,
-            bias: 0.0,
-            precision,
-        };
+        let mut lut = Self::placeholder();
+        lut.fill(q, book, precision, DimMajor::dot_table);
         lut.apply_precision(precision);
         lut
     }
@@ -115,10 +101,14 @@ impl Lut {
     /// `residual` scratch so a hot loop (the batch engine rebuilds one
     /// L2 table per visit) allocates nothing after warm-up.
     ///
-    /// The arithmetic is the single shared implementation ([`build_l2`]
-    /// delegates here), so a rebuilt table is bit-identical to a freshly
-    /// built one — the parallel engine's determinism guarantee rests on
-    /// this.
+    /// Each of the `m` tables is one pass of the distance-table kernel
+    /// ([`anna_quant::DimMajor::l2_table`]) over the codebook's
+    /// dimension-major copy, vectorised across codewords. The kernel is
+    /// vertical — every entry is `-metric::l2_squared(r_i, B_i[c])` bit
+    /// for bit — and this is the single shared implementation
+    /// ([`build_l2`] delegates here), so a rebuilt table is bit-identical
+    /// to a freshly built one: the parallel engine's determinism guarantee
+    /// rests on this.
     ///
     /// [`build_l2`]: Lut::build_l2
     ///
@@ -135,25 +125,38 @@ impl Lut {
     ) {
         assert_eq!(q.len(), book.dim(), "query dimension mismatch");
         assert_eq!(centroid.len(), book.dim(), "centroid dimension mismatch");
-        let m = book.m();
-        let kstar = book.kstar();
-        let sub = book.sub_dim();
         residual.clear();
         residual.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
-        self.m = m;
-        self.kstar = kstar;
+        self.fill(residual, book, precision, DimMajor::l2_table);
+        for e in &mut self.entries {
+            *e = -*e;
+        }
+        self.apply_precision(precision);
+    }
+
+    /// Re-shapes this table for `book` (zero bias) and runs `kernel` once
+    /// per table `i` on sub-vector `v_i`, writing table `i`'s `k*` entries.
+    fn fill(
+        &mut self,
+        v: &[f32],
+        book: &PqCodebook,
+        precision: LutPrecision,
+        kernel: impl Fn(&DimMajor, &[f32], &mut [f32]),
+    ) {
+        self.m = book.m();
+        self.kstar = book.kstar();
         self.bias = 0.0;
         self.precision = precision;
         self.entries.clear();
-        self.entries.reserve(m * kstar);
-        for i in 0..m {
-            let ri = &residual[i * sub..(i + 1) * sub];
-            for c in 0..kstar {
-                self.entries
-                    .push(-metric::l2_squared(ri, book.book(i).row(c)));
-            }
+        self.entries.resize(self.m * self.kstar, 0.0);
+        let sub = book.sub_dim();
+        for i in 0..self.m {
+            kernel(
+                book.dim_major(i),
+                &v[i * sub..(i + 1) * sub],
+                &mut self.entries[i * self.kstar..(i + 1) * self.kstar],
+            );
         }
-        self.apply_precision(precision);
     }
 
     fn apply_precision(&mut self, precision: LutPrecision) {
@@ -266,7 +269,7 @@ impl Lut {
 mod tests {
     use super::*;
     use anna_quant::pq::{PqCodebook, PqConfig};
-    use anna_vector::{Metric, VectorSet};
+    use anna_vector::{metric, Metric, VectorSet};
 
     fn book() -> PqCodebook {
         let data = VectorSet::from_fn(4, 64, |r, c| ((r * 13 + c * 5) % 11) as f32);

@@ -508,7 +508,11 @@ impl ShardedIndex {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let mut scratch = ScanScratch::new();
+                    let mut scratch = WorkerScratch {
+                        scan: ScanScratch::new(),
+                        lut: Lut::placeholder(),
+                        residual: Vec::new(),
+                    };
                     loop {
                         let s = cursor.fetch_add(1, Ordering::Relaxed);
                         if s >= self.shards.len() {
@@ -580,7 +584,7 @@ impl ShardedIndex {
         visiting: &[Vec<usize>],
         ip_base: Option<&[Lut]>,
         dispatch: KernelDispatch,
-        scratch: &mut ScanScratch,
+        scratch: &mut WorkerScratch,
         unit: u64,
     ) -> io::Result<ShardScan> {
         let sh = &self.shards[s];
@@ -620,16 +624,19 @@ impl ShardedIndex {
                     continue;
                 }
                 let q = queries.row(qi);
-                let lut = match ip_base {
-                    Some(base) => base[qi].with_bias(metric::dot(q, self.centroids.row(g))),
-                    None => Lut::build_l2(
-                        q,
-                        self.centroids.row(g),
-                        &self.codebook,
-                        params.lut_precision,
-                    ),
-                };
-                kernels::scan_with(&cluster.codes, &cluster.ids, &lut, heap, dispatch, scratch);
+                let centroid = self.centroids.row(g);
+                let WorkerScratch {
+                    scan,
+                    lut,
+                    residual,
+                } = &mut *scratch;
+                match ip_base {
+                    Some(base) => lut.clone_rebias_from(&base[qi], metric::dot(q, centroid)),
+                    None => {
+                        lut.rebuild_l2(q, centroid, &self.codebook, params.lut_precision, residual)
+                    }
+                }
+                kernels::scan_with(&cluster.codes, &cluster.ids, lut, heap, dispatch, scan);
             }
         }
         let mut partials = Vec::new();
@@ -647,6 +654,14 @@ impl ShardedIndex {
             tier,
         })
     }
+}
+
+/// One worker's reusable buffers: after warm-up a shard scan builds every
+/// per-visit lookup table in place and allocates nothing.
+struct WorkerScratch {
+    scan: ScanScratch,
+    lut: Lut,
+    residual: Vec<f32>,
 }
 
 struct ShardScan {

@@ -1,9 +1,10 @@
 //! Property-based tests for the IVF-PQ index and its execution schedules
 //! (seeded `anna-testkit` harness; failures report a replayable seed).
 
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
-use anna_testkit::{forall, TestRng};
-use anna_vector::{Metric, VectorSet};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, Lut, LutPrecision, SearchParams};
+use anna_quant::pq::PqCodebook;
+use anna_testkit::{forall, same_f32_bits, TestRng};
+use anna_vector::{f16, metric, Metric, VectorSet};
 
 fn arb_dataset(rng: &mut TestRng) -> VectorSet {
     let n = rng.usize(20..200);
@@ -154,5 +155,59 @@ fn stats_match_formula() {
         let bytes_per_vec = (m * if wide { 8 } else { 4 }).div_ceil(8) as u64;
         assert_eq!(stats.code_bytes, db.len() as u64 * bytes_per_vec);
         assert_eq!(stats.raw_bytes, db.len() as u64 * 16);
+    });
+}
+
+/// Every LUT entry is the scalar metric function's value bit for bit, at
+/// both precisions: `-metric::l2_squared(r_i, B_i[c])` / `metric::dot(q_i,
+/// B_i[c])`, rounded through binary16 for `F16`. Covers chunk and tail
+/// sub-dimensions (1..=9), ragged `k*` (a scarce training set yields fewer
+/// codewords than configured), NaN / ±∞ / −0.0 inputs (NaNs compare as a
+/// class, see [`same_f32_bits`]), and a reused slot.
+#[test]
+fn lut_entries_equal_the_scalar_metric_oracle() {
+    forall("lut entries == scalar metric oracle", 64, |rng| {
+        let sub = rng.usize(1..10);
+        let m = rng.usize(1..4);
+        let kstar = *rng.pick(&[16usize, 19, 40, 256]);
+        let special = rng.bool();
+        let draw = |rng: &mut TestRng| {
+            if special {
+                rng.tricky_f32(-4.0..4.0)
+            } else {
+                rng.f32(-4.0..4.0)
+            }
+        };
+        let books = (0..m)
+            .map(|_| VectorSet::from_vec(sub, (0..kstar * sub).map(|_| draw(rng)).collect()))
+            .collect();
+        let book = PqCodebook::from_books(books);
+        let q: Vec<f32> = (0..m * sub).map(|_| draw(rng)).collect();
+        let centroid: Vec<f32> = (0..m * sub).map(|_| draw(rng)).collect();
+        let residual = metric::sub(&q, &centroid);
+
+        let mut slot = Lut::placeholder();
+        let mut scratch = Vec::new();
+        for precision in [LutPrecision::F32, LutPrecision::F16] {
+            let round = |x: f32| match precision {
+                LutPrecision::F32 => x,
+                LutPrecision::F16 => f16::round_trip(x),
+            };
+            let l2 = Lut::build_l2(&q, &centroid, &book, precision);
+            let ip = Lut::build_ip(&q, &book, precision);
+            slot.rebuild_l2(&q, &centroid, &book, precision, &mut scratch);
+            for i in 0..m {
+                let span = i * sub..(i + 1) * sub;
+                for c in 0..kstar {
+                    let w = book.book(i).row(c);
+                    let want_l2 = round(-metric::l2_squared(&residual[span.clone()], w));
+                    let want_ip = round(metric::dot(&q[span.clone()], w));
+                    let at = format!("{precision:?} sub={sub} k*={kstar} entry ({i},{c})");
+                    assert!(same_f32_bits(l2.get(i, c), want_l2), "l2 {at}");
+                    assert!(same_f32_bits(slot.get(i, c), want_l2), "l2 slot {at}");
+                    assert!(same_f32_bits(ip.get(i, c), want_ip), "ip {at}");
+                }
+            }
+        }
     });
 }

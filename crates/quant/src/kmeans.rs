@@ -4,6 +4,7 @@
 //! the `|C|` coarse cluster centroids, and once per PQ subspace to produce
 //! the `k*` codewords of each codebook.
 
+use crate::dist_table::DimMajor;
 use anna_vector::{metric, VectorSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +35,9 @@ impl Default for KMeansConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KMeans {
     centroids: VectorSet,
+    /// `centroids` transposed for the distance-table kernel; always in
+    /// sync (both constructors derive it, nothing mutates either).
+    dim_major: DimMajor,
 }
 
 impl KMeans {
@@ -54,19 +58,29 @@ impl KMeans {
         let mut centroids = plus_plus_init(data, k, &mut rng);
 
         let mut assignment = vec![0usize; data.len()];
+        // Transposed once per Lloyd iteration, so it leaves the loop in
+        // sync with the final centroids.
+        let mut dim_major = DimMajor::new(&centroids);
         for _ in 0..config.max_iters {
-            let changed = assign_parallel(data, &centroids, &mut assignment);
+            let changed = assign_parallel(data, &dim_major, &mut assignment);
             update_centroids(data, &assignment, &mut centroids, &mut rng);
+            dim_major.fill(&centroids);
             if changed == 0 {
                 break;
             }
         }
-        Self { centroids }
+        Self {
+            centroids,
+            dim_major,
+        }
     }
 
     /// Wraps pre-existing centroids (e.g. loaded from a file) as a model.
     pub fn from_centroids(centroids: VectorSet) -> Self {
-        Self { centroids }
+        Self {
+            dim_major: DimMajor::new(&centroids),
+            centroids,
+        }
     }
 
     /// The learned centroids.
@@ -86,13 +100,13 @@ impl KMeans {
     /// Panics if `v.len()` differs from the centroid dimension.
     pub fn assign(&self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.centroids.dim());
-        nearest(v, &self.centroids).0
+        self.dim_major.nearest(v).0
     }
 
     /// Assigns every row of `data` to its nearest centroid, in parallel.
     pub fn assign_all(&self, data: &VectorSet) -> Vec<usize> {
         let mut out = vec![0usize; data.len()];
-        assign_parallel(data, &self.centroids, &mut out);
+        assign_parallel(data, &self.dim_major, &mut out);
         out
     }
 
@@ -101,21 +115,10 @@ impl KMeans {
     pub fn inertia(&self, data: &VectorSet) -> f64 {
         let mut total = 0.0f64;
         for v in data.iter() {
-            total += nearest(v, &self.centroids).1 as f64;
+            total += self.dim_major.nearest(v).1 as f64;
         }
         total / data.len().max(1) as f64
     }
-}
-
-fn nearest(v: &[f32], centroids: &VectorSet) -> (usize, f32) {
-    let mut best = (0usize, f32::INFINITY);
-    for (i, c) in centroids.iter().enumerate() {
-        let d = metric::l2_squared(v, c);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    best
 }
 
 fn plus_plus_init(data: &VectorSet, k: usize, rng: &mut StdRng) -> VectorSet {
@@ -158,7 +161,7 @@ fn plus_plus_init(data: &VectorSet, k: usize, rng: &mut StdRng) -> VectorSet {
 
 /// Reassigns every point; returns the number of points whose assignment
 /// changed. Parallel across point chunks.
-fn assign_parallel(data: &VectorSet, centroids: &VectorSet, assignment: &mut [usize]) -> usize {
+fn assign_parallel(data: &VectorSet, centroids: &DimMajor, assignment: &mut [usize]) -> usize {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -171,7 +174,7 @@ fn assign_parallel(data: &VectorSet, centroids: &VectorSet, assignment: &mut [us
                 let base = ci * chunk;
                 let mut local = 0;
                 for (off, slot) in out.iter_mut().enumerate() {
-                    let a = nearest(data.row(base + off), centroids).0;
+                    let a = centroids.nearest(data.row(base + off)).0;
                     if a != *slot {
                         local += 1;
                         *slot = a;
@@ -285,6 +288,69 @@ mod tests {
         let a = KMeans::train(&data, &cfg);
         let b = KMeans::train(&data, &cfg);
         assert_eq!(a.centroids(), b.centroids());
+    }
+
+    /// The row-major `metric::l2_squared` scan the kernel replaced.
+    fn nearest_row_major(v: &[f32], centroids: &VectorSet) -> usize {
+        let mut best = (0usize, f32::INFINITY);
+        for (i, c) in centroids.iter().enumerate() {
+            let d = metric::l2_squared(v, c);
+            if d < best.1 {
+                best = (i, d);
+            }
+        }
+        best.0
+    }
+
+    /// Lloyd's loop exactly as `train` runs it, but assigning with
+    /// [`nearest_row_major`].
+    fn train_row_major(data: &VectorSet, config: &KMeansConfig) -> VectorSet {
+        let k = config.k.min(data.len());
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut centroids = plus_plus_init(data, k, &mut rng);
+        let mut assignment = vec![0usize; data.len()];
+        for _ in 0..config.max_iters {
+            let mut changed = 0;
+            for (slot, v) in assignment.iter_mut().zip(data.iter()) {
+                let a = nearest_row_major(v, &centroids);
+                if a != *slot {
+                    changed += 1;
+                    *slot = a;
+                }
+            }
+            update_centroids(data, &assignment, &mut centroids, &mut rng);
+            if changed == 0 {
+                break;
+            }
+        }
+        centroids
+    }
+
+    #[test]
+    fn kernel_assignment_trains_bit_identical_to_the_row_major_loop() {
+        // Lattice data with many equidistant points (ties must break the
+        // same way), dimension 6 (chunk + tail), k = 11 (ragged lanes).
+        let data = VectorSet::from_fn(6, 500, |r, c| ((r * 37 + c * 11) % 9) as f32);
+        let cfg = KMeansConfig {
+            k: 11,
+            max_iters: 12,
+            seed: 4,
+        };
+        let model = KMeans::train(&data, &cfg);
+        let centroids = train_row_major(&data, &cfg);
+        assert_eq!(model.centroids().len(), centroids.len());
+        for (a, b) in model.centroids().iter().zip(centroids.iter()) {
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        // Final assignments against the final centroids.
+        let all = model.assign_all(&data);
+        for (i, v) in data.iter().enumerate() {
+            let want = nearest_row_major(v, &centroids);
+            assert_eq!(all[i], want, "row {i}");
+            assert_eq!(model.assign(v), want, "row {i}");
+        }
     }
 
     #[test]

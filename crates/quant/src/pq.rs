@@ -6,6 +6,7 @@
 //! is the concatenation of `M` identifiers of `log2 k*` bits each.
 
 use crate::codes::{CodeWidth, PackedCodes};
+use crate::dist_table::DimMajor;
 use crate::kmeans::{KMeans, KMeansConfig};
 use anna_vector::{metric, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -82,6 +83,10 @@ pub struct PqCodebook {
     kstar: usize,
     /// `m` codebooks, each `kstar × (dim/m)`.
     books: Vec<VectorSet>,
+    /// `books[i]` transposed (`[table i][dim d][codeword c]`) for the
+    /// distance-table kernel. Derived from `books` in [`Self::from_books`],
+    /// the only constructor, and never mutated apart from it.
+    dim_major: Vec<DimMajor>,
 }
 
 impl PqCodebook {
@@ -119,12 +124,7 @@ impl PqCodebook {
             );
             books.push(km.centroids().clone());
         }
-        Self {
-            dim: data.dim(),
-            m: config.m,
-            kstar: books[0].len(),
-            books,
-        }
+        Self::from_books(books)
     }
 
     /// Builds a codebook from explicit per-subspace codeword sets (used by
@@ -145,6 +145,7 @@ impl PqCodebook {
             dim: sub * books.len(),
             m: books.len(),
             kstar,
+            dim_major: books.iter().map(DimMajor::new).collect(),
             books,
         }
     }
@@ -178,6 +179,16 @@ impl PqCodebook {
         &self.books[i]
     }
 
+    /// The `i`-th codebook in dimension-major order: the distance-table
+    /// kernel over `B_i` (LUT construction and encoding both run on it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.m()`.
+    pub fn dim_major(&self, i: usize) -> &DimMajor {
+        &self.dim_major[i]
+    }
+
     /// Total codebook storage in bytes at 2-byte elements: `2·k*·D`
     /// (Section III-B: the Codebook SRAM is sized to `2k*D` bytes).
     pub fn storage_bytes(&self) -> usize {
@@ -190,21 +201,25 @@ impl PqCodebook {
     ///
     /// Panics if `v.len() != self.dim()`.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
+        let mut codes = vec![0u8; self.m];
+        self.encode_into(v, &mut codes);
+        codes
+    }
+
+    /// [`PqCodebook::encode`] into a caller-owned buffer, so a loop over
+    /// many vectors allocates nothing: `codes[j]` becomes the nearest
+    /// codeword of `B_j` to sub-vector `j` (lowest id on ties).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.dim()` or `codes.len() != self.m()`.
+    pub fn encode_into(&self, v: &[f32], codes: &mut [u8]) {
         assert_eq!(v.len(), self.dim);
+        assert_eq!(codes.len(), self.m);
         let sub = self.sub_dim();
-        (0..self.m)
-            .map(|j| {
-                let xv = &v[j * sub..(j + 1) * sub];
-                let mut best = (0usize, f32::INFINITY);
-                for (c, w) in self.books[j].iter().enumerate() {
-                    let d = metric::l2_squared(xv, w);
-                    if d < best.1 {
-                        best = (c, d);
-                    }
-                }
-                best.0 as u8
-            })
-            .collect()
+        for (j, code) in codes.iter_mut().enumerate() {
+            *code = self.dim_major[j].nearest(&v[j * sub..(j + 1) * sub]).0 as u8;
+        }
     }
 
     /// Encodes every row of `data`, packing identifiers at the width implied
@@ -217,8 +232,7 @@ impl PqCodebook {
         let mut packed = PackedCodes::with_capacity(self.m, width, data.len());
         let mut codes = vec![0u8; self.m];
         for v in data.iter() {
-            let enc = self.encode(v);
-            codes.copy_from_slice(&enc);
+            self.encode_into(v, &mut codes);
             packed.push(&codes);
         }
         packed

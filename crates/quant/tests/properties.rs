@@ -3,11 +3,12 @@
 
 use anna_quant::additive::{AqCodebook, AqConfig};
 use anna_quant::codes::{CodeWidth, PackedCodes};
+use anna_quant::dist_table::DimMajor;
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::linalg::SmallMat;
 use anna_quant::opq::{Opq, OpqConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
-use anna_testkit::forall;
+use anna_testkit::{forall, same_f32_bits, TestRng};
 use anna_vector::{metric, VectorSet};
 
 /// Packed codes always round-trip, at both widths and any m.
@@ -233,4 +234,140 @@ fn pq_reconstruction_is_subspace_optimal() {
             }
         }
     });
+}
+
+/// The pre-kernel encode/assign loop, kept as the oracle: first strict
+/// minimum of `metric::l2_squared` over the row-major codewords.
+fn nearest_row_major(v: &[f32], rows: &VectorSet) -> (usize, f32) {
+    let mut best = (0usize, f32::INFINITY);
+    for (c, w) in rows.iter().enumerate() {
+        let d = metric::l2_squared(v, w);
+        if d < best.1 {
+            best = (c, d);
+        }
+    }
+    best
+}
+
+/// The distance-table kernel equals `metric::l2_squared` / `metric::dot`
+/// bit for bit on every entry: chunk and tail dimensions (`sub` 1..=9),
+/// full and ragged lane blocks (`k*` 16, 19, 40, 256), NaN / ±∞ / −0.0
+/// inputs (NaNs compare as a class, see [`same_f32_bits`]). `nearest` is
+/// the first minimum of that table.
+#[test]
+fn distance_table_kernel_is_bit_identical_to_scalar_metric() {
+    forall("distance table kernel == scalar metric", 96, |rng| {
+        let sub = rng.usize(1..10);
+        let k = *rng.pick(&[16usize, 19, 40, 256]);
+        let special = rng.bool();
+        let draw = |rng: &mut TestRng| {
+            if special {
+                rng.tricky_f32(-4.0..4.0)
+            } else {
+                rng.f32(-4.0..4.0)
+            }
+        };
+        let flat: Vec<f32> = (0..k * sub).map(|_| draw(rng)).collect();
+        let rows = VectorSet::from_vec(sub, flat);
+        let v: Vec<f32> = (0..sub).map(|_| draw(rng)).collect();
+
+        let dm = DimMajor::new(&rows);
+        assert_eq!((dm.k(), dm.dim()), (k, sub));
+        let mut l2 = vec![0.0f32; k];
+        let mut ip = vec![0.0f32; k];
+        dm.l2_table(&v, &mut l2);
+        dm.dot_table(&v, &mut ip);
+        for c in 0..k {
+            let (want_l2, want_ip) = (
+                metric::l2_squared(&v, rows.row(c)),
+                metric::dot(&v, rows.row(c)),
+            );
+            assert!(
+                same_f32_bits(l2[c], want_l2),
+                "l2 sub={sub} k={k} c={c}: {} vs {want_l2}",
+                l2[c]
+            );
+            assert!(
+                same_f32_bits(ip[c], want_ip),
+                "dot sub={sub} k={k} c={c}: {} vs {want_ip}",
+                ip[c]
+            );
+        }
+        let (got, want) = (dm.nearest(&v), nearest_row_major(&v, &rows));
+        assert_eq!(got.0, want.0, "nearest sub={sub} k={k}");
+        assert!(same_f32_bits(got.1, want.1));
+    });
+}
+
+/// `encode` is the old row-major loop on every row of a trained book, and
+/// duplicate codewords resolve to the lowest id.
+#[test]
+fn pq_encode_matches_row_major_loop_and_keeps_lowest_duplicate() {
+    forall("pq encode == row-major loop", 12, |rng| {
+        let seed = rng.u64(0..500);
+        let kstar = *rng.pick(&[16usize, 40, 256]);
+        let data = VectorSet::from_fn(10, 300, |r, c| {
+            ((r as u64 * 31 + c as u64 * 17 + seed * 7) % 53) as f32 * 0.5
+        });
+        let book = PqCodebook::train(
+            &data,
+            &PqConfig {
+                m: 2,
+                kstar,
+                iters: 3,
+                seed,
+            },
+        );
+        let mut codes = vec![0u8; book.m()];
+        for i in 0..data.len() {
+            book.encode_into(data.row(i), &mut codes);
+            assert_eq!(codes, book.encode(data.row(i)));
+            for (j, &code) in codes.iter().enumerate() {
+                let want = nearest_row_major(data.subvector(i, 2, j), book.book(j)).0;
+                assert_eq!(code as usize, want, "row {i} subspace {j}");
+            }
+        }
+    });
+
+    // Codewords 3, 11 and 12 coincide (two lane blocks); so do 0 and 1.
+    let mut rows = VectorSet::from_fn(2, 16, |r, c| (r * 3 + c) as f32);
+    for dup in [11, 12] {
+        rows.row_mut(dup).copy_from_slice(&[9.0, 10.0]);
+    }
+    rows.row_mut(1).copy_from_slice(&[0.0, 1.0]);
+    let book = PqCodebook::from_books(vec![rows.clone(), rows]);
+    assert_eq!(book.encode(&[9.0, 10.0, 0.1, 0.9]), vec![3, 0]);
+}
+
+/// The dimension-major copy is derived state: whichever way a codebook or
+/// a k-means model is constructed, it equals a fresh transposition.
+#[test]
+fn dim_major_copy_stays_in_sync_with_the_row_major_books() {
+    let data = VectorSet::from_fn(6, 120, |r, c| ((r * 13 + c * 7) % 19) as f32);
+    let trained = PqCodebook::train(
+        &data,
+        &PqConfig {
+            m: 3,
+            kstar: 16,
+            iters: 4,
+            seed: 5,
+        },
+    );
+    let rebuilt = PqCodebook::from_books((0..3).map(|i| trained.book(i).clone()).collect());
+    assert_eq!(trained, rebuilt);
+    for book in [&trained, &rebuilt] {
+        for i in 0..book.m() {
+            assert_eq!(book.dim_major(i), &DimMajor::new(book.book(i)));
+        }
+    }
+
+    let km = KMeans::train(
+        &data,
+        &KMeansConfig {
+            k: 7,
+            max_iters: 6,
+            seed: 2,
+        },
+    );
+    assert_eq!(km, KMeans::from_centroids(km.centroids().clone()));
 }

@@ -1,7 +1,7 @@
 //! Hand-rolled, std-only property-test harness.
 //!
 //! The build environment is air-gapped, so `proptest` is unavailable; this
-//! crate provides the two pieces the workspace's property tests actually
+//! crate provides the pieces the workspace's property tests actually
 //! need:
 //!
 //! * [`TestRng`] — a seeded SplitMix64 generator with the sampling helpers
@@ -12,6 +12,8 @@
 //!   `catch_unwind`, and on failure re-panics with the property name, case
 //!   index, and seed so the exact failing input can be replayed with
 //!   [`replay`].
+//! * [`same_f32_bits`] — bit equality of floats with NaNs compared as a
+//!   class, for "kernel A computes exactly what kernel B does" checks.
 //! * [`traffic_match`] / [`assert_traffic_match`] — the workspace's
 //!   shared predicted-vs-measured traffic check: every engine and bench
 //!   compares byte counters component by component through this one
@@ -124,6 +126,20 @@ impl TestRng {
         range.start + (self.unit_f64() as f32) * (range.end - range.start)
     }
 
+    /// Like [`TestRng::f32`], but one draw in eight is instead one of the
+    /// values that break sloppy float kernels: NaN, ±∞, −0.0, +0.0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or unordered.
+    pub fn tricky_f32(&mut self, range: Range<f32>) -> f32 {
+        if self.below(8) == 0 {
+            *self.pick(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0])
+        } else {
+            self.f32(range)
+        }
+    }
+
     /// Uniform `f64` in `range` (half-open).
     ///
     /// # Panics
@@ -183,6 +199,16 @@ impl TestRng {
     pub fn fork(&mut self) -> TestRng {
         TestRng::new(self.next_u64())
     }
+}
+
+/// Bit equality of two floats, except that any NaN equals any NaN — the
+/// comparison for "this kernel computes exactly what that one does". Rust
+/// leaves the sign and payload of a NaN produced by arithmetic
+/// unspecified (the backend may commute the operands), so NaNs can only be
+/// compared as a class; everything else, `-0.0` vs `0.0` included, is
+/// compared by bits.
+pub fn same_f32_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 /// Compares predicted vs measured traffic component by component.
@@ -380,6 +406,21 @@ mod tests {
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("graph: traffic mismatch"), "{msg}");
         assert!(msg.contains("result_bytes"), "{msg}");
+    }
+
+    #[test]
+    fn tricky_floats_cover_the_special_values_and_compare_by_bits() {
+        let mut rng = TestRng::new(11);
+        let draws: Vec<f32> = (0..400).map(|_| rng.tricky_f32(-1.0..1.0)).collect();
+        assert!(draws.iter().any(|x| x.is_nan()));
+        assert!(draws.contains(&f32::INFINITY) && draws.contains(&f32::NEG_INFINITY));
+        assert!(draws.iter().any(|x| x.to_bits() == (-0.0f32).to_bits()));
+        assert!(draws.iter().filter(|x| x.is_finite() && **x != 0.0).count() > 300);
+
+        assert!(same_f32_bits(f32::NAN, -f32::NAN));
+        assert!(same_f32_bits(1.5, 1.5));
+        assert!(!same_f32_bits(0.0, -0.0));
+        assert!(!same_f32_bits(f32::NAN, 1.0));
     }
 
     #[test]
