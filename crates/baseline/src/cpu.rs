@@ -7,6 +7,7 @@
 //! cost extra); with `k* = 256` the LUT spills to L1 and every lookup is a
 //! load. The model computes both bounds and takes the slower.
 
+use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
 use anna_index::{kernels, IvfPqIndex, Lut, LutPrecision, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, TopK, VectorSet};
@@ -220,13 +221,23 @@ pub fn calibrate(vectors: usize, m: usize) -> CpuKernelRates {
     }
 }
 
-/// Times a real search over a real index on the host and returns measured
-/// QPS (used for the small-scale, fully-measured points in the report).
+/// Times the query-at-a-time schedule ([`IvfPqIndex::search`] per query,
+/// one worker) over a real index on the host and returns measured QPS
+/// (used for the small-scale, fully-measured points in the report).
+///
+/// # Panics
+///
+/// Panics if `queries.dim() != index.dim()`.
 pub fn measure_qps(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> f64 {
-    assert_eq!(index.metric(), index.metric());
-    let _warm = index.search_batch(queries, params);
+    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
+    let pass = || {
+        for q in queries.iter() {
+            std::hint::black_box(index.search(q, params));
+        }
+    };
+    pass();
     let start = std::time::Instant::now();
-    let _ = index.search_batch(queries, params);
+    pass();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     queries.len() as f64 / secs
 }
@@ -253,14 +264,21 @@ pub fn measure_batched_qps_with(
 
 /// [`measure_batched_qps_with`] with a telemetry sink.
 ///
-/// The warm-up pass runs uninstrumented; then **three** timed passes run
-/// under `cpu.batch` spans and the best (fastest) one decides the
-/// reported QPS, mirroring how [`measure_stream_bandwidth`] reports its
-/// best-of-3 — a single timed pass let scheduler noise land directly in
-/// `reports/threads_sweep.json`. The snapshot carries the baseline's
-/// stage timings, per-worker utilization and bridged `plan.*` traffic
-/// counters for all three passes (the `cpu.batch` histogram holds three
-/// samples), and the best-pass throughput lands in the `cpu.qps` gauge.
+/// Each pass is one [`run_pipeline`] (scope, plan, price, execute,
+/// verify) — the whole request path, f32 lookup tables. The warm-up pass
+/// runs uninstrumented; then **three** timed passes run under `cpu.batch`
+/// spans and the best (fastest) one decides the reported QPS, mirroring
+/// how [`measure_stream_bandwidth`] reports its best-of-3 — a single
+/// timed pass let scheduler noise land directly in
+/// `reports/threads_sweep.json`. The snapshot carries the pipeline's
+/// `engine.*` step spans, the executor's stage timings, per-worker
+/// utilization and bridged `plan.*` traffic counters for all three passes
+/// (the `cpu.batch` histogram holds three samples), and the best-pass
+/// throughput lands in the `cpu.qps` gauge.
+///
+/// # Panics
+///
+/// Panics if the engine's measured traffic diverges from its prediction.
 pub fn measure_batched_qps_traced(
     index: &IvfPqIndex,
     queries: &VectorSet,
@@ -269,14 +287,19 @@ pub fn measure_batched_qps_traced(
     tel: &Telemetry,
 ) -> f64 {
     let scan = anna_index::BatchedScan::new(index);
-    let exec = anna_index::BatchExec::with_threads(threads);
-    let _warm = scan.run_with(queries, params, &exec);
+    let spec = QuerySpec::from(params);
+    let threads = anna_index::resolve_threads(threads);
+    let pass = |tel: &Telemetry| {
+        run_pipeline(&scan, queries, &spec, &PlanOptions::default(), threads, tel)
+            .expect("batched scan: predicted == measured");
+    };
+    pass(&Telemetry::disabled());
     let mut best_secs = f64::INFINITY;
     for _ in 0..3 {
         let start = std::time::Instant::now();
         {
             let _span = tel.span("cpu.batch");
-            let _ = scan.run_instrumented(queries, params, &exec, tel);
+            pass(tel);
         }
         best_secs = best_secs.min(start.elapsed().as_secs_f64().max(1e-9));
     }

@@ -5,7 +5,7 @@
 //! achieve substantially better maximum recall".
 
 use anna_data::{recall, synth, PaperDataset};
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
 use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
@@ -72,7 +72,7 @@ pub fn run_for(dataset: PaperDataset, scale: &Scale) -> Compression {
                     seed: scale.seed,
                 },
             );
-            let results = index.search_batch(&data.queries, &params);
+            let (results, _) = BatchedScan::new(&index).run(&data.queries, &params);
             rows.push(CompressionRow {
                 dataset: dataset.name().to_string(),
                 config: name.to_string(),

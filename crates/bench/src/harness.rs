@@ -4,7 +4,7 @@
 use anna_baseline::{CpuModel, GpuModel};
 use anna_core::{engine::analytic, scale_out_qps, AnnaConfig, BatchWorkload, ScmAllocation};
 use anna_data::{recall, synth, ClusterSizeModel, PaperDataset};
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
@@ -184,7 +184,7 @@ impl PlotContext {
             k: self.scale.recall_y,
             ..Default::default()
         };
-        let results = model.index.search_batch(&self.data.queries, &params);
+        let (results, _) = BatchedScan::new(&model.index).run(&self.data.queries, &params);
         recall::recall_x_at_y(&self.gt, &results, self.scale.recall_y)
     }
 

@@ -18,18 +18,18 @@
 //! on the bulk; adaptive reaches them at strictly fewer
 //! TrafficModel-priced bytes per query.
 //!
-//! Every point runs its exact priced [`anna_plan::BatchPlan`] and
-//! asserts measured == predicted on all six traffic components; the
+//! Every point runs the engine pipeline — the scanner's own plan for its
+//! policy, priced, executed, verified — and records measured == predicted
+//! on all six traffic components; the
 //! frontier rows then compare, per recall target, the cheapest adaptive
 //! point against the cheapest fixed-precision point. Emitted as
 //! `reports/rerank_sweep.json` by `--bin rerank_sweep`.
 
 use std::time::Instant;
 
-use anna_index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
-};
-use anna_plan::{PlanParams, TrafficModel};
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision};
+use anna_plan::EnginePlan;
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
 
@@ -208,43 +208,49 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let params = SearchParams {
-        nprobe: 6,
-        k: K,
-        ..Default::default()
-    };
+    let spec = QuerySpec { k: K, scope: 6 };
     let scan = BatchedScan::with_rerank_db(&index, &data);
-    let model = TrafficModel::new(PlanParams::default());
     let tel = Telemetry::disabled();
-    let mut points = Vec::new();
+    // One point: the engine's plan under `rerank`, priced, executed under
+    // the clock, verified.
+    let measure = |mode: &str, alpha: usize, rerank: Option<RerankPolicy>| {
+        let plan = plan_uniform(&scan, &qs, &spec, &PlanOptions { rerank }, &tel);
+        let predicted = scan.price(&plan);
+        let start = Instant::now();
+        let run = scan.execute(&qs, &plan, threads, &tel);
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        let EnginePlan::ClusterMajor { plan: rounds, .. } = &plan else {
+            unreachable!("the cluster-major engine plans cluster-major batches");
+        };
+        let escalated = rounds.rerank.as_ref().map_or(0, |stage| {
+            stage
+                .queries
+                .iter()
+                .filter(|q| q.precision == RerankPrecision::F32)
+                .count()
+        });
+        RerankPoint {
+            label: match rerank {
+                Some(_) => format!("{mode}@a{alpha}"),
+                None => mode.to_string(),
+            },
+            mode: mode.to_string(),
+            alpha,
+            recall: recall_span(&run.results, &truth, 0, nq),
+            recall_fine: recall_span(&run.results, &truth, 0, nq_fine),
+            recall_coarse: recall_span(&run.results, &truth, nq_fine, nq),
+            bytes_per_query: predicted.total() as f64 / nq as f64,
+            rerank_bytes_per_query: (predicted.rerank_candidate_bytes
+                + predicted.rerank_vector_bytes) as f64
+                / nq as f64,
+            escalated,
+            traffic_match: scan.verify(&predicted, None, &run.measured).is_ok(),
+            qps: nq as f64 / secs,
+        }
+    };
 
     // Single-phase baseline: the first-pass kernels alone.
-    {
-        let workload = scan.workload(&qs, &params);
-        let plan = scan.default_plan(&qs, &params);
-        let predicted = model.price(&workload, &plan);
-        let start = Instant::now();
-        let (results, stats) = scan.run_plan(&qs, &params, &plan, threads, &tel);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        points.push(RerankPoint {
-            label: "single".to_string(),
-            mode: "single".to_string(),
-            alpha: 1,
-            recall: recall_span(&results, &truth, 0, nq),
-            recall_fine: recall_span(&results, &truth, 0, nq_fine),
-            recall_coarse: recall_span(&results, &truth, nq_fine, nq),
-            bytes_per_query: predicted.total() as f64 / nq as f64,
-            rerank_bytes_per_query: 0.0,
-            escalated: 0,
-            traffic_match: anna_testkit::traffic_match(
-                "rerank_sweep/single",
-                &stats.to_measured().components(&predicted),
-            )
-            .is_ok(),
-            qps: nq as f64 / secs,
-        });
-    }
-
+    let mut points = vec![measure("single", 1, None)];
     let modes = [
         (RerankMode::Fixed(RerankPrecision::F16), "f16"),
         (RerankMode::Fixed(RerankPrecision::F32), "f32"),
@@ -252,38 +258,11 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     ];
     for &(mode, mode_name) in &modes {
         for alpha in [1usize, 2, 4, 8] {
-            let policy = RerankPolicy { mode, alpha };
-            let (first, plan) = scan.two_phase_plan(&qs, &params, &policy);
-            let workload = scan.workload(&qs, &first);
-            let predicted = model.price(&workload, &plan);
-            let stage = plan.rerank.as_ref().expect("two-phase plan carries stage");
-            let escalated = stage
-                .queries
-                .iter()
-                .filter(|q| q.precision == RerankPrecision::F32)
-                .count();
-            let start = Instant::now();
-            let (results, stats) = scan.run_plan(&qs, &first, &plan, threads, &tel);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            points.push(RerankPoint {
-                label: format!("{mode_name}@a{alpha}"),
-                mode: mode_name.to_string(),
+            points.push(measure(
+                mode_name,
                 alpha,
-                recall: recall_span(&results, &truth, 0, nq),
-                recall_fine: recall_span(&results, &truth, 0, nq_fine),
-                recall_coarse: recall_span(&results, &truth, nq_fine, nq),
-                bytes_per_query: predicted.total() as f64 / nq as f64,
-                rerank_bytes_per_query: (predicted.rerank_candidate_bytes
-                    + predicted.rerank_vector_bytes) as f64
-                    / nq as f64,
-                escalated,
-                traffic_match: anna_testkit::traffic_match(
-                    &format!("rerank_sweep/{mode_name}@a{alpha}"),
-                    &stats.to_measured().components(&predicted),
-                )
-                .is_ok(),
-                qps: nq as f64 / secs,
-            });
+                Some(RerankPolicy { mode, alpha }),
+            ));
         }
     }
 
@@ -323,7 +302,7 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
         db_n,
         queries: nq,
         fine_queries: nq_fine,
-        nprobe: params.nprobe,
+        nprobe: spec.scope,
         threads,
         points,
         frontier,

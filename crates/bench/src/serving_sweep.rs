@@ -16,9 +16,8 @@
 //! point show what intensity shape does to the tail at the same average
 //! load.
 
-use anna_engine::QuerySpec;
-use anna_index::{IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
-use anna_plan::{PlanParams, TrafficModel};
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{IvfPqConfig, IvfPqIndex};
 use anna_serve::{calibrate_service_rate, compose, execute, ServeConfig};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
@@ -123,22 +122,17 @@ pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep
     // Calibration: measured service rate at a representative probe batch,
     // converted to QPS via the probe's priced bytes per query.
     let probe = queries.gather(&(0..64.min(pool)).collect::<Vec<_>>());
-    let probe_params = SearchParams {
-        nprobe: 8,
-        k: 10,
-        lut_precision: LutPrecision::F32,
-    };
     let scan = anna_index::BatchedScan::new(&index);
-    let probe_spec = QuerySpec {
-        k: probe_params.k,
-        scope: probe_params.nprobe,
-    };
+    let probe_spec = QuerySpec { k: 10, scope: 8 };
     let service_bytes_per_sec = calibrate_service_rate(&scan, &probe, &probe_spec, threads);
-    let probe_bytes = TrafficModel::new(PlanParams::default())
-        .price(
-            &scan.workload(&probe, &probe_params),
-            &scan.default_plan(&probe, &probe_params),
-        )
+    let probe_bytes = scan
+        .price(&plan_uniform(
+            &scan,
+            &probe,
+            &probe_spec,
+            &PlanOptions::default(),
+            &Telemetry::disabled(),
+        ))
         .total();
     let bytes_per_query = (probe_bytes / probe.len().max(1) as u64).max(1);
     let capacity_qps = service_bytes_per_sec as f64 / bytes_per_query as f64;

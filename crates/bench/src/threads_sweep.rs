@@ -19,8 +19,8 @@
 use anna_baseline::cpu::{measure_batched_qps_traced, measure_stream_bandwidth};
 use anna_core::ScmAllocation;
 use anna_core::{Anna, AnnaConfig};
-use anna_index::{BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
-use anna_plan::{PlanParams, TrafficModel};
+use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -87,8 +87,9 @@ pub fn run(db_n: usize, batch: usize, thread_counts: &[usize]) -> ThreadsSweep {
 ///
 /// Each thread count records under a `threads<t>.` prefix on its own
 /// chrome-trace process lane (so the per-worker timelines of every point
-/// stay separable), and the timed pass bridges the engine's stage spans
-/// and `batch.*` traffic counters into the snapshot. After the sweep, the
+/// stay separable), and the timed passes bridge the pipeline's `engine.*`
+/// step spans, the executor's `batch.*` stage spans and the `plan.*`
+/// traffic counters into the snapshot. After the sweep, the
 /// same batch runs once through the functional accelerator under the
 /// `accel.` prefix, bridging the CPM/EFM/SCM module counters and P-heap
 /// spill/fill statistics into the same snapshot.
@@ -119,17 +120,24 @@ pub fn run_traced(
     };
 
     let scan = BatchedScan::new(&index);
-    let (serial_ref, _) = scan.run_serial(&queries, &params);
-
-    // Price the exact plan the engine executes (the shaped default plan),
-    // so achieved bytes/sec below reflects what this schedule moves — not
-    // a generic estimate.
-    let traffic_bytes_per_batch = TrafficModel::new(PlanParams::default())
-        .price(
-            &scan.workload(&queries, &params),
-            &scan.default_plan(&queries, &params),
+    let spec = QuerySpec::from(&params);
+    let pipeline = |threads: usize| {
+        run_pipeline(
+            &scan,
+            &queries,
+            &spec,
+            &PlanOptions::default(),
+            threads,
+            &Telemetry::disabled(),
         )
-        .total();
+        .expect("threads sweep: predicted == measured")
+    };
+
+    // The serial reference, and the price of the exact plan the engine
+    // executes — so achieved bytes/sec below reflects what this schedule
+    // moves, not a generic estimate.
+    let (_, predicted, serial_ref) = pipeline(1);
+    let traffic_bytes_per_batch = predicted.total();
 
     let mut points = Vec::new();
     let mut serial_qps: Option<f64> = None;
@@ -141,14 +149,14 @@ pub fn run_traced(
         if threads == 1 {
             serial_qps = Some(qps);
         }
-        let (got, _) = scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
+        let (_, _, got) = pipeline(threads);
         let achieved = traffic_bytes_per_batch as f64 * qps / batch.max(1) as f64;
         let roofline = measure_stream_bandwidth(threads);
         points.push(ThreadPoint {
             threads,
             qps,
             speedup: 0.0, // filled below once the serial point is known
-            identical_to_serial: got == serial_ref,
+            identical_to_serial: got.results == serial_ref.results,
             achieved_bytes_per_sec: achieved,
             roofline_bytes_per_sec: roofline,
             achieved_vs_roofline: achieved / roofline.max(1.0),
@@ -332,8 +340,8 @@ mod tests {
         let snap = tel.snapshot_json().unwrap();
         for key in [
             // Per-stage timings, per thread count.
-            "\"threads1.batch.plan\"",
-            "\"threads2.batch.plan\"",
+            "\"threads1.engine.plan\"",
+            "\"threads2.engine.plan\"",
             "\"threads1.batch.merge\"",
             // Per-worker utilization of the 2-thread point.
             "\"threads2.worker0.busy_ns\"",

@@ -12,8 +12,8 @@
 //! batch the point asserts three things:
 //!
 //! 1. results are bit-identical to the single-shard in-RAM serial oracle,
-//! 2. measured [`anna_index::BatchStats`] equal the
-//!    [`anna_index::ShardedIndex::price_batch`] prediction component for
+//! 2. measured [`anna_index::BatchStats`] equal the price of the engine's
+//!    plan ([`anna_engine::SearchEngine::price`]) component for
 //!    component, and
 //! 3. the measured [`anna_plan::TierTraffic`] split — bytes from cache vs
 //!    bytes from storage, hits, misses, admissions, evictions — equals
@@ -27,8 +27,10 @@
 
 use std::time::Instant;
 
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
 use anna_plan::TierTraffic;
+use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
 
 use crate::json::Json;
@@ -136,6 +138,11 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         k: K,
         ..SearchParams::default()
     };
+    let spec = QuerySpec {
+        k: K,
+        scope: NPROBE,
+    };
+    let tel = Telemetry::disabled();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -174,15 +181,15 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         for (qs, (want_res, want_stats)) in qsets.iter().zip(&want) {
             // Each batch advances the shard caches; predict from the live
             // state immediately before running.
-            let predicted = tiered.price_batch(qs, &params);
+            let plan = plan_uniform(&tiered, qs, &spec, &PlanOptions::default(), &tel);
+            let predicted = tiered.price(&plan);
             let start = Instant::now();
             let (res, stats) = tiered.search_batch(qs, &params, threads).unwrap();
             elapsed += start.elapsed().as_secs_f64();
             identical &= res == *want_res && stats.batch == want_stats.batch;
-            let measured = stats.to_measured();
-            let mut components = measured.components(&predicted.traffic);
-            components.extend(measured.tier_components(&predicted.tier));
-            traffic_match &= anna_testkit::traffic_match("tiered_sweep", &components).is_ok()
+            traffic_match &= tiered
+                .verify(&predicted, plan.predicted_tier(), &stats.to_measured())
+                .is_ok()
                 && stats.tier.total_code_bytes() == stats.batch.code_bytes;
             tier.accumulate(&stats.tier);
         }

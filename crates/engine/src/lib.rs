@@ -240,15 +240,39 @@ pub trait SearchEngine {
     }
 }
 
+/// The first two pipeline steps for one uniform batch: scope every query
+/// with `spec`, then plan. Timed as the spans `engine.scope` and
+/// `engine.plan`.
+pub fn plan_uniform(
+    engine: &dyn SearchEngine,
+    queries: &VectorSet,
+    spec: &QuerySpec,
+    options: &PlanOptions,
+    tel: &Telemetry,
+) -> EnginePlan {
+    let scopes: Vec<Vec<usize>> = {
+        let _span = tel.span("engine.scope");
+        queries
+            .iter()
+            .map(|q| engine.query_scope(q, spec))
+            .collect()
+    };
+    let specs = vec![*spec; queries.len()];
+    let _span = tel.span("engine.plan");
+    engine.plan(queries, &specs, &scopes, options)
+}
+
 /// Runs the full pipeline for one uniform batch: scope every query with
-/// `spec`, plan, price, execute at `threads`, verify, and emit `engine.*`
+/// `spec`, plan, price, execute at `threads`, verify (the storage-tier
+/// split included when the plan predicts one), and emit `engine.*`
 /// telemetry. Returns the plan, the predicted report, and the run, or the
 /// component-naming verification error.
 ///
-/// Counters emitted (all under the `engine.` prefix):
+/// Each step is timed as a span — `engine.scope`, `engine.plan`,
+/// `engine.price`, `engine.execute`, `engine.verify` — and the counters
 /// `engine.batches`, `engine.queries`, `engine.predicted_bytes`,
-/// `engine.code_bytes`, `engine.meta_bytes`, `engine.traffic_mismatches`,
-/// and the span `engine.execute`.
+/// `engine.code_bytes`, `engine.meta_bytes`, `engine.traffic_mismatches`
+/// are emitted (all under the `engine.` prefix).
 ///
 /// # Errors
 ///
@@ -262,13 +286,11 @@ pub fn run_pipeline(
     threads: usize,
     tel: &Telemetry,
 ) -> Result<(EnginePlan, TrafficReport, EngineRun), String> {
-    let specs = vec![*spec; queries.len()];
-    let scopes: Vec<Vec<usize>> = queries
-        .iter()
-        .map(|q| engine.query_scope(q, spec))
-        .collect();
-    let plan = engine.plan(queries, &specs, &scopes, options);
-    let predicted = engine.price(&plan);
+    let plan = plan_uniform(engine, queries, spec, options, tel);
+    let predicted = {
+        let _span = tel.span("engine.price");
+        engine.price(&plan)
+    };
     let run = {
         let _span = tel.span("engine.execute");
         engine.execute(queries, &plan, threads, tel)
@@ -278,7 +300,11 @@ pub fn run_pipeline(
     tel.counter_add("engine.predicted_bytes", predicted.total());
     tel.counter_add("engine.code_bytes", run.measured.code_bytes);
     tel.counter_add("engine.meta_bytes", run.measured.cluster_meta_bytes);
-    match engine.verify(&predicted, None, &run.measured) {
+    let verified = {
+        let _span = tel.span("engine.verify");
+        engine.verify(&predicted, plan.predicted_tier(), &run.measured)
+    };
+    match verified {
         Ok(()) => Ok((plan, predicted, run)),
         Err(msg) => {
             tel.counter_add("engine.traffic_mismatches", 1);
@@ -290,14 +316,19 @@ pub fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anna_plan::{GraphPlan, GraphQueryPlan, GraphShape, GraphWorkload};
+    use anna_plan::{GraphPlan, GraphQueryPlan, GraphShape, GraphWorkload, ShardedBatchPlan};
 
     /// A toy engine that "scans" nothing and reports exactly what its
     /// plan prices — enough to exercise the default methods and the
     /// pipeline helper without a real index.
+    #[derive(Default)]
     struct NullEngine {
         dim: usize,
         lie_about_code_bytes: bool,
+        /// `(predicted, measured)` storage-tier disk bytes: when set the
+        /// engine plans an (empty) sharded batch predicting the first and
+        /// reports the second.
+        tier_disk_bytes: Option<(u64, u64)>,
     }
 
     impl SearchEngine for NullEngine {
@@ -326,6 +357,20 @@ mod tests {
         ) -> EnginePlan {
             assert!(options.rerank.is_none());
             assert_eq!(specs.len(), queries.len());
+            if let Some((predicted, _)) = self.tier_disk_bytes {
+                return EnginePlan::Sharded(ShardedBatchPlan {
+                    per_shard: Vec::new(),
+                    merge_units: 0,
+                    spill_unit_bytes: 0,
+                    b: queries.len(),
+                    k: 1,
+                    nprobe: 1,
+                    predicted_tier: TierTraffic {
+                        disk_code_bytes: predicted,
+                        ..TierTraffic::default()
+                    },
+                });
+            }
             EnginePlan::Graph {
                 workload: GraphWorkload {
                     shape: GraphShape {
@@ -368,6 +413,10 @@ mod tests {
                         predicted.code_bytes
                     },
                     cluster_meta_bytes: predicted.cluster_meta_bytes,
+                    tier: self.tier_disk_bytes.map(|(_, measured)| TierTraffic {
+                        disk_code_bytes: measured,
+                        ..TierTraffic::default()
+                    }),
                     ..MeasuredTraffic::default()
                 },
             }
@@ -378,7 +427,7 @@ mod tests {
     fn pipeline_verifies_and_counts_under_engine_prefix() {
         let engine = NullEngine {
             dim: 8,
-            lie_about_code_bytes: false,
+            ..NullEngine::default()
         };
         let queries = VectorSet::from_fn(8, 3, |r, c| (r + c) as f32);
         let tel = Telemetry::enabled();
@@ -390,8 +439,17 @@ mod tests {
         assert_eq!(run.results.len(), 3);
         assert!(predicted.total() > 0);
         let snapshot = tel.snapshot_json().expect("enabled telemetry");
-        assert!(snapshot.contains("engine.batches"), "{snapshot}");
-        assert!(snapshot.contains("engine.predicted_bytes"), "{snapshot}");
+        for key in [
+            "engine.batches",
+            "engine.predicted_bytes",
+            "engine.scope",
+            "engine.plan",
+            "engine.price",
+            "engine.execute",
+            "engine.verify",
+        ] {
+            assert!(snapshot.contains(key), "missing {key} in {snapshot}");
+        }
     }
 
     #[test]
@@ -399,6 +457,7 @@ mod tests {
         let engine = NullEngine {
             dim: 8,
             lie_about_code_bytes: true,
+            ..NullEngine::default()
         };
         let queries = VectorSet::from_fn(8, 2, |r, c| (r * 3 + c) as f32);
         let tel = Telemetry::enabled();
@@ -418,10 +477,33 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_verifies_the_tier_split_the_plan_predicts() {
+        let queries = VectorSet::from_fn(4, 2, |r, c| (r + c) as f32);
+        let run = |tier_disk_bytes| {
+            let engine = NullEngine {
+                dim: 4,
+                tier_disk_bytes: Some(tier_disk_bytes),
+                ..NullEngine::default()
+            };
+            run_pipeline(
+                &engine,
+                &queries,
+                &QuerySpec { k: 1, scope: 1 },
+                &PlanOptions::default(),
+                1,
+                &Telemetry::disabled(),
+            )
+        };
+        run((64, 64)).expect("honest tier split verifies");
+        let err = run((64, 65)).expect_err("a drifted tier split must fail verification");
+        assert!(err.contains("tier.disk_code_bytes"), "{err}");
+    }
+
+    #[test]
     fn verify_includes_tier_components_when_both_sides_have_them() {
         let engine = NullEngine {
             dim: 4,
-            lie_about_code_bytes: false,
+            ..NullEngine::default()
         };
         let predicted = TrafficReport::default();
         let predicted_tier = TierTraffic {

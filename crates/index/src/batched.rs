@@ -9,10 +9,12 @@
 //! cluster loads per batch).
 //!
 //! The schedule itself is a shared-IR [`BatchPlan`] from `anna-plan` — the
-//! *same* plan the accelerator simulators execute — built here with
-//! [`BatchPlan::from_visitors`] for the plain software path, or supplied
-//! by the caller via [`BatchedScan::run_plan`] for exact cross-validation
-//! against the timing engines.
+//! *same* plan the accelerator simulators execute. The software engine's
+//! own schedule is built in exactly one place, the scanner's
+//! [`anna_engine::SearchEngine::plan`] (see [`crate::engines`]), and run
+//! by [`BatchedScan::run_plan`] — which equally accepts a plan built
+//! elsewhere (an accelerator tiling from [`anna_plan::plan`]) for exact
+//! cross-validation against the timing engines.
 //!
 //! The paper observes Faiss16's CPU implementation uses this schedule,
 //! which is why it is the fastest CPU baseline; we use the same code for
@@ -20,9 +22,10 @@
 
 use crate::ivf::IvfPqIndex;
 use crate::lut::Lut;
-use crate::parallel::{self, BatchExec};
+use crate::parallel;
 use crate::SearchParams;
-use anna_plan::{BatchPlan, BatchWorkload, PlanParams, SearchShape, TileShaper};
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec};
+use anna_plan::{BatchPlan, BatchWorkload, EnginePlan, SearchShape};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, Neighbor, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -136,19 +139,6 @@ impl<'a> BatchedScan<'a> {
         self.rerank_db
     }
 
-    /// Resolves each query's cluster list and inverts it: entry `c` of the
-    /// result lists the queries visiting cluster `c` (the "array of arrays"
-    /// ANNA keeps in main memory, Section IV-A).
-    pub fn plan(&self, queries: &VectorSet, nprobe: usize) -> Vec<Vec<usize>> {
-        let mut visiting: Vec<Vec<usize>> = vec![Vec::new(); self.index.num_clusters()];
-        for (qi, q) in queries.iter().enumerate() {
-            for cid in self.index.filter_clusters(q, nprobe) {
-                visiting[cid].push(qi);
-            }
-        }
-        visiting
-    }
-
     /// Describes this batch as a plan-layer [`BatchWorkload`]: the index's
     /// shape and cluster sizes plus each query's visited-cluster list (in
     /// filter rank order, exactly the clusters the software scan scores).
@@ -162,6 +152,16 @@ impl<'a> BatchedScan<'a> {
     /// Panics if `queries.dim() != index.dim()`.
     pub fn workload(&self, queries: &VectorSet, params: &SearchParams) -> BatchWorkload {
         assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
+        let visits = queries
+            .iter()
+            .map(|q| self.index.filter_clusters(q, params.nprobe))
+            .collect();
+        self.workload_from_scopes(visits, params.k)
+    }
+
+    /// The workload of a batch whose per-query cluster lists are already
+    /// resolved, with heaps of `k` records.
+    pub(crate) fn workload_from_scopes(&self, visits: Vec<Vec<usize>>, k: usize) -> BatchWorkload {
         let book = self.index.codebook();
         BatchWorkload {
             shape: SearchShape {
@@ -170,52 +170,21 @@ impl<'a> BatchedScan<'a> {
                 kstar: book.kstar(),
                 metric: self.index.metric(),
                 num_clusters: self.index.num_clusters(),
-                k: params.k,
+                k,
             },
             cluster_sizes: self.index.cluster_sizes(),
-            visits: queries
-                .iter()
-                .map(|q| self.index.filter_clusters(q, params.nprobe))
-                .collect(),
+            visits,
         }
     }
 
-    /// Builds the default cost-shaped [`BatchPlan`] for this batch: one
-    /// tile per visited cluster, except that heavyweight clusters are
-    /// split by [`TileShaper`] so no crossbar tile dominates a round —
-    /// the merge/dispatch overhead of every split tile stays under the
-    /// shaper's bound, priced in the same bytes as the
-    /// [`anna_plan::TrafficModel`].
-    ///
-    /// The shaping is a pure function of the workload (never of the
-    /// runtime thread count), so the plan — and therefore the measured
-    /// [`BatchStats`] — is identical however many workers execute it.
-    /// This is the plan [`BatchedScan::run`] executes; it is exposed so
-    /// benchmarks can price exactly what the engine runs.
-    pub fn default_plan(&self, queries: &VectorSet, params: &SearchParams) -> BatchPlan {
-        let visiting = self.plan(queries, params.nprobe);
-        let bytes_per_vector = if self.index.num_clusters() > 0 {
-            self.index.cluster(0).codes.vector_bytes()
-        } else {
-            0
-        };
-        let record = PlanParams::default().topk_record_bytes as u64;
-        BatchPlan::shaped_from_visitors(
-            &visiting,
-            &self.index.cluster_sizes(),
-            bytes_per_vector,
-            &TileShaper::default(),
-            params.k as u64 * record,
-        )
-    }
-
     /// Runs the batch and returns per-query results (query order, best
-    /// first) plus traffic statistics.
+    /// first) plus traffic statistics — the convenience wrapper over the
+    /// engine pipeline: scope every query, build the single-phase
+    /// [`anna_engine::SearchEngine::plan`], and hand it to
+    /// [`BatchedScan::run_plan`] with one worker per available core.
     ///
-    /// Uses the default execution config: one worker per available core,
-    /// cost-shaped tiles. Results are bit-identical to running
-    /// [`IvfPqIndex::search`] per query, and to [`BatchedScan::run_serial`]
-    /// — only the schedule differs (see [`crate::parallel`] for why).
+    /// Results are bit-identical to running [`IvfPqIndex::search`] per
+    /// query — only the schedule differs (see [`crate::parallel`] for why).
     ///
     /// # Panics
     ///
@@ -225,103 +194,47 @@ impl<'a> BatchedScan<'a> {
         queries: &VectorSet,
         params: &SearchParams,
     ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_with(queries, params, &BatchExec::default())
+        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
+        let spec = QuerySpec::from(params);
+        let tel = Telemetry::disabled();
+        let EnginePlan::ClusterMajor { plan, .. } =
+            plan_uniform(self, queries, &spec, &PlanOptions::default(), &tel)
+        else {
+            unreachable!("the cluster-major engine plans cluster-major batches");
+        };
+        self.run_plan(queries, params, &plan, parallel::resolve_threads(0), &tel)
     }
 
-    /// Runs the batch single-threaded — the reference schedule that the
-    /// parallel path must reproduce bit-for-bit.
+    /// Executes a [`BatchPlan`] on `threads` workers — the one inherent
+    /// executor (the trait's `execute` is its adapter) and the
+    /// exact-cross-validation entry point: hand this the same plan a
+    /// timing engine prices and the measured [`BatchStats`] bytes equal
+    /// the predicted [`anna_plan::TrafficModel`] bytes, component for
+    /// component.
     ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_serial(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_with(queries, params, &BatchExec::serial())
-    }
-
-    /// Runs the batch under an explicit execution config.
-    ///
-    /// The batch is planned with [`BatchPlan::from_visitors`] (one round
-    /// per visited cluster, split by `exec.queries_per_group`) and executed
-    /// by `exec.resolved_threads()` scoped workers; neighbors and
-    /// aggregated [`BatchStats`] are independent of the thread count and
-    /// group bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_with(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        exec: &BatchExec,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_instrumented(queries, params, exec, &Telemetry::disabled())
-    }
-
-    /// [`BatchedScan::run_with`] with a telemetry sink.
-    ///
-    /// When `tel` is enabled, each pipeline stage is timed as a span —
-    /// `batch.plan` (cluster filtering + inversion + plan construction),
+    /// When `tel` is enabled the stages are timed as spans —
     /// `batch.lut_build` (shared inner-product base tables), per-round
-    /// `batch.tile_scan` windows on a per-worker timeline, and
-    /// `batch.merge` (folding the per-worker accumulators) — and the
+    /// `batch.tile_scan` windows on a per-worker timeline, `batch.merge`
+    /// (folding the per-worker accumulators), `batch.rerank` — and the
     /// aggregate [`BatchStats`] are bridged into the snapshot as `plan.*`
     /// counters. Telemetry only reads clocks and bumps atomics, so results
     /// and stats are bit-identical to the uninstrumented run.
     ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_instrumented(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        exec: &BatchExec,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        let plan = {
-            let _span = tel.span("batch.plan");
-            if exec.queries_per_group == 0 {
-                self.default_plan(queries, params)
-            } else {
-                let visiting = self.plan(queries, params.nprobe);
-                // The software engine runs whole query groups per worker
-                // (g = 1), and its per-query heaps hold the full k records
-                // requested — so a spill prices k records at the paper's
-                // packed record size.
-                let record = PlanParams::default().topk_record_bytes as u64;
-                BatchPlan::from_visitors(
-                    &visiting,
-                    &self.index.cluster_sizes(),
-                    exec.queries_per_group,
-                    params.k as u64 * record,
-                )
-            }
-        };
-        self.execute_plan(queries, params, &plan, exec.resolved_threads(), tel)
-    }
-
-    /// Executes a caller-supplied [`BatchPlan`] — the exact-cross-validation
-    /// entry point: hand this the same plan a timing engine prices and the
-    /// measured [`BatchStats`] bytes equal the predicted
-    /// [`anna_plan::TrafficModel`] bytes, component for component.
-    ///
-    /// The plan must have been built for this index and query set (e.g.
-    /// from [`BatchedScan::workload`] via [`anna_plan::plan`]): round
-    /// cluster ids index this index's clusters and round query ids index
-    /// `queries`. Results remain bit-identical to the serial software
-    /// schedule for any `threads` and any round splitting, because every
+    /// The plan must have been built for this index and query set (by the
+    /// scanner's [`anna_engine::SearchEngine::plan`], or from
+    /// [`BatchedScan::workload`] via [`anna_plan::plan`]): round cluster
+    /// ids index this index's clusters and round query ids index
+    /// `queries`. A plan carrying a re-rank stage runs its first pass at
+    /// `params.k` (the over-fetched heap size) and needs a scanner built
+    /// with [`BatchedScan::with_rerank_db`]. Results are bit-identical for
+    /// any `threads` and any round splitting, because every
     /// (query, cluster) visit appears in exactly one round.
     ///
     /// # Panics
     ///
-    /// Panics if `queries.dim() != index.dim()` or the plan references an
-    /// out-of-range cluster or query.
+    /// Panics if `queries.dim() != index.dim()`, the plan references an
+    /// out-of-range cluster or query, or the plan carries a re-rank stage
+    /// and the scanner has no re-rank source.
     pub fn run_plan(
         &self,
         queries: &VectorSet,
@@ -332,65 +245,6 @@ impl<'a> BatchedScan<'a> {
     ) -> (Vec<Vec<Neighbor>>, BatchStats) {
         assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
         self.execute_plan(queries, params, plan, threads, tel)
-    }
-
-    /// Builds the two-phase (over-fetch + re-rank) plan for this batch:
-    /// the first pass's parameters (same knobs as `params` but a heap of
-    /// `policy.k_first(params.k)` candidates) and the default cost-shaped
-    /// plan with the [`anna_plan::RerankStage`] attached. `params.k` is
-    /// the *final* k.
-    ///
-    /// Feed both to [`BatchedScan::run_plan`] (or price the plan with
-    /// [`anna_plan::TrafficModel`] first — predicted bytes equal the
-    /// measured [`BatchStats`] exactly, re-rank components included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()` or `params.k == 0`.
-    pub fn two_phase_plan(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        policy: &anna_plan::RerankPolicy,
-    ) -> (SearchParams, BatchPlan) {
-        assert!(params.k > 0, "k must be positive");
-        let first = SearchParams {
-            nprobe: params.nprobe,
-            k: policy.k_first(params.k),
-            lut_precision: params.lut_precision,
-        };
-        let workload = self.workload(queries, &first);
-        let record = PlanParams::default().topk_record_bytes as u64;
-        let plan = self
-            .default_plan(queries, &first)
-            .with_rerank(policy.stage(&workload, params.k, record));
-        (first, plan)
-    }
-
-    /// Runs the two-phase pipeline: the cheap encoded-code first pass
-    /// over-fetches `policy.k_first(params.k)` candidates per query, then
-    /// the re-rank stage rescores each query's survivors at the policy's
-    /// precision against the scanner's re-rank source and emits the final
-    /// `params.k`, best first.
-    ///
-    /// Requires a scanner built with [`BatchedScan::with_rerank_db`].
-    /// Results are bit-identical for any `threads` (see
-    /// [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scanner has no re-rank source, dimensions mismatch,
-    /// or `params.k == 0`.
-    pub fn run_two_phase(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        policy: &anna_plan::RerankPolicy,
-        exec: &BatchExec,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        let (first, plan) = self.two_phase_plan(queries, params, policy);
-        self.run_plan(queries, &first, &plan, exec.resolved_threads(), tel)
     }
 
     fn execute_plan(
@@ -566,22 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_inverts_cluster_lists() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&[0, 8, 16]);
-        let plan = BatchedScan::new(&index).plan(&queries, 3);
-        // Every query appears in exactly nprobe cluster lists.
-        let mut counts = [0usize; 3];
-        for qs in &plan {
-            for &q in qs {
-                counts[q] += 1;
-            }
-        }
-        assert_eq!(counts, [3, 3, 3]);
-    }
-
-    #[test]
-    fn workload_inverts_to_the_same_visitor_lists() {
+    fn workload_visitor_lists_hold_every_query_nprobe_times() {
         let (data, index) = build(Metric::L2);
         let queries = data.gather(&[0, 8, 16, 24]);
         let params = SearchParams {
@@ -589,19 +428,24 @@ mod tests {
             k: 2,
             lut_precision: LutPrecision::F32,
         };
-        let scan = BatchedScan::new(&index);
-        let w = scan.workload(&queries, &params);
+        let w = BatchedScan::new(&index).workload(&queries, &params);
         assert_eq!(w.b(), 4);
         assert_eq!(w.shape.m, 4);
         assert_eq!(w.shape.kstar, 16);
-        assert_eq!(w.visitors_per_cluster(), scan.plan(&queries, params.nprobe));
+        let mut counts = [0usize; 4];
+        for qs in &w.visitors_per_cluster() {
+            for &q in qs {
+                counts[q] += 1;
+            }
+        }
+        assert_eq!(counts, [3; 4]);
     }
 
     #[test]
     fn topk_spill_accounting_prices_round_crossings() {
-        // With one round per visited cluster (group bound 0), a query
-        // probing W clusters crosses W-1 round boundaries, each worth a
-        // k-record spill and fill at 5 B per record.
+        // With one round per visited cluster, a query probing W clusters
+        // crosses W-1 round boundaries, each worth a k-record spill and
+        // fill at 5 B per record.
         let (data, index) = build(Metric::L2);
         let queries = data.gather(&(0..16).collect::<Vec<_>>());
         let params = SearchParams {
@@ -609,7 +453,7 @@ mod tests {
             k: 3,
             lut_precision: LutPrecision::F32,
         };
-        let (_, stats) = BatchedScan::new(&index).run_serial(&queries, &params);
+        let (_, stats) = BatchedScan::new(&index).run(&queries, &params);
         let expected = 16 * (4 - 1) * (3 * 5) as u64;
         assert_eq!(stats.topk_spill_bytes, expected);
         assert_eq!(stats.topk_fill_bytes, expected);
@@ -688,72 +532,32 @@ mod tests {
         );
     }
 
+    /// The wrapper's whole contract: `run()` is `run_plan()` over the
+    /// trait-built plan, and both equal per-query `search`.
     #[test]
-    fn serial_and_parallel_agree_on_results_and_stats() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..48).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 5,
-            k: 4,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
-        for threads in [2usize, 4, 8] {
-            let (par, par_stats) =
-                scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
-            assert_eq!(par, serial, "{threads} threads diverged");
-            assert_eq!(par_stats, serial_stats, "{threads} threads stats diverged");
-        }
-    }
-
-    #[test]
-    fn query_group_bound_does_not_change_results_or_stats() {
-        let (data, index) = build(Metric::InnerProduct);
-        let queries = data.gather(&(0..32).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (reference, ref_stats) = scan.run_serial(&queries, &params);
-        for group in [1usize, 2, 5] {
-            let exec = BatchExec {
-                threads: 4,
-                queries_per_group: group,
+    fn run_equals_run_plan_over_the_trait_plan_and_per_query_search() {
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let (data, index) = build(metric);
+            let ids: Vec<usize> = (0..24).map(|i| i * 19 % 600).collect();
+            let queries = data.gather(&ids);
+            let params = SearchParams {
+                nprobe: 4,
+                k: 3,
+                lut_precision: LutPrecision::F32,
             };
-            let (got, stats) = scan.run_with(&queries, &params, &exec);
-            assert_eq!(got, reference, "group bound {group} diverged");
-            assert_eq!(stats, ref_stats, "group bound {group} stats diverged");
-        }
-    }
-
-    #[test]
-    fn run_plan_matches_run_with_for_the_same_tiling() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..24).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (reference, _) = scan.run_serial(&queries, &params);
-        let w = scan.workload(&queries, &params);
-        let plan = anna_plan::plan(
-            &PlanParams::default(),
-            &w,
-            anna_plan::ScmAllocation::InterQuery,
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let (got, stats) =
-                scan.run_plan(&queries, &params, &plan, threads, &Telemetry::disabled());
-            assert_eq!(got, reference, "{threads} threads diverged from serial");
-            assert_eq!(stats.clusters_fetched, plan.clusters_fetched());
-            let (fills, spills) = plan.total_topk_units();
-            assert_eq!(stats.topk_fill_bytes, fills * plan.spill_unit_bytes);
-            assert_eq!(stats.topk_spill_bytes, spills * plan.spill_unit_bytes);
+            let scan = BatchedScan::new(&index);
+            let tel = Telemetry::disabled();
+            let spec = QuerySpec::from(&params);
+            let EnginePlan::ClusterMajor { plan, .. } =
+                plan_uniform(&scan, &queries, &spec, &PlanOptions::default(), &tel)
+            else {
+                panic!("cluster-major engine planned another family");
+            };
+            let wrapped = scan.run(&queries, &params);
+            assert_eq!(wrapped, scan.run_plan(&queries, &params, &plan, 1, &tel));
+            for (bi, &row) in ids.iter().enumerate() {
+                assert_eq!(wrapped.0[bi], index.search(data.row(row), &params));
+            }
         }
     }
 

@@ -1,25 +1,36 @@
-//! [`SearchEngine`] implementations for the IVF-PQ engines: the
-//! cluster-major [`BatchedScan`] (single-phase and two-phase re-rank) and
-//! the shard-parallel [`ShardedIndex`] (RAM or tiered shards).
+//! [`SearchEngine`] implementations for the IVF-PQ engines — the one
+//! execution path of this crate: the cluster-major [`BatchedScan`]
+//! (single-phase and two-phase re-rank) and the shard-parallel
+//! [`ShardedIndex`] (RAM or tiered shards).
 //!
-//! Both impls are thin adapters: `plan()` builds exactly the schedule the
-//! concrete entry points already build (the serving batcher's shaped plan
-//! for [`BatchedScan`], the unbounded per-shard plans of
-//! [`ShardedIndex::price_batch`] for the sharded engine), and `execute()`
-//! delegates to [`BatchedScan::run_plan`] / [`ShardedIndex::search_batch`]
-//! — so trait-path results and stats are bit-identical to the concrete
-//! paths, and the headline predicted == measured invariant carries over
-//! unchanged.
+//! `plan()` is the only place an engine's schedule is assembled: the
+//! cost-shaped cluster-major plan (with the [`anna_plan::RerankStage`]
+//! under [`PlanOptions::rerank`]) for [`BatchedScan`], the unbounded
+//! per-shard plans plus merge units and tier split for [`ShardedIndex`].
+//! `execute()` adapts the two inherent executors,
+//! [`BatchedScan::run_plan`] and [`ShardedIndex::search_batch`], so the
+//! headline predicted == measured invariant is checked on the same code
+//! the serving layer and the benchmark run.
 
 use crate::batched::{BatchStats, BatchedScan};
 use crate::shard::{ShardedIndex, ShardedStats};
 use crate::{LutPrecision, SearchParams};
 use anna_engine::{EngineRun, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine};
-use anna_plan::{
-    BatchPlan, BatchWorkload, EnginePlan, PlanParams, SearchShape, TileShaper, CLUSTER_META_BYTES,
-};
+use anna_plan::{BatchPlan, EnginePlan, PlanParams, TileShaper, CLUSTER_META_BYTES};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
+
+/// The engine-neutral view of per-query parameters: `k` results, with
+/// `nprobe` as the search scope (the lookup-table precision is an
+/// executor concern and does not enter planning).
+impl From<&SearchParams> for QuerySpec {
+    fn from(params: &SearchParams) -> Self {
+        QuerySpec {
+            k: params.k,
+            scope: params.nprobe,
+        }
+    }
+}
 
 impl BatchStats {
     /// The engine layer's view of these counters: the six compared byte
@@ -52,17 +63,20 @@ impl ShardedStats {
 
 /// The cluster-major IVF-PQ batch engine behind the shared trait.
 ///
-/// `plan()` builds the serving batcher's schedule: the batch-wide result
-/// count is the largest requested `k` (every query runs at it and
-/// per-request truncation is the caller's concern), the first-pass heap
-/// runs at `policy.k_first(k_exec)` under a re-rank policy, and the round
-/// schedule is the cost-shaped [`BatchPlan::shaped_from_visitors`] tiling
-/// — byte-for-byte what [`crate::BatchedScan::default_plan`] and the
-/// `anna-serve` composer produce.
+/// `plan()` builds the engine's schedule: the batch-wide result count is
+/// the largest requested `k` (every query runs at it and per-request
+/// truncation is the caller's concern), the first-pass heap runs at
+/// `policy.k_first(k_exec)` under a re-rank policy, and the round schedule
+/// is the cost-shaped [`BatchPlan::shaped_from_visitors`] tiling: one
+/// tile per visited cluster, except that heavyweight clusters are split
+/// by [`TileShaper`] so no tile dominates a round. The shaping is a pure
+/// function of the workload (never of the runtime thread count), so the
+/// plan — and therefore the measured [`BatchStats`] — is identical
+/// however many workers execute it.
 ///
 /// `execute()` pins the lookup tables to [`LutPrecision::F32`] (the CPU
-/// reference precision; mixed-precision paths stay on the concrete
-/// [`BatchedScan::run_plan`] API).
+/// reference precision; f16 tables stay on the inherent
+/// [`BatchedScan::run_plan`]).
 impl SearchEngine for BatchedScan<'_> {
     fn name(&self) -> &'static str {
         "ivf_pq"
@@ -95,19 +109,7 @@ impl SearchEngine for BatchedScan<'_> {
         let k_scan = options
             .rerank
             .map_or(k_exec, |policy| policy.k_first(k_exec));
-        let book = self.index().codebook();
-        let workload = BatchWorkload {
-            shape: SearchShape {
-                d: self.index().dim(),
-                m: book.m(),
-                kstar: book.kstar(),
-                metric: self.index().metric(),
-                num_clusters: self.index().num_clusters(),
-                k: k_scan,
-            },
-            cluster_sizes: self.index().cluster_sizes(),
-            visits: scopes.to_vec(),
-        };
+        let workload = self.workload_from_scopes(scopes.to_vec(), k_scan);
         let params = PlanParams::default();
         let spill_unit = k_scan as u64 * params.topk_record_bytes as u64;
         let mut plan = BatchPlan::shaped_from_visitors(
@@ -153,10 +155,11 @@ impl SearchEngine for BatchedScan<'_> {
 /// Requires a *uniform* batch (every spec the same `k` and scope — the
 /// sharded entry points take one [`SearchParams`] per batch) and no
 /// re-rank policy. `plan()` assembles the [`anna_plan::ShardedBatchPlan`]
-/// that [`ShardedIndex::price_batch`] prices — per-shard unbounded
-/// cluster-major plans, the cross-shard merge units, and the tier split
-/// replayed against clones of the live cache states — so pricing the plan
-/// never advances the tiered shards.
+/// — per-shard unbounded cluster-major plans, the cross-shard merge
+/// units, and the tier split replayed against clones of the live cache
+/// states — so planning and pricing never advance the tiered shards, and
+/// the prediction equals what `execute()` measures provided no other
+/// batch runs against the tiered shards in between.
 ///
 /// # Panics
 ///
@@ -234,137 +237,22 @@ impl SearchEngine for ShardedIndex {
 mod tests {
     use super::*;
     use crate::ivf::{IvfPqConfig, IvfPqIndex};
-    use anna_engine::run_pipeline;
-    use anna_plan::{RerankMode, RerankPolicy, RerankPrecision};
 
-    fn clustered(dim: usize, n: usize) -> VectorSet {
-        VectorSet::from_fn(dim, n, |r, c| {
+    #[test]
+    #[should_panic(expected = "uniform batch")]
+    fn sharded_engine_rejects_mixed_specs() {
+        let data = VectorSet::from_fn(8, 540, |r, c| {
             (r % 9) as f32 * 16.0 + ((r * 31 + c * 7) % 11) as f32 * 0.3
-        })
-    }
-
-    fn build(metric: Metric) -> (VectorSet, IvfPqIndex) {
-        let data = clustered(8, 540);
+        });
         let index = IvfPqIndex::build(
             &data,
             &IvfPqConfig {
-                metric,
                 num_clusters: 12,
                 m: 4,
                 kstar: 16,
                 ..IvfPqConfig::default()
             },
         );
-        (data, index)
-    }
-
-    #[test]
-    fn trait_path_is_bit_identical_to_run_and_verifies() {
-        for metric in [Metric::L2, Metric::InnerProduct] {
-            let (data, index) = build(metric);
-            let queries = data.gather(&(0..24).map(|i| i * 17 % 540).collect::<Vec<_>>());
-            let scan = BatchedScan::new(&index);
-            let params = SearchParams {
-                nprobe: 4,
-                k: 5,
-                lut_precision: LutPrecision::F32,
-            };
-            let (want, want_stats) = scan.run(&queries, &params);
-            let spec = QuerySpec { k: 5, scope: 4 };
-            let (plan, predicted, run) = run_pipeline(
-                &scan,
-                &queries,
-                &spec,
-                &PlanOptions::default(),
-                4,
-                &Telemetry::disabled(),
-            )
-            .expect("predicted must equal measured");
-            assert_eq!(plan.engine(), "ivf_pq");
-            assert_eq!(run.results, want, "{metric:?} trait path diverged");
-            assert_eq!(run.measured, want_stats.to_measured());
-            assert_eq!(predicted.code_bytes, want_stats.code_bytes);
-        }
-    }
-
-    #[test]
-    fn trait_path_two_phase_matches_run_two_phase() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..16).collect::<Vec<_>>());
-        let scan = BatchedScan::with_rerank_db(&index, &data);
-        let policy = RerankPolicy {
-            mode: RerankMode::Fixed(RerankPrecision::F32),
-            alpha: 4,
-        };
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let (want, want_stats) = scan.run_two_phase(
-            &queries,
-            &params,
-            &policy,
-            &crate::parallel::BatchExec::with_threads(2),
-            &Telemetry::disabled(),
-        );
-        let spec = QuerySpec { k: 3, scope: 4 };
-        let options = PlanOptions {
-            rerank: Some(policy),
-        };
-        let (plan, _, run) =
-            run_pipeline(&scan, &queries, &spec, &options, 2, &Telemetry::disabled())
-                .expect("two-phase predicted must equal measured");
-        assert_eq!(plan.k_exec(), 3);
-        assert_eq!(plan.k_scan(), policy.k_first(3));
-        assert_eq!(run.results, want);
-        assert_eq!(
-            run.measured.rerank_vector_bytes,
-            want_stats.rerank_vector_bytes
-        );
-        assert!(run.measured.rerank_vector_bytes > 0);
-    }
-
-    #[test]
-    fn sharded_trait_path_matches_search_batch_and_price_batch() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..20).collect::<Vec<_>>());
-        let sharded = ShardedIndex::from_index(&index, 3);
-        let params = SearchParams {
-            nprobe: 5,
-            k: 4,
-            lut_precision: LutPrecision::F32,
-        };
-        let (want, want_stats) = sharded.search_batch(&queries, &params, 4).unwrap();
-        let legacy = sharded.price_batch(&queries, &params);
-        let spec = QuerySpec { k: 4, scope: 5 };
-        let (plan, predicted, run) = run_pipeline(
-            &sharded,
-            &queries,
-            &spec,
-            &PlanOptions::default(),
-            4,
-            &Telemetry::disabled(),
-        )
-        .expect("sharded predicted must equal measured");
-        assert_eq!(plan.engine(), "ivf_pq_sharded");
-        assert_eq!(run.results, want);
-        assert_eq!(run.measured, want_stats.to_measured());
-        assert_eq!(predicted, legacy.traffic, "trait price == price_batch");
-        // The tier split rides the plan; verify it against the measurement.
-        let EnginePlan::Sharded(ref sp) = plan else {
-            unreachable!()
-        };
-        assert_eq!(sp.predicted_tier, want_stats.tier);
-        sharded
-            .verify(&predicted, Some(&sp.predicted_tier), &run.measured)
-            .expect("tier components must match");
-    }
-
-    #[test]
-    #[should_panic(expected = "uniform batch")]
-    fn sharded_engine_rejects_mixed_specs() {
-        let (data, index) = build(Metric::L2);
         let queries = data.gather(&[0, 1]);
         let sharded = ShardedIndex::from_index(&index, 2);
         let specs = [QuerySpec { k: 2, scope: 3 }, QuerySpec { k: 4, scope: 3 }];

@@ -7,7 +7,6 @@ use anna_quant::anisotropic::{self, AnisotropicConfig};
 use anna_quant::codes::PackedCodes;
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
-use anna_telemetry::Telemetry;
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
 
@@ -109,34 +108,6 @@ impl IndexStats {
     /// counts only the encoded vectors against the raw data).
     pub fn compression_ratio(&self) -> f64 {
         self.raw_bytes as f64 / self.code_bytes.max(1) as f64
-    }
-}
-
-/// Per-search work counters returned by [`IvfPqIndex::search_with_stats`].
-///
-/// These are the quantities Section II-D's performance analysis is built
-/// on: codes are streamed once with no reuse (`code_bytes_read` of DRAM
-/// traffic per query), every code costs `M` lookups, and L2 searches build
-/// one LUT per visited cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SearchStats {
-    /// Coarse centroids scored during filtering (`|C|`).
-    pub centroids_scored: u64,
-    /// Non-empty clusters scanned (`<= nprobe`).
-    pub clusters_scanned: u64,
-    /// Encoded vectors scored.
-    pub codes_scanned: u64,
-    /// Packed code bytes read.
-    pub code_bytes_read: u64,
-    /// Lookup tables constructed (1 for inner product, per-cluster for
-    /// L2).
-    pub luts_built: u64,
-}
-
-impl SearchStats {
-    /// Table lookups performed (`codes_scanned · M`).
-    pub fn lookups(&self, m: usize) -> u64 {
-        self.codes_scanned * m as u64
     }
 }
 
@@ -407,18 +378,54 @@ impl IvfPqIndex {
     /// Figure 5): filter clusters, then for each selected cluster build or
     /// re-bias the LUT and scan its codes.
     ///
+    /// This is the crate's oracle: every batch engine (see
+    /// [`crate::engines`]) is checked against it bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `q.len() != self.dim()`.
     pub fn search(&self, q: &[f32], params: &SearchParams) -> Vec<Neighbor> {
-        self.search_with_stats(q, params).0
+        let selected = self.filter_clusters(q, params.nprobe);
+        let mut top = TopK::new(params.k);
+
+        // Inner-product tables are cluster-invariant: build once, re-bias.
+        let shared_ip = match self.metric {
+            Metric::InnerProduct => Some(Lut::build_ip(q, &self.codebook, params.lut_precision)),
+            Metric::L2 => None,
+        };
+
+        let dispatch = kernels::KernelDispatch::current();
+        let mut scratch = kernels::ScanScratch::new();
+        for cid in selected {
+            let cluster = &self.clusters[cid];
+            if cluster.is_empty() {
+                continue;
+            }
+            let lut = match &shared_ip {
+                Some(base) => base.with_bias(metric::dot(q, self.coarse.centroids().row(cid))),
+                None => self.build_lut(q, cid, params),
+            };
+            kernels::scan_with(
+                &cluster.codes,
+                &cluster.ids,
+                &lut,
+                &mut top,
+                dispatch,
+                &mut scratch,
+            );
+        }
+        top.into_sorted_vec()
     }
 
     /// Two-phase single-query search: over-fetch `policy.k_first(params.k)`
     /// candidates with the quantized scan, then rescore the survivors
     /// against `db` (the original vectors, row id == database id) at the
-    /// policy's precision and keep the final `params.k` — the query-major
-    /// oracle the batched two-phase path must match bit-for-bit.
+    /// policy's precision and keep the final `params.k`.
+    ///
+    /// A reference implementation only — the query-major oracle the
+    /// batched two-phase engine must match bit for bit. Production
+    /// two-phase batches run through the engine pipeline with
+    /// `PlanOptions::rerank` (see [`crate::engines`]).
     ///
     /// # Panics
     ///
@@ -465,128 +472,6 @@ impl IvfPqIndex {
             &mut out,
         );
         out
-    }
-
-    /// Like [`IvfPqIndex::search`], additionally returning per-search work
-    /// counters — the instrumentation a capacity planner needs (and the
-    /// quantities the accelerator's timing model consumes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q.len() != self.dim()`.
-    pub fn search_with_stats(
-        &self,
-        q: &[f32],
-        params: &SearchParams,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.search_instrumented(q, params, &Telemetry::disabled())
-    }
-
-    /// [`IvfPqIndex::search_with_stats`] with a telemetry sink.
-    ///
-    /// When `tel` is enabled, the three search stages are timed as spans
-    /// (`search.filter`, `search.lut_build`, `search.scan`) and the
-    /// returned [`SearchStats`] are bridged into the snapshot as
-    /// `search.*` counters. Results are bit-identical to the
-    /// uninstrumented run — telemetry only reads clocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q.len() != self.dim()`.
-    pub fn search_instrumented(
-        &self,
-        q: &[f32],
-        params: &SearchParams,
-        tel: &Telemetry,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let selected = {
-            let _span = tel.span("search.filter");
-            self.filter_clusters(q, params.nprobe)
-        };
-        let mut top = TopK::new(params.k);
-        let mut stats = SearchStats {
-            centroids_scored: self.num_clusters() as u64,
-            ..SearchStats::default()
-        };
-
-        // Inner-product tables are cluster-invariant: build once, re-bias.
-        let shared_ip = {
-            let _span = tel.span("search.lut_build");
-            match self.metric {
-                Metric::InnerProduct => {
-                    Some(Lut::build_ip(q, &self.codebook, params.lut_precision))
-                }
-                Metric::L2 => None,
-            }
-        };
-        if shared_ip.is_some() {
-            stats.luts_built += 1;
-        }
-
-        let dispatch = kernels::KernelDispatch::current();
-        let mut scratch = kernels::ScanScratch::new();
-        let mut tally = kernels::ScanTally::default();
-        {
-            let _span = tel.span("search.scan");
-            for cid in selected {
-                let cluster = &self.clusters[cid];
-                if cluster.is_empty() {
-                    continue;
-                }
-                let lut = match &shared_ip {
-                    Some(base) => base.with_bias(metric::dot(q, self.coarse.centroids().row(cid))),
-                    None => {
-                        stats.luts_built += 1;
-                        self.build_lut(q, cid, params)
-                    }
-                };
-                stats.clusters_scanned += 1;
-                stats.codes_scanned += cluster.len() as u64;
-                stats.code_bytes_read += cluster.encoded_bytes();
-                let t = kernels::scan_with(
-                    &cluster.codes,
-                    &cluster.ids,
-                    &lut,
-                    &mut top,
-                    dispatch,
-                    &mut scratch,
-                );
-                tally.accumulate(&t);
-            }
-        }
-
-        tel.counter_add(&format!("kernel.dispatch.{}", dispatch.name()), 1);
-        tel.counter_add("kernel.codes_scanned", tally.scanned);
-        tel.counter_add("kernel.pruned", tally.pruned);
-        tel.counter_add("search.queries", 1);
-        tel.counter_add("search.centroids_scored", stats.centroids_scored);
-        tel.counter_add("search.clusters_scanned", stats.clusters_scanned);
-        tel.counter_add("search.codes_scanned", stats.codes_scanned);
-        tel.counter_add("search.code_bytes_read", stats.code_bytes_read);
-        tel.counter_add("search.luts_built", stats.luts_built);
-        (top.into_sorted_vec(), stats)
-    }
-
-    /// Searches a batch of queries with the query-major schedule, in
-    /// parallel across queries.
-    pub fn search_batch(&self, queries: &VectorSet, params: &SearchParams) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
-        let nq = queries.len();
-        let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk = nq.div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for (ci, out) in results.chunks_mut(chunk).enumerate() {
-                s.spawn(move || {
-                    for (off, slot) in out.iter_mut().enumerate() {
-                        *slot = self.search(queries.row(ci * chunk + off), params);
-                    }
-                });
-            }
-        });
-        results
     }
 }
 
@@ -676,25 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_queries() {
-        let (data, index) = build(Metric::L2, 16);
-        let queries = data.gather(&[0, 77, 401, 599]);
-        let params = SearchParams {
-            nprobe: 4,
-            k: 4,
-            lut_precision: LutPrecision::F32,
-        };
-        let batch = index.search_batch(&queries, &params);
-        for (i, &row) in [0usize, 77, 401, 599].iter().enumerate() {
-            assert_eq!(
-                batch[i],
-                index.search(data.row(row), &params),
-                "query {row}"
-            );
-        }
-    }
-
-    #[test]
     fn cluster_ids_partition_the_dataset() {
         let (data, index) = build(Metric::L2, 16);
         let mut seen = vec![false; data.len()];
@@ -733,47 +599,6 @@ mod tests {
         for w in sims.windows(2) {
             assert!(w[0] >= w[1], "cluster order not sorted: {sims:?}");
         }
-    }
-
-    #[test]
-    fn search_stats_count_the_work() {
-        let (data, index) = build(Metric::L2, 16);
-        let params = SearchParams {
-            nprobe: 3,
-            k: 5,
-            lut_precision: LutPrecision::F32,
-        };
-        let (hits, stats) = index.search_with_stats(data.row(0), &params);
-        assert_eq!(hits, index.search(data.row(0), &params));
-        assert_eq!(stats.centroids_scored, index.num_clusters() as u64);
-        assert!(stats.clusters_scanned <= 3);
-        // L2 builds one LUT per scanned cluster.
-        assert_eq!(stats.luts_built, stats.clusters_scanned);
-        // Code bytes = codes x bytes-per-vector (M=4 at 4 bits = 2 B).
-        assert_eq!(stats.code_bytes_read, stats.codes_scanned * 2);
-        assert_eq!(stats.lookups(4), stats.codes_scanned * 4);
-        // The scanned codes equal the sizes of the selected clusters.
-        let selected = index.filter_clusters(data.row(0), 3);
-        let expect: u64 = selected
-            .iter()
-            .map(|&c| index.cluster(c).len() as u64)
-            .sum();
-        assert_eq!(stats.codes_scanned, expect);
-    }
-
-    #[test]
-    fn ip_search_builds_one_lut() {
-        let (data, index) = build(Metric::InnerProduct, 16);
-        let params = SearchParams {
-            nprobe: 4,
-            k: 5,
-            lut_precision: LutPrecision::F32,
-        };
-        let (_, stats) = index.search_with_stats(data.row(0), &params);
-        assert_eq!(
-            stats.luts_built, 1,
-            "inner product reuses one LUT across clusters"
-        );
     }
 
     #[test]

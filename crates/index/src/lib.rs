@@ -15,8 +15,9 @@
 //! Two execution schedules are provided, matching the two sides of the
 //! paper's Figure 5:
 //!
-//! * [`IvfPqIndex::search`] / [`IvfPqIndex::search_batch`] — conventional
-//!   query-at-a-time execution.
+//! * [`IvfPqIndex::search`] — conventional query-at-a-time execution, and
+//!   the oracle every batch engine is checked against
+//!   ([`IvfPqIndex::search_two_phase`] is its two-phase reference twin).
 //! * [`batched::BatchedScan`] — cluster-major batched execution in which
 //!   each cluster's codes are read once per batch (the software analogue of
 //!   ANNA's memory-traffic optimization, and of Faiss16's CPU schedule,
@@ -28,10 +29,16 @@
 //! Measured on the host, this crate *is* the reproduction's CPU baseline
 //! (substituting for Faiss/ScaNN binaries; see DESIGN.md).
 //!
-//! The batched scanner and the sharded index also implement the shared
-//! `anna_engine::SearchEngine` trait (see [`engines`]), so the serving
-//! layer and benches can plan, price, execute, and verify against either
-//! without naming the concrete type.
+//! A batch is planned, priced and run one way: the
+//! `anna_engine::SearchEngine` pipeline (`query_scope → plan → price →
+//! execute → verify`) that [`BatchedScan`] and [`ShardedIndex`] implement
+//! (see [`engines`]), so the serving layer and benches drive either
+//! without naming the concrete type. The inherent surface under it is
+//! small: [`BatchedScan::run_plan`] (the executor, also fed accelerator
+//! tilings and f16 tables), [`BatchedScan::workload`] (the bridge to
+//! `anna_plan::plan` and the timing engines), [`BatchedScan::run`] (the
+//! all-cores convenience wrapper) and [`ShardedIndex::search_batch`] (the
+//! sharded executor, with an error channel).
 //!
 //! # Example
 //!
@@ -68,12 +75,12 @@ pub mod tiered;
 
 pub use batched::{BatchStats, BatchedScan};
 pub use io::{read_index, read_segment_hot, write_index, write_segment, SegmentEntry, SegmentHot};
-pub use ivf::{IndexStats, IvfPqConfig, IvfPqIndex, SearchStats, Trainer};
+pub use ivf::{IndexStats, IvfPqConfig, IvfPqIndex, Trainer};
 pub use kernels::{KernelDispatch, ScanScratch, ScanTally};
 pub use lut::{Lut, LutPrecision};
-pub use parallel::BatchExec;
+pub use parallel::resolve_threads;
 pub use rerank::{RerankController, RungMeasurement};
-pub use shard::{ShardedIndex, ShardedPrediction, ShardedStats};
+pub use shard::{ShardedIndex, ShardedStats};
 pub use tiered::{FetchedCluster, TieredIndex};
 
 // The crossbar tiling moved into the shared plan layer (`anna-plan`);

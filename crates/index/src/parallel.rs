@@ -65,47 +65,15 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Execution knobs for the parallel batch engine.
-///
-/// The default (`threads: 0, queries_per_group: 0`) runs one worker per
-/// available core with cost-shaped tiles (see
-/// [`anna_plan::TileShaper`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchExec {
-    /// Worker threads; `0` means one per available core.
-    pub threads: usize,
-    /// Query-group bound per round (`0` = cost-shaped tiles via
-    /// [`anna_plan::TileShaper`]). An explicit bound mirrors the
-    /// accelerator's fixed `N_SCM / g` grouping.
-    pub queries_per_group: usize,
-}
-
-impl BatchExec {
-    /// The single-threaded reference configuration.
-    pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            queries_per_group: 0,
-        }
-    }
-
-    /// A parallel configuration with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            queries_per_group: 0,
-        }
-    }
-
-    /// The concrete worker count (`threads`, or the core count when 0).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+/// The concrete worker count for a `threads` argument: `threads` itself,
+/// or one worker per available core when it is `0`.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 }
 
@@ -802,10 +770,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_exec_resolves_thread_counts() {
-        assert_eq!(BatchExec::serial().resolved_threads(), 1);
-        assert_eq!(BatchExec::with_threads(3).resolved_threads(), 3);
-        assert!(BatchExec::default().resolved_threads() >= 1);
+    fn zero_threads_resolves_to_the_core_count() {
+        assert_eq!(resolve_threads(3), 3);
+        assert!(resolve_threads(0) >= 1);
     }
 
     fn round(cluster: usize, nq: usize) -> Round {

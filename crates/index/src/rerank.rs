@@ -9,18 +9,20 @@
 //! a recall target on real data — recall depends on the dataset and the
 //! quantization error, not just on byte counts. [`RerankController`]
 //! closes that loop empirically: it runs each candidate policy over a
-//! sample batch, scores recall against exact ground truth
-//! ([`anna_vector::exact::search`]), prices the exact executed plan with
-//! [`TrafficModel`], and records whether measured bytes matched the
-//! prediction. [`RerankController::choose`] then returns the cheapest
-//! rung meeting the target — minimizing TrafficModel-priced bytes subject
-//! to `recall >= target`, the tentpole's controller objective.
+//! sample batch through the engine pipeline
+//! ([`anna_engine::SearchEngine`]: plan, price, execute, verify), scores
+//! recall against exact ground truth ([`anna_vector::exact::search`]), and
+//! records whether measured bytes matched the prediction.
+//! [`RerankController::choose`] then returns the cheapest rung meeting the
+//! target — minimizing TrafficModel-priced bytes subject to
+//! `recall >= target`, the tentpole's controller objective.
 
 use crate::batched::BatchedScan;
 use crate::ivf::IvfPqIndex;
-use crate::parallel::BatchExec;
+use crate::parallel::resolve_threads;
 use crate::SearchParams;
-use anna_plan::{PlanParams, RerankPolicy, TrafficModel, TrafficReport};
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
+use anna_plan::{RerankPolicy, TrafficReport};
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, VectorSet};
 
@@ -56,8 +58,9 @@ impl RerankController {
     ///
     /// `params.k` is the final `k`; `params.nprobe` is shared by all
     /// rungs (the ladder varies precision and alpha, not cluster
-    /// coverage). Calibration is deterministic — same index, sample, and
-    /// ladder always produce the same rungs.
+    /// coverage); `threads == 0` means one worker per available core.
+    /// Calibration is deterministic — same index, sample, and ladder
+    /// always produce the same rungs at any worker count.
     ///
     /// # Panics
     ///
@@ -69,32 +72,30 @@ impl RerankController {
         sample: &VectorSet,
         params: &SearchParams,
         ladder: &[RerankPolicy],
-        exec: &BatchExec,
+        threads: usize,
     ) -> Self {
         assert!(!ladder.is_empty(), "calibration ladder must be non-empty");
         assert!(params.k > 0, "k must be positive");
         let truth = exact::search(sample, db, index.metric(), params.k);
         let scan = BatchedScan::with_rerank_db(index, db);
-        let model = TrafficModel::new(PlanParams::default());
+        let spec = QuerySpec::from(params);
+        let threads = resolve_threads(threads);
         let tel = Telemetry::disabled();
         let nq = sample.len().max(1);
 
         let rungs = ladder
             .iter()
             .map(|&policy| {
-                let (first, plan) = scan.two_phase_plan(sample, params, &policy);
-                let workload = scan.workload(sample, &first);
-                let predicted = model.price(&workload, &plan);
-                let (results, stats) =
-                    scan.run_plan(sample, &first, &plan, exec.resolved_threads(), &tel);
-                let traffic_match = anna_testkit::traffic_match(
-                    "rerank calibration",
-                    &stats.to_measured().components(&predicted),
-                )
-                .is_ok();
+                let options = PlanOptions {
+                    rerank: Some(policy),
+                };
+                let plan = plan_uniform(&scan, sample, &spec, &options, &tel);
+                let predicted = scan.price(&plan);
+                let run = scan.execute(sample, &plan, threads, &tel);
+                let traffic_match = scan.verify(&predicted, None, &run.measured).is_ok();
                 let mut found = 0usize;
                 let mut total = 0usize;
-                for (gt, res) in truth.iter().zip(&results) {
+                for (gt, res) in truth.iter().zip(&run.results) {
                     total += gt.len();
                     found += gt
                         .iter()
@@ -201,14 +202,7 @@ mod tests {
             k: 5,
             ..Default::default()
         };
-        let ctl = RerankController::calibrate(
-            &index,
-            &data,
-            &sample,
-            &params,
-            &ladder(),
-            &BatchExec::serial(),
-        );
+        let ctl = RerankController::calibrate(&index, &data, &sample, &params, &ladder(), 1);
         assert_eq!(ctl.rungs.len(), 3);
         assert!(ctl.all_traffic_match(), "predicted != measured on a rung");
         for r in &ctl.rungs {
@@ -226,14 +220,7 @@ mod tests {
             k: 5,
             ..Default::default()
         };
-        let ctl = RerankController::calibrate(
-            &index,
-            &data,
-            &sample,
-            &params,
-            &ladder(),
-            &BatchExec::serial(),
-        );
+        let ctl = RerankController::calibrate(&index, &data, &sample, &params, &ladder(), 1);
         let best = ctl.best_recall();
         if let Some(pick) = ctl.choose(best.recall) {
             assert!(pick.recall >= best.recall);
@@ -255,22 +242,8 @@ mod tests {
             k: 5,
             ..Default::default()
         };
-        let a = RerankController::calibrate(
-            &index,
-            &data,
-            &sample,
-            &params,
-            &ladder(),
-            &BatchExec::serial(),
-        );
-        let b = RerankController::calibrate(
-            &index,
-            &data,
-            &sample,
-            &params,
-            &ladder(),
-            &BatchExec::with_threads(4),
-        );
+        let a = RerankController::calibrate(&index, &data, &sample, &params, &ladder(), 1);
+        let b = RerankController::calibrate(&index, &data, &sample, &params, &ladder(), 4);
         assert_eq!(a, b, "calibration must not depend on worker count");
     }
 }

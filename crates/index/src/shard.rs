@@ -24,9 +24,10 @@
 //! schedule: a query visiting `W_sq` clusters inside shard `s` pays
 //! `W_sq − 1` spill/fill units there, and the global merge pays `S_q − 1`
 //! more (one per extra contributing shard), which telescopes to the
-//! single-shard `W_q − 1` — so [`ShardedIndex::price_batch`]'s prediction
-//! equals [`ShardedIndex::search_batch`]'s measurement component for
-//! component, storage tier included.
+//! single-shard `W_q − 1` — so the price of the engine's
+//! [`anna_plan::ShardedBatchPlan`] (see [`crate::engines`]) equals
+//! [`ShardedIndex::search_batch`]'s measurement component for component,
+//! storage tier included.
 
 use crate::batched::BatchStats;
 use crate::ivf::{Cluster, IvfPqIndex};
@@ -36,7 +37,6 @@ use crate::tiered::TieredIndex;
 use crate::SearchParams;
 use anna_plan::{
     BatchPlan, BatchWorkload, PlanParams, SearchShape, ShardedBatchPlan, TierTraffic, TrafficModel,
-    TrafficReport,
 };
 use anna_quant::codes::CodeWidth;
 use anna_quant::kmeans::KMeans;
@@ -57,19 +57,6 @@ pub struct ShardedStats {
     pub batch: BatchStats,
     /// Bytes-from-cache vs bytes-from-storage split and cache telemetry,
     /// summed across tiered shards.
-    pub tier: TierTraffic,
-}
-
-/// Predicted traffic of one sharded batch, from
-/// [`ShardedIndex::price_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardedPrediction {
-    /// The assembled global traffic report (per-shard
-    /// [`TrafficModel::price`] components summed; results and the merge's
-    /// spill/fill counted once globally).
-    pub traffic: TrafficReport,
-    /// Predicted tier split, from replaying each tiered shard's cache
-    /// simulation against the shard's plan.
     pub tier: TierTraffic,
 }
 
@@ -332,8 +319,8 @@ impl ShardedIndex {
 
     /// Per-shard visitor lists for a batch: entry `[s][lc]` lists the
     /// queries visiting shard `s`'s local cluster `lc`, ascending query
-    /// order (the same inversion [`crate::BatchedScan::plan`] builds,
-    /// split by shard).
+    /// order (the plan layer's `visitors_per_cluster` inversion, split by
+    /// shard).
     fn shard_visitors(&self, queries: &VectorSet, nprobe: usize) -> Vec<Vec<Vec<usize>>> {
         let scopes: Vec<Vec<usize>> = queries
             .iter()
@@ -365,38 +352,13 @@ impl ShardedIndex {
         params.k as u64 * PlanParams::default().topk_record_bytes as u64
     }
 
-    /// Prices the batch *before* execution: per shard, the unbounded
-    /// cluster-major plan is priced by [`TrafficModel`] (tier-split
-    /// against a clone of the shard's live cache state), then assembled
-    /// globally — component sums, plus one `S_q − 1` merge spill/fill per
-    /// query, with results counted once. The prediction equals what
-    /// [`ShardedIndex::search_batch`] will measure, exactly, provided no
-    /// other batch runs against the tiered shards in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != self.dim()`.
-    pub fn price_batch(&self, queries: &VectorSet, params: &SearchParams) -> ShardedPrediction {
-        assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
-        let scopes: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| self.filter_clusters(q, params.nprobe))
-            .collect();
-        let plan = self.engine_batch_plan(&scopes, params.k, params.nprobe);
-        let traffic = TrafficModel::new(PlanParams::default()).price_sharded(&plan);
-        ShardedPrediction {
-            traffic,
-            tier: plan.predicted_tier,
-        }
-    }
-
     /// Assembles the sharded engine's plan IR from resolved per-query
     /// global cluster lists: per shard, the local workload and unbounded
     /// cluster-major schedule; globally, the cross-shard merge units and
     /// the tier split replayed against *clones* of each tiered shard's
     /// live cache state (so planning never advances the caches).
-    /// [`TrafficModel::price_sharded`] over the result reproduces the
-    /// [`ShardedIndex::price_batch`] prediction exactly.
+    /// [`TrafficModel::price_sharded`] over the result predicts what
+    /// [`ShardedIndex::search_batch`] will measure, exactly.
     pub(crate) fn engine_batch_plan(
         &self,
         scopes: &[Vec<usize>],
@@ -677,7 +639,10 @@ mod tests {
     use super::*;
     use crate::ivf::IvfPqConfig;
     use crate::LutPrecision;
+    use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
+    use anna_plan::EnginePlan;
     use anna_quant::codes::PackedCodes;
+    use anna_telemetry::Telemetry;
     use std::sync::atomic::AtomicU64;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -718,6 +683,17 @@ mod tests {
             k: 4,
             lut_precision: LutPrecision::F32,
         }
+    }
+
+    /// The engine pipeline's plan for a batch at [`params`].
+    fn plan_for(sharded: &ShardedIndex, queries: &VectorSet) -> EnginePlan {
+        plan_uniform(
+            sharded,
+            queries,
+            &QuerySpec::from(&params()),
+            &PlanOptions::default(),
+            &Telemetry::disabled(),
+        )
     }
 
     #[test]
@@ -767,23 +743,13 @@ mod tests {
         let p = params();
         for shards in [1usize, 3] {
             let sharded = ShardedIndex::from_index(&index, shards);
-            let predicted = sharded.price_batch(&queries, &p);
+            let plan = plan_for(&sharded, &queries);
+            let predicted = sharded.price(&plan);
             let (_, measured) = sharded.search_batch(&queries, &p, 2).unwrap();
-            assert_eq!(predicted.traffic.code_bytes, measured.batch.code_bytes);
-            assert_eq!(
-                predicted.traffic.cluster_meta_bytes,
-                measured.batch.clusters_fetched * anna_plan::CLUSTER_META_BYTES
-            );
-            assert_eq!(
-                predicted.traffic.topk_spill_bytes,
-                measured.batch.topk_spill_bytes
-            );
-            assert_eq!(
-                predicted.traffic.topk_fill_bytes,
-                measured.batch.topk_fill_bytes
-            );
-            assert_eq!(predicted.tier, measured.tier);
-            assert_eq!(predicted.tier, TierTraffic::default());
+            sharded
+                .verify(&predicted, plan.predicted_tier(), &measured.to_measured())
+                .expect("predicted == measured, tier split included");
+            assert_eq!(measured.tier, TierTraffic::default());
         }
     }
 
@@ -803,11 +769,15 @@ mod tests {
             let tiered = ShardedIndex::open_tiered(&paths, capacity).unwrap();
             // Two batches: the second exercises warm-cache hits.
             for round in 0..2 {
-                let predicted = tiered.price_batch(&queries, &p);
+                let plan = plan_for(&tiered, &queries);
                 let (got, stats) = tiered.search_batch(&queries, &p, 2).unwrap();
                 assert_eq!(got, want, "capacity={capacity} round={round}");
                 assert_eq!(stats.batch, want_stats.batch, "capacity={capacity}");
-                assert_eq!(predicted.tier, stats.tier, "capacity={capacity} tier");
+                assert_eq!(
+                    plan.predicted_tier(),
+                    Some(&stats.tier),
+                    "capacity={capacity} tier"
+                );
                 assert_eq!(
                     stats.tier.total_code_bytes(),
                     stats.batch.code_bytes,

@@ -11,7 +11,9 @@
 //! all across worker counts {1, 2, 4, 8}, seeded through `anna-testkit`
 //! so any failure replays from a printed seed.
 
-use anna_index::{BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
+mod common;
+
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{Metric, VectorSet};
@@ -43,9 +45,9 @@ fn build(metric: Metric, kstar: usize) -> (VectorSet, IvfPqIndex) {
     (data, index)
 }
 
-/// Core property: under the shaped default plan (queries_per_group = 0 —
-/// the configuration that engages the tile shaper and the overlapped wave
-/// pipeline), every worker count reproduces the serial neighbors and
+/// Core property: under the engine's cost-shaped plan (the schedule that
+/// engages the tile shaper and the overlapped wave pipeline), every
+/// worker count reproduces the serial neighbors and
 /// traffic stats bit for bit.
 fn overlapped_matches_serial(metric: Metric, kstar: usize) {
     let (data, index) = build(metric, kstar);
@@ -63,10 +65,11 @@ fn overlapped_matches_serial(metric: Metric, kstar: usize) {
             lut_precision: *rng.pick(&[LutPrecision::F32, LutPrecision::F16]),
         };
 
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
+        let tel = Telemetry::disabled();
+        let plan = common::engine_plan(&scan, &queries, &params);
+        let (serial, serial_stats) = scan.run_plan(&queries, &params, &plan, 1, &tel);
         for threads in THREADS {
-            let (par, par_stats) =
-                scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
+            let (par, par_stats) = scan.run_plan(&queries, &params, &plan, threads, &tel);
             assert_eq!(par, serial, "neighbors diverged: threads={threads}");
             assert_eq!(par_stats, serial_stats, "stats diverged: threads={threads}");
         }
@@ -112,11 +115,12 @@ fn telemetry_on_overlap_stays_bit_identical() {
             lut_precision: LutPrecision::F32,
         };
 
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
+        let plan = common::engine_plan(&scan, &queries, &params);
+        let (serial, serial_stats) =
+            scan.run_plan(&queries, &params, &plan, 1, &Telemetry::disabled());
         for threads in THREADS {
             let tel = Telemetry::enabled();
-            let exec = BatchExec::with_threads(threads);
-            let (par, par_stats) = scan.run_instrumented(&queries, &params, &exec, &tel);
+            let (par, par_stats) = scan.run_plan(&queries, &params, &plan, threads, &tel);
             assert_eq!(
                 par, serial,
                 "neighbors diverged with telemetry: threads={threads}"
@@ -153,7 +157,8 @@ fn overlapped_batch_matches_query_major_search() {
             k: rng.usize(1..8),
             lut_precision: LutPrecision::F32,
         };
-        let (batched, _) = scan.run_with(&queries, &params, &BatchExec::with_threads(8));
+        let plan = common::engine_plan(&scan, &queries, &params);
+        let (batched, _) = scan.run_plan(&queries, &params, &plan, 8, &Telemetry::disabled());
         for (bi, &row) in ids.iter().enumerate() {
             let single = index.search(data.row(row), &params);
             assert_eq!(batched[bi], single, "query row {row} diverged");

@@ -5,12 +5,16 @@
 //! * metric in {L2, InnerProduct},
 //! * code width in {k* = 16, k* = 256},
 //! * worker count in {1, 2, 4, 8},
-//! * tile bound (queries_per_group) in {0 = unbounded, small},
+//! * tile bound (queries per round) in {0 = the engine's cost-shaped
+//!   plan, small = the accelerator's fixed grouping},
 //!
 //! on duplicate-heavy data where many database vectors share exact scores,
 //! so any schedule-dependent tie-breaking in the merge would show up.
 
-use anna_index::{BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
+mod common;
+
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
+use anna_plan::{BatchPlan, PlanParams};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{Metric, VectorSet};
@@ -40,6 +44,27 @@ fn build(metric: Metric, kstar: usize) -> (VectorSet, IvfPqIndex) {
     (data, index)
 }
 
+/// The schedule under test: the engine's own plan (`group == 0`), or one
+/// round per visited cluster split into groups of at most `group` queries
+/// — the accelerator's fixed `N_SCM / g` grouping.
+fn plan_with_group(
+    scan: &BatchedScan<'_>,
+    queries: &VectorSet,
+    params: &SearchParams,
+    group: usize,
+) -> BatchPlan {
+    if group == 0 {
+        return common::engine_plan(scan, queries, params);
+    }
+    let workload = scan.workload(queries, params);
+    BatchPlan::from_visitors(
+        &workload.visitors_per_cluster(),
+        &workload.cluster_sizes,
+        group,
+        params.k as u64 * PlanParams::default().topk_record_bytes as u64,
+    )
+}
+
 /// Core property: for random queries, probe widths, k, and tile bounds, all
 /// worker counts reproduce the serial neighbors and stats exactly.
 fn parallel_matches_serial(metric: Metric, kstar: usize) {
@@ -57,13 +82,12 @@ fn parallel_matches_serial(metric: Metric, kstar: usize) {
         };
         let group = *rng.pick(&[0usize, 1, 3, 7]);
 
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
+        let tel = Telemetry::disabled();
+        let reference = common::engine_plan(&scan, &queries, &params);
+        let (serial, serial_stats) = scan.run_plan(&queries, &params, &reference, 1, &tel);
+        let plan = plan_with_group(&scan, &queries, &params, group);
         for threads in THREADS {
-            let exec = BatchExec {
-                threads,
-                queries_per_group: group,
-            };
-            let (par, par_stats) = scan.run_with(&queries, &params, &exec);
+            let (par, par_stats) = scan.run_plan(&queries, &params, &plan, threads, &tel);
             // Exact equality: Neighbor derives PartialEq on (id, f32 score),
             // so this asserts bit-level agreement of every kept hit.
             assert_eq!(
@@ -122,14 +146,13 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
             };
             let group = *rng.pick(&[0usize, 2, 5]);
 
-            let (serial, serial_stats) = scan.run_serial(&queries, &params);
+            let reference = common::engine_plan(&scan, &queries, &params);
+            let (serial, serial_stats) =
+                scan.run_plan(&queries, &params, &reference, 1, &Telemetry::disabled());
+            let plan = plan_with_group(&scan, &queries, &params, group);
             for threads in THREADS {
                 let tel = Telemetry::enabled();
-                let exec = BatchExec {
-                    threads,
-                    queries_per_group: group,
-                };
-                let (par, par_stats) = scan.run_instrumented(&queries, &params, &exec, &tel);
+                let (par, par_stats) = scan.run_plan(&queries, &params, &plan, threads, &tel);
                 assert_eq!(
                     par, serial,
                     "neighbors diverged with telemetry: threads={threads} group={group}"
@@ -140,7 +163,7 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
                 );
                 // And the sink actually observed the run.
                 let snap = tel.snapshot_json().expect("telemetry enabled");
-                assert!(snap.contains("\"batch.plan\""), "{snap}");
+                assert!(snap.contains("\"batch.merge\""), "{snap}");
                 assert!(snap.contains("\"worker0.tiles\""), "{snap}");
             }
         },
@@ -163,7 +186,8 @@ fn parallel_batch_matches_query_major_search() {
             k: rng.usize(1..8),
             lut_precision: LutPrecision::F32,
         };
-        let (batched, _) = scan.run_with(&queries, &params, &BatchExec::with_threads(4));
+        let plan = common::engine_plan(&scan, &queries, &params);
+        let (batched, _) = scan.run_plan(&queries, &params, &plan, 4, &Telemetry::disabled());
         for (bi, &row) in ids.iter().enumerate() {
             let single = index.search(data.row(row), &params);
             assert_eq!(batched[bi], single, "query row {row} diverged");

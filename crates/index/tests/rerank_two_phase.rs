@@ -11,9 +11,9 @@
 //! 3. two-phase parallel execution is bit-identical to serial across
 //!    metrics, codebook sizes, and worker counts.
 
+use anna_engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec};
 use anna_index::{
-    BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision,
-    SearchParams,
+    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
 };
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -63,6 +63,25 @@ fn recall(results: &[Vec<Neighbor>], truth: &[Vec<Neighbor>]) -> f64 {
     found as f64 / total.max(1) as f64
 }
 
+/// Runs the two-phase engine pipeline (`params.k` is the final `k`) on
+/// `threads` workers; predicted == measured is part of the run.
+fn two_phase(
+    scan: &BatchedScan<'_>,
+    queries: &VectorSet,
+    params: &SearchParams,
+    policy: RerankPolicy,
+    threads: usize,
+) -> EngineRun {
+    let spec = QuerySpec::from(params);
+    let options = PlanOptions {
+        rerank: Some(policy),
+    };
+    let tel = Telemetry::disabled();
+    run_pipeline(scan, queries, &spec, &options, threads, &tel)
+        .expect("two-phase predicted == measured")
+        .2
+}
+
 /// Invariant 1: with exact (f32) rescoring, growing alpha grows the
 /// candidate set monotonically under the pinned score-then-id order, so
 /// recall@k against exact ground truth never decreases.
@@ -80,8 +99,6 @@ fn recall_is_monotone_in_alpha() {
         };
         let truth = exact::search(&queries, &data, metric, params.k);
         let scan = BatchedScan::with_rerank_db(&index, &data);
-        let tel = Telemetry::disabled();
-        let exec = BatchExec::serial();
 
         let mut prev = -1.0f64;
         for alpha in [1usize, 2, 4, 8] {
@@ -89,7 +106,7 @@ fn recall_is_monotone_in_alpha() {
                 mode: RerankMode::Fixed(RerankPrecision::F32),
                 alpha,
             };
-            let (results, _) = scan.run_two_phase(&queries, &params, &policy, &exec, &tel);
+            let results = two_phase(&scan, &queries, &params, policy, 1).results;
             let r = recall(&results, &truth);
             assert!(
                 r >= prev,
@@ -116,22 +133,18 @@ fn alpha_one_f32_matches_rescored_single_phase() {
             ..Default::default()
         };
         let scan = BatchedScan::with_rerank_db(&index, &data);
-        let tel = Telemetry::disabled();
         let policy = RerankPolicy {
             mode: RerankMode::Fixed(RerankPrecision::F32),
             alpha: 1,
         };
-        let (two_phase, _) =
-            scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
+        let rescored = two_phase(&scan, &queries, &params, policy, 1).results;
 
-        let scan_single = BatchedScan::new(&index);
-        let plan = scan_single.default_plan(&queries, &params);
-        let (single, _) = scan_single.run_plan(&queries, &params, &plan, 1, &tel);
+        let (single, _) = BatchedScan::new(&index).run(&queries, &params);
         for (qi, hits) in single.iter().enumerate() {
             let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
             let want = exact::rescore_subset(queries.row(qi), &ids, &data, metric, params.k);
             assert_eq!(
-                two_phase[qi], want,
+                rescored[qi], want,
                 "query {qi}: alpha=1 diverged from rescored single phase"
             );
         }
@@ -143,7 +156,6 @@ fn alpha_one_f32_matches_rescored_single_phase() {
 /// determinism contract the first pass already holds.
 #[test]
 fn two_phase_parallel_equals_serial() {
-    let tel = Telemetry::disabled();
     for metric in [Metric::L2, Metric::InnerProduct] {
         for kstar in [16usize, 256] {
             let mut rng = TestRng::new(0xA77A ^ kstar as u64 ^ metric as u64);
@@ -160,24 +172,16 @@ fn two_phase_parallel_equals_serial() {
                 alpha: 3,
             };
             let scan = BatchedScan::with_rerank_db(&index, &data);
-            let (serial, serial_stats) =
-                scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
-            assert!(serial_stats.rerank_vector_bytes > 0, "re-rank did not run");
+            let serial = two_phase(&scan, &queries, &params, policy, 1);
+            assert!(
+                serial.measured.rerank_vector_bytes > 0,
+                "re-rank did not run"
+            );
             for threads in [2usize, 4, 8] {
-                let (parallel, stats) = scan.run_two_phase(
-                    &queries,
-                    &params,
-                    &policy,
-                    &BatchExec::with_threads(threads),
-                    &tel,
-                );
+                let parallel = two_phase(&scan, &queries, &params, policy, threads);
                 assert_eq!(
                     serial, parallel,
                     "{metric:?} kstar={kstar}: {threads} workers diverged from serial"
-                );
-                assert_eq!(
-                    serial_stats, stats,
-                    "{metric:?} kstar={kstar}: stats diverged at {threads} workers"
                 );
             }
         }
@@ -202,12 +206,11 @@ fn duplicated_vectors_break_ties_by_id() {
         ..Default::default()
     };
     let scan = BatchedScan::with_rerank_db(&index, &data);
-    let tel = Telemetry::disabled();
     let policy = RerankPolicy {
         mode: RerankMode::Fixed(RerankPrecision::F32),
         alpha: 4,
     };
-    let (serial, _) = scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
+    let serial = two_phase(&scan, &queries, &params, policy, 1).results;
     for hits in &serial {
         for pair in hits.windows(2) {
             assert!(
@@ -217,12 +220,6 @@ fn duplicated_vectors_break_ties_by_id() {
             );
         }
     }
-    let (parallel, _) = scan.run_two_phase(
-        &queries,
-        &params,
-        &policy,
-        &BatchExec::with_threads(4),
-        &tel,
-    );
+    let parallel = two_phase(&scan, &queries, &params, policy, 4).results;
     assert_eq!(serial, parallel, "tie-breaking depended on worker count");
 }

@@ -4,7 +4,9 @@
 //! {1, 2, 4, 8} threads, with predicted tier traffic equal to measured at
 //! every step.
 
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
+use anna_telemetry::Telemetry;
 use anna_testkit::forall;
 use anna_vector::{Metric, VectorSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,10 +71,13 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
             .sum();
         let capacity = rng.u64(0..total.max(1) * 2);
         let tiered = ShardedIndex::open_tiered(&paths, capacity).unwrap();
+        let spec = QuerySpec::from(&params);
+        let tel = Telemetry::disabled();
         for threads in [1usize, 2, 4, 8] {
             // Each search advances the shard caches, so predict from the
             // live state immediately before running.
-            let predicted = tiered.price_batch(&queries, &params);
+            let plan = plan_uniform(&tiered, &queries, &spec, &PlanOptions::default(), &tel);
+            let predicted = tiered.price(&plan);
             let (got, stats) = tiered.search_batch(&queries, &params, threads).unwrap();
             assert_eq!(
                 got, want,
@@ -82,23 +87,15 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
                 stats.batch, want_stats.batch,
                 "{metric:?} k*={kstar} shards={shards} threads={threads}: stats diverged"
             );
-            assert_eq!(
-                predicted.tier, stats.tier,
-                "{metric:?} k*={kstar} capacity={capacity}: tier prediction diverged"
-            );
+            tiered
+                .verify(&predicted, plan.predicted_tier(), &stats.to_measured())
+                .unwrap_or_else(|e| {
+                    panic!("{metric:?} k*={kstar} capacity={capacity}: prediction diverged: {e}")
+                });
             assert_eq!(
                 stats.tier.total_code_bytes(),
                 stats.batch.code_bytes,
                 "tier split must cover all code bytes"
-            );
-            assert_eq!(predicted.traffic.code_bytes, stats.batch.code_bytes);
-            assert_eq!(
-                predicted.traffic.topk_spill_bytes,
-                stats.batch.topk_spill_bytes
-            );
-            assert_eq!(
-                predicted.traffic.topk_fill_bytes,
-                stats.batch.topk_fill_bytes
             );
         }
         std::fs::remove_dir_all(dir).unwrap();

@@ -208,6 +208,15 @@ impl EnginePlan {
         }
     }
 
+    /// The storage-tier split the plan predicts, for engines with a
+    /// tiered backend (`None` for all-RAM plan families).
+    pub fn predicted_tier(&self) -> Option<&TierTraffic> {
+        match self {
+            EnginePlan::Sharded(p) => Some(&p.predicted_tier),
+            EnginePlan::ClusterMajor { .. } | EnginePlan::Graph { .. } => None,
+        }
+    }
+
     /// Batch size `B`.
     pub fn b(&self) -> usize {
         match self {

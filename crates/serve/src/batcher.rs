@@ -39,8 +39,8 @@ use anna_vector::VectorSet;
 /// Two-tier pricing for serving over a tiered (disk-backed) index.
 ///
 /// When set on [`ServeConfig::tier`], the batcher prices every candidate
-/// shape with [`TrafficModel::price_tiered`] against an evolving clone of
-/// the index's cluster-cache state: quotes split code bytes into
+/// shape with [`anna_plan::TrafficModel::price_tiered`] against an evolving
+/// clone of the index's cluster-cache state: quotes split code bytes into
 /// bytes-from-cache and bytes-from-storage, shape selection weighs each
 /// tier by its service rate, and the composer's cache advances batch by
 /// batch exactly as the tiered runtime's will — the same (cluster, bytes,

@@ -19,8 +19,10 @@
 use anna::core::engine::{analytic, cycle};
 use anna::core::{AnnaConfig, AreaPowerModel, BatchWorkload, ScmAllocation, SearchShape};
 use anna::data::ClusterSizeModel;
+use anna::engine::{run_pipeline, PlanOptions, QuerySpec};
 use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
 use anna::vector::{Metric, VectorSet};
+use anna_telemetry::Telemetry;
 
 fn main() {
     // SIFT1B at 4:1 compression with k* = 256: D=128, M=64.
@@ -139,23 +141,34 @@ fn main() {
     );
     let oracle = ShardedIndex::from_index(&index, 1);
     let (want, _) = oracle.search_batch(&queries, &params, 1).unwrap();
+    let spec = QuerySpec::from(&params);
     for batch in 0..3 {
-        let predicted = tiered.price_batch(&queries, &params);
-        let (got, stats) = tiered.search_batch(&queries, &params, threads).unwrap();
-        assert_eq!(got, want, "tiered results diverged from the RAM oracle");
+        // The engine pipeline: plan and price against the live cache
+        // state, execute, then verify predicted == measured — cache vs
+        // storage split included.
+        let (_, _, run) = run_pipeline(
+            &tiered,
+            &queries,
+            &spec,
+            &PlanOptions::default(),
+            threads,
+            &Telemetry::disabled(),
+        )
+        .expect("measured traffic diverged from the plan-side prediction");
         assert_eq!(
-            predicted.tier, stats.tier,
-            "measured tier split diverged from the cache simulation"
+            run.results, want,
+            "tiered results diverged from the RAM oracle"
         );
+        let tier = run.measured.tier.expect("sharded engines measure a tier");
         println!(
             "batch {batch}: {} B from cache, {} B from storage \
              ({} hits, {} misses, {} admitted, {} evicted) — predicted == measured",
-            stats.tier.cache_code_bytes,
-            stats.tier.disk_code_bytes,
-            stats.tier.cache_hits,
-            stats.tier.cache_misses,
-            stats.tier.cache_admissions,
-            stats.tier.cache_evictions,
+            tier.cache_code_bytes,
+            tier.disk_code_bytes,
+            tier.cache_hits,
+            tier.cache_misses,
+            tier.cache_admissions,
+            tier.cache_evictions,
         );
     }
     let counters = tiered.tier_counters();

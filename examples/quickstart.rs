@@ -7,7 +7,7 @@
 
 use anna::core::{Anna, AnnaConfig};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 
 fn main() {
     // 1. A SIFT-like dataset: 20k vectors, 16 dimensions.
@@ -60,7 +60,7 @@ fn main() {
             k: 100,
             ..Default::default()
         };
-        let results = index.search_batch(&ds.queries, &params);
+        let results = BatchedScan::new(&index).run(&ds.queries, &params).0;
         let r = recall::recall_x_at_y(&gt, &results, 100);
         println!("  W={w:>2}: recall {r:.3}");
     }

@@ -8,7 +8,7 @@
 
 use anna::core::{Anna, AnnaConfig, ScmAllocation};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
 
 fn main() {
     // GloVe-like embeddings: heavy-tailed norms, inner-product metric.
@@ -49,7 +49,7 @@ fn main() {
                 k: 100,
                 ..Default::default()
             };
-            let results = index.search_batch(&ds.queries, &params);
+            let results = BatchedScan::new(&index).run(&ds.queries, &params).0;
             let r = recall::recall_x_at_y(&gt, &results, 100);
             print!("W={w}: {r:.3}  ");
         }

@@ -54,7 +54,7 @@ fn recall_improves_with_w_on_every_dataset_family() {
                 k: 100,
                 ..Default::default()
             };
-            let results = index.search_batch(&ds.queries, &params);
+            let results = BatchedScan::new(&index).run(&ds.queries, &params).0;
             let r = recall::recall_x_at_y(&gt, &results, 100);
             assert!(
                 r >= last - 0.02,
@@ -83,8 +83,16 @@ fn kstar256_recall_at_least_matches_kstar16() {
         k: 100,
         ..Default::default()
     };
-    let r16 = recall::recall_x_at_y(&gt, &k16.search_batch(&ds.queries, &params), 100);
-    let r256 = recall::recall_x_at_y(&gt, &k256.search_batch(&ds.queries, &params), 100);
+    let r16 = recall::recall_x_at_y(
+        &gt,
+        &BatchedScan::new(&k16).run(&ds.queries, &params).0,
+        100,
+    );
+    let r256 = recall::recall_x_at_y(
+        &gt,
+        &BatchedScan::new(&k256).run(&ds.queries, &params).0,
+        100,
+    );
     assert!(
         r256 >= r16 - 0.01,
         "k*=256 ({r256}) should reach at least k*=16's recall ({r16})"
@@ -101,7 +109,11 @@ fn anna_functional_recall_matches_software() {
         k: 100,
         ..Default::default()
     };
-    let sw = recall::recall_x_at_y(&gt, &index.search_batch(&ds.queries, &params), 100);
+    let sw = recall::recall_x_at_y(
+        &gt,
+        &BatchedScan::new(&index).run(&ds.queries, &params).0,
+        100,
+    );
 
     let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
     let (hw_results, _) = anna.search_batch(&ds.queries, 6, 100, ScmAllocation::Auto);
@@ -203,8 +215,16 @@ fn scann_trainer_improves_or_matches_mips_recall() {
         k: 100,
         ..Default::default()
     };
-    let rf = recall::recall_x_at_y(&gt, &faiss.search_batch(&ds.queries, &params), 100);
-    let rs = recall::recall_x_at_y(&gt, &scann.search_batch(&ds.queries, &params), 100);
+    let rf = recall::recall_x_at_y(
+        &gt,
+        &BatchedScan::new(&faiss).run(&ds.queries, &params).0,
+        100,
+    );
+    let rs = recall::recall_x_at_y(
+        &gt,
+        &BatchedScan::new(&scann).run(&ds.queries, &params).0,
+        100,
+    );
     // Not guaranteed to strictly win on synthetic data, but must be
     // competitive (within a few points) — and both must be usable.
     assert!(

@@ -1,0 +1,225 @@
+//! The engine oracle: every IVF-PQ engine, driven the only way a batch is
+//! run — `&dyn SearchEngine` through [`run_pipeline`] — must return, for
+//! every query, exactly what the query-at-a-time schedule returns
+//! ([`IvfPqIndex::search`], or [`IvfPqIndex::search_two_phase`] under a
+//! re-rank policy), bit for bit; `verify()` must hold (predicted ==
+//! measured per component); and results plus [`MeasuredTraffic`] must be
+//! identical at 1, 2, 4 and 8 threads. Across {L2, IP} × {k* = 16, 256}.
+
+use anna::engine::{run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine};
+use anna::index::{
+    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
+    ShardedIndex,
+};
+use anna::vector::{Metric, Neighbor, VectorSet};
+use anna_telemetry::Telemetry;
+use anna_testkit::{forall, TestRng};
+
+/// Grep-proof for the engine layer's telemetry namespace: every counter,
+/// histogram, and span the engine-layer crates emit must use the
+/// `engine.` prefix, so dashboards can select the whole layer with one
+/// glob and no key silently lands in another layer's namespace.
+#[test]
+fn engine_layer_telemetry_keys_use_the_engine_prefix() {
+    // Built via concat! so this test file does not match itself.
+    let emitters = [
+        concat!("counter_", "add(\""),
+        concat!("record_", "ns(\""),
+        concat!("sp", "an(\""),
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut scanned = 0usize;
+    let mut keys = 0usize;
+    let mut offenders = Vec::new();
+    for dir in ["crates/engine/src", "crates/graph/src"] {
+        let mut pending = vec![root.join(dir)];
+        while let Some(path) = pending.pop() {
+            if path.is_dir() {
+                for entry in std::fs::read_dir(&path).expect("readable source dir") {
+                    pending.push(entry.expect("dir entry").path());
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("readable source file");
+                scanned += 1;
+                for emitter in emitters {
+                    for (i, _) in text.match_indices(emitter) {
+                        let key_start = i + emitter.len();
+                        let key: String = text[key_start..]
+                            .chars()
+                            .take_while(|&c| c != '"')
+                            .collect();
+                        keys += 1;
+                        if !key.starts_with("engine.") {
+                            offenders.push(format!("{}: `{key}`", path.display()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(scanned >= 2, "walk looks broken: only {scanned} files");
+    assert!(keys >= 8, "extraction looks broken: only {keys} keys");
+    assert!(
+        offenders.is_empty(),
+        "telemetry keys outside the engine. namespace: {offenders:?}"
+    );
+}
+
+/// Blobby data so the coarse quantizer produces unevenly sized clusters.
+fn clustered(dim: usize, n: usize, salt: usize) -> VectorSet {
+    VectorSet::from_fn(dim, n, |r, c| {
+        let blob = ((r + salt) % 9) as f32;
+        blob * 25.0 + ((r * 31 + c * 7 + salt * 13) % 11) as f32 * 0.3
+    })
+}
+
+fn build(
+    metric: Metric,
+    kstar: usize,
+    salt: usize,
+    num_clusters: usize,
+) -> (VectorSet, IvfPqIndex) {
+    let data = clustered(8, 600, salt);
+    let index = IvfPqIndex::build(
+        &data,
+        &IvfPqConfig {
+            metric,
+            num_clusters,
+            m: 4,
+            kstar,
+            coarse_iters: 3,
+            pq_iters: 2,
+            ..IvfPqConfig::default()
+        },
+    );
+    (data, index)
+}
+
+/// `b` query rows drawn from `data`.
+fn sample(data: &VectorSet, b: usize, salt: usize) -> VectorSet {
+    data.gather(&(0..b).map(|i| (i * 37 + salt) % 600).collect::<Vec<_>>())
+}
+
+/// Runs `engine` at every thread count and checks the three oracle
+/// properties (see the module docs) against `oracle(query)`.
+fn check_against_oracle(
+    label: &str,
+    engine: &dyn SearchEngine,
+    queries: &VectorSet,
+    spec: QuerySpec,
+    options: PlanOptions,
+    oracle: impl Fn(&[f32]) -> Vec<Neighbor>,
+) {
+    let want: Vec<Vec<Neighbor>> = queries.iter().map(oracle).collect();
+    let tel = Telemetry::disabled();
+    let mut serial: Option<MeasuredTraffic> = None;
+    for threads in [1usize, 2, 4, 8] {
+        let (_, _, run) = run_pipeline(engine, queries, &spec, &options, threads, &tel)
+            .unwrap_or_else(|e| panic!("{label}/t={threads}: verify failed: {e}"));
+        assert_eq!(run.results.len(), want.len(), "{label}/t={threads}");
+        for (qi, (got, want)) in run.results.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got, want,
+                "{label}/t={threads}: query {qi} differs from the oracle"
+            );
+        }
+        assert_eq!(
+            run.measured,
+            *serial.get_or_insert(run.measured),
+            "{label}/t={threads}: traffic differs from t=1"
+        );
+    }
+}
+
+#[test]
+fn ivf_pq_engine_matches_the_query_at_a_time_oracle() {
+    forall("ivf_pq engine == oracle", 4, |rng: &mut TestRng| {
+        let salt = rng.usize(0..1000);
+        let num_clusters = rng.usize(8..13);
+        let nprobe = rng.usize(1..6).min(num_clusters);
+        let k = rng.usize(5..40);
+        let b = rng.usize(8..25);
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            for kstar in [16usize, 256] {
+                let (data, index) = build(metric, kstar, salt, num_clusters);
+                let params = SearchParams {
+                    nprobe,
+                    k,
+                    ..Default::default()
+                };
+                check_against_oracle(
+                    &format!("ivf_pq/{metric:?}/k*={kstar}"),
+                    &BatchedScan::new(&index),
+                    &sample(&data, b, salt),
+                    QuerySpec { k, scope: nprobe },
+                    PlanOptions::default(),
+                    |q| index.search(q, &params),
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn two_phase_engine_matches_the_two_phase_oracle() {
+    forall("two-phase engine == oracle", 4, |rng: &mut TestRng| {
+        let salt = rng.usize(0..1000);
+        let k = rng.usize(3..15);
+        let alpha = rng.usize(1..5);
+        let params = SearchParams {
+            nprobe: 4,
+            k,
+            ..Default::default()
+        };
+        for mode in [
+            RerankMode::Fixed(RerankPrecision::F16),
+            RerankMode::Fixed(RerankPrecision::F32),
+            RerankMode::Adaptive,
+        ] {
+            let policy = RerankPolicy { mode, alpha };
+            for metric in [Metric::L2, Metric::InnerProduct] {
+                for kstar in [16usize, 256] {
+                    let (data, index) = build(metric, kstar, salt, 10);
+                    check_against_oracle(
+                        &format!("two_phase/{mode:?}@a{alpha}/{metric:?}/k*={kstar}"),
+                        &BatchedScan::with_rerank_db(&index, &data),
+                        &sample(&data, 12, salt),
+                        QuerySpec { k, scope: 4 },
+                        PlanOptions {
+                            rerank: Some(policy),
+                        },
+                        |q| index.search_two_phase(q, &params, &policy, &data),
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn sharded_engine_matches_the_query_at_a_time_oracle() {
+    forall("sharded engine == oracle", 4, |rng: &mut TestRng| {
+        let salt = rng.usize(0..1000);
+        let shards = rng.usize(2..5);
+        let nprobe = rng.usize(2..6);
+        let k = rng.usize(4..20);
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            for kstar in [16usize, 256] {
+                let (data, index) = build(metric, kstar, salt, 12);
+                let params = SearchParams {
+                    nprobe,
+                    k,
+                    ..Default::default()
+                };
+                check_against_oracle(
+                    &format!("sharded x{shards}/{metric:?}/k*={kstar}"),
+                    &ShardedIndex::from_index(&index, shards),
+                    &sample(&data, 10, salt),
+                    QuerySpec { k, scope: nprobe },
+                    PlanOptions::default(),
+                    |q| index.search(q, &params),
+                );
+            }
+        }
+    });
+}

@@ -5,7 +5,7 @@
 
 use anna::core::{Anna, AnnaConfig};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna::quant::additive::{AqCodebook, AqConfig};
 use anna::quant::opq::{Opq, OpqConfig};
 use anna::quant::pq::PqConfig;
@@ -73,7 +73,7 @@ fn opq_preprocessing_runs_through_the_unchanged_pipeline() {
         k: 100,
         ..Default::default()
     };
-    let results = index.search_batch(&rotated_queries, &params);
+    let results = BatchedScan::new(&index).run(&rotated_queries, &params).0;
     let r = recall::recall_x_at_y(&gt, &results, 100);
     assert!(r > 0.5, "OPQ-preprocessed recall too low: {r}");
 

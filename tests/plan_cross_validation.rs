@@ -158,12 +158,22 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
     });
 }
 
-/// Grep-proof for the telemetry rename: the retired pre-`plan.*` counter
-/// key must not survive anywhere in the workspace sources.
+/// Grep-proof for retired names: the pre-`plan.*` counter key, and the
+/// entry points the `SearchEngine` pipeline replaced, must not survive
+/// anywhere in the workspace sources or the two design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
-    let stale = concat!("clusters_", "loaded");
+    let stale = [
+        concat!("clusters_", "loaded"),
+        concat!("run_", "instrumented"),
+        concat!("run_", "two_phase"),
+        concat!("two_phase_", "plan"),
+        concat!("search_", "with_stats"),
+        concat!("search_", "instrumented"),
+        concat!("price_", "batch"),
+        concat!("Batch", "Exec"),
+    ];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut pending: Vec<std::path::PathBuf> = ["src", "crates", "tests", "benches", "examples"]
         .iter()
@@ -188,11 +198,13 @@ fn retired_telemetry_key_is_gone_from_sources() {
         {
             let text = std::fs::read_to_string(&path).expect("readable source file");
             scanned += 1;
-            if text.contains(stale) {
-                offenders.push(path);
+            for name in stale {
+                if text.contains(name) {
+                    offenders.push(format!("`{name}` in {}", path.display()));
+                }
             }
         }
     }
     assert!(scanned > 50, "walk looks broken: only {scanned} files");
-    assert!(offenders.is_empty(), "stale `{stale}` key in {offenders:?}");
+    assert!(offenders.is_empty(), "retired names: {offenders:?}");
 }
