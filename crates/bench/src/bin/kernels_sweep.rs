@@ -4,8 +4,10 @@
 //! `reports/kernels_sweep.json`. Every point is cross-checked to return a
 //! bit-identical top-k to the scalar reference. A `lut_build` section
 //! reports LUT construction in tables/sec for L2 and inner product at both
-//! widths, every entry cross-checked against the `metric::*` oracle; any
-//! divergence exits non-zero.
+//! widths, every entry cross-checked against the `metric::*` oracle. A
+//! `select` section splits one query's scan → select time into scoring,
+//! threshold filtering and heap pushes per dispatch × `k*`, each point
+//! cross-checked against the scalar path. Any divergence exits non-zero.
 //!
 //! `--smoke` shrinks the run for CI; `--telemetry <path>` writes a metric
 //! snapshot with per-point `kernel.*` counters.
@@ -61,6 +63,15 @@ fn main() {
             eprintln!(
                 "FAIL: {} k*={} LUT diverged from the metric::* oracle",
                 p.metric, p.kstar
+            );
+            std::process::exit(1);
+        }
+    }
+    for p in &sweep.select {
+        if !p.identical_to_scalar {
+            eprintln!(
+                "FAIL: select split {} k*={} diverged from the scalar reference",
+                p.dispatch, p.kstar
             );
             std::process::exit(1);
         }

@@ -14,14 +14,19 @@
 //! distance-table kernel) for L2 and inner product at both widths, each
 //! point cross-checked entry by entry, bit for bit, against the
 //! `metric::{l2_squared, dot}` oracle.
+//!
+//! A third section, `select`, splits one query's scan → select time at the
+//! benchmark's shape into scoring, threshold filtering and heap pushes per
+//! dispatch × `k*` (see [`SelectPoint`]).
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::{metric, Metric, TopK, VectorSet};
+use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
 
 use crate::json::Json;
+use std::hint::black_box;
 
 /// One measured point: one dispatch scanning one code width.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +62,41 @@ pub struct LutBuildPoint {
     pub identical_to_oracle: bool,
 }
 
+/// One measured scan → select split: one dispatch at one `k*`, one
+/// query's worth of codes (`m = 16`, 8 clusters × 3 125 codes, `k = 100`
+/// — the repo benchmark's shape) scanned into one [`TopK`]. Times are
+/// µs per query, differences of three timed loops (each its fastest round):
+///
+/// * `score_us` — `score_all_with`: every score written out, no selector.
+/// * `filter_us` — a scan into a selector already full of `+inf` scores,
+///   so every finite score fails the threshold and nothing is pushed,
+///   minus `score_us`. Negative when filtering in registers costs less
+///   than storing the scores (the AVX2 survivors sink at `k* = 16`).
+///   `scalar` has no filter and scores through a different loop in a scan
+///   (inline, every score pushed) than in `score_all_with` (rows unpacked
+///   through `Lut::score`), so on its rows only the sum of the three
+///   columns — the scan — means anything.
+/// * `push_us` — a scan into an empty selector minus the saturated scan:
+///   what the candidates that pass the filter cost in the heap.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectPoint {
+    /// Sub-quantizer codebook size.
+    pub kstar: usize,
+    /// Dispatch name (`scalar` / `blocked` / `avx2`).
+    pub dispatch: String,
+    /// Scoring alone, µs per query.
+    pub score_us: f64,
+    /// Threshold filtering, µs per query (see the type docs).
+    pub filter_us: f64,
+    /// Heap pushes, µs per query.
+    pub push_us: f64,
+    /// `ScanTally::pruned / scanned` of the scan into an empty selector.
+    pub pruned_frac: f64,
+    /// Whether the scan into an empty selector kept a top-k bit-identical
+    /// to the scalar path's and the saturated scan kept nothing.
+    pub identical_to_scalar: bool,
+}
+
 /// The sweep result.
 #[derive(Debug, Clone)]
 pub struct KernelsSweep {
@@ -72,6 +112,8 @@ pub struct KernelsSweep {
     pub points: Vec<KernelPoint>,
     /// LUT-construction points: `{l2, inner-product} × k* ∈ {16, 256}`.
     pub lut_build: Vec<LutBuildPoint>,
+    /// Scan → select splits: every available dispatch × `k* ∈ {16, 256}`.
+    pub select: Vec<SelectPoint>,
 }
 
 /// Deterministic SplitMix64 stream for synthetic codes (the bench crate
@@ -200,32 +242,127 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
         default_dispatch: KernelDispatch::current().name().to_string(),
         points,
         lut_build: lut_build_points(passes),
+        select: select_points(passes),
     }
+}
+
+/// Splits scan → select time per dispatch × `k*` at the benchmark's shape;
+/// `passes` rounds of 20 queries per timed loop, fastest round kept.
+fn select_points(passes: usize) -> Vec<SelectPoint> {
+    let (n, k) = (8 * 3_125usize, 100usize);
+    // µs per call of `body`: the fastest of `passes` rounds of 20 calls.
+    // The columns are differences of these, so host drift between loops
+    // has to be kept out of them (the repo benchmark reports its best
+    // round for the same reason).
+    let time = |body: &mut dyn FnMut()| {
+        (0..passes.max(1))
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..20 {
+                    body();
+                }
+                start.elapsed().as_secs_f64() * 1e6 / 20.0
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+
+    let mut points = Vec::new();
+    for kstar in [16usize, 256] {
+        let (book, q) = benchmark_shape_book(kstar);
+        let m = book.m();
+        let lut = Lut::build_ip(&q, &book, LutPrecision::F32);
+        let width = if kstar == 16 {
+            CodeWidth::U4
+        } else {
+            CodeWidth::U8
+        };
+        let codes = random_codes(7 + kstar as u64, m, width, lut.kstar(), n);
+        let ids: Vec<u64> = (0..n as u64).collect();
+        let mut scratch = ScanScratch::new();
+        let mut saturated = TopK::new(k);
+        // Ids above every scanned one: an `+inf` score could not evict them.
+        saturated.extend((0..k as u64).map(|i| Neighbor::new(u64::MAX - i, f32::INFINITY)));
+
+        let mut reference = TopK::new(k);
+        kernels::scan_with(
+            &codes,
+            &ids,
+            &lut,
+            &mut reference,
+            KernelDispatch::Scalar,
+            &mut scratch,
+        );
+        let reference = reference.into_sorted_vec();
+
+        for dispatch in KernelDispatch::available() {
+            let mut top = TopK::new(k);
+            let tally = kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
+            let mut full = saturated.clone();
+            kernels::scan_with(&codes, &ids, &lut, &mut full, dispatch, &mut scratch);
+            let identical = top.into_sorted_vec() == reference
+                && full.into_sorted_vec() == saturated.clone().into_sorted_vec();
+
+            let score_us = time(&mut || {
+                black_box(kernels::score_all_with(
+                    &codes,
+                    &lut,
+                    dispatch,
+                    &mut scratch,
+                ));
+            });
+            let mut scan_into = |start: &TopK| {
+                let mut top = start.clone();
+                kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
+                black_box(top);
+            };
+            let saturated_us = time(&mut || scan_into(&saturated));
+            let empty = TopK::new(k);
+            let scan_us = time(&mut || scan_into(&empty));
+
+            points.push(SelectPoint {
+                kstar,
+                dispatch: dispatch.name().to_string(),
+                score_us,
+                filter_us: saturated_us - score_us,
+                push_us: scan_us - saturated_us,
+                pruned_frac: tally.pruned as f64 / tally.scanned as f64,
+                identical_to_scalar: identical,
+            });
+        }
+    }
+    points
+}
+
+/// A codebook at the repo benchmark's shape (`dim 64`, `m 16`, so
+/// 4-dimensional sub-vectors) and a query for it.
+fn benchmark_shape_book(kstar: usize) -> (PqCodebook, Vec<f32>) {
+    let m = 16usize;
+    let dim = m * 4;
+    let train = VectorSet::from_fn(dim, 512, |r, c| ((r * 37 + c * 11) % 41) as f32 * 0.25);
+    let q: Vec<f32> = (0..dim).map(|i| (i % 7) as f32 * 0.75 - 1.0).collect();
+    let book = PqCodebook::train(
+        &train,
+        &PqConfig {
+            m,
+            kstar,
+            iters: 4,
+            seed: 1,
+        },
+    );
+    (book, q)
 }
 
 /// Times LUT construction at the benchmark's shape (`dim 64`, `m 16`, so
 /// 4-dimensional sub-vectors): `200 × passes` builds per point, after an
 /// oracle cross-check of every entry.
 fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
-    let m = 16usize;
-    let dim = m * 4;
-    let train = VectorSet::from_fn(dim, 512, |r, c| ((r * 37 + c * 11) % 41) as f32 * 0.25);
-    let q: Vec<f32> = (0..dim).map(|i| (i % 7) as f32 * 0.75 - 1.0).collect();
-    let centroid: Vec<f32> = (0..dim).map(|i| (i % 3) as f32 * 0.5).collect();
-    let residual_oracle = metric::sub(&q, &centroid);
     let builds = 200 * passes.max(1);
 
     let mut points = Vec::new();
     for kstar in [16usize, 256] {
-        let book = PqCodebook::train(
-            &train,
-            &PqConfig {
-                m,
-                kstar,
-                iters: 4,
-                seed: 1,
-            },
-        );
+        let (book, q) = benchmark_shape_book(kstar);
+        let centroid: Vec<f32> = (0..book.dim()).map(|i| (i % 3) as f32 * 0.5).collect();
+        let residual_oracle = metric::sub(&q, &centroid);
         let sub = book.sub_dim();
         for metric_kind in [Metric::L2, Metric::InnerProduct] {
             let mut slot = Lut::placeholder();
@@ -252,7 +389,7 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
             let start = std::time::Instant::now();
             for _ in 0..builds {
                 build(&mut slot);
-                std::hint::black_box(slot.entries());
+                black_box(slot.entries());
             }
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             let entries = (builds * book.m() * book.kstar()) as f64;
@@ -309,6 +446,24 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
+            .set(
+                "select",
+                Json::Arr(
+                    self.select
+                        .iter()
+                        .map(|p| {
+                            Json::obj()
+                                .set("kstar", p.kstar)
+                                .set("dispatch", p.dispatch.as_str())
+                                .set("score_us", p.score_us)
+                                .set("filter_us", p.filter_us)
+                                .set("push_us", p.push_us)
+                                .set("pruned_frac", p.pruned_frac)
+                                .set("identical_to_scalar", p.identical_to_scalar)
+                        })
+                        .collect(),
+                ),
+            )
     }
 
     /// Text rendering.
@@ -340,6 +495,22 @@ impl KernelsSweep {
                 p.tables_per_sec,
                 p.ns_per_entry,
                 p.identical_to_oracle
+            ));
+        }
+        s.push_str(&format!(
+            "\n=== scan -> select split (m=16, 25000 codes, k=100; us/query) ===\n{:<6} {:<9} {:>9} {:>10} {:>9} {:>8} {:>10}\n",
+            "k*", "dispatch", "score_us", "filter_us", "push_us", "pruned", "identical"
+        ));
+        for p in &self.select {
+            s.push_str(&format!(
+                "{:<6} {:<9} {:>9.1} {:>10.1} {:>9.1} {:>8.4} {:>10}\n",
+                p.kstar,
+                p.dispatch,
+                p.score_us,
+                p.filter_us,
+                p.push_us,
+                p.pruned_frac,
+                p.identical_to_scalar
             ));
         }
         s
@@ -389,6 +560,18 @@ mod tests {
                 p.metric, p.kstar
             );
         }
+        // Select split: every dispatch x {16, 256}, each bit-identical.
+        assert_eq!(sweep.select.len(), 2 * per_width);
+        for p in &sweep.select {
+            assert!(p.score_us > 0.0, "{} k*={}", p.dispatch, p.kstar);
+            assert!((0.0..=1.0).contains(&p.pruned_frac));
+            assert_eq!(p.pruned_frac == 0.0, p.dispatch == "scalar");
+            assert!(
+                p.identical_to_scalar,
+                "{} k*={} select diverged from scalar",
+                p.dispatch, p.kstar
+            );
+        }
     }
 
     #[test]
@@ -421,6 +604,11 @@ mod tests {
             "\"lut_build\"",
             "\"tables_per_sec\"",
             "\"identical_to_oracle\"",
+            "\"select\"",
+            "\"score_us\"",
+            "\"filter_us\"",
+            "\"push_us\"",
+            "\"pruned_frac\"",
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }

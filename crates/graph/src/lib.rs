@@ -35,7 +35,7 @@ use anna_plan::{EnginePlan, GraphPlan, GraphQueryPlan, GraphShape, GraphWorkload
 use anna_quant::codes::PackedCodes;
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{Metric, Neighbor, TopK, VectorSet};
 
 /// Construction parameters for a [`PqGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,18 +375,21 @@ struct AdcTable {
 }
 
 impl AdcTable {
+    /// One pass of the distance-table kernel ([`anna_quant::dist_table`])
+    /// per sub-space; every entry is bit-identical to `metric::dot` /
+    /// `-metric::l2_squared` on the row-major codeword.
     fn build(q: &[f32], codebook: &PqCodebook, m: Metric) -> AdcTable {
         let sub = codebook.sub_dim();
         let kstar = codebook.kstar();
         let mut table = vec![0f32; codebook.m() * kstar];
-        for j in 0..codebook.m() {
+        for (j, entries) in table.chunks_mut(kstar).enumerate() {
             let qj = &q[j * sub..(j + 1) * sub];
-            let book = codebook.book(j);
-            for c in 0..kstar {
-                table[j * kstar + c] = match m {
-                    Metric::InnerProduct => metric::dot(qj, book.row(c)),
-                    Metric::L2 => -metric::l2_squared(qj, book.row(c)),
-                };
+            match m {
+                Metric::InnerProduct => codebook.dim_major(j).dot_table(qj, entries),
+                Metric::L2 => {
+                    codebook.dim_major(j).l2_table(qj, entries);
+                    entries.iter_mut().for_each(|e| *e = -*e);
+                }
             }
         }
         AdcTable { table, kstar }

@@ -18,15 +18,38 @@
 //! construction, not by tolerance. Four accumulators (32 lanes) amortize
 //! the two table loads per subquantizer.
 //!
+//! # Row loads
+//!
 //! There is **no unpack/transpose pass**: each lane holds its vector's
-//! packed code row as whole dwords (one unaligned 32-byte load covers
-//! eight rows when `vector_bytes == 4`; a dword gather handles every
-//! other row width), and nibble `i` is extracted in-register with a
-//! variable shift + mask. The code stream is read once, already in the
-//! layout the heap stores it.
+//! packed code row as whole dwords. Eight 4-byte rows are one unaligned
+//! 32-byte load; eight 8-byte rows (`m = 16`) are two, de-interleaved into
+//! "dword 0 of every row" and "dword 1 of every row" by an in-lane shuffle
+//! plus one cross-lane permute each. Every other row width takes a dword
+//! gather whose index vector holds only the eight lane offsets `l · vb` —
+//! the chunk's position goes into the base pointer, so no index can wrap
+//! however long the code stream is. The code stream is read once, already
+//! in the layout the index stores it.
+//!
+//! # Lookup
+//!
+//! Nibble `p` of a row dword selects entry `e` of its table. `vpermps`
+//! reads only bits 2:0 of each index lane, so `row >> 4p` (an immediate
+//! shift, no mask) already indexes within a table half; bit 3 of the
+//! nibble picks the half, and `row << (28 − 4p)` puts exactly that bit in
+//! the sign position `vblendvps` reads (no compare). Both shift counts are
+//! immediates because the eight nibbles of a dword are unrolled.
+//!
+//! # Sinks
+//!
+//! One kernel, two destinations ([`Sink`]): the *tile* sink stores every
+//! score (what `score_all` and the oracle paths read), the *survivors*
+//! sink compares the 32 finished sums with a broadcast threshold in
+//! registers and spills only the passing lanes — the software image of the
+//! SCM handing the P-heap nothing but winners (PAPER §III-B(4)).
 
 #![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 
+use super::dispatch::avx2_supported;
 use crate::lut::Lut;
 use anna_quant::codes::{CodeWidth, PackedCodes};
 
@@ -35,29 +58,68 @@ use std::arch::x86 as arch;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as arch;
 
-/// Most dwords of packed row the SIMD path keeps per lane (`m ≤ 62`
-/// covers every real configuration; wider rows take the scalar loop).
+/// Most dwords of packed row the SIMD path keeps per lane (`nd ≤ 8` covers
+/// `m ≤ 64`; wider rows take the scalar loop).
 const MAX_ROW_DWORDS: usize = 8;
 
-/// Scores vectors `[start, start + out.len())` of packed u4 codes into
-/// `out` with the AVX2 LUT16 kernel.
+/// Where the kernel puts the scores of a block.
+pub(super) enum Sink<'a> {
+    /// Every score, at its vector's position in the block.
+    Tile(&'a mut [f32]),
+    /// Only the vectors with `score >= threshold`, as parallel
+    /// `(position in the block, score)` arrays in ascending position. NaN
+    /// scores never pass (the comparison is ordered). Both slices must
+    /// hold at least the block's vector count.
+    Survivors {
+        threshold: f32,
+        positions: &'a mut [u32],
+        scores: &'a mut [f32],
+    },
+}
+
+/// Scores vectors `[start, start + count)` of packed u4 codes into `sink`
+/// with the AVX2 LUT16 kernel; returns how many scores the sink received
+/// (`count` for [`Sink::Tile`], the survivor count for
+/// [`Sink::Survivors`]).
 ///
 /// # Panics
 ///
-/// Panics if the codes are not [`CodeWidth::U4`], the LUT is not
-/// 16-entry, or the range exceeds `codes.len()`.
-///
-/// Callers must have verified AVX2 support (the dispatch layer does);
-/// this function `unsafe`ly enables the feature internally.
-pub fn score_block_u4(codes: &PackedCodes, start: usize, lut: &Lut, out: &mut [f32]) {
+/// Panics if the host lacks AVX2, the codes are not [`CodeWidth::U4`], the
+/// LUT is not 16-entry, the range exceeds `codes.len()`, or a sink slice
+/// is shorter than `count`.
+pub(super) fn score_block_u4(
+    codes: &PackedCodes,
+    start: usize,
+    count: usize,
+    lut: &Lut,
+    sink: Sink<'_>,
+) -> usize {
+    assert!(avx2_supported(), "AVX2 kernel on a host without AVX2");
     assert_eq!(codes.width(), CodeWidth::U4);
     assert_eq!(lut.kstar(), 16, "u4 kernel requires a 16-entry LUT");
     let m = codes.m();
     let vb = codes.vector_bytes();
-    assert!((start + out.len()) * vb <= codes.bytes().len());
-    // SAFETY: the dispatch layer only routes here after
-    // `is_x86_feature_detected!("avx2")` returned true.
-    unsafe { lut16_kernel(m, vb, codes.bytes(), start, lut.entries(), lut.bias(), out) }
+    assert!((start + count) * vb <= codes.bytes().len());
+    assert!(m * 16 <= lut.entries().len());
+    match &sink {
+        Sink::Tile(out) => assert!(count <= out.len()),
+        Sink::Survivors {
+            positions, scores, ..
+        } => assert!(count <= positions.len() && count <= scores.len()),
+    }
+    // SAFETY: AVX2 support was asserted above.
+    unsafe {
+        lut16_kernel(
+            m,
+            vb,
+            codes.bytes(),
+            start,
+            count,
+            lut.entries(),
+            lut.bias(),
+            sink,
+        )
+    }
 }
 
 /// The register-resident LUT16 loop. See the module docs for the lane
@@ -65,22 +127,34 @@ pub fn score_block_u4(codes: &PackedCodes, start: usize, lut: &Lut, out: &mut [f
 ///
 /// # Safety
 ///
-/// The caller must ensure the host supports AVX2.
+/// The caller must ensure the host supports AVX2, that
+/// `(start + count) * vb <= bytes.len()`, that `entries` holds `m` tables
+/// of 16, and that every sink slice holds `count` elements.
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn lut16_kernel(
     m: usize,
     vb: usize,
     bytes: &[u8],
     start: usize,
+    count: usize,
     entries: &[f32],
     bias: f32,
-    out: &mut [f32],
-) {
+    sink: Sink<'_>,
+) -> usize {
     use arch::*;
 
-    let count = out.len();
-    let seven = _mm256_set1_epi32(7);
-    let nib = _mm256_set1_epi32(0x0F);
+    // `out` is the tile, or the survivors' scores beside `positions`.
+    let (keep_from, out, positions): (Option<f32>, &mut [f32], &mut [u32]) = match sink {
+        Sink::Tile(out) => (None, out, &mut []),
+        Sink::Survivors {
+            threshold,
+            positions,
+            scores,
+        } => (Some(threshold), scores, positions),
+    };
+    let mut written = 0;
+
     // Byte offset of lane l's row relative to lane 0 (gather path).
     let lane_off = _mm256_setr_epi32(
         0,
@@ -93,19 +167,24 @@ unsafe fn lut16_kernel(
         7 * vb as i32,
     );
     // Dwords per packed row; the last dword of a row may straddle into
-    // the next row (harmless — the shift/mask only keeps wanted nibbles)
-    // but must never read past the buffer, hence the bound check below.
+    // the next row (harmless — the lookup only reads wanted nibbles) but
+    // must never read past the buffer, hence the bound check below.
     let nd = vb.div_ceil(4);
+    let vbias = _mm256_set1_ps(bias);
+    let vthreshold = _mm256_set1_ps(keep_from.unwrap_or(f32::NEG_INFINITY));
 
-    /// Eight f32 lookups from dword nibble indices: shuffle both table
-    /// halves, select by `idx > 7`.
+    /// Eight f32 lookups of nibble `$p` of each lane's dword: both table
+    /// halves shuffled by the nibble's low three bits, the half chosen by
+    /// its top bit moved into the sign position.
     macro_rules! lookup8 {
-        ($idx:expr, $lo:expr, $hi:expr) => {{
-            let idx = $idx;
-            let from_lo = _mm256_permutevar8x32_ps($lo, idx);
-            let from_hi = _mm256_permutevar8x32_ps($hi, idx);
-            let is_hi = _mm256_castsi256_ps(_mm256_cmpgt_epi32(idx, seven));
-            _mm256_blendv_ps(from_lo, from_hi, is_hi)
+        ($row:expr, $p:literal, $lo:expr, $hi:expr) => {{
+            let idx = _mm256_srli_epi32::<{ 4 * $p }>($row);
+            let is_hi = _mm256_castsi256_ps(_mm256_slli_epi32::<{ 28 - 4 * $p }>($row));
+            _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps($lo, idx),
+                _mm256_permutevar8x32_ps($hi, idx),
+                is_hi,
+            )
         }};
     }
 
@@ -119,53 +198,108 @@ unsafe fn lut16_kernel(
             if (start + j + 31) * vb + 4 * nd > bytes.len() {
                 break;
             }
-            let base = (start + j) * vb;
-            // rows[g][d]: dword d of the packed rows of lanes g*8..g*8+8.
-            let mut rows = [[_mm256_setzero_si256(); MAX_ROW_DWORDS]; 4];
-            for (g, group) in rows.iter_mut().enumerate() {
-                let goff = base + 8 * g * vb;
-                for (d, slot) in group.iter_mut().take(nd).enumerate() {
-                    *slot = if vb == 4 {
+            let chunk = bytes.as_ptr().add((start + j) * vb);
+            /// Dword `$d` of the packed rows of lanes `8·$g .. 8·$g + 8`.
+            macro_rules! row_dwords {
+                ($g:literal, $d:expr) => {{
+                    let p = chunk.add(8 * $g * vb);
+                    match vb {
                         // Eight 4-byte rows are 32 contiguous bytes.
-                        _mm256_loadu_si256(bytes.as_ptr().add(goff) as *const __m256i)
-                    } else {
-                        _mm256_i32gather_epi32::<1>(
-                            bytes.as_ptr() as *const i32,
-                            _mm256_add_epi32(lane_off, _mm256_set1_epi32((goff + 4 * d) as i32)),
-                        )
-                    };
-                }
+                        4 => _mm256_loadu_si256(p as *const __m256i),
+                        // Eight 8-byte rows are 64: `a` holds rows 0–3 as
+                        // (dword 0, dword 1) pairs, `b` rows 4–7. The
+                        // in-lane shuffle picks one dword of each pair, in
+                        // the order [r0 r1 r4 r5 | r2 r3 r6 r7]; swapping
+                        // the middle quadwords restores row order.
+                        8 => {
+                            let a = _mm256_castsi256_ps(_mm256_loadu_si256(p as *const __m256i));
+                            let b = _mm256_castsi256_ps(_mm256_loadu_si256(
+                                p.add(32) as *const __m256i
+                            ));
+                            let picked = if $d == 0 {
+                                _mm256_shuffle_ps::<0b10_00_10_00>(a, b)
+                            } else {
+                                _mm256_shuffle_ps::<0b11_01_11_01>(a, b)
+                            };
+                            _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_castps_si256(picked))
+                        }
+                        // The chunk's position is in the base pointer, so
+                        // the indices are the lane offsets alone.
+                        _ => _mm256_i32gather_epi32::<1>(p.add(4 * $d) as *const i32, lane_off),
+                    }
+                }};
             }
 
             let mut acc0 = _mm256_setzero_ps();
             let mut acc1 = _mm256_setzero_ps();
             let mut acc2 = _mm256_setzero_ps();
             let mut acc3 = _mm256_setzero_ps();
-            for i in 0..m {
-                let byte = i >> 1;
-                let d = byte >> 2;
-                // Nibble i sits at bit 8·(byte % 4) + 4·(i % 2) of dword d
-                // (low nibble first, matching PackedCodes).
-                let shift = _mm_cvtsi32_si128((8 * (byte & 3) + 4 * (i & 1)) as i32);
-                // Table i, resident in two registers for all 32 lanes.
-                let t = entries.as_ptr().add(i * 16);
-                let lo = _mm256_loadu_ps(t);
-                let hi = _mm256_loadu_ps(t.add(8));
-                let i0 = _mm256_and_si256(_mm256_srl_epi32(rows[0][d], shift), nib);
-                let i1 = _mm256_and_si256(_mm256_srl_epi32(rows[1][d], shift), nib);
-                let i2 = _mm256_and_si256(_mm256_srl_epi32(rows[2][d], shift), nib);
-                let i3 = _mm256_and_si256(_mm256_srl_epi32(rows[3][d], shift), nib);
-                acc0 = _mm256_add_ps(acc0, lookup8!(i0, lo, hi));
-                acc1 = _mm256_add_ps(acc1, lookup8!(i1, lo, hi));
-                acc2 = _mm256_add_ps(acc2, lookup8!(i2, lo, hi));
-                acc3 = _mm256_add_ps(acc3, lookup8!(i3, lo, hi));
+            for d in 0..nd {
+                let r0 = row_dwords!(0, d);
+                let r1 = row_dwords!(1, d);
+                let r2 = row_dwords!(2, d);
+                let r3 = row_dwords!(3, d);
+                // Subquantizer 8d + p is nibble p of dword d (low nibble
+                // first, matching PackedCodes).
+                macro_rules! step {
+                    ($p:literal) => {
+                        let i = 8 * d + $p;
+                        if i < m {
+                            // Table i, resident in two registers for all
+                            // 32 lanes.
+                            let t = entries.as_ptr().add(i * 16);
+                            let lo = _mm256_loadu_ps(t);
+                            let hi = _mm256_loadu_ps(t.add(8));
+                            acc0 = _mm256_add_ps(acc0, lookup8!(r0, $p, lo, hi));
+                            acc1 = _mm256_add_ps(acc1, lookup8!(r1, $p, lo, hi));
+                            acc2 = _mm256_add_ps(acc2, lookup8!(r2, $p, lo, hi));
+                            acc3 = _mm256_add_ps(acc3, lookup8!(r3, $p, lo, hi));
+                        }
+                    };
+                }
+                step!(0);
+                step!(1);
+                step!(2);
+                step!(3);
+                step!(4);
+                step!(5);
+                step!(6);
+                step!(7);
             }
-            let vbias = _mm256_set1_ps(bias);
-            let o = out.as_mut_ptr().add(j);
-            _mm256_storeu_ps(o, _mm256_add_ps(acc0, vbias));
-            _mm256_storeu_ps(o.add(8), _mm256_add_ps(acc1, vbias));
-            _mm256_storeu_ps(o.add(16), _mm256_add_ps(acc2, vbias));
-            _mm256_storeu_ps(o.add(24), _mm256_add_ps(acc3, vbias));
+            let sums = [
+                _mm256_add_ps(acc0, vbias),
+                _mm256_add_ps(acc1, vbias),
+                _mm256_add_ps(acc2, vbias),
+                _mm256_add_ps(acc3, vbias),
+            ];
+
+            if keep_from.is_none() {
+                let o = out.as_mut_ptr().add(j);
+                for (g, &sum) in sums.iter().enumerate() {
+                    _mm256_storeu_ps(o.add(8 * g), sum);
+                }
+                written += 32;
+            } else {
+                // Bit l of `passing` = lane l scored >= threshold.
+                let mut passing = 0u32;
+                for (g, &sum) in sums.iter().enumerate() {
+                    let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(sum, vthreshold);
+                    passing |= (_mm256_movemask_ps(ge) as u32) << (8 * g);
+                }
+                if passing != 0 {
+                    let mut lanes = [0.0f32; 32];
+                    for (g, &sum) in sums.iter().enumerate() {
+                        _mm256_storeu_ps(lanes.as_mut_ptr().add(8 * g), sum);
+                    }
+                    while passing != 0 {
+                        let l = passing.trailing_zeros() as usize;
+                        positions[written] = (j + l) as u32;
+                        out[written] = lanes[l];
+                        written += 1;
+                        passing &= passing - 1;
+                    }
+                }
+            }
             j += 32;
         }
     }
@@ -183,7 +317,21 @@ unsafe fn lut16_kernel(
         if m % 2 == 1 {
             sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
         }
-        out[j] = sum + bias;
+        let score = sum + bias;
+        match keep_from {
+            None => {
+                out[j] = score;
+                written += 1;
+            }
+            Some(threshold) => {
+                if score >= threshold {
+                    positions[written] = j as u32;
+                    out[written] = score;
+                    written += 1;
+                }
+            }
+        }
         j += 1;
     }
+    written
 }

@@ -28,8 +28,10 @@ pub enum KernelDispatch {
     Blocked,
     /// AVX2 LUT16 kernel for `k* = 16`: nibble codes scored 32 per
     /// iteration from register-resident tables via `vpermps` shuffles
-    /// (the f32 analogue of the `pshufb` trick Faiss16/ScaNN16 use).
-    /// `k* = 256` codes fall back to the blocked kernel.
+    /// (the f32 analogue of the `pshufb` trick Faiss16/ScaNN16 use); in a
+    /// scan the sums are compared with the top-k threshold in registers
+    /// and only surviving lanes reach memory. `k* = 256` codes fall back
+    /// to the blocked kernel.
     Avx2,
 }
 

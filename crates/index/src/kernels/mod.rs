@@ -11,17 +11,41 @@
 //!    tables), an unrolled multi-accumulator blocked kernel for `k* = 256`
 //!    (`blocked`), and the seed scalar loops (`scalar`) as reference and
 //!    `ANNA_FORCE_SCALAR` fallback.
-//! 2. **Block scoring** — kernels write a tile of [`TILE`] scores into a
-//!    reusable [`ScanScratch`], so the hot loop is allocation-free and
-//!    branch-free.
-//! 3. **Threshold-pruned selection** — a separate pass inserts into
-//!    [`TopK`] only scores passing `score >= top.threshold()`, turning
-//!    O(n log k) heap traffic into a branch-predictable filter (almost
-//!    every score in a warm scan loses to the current worst). The filter
-//!    is exact, not approximate: candidates *at* the threshold are still
-//!    offered (the equal-score/lower-id tie-break can evict the current
-//!    worst), and NaN fails the comparison just as [`TopK::push`] rejects
-//!    it.
+//! 2. **Block scoring** — a cluster is walked in blocks of [`TILE`]
+//!    vectors. The blocked kernels (and [`score_all`], on every dispatch)
+//!    write the block's scores to a tile in a reusable [`ScanScratch`];
+//!    the AVX2 kernel under [`scan_with`] instead ends in a **survivors
+//!    sink**: the 32 finished sums are compared in registers with the
+//!    broadcast [`TopK::threshold`] (`vcmpps GE_OQ` + `vmovmskps`) and
+//!    only the passing lanes are spilled, as `(position, score)` pairs in
+//!    ascending position. ANNA's SCM never materialises a score either —
+//!    each sum leaves the adder tree, meets the P-heap minimum, and only
+//!    winners enter the heap (PAPER §III-B(4)). Either way the hot loop
+//!    is allocation-free.
+//! 3. **Threshold-pruned selection** — only scores passing
+//!    `score >= top.threshold()` are offered to [`TopK::push`] (almost
+//!    every score in a warm scan loses to the current worst). The tile
+//!    path tests every score against the live threshold; the survivors
+//!    path re-tests each spilled lane against it, in the same ascending
+//!    order. The filter is exact, not approximate: candidates *at* the
+//!    threshold are still offered (the equal-score/lower-id tie-break can
+//!    evict the current worst), and NaN fails the comparison — ordered in
+//!    the SIMD compare, `false` in the scalar one — just as
+//!    [`TopK::push`] rejects it.
+//!
+//! # Why a frozen threshold is exact
+//!
+//! The survivors sink compares against a copy of the threshold taken
+//! when its tile starts, while pushes from that same tile keep raising
+//! the live one. That is sound because the threshold only ever rises:
+//! `frozen <= live` at every moment, so `score >= live` implies
+//! `score >= frozen` — every candidate the tile path would offer is
+//! among the spilled lanes, and the few extra lanes that passed only the
+//! stale copy are dropped by the re-test. (`push` would reject them
+//! anyway; the re-test saves that call and keeps [`ScanTally::pruned`]
+//! meaning the same thing on every dispatch.) Offers therefore reach the
+//! selector in the same order, against the same live threshold, as on the
+//! tile path.
 //!
 //! # The summation-order invariant
 //!
@@ -69,13 +93,15 @@ use anna_vector::TopK;
 /// stays L1-resident.
 pub const TILE: usize = 256;
 
-/// Reusable scratch for the block-scoring path: the score tile plus the
-/// packed-row unpack buffer the scalar scorer uses. Thread one instance
-/// through a scan loop (per worker, per search) and the hot path performs
-/// zero allocations after warm-up.
+/// Reusable scratch for the scan: the score tile (in a survivors scan, the
+/// survivors' scores), the survivors' positions, and the packed-row unpack
+/// buffer the scalar scorer uses. Thread one instance through a scan loop
+/// (per worker, per search) and the hot path performs zero allocations
+/// after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     scores: Vec<f32>,
+    positions: Vec<u32>,
     groups: Vec<u8>,
 }
 
@@ -97,16 +123,35 @@ impl ScanScratch {
         }
         (&mut self.scores[..count], &mut self.groups[..need])
     }
+
+    /// Grows (never shrinks) and hands out the `(positions, scores)` pair a
+    /// survivors scan of a `count`-vector block spills into.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    fn survivor_buffers(&mut self, count: usize) -> (&mut [u32], &mut [f32]) {
+        if self.scores.len() < count {
+            self.scores.resize(count, 0.0);
+        }
+        if self.positions.len() < count {
+            self.positions.resize(count, 0);
+        }
+        (&mut self.positions[..count], &mut self.scores[..count])
+    }
 }
 
-/// Work counters returned by a scan: how many codes were scored and how
-/// many were pruned by the threshold filter before touching the heap.
-/// Feeds the `kernel.codes_scanned` / `kernel.pruned` telemetry counters.
+/// Work counters returned by a scan. Feeds the `kernel.codes_scanned` /
+/// `kernel.pruned` telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanTally {
     /// Encoded vectors scored.
     pub scanned: u64,
-    /// Scores rejected by the threshold filter without a heap push.
+    /// `scanned` minus the candidates actually offered to [`TopK::push`],
+    /// on every dispatch: a score counts as pruned exactly when it was
+    /// below the selector's threshold *at the moment it would have been
+    /// offered*. The survivors sink compares against a threshold frozen
+    /// per tile, but the lanes it spills are re-checked against the live
+    /// one before the push, so the frozen copy never shows here — from the
+    /// same starting `TopK`, `Blocked` and `Avx2` report the same number
+    /// (and `Scalar`, which pushes every score, reports 0).
     /// Schedule-dependent (the threshold tightens as the scan proceeds),
     /// so this is a telemetry quantity, not a determinism-checked one.
     pub pruned: u64,
@@ -147,9 +192,11 @@ pub fn scan(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) -> Scan
 /// scratch — the production entry point.
 ///
 /// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push);
-/// the other dispatches run block scoring plus the threshold-pruned
-/// selection pass. All produce bit-identical `top` contents (see the
-/// module docs).
+/// the other dispatches score a block, then offer only what passes the
+/// threshold — from the score tile, or for `k* = 16` under
+/// [`KernelDispatch::Avx2`] from the lanes the kernel's survivors sink
+/// spilled. All produce bit-identical `top` contents (see the module
+/// docs).
 ///
 /// # Panics
 ///
@@ -166,21 +213,23 @@ pub fn scan_with(
     assert_eq!(ids.len(), codes.len(), "id/code count mismatch");
     assert_eq!(codes.m(), lut.m(), "LUT table count mismatch");
     let n = codes.len();
-    let mut tally = ScanTally {
-        scanned: n as u64,
-        pruned: 0,
-    };
+    let scanned = n as u64;
 
     if dispatch == KernelDispatch::Scalar {
         match codes.width() {
             CodeWidth::U8 => scalar::scan_u8(codes, ids, lut, top),
             CodeWidth::U4 => scalar::scan_u4(codes, ids, lut, top),
         }
-        return tally;
+        return ScanTally { scanned, pruned: 0 };
     }
 
     let m = codes.m();
     let vb = codes.vector_bytes();
+    let survivors_only = cfg!(any(target_arch = "x86", target_arch = "x86_64"))
+        && dispatch == KernelDispatch::Avx2
+        && codes.width() == CodeWidth::U4;
+    // Candidates handed to `TopK::push`.
+    let mut offered = 0u64;
     let mut start = 0;
     while start < n {
         let count = (n - start).min(TILE);
@@ -193,26 +242,57 @@ pub fn scan_with(
         if next < n {
             prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
         }
-        let (scores, groups) = scratch.buffers(m, count);
-        score_block(codes, start, lut, dispatch, groups, &mut scores[..count]);
-
-        // Selection: only scores that can still enter the top-k pay the
-        // heap. `>=` (not `>`) keeps the equal-score/lower-id tie-break
-        // exact; the threshold is refreshed only after a successful push
-        // (a rejected push cannot change it).
-        let mut threshold = top.threshold();
-        for (j, &score) in scores[..count].iter().enumerate() {
-            if score >= threshold {
-                if top.push(ids[start + j], score) {
-                    threshold = top.threshold();
+        let ids = &ids[start..next];
+        if survivors_only {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            {
+                // The kernel filters against a copy of the threshold frozen
+                // for this tile. The live one only rises, so the frozen
+                // copy admits a superset of what can still enter; each
+                // spilled lane is re-checked before it pays the push.
+                let (positions, scores) = scratch.survivor_buffers(count);
+                let kept = avx2::score_block_u4(
+                    codes,
+                    start,
+                    count,
+                    lut,
+                    avx2::Sink::Survivors {
+                        threshold: top.threshold(),
+                        positions,
+                        scores,
+                    },
+                );
+                for (&j, &score) in positions[..kept].iter().zip(&scores[..kept]) {
+                    if score >= top.threshold() {
+                        offered += 1;
+                        top.push(ids[j as usize], score);
+                    }
                 }
-            } else {
-                tally.pruned += 1;
+            }
+        } else {
+            let (scores, groups) = scratch.buffers(m, count);
+            score_block(codes, start, lut, dispatch, groups, scores);
+
+            // Selection: only scores that can still enter the top-k pay the
+            // heap. `>=` (not `>`) keeps the equal-score/lower-id tie-break
+            // exact; the threshold is refreshed only after a successful
+            // push (a rejected push cannot change it).
+            let mut threshold = top.threshold();
+            for (&id, &score) in ids.iter().zip(scores.iter()) {
+                if score >= threshold {
+                    offered += 1;
+                    if top.push(id, score) {
+                        threshold = top.threshold();
+                    }
+                }
             }
         }
-        start += count;
+        start = next;
     }
-    tally
+    ScanTally {
+        scanned,
+        pruned: scanned - offered,
+    }
 }
 
 /// Issues a read prefetch hint for `bytes[offset..offset + len]`, one
@@ -254,7 +334,7 @@ fn score_block(
         (KernelDispatch::Avx2, CodeWidth::U4) => {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             {
-                avx2::score_block_u4(codes, start, lut, out)
+                avx2::score_block_u4(codes, start, out.len(), lut, avx2::Sink::Tile(out));
             }
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
             {

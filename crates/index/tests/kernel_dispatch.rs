@@ -3,7 +3,10 @@
 //! bit** across metrics ({L2, IP}), code widths (`k* = 16` nibbles,
 //! `k* = 256` bytes), odd and even subquantizer counts, and arbitrary
 //! random codes — the summation-order invariant of
-//! `anna_index::kernels`, checked end to end.
+//! `anna_index::kernels`, checked end to end. The survivors sink of the
+//! AVX2 kernel (scores filtered in registers against a per-tile frozen
+//! threshold) gets its own test against the per-score-push oracle, from a
+//! pre-warmed selector, over every row-load path and block-edge count.
 //!
 //! The environment-variable override (`ANNA_FORCE_SCALAR`) is covered by
 //! unit tests of the pure `resolve` rule inside the crate; these tests
@@ -15,7 +18,7 @@ use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_testkit::TestRng;
-use anna_vector::TopK;
+use anna_vector::{TopK, VectorSet};
 
 /// One codebook + a matching L2-centroid per shape, deterministic per seed.
 fn trained_book(m: usize, kstar: usize, seed: u64) -> (PqCodebook, Vec<f32>) {
@@ -195,5 +198,111 @@ fn process_wide_dispatch_matches_reference() {
     assert_eq!(tally.scanned, codes.len() as u64);
     for h in top.into_sorted_vec() {
         assert_eq!(h.score.to_bits(), want[h.id as usize].to_bits());
+    }
+}
+
+/// A 16-entry codebook with one-dimensional codewords — so a LUT entry is
+/// the codeword itself (IP against a query of ones) or minus its square
+/// (L2 against a zero residual) — finite except for one NaN, one `+inf`
+/// and one `-inf` codeword at random places.
+fn hostile_book(rng: &mut TestRng, m: usize) -> PqCodebook {
+    let mut words: Vec<f32> = (0..m * 16).map(|_| rng.f32(-8.0..8.0)).collect();
+    for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let at = rng.usize(0..words.len());
+        words[at] = hostile;
+    }
+    PqCodebook::from_books(
+        words
+            .chunks(16)
+            .map(|book| VectorSet::from_vec(1, book.to_vec()))
+            .collect(),
+    )
+}
+
+fn kept(top: TopK) -> Vec<(u64, u32)> {
+    top.into_sorted_vec()
+        .iter()
+        .map(|h| (h.id, h.score.to_bits()))
+        .collect()
+}
+
+/// The survivors path against the scalar per-score-push oracle, starting
+/// from a **pre-warmed** selector (so the first tile already filters
+/// against a real threshold, and the frozen-per-tile copy goes stale
+/// inside a tile): every row-load path (`vb = 4` one load, `vb = 8` two
+/// loads de-interleaved, every other width the dword gather incl. ragged
+/// odd widths and the `nd = 8` limit, `vb = 33` the scalar fallback),
+/// block-edge counts around the 32-lane chunk and the tile, both metrics,
+/// and NaN/±inf table entries (NaN scores must never surface; `+inf`
+/// scores tie and fall to the id rule). `ScanTally::pruned` must also be
+/// `scanned − offered` on every dispatch, hence equal across the two
+/// filtering dispatches from the same starting selector.
+#[test]
+fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
+    let counts = [1, 31, 32, 33, 255, 256, 257, 3 * kernels::TILE + 37];
+    let mut rng = TestRng::new(0x5EED_5CA9);
+    let mut scratch = ScanScratch::new();
+    for vb in [2usize, 4, 5, 8, 16, 25, 32, 33] {
+        // Odd widths carry a half-used last byte.
+        let m = if vb % 2 == 1 { 2 * vb - 1 } else { 2 * vb };
+        let book = hostile_book(&mut rng, m);
+        let luts = [
+            Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32),
+            Lut::build_l2(&vec![0.0; m], &vec![0.0; m], &book, LutPrecision::F32),
+        ];
+        for (lut, metric) in luts.iter().zip(["ip", "l2"]) {
+            for n in counts {
+                let k = *rng.pick(&[1usize, 10, 100]);
+                let codes = random_codes(&mut rng, m, CodeWidth::U4, 16, n);
+                assert_eq!(codes.vector_bytes(), vb);
+                // Ids far from the warm-up's, so equal scores meet both
+                // lower and higher ids already in the selector.
+                let base = rng.u64(0..1 << 40);
+                let ids: Vec<u64> = (0..n as u64).map(|i| base + 3 * i).collect();
+
+                let warm_codes = random_codes(&mut rng, m, CodeWidth::U4, 16, 150);
+                let warm_ids: Vec<u64> = (0..150u64).map(|i| (1 << 39) + i).collect();
+                let mut warm = TopK::new(k);
+                kernels::scan_with(
+                    &warm_codes,
+                    &warm_ids,
+                    lut,
+                    &mut warm,
+                    KernelDispatch::Scalar,
+                    &mut scratch,
+                );
+
+                let mut expect = warm.clone();
+                let all_pushed = kernels::scan_with(
+                    &codes,
+                    &ids,
+                    lut,
+                    &mut expect,
+                    KernelDispatch::Scalar,
+                    &mut scratch,
+                );
+                assert_eq!((all_pushed.scanned, all_pushed.pruned), (n as u64, 0));
+                let expect = kept(expect);
+                assert!(expect
+                    .iter()
+                    .all(|&(_, bits)| !f32::from_bits(bits).is_nan()));
+
+                let mut pruned = Vec::new();
+                for dispatch in KernelDispatch::available() {
+                    let mut top = warm.clone();
+                    let tally =
+                        kernels::scan_with(&codes, &ids, lut, &mut top, dispatch, &mut scratch);
+                    let at = format!("vb={vb} m={m} {metric} n={n} k={k} {}", dispatch.name());
+                    assert_eq!(tally.scanned, n as u64, "{at}");
+                    assert_eq!(kept(top), expect, "{at}");
+                    if dispatch != KernelDispatch::Scalar {
+                        pruned.push((tally.pruned, at));
+                    }
+                }
+                for pair in pruned.windows(2) {
+                    assert_eq!(pair[0].0, pair[1].0, "{} vs {}", pair[0].1, pair[1].1);
+                }
+            }
+        }
     }
 }

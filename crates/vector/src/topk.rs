@@ -9,7 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A search hit: a database vector id and its similarity to the query
 /// (larger = more similar).
@@ -55,10 +54,54 @@ impl PartialOrd for Neighbor {
     }
 }
 
-/// Keeps the `k` highest-score [`Neighbor`]s pushed into it.
+/// One kept candidate, 16 bytes: the score's order-preserving integer
+/// image, the score itself (returned bit for bit, so a kept `-0.0` stays
+/// `-0.0`), and the id.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    ord: u32,
+    score: f32,
+    id: u64,
+}
+
+impl Slot {
+    /// `score` must not be NaN.
+    fn new(id: u64, score: f32) -> Self {
+        // `+ 0.0` folds -0.0 onto +0.0 (they compare equal as floats, so
+        // they must share a key); then the usual sign flip makes unsigned
+        // integer order agree with float order from -inf to +inf.
+        let bits = (score + 0.0).to_bits();
+        let ord = if bits >> 31 == 0 {
+            bits | 0x8000_0000
+        } else {
+            !bits
+        };
+        Self { ord, score, id }
+    }
+
+    /// The rank key: greater = better, exactly [`Neighbor`]'s order on
+    /// non-NaN scores (higher score, then lower id) as one integer, so a
+    /// comparison is branch-free.
+    fn rank(&self) -> u128 {
+        (u128::from(self.ord) << 64) | u128::from(!self.id)
+    }
+}
+
+/// Keeps the `k` highest-score [`Neighbor`]s pushed into it — the software
+/// P-heap every engine shares.
 ///
-/// Internally a min-heap on score: the root is the current worst of the
-/// kept set, so each push is an O(log k) comparison against the worst.
+/// A flat implicit binary min-heap over 16-byte slots, ordered by the
+/// integer rank key `(ordered_bits(score + 0.0), !id)`: the root is the
+/// worst kept entry, so a full selector rejects a candidate with one key
+/// comparison and accepts one with a single replace-root sift-down whose
+/// child choice is arithmetic, not a branch. While fewer than `k` entries
+/// are held nothing needs an order (the threshold is `-inf`), so entries
+/// are appended and the heap is built once, when the `k`-th arrives.
+///
+/// The key reproduces [`Neighbor`]'s `Ord` exactly where `push` admits
+/// values: NaN is rejected before a key is formed, `-0.0` and `0.0` share
+/// a key (and then tie-break by id), and `!id` makes the *lower* id the
+/// greater key.
 ///
 /// # Example
 ///
@@ -77,8 +120,8 @@ impl PartialOrd for Neighbor {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    // Min-heap on score: BinaryHeap is a max-heap, so store reversed.
-    heap: BinaryHeap<std::cmp::Reverse<Neighbor>>,
+    // A min-heap on `Slot::rank` once `len == k`; unordered before that.
+    slots: Vec<Slot>,
 }
 
 impl TopK {
@@ -91,7 +134,7 @@ impl TopK {
         assert!(k > 0, "top-k requires k > 0");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            slots: Vec::with_capacity(k),
         }
     }
 
@@ -102,12 +145,12 @@ impl TopK {
 
     /// The number of entries currently tracked (`<= k`).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len()
     }
 
     /// Returns `true` if no entries have been accepted yet.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.slots.is_empty()
     }
 
     /// The current rejection threshold: the worst kept score once `k`
@@ -121,10 +164,10 @@ impl TopK {
     /// fail `score >= threshold` for every possible threshold, which
     /// matches `push` rejecting them.
     pub fn threshold(&self) -> f32 {
-        if self.heap.len() < self.k {
+        if self.slots.len() < self.k {
             f32::NEG_INFINITY
         } else {
-            self.heap.peek().map_or(f32::NEG_INFINITY, |r| r.0.score)
+            self.slots[0].score
         }
     }
 
@@ -135,23 +178,44 @@ impl TopK {
         if score.is_nan() {
             return false;
         }
-        let n = Neighbor::new(id, score);
-        if self.heap.len() < self.k {
-            self.heap.push(std::cmp::Reverse(n));
+        let slot = Slot::new(id, score);
+        if self.slots.len() < self.k {
+            self.slots.push(slot);
+            if self.slots.len() == self.k {
+                for root in (0..self.k / 2).rev() {
+                    self.sift_down(root, self.slots[root]);
+                }
+            }
             return true;
         }
-        let worst = self
-            .heap
-            .peek()
-            .expect("heap is full therefore non-empty")
-            .0;
-        if n > worst {
-            self.heap.pop();
-            self.heap.push(std::cmp::Reverse(n));
+        if slot.rank() > self.slots[0].rank() {
+            self.sift_down(0, slot);
             true
         } else {
             false
         }
+    }
+
+    /// Places `slot` into the subtree rooted at the hole `pos`, moving
+    /// smaller children up until `slot` is no greater than both.
+    fn sift_down(&mut self, mut pos: usize, slot: Slot) {
+        let slots = &mut self.slots[..];
+        let rank = slot.rank();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= slots.len() {
+                break;
+            }
+            // The smaller child; a lone left child is compared with itself.
+            let right = (left + 1).min(slots.len() - 1);
+            let child = left + usize::from(slots[right].rank() < slots[left].rank());
+            if rank <= slots[child].rank() {
+                break;
+            }
+            slots[pos] = slots[child];
+            pos = child;
+        }
+        slots[pos] = slot;
     }
 
     /// Merges another selector's contents into this one.
@@ -169,16 +233,20 @@ impl TopK {
     /// batch engine (`anna-index`) relies on this to produce bit-identical
     /// results for any thread schedule.
     pub fn merge(&mut self, other: &TopK) {
-        for r in other.heap.iter() {
-            self.push(r.0.id, r.0.score);
+        for slot in &other.slots {
+            self.push(slot.id, slot.score);
         }
     }
 
     /// Consumes the selector and returns the kept entries, best first.
-    pub fn into_sorted_vec(self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.into_iter().map(|r| r.0).collect();
-        sort_neighbors(&mut v);
-        v
+    pub fn into_sorted_vec(mut self) -> Vec<Neighbor> {
+        // Descending rank is `sort_neighbors`' order: no NaN is ever kept.
+        self.slots
+            .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank()));
+        self.slots
+            .iter()
+            .map(|slot| Neighbor::new(slot.id, slot.score))
+            .collect()
     }
 }
 

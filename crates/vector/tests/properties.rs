@@ -2,7 +2,7 @@
 //! harness; failures report a replayable seed).
 
 use anna_testkit::{forall, TestRng};
-use anna_vector::{exact, f16, Metric, TopK, VectorSet};
+use anna_vector::{exact, f16, sort_neighbors, Metric, Neighbor, TopK, VectorSet};
 
 /// Values within f16's dynamic range so round-trips remain finite.
 fn finite_f32(rng: &mut TestRng) -> f32 {
@@ -134,6 +134,118 @@ fn topk_merge_is_partition_invariant() {
             merged.merge(&partials.swap_remove(pick));
         }
         assert_eq!(merged.into_sorted_vec(), reference.into_sorted_vec());
+    });
+}
+
+/// A tie-heavy stream over the values that break float-keyed heaps — both
+/// zeros, both infinities, subnormals, the extremes, NaN — with unique ids
+/// spread up to `u64::MAX`.
+fn hostile_stream(rng: &mut TestRng, n: usize) -> Vec<Neighbor> {
+    let subnormal = f32::MIN_POSITIVE / 4.0;
+    let mut palette = vec![
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        subnormal,
+        -subnormal,
+        f32::from_bits(1),
+        f32::MAX,
+        f32::MIN,
+        f32::NAN,
+    ];
+    palette.extend(rng.vec_f32(3, -2.0..2.0));
+    (0..n as u64)
+        .map(|i| {
+            // Unique by construction: `i` sits in the low bits of each form.
+            let id = match rng.below(3) {
+                0 => i,
+                1 => u64::MAX - i,
+                _ => (rng.u64(1..1 << 40) << 16) | i,
+            };
+            Neighbor::new(id, *rng.pick(&palette))
+        })
+        .collect()
+}
+
+/// `(id, score bits)` of the best `k` of `stream` by a full
+/// `sort_neighbors`, NaN dropped — what a `TopK` must hold.
+fn best_k_by_full_sort(stream: &[Neighbor], k: usize) -> Vec<(u64, u32)> {
+    let mut all: Vec<Neighbor> = stream
+        .iter()
+        .copied()
+        .filter(|n| !n.score.is_nan())
+        .collect();
+    sort_neighbors(&mut all);
+    all.truncate(k);
+    all.iter().map(|n| (n.id, n.score.to_bits())).collect()
+}
+
+fn kept(top: TopK) -> Vec<(u64, u32)> {
+    top.into_sorted_vec()
+        .iter()
+        .map(|n| (n.id, n.score.to_bits()))
+        .collect()
+}
+
+/// The integer-keyed heap against a full sort of the same stream, push by
+/// push: `push` returns whether the candidate is in the best `k` so far,
+/// `threshold()` is the `k`-th best score so far (bit for bit, `-inf`
+/// while under-full), and the final contents are the sort's first `k` —
+/// ids and score bits, so a kept `-0.0` comes back as `-0.0`.
+#[test]
+fn topk_matches_full_sort_on_hostile_streams() {
+    forall("topk == full sort on hostile streams", 96, |rng| {
+        let n = rng.usize(1..260);
+        let stream = hostile_stream(rng, n);
+        for k in [1, 2, 100, n + 7] {
+            let mut top = TopK::new(k);
+            for (seen, cand) in stream.iter().enumerate() {
+                let accepted = top.push(cand.id, cand.score);
+                let best = best_k_by_full_sort(&stream[..=seen], k);
+                assert_eq!(
+                    accepted,
+                    best.contains(&(cand.id, cand.score.to_bits())),
+                    "k={k} push #{seen} {cand:?}"
+                );
+                assert_eq!(top.len(), best.len(), "k={k} push #{seen}");
+                let want_threshold = if best.len() < k {
+                    f32::NEG_INFINITY.to_bits()
+                } else {
+                    best[k - 1].1
+                };
+                assert_eq!(
+                    top.threshold().to_bits(),
+                    want_threshold,
+                    "k={k} push #{seen}"
+                );
+            }
+            assert_eq!(kept(top), best_k_by_full_sort(&stream, k), "k={k}");
+        }
+    });
+}
+
+/// Merge order-independence on the same hostile streams: any dealing of
+/// the candidates into partial selectors, merged in any order, keeps the
+/// full sort's first `k`.
+#[test]
+fn topk_merge_is_order_independent_on_hostile_streams() {
+    forall("topk merge order independence, hostile", 96, |rng| {
+        let n = rng.usize(1..260);
+        let stream = hostile_stream(rng, n);
+        for k in [1, 2, 100, n + 7] {
+            let parts = rng.usize(1..7);
+            let mut partials: Vec<TopK> = (0..parts).map(|_| TopK::new(k)).collect();
+            for cand in &stream {
+                partials[rng.usize(0..parts)].push(cand.id, cand.score);
+            }
+            let mut merged = TopK::new(k);
+            while !partials.is_empty() {
+                let pick = rng.usize(0..partials.len());
+                merged.merge(&partials.swap_remove(pick));
+            }
+            assert_eq!(kept(merged), best_k_by_full_sort(&stream, k), "k={k}");
+        }
     });
 }
 

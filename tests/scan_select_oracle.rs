@@ -1,0 +1,113 @@
+//! The scan → select invariant at the repo benchmark's shape, owned by
+//! tier-1: one query's visit list — 8 clusters × 3 125 encoded vectors,
+//! `m = 16` nibble codes (8-byte rows), `k = 100` — scanned into one
+//! `TopK` under every [`KernelDispatch`] this host can run must keep
+//! exactly what the scalar path keeps by pushing every score: same ids,
+//! same `score.to_bits()`, visit after visit as the threshold tightens.
+//! `ScanTally::pruned` means `scanned − offered to TopK::push` on every
+//! dispatch, so the two filtering dispatches must agree on it too.
+
+use anna::index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
+use anna::quant::codes::PackedCodes;
+use anna::quant::pq::{PqCodebook, PqConfig};
+use anna::vector::{TopK, VectorSet};
+use anna_testkit::TestRng;
+
+const DIM: usize = 64;
+const CLUSTERS: usize = 8;
+const LIST_LEN: usize = 3_125;
+const K: usize = 100;
+
+struct Cluster {
+    centroid: Vec<f32>,
+    codes: PackedCodes,
+    ids: Vec<u64>,
+}
+
+/// SIFT-like rows: small non-negative integers, heavy with exact ties.
+fn rows(rng: &mut TestRng, n: usize) -> VectorSet {
+    VectorSet::from_vec(DIM, (0..n * DIM).map(|_| rng.below(24) as f32).collect())
+}
+
+#[test]
+fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
+    let mut rng = TestRng::new(16);
+    let book = PqCodebook::train(
+        &rows(&mut rng, 1_024),
+        &PqConfig {
+            m: 16,
+            kstar: 16,
+            iters: 4,
+            seed: 16,
+        },
+    );
+    let clusters: Vec<Cluster> = (0..CLUSTERS)
+        .map(|c| {
+            let codes = book.encode_all(&rows(&mut rng, LIST_LEN));
+            assert_eq!(codes.vector_bytes(), 8);
+            Cluster {
+                centroid: rng.vec_f32(DIM, 0.0..4.0),
+                codes,
+                // Interleaved across clusters, as `add` deals them out.
+                ids: (0..LIST_LEN).map(|i| (i * CLUSTERS + c) as u64).collect(),
+            }
+        })
+        .collect();
+
+    let mut scratch = ScanScratch::new();
+    for _query in 0..4 {
+        let q = rng.vec_f32(DIM, 0.0..24.0);
+        let luts: Vec<Lut> = clusters
+            .iter()
+            .map(|c| Lut::build_l2(&q, &c.centroid, &book, LutPrecision::F32))
+            .collect();
+        // Per dispatch: the kept set after every visit, and the tallies.
+        let runs: Vec<_> = KernelDispatch::available()
+            .into_iter()
+            .map(|dispatch| {
+                let mut top = TopK::new(K);
+                let mut trail = Vec::new();
+                for (cluster, lut) in clusters.iter().zip(&luts) {
+                    let tally = kernels::scan_with(
+                        &cluster.codes,
+                        &cluster.ids,
+                        lut,
+                        &mut top,
+                        dispatch,
+                        &mut scratch,
+                    );
+                    assert_eq!(tally.scanned, LIST_LEN as u64);
+                    let kept: Vec<(u64, u32)> = top
+                        .clone()
+                        .into_sorted_vec()
+                        .iter()
+                        .map(|h| (h.id, h.score.to_bits()))
+                        .collect();
+                    trail.push((kept, tally.pruned));
+                }
+                (dispatch, trail)
+            })
+            .collect();
+
+        let (scalar, oracle) = &runs[0];
+        assert_eq!(*scalar, KernelDispatch::Scalar);
+        assert!(oracle
+            .iter()
+            .all(|(kept, pruned)| kept.len() == K && *pruned == 0));
+        let filtering = &runs[1..];
+        for (dispatch, trail) in filtering {
+            for (visit, ((kept, pruned), (want, _))) in trail.iter().zip(oracle).enumerate() {
+                assert_eq!(kept, want, "{} visit {visit}", dispatch.name());
+                let (_, first) = &filtering[0];
+                assert_eq!(*pruned, first[visit].1, "{} visit {visit}", dispatch.name());
+            }
+            // Once the selector is warm the filter must actually engage.
+            let (_, last_pruned) = trail[CLUSTERS - 1];
+            assert!(
+                last_pruned > LIST_LEN as u64 * 9 / 10,
+                "{} pruned only {last_pruned} of the last visit",
+                dispatch.name()
+            );
+        }
+    }
+}
