@@ -12,7 +12,7 @@
 //! executes (bytes the batch must move), a streaming microbenchmark
 //! measures the bandwidth `t` threads can actually sustain on this host,
 //! and their ratio — `achieved_vs_roofline` — says how close the
-//! overlapped engine runs to the memory roofline that bounds it. A point
+//! engine runs to the memory roofline that bounds it. A point
 //! near 1.0 cannot be made faster by more software; that is the regime
 //! the paper builds ANNA for.
 

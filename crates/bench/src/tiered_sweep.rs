@@ -28,10 +28,10 @@
 use std::time::Instant;
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
-use anna_plan::TierTraffic;
+use anna_index::{IvfPqConfig, IvfPqIndex, ShardedIndex, ShardedStats};
+use anna_plan::{EnginePlan, TierTraffic};
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, VectorSet};
+use anna_vector::{Metric, Neighbor, VectorSet};
 
 use crate::json::Json;
 
@@ -119,6 +119,44 @@ fn query_batches(data: &VectorSet, batches: usize, per_batch: usize) -> Vec<Vect
         .collect()
 }
 
+/// One batch through the sharded engine.
+struct BatchRun {
+    results: Vec<Vec<Neighbor>>,
+    stats: ShardedStats,
+    /// Measured traffic equalled the plan's price, tier split included.
+    traffic_match: bool,
+    /// Wall-clock seconds of the execution alone.
+    seconds: f64,
+}
+
+/// Plans and prices `qs` against `engine`'s live cache state, then runs
+/// that plan.
+fn plan_and_run(engine: &ShardedIndex, qs: &VectorSet, threads: usize) -> BatchRun {
+    let spec = QuerySpec {
+        k: K,
+        scope: NPROBE,
+    };
+    let tel = Telemetry::disabled();
+    let plan = plan_uniform(engine, qs, &spec, &PlanOptions::default(), &tel);
+    let predicted = engine.price(&plan);
+    let EnginePlan::Sharded(sharded) = &plan else {
+        panic!("sharded engine planned a {} batch", plan.engine());
+    };
+    let start = Instant::now();
+    let (results, stats) = engine.run_plan(qs, sharded, threads, &tel).unwrap();
+    let seconds = start.elapsed().as_secs_f64();
+    let traffic_match = engine
+        .verify(&predicted, plan.predicted_tier(), &stats.to_measured())
+        .is_ok()
+        && stats.tier.total_code_bytes() == stats.batch.code_bytes;
+    BatchRun {
+        results,
+        stats,
+        traffic_match,
+        seconds,
+    }
+}
+
 /// Runs the sweep: the oracle replay once, then one tiered replay per
 /// capacity in `{0, T/4, T/2, T, 2T}` for `T` = total encoded bytes.
 pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep {
@@ -133,16 +171,6 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
             ..IvfPqConfig::default()
         },
     );
-    let params = SearchParams {
-        nprobe: NPROBE,
-        k: K,
-        ..SearchParams::default()
-    };
-    let spec = QuerySpec {
-        k: K,
-        scope: NPROBE,
-    };
-    let tel = Telemetry::disabled();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -152,7 +180,7 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
     let oracle = ShardedIndex::from_index(&index, 1);
     let want: Vec<_> = qsets
         .iter()
-        .map(|qs| oracle.search_batch(qs, &params, 1).unwrap())
+        .map(|qs| plan_and_run(&oracle, qs, 1))
         .collect();
 
     let dir = std::env::temp_dir().join(format!("anna_tiered_sweep_{}", std::process::id()));
@@ -178,20 +206,14 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         let mut traffic_match = true;
         let mut identical = true;
         let mut elapsed = 0.0f64;
-        for (qs, (want_res, want_stats)) in qsets.iter().zip(&want) {
-            // Each batch advances the shard caches; predict from the live
-            // state immediately before running.
-            let plan = plan_uniform(&tiered, qs, &spec, &PlanOptions::default(), &tel);
-            let predicted = tiered.price(&plan);
-            let start = Instant::now();
-            let (res, stats) = tiered.search_batch(qs, &params, threads).unwrap();
-            elapsed += start.elapsed().as_secs_f64();
-            identical &= res == *want_res && stats.batch == want_stats.batch;
-            traffic_match &= tiered
-                .verify(&predicted, plan.predicted_tier(), &stats.to_measured())
-                .is_ok()
-                && stats.tier.total_code_bytes() == stats.batch.code_bytes;
-            tier.accumulate(&stats.tier);
+        for (qs, want) in qsets.iter().zip(&want) {
+            // Each batch advances the shard caches, so each is planned
+            // from the live state immediately before it runs.
+            let run = plan_and_run(&tiered, qs, threads);
+            elapsed += run.seconds;
+            identical &= run.results == want.results && run.stats.batch == want.stats.batch;
+            traffic_match &= run.traffic_match;
+            tier.accumulate(&run.stats.tier);
         }
         let queries_run = (batches * queries_per_batch) as f64;
         points.push(TieredPoint {

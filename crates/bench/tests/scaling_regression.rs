@@ -1,7 +1,13 @@
-//! Nightly scaling regression: the overlapped batch engine must reach at
-//! least 1.5x over serial with 4 workers on the seed workload (200k
-//! vectors, batch 512 — the same configuration `reports/threads_sweep.json`
-//! is generated from).
+//! Nightly scaling regression: the batch engine's round loop
+//! (`anna_index::parallel`) must reach at least 1.5x over serial with 4
+//! workers on the seed workload (200k vectors, batch 512 — the same
+//! configuration `reports/threads_sweep.json` is generated from).
+//!
+//! This gate is the **only** evidence the repo has for 4 or more workers:
+//! the hosts the engine has been developed and benchmarked on expose 2
+//! CPUs, so the change that made the inline-LUT round loop the only loop
+//! (replacing a double-buffered wave pipeline) measured it at 1 and 2
+//! workers only. A failure here is a finding about that loop, not noise.
 //!
 //! `#[ignore]`d because it takes minutes and needs real cores: CI runs it
 //! in the nightly job with `--ignored`. On hosts exposing fewer than 4

@@ -364,7 +364,6 @@ mod tests {
                     spill_unit_bytes: 0,
                     b: queries.len(),
                     k: 1,
-                    nprobe: 1,
                     predicted_tier: TierTraffic {
                         disk_code_bytes: predicted,
                         ..TierTraffic::default()

@@ -21,13 +21,12 @@
 //! our CPU measurements and reuse its bookkeeping in the accelerator model.
 
 use crate::ivf::IvfPqIndex;
-use crate::lut::Lut;
-use crate::parallel;
+use crate::parallel::{self, Lane, LaneStore, RoundJob};
 use crate::SearchParams;
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec};
 use anna_plan::{BatchPlan, BatchWorkload, EnginePlan, SearchShape};
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{Neighbor, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
 
 /// Memory-traffic bookkeeping for one batch, in the units of Figure 5.
@@ -244,43 +243,28 @@ impl<'a> BatchedScan<'a> {
         tel: &Telemetry,
     ) -> (Vec<Vec<Neighbor>>, BatchStats) {
         assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        self.execute_plan(queries, params, plan, threads, tel)
-    }
-
-    fn execute_plan(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        plan: &BatchPlan,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        // Shared inner-product base tables (cluster-invariant) per query,
-        // built across the worker pool (each query's table is independent,
-        // so the fan-out is trivially deterministic); L2 tables are
-        // cluster-specific and built inside the round pipeline.
-        let ip_base: Option<Vec<Lut>> = {
-            let _span = tel.span("batch.lut_build");
-            match self.index.metric() {
-                Metric::InnerProduct => Some(parallel::build_ip_base(
-                    self.index,
-                    queries,
-                    params.lut_precision,
-                    threads,
-                )),
-                Metric::L2 => None,
-            }
-        };
-
-        let (merged, mut stats) = parallel::execute_rounds(
-            self.index,
+        // One lane per round: workers self-schedule rounds as they finish.
+        let lanes: Vec<Lane<'_>> = plan
+            .rounds
+            .chunks(1)
+            .map(|rounds| Lane {
+                rounds,
+                store: LaneStore::Ram(self.index.clusters()),
+                centroids: self.index.centroids(),
+                centroid_stride: 1,
+                centroid_offset: 0,
+            })
+            .collect();
+        let job = RoundJob {
             queries,
-            params,
-            ip_base.as_deref(),
-            plan,
-            threads,
-            tel,
-        );
+            metric: self.index.metric(),
+            codebook: self.index.codebook(),
+            k: params.k,
+            lut_precision: params.lut_precision,
+            spill_unit_bytes: plan.spill_unit_bytes,
+        };
+        let (merged, mut stats, _) = parallel::execute_rounds(&job, &lanes, threads, tel)
+            .expect("resident lanes read no storage");
 
         // Second phase: rescore each query's first-pass survivors at the
         // stage's precision and keep the final k. The work items join the
@@ -329,6 +313,7 @@ mod tests {
     use super::*;
     use crate::ivf::IvfPqConfig;
     use crate::LutPrecision;
+    use anna_vector::Metric;
 
     fn clustered(dim: usize, n: usize) -> VectorSet {
         VectorSet::from_fn(dim, n, |r, c| {

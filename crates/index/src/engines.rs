@@ -8,9 +8,11 @@
 //! under [`PlanOptions::rerank`]) for [`BatchedScan`], the unbounded
 //! per-shard plans plus merge units and tier split for [`ShardedIndex`].
 //! `execute()` adapts the two inherent executors,
-//! [`BatchedScan::run_plan`] and [`ShardedIndex::search_batch`], so the
-//! headline predicted == measured invariant is checked on the same code
-//! the serving layer and the benchmark run.
+//! [`BatchedScan::run_plan`] and [`ShardedIndex::run_plan`] — both feed
+//! the plan they are handed to the crate's one round loop
+//! ([`crate::parallel`]) and nothing else — so the headline
+//! predicted == measured invariant is checked on the same code the
+//! serving layer and the benchmark run.
 
 use crate::batched::{BatchStats, BatchedScan};
 use crate::shard::{ShardedIndex, ShardedStats};
@@ -152,9 +154,9 @@ impl SearchEngine for BatchedScan<'_> {
 
 /// The shard-parallel IVF-PQ engine behind the shared trait.
 ///
-/// Requires a *uniform* batch (every spec the same `k` and scope — the
-/// sharded entry points take one [`SearchParams`] per batch) and no
-/// re-rank policy. `plan()` assembles the [`anna_plan::ShardedBatchPlan`]
+/// Requires a *uniform* batch (every spec the same `k` and scope — a
+/// [`anna_plan::ShardedBatchPlan`] carries one heap size) and no re-rank
+/// policy. `plan()` assembles the [`anna_plan::ShardedBatchPlan`]
 /// — per-shard unbounded cluster-major plans, the cross-shard merge
 /// units, and the tier split replayed against clones of the live cache
 /// states — so planning and pricing never advance the tiered shards, and
@@ -164,9 +166,10 @@ impl SearchEngine for BatchedScan<'_> {
 /// # Panics
 ///
 /// `plan()` panics on non-uniform specs or a re-rank policy; `execute()`
-/// panics if a tiered shard's storage read fails (the trait path has no
-/// error channel — use [`ShardedIndex::search_batch`] directly to handle
-/// storage errors).
+/// panics on a plan built for another index or batch (see
+/// [`ShardedIndex::run_plan`]) and if a tiered shard's storage read fails
+/// (the trait path has no error channel — call
+/// [`ShardedIndex::run_plan`] directly to handle storage errors).
 impl SearchEngine for ShardedIndex {
     fn name(&self) -> &'static str {
         "ivf_pq_sharded"
@@ -205,7 +208,7 @@ impl SearchEngine for ShardedIndex {
             specs.iter().all(|s| *s == first),
             "the sharded engine requires a uniform batch (one k and scope)"
         );
-        EnginePlan::Sharded(self.engine_batch_plan(scopes, first.k, first.scope))
+        EnginePlan::Sharded(self.engine_batch_plan(scopes, first.k))
     }
 
     fn execute(
@@ -213,18 +216,13 @@ impl SearchEngine for ShardedIndex {
         queries: &VectorSet,
         plan: &EnginePlan,
         threads: usize,
-        _tel: &Telemetry,
+        tel: &Telemetry,
     ) -> EngineRun {
         let EnginePlan::Sharded(p) = plan else {
             panic!("ivf_pq_sharded engine received a {} plan", plan.engine());
         };
-        let params = SearchParams {
-            nprobe: p.nprobe,
-            k: p.k,
-            lut_precision: LutPrecision::F32,
-        };
         let (results, stats) = self
-            .search_batch(queries, &params, threads.max(1))
+            .run_plan(queries, p, threads, tel)
             .expect("tiered shard storage read failed");
         EngineRun {
             results,
@@ -237,10 +235,9 @@ impl SearchEngine for ShardedIndex {
 mod tests {
     use super::*;
     use crate::ivf::{IvfPqConfig, IvfPqIndex};
+    use anna_engine::plan_uniform;
 
-    #[test]
-    #[should_panic(expected = "uniform batch")]
-    fn sharded_engine_rejects_mixed_specs() {
+    fn build() -> (VectorSet, IvfPqIndex) {
         let data = VectorSet::from_fn(8, 540, |r, c| {
             (r % 9) as f32 * 16.0 + ((r * 31 + c * 7) % 11) as f32 * 0.3
         });
@@ -253,6 +250,13 @@ mod tests {
                 ..IvfPqConfig::default()
             },
         );
+        (data, index)
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform batch")]
+    fn sharded_engine_rejects_mixed_specs() {
+        let (data, index) = build();
         let queries = data.gather(&[0, 1]);
         let sharded = ShardedIndex::from_index(&index, 2);
         let specs = [QuerySpec { k: 2, scope: 3 }, QuerySpec { k: 4, scope: 3 }];
@@ -262,5 +266,52 @@ mod tests {
             .map(|(q, s)| SearchEngine::query_scope(&sharded, q, s))
             .collect();
         SearchEngine::plan(&sharded, &queries, &specs, &scopes, &PlanOptions::default());
+    }
+
+    /// Executes, on a 2-shard index and a 3-query batch, the plan `build`
+    /// made for them after `tamper` has edited it.
+    fn execute_tampered(tamper: impl Fn(&mut anna_plan::ShardedBatchPlan)) {
+        let (data, index) = build();
+        let queries = data.gather(&[0, 1, 2]);
+        let sharded = ShardedIndex::from_index(&index, 2);
+        let tel = Telemetry::disabled();
+        let spec = QuerySpec { k: 3, scope: 4 };
+        let mut plan = plan_uniform(&sharded, &queries, &spec, &PlanOptions::default(), &tel);
+        let EnginePlan::Sharded(p) = &mut plan else {
+            panic!("sharded engine planned another family");
+        };
+        tamper(p);
+        sharded.execute(&queries, &plan, 2, &tel);
+    }
+
+    #[test]
+    fn sharded_engine_executes_its_own_plan() {
+        execute_tampered(|_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count mismatch")]
+    fn sharded_engine_rejects_a_plan_for_another_shard_count() {
+        execute_tampered(|p| {
+            p.per_shard.pop();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size mismatch")]
+    fn sharded_engine_rejects_a_plan_for_another_batch_size() {
+        execute_tampered(|p| p.b += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sharded_engine_rejects_a_round_naming_a_foreign_cluster() {
+        execute_tampered(|p| p.per_shard[0].1.rounds[0].cluster = 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sharded_engine_rejects_a_round_naming_a_foreign_query() {
+        execute_tampered(|p| p.per_shard[1].1.rounds[0].queries.push(3));
     }
 }

@@ -290,6 +290,11 @@ impl IvfPqIndex {
         &self.clusters[i]
     }
 
+    /// Every inverted list, indexed by cluster id.
+    pub(crate) fn clusters(&self) -> &[Cluster] {
+        &self.clusters
+    }
+
     /// Cluster sizes `|C_i|`, the key input to the simulator's timing model.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         self.clusters.iter().map(Cluster::len).collect()

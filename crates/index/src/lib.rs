@@ -24,7 +24,9 @@
 //!   which the paper notes "processes queries in a way that is similar to
 //!   ANNA memory traffic optimization"). The batched path executes a
 //!   shared `anna_plan::BatchPlan` on a deterministic worker pool
-//!   ([`parallel`]): results are bit-identical for any thread count.
+//!   ([`parallel`] — the one round loop every engine here, sharded and
+//!   tiered included, feeds its plan to): results are bit-identical for
+//!   any thread count.
 //!
 //! Measured on the host, this crate *is* the reproduction's CPU baseline
 //! (substituting for Faiss/ScaNN binaries; see DESIGN.md).
@@ -37,7 +39,7 @@
 //! small: [`BatchedScan::run_plan`] (the executor, also fed accelerator
 //! tilings and f16 tables), [`BatchedScan::workload`] (the bridge to
 //! `anna_plan::plan` and the timing engines), [`BatchedScan::run`] (the
-//! all-cores convenience wrapper) and [`ShardedIndex::search_batch`] (the
+//! all-cores convenience wrapper) and [`ShardedIndex::run_plan`] (the
 //! sharded executor, with an error channel).
 //!
 //! # Example

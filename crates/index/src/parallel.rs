@@ -1,69 +1,71 @@
-//! The deterministic worker pool behind [`BatchedScan`] — an overlapped,
-//! double-buffered software mirror of ANNA's EFM/SCM pipeline.
+//! The one round loop behind every IVF-PQ engine in this crate.
 //!
-//! ANNA's batch engine assigns work to its 16 similarity-computation
-//! modules (SCMs) through a crossbar, and hides lookup-table construction
-//! behind code scanning: while the SCMs scan round `r`, the
-//! element-wise-multiplication/filtering module (EFM/CPM) builds round
-//! `r + 1`'s tables (Section III-A's double buffering). This module
-//! executes a shared-IR [`BatchPlan`]'s [`Round`]s the same way:
+//! `execute_rounds` is the only place a priced schedule turns into
+//! scans. It takes **lanes**: a `Lane` is an ordered slice of a plan's
+//! [`Round`]s plus where that lane's clusters and centroids live — an
+//! [`IvfPqIndex`](crate::ivf::IvfPqIndex)'s cluster array, a RAM shard's,
+//! or a [`TieredIndex`] whose blocks are fetched through its cache.
+//! Workers claim whole lanes off one atomic cursor (dynamic
+//! self-scheduling, like ANNA's crossbar arbitrating SCM groups) and run
+//! each lane serially in plan order:
 //!
-//! * Rounds are grouped into **waves**. Two [`Lut`] buffers ping-pong:
-//!   during super-step `s`, workers first drain a *build* queue that
-//!   fills buffer `s % 2` with wave `s`'s lookup tables, then drain the
-//!   *scan* queue of wave `s − 1` reading buffer `(s − 1) % 2`. Both
-//!   queues are shared atomic cursors (dynamic self-scheduling, like the
-//!   crossbar arbitrating SCM groups), so a worker that finishes its
-//!   builds immediately helps scan — LUT construction and scanning
-//!   overlap inside every super-step, and a [`std::sync::Barrier`] seals
-//!   the step so buffer `s % 2` is never read and written concurrently.
-//! * Every LUT slot and every worker's [`kernels::ScanScratch`] is reused
-//!   across waves (in-place [`Lut::rebuild_l2`] /
-//!   [`Lut::clone_rebias_from`]), so the steady-state hot loop performs
-//!   no allocation — the scan is shaped by memory bandwidth, not by the
-//!   allocator.
-//! * Per-worker [`TopK`] accumulators merge after the pool joins.
+//! * [`BatchedScan`] passes one lane per round, so rounds are balanced
+//!   across workers as they finish;
+//! * [`ShardedIndex`] passes one lane per shard, so a tiered shard's
+//!   cache sees the plan's touch sequence — the one
+//!   [`anna_plan::TrafficModel::price_tiered`] priced — from exactly one
+//!   worker, whatever the thread count.
 //!
-//! With one worker the pool degenerates to the serial reference schedule:
-//! rounds in plan order, tables built inline (still through the reusable
-//! slots).
+//! Each visit's lookup table is built inline into the worker's one
+//! reusable [`Lut`] slot and scanned straight out of L1; scores
+//! accumulate into **one [`TopK`] per (worker, query)** across every lane
+//! the worker runs — the software form of the single intermediate top-k
+//! the paper keeps per query (Section IV-C) — so a query's later visits
+//! start from a warm threshold and the kernels' survivors filter prunes
+//! accordingly. The hot loop allocates nothing after warm-up. (The
+//! LUT-build/scan double buffering of Section III-A stays modelled where
+//! it belongs, in `anna-core`'s cycle engine.)
 //!
 //! # Determinism
 //!
 //! The merged result is **bit-identical to the serial schedule regardless
-//! of thread count, wave grouping, or OS scheduling**, because:
+//! of thread count, lane shape, or OS scheduling**, because:
 //!
 //! 1. Every `(cluster, query)` visit lands in exactly one round, so each
 //!    query sees the same candidate multiset under any partition.
 //! 2. Scores are schedule-invariant: the lookup table for a
-//!    `(query, cluster)` pair has a single construction arithmetic
-//!    (in-place rebuild *is* the `build_*` implementation), and the
-//!    per-vector lookup sum runs in code order within the cluster — no
-//!    accumulation crosses a round boundary, whether the table came from
-//!    a prebuilt wave buffer or an inline rebuild.
+//!    `(query, cluster)` pair has a single construction arithmetic, and
+//!    the per-vector lookup sum runs in code order within the cluster —
+//!    no accumulation crosses a round boundary.
 //! 3. Candidate ids are unique per query and [`TopK`]'s order is total
 //!    (higher score first, ties to the lower id, NaN rejected), so the
 //!    kept top-k *set* is a pure function of the candidate multiset and
-//!    [`TopK::merge`] is commutative and associative.
+//!    [`TopK::merge`] is commutative and associative — which heap a
+//!    candidate met first cannot matter.
 //!
-//! Per-round [`BatchStats`] are `u64` sums, and the intermediate top-k
-//! spill/fill accounting depends only on how many rounds each query
-//! participates in, so the stats too are partition-invariant.
+//! Per-round [`BatchStats`] and [`TierTraffic`] are `u64` sums, and the
+//! intermediate top-k spill/fill accounting depends only on how many
+//! rounds each query participates in, so the stats too are
+//! partition-invariant. (How many candidates the threshold *pruned* —
+//! `kernel.pruned` — does depend on which heap a visit met, and is
+//! telemetry, not a result.)
 //!
 //! [`BatchedScan`]: crate::batched::BatchedScan
+//! [`ShardedIndex`]: crate::shard::ShardedIndex
 
 use crate::batched::BatchStats;
-use crate::ivf::IvfPqIndex;
-use crate::kernels;
+use crate::ivf::Cluster;
+use crate::kernels::{self, KernelDispatch, ScanScratch, ScanTally};
 use crate::lut::{Lut, LutPrecision};
-use crate::SearchParams;
-use anna_plan::{BatchPlan, RerankPrecision, RerankStage, Round};
+use crate::tiered::TieredIndex;
+use anna_plan::{RerankPrecision, RerankStage, Round, TierTraffic};
+use anna_quant::pq::PqCodebook;
 use anna_telemetry::Telemetry;
 use anna_vector::exact::{rescore_subset_into, RescoreScratch};
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The concrete worker count for a `threads` argument: `threads` itself,
 /// or one worker per available core when it is `0`.
@@ -77,143 +79,164 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Per-worker accumulator: one optional [`TopK`] per batch query plus the
-/// worker's share of the traffic statistics, a per-query count of the
-/// rounds the worker scored (for the spill/fill accounting), the worker's
-/// scan-kernel tally, and the reusable kernel scratch that keeps the hot
-/// loop allocation-free across every round the worker drains.
-struct RoundAccum {
+/// What every lane of one batch shares: the queries, how their lookup
+/// tables are built, and the heap size and spill/fill unit the plan was
+/// priced with.
+pub(crate) struct RoundJob<'a> {
+    pub queries: &'a VectorSet,
+    pub metric: Metric,
+    pub codebook: &'a PqCodebook,
+    /// Heap size of the scan (the first-pass `k` of a two-phase plan).
+    pub k: usize,
+    pub lut_precision: LutPrecision,
+    /// Bytes of one intermediate top-k spill or fill (Section IV-C).
+    pub spill_unit_bytes: u64,
+}
+
+/// Where a lane's cluster blocks live.
+pub(crate) enum LaneStore<'a> {
+    /// Resident inverted lists, indexed by the rounds' cluster ids.
+    Ram(&'a [Cluster]),
+    /// A tiered shard: each `fetches_codes` round issues one
+    /// [`TieredIndex::fetch_cluster`] carrying the cluster's total
+    /// visitors in the lane — the touch sequence
+    /// [`anna_plan::TrafficModel::price_tiered`] replays at plan time.
+    Tiered(&'a TieredIndex),
+}
+
+/// One unit of self-scheduled work: rounds a single worker runs serially,
+/// in order, against one cluster store.
+pub(crate) struct Lane<'a> {
+    pub rounds: &'a [Round],
+    pub store: LaneStore<'a>,
+    /// Coarse centroids; the lane's cluster `c` is row
+    /// `c * centroid_stride + centroid_offset` (a round-robin shard
+    /// addresses the global centroid set this way).
+    pub centroids: &'a VectorSet,
+    pub centroid_stride: usize,
+    pub centroid_offset: usize,
+}
+
+/// One worker's state: a [`TopK`] per batch query it has scored, its
+/// share of the traffic statistics, a per-query count of the rounds it
+/// scored (for the spill/fill accounting), its scan-kernel tally, and the
+/// reusable table slot and kernel scratch that keep the hot loop
+/// allocation-free across every lane it drains.
+struct Worker {
     tops: Vec<Option<TopK>>,
     rounds_scored: Vec<u64>,
     stats: BatchStats,
-    tally: kernels::ScanTally,
-    scratch: kernels::ScanScratch,
+    tier: TierTraffic,
+    tally: ScanTally,
+    scratch: ScanScratch,
+    lut: Lut,
+    residual: Vec<f32>,
 }
 
-impl RoundAccum {
+impl Worker {
     fn new(nq: usize) -> Self {
         Self {
             tops: (0..nq).map(|_| None).collect(),
             rounds_scored: vec![0; nq],
             stats: BatchStats::default(),
-            tally: kernels::ScanTally::default(),
-            scratch: kernels::ScanScratch::new(),
+            tier: TierTraffic::default(),
+            tally: ScanTally::default(),
+            scratch: ScanScratch::new(),
+            lut: Lut::placeholder(),
+            residual: Vec::new(),
         }
     }
 
-    /// Accounts one round's traffic: fetch-flagged rounds pay the cluster
-    /// load, every round accounts its visits.
-    fn account_round(&mut self, round: &Round, bytes: u64) {
-        if round.fetches_codes {
-            self.stats.clusters_fetched += 1;
-            self.stats.code_bytes += bytes;
-        }
-        self.stats.query_cluster_visits += round.queries.len() as u64;
-        self.stats.conventional_code_bytes += bytes * round.queries.len() as u64;
-    }
-
-    /// Scans one query of a round with a ready lookup table.
-    fn scan_query(
+    /// Runs one lane's rounds in plan order.
+    fn run_lane(
         &mut self,
-        cluster: &crate::ivf::Cluster,
-        qi: usize,
-        lut: &Lut,
-        k: usize,
-        dispatch: kernels::KernelDispatch,
-    ) {
-        self.rounds_scored[qi] += 1;
-        let top = self.tops[qi].get_or_insert_with(|| TopK::new(k));
-        let tally = kernels::scan_with(
-            &cluster.codes,
-            &cluster.ids,
-            lut,
-            top,
-            dispatch,
-            &mut self.scratch,
-        );
-        self.tally.accumulate(&tally);
-    }
-
-    /// Scores one round building each query's lookup table inline through
-    /// the reusable `lut` slot — the serial reference schedule (and the
-    /// arithmetic the wave path must reproduce bit for bit).
-    #[allow(clippy::too_many_arguments)]
-    fn score_round_inline(
-        &mut self,
-        index: &IvfPqIndex,
-        queries: &VectorSet,
-        params: &SearchParams,
+        job: &RoundJob<'_>,
         ip_base: Option<&[Lut]>,
-        round: &Round,
-        dispatch: kernels::KernelDispatch,
-        lut: &mut Lut,
-        residual: &mut Vec<f32>,
-    ) {
-        let cluster = index.cluster(round.cluster);
-        self.account_round(round, cluster.encoded_bytes());
-        for &qi in &round.queries {
-            build_visit_lut(
-                index,
-                queries,
-                params.lut_precision,
-                ip_base,
-                round,
-                qi,
-                lut,
-                residual,
-            );
-            self.scan_query(cluster, qi, lut, params.k, dispatch);
+        lane: &Lane<'_>,
+        dispatch: KernelDispatch,
+        trace: &mut WorkerTrace,
+        tel: &Telemetry,
+    ) -> io::Result<()> {
+        // A tiered fetch credits the cache with the cluster's visitors
+        // across the whole lane; a split cluster's later rounds reuse the
+        // block its fetching round buffered.
+        let mut visitors = Vec::new();
+        if let LaneStore::Tiered(t) = lane.store {
+            visitors.resize(t.num_clusters(), 0u64);
+            for r in lane.rounds {
+                visitors[r.cluster] += r.queries.len() as u64;
+            }
         }
-    }
-
-    /// Scores one round whose lookup tables a build task already placed
-    /// in `slots` (the wave buffer), starting at `first_slot`.
-    ///
-    /// # Safety contract (checked by the caller)
-    ///
-    /// The slots were written in the *previous* super-step and no worker
-    /// writes this buffer during the current one (the barrier plus the
-    /// two-buffer ping-pong guarantee it), so the shared reads are sound.
-    fn score_round_prebuilt(
-        &mut self,
-        index: &IvfPqIndex,
-        round: &Round,
-        slots: &LutSlots,
-        first_slot: usize,
-        k: usize,
-        dispatch: kernels::KernelDispatch,
-    ) {
-        let cluster = index.cluster(round.cluster);
-        self.account_round(round, cluster.encoded_bytes());
-        for (j, &qi) in round.queries.iter().enumerate() {
-            // SAFETY: see the method docs — this buffer is read-only for
-            // the whole super-step.
-            let lut = unsafe { slots.read(first_slot + j) };
-            self.scan_query(cluster, qi, lut, k, dispatch);
+        let mut buffered: Option<(usize, Arc<Cluster>)> = None;
+        for round in lane.rounds {
+            let start = if trace.timed { tel.now_ns() } else { 0 };
+            let cluster: &Cluster = match lane.store {
+                LaneStore::Ram(clusters) => &clusters[round.cluster],
+                LaneStore::Tiered(t) => {
+                    if round.fetches_codes {
+                        let fetched = t.fetch_cluster(round.cluster, visitors[round.cluster])?;
+                        self.tier.record(&fetched.outcome, fetched.code_bytes);
+                        buffered = Some((round.cluster, fetched.cluster));
+                    }
+                    match &buffered {
+                        Some((c, block)) if *c == round.cluster => block,
+                        _ => panic!(
+                            "round on cluster {} reuses a block its lane did not just fetch",
+                            round.cluster
+                        ),
+                    }
+                }
+            };
+            // Fetch-flagged rounds pay the cluster load; every round
+            // accounts its visits.
+            let bytes = cluster.encoded_bytes();
+            if round.fetches_codes {
+                self.stats.clusters_fetched += 1;
+                self.stats.code_bytes += bytes;
+            }
+            self.stats.query_cluster_visits += round.queries.len() as u64;
+            self.stats.conventional_code_bytes += bytes * round.queries.len() as u64;
+            let centroid = lane
+                .centroids
+                .row(round.cluster * lane.centroid_stride + lane.centroid_offset);
+            for &qi in &round.queries {
+                self.rounds_scored[qi] += 1;
+                let top = self.tops[qi].get_or_insert_with(|| TopK::new(job.k));
+                if cluster.is_empty() {
+                    continue;
+                }
+                // The visit's table: re-bias the shared inner-product
+                // base, or rebuild the cluster-dependent L2 table.
+                let q = job.queries.row(qi);
+                match ip_base {
+                    Some(base) => self
+                        .lut
+                        .clone_rebias_from(&base[qi], metric::dot(q, centroid)),
+                    None => self.lut.rebuild_l2(
+                        q,
+                        centroid,
+                        job.codebook,
+                        job.lut_precision,
+                        &mut self.residual,
+                    ),
+                }
+                let tally = kernels::scan_with(
+                    &cluster.codes,
+                    &cluster.ids,
+                    &self.lut,
+                    top,
+                    dispatch,
+                    &mut self.scratch,
+                );
+                self.tally.accumulate(&tally);
+            }
+            if trace.timed {
+                let dur = tel.now_ns().saturating_sub(start);
+                trace.busy_ns += dur;
+                trace.scan_windows.push((start, dur));
+            }
         }
-    }
-}
-
-/// Builds (in place, into `lut`) the lookup table for one
-/// `(query, cluster)` visit: re-bias the shared inner-product base table,
-/// or rebuild the cluster-dependent L2 table. The single construction
-/// path shared by the inline/serial schedule and the wave build tasks.
-#[allow(clippy::too_many_arguments)]
-fn build_visit_lut(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    precision: LutPrecision,
-    ip_base: Option<&[Lut]>,
-    round: &Round,
-    qi: usize,
-    lut: &mut Lut,
-    residual: &mut Vec<f32>,
-) {
-    let q = queries.row(qi);
-    let centroid = index.centroids().row(round.cluster);
-    match ip_base {
-        Some(base) => lut.clone_rebias_from(&base[qi], metric::dot(q, centroid)),
-        None => lut.rebuild_l2(q, centroid, index.codebook(), precision, residual),
+        Ok(())
     }
 }
 
@@ -222,7 +245,7 @@ fn build_visit_lut(
 /// Chunking only partitions independent per-query builds, so the output
 /// is identical to the serial collect for any worker count.
 pub(crate) fn build_ip_base(
-    index: &IvfPqIndex,
+    codebook: &PqCodebook,
     queries: &VectorSet,
     precision: LutPrecision,
     threads: usize,
@@ -232,7 +255,7 @@ pub(crate) fn build_ip_base(
     if workers <= 1 {
         return queries
             .iter()
-            .map(|q| Lut::build_ip(q, index.codebook(), precision))
+            .map(|q| Lut::build_ip(q, codebook, precision))
             .collect();
     }
     let mut out: Vec<Lut> = (0..nq).map(|_| Lut::placeholder()).collect();
@@ -242,7 +265,7 @@ pub(crate) fn build_ip_base(
             s.spawn(move || {
                 for (j, slot) in slice.iter_mut().enumerate() {
                     let q = queries.row(ci * chunk + j);
-                    *slot = Lut::build_ip(q, index.codebook(), precision);
+                    *slot = Lut::build_ip(q, codebook, precision);
                 }
             });
         }
@@ -250,114 +273,14 @@ pub(crate) fn build_ip_base(
     out
 }
 
-/// A wave buffer: one reusable [`Lut`] slot per `(round, query)` visit of
-/// the largest wave. Slots are written by build tasks (each slot range
-/// claimed by exactly one worker through the build cursor) in one
-/// super-step and read by scan tasks in the next; the step barrier plus
-/// the two-buffer ping-pong ensure a buffer is never written and read in
-/// the same step, which is what makes the [`UnsafeCell`] sharing sound.
-struct LutSlots {
-    slots: Vec<UnsafeCell<Lut>>,
-}
-
-// SAFETY: cross-thread access is disjoint-by-construction (the atomic
-// build cursor hands each round's slot range to exactly one worker) or
-// read-only (scan steps), with a Barrier providing the happens-before
-// edge between the writing step and the reading step.
-unsafe impl Sync for LutSlots {}
-
-impl LutSlots {
-    fn new(capacity: usize) -> Self {
-        Self {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(Lut::placeholder()))
-                .collect(),
-        }
-    }
-
-    /// Mutable access to slot `i` for a build task.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the exclusive claim on `i` for this
-    /// super-step (its round was handed out by the build cursor) and no
-    /// reader may touch this buffer until after the next barrier.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn write(&self, i: usize) -> &mut Lut {
-        unsafe { &mut *self.slots[i].get() }
-    }
-
-    /// Shared access to slot `i` for a scan task.
-    ///
-    /// # Safety
-    ///
-    /// No worker may be writing this buffer in the current super-step.
-    unsafe fn read(&self, i: usize) -> &Lut {
-        unsafe { &*self.slots[i].get() }
-    }
-}
-
-/// Per-buffer LUT byte budget for a wave (entries are `m · k* · 4` B per
-/// visit). Two buffers are live at once; 4 MB each keeps the ping-pong
-/// L2/L3-resident on common parts without bounding small workloads.
-const WAVE_LUT_BUDGET_BYTES: usize = 4 << 20;
-
-/// How rounds are grouped into waves, and where each round's lookup
-/// tables live inside its wave's slot buffer.
-struct WaveSchedule {
-    /// Wave `w` covers rounds `starts[w]..starts[w + 1]`.
-    starts: Vec<usize>,
-    /// Slot offset of round `r`'s first table inside its wave's buffer.
-    slot_offset: Vec<usize>,
-    /// Slots needed by the largest wave (= buffer capacity).
-    capacity: usize,
-}
-
-/// Cuts the round list into waves: enough rounds per wave to keep
-/// `workers` self-scheduling queues busy, capped by the per-buffer LUT
-/// byte budget so the ping-pong buffers stay cache-sized. Grouping only
-/// affects when tables are built, never what they contain, so any cut is
-/// correct; this one balances pipeline depth against footprint.
-fn plan_waves(rounds: &[Round], workers: usize, lut_bytes_per_visit: usize) -> WaveSchedule {
-    let target_rounds = (workers * 4).max(8);
-    let per_visit = lut_bytes_per_visit.max(1);
-    let mut starts = vec![0usize];
-    let mut slot_offset = Vec::with_capacity(rounds.len());
-    let mut capacity = 0usize;
-    let (mut visits, mut count) = (0usize, 0usize);
-    for (i, r) in rounds.iter().enumerate() {
-        let q = r.queries.len();
-        if count > 0 && (count >= target_rounds || (visits + q) * per_visit > WAVE_LUT_BUDGET_BYTES)
-        {
-            starts.push(i);
-            capacity = capacity.max(visits);
-            visits = 0;
-            count = 0;
-        }
-        slot_offset.push(visits);
-        visits += q;
-        count += 1;
-    }
-    starts.push(rounds.len());
-    capacity = capacity.max(visits);
-    WaveSchedule {
-        starts,
-        slot_offset,
-        capacity,
-    }
-}
-
 /// Locally-buffered telemetry for one worker: the hot loop only reads
 /// clocks; everything is flushed to the registry in one burst after the
-/// drain so instrumentation cannot perturb the round race.
+/// drain so instrumentation cannot perturb the lane race.
 struct WorkerTrace {
     timed: bool,
     begin: u64,
     busy_ns: u64,
-    lut_build_ns: u64,
-    luts_built: u64,
     scan_windows: Vec<(u64, u64)>,
-    lut_windows: Vec<(u64, u64)>,
 }
 
 impl WorkerTrace {
@@ -366,19 +289,15 @@ impl WorkerTrace {
             timed: tel.is_enabled(),
             begin: tel.now_ns(),
             busy_ns: 0,
-            lut_build_ns: 0,
-            luts_built: 0,
             scan_windows: Vec::new(),
-            lut_windows: Vec::new(),
         }
     }
 
-    /// Flushes the buffered windows and counters: `worker<w>.tiles` /
-    /// `busy_ns` / `idle_ns` / `luts_built` / `lut_build_ns` counters,
-    /// the worker's share of `kernel.codes_scanned` / `kernel.pruned`,
-    /// plus one `batch.tile_scan` (and, on the overlapped path, one
-    /// `batch.lut_build`) trace event per task on thread lane `w`.
-    fn flush(self, tel: &Telemetry, worker: u64, tally: &kernels::ScanTally) {
+    /// Flushes the buffered windows and counters: `worker<w>.tiles`
+    /// (rounds scored) / `busy_ns` / `idle_ns`, the worker's share of
+    /// `kernel.codes_scanned` / `kernel.pruned`, plus one
+    /// `batch.tile_scan` trace event per round on thread lane `w`.
+    fn flush(self, tel: &Telemetry, worker: u64, tally: &ScanTally) {
         if !self.timed {
             return;
         }
@@ -387,266 +306,121 @@ impl WorkerTrace {
         per_worker.counter_add("tiles", self.scan_windows.len() as u64);
         per_worker.counter_add("busy_ns", self.busy_ns);
         per_worker.counter_add("idle_ns", total.saturating_sub(self.busy_ns));
-        if self.luts_built > 0 {
-            per_worker.counter_add("luts_built", self.luts_built);
-            per_worker.counter_add("lut_build_ns", self.lut_build_ns);
-        }
         tel.counter_add("kernel.codes_scanned", tally.scanned);
         tel.counter_add("kernel.pruned", tally.pruned);
         for (start, dur) in self.scan_windows {
             tel.trace_event_ns("batch.tile_scan", worker, start, dur);
         }
-        for (start, dur) in self.lut_windows {
-            tel.trace_event_ns("batch.lut_build", worker, start, dur);
-        }
     }
 }
 
-/// Drains rounds off the shared `cursor` with inline LUT construction —
-/// the single-worker reference schedule (also used when the plan is too
-/// small to pipeline).
-#[allow(clippy::too_many_arguments)]
-fn drain_rounds_inline(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    ip_base: Option<&[Lut]>,
-    rounds: &[Round],
-    cursor: &AtomicUsize,
-    worker: u64,
-    dispatch: kernels::KernelDispatch,
-    tel: &Telemetry,
-) -> RoundAccum {
-    let mut acc = RoundAccum::new(queries.len());
-    let mut lut = Lut::placeholder();
-    let mut residual = Vec::new();
-    let mut trace = WorkerTrace::new(tel);
-    loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(round) = rounds.get(i) else { break };
-        let start = if trace.timed { tel.now_ns() } else { 0 };
-        acc.score_round_inline(
-            index,
-            queries,
-            params,
-            ip_base,
-            round,
-            dispatch,
-            &mut lut,
-            &mut residual,
-        );
-        if trace.timed {
-            let dur = tel.now_ns().saturating_sub(start);
-            trace.busy_ns += dur;
-            trace.scan_windows.push((start, dur));
-        }
-    }
-    trace.flush(tel, worker, &acc.tally);
-    acc
-}
-
-/// One worker of the overlapped pipeline: for each super-step `s`, first
-/// drain the *build* queue of wave `s` (filling buffer `s % 2`), then
-/// drain the *scan* queue of wave `s − 1` (reading buffer
-/// `(s − 1) % 2`), then hit the barrier. Because both queues are shared,
-/// a worker that runs out of builds scans while its peers still build —
-/// that concurrent draining is the EFM/SCM overlap.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_overlapped(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    ip_base: Option<&[Lut]>,
-    rounds: &[Round],
-    schedule: &WaveSchedule,
-    buffers: &[LutSlots; 2],
-    build_cursors: &[AtomicUsize],
-    scan_cursors: &[AtomicUsize],
-    barrier: &Barrier,
-    worker: u64,
-    dispatch: kernels::KernelDispatch,
-    tel: &Telemetry,
-) -> RoundAccum {
-    let mut acc = RoundAccum::new(queries.len());
-    let mut residual = Vec::new();
-    let mut trace = WorkerTrace::new(tel);
-    let waves = schedule.starts.len() - 1;
-    for step in 0..=waves {
-        if step < waves {
-            // Build wave `step`'s tables into buffer `step % 2`.
-            let buf = &buffers[step % 2];
-            let (lo, hi) = (schedule.starts[step], schedule.starts[step + 1]);
-            loop {
-                let i = lo + build_cursors[step].fetch_add(1, Ordering::Relaxed);
-                if i >= hi {
-                    break;
-                }
-                let round = &rounds[i];
-                let start = if trace.timed { tel.now_ns() } else { 0 };
-                let first = schedule.slot_offset[i];
-                for (j, &qi) in round.queries.iter().enumerate() {
-                    // SAFETY: the build cursor handed round `i` (and so
-                    // slots `first..first + |queries|`) to this worker
-                    // alone; readers wait for the next barrier.
-                    let slot = unsafe { buf.write(first + j) };
-                    build_visit_lut(
-                        index,
-                        queries,
-                        params.lut_precision,
-                        ip_base,
-                        round,
-                        qi,
-                        slot,
-                        &mut residual,
-                    );
-                }
-                trace.luts_built += round.queries.len() as u64;
-                if trace.timed {
-                    let dur = tel.now_ns().saturating_sub(start);
-                    trace.busy_ns += dur;
-                    trace.lut_build_ns += dur;
-                    trace.lut_windows.push((start, dur));
-                }
-            }
-        }
-        if step > 0 {
-            // Scan wave `step − 1` from buffer `(step − 1) % 2`.
-            let buf = &buffers[(step - 1) % 2];
-            let (lo, hi) = (schedule.starts[step - 1], schedule.starts[step]);
-            loop {
-                let i = lo + scan_cursors[step - 1].fetch_add(1, Ordering::Relaxed);
-                if i >= hi {
-                    break;
-                }
-                let round = &rounds[i];
-                let start = if trace.timed { tel.now_ns() } else { 0 };
-                acc.score_round_prebuilt(
-                    index,
-                    round,
-                    buf,
-                    schedule.slot_offset[i],
-                    params.k,
-                    dispatch,
-                );
-                if trace.timed {
-                    let dur = tel.now_ns().saturating_sub(start);
-                    trace.busy_ns += dur;
-                    trace.scan_windows.push((start, dur));
-                }
-            }
-        }
-        barrier.wait();
-    }
-    trace.flush(tel, worker, &acc.tally);
-    acc
-}
-
-/// Runs a plan's rounds on `threads` scoped workers — overlapped and
-/// double-buffered when more than one worker is available — and merges
-/// the per-worker accumulators into one [`TopK`] per query plus aggregate
-/// [`BatchStats`].
+/// Runs `lanes` on up to `threads` scoped workers and merges the
+/// per-worker accumulators into one [`TopK`] per query plus the aggregate
+/// [`BatchStats`] and storage-tier split (all zero without tiered lanes).
 ///
-/// `plan.spill_unit_bytes` prices the intermediate top-k spill/fill
+/// `job.spill_unit_bytes` prices the intermediate top-k spill/fill
 /// records (Section IV-C): every round a query participates in after its
 /// first fills its partial top-k from memory and every round before its
-/// last spills it back, so a query scored in `r` rounds accounts
-/// `(r − 1) · spill_unit_bytes` of fill traffic and the same of spill
-/// traffic. The counts are measured from the rounds each worker actually
-/// scored; since they depend only on how many rounds a query appears in,
-/// the totals are independent of thread count and round order.
+/// last spills it back, so a query scored in `r` rounds — across all
+/// lanes — accounts `(r − 1) · spill_unit_bytes` of fill traffic and the
+/// same of spill traffic. The counts are measured from the rounds each
+/// worker actually scored; since they depend only on how many rounds a
+/// query appears in, the totals are independent of thread count and lane
+/// shape.
 ///
 /// See the module docs for why the output is independent of `threads` and
 /// of how the OS schedules the workers. `tel` adds per-worker utilization
-/// counters and per-task scan/LUT-build timelines when enabled; pass
+/// counters and a per-round scan timeline when enabled; pass
 /// [`Telemetry::disabled`] for the uninstrumented path.
+///
+/// # Errors
+///
+/// Returns the first storage error a tiered lane's fetch hit; the other
+/// workers stop at their next lane boundary.
 pub(crate) fn execute_rounds(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    ip_base: Option<&[Lut]>,
-    plan: &BatchPlan,
+    job: &RoundJob<'_>,
+    lanes: &[Lane<'_>],
     threads: usize,
     tel: &Telemetry,
-) -> (Vec<TopK>, BatchStats) {
-    let rounds: &[Round] = &plan.rounds;
-    let nq = queries.len();
-    let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(params.k)).collect();
-    let mut stats = BatchStats::default();
-    let mut rounds_per_query = vec![0u64; nq];
+) -> io::Result<(Vec<TopK>, BatchStats, TierTraffic)> {
+    let nq = job.queries.len();
+    // Inner-product base tables are cluster-invariant: one per query up
+    // front, re-biased per visit. L2 tables are cluster-specific and
+    // built inside the round loop.
+    let ip_base: Option<Vec<Lut>> = {
+        let _span = tel.span("batch.lut_build");
+        match job.metric {
+            Metric::InnerProduct => Some(build_ip_base(
+                job.codebook,
+                job.queries,
+                job.lut_precision,
+                threads,
+            )),
+            Metric::L2 => None,
+        }
+    };
+    let dispatch = KernelDispatch::current();
+    if tel.is_enabled() {
+        tel.counter_add(&format!("kernel.dispatch.{}", dispatch.name()), 1);
+    }
 
-    let mut fold = |acc: RoundAccum, merged: &mut Vec<TopK>, stats: &mut BatchStats| {
+    let cursor = AtomicUsize::new(0);
+    // Only a hint to stop claiming lanes after a storage error (the error
+    // itself travels through the join), so Relaxed suffices.
+    let failed = AtomicBool::new(false);
+    let drain = |worker: u64| -> io::Result<Worker> {
+        let mut acc = Worker::new(nq);
+        let mut trace = WorkerTrace::new(tel);
+        while !failed.load(Ordering::Relaxed) {
+            let Some(lane) = lanes.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            acc.run_lane(job, ip_base.as_deref(), lane, dispatch, &mut trace, tel)
+                .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
+        }
+        trace.flush(tel, worker, &acc.tally);
+        Ok(acc)
+    };
+    let workers = threads.max(1).min(lanes.len().max(1));
+    let done: Vec<io::Result<Worker>> = if workers == 1 {
+        vec![drain(0)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers as u64)
+                .map(|w| {
+                    let drain = &drain;
+                    s.spawn(move || drain(w))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+
+    let _merge = tel.span("batch.merge");
+    let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(job.k)).collect();
+    let mut stats = BatchStats::default();
+    let mut tier = TierTraffic::default();
+    let mut rounds_per_query = vec![0u64; nq];
+    for acc in done {
+        let acc = acc?;
         for (qi, top) in acc.tops.into_iter().enumerate() {
             if let Some(top) = top {
                 merged[qi].merge(&top);
             }
         }
-        for (qi, &n) in acc.rounds_scored.iter().enumerate() {
-            rounds_per_query[qi] += n;
+        for (total, n) in rounds_per_query.iter_mut().zip(&acc.rounds_scored) {
+            *total += n;
         }
         stats.accumulate(&acc.stats);
-    };
-
-    let dispatch = kernels::KernelDispatch::current();
-    if tel.is_enabled() {
-        tel.counter_add(&format!("kernel.dispatch.{}", dispatch.name()), 1);
+        tier.accumulate(&acc.tier);
     }
-    let workers = threads.max(1).min(rounds.len().max(1));
-    if workers <= 1 {
-        let cursor = AtomicUsize::new(0);
-        let acc = drain_rounds_inline(
-            index, queries, params, ip_base, rounds, &cursor, 0, dispatch, tel,
-        );
-        let _merge = tel.span("batch.merge");
-        fold(acc, &mut merged, &mut stats);
-    } else {
-        let book = index.codebook();
-        let lut_bytes = book.m() * book.kstar() * std::mem::size_of::<f32>();
-        let schedule = plan_waves(rounds, workers, lut_bytes);
-        let waves = schedule.starts.len() - 1;
-        let buffers = [
-            LutSlots::new(schedule.capacity),
-            LutSlots::new(schedule.capacity),
-        ];
-        let build_cursors: Vec<AtomicUsize> = (0..waves).map(|_| AtomicUsize::new(0)).collect();
-        let scan_cursors: Vec<AtomicUsize> = (0..waves).map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(workers);
-        let done: Mutex<Vec<RoundAccum>> = Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let (schedule, buffers) = (&schedule, &buffers);
-                let (build_cursors, scan_cursors) = (&build_cursors[..], &scan_cursors[..]);
-                let (barrier, done) = (&barrier, &done);
-                s.spawn(move || {
-                    let acc = run_worker_overlapped(
-                        index,
-                        queries,
-                        params,
-                        ip_base,
-                        rounds,
-                        schedule,
-                        buffers,
-                        build_cursors,
-                        scan_cursors,
-                        barrier,
-                        w as u64,
-                        dispatch,
-                        tel,
-                    );
-                    done.lock().expect("worker poisoned accumulators").push(acc);
-                });
-            }
-        });
-        let _merge = tel.span("batch.merge");
-        for acc in done.into_inner().expect("worker poisoned accumulators") {
-            fold(acc, &mut merged, &mut stats);
-        }
-    }
-    for &r in &rounds_per_query {
-        let boundary_crossings = r.saturating_sub(1);
-        stats.topk_fill_bytes += boundary_crossings * plan.spill_unit_bytes;
-        stats.topk_spill_bytes += boundary_crossings * plan.spill_unit_bytes;
-    }
-    (merged, stats)
+    let crossings: u64 = rounds_per_query.iter().map(|r| r.saturating_sub(1)).sum();
+    stats.topk_fill_bytes += crossings * job.spill_unit_bytes;
+    stats.topk_spill_bytes += crossings * job.spill_unit_bytes;
+    Ok((merged, stats, tier))
 }
 
 /// Runs a plan's [`RerankStage`] over the first pass's merged heaps:
@@ -654,7 +428,7 @@ pub(crate) fn execute_rounds(
 /// per-query precision and truncated to the final `stage.k`.
 ///
 /// Work items (one per query) join the same self-scheduling queue
-/// discipline as the build/scan rounds — a shared atomic cursor that
+/// discipline as the scan lanes — a shared atomic cursor that
 /// workers drain, with per-worker [`RescoreScratch`] so the hot loop is
 /// allocation-free. The output is bit-identical for any worker count
 /// because each query is rescored by exactly one worker with the single
@@ -773,55 +547,5 @@ mod tests {
     fn zero_threads_resolves_to_the_core_count() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
-    }
-
-    fn round(cluster: usize, nq: usize) -> Round {
-        Round {
-            cluster,
-            cluster_size: 10,
-            queries: (0..nq).collect(),
-            fetches_codes: true,
-        }
-    }
-
-    #[test]
-    fn waves_cover_every_round_in_order() {
-        let rounds: Vec<Round> = (0..23).map(|c| round(c, 1 + c % 5)).collect();
-        let s = plan_waves(&rounds, 3, 64);
-        assert_eq!(*s.starts.first().unwrap(), 0);
-        assert_eq!(*s.starts.last().unwrap(), rounds.len());
-        assert!(s.starts.windows(2).all(|w| w[0] < w[1]), "empty wave");
-        // Slot offsets are a per-wave prefix sum of round query counts,
-        // and the capacity covers the largest wave.
-        for w in 0..s.starts.len() - 1 {
-            let mut expect = 0usize;
-            for (i, r) in rounds
-                .iter()
-                .enumerate()
-                .take(s.starts[w + 1])
-                .skip(s.starts[w])
-            {
-                assert_eq!(s.slot_offset[i], expect, "round {i}");
-                expect += r.queries.len();
-            }
-            assert!(expect <= s.capacity);
-        }
-    }
-
-    #[test]
-    fn waves_respect_the_lut_byte_budget() {
-        // Huge per-visit tables force one round per wave.
-        let rounds: Vec<Round> = (0..5).map(|c| round(c, 2)).collect();
-        let s = plan_waves(&rounds, 8, WAVE_LUT_BUDGET_BYTES);
-        assert_eq!(s.starts.len() - 1, rounds.len());
-        assert_eq!(s.capacity, 2);
-    }
-
-    #[test]
-    fn single_round_plans_make_one_wave() {
-        let rounds = vec![round(0, 7)];
-        let s = plan_waves(&rounds, 4, 64);
-        assert_eq!(s.starts, vec![0, 1]);
-        assert_eq!(s.capacity, 7);
     }
 }

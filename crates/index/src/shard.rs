@@ -9,43 +9,43 @@
 //! in-RAM cluster array or a [`TieredIndex`] (v2 segment behind a
 //! cluster-granularity cache; see [`crate::tiered`]).
 //!
-//! Search runs shard-parallel on a scoped worker pool: workers claim whole
-//! shards off an atomic cursor and scan each shard *serially* in ascending
-//! local-cluster order, so per-shard work — including every cache
+//! A batch runs the plan it was priced on: the engine's `plan()` (see
+//! [`crate::engines`]) assembles one unbounded cluster-major
+//! [`BatchPlan`] per shard, and [`ShardedIndex::run_plan`] hands each to
+//! the crate's one round loop ([`crate::parallel`]) as a *lane* — workers
+//! claim whole shards off an atomic cursor and run each shard's rounds
+//! serially in plan order, so per-shard work — including every cache
 //! admission/eviction decision of a tiered shard — is a deterministic
-//! function of the batch, never of thread scheduling. Per-query partial
-//! top-k heaps are then folded shard-by-shard with [`TopK::merge`], whose
-//! total order (score descending, lower id on ties) makes the fold
-//! order-insensitive: results are bit-identical to a single-shard serial
-//! oracle at every shard count and every thread count.
+//! function of the plan, never of thread scheduling. A worker keeps one
+//! partial top-k per query across all the shards it runs; the partials
+//! fold with [`TopK::merge`], whose total order (score descending, lower
+//! id on ties) makes the fold order-insensitive: results are
+//! bit-identical to a single-shard serial oracle at every shard count and
+//! every thread count.
 //!
 //! Traffic accounting mirrors the plan layer's unbounded
-//! [`BatchPlan::from_visitors`](anna_plan::BatchPlan::from_visitors)
-//! schedule: a query visiting `W_sq` clusters inside shard `s` pays
-//! `W_sq − 1` spill/fill units there, and the global merge pays `S_q − 1`
-//! more (one per extra contributing shard), which telescopes to the
-//! single-shard `W_q − 1` — so the price of the engine's
-//! [`anna_plan::ShardedBatchPlan`] (see [`crate::engines`]) equals
-//! [`ShardedIndex::search_batch`]'s measurement component for component,
-//! storage tier included.
+//! [`BatchPlan::from_visitors`] schedule: a query visiting `W_sq`
+//! clusters inside shard `s` is priced `W_sq − 1` spill/fill units there,
+//! and the global merge `S_q − 1` more (one per extra contributing
+//! shard), which telescopes to `W_q − 1` — what the round loop measures
+//! from the rounds it scored — so the price of the engine's
+//! [`ShardedBatchPlan`] equals [`ShardedIndex::run_plan`]'s measurement
+//! component for component, storage tier included.
 
 use crate::batched::BatchStats;
 use crate::ivf::{Cluster, IvfPqIndex};
-use crate::kernels::{self, KernelDispatch, ScanScratch};
-use crate::lut::Lut;
+use crate::lut::LutPrecision;
+use crate::parallel::{self, Lane, LaneStore, RoundJob};
 use crate::tiered::TieredIndex;
-use crate::SearchParams;
 use anna_plan::{
     BatchPlan, BatchWorkload, PlanParams, SearchShape, ShardedBatchPlan, TierTraffic, TrafficModel,
 };
-use anna_quant::codes::CodeWidth;
 use anna_quant::kmeans::KMeans;
 use anna_quant::pq::PqCodebook;
-use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
+use anna_telemetry::Telemetry;
+use anna_vector::{Metric, Neighbor, TopK, VectorSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Measured traffic of one sharded batch: the cluster-major byte counters
 /// plus the storage-tier split (all zero for all-RAM shards, which have no
@@ -290,15 +290,6 @@ impl ShardedIndex {
         total
     }
 
-    /// Bytes per encoded vector, `M·log2(k*)/8`.
-    fn ebpv(&self) -> usize {
-        let width = match self.codebook.kstar() {
-            16 => CodeWidth::U4,
-            _ => CodeWidth::U8,
-        };
-        width.vector_bytes(self.codebook.m())
-    }
-
     /// Cluster filtering against the global centroids — the exact
     /// arithmetic of [`IvfPqIndex::filter_clusters`].
     ///
@@ -320,18 +311,9 @@ impl ShardedIndex {
     /// Per-shard visitor lists for a batch: entry `[s][lc]` lists the
     /// queries visiting shard `s`'s local cluster `lc`, ascending query
     /// order (the plan layer's `visitors_per_cluster` inversion, split by
-    /// shard).
-    fn shard_visitors(&self, queries: &VectorSet, nprobe: usize) -> Vec<Vec<Vec<usize>>> {
-        let scopes: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| self.filter_clusters(q, nprobe))
-            .collect();
-        self.shard_visitors_from(&scopes)
-    }
-
-    /// The same inversion from already-resolved per-query global cluster
-    /// lists (the engine layer's `query_scope` output).
-    fn shard_visitors_from(&self, scopes: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
+    /// shard), from each query's resolved global cluster list (the engine
+    /// layer's `query_scope` output).
+    fn visitors_by_shard(&self, scopes: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
         let n = self.shards.len();
         let mut visiting: Vec<Vec<Vec<usize>>> = self
             .shards
@@ -346,28 +328,17 @@ impl ShardedIndex {
         visiting
     }
 
-    /// The software spill/fill unit: a full `k`-record heap at the
-    /// paper's packed 5 B records (same pricing as the batch engine).
-    fn spill_unit(&self, params: &SearchParams) -> u64 {
-        params.k as u64 * PlanParams::default().topk_record_bytes as u64
-    }
-
     /// Assembles the sharded engine's plan IR from resolved per-query
     /// global cluster lists: per shard, the local workload and unbounded
     /// cluster-major schedule; globally, the cross-shard merge units and
     /// the tier split replayed against *clones* of each tiered shard's
     /// live cache state (so planning never advances the caches).
     /// [`TrafficModel::price_sharded`] over the result predicts what
-    /// [`ShardedIndex::search_batch`] will measure, exactly.
-    pub(crate) fn engine_batch_plan(
-        &self,
-        scopes: &[Vec<usize>],
-        k: usize,
-        nprobe: usize,
-    ) -> ShardedBatchPlan {
+    /// [`ShardedIndex::run_plan`] will measure, exactly.
+    pub(crate) fn engine_batch_plan(&self, scopes: &[Vec<usize>], k: usize) -> ShardedBatchPlan {
         let unit = k as u64 * PlanParams::default().topk_record_bytes as u64;
         let model = TrafficModel::new(PlanParams::default());
-        let visiting = self.shard_visitors_from(scopes);
+        let visiting = self.visitors_by_shard(scopes);
         let b = scopes.len();
         let mut contributing = vec![0u64; b];
         for sv in &visiting {
@@ -420,16 +391,22 @@ impl ShardedIndex {
             spill_unit_bytes: unit,
             b,
             k,
-            nprobe,
             predicted_tier,
         }
     }
 
-    /// Searches a batch shard-parallel: global filtering, per-shard
-    /// serial cluster-major scans on up to `threads` scoped workers (each
-    /// shard scanned by exactly one worker), then a global
-    /// [`TopK::merge`] fold per query. Results and stats are bit-identical
-    /// for any `threads ≥ 1` and equal the single-shard serial oracle's.
+    /// Executes a [`ShardedBatchPlan`] on up to `threads` workers — the
+    /// inherent executor (the trait's `execute` is its adapter, minus the
+    /// error channel), mirroring [`BatchedScan::run_plan`]. Each shard's
+    /// plan is one lane of the crate's round loop (see
+    /// [`crate::parallel`]): a shard is scanned by exactly one worker, in
+    /// plan order, so a tiered shard's cache sees the touch sequence the
+    /// plan's tier split was priced on. Results and stats are
+    /// bit-identical for any `threads` and equal the single-shard serial
+    /// oracle's; lookup tables are [`LutPrecision::F32`].
+    ///
+    /// `tel`, when enabled, receives the round loop's `batch.*`,
+    /// `kernel.*` and `worker<w>.*` telemetry.
     ///
     /// # Errors
     ///
@@ -437,213 +414,82 @@ impl ShardedIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `queries.dim() != self.dim()` or `threads == 0`.
-    pub fn search_batch(
+    /// Panics if `queries.dim() != self.dim()`, or if the plan was not
+    /// built for this index and batch: a shard count other than
+    /// [`ShardedIndex::num_shards`], a batch size other than
+    /// `queries.len()`, or a round naming a local cluster or query out of
+    /// range.
+    ///
+    /// [`BatchedScan::run_plan`]: crate::batched::BatchedScan::run_plan
+    pub fn run_plan(
         &self,
         queries: &VectorSet,
-        params: &SearchParams,
+        plan: &ShardedBatchPlan,
         threads: usize,
+        tel: &Telemetry,
     ) -> io::Result<(Vec<Vec<Neighbor>>, ShardedStats)> {
         assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
-        assert!(threads > 0, "at least one worker required");
-        let b = queries.len();
-        let visiting = self.shard_visitors(queries, params.nprobe);
-        let unit = self.spill_unit(params);
-
-        // Shared inner-product base tables (cluster-invariant) per query;
-        // L2 tables are cluster-specific and built inside the shard scan.
-        let ip_base: Option<Vec<Lut>> = match self.metric {
-            Metric::InnerProduct => Some(
-                queries
-                    .iter()
-                    .map(|q| Lut::build_ip(q, &self.codebook, params.lut_precision))
-                    .collect(),
-            ),
-            Metric::L2 => None,
-        };
-
-        let dispatch = KernelDispatch::current();
-        let cursor = AtomicUsize::new(0);
-        let outputs: Mutex<Vec<(usize, ShardScan)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        let workers = threads.min(self.shards.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = WorkerScratch {
-                        scan: ScanScratch::new(),
-                        lut: Lut::placeholder(),
-                        residual: Vec::new(),
-                    };
-                    loop {
-                        let s = cursor.fetch_add(1, Ordering::Relaxed);
-                        if s >= self.shards.len() {
-                            return;
-                        }
-                        if failure.lock().expect("failure slot poisoned").is_some() {
-                            return;
-                        }
-                        match self.scan_shard(
-                            s,
-                            queries,
-                            params,
-                            &visiting[s],
-                            ip_base.as_deref(),
-                            dispatch,
-                            &mut scratch,
-                            unit,
-                        ) {
-                            Ok(out) => outputs.lock().expect("outputs poisoned").push((s, out)),
-                            Err(e) => {
-                                *failure.lock().expect("failure slot poisoned") = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = failure.into_inner().expect("failure slot poisoned") {
-            return Err(e);
-        }
-        let mut outputs = outputs.into_inner().expect("outputs poisoned");
-        outputs.sort_by_key(|(s, _)| *s);
-
-        // Fold per-shard partials shard-by-shard (ascending shard id; the
-        // order is immaterial to the merged contents — TopK's total order
-        // makes merge commutative over disjoint id sets — but fixing it
-        // keeps the fold itself deterministic too). Each query pays one
-        // spill/fill unit per contributing shard beyond its first.
-        let mut stats = ShardedStats::default();
-        let mut merged: Vec<TopK> = (0..b).map(|_| TopK::new(params.k)).collect();
-        let mut contributions = vec![0u64; b];
-        for (_, out) in &outputs {
-            stats.batch.accumulate(&out.batch);
-            stats.tier.accumulate(&out.tier);
-            for (qi, partial) in &out.partials {
-                merged[*qi].merge(partial);
-                contributions[*qi] += 1;
-            }
-        }
-        for &c in &contributions {
-            stats.batch.topk_spill_bytes += c.saturating_sub(1) * unit;
-            stats.batch.topk_fill_bytes += c.saturating_sub(1) * unit;
-        }
-        let results = merged.into_iter().map(TopK::into_sorted_vec).collect();
-        Ok((results, stats))
-    }
-
-    /// Scans one shard serially in ascending local-cluster order:
-    /// per-query partial heaps plus the shard's traffic counters
-    /// (in-shard spill/fill only — merge crossings are counted by the
-    /// caller).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_shard(
-        &self,
-        s: usize,
-        queries: &VectorSet,
-        params: &SearchParams,
-        visiting: &[Vec<usize>],
-        ip_base: Option<&[Lut]>,
-        dispatch: KernelDispatch,
-        scratch: &mut WorkerScratch,
-        unit: u64,
-    ) -> io::Result<ShardScan> {
-        let sh = &self.shards[s];
+        assert_eq!(
+            plan.per_shard.len(),
+            self.shards.len(),
+            "foreign sharded plan: shard count mismatch"
+        );
+        assert_eq!(
+            plan.b,
+            queries.len(),
+            "foreign sharded plan: batch size mismatch"
+        );
         let n = self.shards.len();
-        let ebpv = self.ebpv() as u64;
-        let mut batch = BatchStats::default();
-        let mut tier = TierTraffic::default();
-        let mut heaps: Vec<Option<TopK>> = (0..queries.len()).map(|_| None).collect();
-        let mut in_shard_visits = vec![0u64; queries.len()];
-        for (lc, qs) in visiting.iter().enumerate() {
-            if qs.is_empty() {
-                continue;
-            }
-            let g = lc * n + s;
-            let len = sh.cluster_len(lc);
-            let code_bytes = len as u64 * ebpv;
-            batch.clusters_fetched += 1;
-            batch.code_bytes += code_bytes;
-            batch.query_cluster_visits += qs.len() as u64;
-            batch.conventional_code_bytes += qs.len() as u64 * code_bytes;
-            // Fetch the block exactly once per batch, crediting the cache
-            // with the full visitor count — the admission signal the plan
-            // layer's simulation uses.
-            let fetched;
-            let cluster: &Cluster = match sh {
-                ShardStore::Ram(clusters) => &clusters[lc],
-                ShardStore::Tiered(t) => {
-                    fetched = t.fetch_cluster(lc, qs.len() as u64)?;
-                    tier.record(&fetched.outcome, fetched.code_bytes);
-                    fetched.cluster.as_ref()
+        let lanes: Vec<Lane<'_>> = self
+            .shards
+            .iter()
+            .zip(&plan.per_shard)
+            .enumerate()
+            .map(|(s, (sh, (_, shard_plan)))| {
+                for r in &shard_plan.rounds {
+                    assert!(
+                        r.cluster < sh.num_clusters() && r.queries.iter().all(|&q| q < plan.b),
+                        "foreign sharded plan: shard {s} round names cluster {} or a query \
+                         out of range",
+                        r.cluster
+                    );
                 }
-            };
-            for &qi in qs {
-                in_shard_visits[qi] += 1;
-                let heap = heaps[qi].get_or_insert_with(|| TopK::new(params.k));
-                if cluster.is_empty() {
-                    continue;
+                Lane {
+                    rounds: &shard_plan.rounds,
+                    store: match sh {
+                        ShardStore::Ram(clusters) => LaneStore::Ram(clusters),
+                        ShardStore::Tiered(t) => LaneStore::Tiered(t),
+                    },
+                    // Local cluster `lc` of shard `s` is global `lc·N + s`.
+                    centroids: &self.centroids,
+                    centroid_stride: n,
+                    centroid_offset: s,
                 }
-                let q = queries.row(qi);
-                let centroid = self.centroids.row(g);
-                let WorkerScratch {
-                    scan,
-                    lut,
-                    residual,
-                } = &mut *scratch;
-                match ip_base {
-                    Some(base) => lut.clone_rebias_from(&base[qi], metric::dot(q, centroid)),
-                    None => {
-                        lut.rebuild_l2(q, centroid, &self.codebook, params.lut_precision, residual)
-                    }
-                }
-                kernels::scan_with(&cluster.codes, &cluster.ids, lut, heap, dispatch, scan);
-            }
-        }
-        let mut partials = Vec::new();
-        for (qi, heap) in heaps.into_iter().enumerate() {
-            if let Some(h) = heap {
-                let crossings = in_shard_visits[qi].saturating_sub(1);
-                batch.topk_spill_bytes += crossings * unit;
-                batch.topk_fill_bytes += crossings * unit;
-                partials.push((qi, h));
-            }
-        }
-        Ok(ShardScan {
-            partials,
-            batch,
-            tier,
-        })
+            })
+            .collect();
+        let job = RoundJob {
+            queries,
+            metric: self.metric,
+            codebook: &self.codebook,
+            k: plan.k,
+            lut_precision: LutPrecision::F32,
+            spill_unit_bytes: plan.spill_unit_bytes,
+        };
+        let (merged, batch, tier) = parallel::execute_rounds(&job, &lanes, threads, tel)?;
+        let results = merged.into_iter().map(TopK::into_sorted_vec).collect();
+        Ok((results, ShardedStats { batch, tier }))
     }
-}
-
-/// One worker's reusable buffers: after warm-up a shard scan builds every
-/// per-visit lookup table in place and allocates nothing.
-struct WorkerScratch {
-    scan: ScanScratch,
-    lut: Lut,
-    residual: Vec<f32>,
-}
-
-struct ShardScan {
-    /// `(query, partial top-k)` for every query that visited this shard,
-    /// ascending query id.
-    partials: Vec<(usize, TopK)>,
-    batch: BatchStats,
-    tier: TierTraffic,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ivf::IvfPqConfig;
-    use crate::LutPrecision;
+    use crate::SearchParams;
     use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
     use anna_plan::EnginePlan;
-    use anna_quant::codes::PackedCodes;
-    use anna_telemetry::Telemetry;
-    use std::sync::atomic::AtomicU64;
+    use anna_quant::codes::{CodeWidth, PackedCodes};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -685,15 +531,40 @@ mod tests {
         }
     }
 
-    /// The engine pipeline's plan for a batch at [`params`].
-    fn plan_for(sharded: &ShardedIndex, queries: &VectorSet) -> EnginePlan {
+    /// The engine pipeline's plan for a batch at `p`.
+    fn plan_for(sharded: &ShardedIndex, queries: &VectorSet, p: &SearchParams) -> EnginePlan {
         plan_uniform(
             sharded,
             queries,
-            &QuerySpec::from(&params()),
+            &QuerySpec::from(p),
             &PlanOptions::default(),
             &Telemetry::disabled(),
         )
+    }
+
+    /// Runs an engine-built plan on the inherent executor.
+    fn run(
+        sharded: &ShardedIndex,
+        queries: &VectorSet,
+        plan: &EnginePlan,
+        threads: usize,
+    ) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+        let EnginePlan::Sharded(plan) = plan else {
+            panic!("sharded engine planned a {} batch", plan.engine());
+        };
+        sharded
+            .run_plan(queries, plan, threads, &Telemetry::disabled())
+            .unwrap()
+    }
+
+    /// Plans the batch at `p` and runs that plan.
+    fn search(
+        sharded: &ShardedIndex,
+        queries: &VectorSet,
+        p: &SearchParams,
+        threads: usize,
+    ) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+        run(sharded, queries, &plan_for(sharded, queries, p), threads)
     }
 
     #[test]
@@ -704,7 +575,7 @@ mod tests {
             let p = params();
             for shards in [1usize, 2, 3, 5] {
                 let sharded = ShardedIndex::from_index(&index, shards);
-                let (results, _) = sharded.search_batch(&queries, &p, 4).unwrap();
+                let (results, _) = search(&sharded, &queries, &p, 4);
                 for (qi, q) in queries.iter().enumerate() {
                     assert_eq!(
                         results[qi],
@@ -722,11 +593,11 @@ mod tests {
         let queries = data.gather(&(0..32).collect::<Vec<_>>());
         let p = params();
         let oracle = ShardedIndex::from_index(&index, 1);
-        let (want, want_stats) = oracle.search_batch(&queries, &p, 1).unwrap();
+        let (want, want_stats) = search(&oracle, &queries, &p, 1);
         for shards in [2usize, 3, 4, 7] {
             let sharded = ShardedIndex::from_index(&index, shards);
             for threads in [1usize, 2, 4, 8] {
-                let (got, stats) = sharded.search_batch(&queries, &p, threads).unwrap();
+                let (got, stats) = search(&sharded, &queries, &p, threads);
                 assert_eq!(got, want, "shards={shards} threads={threads}");
                 assert_eq!(
                     stats.batch, want_stats.batch,
@@ -743,9 +614,9 @@ mod tests {
         let p = params();
         for shards in [1usize, 3] {
             let sharded = ShardedIndex::from_index(&index, shards);
-            let plan = plan_for(&sharded, &queries);
+            let plan = plan_for(&sharded, &queries, &p);
             let predicted = sharded.price(&plan);
-            let (_, measured) = sharded.search_batch(&queries, &p, 2).unwrap();
+            let (_, measured) = run(&sharded, &queries, &plan, 2);
             sharded
                 .verify(&predicted, plan.predicted_tier(), &measured.to_measured())
                 .expect("predicted == measured, tier split included");
@@ -761,7 +632,7 @@ mod tests {
         let dir = temp_dir("tiered");
         let paths = ShardedIndex::write_shard_segments(&index, 3, &dir).unwrap();
         let ram = ShardedIndex::from_index(&index, 3);
-        let (want, want_stats) = ram.search_batch(&queries, &p, 2).unwrap();
+        let (want, want_stats) = search(&ram, &queries, &p, 2);
         let total: u64 = (0..index.num_clusters())
             .map(|g| index.cluster(g).encoded_bytes())
             .sum();
@@ -769,8 +640,8 @@ mod tests {
             let tiered = ShardedIndex::open_tiered(&paths, capacity).unwrap();
             // Two batches: the second exercises warm-cache hits.
             for round in 0..2 {
-                let plan = plan_for(&tiered, &queries);
-                let (got, stats) = tiered.search_batch(&queries, &p, 2).unwrap();
+                let plan = plan_for(&tiered, &queries, &p);
+                let (got, stats) = run(&tiered, &queries, &plan, 2);
                 assert_eq!(got, want, "capacity={capacity} round={round}");
                 assert_eq!(stats.batch, want_stats.batch, "capacity={capacity}");
                 assert_eq!(
@@ -836,7 +707,7 @@ mod tests {
         for shards in [1usize, 2] {
             for threads in [1usize, 2] {
                 let sharded = ShardedIndex::from_index(&index, shards);
-                let (results, _) = sharded.search_batch(&queries, &p, threads).unwrap();
+                let (results, _) = search(&sharded, &queries, &p, threads);
                 assert_eq!(
                     results[0], oracle,
                     "shards={shards} threads={threads}: duplicate score lost the id tie"
@@ -845,10 +716,7 @@ mod tests {
         }
         // With k=2 both copies survive; order must still be lower id first.
         let p2 = SearchParams { k: 2, ..p };
-        let both = ShardedIndex::from_index(&index, 2)
-            .search_batch(&queries, &p2, 2)
-            .unwrap()
-            .0;
+        let both = search(&ShardedIndex::from_index(&index, 2), &queries, &p2, 2).0;
         assert_eq!(both[0].len(), 2);
         assert_eq!(both[0][0].score, both[0][1].score);
         assert_eq!(both[0][0].id, 3);
@@ -887,11 +755,11 @@ mod tests {
         let sharded = ShardedIndex::from_index(&index, 20);
         assert_eq!(sharded.num_shards(), 20);
         let empty = VectorSet::zeros(8, 0);
-        let (results, stats) = sharded.search_batch(&empty, &params(), 2).unwrap();
+        let (results, stats) = search(&sharded, &empty, &params(), 2);
         assert!(results.is_empty());
         assert_eq!(stats, ShardedStats::default());
         let queries = data.gather(&[0, 40]);
-        let (got, _) = sharded.search_batch(&queries, &params(), 3).unwrap();
+        let (got, _) = search(&sharded, &queries, &params(), 3);
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(got[qi], index.search(q, &params()));
         }

@@ -5,10 +5,11 @@
 //! every step.
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
+use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex, ShardedStats};
+use anna_plan::EnginePlan;
 use anna_telemetry::Telemetry;
 use anna_testkit::forall;
-use anna_vector::{Metric, VectorSet};
+use anna_vector::{Metric, Neighbor, VectorSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -20,6 +21,39 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Runs an engine-built plan on the inherent executor.
+fn run(
+    sharded: &ShardedIndex,
+    queries: &VectorSet,
+    plan: &EnginePlan,
+    threads: usize,
+) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+    let EnginePlan::Sharded(plan) = plan else {
+        panic!("sharded engine planned a {} batch", plan.engine());
+    };
+    sharded
+        .run_plan(queries, plan, threads, &Telemetry::disabled())
+        .unwrap()
+}
+
+/// Plans the batch at `params` through the engine pipeline and runs that
+/// plan.
+fn search(
+    sharded: &ShardedIndex,
+    queries: &VectorSet,
+    params: &SearchParams,
+    threads: usize,
+) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+    let plan = plan_uniform(
+        sharded,
+        queries,
+        &QuerySpec::from(params),
+        &PlanOptions::default(),
+        &Telemetry::disabled(),
+    );
+    run(sharded, queries, &plan, threads)
 }
 
 #[test]
@@ -57,7 +91,7 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
         // The oracle: one in-RAM shard, one worker — plain serial
         // cluster-major execution.
         let oracle = ShardedIndex::from_index(&index, 1);
-        let (want, want_stats) = oracle.search_batch(&queries, &params, 1).unwrap();
+        let (want, want_stats) = search(&oracle, &queries, &params, 1);
         // Results must also agree with plain query-major search.
         for (qi, &row) in rows.iter().enumerate() {
             assert_eq!(want[qi], index.search(data.row(row), &params), "oracle");
@@ -78,7 +112,7 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
             // live state immediately before running.
             let plan = plan_uniform(&tiered, &queries, &spec, &PlanOptions::default(), &tel);
             let predicted = tiered.price(&plan);
-            let (got, stats) = tiered.search_batch(&queries, &params, threads).unwrap();
+            let (got, stats) = run(&tiered, &queries, &plan, threads);
             assert_eq!(
                 got, want,
                 "{metric:?} k*={kstar} shards={shards} threads={threads}: results diverged"
@@ -126,13 +160,11 @@ fn ram_sharding_is_thread_and_shard_count_invariant() {
             ..SearchParams::default()
         };
         let queries = data.gather(&(0..12).map(|i| i * 33 % 420).collect::<Vec<_>>());
-        let (want, want_stats) = ShardedIndex::from_index(&index, 1)
-            .search_batch(&queries, &params, 1)
-            .unwrap();
+        let (want, want_stats) = search(&ShardedIndex::from_index(&index, 1), &queries, &params, 1);
         let shards = rng.usize(2..6);
         let sharded = ShardedIndex::from_index(&index, shards);
         for threads in [1usize, 2, 4, 8] {
-            let (got, stats) = sharded.search_batch(&queries, &params, threads).unwrap();
+            let (got, stats) = search(&sharded, &queries, &params, threads);
             assert_eq!(got, want, "shards={shards} threads={threads}");
             assert_eq!(stats.batch, want_stats.batch, "shards={shards}");
         }

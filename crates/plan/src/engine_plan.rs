@@ -142,9 +142,6 @@ pub struct ShardedBatchPlan {
     pub b: usize,
     /// Top-k entries returned per query.
     pub k: usize,
-    /// The `nprobe` the visitor lists were derived with (carried so an
-    /// executor can re-derive the identical lists).
-    pub nprobe: usize,
     /// Predicted storage-tier split, from replaying each tiered shard's
     /// cache simulation at plan time (all-zero for all-RAM shards).
     pub predicted_tier: TierTraffic,

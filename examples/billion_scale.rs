@@ -139,9 +139,18 @@ fn main() {
         "\nscaled-down tiered execution: N={n}, {shards} shards, \
          {total_code_bytes} code bytes, {cache_per_shard} B cache/shard"
     );
-    let oracle = ShardedIndex::from_index(&index, 1);
-    let (want, _) = oracle.search_batch(&queries, &params, 1).unwrap();
     let spec = QuerySpec::from(&params);
+    let oracle = ShardedIndex::from_index(&index, 1);
+    let (_, _, oracle_run) = run_pipeline(
+        &oracle,
+        &queries,
+        &spec,
+        &PlanOptions::default(),
+        1,
+        &Telemetry::disabled(),
+    )
+    .expect("the RAM oracle's measured traffic diverged from its prediction");
+    let want = oracle_run.results;
     for batch in 0..3 {
         // The engine pipeline: plan and price against the live cache
         // state, execute, then verify predicted == measured — cache vs

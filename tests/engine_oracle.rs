@@ -4,13 +4,17 @@
 //! ([`IvfPqIndex::search`], or [`IvfPqIndex::search_two_phase`] under a
 //! re-rank policy), bit for bit; `verify()` must hold (predicted ==
 //! measured per component); and results plus [`MeasuredTraffic`] must be
-//! identical at 1, 2, 4 and 8 threads. Across {L2, IP} × {k* = 16, 256}.
+//! identical at 1, 2, 4 and 8 threads. Across {L2, IP} × {k* = 16, 256};
+//! the tiered case adds the storage tier (cold, then warm) to all three.
 
-use anna::engine::{run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine};
+use anna::engine::{
+    plan_uniform, run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine,
+};
 use anna::index::{
     BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
     ShardedIndex,
 };
+use anna::plan::EnginePlan;
 use anna::vector::{Metric, Neighbor, VectorSet};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -222,4 +226,121 @@ fn sharded_engine_matches_the_query_at_a_time_oracle() {
             }
         }
     });
+}
+
+/// The tiered invariant, owned by tier-1: shard segments on storage behind
+/// caches holding half the code bytes, one batch run twice — cold, then
+/// warm — on freshly opened shards per thread count. Both runs return the
+/// oracle's results, `verify()` holds with the tier split included, and
+/// the pair of [`MeasuredTraffic`]s (tier included) is thread-invariant.
+#[test]
+fn tiered_engine_matches_the_oracle_cold_and_warm() {
+    forall("tiered engine == oracle", 3, |rng: &mut TestRng| {
+        let salt = rng.usize(0..1000);
+        let shards = rng.usize(2..5);
+        let nprobe = rng.usize(3..7);
+        let k = rng.usize(4..20);
+        let spec = QuerySpec { k, scope: nprobe };
+        let tel = Telemetry::disabled();
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            for kstar in [16usize, 256] {
+                let label = format!("tiered x{shards}/{metric:?}/k*={kstar}");
+                let (data, index) = build(metric, kstar, salt, 12);
+                let params = SearchParams {
+                    nprobe,
+                    k,
+                    ..Default::default()
+                };
+                let queries = sample(&data, 10, salt);
+                let want: Vec<Vec<Neighbor>> =
+                    queries.iter().map(|q| index.search(q, &params)).collect();
+                let dir = std::env::temp_dir().join(format!(
+                    "anna_engine_oracle_{}_{salt}_{metric:?}_{kstar}",
+                    std::process::id()
+                ));
+                let paths = ShardedIndex::write_shard_segments(&index, shards, &dir).unwrap();
+                let cache_per_shard = index.stats().code_bytes / 2 / shards as u64;
+
+                let mut serial: Option<[MeasuredTraffic; 2]> = None;
+                for threads in [1usize, 2, 4, 8] {
+                    let tiered = ShardedIndex::open_tiered(&paths, cache_per_shard).unwrap();
+                    let engine: &dyn SearchEngine = &tiered;
+                    let measured = ["cold", "warm"].map(|pass| {
+                        let (_, _, run) = run_pipeline(
+                            engine,
+                            &queries,
+                            &spec,
+                            &PlanOptions::default(),
+                            threads,
+                            &tel,
+                        )
+                        .unwrap_or_else(|e| {
+                            panic!("{label}/t={threads}/{pass}: verify failed: {e}")
+                        });
+                        assert_eq!(run.results, want, "{label}/t={threads}/{pass}");
+                        run.measured
+                    });
+                    let [cold, warm] = measured.map(|m| m.tier.expect("sharded engines measure"));
+                    assert_eq!(cold.cache_hits, 0, "{label}: a cold cache hit");
+                    assert!(warm.cache_hits > 0, "{label}: the warm pass never hit");
+                    assert_eq!(
+                        measured,
+                        *serial.get_or_insert(measured),
+                        "{label}/t={threads}: traffic differs from t=1"
+                    );
+                }
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+    });
+}
+
+/// True by construction since both executors feed one round loop: a
+/// 1-shard RAM [`ShardedIndex`] and [`BatchedScan::run_plan`], handed the
+/// same unbounded cluster-major schedule, return identical results and
+/// [`anna::index::BatchStats`] and do identical kernel work.
+#[test]
+fn one_shard_schedule_runs_identically_on_both_executors() {
+    for metric in [Metric::L2, Metric::InnerProduct] {
+        for kstar in [16usize, 256] {
+            let (data, index) = build(metric, kstar, 7, 11);
+            let queries = sample(&data, 16, 3);
+            let spec = QuerySpec { k: 9, scope: 5 };
+            let sharded = ShardedIndex::from_index(&index, 1);
+            let plan = plan_uniform(
+                &sharded,
+                &queries,
+                &spec,
+                &PlanOptions::default(),
+                &Telemetry::disabled(),
+            );
+            let EnginePlan::Sharded(plan) = &plan else {
+                panic!("sharded engine planned a {} batch", plan.engine());
+            };
+            let params = SearchParams {
+                k: spec.k,
+                ..Default::default()
+            };
+            let (batched_tel, sharded_tel) = (Telemetry::enabled(), Telemetry::enabled());
+            let (batched, batched_stats) = BatchedScan::new(&index).run_plan(
+                &queries,
+                &params,
+                &plan.per_shard[0].1,
+                1,
+                &batched_tel,
+            );
+            let (got, stats) = sharded.run_plan(&queries, plan, 1, &sharded_tel).unwrap();
+            assert_eq!(got, batched, "{metric:?}/k*={kstar}: results");
+            assert_eq!(stats.batch, batched_stats, "{metric:?}/k*={kstar}: stats");
+            let count = |tel: &Telemetry, key| tel.registry().expect("enabled").counter(key).get();
+            assert!(count(&batched_tel, "kernel.codes_scanned") > 0);
+            for key in ["kernel.codes_scanned", "kernel.pruned"] {
+                assert_eq!(
+                    count(&sharded_tel, key),
+                    count(&batched_tel, key),
+                    "{metric:?}/k*={kstar}: {key}"
+                );
+            }
+        }
+    }
 }
