@@ -1,8 +1,8 @@
-//! Microbenchmark comparing the three timing engines' own runtimes (the
-//! cost of simulation, not of ANNA): analytic is O(W), event-driven is
-//! O(rounds), cycle-stepped is O(simulated cycles).
+//! Microbenchmark comparing the two timing engines' own runtimes (the
+//! cost of simulation, not of ANNA): analytic is O(W) closed form,
+//! event-driven is O(W) events.
 
-use anna_core::engine::{analytic, cycle, stepped};
+use anna_core::engine::{analytic, cycle};
 use anna_core::{AnnaConfig, QueryWorkload, SearchShape};
 use anna_vector::Metric;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -30,10 +30,6 @@ fn engine_costs(c: &mut Criterion) {
     });
     group.bench_function("event_driven", |b| {
         b.iter(|| cycle::single_query(&cfg, &q, 16))
-    });
-    group.sample_size(10);
-    group.bench_function("cycle_stepped", |b| {
-        b.iter(|| stepped::single_query(&cfg, &q, 16))
     });
     group.finish();
 }

@@ -1,26 +1,418 @@
 //! The functional accelerator: ANNA running against a real index.
 //!
-//! [`Anna`] binds an [`AnnaConfig`] to an [`IvfPqIndex`] and executes
-//! searches through the hardware module models of [`crate::modules`] —
-//! the CPM filters clusters and fills f16 lookup tables, the EFM fetches
-//! and unpacks codes in buffer-sized segments, and SCMs reduce and select
-//! through P-heap top-k units with real spill/fill — while producing a
-//! [`TimingReport`] from the timing engines for the same workload.
-//! Results are therefore *bit-faithful to the hardware datapath* and
-//! timing is consistent with what the paper's cycle-level simulator would
-//! report.
+//! The datapath is written once — the CPM filters clusters and fills f16
+//! lookup tables, the EFM fetches and unpacks codes, and SCM groups reduce
+//! and select through P-heap top-k units — as two short drivers over it:
+//! the baseline single-query pipeline (`search_one`) and the
+//! memory-traffic-optimized Section IV schedule (`search_batch`), which
+//! executes a [`BatchPlan`](anna_plan::BatchPlan) exactly as the plan
+//! prices it. Both are generic over a private `Store`: *where the
+//! accelerator's state lives*. [`Anna`] runs them over the host's index
+//! structures; [`crate::device::Device`] runs the very same code over a
+//! byte-accurate DRAM image. Results are therefore *bit-faithful to the
+//! hardware datapath*, and each run returns the [`TimingReport`] the
+//! analytic engine prices for the same workload.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+use anna_index::ivf::Cluster;
 use anna_index::{IvfPqIndex, Lut};
 use anna_plan::ScmAllocation;
+use anna_quant::pq::PqCodebook;
 use anna_telemetry::Telemetry;
 use anna_vector::{f16, metric, Metric, Neighbor, VectorSet};
 
 use crate::config::{AnnaConfig, ValidateConfigError};
 use crate::engine::analytic;
 use crate::modules::crossbar::{Crossbar, Routing};
+use crate::modules::scm::ScmStats;
 use crate::modules::{Cpm, Efm, Scm};
 use crate::pheap::{PHeap, PHeapStats};
 use crate::timing::{BatchWorkload, QueryWorkload, SearchShape, TimingReport};
+
+/// Where the accelerator's off-chip state lives: the model the host
+/// uploaded (centroids, cluster codes and ids; the codebook sits in
+/// on-chip SRAM either way), the per-(query, partition) top-k spill slots,
+/// and the result records. The datapath reads and writes only through
+/// this, so a store decides a *format* — host structures or DRAM bytes —
+/// and nothing about the schedule.
+pub(crate) trait Store {
+    /// The similarity metric the model was built for.
+    fn metric(&self) -> Metric;
+    /// The PQ codebook (on-chip SRAM contents).
+    fn codebook(&self) -> &PqCodebook;
+    /// The centroid table as the CPM reads it.
+    fn centroids(&self) -> &VectorSet;
+    /// `|C_i|` for every cluster, as the cluster metadata records it.
+    fn cluster_sizes(&self) -> Vec<usize>;
+    /// Cluster `cid`'s packed codes and ids, as the EFM reads them.
+    fn cluster(&self, cid: usize) -> Cow<'_, Cluster>;
+    /// Writes one SCM partition's partial top-k records to its spill slot.
+    fn spill(&mut self, query: usize, part: usize, records: Vec<Neighbor>);
+    /// Reads a spill slot back.
+    fn fill(&mut self, query: usize, part: usize) -> Vec<Neighbor>;
+    /// Stores a finished query's result records and returns them as the
+    /// host reads them back.
+    fn store_result(&mut self, query: usize, records: Vec<Neighbor>) -> Vec<Neighbor>;
+}
+
+/// The store behind [`Anna`]: the index's own structures, with spill slots
+/// held as record vectors.
+struct HostStore<'a> {
+    index: &'a IvfPqIndex,
+    spilled: HashMap<(usize, usize), Vec<Neighbor>>,
+}
+
+impl<'a> HostStore<'a> {
+    fn new(index: &'a IvfPqIndex) -> Self {
+        Self {
+            index,
+            spilled: HashMap::new(),
+        }
+    }
+}
+
+impl Store for HostStore<'_> {
+    fn metric(&self) -> Metric {
+        self.index.metric()
+    }
+    fn codebook(&self) -> &PqCodebook {
+        self.index.codebook()
+    }
+    fn centroids(&self) -> &VectorSet {
+        self.index.centroids()
+    }
+    fn cluster_sizes(&self) -> Vec<usize> {
+        self.index.cluster_sizes()
+    }
+    fn cluster(&self, cid: usize) -> Cow<'_, Cluster> {
+        Cow::Borrowed(self.index.cluster(cid))
+    }
+    fn spill(&mut self, query: usize, part: usize, records: Vec<Neighbor>) {
+        self.spilled.insert((query, part), records);
+    }
+    fn fill(&mut self, query: usize, part: usize) -> Vec<Neighbor> {
+        self.spilled
+            .remove(&(query, part))
+            .expect("fill of a slot that was never spilled")
+    }
+    fn store_result(&mut self, _query: usize, records: Vec<Neighbor>) -> Vec<Neighbor> {
+        records
+    }
+}
+
+/// A cluster staged in the encoded-vector buffer: unpacked identifier rows
+/// plus the ids they belong to. Stays valid across the rounds of one
+/// cluster, so only the first of them fetches.
+struct Buffered {
+    ids: Vec<u64>,
+    rows: Vec<Vec<u8>>,
+}
+
+/// The on-chip modules of one run over a [`Store`], plus the counters of
+/// the per-round SCM groups (whose instances are throwaways).
+struct Datapath<'a, S: Store> {
+    cfg: &'a AnnaConfig,
+    store: &'a mut S,
+    k: usize,
+    cpm: Cpm,
+    efm: Efm,
+    scm: ScmStats,
+    pheap: PHeapStats,
+}
+
+impl<'a, S: Store> Datapath<'a, S> {
+    fn new(cfg: &'a AnnaConfig, store: &'a mut S, k: usize) -> Self {
+        Self {
+            cpm: Cpm::new(cfg.n_cu),
+            efm: Efm::new(cfg.encoded_buffer_bytes),
+            scm: ScmStats::default(),
+            pheap: PHeapStats::default(),
+            cfg,
+            store,
+            k,
+        }
+    }
+
+    /// CPM Mode 1 with the hardware's f16 score compare.
+    fn filter(&mut self, q: &[f32], w: usize) -> Vec<usize> {
+        let (centroids, metric) = (self.store.centroids(), self.store.metric());
+        self.cpm.filter_clusters(q, centroids, metric, w)
+    }
+
+    /// The cluster-invariant inner-product base LUT (none under L2, whose
+    /// tables depend on the residual).
+    fn ip_base(&mut self, q: &[f32]) -> Option<Lut> {
+        match self.store.metric() {
+            Metric::InnerProduct => Some(self.cpm.build_ip_lut(q, self.store.codebook())),
+            Metric::L2 => None,
+        }
+    }
+
+    /// The LUT for (`q`, cluster `cid`) through the CPM (f16 entries,
+    /// f16-rounded inner-product bias).
+    fn lut(&mut self, ip_base: Option<&Lut>, q: &[f32], cid: usize) -> Lut {
+        let centroid = self.store.centroids().row(cid);
+        match ip_base {
+            Some(base) => base.with_bias(f16::round_trip(metric::dot(q, centroid))),
+            None => self.cpm.build_l2_lut(q, centroid, self.store.codebook()),
+        }
+    }
+
+    /// Pulls cluster `cid` through the EFM into the encoded-vector buffer.
+    fn fetch(&mut self, cid: usize) -> Buffered {
+        let cluster = self.store.cluster(cid);
+        let rows = self
+            .efm
+            .fetch(&cluster)
+            .into_iter()
+            .flat_map(|(_, rows)| rows)
+            .collect();
+        Buffered {
+            ids: cluster.ids.clone(),
+            rows,
+        }
+    }
+
+    /// A fresh group of `g` SCMs, after checking the crossbar can realize
+    /// the buffer→SCM routing for that partition count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or larger than the silicon's top-k units.
+    fn scm_group(&self, g: usize) -> Vec<Scm> {
+        assert!(self.k > 0, "k must be positive");
+        assert!(
+            self.k <= self.cfg.topk,
+            "k={} exceeds the top-k unit's {} entries",
+            self.k,
+            self.cfg.topk
+        );
+        let xb = Crossbar::paper(self.cfg.n_scm);
+        let routing = if g == 1 {
+            Routing::Broadcast
+        } else {
+            Routing::Partition { stripes: g }
+        };
+        let routes = xb.route(routing).expect("allocation divides N_SCM");
+        xb.verify(&routes)
+            .expect("crossbar routing is conflict-free");
+        (0..g).map(|_| Scm::new(self.cfg.n_u, self.k)).collect()
+    }
+
+    /// Scans the buffered cluster, striped across the group's SCMs.
+    fn scan(&self, scms: &mut [Scm], buf: &Buffered, lut: &Lut) {
+        let len = buf.ids.len();
+        let chunk = len.div_ceil(scms.len()).max(1);
+        for (part, scm) in scms.iter_mut().enumerate() {
+            let (lo, hi) = ((part * chunk).min(len), ((part + 1) * chunk).min(len));
+            scm.scan(&buf.rows[lo..hi], &buf.ids[lo..hi], lut);
+        }
+    }
+
+    /// Folds a group's counters before its instances drop.
+    fn retire(&mut self, scms: &mut [Scm]) {
+        for scm in scms {
+            let s = scm.stats();
+            self.scm.cycles += s.cycles;
+            self.scm.vectors_scored += s.vectors_scored;
+            self.scm.lut_reads += s.lut_reads;
+            self.pheap.accumulate(&scm.topk_mut().stats());
+        }
+    }
+
+    /// Merges a finished query's partitions into its result records and
+    /// retires the group.
+    fn finish(&mut self, mut scms: Vec<Scm>) -> Vec<Neighbor> {
+        let mut merged = PHeap::new(self.k);
+        for scm in &mut scms {
+            merged.merge_from(scm.topk_mut());
+        }
+        self.retire(&mut scms);
+        self.pheap.accumulate(&merged.stats());
+        merged.drain_sorted()
+    }
+
+    /// The batch workload (visit lists) for a query set, filtered by the
+    /// CPM so the plan matches what the silicon would select.
+    fn workload(&mut self, queries: &VectorSet, w: usize) -> BatchWorkload {
+        BatchWorkload {
+            shape: shape_of(self.store, self.k),
+            cluster_sizes: self.store.cluster_sizes(),
+            visits: queries.iter().map(|q| self.filter(q, w)).collect(),
+        }
+    }
+
+    /// Bridges the module counters into `tel` (commutative sums, so the
+    /// totals are schedule-invariant).
+    fn report(&self, tel: &Telemetry) {
+        let cpm = self.cpm.stats();
+        tel.counter_add("cpm.cycles", cpm.cycles as u64);
+        tel.counter_add("cpm.madds", cpm.madds);
+        tel.counter_add("cpm.luts_built", cpm.luts_built);
+        let efm = self.efm.stats();
+        tel.counter_add("efm.clusters_fetched", efm.clusters_fetched);
+        tel.counter_add("efm.code_bytes", efm.code_bytes);
+        tel.counter_add("efm.meta_bytes", efm.meta_bytes);
+        tel.counter_add("efm.identifiers_unpacked", efm.identifiers_unpacked);
+        tel.counter_add("efm.segments", efm.segments);
+        tel.counter_add("scm.cycles", self.scm.cycles as u64);
+        tel.counter_add("scm.vectors_scored", self.scm.vectors_scored);
+        tel.counter_add("scm.lut_reads", self.scm.lut_reads);
+        tel.counter_add("pheap.inputs", self.pheap.inputs);
+        tel.counter_add("pheap.accepted", self.pheap.accepted);
+        tel.counter_add("pheap.spills", self.pheap.spills);
+        tel.counter_add("pheap.spill_bytes", self.pheap.spill_bytes);
+        tel.counter_add("pheap.fills", self.pheap.fills);
+        tel.counter_add("pheap.fill_bytes", self.pheap.fill_bytes);
+    }
+}
+
+fn shape_of(store: &impl Store, k: usize) -> SearchShape {
+    let (book, centroids) = (store.codebook(), store.centroids());
+    SearchShape {
+        d: centroids.dim(),
+        m: book.m(),
+        kstar: book.kstar(),
+        metric: store.metric(),
+        num_clusters: centroids.len(),
+        k,
+    }
+}
+
+/// One query through the baseline pipeline: filter, then for each of the
+/// `w` selected clusters build its LUT, fetch it and scan it with all
+/// `N_SCM` SCMs as one group (the paper's latency configuration), whose
+/// top-k state stays on-chip until the final merge and result store.
+///
+/// # Panics
+///
+/// Panics if `q` mismatches the model's dimension or `k` is out of range.
+pub(crate) fn search_one<S: Store>(
+    cfg: &AnnaConfig,
+    store: &mut S,
+    q: &[f32],
+    w: usize,
+    k: usize,
+) -> (Vec<Neighbor>, TimingReport) {
+    let mut dp = Datapath::new(cfg, store, k);
+    let selected = dp.filter(q, w);
+    let ip_base = dp.ip_base(q);
+    let g = cfg.n_scm;
+    let mut scms = dp.scm_group(g);
+    let mut visited_cluster_sizes = Vec::with_capacity(selected.len());
+    for &cid in &selected {
+        let lut = dp.lut(ip_base.as_ref(), q, cid);
+        let buf = dp.fetch(cid);
+        dp.scan(&mut scms, &buf, &lut);
+        visited_cluster_sizes.push(buf.ids.len());
+    }
+    let records = dp.finish(scms);
+    let hits = dp.store.store_result(0, records);
+    let workload = QueryWorkload {
+        shape: shape_of(dp.store, k),
+        visited_cluster_sizes,
+    };
+    (hits, analytic::single_query(cfg, &workload, g))
+}
+
+/// A batch under the memory-traffic-optimized schedule (Section IV),
+/// honouring the plan it prices: a cluster is fetched only by the round
+/// that `fetches_codes` and its unpacked rows serve every query and
+/// partition until the next fetch; a query's SCM group fills from its
+/// spill slots only when resuming, spills only if it will resume, and on
+/// its last round merges and stores the result.
+///
+/// When `tel` is enabled, the stages are timed as spans (`accel.plan`,
+/// `accel.rounds` with one `accel.round` trace event per round, one
+/// `accel.merge` per query) and the module counters are bridged into the
+/// snapshot as `cpm.*` / `efm.*` / `scm.*` / `pheap.*`.
+///
+/// # Panics
+///
+/// Panics if dimensions mismatch or `k` is out of range.
+pub(crate) fn search_batch<S: Store>(
+    cfg: &AnnaConfig,
+    store: &mut S,
+    queries: &VectorSet,
+    w: usize,
+    k: usize,
+    alloc: ScmAllocation,
+    tel: &Telemetry,
+) -> (Vec<Vec<Neighbor>>, TimingReport) {
+    let mut dp = Datapath::new(cfg, store, k);
+    assert_eq!(
+        queries.dim(),
+        dp.store.centroids().dim(),
+        "query dimension mismatch"
+    );
+    let workload = {
+        let _span = tel.span("accel.plan");
+        dp.workload(queries, w)
+    };
+    let plan = anna_plan::plan(&cfg.plan_params(), &workload, alloc);
+    let g = plan.scm_per_query;
+    let record = cfg.topk_record_bytes;
+    let timed = tel.is_enabled();
+    let ip_bases: Vec<Option<Lut>> = queries.iter().map(|q| dp.ip_base(q)).collect();
+
+    // The plan's own resume rule (`BatchPlan::round_topk_units`): a query
+    // fills in every round after its first and spills in every round
+    // before its last.
+    let mut rounds_left = vec![0usize; queries.len()];
+    for &qi in plan.rounds.iter().flat_map(|r| &r.queries) {
+        rounds_left[qi] += 1;
+    }
+    let mut resuming = vec![false; queries.len()];
+    let mut results = vec![Vec::new(); queries.len()];
+    let mut buffered = None;
+
+    let rounds_span = tel.span("accel.rounds");
+    for round in &plan.rounds {
+        let start = if timed { tel.now_ns() } else { 0 };
+        if round.fetches_codes {
+            buffered = Some(dp.fetch(round.cluster));
+        }
+        let buf = buffered
+            .as_ref()
+            .expect("a cluster's first round fetches its codes");
+        for &qi in &round.queries {
+            let lut = dp.lut(ip_bases[qi].as_ref(), queries.row(qi), round.cluster);
+            let mut scms = dp.scm_group(g);
+            if resuming[qi] {
+                for (part, scm) in scms.iter_mut().enumerate() {
+                    scm.fill(&dp.store.fill(qi, part), record);
+                }
+            }
+            dp.scan(&mut scms, buf, &lut);
+            rounds_left[qi] -= 1;
+            if rounds_left[qi] > 0 {
+                for (part, scm) in scms.iter_mut().enumerate() {
+                    dp.store.spill(qi, part, scm.spill(record));
+                }
+                resuming[qi] = true;
+                dp.retire(&mut scms);
+            } else {
+                let _span = tel.span("accel.merge");
+                let records = dp.finish(scms);
+                results[qi] = dp.store.store_result(qi, records);
+            }
+        }
+        if timed {
+            let dur = tel.now_ns().saturating_sub(start);
+            tel.trace_event_ns("accel.round", round.cluster as u64, start, dur);
+        }
+    }
+    drop(rounds_span);
+    if timed {
+        dp.report(tel);
+    }
+
+    // Price timing off the very plan just executed, so the report's
+    // traffic matches the functional run's schedule exactly.
+    (results, analytic::batch_plan(cfg, &workload, &plan))
+}
 
 /// ANNA bound to a database index.
 ///
@@ -75,69 +467,7 @@ impl<'a> Anna<'a> {
 
     /// The timing shape for a top-`k` search against this index.
     pub fn shape(&self, k: usize) -> SearchShape {
-        SearchShape {
-            d: self.index.dim(),
-            m: self.index.codebook().m(),
-            kstar: self.index.codebook().kstar(),
-            metric: self.index.metric(),
-            num_clusters: self.index.num_clusters(),
-            k,
-        }
-    }
-
-    /// Builds the LUT for cluster `cid` through the CPM (f16 entries,
-    /// f16-rounded inner-product bias).
-    fn cpm_lut(&self, cpm: &mut Cpm, ip_base: Option<&Lut>, q: &[f32], cid: usize) -> Lut {
-        match self.index.metric() {
-            Metric::InnerProduct => {
-                let base = ip_base.expect("inner-product base LUT built up front");
-                let bias = f16::round_trip(metric::dot(q, self.index.centroids().row(cid)));
-                base.with_bias(bias)
-            }
-            Metric::L2 => {
-                cpm.build_l2_lut(q, self.index.centroids().row(cid), self.index.codebook())
-            }
-        }
-    }
-
-    /// Scans one cluster through the EFM into `g` SCM partitions, after
-    /// checking the crossbar can realize the buffer→SCM routing
-    /// (broadcast for `g = N_SCM` single-partition groups is a
-    /// special case of striping).
-    fn scan_cluster(&self, efm: &mut Efm, scms: &mut [Scm], cid: usize, lut: &Lut) {
-        let cluster = self.index.cluster(cid);
-        if cluster.is_empty() {
-            return;
-        }
-        let g = scms.len();
-        if self.cfg.n_scm.is_multiple_of(g) {
-            // Validate the physical routing for this partition count.
-            let xb = Crossbar::paper(self.cfg.n_scm);
-            let routing = if g == 1 {
-                Routing::Broadcast
-            } else {
-                Routing::Partition { stripes: g }
-            };
-            let routes = xb.route(routing).expect("allocation divides N_SCM");
-            xb.verify(&routes)
-                .expect("crossbar routing is conflict-free");
-        }
-        let len = cluster.len();
-        let chunk = len.div_ceil(g).max(1);
-        for (seg_start, rows) in efm.fetch(cluster) {
-            let seg_end = seg_start + rows.len();
-            for (part, scm) in scms.iter_mut().enumerate() {
-                let lo = (part * chunk).clamp(seg_start, seg_end);
-                let hi = ((part + 1) * chunk).clamp(seg_start, seg_end);
-                if lo < hi {
-                    scm.scan(
-                        &rows[lo - seg_start..hi - seg_start],
-                        &cluster.ids[lo..hi],
-                        lut,
-                    );
-                }
-            }
-        }
+        shape_of(&HostStore::new(self.index), k)
     }
 
     /// Runs one query in baseline mode, visiting the `w` most similar
@@ -147,55 +477,18 @@ impl<'a> Anna<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `q.len() != index.dim()` or `k == 0`.
+    /// Panics if `q.len() != index.dim()`, `k == 0` or `k` exceeds the
+    /// configured top-k capacity.
     pub fn search(&self, q: &[f32], w: usize, k: usize) -> (Vec<Neighbor>, TimingReport) {
-        assert!(k > 0, "k must be positive");
-        let mut cpm = Cpm::new(self.cfg.n_cu);
-        let mut efm = Efm::new(self.cfg.encoded_buffer_bytes);
-        let selected = cpm.filter_clusters(q, self.index.centroids(), self.index.metric(), w);
-
-        let ip_base = match self.index.metric() {
-            Metric::InnerProduct => Some(cpm.build_ip_lut(q, self.index.codebook())),
-            Metric::L2 => None,
-        };
-
-        let g = self.cfg.n_scm;
-        let mut scms: Vec<Scm> = (0..g).map(|_| Scm::new(self.cfg.n_u, k)).collect();
-        for &cid in &selected {
-            let lut = self.cpm_lut(&mut cpm, ip_base.as_ref(), q, cid);
-            self.scan_cluster(&mut efm, &mut scms, cid, &lut);
-        }
-
-        let mut merged = PHeap::new(k);
-        for scm in &mut scms {
-            merged.merge_from(scm.topk_mut());
-        }
-        let hits = merged.drain_sorted();
-
-        let workload = QueryWorkload {
-            shape: self.shape(k),
-            visited_cluster_sizes: selected
-                .iter()
-                .map(|&c| self.index.cluster(c).len())
-                .collect(),
-        };
-        let timing = analytic::single_query(&self.cfg, &workload, g);
-        (hits, timing)
+        search_one(&self.cfg, &mut HostStore::new(self.index), q, w, k)
     }
 
     /// Builds the batch workload (visit lists) for a query set, using the
     /// CPM's hardware filtering (f16 score compare) so the plan matches
     /// what the silicon would select.
     pub fn plan_batch(&self, queries: &VectorSet, w: usize, k: usize) -> BatchWorkload {
-        let mut cpm = Cpm::new(self.cfg.n_cu);
-        BatchWorkload {
-            shape: self.shape(k),
-            cluster_sizes: self.index.cluster_sizes(),
-            visits: queries
-                .iter()
-                .map(|q| cpm.filter_clusters(q, self.index.centroids(), self.index.metric(), w))
-                .collect(),
-        }
+        let mut store = HostStore::new(self.index);
+        Datapath::new(&self.cfg, &mut store, k).workload(queries, w)
     }
 
     /// Runs a batch under the memory-traffic-optimized schedule
@@ -204,7 +497,8 @@ impl<'a> Anna<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if dimensions mismatch or `k == 0`.
+    /// Panics if dimensions mismatch, `k == 0` or `k` exceeds the
+    /// configured top-k capacity.
     pub fn search_batch(
         &self,
         queries: &VectorSet,
@@ -215,20 +509,16 @@ impl<'a> Anna<'a> {
         self.search_batch_traced(queries, w, k, alloc, &Telemetry::disabled())
     }
 
-    /// [`Anna::search_batch`] with a telemetry sink.
-    ///
-    /// When `tel` is enabled, the schedule stages are timed as spans
-    /// (`accel.plan`, `accel.rounds` with one `accel.round` trace event
-    /// per scheduled round, `accel.merge`) and the hardware module
-    /// counters are bridged into the snapshot: `cpm.*` / `efm.*` /
-    /// `scm.*` activity plus the [`PHeapStats`] of every top-k unit the
-    /// batch touched, accumulated commutatively across rounds and the
-    /// final merge into `pheap.*` counters. Results are bit-identical to
-    /// the uninstrumented run.
+    /// [`Anna::search_batch`] with a telemetry sink: stage spans
+    /// (`accel.plan`, `accel.rounds`, `accel.round`, `accel.merge`) and
+    /// the hardware module counters (`cpm.*` / `efm.*` / `scm.*` /
+    /// `pheap.*`), which equal what the executed plan prices. Results are
+    /// bit-identical to the uninstrumented run.
     ///
     /// # Panics
     ///
-    /// Panics if dimensions mismatch or `k == 0`.
+    /// Panics if dimensions mismatch, `k == 0` or `k` exceeds the
+    /// configured top-k capacity.
     pub fn search_batch_traced(
         &self,
         queries: &VectorSet,
@@ -237,134 +527,8 @@ impl<'a> Anna<'a> {
         alloc: ScmAllocation,
         tel: &Telemetry,
     ) -> (Vec<Vec<Neighbor>>, TimingReport) {
-        assert!(k > 0, "k must be positive");
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        let workload = {
-            let _span = tel.span("accel.plan");
-            self.plan_batch(queries, w, k)
-        };
-        let plan = anna_plan::plan(&self.cfg.plan_params(), &workload, alloc);
-        let g = plan.scm_per_query;
-        let record = self.cfg.topk_record_bytes;
-        let timed = tel.is_enabled();
-        let mut pheap_total = PHeapStats::default();
-        let (mut scm_cycles, mut scm_vectors, mut scm_lut_reads) = (0.0f64, 0u64, 0u64);
-
-        let mut cpm = Cpm::new(self.cfg.n_cu);
-        let mut efm = Efm::new(self.cfg.encoded_buffer_bytes);
-
-        // Cluster-invariant inner-product base LUTs, one per query.
-        let ip_bases: Option<Vec<Lut>> = match self.index.metric() {
-            Metric::InnerProduct => Some(
-                queries
-                    .iter()
-                    .map(|q| cpm.build_ip_lut(q, self.index.codebook()))
-                    .collect(),
-            ),
-            Metric::L2 => None,
-        };
-
-        // Spilled partial top-k state per query: one record set per SCM
-        // partition.
-        let b = queries.len();
-        let mut spilled: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); b];
-
-        {
-            let _span = tel.span("accel.rounds");
-            for round in &plan.rounds {
-                let start = if timed { tel.now_ns() } else { 0 };
-                for &qi in &round.queries {
-                    let q = queries.row(qi);
-                    let lut = self.cpm_lut(
-                        &mut cpm,
-                        ip_bases.as_ref().map(|v| &v[qi]),
-                        q,
-                        round.cluster,
-                    );
-                    // Fill partial units from memory (or start empty).
-                    let mut scms: Vec<Scm> = if spilled[qi].is_empty() {
-                        (0..g).map(|_| Scm::new(self.cfg.n_u, k)).collect()
-                    } else {
-                        spilled[qi]
-                            .drain(..)
-                            .map(|records| {
-                                let mut scm = Scm::new(self.cfg.n_u, k);
-                                scm.fill(&records, record);
-                                scm
-                            })
-                            .collect()
-                    };
-                    self.scan_cluster(&mut efm, &mut scms, round.cluster, &lut);
-                    // Spill back to memory for the query's next round.
-                    spilled[qi] = scms.iter_mut().map(|s| s.spill(record)).collect();
-                    if timed {
-                        // The SCM instances are per-round throwaways; fold
-                        // their counters before they drop (commutative, so
-                        // the totals are schedule-invariant).
-                        for scm in &mut scms {
-                            let s = scm.stats();
-                            scm_cycles += s.cycles;
-                            scm_vectors += s.vectors_scored;
-                            scm_lut_reads += s.lut_reads;
-                            pheap_total.accumulate(&scm.topk_mut().stats());
-                        }
-                    }
-                }
-                if timed {
-                    let dur = tel.now_ns().saturating_sub(start);
-                    tel.trace_event_ns("accel.round", round.cluster as u64, start, dur);
-                }
-            }
-        }
-
-        // Final merge per query.
-        let _span = tel.span("accel.merge");
-        let results: Vec<Vec<Neighbor>> = spilled
-            .into_iter()
-            .map(|parts| {
-                let mut merged = PHeap::new(k);
-                for records in parts {
-                    let mut h = PHeap::new(k);
-                    h.fill(&records, record);
-                    if timed {
-                        pheap_total.accumulate(&h.stats());
-                    }
-                    merged.merge_from(&mut h);
-                }
-                if timed {
-                    pheap_total.accumulate(&merged.stats());
-                }
-                merged.drain_sorted()
-            })
-            .collect();
-        drop(_span);
-
-        if timed {
-            let cpm_stats = cpm.stats();
-            tel.counter_add("cpm.cycles", cpm_stats.cycles as u64);
-            tel.counter_add("cpm.madds", cpm_stats.madds);
-            tel.counter_add("cpm.luts_built", cpm_stats.luts_built);
-            let efm_stats = efm.stats();
-            tel.counter_add("efm.clusters_fetched", efm_stats.clusters_fetched);
-            tel.counter_add("efm.code_bytes", efm_stats.code_bytes);
-            tel.counter_add("efm.meta_bytes", efm_stats.meta_bytes);
-            tel.counter_add("efm.identifiers_unpacked", efm_stats.identifiers_unpacked);
-            tel.counter_add("efm.segments", efm_stats.segments);
-            tel.counter_add("scm.cycles", scm_cycles as u64);
-            tel.counter_add("scm.vectors_scored", scm_vectors);
-            tel.counter_add("scm.lut_reads", scm_lut_reads);
-            tel.counter_add("pheap.inputs", pheap_total.inputs);
-            tel.counter_add("pheap.accepted", pheap_total.accepted);
-            tel.counter_add("pheap.spills", pheap_total.spills);
-            tel.counter_add("pheap.spill_bytes", pheap_total.spill_bytes);
-            tel.counter_add("pheap.fills", pheap_total.fills);
-            tel.counter_add("pheap.fill_bytes", pheap_total.fill_bytes);
-        }
-
-        // Price timing off the very plan just executed, so the report's
-        // traffic matches the functional run's schedule exactly.
-        let timing = analytic::batch_plan(&self.cfg, &workload, &plan);
-        (results, timing)
+        let store = &mut HostStore::new(self.index);
+        search_batch(&self.cfg, store, queries, w, k, alloc, tel)
     }
 }
 
@@ -558,34 +722,79 @@ mod tests {
 
     #[test]
     fn traced_batch_bridges_module_counters_without_changing_results() {
+        // Predicted == measured inside the accelerator model: the bridged
+        // module counters equal what the executed plan prices.
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let (data, index) = setup(metric);
+            let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
+            let queries = data.gather(&(0..24).collect::<Vec<_>>());
+            for alloc in [
+                ScmAllocation::InterQuery,
+                ScmAllocation::IntraQuery { scm_per_query: 4 },
+                ScmAllocation::Auto,
+            ] {
+                let tel = Telemetry::enabled();
+                let (traced, timing) = anna.search_batch_traced(&queries, 3, 6, alloc, &tel);
+                let (plain, _) = anna.search_batch(&queries, 3, 6, alloc);
+                assert_eq!(traced, plain, "telemetry must not perturb results");
+
+                let workload = anna.plan_batch(&queries, 3, 6);
+                let plan = anna_plan::plan(&anna.config().plan_params(), &workload, alloc);
+                let (fills, spills) = plan.total_topk_units();
+                assert!(spills > 0, "a multi-round batch must spill");
+                let g = plan.scm_per_query as u64;
+                let luts = match metric {
+                    Metric::L2 => workload.total_visits(),
+                    Metric::InnerProduct => queries.len() as u64,
+                };
+                let traffic = timing.traffic;
+                let scanned = timing.activity.topk_inputs as u64;
+                for (name, expected) in [
+                    ("cpm.luts_built", luts),
+                    ("efm.clusters_fetched", plan.clusters_fetched()),
+                    ("efm.code_bytes", traffic.code_bytes),
+                    ("efm.meta_bytes", traffic.cluster_meta_bytes),
+                    ("scm.vectors_scored", scanned),
+                    ("pheap.spills", spills * g),
+                    ("pheap.fills", fills * g),
+                ] {
+                    let got = tel.registry().unwrap().counter(name).get();
+                    assert_eq!(got, expected, "{metric} {alloc:?}: {name}");
+                }
+                // A partial heap spills fewer records than the full-k unit
+                // the plan prices; every spilled record is filled back.
+                let counter = |name: &str| tel.registry().unwrap().counter(name).get();
+                assert!(counter("pheap.spill_bytes") <= traffic.topk_spill_bytes);
+                assert_eq!(counter("pheap.fill_bytes"), counter("pheap.spill_bytes"));
+                assert!(counter("pheap.inputs") > scanned, "merges offer too");
+                // The CPM meter covers the batched filter as well as the
+                // LUT fills (the timing model charges inner-product fills
+                // per visit, the datapath builds one base table per query).
+                if metric == Metric::L2 {
+                    let metered = counter("cpm.cycles") as f64;
+                    // (The counter truncates to whole cycles.)
+                    assert!((metered - timing.activity.cpm_cycles).abs() < 1.0 + 1e-6);
+                }
+
+                // Stage spans made it onto the timeline.
+                let trace = tel.chrome_trace_json().unwrap();
+                for name in ["accel.plan", "accel.rounds", "accel.round", "accel.merge"] {
+                    assert!(trace.contains(name), "missing {name} span");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the top-k unit")]
+    fn k_beyond_the_topk_unit_is_rejected() {
         let (data, index) = setup(Metric::L2);
-        let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
-        let queries = data.gather(&(0..24).collect::<Vec<_>>());
-        let alloc = ScmAllocation::IntraQuery { scm_per_query: 4 };
-        let tel = Telemetry::enabled();
-        let (traced, _) = anna.search_batch_traced(&queries, 3, 6, alloc, &tel);
-        let (plain, _) = anna.search_batch(&queries, 3, 6, alloc);
-        assert_eq!(traced, plain, "telemetry must not perturb results");
-        let snap = tel.snapshot_json().unwrap();
-        for key in [
-            "\"cpm.cycles\"",
-            "\"cpm.luts_built\"",
-            "\"efm.code_bytes\"",
-            "\"efm.clusters_fetched\"",
-            "\"scm.vectors_scored\"",
-            "\"pheap.inputs\"",
-            "\"pheap.spills\"",
-            "\"pheap.fills\"",
-        ] {
-            assert!(snap.contains(key), "missing {key} in {snap}");
-        }
-        // The batch visits clusters, so the bridged activity is non-zero.
-        assert!(!snap.contains("\"pheap.inputs\":0,"), "{snap}");
-        // Stage spans made it onto the timeline.
-        let trace = tel.chrome_trace_json().unwrap();
-        for name in ["accel.plan", "accel.rounds", "accel.round", "accel.merge"] {
-            assert!(trace.contains(name), "missing {name} span");
-        }
+        let cfg = AnnaConfig {
+            topk: 8,
+            ..AnnaConfig::paper()
+        };
+        let anna = Anna::new(cfg, &index).unwrap();
+        let _ = anna.search(data.row(0), 2, 9);
     }
 
     #[test]

@@ -13,10 +13,9 @@ impl ValidateConfigError {
         Self(format!("ANNA supports k* of 16 and 256, index has {kstar}"))
     }
 
-    /// Wraps an arbitrary validation message (used by other device-side
-    /// checks, e.g. the 3-byte record id range).
-    pub fn message(msg: impl Into<String>) -> Self {
-        Self(msg.into())
+    /// Error for a database whose ids exceed the 3-byte record format.
+    pub fn id_overflow() -> Self {
+        Self("database ids exceed the 3-byte top-k record format (2^24-1)".into())
     }
 }
 

@@ -1,28 +1,36 @@
 //! A functional device emulator: ANNA executing the host protocol against
 //! a byte-accurate DRAM image.
 //!
-//! Where [`crate::accel::Anna`] calls straight into the index structures,
-//! [`Device`] goes the long way the silicon would: the host DMA-writes
-//! centroids (as 2-byte floats), cluster metadata lines and packed codes
-//! into device memory at the addresses planned by
-//! [`crate::host::MemoryLayout`]; a search then *reads everything back out
-//! of those bytes* — metadata line → code base/size → code bytes → unpack
-//! → scan — and deposits 5-byte result records (3 B id + 2 B score,
-//! Section IV-B) in the result region for the host to read.
+//! [`Device`] runs the *same* datapath and schedule as
+//! [`crate::accel::Anna`] — this module holds no search loop — over a
+//! different `Store`: the host DMA-writes centroids (as 2-byte floats),
+//! cluster metadata lines and packed codes into device memory at the
+//! addresses planned by [`crate::host::MemoryLayout`]; a search then
+//! *reads everything back out of those bytes* — metadata line → code
+//! base/size → code bytes → unpack → scan — spills and fills partial top-k
+//! state as 5-byte records in the spill region, and deposits 5-byte result
+//! records (3 B id + 2 B score, Section IV-B) in the result region for the
+//! host to read.
 //!
 //! This catches a class of bugs the direct path cannot: wrong addresses,
 //! overlapping regions, mis-sized records, or id overflow of the 3-byte
 //! record format.
 
-use anna_index::{IvfPqIndex, Lut};
-use anna_quant::codes::PackedCodes;
-use anna_quant::pq::PqCodebook;
-use anna_vector::{f16, metric, Metric, Neighbor, VectorSet, F16};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
+use anna_index::ivf::Cluster;
+use anna_index::IvfPqIndex;
+use anna_plan::ScmAllocation;
+use anna_quant::codes::{CodeWidth, PackedCodes};
+use anna_quant::pq::PqCodebook;
+use anna_telemetry::Telemetry;
+use anna_vector::{Metric, Neighbor, VectorSet, F16};
+
+use crate::accel::{self, Store};
 use crate::config::{AnnaConfig, ValidateConfigError};
 use crate::host::{MemoryLayout, LINE_BYTES};
-use crate::modules::{Cpm, Efm, Scm};
-use crate::pheap::PHeap;
+use crate::timing::TimingReport;
 
 /// Byte-addressable device DRAM.
 #[derive(Debug, Clone)]
@@ -62,6 +70,10 @@ impl DeviceMemory {
         let a = addr as usize;
         &self.bytes[a..a + len]
     }
+
+    fn read_u64(&self, addr: u64) -> u64 {
+        u64::from_le_bytes(self.read(addr, 8).try_into().expect("8 bytes"))
+    }
 }
 
 /// The emulated device: DRAM image + on-chip state.
@@ -73,17 +85,20 @@ pub struct Device {
     /// On-chip codebook SRAM contents (loaded by the host).
     codebook: PqCodebook,
     metric: Metric,
-    num_clusters: usize,
-    dim: usize,
+    /// Queries the layout's per-query spill and result slots were planned
+    /// for, and visits (`max_batch · w`) its query-list region holds.
+    max_batch: usize,
+    max_visits: usize,
 }
 
 impl Device {
     /// Maximum id representable in a 3-byte result record.
     pub const MAX_RECORD_ID: u64 = (1 << 24) - 1;
 
-    /// Boots a device, plans the memory layout for `index`, and performs
-    /// the host's model upload (centroids as f16, metadata lines, packed
-    /// codes, codebook → SRAM).
+    /// Boots a device, plans the memory layout for `index` and batches of
+    /// up to `max_batch` queries visiting up to `w` clusters each, and
+    /// performs the host's model upload (centroids as f16, metadata lines,
+    /// packed codes, codebook → SRAM).
     ///
     /// # Errors
     ///
@@ -132,10 +147,9 @@ impl Device {
             mem.write(line + 8, &m.num_vectors.to_le_bytes());
         }
 
-        // Packed codes, and cluster ids alongside (the emulator keeps ids
-        // in the code region as the real layout would via a parallel
-        // table; here they are appended per record in a shadow table —
-        // see `read_cluster`).
+        // Packed codes. Cluster ids live in the deployment's id-table
+        // region, which the emulator does not duplicate in DRAM: searches
+        // take the index by reference for them (see `Dram::cluster`).
         for (i, m) in layout.meta.iter().enumerate() {
             mem.write(m.code_base, index.cluster(i).codes.bytes());
         }
@@ -146,8 +160,8 @@ impl Device {
             layout,
             codebook: index.codebook().clone(),
             metric: index.metric(),
-            num_clusters: index.num_clusters(),
-            dim: index.dim(),
+            max_batch,
+            max_visits: max_batch * w,
         })
     }
 
@@ -162,124 +176,55 @@ impl Device {
         &mut self.mem
     }
 
-    /// Reads centroid `i` back from DRAM (f16 → f32).
-    fn read_centroid(&self, i: usize) -> Vec<f32> {
-        let base = self.layout.centroids.base + (2 * self.dim * i) as u64;
-        self.mem
-            .read(base, 2 * self.dim)
-            .chunks_exact(2)
-            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])).to_f32())
-            .collect()
-    }
-
-    /// Reads a cluster's metadata line and codes back from DRAM.
-    fn read_cluster(&self, i: usize, ids: &[u64]) -> PackedCodes {
-        let line = self.layout.cluster_meta.base + LINE_BYTES * i as u64;
-        let code_base = u64::from_le_bytes(self.mem.read(line, 8).try_into().expect("8 bytes"));
-        let n =
-            u64::from_le_bytes(self.mem.read(line + 8, 8).try_into().expect("8 bytes")) as usize;
-        assert_eq!(n, ids.len(), "metadata count diverged from id table");
-        let width = if self.codebook.kstar() <= 16 {
-            anna_quant::codes::CodeWidth::U4
-        } else {
-            anna_quant::codes::CodeWidth::U8
-        };
-        let bytes_per_vec = width.vector_bytes(self.codebook.m());
-        let data = self.mem.read(code_base, n * bytes_per_vec).to_vec();
-        PackedCodes::from_bytes(self.codebook.m(), width, n, data)
-    }
-
-    /// Runs one query through the device: filter on f16 centroids read
-    /// from DRAM, scan codes read from DRAM, write 5-byte records into the
-    /// result region, and return the host-decoded records.
-    ///
-    /// `id_tables` supplies each cluster's id list (the deployment's
-    /// id-table region, passed by reference to avoid duplicating it in the
-    /// emulated DRAM).
+    /// Opens the DRAM image as the datapath's [`Store`] for one search of
+    /// `batch` queries × `w` clusters, decoding the centroid table the way
+    /// the CPM streams it (f16 → f32).
     ///
     /// # Panics
     ///
-    /// Panics if `q.len() != dim` or `k` exceeds the configured top-k.
+    /// Panics if the search exceeds the booted layout: its per-query spill
+    /// and result slots, or its query lists, would alias other regions.
+    fn open<'a>(&'a mut self, index: &'a IvfPqIndex, batch: usize, w: usize) -> Dram<'a> {
+        assert!(
+            batch <= self.max_batch && batch * w <= self.max_visits,
+            "{batch} queries x W={w} exceeds the booted layout ({} queries, {} visits)",
+            self.max_batch,
+            self.max_visits
+        );
+        let centroids = self.layout.centroids;
+        let table = self.mem.read(centroids.base, centroids.bytes as usize);
+        let decoded: Vec<f32> = table
+            .chunks_exact(2)
+            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])).to_f32())
+            .collect();
+        Dram {
+            cfg: &self.cfg,
+            mem: &mut self.mem,
+            layout: &self.layout,
+            codebook: &self.codebook,
+            metric: self.metric,
+            index,
+            centroids: VectorSet::from_vec(self.codebook.dim(), decoded),
+            spilled_len: HashMap::new(),
+        }
+    }
+
+    /// Runs one query through the device: filter on f16 centroids read
+    /// from DRAM, scan codes read from DRAM with all `N_SCM` SCMs, write
+    /// 5-byte records into the result region, and return the host-decoded
+    /// records.
+    ///
+    /// `index` supplies each cluster's id list (the deployment's id-table
+    /// region, passed by reference to avoid duplicating it in the emulated
+    /// DRAM).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.len() != dim`, `k` exceeds the configured top-k, or
+    /// `w` exceeds the booted layout's query-list capacity.
     pub fn search(&mut self, q: &[f32], w: usize, k: usize, index: &IvfPqIndex) -> Vec<Neighbor> {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        assert!(k > 0 && k <= self.cfg.topk, "k out of range");
-
-        // Step 1: filter on centroids read back from device memory.
-        let mut cpm = Cpm::new(self.cfg.n_cu);
-        let mut centroids = VectorSet::zeros(self.dim, 0);
-        for i in 0..self.num_clusters {
-            centroids.push(&self.read_centroid(i));
-        }
-        let selected = cpm.filter_clusters(q, &centroids, self.metric, w);
-
-        // Step 2/3: LUTs from the on-chip codebook; codes from DRAM.
-        let ip_base = match self.metric {
-            Metric::InnerProduct => Some(cpm.build_ip_lut(q, &self.codebook)),
-            Metric::L2 => None,
-        };
-        let mut efm = Efm::new(self.cfg.encoded_buffer_bytes);
-        let mut scm = Scm::new(self.cfg.n_u, k);
-        for &cid in &selected {
-            let ids = &index.cluster(cid).ids;
-            let codes = self.read_cluster(cid, ids);
-            let lut: Lut = match self.metric {
-                Metric::InnerProduct => {
-                    let bias = f16::round_trip(metric::dot(q, centroids.row(cid)));
-                    ip_base.as_ref().expect("built").with_bias(bias)
-                }
-                Metric::L2 => cpm.build_l2_lut(q, centroids.row(cid), &self.codebook),
-            };
-            let cluster = anna_index::ivf::Cluster {
-                ids: ids.clone(),
-                codes,
-            };
-            for (start, rows) in efm.fetch(&cluster) {
-                scm.scan(&rows, &cluster.ids[start..start + rows.len()], &lut);
-            }
-        }
-
-        // Write result records (3 B id + 2 B f16 score) and read them back
-        // as the host would.
-        let results = scm.drain_results();
-        let mut addr = self.layout.results.base;
-        for n in &results {
-            let id = n.id.to_le_bytes();
-            self.mem.write(addr, &id[..3]);
-            self.mem
-                .write(addr + 3, &F16::from_f32(n.score).to_bits().to_le_bytes());
-            addr += self.cfg.topk_record_bytes as u64;
-        }
-        let mut out = Vec::with_capacity(results.len());
-        let mut addr = self.layout.results.base;
-        for _ in 0..results.len() {
-            out.push(self.read_record(addr));
-            addr += self.cfg.topk_record_bytes as u64;
-        }
-        out
-    }
-
-    fn write_record(&mut self, addr: u64, n: &Neighbor) {
-        let id = n.id.to_le_bytes();
-        self.mem.write(addr, &id[..3]);
-        self.mem
-            .write(addr + 3, &F16::from_f32(n.score).to_bits().to_le_bytes());
-    }
-
-    fn read_record(&self, addr: u64) -> Neighbor {
-        let idb = self.mem.read(addr, 3);
-        let id = u64::from(idb[0]) | u64::from(idb[1]) << 8 | u64::from(idb[2]) << 16;
-        let sb = self.mem.read(addr + 3, 2);
-        let score = F16::from_bits(u16::from_le_bytes([sb[0], sb[1]])).to_f32();
-        Neighbor::new(id, score)
-    }
-
-    /// Spill-slot base address for (query, partition): each query owns
-    /// `N_SCM` record sets sized for the configured top-k in the spill
-    /// region.
-    fn spill_slot(&self, query: usize, part: usize) -> u64 {
-        let rec = self.cfg.topk_record_bytes as u64;
-        self.layout.topk_spill.base
-            + (query as u64 * self.cfg.n_scm as u64 + part as u64) * self.cfg.topk as u64 * rec
+        let mut store = self.open(index, 1, w);
+        accel::search_one(store.cfg, &mut store, q, w, k).0
     }
 
     /// Runs a batch under the memory-traffic-optimized, cluster-major
@@ -290,144 +235,149 @@ impl Device {
     /// # Panics
     ///
     /// Panics if dimensions mismatch, `k` is out of range, or the batch
-    /// exceeds the booted layout's capacity.
+    /// (its queries, or its `B · w` visits) exceeds the booted layout's
+    /// capacity.
     pub fn search_batch(
         &mut self,
         queries: &VectorSet,
         w: usize,
         k: usize,
-        alloc: anna_plan::ScmAllocation,
+        alloc: ScmAllocation,
         index: &IvfPqIndex,
     ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
-        assert!(k > 0 && k <= self.cfg.topk, "k out of range");
-        let b = queries.len();
+        self.search_batch_traced(queries, w, k, alloc, index, &Telemetry::disabled())
+            .0
+    }
 
-        // Plan with CPM filtering over the DRAM centroid image.
-        let mut cpm = Cpm::new(self.cfg.n_cu);
-        let mut centroids = VectorSet::zeros(self.dim, 0);
-        for i in 0..self.num_clusters {
-            centroids.push(&self.read_centroid(i));
-        }
-        let workload = crate::timing::BatchWorkload {
-            shape: crate::timing::SearchShape {
-                d: self.dim,
-                m: self.codebook.m(),
-                kstar: self.codebook.kstar(),
-                metric: self.metric,
-                num_clusters: self.num_clusters,
-                k,
-            },
-            cluster_sizes: (0..self.num_clusters)
-                .map(|i| index.cluster(i).len())
-                .collect(),
-            visits: queries
-                .iter()
-                .map(|q| cpm.filter_clusters(q, &centroids, self.metric, w))
-                .collect(),
-        };
-        let plan = anna_plan::plan(&self.cfg.plan_params(), &workload, alloc);
-        let g = plan.scm_per_query;
-        let rec = self.cfg.topk_record_bytes;
-
-        let ip_bases: Option<Vec<Lut>> = match self.metric {
-            Metric::InnerProduct => Some(
-                queries
-                    .iter()
-                    .map(|q| cpm.build_ip_lut(q, &self.codebook))
-                    .collect(),
-            ),
-            Metric::L2 => None,
-        };
-
-        // Number of records currently spilled per (query, partition).
-        let mut spilled_len = vec![vec![0usize; g]; b];
-        let mut has_state = vec![false; b];
-        let mut efm = Efm::new(self.cfg.encoded_buffer_bytes);
-
-        for round in &plan.rounds {
-            let cluster = {
-                let ids = &index.cluster(round.cluster).ids;
-                anna_index::ivf::Cluster {
-                    ids: ids.clone(),
-                    codes: self.read_cluster(round.cluster, ids),
-                }
-            };
-            let len = cluster.len();
-            let chunk = len.div_ceil(g).max(1);
-            // One EFM fetch per cluster buffering (unpacked rows reused by
-            // every query and partition of the round).
-            let mut all_rows: Vec<Vec<u8>> = Vec::with_capacity(len);
-            for (_, seg_rows) in efm.fetch(&cluster) {
-                all_rows.extend(seg_rows);
-            }
-            for &qi in &round.queries {
-                let q = queries.row(qi);
-                let lut = match self.metric {
-                    Metric::InnerProduct => {
-                        let bias = f16::round_trip(metric::dot(q, centroids.row(round.cluster)));
-                        ip_bases.as_ref().expect("built")[qi].with_bias(bias)
-                    }
-                    Metric::L2 => cpm.build_l2_lut(q, centroids.row(round.cluster), &self.codebook),
-                };
-                #[allow(clippy::needless_range_loop)]
-                for part in 0..g {
-                    let lo = (part * chunk).min(len);
-                    let hi = ((part + 1) * chunk).min(len);
-                    // Fill from the DRAM spill slot.
-                    let mut scm = Scm::new(self.cfg.n_u, k);
-                    if has_state[qi] {
-                        let base = self.spill_slot(qi, part);
-                        let records: Vec<Neighbor> = (0..spilled_len[qi][part])
-                            .map(|i| self.read_record(base + (i * rec) as u64))
-                            .collect();
-                        scm.fill(&records, rec);
-                    }
-                    if lo < hi {
-                        scm.scan(&all_rows[lo..hi], &cluster.ids[lo..hi], &lut);
-                    }
-                    // Spill back to DRAM.
-                    let records = scm.spill(rec);
-                    let base = self.spill_slot(qi, part);
-                    for (i, n) in records.iter().enumerate() {
-                        self.write_record(base + (i * rec) as u64, n);
-                    }
-                    spilled_len[qi][part] = records.len();
-                }
-                has_state[qi] = true;
-            }
-        }
-
-        // Final merge per query from the spill region, then result store.
-        (0..b)
-            .map(|qi| {
-                let mut merged = PHeap::new(k);
-                #[allow(clippy::needless_range_loop)]
-                for part in 0..g {
-                    let base = self.spill_slot(qi, part);
-                    for i in 0..spilled_len[qi][part] {
-                        let n = self.read_record(base + (i * rec) as u64);
-                        merged.offer(n.id, n.score);
-                    }
-                }
-                let out = merged.drain_sorted();
-                let mut addr = self.layout.results.base + (qi * self.cfg.topk * rec) as u64;
-                for n in &out {
-                    let n = *n;
-                    self.write_record(addr, &n);
-                    addr += rec as u64;
-                }
-                out
-            })
-            .collect()
+    /// [`Device::search_batch`] returning the run's [`TimingReport`] too,
+    /// with the stage spans and module counters of
+    /// [`Anna::search_batch_traced`](crate::accel::Anna::search_batch_traced)
+    /// recorded into `tel`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Device::search_batch`].
+    pub fn search_batch_traced(
+        &mut self,
+        queries: &VectorSet,
+        w: usize,
+        k: usize,
+        alloc: ScmAllocation,
+        index: &IvfPqIndex,
+        tel: &Telemetry,
+    ) -> (Vec<Vec<Neighbor>>, TimingReport) {
+        let mut store = self.open(index, queries.len(), w);
+        accel::search_batch(store.cfg, &mut store, queries, w, k, alloc, tel)
     }
 }
 
-/// Extension: result-record id overflow error.
-impl ValidateConfigError {
-    /// Error for a database whose ids exceed the 3-byte record format.
-    pub fn id_overflow() -> Self {
-        Self::message("database ids exceed the 3-byte top-k record format (2^24-1)")
+/// The DRAM image as the datapath's [`Store`]: every access goes through
+/// the layout's addresses and the record format.
+struct Dram<'a> {
+    cfg: &'a AnnaConfig,
+    mem: &'a mut DeviceMemory,
+    layout: &'a MemoryLayout,
+    codebook: &'a PqCodebook,
+    metric: Metric,
+    /// The deployment's id tables.
+    index: &'a IvfPqIndex,
+    centroids: VectorSet,
+    /// Records currently held by each (query, partition) spill slot.
+    spilled_len: HashMap<(usize, usize), usize>,
+}
+
+impl Dram<'_> {
+    fn write_records(&mut self, base: u64, records: &[Neighbor]) {
+        let rec = self.cfg.topk_record_bytes as u64;
+        for (i, n) in records.iter().enumerate() {
+            let addr = base + i as u64 * rec;
+            self.mem.write(addr, &n.id.to_le_bytes()[..3]);
+            self.mem
+                .write(addr + 3, &F16::from_f32(n.score).to_bits().to_le_bytes());
+        }
+    }
+
+    fn read_records(&self, base: u64, len: usize) -> Vec<Neighbor> {
+        let rec = self.cfg.topk_record_bytes as u64;
+        (0..len as u64)
+            .map(|i| {
+                let b = self.mem.read(base + i * rec, 5);
+                let id = u64::from(b[0]) | u64::from(b[1]) << 8 | u64::from(b[2]) << 16;
+                let score = F16::from_bits(u16::from_le_bytes([b[3], b[4]])).to_f32();
+                Neighbor::new(id, score)
+            })
+            .collect()
+    }
+
+    /// Bytes of one record set sized for the configured top-k — the stride
+    /// of both the spill slots and the result slots.
+    fn slot_bytes(&self) -> u64 {
+        (self.cfg.topk * self.cfg.topk_record_bytes) as u64
+    }
+
+    /// Spill-slot base address for (query, partition): each query owns
+    /// `N_SCM` record sets in the spill region.
+    fn spill_slot(&self, query: usize, part: usize) -> u64 {
+        self.layout.topk_spill.base + (query * self.cfg.n_scm + part) as u64 * self.slot_bytes()
+    }
+}
+
+impl Store for Dram<'_> {
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    fn codebook(&self) -> &PqCodebook {
+        self.codebook
+    }
+
+    fn centroids(&self) -> &VectorSet {
+        &self.centroids
+    }
+
+    fn cluster_sizes(&self) -> Vec<usize> {
+        let lines = self.layout.cluster_meta.base;
+        (0..self.centroids.len() as u64)
+            .map(|i| self.mem.read_u64(lines + LINE_BYTES * i + 8) as usize)
+            .collect()
+    }
+
+    fn cluster(&self, cid: usize) -> Cow<'_, Cluster> {
+        let line = self.layout.cluster_meta.base + LINE_BYTES * cid as u64;
+        let code_base = self.mem.read_u64(line);
+        let n = self.mem.read_u64(line + 8) as usize;
+        let ids = &self.index.cluster(cid).ids;
+        assert_eq!(n, ids.len(), "metadata count diverged from id table");
+        let book = self.codebook;
+        let width = if book.kstar() <= 16 {
+            CodeWidth::U4
+        } else {
+            CodeWidth::U8
+        };
+        let bytes = self.mem.read(code_base, n * width.vector_bytes(book.m()));
+        Cow::Owned(Cluster {
+            ids: ids.clone(),
+            codes: PackedCodes::from_bytes(book.m(), width, n, bytes.to_vec()),
+        })
+    }
+
+    fn spill(&mut self, query: usize, part: usize, records: Vec<Neighbor>) {
+        self.write_records(self.spill_slot(query, part), &records);
+        self.spilled_len.insert((query, part), records.len());
+    }
+
+    fn fill(&mut self, query: usize, part: usize) -> Vec<Neighbor> {
+        let len = self
+            .spilled_len
+            .remove(&(query, part))
+            .expect("fill of a slot that was never spilled");
+        self.read_records(self.spill_slot(query, part), len)
+    }
+
+    fn store_result(&mut self, query: usize, records: Vec<Neighbor>) -> Vec<Neighbor> {
+        let base = self.layout.results.base + query as u64 * self.slot_bytes();
+        self.write_records(base, &records);
+        self.read_records(base, records.len())
     }
 }
 
@@ -436,6 +386,7 @@ mod tests {
     use super::*;
     use crate::accel::Anna;
     use anna_index::IvfPqConfig;
+    use anna_vector::f16;
 
     fn setup(metric: Metric) -> (VectorSet, IvfPqIndex) {
         let data = VectorSet::from_fn(8, 600, |r, c| {
@@ -457,30 +408,38 @@ mod tests {
         (data, index)
     }
 
+    /// The same index with its centroids rounded to f16, so the device's
+    /// 2-byte centroid image loses nothing and both stores hold the very
+    /// same model.
+    fn f16_centroids(index: &IvfPqIndex) -> IvfPqIndex {
+        use anna_quant::kmeans::KMeans;
+        let c = index.centroids();
+        let mut rounded = c.as_slice().to_vec();
+        f16::round_trip_slice(&mut rounded);
+        IvfPqIndex::from_parts(
+            index.metric(),
+            KMeans::from_centroids(VectorSet::from_vec(c.dim(), rounded)),
+            index.codebook().clone(),
+            (0..index.num_clusters())
+                .map(|i| index.cluster(i).clone())
+                .collect(),
+        )
+    }
+
     #[test]
     fn device_matches_direct_accelerator() {
+        // One datapath over two stores: with a model both formats hold
+        // exactly, the DRAM image and the host structures must give the
+        // same ids *and* scores.
         for metric in [Metric::L2, Metric::InnerProduct] {
             let (data, index) = setup(metric);
+            let index = f16_centroids(&index);
             let mut dev = Device::boot(AnnaConfig::paper(), &index, 8, 4).unwrap();
             let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
             for row in [1usize, 100, 599] {
                 let via_mem = dev.search(data.row(row), 4, 6, &index);
                 let (direct, _) = anna.search(data.row(row), 4, 6);
-                let a: Vec<u64> = via_mem.iter().map(|n| n.id).collect();
-                let b: Vec<u64> = direct.iter().map(|n| n.id).collect();
-                // The device filter sees f16-rounded centroids, which can
-                // flip near-tied cluster picks; the score sequence must
-                // still agree within f16 tolerance.
-                if a != b {
-                    for (x, y) in via_mem.iter().zip(&direct) {
-                        assert!(
-                            (x.score - y.score).abs() <= 0.02 * (1.0 + y.score.abs()),
-                            "{metric} row {row}: {x:?} vs {y:?}"
-                        );
-                    }
-                } else {
-                    assert_eq!(a, b);
-                }
+                assert_eq!(via_mem, direct, "{metric} row {row}");
             }
         }
     }
@@ -526,28 +485,39 @@ mod tests {
     #[test]
     fn batched_device_search_matches_accelerator() {
         use anna_plan::ScmAllocation;
-        let (data, index) = setup(Metric::L2);
-        let cfg = AnnaConfig::paper();
-        let mut dev = Device::boot(cfg.clone(), &index, 16, 4).unwrap();
-        let anna = Anna::new(cfg, &index).unwrap();
-        let queries = data.gather(&[0, 33, 210, 599]);
-        let alloc = ScmAllocation::IntraQuery { scm_per_query: 4 };
-        let via_mem = dev.search_batch(&queries, 4, 6, alloc, &index);
-        let (direct, _) = anna.search_batch(&queries, 4, 6, alloc);
-        for (qi, (a, b)) in via_mem.iter().zip(&direct).enumerate() {
-            let av: Vec<u64> = a.iter().map(|n| n.id).collect();
-            let bv: Vec<u64> = b.iter().map(|n| n.id).collect();
-            // f16 centroid rounding may flip near-tied cluster picks;
-            // fall back to score comparison in that case.
-            if av != bv {
-                for (x, y) in a.iter().zip(b) {
-                    assert!(
-                        (x.score - y.score).abs() <= 0.02 * (1.0 + y.score.abs()),
-                        "query {qi}: {x:?} vs {y:?}"
-                    );
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            let (data, index) = setup(metric);
+            let index = f16_centroids(&index);
+            let cfg = AnnaConfig::paper();
+            let mut dev = Device::boot(cfg.clone(), &index, 16, 4).unwrap();
+            let anna = Anna::new(cfg, &index).unwrap();
+            let queries = data.gather(&(0..16).map(|i| i * 37 % 600).collect::<Vec<_>>());
+            for alloc in [
+                ScmAllocation::InterQuery,
+                ScmAllocation::IntraQuery { scm_per_query: 4 },
+                ScmAllocation::Auto,
+            ] {
+                let (dev_tel, anna_tel) = (Telemetry::enabled(), Telemetry::enabled());
+                let via_mem = dev.search_batch_traced(&queries, 4, 6, alloc, &index, &dev_tel);
+                let direct = anna.search_batch_traced(&queries, 4, 6, alloc, &anna_tel);
+                assert_eq!(via_mem, direct, "{metric} {alloc:?}");
+                // Same schedule, same module activity, byte for byte.
+                for name in ["efm.code_bytes", "pheap.spill_bytes", "scm.vectors_scored"] {
+                    let get = |t: &Telemetry| t.registry().unwrap().counter(name).get();
+                    assert_eq!(get(&dev_tel), get(&anna_tel), "{metric} {alloc:?} {name}");
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the booted layout")]
+    fn batch_beyond_the_booted_layout_is_rejected() {
+        use anna_plan::ScmAllocation;
+        let (data, index) = setup(Metric::L2);
+        let mut dev = Device::boot(AnnaConfig::paper(), &index, 4, 4).unwrap();
+        let queries = data.gather(&[0, 1, 2, 3, 4]);
+        let _ = dev.search_batch(&queries, 4, 6, ScmAllocation::InterQuery, &index);
     }
 
     #[test]

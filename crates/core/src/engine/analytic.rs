@@ -272,8 +272,8 @@ pub fn batch(cfg: &AnnaConfig, w: &BatchWorkload, alloc: ScmAllocation) -> Timin
 }
 
 /// Times a batch executing an explicit, pre-computed [`BatchPlan`] — the
-/// shared IR also consumed by the software batch engine, the cycle and
-/// stepped simulators, and the functional accelerator. The traffic side of
+/// shared IR also consumed by the software batch engine, the
+/// event-driven simulator, and the functional accelerator. The traffic side of
 /// the report is priced by [`TrafficModel`] on the same plan, so predicted
 /// and simulated bytes are equal by construction.
 ///

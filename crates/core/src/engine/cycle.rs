@@ -17,6 +17,13 @@
 //! The two engines are cross-validated by tests; they are expected to agree
 //! within a few percent, with the event-driven engine never faster than
 //! the larger of the pure-compute / pure-memory bounds.
+//!
+//! Because every scan's start, compute duration and end are explicit
+//! events, the engine also says *why* the SCMs were idle:
+//! [`StallBreakdown::attribute`] splits the scan phase into SCM-busy,
+//! waiting-on-LUT, waiting-on-data and drain time in O(rounds) — which is
+//! how an architect locates the bottleneck the paper's Section IV-B
+//! balance equation talks about.
 
 use anna_plan::{BatchPlan, ScmAllocation, TrafficModel};
 use anna_vector::Metric;
@@ -50,6 +57,17 @@ impl MemChannel {
         self.bytes_moved += bytes;
         (start, end)
     }
+
+    /// The channel sums its own transfers; the reports carry the
+    /// [`TrafficModel`]'s bytes. The two are computed independently and
+    /// must agree — the simulators' leg of predicted == measured.
+    fn assert_moved(&self, traffic: &TrafficReport) {
+        assert_eq!(
+            self.bytes_moved,
+            traffic.total(),
+            "memory channel moved different bytes than the traffic report prices"
+        );
+    }
 }
 
 /// Simulates one query in baseline mode with `g` SCMs (mirror of
@@ -59,6 +77,21 @@ impl MemChannel {
 ///
 /// Panics if the shape is invalid or `g` is out of range.
 pub fn single_query(cfg: &AnnaConfig, w: &QueryWorkload, g: usize) -> TimingReport {
+    single_query_traced(cfg, w, g).0
+}
+
+/// Like [`single_query`], additionally returning one event window per
+/// visited cluster (`cluster` is the visit position — a
+/// [`QueryWorkload`] carries sizes, not ids).
+///
+/// # Panics
+///
+/// Panics if the shape is invalid or `g` is out of range.
+pub fn single_query_traced(
+    cfg: &AnnaConfig,
+    w: &QueryWorkload,
+    g: usize,
+) -> (TimingReport, Vec<RoundTrace>) {
     w.shape.assert_valid();
     assert!(g > 0 && g <= cfg.n_scm, "g={g} out of range");
     let s = &w.shape;
@@ -88,8 +121,8 @@ pub fn single_query(cfg: &AnnaConfig, w: &QueryWorkload, g: usize) -> TimingRepo
     let mut scan_end = vec![0.0f64; n];
     let mut fetch_end = vec![0.0f64; n];
     let mut data_ready = vec![0.0f64; n];
-    let mut lut_done = vec![0.0f64; n];
     let mut scm_busy = 0.0f64;
+    let mut traces: Vec<RoundTrace> = Vec::with_capacity(n);
 
     for i in 0..n {
         // Encoded-vector buffer double buffering: fetch i waits for the
@@ -103,25 +136,34 @@ pub fn single_query(cfg: &AnnaConfig, w: &QueryWorkload, g: usize) -> TimingRepo
 
         // LUT double buffering: fill i waits for scan i−2; the CPM is
         // serial.
-        lut_done[i] = match s.metric {
+        let lut = match s.metric {
             Metric::L2 => {
                 let lut_buf_free = if i >= 2 { scan_end[i - 2] } else { filter_done };
                 let start = cpm_free.max(lut_buf_free);
                 let dur = lut_one + residual;
                 cpm_free = start + dur;
                 cpm_busy += dur;
-                cpm_free
+                (start, cpm_free)
             }
-            Metric::InnerProduct => ip_lut_done,
+            Metric::InnerProduct => (filter_done, ip_lut_done),
         };
 
         // Scan: needs the SCM group (serial across clusters), the LUT, and
         // the first chunk of data; cannot finish before the fetch does.
         let prev_scan = if i > 0 { scan_end[i - 1] } else { filter_done };
-        let start = prev_scan.max(lut_done[i]).max(data_ready[i]);
+        let start = prev_scan.max(lut.1).max(data_ready[i]);
         let dur = ((sizes[i] as f64) / g as f64).ceil() * cpv;
         scan_end[i] = (start + dur).max(fetch_end[i]);
         scm_busy += dur;
+        traces.push(RoundTrace {
+            round: i,
+            cluster: i,
+            queries: 1,
+            fetch: Some((fs, fe)),
+            lut,
+            scan: (start, scan_end[i]),
+            compute: dur,
+        });
     }
 
     let after_scans = if n > 0 { scan_end[n - 1] } else { filter_done };
@@ -145,10 +187,11 @@ pub fn single_query(cfg: &AnnaConfig, w: &QueryWorkload, g: usize) -> TimingRepo
         rerank_vector_bytes: 0,
         result_bytes,
     };
+    mem.assert_moved(&traffic);
     let compute_cycles = cpm_busy + scm_busy + merge;
     let memory_cycles = traffic.total() as f64 / mem.bpc;
 
-    TimingReport {
+    let report = TimingReport {
         cycles: end,
         filter_cycles: filter_done,
         compute_cycles,
@@ -162,7 +205,8 @@ pub fn single_query(cfg: &AnnaConfig, w: &QueryWorkload, g: usize) -> TimingRepo
         clusters_fetched: n as u64,
         scan_work: w.vectors_scanned(),
         queries: 1,
-    }
+    };
+    (report, traces)
 }
 
 /// One round's event times, for timeline rendering (the executable
@@ -181,6 +225,57 @@ pub struct RoundTrace {
     pub lut: (f64, f64),
     /// SCM scan window.
     pub scan: (f64, f64),
+    /// SCM compute cycles inside the scan window (the window is longer
+    /// when the scan is throttled by its own code stream).
+    pub compute: f64,
+}
+
+/// Where the scan phase's cycles went, attributed from the event windows.
+///
+/// The four SCM parts sum to `cycles − filter_cycles`: every post-filter
+/// cycle is exactly one of busy, waiting on a LUT, waiting on data, or
+/// drain. A scan that is throttled by its code stream books its compute
+/// time as busy and only the excess as a data stall.
+#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize)]
+pub struct StallBreakdown {
+    /// Cycles the SCM group spent scoring vectors.
+    pub scm_busy: f64,
+    /// Cycles stalled on memory: codes (or top-k fills) not yet arrived
+    /// before a scan, and the stream still running after its compute.
+    pub scm_wait_data: f64,
+    /// Cycles stalled because the round's LUTs were not ready.
+    pub scm_wait_lut: f64,
+    /// Cycles after the last scan (merge, result store).
+    pub drain: f64,
+    /// Cycles the memory channel was transferring.
+    pub mem_busy: f64,
+}
+
+impl StallBreakdown {
+    /// Attributes the scan phase of `report` from the `rounds` the same
+    /// run traced ([`single_query_traced`], [`batch_plan_traced`]).
+    ///
+    /// The idle gap before a scan is LUT wait up to the LUT window's end
+    /// and data wait after it; the tail of a scan window beyond its
+    /// compute cycles waits on the fetch, so it is data wait too.
+    pub fn attribute(report: &TimingReport, rounds: &[RoundTrace]) -> Self {
+        let mut b = Self {
+            mem_busy: report.memory_cycles,
+            ..Self::default()
+        };
+        let mut prev_end = report.filter_cycles;
+        for r in rounds {
+            let (start, end) = r.scan;
+            let gap = start - prev_end;
+            let wait_lut = (r.lut.1 - prev_end).clamp(0.0, gap);
+            b.scm_wait_lut += wait_lut;
+            b.scm_wait_data += (gap - wait_lut) + (end - start - r.compute);
+            b.scm_busy += r.compute;
+            prev_end = end;
+        }
+        b.drain = report.cycles - prev_end;
+        b
+    }
 }
 
 /// Simulates a memory-traffic-optimized batch (mirror of
@@ -223,8 +318,10 @@ pub fn batch_traced(
 ///
 /// # Panics
 ///
-/// Panics if the shape is invalid or the plan references queries outside
-/// the workload.
+/// Panics if the shape is invalid, the plan references queries outside
+/// the workload, or the plan carries a re-rank stage (this engine does
+/// not move second-phase bytes, so its channel would disagree with the
+/// priced report).
 pub fn batch_plan_traced(
     cfg: &AnnaConfig,
     w: &BatchWorkload,
@@ -376,6 +473,7 @@ pub fn batch_plan_traced(
             fetch: fetch_window,
             lut: (lut_start, lut_end),
             scan: (start, scan_end[ri]),
+            compute: dur,
         });
         topk_inputs += r.cluster_size as f64 * r.queries.len() as f64;
 
@@ -406,6 +504,7 @@ pub fn batch_plan_traced(
     let (_, end) = mem.transfer(after + merge, traffic.result_bytes);
 
     // The simulated transfers must have moved exactly the priced bytes.
+    mem.assert_moved(&traffic);
     debug_assert_eq!(code_bytes, traffic.code_bytes);
     debug_assert_eq!(meta_bytes, traffic.cluster_meta_bytes);
     debug_assert_eq!(spill_bytes, traffic.topk_spill_bytes);
@@ -472,7 +571,10 @@ mod tests {
                     c.cycles,
                     a.cycles
                 );
-                assert_eq!(c.traffic.code_bytes, a.traffic.code_bytes);
+                // The engines price a single query independently (neither
+                // goes through the `TrafficModel`), so the whole report
+                // agreeing is a real cross-check.
+                assert_eq!(c.traffic, a.traffic);
             }
         }
     }
@@ -550,6 +652,120 @@ mod tests {
             r.cycles < 0.7 * serial,
             "no overlap visible: {} vs serial {serial}",
             r.cycles
+        );
+    }
+
+    fn query(metric: Metric, w: usize, size: usize) -> QueryWorkload {
+        QueryWorkload {
+            shape: shape(metric, 10_000),
+            visited_cluster_sizes: vec![size; w],
+        }
+    }
+
+    fn assert_covers_scan_phase(r: &TimingReport, st: &StallBreakdown) {
+        let scan_phase = r.cycles - r.filter_cycles;
+        let attributed = st.scm_busy + st.scm_wait_data + st.scm_wait_lut + st.drain;
+        assert!(
+            (attributed - scan_phase).abs() <= 1e-9 * scan_phase,
+            "every scan-phase cycle must be attributed: {attributed} vs {scan_phase}"
+        );
+        for part in [st.scm_busy, st.scm_wait_data, st.scm_wait_lut, st.drain] {
+            assert!(part >= -1e-6, "negative attribution: {st:?}");
+        }
+    }
+
+    #[test]
+    fn attribution_covers_the_scan_phase() {
+        let cfg = AnnaConfig::paper();
+        for metric in [Metric::L2, Metric::InnerProduct] {
+            for g in [1usize, 4, 16] {
+                let (r, rounds) = single_query_traced(&cfg, &query(metric, 8, 50_000), g);
+                assert_covers_scan_phase(&r, &StallBreakdown::attribute(&r, &rounds));
+            }
+        }
+        let w = BatchWorkload {
+            shape: shape(Metric::L2, 64),
+            cluster_sizes: vec![20_000; 64],
+            visits: (0..48)
+                .map(|q| {
+                    let mut v: Vec<usize> = (0..4).map(|i| (q * 7 + i * 11) % 64).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                })
+                .collect(),
+        };
+        for alloc in [
+            ScmAllocation::InterQuery,
+            ScmAllocation::IntraQuery { scm_per_query: 4 },
+            ScmAllocation::Auto,
+        ] {
+            let (r, rounds) = batch_traced(&cfg, &w, alloc);
+            assert_covers_scan_phase(&r, &StallBreakdown::attribute(&r, &rounds));
+        }
+    }
+
+    #[test]
+    fn memory_bound_run_is_data_stalled() {
+        // Big clusters, wide SCM group: the scan waits on the stream.
+        let cfg = AnnaConfig::paper();
+        let (r, rounds) = single_query_traced(&cfg, &query(Metric::L2, 8, 100_000), 16);
+        let st = StallBreakdown::attribute(&r, &rounds);
+        assert!(
+            st.scm_wait_data > st.scm_busy,
+            "expected data stalls to dominate: {st:?}"
+        );
+        assert!(
+            st.mem_busy / r.cycles > 0.8,
+            "memory should be nearly saturated"
+        );
+    }
+
+    #[test]
+    fn compute_bound_run_keeps_scm_busy() {
+        // Narrow reduction tree and a single SCM: compute dominates.
+        let cfg = AnnaConfig {
+            n_u: 8,
+            ..AnnaConfig::paper()
+        };
+        let (r, rounds) = single_query_traced(&cfg, &query(Metric::L2, 8, 50_000), 1);
+        let st = StallBreakdown::attribute(&r, &rounds);
+        assert!(
+            st.scm_busy > 4.0 * st.scm_wait_data,
+            "expected SCM-busy to dominate: {st:?}"
+        );
+    }
+
+    #[test]
+    fn batched_l2_shows_lut_pressure_with_many_queries_per_round() {
+        // Many queries per round at L2 means the CPM must fill many LUTs
+        // per round; with a slow CPM the scan stalls on LUTs.
+        let slow_cpm = AnnaConfig {
+            n_cu: 4,
+            ..AnnaConfig::paper()
+        };
+        let w = BatchWorkload {
+            shape: shape(Metric::L2, 10_000),
+            cluster_sizes: vec![2_000; 8],
+            visits: (0..64).map(|q| vec![q % 8]).collect(),
+        };
+        let (r, rounds) = batch_traced(&slow_cpm, &w, ScmAllocation::InterQuery);
+        let st = StallBreakdown::attribute(&r, &rounds);
+        assert!(
+            st.scm_wait_lut > st.scm_busy,
+            "expected LUT stalls to dominate with a 4-unit CPM: {st:?}"
+        );
+    }
+
+    #[test]
+    fn ip_waits_on_the_lut_only_for_the_shared_build() {
+        let cfg = AnnaConfig::paper();
+        let (r, rounds) = single_query_traced(&cfg, &query(Metric::InnerProduct, 8, 30_000), 16);
+        let st = StallBreakdown::attribute(&r, &rounds);
+        let ip_lut = 128.0 * 256.0 / 96.0;
+        assert!(
+            st.scm_wait_lut <= ip_lut + 1e-6,
+            "unexpected LUT stalls: {st:?}"
         );
     }
 }

@@ -3,14 +3,12 @@
 //! * [`analytic`] — closed-form cycle counts from the paper's formulas
 //!   (fast; used for parameter sweeps).
 //! * [`cycle`] — event-driven, per-module simulation with explicit double
-//!   buffering and a serializing memory channel (used for validation and
-//!   detailed runs).
-//! * [`stepped`] — cycle-stepped microarchitectural simulation of the
-//!   single-query pipeline with per-cycle stall attribution (used to
-//!   locate bottlenecks and triple-validate the other two).
+//!   buffering and a serializing memory channel; the only engine that
+//!   moves data through time, so it also owns the per-round timeline and
+//!   the stall attribution ([`cycle::StallBreakdown`]) used to locate
+//!   bottlenecks.
 //!
-//! All three are cross-validated in tests.
+//! The two are cross-validated in tests.
 
 pub mod analytic;
 pub mod cycle;
-pub mod stepped;

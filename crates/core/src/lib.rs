@@ -12,16 +12,21 @@
 //!   paper's formulas (Sections III-B, IV-B).
 //! * [`engine::cycle`] — an event-driven per-module simulation with double
 //!   buffering and a serializing memory channel, cross-validated against
-//!   the analytic engine.
+//!   the analytic engine; its scan windows also attribute every
+//!   scan-phase cycle to SCM-busy / LUT-wait / data-wait / drain
+//!   ([`engine::cycle::StallBreakdown`]).
 //! * the shared plan layer (`anna-plan`, re-exported as [`plan`]) — the
 //!   memory-traffic-optimization scheduler (Section IV): cluster-major
 //!   rounds, inter-/intra-query SCM allocation, and the [`TrafficModel`]
 //!   that prices a plan in bytes before execution.
 //! * [`energy`] — the Table I area/power model and activity-based energy
 //!   accounting (Figure 10's inputs).
-//! * [`accel`] — [`Anna`]: the functional accelerator bound to a real
+//! * [`accel`] — the one functional datapath and Section IV schedule,
+//!   and [`Anna`]: that datapath bound to a real
 //!   [`anna_index::IvfPqIndex`], producing hardware-faithful results
 //!   (f16 LUTs, P-heap selection, spill/fill) together with timing.
+//! * [`device`] — [`device::Device`]: the same datapath over a
+//!   byte-accurate DRAM image laid out by [`host`].
 //!
 //! # Quick start
 //!

@@ -88,11 +88,6 @@ impl Scm {
         self.topk.fill(records, record_bytes);
     }
 
-    /// Drains the final results, best first.
-    pub fn drain_results(&mut self) -> Vec<Neighbor> {
-        self.topk.drain_sorted()
-    }
-
     /// Mutable access to the top-k unit (for merging partitions).
     pub fn topk_mut(&mut self) -> &mut PHeap {
         &mut self.topk
@@ -161,7 +156,7 @@ mod tests {
         let rows: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8 % 16; 4]).collect();
         let ids: Vec<u64> = (0..8).collect();
         scm.scan(&rows, &ids, &l);
-        let res = scm.drain_results();
+        let res = scm.topk_mut().drain_sorted();
         assert_eq!(res.len(), 3);
         assert!(res[0].score >= res[1].score && res[1].score >= res[2].score);
     }
@@ -181,6 +176,6 @@ mod tests {
         a.fill(&records, 5);
         a.scan(&more_rows, &more_ids, &l);
         b.scan(&more_rows, &more_ids, &l);
-        assert_eq!(a.drain_results(), b.drain_results());
+        assert_eq!(a.topk_mut().drain_sorted(), b.topk_mut().drain_sorted());
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the accelerator model (seeded `anna-testkit`
 //! harness; failures report a replayable seed).
 
-use anna_core::engine::{analytic, cycle, stepped};
+use anna_core::engine::{analytic, cycle};
 use anna_core::host::MemoryLayout;
 use anna_core::{
     plan, AnnaConfig, BatchWorkload, PHeap, QueryWorkload, ScmAllocation, SearchShape,
@@ -186,14 +186,14 @@ fn engines_agree_on_random_batches() {
     });
 }
 
-/// The cycle-stepped engine tracks the analytic engine on arbitrary
+/// The event-driven engine tracks the analytic engine on arbitrary
 /// single-query workloads (the analytic prologue serializes the first
-/// cluster's fetch, so at small W the streaming engines run up to
+/// cluster's fetch, so at small W the streaming engine runs up to
 /// ~1.5x faster; from W >= 3 the band tightens), and serialized stages
 /// never beat the double-buffered pipeline.
 #[test]
-fn stepped_engine_tracks_analytic() {
-    forall("stepped engine tracks analytic", 48, |rng| {
+fn event_engine_tracks_analytic() {
+    forall("event engine tracks analytic", 48, |rng| {
         let shape = arb_shape(rng);
         let sizes: Vec<usize> = (0..rng.usize(3..10))
             .map(|_| rng.usize(500..30_000))
@@ -205,9 +205,10 @@ fn stepped_engine_tracks_analytic() {
             visited_cluster_sizes: sizes,
         };
         let a = analytic::single_query(&cfg, &w, g);
-        let st = stepped::single_query(&cfg, &w, g);
-        let ratio = st.cycles as f64 / a.cycles;
+        let ev = cycle::single_query(&cfg, &w, g);
+        let ratio = ev.cycles / a.cycles;
         assert!((0.6..1.4).contains(&ratio), "ratio {ratio}");
+        assert_eq!(ev.traffic, a.traffic);
 
         let serial = analytic::single_query_unbuffered(&cfg, &w, g);
         assert!(serial.cycles + 1e-6 >= a.cycles, "unbuffered beat buffered");

@@ -1,7 +1,7 @@
 //! The shared cluster-major batch-planning IR (Section IV).
 //!
 //! Every execution backend in the workspace — the software batch engine
-//! (`anna-index`), the analytic/cycle/stepped timing engines and the
+//! (`anna-index`), the analytic and event-driven timing engines and the
 //! functional accelerator (`anna-core`) — runs the *same* cluster-major
 //! schedule: fetch each visited cluster's codes once, score them against
 //! every query visiting the cluster, and spill/fill intermediate top-k

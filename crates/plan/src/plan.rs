@@ -117,8 +117,8 @@ pub struct Round {
 }
 
 /// A full cluster-major batch plan: the IR every execution backend
-/// consumes (software batch engine, analytic/cycle/stepped timing engines,
-/// functional accelerator).
+/// consumes (software batch engine, analytic and event-driven timing
+/// engines, functional accelerator).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchPlan {
     /// SCMs per query `g`.

@@ -69,7 +69,7 @@ impl TrafficReport {
 /// Prices a [`BatchPlan`] in bytes before execution.
 ///
 /// Every backend that executes a plan — the software batch engine, the
-/// three timing engines, and the functional accelerator — must account
+/// two timing engines, and the functional accelerator — must account
 /// exactly the bytes this model predicts; the workspace's cross-validation
 /// property tests enforce that equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

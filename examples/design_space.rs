@@ -9,7 +9,8 @@
 //! cargo run --release --example design_space
 //! ```
 
-use anna::core::engine::{analytic, stepped};
+use anna::core::engine::analytic;
+use anna::core::engine::cycle::{self, StallBreakdown};
 use anna::core::{AnnaConfig, BatchWorkload, QueryWorkload, ScmAllocation, SearchShape};
 use anna::data::ClusterSizeModel;
 use anna::vector::Metric;
@@ -102,9 +103,9 @@ fn main() {
         ScmAllocation::Auto,
     );
 
-    // Where do single-query cycles actually go? The cycle-stepped engine
-    // attributes every scan-phase clock.
-    println!("\n-- per-cycle stall attribution (single query, W=32) --");
+    // Where do single-query cycles actually go? The event-driven engine
+    // attributes every scan-phase cycle from its scan windows.
+    println!("\n-- stall attribution (single query, W=32) --");
     let q = QueryWorkload {
         shape: w.shape,
         visited_cluster_sizes: vec![100_000; 32],
@@ -128,15 +129,16 @@ fn main() {
             16,
         ),
     ] {
-        let st = stepped::single_query(&cfg, &q, g);
-        let scan = (st.cycles - st.filter_cycles).max(1);
+        let (r, rounds) = cycle::single_query_traced(&cfg, &q, g);
+        let st = StallBreakdown::attribute(&r, &rounds);
+        let scan = r.cycles - r.filter_cycles;
         println!(
-            "{label:>26}: {:>9} cycles | scm busy {:>4.1}% | data stall {:>4.1}% | lut stall {:>4.1}% | mem util {:>4.1}%",
-            st.cycles,
-            100.0 * st.stalls.scm_busy as f64 / scan as f64,
-            100.0 * st.stalls.scm_wait_data as f64 / scan as f64,
-            100.0 * st.stalls.scm_wait_lut as f64 / scan as f64,
-            100.0 * st.memory_utilization(),
+            "{label:>26}: {:>9.0} cycles | scm busy {:>4.1}% | data stall {:>4.1}% | lut stall {:>4.1}% | mem util {:>4.1}%",
+            r.cycles,
+            100.0 * st.scm_busy / scan,
+            100.0 * st.scm_wait_data / scan,
+            100.0 * st.scm_wait_lut / scan,
+            100.0 * st.mem_busy / r.cycles,
         );
     }
 }

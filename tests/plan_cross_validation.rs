@@ -5,7 +5,7 @@
 //! metrics, code widths, SCM allocations, and thread counts — while
 //! results stay bit-identical to the serial software schedule.
 
-use anna::core::engine::{analytic, cycle, stepped};
+use anna::core::engine::{analytic, cycle};
 use anna::core::AnnaConfig;
 use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna::plan::{BatchWorkload, ScmAllocation, SearchShape, TrafficModel, CLUSTER_META_BYTES};
@@ -72,19 +72,14 @@ fn predicted_measured_and_simulated_bytes_agree_exactly() {
                 let plan = anna::plan::plan(&pp, &w, alloc);
                 let predicted = TrafficModel::new(pp).price(&w, &plan);
 
-                // Simulators: full-report equality for the analytic and
-                // cycle engines, total-byte equality for the stepped
-                // engine (which sums its channel traffic independently).
+                // Simulators: full-report equality for both engines. The
+                // event engine also sums the bytes its memory channel
+                // moves and panics unless they equal the report's total,
+                // so this call is the independent simulated-bytes leg.
                 let a = analytic::batch_plan(&cfg, &w, &plan);
                 assert_eq!(a.traffic, predicted, "analytic traffic diverged");
                 let cy = cycle::batch_plan(&cfg, &w, &plan);
                 assert_eq!(cy.traffic, predicted, "cycle traffic diverged");
-                let st = stepped::batch_plan(&cfg, &w, &plan);
-                assert_eq!(
-                    st.traffic_bytes,
-                    predicted.total(),
-                    "stepped traffic diverged"
-                );
 
                 // Software: executing the *same* plan measures the same
                 // bytes, component for component, at every thread count —
@@ -108,9 +103,10 @@ fn predicted_measured_and_simulated_bytes_agree_exactly() {
     });
 }
 
-/// All three timing engines report the plan's own fetch and scan-work
-/// counters when handed the same [`anna::plan::BatchPlan`] (the stepped
-/// engine *measures* them in its state machine rather than copying them).
+/// Both timing engines report the plan's own fetch and scan-work counters
+/// when handed the same [`anna::plan::BatchPlan`], and the event engine's
+/// windows *measure* them: one fetch window per fetched cluster, and scan
+/// compute cycles that add up to the scan work.
 #[test]
 fn engines_agree_on_clusters_fetched_and_scan_work() {
     forall("engines agree on plan counters", 32, |rng| {
@@ -145,16 +141,29 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
         let plan = anna::plan::plan(&cfg.plan_params(), &w, arb_alloc(rng));
 
         let a = analytic::batch_plan(&cfg, &w, &plan);
-        let cy = cycle::batch_plan(&cfg, &w, &plan);
-        let st = stepped::batch_plan(&cfg, &w, &plan);
+        let (cy, windows) = cycle::batch_plan_traced(&cfg, &w, &plan);
         let fetched = plan.clusters_fetched();
         let work = plan.total_scan_work();
         assert_eq!(a.clusters_fetched, fetched, "analytic fetch count");
         assert_eq!(cy.clusters_fetched, fetched, "cycle fetch count");
-        assert_eq!(st.clusters_fetched, fetched, "stepped fetch count");
+        let fetch_windows = windows.iter().filter(|r| r.fetch.is_some()).count();
+        assert_eq!(fetch_windows as u64, fetched, "fetch windows issued");
         assert_eq!(a.scan_work, work, "analytic scan work");
         assert_eq!(cy.scan_work, work, "cycle scan work");
-        assert_eq!(st.scan_work, work, "stepped scan work");
+        // A window computes for ceil(|C_i| / g) vectors at the SCM's
+        // cycles-per-vector rate.
+        let cpv = shape.scan_cycles_per_vector(cfg.n_u) as f64;
+        let g = plan.scm_per_query as u64;
+        let scanned: u64 = windows
+            .iter()
+            .map(|win| (win.compute / cpv).round() as u64)
+            .sum();
+        let per_scm_work: u64 = plan
+            .rounds
+            .iter()
+            .map(|r| (r.cluster_size as u64).div_ceil(g))
+            .sum();
+        assert_eq!(scanned, per_scm_work, "scan windows cover the scan work");
     });
 }
 
@@ -180,6 +189,11 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("run_worker_", "overlapped"),
         concat!("scan_", "shard"),
         concat!("shard_", "visitors"),
+        // The O(cycles) timing engine the event engine's attribution
+        // replaced.
+        concat!("engine::", "stepped"),
+        concat!("Stepped", "Report"),
+        concat!("stepped", "::"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
