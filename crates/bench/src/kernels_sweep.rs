@@ -33,7 +33,7 @@ use std::hint::black_box;
 pub struct KernelPoint {
     /// Sub-quantizer codebook size (16 = nibble codes, 256 = byte codes).
     pub kstar: usize,
-    /// Dispatch name (`scalar` / `blocked` / `avx2`).
+    /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
     pub dispatch: String,
     /// Encoded vectors scored per second, single thread.
     pub codes_per_sec: f64,
@@ -71,7 +71,7 @@ pub struct LutBuildPoint {
 /// * `filter_us` — a scan into a selector already full of `+inf` scores,
 ///   so every finite score fails the threshold and nothing is pushed,
 ///   minus `score_us`. Negative when filtering in registers costs less
-///   than storing the scores (the AVX2 survivors sink at `k* = 16`).
+///   than storing the scores (the SIMD survivors sinks at `k* = 16`).
 ///   `scalar` has no filter and scores through a different loop in a scan
 ///   (inline, every score pushed) than in `score_all_with` (rows unpacked
 ///   through `Lut::score`), so on its rows only the sum of the three
@@ -82,7 +82,7 @@ pub struct LutBuildPoint {
 pub struct SelectPoint {
     /// Sub-quantizer codebook size.
     pub kstar: usize,
-    /// Dispatch name (`scalar` / `blocked` / `avx2`).
+    /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
     pub dispatch: String,
     /// Scoring alone, µs per query.
     pub score_us: f64,

@@ -49,9 +49,7 @@
 
 #![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 
-use super::dispatch::avx2_supported;
-use crate::lut::Lut;
-use anna_quant::codes::{CodeWidth, PackedCodes};
+use super::Sink;
 
 #[cfg(target_arch = "x86")]
 use std::arch::x86 as arch;
@@ -62,68 +60,10 @@ use std::arch::x86_64 as arch;
 /// `m ≤ 64`; wider rows take the scalar loop).
 const MAX_ROW_DWORDS: usize = 8;
 
-/// Where the kernel puts the scores of a block.
-pub(super) enum Sink<'a> {
-    /// Every score, at its vector's position in the block.
-    Tile(&'a mut [f32]),
-    /// Only the vectors with `score >= threshold`, as parallel
-    /// `(position in the block, score)` arrays in ascending position. NaN
-    /// scores never pass (the comparison is ordered). Both slices must
-    /// hold at least the block's vector count.
-    Survivors {
-        threshold: f32,
-        positions: &'a mut [u32],
-        scores: &'a mut [f32],
-    },
-}
-
-/// Scores vectors `[start, start + count)` of packed u4 codes into `sink`
-/// with the AVX2 LUT16 kernel; returns how many scores the sink received
-/// (`count` for [`Sink::Tile`], the survivor count for
-/// [`Sink::Survivors`]).
-///
-/// # Panics
-///
-/// Panics if the host lacks AVX2, the codes are not [`CodeWidth::U4`], the
-/// LUT is not 16-entry, the range exceeds `codes.len()`, or a sink slice
-/// is shorter than `count`.
-pub(super) fn score_block_u4(
-    codes: &PackedCodes,
-    start: usize,
-    count: usize,
-    lut: &Lut,
-    sink: Sink<'_>,
-) -> usize {
-    assert!(avx2_supported(), "AVX2 kernel on a host without AVX2");
-    assert_eq!(codes.width(), CodeWidth::U4);
-    assert_eq!(lut.kstar(), 16, "u4 kernel requires a 16-entry LUT");
-    let m = codes.m();
-    let vb = codes.vector_bytes();
-    assert!((start + count) * vb <= codes.bytes().len());
-    assert!(m * 16 <= lut.entries().len());
-    match &sink {
-        Sink::Tile(out) => assert!(count <= out.len()),
-        Sink::Survivors {
-            positions, scores, ..
-        } => assert!(count <= positions.len() && count <= scores.len()),
-    }
-    // SAFETY: AVX2 support was asserted above.
-    unsafe {
-        lut16_kernel(
-            m,
-            vb,
-            codes.bytes(),
-            start,
-            count,
-            lut.entries(),
-            lut.bias(),
-            sink,
-        )
-    }
-}
-
 /// The register-resident LUT16 loop. See the module docs for the lane
-/// layout; `bytes` is the full packed row-major code stream.
+/// layout; `bytes` is the full packed row-major code stream. Scores whole
+/// 32-vector chunks only and returns `(vectors done, scores the sink
+/// received)`; the caller finishes `done..count` with the scalar tail.
 ///
 /// # Safety
 ///
@@ -132,7 +72,7 @@ pub(super) fn score_block_u4(
 /// of 16, and that every sink slice holds `count` elements.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn lut16_kernel(
+pub(super) unsafe fn lut16_kernel(
     m: usize,
     vb: usize,
     bytes: &[u8],
@@ -140,19 +80,11 @@ unsafe fn lut16_kernel(
     count: usize,
     entries: &[f32],
     bias: f32,
-    sink: Sink<'_>,
-) -> usize {
+    sink: &mut Sink<'_>,
+) -> (usize, usize) {
     use arch::*;
 
-    // `out` is the tile, or the survivors' scores beside `positions`.
-    let (keep_from, out, positions): (Option<f32>, &mut [f32], &mut [u32]) = match sink {
-        Sink::Tile(out) => (None, out, &mut []),
-        Sink::Survivors {
-            threshold,
-            positions,
-            scores,
-        } => (Some(threshold), scores, positions),
-    };
+    let (keep_from, out, positions) = sink.parts();
     let mut written = 0;
 
     // Byte offset of lane l's row relative to lane 0 (gather path).
@@ -304,34 +236,5 @@ unsafe fn lut16_kernel(
         }
     }
 
-    // Tail: scalar over the packed rows, same i-ascending order.
-    let pairs = m / 2;
-    while j < count {
-        let o = (start + j) * vb;
-        let row = &bytes[o..o + vb];
-        let mut sum = 0.0f32;
-        for (b, &byte) in row.iter().take(pairs).enumerate() {
-            sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
-            sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
-        }
-        if m % 2 == 1 {
-            sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
-        }
-        let score = sum + bias;
-        match keep_from {
-            None => {
-                out[j] = score;
-                written += 1;
-            }
-            Some(threshold) => {
-                if score >= threshold {
-                    positions[written] = j as u32;
-                    out[written] = score;
-                    written += 1;
-                }
-            }
-        }
-        j += 1;
-    }
-    written
+    (j, written)
 }

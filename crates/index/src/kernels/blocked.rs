@@ -10,7 +10,7 @@
 //! This is the main kernel for `k* = 256` (Faiss256), whose 256-entry ×
 //! 4-byte tables cannot live in vector registers (PAPER §II-C) — the win
 //! there is purely ILP and the removal of per-score heap traffic. For
-//! `k* = 16` it is the fallback when AVX2 is unavailable.
+//! `k* = 16` it is the fallback when neither AVX-512 nor AVX2 is available.
 
 use crate::lut::Lut;
 use anna_quant::codes::{CodeWidth, PackedCodes};

@@ -2,8 +2,9 @@
 //!
 //! The kernel is selected **once per process** (cached in a `OnceLock`):
 //! `ANNA_FORCE_SCALAR` pins the seed scalar path for A/B tests and CI
-//! fallback coverage, otherwise AVX2 detection picks the in-register LUT16
-//! kernel, and hosts without AVX2 get the unrolled blocked kernel. Every
+//! fallback coverage, otherwise CPU feature detection picks the widest
+//! in-register LUT16 kernel the host runs (`avx512f`, then AVX2), and
+//! hosts with neither get the unrolled blocked kernel. Every
 //! path produces bit-identical scores (see the module docs of
 //! [`crate::kernels`] for the summation-order invariant), so dispatch is a
 //! pure throughput decision — never a correctness one.
@@ -22,9 +23,9 @@ pub enum KernelDispatch {
     Scalar,
     /// Block scoring with unrolled multi-accumulator scalar kernels (four
     /// vectors in flight) plus the threshold-pruned selection pass. The
-    /// portable fast path — also what `k* = 256` uses under
-    /// [`KernelDispatch::Avx2`], since 256-entry tables cannot live in
-    /// vector registers (PAPER §II-C).
+    /// portable fast path — also what `k* = 256` uses under the SIMD
+    /// arms, since 256-entry tables cannot live in vector registers
+    /// (PAPER §II-C).
     Blocked,
     /// AVX2 LUT16 kernel for `k* = 16`: nibble codes scored 32 per
     /// iteration from register-resident tables via `vpermps` shuffles
@@ -33,6 +34,13 @@ pub enum KernelDispatch {
     /// and only surviving lanes reach memory. `k* = 256` codes fall back
     /// to the blocked kernel.
     Avx2,
+    /// AVX-512 LUT16 kernel for `k* = 16`: a 16-entry f32 table is *one*
+    /// ZMM register, so sixteen lookups are a single `vpermps zmm` — no
+    /// half-select blend — and nibble codes are scored 64 per iteration;
+    /// survivors leave through a mask-register compare and a compress
+    /// store. Needs `avx512f` only. Row widths other than 4 and 8 bytes
+    /// run the AVX2 kernel, and `k* = 256` the blocked one.
+    Avx512,
 }
 
 impl KernelDispatch {
@@ -43,7 +51,14 @@ impl KernelDispatch {
             KernelDispatch::Scalar => "scalar",
             KernelDispatch::Blocked => "blocked",
             KernelDispatch::Avx2 => "avx2",
+            KernelDispatch::Avx512 => "avx512",
         }
+    }
+
+    /// Whether `k* = 16` codes are scored by an in-register LUT16 kernel
+    /// (which can end in a survivors sink) rather than into a score tile.
+    pub(crate) fn has_lut16_simd(self) -> bool {
+        matches!(self, KernelDispatch::Avx2 | KernelDispatch::Avx512)
     }
 
     /// Every dispatch runnable on this host, scalar first — what the
@@ -53,14 +68,19 @@ impl KernelDispatch {
         if avx2_supported() {
             v.push(KernelDispatch::Avx2);
         }
+        if avx512_supported() {
+            v.push(KernelDispatch::Avx512);
+        }
         v
     }
 
     /// The pure selection rule, separated from environment/CPU probing so
     /// it can be unit-tested exhaustively.
-    fn resolve(force_scalar: bool, avx2: bool) -> KernelDispatch {
+    fn resolve(force_scalar: bool, avx2: bool, avx512: bool) -> KernelDispatch {
         if force_scalar {
             KernelDispatch::Scalar
+        } else if avx512 {
+            KernelDispatch::Avx512
         } else if avx2 {
             KernelDispatch::Avx2
         } else {
@@ -72,7 +92,9 @@ impl KernelDispatch {
     /// `ANNA_FORCE_SCALAR` and CPU feature detection, then cached.
     pub fn current() -> KernelDispatch {
         static CURRENT: OnceLock<KernelDispatch> = OnceLock::new();
-        *CURRENT.get_or_init(|| KernelDispatch::resolve(env_force_scalar(), avx2_supported()))
+        *CURRENT.get_or_init(|| {
+            KernelDispatch::resolve(env_force_scalar(), avx2_supported(), avx512_supported())
+        })
     }
 }
 
@@ -81,6 +103,19 @@ pub(crate) fn avx2_supported() -> bool {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// Whether the host CPU supports `avx512f` (always `false` off x86), the
+/// one feature the AVX-512 kernel uses.
+pub(crate) fn avx512_supported() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
     {
@@ -98,19 +133,28 @@ fn env_force_scalar() -> bool {
 mod tests {
     use super::*;
 
+    /// All eight rows of `resolve(force_scalar, avx2, avx512)`: the env
+    /// override beats detection, and the widest detected arm wins.
     #[test]
-    fn resolve_prefers_force_scalar_over_everything() {
-        assert_eq!(KernelDispatch::resolve(true, true), KernelDispatch::Scalar);
-        assert_eq!(KernelDispatch::resolve(true, false), KernelDispatch::Scalar);
-    }
-
-    #[test]
-    fn resolve_picks_avx2_when_detected_else_blocked() {
-        assert_eq!(KernelDispatch::resolve(false, true), KernelDispatch::Avx2);
-        assert_eq!(
-            KernelDispatch::resolve(false, false),
-            KernelDispatch::Blocked
-        );
+    fn resolve_truth_table_is_exhaustive() {
+        use KernelDispatch::*;
+        let rows = [
+            (false, false, false, Blocked),
+            (false, true, false, Avx2),
+            (false, false, true, Avx512),
+            (false, true, true, Avx512),
+            (true, false, false, Scalar),
+            (true, true, false, Scalar),
+            (true, false, true, Scalar),
+            (true, true, true, Scalar),
+        ];
+        for (force_scalar, avx2, avx512, want) in rows {
+            assert_eq!(
+                KernelDispatch::resolve(force_scalar, avx2, avx512),
+                want,
+                "resolve({force_scalar}, {avx2}, {avx512})"
+            );
+        }
     }
 
     #[test]
@@ -118,8 +162,8 @@ mod tests {
         let avail = KernelDispatch::available();
         assert!(avail.contains(&KernelDispatch::Scalar));
         assert!(avail.contains(&KernelDispatch::Blocked));
-        // Avx2 membership must agree with host detection.
         assert_eq!(avail.contains(&KernelDispatch::Avx2), avx2_supported());
+        assert_eq!(avail.contains(&KernelDispatch::Avx512), avx512_supported());
     }
 
     #[test]
@@ -134,5 +178,6 @@ mod tests {
         assert_eq!(KernelDispatch::Scalar.name(), "scalar");
         assert_eq!(KernelDispatch::Blocked.name(), "blocked");
         assert_eq!(KernelDispatch::Avx2.name(), "avx2");
+        assert_eq!(KernelDispatch::Avx512.name(), "avx512");
     }
 }

@@ -6,18 +6,19 @@
 //! The scan is a three-layer subsystem:
 //!
 //! 1. **Runtime ISA dispatch** ([`KernelDispatch`]) — selected once per
-//!    process: an AVX2 LUT16 kernel for `k* = 16` ([`self`] module
-//!    `avx2`; nibble codes scored 32 per iteration from register-resident
-//!    tables), an unrolled multi-accumulator blocked kernel for `k* = 256`
-//!    (`blocked`), and the seed scalar loops (`scalar`) as reference and
-//!    `ANNA_FORCE_SCALAR` fallback.
+//!    process: a LUT16 kernel for `k* = 16` with the tables resident in
+//!    vector registers ([`self`] modules `avx512` — one ZMM register per
+//!    table, 64 nibble codes per iteration — and `avx2` — two YMM halves
+//!    per table, 32 per iteration), an unrolled multi-accumulator blocked
+//!    kernel for `k* = 256` (`blocked`), and the seed scalar loops
+//!    (`scalar`) as reference and `ANNA_FORCE_SCALAR` fallback.
 //! 2. **Block scoring** — a cluster is walked in blocks of [`TILE`]
 //!    vectors. The blocked kernels (and [`score_all`], on every dispatch)
 //!    write the block's scores to a tile in a reusable [`ScanScratch`];
-//!    the AVX2 kernel under [`scan_with`] instead ends in a **survivors
-//!    sink**: the 32 finished sums are compared in registers with the
-//!    broadcast [`TopK::threshold`] (`vcmpps GE_OQ` + `vmovmskps`) and
-//!    only the passing lanes are spilled, as `(position, score)` pairs in
+//!    the LUT16 kernels under [`scan_with`] instead end in a **survivors
+//!    sink**: the finished sums are compared in registers with the
+//!    broadcast [`TopK::threshold`] (`vcmpps GE_OQ` into a mask) and only
+//!    the passing lanes are spilled, as `(position, score)` pairs in
 //!    ascending position. ANNA's SCM never materialises a score either —
 //!    each sum leaves the adder tree, meets the P-heap minimum, and only
 //!    winners enter the heap (PAPER §III-B(4)). Either way the hot loop
@@ -80,6 +81,8 @@ mod scalar;
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2;
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx512;
 
 pub use dispatch::KernelDispatch;
 pub use scalar::{scan_u4, scan_u8};
@@ -126,7 +129,6 @@ impl ScanScratch {
 
     /// Grows (never shrinks) and hands out the `(positions, scores)` pair a
     /// survivors scan of a `count`-vector block spills into.
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     fn survivor_buffers(&mut self, count: usize) -> (&mut [u32], &mut [f32]) {
         if self.scores.len() < count {
             self.scores.resize(count, 0.0);
@@ -150,8 +152,8 @@ pub struct ScanTally {
     /// offered*. The survivors sink compares against a threshold frozen
     /// per tile, but the lanes it spills are re-checked against the live
     /// one before the push, so the frozen copy never shows here — from the
-    /// same starting `TopK`, `Blocked` and `Avx2` report the same number
-    /// (and `Scalar`, which pushes every score, reports 0).
+    /// same starting `TopK`, `Blocked`, `Avx2` and `Avx512` report the same
+    /// number (and `Scalar`, which pushes every score, reports 0).
     /// Schedule-dependent (the threshold tightens as the scan proceeds),
     /// so this is a telemetry quantity, not a determinism-checked one.
     pub pruned: u64,
@@ -193,10 +195,10 @@ pub fn scan(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) -> Scan
 ///
 /// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push);
 /// the other dispatches score a block, then offer only what passes the
-/// threshold — from the score tile, or for `k* = 16` under
-/// [`KernelDispatch::Avx2`] from the lanes the kernel's survivors sink
-/// spilled. All produce bit-identical `top` contents (see the module
-/// docs).
+/// threshold — from the score tile, or for `k* = 16` under the SIMD arms
+/// ([`KernelDispatch::Avx2`], [`KernelDispatch::Avx512`]) from the lanes
+/// the kernel's survivors sink spilled. All produce bit-identical `top`
+/// contents (see the module docs).
 ///
 /// # Panics
 ///
@@ -225,9 +227,7 @@ pub fn scan_with(
 
     let m = codes.m();
     let vb = codes.vector_bytes();
-    let survivors_only = cfg!(any(target_arch = "x86", target_arch = "x86_64"))
-        && dispatch == KernelDispatch::Avx2
-        && codes.width() == CodeWidth::U4;
+    let survivors_only = dispatch.has_lut16_simd() && codes.width() == CodeWidth::U4;
     // Candidates handed to `TopK::push`.
     let mut offered = 0u64;
     let mut start = 0;
@@ -244,29 +244,27 @@ pub fn scan_with(
         }
         let ids = &ids[start..next];
         if survivors_only {
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            {
-                // The kernel filters against a copy of the threshold frozen
-                // for this tile. The live one only rises, so the frozen
-                // copy admits a superset of what can still enter; each
-                // spilled lane is re-checked before it pays the push.
-                let (positions, scores) = scratch.survivor_buffers(count);
-                let kept = avx2::score_block_u4(
-                    codes,
-                    start,
-                    count,
-                    lut,
-                    avx2::Sink::Survivors {
-                        threshold: top.threshold(),
-                        positions,
-                        scores,
-                    },
-                );
-                for (&j, &score) in positions[..kept].iter().zip(&scores[..kept]) {
-                    if score >= top.threshold() {
-                        offered += 1;
-                        top.push(ids[j as usize], score);
-                    }
+            // The kernel filters against a copy of the threshold frozen
+            // for this tile. The live one only rises, so the frozen copy
+            // admits a superset of what can still enter; each spilled lane
+            // is re-checked before it pays the push.
+            let (positions, scores) = scratch.survivor_buffers(count);
+            let kept = score_block_u4(
+                dispatch,
+                codes,
+                start,
+                count,
+                lut,
+                Sink::Survivors {
+                    threshold: top.threshold(),
+                    positions,
+                    scores,
+                },
+            );
+            for (&j, &score) in positions[..kept].iter().zip(&scores[..kept]) {
+                if score >= top.threshold() {
+                    offered += 1;
+                    top.push(ids[j as usize], score);
                 }
             }
         } else {
@@ -331,17 +329,143 @@ fn score_block(
         (KernelDispatch::Scalar, _) => scalar::score_block(codes, start, lut, groups, out),
         (_, CodeWidth::U8) => blocked::score_block_u8(codes, start, lut, out),
         (KernelDispatch::Blocked, CodeWidth::U4) => blocked::score_block_u4(codes, start, lut, out),
-        (KernelDispatch::Avx2, CodeWidth::U4) => {
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            {
-                avx2::score_block_u4(codes, start, out.len(), lut, avx2::Sink::Tile(out));
+        (_, CodeWidth::U4) => {
+            score_block_u4(dispatch, codes, start, out.len(), lut, Sink::Tile(out));
+        }
+    }
+}
+
+/// Where a LUT16 kernel puts the scores of a block.
+enum Sink<'a> {
+    /// Every score, at its vector's position in the block.
+    Tile(&'a mut [f32]),
+    /// Only the vectors with `score >= threshold`, as parallel
+    /// `(position in the block, score)` arrays in ascending position. NaN
+    /// scores never pass (the comparison is ordered). Both slices must
+    /// hold at least the block's vector count.
+    Survivors {
+        threshold: f32,
+        positions: &'a mut [u32],
+        scores: &'a mut [f32],
+    },
+}
+
+impl Sink<'_> {
+    /// `(threshold to keep from, scores out, positions out)`: the scores
+    /// slice is the tile, or the survivors' scores beside `positions`; a
+    /// tile keeps everything and has no positions.
+    fn parts(&mut self) -> (Option<f32>, &mut [f32], &mut [u32]) {
+        match self {
+            Sink::Tile(out) => (None, out, &mut []),
+            Sink::Survivors {
+                threshold,
+                positions,
+                scores,
+            } => (Some(*threshold), scores, positions),
+        }
+    }
+}
+
+/// Scores vectors `[start, start + count)` of packed u4 codes into `sink`
+/// with the LUT16 kernel of a SIMD `dispatch`; returns how many scores the
+/// sink received (`count` for [`Sink::Tile`], the survivor count for
+/// [`Sink::Survivors`]).
+///
+/// [`KernelDispatch::Avx512`] runs its own kernel on 4- and 8-byte rows
+/// and the AVX2 kernel on every other width. Whatever the SIMD loop leaves
+/// (the AVX2 kernel stops at the last whole 32-vector chunk, and skips
+/// rows wider than it keeps per lane) is finished here by a scalar loop in
+/// the same `i`-ascending order.
+///
+/// # Panics
+///
+/// Panics if the host lacks the ISA the kernel needs, the codes are not
+/// [`CodeWidth::U4`], the LUT is not 16-entry, the range exceeds
+/// `codes.len()`, or a sink slice is shorter than `count`.
+fn score_block_u4(
+    dispatch: KernelDispatch,
+    codes: &PackedCodes,
+    start: usize,
+    count: usize,
+    lut: &Lut,
+    mut sink: Sink<'_>,
+) -> usize {
+    assert!(
+        dispatch.has_lut16_simd(),
+        "no LUT16 kernel under {dispatch:?}"
+    );
+    assert_eq!(codes.width(), CodeWidth::U4);
+    assert_eq!(lut.kstar(), 16, "u4 kernel requires a 16-entry LUT");
+    let m = codes.m();
+    let vb = codes.vector_bytes();
+    let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
+    assert!((start + count) * vb <= bytes.len());
+    assert!(m * 16 <= entries.len());
+    match &sink {
+        Sink::Tile(out) => assert!(count <= out.len()),
+        Sink::Survivors {
+            positions, scores, ..
+        } => assert!(count <= positions.len() && count <= scores.len()),
+    }
+
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let (done, mut written) = (0, 0);
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    let (done, mut written) = {
+        let zmm = dispatch == KernelDispatch::Avx512 && matches!(vb, 4 | 8);
+        let isa_detected = if zmm {
+            dispatch::avx512_supported()
+        } else {
+            dispatch::avx2_supported()
+        };
+        assert!(isa_detected, "SIMD kernel on a host without its ISA");
+        // SAFETY: `isa_detected` (asserted just above) is the feature of
+        // whichever kernel the match calls; `vb` is `4 * ND` by the arm
+        // taken; and the range, table-count and sink-length asserts at
+        // the top of this function are the kernels' other preconditions.
+        unsafe {
+            match vb {
+                4 if zmm => {
+                    avx512::lut16_kernel::<1>(m, bytes, start, count, entries, bias, &mut sink)
+                }
+                8 if zmm => {
+                    avx512::lut16_kernel::<2>(m, bytes, start, count, entries, bias, &mut sink)
+                }
+                _ => avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, &mut sink),
             }
-            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-            {
-                blocked::score_block_u4(codes, start, lut, out)
+        }
+    };
+
+    // Tail: scalar over the packed rows, same i-ascending order.
+    let (keep_from, out, positions) = sink.parts();
+    let pairs = m / 2;
+    for j in done..count {
+        let o = (start + j) * vb;
+        let row = &bytes[o..o + vb];
+        let mut sum = 0.0f32;
+        for (b, &byte) in row.iter().take(pairs).enumerate() {
+            sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
+            sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
+        }
+        if m % 2 == 1 {
+            sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
+        }
+        let score = sum + bias;
+        match keep_from {
+            None => {
+                out[j] = score;
+                written += 1;
+            }
+            Some(threshold) => {
+                if score >= threshold {
+                    positions[written] = j as u32;
+                    out[written] = score;
+                    written += 1;
+                }
             }
         }
     }
+    written
 }
 
 /// Scores a cluster without top-k, returning raw scores (used by tests and
@@ -708,6 +832,81 @@ mod tests {
                     "dispatch {}",
                     dispatch.name()
                 );
+            }
+        }
+    }
+
+    /// The sink-level statement behind the survivors scan: under every
+    /// SIMD arm, what [`Sink::Survivors`] receives is exactly what
+    /// [`Sink::Tile`] receives filtered by `score >= threshold`, positions
+    /// ascending — for a threshold that keeps everything but NaN (`-inf`),
+    /// one inside the score range, and one only `+inf` scores reach. Shapes
+    /// cover both AVX-512 row loads (`m` 7 and 8: 4-byte rows; 16: 8-byte),
+    /// the width it hands to AVX2 (`m` 24), and counts on both sides of
+    /// the 16-lane group, the 32- and 64-lane chunks and a whole tile;
+    /// tables hold NaN, `±inf` and `-0.0`.
+    #[test]
+    fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
+        let mut rng = anna_testkit::TestRng::new(0x51_4E_4B);
+        for m in [7usize, 8, 16, 24] {
+            let mut words: Vec<f32> = (0..m * 16).map(|_| rng.f32(-8.0..8.0)).collect();
+            for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+                let at = rng.usize(0..words.len());
+                words[at] = hostile;
+            }
+            // One-dimensional codewords against a query of ones: the LUT
+            // entries are the codewords.
+            let book = PqCodebook::from_books(
+                words
+                    .chunks(16)
+                    .map(|book| VectorSet::from_vec(1, book.to_vec()))
+                    .collect(),
+            );
+            let lut = Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32);
+            for n in [1, 15, 16, 17, 63, 64, 65, 255, 256] {
+                let codes = random_codes(&mut rng, m, CodeWidth::U4, 16, n + 3);
+                // A block that starts inside the stream, as tiles do.
+                let start = 3;
+                for dispatch in KernelDispatch::available() {
+                    if !dispatch.has_lut16_simd() {
+                        continue;
+                    }
+                    let mut tile = vec![0.0f32; n];
+                    let stored =
+                        score_block_u4(dispatch, &codes, start, n, &lut, Sink::Tile(&mut tile));
+                    assert_eq!(stored, n);
+                    for threshold in [f32::NEG_INFINITY, 0.5, f32::INFINITY] {
+                        let want: Vec<(u32, u32)> = (0..n as u32)
+                            .zip(&tile)
+                            .filter(|&(_, &score)| score >= threshold)
+                            .map(|(j, score)| (j, score.to_bits()))
+                            .collect();
+                        let (mut positions, mut scores) = (vec![u32::MAX; n], vec![f32::NAN; n]);
+                        let kept = score_block_u4(
+                            dispatch,
+                            &codes,
+                            start,
+                            n,
+                            &lut,
+                            Sink::Survivors {
+                                threshold,
+                                positions: &mut positions,
+                                scores: &mut scores,
+                            },
+                        );
+                        let got: Vec<(u32, u32)> = positions[..kept]
+                            .iter()
+                            .zip(&scores[..kept])
+                            .map(|(&j, score)| (j, score.to_bits()))
+                            .collect();
+                        assert_eq!(
+                            got,
+                            want,
+                            "m={m} n={n} threshold={threshold} {}",
+                            dispatch.name()
+                        );
+                    }
+                }
             }
         }
     }

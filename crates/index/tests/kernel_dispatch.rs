@@ -4,15 +4,20 @@
 //! `k* = 256` bytes), odd and even subquantizer counts, and arbitrary
 //! random codes — the summation-order invariant of
 //! `anna_index::kernels`, checked end to end. The survivors sink of the
-//! AVX2 kernel (scores filtered in registers against a per-tile frozen
+//! SIMD kernels (scores filtered in registers against a per-tile frozen
 //! threshold) gets its own test against the per-score-push oracle, from a
-//! pre-warmed selector, over every row-load path and block-edge count.
+//! pre-warmed selector, over every row-load path and block-edge count of
+//! both the AVX2 and the AVX-512 kernel. (The sink itself is private; its
+//! "survivors == tile filtered by the threshold" property is a unit test
+//! beside it in `kernels/mod.rs`.)
 //!
 //! The environment-variable override (`ANNA_FORCE_SCALAR`) is covered by
 //! unit tests of the pure `resolve` rule inside the crate; these tests
 //! instead drive every member of [`KernelDispatch::available`] explicitly,
-//! so the suite exercises the SIMD path on hosts that have it and stays
-//! green on hosts that don't.
+//! so the suite exercises each SIMD path on hosts that have it and stays
+//! green on hosts that don't — on an AVX-512 host, where the process-wide
+//! dispatch never picks `Avx2`, this is the AVX2 arm's coverage. Run with
+//! `--nocapture` to see which arms a host covered.
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
@@ -203,11 +208,11 @@ fn process_wide_dispatch_matches_reference() {
 
 /// A 16-entry codebook with one-dimensional codewords — so a LUT entry is
 /// the codeword itself (IP against a query of ones) or minus its square
-/// (L2 against a zero residual) — finite except for one NaN, one `+inf`
-/// and one `-inf` codeword at random places.
+/// (L2 against a zero residual) — finite except for one NaN, one `+inf`,
+/// one `-inf` and one `-0.0` codeword at random places.
 fn hostile_book(rng: &mut TestRng, m: usize) -> PqCodebook {
     let mut words: Vec<f32> = (0..m * 16).map(|_| rng.f32(-8.0..8.0)).collect();
-    for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+    for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
         let at = rng.usize(0..words.len());
         words[at] = hostile;
     }
@@ -229,22 +234,40 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
 /// The survivors path against the scalar per-score-push oracle, starting
 /// from a **pre-warmed** selector (so the first tile already filters
 /// against a real threshold, and the frozen-per-tile copy goes stale
-/// inside a tile): every row-load path (`vb = 4` one load, `vb = 8` two
-/// loads de-interleaved, every other width the dword gather incl. ragged
-/// odd widths and the `nd = 8` limit, `vb = 33` the scalar fallback),
-/// block-edge counts around the 32-lane chunk and the tile, both metrics,
-/// and NaN/±inf table entries (NaN scores must never surface; `+inf`
-/// scores tie and fall to the id rule). `ScanTally::pruned` must also be
-/// `scanned − offered` on every dispatch, hence equal across the two
-/// filtering dispatches from the same starting selector.
+/// inside a tile): every row-load path (`vb = 4` one load, with `m = 7`
+/// leaving the top nibble unused; `vb = 8` two loads de-interleaved; every
+/// other width the AVX2 dword gather — which the AVX-512 arm delegates to —
+/// incl. ragged odd widths and the `nd = 8` limit; `vb = 33` the scalar
+/// fallback), block-edge counts around the 16-lane group, the 32- and
+/// 64-lane chunks and the tile, both metrics, and NaN/±inf/−0.0 table
+/// entries (NaN scores must never surface; `+inf` scores tie and fall to
+/// the id rule). The score tile of every dispatch must equal the scalar
+/// reference bit for bit, and `ScanTally::pruned` must be
+/// `scanned − offered` on every dispatch, hence equal across the filtering
+/// dispatches (`Blocked`, `Avx2`, `Avx512`) from the same starting selector.
 #[test]
 fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
-    let counts = [1, 31, 32, 33, 255, 256, 257, 3 * kernels::TILE + 37];
+    let counts = [
+        1,
+        15,
+        16,
+        17,
+        31,
+        32,
+        33,
+        63,
+        64,
+        65,
+        255,
+        256,
+        257,
+        3 * kernels::TILE + 37,
+    ];
     let mut rng = TestRng::new(0x5EED_5CA9);
     let mut scratch = ScanScratch::new();
-    for vb in [2usize, 4, 5, 8, 16, 25, 32, 33] {
-        // Odd widths carry a half-used last byte.
-        let m = if vb % 2 == 1 { 2 * vb - 1 } else { 2 * vb };
+    for m in [4usize, 7, 8, 9, 16, 24, 32, 49, 64, 66] {
+        // Odd `m` carries a half-used last byte.
+        let vb = m.div_ceil(2);
         let book = hostile_book(&mut rng, m);
         let luts = [
             Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32),
@@ -286,13 +309,24 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 assert!(expect
                     .iter()
                     .all(|&(_, bits)| !f32::from_bits(bits).is_nan()));
+                let reference = scalar_reference(&codes, lut);
 
                 let mut pruned = Vec::new();
                 for dispatch in KernelDispatch::available() {
+                    let at = format!("vb={vb} m={m} {metric} n={n} k={k} {}", dispatch.name());
+                    let tile = kernels::score_all_with(&codes, lut, dispatch, &mut scratch);
+                    // A NaN's payload depends on operand order, which no
+                    // dispatch fixes; every other score is compared as bits
+                    // (so `-0.0` is not `0.0`).
+                    let bits = |scores: &[f32]| -> Vec<Option<u32>> {
+                        let finite_bits = |s: &f32| (!s.is_nan()).then(|| s.to_bits());
+                        scores.iter().map(finite_bits).collect()
+                    };
+                    assert_eq!(bits(&tile), bits(&reference), "{at}");
+
                     let mut top = warm.clone();
                     let tally =
                         kernels::scan_with(&codes, &ids, lut, &mut top, dispatch, &mut scratch);
-                    let at = format!("vb={vb} m={m} {metric} n={n} k={k} {}", dispatch.name());
                     assert_eq!(tally.scanned, n as u64, "{at}");
                     assert_eq!(kept(top), expect, "{at}");
                     if dispatch != KernelDispatch::Scalar {
@@ -305,4 +339,12 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
             }
         }
     }
+    let arms: Vec<&str> = KernelDispatch::available()
+        .iter()
+        .map(|d| d.name())
+        .collect();
+    println!(
+        "kernel_dispatch: arms covered {arms:?}, process-wide dispatch {}",
+        KernelDispatch::current().name()
+    );
 }

@@ -5,7 +5,10 @@
 //! exactly what the scalar path keeps by pushing every score: same ids,
 //! same `score.to_bits()`, visit after visit as the threshold tightens.
 //! `ScanTally::pruned` means `scanned − offered to TopK::push` on every
-//! dispatch, so the two filtering dispatches must agree on it too.
+//! dispatch, so the filtering dispatches (`blocked` and every SIMD arm the
+//! host has) must agree on it too. A failure names the arm that diverged
+//! and the process-wide [`KernelDispatch::current`] — the arm every engine
+//! in this process actually runs.
 
 use anna::index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna::quant::codes::PackedCodes;
@@ -96,17 +99,21 @@ fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
             .all(|(kept, pruned)| kept.len() == K && *pruned == 0));
         let filtering = &runs[1..];
         for (dispatch, trail) in filtering {
+            let at = format!(
+                "{} (process-wide dispatch: {})",
+                dispatch.name(),
+                KernelDispatch::current().name()
+            );
             for (visit, ((kept, pruned), (want, _))) in trail.iter().zip(oracle).enumerate() {
-                assert_eq!(kept, want, "{} visit {visit}", dispatch.name());
+                assert_eq!(kept, want, "{at} visit {visit}");
                 let (_, first) = &filtering[0];
-                assert_eq!(*pruned, first[visit].1, "{} visit {visit}", dispatch.name());
+                assert_eq!(*pruned, first[visit].1, "{at} visit {visit}");
             }
             // Once the selector is warm the filter must actually engage.
             let (_, last_pruned) = trail[CLUSTERS - 1];
             assert!(
                 last_pruned > LIST_LEN as u64 * 9 / 10,
-                "{} pruned only {last_pruned} of the last visit",
-                dispatch.name()
+                "{at} pruned only {last_pruned} of the last visit"
             );
         }
     }
