@@ -1,53 +1,18 @@
-//! Runs every experiment and writes all `reports/*.json` files — the data
-//! source for EXPERIMENTS.md.
+//! The one driver of the report table ([`anna_bench::reports`]):
+//! `runall [--full] [--check] [NAME…]`. `--full` rewrites `reports/*.json`
+//! — the data source for EXPERIMENTS.md — and `--check` proves the
+//! committed copies are what the source tree regenerates.
 
-use anna_bench::{
-    ablation, compression, fig10, fig8, fig9, related, table1, traffic_opt, write_report, Scale,
-};
+use anna_bench::{harness, reports};
 
 fn main() {
-    let scale = Scale::from_args();
-    eprintln!("running all experiments with {scale:?}");
-
-    print!("{}", table1::render());
-    let _ = write_report("table1", &table1::to_json());
-
-    let f8 = fig8::run(&scale);
-    print!("{}", f8.render());
-    let _ = write_report("fig8", &f8.to_json());
-
-    let f9 = fig9::run(&scale);
-    print!("{}", f9.render());
-    let _ = write_report("fig9", &f9.to_json());
-
-    let f10 = fig10::run(&scale);
-    print!("{}", f10.render());
-    let _ = write_report("fig10", &f10.to_json());
-
-    let t = traffic_opt::run(&scale);
-    print!("{}", t.render());
-    let _ = write_report("traffic_opt", &t.to_json());
-
-    let batch = if std::env::args().any(|a| a == "--full") {
-        1000
-    } else {
-        256
-    };
-    let a = ablation::run(batch);
-    print!("{}", a.render());
-    let _ = write_report("ablation", &a.to_json());
-
-    let r = related::run();
-    print!("{}", r.render());
-    let _ = write_report("related_work", &r.to_json());
-
-    let c = compression::run(&scale);
-    print!("{}", c.render());
-    let _ = write_report("compression", &c.to_json());
-
-    let tl = anna_bench::timeline::run(scale.batch.min(256), 8, scale.seed);
-    print!("{}", tl.render(6));
-    let _ = write_report("timeline", &tl.to_json());
-
-    eprintln!("all reports written to reports/");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let verdict = harness::reports_dir()
+        .map_err(|e| e.to_string())
+        .and_then(|dir| reports::drive(&args, &dir));
+    if let Err(e) = verdict {
+        eprintln!("runall: {e}");
+        std::process::exit(1);
+    }
 }

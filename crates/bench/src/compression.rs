@@ -4,12 +4,12 @@
 //! scenarios for the same dataset \[Deep1B\]", while "Faiss256 (CPU) can
 //! achieve substantially better maximum recall".
 
-use anna_data::{recall, synth, PaperDataset};
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
+use anna_data::PaperDataset;
 use serde::{Deserialize, Serialize};
 
+use crate::configs::SearchConfig;
+use crate::harness::Contexts;
 use crate::json::Json;
-use crate::scale::Scale;
 
 /// Maximum recall one configuration reaches at one compression ratio.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,52 +32,21 @@ pub struct Compression {
 }
 
 /// Runs the sweep on the Deep1B stand-in (the dataset the paper calls
-/// out) across 4:1, 8:1 and 16:1 for the three model families.
-pub fn run(scale: &Scale) -> Compression {
-    run_for(PaperDataset::Deep1B, scale)
-}
-
-/// Runs the sweep for one dataset.
-pub fn run_for(dataset: PaperDataset, scale: &Scale) -> Compression {
-    let spec = dataset.spec(scale.db_n, scale.num_queries, scale.seed);
-    let data = synth::generate(&spec);
-    let gt = recall::ground_truth(&data.queries, &data.db, data.metric, scale.recall_x);
-    let w = (scale.num_clusters / 2).max(1);
-    let params = SearchParams {
-        nprobe: w,
-        k: scale.recall_y,
-        ..Default::default()
-    };
-
-    let configs: [(&str, usize, Trainer); 3] = [
-        ("ScaNN16", 16, Trainer::Scann),
-        ("Faiss16", 16, Trainer::Faiss),
-        ("Faiss256", 256, Trainer::Faiss),
-    ];
-
+/// out) across 4:1, 8:1 and 16:1 for the three model families; max
+/// recall probes half the clusters.
+pub fn run(contexts: &mut Contexts) -> Compression {
+    let dataset = PaperDataset::Deep1B;
+    let w = (contexts.scale.num_clusters / 2).max(1);
     let mut rows = Vec::new();
     for compression in [4u32, 8, 16] {
-        for &(name, kstar, trainer) in &configs {
-            let m = dataset.m_for(compression, kstar);
-            let index = IvfPqIndex::build(
-                &data.db,
-                &IvfPqConfig {
-                    metric: data.metric,
-                    num_clusters: scale.num_clusters,
-                    m,
-                    kstar,
-                    trainer,
-                    coarse_iters: scale.train_iters,
-                    pq_iters: scale.train_iters,
-                    seed: scale.seed,
-                },
-            );
-            let (results, _) = BatchedScan::new(&index).run(&data.queries, &params);
+        let ctx = contexts.get(dataset, compression);
+        // The three CPU-family rows; the GPU row shares Faiss256's model.
+        for cfg in &SearchConfig::ALL[..3] {
             rows.push(CompressionRow {
                 dataset: dataset.name().to_string(),
-                config: name.to_string(),
+                config: cfg.sw_name.replace(" (CPU)", ""),
                 compression,
-                max_recall: recall::recall_x_at_y(&gt, &results, scale.recall_y),
+                max_recall: ctx.recall_at(cfg, w),
             });
         }
     }
@@ -142,6 +111,7 @@ impl Compression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn recall_degrades_with_compression_and_k256_wins_at_16to1() {
@@ -150,7 +120,7 @@ mod tests {
         scale.num_queries = 16;
         scale.num_clusters = 16;
         scale.train_iters = 3;
-        let c = run(&scale);
+        let c = run(&mut Contexts::new(scale));
         assert_eq!(c.rows.len(), 9);
         for config in ["ScaNN16", "Faiss16", "Faiss256"] {
             let r4 = c.recall_of(config, 4);

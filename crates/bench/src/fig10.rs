@@ -7,9 +7,8 @@ use anna_data::PaperDataset;
 use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
-use crate::harness::PlotContext;
+use crate::harness::Contexts;
 use crate::json::Json;
-use crate::scale::Scale;
 
 /// One bar of Figure 10.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,18 +40,13 @@ pub struct Fig10 {
     pub rows: Vec<EnergyRow>,
 }
 
-/// Runs Figure 10 over every dataset.
-pub fn run(scale: &Scale) -> Fig10 {
-    run_for(&PaperDataset::ALL, scale)
-}
-
-/// Runs Figure 10 for a subset of datasets at `W = 32`, 4:1 compression.
-pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> Fig10 {
+/// Runs Figure 10 for the given datasets at `W = 32`, 4:1 compression.
+pub fn run(datasets: &[PaperDataset], contexts: &mut Contexts) -> Fig10 {
     let w_paper = 32;
     let area_power = AreaPowerModel::paper();
     let mut rows = Vec::new();
     for &dataset in datasets {
-        let ctx = PlotContext::build(dataset, 4, scale);
+        let ctx = contexts.get(dataset, 4);
         let w = if dataset.is_billion_scale() {
             w_paper
         } else {
@@ -165,6 +159,7 @@ impl Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn anna_energy_efficiency_is_orders_of_magnitude() {
@@ -173,7 +168,9 @@ mod tests {
         scale.num_queries = 8;
         scale.num_clusters = 12;
         scale.train_iters = 2;
-        let fig = run_for(&[PaperDataset::Sift1B, PaperDataset::Tti1B], &scale);
+        let mut contexts = Contexts::new(scale);
+        let fig = run(&[PaperDataset::Sift1B, PaperDataset::Tti1B], &mut contexts);
+        assert_eq!(contexts.models_trained(), 0, "energy is paper-scale only");
         assert!(!fig.rows.is_empty());
         // The paper's headline: 97x+ across all configurations.
         let min = fig.min_efficiency();

@@ -3,9 +3,8 @@
 
 use anna_data::PaperDataset;
 
-use crate::harness::{self, Plot};
+use crate::harness::{self, Contexts, Plot};
 use crate::json::Json;
-use crate::scale::Scale;
 
 /// The full Figure 8 result: twelve plots (6 datasets × 2 compression
 /// ratios).
@@ -16,19 +15,14 @@ pub struct Fig8 {
 }
 
 /// Runs Figure 8 for every dataset at both compression ratios.
-pub fn run(scale: &Scale) -> Fig8 {
+pub fn run(contexts: &mut Contexts) -> Fig8 {
     let mut plots = Vec::new();
     for compression in [4u32, 8] {
         for dataset in PaperDataset::ALL {
-            plots.push(harness::run_plot(dataset, compression, scale));
+            plots.push(harness::run_plot(contexts.get(dataset, compression)));
         }
     }
     Fig8 { plots }
-}
-
-/// Runs a single plot (used by the criterion bench and quick checks).
-pub fn run_one(dataset: PaperDataset, compression: u32, scale: &Scale) -> Plot {
-    harness::run_plot(dataset, compression, scale)
 }
 
 impl Fig8 {
@@ -109,6 +103,8 @@ impl Fig8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::PlotContext;
+    use crate::scale::Scale;
 
     #[test]
     fn single_plot_speedup_shape_holds() {
@@ -119,7 +115,7 @@ mod tests {
         scale.scaled_w = vec![1, 4];
         scale.paper_w = vec![16, 64];
         scale.train_iters = 2;
-        let plot = run_one(PaperDataset::Sift1B, 4, &scale);
+        let plot = harness::run_plot(&PlotContext::build(PaperDataset::Sift1B, 4, &scale));
         // ANNA must beat the query-major CPU configs at every point.
         let scann_sw = &plot.series[0];
         let scann_anna = &plot.series[1];

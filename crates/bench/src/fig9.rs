@@ -6,9 +6,8 @@ use anna_data::PaperDataset;
 use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
-use crate::harness::{latency_workload, PlotContext};
+use crate::harness::{latency_workload, Contexts};
 use crate::json::Json;
-use crate::scale::Scale;
 
 /// One latency bar.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,27 +29,22 @@ pub struct Fig9 {
     pub w_paper: usize,
 }
 
-/// Runs Figure 9 over every dataset.
-pub fn run(scale: &Scale) -> Fig9 {
-    run_for(&PaperDataset::ALL, scale)
-}
-
-/// Runs Figure 9 for a subset of datasets (4:1 compression): the
+/// Runs Figure 9 for the given datasets (4:1 compression): the
 /// per-query latency of each software configuration and its ANNA
 /// counterpart, at a recall-comparable `W` (the paper quotes `W = 32`-class
 /// points; ANNA uses intra-query parallelism across all 16 SCMs).
-pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> Fig9 {
+pub fn run(datasets: &[PaperDataset], contexts: &mut Contexts) -> Fig9 {
     let w_paper = 32;
     let mut rows = Vec::new();
     for &dataset in datasets {
-        let ctx = PlotContext::build(dataset, 4, scale);
+        let ctx = contexts.get(dataset, 4);
         let w = if dataset.is_billion_scale() {
             w_paper
         } else {
             w_paper.min(16)
         };
         for cfg in &SearchConfig::ALL {
-            let q = latency_workload(&ctx, cfg, w);
+            let q = latency_workload(ctx, cfg, w);
             let bytes_per_vec = q.shape.encoded_bytes_per_vector() as u64;
             let vectors = q.vectors_scanned();
 
@@ -156,6 +150,7 @@ impl Fig9 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn anna_latency_beats_software_everywhere() {
@@ -164,7 +159,12 @@ mod tests {
         scale.num_queries = 8;
         scale.num_clusters = 12;
         scale.train_iters = 2;
-        let fig = run_for(&[PaperDataset::Sift1B, PaperDataset::Glove1M], &scale);
+        let mut contexts = Contexts::new(scale);
+        let fig = run(
+            &[PaperDataset::Sift1B, PaperDataset::Glove1M],
+            &mut contexts,
+        );
+        assert_eq!(contexts.models_trained(), 0, "latency is paper-scale only");
         assert!(!fig.rows.is_empty());
         assert!(
             fig.min_improvement() > 1.0,

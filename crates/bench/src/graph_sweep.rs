@@ -14,12 +14,10 @@
 //! engine's seeded tie-pinned traversal makes that an equality, not a
 //! tolerance.
 //!
-//! The emitted report (`reports/graph_sweep.json`; `--smoke` writes
-//! `graph_sweep_smoke.json`) holds one recall-vs-bytes point per
-//! `(engine, scope)` pair so the two frontiers plot on one axis. The
-//! binary exits non-zero if any point fails either gate.
-
-use std::time::Instant;
+//! The emitted report (`reports/graph_sweep.json`, and
+//! `graph_sweep_smoke.json` at a sixth of the size) holds one
+//! recall-vs-bytes point per `(engine, scope)` pair so the two frontiers
+//! plot on one axis; `runall` fails if any point fails either gate.
 
 use anna_engine::{run_pipeline, PlanOptions, QuerySpec, SearchEngine};
 use anna_graph::{GraphConfig, PqGraph};
@@ -64,9 +62,6 @@ pub struct GraphPoint {
     /// Whether 2- and 4-thread re-executions of the same plan were
     /// bit-identical to the single-thread run (results and traffic).
     pub deterministic: bool,
-    /// Single-thread queries per second (1-CPU container numbers are
-    /// not throughput claims; see reports/README.md).
-    pub qps: f64,
 }
 
 /// The sweep result: both engines' frontiers over one dataset.
@@ -123,9 +118,7 @@ fn sweep_engine(
         .iter()
         .map(|&scope| {
             let spec = QuerySpec { k: K, scope };
-            let start = Instant::now();
             let piped = run_pipeline(engine, queries, &spec, &PlanOptions::default(), 1, &tel);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
             let (traffic_match, predicted_total, results, deterministic) = match piped {
                 Ok((plan, predicted, base)) => {
                     let deterministic = [2usize, 4].iter().all(|&t| {
@@ -148,7 +141,6 @@ fn sweep_engine(
                 predicted_bytes: predicted_total,
                 traffic_match,
                 deterministic,
-                qps: nq as f64 / secs,
             }
         })
         .collect()
@@ -216,8 +208,14 @@ impl GraphSweep {
     }
 
     /// The acceptance gate.
-    pub fn ok(&self) -> bool {
-        self.all_traffic_match() && self.all_deterministic()
+    pub fn gate(&self) -> Result<(), String> {
+        if !self.all_traffic_match() {
+            return Err("predicted != measured traffic (`match` column)".into());
+        }
+        if !self.all_deterministic() {
+            return Err("results differ across {1, 2, 4} threads (`det` column)".into());
+        }
+        Ok(())
     }
 
     /// JSON report (`reports/graph_sweep.json`).
@@ -247,7 +245,6 @@ impl GraphSweep {
                                 .set("predicted_bytes", p.predicted_bytes)
                                 .set("traffic_match", p.traffic_match)
                                 .set("deterministic", p.deterministic)
-                                .set("qps", p.qps)
                         })
                         .collect(),
                 ),
@@ -258,19 +255,13 @@ impl GraphSweep {
     pub fn render(&self) -> String {
         let mut s = format!(
             "\n=== graph sweep (N={}, {} queries, k={K}, m={M}, k*={KSTAR}) ===\n\
-             {:<16} {:>6} {:>8} {:>12} {:>9} {:>6} {:>6}\n",
-            self.db_n, self.nq, "point", "scope", "recall", "bytes/query", "qps", "match", "det"
+             {:<16} {:>6} {:>8} {:>12} {:>6} {:>6}\n",
+            self.db_n, self.nq, "point", "scope", "recall", "bytes/query", "match", "det"
         );
         for p in &self.points {
             s.push_str(&format!(
-                "{:<16} {:>6} {:>8.4} {:>12.1} {:>9.0} {:>6} {:>6}\n",
-                p.label,
-                p.scope,
-                p.recall,
-                p.bytes_per_query,
-                p.qps,
-                p.traffic_match,
-                p.deterministic
+                "{:<16} {:>6} {:>8.4} {:>12.1} {:>6} {:>6}\n",
+                p.label, p.scope, p.recall, p.bytes_per_query, p.traffic_match, p.deterministic
             ));
         }
         s
@@ -285,7 +276,7 @@ mod tests {
     fn both_engines_hold_the_invariant_and_trade_bytes_for_recall() {
         let sweep = run(1_200, 12);
         assert_eq!(sweep.points.len(), 10);
-        assert!(sweep.ok(), "a gate failed:\n{}", sweep.render());
+        assert_eq!(sweep.gate(), Ok(()), "\n{}", sweep.render());
 
         // Each engine's frontier slopes the right way: the widest scope
         // costs more bytes and recalls at least as much as the

@@ -4,8 +4,11 @@
 use anna_baseline::{CpuModel, GpuModel};
 use anna_core::{engine::analytic, scale_out_qps, AnnaConfig, BatchWorkload, ScmAllocation};
 use anna_data::{recall, synth, ClusterSizeModel, PaperDataset};
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use crate::configs::{Platform, SearchConfig};
 use crate::json::Json;
@@ -82,22 +85,15 @@ impl Plot {
     }
 }
 
-/// A trained scaled model: an index for one `(k*, trainer)` pair.
-#[derive(Debug)]
-pub struct BuiltModel {
-    /// The configuration key.
-    pub kstar: usize,
-    /// The index over the scaled dataset.
-    pub index: IvfPqIndex,
-}
-
 /// The shared context for one (dataset, compression) plot: scaled data,
-/// ground truth, trained models, and the paper-scale cluster model.
+/// ground truth, the paper-scale cluster model, and the trained models —
+/// each trained the first time a report asks for it, so a report that
+/// reads only the paper-scale side (Figures 9 and 10) trains none.
 #[derive(Debug)]
 pub struct PlotContext {
     /// Which dataset.
     pub dataset: PaperDataset,
-    /// 4 or 8.
+    /// 4, 8 or 16.
     pub compression: u32,
     /// Scale profile.
     pub scale: Scale,
@@ -105,47 +101,25 @@ pub struct PlotContext {
     pub data: synth::Dataset,
     /// Exact top-X ground truth on the scaled data.
     pub gt: recall::GroundTruth,
-    /// Distinct trained models, keyed by `model_key()` order of
-    /// [`SearchConfig::ALL`].
-    models: Vec<((usize, anna_index::Trainer), BuiltModel)>,
+    /// One slot per distinct `model_key()` of [`SearchConfig::ALL`].
+    models: Vec<((usize, Trainer), OnceCell<IvfPqIndex>)>,
     /// Paper-scale cluster-size model.
     pub cluster_model: ClusterSizeModel,
 }
 
 impl PlotContext {
-    /// Generates data, ground truth and all trained models for a plot.
+    /// Generates data, ground truth and the cluster model for a plot.
     pub fn build(dataset: PaperDataset, compression: u32, scale: &Scale) -> Self {
         let spec = dataset.spec(scale.db_n, scale.num_queries, scale.seed);
         let data = synth::generate(&spec);
         let gt = recall::ground_truth(&data.queries, &data.db, data.metric, scale.recall_x);
 
-        let mut models = Vec::new();
+        let mut models: Vec<((usize, Trainer), OnceCell<IvfPqIndex>)> = Vec::new();
         for cfg in &SearchConfig::ALL {
             let key = cfg.model_key();
-            if models.iter().any(|(k, _)| *k == key) {
-                continue;
+            if !models.iter().any(|(k, _)| *k == key) {
+                models.push((key, OnceCell::new()));
             }
-            let m = dataset.m_for(compression, cfg.kstar);
-            let index = IvfPqIndex::build(
-                &data.db,
-                &IvfPqConfig {
-                    metric: data.metric,
-                    num_clusters: scale.num_clusters,
-                    m,
-                    kstar: cfg.kstar,
-                    trainer: cfg.trainer,
-                    coarse_iters: scale.train_iters,
-                    pq_iters: scale.train_iters,
-                    seed: scale.seed,
-                },
-            );
-            models.push((
-                key,
-                BuiltModel {
-                    kstar: cfg.kstar,
-                    index,
-                },
-            ));
         }
 
         let cluster_model = ClusterSizeModel::skewed(
@@ -166,25 +140,38 @@ impl PlotContext {
         }
     }
 
-    /// The trained model a configuration uses.
-    pub fn model(&self, cfg: &SearchConfig) -> &BuiltModel {
-        &self
+    /// The index over the scaled dataset a configuration searches.
+    pub fn model(&self, cfg: &SearchConfig) -> &IvfPqIndex {
+        let (_, slot) = self
             .models
             .iter()
             .find(|(k, _)| *k == cfg.model_key())
-            .expect("model built for every configuration")
-            .1
+            .expect("a slot for every configuration");
+        slot.get_or_init(|| {
+            IvfPqIndex::build(
+                &self.data.db,
+                &IvfPqConfig {
+                    metric: self.data.metric,
+                    num_clusters: self.scale.num_clusters,
+                    m: self.dataset.m_for(self.compression, cfg.kstar),
+                    kstar: cfg.kstar,
+                    trainer: cfg.trainer,
+                    coarse_iters: self.scale.train_iters,
+                    pq_iters: self.scale.train_iters,
+                    seed: self.scale.seed,
+                },
+            )
+        })
     }
 
     /// Measured recall `X@Y` on the scaled index at a given `W`.
     pub fn recall_at(&self, cfg: &SearchConfig, w_scaled: usize) -> f64 {
-        let model = self.model(cfg);
         let params = SearchParams {
             nprobe: w_scaled,
             k: self.scale.recall_y,
             ..Default::default()
         };
-        let (results, _) = BatchedScan::new(&model.index).run(&self.data.queries, &params);
+        let (results, _) = BatchedScan::new(self.model(cfg)).run(&self.data.queries, &params);
         recall::recall_x_at_y(&self.gt, &results, self.scale.recall_y)
     }
 
@@ -265,18 +252,13 @@ impl PlotContext {
             }
         }
     }
-
-    /// Mean number of vectors a single query scans at paper scale.
-    pub fn vectors_per_query(&self, w_paper: usize) -> u64 {
-        (self.cluster_model.mean() * w_paper as f64) as u64
-    }
 }
 
 /// Builds one full Figure 8 plot: for each configuration, the software and
 /// ANNA series over the rank-paired `W` sweeps, plus the exhaustive
 /// footnotes.
-pub fn run_plot(dataset: PaperDataset, compression: u32, scale: &Scale) -> Plot {
-    let ctx = PlotContext::build(dataset, compression, scale);
+pub fn run_plot(ctx: &PlotContext) -> Plot {
+    let (dataset, scale) = (ctx.dataset, &ctx.scale);
     let paper_w = scale.paper_w_for(dataset.is_billion_scale());
 
     let mut series = Vec::new();
@@ -324,21 +306,76 @@ pub fn run_plot(dataset: PaperDataset, compression: u32, scale: &Scale) -> Plot 
 
     Plot {
         dataset: dataset.name().to_string(),
-        compression,
+        compression: ctx.compression,
         series,
         exhaustive_qps,
     }
 }
 
-/// Writes a JSON report into `reports/` under the workspace root.
-pub fn write_report(name: &str, json: &Json) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("reports");
-    std::fs::create_dir_all(&dir)?;
+/// The plot contexts of one process, each built the first time a report
+/// asks for its (dataset, compression) pair, so the reports of one
+/// `runall` share scaled data, ground truth and trained models.
+#[derive(Debug)]
+pub struct Contexts {
+    /// The profile every context is built under.
+    pub scale: Scale,
+    built: Vec<PlotContext>,
+}
+
+impl Contexts {
+    /// An empty set under one scale profile.
+    pub fn new(scale: Scale) -> Self {
+        Self {
+            scale,
+            built: Vec::new(),
+        }
+    }
+
+    /// The context for a (dataset, compression) pair.
+    pub fn get(&mut self, dataset: PaperDataset, compression: u32) -> &PlotContext {
+        let at = self
+            .built
+            .iter()
+            .position(|c| c.dataset == dataset && c.compression == compression);
+        let at = at.unwrap_or_else(|| {
+            self.built
+                .push(PlotContext::build(dataset, compression, &self.scale));
+            self.built.len() - 1
+        });
+        &self.built[at]
+    }
+
+    /// How many indexes have been trained so far, over all contexts.
+    pub fn models_trained(&self) -> usize {
+        let slots = self.built.iter().flat_map(|ctx| &ctx.models);
+        slots.filter(|(_, slot)| slot.get().is_some()).count()
+    }
+}
+
+/// `reports/` under the workspace root, found at run time: the nearest
+/// ancestor of the working directory that holds a `Cargo.lock`. A binary
+/// therefore reads and writes the checkout it is run in, not the one it
+/// was compiled in.
+pub fn reports_dir() -> io::Result<PathBuf> {
+    let cwd = std::env::current_dir()?;
+    cwd.ancestors()
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .map(|root| root.join("reports"))
+        .ok_or_else(|| io::Error::other(format!("no Cargo.lock above {}", cwd.display())))
+}
+
+/// Writes `<dir>/<name>.json`; the directory must exist, and an error
+/// names the path it could not write.
+pub fn write_report_in(dir: &Path, name: &str, json: &Json) -> io::Result<PathBuf> {
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, json.to_string())?;
+    std::fs::write(&path, json.to_string())
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     Ok(path)
+}
+
+/// Writes a JSON report into [`reports_dir`].
+pub fn write_report(name: &str, json: &Json) -> io::Result<PathBuf> {
+    write_report_in(&reports_dir()?, name, json)
 }
 
 /// Formats a QPS number the way the paper's log-scale plots read.
@@ -436,7 +473,7 @@ mod tests {
 
     #[test]
     fn run_plot_produces_all_series() {
-        let plot = run_plot(PaperDataset::Glove1M, 4, &tiny_scale());
+        let plot = run_plot(&PlotContext::build(PaperDataset::Glove1M, 4, &tiny_scale()));
         assert_eq!(plot.series.len(), 8); // 4 configs x (software + ANNA)
         for s in &plot.series {
             assert_eq!(s.points.len(), 3);

@@ -45,6 +45,37 @@ impl Json {
         self
     }
 
+    /// JSON path (`$.rows[3].latency_s`) of the innermost value holding
+    /// byte `offset` of `self.to_string()` — how `runall --check` names
+    /// where a committed report and a fresh run part ways.
+    pub fn path_at(&self, offset: usize) -> String {
+        format!("${}", self.steps_to(offset))
+    }
+
+    fn steps_to(&self, offset: usize) -> String {
+        // Children as (path step, bytes of the quoted key and its colon, value).
+        let key_len = |k: &str| Json::from(k).to_string().len() + 1;
+        let children: Vec<(String, usize, &Json)> = match self {
+            Json::Arr(items) => (items.iter().enumerate())
+                .map(|(i, v)| (format!("[{i}]"), 0, v))
+                .collect(),
+            Json::Obj(map) => (map.iter())
+                .map(|(k, v)| (format!(".{k}"), key_len(k), v))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let mut start = 1; // past `[` or `{`; one `,` follows every child
+        for (step, key, value) in children {
+            let end = start + key + value.to_string().len();
+            if (1..end).contains(&offset) {
+                // A byte of the key or the separator before it names the child.
+                return step + &value.steps_to(offset.saturating_sub(start + key));
+            }
+            start = end + 1;
+        }
+        String::new()
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -199,6 +230,20 @@ mod tests {
     fn non_finite_becomes_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn path_at_names_the_value_holding_a_byte() {
+        let j = Json::obj().set("a", 1.5).set(
+            "rows",
+            Json::Arr(vec![Json::obj().set("x", 10), Json::obj().set("x", 27)]),
+        );
+        let text = j.to_string();
+        assert_eq!(text, r#"{"a":1.5,"rows":[{"x":10},{"x":27}]}"#);
+        assert_eq!(j.path_at(text.find("1.5").unwrap() + 2), "$.a");
+        assert_eq!(j.path_at(text.find("27").unwrap()), "$.rows[1].x");
+        assert_eq!(j.path_at(text.find("\"rows").unwrap()), "$.rows");
+        assert_eq!(j.path_at(text.len() - 1), "$");
     }
 
     #[test]

@@ -1,30 +1,38 @@
-//! Experiment harness for the ANNA reproduction: one module (and one
-//! runnable binary, and one criterion bench) per table/figure of the
-//! paper's evaluation.
+//! Experiment harness for the ANNA reproduction: one module per
+//! table/figure of the paper's evaluation, one table of the reports they
+//! produce ([`reports::REPORTS`]) and one driver for it, `--bin runall`.
 //!
-//! | Target | Paper artifact |
+//! | Report | Paper artifact |
 //! |---|---|
-//! | [`fig8`] / `--bin fig8` | Figure 8: throughput vs recall, 6 datasets × {4:1, 8:1} |
-//! | [`fig9`] / `--bin fig9` | Figure 9: single-query latency (4:1) |
-//! | [`fig10`] / `--bin fig10` | Figure 10: normalized energy efficiency (4:1, W=32) |
-//! | [`table1`] / `--bin table1` | Table I: per-module area and peak power |
-//! | [`traffic_opt`] / `--bin traffic_opt` | §V-B memory-traffic-optimization speedups |
-//! | [`ablation`] / `--bin ablation` | design-parameter sweeps (DESIGN.md ablations) |
-//! | [`compression`] / `--bin compression` | §V-B 16:1 recall-collapse text claim |
-//! | [`timeline`] / `--bin timeline` | Figure 7: steady-state execution timeline |
-//! | [`related`] / `--bin related_work` | §VI comparison points |
-//! | `--bin calibrate` | host kernel-rate measurement for the CPU model |
+//! | [`fig8`] / `runall fig8` | Figure 8: throughput vs recall, 6 datasets × {4:1, 8:1} |
+//! | [`fig9`] / `runall fig9` | Figure 9: single-query latency (4:1) |
+//! | [`fig10`] / `runall fig10` | Figure 10: normalized energy efficiency (4:1, W=32) |
+//! | [`table1`] / `runall table1` | Table I: per-module area and peak power |
+//! | [`traffic_opt`] / `runall traffic_opt` | §V-B memory-traffic-optimization speedups |
+//! | [`ablation`] / `runall ablation` | design-parameter sweeps (DESIGN.md ablations) |
+//! | [`compression`] / `runall compression` | §V-B 16:1 recall-collapse text claim |
+//! | [`timeline`] / `runall timeline` | Figure 7: steady-state execution timeline |
+//! | [`related`] / `runall related_work` | §VI comparison points |
+//! | [`rerank_sweep`] / `runall rerank_sweep rerank_sweep_smoke` | two-phase re-rank: fixed-precision vs adaptive bytes/recall frontier |
+//! | [`tiered_sweep`] / `runall tiered_sweep tiered_sweep_smoke` | sharded tiered engine: bytes-from-storage vs cluster-cache capacity |
+//! | [`graph_sweep`] / `runall graph_sweep graph_sweep_smoke` | graph vs IVF-PQ recall-vs-bytes frontiers through the shared `SearchEngine` pipeline |
+//!
+//! `runall` regenerates the named reports (all fifteen when none is
+//! named) and prints them; `--full` selects the full-scale profile (see
+//! [`scale::Scale`]) and writes `reports/*.json`, `--check` compares a
+//! fresh full-profile run with the committed files byte for byte. The
+//! default quick profile finishes in seconds per figure and writes
+//! nothing. Run with `--release`.
+//!
+//! Host tools — their output depends on the machine, so it is uploaded
+//! by CI and not committed:
+//!
+//! | Binary | Measures |
+//! |---|---|
+//! | `--bin calibrate` | host kernel rates for the CPU model |
 //! | [`kernels_sweep`] / `--bin kernels_sweep` | scan-kernel dispatch sweep (codes/sec, GB/s) |
 //! | [`threads_sweep`] / `--bin threads_sweep` | worker-count scaling of the batch engine |
 //! | [`serving_sweep`] / `--bin serving_sweep` | online serving: latency vs offered load ([`openloop`] arrivals through `anna-serve`) |
-//! | [`rerank_sweep`] / `--bin rerank_sweep` | two-phase re-rank: fixed-precision vs adaptive bytes/recall frontier |
-//! | [`tiered_sweep`] / `--bin tiered_sweep` | sharded tiered engine: QPS + bytes-from-storage vs cluster-cache capacity |
-//! | [`graph_sweep`] / `--bin graph_sweep` | graph vs IVF-PQ recall-vs-bytes frontiers through the shared `SearchEngine` pipeline |
-//! | `--bin runall` | everything above, writing `reports/*.json` |
-//!
-//! Binaries accept `--full` for the full-scale profile (see
-//! [`scale::Scale`]); the default quick profile finishes in seconds per
-//! figure. Run with `--release`.
 
 #![deny(missing_docs)]
 
@@ -40,6 +48,7 @@ pub mod json;
 pub mod kernels_sweep;
 pub mod openloop;
 pub mod related;
+pub mod reports;
 pub mod rerank_sweep;
 pub mod scale;
 pub mod serving_sweep;

@@ -23,9 +23,8 @@
 //! on all six traffic components; the
 //! frontier rows then compare, per recall target, the cheapest adaptive
 //! point against the cheapest fixed-precision point. Emitted as
-//! `reports/rerank_sweep.json` by `--bin rerank_sweep`.
-
-use std::time::Instant;
+//! `reports/rerank_sweep.json` (and `rerank_sweep_smoke.json`, a
+//! narrower query set) by `runall`.
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision};
@@ -49,6 +48,9 @@ pub const FINE_ROWS: usize = FINE_BLOBS * FINE_SIZE;
 pub const COARSE_BLOBS: usize = 24;
 /// Final results per query; recall is measured @ this k.
 pub const K: usize = 10;
+/// Workers every point executes on; results and traffic do not depend on
+/// the count (the engine's thread-invariance), so it is not a report field.
+const THREADS: usize = 2;
 
 /// The deterministic dataset formula.
 ///
@@ -109,9 +111,6 @@ pub struct RerankPoint {
     /// Whether all six measured traffic components equalled the
     /// prediction exactly.
     pub traffic_match: bool,
-    /// Queries per second of wall-clock execution (1-CPU container
-    /// numbers are not throughput claims; see reports/README.md).
-    pub qps: f64,
 }
 
 /// The cheapest point of one family meeting a target.
@@ -151,8 +150,6 @@ pub struct RerankSweep {
     pub fine_queries: usize,
     /// Shared first-pass cluster fan-out.
     pub nprobe: usize,
-    /// Worker threads used.
-    pub threads: usize,
     /// All measured points.
     pub points: Vec<RerankPoint>,
     /// Per-target frontier comparisons.
@@ -205,20 +202,15 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     let qs = queries(nq_fine, nq_coarse, db_n);
     let nq = qs.len();
     let truth = exact::search(&qs, &data, Metric::L2, K);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let spec = QuerySpec { k: K, scope: 6 };
     let scan = BatchedScan::with_rerank_db(&index, &data);
     let tel = Telemetry::disabled();
-    // One point: the engine's plan under `rerank`, priced, executed under
-    // the clock, verified.
+    // One point: the engine's plan under `rerank`, priced, executed,
+    // verified.
     let measure = |mode: &str, alpha: usize, rerank: Option<RerankPolicy>| {
         let plan = plan_uniform(&scan, &qs, &spec, &PlanOptions { rerank }, &tel);
         let predicted = scan.price(&plan);
-        let start = Instant::now();
-        let run = scan.execute(&qs, &plan, threads, &tel);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        let run = scan.execute(&qs, &plan, THREADS, &tel);
         let EnginePlan::ClusterMajor { plan: rounds, .. } = &plan else {
             unreachable!("the cluster-major engine plans cluster-major batches");
         };
@@ -245,7 +237,6 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
                 / nq as f64,
             escalated,
             traffic_match: scan.verify(&predicted, None, &run.measured).is_ok(),
-            qps: nq as f64 / secs,
         }
     };
 
@@ -303,7 +294,6 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
         queries: nq,
         fine_queries: nq_fine,
         nprobe: spec.scope,
-        threads,
         points,
         frontier,
     }
@@ -316,22 +306,27 @@ impl RerankSweep {
         self.points.iter().all(|p| p.traffic_match)
     }
 
-    /// The acceptance gate: every frontier target up to 0.95 is reached
-    /// by an adaptive point, and at targets of 0.95 and above, wherever
-    /// both families reach the target the adaptive pick is strictly
-    /// cheaper. (Below 0.95 a tie is allowed: easy targets are met at
-    /// alpha = 1, where the adaptive and f16 ladders price identically.)
-    pub fn ok(&self) -> bool {
-        self.all_traffic_match()
-            && self.frontier.iter().all(|row| {
-                let reached = row.adaptive.is_some() || row.target > 0.95;
-                let cheaper = row.target < 0.95
-                    || match (&row.adaptive, &row.fixed) {
-                        (Some(_), Some(_)) => row.adaptive_strictly_cheaper,
-                        _ => true,
-                    };
-                reached && cheaper
-            })
+    /// The acceptance gate: predicted == measured at every point, every
+    /// frontier target up to 0.95 is reached by an adaptive point, and at
+    /// targets of 0.95 and above, wherever both families reach the target
+    /// the adaptive pick is strictly cheaper. (Below 0.95 a tie is
+    /// allowed: easy targets are met at alpha = 1, where the adaptive and
+    /// f16 ladders price identically.)
+    pub fn gate(&self) -> Result<(), String> {
+        if !self.all_traffic_match() {
+            return Err("predicted != measured traffic (`match` column)".into());
+        }
+        let frontier_ok = self.frontier.iter().all(|row| {
+            let reached = row.adaptive.is_some() || row.target > 0.95;
+            let cheaper = row.target < 0.95
+                || match (&row.adaptive, &row.fixed) {
+                    (Some(_), Some(_)) => row.adaptive_strictly_cheaper,
+                    _ => true,
+                };
+            reached && cheaper
+        });
+        let missed = "a recall target was missed or adaptive was not strictly cheaper";
+        frontier_ok.then_some(()).ok_or_else(|| missed.into())
     }
 
     /// JSON report (`reports/rerank_sweep.json`).
@@ -342,7 +337,6 @@ impl RerankSweep {
             .set("fine_queries", self.fine_queries)
             .set("k", K)
             .set("nprobe", self.nprobe)
-            .set("threads", self.threads)
             .set("all_traffic_match", self.all_traffic_match())
             .set(
                 "points",
@@ -361,7 +355,6 @@ impl RerankSweep {
                                 .set("rerank_bytes_per_query", p.rerank_bytes_per_query)
                                 .set("escalated", p.escalated)
                                 .set("traffic_match", p.traffic_match)
-                                .set("qps", p.qps)
                         })
                         .collect(),
                 ),
@@ -394,7 +387,7 @@ impl RerankSweep {
     pub fn render(&self) -> String {
         let mut s = format!(
             "\n=== two-phase re-rank sweep (N={}, {} queries [{} fine], k={}, nprobe={}) ===\n\
-             {:<14} {:>7} {:>7} {:>7} {:>10} {:>10} {:>6} {:>9} {:>6}\n",
+             {:<14} {:>7} {:>7} {:>7} {:>10} {:>10} {:>6} {:>6}\n",
             self.db_n,
             self.queries,
             self.fine_queries,
@@ -407,12 +400,11 @@ impl RerankSweep {
             "bytes/q",
             "rerank/q",
             "esc",
-            "qps",
             "match"
         );
         for p in &self.points {
             s.push_str(&format!(
-                "{:<14} {:>7.4} {:>7.4} {:>7.4} {:>10.0} {:>10.0} {:>6} {:>9.0} {:>6}\n",
+                "{:<14} {:>7.4} {:>7.4} {:>7.4} {:>10.0} {:>10.0} {:>6} {:>6}\n",
                 p.label,
                 p.recall,
                 p.recall_fine,
@@ -420,7 +412,6 @@ impl RerankSweep {
                 p.bytes_per_query,
                 p.rerank_bytes_per_query,
                 p.escalated,
-                p.qps,
                 p.traffic_match
             ));
         }
@@ -451,8 +442,7 @@ mod tests {
     #[test]
     fn sweep_meets_targets_with_exact_traffic_and_adaptive_frontier() {
         let sweep = run(4_000, 32, 32, &[0.90, 0.95]);
-        assert!(sweep.all_traffic_match(), "predicted != measured traffic");
-        assert!(sweep.ok(), "frontier gate failed:\n{}", sweep.render());
+        assert_eq!(sweep.gate(), Ok(()), "\n{}", sweep.render());
         // The structural premise: at the winning alpha, adaptive splits
         // the population — some queries escalated, some not.
         let split = sweep

@@ -36,7 +36,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// A fast profile for CI and criterion benches (seconds per plot).
+    /// A fast profile for looking at a figure (seconds per plot); `runall`
+    /// prints it and writes nothing.
     pub fn quick() -> Self {
         Self {
             db_n: 12_000,
@@ -52,8 +53,9 @@ impl Scale {
         }
     }
 
-    /// The full reproduction profile (roughly a minute per plot; recall is
-    /// measured at the paper's 100@1000 on a 24k-vector stand-in).
+    /// The full reproduction profile, the one `reports/*.json` is committed
+    /// under (`runall --full`; recall is measured at the paper's 100@1000
+    /// on a 24k-vector stand-in).
     pub fn full() -> Self {
         Self {
             db_n: 24_000,
@@ -66,16 +68,6 @@ impl Scale {
             batch: 1000,
             train_iters: 6,
             seed: 20_220_401,
-        }
-    }
-
-    /// Reads the profile from the process arguments: `--full` selects the
-    /// full profile, anything else the quick one.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::full()
-        } else {
-            Scale::quick()
         }
     }
 

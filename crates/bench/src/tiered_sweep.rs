@@ -1,4 +1,4 @@
-//! Cache-capacity sweep of the sharded, tiered engine: QPS and
+//! Cache-capacity sweep of the sharded, tiered engine:
 //! bytes-from-storage vs cluster-cache capacity, with the two-tier
 //! predicted == measured invariant asserted at every point.
 //!
@@ -20,12 +20,10 @@
 //!    the plan-side prediction *exactly* (the cache simulator and the
 //!    runtime cache replay the same decisions in the same order).
 //!
-//! The emitted curve (`reports/tiered_sweep.json`) must show
-//! bytes-from-storage monotonically non-increasing in capacity; the
-//! binary exits non-zero if the curve bends the wrong way or any equality
-//! above fails.
-
-use std::time::Instant;
+//! The emitted curve (`reports/tiered_sweep.json`, and
+//! `tiered_sweep_smoke.json` at a smaller size) must show
+//! bytes-from-storage monotonically non-increasing in capacity; `runall`
+//! fails if the curve bends the wrong way or any equality above fails.
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{IvfPqConfig, IvfPqIndex, ShardedIndex, ShardedStats};
@@ -45,6 +43,9 @@ pub const SHARDS: usize = 4;
 pub const K: usize = 10;
 /// Clusters visited per query.
 pub const NPROBE: usize = 8;
+/// Workers the tiered replays execute on; every batch must match the
+/// one-worker oracle bit for bit, so the count is not a report field.
+const THREADS: usize = 2;
 
 /// One capacity point of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,10 +54,6 @@ pub struct TieredPoint {
     pub cache_bytes_per_shard: u64,
     /// Query batches replayed at this capacity.
     pub batches: usize,
-    /// Queries per second of wall-clock execution across the replay
-    /// (1-CPU container numbers are not throughput claims; see
-    /// reports/README.md).
-    pub qps: f64,
     /// Code bytes served from the cluster cache, summed over the replay.
     pub bytes_from_cache: u64,
     /// Code bytes ground through the storage tier, summed over the
@@ -87,8 +84,6 @@ pub struct TieredSweep {
     pub shards: usize,
     /// Queries per batch.
     pub queries_per_batch: usize,
-    /// Worker threads used for the sharded search.
-    pub threads: usize,
     /// Total encoded-code bytes of the index (the natural capacity
     /// scale).
     pub total_code_bytes: u64,
@@ -125,8 +120,6 @@ struct BatchRun {
     stats: ShardedStats,
     /// Measured traffic equalled the plan's price, tier split included.
     traffic_match: bool,
-    /// Wall-clock seconds of the execution alone.
-    seconds: f64,
 }
 
 /// Plans and prices `qs` against `engine`'s live cache state, then runs
@@ -142,9 +135,7 @@ fn plan_and_run(engine: &ShardedIndex, qs: &VectorSet, threads: usize) -> BatchR
     let EnginePlan::Sharded(sharded) = &plan else {
         panic!("sharded engine planned a {} batch", plan.engine());
     };
-    let start = Instant::now();
     let (results, stats) = engine.run_plan(qs, sharded, threads, &tel).unwrap();
-    let seconds = start.elapsed().as_secs_f64();
     let traffic_match = engine
         .verify(&predicted, plan.predicted_tier(), &stats.to_measured())
         .is_ok()
@@ -153,7 +144,6 @@ fn plan_and_run(engine: &ShardedIndex, qs: &VectorSet, threads: usize) -> BatchR
         results,
         stats,
         traffic_match,
-        seconds,
     }
 }
 
@@ -171,9 +161,6 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
             ..IvfPqConfig::default()
         },
     );
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let qsets = query_batches(&data, batches, queries_per_batch);
 
     // The single-shard in-RAM serial oracle, replayed once up front.
@@ -183,7 +170,8 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         .map(|qs| plan_and_run(&oracle, qs, 1))
         .collect();
 
-    let dir = std::env::temp_dir().join(format!("anna_tiered_sweep_{}", std::process::id()));
+    // Sized into the name: one process may run two sizes at once.
+    let dir = std::env::temp_dir().join(format!("anna_tiered_sweep_{}_{db_n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths = ShardedIndex::write_shard_segments(&index, SHARDS, &dir).unwrap();
     let total_code_bytes: u64 = (0..index.num_clusters())
@@ -205,21 +193,17 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         let mut tier = TierTraffic::default();
         let mut traffic_match = true;
         let mut identical = true;
-        let mut elapsed = 0.0f64;
         for (qs, want) in qsets.iter().zip(&want) {
             // Each batch advances the shard caches, so each is planned
             // from the live state immediately before it runs.
-            let run = plan_and_run(&tiered, qs, threads);
-            elapsed += run.seconds;
+            let run = plan_and_run(&tiered, qs, THREADS);
             identical &= run.results == want.results && run.stats.batch == want.stats.batch;
             traffic_match &= run.traffic_match;
             tier.accumulate(&run.stats.tier);
         }
-        let queries_run = (batches * queries_per_batch) as f64;
         points.push(TieredPoint {
             cache_bytes_per_shard: per_shard,
             batches,
-            qps: queries_run / elapsed.max(1e-9),
             bytes_from_cache: tier.cache_code_bytes,
             bytes_from_disk: tier.disk_code_bytes,
             cache_hits: tier.cache_hits,
@@ -236,7 +220,6 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         db_n,
         shards: SHARDS,
         queries_per_batch,
-        threads,
         total_code_bytes,
         points,
     }
@@ -260,8 +243,16 @@ impl TieredSweep {
     }
 
     /// The acceptance gate.
-    pub fn ok(&self) -> bool {
-        self.all_match() && self.disk_bytes_monotone()
+    pub fn gate(&self) -> Result<(), String> {
+        if !self.all_match() {
+            return Err("predicted != measured, or a batch left the oracle \
+                        (`match` / `oracle` columns)"
+                .into());
+        }
+        if !self.disk_bytes_monotone() {
+            return Err("bytes-from-storage is not monotone non-increasing in capacity".into());
+        }
+        Ok(())
     }
 
     /// JSON report (`reports/tiered_sweep.json`).
@@ -273,7 +264,6 @@ impl TieredSweep {
             .set("queries_per_batch", self.queries_per_batch)
             .set("k", K)
             .set("nprobe", NPROBE)
-            .set("threads", self.threads)
             .set("total_code_bytes", self.total_code_bytes)
             .set("all_match", self.all_match())
             .set("disk_bytes_monotone", self.disk_bytes_monotone())
@@ -286,7 +276,6 @@ impl TieredSweep {
                             Json::obj()
                                 .set("cache_bytes_per_shard", p.cache_bytes_per_shard)
                                 .set("batches", p.batches)
-                                .set("qps", p.qps)
                                 .set("bytes_from_cache", p.bytes_from_cache)
                                 .set("bytes_from_disk", p.bytes_from_disk)
                                 .set("cache_hits", p.cache_hits)
@@ -305,7 +294,7 @@ impl TieredSweep {
     pub fn render(&self) -> String {
         let mut s = format!(
             "\n=== tiered sweep (N={}, {} shards, {} q/batch × {} batches, total code {} B) ===\n\
-             {:>12} {:>12} {:>12} {:>6} {:>6} {:>6} {:>6} {:>9} {:>6} {:>7}\n",
+             {:>12} {:>12} {:>12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}\n",
             self.db_n,
             self.shards,
             self.queries_per_batch,
@@ -318,13 +307,12 @@ impl TieredSweep {
             "miss",
             "admit",
             "evict",
-            "qps",
             "match",
             "oracle"
         );
         for p in &self.points {
             s.push_str(&format!(
-                "{:>12} {:>12} {:>12} {:>6} {:>6} {:>6} {:>6} {:>9.0} {:>6} {:>7}\n",
+                "{:>12} {:>12} {:>12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}\n",
                 p.cache_bytes_per_shard,
                 p.bytes_from_disk,
                 p.bytes_from_cache,
@@ -332,7 +320,6 @@ impl TieredSweep {
                 p.cache_misses,
                 p.cache_admissions,
                 p.cache_evictions,
-                p.qps,
                 p.traffic_match,
                 p.identical_to_oracle
             ));
@@ -349,16 +336,7 @@ mod tests {
     fn sweep_keeps_both_tier_invariants_and_warms_monotonically() {
         let sweep = run(3_000, 3, 12);
         assert_eq!(sweep.points.len(), 5);
-        assert!(
-            sweep.all_match(),
-            "tier invariants broke:\n{}",
-            sweep.render()
-        );
-        assert!(
-            sweep.disk_bytes_monotone(),
-            "disk bytes not monotone:\n{}",
-            sweep.render()
-        );
+        assert_eq!(sweep.gate(), Ok(()), "\n{}", sweep.render());
         // The curve actually moves: the biggest cache grinds strictly
         // fewer bytes through storage than the capacity-0 point, and the
         // capacity-0 point serves nothing from cache.

@@ -14,9 +14,8 @@ use anna_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::configs::SearchConfig;
-use crate::harness::PlotContext;
+use crate::harness::Contexts;
 use crate::json::Json;
-use crate::scale::Scale;
 
 /// Speedup of the optimized schedule for one (config, compression) cell,
 /// averaged (geomean) across datasets.
@@ -50,22 +49,16 @@ pub struct TrafficOpt {
     pub rows: Vec<SpeedupRow>,
 }
 
-/// Runs the comparison across the billion-scale datasets (where the
-/// optimization matters most).
-pub fn run(scale: &Scale) -> TrafficOpt {
-    run_for(
-        &[
-            PaperDataset::Sift1B,
-            PaperDataset::Deep1B,
-            PaperDataset::Tti1B,
-        ],
-        scale,
-    )
-}
+/// The billion-scale datasets, where the optimization matters most.
+pub const DATASETS: [PaperDataset; 3] = [
+    PaperDataset::Sift1B,
+    PaperDataset::Deep1B,
+    PaperDataset::Tti1B,
+];
 
 /// Runs the comparison for the three CPU-family configurations at both
 /// compression ratios over the given datasets, at `W = 32`.
-pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> TrafficOpt {
+pub fn run(datasets: &[PaperDataset], contexts: &mut Contexts) -> TrafficOpt {
     let w_paper = 32;
     let mut rows = Vec::new();
     for compression in [4u32, 8] {
@@ -76,7 +69,7 @@ pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> TrafficOpt {
             let mut conventional_bytes = 0u64;
             let mut delta = 0u64;
             for &dataset in datasets {
-                let ctx = PlotContext::build(dataset, compression, scale);
+                let ctx = contexts.get(dataset, compression);
                 let workload = ctx.paper_workload(cfg, w_paper);
                 let hw = AnnaConfig::paper();
                 let opt = analytic::batch(&hw, &workload, ScmAllocation::Auto);
@@ -85,11 +78,11 @@ pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> TrafficOpt {
                 // the plan with the TrafficModel, execute the *same* plan
                 // with the software scanner, and diff the shared byte
                 // components (the headline invariant of the plan layer).
-                let model = ctx.model(cfg);
-                let scan = BatchedScan::new(&model.index);
+                let index = ctx.model(cfg);
+                let scan = BatchedScan::new(index);
                 let params = SearchParams {
-                    nprobe: w_paper.min(model.index.num_clusters()),
-                    k: scale.recall_y,
+                    nprobe: w_paper.min(index.num_clusters()),
+                    k: ctx.scale.recall_y,
                     ..Default::default()
                 };
                 let sw = scan.workload(&ctx.data.queries, &params);
@@ -207,6 +200,7 @@ impl TrafficOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn optimization_speeds_up_and_4to1_beats_8to1() {
@@ -216,7 +210,7 @@ mod tests {
         scale.num_clusters = 12;
         scale.train_iters = 2;
         scale.batch = 256;
-        let t = run_for(&[PaperDataset::Sift1B], &scale);
+        let t = run(&[PaperDataset::Sift1B], &mut Contexts::new(scale));
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
             assert!(
