@@ -7,7 +7,9 @@
 //! widths, every entry cross-checked against the `metric::*` oracle. A
 //! `select` section splits one query's scan → select time into scoring,
 //! threshold filtering and heap pushes per dispatch × `k*`, each point
-//! cross-checked against the scalar path. Any divergence exits non-zero.
+//! cross-checked against the scalar path. Any divergence exits non-zero,
+//! and so does a report or snapshot that cannot be written (the error names
+//! the path).
 //!
 //! `--smoke` shrinks the run for CI; `--telemetry <path>` writes a metric
 //! snapshot with per-point `kernel.*` counters.
@@ -78,7 +80,10 @@ fn main() {
     }
     match write_report("kernels_sweep", &sweep.to_json()) {
         Ok(path) => eprintln!("report written to {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
+        Err(e) => {
+            eprintln!("kernels_sweep: could not write report: {e}");
+            std::process::exit(1);
+        }
     }
     if let Some(path) = telemetry_path {
         let snapshot = tel.snapshot_json().expect("telemetry was enabled");

@@ -8,7 +8,9 @@
 //! `reports/serving_sweep.json` (p50/p95/p99 and delivered QPS per
 //! offered-load point) and exits non-zero if any dispatched batch moved
 //! different bytes than its TrafficModel pricing predicted — CI treats a
-//! broken predicted == measured invariant as a hard failure.
+//! broken predicted == measured invariant as a hard failure. A report
+//! that cannot be written also exits non-zero, naming the path: CI
+//! uploads it.
 //!
 //! With `--smoke`, a small trace set runs in seconds and writes
 //! `serving_sweep_smoke.json` — the CI per-commit check.
@@ -45,7 +47,10 @@ fn main() {
     print!("{}", sweep.render());
     match write_report(report, &sweep.to_json()) {
         Ok(path) => eprintln!("report written to {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
+        Err(e) => {
+            eprintln!("serving_sweep: could not write report: {e}");
+            std::process::exit(1);
+        }
     }
     // Invariant gate, checked last so the report is on disk for the
     // post-mortem when it trips.

@@ -2,7 +2,9 @@
 //! counts 1/2/4/8 and writes a JSON report. Every point is checked to
 //! return bit-identical neighbors to the serial schedule, and the
 //! process exits non-zero if any point diverges — CI treats a
-//! determinism break as a hard failure, not a footnote in a report.
+//! determinism break as a hard failure, not a footnote in a report. A
+//! report that cannot be written also exits non-zero, naming the path:
+//! CI uploads it.
 //!
 //! Each point also carries the roofline placement: the traffic model's
 //! bytes for the executed plan, the measured streaming bandwidth at that
@@ -63,7 +65,10 @@ fn main() {
     }
     match write_report(report, &sweep.to_json()) {
         Ok(path) => eprintln!("report written to {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
+        Err(e) => {
+            eprintln!("threads_sweep: could not write report: {e}");
+            std::process::exit(1);
+        }
     }
     if let Some(path) = telemetry_path {
         let snapshot = tel.snapshot_json().expect("telemetry was enabled");

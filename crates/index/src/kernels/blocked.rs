@@ -7,10 +7,13 @@
 //! give the out-of-order core real instruction-level parallelism and keep
 //! four table-lookup loads in flight per cycle.
 //!
-//! This is the main kernel for `k* = 256` (Faiss256), whose 256-entry ×
-//! 4-byte tables cannot live in vector registers (PAPER §II-C) — the win
-//! there is purely ILP and the removal of per-score heap traffic. For
-//! `k* = 16` it is the fallback when neither AVX-512 nor AVX2 is available.
+//! For `k* = 256` (Faiss256), whose 256-entry × 4-byte tables cannot live
+//! in vector registers (PAPER §II-C), this is the kernel on hosts without
+//! `avx512f` and, under every dispatch, for rows shorter than a dword
+//! (`m < 4`) or LUTs narrower than 256 entries; the win there is purely
+//! ILP and the removal of per-score heap traffic. An `avx512f` host scores
+//! the rest with the gather kernel (`super::avx512`). For `k* = 16` it is
+//! the fallback when neither AVX-512 nor AVX2 is available.
 
 use crate::lut::Lut;
 use anna_quant::codes::{CodeWidth, PackedCodes};

@@ -9,6 +9,7 @@
 //! [`crate::kernels`] for the summation-order invariant), so dispatch is a
 //! pure throughput decision — never a correctness one.
 
+use anna_quant::codes::CodeWidth;
 use std::sync::OnceLock;
 
 /// Which scan-kernel implementation to run.
@@ -23,9 +24,8 @@ pub enum KernelDispatch {
     Scalar,
     /// Block scoring with unrolled multi-accumulator scalar kernels (four
     /// vectors in flight) plus the threshold-pruned selection pass. The
-    /// portable fast path — also what `k* = 256` uses under the SIMD
-    /// arms, since 256-entry tables cannot live in vector registers
-    /// (PAPER §II-C).
+    /// portable fast path — also what `k* = 256` uses under `Avx2`, since
+    /// 256-entry tables cannot live in vector registers (PAPER §II-C).
     Blocked,
     /// AVX2 LUT16 kernel for `k* = 16`: nibble codes scored 32 per
     /// iteration from register-resident tables via `vpermps` shuffles
@@ -34,12 +34,17 @@ pub enum KernelDispatch {
     /// and only surviving lanes reach memory. `k* = 256` codes fall back
     /// to the blocked kernel.
     Avx2,
-    /// AVX-512 LUT16 kernel for `k* = 16`: a 16-entry f32 table is *one*
-    /// ZMM register, so sixteen lookups are a single `vpermps zmm` — no
-    /// half-select blend — and nibble codes are scored 64 per iteration;
-    /// survivors leave through a mask-register compare and a compress
-    /// store. Needs `avx512f` only. Row widths other than 4 and 8 bytes
-    /// run the AVX2 kernel, and `k* = 256` the blocked one.
+    /// AVX-512 kernels for both code widths. `k* = 16`: a 16-entry f32
+    /// table is *one* ZMM register, so sixteen lookups are a single
+    /// `vpermps zmm` — no half-select blend — and nibble codes are scored
+    /// 64 per iteration; row widths other than 4 and 8 bytes run the AVX2
+    /// kernel. `k* = 256`: sixteen lookups are one `vgatherdps` from the
+    /// table in cache, byte codes 64 per iteration — this narrows the
+    /// paper's §II-C gap but does not close it, since the table still
+    /// fits no register and a gather is bound by the load ports; rows
+    /// shorter than four bytes and LUTs narrower than 256 entries run the
+    /// blocked kernel. Either way survivors leave through a mask-register
+    /// compare and a compress store. Needs `avx512f` only.
     Avx512,
 }
 
@@ -55,10 +60,17 @@ impl KernelDispatch {
         }
     }
 
-    /// Whether `k* = 16` codes are scored by an in-register LUT16 kernel
-    /// (which can end in a survivors sink) rather than into a score tile.
-    pub(crate) fn has_lut16_simd(self) -> bool {
-        matches!(self, KernelDispatch::Avx2 | KernelDispatch::Avx512)
+    /// Whether codes of `width` with `m` subquantizers against a `kstar`-entry
+    /// LUT are scored by a SIMD kernel (which can end in a survivors sink)
+    /// rather than by the blocked kernel into a score tile: `k* = 16`
+    /// nibbles under both SIMD arms (the in-register LUT16 kernels), bytes
+    /// under `Avx512` when a row holds a whole dword and every byte code
+    /// indexes inside its table (the gather kernel).
+    pub(crate) fn has_simd_kernel(self, width: CodeWidth, m: usize, kstar: usize) -> bool {
+        match width {
+            CodeWidth::U4 => matches!(self, KernelDispatch::Avx2 | KernelDispatch::Avx512),
+            CodeWidth::U8 => self == KernelDispatch::Avx512 && m >= 4 && kstar == 256,
+        }
     }
 
     /// Every dispatch runnable on this host, scalar first — what the

@@ -9,16 +9,20 @@
 //!    process: a LUT16 kernel for `k* = 16` with the tables resident in
 //!    vector registers ([`self`] modules `avx512` — one ZMM register per
 //!    table, 64 nibble codes per iteration — and `avx2` — two YMM halves
-//!    per table, 32 per iteration), an unrolled multi-accumulator blocked
-//!    kernel for `k* = 256` (`blocked`), and the seed scalar loops
-//!    (`scalar`) as reference and `ANNA_FORCE_SCALAR` fallback.
+//!    per table, 32 per iteration); for `k* = 256`, a gather kernel under
+//!    `avx512` (one `vgatherdps` per sixteen lookups, 64 byte codes per
+//!    iteration, rows of at least four bytes) and an unrolled
+//!    multi-accumulator blocked kernel (`blocked`) everywhere else; and
+//!    the seed scalar loops (`scalar`) as reference and
+//!    `ANNA_FORCE_SCALAR` fallback.
 //! 2. **Block scoring** — a cluster is walked in blocks of [`TILE`]
 //!    vectors. The blocked kernels (and [`score_all`], on every dispatch)
 //!    write the block's scores to a tile in a reusable [`ScanScratch`];
-//!    the LUT16 kernels under [`scan_with`] instead end in a **survivors
-//!    sink**: the finished sums are compared in registers with the
-//!    broadcast [`TopK::threshold`] (`vcmpps GE_OQ` into a mask) and only
-//!    the passing lanes are spilled, as `(position, score)` pairs in
+//!    the SIMD kernels under [`scan_with`] — LUT16 and gather alike —
+//!    instead end in a **survivors sink**: the finished sums are compared
+//!    in registers with the broadcast [`TopK::threshold`] (`vcmpps GE_OQ`
+//!    into a mask) and only the passing lanes are spilled, as
+//!    `(position, score)` pairs in
 //!    ascending position. ANNA's SCM never materialises a score either —
 //!    each sum leaves the adder tree, meets the P-heap minimum, and only
 //!    winners enter the heap (PAPER §III-B(4)). Either way the hot loop
@@ -73,7 +77,11 @@
 //! The two code widths mirror the paper's CPU story: `k* = 16`
 //! (Faiss16/ScaNN16) is fast because the 16-entry LUT fits vector
 //! registers; `k* = 256` (Faiss256) cannot, which is why the paper finds
-//! it slow on CPUs (§II-C/§II-D).
+//! it slow on CPUs (§II-C/§II-D). The `avx512` gather kernel narrows that
+//! gap but does not close it: the 1 KiB tables still live in cache, not in
+//! a register, and a gather issues one load per lane, so the `k* = 256`
+//! scan stays bound by the core's load ports — the work ANNA's SCM does
+//! from its own lookup-table SRAM.
 
 mod blocked;
 pub mod dispatch;
@@ -195,9 +203,10 @@ pub fn scan(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) -> Scan
 ///
 /// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push);
 /// the other dispatches score a block, then offer only what passes the
-/// threshold — from the score tile, or for `k* = 16` under the SIMD arms
-/// ([`KernelDispatch::Avx2`], [`KernelDispatch::Avx512`]) from the lanes
-/// the kernel's survivors sink spilled. All produce bit-identical `top`
+/// threshold — from the score tile, or from the lanes a SIMD kernel's
+/// survivors sink spilled: `k* = 16` under [`KernelDispatch::Avx2`] and
+/// [`KernelDispatch::Avx512`], `k* = 256` (rows of four bytes or more)
+/// under [`KernelDispatch::Avx512`]. All produce bit-identical `top`
 /// contents (see the module docs).
 ///
 /// # Panics
@@ -227,7 +236,7 @@ pub fn scan_with(
 
     let m = codes.m();
     let vb = codes.vector_bytes();
-    let survivors_only = dispatch.has_lut16_simd() && codes.width() == CodeWidth::U4;
+    let survivors_only = dispatch.has_simd_kernel(codes.width(), m, lut.kstar());
     // Candidates handed to `TopK::push`.
     let mut offered = 0u64;
     let mut start = 0;
@@ -249,7 +258,7 @@ pub fn scan_with(
             // admits a superset of what can still enter; each spilled lane
             // is re-checked before it pays the push.
             let (positions, scores) = scratch.survivor_buffers(count);
-            let kept = score_block_u4(
+            let kept = score_block_simd(
                 dispatch,
                 codes,
                 start,
@@ -325,17 +334,19 @@ fn score_block(
     groups: &mut [u8],
     out: &mut [f32],
 ) {
-    match (dispatch, codes.width()) {
-        (KernelDispatch::Scalar, _) => scalar::score_block(codes, start, lut, groups, out),
-        (_, CodeWidth::U8) => blocked::score_block_u8(codes, start, lut, out),
-        (KernelDispatch::Blocked, CodeWidth::U4) => blocked::score_block_u4(codes, start, lut, out),
-        (_, CodeWidth::U4) => {
-            score_block_u4(dispatch, codes, start, out.len(), lut, Sink::Tile(out));
+    if dispatch == KernelDispatch::Scalar {
+        scalar::score_block(codes, start, lut, groups, out);
+    } else if dispatch.has_simd_kernel(codes.width(), codes.m(), lut.kstar()) {
+        score_block_simd(dispatch, codes, start, out.len(), lut, Sink::Tile(out));
+    } else {
+        match codes.width() {
+            CodeWidth::U8 => blocked::score_block_u8(codes, start, lut, out),
+            CodeWidth::U4 => blocked::score_block_u4(codes, start, lut, out),
         }
     }
 }
 
-/// Where a LUT16 kernel puts the scores of a block.
+/// Where a SIMD kernel puts the scores of a block.
 enum Sink<'a> {
     /// Every score, at its vector's position in the block.
     Tile(&'a mut [f32]),
@@ -366,23 +377,25 @@ impl Sink<'_> {
     }
 }
 
-/// Scores vectors `[start, start + count)` of packed u4 codes into `sink`
-/// with the LUT16 kernel of a SIMD `dispatch`; returns how many scores the
-/// sink received (`count` for [`Sink::Tile`], the survivor count for
-/// [`Sink::Survivors`]).
+/// Scores vectors `[start, start + count)` into `sink` with the SIMD kernel
+/// `dispatch` has for the codes' width ([`KernelDispatch::has_simd_kernel`]);
+/// returns how many scores the sink received (`count` for [`Sink::Tile`],
+/// the survivor count for [`Sink::Survivors`]).
 ///
-/// [`KernelDispatch::Avx512`] runs its own kernel on 4- and 8-byte rows
-/// and the AVX2 kernel on every other width. Whatever the SIMD loop leaves
-/// (the AVX2 kernel stops at the last whole 32-vector chunk, and skips
-/// rows wider than it keeps per lane) is finished here by a scalar loop in
-/// the same `i`-ascending order.
+/// Nibble codes: [`KernelDispatch::Avx512`] runs its LUT16 kernel on 4-
+/// and 8-byte rows and the AVX2 kernel on every other width. Byte codes:
+/// the AVX-512 gather kernel. Whatever the SIMD loop leaves (the AVX2
+/// kernel stops at the last whole 32-vector chunk, and skips rows wider
+/// than it keeps per lane) is finished here by a scalar loop in the same
+/// `i`-ascending order.
 ///
 /// # Panics
 ///
-/// Panics if the host lacks the ISA the kernel needs, the codes are not
-/// [`CodeWidth::U4`], the LUT is not 16-entry, the range exceeds
-/// `codes.len()`, or a sink slice is shorter than `count`.
-fn score_block_u4(
+/// Panics if `dispatch` has no SIMD kernel for the codes and LUT, the host
+/// lacks the ISA the kernel needs, the LUT has fewer tables than the codes
+/// have subquantizers, the range exceeds `codes.len()`, or a sink slice is
+/// shorter than `count`.
+fn score_block_simd(
     dispatch: KernelDispatch,
     codes: &PackedCodes,
     start: usize,
@@ -390,17 +403,19 @@ fn score_block_u4(
     lut: &Lut,
     mut sink: Sink<'_>,
 ) -> usize {
+    let (m, kstar, width) = (codes.m(), lut.kstar(), codes.width());
     assert!(
-        dispatch.has_lut16_simd(),
-        "no LUT16 kernel under {dispatch:?}"
+        dispatch.has_simd_kernel(width, m, kstar),
+        "no SIMD kernel under {dispatch:?} for {width:?} codes, m = {m}, k* = {kstar}"
     );
-    assert_eq!(codes.width(), CodeWidth::U4);
-    assert_eq!(lut.kstar(), 16, "u4 kernel requires a 16-entry LUT");
-    let m = codes.m();
+    if width == CodeWidth::U4 {
+        assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
+    }
     let vb = codes.vector_bytes();
     let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
     assert!((start + count) * vb <= bytes.len());
-    assert!(m * 16 <= entries.len());
+    assert!(m * kstar <= entries.len());
+    assert!(16 * vb <= i32::MAX as usize, "row offsets must fit an i32");
     match &sink {
         Sink::Tile(out) => assert!(count <= out.len()),
         Sink::Survivors {
@@ -412,7 +427,8 @@ fn score_block_u4(
     let (done, mut written) = (0, 0);
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     let (done, mut written) = {
-        let zmm = dispatch == KernelDispatch::Avx512 && matches!(vb, 4 | 8);
+        let zmm =
+            dispatch == KernelDispatch::Avx512 && (width == CodeWidth::U8 || matches!(vb, 4 | 8));
         let isa_detected = if zmm {
             dispatch::avx512_supported()
         } else {
@@ -420,15 +436,21 @@ fn score_block_u4(
         };
         assert!(isa_detected, "SIMD kernel on a host without its ISA");
         // SAFETY: `isa_detected` (asserted just above) is the feature of
-        // whichever kernel the match calls; `vb` is `4 * ND` by the arm
-        // taken; and the range, table-count and sink-length asserts at
-        // the top of this function are the kernels' other preconditions.
+        // whichever kernel the match calls. For byte codes
+        // `has_simd_kernel` (asserted at the top) means `m >= 4` and
+        // 256-entry tables, so every byte code indexes inside its table;
+        // for nibble codes `vb` is `4 * ND` by the arm taken. The range,
+        // table-count, row-offset and sink-length asserts at the top of
+        // this function are the kernels' other preconditions.
         unsafe {
-            match vb {
-                4 if zmm => {
+            match (width, vb) {
+                (CodeWidth::U8, _) => {
+                    avx512::gather_kernel(m, bytes, start, count, entries, bias, &mut sink)
+                }
+                (_, 4) if zmm => {
                     avx512::lut16_kernel::<1>(m, bytes, start, count, entries, bias, &mut sink)
                 }
-                8 if zmm => {
+                (_, 8) if zmm => {
                     avx512::lut16_kernel::<2>(m, bytes, start, count, entries, bias, &mut sink)
                 }
                 _ => avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, &mut sink),
@@ -442,15 +464,21 @@ fn score_block_u4(
     for j in done..count {
         let o = (start + j) * vb;
         let row = &bytes[o..o + vb];
-        let mut sum = 0.0f32;
-        for (b, &byte) in row.iter().take(pairs).enumerate() {
-            sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
-            sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
-        }
-        if m % 2 == 1 {
-            sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
-        }
-        let score = sum + bias;
+        let score = match width {
+            // A byte row is the identifier row itself.
+            CodeWidth::U8 => lut.score(row),
+            CodeWidth::U4 => {
+                let mut sum = 0.0f32;
+                for (b, &byte) in row.iter().take(pairs).enumerate() {
+                    sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
+                    sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
+                }
+                if m % 2 == 1 {
+                    sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
+                }
+                sum + bias
+            }
+        };
         match keep_from {
             None => {
                 out[j] = score;
@@ -623,12 +651,12 @@ mod tests {
         rng: &mut anna_testkit::TestRng,
         m: usize,
         width: CodeWidth,
-        bound: u8,
+        bound: usize,
         n: usize,
     ) -> PackedCodes {
         let mut packed = PackedCodes::new(m, width);
         for _ in 0..n {
-            let row = rng.vec_u8(m, bound);
+            let row: Vec<u8> = (0..m).map(|_| rng.below(bound as u64) as u8).collect();
             packed.push(&row);
         }
         packed
@@ -657,7 +685,7 @@ mod tests {
         let (_, _, _, lut) = setup(256, 4);
         anna_testkit::forall("u8 kernel matches scalar reference", 32, |rng| {
             let n = rng.usize(1..120);
-            let codes = random_codes(rng, 4, CodeWidth::U8, lut.kstar() as u8, n);
+            let codes = random_codes(rng, 4, CodeWidth::U8, lut.kstar(), n);
             let ids: Vec<u64> = (0..n as u64).collect();
             let mut top = TopK::new(n);
             scan_u8(&codes, &ids, &lut, &mut top);
@@ -840,16 +868,30 @@ mod tests {
     /// SIMD arm, what [`Sink::Survivors`] receives is exactly what
     /// [`Sink::Tile`] receives filtered by `score >= threshold`, positions
     /// ascending — for a threshold that keeps everything but NaN (`-inf`),
-    /// one inside the score range, and one only `+inf` scores reach. Shapes
-    /// cover both AVX-512 row loads (`m` 7 and 8: 4-byte rows; 16: 8-byte),
-    /// the width it hands to AVX2 (`m` 24), and counts on both sides of
-    /// the 16-lane group, the 32- and 64-lane chunks and a whole tile;
-    /// tables hold NaN, `±inf` and `-0.0`.
+    /// one inside the score range, and one only `+inf` scores reach. Nibble
+    /// shapes cover both AVX-512 row loads (`m` 7 and 8: 4-byte rows; 16:
+    /// 8-byte) and the width it hands to AVX2 (`m` 24); byte shapes cover
+    /// the gather kernel with whole dwords (`m` 4, 16) and the shifted last
+    /// dword (`m` 5, 7, 17). Counts sit on both sides of the 16-lane group,
+    /// the 32- and 64-lane chunks and a whole tile; tables hold NaN, `±inf`
+    /// and `-0.0`.
     #[test]
     fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
         let mut rng = anna_testkit::TestRng::new(0x51_4E_4B);
-        for m in [7usize, 8, 16, 24] {
-            let mut words: Vec<f32> = (0..m * 16).map(|_| rng.f32(-8.0..8.0)).collect();
+        let shapes = [
+            (CodeWidth::U4, 7usize),
+            (CodeWidth::U4, 8),
+            (CodeWidth::U4, 16),
+            (CodeWidth::U4, 24),
+            (CodeWidth::U8, 4),
+            (CodeWidth::U8, 5),
+            (CodeWidth::U8, 7),
+            (CodeWidth::U8, 16),
+            (CodeWidth::U8, 17),
+        ];
+        for (width, m) in shapes {
+            let kstar = if width == CodeWidth::U4 { 16 } else { 256 };
+            let mut words: Vec<f32> = (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect();
             for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
                 let at = rng.usize(0..words.len());
                 words[at] = hostile;
@@ -858,22 +900,22 @@ mod tests {
             // entries are the codewords.
             let book = PqCodebook::from_books(
                 words
-                    .chunks(16)
+                    .chunks(kstar)
                     .map(|book| VectorSet::from_vec(1, book.to_vec()))
                     .collect(),
             );
             let lut = Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32);
             for n in [1, 15, 16, 17, 63, 64, 65, 255, 256] {
-                let codes = random_codes(&mut rng, m, CodeWidth::U4, 16, n + 3);
+                let codes = random_codes(&mut rng, m, width, kstar, n + 3);
                 // A block that starts inside the stream, as tiles do.
                 let start = 3;
                 for dispatch in KernelDispatch::available() {
-                    if !dispatch.has_lut16_simd() {
+                    if !dispatch.has_simd_kernel(width, m, kstar) {
                         continue;
                     }
                     let mut tile = vec![0.0f32; n];
                     let stored =
-                        score_block_u4(dispatch, &codes, start, n, &lut, Sink::Tile(&mut tile));
+                        score_block_simd(dispatch, &codes, start, n, &lut, Sink::Tile(&mut tile));
                     assert_eq!(stored, n);
                     for threshold in [f32::NEG_INFINITY, 0.5, f32::INFINITY] {
                         let want: Vec<(u32, u32)> = (0..n as u32)
@@ -882,7 +924,7 @@ mod tests {
                             .map(|(j, score)| (j, score.to_bits()))
                             .collect();
                         let (mut positions, mut scores) = (vec![u32::MAX; n], vec![f32::NAN; n]);
-                        let kept = score_block_u4(
+                        let kept = score_block_simd(
                             dispatch,
                             &codes,
                             start,
@@ -902,7 +944,7 @@ mod tests {
                         assert_eq!(
                             got,
                             want,
-                            "m={m} n={n} threshold={threshold} {}",
+                            "{width:?} m={m} n={n} threshold={threshold} {}",
                             dispatch.name()
                         );
                     }

@@ -7,9 +7,10 @@
 //! SIMD kernels (scores filtered in registers against a per-tile frozen
 //! threshold) gets its own test against the per-score-push oracle, from a
 //! pre-warmed selector, over every row-load path and block-edge count of
-//! both the AVX2 and the AVX-512 kernel. (The sink itself is private; its
-//! "survivors == tile filtered by the threshold" property is a unit test
-//! beside it in `kernels/mod.rs`.)
+//! the AVX2 and AVX-512 LUT16 kernels and of the AVX-512 gather kernel for
+//! byte codes. (The sink itself is private; its "survivors == tile
+//! filtered by the threshold" property is a unit test beside it in
+//! `kernels/mod.rs`.)
 //!
 //! The environment-variable override (`ANNA_FORCE_SCALAR`) is covered by
 //! unit tests of the pure `resolve` rule inside the crate; these tests
@@ -17,7 +18,8 @@
 //! so the suite exercises each SIMD path on hosts that have it and stays
 //! green on hosts that don't — on an AVX-512 host, where the process-wide
 //! dispatch never picks `Avx2`, this is the AVX2 arm's coverage. Run with
-//! `--nocapture` to see which arms a host covered.
+//! `--nocapture` to see which arms a host covered and which kernel scored
+//! its byte codes.
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
@@ -61,10 +63,17 @@ fn scalar_reference(codes: &PackedCodes, lut: &Lut) -> Vec<f32> {
         .collect()
 }
 
-fn random_codes(rng: &mut TestRng, m: usize, width: CodeWidth, bound: u8, n: usize) -> PackedCodes {
+/// `n` rows of `m` identifiers drawn uniformly below `bound` (at most 256).
+fn random_codes(
+    rng: &mut TestRng,
+    m: usize,
+    width: CodeWidth,
+    bound: usize,
+    n: usize,
+) -> PackedCodes {
     let mut packed = PackedCodes::new(m, width);
     for _ in 0..n {
-        let row = rng.vec_u8(m, bound);
+        let row: Vec<u8> = (0..m).map(|_| rng.below(bound as u64) as u8).collect();
         packed.push(&row);
     }
     packed
@@ -96,7 +105,7 @@ fn every_dispatch_is_bit_identical_to_scalar_reference() {
         };
         // Trained k* can be smaller than configured with scarce data;
         // random identifiers must stay below what the LUT actually has.
-        let bound = lut.kstar().min(256) as u8;
+        let bound = lut.kstar();
         let n = rng.usize(1..600);
         let codes = random_codes(rng, m, width, bound, n);
         let ids: Vec<u64> = (0..n as u64).collect();
@@ -206,19 +215,22 @@ fn process_wide_dispatch_matches_reference() {
     }
 }
 
-/// A 16-entry codebook with one-dimensional codewords — so a LUT entry is
-/// the codeword itself (IP against a query of ones) or minus its square
-/// (L2 against a zero residual) — finite except for one NaN, one `+inf`,
-/// one `-inf` and one `-0.0` codeword at random places.
-fn hostile_book(rng: &mut TestRng, m: usize) -> PqCodebook {
-    let mut words: Vec<f32> = (0..m * 16).map(|_| rng.f32(-8.0..8.0)).collect();
+/// A `kstar`-entry codebook with one-dimensional codewords — so a LUT
+/// entry is the codeword itself (IP against a query of ones) or minus its
+/// square (L2 against a zero residual) — finite except for NaN, `+inf`,
+/// `-inf` and `-0.0` codewords at random places, `kstar / 16` of each (one
+/// each in a 16-entry book), so about one random row in sixteen meets each.
+fn hostile_book(rng: &mut TestRng, m: usize, kstar: usize) -> PqCodebook {
+    let mut words: Vec<f32> = (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect();
     for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
-        let at = rng.usize(0..words.len());
-        words[at] = hostile;
+        for _ in 0..(kstar / 16).max(1) {
+            let at = rng.usize(0..words.len());
+            words[at] = hostile;
+        }
     }
     PqCodebook::from_books(
         words
-            .chunks(16)
+            .chunks(kstar)
             .map(|book| VectorSet::from_vec(1, book.to_vec()))
             .collect(),
     )
@@ -233,15 +245,25 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
 
 /// The survivors path against the scalar per-score-push oracle, starting
 /// from a **pre-warmed** selector (so the first tile already filters
-/// against a real threshold, and the frozen-per-tile copy goes stale
-/// inside a tile): every row-load path (`vb = 4` one load, with `m = 7`
-/// leaving the top nibble unused; `vb = 8` two loads de-interleaved; every
-/// other width the AVX2 dword gather — which the AVX-512 arm delegates to —
-/// incl. ragged odd widths and the `nd = 8` limit; `vb = 33` the scalar
-/// fallback), block-edge counts around the 16-lane group, the 32- and
-/// 64-lane chunks and the tile, both metrics, and NaN/±inf/−0.0 table
-/// entries (NaN scores must never surface; `+inf` scores tie and fall to
-/// the id rule). The score tile of every dispatch must equal the scalar
+/// against a real threshold, and the frozen-per-tile copy goes stale inside
+/// a tile).
+///
+/// Nibble codes (`k* = 16`) cover every LUT16 row-load path: `vb = 4` one
+/// load, with `m = 7` leaving the top nibble unused; `vb = 8` two loads
+/// de-interleaved; every other width the AVX2 dword gather — which the
+/// AVX-512 arm delegates to — incl. ragged odd widths and the `nd = 8`
+/// limit; `vb = 33` the scalar fallback. Byte codes cover rows shorter than
+/// a dword (`m` 1–3, which stay on the blocked kernel), whole dwords (4, 8,
+/// 12, 16, 32, 64) and a shifted last dword (5, 7, 17) under the AVX-512
+/// gather kernel, against a 256-entry book and 40- and 19-entry ones (a LUT
+/// narrower than 256, as scarce training data leaves it, which takes the
+/// blocked kernel under every dispatch).
+///
+/// Every shape runs both metrics, NaN/±inf/−0.0 table entries (NaN scores
+/// must never surface; `+inf` scores tie and fall to the id rule) and
+/// counts around the 16-lane group, the 32- and 64-lane chunks and the
+/// tile, the last spanning four tiles so that three blocks start
+/// mid-stream. The score tile of every dispatch must equal the scalar
 /// reference bit for bit, and `ScanTally::pruned` must be
 /// `scanned − offered` on every dispatch, hence equal across the filtering
 /// dispatches (`Blocked`, `Avx2`, `Avx512`) from the same starting selector.
@@ -263,27 +285,31 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
         257,
         3 * kernels::TILE + 37,
     ];
+    let nibble_shapes = [4usize, 7, 8, 9, 16, 24, 32, 49, 64, 66].map(|m| (CodeWidth::U4, m, 16));
+    let byte_shapes = [1usize, 2, 3, 4, 5, 7, 8, 12, 16, 17, 32, 64]
+        .into_iter()
+        .flat_map(|m| [256usize, 40, 19].map(|kstar| (CodeWidth::U8, m, kstar)));
     let mut rng = TestRng::new(0x5EED_5CA9);
     let mut scratch = ScanScratch::new();
-    for m in [4usize, 7, 8, 9, 16, 24, 32, 49, 64, 66] {
-        // Odd `m` carries a half-used last byte.
-        let vb = m.div_ceil(2);
-        let book = hostile_book(&mut rng, m);
+    for (width, m, kstar) in nibble_shapes.into_iter().chain(byte_shapes) {
+        let vb = width.vector_bytes(m);
+        let book = hostile_book(&mut rng, m, kstar);
         let luts = [
             Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32),
             Lut::build_l2(&vec![0.0; m], &vec![0.0; m], &book, LutPrecision::F32),
         ];
         for (lut, metric) in luts.iter().zip(["ip", "l2"]) {
+            assert_eq!(lut.kstar(), kstar);
             for n in counts {
                 let k = *rng.pick(&[1usize, 10, 100]);
-                let codes = random_codes(&mut rng, m, CodeWidth::U4, 16, n);
+                let codes = random_codes(&mut rng, m, width, kstar, n);
                 assert_eq!(codes.vector_bytes(), vb);
                 // Ids far from the warm-up's, so equal scores meet both
                 // lower and higher ids already in the selector.
                 let base = rng.u64(0..1 << 40);
                 let ids: Vec<u64> = (0..n as u64).map(|i| base + 3 * i).collect();
 
-                let warm_codes = random_codes(&mut rng, m, CodeWidth::U4, 16, 150);
+                let warm_codes = random_codes(&mut rng, m, width, kstar, 150);
                 let warm_ids: Vec<u64> = (0..150u64).map(|i| (1 << 39) + i).collect();
                 let mut warm = TopK::new(k);
                 kernels::scan_with(
@@ -313,7 +339,10 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
 
                 let mut pruned = Vec::new();
                 for dispatch in KernelDispatch::available() {
-                    let at = format!("vb={vb} m={m} {metric} n={n} k={k} {}", dispatch.name());
+                    let at = format!(
+                        "{width:?} k*={kstar} vb={vb} m={m} {metric} n={n} k={k} {}",
+                        dispatch.name()
+                    );
                     let tile = kernels::score_all_with(&codes, lut, dispatch, &mut scratch);
                     // A NaN's payload depends on operand order, which no
                     // dispatch fixes; every other score is compared as bits
@@ -339,12 +368,23 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
             }
         }
     }
-    let arms: Vec<&str> = KernelDispatch::available()
+    // Only `avx512` has a SIMD kernel for byte codes (the gather kernel,
+    // for 256-entry tables and `m >= 4`); every other arm scores them with
+    // the blocked kernel, `scalar` with the seed loop.
+    let arms: Vec<String> = KernelDispatch::available()
         .iter()
-        .map(|d| d.name())
+        .map(|&d| {
+            let u8_kernel = match d {
+                KernelDispatch::Scalar => "scalar",
+                KernelDispatch::Avx512 => "gather",
+                _ => "blocked",
+            };
+            format!("{} (u8: {u8_kernel})", d.name())
+        })
         .collect();
     println!(
-        "kernel_dispatch: arms covered {arms:?}, process-wide dispatch {}",
+        "kernel_dispatch: arms covered {}; process-wide dispatch {}",
+        arms.join(", "),
         KernelDispatch::current().name()
     );
 }

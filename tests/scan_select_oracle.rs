@@ -1,9 +1,10 @@
-//! The scan → select invariant at the repo benchmark's shape, owned by
+//! The scan → select invariant at the repo benchmark's shapes, owned by
 //! tier-1: one query's visit list — 8 clusters × 3 125 encoded vectors,
-//! `m = 16` nibble codes (8-byte rows), `k = 100` — scanned into one
-//! `TopK` under every [`KernelDispatch`] this host can run must keep
-//! exactly what the scalar path keeps by pushing every score: same ids,
-//! same `score.to_bits()`, visit after visit as the threshold tightens.
+//! `m = 16`, `k = 100` — as nibble codes (`k* = 16`, 8-byte rows) and as
+//! byte codes (`k* = 256`, 16-byte rows), scanned into one `TopK` under
+//! every [`KernelDispatch`] this host can run, must keep exactly what the
+//! scalar path keeps by pushing every score: same ids, same
+//! `score.to_bits()`, visit after visit as the threshold tightens.
 //! `ScanTally::pruned` means `scanned − offered to TopK::push` on every
 //! dispatch, so the filtering dispatches (`blocked` and every SIMD arm the
 //! host has) must agree on it too. A failure names the arm that diverged
@@ -32,22 +33,24 @@ fn rows(rng: &mut TestRng, n: usize) -> VectorSet {
     VectorSet::from_vec(DIM, (0..n * DIM).map(|_| rng.below(24) as f32).collect())
 }
 
-#[test]
-fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
-    let mut rng = TestRng::new(16);
+/// Scans the benchmark-shaped visit list with `k*`-entry tables under
+/// every available dispatch and checks each against the scalar oracle.
+fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
+    let mut rng = TestRng::new(kstar as u64);
     let book = PqCodebook::train(
         &rows(&mut rng, 1_024),
         &PqConfig {
             m: 16,
-            kstar: 16,
+            kstar,
             iters: 4,
             seed: 16,
         },
     );
+    assert_eq!(book.kstar(), kstar, "training left a narrower book");
     let clusters: Vec<Cluster> = (0..CLUSTERS)
         .map(|c| {
             let codes = book.encode_all(&rows(&mut rng, LIST_LEN));
-            assert_eq!(codes.vector_bytes(), 8);
+            assert_eq!(codes.vector_bytes(), vector_bytes);
             Cluster {
                 centroid: rng.vec_f32(DIM, 0.0..4.0),
                 codes,
@@ -100,7 +103,7 @@ fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
         let filtering = &runs[1..];
         for (dispatch, trail) in filtering {
             let at = format!(
-                "{} (process-wide dispatch: {})",
+                "k*={kstar} {} (process-wide dispatch: {})",
                 dispatch.name(),
                 KernelDispatch::current().name()
             );
@@ -117,4 +120,16 @@ fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
             );
         }
     }
+}
+
+#[test]
+fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
+    every_dispatch_keeps_the_scalar_top_k(16, 8);
+}
+
+/// The `batch_k256` shape: under `avx512` this is the gather kernel and
+/// its survivors sink; under every other arm, the blocked kernel.
+#[test]
+fn every_dispatch_keeps_the_scalar_top_k_at_the_k256_benchmark_shape() {
+    every_dispatch_keeps_the_scalar_top_k(256, 16);
 }
