@@ -6,10 +6,12 @@
 //! reports LUT construction in tables/sec for L2 and inner product at both
 //! widths, every entry cross-checked against the `metric::*` oracle. A
 //! `select` section splits one query's scan → select time into scoring,
-//! threshold filtering and heap pushes per dispatch × `k*`, each point
-//! cross-checked against the scalar path. Any divergence exits non-zero,
-//! and so does a report or snapshot that cannot be written (the error names
-//! the path).
+//! threshold filtering and selector pushes per dispatch × `k*` for one
+//! warm selector, and under the process-wide dispatch for 512 cold
+//! selectors fed cluster-major (with the cost per offer and the live
+//! selector kB), each point cross-checked against the scalar path. Any
+//! divergence exits non-zero, and so does a report or snapshot that cannot
+//! be written (the error names the path).
 //!
 //! `--smoke` shrinks the run for CI; `--telemetry <path>` writes a metric
 //! snapshot with per-point `kernel.*` counters.

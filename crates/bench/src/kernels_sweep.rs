@@ -16,8 +16,9 @@
 //! `metric::{l2_squared, dot}` oracle.
 //!
 //! A third section, `select`, splits one query's scan → select time at the
-//! benchmark's shape into scoring, threshold filtering and heap pushes per
-//! dispatch × `k*` (see [`SelectPoint`]).
+//! benchmark's shape into scoring, threshold filtering and selector pushes
+//! per dispatch × `k*`, for one warm selector and for a batch of cold ones
+//! fed cluster-major (see [`SelectPoint`]).
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
@@ -62,10 +63,21 @@ pub struct LutBuildPoint {
     pub identical_to_oracle: bool,
 }
 
-/// One measured scan → select split: one dispatch at one `k*`, one
+/// One measured scan → select split: one dispatch at one `k*`, each
 /// query's worth of codes (`m = 16`, 8 clusters × 3 125 codes, `k = 100`
-/// — the repo benchmark's shape) scanned into one [`TopK`]. Times are
-/// µs per query, differences of three timed loops (each its fastest round):
+/// — the repo benchmark's shape) scanned into its own [`TopK`], in one of
+/// two regimes:
+///
+/// * **warm** — one selector, its 25 000 codes scanned as one list, so the
+///   selector stays in L1;
+/// * **cold** — a batch of selectors (512, `batch_k16`'s batch), each with
+///   its own table, fed the 8 clusters cluster-major: every selector's
+///   visit to cluster 0, then every selector's visit to cluster 1, and so
+///   on, so consecutive visits touch different selectors — the order the
+///   batch engine scans in.
+///
+/// Times are µs per query, differences of three timed loops (each its
+/// fastest round):
 ///
 /// * `score_us` — `score_all_with`: every score written out, no selector.
 /// * `filter_us` — a scan into a selector already full of `+inf` scores,
@@ -77,23 +89,31 @@ pub struct LutBuildPoint {
 ///   through `Lut::score`), so on its rows only the sum of the three
 ///   columns — the scan — means anything.
 /// * `push_us` — a scan into an empty selector minus the saturated scan:
-///   what the candidates that pass the filter cost in the heap.
+///   what the candidates that pass the filter cost in the selector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectPoint {
     /// Sub-quantizer codebook size.
     pub kstar: usize,
     /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
     pub dispatch: String,
+    /// Selectors fed: 1 in the warm regime, the batch size in the cold one.
+    pub selectors: usize,
     /// Scoring alone, µs per query.
     pub score_us: f64,
     /// Threshold filtering, µs per query (see the type docs).
     pub filter_us: f64,
-    /// Heap pushes, µs per query.
+    /// Selector pushes, µs per query.
     pub push_us: f64,
-    /// `ScanTally::pruned / scanned` of the scan into an empty selector.
+    /// `push_us` per candidate offered to [`TopK::push`], in ns.
+    pub push_ns_per_offer: f64,
+    /// `ScanTally::pruned / scanned` of the scan into empty selectors.
     pub pruned_frac: f64,
-    /// Whether the scan into an empty selector kept a top-k bit-identical
-    /// to the scalar path's and the saturated scan kept nothing.
+    /// Live selector storage ([`TopK::buffer_bytes`] summed over the
+    /// selectors) after the scan into empty selectors, kB.
+    pub selector_kb: f64,
+    /// Whether the scan into empty selectors kept a top-k bit-identical to
+    /// the scalar path's for every selector and the saturated scan kept
+    /// nothing.
     pub identical_to_scalar: bool,
 }
 
@@ -112,7 +132,8 @@ pub struct KernelsSweep {
     pub points: Vec<KernelPoint>,
     /// LUT-construction points: `{l2, inner-product} × k* ∈ {16, 256}`.
     pub lut_build: Vec<LutBuildPoint>,
-    /// Scan → select splits: every available dispatch × `k* ∈ {16, 256}`.
+    /// Scan → select splits per `k* ∈ {16, 256}`: warm under every
+    /// available dispatch, then cold under the process-wide one.
     pub select: Vec<SelectPoint>,
 }
 
@@ -246,89 +267,180 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
     }
 }
 
-/// Splits scan → select time per dispatch × `k*` at the benchmark's shape;
-/// `passes` rounds of 20 queries per timed loop, fastest round kept.
-fn select_points(passes: usize) -> Vec<SelectPoint> {
-    let (n, k) = (8 * 3_125usize, 100usize);
-    // µs per call of `body`: the fastest of `passes` rounds of 20 calls.
-    // The columns are differences of these, so host drift between loops
-    // has to be kept out of them (the repo benchmark reports its best
-    // round for the same reason).
-    let time = |body: &mut dyn FnMut()| {
-        (0..passes.max(1))
-            .map(|_| {
-                let start = std::time::Instant::now();
-                for _ in 0..20 {
-                    body();
-                }
-                start.elapsed().as_secs_f64() * 1e6 / 20.0
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
+/// Selectors in the cold `select` rows: `batch_k16`'s batch size.
+const COLD_SELECTORS: usize = 512;
 
+/// One query's visit list at the benchmark's shape: 8 clusters × 3 125
+/// codes.
+const CLUSTERS: usize = 8;
+const LIST_LEN: usize = 3_125;
+
+/// One `select` regime: every selector (one per table) is fed every code
+/// list, list-major, under each of `dispatches`.
+struct SelectRegime<'a> {
+    lists: &'a [(PackedCodes, Vec<u64>)],
+    luts: &'a [Lut],
+    dispatches: Vec<KernelDispatch>,
+}
+
+impl SelectRegime<'_> {
+    fn scan(
+        &self,
+        tops: &mut [TopK],
+        dispatch: KernelDispatch,
+        scratch: &mut ScanScratch,
+    ) -> kernels::ScanTally {
+        let mut tally = kernels::ScanTally::default();
+        for (codes, ids) in self.lists {
+            for (top, lut) in tops.iter_mut().zip(self.luts) {
+                tally.accumulate(&kernels::scan_with(codes, ids, lut, top, dispatch, scratch));
+            }
+        }
+        tally
+    }
+
+    fn score(&self, dispatch: KernelDispatch, scratch: &mut ScanScratch) {
+        for (codes, _) in self.lists {
+            for lut in self.luts {
+                black_box(kernels::score_all_with(codes, lut, dispatch, scratch));
+            }
+        }
+    }
+}
+
+/// Splits scan → select time per `k*` × {warm, cold} at the benchmark's
+/// shape — warm under every available dispatch, cold (many times the work)
+/// under the process-wide one, the arm every engine runs; `passes` timed
+/// rounds per loop, fastest kept.
+fn select_points(passes: usize) -> Vec<SelectPoint> {
+    let k = 100usize;
     let mut points = Vec::new();
     for kstar in [16usize, 256] {
         let (book, q) = benchmark_shape_book(kstar);
         let m = book.m();
-        let lut = Lut::build_ip(&q, &book, LutPrecision::F32);
         let width = if kstar == 16 {
             CodeWidth::U4
         } else {
             CodeWidth::U8
         };
-        let codes = random_codes(7 + kstar as u64, m, width, lut.kstar(), n);
-        let ids: Vec<u64> = (0..n as u64).collect();
-        let mut scratch = ScanScratch::new();
-        let mut saturated = TopK::new(k);
-        // Ids above every scanned one: an `+inf` score could not evict them.
-        saturated.extend((0..k as u64).map(|i| Neighbor::new(u64::MAX - i, f32::INFINITY)));
-
-        let mut reference = TopK::new(k);
-        kernels::scan_with(
-            &codes,
-            &ids,
-            &lut,
-            &mut reference,
-            KernelDispatch::Scalar,
-            &mut scratch,
-        );
-        let reference = reference.into_sorted_vec();
-
-        for dispatch in KernelDispatch::available() {
-            let mut top = TopK::new(k);
-            let tally = kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-            let mut full = saturated.clone();
-            kernels::scan_with(&codes, &ids, &lut, &mut full, dispatch, &mut scratch);
-            let identical = top.into_sorted_vec() == reference
-                && full.into_sorted_vec() == saturated.clone().into_sorted_vec();
-
-            let score_us = time(&mut || {
-                black_box(kernels::score_all_with(
-                    &codes,
-                    &lut,
-                    dispatch,
-                    &mut scratch,
-                ));
-            });
-            let mut scan_into = |start: &TopK| {
-                let mut top = start.clone();
-                kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-                black_box(top);
-            };
-            let saturated_us = time(&mut || scan_into(&saturated));
-            let empty = TopK::new(k);
-            let scan_us = time(&mut || scan_into(&empty));
-
-            points.push(SelectPoint {
-                kstar,
-                dispatch: dispatch.name().to_string(),
-                score_us,
-                filter_us: saturated_us - score_us,
-                push_us: scan_us - saturated_us,
-                pruned_frac: tally.pruned as f64 / tally.scanned as f64,
-                identical_to_scalar: identical,
-            });
+        let lut = Lut::build_ip(&q, &book, LutPrecision::F32);
+        let bound = lut.kstar();
+        let warm_n = CLUSTERS * LIST_LEN;
+        let warm_list = [(
+            random_codes(7 + kstar as u64, m, width, bound, warm_n),
+            (0..warm_n as u64).collect(),
+        )];
+        // Ids dealt round-robin across the clusters, as `add` deals them.
+        let cold_lists: Vec<(PackedCodes, Vec<u64>)> = (0..CLUSTERS)
+            .map(|c| {
+                let seed = (100 * kstar + c) as u64;
+                let ids = (0..LIST_LEN).map(|i| (i * CLUSTERS + c) as u64).collect();
+                (random_codes(seed, m, width, bound, LIST_LEN), ids)
+            })
+            .collect();
+        let mut rng = SplitMix(kstar as u64);
+        let cold_luts: Vec<Lut> = (0..COLD_SELECTORS)
+            .map(|_| {
+                let qb: Vec<f32> = q
+                    .iter()
+                    .map(|x| x + (rng.next() % 1024) as f32 / 512.0 - 1.0)
+                    .collect();
+                Lut::build_ip(&qb, &book, LutPrecision::F32)
+            })
+            .collect();
+        let regimes = [
+            SelectRegime {
+                lists: &warm_list,
+                luts: std::slice::from_ref(&lut),
+                dispatches: KernelDispatch::available(),
+            },
+            SelectRegime {
+                lists: &cold_lists,
+                luts: &cold_luts,
+                dispatches: vec![KernelDispatch::current()],
+            },
+        ];
+        for regime in &regimes {
+            points.extend(select_regime_points(kstar, k, regime, passes));
         }
+    }
+    points
+}
+
+/// One [`SelectPoint`] per dispatch of `regime`, each checked against the
+/// scalar path.
+fn select_regime_points(
+    kstar: usize,
+    k: usize,
+    regime: &SelectRegime<'_>,
+    passes: usize,
+) -> Vec<SelectPoint> {
+    let selectors = regime.luts.len();
+    let empty = || -> Vec<TopK> { (0..selectors).map(|_| TopK::new(k)).collect() };
+    let mut saturated_one = TopK::new(k);
+    // Ids above every scanned one: an `+inf` score could not evict them.
+    saturated_one.extend((0..k as u64).map(|i| Neighbor::new(u64::MAX - i, f32::INFINITY)));
+    let saturated = vec![saturated_one.clone(); selectors];
+    let saturated_kept = saturated_one.into_sorted_vec();
+    let sorted = |tops: Vec<TopK>| -> Vec<Vec<Neighbor>> {
+        tops.into_iter().map(TopK::into_sorted_vec).collect()
+    };
+
+    let mut scratch = ScanScratch::new();
+    let mut reference = empty();
+    regime.scan(&mut reference, KernelDispatch::Scalar, &mut scratch);
+    let reference = sorted(reference);
+
+    // µs per query of `body`, which feeds every selector once: the fastest
+    // of `passes` rounds of enough calls for 20 queries. The columns are
+    // differences of these, so host drift between loops has to be kept out
+    // of them (the repo benchmark reports its best round for the same
+    // reason).
+    let calls = (20 / selectors).max(1);
+    let time = |body: &mut dyn FnMut()| {
+        (0..passes.max(1))
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..calls {
+                    body();
+                }
+                start.elapsed().as_secs_f64() * 1e6 / (calls * selectors) as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+
+    let mut points = Vec::new();
+    for &dispatch in &regime.dispatches {
+        let mut tops = empty();
+        let tally = regime.scan(&mut tops, dispatch, &mut scratch);
+        let selector_bytes: usize = tops.iter().map(TopK::buffer_bytes).sum();
+        let mut full = saturated.clone();
+        regime.scan(&mut full, dispatch, &mut scratch);
+        let identical =
+            sorted(tops) == reference && sorted(full).iter().all(|kept| *kept == saturated_kept);
+
+        let score_us = time(&mut || regime.score(dispatch, &mut scratch));
+        let mut scan_into = |mut tops: Vec<TopK>| {
+            regime.scan(&mut tops, dispatch, &mut scratch);
+            black_box(tops);
+        };
+        let saturated_us = time(&mut || scan_into(saturated.clone()));
+        let scan_us = time(&mut || scan_into(empty()));
+
+        let push_us = scan_us - saturated_us;
+        let offers_per_query = (tally.scanned - tally.pruned) as f64 / selectors as f64;
+        points.push(SelectPoint {
+            kstar,
+            dispatch: dispatch.name().to_string(),
+            selectors,
+            score_us,
+            filter_us: saturated_us - score_us,
+            push_us,
+            push_ns_per_offer: push_us * 1e3 / offers_per_query.max(1.0),
+            pruned_frac: tally.pruned as f64 / tally.scanned as f64,
+            selector_kb: selector_bytes as f64 / 1024.0,
+            identical_to_scalar: identical,
+        });
     }
     points
 }
@@ -455,10 +567,13 @@ impl KernelsSweep {
                             Json::obj()
                                 .set("kstar", p.kstar)
                                 .set("dispatch", p.dispatch.as_str())
+                                .set("selectors", p.selectors)
                                 .set("score_us", p.score_us)
                                 .set("filter_us", p.filter_us)
                                 .set("push_us", p.push_us)
+                                .set("push_ns_per_offer", p.push_ns_per_offer)
                                 .set("pruned_frac", p.pruned_frac)
+                                .set("selector_kb", p.selector_kb)
                                 .set("identical_to_scalar", p.identical_to_scalar)
                         })
                         .collect(),
@@ -498,18 +613,21 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== scan -> select split (m=16, 25000 codes, k=100; us/query) ===\n{:<6} {:<9} {:>9} {:>10} {:>9} {:>8} {:>10}\n",
-            "k*", "dispatch", "score_us", "filter_us", "push_us", "pruned", "identical"
+            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major) ===\n{:<6} {:<9} {:>9} {:>9} {:>10} {:>9} {:>10} {:>8} {:>9} {:>10}\n",
+            "k*", "dispatch", "selectors", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "sel_kB", "identical"
         ));
         for p in &self.select {
             s.push_str(&format!(
-                "{:<6} {:<9} {:>9.1} {:>10.1} {:>9.1} {:>8.4} {:>10}\n",
+                "{:<6} {:<9} {:>9} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>9.1} {:>10}\n",
                 p.kstar,
                 p.dispatch,
+                p.selectors,
                 p.score_us,
                 p.filter_us,
                 p.push_us,
+                p.push_ns_per_offer,
                 p.pruned_frac,
+                p.selector_kb,
                 p.identical_to_scalar
             ));
         }
@@ -560,9 +678,13 @@ mod tests {
                 p.metric, p.kstar
             );
         }
-        // Select split: every dispatch x {16, 256}, each bit-identical.
-        assert_eq!(sweep.select.len(), 2 * per_width);
+        // Select split: {16, 256} x (warm under every dispatch + cold under
+        // the process-wide one), each bit-identical.
+        assert_eq!(sweep.select.len(), 2 * (per_width + 1));
+        let selectors: Vec<usize> = sweep.select.iter().map(|p| p.selectors).collect();
+        assert!(selectors.contains(&1) && selectors.contains(&COLD_SELECTORS));
         for p in &sweep.select {
+            assert!(p.selector_kb > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!(p.score_us > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!((0.0..=1.0).contains(&p.pruned_frac));
             assert_eq!(p.pruned_frac == 0.0, p.dispatch == "scalar");
@@ -608,7 +730,10 @@ mod tests {
             "\"score_us\"",
             "\"filter_us\"",
             "\"push_us\"",
+            "\"push_ns_per_offer\"",
             "\"pruned_frac\"",
+            "\"selectors\"",
+            "\"selector_kb\"",
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }

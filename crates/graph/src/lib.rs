@@ -35,7 +35,7 @@ use anna_plan::{EnginePlan, GraphPlan, GraphQueryPlan, GraphShape, GraphWorkload
 use anna_quant::codes::PackedCodes;
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{Metric, Neighbor, VectorSet};
 
 /// Construction parameters for a [`PqGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,21 +233,22 @@ impl PqGraph {
     }
 
     /// Best-first beam traversal for one query at beam width `ef`,
-    /// scoring nodes with ADC over the PQ codes. Returns the top-`ef`
-    /// heap plus the traversal footprint (adjacency fetches, code
-    /// scans). Pure in `(self, q, ef)` — the planner and the executor
-    /// call this same function and must observe identical footprints.
+    /// scoring nodes with ADC over the PQ codes. Returns the best `ef`
+    /// nodes found, best first, plus the traversal footprint (adjacency
+    /// fetches, code scans). Pure in `(self, q, ef)` — the planner and the
+    /// executor call this same function and must observe identical
+    /// footprints.
     ///
     /// # Panics
     ///
     /// Panics if `q.len() != self.dim()` or `ef == 0`.
-    pub fn traverse(&self, q: &[f32], ef: usize) -> (TopK, GraphQueryPlan) {
+    pub fn traverse(&self, q: &[f32], ef: usize) -> (Vec<Neighbor>, GraphQueryPlan) {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         assert!(ef > 0, "beam width must be positive");
         let adc = AdcTable::build(q, &self.codebook, self.metric);
         let mut scored = vec![false; self.num_nodes()];
         let mut frontier: BinaryHeap<Neighbor> = BinaryHeap::new();
-        let mut results = TopK::new(ef);
+        let mut results = Beam::new(ef);
         let mut footprint = GraphQueryPlan::default();
         let mut code_buf = vec![0u8; self.codebook.m()];
         for &e in &self.entries {
@@ -259,7 +260,7 @@ impl PqGraph {
             footprint.scanned += 1;
             self.codes.read_into(id, &mut code_buf);
             let score = adc.score(&code_buf);
-            results.push(e as u64, score);
+            results.push(Neighbor::new(e as u64, score));
             frontier.push(Neighbor {
                 id: e as u64,
                 score,
@@ -268,7 +269,7 @@ impl PqGraph {
         while let Some(best) = frontier.pop() {
             // Every remaining candidate is worse than `best`; once the
             // beam is full and `best` cannot improve it, expansion stops.
-            if results.len() == ef && best.score < results.threshold() {
+            if results.is_full() && best.score < results.worst_score() {
                 break;
             }
             footprint.visited += 1;
@@ -281,7 +282,7 @@ impl PqGraph {
                 footprint.scanned += 1;
                 self.codes.read_into(id, &mut code_buf);
                 let score = adc.score(&code_buf);
-                if results.push(nb as u64, score) || results.len() < ef {
+                if results.push(Neighbor::new(nb as u64, score)) || !results.is_full() {
                     frontier.push(Neighbor {
                         id: nb as u64,
                         score,
@@ -289,7 +290,51 @@ impl PqGraph {
                 }
             }
         }
-        (results, footprint)
+        (results.best, footprint)
+    }
+}
+
+/// The beam of a best-first traversal: the best `ef` neighbors seen so far
+/// by [`Neighbor`]'s order, kept sorted best first, NaN rejected. Unlike a
+/// lazily settled selector it answers, after every push, whether the
+/// candidate is among the best `ef` and what the current worst is — the
+/// two live reads that decide the walk.
+struct Beam {
+    ef: usize,
+    best: Vec<Neighbor>,
+}
+
+impl Beam {
+    fn new(ef: usize) -> Self {
+        Self {
+            ef,
+            best: Vec::with_capacity(ef),
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.best.len() == self.ef
+    }
+
+    /// The worst kept score; only meaningful once the beam is full.
+    fn worst_score(&self) -> f32 {
+        self.best.last().map_or(f32::NEG_INFINITY, |n| n.score)
+    }
+
+    /// Offers a candidate; returns whether it is now among the best `ef`.
+    fn push(&mut self, n: Neighbor) -> bool {
+        if n.score.is_nan() {
+            return false;
+        }
+        if self.is_full() {
+            if self.best.last().is_some_and(|worst| n <= *worst) {
+                return false;
+            }
+            self.best.pop();
+        }
+        let at = self.best.partition_point(|kept| *kept > n);
+        self.best.insert(at, n);
+        true
     }
 }
 
@@ -330,7 +375,7 @@ fn exact_beam_search(
 ) -> Vec<Neighbor> {
     let mut scored = vec![false; data.len()];
     let mut frontier: BinaryHeap<Neighbor> = BinaryHeap::new();
-    let mut results = TopK::new(beam);
+    let mut results = Beam::new(beam);
     for &e in entries {
         let id = e as usize;
         if scored[id] {
@@ -338,14 +383,14 @@ fn exact_beam_search(
         }
         scored[id] = true;
         let score = m.similarity(q, data.row(id));
-        results.push(e as u64, score);
+        results.push(Neighbor::new(e as u64, score));
         frontier.push(Neighbor {
             id: e as u64,
             score,
         });
     }
     while let Some(best) = frontier.pop() {
-        if results.len() == beam && best.score < results.threshold() {
+        if results.is_full() && best.score < results.worst_score() {
             break;
         }
         for &nb in &adjacency[best.id as usize] {
@@ -355,7 +400,7 @@ fn exact_beam_search(
             }
             scored[id] = true;
             let score = m.similarity(q, data.row(id));
-            if results.push(nb as u64, score) || results.len() < beam {
+            if results.push(Neighbor::new(nb as u64, score)) || !results.is_full() {
                 frontier.push(Neighbor {
                     id: nb as u64,
                     score,
@@ -363,7 +408,7 @@ fn exact_beam_search(
             }
         }
     }
-    results.into_sorted_vec()
+    results.best
 }
 
 /// A flat asymmetric-distance table: `table[j·k* + c]` is sub-space `j`'s
@@ -506,8 +551,7 @@ impl SearchEngine for PqGraph {
                             return;
                         }
                         let ef = workload.beams[qi];
-                        let (topk, footprint) = self.traverse(queries.row(qi), ef);
-                        let mut hits = topk.into_sorted_vec();
+                        let (mut hits, footprint) = self.traverse(queries.row(qi), ef);
                         hits.truncate(k);
                         // SAFETY: each qi is claimed exactly once, so no
                         // two workers write the same slot.

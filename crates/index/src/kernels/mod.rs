@@ -29,24 +29,27 @@
 //!    is allocation-free.
 //! 3. **Threshold-pruned selection** — only scores passing
 //!    `score >= top.threshold()` are offered to [`TopK::push`] (almost
-//!    every score in a warm scan loses to the current worst). The tile
-//!    path tests every score against the live threshold; the survivors
-//!    path re-tests each spilled lane against it, in the same ascending
-//!    order. The filter is exact, not approximate: candidates *at* the
-//!    threshold are still offered (the equal-score/lower-id tie-break can
-//!    evict the current worst), and NaN fails the comparison — ordered in
-//!    the SIMD compare, `false` in the scalar one — just as
-//!    [`TopK::push`] rejects it.
+//!    every score in a warm scan loses to the selector's floor, a `k`-th
+//!    best as of its last settle). The tile path tests every score against
+//!    the live threshold; the survivors path re-tests each spilled lane
+//!    against it, in the same ascending order. The filter is exact, not
+//!    approximate: the threshold is a lower bound on the true `k`-th best
+//!    score, so nothing that belongs in the top-k fails it; candidates
+//!    *at* the threshold are still offered (the equal-score/lower-id
+//!    tie-break can rank them above the floor); and NaN fails the
+//!    comparison — ordered in the SIMD compare, `false` in the scalar one —
+//!    just as [`TopK::push`] rejects it.
 //!
 //! # Why a frozen threshold is exact
 //!
 //! The survivors sink compares against a copy of the threshold taken
-//! when its tile starts, while pushes from that same tile keep raising
-//! the live one. That is sound because the threshold only ever rises:
-//! `frozen <= live` at every moment, so `score >= live` implies
-//! `score >= frozen` — every candidate the tile path would offer is
-//! among the spilled lanes, and the few extra lanes that passed only the
-//! stale copy are dropped by the re-test. (`push` would reject them
+//! when its tile starts, while pushes from that same tile can settle the
+//! selector and raise the live one. That is sound because the threshold
+//! only ever rises and never passes the true `k`-th best: `frozen <= live
+//! <= k-th best` at every moment, so `score >= live` implies `score >=
+//! frozen` — every candidate the tile path would offer is among the
+//! spilled lanes, and the few extra lanes that passed only the stale copy
+//! are dropped by the re-test. (`push` would reject them
 //! anyway; the re-test saves that call and keeps [`ScanTally::pruned`]
 //! meaning the same thing on every dispatch.) Offers therefore reach the
 //! selector in the same order, against the same live threshold, as on the
@@ -162,6 +165,10 @@ pub struct ScanTally {
     /// one before the push, so the frozen copy never shows here — from the
     /// same starting `TopK`, `Blocked`, `Avx2` and `Avx512` report the same
     /// number (and `Scalar`, which pushes every score, reports 0).
+    /// The live threshold is the selector's floor, which lags the true
+    /// `k`-th best between settles, so fewer scores prune than an always
+    /// exact threshold would allow (at the benchmark's shape, `pruned /
+    /// scanned` ≈ 0.964 where a heap's exact threshold gave ≈ 0.974).
     /// Schedule-dependent (the threshold tightens as the scan proceeds),
     /// so this is a telemetry quantity, not a determinism-checked one.
     pub pruned: u64,
@@ -281,7 +288,7 @@ pub fn scan_with(
             score_block(codes, start, lut, dispatch, groups, scores);
 
             // Selection: only scores that can still enter the top-k pay the
-            // heap. `>=` (not `>`) keeps the equal-score/lower-id tie-break
+            // push. `>=` (not `>`) keeps the equal-score/lower-id tie-break
             // exact; the threshold is refreshed only after a successful
             // push (a rejected push cannot change it).
             let mut threshold = top.threshold();

@@ -21,10 +21,16 @@
 //! accumulate into **one [`TopK`] per (worker, query)** across every lane
 //! the worker runs — the software form of the single intermediate top-k
 //! the paper keeps per query (Section IV-C) — so a query's later visits
-//! start from a warm threshold and the kernels' survivors filter prunes
-//! accordingly. The hot loop allocates nothing after warm-up. (The
-//! LUT-build/scan double buffering of Section III-A stays modelled where
-//! it belongs, in `anna-core`'s cycle engine.)
+//! start from a raised threshold and the kernels' survivors filter prunes
+//! accordingly. Cluster-major order means consecutive visits feed
+//! different queries' selectors, so each visit meets a cold one; a
+//! `TopK` takes offers as sequential appends to its candidate buffer and
+//! settles them in one partial select every `k` appends, which is what
+//! keeps a cold selector cheap. A query's first partial becomes its
+//! merged result as is; only further workers' partials are merged into
+//! it. The hot loop allocates nothing after warm-up. (The LUT-build/scan
+//! double buffering of Section III-A stays modelled where it belongs, in
+//! `anna-core`'s cycle engine.)
 //!
 //! # Determinism
 //!
@@ -40,14 +46,14 @@
 //! 3. Candidate ids are unique per query and [`TopK`]'s order is total
 //!    (higher score first, ties to the lower id, NaN rejected), so the
 //!    kept top-k *set* is a pure function of the candidate multiset and
-//!    [`TopK::merge`] is commutative and associative — which heap a
-//!    candidate met first cannot matter.
+//!    [`TopK::merge`] is commutative and associative — which selector a
+//!    candidate met first, and when that selector settled, cannot matter.
 //!
 //! Per-round [`BatchStats`] and [`TierTraffic`] are `u64` sums, and the
 //! intermediate top-k spill/fill accounting depends only on how many
 //! rounds each query participates in, so the stats too are
 //! partition-invariant. (How many candidates the threshold *pruned* —
-//! `kernel.pruned` — does depend on which heap a visit met, and is
+//! `kernel.pruned` — does depend on which selector a visit met, and is
 //! telemetry, not a result.)
 //!
 //! [`BatchedScan`]: crate::batched::BatchedScan
@@ -400,15 +406,18 @@ pub(crate) fn execute_rounds(
     };
 
     let _merge = tel.span("batch.merge");
-    let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(job.k)).collect();
+    // A query's first partial is taken as is; later ones merge into it.
+    let mut merged: Vec<Option<TopK>> = (0..nq).map(|_| None).collect();
     let mut stats = BatchStats::default();
     let mut tier = TierTraffic::default();
     let mut rounds_per_query = vec![0u64; nq];
     for acc in done {
         let acc = acc?;
-        for (qi, top) in acc.tops.into_iter().enumerate() {
-            if let Some(top) = top {
-                merged[qi].merge(&top);
+        for (slot, top) in merged.iter_mut().zip(acc.tops) {
+            match (slot.as_mut(), top) {
+                (Some(into), Some(top)) => into.merge(&top),
+                (None, top) => *slot = top,
+                (Some(_), None) => {}
             }
         }
         for (total, n) in rounds_per_query.iter_mut().zip(&acc.rounds_scored) {
@@ -420,6 +429,10 @@ pub(crate) fn execute_rounds(
     let crossings: u64 = rounds_per_query.iter().map(|r| r.saturating_sub(1)).sum();
     stats.topk_fill_bytes += crossings * job.spill_unit_bytes;
     stats.topk_spill_bytes += crossings * job.spill_unit_bytes;
+    let merged = merged
+        .into_iter()
+        .map(|top| top.unwrap_or_else(|| TopK::new(job.k)))
+        .collect();
     Ok((merged, stats, tier))
 }
 

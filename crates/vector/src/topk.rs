@@ -87,21 +87,36 @@ impl Slot {
     }
 }
 
+/// How many candidates a [`TopK`] buffers per kept entry before it
+/// settles: the buffer holds up to `BUFFER_FACTOR * k` slots. A settle
+/// costs O(buffer), so each one is paid for by the `k` appends before it.
+/// Larger buffers (`3k`, `4k`: colder, and a floor that lags further) and
+/// smaller ones (`1.25k`, `1.5k`: more settles) measured no faster at the
+/// repo benchmark's shape.
+const BUFFER_FACTOR: usize = 2;
+
 /// Keeps the `k` highest-score [`Neighbor`]s pushed into it — the software
 /// P-heap every engine shares.
 ///
-/// A flat implicit binary min-heap over 16-byte slots, ordered by the
-/// integer rank key `(ordered_bits(score + 0.0), !id)`: the root is the
-/// worst kept entry, so a full selector rejects a candidate with one key
-/// comparison and accepts one with a single replace-root sift-down whose
-/// child choice is arithmetic, not a branch. While fewer than `k` entries
-/// are held nothing needs an order (the threshold is `-inf`), so entries
-/// are appended and the heap is built once, when the `k`-th arrives.
+/// An append-only candidate buffer of 16-byte slots plus a **floor**: the
+/// rank of a known `k`-th best slot. A candidate at or below the floor can
+/// never be among the best `k` and is rejected with one integer
+/// comparison; anything else is appended, unordered. When the buffer first
+/// holds `k` slots, and again whenever it reaches `2k`, it **settles**: one
+/// partial select (`select_nth_unstable`) keeps the best `k` and raises the
+/// floor to the worst of them. A push is thus an amortised O(1) sequential
+/// write rather than an O(log k) walk of a heap — which matters when a
+/// batch interleaves hundreds of selectors, one cold selector per visit
+/// (ANNA's P-heap takes one insertion per cycle and spills and fills
+/// intermediate top-k between rounds instead of keeping every heap hot,
+/// §III-B(4), §IV-C).
 ///
-/// The key reproduces [`Neighbor`]'s `Ord` exactly where `push` admits
+/// Slots are ordered by the integer rank key `(ordered_bits(score + 0.0),
+/// !id)`, which reproduces [`Neighbor`]'s `Ord` exactly where `push` admits
 /// values: NaN is rejected before a key is formed, `-0.0` and `0.0` share
 /// a key (and then tie-break by id), and `!id` makes the *lower* id the
-/// greater key.
+/// greater key. The order is total, so the kept set — and everything read
+/// from it — is the same whenever the buffer happens to settle.
 ///
 /// # Example
 ///
@@ -120,7 +135,12 @@ impl Slot {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    // A min-heap on `Slot::rank` once `len == k`; unordered before that.
+    // Rank of a known k-th best slot; 0, below every admissible rank,
+    // until the first settle.
+    floor: u128,
+    // The floor slot's score: the threshold.
+    floor_score: f32,
+    // Unordered candidates, every one ranked above `floor`; fewer than 2k.
     slots: Vec<Slot>,
 }
 
@@ -134,7 +154,9 @@ impl TopK {
         assert!(k > 0, "top-k requires k > 0");
         Self {
             k,
-            slots: Vec::with_capacity(k),
+            floor: 0,
+            floor_score: f32::NEG_INFINITY,
+            slots: Vec::with_capacity(BUFFER_FACTOR * k),
         }
     }
 
@@ -143,9 +165,10 @@ impl TopK {
         self.k
     }
 
-    /// The number of entries currently tracked (`<= k`).
+    /// The number of entries [`TopK::into_sorted_vec`] would return now:
+    /// the best-`k`-so-far count (`<= k`).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slots.len().min(self.k)
     }
 
     /// Returns `true` if no entries have been accepted yet.
@@ -153,69 +176,62 @@ impl TopK {
         self.slots.is_empty()
     }
 
-    /// The current rejection threshold: the worst kept score once `k`
-    /// entries are tracked, [`f32::NEG_INFINITY`] until then.
-    ///
-    /// A candidate scoring *strictly below* this value is guaranteed to be
-    /// rejected by [`TopK::push`], so scan kernels may filter with
-    /// `score >= threshold` before paying the heap push. Candidates at
-    /// exactly the threshold must still be offered: the id tie-break can
-    /// evict the current worst (equal score, lower id wins). NaN scores
-    /// fail `score >= threshold` for every possible threshold, which
-    /// matches `push` rejecting them.
-    pub fn threshold(&self) -> f32 {
-        if self.slots.len() < self.k {
-            f32::NEG_INFINITY
-        } else {
-            self.slots[0].score
-        }
+    /// Bytes of candidate storage this selector holds (its buffer's
+    /// capacity), the cache footprint a batch's live selectors add up to.
+    pub fn buffer_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
-    /// Offers a candidate; keeps it only if it beats the current worst (or
-    /// the selector is not yet full). Returns `true` if the candidate was
-    /// kept.
+    /// The current rejection threshold: the score of the floor, a `k`-th
+    /// best entry as of the last settle — [`f32::NEG_INFINITY`] until `k`
+    /// entries have arrived.
+    ///
+    /// The threshold is a **lower bound** on the true `k`-th best score,
+    /// not the score itself: between settles it lags behind what has been
+    /// appended, and it only ever rises. A candidate scoring *strictly
+    /// below* it is guaranteed to be rejected by [`TopK::push`], so scan
+    /// kernels may filter with `score >= threshold` before paying the push;
+    /// a lagging threshold only lets more candidates through (telemetry
+    /// counts them, results cannot see them). Candidates at exactly the
+    /// threshold must still be offered: the id tie-break can rank them
+    /// above the floor (equal score, lower id wins). NaN scores fail
+    /// `score >= threshold` for every possible threshold, which matches
+    /// `push` rejecting them.
+    pub fn threshold(&self) -> f32 {
+        self.floor_score
+    }
+
+    /// Offers a candidate. Returns `false` if it can never be among the
+    /// best `k` (NaN, or ranked at or below the floor) and `true` if it was
+    /// buffered — so `true` for every candidate in the best `k` so far,
+    /// though a buffered candidate may later be settled away.
     pub fn push(&mut self, id: u64, score: f32) -> bool {
         if score.is_nan() {
             return false;
         }
         let slot = Slot::new(id, score);
-        if self.slots.len() < self.k {
-            self.slots.push(slot);
-            if self.slots.len() == self.k {
-                for root in (0..self.k / 2).rev() {
-                    self.sift_down(root, self.slots[root]);
-                }
-            }
-            return true;
+        if slot.rank() <= self.floor {
+            return false;
         }
-        if slot.rank() > self.slots[0].rank() {
-            self.sift_down(0, slot);
-            true
-        } else {
-            false
+        self.slots.push(slot);
+        // The buffer holds exactly `k` only on the first fill: every
+        // settle leaves `k`, and the next push makes it `k + 1`.
+        if self.slots.len() == self.k || self.slots.len() == BUFFER_FACTOR * self.k {
+            self.settle();
         }
+        true
     }
 
-    /// Places `slot` into the subtree rooted at the hole `pos`, moving
-    /// smaller children up until `slot` is no greater than both.
-    fn sift_down(&mut self, mut pos: usize, slot: Slot) {
-        let slots = &mut self.slots[..];
-        let rank = slot.rank();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= slots.len() {
-                break;
-            }
-            // The smaller child; a lone left child is compared with itself.
-            let right = (left + 1).min(slots.len() - 1);
-            let child = left + usize::from(slots[right].rank() < slots[left].rank());
-            if rank <= slots[child].rank() {
-                break;
-            }
-            slots[pos] = slots[child];
-            pos = child;
-        }
-        slots[pos] = slot;
+    /// Keeps the best `k` buffered slots and raises the floor to the worst
+    /// of them. Needs at least `k` slots.
+    fn settle(&mut self) {
+        let k = self.k;
+        let (_, kth, _) = self
+            .slots
+            .select_nth_unstable_by_key(k - 1, |slot| std::cmp::Reverse(slot.rank()));
+        self.floor = kth.rank();
+        self.floor_score = kth.score;
+        self.slots.truncate(k);
     }
 
     /// Merges another selector's contents into this one.
@@ -243,6 +259,7 @@ impl TopK {
         // Descending rank is `sort_neighbors`' order: no NaN is ever kept.
         self.slots
             .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank()));
+        self.slots.truncate(self.k);
         self.slots
             .iter()
             .map(|slot| Neighbor::new(slot.id, slot.score))
@@ -335,19 +352,31 @@ mod tests {
 
     #[test]
     fn threshold_tracks_worst_kept_score_once_full() {
+        // The threshold is the worst kept score at each settle — when the
+        // k-th entry arrives, then whenever 2k are buffered — and lags
+        // (never passing the true k-th best) in between.
         let mut t = TopK::new(2);
-        t.push(0, 1.0);
-        t.push(1, 2.0);
+        t.push(10, 1.0);
+        t.push(11, 2.0); // first fill settles: floor (10, 1.0)
         assert_eq!(t.threshold(), 1.0);
-        t.push(2, 5.0); // evicts the 1.0
-        assert_eq!(t.threshold(), 2.0);
-        t.push(3, 0.5); // rejected, threshold unchanged
-        assert_eq!(t.threshold(), 2.0);
+        assert!(t.push(12, 5.0)); // buffered; the 1.0 is not yet gone
+        assert_eq!(t.threshold(), 1.0);
+        assert!(!t.push(13, 0.5)); // below the floor
+        assert!(t.push(14, 3.0)); // 2k buffered: settles to {5.0, 3.0}
+        assert_eq!(t.threshold(), 3.0);
+        assert_eq!(t.len(), 2);
+        // The floor is exclusive: re-offering the floor entry itself (its
+        // rank, not just its score) is rejected, while an equal score with
+        // a lower id still ranks above it.
+        assert!(!t.push(14, 3.0));
+        assert!(t.push(1, 3.0));
+        let kept: Vec<u64> = t.into_sorted_vec().iter().map(|n| n.id).collect();
+        assert_eq!(kept, vec![12, 1]);
     }
 
     #[test]
     fn nan_push_leaves_threshold_and_contents_untouched() {
-        // Regression: a NaN candidate must neither enter the heap nor
+        // Regression: a NaN candidate must neither enter the buffer nor
         // perturb the threshold at any fill level — and the kernels'
         // `score >= threshold` pre-filter agrees with push for NaN (the
         // comparison is false even against NEG_INFINITY).

@@ -188,41 +188,72 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
         .collect()
 }
 
-/// The integer-keyed heap against a full sort of the same stream, push by
-/// push: `push` returns whether the candidate is in the best `k` so far,
-/// `threshold()` is the `k`-th best score so far (bit for bit, `-inf`
-/// while under-full), and the final contents are the sort's first `k` —
-/// ids and score bits, so a kept `-0.0` comes back as `-0.0`.
+/// The selector against a full sort of the same stream, push by push. With
+/// `best` the first `k` of the full sort of everything pushed so far:
+///
+/// * `threshold()` is `-inf` until `k` non-NaN candidates have arrived,
+///   then a lower bound on `best`'s last score that the floor rule keeps
+///   tight — no lower than the `(2k − 1)`-th best score so far (the floor
+///   is a `k`-th best at the last settle, and fewer than `k` candidates
+///   have been buffered since);
+/// * `push` returns `true` for every candidate in `best`, and `false` for
+///   one scoring below the threshold it met;
+/// * `len()` is `best.len()`;
+/// * a clone's `into_sorted_vec` is `best` — ids and score bits, so a kept
+///   `-0.0` comes back as `-0.0`.
+///
+/// Beside random lengths, streams of `2k − 1`, `2k` and `2k + 1` candidates
+/// straddle the buffer's first `2k` settle.
 #[test]
 fn topk_matches_full_sort_on_hostile_streams() {
     forall("topk == full sort on hostile streams", 96, |rng| {
         let n = rng.usize(1..260);
-        let stream = hostile_stream(rng, n);
         for k in [1, 2, 100, n + 7] {
-            let mut top = TopK::new(k);
-            for (seen, cand) in stream.iter().enumerate() {
-                let accepted = top.push(cand.id, cand.score);
-                let best = best_k_by_full_sort(&stream[..=seen], k);
-                assert_eq!(
-                    accepted,
-                    best.contains(&(cand.id, cand.score.to_bits())),
-                    "k={k} push #{seen} {cand:?}"
-                );
-                assert_eq!(top.len(), best.len(), "k={k} push #{seen}");
-                let want_threshold = if best.len() < k {
-                    f32::NEG_INFINITY.to_bits()
-                } else {
-                    best[k - 1].1
-                };
-                assert_eq!(
-                    top.threshold().to_bits(),
-                    want_threshold,
-                    "k={k} push #{seen}"
-                );
+            let lens = if k > n {
+                vec![n]
+            } else {
+                vec![n, 2 * k - 1, 2 * k, 2 * k + 1]
+            };
+            for len in lens {
+                let stream = hostile_stream(rng, len);
+                check_every_prefix(&stream, k);
             }
-            assert_eq!(kept(top), best_k_by_full_sort(&stream, k), "k={k}");
         }
     });
+}
+
+fn check_every_prefix(stream: &[Neighbor], k: usize) {
+    let mut top = TopK::new(k);
+    // Every non-NaN candidate so far, in `sort_neighbors` order.
+    let mut sorted: Vec<Neighbor> = Vec::new();
+    for (seen, cand) in stream.iter().enumerate() {
+        let at = format!("k={k} len={} push #{seen} {cand:?}", stream.len());
+        let met = top.threshold();
+        let accepted = top.push(cand.id, cand.score);
+        if !cand.score.is_nan() {
+            let pos = sorted.partition_point(|n| n > cand);
+            sorted.insert(pos, *cand);
+            if pos < k {
+                assert!(accepted, "{at}: a best-k candidate was rejected");
+            }
+        }
+        if cand.score < met {
+            assert!(!accepted, "{at}: accepted below the threshold {met}");
+        }
+        let best = &sorted[..sorted.len().min(k)];
+        assert_eq!(top.len(), best.len(), "{at}");
+        let threshold = top.threshold();
+        if best.len() < k {
+            assert_eq!(threshold.to_bits(), f32::NEG_INFINITY.to_bits(), "{at}");
+        } else {
+            assert!(threshold <= best[k - 1].score, "{at}: {threshold}");
+            if let Some(far) = sorted.get(2 * k - 2) {
+                assert!(threshold >= far.score, "{at}: {threshold} lags too far");
+            }
+        }
+        let want: Vec<(u64, u32)> = best.iter().map(|n| (n.id, n.score.to_bits())).collect();
+        assert_eq!(kept(top.clone()), want, "{at}");
+    }
 }
 
 /// Merge order-independence on the same hostile streams: any dealing of

@@ -10,6 +10,12 @@
 //! host has) must agree on it too. A failure names the arm that diverged
 //! and the process-wide [`KernelDispatch::current`] — the arm every engine
 //! in this process actually runs.
+//!
+//! The batch engine does not scan one query at a time: it runs cluster-
+//! major, so consecutive visits feed different queries' selectors, each
+//! one cold and part-way through its own buffer. The cluster-major tests
+//! feed 64 selectors round-robin, one visit each per cluster, and hold
+//! every query's kept top-k to the scalar oracle after every cluster.
 
 use anna::index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna::quant::codes::PackedCodes;
@@ -33,12 +39,24 @@ fn rows(rng: &mut TestRng, n: usize) -> VectorSet {
     VectorSet::from_vec(DIM, (0..n * DIM).map(|_| rng.below(24) as f32).collect())
 }
 
-/// Scans the benchmark-shaped visit list with `k*`-entry tables under
-/// every available dispatch and checks each against the scalar oracle.
-fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
-    let mut rng = TestRng::new(kstar as u64);
+/// What `top` keeps, as `(id, score bits)` best first, without consuming it.
+fn kept(top: &TopK) -> Vec<(u64, u32)> {
+    top.clone()
+        .into_sorted_vec()
+        .iter()
+        .map(|h| (h.id, h.score.to_bits()))
+        .collect()
+}
+
+/// A `k*`-entry codebook at the benchmark's shape and the 8 clusters of
+/// one query's visit list, encoded with it.
+fn benchmark_shape(
+    rng: &mut TestRng,
+    kstar: usize,
+    vector_bytes: usize,
+) -> (PqCodebook, Vec<Cluster>) {
     let book = PqCodebook::train(
-        &rows(&mut rng, 1_024),
+        &rows(rng, 1_024),
         &PqConfig {
             m: 16,
             kstar,
@@ -49,7 +67,7 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
     assert_eq!(book.kstar(), kstar, "training left a narrower book");
     let clusters: Vec<Cluster> = (0..CLUSTERS)
         .map(|c| {
-            let codes = book.encode_all(&rows(&mut rng, LIST_LEN));
+            let codes = book.encode_all(&rows(rng, LIST_LEN));
             assert_eq!(codes.vector_bytes(), vector_bytes);
             Cluster {
                 centroid: rng.vec_f32(DIM, 0.0..4.0),
@@ -59,7 +77,14 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
             }
         })
         .collect();
+    (book, clusters)
+}
 
+/// Scans the benchmark-shaped visit list with `k*`-entry tables under
+/// every available dispatch and checks each against the scalar oracle.
+fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
+    let mut rng = TestRng::new(kstar as u64);
+    let (book, clusters) = benchmark_shape(&mut rng, kstar, vector_bytes);
     let mut scratch = ScanScratch::new();
     for _query in 0..4 {
         let q = rng.vec_f32(DIM, 0.0..24.0);
@@ -83,13 +108,7 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
                         &mut scratch,
                     );
                     assert_eq!(tally.scanned, LIST_LEN as u64);
-                    let kept: Vec<(u64, u32)> = top
-                        .clone()
-                        .into_sorted_vec()
-                        .iter()
-                        .map(|h| (h.id, h.score.to_bits()))
-                        .collect();
-                    trail.push((kept, tally.pruned));
+                    trail.push((kept(&top), tally.pruned));
                 }
                 (dispatch, trail)
             })
@@ -132,4 +151,82 @@ fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
 #[test]
 fn every_dispatch_keeps_the_scalar_top_k_at_the_k256_benchmark_shape() {
     every_dispatch_keeps_the_scalar_top_k(256, 16);
+}
+
+/// Selectors fed round-robin in the cluster-major tests.
+const QUERIES: usize = 64;
+
+/// 64 queries visit the 8 clusters cluster-major — every query's visit to
+/// cluster 0, then every query's visit to cluster 1, … — each into its own
+/// `TopK` (k = 100) under every available dispatch. After every cluster,
+/// each query's kept top-k must equal the scalar path's bit for bit, and
+/// the filtering dispatches must agree on how many scores they pruned.
+fn cluster_major_selectors_keep_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
+    let mut rng = TestRng::new(0xC0 + kstar as u64);
+    let (book, clusters) = benchmark_shape(&mut rng, kstar, vector_bytes);
+    // One table per (query, cluster), as the engine builds them.
+    let luts: Vec<Vec<Lut>> = (0..QUERIES)
+        .map(|_| {
+            let q = rng.vec_f32(DIM, 0.0..24.0);
+            clusters
+                .iter()
+                .map(|c| Lut::build_l2(&q, &c.centroid, &book, LutPrecision::F32))
+                .collect()
+        })
+        .collect();
+
+    let mut scratch = ScanScratch::new();
+    // Per dispatch: every query's kept set after each cluster, and the
+    // total pruned count.
+    let runs: Vec<_> = KernelDispatch::available()
+        .into_iter()
+        .map(|dispatch| {
+            let mut tops: Vec<TopK> = (0..QUERIES).map(|_| TopK::new(K)).collect();
+            let mut trail = Vec::new();
+            let mut pruned = 0;
+            for (c, cluster) in clusters.iter().enumerate() {
+                for (top, luts) in tops.iter_mut().zip(&luts) {
+                    let tally = kernels::scan_with(
+                        &cluster.codes,
+                        &cluster.ids,
+                        &luts[c],
+                        top,
+                        dispatch,
+                        &mut scratch,
+                    );
+                    pruned += tally.pruned;
+                }
+                trail.push(tops.iter().map(kept).collect::<Vec<_>>());
+            }
+            (dispatch, trail, pruned)
+        })
+        .collect();
+
+    let (scalar, oracle, _) = &runs[0];
+    assert_eq!(*scalar, KernelDispatch::Scalar);
+    assert!(oracle.iter().flatten().all(|kept| kept.len() == K));
+    let filtering = &runs[1..];
+    for (dispatch, trail, pruned) in filtering {
+        let at = format!(
+            "k*={kstar} {} (process-wide dispatch: {})",
+            dispatch.name(),
+            KernelDispatch::current().name()
+        );
+        for (c, (got, want)) in trail.iter().zip(oracle).enumerate() {
+            for (qi, (got, want)) in got.iter().zip(want).enumerate() {
+                assert_eq!(got, want, "{at} cluster {c} query {qi}");
+            }
+        }
+        assert_eq!(*pruned, filtering[0].2, "{at}");
+    }
+}
+
+#[test]
+fn cluster_major_selectors_keep_the_scalar_top_k_at_the_benchmark_shape() {
+    cluster_major_selectors_keep_the_scalar_top_k(16, 8);
+}
+
+#[test]
+fn cluster_major_selectors_keep_the_scalar_top_k_at_the_k256_benchmark_shape() {
+    cluster_major_selectors_keep_the_scalar_top_k(256, 16);
 }
