@@ -9,12 +9,17 @@
 //! threshold filtering and selector pushes per dispatch × `k*` for one
 //! warm selector, and under the process-wide dispatch for 512 cold
 //! selectors fed cluster-major (with the cost per offer and the live
-//! selector kB), each point cross-checked against the scalar path. Any
-//! divergence exits non-zero, and so does a report or snapshot that cannot
-//! be written (the error names the path).
+//! selector kB), each point cross-checked against the scalar path. A
+//! `rerank` section reports ns per candidate of the two-phase rescore per
+//! arm (`portable`, and `f16c` where the host has it) × metric × vector
+//! precision at the benchmark's shape (100 candidates from 100 000 rows of
+//! dim 64), each point cross-checked bit for bit against the portable arm.
+//! Any divergence exits non-zero, and so does a report or snapshot that
+//! cannot be written (the error names the path).
 //!
-//! `--smoke` shrinks the run for CI; `--telemetry <path>` writes a metric
-//! snapshot with per-point `kernel.*` counters.
+//! `--smoke` shrinks the run for CI (the `rerank` section draws from
+//! 10 000 rows); `--telemetry <path>` writes a metric snapshot with
+//! per-point `kernel.*` counters.
 
 use anna_bench::{kernels_sweep, write_report};
 use anna_telemetry::Telemetry;
@@ -76,6 +81,17 @@ fn main() {
             eprintln!(
                 "FAIL: select split {} k*={} diverged from the scalar reference",
                 p.dispatch, p.kstar
+            );
+            std::process::exit(1);
+        }
+    }
+    for p in &sweep.rerank {
+        if !p.identical_to_portable {
+            eprintln!(
+                "FAIL: re-rank arm {} ({} {}) diverged from the portable arm",
+                p.arm,
+                p.metric,
+                p.precision()
             );
             std::process::exit(1);
         }

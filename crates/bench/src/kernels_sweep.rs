@@ -19,11 +19,17 @@
 //! benchmark's shape into scoring, threshold filtering and selector pushes
 //! per dispatch × `k*`, for one warm selector and for a batch of cold ones
 //! fed cluster-major (see [`SelectPoint`]).
+//!
+//! A fourth section, `rerank`, times the two-phase rescore
+//! ([`exact::rescore_subset_with`]) per [`RescoreArm`] × metric × vector
+//! precision at the benchmark's shape, each point cross-checked bit for bit
+//! against the portable arm (see [`RerankPoint`]).
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
+use anna_vector::exact::{self, RescoreArm, RescoreScratch};
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
 
 use crate::json::Json;
@@ -117,6 +123,37 @@ pub struct SelectPoint {
     pub identical_to_scalar: bool,
 }
 
+/// One measured re-rank point: one [`RescoreArm`] rescoring the benchmark
+/// `two_phase` workload's per-query candidate lists — 100 candidates drawn
+/// from [`KernelsSweep::rerank_rows`] rows of dim 64 (the benchmark's
+/// 100 000 at the default size), best 10 kept — for one metric at one
+/// vector precision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RerankPoint {
+    /// Arm name (`portable` / `f16c`).
+    pub arm: String,
+    /// Similarity metric.
+    pub metric: Metric,
+    /// Whether rows were rounded through binary16 (the `f16` precision).
+    pub f16_vectors: bool,
+    /// Nanoseconds per candidate rescored (fastest round).
+    pub ns_per_candidate: f64,
+    /// Whether every query's ids and score bits equalled the portable
+    /// arm's.
+    pub identical_to_portable: bool,
+}
+
+impl RerankPoint {
+    /// `f16` or `f32`: the precision the rows were scored at.
+    pub fn precision(&self) -> &'static str {
+        if self.f16_vectors {
+            "f16"
+        } else {
+            "f32"
+        }
+    }
+}
+
 /// The sweep result.
 #[derive(Debug, Clone)]
 pub struct KernelsSweep {
@@ -135,6 +172,14 @@ pub struct KernelsSweep {
     /// Scan → select splits per `k* ∈ {16, 256}`: warm under every
     /// available dispatch, then cold under the process-wide one.
     pub select: Vec<SelectPoint>,
+    /// What `RescoreArm::current()` resolved to on this host.
+    pub default_rescore_arm: String,
+    /// Database rows the re-rank candidates are drawn from (100 000, the
+    /// benchmark's, at the default size).
+    pub rerank_rows: usize,
+    /// Re-rank points: every available arm × {l2, inner-product} × {f16,
+    /// f32}.
+    pub rerank: Vec<RerankPoint>,
 }
 
 /// Deterministic SplitMix64 stream for synthetic codes (the bench crate
@@ -264,7 +309,100 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
         points,
         lut_build: lut_build_points(passes),
         select: select_points(passes),
+        default_rescore_arm: RescoreArm::current().name().to_string(),
+        rerank_rows: rerank_rows(n),
+        rerank: rerank_points(rerank_rows(n), passes),
     }
+}
+
+/// The re-rank shape of the repo benchmark's `two_phase` workload: rows
+/// in the database, candidates per query (`k` 10 × α 10), final `k`.
+const RERANK_ROWS: usize = 100_000;
+const RERANK_CANDIDATES: usize = 100;
+const RERANK_K: usize = 10;
+/// Queries per timed round at [`RERANK_ROWS`].
+const RERANK_QUERIES: usize = 256;
+
+/// Database rows of the `rerank` section for a sweep of `n` codes per
+/// pass: the benchmark's [`RERANK_ROWS`] at the default `n` (200 000),
+/// proportionally fewer for the smoke and test sizes.
+fn rerank_rows(n: usize) -> usize {
+    (n / 2).clamp(RERANK_CANDIDATES, RERANK_ROWS)
+}
+
+/// Times every available [`RescoreArm`] × metric × precision over
+/// candidate lists drawn from `rows` rows ([`RERANK_QUERIES`] lists at the
+/// benchmark's [`RERANK_ROWS`], proportionally fewer below it): the
+/// fastest of `passes` rounds, after a cross-check of every query against
+/// the portable arm.
+fn rerank_points(rows: usize, passes: usize) -> Vec<RerankPoint> {
+    let dim = 64usize;
+    let nq = (RERANK_QUERIES * rows / RERANK_ROWS).max(8);
+    let mut rng = SplitMix(27);
+    // Values with more significant bits than binary16 keeps, so the f16
+    // precision really rounds.
+    let mut uniform = |scale: f32| (rng.next() >> 40) as f32 / (1u64 << 24) as f32 * scale;
+    let db = VectorSet::from_fn(dim, rows, |_, _| uniform(128.0));
+    let queries = VectorSet::from_fn(dim, nq, |_, _| uniform(128.0));
+    // Distinct ids per list, spread evenly over the whole database from a
+    // random start.
+    let stride = rows / RERANK_CANDIDATES;
+    let lists: Vec<Vec<u64>> = (0..nq)
+        .map(|_| {
+            let base = rng.next() as usize;
+            (0..RERANK_CANDIDATES)
+                .map(|j| ((base + j * stride) % rows) as u64)
+                .collect()
+        })
+        .collect();
+
+    let mut scratch = RescoreScratch::new();
+    let mut out = Vec::new();
+    let mut rescore_all = |arm: RescoreArm, metric: Metric, f16_vectors: bool| {
+        lists
+            .iter()
+            .enumerate()
+            .map(|(qi, ids)| {
+                exact::rescore_subset_with(
+                    arm,
+                    queries.row(qi),
+                    ids,
+                    &db,
+                    metric,
+                    RERANK_K,
+                    f16_vectors,
+                    &mut scratch,
+                    &mut out,
+                );
+                out.iter().map(|n| (n.id, n.score.to_bits())).collect()
+            })
+            .collect::<Vec<Vec<(u64, u32)>>>()
+    };
+
+    let mut points = Vec::new();
+    for metric_kind in [Metric::L2, Metric::InnerProduct] {
+        for f16_vectors in [true, false] {
+            let reference = rescore_all(RescoreArm::Portable, metric_kind, f16_vectors);
+            for arm in RescoreArm::available() {
+                let identical = rescore_all(arm, metric_kind, f16_vectors) == reference;
+                let best_ns = (0..passes.max(1))
+                    .map(|_| {
+                        let start = std::time::Instant::now();
+                        black_box(rescore_all(arm, metric_kind, f16_vectors));
+                        start.elapsed().as_secs_f64() * 1e9
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                points.push(RerankPoint {
+                    arm: arm.name().to_string(),
+                    metric: metric_kind,
+                    f16_vectors,
+                    ns_per_candidate: best_ns / (nq * RERANK_CANDIDATES) as f64,
+                    identical_to_portable: identical,
+                });
+            }
+        }
+    }
+    points
 }
 
 /// Selectors in the cold `select` rows: `batch_k16`'s batch size.
@@ -579,6 +717,24 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
+            .set("default_rescore_arm", self.default_rescore_arm.as_str())
+            .set("rerank_rows", self.rerank_rows)
+            .set(
+                "rerank",
+                Json::Arr(
+                    self.rerank
+                        .iter()
+                        .map(|p| {
+                            Json::obj()
+                                .set("arm", p.arm.as_str())
+                                .set("metric", p.metric.to_string().as_str())
+                                .set("precision", p.precision())
+                                .set("ns_per_candidate", p.ns_per_candidate)
+                                .set("identical_to_portable", p.identical_to_portable)
+                        })
+                        .collect(),
+                ),
+            )
     }
 
     /// Text rendering.
@@ -629,6 +785,20 @@ impl KernelsSweep {
                 p.pruned_frac,
                 p.selector_kb,
                 p.identical_to_scalar
+            ));
+        }
+        s.push_str(&format!(
+            "\n=== re-rank (dim 64, {RERANK_CANDIDATES} of {} rows per query, k={RERANK_K}; default arm: {}) ===\n{:<9} {:<14} {:<9} {:>10} {:>10}\n",
+            self.rerank_rows, self.default_rescore_arm, "arm", "metric", "precision", "ns/cand", "identical"
+        ));
+        for p in &self.rerank {
+            s.push_str(&format!(
+                "{:<9} {:<14} {:<9} {:>10.1} {:>10}\n",
+                p.arm,
+                p.metric.to_string(),
+                p.precision(),
+                p.ns_per_candidate,
+                p.identical_to_portable
             ));
         }
         s
@@ -694,6 +864,14 @@ mod tests {
                 p.dispatch, p.kstar
             );
         }
+        // Re-rank: every arm x {l2, ip} x {f16, f32}, each equal to the
+        // portable arm.
+        assert_eq!(sweep.rerank.len(), 4 * RescoreArm::available().len());
+        for p in &sweep.rerank {
+            let at = format!("{} {} {}", p.arm, p.metric, p.precision());
+            assert!(p.ns_per_candidate > 0.0, "{at}");
+            assert!(p.identical_to_portable, "{at} diverged from portable");
+        }
     }
 
     #[test]
@@ -734,6 +912,12 @@ mod tests {
             "\"pruned_frac\"",
             "\"selectors\"",
             "\"selector_kb\"",
+            "\"default_rescore_arm\"",
+            "\"rerank_rows\"",
+            "\"rerank\"",
+            "\"precision\"",
+            "\"ns_per_candidate\"",
+            "\"identical_to_portable\"",
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }

@@ -105,7 +105,11 @@ impl KernelDispatch {
     pub fn current() -> KernelDispatch {
         static CURRENT: OnceLock<KernelDispatch> = OnceLock::new();
         *CURRENT.get_or_init(|| {
-            KernelDispatch::resolve(env_force_scalar(), avx2_supported(), avx512_supported())
+            KernelDispatch::resolve(
+                anna_vector::env_force_scalar(),
+                avx2_supported(),
+                avx512_supported(),
+            )
         })
     }
 }
@@ -133,12 +137,6 @@ pub(crate) fn avx512_supported() -> bool {
     {
         false
     }
-}
-
-/// `ANNA_FORCE_SCALAR` semantics: set-and-nonempty-and-not-"0" forces the
-/// scalar path.
-fn env_force_scalar() -> bool {
-    std::env::var_os("ANNA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0")
 }
 
 #[cfg(test)]

@@ -472,9 +472,11 @@ pub(crate) fn execute_rerank(
     let nq = queries.len();
     stage.assert_valid(nq);
 
-    // Materialize each heap as its pinned best-first candidate list. The
-    // list *is* the candidate-id spill the traffic model prices.
-    let candidates: Vec<Vec<Neighbor>> = merged.into_iter().map(TopK::into_sorted_vec).collect();
+    // Materialize each heap's kept set as its candidate list, unsorted: the
+    // rescore ranks by the total score-then-id order, so its output does
+    // not depend on the list's order. The list *is* the candidate-id spill
+    // the traffic model prices.
+    let candidates: Vec<Vec<Neighbor>> = merged.into_iter().map(TopK::into_unsorted_vec).collect();
     let mut candidate_records = 0u64;
     let mut vector_bytes = 0u64;
     for (qi, list) in candidates.iter().enumerate() {

@@ -124,10 +124,61 @@ pub fn rescore_subset(
     out
 }
 
+/// Which implementation scores candidates. Every arm returns the same
+/// scores bit for bit — each is `metric.similarity(q, x)` on the
+/// (optionally binary16-rounded) row, in that function's addition order —
+/// and both share the ranking (the best `k` selected, then only they
+/// sorted), so the choice is a pure throughput decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RescoreArm {
+    /// One candidate at a time: the row copied, each element rounded by
+    /// the software [`f16::round_trip`], scored by [`Metric::similarity`].
+    /// The reference the other arm must reproduce, and what
+    /// `ANNA_FORCE_SCALAR` pins.
+    Portable,
+    /// x86-64 F16C: elements rounded through binary16 in registers
+    /// (`vcvtps2ph` / `vcvtph2ps`), four candidates scored per pass, each
+    /// in its own 128-bit accumulator.
+    #[cfg(target_arch = "x86_64")]
+    F16c,
+}
+
+impl RescoreArm {
+    /// Stable lowercase name for reports (`portable` / `f16c`).
+    pub fn name(self) -> &'static str {
+        match self {
+            RescoreArm::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            RescoreArm::F16c => "f16c",
+        }
+    }
+
+    /// Every arm this host runs, the portable one first.
+    pub fn available() -> Vec<RescoreArm> {
+        let mut arms = vec![RescoreArm::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if crate::f16c::F16c::detect().is_some() {
+            arms.push(RescoreArm::F16c);
+        }
+        arms
+    }
+
+    /// The arm [`rescore_subset_into`] runs: F16C where the host has it,
+    /// unless `ANNA_FORCE_SCALAR` pins the portable arm. Resolved once per
+    /// process.
+    pub fn current() -> RescoreArm {
+        #[cfg(target_arch = "x86_64")]
+        if crate::f16c::F16c::enabled().is_some() {
+            return RescoreArm::F16c;
+        }
+        RescoreArm::Portable
+    }
+}
+
 /// Allocation-free core of [`rescore_subset`]: rescoring goes through
 /// `scratch` and the final top-`k` (best first) replaces the contents of
 /// `out`, so a caller looping over many candidate lists reuses the same
-/// buffers throughout.
+/// buffers throughout. Runs [`RescoreArm::current`].
 ///
 /// With `f16_vectors` set, every database element is rounded through
 /// binary16 before scoring ([`f16::round_trip`]) — modelling a re-rank
@@ -148,26 +199,67 @@ pub fn rescore_subset_into(
     scratch: &mut RescoreScratch,
     out: &mut Vec<Neighbor>,
 ) {
+    let arm = RescoreArm::current();
+    rescore_subset_with(arm, q, ids, db, metric, k, f16_vectors, scratch, out);
+}
+
+/// [`rescore_subset_into`] under an explicit [`RescoreArm`] — what the
+/// arm-equivalence tests and `kernels_sweep` drive.
+///
+/// # Panics
+///
+/// As [`rescore_subset_into`], and if `arm` is [`RescoreArm::F16c`] on a
+/// host without F16C.
+#[allow(clippy::too_many_arguments)]
+pub fn rescore_subset_with(
+    arm: RescoreArm,
+    q: &[f32],
+    ids: &[u64],
+    db: &VectorSet,
+    metric: Metric,
+    k: usize,
+    f16_vectors: bool,
+    scratch: &mut RescoreScratch,
+    out: &mut Vec<Neighbor>,
+) {
     assert_eq!(q.len(), db.dim(), "query/database dimension mismatch");
     assert!(k > 0, "k must be positive");
-    let RescoreScratch { hits, row } = scratch;
-    hits.clear();
     for &id in ids {
         assert!((id as usize) < db.len(), "candidate id {id} out of range");
-        let x = db.row(id as usize);
-        let score = if f16_vectors {
-            row.clear();
-            row.extend_from_slice(x);
-            f16::round_trip_slice(row);
-            metric.similarity(q, row)
-        } else {
-            metric.similarity(q, x)
-        };
-        hits.push(Neighbor::new(id, score));
+    }
+    let RescoreScratch { hits, row } = scratch;
+    hits.clear();
+    match arm {
+        RescoreArm::Portable => {
+            for &id in ids {
+                let x = db.row(id as usize);
+                let score = if f16_vectors {
+                    row.clear();
+                    row.extend(x.iter().map(|&v| f16::round_trip(v)));
+                    metric.similarity(q, row)
+                } else {
+                    metric.similarity(q, x)
+                };
+                hits.push(Neighbor::new(id, score));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        RescoreArm::F16c => {
+            let hw =
+                crate::f16c::F16c::detect().expect("the f16c rescore arm on a host without F16C");
+            hw.rescore(q, ids, db, metric, f16_vectors, hits);
+        }
+    }
+    // Only the best `k` need an order: `Neighbor`'s is total over distinct
+    // ids, so the partial select keeps exactly the set a full sort would
+    // put first.
+    if hits.len() > k {
+        hits.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+        hits.truncate(k);
     }
     sort_neighbors(hits);
     out.clear();
-    out.extend_from_slice(&hits[..k.min(hits.len())]);
+    out.extend_from_slice(hits);
 }
 
 /// The number of multiply-add operations an exhaustive search performs per

@@ -38,6 +38,8 @@
 
 pub mod exact;
 pub mod f16;
+#[cfg(target_arch = "x86_64")]
+mod f16c;
 pub mod matrix;
 pub mod metric;
 pub mod topk;
@@ -47,3 +49,11 @@ pub use f16::F16;
 pub use matrix::VectorSet;
 pub use metric::Metric;
 pub use topk::{sort_neighbors, Neighbor, TopK};
+
+/// `ANNA_FORCE_SCALAR` semantics: set, non-empty and not `"0"` pins every
+/// runtime-dispatched kernel in the workspace to its portable path — the
+/// scan kernels (`anna-index`'s `KernelDispatch`) and this crate's F16C
+/// arm alike. Each caller reads it once per process.
+pub fn env_force_scalar() -> bool {
+    std::env::var_os("ANNA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0")
+}

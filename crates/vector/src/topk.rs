@@ -265,6 +265,20 @@ impl TopK {
             .map(|slot| Neighbor::new(slot.id, slot.score))
             .collect()
     }
+
+    /// Consumes the selector and returns the kept entries — the set
+    /// [`TopK::into_sorted_vec`] returns — in no particular order: one
+    /// settle and a truncate, no sort. For consumers that reorder the
+    /// entries anyway, like the re-rank stage rescoring them.
+    pub fn into_unsorted_vec(mut self) -> Vec<Neighbor> {
+        if self.slots.len() > self.k {
+            self.settle();
+        }
+        self.slots
+            .iter()
+            .map(|slot| Neighbor::new(slot.id, slot.score))
+            .collect()
+    }
 }
 
 /// Sorts neighbors best-first by the workspace's *shared* total order:
@@ -278,8 +292,11 @@ impl TopK {
 /// order or kernel family. Recall comparisons between pipelines stay
 /// stable under score ties (e.g. duplicated database vectors) because the
 /// tie always resolves the same way on both sides.
+///
+/// The order is total over distinct ids, so an unstable sort gives the
+/// same output as a stable one without a scratch allocation.
 pub fn sort_neighbors(v: &mut [Neighbor]) {
-    v.sort_by(|a, b| b.cmp(a));
+    v.sort_unstable_by(|a, b| b.cmp(a));
 }
 
 impl Extend<Neighbor> for TopK {

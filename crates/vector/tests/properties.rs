@@ -1,7 +1,7 @@
 //! Property-based tests for the vector substrate (seeded `anna-testkit`
 //! harness; failures report a replayable seed).
 
-use anna_testkit::{forall, TestRng};
+use anna_testkit::{forall, same_f32_bits, TestRng};
 use anna_vector::{exact, f16, sort_neighbors, Metric, Neighbor, TopK, VectorSet};
 
 /// Values within f16's dynamic range so round-trips remain finite.
@@ -253,7 +253,119 @@ fn check_every_prefix(stream: &[Neighbor], k: usize) {
         }
         let want: Vec<(u64, u32)> = best.iter().map(|n| (n.id, n.score.to_bits())).collect();
         assert_eq!(kept(top.clone()), want, "{at}");
+        let mut unsorted = top.clone().into_unsorted_vec();
+        sort_neighbors(&mut unsorted);
+        let unsorted: Vec<(u64, u32)> =
+            unsorted.iter().map(|n| (n.id, n.score.to_bits())).collect();
+        assert_eq!(unsorted, want, "{at}: unsorted set");
     }
+}
+
+/// A database element: one draw in three from the values a binary16
+/// round trip or a vectorised sum can get wrong — f32 and f16 subnormals,
+/// the f16 underflow boundary, ±0, ±∞, NaN, the overflow boundary and
+/// beyond — else a plain value.
+fn hostile_element(rng: &mut TestRng) -> f32 {
+    const PALETTE: [f32; 14] = [
+        1.0e-40,
+        -3.0e-8,
+        4.5e-8,
+        6.0e-5,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        65504.0,
+        65519.0,
+        65520.0,
+        -7.0e4,
+        1.0e30,
+    ];
+    if rng.below(3) == 0 {
+        *rng.pick(&PALETTE)
+    } else {
+        rng.f32(-100.0..100.0)
+    }
+}
+
+/// Every rescore arm the host runs returns the portable arm's ids and
+/// score bits (NaN scores compared as NaN) — {L2, IP} × {f16, f32} rows,
+/// dims that leave every tail length, hostile elements, duplicated rows
+/// (ties), `k` past the candidate count, and 0–3 candidates left over
+/// after the groups of four.
+#[test]
+fn rescore_arms_match_the_portable_arm() {
+    let arms = exact::RescoreArm::available();
+    println!(
+        "rescore arms covered: {:?}",
+        arms.iter().map(|a| a.name()).collect::<Vec<_>>()
+    );
+    forall("rescore arms == portable", 48, |rng| {
+        for dim in [1usize, 3, 5, 63, 64] {
+            let n = rng.usize(24..48);
+            let mut flat: Vec<f32> = (0..n * dim).map(|_| hostile_element(rng)).collect();
+            for _ in 0..rng.usize(1..6) {
+                let (from, to) = (rng.usize(0..n), rng.usize(0..n));
+                flat.copy_within(from * dim..(from + 1) * dim, to * dim);
+            }
+            let db = VectorSet::from_rows(dim, &flat);
+            let q: Vec<f32> = if rng.below(8) == 0 {
+                (0..dim).map(|_| hostile_element(rng)).collect()
+            } else {
+                rng.vec_f32(dim, -100.0..100.0)
+            };
+            let mut order: Vec<u64> = (0..n as u64).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.usize(0..i + 1));
+            }
+            for leftover in 0..4 {
+                let ids = &order[..4 * rng.usize(0..5) + leftover];
+                let k = rng.usize(1..ids.len() + 6);
+                for metric in [Metric::L2, Metric::InnerProduct] {
+                    for f16_vectors in [true, false] {
+                        let run = |arm| {
+                            let mut scratch = exact::RescoreScratch::new();
+                            let mut out = vec![Neighbor::new(u64::MAX, 1.0)];
+                            exact::rescore_subset_with(
+                                arm,
+                                &q,
+                                ids,
+                                &db,
+                                metric,
+                                k,
+                                f16_vectors,
+                                &mut scratch,
+                                &mut out,
+                            );
+                            out
+                        };
+                        let want = run(exact::RescoreArm::Portable);
+                        assert_eq!(want.len(), k.min(ids.len()));
+                        for &arm in &arms {
+                            let got = run(arm);
+                            let at = format!(
+                                "{} dim={dim} c={} k={k} {metric:?} f16={f16_vectors}",
+                                arm.name(),
+                                ids.len()
+                            );
+                            assert_eq!(got.len(), want.len(), "{at}");
+                            for (g, w) in got.iter().zip(&want) {
+                                assert_eq!(g.id, w.id, "{at}: {got:?} vs {want:?}");
+                                assert!(
+                                    same_f32_bits(g.score, w.score),
+                                    "{at}: id {} scored {} vs {}",
+                                    g.id,
+                                    g.score,
+                                    w.score
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
 }
 
 /// Merge order-independence on the same hostile streams: any dealing of

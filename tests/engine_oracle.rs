@@ -6,7 +6,10 @@
 //! measured per component); and results plus [`MeasuredTraffic`] must be
 //! identical at 1, 2, 4 and 8 threads. Across {L2, IP} × {k* = 16, 256};
 //! the tiered case adds the storage tier (cold, then warm) to all three.
+//! At the benchmark's two-phase shape the re-rank is also pinned to the
+//! portable rescore arm, whichever arm the process dispatches.
 
+use anna::data::synth::{self, Character, DatasetSpec};
 use anna::engine::{
     plan_uniform, run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine,
 };
@@ -15,6 +18,7 @@ use anna::index::{
     ShardedIndex,
 };
 use anna::plan::EnginePlan;
+use anna::vector::exact::{self, RescoreArm, RescoreScratch};
 use anna::vector::{Metric, Neighbor, VectorSet};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -198,6 +202,103 @@ fn two_phase_engine_matches_the_two_phase_oracle() {
             }
         }
     });
+}
+
+/// The two-phase engine at the repo benchmark's `two_phase` shape
+/// (adaptive α 10, k 10, nprobe 8, dim 64, m 16, k* 16) answers each query
+/// with, bit for bit, the **portable** rescore arm run on that query's
+/// first-pass survivors (the query-at-a-time top `k_first`) at the
+/// controller's precision — so whichever arm the process dispatches (F16C
+/// where the host has it, the portable one under `ANNA_FORCE_SCALAR`), the
+/// engine returns the reference arithmetic. One L2 and one inner-product
+/// family, neither integer-valued, so the f16 precision really rounds.
+#[test]
+fn two_phase_engine_matches_the_portable_rescore_at_the_benchmark_shape() {
+    let policy = RerankPolicy {
+        mode: RerankMode::Adaptive,
+        alpha: 10,
+    };
+    let spec = QuerySpec { k: 10, scope: 8 };
+    let k_first = policy.k_first(spec.k);
+    for character in [Character::DeepLike, Character::GloveLike] {
+        let dataset = synth::generate(&DatasetSpec {
+            name: "two_phase_shape".into(),
+            dim: 64,
+            n: 6_000,
+            num_queries: 32,
+            character,
+            num_blobs: 256,
+            seed: 27,
+        });
+        let (db, queries) = (&dataset.db, &dataset.queries);
+        let index = IvfPqIndex::build(
+            db,
+            &IvfPqConfig {
+                metric: dataset.metric,
+                num_clusters: 32,
+                m: 16,
+                kstar: 16,
+                ..IvfPqConfig::default()
+            },
+        );
+        let first = SearchParams {
+            nprobe: spec.scope,
+            k: k_first,
+            ..Default::default()
+        };
+        let mut scratch = RescoreScratch::new();
+        let want: Vec<Vec<Neighbor>> = queries
+            .iter()
+            .map(|q| {
+                let ids: Vec<u64> = index.search(q, &first).iter().map(|n| n.id).collect();
+                let pool = index
+                    .filter_clusters(q, spec.scope)
+                    .into_iter()
+                    .map(|c| index.cluster(c).len())
+                    .sum();
+                let decision = policy.query_decision(k_first, pool);
+                let mut out = Vec::new();
+                exact::rescore_subset_with(
+                    RescoreArm::Portable,
+                    q,
+                    &ids,
+                    db,
+                    dataset.metric,
+                    spec.k,
+                    decision.precision == RerankPrecision::F16,
+                    &mut scratch,
+                    &mut out,
+                );
+                out
+            })
+            .collect();
+        let engine = BatchedScan::with_rerank_db(&index, db);
+        let options = PlanOptions {
+            rerank: Some(policy),
+        };
+        for threads in [1usize, 2] {
+            let (_, _, run) = run_pipeline(
+                &engine,
+                queries,
+                &spec,
+                &options,
+                threads,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{character:?}/t={threads}: verify failed: {e}"));
+            for (qi, (got, want)) in run.results.iter().zip(&want).enumerate() {
+                assert_eq!(want.len(), spec.k, "{character:?}: query {qi}");
+                let bits = |v: &[Neighbor]| -> Vec<(u64, u32)> {
+                    v.iter().map(|n| (n.id, n.score.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "{character:?}/t={threads}: query {qi} differs from the portable rescore"
+                );
+            }
+        }
+    }
 }
 
 #[test]
