@@ -9,7 +9,9 @@
 //! threshold filtering and selector pushes per dispatch × `k*` for one
 //! warm selector, and under the process-wide dispatch for 512 cold
 //! selectors fed cluster-major (with the cost per offer and the live
-//! selector kB), each point cross-checked against the scalar path. A
+//! selector kB) — one scan per visit, and grouped, one scan of each
+//! cluster for all its visitors as the batch engine runs it — each point
+//! cross-checked against the scalar path. A
 //! `rerank` section reports ns per candidate of the two-phase rescore per
 //! arm (`portable`, and `f16c` where the host has it) × metric × vector
 //! precision at the benchmark's shape (100 candidates from 100 000 rows of
@@ -79,8 +81,8 @@ fn main() {
     for p in &sweep.select {
         if !p.identical_to_scalar {
             eprintln!(
-                "FAIL: select split {} k*={} diverged from the scalar reference",
-                p.dispatch, p.kstar
+                "FAIL: select split {} k*={} ({} selectors, grouped {}) diverged from the scalar reference",
+                p.dispatch, p.kstar, p.selectors, p.grouped
             );
             std::process::exit(1);
         }

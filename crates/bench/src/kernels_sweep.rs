@@ -18,7 +18,8 @@
 //! A third section, `select`, splits one query's scan → select time at the
 //! benchmark's shape into scoring, threshold filtering and selector pushes
 //! per dispatch × `k*`, for one warm selector and for a batch of cold ones
-//! fed cluster-major (see [`SelectPoint`]).
+//! fed cluster-major, one query at a time and grouped (see
+//! [`SelectPoint`]).
 //!
 //! A fourth section, `rerank`, times the two-phase rescore
 //! ([`exact::rescore_subset_with`]) per [`RescoreArm`] × metric × vector
@@ -80,12 +81,16 @@ pub struct LutBuildPoint {
 ///   its own table, fed the 8 clusters cluster-major: every selector's
 ///   visit to cluster 0, then every selector's visit to cluster 1, and so
 ///   on, so consecutive visits touch different selectors — the order the
-///   batch engine scans in.
+///   batch engine scans in. Twice: one `scan_with` per visit, and
+///   (`grouped`) one `scan_group_with` per cluster over all its visitors,
+///   the batch engine's round loop.
 ///
-/// Times are µs per query, differences of three timed loops (each its
-/// fastest round):
+/// Times are µs per query: `scan_us`, and its split into differences of
+/// three timed loops (each its fastest round):
 ///
-/// * `score_us` — `score_all_with`: every score written out, no selector.
+/// * `score_us` — `score_all_with`: every score written out, no selector,
+///   one query at a time even on a grouped row (so there `filter_us`
+///   carries what grouping saves).
 /// * `filter_us` — a scan into a selector already full of `+inf` scores,
 ///   so every finite score fails the threshold and nothing is pushed,
 ///   minus `score_us`. Negative when filtering in registers costs less
@@ -104,6 +109,12 @@ pub struct SelectPoint {
     pub dispatch: String,
     /// Selectors fed: 1 in the warm regime, the batch size in the cold one.
     pub selectors: usize,
+    /// Whether each cluster's visitors went through one
+    /// `kernels::scan_group_with` call rather than one `scan_with` each.
+    pub grouped: bool,
+    /// The scan into empty selectors, µs per query: the sum of the three
+    /// columns below.
+    pub scan_us: f64,
     /// Scoring alone, µs per query.
     pub score_us: f64,
     /// Threshold filtering, µs per query (see the type docs).
@@ -170,7 +181,8 @@ pub struct KernelsSweep {
     /// LUT-construction points: `{l2, inner-product} × k* ∈ {16, 256}`.
     pub lut_build: Vec<LutBuildPoint>,
     /// Scan → select splits per `k* ∈ {16, 256}`: warm under every
-    /// available dispatch, then cold under the process-wide one.
+    /// available dispatch, then cold under the process-wide one, per query
+    /// and grouped.
     pub select: Vec<SelectPoint>,
     /// What `RescoreArm::current()` resolved to on this host.
     pub default_rescore_arm: String,
@@ -414,11 +426,13 @@ const CLUSTERS: usize = 8;
 const LIST_LEN: usize = 3_125;
 
 /// One `select` regime: every selector (one per table) is fed every code
-/// list, list-major, under each of `dispatches`.
+/// list, list-major, under each of `dispatches` — one `scan_with` per
+/// visit, or one `scan_group_with` per list when `grouped`.
 struct SelectRegime<'a> {
     lists: &'a [(PackedCodes, Vec<u64>)],
     luts: &'a [Lut],
     dispatches: Vec<KernelDispatch>,
+    grouped: bool,
 }
 
 impl SelectRegime<'_> {
@@ -430,8 +444,14 @@ impl SelectRegime<'_> {
     ) -> kernels::ScanTally {
         let mut tally = kernels::ScanTally::default();
         for (codes, ids) in self.lists {
-            for (top, lut) in tops.iter_mut().zip(self.luts) {
-                tally.accumulate(&kernels::scan_with(codes, ids, lut, top, dispatch, scratch));
+            if self.grouped {
+                tally.accumulate(&kernels::scan_group_with(
+                    codes, ids, self.luts, tops, dispatch, scratch,
+                ));
+            } else {
+                for (top, lut) in tops.iter_mut().zip(self.luts) {
+                    tally.accumulate(&kernels::scan_with(codes, ids, lut, top, dispatch, scratch));
+                }
             }
         }
         tally
@@ -446,10 +466,10 @@ impl SelectRegime<'_> {
     }
 }
 
-/// Splits scan → select time per `k*` × {warm, cold} at the benchmark's
-/// shape — warm under every available dispatch, cold (many times the work)
-/// under the process-wide one, the arm every engine runs; `passes` timed
-/// rounds per loop, fastest kept.
+/// Splits scan → select time per `k*` × {warm, cold, cold grouped} at the
+/// benchmark's shape — warm under every available dispatch, cold (many
+/// times the work) under the process-wide one, the arm every engine runs;
+/// `passes` timed rounds per loop, fastest kept.
 fn select_points(passes: usize) -> Vec<SelectPoint> {
     let k = 100usize;
     let mut points = Vec::new();
@@ -486,17 +506,21 @@ fn select_points(passes: usize) -> Vec<SelectPoint> {
                 Lut::build_ip(&qb, &book, LutPrecision::F32)
             })
             .collect();
+        let cold = |grouped| SelectRegime {
+            lists: &cold_lists,
+            luts: &cold_luts,
+            dispatches: vec![KernelDispatch::current()],
+            grouped,
+        };
         let regimes = [
             SelectRegime {
                 lists: &warm_list,
                 luts: std::slice::from_ref(&lut),
                 dispatches: KernelDispatch::available(),
+                grouped: false,
             },
-            SelectRegime {
-                lists: &cold_lists,
-                luts: &cold_luts,
-                dispatches: vec![KernelDispatch::current()],
-            },
+            cold(false),
+            cold(true),
         ];
         for regime in &regimes {
             points.extend(select_regime_points(kstar, k, regime, passes));
@@ -571,6 +595,8 @@ fn select_regime_points(
             kstar,
             dispatch: dispatch.name().to_string(),
             selectors,
+            grouped: regime.grouped,
+            scan_us,
             score_us,
             filter_us: saturated_us - score_us,
             push_us,
@@ -706,6 +732,8 @@ impl KernelsSweep {
                                 .set("kstar", p.kstar)
                                 .set("dispatch", p.dispatch.as_str())
                                 .set("selectors", p.selectors)
+                                .set("grouped", p.grouped)
+                                .set("scan_us", p.scan_us)
                                 .set("score_us", p.score_us)
                                 .set("filter_us", p.filter_us)
                                 .set("push_us", p.push_us)
@@ -769,15 +797,17 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major) ===\n{:<6} {:<9} {:>9} {:>9} {:>10} {:>9} {:>10} {:>8} {:>9} {:>10}\n",
-            "k*", "dispatch", "selectors", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "sel_kB", "identical"
+            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major, grouped = one scan_group_with per cluster) ===\n{:<6} {:<9} {:>9} {:>7} {:>8} {:>9} {:>10} {:>9} {:>10} {:>8} {:>9} {:>10}\n",
+            "k*", "dispatch", "selectors", "grouped", "scan_us", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "sel_kB", "identical"
         ));
         for p in &self.select {
             s.push_str(&format!(
-                "{:<6} {:<9} {:>9} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>9.1} {:>10}\n",
+                "{:<6} {:<9} {:>9} {:>7} {:>8.1} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>9.1} {:>10}\n",
                 p.kstar,
                 p.dispatch,
                 p.selectors,
+                p.grouped,
+                p.scan_us,
                 p.score_us,
                 p.filter_us,
                 p.push_us,
@@ -849,11 +879,14 @@ mod tests {
             );
         }
         // Select split: {16, 256} x (warm under every dispatch + cold under
-        // the process-wide one), each bit-identical.
-        assert_eq!(sweep.select.len(), 2 * (per_width + 1));
+        // the process-wide one, per query and grouped), each bit-identical.
+        assert_eq!(sweep.select.len(), 2 * (per_width + 2));
         let selectors: Vec<usize> = sweep.select.iter().map(|p| p.selectors).collect();
         assert!(selectors.contains(&1) && selectors.contains(&COLD_SELECTORS));
+        assert_eq!(sweep.select.iter().filter(|p| p.grouped).count(), 2);
         for p in &sweep.select {
+            let split = p.score_us + p.filter_us + p.push_us;
+            assert!((p.scan_us - split).abs() <= 1e-6 * p.scan_us.max(1.0));
             assert!(p.selector_kb > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!(p.score_us > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!((0.0..=1.0).contains(&p.pruned_frac));
@@ -911,6 +944,8 @@ mod tests {
             "\"push_ns_per_offer\"",
             "\"pruned_frac\"",
             "\"selectors\"",
+            "\"grouped\"",
+            "\"scan_us\"",
             "\"selector_kb\"",
             "\"default_rescore_arm\"",
             "\"rerank_rows\"",

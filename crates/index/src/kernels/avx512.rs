@@ -1,6 +1,7 @@
 //! AVX-512 kernels: `k* = 16` codes scored 64 per iteration with one
-//! `vpermps zmm` per sixteen lookups, and `k* = 256` codes scored 64 per
-//! iteration with one `vgatherdps zmm` per sixteen lookups.
+//! `vpermps zmm` per sixteen lookups, for up to four queries per pass over
+//! the rows, and `k* = 256` codes scored 64 per iteration with one
+//! `vgatherdps zmm` per sixteen lookups.
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -23,8 +24,8 @@
 //! accumulator owns vector `j + l`, subquantizers are walked in
 //! `i = 0..M` order and the bias is added last, so every lane performs the
 //! scalar reference's addition sequence and scores are bit-identical by
-//! construction. Four accumulators (64 lanes) amortize each table load or
-//! each code fetch.
+//! construction. Four accumulators (64 lanes) per query amortize each
+//! table load or each code fetch.
 //!
 //! # Row loads
 //!
@@ -43,6 +44,26 @@
 //! already summed out of it. Rows shorter than a dword (`m < 4`) stay on
 //! the blocked kernel.
 //!
+//! # The group loop
+//!
+//! Nothing about a chunk's row loads, its de-interleave or its nibble
+//! shifts depends on the query, so [`lut16_kernel`] does them once for a
+//! group of `Q` queries (one to four, a const parameter): per chunk it
+//! loads and de-interleaves the rows; per subquantizer it shifts each lane
+//! group's row dword once and looks the index up in each query's table,
+//! adding into that query's accumulators; each query ends in its own sink.
+//! Per subquantizer and 64 codes that is 4 shifts, `4Q` permutes and `4Q`
+//! adds on the two vector ports instead of `Q` times 4 + 4 + 4.
+//!
+//! The group is sized by the register budget ([`super::GROUP`]): `Q` = 4
+//! takes 16 accumulators, beside the 8 de-interleaved row dwords of an
+//! 8-byte-row chunk that is 24 of the 32 ZMM registers, and the rest hold
+//! the shifted index, the tables and the permute results (the compiler
+//! may leave the row dwords in L1 and shift them straight from memory);
+//! a fifth query would spill accumulators. `k* = 256` has no group: its
+//! gathers are bound by the load ports, which the queries would share
+//! rather than split.
+//!
 //! # No scalar tail
 //!
 //! Every load, gather, store and compare is under a lane mask. A full
@@ -54,11 +75,16 @@
 //! # Sinks
 //!
 //! Both kernels end in `finish_group!`. The tile sink is a masked store per
-//! accumulator. The survivors sink compares the finished sums with the
-//! broadcast threshold straight into a mask register (`vcmpps k, GE_OQ`:
-//! ordered, so NaN never passes) and, for a non-empty mask,
-//! compress-stores the passing scores and their positions — ascending,
-//! because compression keeps lane order.
+//! accumulator. The survivors sink does not branch on its outcome: it
+//! compares the finished sums with the broadcast threshold straight into a
+//! mask register (`vcmpps k, GE_OQ`: ordered, so NaN never passes),
+//! compresses the passing scores and their positions in registers
+//! (`vcompressps` / `vpcompressd`, which keep lane order, so positions
+//! ascend), stores both full width at the survivor count and advances the
+//! count by `popcnt` of the mask. The lanes stored above the survivors are
+//! junk the next group's store overwrites; since the count never passes
+//! the block's `count`, a survivors buffer needs `count + SINK_SLACK`
+//! slots (sixteen lanes of slack), which the safe wrapper asserts.
 
 #![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 
@@ -123,8 +149,9 @@ impl<'s> Finish<'s> {
 /// Sinks `$acc + bias` through the `Finish` `$finish` for the sixteen
 /// lanes at block positions `$at .. $at + 16`, of which the first `$live`
 /// are in the block. A macro rather than a method, so that its stores rest
-/// on the calling kernel's `# Safety` contract (every sink slice holds
-/// `count` elements, and `$at + $live <= count`).
+/// on the calling kernel's `# Safety` contract (a tile holds `count`
+/// elements, a survivors slice `count + SINK_SLACK`, and `$at + $live <=
+/// count`) and its `popcnt` compiles to the instruction.
 macro_rules! finish_group {
     ($finish:expr, $acc:expr, $at:expr, $live:expr) => {{
         let f: &mut Finish = $finish;
@@ -135,51 +162,60 @@ macro_rules! finish_group {
             _mm512_mask_storeu_ps(f.out.as_mut_ptr().wrapping_add(at), in_block, sum);
             f.written += live;
         } else {
+            // No branch on the outcome: the passing lanes are compressed
+            // in registers and stored full width at `written`, so the
+            // lanes above them are junk the next store (or nothing)
+            // overwrites. `written` trails the lanes scored so far and
+            // never passes `count`, so the store ends inside the
+            // `count + SINK_SLACK` slots the caller promised.
             let passing = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(in_block, sum, f.vthreshold);
-            if passing != 0 {
-                // `written` trails the lanes scored so far, so the
-                // survivors of this group fit below `at + live`.
-                let positions = _mm512_add_epi32(f.lane, _mm512_set1_epi32(at as i32));
-                _mm512_mask_compressstoreu_ps(f.out.as_mut_ptr().add(f.written), passing, sum);
-                _mm512_mask_compressstoreu_epi32(
-                    f.positions.as_mut_ptr().add(f.written) as *mut i32,
-                    passing,
-                    positions,
-                );
-                f.written += passing.count_ones() as usize;
-            }
+            let positions = _mm512_add_epi32(f.lane, _mm512_set1_epi32(at as i32));
+            _mm512_storeu_ps(
+                f.out.as_mut_ptr().add(f.written),
+                _mm512_maskz_compress_ps(passing, sum),
+            );
+            _mm512_storeu_si512(
+                f.positions.as_mut_ptr().add(f.written).cast(),
+                _mm512_maskz_compress_epi32(passing, positions),
+            );
+            f.written += passing.count_ones() as usize;
         }
     }};
 }
 
-/// The register-resident LUT16 loop over rows of `ND` whole dwords; `bytes`
-/// is the full packed row-major code stream. Returns `(count, scores the
-/// sink received)` — the same `(vectors done, written)` pair as the AVX2
-/// kernel, except that this one never leaves a tail.
+/// The register-resident LUT16 loop over rows of `ND` whole dwords, for a
+/// group of `Q` queries; `bytes` is the full packed row-major code stream,
+/// and query `q` looks up `tables[q]`, adds `biases[q]` and ends in
+/// `sinks[q]`. Returns the number of scores each sink received; the kernel
+/// never leaves a tail.
 ///
 /// # Safety
 ///
-/// The caller must ensure the host supports `avx512f`, that the row width
-/// is exactly `4 * ND` bytes (so `m <= 8 * ND`), that
-/// `(start + count) * 4 * ND <= bytes.len()`, that `entries` holds `m`
-/// tables of 16, and that every sink slice holds `count` elements.
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn lut16_kernel<const ND: usize>(
+/// The caller must ensure the host supports `avx512f` and `popcnt`, that
+/// the row width is exactly `4 * ND` bytes (so `m <= 8 * ND`), that
+/// `(start + count) * 4 * ND <= bytes.len()`, that each of `tables` holds
+/// `m` tables of 16, that every tile sink holds `count` elements and that
+/// every survivors sink slice holds `count + SINK_SLACK`.
+#[target_feature(enable = "avx512f,popcnt")]
+pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
     m: usize,
     bytes: &[u8],
     start: usize,
     count: usize,
-    entries: &[f32],
-    bias: f32,
-    sink: &mut Sink<'_>,
-) -> (usize, usize) {
+    tables: [&[f32]; Q],
+    biases: [f32; Q],
+    sinks: &mut [Sink<'_>; Q],
+) -> [usize; Q] {
     use arch::*;
 
     let vb = 4 * ND;
-    let mut finish = Finish::new(sink, bias);
+    let mut finish: [Finish; Q] = {
+        let mut sinks = sinks.iter_mut();
+        std::array::from_fn(|q| Finish::new(sinks.next().expect("one sink per query"), biases[q]))
+    };
     // Of the 32 dwords of sixteen 8-byte rows (two registers), the even
     // ones are every row's dword 0 and the odd ones every row's dword 1.
-    let even = _mm512_slli_epi32::<1>(finish.lane);
+    let even = _mm512_slli_epi32::<1>(finish[0].lane);
     let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
 
     let mut j = 0;
@@ -189,32 +225,25 @@ pub(super) unsafe fn lut16_kernel<const ND: usize>(
         // computed without the in-bounds promise `add` makes.
         let chunk = bytes.as_ptr().wrapping_add((start + j) * vb);
 
-        /// The `ND` row dwords of the sixteen lanes of group `$g`; lanes
-        /// past `live[$g]` read nothing and hold code 0.
-        macro_rules! rows {
-            ($g:literal) => {{
-                let p = chunk.wrapping_add(16 * $g * vb) as *const i32;
-                // One mask bit per live dword: `ND` per live row.
-                let dwords = ((1u64 << (ND * live[$g])) - 1) as u32;
-                let a = _mm512_maskz_loadu_epi32(dwords as u16, p);
-                if ND == 1 {
-                    // Dword 1 does not exist and is never indexed.
-                    [a, a]
-                } else {
-                    let b = _mm512_maskz_loadu_epi32((dwords >> 16) as u16, p.wrapping_add(16));
-                    [
-                        _mm512_permutex2var_epi32(a, even, b),
-                        _mm512_permutex2var_epi32(a, odd, b),
-                    ]
-                }
-            }};
+        // The `ND` row dwords of the sixteen lanes of each group, shared
+        // by every query; lanes past `live[g]` read nothing and hold code 0.
+        let mut rows = [[_mm512_setzero_si512(); ND]; 4];
+        for (g, row) in rows.iter_mut().enumerate() {
+            let p = chunk.wrapping_add(16 * g * vb) as *const i32;
+            // One mask bit per live dword: `ND` per live row.
+            let dwords = ((1u64 << (ND * live[g])) - 1) as u32;
+            let a = _mm512_maskz_loadu_epi32(dwords as u16, p);
+            if ND == 1 {
+                row[0] = a;
+            } else {
+                let b = _mm512_maskz_loadu_epi32((dwords >> 16) as u16, p.wrapping_add(16));
+                // `ND` is 2 here: dword 0, then dword 1.
+                row[0] = _mm512_permutex2var_epi32(a, even, b);
+                row[ND - 1] = _mm512_permutex2var_epi32(a, odd, b);
+            }
         }
-        let (r0, r1, r2, r3) = (rows!(0), rows!(1), rows!(2), rows!(3));
 
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut acc2 = _mm512_setzero_ps();
-        let mut acc3 = _mm512_setzero_ps();
+        let mut acc = [[_mm512_setzero_ps(); 4]; Q];
         for d in 0..ND {
             // Subquantizer 8d + p is nibble p of dword d (low nibble
             // first, matching PackedCodes).
@@ -222,19 +251,19 @@ pub(super) unsafe fn lut16_kernel<const ND: usize>(
                 ($p:literal) => {
                     let i = 8 * d + $p;
                     if i < m {
-                        // Table i: one register for all 64 lanes. The
-                        // permute ignores index bits above 3:0, so the
-                        // shifted row is the index.
-                        let t = _mm512_loadu_ps(entries.as_ptr().add(i * 16));
-                        macro_rules! lookup16 {
-                            ($row:expr) => {
-                                _mm512_permutexvar_ps(_mm512_srli_epi32::<{ 4 * $p }>($row), t)
-                            };
+                        for (g, row) in rows.iter().enumerate() {
+                            // The permute ignores index bits above 3:0, so
+                            // the shifted row is the index — once for all
+                            // `Q` lookups.
+                            let index = _mm512_srli_epi32::<{ 4 * $p }>(row[d]);
+                            for q in 0..Q {
+                                // Table i of query q: one register for
+                                // sixteen lookups.
+                                let t = _mm512_loadu_ps(tables[q].as_ptr().add(i * 16));
+                                acc[q][g] =
+                                    _mm512_add_ps(acc[q][g], _mm512_permutexvar_ps(index, t));
+                            }
                         }
-                        acc0 = _mm512_add_ps(acc0, lookup16!(r0[d]));
-                        acc1 = _mm512_add_ps(acc1, lookup16!(r1[d]));
-                        acc2 = _mm512_add_ps(acc2, lookup16!(r2[d]));
-                        acc3 = _mm512_add_ps(acc3, lookup16!(r3[d]));
                     }
                 };
             }
@@ -248,12 +277,14 @@ pub(super) unsafe fn lut16_kernel<const ND: usize>(
             step!(7);
         }
 
-        for (g, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-            finish_group!(&mut finish, acc, j + 16 * g, live[g]);
+        for (finish, acc) in finish.iter_mut().zip(acc) {
+            for (g, acc) in acc.into_iter().enumerate() {
+                finish_group!(finish, acc, j + 16 * g, live[g]);
+            }
         }
         j += CHUNK;
     }
-    (count, finish.written)
+    finish.map(|f| f.written)
 }
 
 /// The gather loop for byte codes against `k* = 256` tables: rows of `m`
@@ -263,12 +294,12 @@ pub(super) unsafe fn lut16_kernel<const ND: usize>(
 ///
 /// # Safety
 ///
-/// The caller must ensure the host supports `avx512f`, that
+/// The caller must ensure the host supports `avx512f` and `popcnt`, that
 /// `4 <= m` and `16 * m` fits an `i32`, that `(start + count) * m <=
 /// bytes.len()`, that `entries` holds `m` tables of 256 (so every byte
-/// code indexes inside its table), and that every sink slice holds
-/// `count` elements.
-#[target_feature(enable = "avx512f")]
+/// code indexes inside its table), and that a tile sink holds `count`
+/// elements and a survivors sink's slices `count + SINK_SLACK`.
+#[target_feature(enable = "avx512f,popcnt")]
 pub(super) unsafe fn gather_kernel(
     m: usize,
     bytes: &[u8],

@@ -9,6 +9,7 @@
 //! [`crate::kernels`] for the summation-order invariant), so dispatch is a
 //! pure throughput decision — never a correctness one.
 
+use super::GROUP;
 use anna_quant::codes::CodeWidth;
 use std::sync::OnceLock;
 
@@ -37,14 +38,16 @@ pub enum KernelDispatch {
     /// AVX-512 kernels for both code widths. `k* = 16`: a 16-entry f32
     /// table is *one* ZMM register, so sixteen lookups are a single
     /// `vpermps zmm` — no half-select blend — and nibble codes are scored
-    /// 64 per iteration; row widths other than 4 and 8 bytes run the AVX2
+    /// 64 per iteration, for up to four visitors of a cluster per pass over
+    /// its rows; row widths other than 4 and 8 bytes run the AVX2
     /// kernel. `k* = 256`: sixteen lookups are one `vgatherdps` from the
     /// table in cache, byte codes 64 per iteration — this narrows the
     /// paper's §II-C gap but does not close it, since the table still
     /// fits no register and a gather is bound by the load ports; rows
     /// shorter than four bytes and LUTs narrower than 256 entries run the
     /// blocked kernel. Either way survivors leave through a mask-register
-    /// compare and a compress store. Needs `avx512f` only.
+    /// compare, a register compress and one store. Needs `avx512f` (and
+    /// `popcnt`, which every `avx512f` CPU has).
     Avx512,
 }
 
@@ -70,6 +73,20 @@ impl KernelDispatch {
         match width {
             CodeWidth::U4 => matches!(self, KernelDispatch::Avx2 | KernelDispatch::Avx512),
             CodeWidth::U8 => self == KernelDispatch::Avx512 && m >= 4 && kstar == 256,
+        }
+    }
+
+    /// How many visitors of one cluster a scan scores per kernel call:
+    /// [`GROUP`] where the AVX-512 LUT16 kernel runs (`k* = 16` nibbles in
+    /// 4- or 8-byte rows under `Avx512`), one everywhere else.
+    pub(crate) fn group_size(self, width: CodeWidth, vector_bytes: usize) -> usize {
+        let lut16_zmm = self == KernelDispatch::Avx512
+            && width == CodeWidth::U4
+            && matches!(vector_bytes, 4 | 8);
+        if lut16_zmm {
+            GROUP
+        } else {
+            1
         }
     }
 
@@ -126,12 +143,14 @@ pub(crate) fn avx2_supported() -> bool {
     }
 }
 
-/// Whether the host CPU supports `avx512f` (always `false` off x86), the
-/// one feature the AVX-512 kernel uses.
+/// Whether the host CPU supports `avx512f`, the one vector feature the
+/// AVX-512 kernels use, and `popcnt`, which their survivors sinks count
+/// with (every `avx512f` CPU has it); always `false` off x86.
 pub(crate) fn avx512_supported() -> bool {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
         std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("popcnt")
     }
     #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
     {

@@ -1,9 +1,10 @@
-//! ADC scan kernels: score every encoded vector of a cluster against a
-//! query's LUT and feed a top-k selector.
+//! ADC scan kernels: score every encoded vector of a cluster against the
+//! LUTs of the queries visiting it and feed each query's top-k selector.
 //!
-//! # Architecture: dispatch → block score → select
+//! # Architecture: dispatch → group → block score → select
 //!
-//! The scan is a three-layer subsystem:
+//! The scan is a four-layer subsystem behind one loop,
+//! [`scan_group_with`] ([`scan_with`] is its one-visitor case):
 //!
 //! 1. **Runtime ISA dispatch** ([`KernelDispatch`]) — selected once per
 //!    process: a LUT16 kernel for `k* = 16` with the tables resident in
@@ -15,26 +16,36 @@
 //!    multi-accumulator blocked kernel (`blocked`) everywhere else; and
 //!    the seed scalar loops (`scalar`) as reference and
 //!    `ANNA_FORCE_SCALAR` fallback.
-//! 2. **Block scoring** — a cluster is walked in blocks of [`TILE`]
+//! 2. **Visitor groups** — a cluster's visitors are scanned in groups:
+//!    up to four where the `avx512` LUT16 kernel runs (nibble codes in 4-
+//!    or 8-byte rows), which loads each chunk of rows, de-interleaves it
+//!    and shifts out its nibble indices once for the whole group, then
+//!    looks every index up in each query's register-resident table into
+//!    that query's own accumulators — the software form of ANNA's crossbar
+//!    handing one fetched cluster block to the SCM of every query in the
+//!    group (PAPER §III-B, §IV). Every other arm (AVX2, blocked, scalar,
+//!    the `k* = 256` gather) takes the visitors one at a time.
+//! 3. **Block scoring** — a cluster is walked in blocks of [`TILE`]
 //!    vectors. The blocked kernels (and [`score_all`], on every dispatch)
 //!    write the block's scores to a tile in a reusable [`ScanScratch`];
-//!    the SIMD kernels under [`scan_with`] — LUT16 and gather alike —
-//!    instead end in a **survivors sink**: the finished sums are compared
-//!    in registers with the broadcast [`TopK::threshold`] (`vcmpps GE_OQ`
-//!    into a mask) and only the passing lanes are spilled, as
-//!    `(position, score)` pairs in
-//!    ascending position. ANNA's SCM never materialises a score either —
-//!    each sum leaves the adder tree, meets the P-heap minimum, and only
-//!    winners enter the heap (PAPER §III-B(4)). Either way the hot loop
-//!    is allocation-free.
-//! 3. **Threshold-pruned selection** — only scores passing
+//!    the SIMD kernels under [`scan_group_with`] — LUT16 and gather alike —
+//!    instead end in a **survivors sink** per query: the finished sums are
+//!    compared in registers with the query's broadcast
+//!    [`TopK::threshold`] (`vcmpps GE_OQ` into a mask) and only the passing
+//!    lanes are spilled, as `(position, score)` pairs in ascending position
+//!    into that query's buffer. ANNA's SCM never materialises a score
+//!    either — each sum leaves the adder tree, meets the P-heap minimum,
+//!    and only winners enter the heap (PAPER §III-B(4)). Either way the hot
+//!    loop is allocation-free.
+//! 4. **Threshold-pruned selection** — only scores passing
 //!    `score >= top.threshold()` are offered to [`TopK::push`] (almost
 //!    every score in a warm scan loses to the selector's floor, a `k`-th
 //!    best as of its last settle). The tile path tests every score against
 //!    the live threshold; the survivors path re-tests each spilled lane
-//!    against it, in the same ascending order. The filter is exact, not
-//!    approximate: the threshold is a lower bound on the true `k`-th best
-//!    score, so nothing that belongs in the top-k fails it; candidates
+//!    against it, in the same ascending order, one query of the group
+//!    after another before the next block is scored. The filter is exact,
+//!    not approximate: the threshold is a lower bound on the true `k`-th
+//!    best score, so nothing that belongs in the top-k fails it; candidates
 //!    *at* the threshold are still offered (the equal-score/lower-id
 //!    tie-break can rank them above the floor); and NaN fails the
 //!    comparison — ordered in the SIMD compare, `false` in the scalar one —
@@ -42,18 +53,27 @@
 //!
 //! # Why a frozen threshold is exact
 //!
-//! The survivors sink compares against a copy of the threshold taken
-//! when its tile starts, while pushes from that same tile can settle the
-//! selector and raise the live one. That is sound because the threshold
-//! only ever rises and never passes the true `k`-th best: `frozen <= live
-//! <= k-th best` at every moment, so `score >= live` implies `score >=
-//! frozen` — every candidate the tile path would offer is among the
-//! spilled lanes, and the few extra lanes that passed only the stale copy
-//! are dropped by the re-test. (`push` would reject them
+//! The survivors sink compares each query's sums against a copy of that
+//! query's threshold taken when the tile starts, while pushes from that
+//! same tile can settle the selector and raise the live one. That is sound
+//! because the threshold only ever rises and never passes the true `k`-th
+//! best: `frozen <= live <= k-th best` at every moment, so `score >= live`
+//! implies `score >= frozen` — every candidate the tile path would offer
+//! is among the spilled lanes, and the few extra lanes that passed only
+//! the stale copy are dropped by the re-test. (`push` would reject them
 //! anyway; the re-test saves that call and keeps [`ScanTally::pruned`]
 //! meaning the same thing on every dispatch.) Offers therefore reach the
 //! selector in the same order, against the same live threshold, as on the
 //! tile path.
+//!
+//! The same holds per query within a group. A group's selectors are
+//! distinct (`&mut [TopK]`), so each is raised only by its own offers; its
+//! frozen copy is taken at the start of each tile, after its offers from
+//! the previous tile; and its offers of a tile are made in ascending
+//! position before the next tile is scored. Whether the other members of
+//! the group were scored in the same pass changes none of the three, so
+//! each selector sees exactly the offers, order and threshold sequence of
+//! a [`scan_with`] of its own, and keeps the same top-k and tally.
 //!
 //! # The summation-order invariant
 //!
@@ -107,11 +127,29 @@ use anna_vector::TopK;
 /// stays L1-resident.
 pub const TILE: usize = 256;
 
-/// Reusable scratch for the scan: the score tile (in a survivors scan, the
-/// survivors' scores), the survivors' positions, and the packed-row unpack
-/// buffer the scalar scorer uses. Thread one instance through a scan loop
-/// (per worker, per search) and the hot path performs zero allocations
-/// after warm-up.
+/// Most visitors of one cluster a kernel call scores together. The AVX-512
+/// LUT16 kernel holds one chunk's rows in registers and runs every query of
+/// the group over them, so the group is sized by the 32 ZMM registers:
+/// four accumulators (64 lanes) per query is 16 for four queries, plus 8
+/// for the de-interleaved dwords of sixteen 8-byte rows in each of the
+/// four lane groups, leaves 8 for the shifted nibble indices, the tables
+/// and the permute results. A fifth query would spill accumulators.
+pub(crate) const GROUP: usize = 4;
+
+/// Lanes a survivors sink may write past the last survivor: the AVX-512
+/// sink stores each sixteen-lane group full width at the survivor count
+/// instead of branching on how many passed, so a survivors buffer for a
+/// `count`-vector block holds `count + SINK_SLACK` slots.
+const SINK_SLACK: usize = 16;
+
+/// Slots per survivors buffer: a whole tile plus the sink's slack.
+const SURVIVOR_SLOTS: usize = TILE + SINK_SLACK;
+
+/// Reusable scratch for the scan: the score tile, one survivors buffer
+/// (positions and scores) per member of a visitor group, and the
+/// packed-row unpack buffer the scalar scorer uses. Thread one instance
+/// through a scan loop (per worker, per search) and the hot path performs
+/// zero allocations after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     scores: Vec<f32>,
@@ -138,16 +176,36 @@ impl ScanScratch {
         (&mut self.scores[..count], &mut self.groups[..need])
     }
 
-    /// Grows (never shrinks) and hands out the `(positions, scores)` pair a
-    /// survivors scan of a `count`-vector block spills into.
-    fn survivor_buffers(&mut self, count: usize) -> (&mut [u32], &mut [f32]) {
-        if self.scores.len() < count {
-            self.scores.resize(count, 0.0);
+    /// Grows (never shrinks) the survivors buffers and hands out one
+    /// [`Sink::Survivors`] per threshold, member `g`'s in slot `g`, each
+    /// [`SURVIVOR_SLOTS`] long.
+    fn survivor_sinks(&mut self, thresholds: [f32; GROUP]) -> [Sink<'_>; GROUP] {
+        let need = GROUP * SURVIVOR_SLOTS;
+        if self.scores.len() < need {
+            self.scores.resize(need, 0.0);
         }
-        if self.positions.len() < count {
-            self.positions.resize(count, 0);
+        if self.positions.len() < need {
+            self.positions.resize(need, 0);
         }
-        (&mut self.positions[..count], &mut self.scores[..count])
+        let mut slots = self
+            .positions
+            .chunks_exact_mut(SURVIVOR_SLOTS)
+            .zip(self.scores.chunks_exact_mut(SURVIVOR_SLOTS));
+        std::array::from_fn(|g| {
+            let (positions, scores) = slots.next().expect("a slot per group member");
+            Sink::Survivors {
+                threshold: thresholds[g],
+                positions,
+                scores,
+            }
+        })
+    }
+
+    /// The first `kept` `(positions, scores)` of member `g`'s survivors
+    /// slot, as the last [`Self::survivor_sinks`] filled it.
+    fn survivors(&self, g: usize, kept: usize) -> (&[u32], &[f32]) {
+        let at = g * SURVIVOR_SLOTS;
+        (&self.positions[at..at + kept], &self.scores[at..at + kept])
     }
 }
 
@@ -155,7 +213,8 @@ impl ScanScratch {
 /// `kernel.pruned` telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanTally {
-    /// Encoded vectors scored.
+    /// Encoded vectors scored, once per visitor (a grouped scan of `n`
+    /// codes for `q` visitors scores `q · n`).
     pub scanned: u64,
     /// `scanned` minus the candidates actually offered to [`TopK::push`],
     /// on every dispatch: a score counts as pruned exactly when it was
@@ -206,15 +265,7 @@ pub fn scan(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) -> Scan
 }
 
 /// Scans packed codes under an explicit dispatch with caller-owned
-/// scratch — the production entry point.
-///
-/// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push);
-/// the other dispatches score a block, then offer only what passes the
-/// threshold — from the score tile, or from the lanes a SIMD kernel's
-/// survivors sink spilled: `k* = 16` under [`KernelDispatch::Avx2`] and
-/// [`KernelDispatch::Avx512`], `k* = 256` (rows of four bytes or more)
-/// under [`KernelDispatch::Avx512`]. All produce bit-identical `top`
-/// contents (see the module docs).
+/// scratch — the one-visitor case of [`scan_group_with`].
 ///
 /// # Panics
 ///
@@ -228,80 +279,139 @@ pub fn scan_with(
     dispatch: KernelDispatch,
     scratch: &mut ScanScratch,
 ) -> ScanTally {
+    scan_group_with(
+        codes,
+        ids,
+        std::slice::from_ref(lut),
+        std::slice::from_mut(top),
+        dispatch,
+        scratch,
+    )
+}
+
+/// Scans one cluster's packed codes for several visitors — query `q`
+/// against `luts[q]` into `tops[q]` — under an explicit dispatch with
+/// caller-owned scratch: the production entry point, and the only scan
+/// loop.
+///
+/// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push)
+/// one visitor at a time. The other dispatches score a block, then offer
+/// only what passes the threshold — from the score tile, or from the lanes
+/// a SIMD kernel's survivors sink spilled: `k* = 16` under
+/// [`KernelDispatch::Avx2`] and [`KernelDispatch::Avx512`], `k* = 256`
+/// (rows of four bytes or more) under [`KernelDispatch::Avx512`]. Where
+/// the AVX-512 LUT16 kernel runs (nibble codes in 4- or 8-byte rows), up
+/// to four visitors share each block: one pass over the rows feeds every
+/// query's tables, and each query's survivors are offered to its own
+/// selector before the next block freezes thresholds. Every other arm
+/// scans the visitors one after another. Either way each selector meets
+/// the same offers in the same order as a [`scan_with`] of its own, so
+/// every `top` and the returned tally (summed over the visitors) are
+/// bit-identical to that on every dispatch (see the module docs).
+///
+/// # Panics
+///
+/// Panics if `ids.len() != codes.len()`, `luts` and `tops` differ in
+/// length, a LUT's table count does not match the codes, or u4 codes meet
+/// a non-16-entry LUT.
+pub fn scan_group_with(
+    codes: &PackedCodes,
+    ids: &[u64],
+    luts: &[Lut],
+    tops: &mut [TopK],
+    dispatch: KernelDispatch,
+    scratch: &mut ScanScratch,
+) -> ScanTally {
     assert_eq!(ids.len(), codes.len(), "id/code count mismatch");
-    assert_eq!(codes.m(), lut.m(), "LUT table count mismatch");
+    assert_eq!(luts.len(), tops.len(), "one LUT per selector");
+    for lut in luts {
+        assert_eq!(codes.m(), lut.m(), "LUT table count mismatch");
+    }
     let n = codes.len();
-    let scanned = n as u64;
+    let scanned = (n * tops.len()) as u64;
 
     if dispatch == KernelDispatch::Scalar {
-        match codes.width() {
-            CodeWidth::U8 => scalar::scan_u8(codes, ids, lut, top),
-            CodeWidth::U4 => scalar::scan_u4(codes, ids, lut, top),
+        for (lut, top) in luts.iter().zip(tops) {
+            match codes.width() {
+                CodeWidth::U8 => scalar::scan_u8(codes, ids, lut, top),
+                CodeWidth::U4 => scalar::scan_u4(codes, ids, lut, top),
+            }
         }
         return ScanTally { scanned, pruned: 0 };
     }
 
-    let m = codes.m();
-    let vb = codes.vector_bytes();
-    let survivors_only = dispatch.has_simd_kernel(codes.width(), m, lut.kstar());
+    let (m, vb, width) = (codes.m(), codes.vector_bytes(), codes.width());
+    let group = dispatch.group_size(width, vb);
     // Candidates handed to `TopK::push`.
     let mut offered = 0u64;
-    let mut start = 0;
-    while start < n {
-        let count = (n - start).min(TILE);
-        // Overlap the next block's DRAM fetch with this block's scoring:
-        // the scan streams each cluster exactly once, so the hardware
-        // prefetcher restarts cold at every cluster boundary — a software
-        // hint per upcoming tile keeps the scan bandwidth-shaped instead
-        // of latency-bound (the EFM's job in hardware, Section III-B).
-        let next = start + count;
-        if next < n {
-            prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
-        }
-        let ids = &ids[start..next];
-        if survivors_only {
-            // The kernel filters against a copy of the threshold frozen
-            // for this tile. The live one only rises, so the frozen copy
-            // admits a superset of what can still enter; each spilled lane
-            // is re-checked before it pays the push.
-            let (positions, scores) = scratch.survivor_buffers(count);
-            let kept = score_block_simd(
-                dispatch,
-                codes,
-                start,
-                count,
-                lut,
-                Sink::Survivors {
-                    threshold: top.threshold(),
-                    positions,
-                    scores,
-                },
-            );
-            for (&j, &score) in positions[..kept].iter().zip(&scores[..kept]) {
-                if score >= top.threshold() {
-                    offered += 1;
-                    top.push(ids[j as usize], score);
-                }
+    for (luts, tops) in luts.chunks(group).zip(tops.chunks_mut(group)) {
+        let survivors_only = luts
+            .iter()
+            .all(|lut| dispatch.has_simd_kernel(width, m, lut.kstar()));
+        let mut start = 0;
+        while start < n {
+            let count = (n - start).min(TILE);
+            // Overlap the next block's DRAM fetch with this block's
+            // scoring: the scan streams each cluster exactly once, so the
+            // hardware prefetcher restarts cold at every cluster boundary —
+            // a software hint per upcoming tile keeps the scan
+            // bandwidth-shaped instead of latency-bound (the EFM's job in
+            // hardware, Section III-B).
+            let next = start + count;
+            if next < n {
+                prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
             }
-        } else {
-            let (scores, groups) = scratch.buffers(m, count);
-            score_block(codes, start, lut, dispatch, groups, scores);
+            let ids = &ids[start..next];
+            if survivors_only {
+                // The kernel filters against copies of the thresholds
+                // frozen for this tile. A live one only rises, so its
+                // frozen copy admits a superset of what can still enter;
+                // each spilled lane is re-checked before it pays the push.
+                let thresholds =
+                    std::array::from_fn(|g| tops.get(g).map_or(f32::INFINITY, TopK::threshold));
+                let kept = {
+                    let mut sinks = scratch.survivor_sinks(thresholds);
+                    score_block_simd(
+                        dispatch,
+                        codes,
+                        start,
+                        count,
+                        luts,
+                        &mut sinks[..luts.len()],
+                    )
+                };
+                for (g, top) in tops.iter_mut().enumerate() {
+                    let (positions, scores) = scratch.survivors(g, kept[g]);
+                    for (&j, &score) in positions.iter().zip(scores) {
+                        if score >= top.threshold() {
+                            offered += 1;
+                            top.push(ids[j as usize], score);
+                        }
+                    }
+                }
+            } else {
+                for (lut, top) in luts.iter().zip(tops.iter_mut()) {
+                    let (scores, groups) = scratch.buffers(m, count);
+                    score_block(codes, start, lut, dispatch, groups, scores);
 
-            // Selection: only scores that can still enter the top-k pay the
-            // push. `>=` (not `>`) keeps the equal-score/lower-id tie-break
-            // exact; the threshold is refreshed only after a successful
-            // push (a rejected push cannot change it).
-            let mut threshold = top.threshold();
-            for (&id, &score) in ids.iter().zip(scores.iter()) {
-                if score >= threshold {
-                    offered += 1;
-                    if top.push(id, score) {
-                        threshold = top.threshold();
+                    // Selection: only scores that can still enter the
+                    // top-k pay the push. `>=` (not `>`) keeps the
+                    // equal-score/lower-id tie-break exact; the threshold
+                    // is refreshed only after a successful push (a
+                    // rejected push cannot change it).
+                    let mut threshold = top.threshold();
+                    for (&id, &score) in ids.iter().zip(scores.iter()) {
+                        if score >= threshold {
+                            offered += 1;
+                            if top.push(id, score) {
+                                threshold = top.threshold();
+                            }
+                        }
                     }
                 }
             }
+            start = next;
         }
-        start = next;
     }
     ScanTally {
         scanned,
@@ -344,7 +454,15 @@ fn score_block(
     if dispatch == KernelDispatch::Scalar {
         scalar::score_block(codes, start, lut, groups, out);
     } else if dispatch.has_simd_kernel(codes.width(), codes.m(), lut.kstar()) {
-        score_block_simd(dispatch, codes, start, out.len(), lut, Sink::Tile(out));
+        let count = out.len();
+        score_block_simd(
+            dispatch,
+            codes,
+            start,
+            count,
+            std::slice::from_ref(lut),
+            &mut [Sink::Tile(out)],
+        );
     } else {
         match codes.width() {
             CodeWidth::U8 => blocked::score_block_u8(codes, start, lut, out),
@@ -360,7 +478,8 @@ enum Sink<'a> {
     /// Only the vectors with `score >= threshold`, as parallel
     /// `(position in the block, score)` arrays in ascending position. NaN
     /// scores never pass (the comparison is ordered). Both slices must
-    /// hold at least the block's vector count.
+    /// hold at least the block's vector count plus [`SINK_SLACK`]; what
+    /// lies past the survivors afterwards is junk.
     Survivors {
         threshold: f32,
         positions: &'a mut [u32],
@@ -384,118 +503,175 @@ impl Sink<'_> {
     }
 }
 
-/// Scores vectors `[start, start + count)` into `sink` with the SIMD kernel
-/// `dispatch` has for the codes' width ([`KernelDispatch::has_simd_kernel`]);
-/// returns how many scores the sink received (`count` for [`Sink::Tile`],
-/// the survivor count for [`Sink::Survivors`]).
+/// Scores vectors `[start, start + count)` against each of `luts` into the
+/// sink beside it with the SIMD kernel `dispatch` has for the codes' width
+/// ([`KernelDispatch::has_simd_kernel`]); returns how many scores each sink
+/// received (`count` for [`Sink::Tile`], the survivor count for
+/// [`Sink::Survivors`]), in `luts` order.
 ///
 /// Nibble codes: [`KernelDispatch::Avx512`] runs its LUT16 kernel on 4-
-/// and 8-byte rows and the AVX2 kernel on every other width. Byte codes:
-/// the AVX-512 gather kernel. Whatever the SIMD loop leaves (the AVX2
-/// kernel stops at the last whole 32-vector chunk, and skips rows wider
-/// than it keeps per lane) is finished here by a scalar loop in the same
-/// `i`-ascending order.
+/// and 8-byte rows, every table of the group over one pass of the rows,
+/// and the AVX2 kernel on every other width. Byte codes: the AVX-512
+/// gather kernel. Kernels without a group run once per table. Whatever the
+/// SIMD loop leaves (the AVX2 kernel stops at the last whole 32-vector
+/// chunk, and skips rows wider than it keeps per lane) is finished here by
+/// a scalar loop in the same `i`-ascending order.
 ///
 /// # Panics
 ///
-/// Panics if `dispatch` has no SIMD kernel for the codes and LUT, the host
-/// lacks the ISA the kernel needs, the LUT has fewer tables than the codes
-/// have subquantizers, the range exceeds `codes.len()`, or a sink slice is
-/// shorter than `count`.
+/// Panics if `luts` is empty, longer than [`GROUP`] or not as long as
+/// `sinks`, `dispatch` has no SIMD kernel for the codes and a LUT, the
+/// host lacks the ISA the kernel needs, a LUT has fewer tables than the
+/// codes have subquantizers, the range exceeds `codes.len()`, a tile is
+/// shorter than `count` or a survivors slice shorter than `count +
+/// SINK_SLACK`.
 fn score_block_simd(
     dispatch: KernelDispatch,
     codes: &PackedCodes,
     start: usize,
     count: usize,
-    lut: &Lut,
-    mut sink: Sink<'_>,
-) -> usize {
-    let (m, kstar, width) = (codes.m(), lut.kstar(), codes.width());
+    luts: &[Lut],
+    sinks: &mut [Sink<'_>],
+) -> [usize; GROUP] {
+    let (m, width, vb) = (codes.m(), codes.width(), codes.vector_bytes());
+    let group = luts.len();
     assert!(
-        dispatch.has_simd_kernel(width, m, kstar),
-        "no SIMD kernel under {dispatch:?} for {width:?} codes, m = {m}, k* = {kstar}"
+        (1..=GROUP).contains(&group) && sinks.len() == group,
+        "{group} LUTs for {} sinks",
+        sinks.len()
     );
-    if width == CodeWidth::U4 {
-        assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
+    for lut in luts {
+        let kstar = lut.kstar();
+        assert!(
+            dispatch.has_simd_kernel(width, m, kstar),
+            "no SIMD kernel under {dispatch:?} for {width:?} codes, m = {m}, k* = {kstar}"
+        );
+        if width == CodeWidth::U4 {
+            assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
+        }
+        assert!(m * kstar <= lut.entries().len());
     }
-    let vb = codes.vector_bytes();
-    let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
+    let bytes = codes.bytes();
     assert!((start + count) * vb <= bytes.len());
-    assert!(m * kstar <= entries.len());
     assert!(16 * vb <= i32::MAX as usize, "row offsets must fit an i32");
-    match &sink {
-        Sink::Tile(out) => assert!(count <= out.len()),
-        Sink::Survivors {
-            positions, scores, ..
-        } => assert!(count <= positions.len() && count <= scores.len()),
+    for sink in sinks.iter() {
+        match sink {
+            Sink::Tile(out) => assert!(count <= out.len()),
+            Sink::Survivors {
+                positions, scores, ..
+            } => assert!(
+                count + SINK_SLACK <= positions.len().min(scores.len()),
+                "survivors buffers need {SINK_SLACK} slots of slack"
+            ),
+        }
     }
 
+    let mut written = [0; GROUP];
     #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    let (done, mut written) = (0, 0);
+    let done = 0;
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    let (done, mut written) = {
-        let zmm =
-            dispatch == KernelDispatch::Avx512 && (width == CodeWidth::U8 || matches!(vb, 4 | 8));
+    let done = {
+        // The AVX-512 LUT16 kernel is the one kernel with a group.
+        let lut16_zmm = dispatch.group_size(width, vb) > 1;
+        let zmm = lut16_zmm || (dispatch == KernelDispatch::Avx512 && width == CodeWidth::U8);
         let isa_detected = if zmm {
             dispatch::avx512_supported()
         } else {
             dispatch::avx2_supported()
         };
         assert!(isa_detected, "SIMD kernel on a host without its ISA");
-        // SAFETY: `isa_detected` (asserted just above) is the feature of
-        // whichever kernel the match calls. For byte codes
+        /// The grouped LUT16 kernel over rows of `$nd` dwords for the
+        /// `$q` tables of the group.
+        macro_rules! lut16 {
+            ($nd:literal, $q:literal) => {{
+                let sinks: &mut [Sink<'_>; $q] = sinks.try_into().expect("one sink per LUT");
+                let kept = avx512::lut16_kernel::<$nd, $q>(
+                    m,
+                    bytes,
+                    start,
+                    count,
+                    std::array::from_fn(|q| luts[q].entries()),
+                    std::array::from_fn(|q| luts[q].bias()),
+                    sinks,
+                );
+                written[..$q].copy_from_slice(&kept);
+                count
+            }};
+        }
+        // SAFETY: `isa_detected` (asserted just above) is the feature set
+        // of whichever kernel the match calls (`avx512_supported` covers
+        // the `popcnt` of the AVX-512 sinks). For byte codes
         // `has_simd_kernel` (asserted at the top) means `m >= 4` and
         // 256-entry tables, so every byte code indexes inside its table;
-        // for nibble codes `vb` is `4 * ND` by the arm taken. The range,
-        // table-count, row-offset and sink-length asserts at the top of
-        // this function are the kernels' other preconditions.
+        // for the LUT16 kernel `vb` is `4 * ND` by the arm taken, and the
+        // group's length is the `$q` of its arm. The range, table-count,
+        // row-offset and sink-length asserts at the top of this function
+        // are the kernels' other preconditions.
         unsafe {
-            match (width, vb) {
-                (CodeWidth::U8, _) => {
-                    avx512::gather_kernel(m, bytes, start, count, entries, bias, &mut sink)
+            match (lut16_zmm, vb, group) {
+                (true, 4, 1) => lut16!(1, 1),
+                (true, 4, 2) => lut16!(1, 2),
+                (true, 4, 3) => lut16!(1, 3),
+                (true, 4, 4) => lut16!(1, 4),
+                (true, 8, 1) => lut16!(2, 1),
+                (true, 8, 2) => lut16!(2, 2),
+                (true, 8, 3) => lut16!(2, 3),
+                (true, 8, 4) => lut16!(2, 4),
+                _ => {
+                    let mut done = count;
+                    for ((lut, sink), written) in
+                        luts.iter().zip(sinks.iter_mut()).zip(&mut written)
+                    {
+                        let (entries, bias) = (lut.entries(), lut.bias());
+                        (done, *written) = match width {
+                            CodeWidth::U8 => {
+                                avx512::gather_kernel(m, bytes, start, count, entries, bias, sink)
+                            }
+                            CodeWidth::U4 => {
+                                avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, sink)
+                            }
+                        };
+                    }
+                    done
                 }
-                (_, 4) if zmm => {
-                    avx512::lut16_kernel::<1>(m, bytes, start, count, entries, bias, &mut sink)
-                }
-                (_, 8) if zmm => {
-                    avx512::lut16_kernel::<2>(m, bytes, start, count, entries, bias, &mut sink)
-                }
-                _ => avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, &mut sink),
             }
         }
     };
 
     // Tail: scalar over the packed rows, same i-ascending order.
-    let (keep_from, out, positions) = sink.parts();
     let pairs = m / 2;
-    for j in done..count {
-        let o = (start + j) * vb;
-        let row = &bytes[o..o + vb];
-        let score = match width {
-            // A byte row is the identifier row itself.
-            CodeWidth::U8 => lut.score(row),
-            CodeWidth::U4 => {
-                let mut sum = 0.0f32;
-                for (b, &byte) in row.iter().take(pairs).enumerate() {
-                    sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
-                    sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
+    for ((lut, sink), written) in luts.iter().zip(sinks.iter_mut()).zip(&mut written) {
+        let (keep_from, out, positions) = sink.parts();
+        let entries = lut.entries();
+        for j in done..count {
+            let o = (start + j) * vb;
+            let row = &bytes[o..o + vb];
+            let score = match width {
+                // A byte row is the identifier row itself.
+                CodeWidth::U8 => lut.score(row),
+                CodeWidth::U4 => {
+                    let mut sum = 0.0f32;
+                    for (b, &byte) in row.iter().take(pairs).enumerate() {
+                        sum += entries[(2 * b) * 16 + (byte & 0x0F) as usize];
+                        sum += entries[(2 * b + 1) * 16 + (byte >> 4) as usize];
+                    }
+                    if m % 2 == 1 {
+                        sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
+                    }
+                    sum + lut.bias()
                 }
-                if m % 2 == 1 {
-                    sum += entries[(m - 1) * 16 + (row[pairs] & 0x0F) as usize];
+            };
+            match keep_from {
+                None => {
+                    out[j] = score;
+                    *written += 1;
                 }
-                sum + bias
-            }
-        };
-        match keep_from {
-            None => {
-                out[j] = score;
-                written += 1;
-            }
-            Some(threshold) => {
-                if score >= threshold {
-                    positions[written] = j as u32;
-                    out[written] = score;
-                    written += 1;
+                Some(threshold) => {
+                    if score >= threshold {
+                        positions[*written] = j as u32;
+                        out[*written] = score;
+                        *written += 1;
+                    }
                 }
             }
         }
@@ -875,15 +1051,21 @@ mod tests {
     /// SIMD arm, what [`Sink::Survivors`] receives is exactly what
     /// [`Sink::Tile`] receives filtered by `score >= threshold`, positions
     /// ascending — for a threshold that keeps everything but NaN (`-inf`),
-    /// one inside the score range, and one only `+inf` scores reach. Nibble
-    /// shapes cover both AVX-512 row loads (`m` 7 and 8: 4-byte rows; 16:
-    /// 8-byte) and the width it hands to AVX2 (`m` 24); byte shapes cover
-    /// the gather kernel with whole dwords (`m` 4, 16) and the shifted last
-    /// dword (`m` 5, 7, 17). Counts sit on both sides of the 16-lane group,
-    /// the 32- and 64-lane chunks and a whole tile; tables hold NaN, `±inf`
-    /// and `-0.0`.
+    /// two inside the score range, and one only `+inf` scores reach — and
+    /// nothing is written past the sink's `count + SINK_SLACK` slots. Each
+    /// block is scored for groups of one to [`GROUP`] tables at once, every
+    /// member against its own table and its own threshold, each threshold
+    /// at every member position. Nibble shapes cover both AVX-512 row loads
+    /// (`m` 7 and 8: 4-byte rows; 16: 8-byte) and the width it hands to
+    /// AVX2 (`m` 24); byte shapes cover the gather kernel with whole dwords
+    /// (`m` 4, 16) and the shifted last dword (`m` 5, 7, 17). Counts sit on
+    /// both sides of the 16-lane group, the 32- and 64-lane chunks and a
+    /// whole tile; tables hold NaN, `±inf` and `-0.0`.
     #[test]
     fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
+        const GUARD: usize = 8;
+        const UNTOUCHED: u32 = 0x7FC0_DEAD;
+        let thresholds = [f32::NEG_INFINITY, 0.5, f32::INFINITY, -3.0];
         let mut rng = anna_testkit::TestRng::new(0x51_4E_4B);
         let shapes = [
             (CodeWidth::U4, 7usize),
@@ -898,20 +1080,24 @@ mod tests {
         ];
         for (width, m) in shapes {
             let kstar = if width == CodeWidth::U4 { 16 } else { 256 };
-            let mut words: Vec<f32> = (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect();
-            for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
-                let at = rng.usize(0..words.len());
-                words[at] = hostile;
-            }
-            // One-dimensional codewords against a query of ones: the LUT
-            // entries are the codewords.
-            let book = PqCodebook::from_books(
-                words
-                    .chunks(kstar)
-                    .map(|book| VectorSet::from_vec(1, book.to_vec()))
-                    .collect(),
-            );
-            let lut = Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32);
+            let luts: Vec<Lut> = (0..GROUP)
+                .map(|_| {
+                    let mut words: Vec<f32> = (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect();
+                    for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+                        let at = rng.usize(0..words.len());
+                        words[at] = hostile;
+                    }
+                    // One-dimensional codewords against a query of ones:
+                    // the LUT entries are the codewords.
+                    let book = PqCodebook::from_books(
+                        words
+                            .chunks(kstar)
+                            .map(|book| VectorSet::from_vec(1, book.to_vec()))
+                            .collect(),
+                    );
+                    Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32)
+                })
+                .collect();
             for n in [1, 15, 16, 17, 63, 64, 65, 255, 256] {
                 let codes = random_codes(&mut rng, m, width, kstar, n + 3);
                 // A block that starts inside the stream, as tiles do.
@@ -920,40 +1106,82 @@ mod tests {
                     if !dispatch.has_simd_kernel(width, m, kstar) {
                         continue;
                     }
-                    let mut tile = vec![0.0f32; n];
-                    let stored =
-                        score_block_simd(dispatch, &codes, start, n, &lut, Sink::Tile(&mut tile));
-                    assert_eq!(stored, n);
-                    for threshold in [f32::NEG_INFINITY, 0.5, f32::INFINITY] {
-                        let want: Vec<(u32, u32)> = (0..n as u32)
-                            .zip(&tile)
-                            .filter(|&(_, &score)| score >= threshold)
-                            .map(|(j, score)| (j, score.to_bits()))
-                            .collect();
-                        let (mut positions, mut scores) = (vec![u32::MAX; n], vec![f32::NAN; n]);
-                        let kept = score_block_simd(
-                            dispatch,
-                            &codes,
-                            start,
-                            n,
-                            &lut,
-                            Sink::Survivors {
-                                threshold,
-                                positions: &mut positions,
-                                scores: &mut scores,
-                            },
-                        );
-                        let got: Vec<(u32, u32)> = positions[..kept]
-                            .iter()
-                            .zip(&scores[..kept])
-                            .map(|(&j, score)| (j, score.to_bits()))
-                            .collect();
-                        assert_eq!(
-                            got,
-                            want,
-                            "{width:?} m={m} n={n} threshold={threshold} {}",
-                            dispatch.name()
-                        );
+                    let tiles: Vec<Vec<f32>> = luts
+                        .iter()
+                        .map(|lut| {
+                            let mut tile = vec![0.0f32; n];
+                            let stored = score_block_simd(
+                                dispatch,
+                                &codes,
+                                start,
+                                n,
+                                std::slice::from_ref(lut),
+                                &mut [Sink::Tile(&mut tile)],
+                            );
+                            assert_eq!(stored[0], n);
+                            tile
+                        })
+                        .collect();
+                    for group in 1..=GROUP {
+                        for rotation in 0..thresholds.len() {
+                            let threshold =
+                                |g: usize| thresholds[(g + rotation) % thresholds.len()];
+                            let slots = n + SINK_SLACK + GUARD;
+                            let mut buffers: Vec<(Vec<u32>, Vec<f32>)> = (0..group)
+                                .map(|_| {
+                                    (
+                                        vec![UNTOUCHED; slots],
+                                        vec![f32::from_bits(UNTOUCHED); slots],
+                                    )
+                                })
+                                .collect();
+                            let mut sinks: Vec<Sink<'_>> = buffers
+                                .iter_mut()
+                                .enumerate()
+                                .map(|(g, (positions, scores))| Sink::Survivors {
+                                    threshold: threshold(g),
+                                    positions,
+                                    scores,
+                                })
+                                .collect();
+                            let kept = score_block_simd(
+                                dispatch,
+                                &codes,
+                                start,
+                                n,
+                                &luts[..group],
+                                &mut sinks,
+                            );
+                            drop(sinks);
+                            for (g, (positions, scores)) in buffers.iter().enumerate() {
+                                let at = format!(
+                                    "{width:?} m={m} n={n} member {g} of {group} threshold={} {}",
+                                    threshold(g),
+                                    dispatch.name()
+                                );
+                                let want: Vec<(u32, u32)> = (0..n as u32)
+                                    .zip(&tiles[g])
+                                    .filter(|&(_, &score)| score >= threshold(g))
+                                    .map(|(j, score)| (j, score.to_bits()))
+                                    .collect();
+                                let got: Vec<(u32, u32)> = positions[..kept[g]]
+                                    .iter()
+                                    .zip(&scores[..kept[g]])
+                                    .map(|(&j, score)| (j, score.to_bits()))
+                                    .collect();
+                                assert_eq!(got, want, "{at}");
+                                // The slack is the sink's; past it, nothing.
+                                let beyond = n + SINK_SLACK;
+                                assert!(
+                                    positions[beyond..].iter().all(|&p| p == UNTOUCHED),
+                                    "{at}"
+                                );
+                                assert!(
+                                    scores[beyond..].iter().all(|s| s.to_bits() == UNTOUCHED),
+                                    "{at}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -16,9 +16,14 @@
 //!   [`anna_plan::TrafficModel::price_tiered`] priced — from exactly one
 //!   worker, whatever the thread count.
 //!
-//! Each visit's lookup table is built inline into the worker's one
-//! reusable [`Lut`] slot and scanned straight out of L1; scores
-//! accumulate into **one [`TopK`] per (worker, query)** across every lane
+//! A round's visitors are taken in groups of up to four consecutive
+//! queries where the scan kernel scores a group per pass over the rows
+//! (`k* = 16` under AVX-512; one query per group elsewhere) — ANNA's
+//! crossbar handing one fetched cluster block to every SCM of the query
+//! group (Section III-B). Each visitor's lookup table is built inline into
+//! one of the worker's reusable [`Lut`] slots, and the group's tables are
+//! scanned straight out of L1 together; scores accumulate into **one
+//! [`TopK`] per (worker, query)** across every lane
 //! the worker runs — the software form of the single intermediate top-k
 //! the paper keeps per query (Section IV-C) — so a query's later visits
 //! start from a raised threshold and the kernels' survivors filter prunes
@@ -125,17 +130,23 @@ pub(crate) struct Lane<'a> {
 
 /// One worker's state: a [`TopK`] per batch query it has scored, its
 /// share of the traffic statistics, a per-query count of the rounds it
-/// scored (for the spill/fill accounting), its scan-kernel tally, and the
-/// reusable table slot and kernel scratch that keep the hot loop
-/// allocation-free across every lane it drains.
+/// scored (for the spill/fill accounting), its scan-kernel tally and
+/// grouped-visit count, and the reusable table slots, selector group and
+/// kernel scratch that keep the hot loop allocation-free across every lane
+/// it drains.
 struct Worker {
     tops: Vec<Option<TopK>>,
     rounds_scored: Vec<u64>,
     stats: BatchStats,
     tier: TierTraffic,
     tally: ScanTally,
+    grouped_visits: u64,
     scratch: ScanScratch,
-    lut: Lut,
+    /// One table slot per member of a visitor group.
+    luts: Vec<Lut>,
+    /// The selectors of the group being scanned, moved out of `tops` for
+    /// the scan and back after it.
+    group: Vec<TopK>,
     residual: Vec<f32>,
 }
 
@@ -147,8 +158,10 @@ impl Worker {
             stats: BatchStats::default(),
             tier: TierTraffic::default(),
             tally: ScanTally::default(),
+            grouped_visits: 0,
             scratch: ScanScratch::new(),
-            lut: Lut::placeholder(),
+            luts: (0..kernels::GROUP).map(|_| Lut::placeholder()).collect(),
+            group: Vec::with_capacity(kernels::GROUP),
             residual: Vec::new(),
         }
     }
@@ -205,36 +218,54 @@ impl Worker {
             let centroid = lane
                 .centroids
                 .row(round.cluster * lane.centroid_stride + lane.centroid_offset);
-            for &qi in &round.queries {
-                self.rounds_scored[qi] += 1;
-                let top = self.tops[qi].get_or_insert_with(|| TopK::new(job.k));
-                if cluster.is_empty() {
-                    continue;
+            // Consecutive visitors share one pass over the cluster where
+            // the kernel scores a group at once.
+            let group = dispatch.group_size(cluster.codes.width(), cluster.codes.vector_bytes());
+            for queries in round.queries.chunks(group) {
+                self.group.extend(queries.iter().map(|&qi| {
+                    self.rounds_scored[qi] += 1;
+                    self.tops[qi].take().unwrap_or_else(|| TopK::new(job.k))
+                }));
+                if !cluster.is_empty() {
+                    // Each visit's table: re-bias the shared inner-product
+                    // base, or rebuild the cluster-dependent L2 table.
+                    for (lut, &qi) in self.luts.iter_mut().zip(queries) {
+                        let q = job.queries.row(qi);
+                        match ip_base {
+                            Some(base) => {
+                                lut.clone_rebias_from(&base[qi], metric::dot(q, centroid))
+                            }
+                            None => lut.rebuild_l2(
+                                q,
+                                centroid,
+                                job.codebook,
+                                job.lut_precision,
+                                &mut self.residual,
+                            ),
+                        }
+                    }
+                    let tally = kernels::scan_group_with(
+                        &cluster.codes,
+                        &cluster.ids,
+                        &self.luts[..queries.len()],
+                        &mut self.group,
+                        dispatch,
+                        &mut self.scratch,
+                    );
+                    self.tally.accumulate(&tally);
+                    if queries.len() > 1 {
+                        self.grouped_visits += queries.len() as u64;
+                    }
                 }
-                // The visit's table: re-bias the shared inner-product
-                // base, or rebuild the cluster-dependent L2 table.
-                let q = job.queries.row(qi);
-                match ip_base {
-                    Some(base) => self
-                        .lut
-                        .clone_rebias_from(&base[qi], metric::dot(q, centroid)),
-                    None => self.lut.rebuild_l2(
-                        q,
-                        centroid,
-                        job.codebook,
-                        job.lut_precision,
-                        &mut self.residual,
-                    ),
+                for (&qi, top) in queries.iter().zip(self.group.drain(..)) {
+                    let slot = &mut self.tops[qi];
+                    assert!(
+                        slot.is_none(),
+                        "query {qi} visits cluster {} twice in one round",
+                        round.cluster
+                    );
+                    *slot = Some(top);
                 }
-                let tally = kernels::scan_with(
-                    &cluster.codes,
-                    &cluster.ids,
-                    &self.lut,
-                    top,
-                    dispatch,
-                    &mut self.scratch,
-                );
-                self.tally.accumulate(&tally);
             }
             if trace.timed {
                 let dur = tel.now_ns().saturating_sub(start);
@@ -301,9 +332,9 @@ impl WorkerTrace {
 
     /// Flushes the buffered windows and counters: `worker<w>.tiles`
     /// (rounds scored) / `busy_ns` / `idle_ns`, the worker's share of
-    /// `kernel.codes_scanned` / `kernel.pruned`, plus one
-    /// `batch.tile_scan` trace event per round on thread lane `w`.
-    fn flush(self, tel: &Telemetry, worker: u64, tally: &ScanTally) {
+    /// `kernel.codes_scanned` / `kernel.pruned` / `kernel.grouped_visits`,
+    /// plus one `batch.tile_scan` trace event per round on thread lane `w`.
+    fn flush(self, tel: &Telemetry, worker: u64, tally: &ScanTally, grouped_visits: u64) {
         if !self.timed {
             return;
         }
@@ -314,6 +345,7 @@ impl WorkerTrace {
         per_worker.counter_add("idle_ns", total.saturating_sub(self.busy_ns));
         tel.counter_add("kernel.codes_scanned", tally.scanned);
         tel.counter_add("kernel.pruned", tally.pruned);
+        tel.counter_add("kernel.grouped_visits", grouped_visits);
         for (start, dur) in self.scan_windows {
             tel.trace_event_ns("batch.tile_scan", worker, start, dur);
         }
@@ -384,7 +416,7 @@ pub(crate) fn execute_rounds(
             acc.run_lane(job, ip_base.as_deref(), lane, dispatch, &mut trace, tel)
                 .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
         }
-        trace.flush(tel, worker, &acc.tally);
+        trace.flush(tel, worker, &acc.tally, acc.grouped_visits);
         Ok(acc)
     };
     let workers = threads.max(1).min(lanes.len().max(1));

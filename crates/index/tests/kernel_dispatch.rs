@@ -10,7 +10,9 @@
 //! the AVX2 and AVX-512 LUT16 kernels and of the AVX-512 gather kernel for
 //! byte codes. (The sink itself is private; its "survivors == tile
 //! filtered by the threshold" property is a unit test beside it in
-//! `kernels/mod.rs`.)
+//! `kernels/mod.rs`.) The grouped scan (`scan_group_with`, several
+//! visitors of one cluster per call, as the batch engine scans) gets a
+//! test against independent one-visitor scans.
 //!
 //! The environment-variable override (`ANNA_FORCE_SCALAR`) is covered by
 //! unit tests of the pure `resolve` rule inside the crate; these tests
@@ -370,16 +372,18 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     }
     // Only `avx512` has a SIMD kernel for byte codes (the gather kernel,
     // for 256-entry tables and `m >= 4`); every other arm scores them with
-    // the blocked kernel, `scalar` with the seed loop.
+    // the blocked kernel, `scalar` with the seed loop. Only `avx512`'s
+    // LUT16 kernel scores a group of visitors per pass over a cluster.
     let arms: Vec<String> = KernelDispatch::available()
         .iter()
         .map(|&d| {
-            let u8_kernel = match d {
-                KernelDispatch::Scalar => "scalar",
-                KernelDispatch::Avx512 => "gather",
-                _ => "blocked",
+            let (u4_kernel, u8_kernel) = match d {
+                KernelDispatch::Scalar => ("scalar", "scalar"),
+                KernelDispatch::Blocked => ("blocked", "blocked"),
+                KernelDispatch::Avx2 => ("lut16", "blocked"),
+                KernelDispatch::Avx512 => ("lut16 ×4", "gather"),
             };
-            format!("{} (u8: {u8_kernel})", d.name())
+            format!("{} (u4: {u4_kernel}, u8: {u8_kernel})", d.name())
         })
         .collect();
     println!(
@@ -387,4 +391,125 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
         arms.join(", "),
         KernelDispatch::current().name()
     );
+}
+
+/// A selector at one of four distinct starting thresholds, picked by
+/// `kind`: empty (`-inf`), full of `+inf` scores (`+inf`: only a `+inf`
+/// score with a lower id can still enter), or warmed by a scalar scan of
+/// 40 or 400 random rows (two thresholds inside the score range).
+fn warm_selector(
+    rng: &mut TestRng,
+    kind: usize,
+    k: usize,
+    lut: &Lut,
+    width: CodeWidth,
+    scratch: &mut ScanScratch,
+) -> TopK {
+    let mut top = TopK::new(k);
+    match kind % 4 {
+        0 => {}
+        1 => {
+            for i in 0..k as u64 {
+                top.push((1 << 39) + i, f32::INFINITY);
+            }
+            assert_eq!(top.threshold(), f32::INFINITY);
+        }
+        warm => {
+            let rows = if warm == 2 { 40 } else { 400 };
+            let codes = random_codes(rng, lut.m(), width, lut.kstar(), rows);
+            let ids: Vec<u64> = (0..rows as u64).map(|i| (1 << 39) + i).collect();
+            kernels::scan_with(&codes, &ids, lut, &mut top, KernelDispatch::Scalar, scratch);
+        }
+    }
+    top
+}
+
+/// The grouped scan — several visitors of one cluster, each with its own
+/// table and selector, through [`kernels::scan_group_with`] — keeps for
+/// every visitor exactly what an independent [`kernels::scan_with`] of its
+/// own keeps (ids and score bits), and its tally is the sum of theirs, on
+/// every available dispatch. One to five visitors cover a group of one, a
+/// partial and a whole group of the AVX-512 LUT16 kernel and a second group
+/// after a whole one. Each visitor has its own hostile table (NaN, `±inf`,
+/// `-0.0` entries) and a selector warmed to its own threshold, `-inf` and
+/// `+inf` included. Nibble codes cover both AVX-512 row loads (`m` 4–8:
+/// 4-byte rows, 9–16: 8-byte) and the widths it hands to AVX2 (`m` 17,
+/// 32); byte codes run the same shapes through the gather and blocked
+/// kernels. Counts sit around the 64-lane chunk and the tile, the last
+/// spanning four tiles.
+#[test]
+fn grouped_scan_matches_per_query_scans() {
+    let counts = [1, 63, 64, 65, 255, 256, 257, 3 * kernels::TILE + 37];
+    let mut rng = TestRng::new(0x64E0_95CA);
+    let mut scratch = ScanScratch::new();
+    for (width, kstar) in [(CodeWidth::U4, 16usize), (CodeWidth::U8, 256)] {
+        for m in [4usize, 7, 8, 9, 16, 17, 32] {
+            for visitors in 1..=5 {
+                let luts: Vec<Lut> = (0..visitors)
+                    .map(|v| {
+                        let book = hostile_book(&mut rng, m, kstar);
+                        if v % 2 == 0 {
+                            Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32)
+                        } else {
+                            Lut::build_l2(&vec![0.0; m], &vec![0.0; m], &book, LutPrecision::F32)
+                        }
+                    })
+                    .collect();
+                for n in counts {
+                    let codes = random_codes(&mut rng, m, width, kstar, n);
+                    let base = rng.u64(0..1 << 40);
+                    let ids: Vec<u64> = (0..n as u64).map(|i| base + 3 * i).collect();
+                    // Visitor v starts at threshold kind v + offset, so
+                    // every kind meets every group position.
+                    let offset = rng.usize(0..4);
+                    let warm: Vec<TopK> = luts
+                        .iter()
+                        .enumerate()
+                        .map(|(v, lut)| {
+                            let k = *rng.pick(&[1usize, 10, 100]);
+                            warm_selector(&mut rng, v + offset, k, lut, width, &mut scratch)
+                        })
+                        .collect();
+                    for dispatch in KernelDispatch::available() {
+                        let at = format!(
+                            "{width:?} m={m} n={n} visitors={visitors} {}",
+                            dispatch.name()
+                        );
+                        let mut want_tally = kernels::ScanTally::default();
+                        let want: Vec<Vec<(u64, u32)>> = luts
+                            .iter()
+                            .zip(&warm)
+                            .map(|(lut, top)| {
+                                let mut top = top.clone();
+                                want_tally.accumulate(&kernels::scan_with(
+                                    &codes,
+                                    &ids,
+                                    lut,
+                                    &mut top,
+                                    dispatch,
+                                    &mut scratch,
+                                ));
+                                kept(top)
+                            })
+                            .collect();
+
+                        let mut tops = warm.clone();
+                        let tally = kernels::scan_group_with(
+                            &codes,
+                            &ids,
+                            &luts,
+                            &mut tops,
+                            dispatch,
+                            &mut scratch,
+                        );
+                        let got: Vec<Vec<(u64, u32)>> = tops.into_iter().map(kept).collect();
+                        for (v, (got, want)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(got, want, "{at} visitor {v}");
+                        }
+                        assert_eq!(tally, want_tally, "{at}");
+                    }
+                }
+            }
+        }
+    }
 }

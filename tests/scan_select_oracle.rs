@@ -13,8 +13,10 @@
 //!
 //! The batch engine does not scan one query at a time: it runs cluster-
 //! major, so consecutive visits feed different queries' selectors, each
-//! one cold and part-way through its own buffer. The cluster-major tests
-//! feed 64 selectors round-robin, one visit each per cluster, and hold
+//! one cold and part-way through its own buffer, and it scans a cluster's
+//! visitors together (`scan_group_with`). The cluster-major tests feed 64
+//! selectors round-robin, one visit each per cluster — one query at a
+//! time, or each cluster's 64 visitors in one grouped call — and hold
 //! every query's kept top-k to the scalar oracle after every cluster.
 
 use anna::index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
@@ -158,19 +160,28 @@ const QUERIES: usize = 64;
 
 /// 64 queries visit the 8 clusters cluster-major — every query's visit to
 /// cluster 0, then every query's visit to cluster 1, … — each into its own
-/// `TopK` (k = 100) under every available dispatch. After every cluster,
-/// each query's kept top-k must equal the scalar path's bit for bit, and
-/// the filtering dispatches must agree on how many scores they pruned.
-fn cluster_major_selectors_keep_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
+/// `TopK` (k = 100) under every available dispatch: one query at a time
+/// through `scan_with`, or, `grouped`, each cluster's 64 visitors at once
+/// through `scan_group_with`, the batch engine's round loop (under
+/// `avx512` at `k* = 16`, the LUT16 kernel scoring four queries per pass
+/// over the rows). After every cluster, each query's kept top-k must equal
+/// the scalar path's bit for bit, and the filtering dispatches must agree
+/// on how many scores they pruned.
+fn cluster_major_selectors_keep_the_scalar_top_k(
+    kstar: usize,
+    vector_bytes: usize,
+    grouped: bool,
+) -> Vec<(KernelDispatch, u64)> {
     let mut rng = TestRng::new(0xC0 + kstar as u64);
     let (book, clusters) = benchmark_shape(&mut rng, kstar, vector_bytes);
-    // One table per (query, cluster), as the engine builds them.
-    let luts: Vec<Vec<Lut>> = (0..QUERIES)
-        .map(|_| {
-            let q = rng.vec_f32(DIM, 0.0..24.0);
-            clusters
+    let queries: Vec<Vec<f32>> = (0..QUERIES).map(|_| rng.vec_f32(DIM, 0.0..24.0)).collect();
+    // One table per (cluster, query), as the engine builds them.
+    let luts: Vec<Vec<Lut>> = clusters
+        .iter()
+        .map(|c| {
+            queries
                 .iter()
-                .map(|c| Lut::build_l2(&q, &c.centroid, &book, LutPrecision::F32))
+                .map(|q| Lut::build_l2(q, &c.centroid, &book, LutPrecision::F32))
                 .collect()
         })
         .collect();
@@ -184,17 +195,30 @@ fn cluster_major_selectors_keep_the_scalar_top_k(kstar: usize, vector_bytes: usi
             let mut tops: Vec<TopK> = (0..QUERIES).map(|_| TopK::new(K)).collect();
             let mut trail = Vec::new();
             let mut pruned = 0;
-            for (c, cluster) in clusters.iter().enumerate() {
-                for (top, luts) in tops.iter_mut().zip(&luts) {
-                    let tally = kernels::scan_with(
+            for (cluster, luts) in clusters.iter().zip(&luts) {
+                if grouped {
+                    let tally = kernels::scan_group_with(
                         &cluster.codes,
                         &cluster.ids,
-                        &luts[c],
-                        top,
+                        luts,
+                        &mut tops,
                         dispatch,
                         &mut scratch,
                     );
+                    assert_eq!(tally.scanned, (QUERIES * LIST_LEN) as u64);
                     pruned += tally.pruned;
+                } else {
+                    for (top, lut) in tops.iter_mut().zip(luts) {
+                        let tally = kernels::scan_with(
+                            &cluster.codes,
+                            &cluster.ids,
+                            lut,
+                            top,
+                            dispatch,
+                            &mut scratch,
+                        );
+                        pruned += tally.pruned;
+                    }
                 }
                 trail.push(tops.iter().map(kept).collect::<Vec<_>>());
             }
@@ -208,7 +232,7 @@ fn cluster_major_selectors_keep_the_scalar_top_k(kstar: usize, vector_bytes: usi
     let filtering = &runs[1..];
     for (dispatch, trail, pruned) in filtering {
         let at = format!(
-            "k*={kstar} {} (process-wide dispatch: {})",
+            "k*={kstar} grouped={grouped} {} (process-wide dispatch: {})",
             dispatch.name(),
             KernelDispatch::current().name()
         );
@@ -219,14 +243,26 @@ fn cluster_major_selectors_keep_the_scalar_top_k(kstar: usize, vector_bytes: usi
         }
         assert_eq!(*pruned, filtering[0].2, "{at}");
     }
+    runs.into_iter().map(|(d, _, pruned)| (d, pruned)).collect()
 }
 
 #[test]
 fn cluster_major_selectors_keep_the_scalar_top_k_at_the_benchmark_shape() {
-    cluster_major_selectors_keep_the_scalar_top_k(16, 8);
+    cluster_major_selectors_keep_the_scalar_top_k(16, 8, false);
 }
 
 #[test]
 fn cluster_major_selectors_keep_the_scalar_top_k_at_the_k256_benchmark_shape() {
-    cluster_major_selectors_keep_the_scalar_top_k(256, 16);
+    cluster_major_selectors_keep_the_scalar_top_k(256, 16, false);
+}
+
+/// The round loop's path at `batch_k16`'s shape: each cluster's visitors
+/// scanned together, four per pass where the dispatch groups them, keep
+/// what the scalar path keeps — and each dispatch prunes exactly what its
+/// one-query-at-a-time scans prune.
+#[test]
+fn grouped_cluster_major_selectors_keep_the_scalar_top_k_at_the_benchmark_shape() {
+    let grouped = cluster_major_selectors_keep_the_scalar_top_k(16, 8, true);
+    let per_query = cluster_major_selectors_keep_the_scalar_top_k(16, 8, false);
+    assert_eq!(grouped, per_query);
 }
