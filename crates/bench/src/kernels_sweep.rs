@@ -95,10 +95,9 @@ pub struct LutBuildPoint {
 ///   so every finite score fails the threshold and nothing is pushed,
 ///   minus `score_us`. Negative when filtering in registers costs less
 ///   than storing the scores (the SIMD survivors sinks at `k* = 16`).
-///   `scalar` has no filter and scores through a different loop in a scan
-///   (inline, every score pushed) than in `score_all_with` (rows unpacked
-///   through `Lut::score`), so on its rows only the sum of the three
-///   columns — the scan — means anything.
+///   `scalar` has no filter: its scan pushes every score, computed by the
+///   same row loop `score_all_with` runs, so on its rows only the sum of
+///   the three columns — the scan — means anything.
 /// * `push_us` — a scan into an empty selector minus the saturated scan:
 ///   what the candidates that pass the filter cost in the selector.
 #[derive(Debug, Clone, PartialEq)]
@@ -457,10 +456,10 @@ impl SelectRegime<'_> {
         tally
     }
 
-    fn score(&self, dispatch: KernelDispatch, scratch: &mut ScanScratch) {
+    fn score(&self, dispatch: KernelDispatch) {
         for (codes, _) in self.lists {
             for lut in self.luts {
-                black_box(kernels::score_all_with(codes, lut, dispatch, scratch));
+                black_box(kernels::score_all_with(codes, lut, dispatch));
             }
         }
     }
@@ -581,7 +580,7 @@ fn select_regime_points(
         let identical =
             sorted(tops) == reference && sorted(full).iter().all(|kept| *kept == saturated_kept);
 
-        let score_us = time(&mut || regime.score(dispatch, &mut scratch));
+        let score_us = time(&mut || regime.score(dispatch));
         let mut scan_into = |mut tops: Vec<TopK>| {
             regime.scan(&mut tops, dispatch, &mut scratch);
             black_box(tops);

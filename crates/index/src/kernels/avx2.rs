@@ -57,13 +57,13 @@ use std::arch::x86 as arch;
 use std::arch::x86_64 as arch;
 
 /// Most dwords of packed row the SIMD path keeps per lane (`nd ≤ 8` covers
-/// `m ≤ 64`; wider rows take the scalar loop).
+/// `m ≤ 64`; wider rows are left whole to the shared row loop).
 const MAX_ROW_DWORDS: usize = 8;
 
 /// The register-resident LUT16 loop. See the module docs for the lane
 /// layout; `bytes` is the full packed row-major code stream. Scores whole
 /// 32-vector chunks only and returns `(vectors done, scores the sink
-/// received)`; the caller finishes `done..count` with the scalar tail.
+/// received)`; the caller finishes `done..count` with the shared row loop.
 ///
 /// # Safety
 ///
@@ -126,7 +126,7 @@ pub(super) unsafe fn lut16_kernel(
             // Every dword read for this chunk ends by the last lane's row
             // start plus 4·nd; stop if that would cross the buffer end
             // (only possible for ragged row widths on the final rows —
-            // the scalar tail takes over).
+            // the row loop takes over).
             if (start + j + 31) * vb + 4 * nd > bytes.len() {
                 break;
             }

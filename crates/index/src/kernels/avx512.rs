@@ -33,8 +33,8 @@
 //! `vb = 4·ND`): sixteen 4-byte rows are one 64-byte load; sixteen 8-byte
 //! rows (`m = 16`, the benchmark's shape) are two, de-interleaved into
 //! "dword 0 of every row" and "dword 1 of every row" by one `vpermt2d`
-//! each. Every other row width runs the AVX2 kernel (the caller's choice,
-//! see [`super::score_block_simd`]).
+//! each. Every other row width runs the AVX2 kernel (`Kernel::select`'s
+//! choice, see [`super::Kernel`]).
 //!
 //! The gather kernel reads the unchanged row-major byte codes: per four
 //! subquantizers, one `vpgatherdd` fetches the same dword of sixteen rows

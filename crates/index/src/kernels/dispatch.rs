@@ -1,53 +1,51 @@
 //! Runtime ISA dispatch for the ADC scan kernels.
 //!
-//! The kernel is selected **once per process** (cached in a `OnceLock`):
-//! `ANNA_FORCE_SCALAR` pins the seed scalar path for A/B tests and CI
-//! fallback coverage, otherwise CPU feature detection picks the widest
-//! in-register LUT16 kernel the host runs (`avx512f`, then AVX2), and
-//! hosts with neither get the unrolled blocked kernel. Every
-//! path produces bit-identical scores (see the module docs of
-//! [`crate::kernels`] for the summation-order invariant), so dispatch is a
-//! pure throughput decision — never a correctness one.
+//! The dispatch is selected **once per process** (cached in a
+//! `OnceLock`): `ANNA_FORCE_SCALAR` pins the seed scalar path for A/B
+//! tests and CI fallback coverage, otherwise CPU feature detection picks
+//! the widest vector ISA the host runs (`avx512f`, then AVX2), and hosts
+//! with neither get the unrolled blocked kernel. A dispatch names an ISA
+//! only: which kernel scores a given cluster — by code width, row bytes
+//! and table size — is decided in one place, `Kernel::select` in
+//! [`crate::kernels`]. Every path produces bit-identical scores (see the
+//! module docs of [`crate::kernels`] for the summation-order invariant),
+//! so dispatch is a pure throughput decision — never a correctness one.
 
-use super::GROUP;
-use anna_quant::codes::CodeWidth;
 use std::sync::OnceLock;
 
-/// Which scan-kernel implementation to run.
+/// Which instruction set the scan kernels run on.
 ///
 /// All variants produce bit-identical scores and top-k sets; they differ
-/// only in instruction mix and memory behavior.
+/// only in instruction mix and memory behavior. The kernel each variant
+/// runs for given codes and tables is `Kernel::select`'s decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelDispatch {
     /// The seed scalar loops: one score at a time, every score pushed
     /// through the top-k heap. The reference every other path must
     /// reproduce bit-for-bit.
     Scalar,
-    /// Block scoring with unrolled multi-accumulator scalar kernels (four
-    /// vectors in flight) plus the threshold-pruned selection pass. The
+    /// Block scoring with the unrolled multi-accumulator blocked kernel
+    /// (four vectors in flight, both code widths) into a survivors sink,
+    /// plus the threshold-pruned selection pass. The
     /// portable fast path — also what `k* = 256` uses under `Avx2`, since
     /// 256-entry tables cannot live in vector registers (PAPER §II-C).
     Blocked,
-    /// AVX2 LUT16 kernel for `k* = 16`: nibble codes scored 32 per
-    /// iteration from register-resident tables via `vpermps` shuffles
-    /// (the f32 analogue of the `pshufb` trick Faiss16/ScaNN16 use); in a
-    /// scan the sums are compared with the top-k threshold in registers
-    /// and only surviving lanes reach memory. `k* = 256` codes fall back
-    /// to the blocked kernel.
+    /// AVX2: the LUT16 kernel for `k* = 16` — nibble codes scored 32 per
+    /// iteration from register-resident tables via `vpermps` shuffles (the
+    /// f32 analogue of the `pshufb` trick Faiss16/ScaNN16 use), the sums
+    /// compared with the top-k threshold in registers. Byte codes run the
+    /// blocked kernel.
     Avx2,
-    /// AVX-512 kernels for both code widths. `k* = 16`: a 16-entry f32
-    /// table is *one* ZMM register, so sixteen lookups are a single
-    /// `vpermps zmm` — no half-select blend — and nibble codes are scored
-    /// 64 per iteration, for up to four visitors of a cluster per pass over
-    /// its rows; row widths other than 4 and 8 bytes run the AVX2
-    /// kernel. `k* = 256`: sixteen lookups are one `vgatherdps` from the
-    /// table in cache, byte codes 64 per iteration — this narrows the
-    /// paper's §II-C gap but does not close it, since the table still
-    /// fits no register and a gather is bound by the load ports; rows
-    /// shorter than four bytes and LUTs narrower than 256 entries run the
-    /// blocked kernel. Either way survivors leave through a mask-register
-    /// compare, a register compress and one store. Needs `avx512f` (and
-    /// `popcnt`, which every `avx512f` CPU has).
+    /// AVX-512 kernels for both code widths. A 16-entry f32 table is *one*
+    /// ZMM register, so sixteen nibble lookups are a single `vpermps zmm`,
+    /// for up to four visitors of a cluster per pass over its rows. A
+    /// 256-entry table's sixteen lookups are one `vgatherdps` — this
+    /// narrows the paper's §II-C gap but does not close it, since the table
+    /// fits no register and a gather is bound by the load ports. Survivors
+    /// leave through a mask-register compare, a register compress and one
+    /// store. Which rows and tables each kernel takes is `Kernel::select`'s
+    /// decision. Needs `avx512f` (and `popcnt`, which every `avx512f` CPU
+    /// has).
     Avx512,
 }
 
@@ -60,33 +58,6 @@ impl KernelDispatch {
             KernelDispatch::Blocked => "blocked",
             KernelDispatch::Avx2 => "avx2",
             KernelDispatch::Avx512 => "avx512",
-        }
-    }
-
-    /// Whether codes of `width` with `m` subquantizers against a `kstar`-entry
-    /// LUT are scored by a SIMD kernel (which can end in a survivors sink)
-    /// rather than by the blocked kernel into a score tile: `k* = 16`
-    /// nibbles under both SIMD arms (the in-register LUT16 kernels), bytes
-    /// under `Avx512` when a row holds a whole dword and every byte code
-    /// indexes inside its table (the gather kernel).
-    pub(crate) fn has_simd_kernel(self, width: CodeWidth, m: usize, kstar: usize) -> bool {
-        match width {
-            CodeWidth::U4 => matches!(self, KernelDispatch::Avx2 | KernelDispatch::Avx512),
-            CodeWidth::U8 => self == KernelDispatch::Avx512 && m >= 4 && kstar == 256,
-        }
-    }
-
-    /// How many visitors of one cluster a scan scores per kernel call:
-    /// [`GROUP`] where the AVX-512 LUT16 kernel runs (`k* = 16` nibbles in
-    /// 4- or 8-byte rows under `Avx512`), one everywhere else.
-    pub(crate) fn group_size(self, width: CodeWidth, vector_bytes: usize) -> usize {
-        let lut16_zmm = self == KernelDispatch::Avx512
-            && width == CodeWidth::U4
-            && matches!(vector_bytes, 4 | 8);
-        if lut16_zmm {
-            GROUP
-        } else {
-            1
         }
     }
 

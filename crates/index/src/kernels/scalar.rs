@@ -4,7 +4,11 @@
 //! (`i = 0..M`), bias added last, every score pushed through the top-k
 //! heap. Every other dispatch path must reproduce these scores bit for
 //! bit; `kernels_sweep` also times this path as the "before" measurement.
+//! Each score comes from the shared row loop (`super::score_row`), which
+//! also scores a tile without a selector (`score_all` under the `Scalar`
+//! dispatch) and finishes the rows the other kernels leave.
 
+use super::score_row;
 use crate::lut::Lut;
 use anna_quant::codes::{CodeWidth, PackedCodes};
 use anna_vector::TopK;
@@ -14,20 +18,10 @@ use anna_vector::TopK;
 /// # Panics
 ///
 /// Panics if the codes are not [`CodeWidth::U8`].
-pub fn scan_u8(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) {
+pub(super) fn scan_u8(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) {
     assert_eq!(codes.width(), CodeWidth::U8);
-    let m = codes.m();
-    let kstar = lut.kstar();
-    let entries = lut.entries();
-    let bias = lut.bias();
-    let bytes = codes.bytes();
     for (v, &id) in ids.iter().enumerate() {
-        let row = &bytes[v * m..(v + 1) * m];
-        let mut sum = 0.0f32;
-        for (i, &c) in row.iter().enumerate() {
-            sum += entries[i * kstar + c as usize];
-        }
-        top.push(id, sum + bias);
+        top.push(id, score_row(codes, lut, v));
     }
 }
 
@@ -37,44 +31,10 @@ pub fn scan_u8(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) {
 ///
 /// Panics if the codes are not [`CodeWidth::U4`] or the LUT does not have
 /// `k* = 16`.
-pub fn scan_u4(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) {
+pub(super) fn scan_u4(codes: &PackedCodes, ids: &[u64], lut: &Lut, top: &mut TopK) {
     assert_eq!(codes.width(), CodeWidth::U4);
     assert_eq!(lut.kstar(), 16, "u4 kernel requires a 16-entry LUT");
-    let m = codes.m();
-    let vb = codes.vector_bytes();
-    let entries = lut.entries();
-    let bias = lut.bias();
-    let bytes = codes.bytes();
     for (v, &id) in ids.iter().enumerate() {
-        let row = &bytes[v * vb..(v + 1) * vb];
-        let mut sum = 0.0f32;
-        let pairs = m / 2;
-        for (b, &byte) in row.iter().take(pairs).enumerate() {
-            let lo = (byte & 0x0F) as usize;
-            let hi = (byte >> 4) as usize;
-            sum += entries[(2 * b) * 16 + lo];
-            sum += entries[(2 * b + 1) * 16 + hi];
-        }
-        if m % 2 == 1 {
-            let byte = row[pairs];
-            sum += entries[(m - 1) * 16 + (byte & 0x0F) as usize];
-        }
-        top.push(id, sum + bias);
-    }
-}
-
-/// Scores vectors `[start, start + out.len())` into `out`, one at a time
-/// via [`Lut::score`], reusing `row` as the packed-row unpack buffer (the
-/// seed version allocated `vec![0u8; m]` per call).
-///
-/// # Panics
-///
-/// Panics if the range exceeds `codes.len()` or `row.len() < codes.m()`.
-pub fn score_block(codes: &PackedCodes, start: usize, lut: &Lut, row: &mut [u8], out: &mut [f32]) {
-    let m = codes.m();
-    let row = &mut row[..m];
-    for (j, slot) in out.iter_mut().enumerate() {
-        codes.read_into(start + j, row);
-        *slot = lut.score(row);
+        top.push(id, score_row(codes, lut, v));
     }
 }

@@ -220,7 +220,7 @@ impl Worker {
                 .row(round.cluster * lane.centroid_stride + lane.centroid_offset);
             // Consecutive visitors share one pass over the cluster where
             // the kernel scores a group at once.
-            let group = dispatch.group_size(cluster.codes.width(), cluster.codes.vector_bytes());
+            let group = kernels::group_size(dispatch, &cluster.codes, job.codebook.kstar());
             for queries in round.queries.chunks(group) {
                 self.group.extend(queries.iter().map(|&qi| {
                     self.rounds_scored[qi] += 1;

@@ -168,9 +168,10 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 }
 
 /// Grep-proof for retired names: the pre-`plan.*` counter key, the entry
-/// points the `SearchEngine` pipeline replaced, and the scan loops the one
-/// round loop replaced, must not survive anywhere in the workspace sources
-/// or the two design documents.
+/// points the `SearchEngine` pipeline replaced, the scan loops the one
+/// round loop replaced, and the scan layer's per-call kernel checks, must
+/// not survive anywhere in the workspace sources or the two design
+/// documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -194,6 +195,12 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("engine::", "stepped"),
         concat!("Stepped", "Report"),
         concat!("stepped", "::"),
+        // The scan layer's scattered kernel choice, which `Kernel::select`
+        // replaced, and the tile path's unpacking scorer.
+        concat!("has_simd_", "kernel"),
+        concat!("score_block_", "simd"),
+        concat!("survivors_", "only"),
+        concat!("scalar::", "score_block"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
