@@ -4,7 +4,10 @@
 //! `reports/kernels_sweep.json`. Every point is cross-checked to return a
 //! bit-identical top-k to the scalar reference. A `lut_build` section
 //! reports LUT construction in tables/sec for L2 and inner product at both
-//! widths, every entry cross-checked against the `metric::*` oracle. A
+//! widths on every distance-table arm (`portable`, and `avx512` where the
+//! host has it), every entry cross-checked against the `metric::*` oracle,
+//! and an `encode` section PQ encoding in sub-vectors/sec per width and
+//! arm, every code cross-checked against the row-major scan. A
 //! `select` section splits one query's scan → select time into scoring,
 //! threshold filtering and selector pushes per dispatch × `k*` for one
 //! warm selector, and under the process-wide dispatch for 512 cold
@@ -72,8 +75,17 @@ fn main() {
     for p in &sweep.lut_build {
         if !p.identical_to_oracle {
             eprintln!(
-                "FAIL: {} k*={} LUT diverged from the metric::* oracle",
-                p.metric, p.kstar
+                "FAIL: table arm {} {} k*={} LUT diverged from the metric::* oracle",
+                p.arm, p.metric, p.kstar
+            );
+            std::process::exit(1);
+        }
+    }
+    for p in &sweep.encode {
+        if !p.identical_to_oracle {
+            eprintln!(
+                "FAIL: table arm {} k*={} encoding diverged from the row-major oracle",
+                p.arm, p.kstar
             );
             std::process::exit(1);
         }

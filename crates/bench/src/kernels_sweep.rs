@@ -11,9 +11,12 @@
 //! assumed.
 //!
 //! A second section, `lut_build`, times LUT construction (the
-//! distance-table kernel) for L2 and inner product at both widths, each
-//! point cross-checked entry by entry, bit for bit, against the
-//! `metric::{l2_squared, dot}` oracle.
+//! distance-table kernel) for L2 and inner product at both widths on every
+//! distance-table arm ([`TableArm`]) the host runs, each point
+//! cross-checked entry by entry, bit for bit, against the
+//! `metric::{l2_squared, dot}` oracle; an `encode` row per width and arm
+//! times PQ encoding (`DimMajor::nearest_with`) in sub-vectors per second,
+//! cross-checked against the row-major first-minimum scan.
 //!
 //! A third section, `select`, splits one query's scan → select time at the
 //! benchmark's shape into scoring, threshold filtering and selector pushes
@@ -28,6 +31,7 @@
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
+use anna_quant::dist_table::TableArm;
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
 use anna_vector::exact::{self, RescoreArm, RescoreScratch};
@@ -53,11 +57,14 @@ pub struct KernelPoint {
     pub identical_to_scalar: bool,
 }
 
-/// One measured LUT-construction point: one metric at one `k*`.
+/// One measured LUT-construction point: one metric at one `k*` on one
+/// distance-table arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutBuildPoint {
     /// Codewords per table.
     pub kstar: usize,
+    /// Distance-table arm name (`portable` / `avx512`).
+    pub arm: String,
     /// `l2` (rebuilt per visited cluster) or `inner-product`.
     pub metric: Metric,
     /// Whole `m × k*` LUTs built per second, single thread: L2 rebuilt in
@@ -67,6 +74,22 @@ pub struct LutBuildPoint {
     /// Nanoseconds per table entry.
     pub ns_per_entry: f64,
     /// Whether every entry equalled the `metric::*` oracle bit for bit.
+    pub identical_to_oracle: bool,
+}
+
+/// One measured encoding point: PQ encoding at the benchmark's shape
+/// (`dim 64`, `m 16`) at one `k*` on one distance-table arm — every
+/// sub-vector's nearest codeword through `DimMajor::nearest_with`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EncodePoint {
+    /// Codewords per codebook.
+    pub kstar: usize,
+    /// Distance-table arm name (`portable` / `avx512`).
+    pub arm: String,
+    /// Sub-vectors encoded per second, single thread.
+    pub subvectors_per_sec: f64,
+    /// Whether every code and distance equalled the row-major
+    /// `metric::l2_squared` first-minimum scan bit for bit.
     pub identical_to_oracle: bool,
 }
 
@@ -177,8 +200,13 @@ pub struct KernelsSweep {
     pub default_dispatch: String,
     /// Measured points, scalar first within each width.
     pub points: Vec<KernelPoint>,
-    /// LUT-construction points: `{l2, inner-product} × k* ∈ {16, 256}`.
+    /// What `TableArm::current()` resolved to on this host.
+    pub default_table_arm: String,
+    /// LUT-construction points: `k* ∈ {16, 256} × {l2, inner-product} ×`
+    /// every available distance-table arm.
     pub lut_build: Vec<LutBuildPoint>,
+    /// Encoding points: `k* ∈ {16, 256} ×` every available arm.
+    pub encode: Vec<EncodePoint>,
     /// Scan → select splits per `k* ∈ {16, 256}`: warm under every
     /// available dispatch, then cold under the process-wide one, per query
     /// and grouped.
@@ -318,7 +346,9 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
         passes,
         default_dispatch: KernelDispatch::current().name().to_string(),
         points,
+        default_table_arm: TableArm::current().name().to_string(),
         lut_build: lut_build_points(passes),
+        encode: encode_points(passes),
         select: select_points(passes),
         default_rescore_arm: RescoreArm::current().name().to_string(),
         rerank_rows: rerank_rows(n),
@@ -628,8 +658,9 @@ fn benchmark_shape_book(kstar: usize) -> (PqCodebook, Vec<f32>) {
 }
 
 /// Times LUT construction at the benchmark's shape (`dim 64`, `m 16`, so
-/// 4-dimensional sub-vectors): `200 × passes` builds per point, after an
-/// oracle cross-check of every entry.
+/// 4-dimensional sub-vectors) on every available distance-table arm:
+/// `200 × passes` builds per point, after an oracle cross-check of every
+/// entry.
 fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
     let builds = 200 * passes.max(1);
 
@@ -640,39 +671,103 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
         let residual_oracle = metric::sub(&q, &centroid);
         let sub = book.sub_dim();
         for metric_kind in [Metric::L2, Metric::InnerProduct] {
-            let mut slot = Lut::placeholder();
-            let mut residual = Vec::new();
-            let mut build = |slot: &mut Lut| match metric_kind {
-                Metric::L2 => {
-                    slot.rebuild_l2(&q, &centroid, &book, LutPrecision::F32, &mut residual)
+            for arm in TableArm::available() {
+                let mut slot = Lut::placeholder();
+                let mut residual = Vec::new();
+                let mut build = |slot: &mut Lut| match metric_kind {
+                    Metric::L2 => slot.rebuild_l2_with(
+                        arm,
+                        &q,
+                        &centroid,
+                        &book,
+                        LutPrecision::F32,
+                        &mut residual,
+                    ),
+                    Metric::InnerProduct => {
+                        *slot = Lut::build_ip_with(arm, &q, &book, LutPrecision::F32)
+                    }
+                };
+                build(&mut slot);
+                let identical = (0..book.m()).all(|i| {
+                    let span = i * sub..(i + 1) * sub;
+                    (0..book.kstar()).all(|c| {
+                        let w = book.book(i).row(c);
+                        let want = match metric_kind {
+                            Metric::L2 => -metric::l2_squared(&residual_oracle[span.clone()], w),
+                            Metric::InnerProduct => metric::dot(&q[span.clone()], w),
+                        };
+                        slot.get(i, c).to_bits() == want.to_bits()
+                    })
+                });
+
+                let start = std::time::Instant::now();
+                for _ in 0..builds {
+                    build(&mut slot);
+                    black_box(slot.entries());
                 }
-                Metric::InnerProduct => *slot = Lut::build_ip(&q, &book, LutPrecision::F32),
-            };
-            build(&mut slot);
-            let identical = (0..book.m()).all(|i| {
-                let span = i * sub..(i + 1) * sub;
-                (0..book.kstar()).all(|c| {
-                    let w = book.book(i).row(c);
-                    let want = match metric_kind {
-                        Metric::L2 => -metric::l2_squared(&residual_oracle[span.clone()], w),
-                        Metric::InnerProduct => metric::dot(&q[span.clone()], w),
-                    };
-                    slot.get(i, c).to_bits() == want.to_bits()
+                let secs = start.elapsed().as_secs_f64().max(1e-9);
+                let entries = (builds * book.m() * book.kstar()) as f64;
+                points.push(LutBuildPoint {
+                    kstar,
+                    arm: arm.name().to_string(),
+                    metric: metric_kind,
+                    tables_per_sec: builds as f64 / secs,
+                    ns_per_entry: secs * 1e9 / entries,
+                    identical_to_oracle: identical,
+                });
+            }
+        }
+    }
+    points
+}
+
+/// Vectors encoded per round of the `encode` section.
+const ENCODE_VECTORS: usize = 1_000;
+
+/// Times PQ encoding at the benchmark's shape on every available
+/// distance-table arm: `ENCODE_VECTORS × m` sub-vectors per round, `passes`
+/// rounds, after a cross-check of every code and distance against the
+/// row-major `metric::l2_squared` first-minimum scan.
+fn encode_points(passes: usize) -> Vec<EncodePoint> {
+    let mut points = Vec::new();
+    for kstar in [16usize, 256] {
+        let (book, _) = benchmark_shape_book(kstar);
+        let (m, sub) = (book.m(), book.sub_dim());
+        let data = VectorSet::from_fn(book.dim(), ENCODE_VECTORS, |r, c| {
+            ((r * 13 + c * 29) % 43) as f32 * 0.25 - 2.0
+        });
+        let oracle = |v: &[f32], j: usize| {
+            let mut best = (0usize, f32::INFINITY);
+            for (c, w) in book.book(j).iter().enumerate() {
+                let d = metric::l2_squared(v, w);
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+            best
+        };
+        for arm in TableArm::available() {
+            let encode = |v: &[f32], j: usize| book.dim_major(j).nearest_with(arm, v);
+            let identical = data.iter().all(|x| {
+                (0..m).all(|j| {
+                    let v = &x[j * sub..(j + 1) * sub];
+                    let (got, want) = (encode(v, j), oracle(v, j));
+                    got.0 == want.0 && got.1.to_bits() == want.1.to_bits()
                 })
             });
-
             let start = std::time::Instant::now();
-            for _ in 0..builds {
-                build(&mut slot);
-                black_box(slot.entries());
+            for _ in 0..passes.max(1) {
+                for x in data.iter() {
+                    for j in 0..m {
+                        black_box(encode(&x[j * sub..(j + 1) * sub], j));
+                    }
+                }
             }
             let secs = start.elapsed().as_secs_f64().max(1e-9);
-            let entries = (builds * book.m() * book.kstar()) as f64;
-            points.push(LutBuildPoint {
+            points.push(EncodePoint {
                 kstar,
-                metric: metric_kind,
-                tables_per_sec: builds as f64 / secs,
-                ns_per_entry: secs * 1e9 / entries,
+                arm: arm.name().to_string(),
+                subvectors_per_sec: (passes.max(1) * ENCODE_VECTORS * m) as f64 / secs,
                 identical_to_oracle: identical,
             });
         }
@@ -705,6 +800,7 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
+            .set("default_table_arm", self.default_table_arm.as_str())
             .set(
                 "lut_build",
                 Json::Arr(
@@ -713,9 +809,25 @@ impl KernelsSweep {
                         .map(|p| {
                             Json::obj()
                                 .set("kstar", p.kstar)
+                                .set("arm", p.arm.as_str())
                                 .set("metric", p.metric.to_string().as_str())
                                 .set("tables_per_sec", p.tables_per_sec)
                                 .set("ns_per_entry", p.ns_per_entry)
+                                .set("identical_to_oracle", p.identical_to_oracle)
+                        })
+                        .collect(),
+                ),
+            )
+            .set(
+                "encode",
+                Json::Arr(
+                    self.encode
+                        .iter()
+                        .map(|p| {
+                            Json::obj()
+                                .set("kstar", p.kstar)
+                                .set("arm", p.arm.as_str())
+                                .set("subvectors_per_sec", p.subvectors_per_sec)
                                 .set("identical_to_oracle", p.identical_to_oracle)
                         })
                         .collect(),
@@ -782,16 +894,31 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== LUT build (m=16, sub-dim 4) ===\n{:<6} {:<14} {:>12} {:>10} {:>10}\n",
-            "k*", "metric", "tables/sec", "ns/entry", "identical"
+            "\n=== LUT build (m=16, sub-dim 4; default arm: {}) ===\n{:<6} {:<14} {:<9} {:>12} {:>10} {:>10}\n",
+            self.default_table_arm, "k*", "metric", "arm", "tables/sec", "ns/entry", "identical"
         ));
         for p in &self.lut_build {
             s.push_str(&format!(
-                "{:<6} {:<14} {:>12.0} {:>10.2} {:>10}\n",
+                "{:<6} {:<14} {:<9} {:>12.0} {:>10.2} {:>10}\n",
                 p.kstar,
                 p.metric.to_string(),
+                p.arm,
                 p.tables_per_sec,
                 p.ns_per_entry,
+                p.identical_to_oracle
+            ));
+        }
+        s.push_str(&format!(
+            "\n=== encode (m=16, sub-dim 4, {ENCODE_VECTORS} vectors) ===\n{:<6} {:<9} {:>14} {:>10} {:>10}\n",
+            "k*", "arm", "subvec/sec", "ns/subvec", "identical"
+        ));
+        for p in &self.encode {
+            s.push_str(&format!(
+                "{:<6} {:<9} {:>14.0} {:>10.2} {:>10}\n",
+                p.kstar,
+                p.arm,
+                p.subvectors_per_sec,
+                1e9 / p.subvectors_per_sec,
                 p.identical_to_oracle
             ));
         }
@@ -867,14 +994,31 @@ mod tests {
         }
         assert!(sweep.best_speedup_at(16).is_some());
         assert!(sweep.best_speedup_at(512).is_none());
-        // LUT build: {l2, ip} x {16, 256}, every entry equal to the oracle.
-        assert_eq!(sweep.lut_build.len(), 4);
+        // LUT build: {l2, ip} x {16, 256} x every arm, every entry equal
+        // to the oracle; encode: {16, 256} x every arm.
+        let arms = TableArm::available().len();
+        assert_eq!(sweep.lut_build.len(), 4 * arms);
         for p in &sweep.lut_build {
-            assert!(p.tables_per_sec > 0.0, "{} k*={}", p.metric, p.kstar);
+            assert!(
+                p.tables_per_sec > 0.0,
+                "{} {} k*={}",
+                p.arm,
+                p.metric,
+                p.kstar
+            );
             assert!(
                 p.identical_to_oracle,
-                "{} k*={} LUT diverged from metric::*",
-                p.metric, p.kstar
+                "{} {} k*={} LUT diverged from metric::*",
+                p.arm, p.metric, p.kstar
+            );
+        }
+        assert_eq!(sweep.encode.len(), 2 * arms);
+        for p in &sweep.encode {
+            assert!(p.subvectors_per_sec > 0.0, "{} k*={}", p.arm, p.kstar);
+            assert!(
+                p.identical_to_oracle,
+                "{} k*={} encode diverged",
+                p.arm, p.kstar
             );
         }
         // Select split: {16, 256} x (warm under every dispatch + cold under
@@ -933,7 +1077,11 @@ mod tests {
             "\"gbps\"",
             "\"speedup_vs_scalar\"",
             "\"identical_to_scalar\"",
+            "\"default_table_arm\"",
             "\"lut_build\"",
+            "\"arm\"",
+            "\"encode\"",
+            "\"subvectors_per_sec\"",
             "\"tables_per_sec\"",
             "\"identical_to_oracle\"",
             "\"select\"",

@@ -429,13 +429,7 @@ impl AdcTable {
         let mut table = vec![0f32; codebook.m() * kstar];
         for (j, entries) in table.chunks_mut(kstar).enumerate() {
             let qj = &q[j * sub..(j + 1) * sub];
-            match m {
-                Metric::InnerProduct => codebook.dim_major(j).dot_table(qj, entries),
-                Metric::L2 => {
-                    codebook.dim_major(j).l2_table(qj, entries);
-                    entries.iter_mut().for_each(|e| *e = -*e);
-                }
-            }
+            codebook.dim_major(j).similarities(m, qj, entries);
         }
         AdcTable { table, kstar }
     }

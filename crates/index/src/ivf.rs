@@ -5,6 +5,7 @@ use crate::lut::Lut;
 use crate::SearchParams;
 use anna_quant::anisotropic::{self, AnisotropicConfig};
 use anna_quant::codes::PackedCodes;
+use anna_quant::dist_table::DimMajor;
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
@@ -109,6 +110,29 @@ impl IndexStats {
     pub fn compression_ratio(&self) -> f64 {
         self.raw_bytes as f64 / self.code_bytes.max(1) as f64
     }
+}
+
+/// Cluster filtering: the `nprobe` centroids of `centroids` most similar to
+/// `q` under `metric`, best first. One pass of the distance-table kernel
+/// scores every centroid — each similarity `metric.similarity(q, c)` bit
+/// for bit — and the selector takes them in centroid order, so ties keep
+/// the lowest id.
+pub(crate) fn filter_clusters(
+    centroids: &DimMajor,
+    metric: Metric,
+    q: &[f32],
+    nprobe: usize,
+) -> Vec<usize> {
+    let mut similarities = vec![0.0f32; centroids.k()];
+    centroids.similarities(metric, q, &mut similarities);
+    let mut top = TopK::new(nprobe.clamp(1, centroids.k()));
+    for (i, &s) in similarities.iter().enumerate() {
+        top.push(i as u64, s);
+    }
+    top.into_sorted_vec()
+        .into_iter()
+        .map(|n| n.id as usize)
+        .collect()
 }
 
 /// A two-level product-quantization index.
@@ -351,14 +375,7 @@ impl IvfPqIndex {
     /// Panics if `q.len() != self.dim()`.
     pub fn filter_clusters(&self, q: &[f32], nprobe: usize) -> Vec<usize> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let mut top = TopK::new(nprobe.clamp(1, self.num_clusters()));
-        for (i, c) in self.coarse.centroids().iter().enumerate() {
-            top.push(i as u64, self.metric.similarity(q, c));
-        }
-        top.into_sorted_vec()
-            .into_iter()
-            .map(|n| n.id as usize)
-            .collect()
+        filter_clusters(self.coarse.dim_major(), self.metric, q, nprobe)
     }
 
     /// Builds the LUT for `q` against cluster `cluster_id` (steps 2 of the

@@ -1,7 +1,8 @@
 //! AVX-512 kernels: `k* = 16` codes scored 64 per iteration with one
 //! `vpermps zmm` per sixteen lookups, for up to four queries per pass over
 //! the rows, and `k* = 256` codes scored 64 per iteration with one
-//! `vgatherdps zmm` per sixteen lookups.
+//! `vgatherdps zmm` per sixteen lookups — the table lookups are the only
+//! gathers where rows are 8 or 16 bytes, which are loaded.
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -16,7 +17,11 @@
 //! the paper's case for the SCM's lookup SRAM. [`gather_kernel`] narrows
 //! that gap without closing it: sixteen lookups are one `vgatherdps`
 //! instead of sixteen scalar loads, but a gather still issues one load per
-//! lane, so the kernel stays bound by the load ports.
+//! lane, so the kernel stays bound by the load ports. What it can shed is
+//! every other load: where a row is two or four whole dwords it loads
+//! sixteen rows as two or four contiguous registers instead of gathering
+//! their code dwords, so at `m = 16` (the benchmark's shape) sixteen rows
+//! cost 16 gathers instead of 20.
 //!
 //! # Layout and summation order
 //!
@@ -36,12 +41,22 @@
 //! each. Every other row width runs the AVX2 kernel (`Kernel::select`'s
 //! choice, see [`super::Kernel`]).
 //!
-//! The gather kernel reads the unchanged row-major byte codes: per four
-//! subquantizers, one `vpgatherdd` fetches the same dword of sixteen rows
-//! (index = lane · `m`, the chunk's position in the base pointer). When
-//! `m` is not a multiple of four, the last fetch takes the dword that ends
-//! at the row's last byte — still inside the row — and shifts the bytes
-//! already summed out of it. Rows shorter than a dword (`m < 4`) stay on
+//! The gather kernel reads the unchanged row-major byte codes. Rows of
+//! `ND` whole dwords (`ND` 2 or 4: `m` 8 and 16, `Avx512Gather { nd }`)
+//! are loaded like the LUT16 kernel's: sixteen 8-byte rows are two masked
+//! 64-byte loads de-interleaved by one `vpermt2d` per dword; sixteen
+//! 16-byte rows are four loads, de-interleaved in two rounds — `vpermt2d`
+//! over each pair of registers (eight rows) gathers dwords 0 and 1, and 2
+//! and 3, into the two halves of a register, and a second `vpermt2d` joins
+//! the two pairs' halves into "dword d of all sixteen rows". All four lane
+//! groups' rows are loaded first, then each group's sixteen lookups run in
+//! subquantizer order. Every other width (`nd` 0) gathers its code
+//! dwords: per four subquantizers, one `vpgatherdd` fetches the same dword
+//! of sixteen rows (index = lane · `m`, the chunk's position in the base
+//! pointer); when `m` is not a multiple of four, the last fetch takes the
+//! dword that ends at the row's last byte — still inside the row — and
+//! shifts the bytes already summed out of it. Either way only the table
+//! lookups remain gathers. Rows shorter than a dword (`m < 4`) stay on
 //! the blocked kernel.
 //!
 //! # The group loop
@@ -288,19 +303,22 @@ pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
 }
 
 /// The gather loop for byte codes against `k* = 256` tables: rows of `m`
-/// bytes, `bytes` the full row-major code stream. Returns
-/// `(count, scores the sink received)`; like [`lut16_kernel`] it never
-/// leaves a tail.
+/// bytes, `bytes` the full row-major code stream. With `ND` 2 or 4 a row
+/// is exactly `ND` dwords (`m = 4·ND`: 8- and 16-byte rows) and sixteen
+/// rows are loaded whole and de-interleaved; with `ND` 0 (any `m >= 4`)
+/// each dword of sixteen rows is gathered. Returns `(count, scores the
+/// sink received)`; like [`lut16_kernel`] it never leaves a tail.
 ///
 /// # Safety
 ///
 /// The caller must ensure the host supports `avx512f` and `popcnt`, that
-/// `4 <= m` and `16 * m` fits an `i32`, that `(start + count) * m <=
-/// bytes.len()`, that `entries` holds `m` tables of 256 (so every byte
-/// code indexes inside its table), and that a tile sink holds `count`
-/// elements and a survivors sink's slices `count + SINK_SLACK`.
+/// `4 <= m` and `16 * m` fits an `i32`, that `m == 4 * ND` unless `ND` is
+/// 0, that `(start + count) * m <= bytes.len()`, that `entries` holds `m`
+/// tables of 256 (so every byte code indexes inside its table), and that a
+/// tile sink holds `count` elements and a survivors sink's slices
+/// `count + SINK_SLACK`.
 #[target_feature(enable = "avx512f,popcnt")]
-pub(super) unsafe fn gather_kernel(
+pub(super) unsafe fn gather_kernel<const ND: usize>(
     m: usize,
     bytes: &[u8],
     start: usize,
@@ -315,6 +333,19 @@ pub(super) unsafe fn gather_kernel(
     // Byte offset of lane l's row from lane 0's.
     let row_offset = _mm512_mullo_epi32(finish.lane, _mm512_set1_epi32(m as i32));
     let low_byte = _mm512_set1_epi32(0xFF);
+    // De-interleave indices (`vpermt2d`: 0–15 pick from the first register,
+    // 16–31 from the second). Sixteen 8-byte rows are two registers, row r
+    // at dwords 2r, 2r + 1: `even` and `odd` pick dword 0 and dword 1 of
+    // every row. Sixteen 16-byte rows are four, row r at dwords 4r .. 4r +
+    // 4 of the pair holding it: `d01` picks dwords 0 (lanes 0–7) and 1
+    // (lanes 8–15) of a pair's eight rows, `d23` dwords 2 and 3; `low` and
+    // `high` then join the two pairs' halves into all sixteen rows.
+    let even = _mm512_slli_epi32::<1>(finish.lane);
+    let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
+    let d01 = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5, 9, 13, 17, 21, 25, 29);
+    let d23 = _mm512_or_si512(d01, _mm512_set1_epi32(2));
+    let low = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23);
+    let high = _mm512_or_si512(low, _mm512_set1_epi32(8));
 
     let mut j = 0;
     while j < count {
@@ -325,50 +356,93 @@ pub(super) unsafe fn gather_kernel(
         let chunk = bytes.as_ptr().wrapping_add((start + j) * m);
 
         let mut acc = [_mm512_setzero_ps(); 4];
-        // Subquantizers `first .. first + 4` per fetched dword.
-        let mut first = 0;
-        while first < m {
-            // Past the last whole dword, fetch the one ending at the row's
-            // last byte and shift out the bytes already summed.
-            let at = first.min(m - 4);
-            let summed = _mm512_set1_epi32(8 * (first - at) as i32);
-            let codes: [__m512i; 4] = std::array::from_fn(|g| {
-                let p = chunk.wrapping_add(16 * g * m + at) as *const i32;
-                let dword = _mm512_mask_i32gather_epi32::<1>(
-                    _mm512_setzero_si512(),
-                    masks[g],
-                    row_offset,
-                    p,
-                );
-                _mm512_srlv_epi32(dword, summed)
-            });
-            // Subquantizer `first + p` is byte p of the shifted dword.
-            macro_rules! step {
-                ($p:literal) => {
-                    let i = first + $p;
-                    if i < m {
-                        let table = entries.as_ptr().add(i * KSTAR_U8);
-                        for g in 0..4 {
-                            let code = _mm512_and_si512(
-                                _mm512_srli_epi32::<{ 8 * $p }>(codes[g]),
-                                low_byte,
-                            );
-                            let entry = _mm512_mask_i32gather_ps::<4>(
-                                _mm512_setzero_ps(),
-                                masks[g],
-                                code,
-                                table,
-                            );
-                            acc[g] = _mm512_add_ps(acc[g], entry);
-                        }
-                    }
+        // Byte `$p` of `$dword` is each row's code for subquantizer `$i`:
+        // lane group `$g` adds table `$i`'s entries into its accumulator.
+        macro_rules! lookup {
+            ($g:expr, $dword:expr, $p:literal, $i:expr) => {{
+                let code = _mm512_and_si512(_mm512_srli_epi32::<{ 8 * $p }>($dword), low_byte);
+                let table = entries.as_ptr().add($i * KSTAR_U8);
+                let entry =
+                    _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), masks[$g], code, table);
+                acc[$g] = _mm512_add_ps(acc[$g], entry);
+            }};
+        }
+        if ND > 0 {
+            // Whole rows: the `ND` dwords of each lane group's sixteen rows
+            // loaded and de-interleaved into "dword d of every row" (lanes
+            // past `live[g]` read nothing and hold code 0), all four groups
+            // first; then each group's lookups in subquantizer order.
+            let mut rows = [[_mm512_setzero_si512(); 4]; 4];
+            for (g, rows) in rows.iter_mut().enumerate() {
+                let p = chunk.wrapping_add(16 * g * m) as *const i32;
+                // One mask bit per live dword: `ND` per live row.
+                let dwords = match ND * live[g] {
+                    64 => u64::MAX,
+                    n => (1u64 << n) - 1,
                 };
+                let load = |r: usize| {
+                    _mm512_maskz_loadu_epi32((dwords >> (16 * r)) as u16, p.wrapping_add(16 * r))
+                };
+                if ND == 2 {
+                    let (a, b) = (load(0), load(1));
+                    rows[0] = _mm512_permutex2var_epi32(a, even, b);
+                    rows[1] = _mm512_permutex2var_epi32(a, odd, b);
+                } else {
+                    // `ND` is 4: rows 0–7 in the first pair, 8–15 in the
+                    // second.
+                    let (a, b) = ((load(0), load(1)), (load(2), load(3)));
+                    let a01 = _mm512_permutex2var_epi32(a.0, d01, a.1);
+                    let b01 = _mm512_permutex2var_epi32(b.0, d01, b.1);
+                    let a23 = _mm512_permutex2var_epi32(a.0, d23, a.1);
+                    let b23 = _mm512_permutex2var_epi32(b.0, d23, b.1);
+                    rows[0] = _mm512_permutex2var_epi32(a01, low, b01);
+                    rows[1] = _mm512_permutex2var_epi32(a01, high, b01);
+                    rows[2] = _mm512_permutex2var_epi32(a23, low, b23);
+                    rows[3] = _mm512_permutex2var_epi32(a23, high, b23);
+                }
             }
-            step!(0);
-            step!(1);
-            step!(2);
-            step!(3);
-            first += 4;
+            for (g, rows) in rows.iter().enumerate() {
+                for (d, &dword) in rows.iter().enumerate().take(ND) {
+                    lookup!(g, dword, 0, 4 * d);
+                    lookup!(g, dword, 1, 4 * d + 1);
+                    lookup!(g, dword, 2, 4 * d + 2);
+                    lookup!(g, dword, 3, 4 * d + 3);
+                }
+            }
+        } else {
+            // Subquantizers `first .. first + 4` per gathered code dword.
+            let mut first = 0;
+            while first < m {
+                // Past the last whole dword, fetch the one ending at the
+                // row's last byte and shift out the bytes already summed.
+                let at = first.min(m - 4);
+                let summed = _mm512_set1_epi32(8 * (first - at) as i32);
+                let codes: [__m512i; 4] = std::array::from_fn(|g| {
+                    let p = chunk.wrapping_add(16 * g * m + at) as *const i32;
+                    let dword = _mm512_mask_i32gather_epi32::<1>(
+                        _mm512_setzero_si512(),
+                        masks[g],
+                        row_offset,
+                        p,
+                    );
+                    _mm512_srlv_epi32(dword, summed)
+                });
+                macro_rules! step {
+                    ($p:literal) => {
+                        let i = first + $p;
+                        if i < m {
+                            for g in 0..4 {
+                                lookup!(g, codes[g], $p, i);
+                            }
+                        }
+                    };
+                }
+                step!(0);
+                step!(1);
+                step!(2);
+                step!(3);
+                first += 4;
+            }
         }
 
         for (g, acc) in acc.into_iter().enumerate() {

@@ -39,9 +39,10 @@ pub enum KernelDispatch {
     /// AVX-512 kernels for both code widths. A 16-entry f32 table is *one*
     /// ZMM register, so sixteen nibble lookups are a single `vpermps zmm`,
     /// for up to four visitors of a cluster per pass over its rows. A
-    /// 256-entry table's sixteen lookups are one `vgatherdps` — this
-    /// narrows the paper's §II-C gap but does not close it, since the table
-    /// fits no register and a gather is bound by the load ports. Survivors
+    /// 256-entry table's sixteen lookups are one `vgatherdps` (its 8- and
+    /// 16-byte code rows are loaded, not gathered) — this narrows the
+    /// paper's §II-C gap but does not close it, since the table fits no
+    /// register and a gather is bound by the load ports. Survivors
     /// leave through a mask-register compare, a register compress and one
     /// store. Which rows and tables each kernel takes is `Kernel::select`'s
     /// decision. Needs `avx512f` (and `popcnt`, which every `avx512f` CPU

@@ -16,7 +16,8 @@
 //!    (`avx512`: one ZMM register per table, 64 codes per iteration, 4-
 //!    and 8-byte rows; `avx2`: two YMM halves, 32, every other width); and
 //!    the `avx512` gather kernel for `k* = 256` (one `vgatherdps` per
-//!    sixteen lookups, rows of at least four bytes).
+//!    sixteen lookups, rows of at least four bytes; 8- and 16-byte rows
+//!    are loaded whole, every other width's code dwords gathered).
 //! 3. **Visitor groups** — a cluster's visitors are scanned in groups of
 //!    the kernel's size: up to four for the `avx512` LUT16 kernel, which
 //!    loads each chunk of rows, de-interleaves it and shifts out its nibble
@@ -241,8 +242,10 @@ enum Kernel {
     /// up to [`GROUP`] tables per pass over the rows.
     Avx512Lut16 { nd: usize },
     /// The AVX-512 gather kernel (`avx512`): byte codes in rows of four
-    /// bytes or more against 256-entry tables.
-    Avx512Gather,
+    /// bytes or more against 256-entry tables. Rows of `nd` whole dwords
+    /// (`nd` 2 or 4: 8- and 16-byte rows) are loaded sixteen at a time and
+    /// de-interleaved; every other width (`nd` 0) gathers its code dwords.
+    Avx512Gather { nd: usize },
 }
 
 impl Kernel {
@@ -255,7 +258,9 @@ impl Kernel {
             (D::Scalar, _) => Kernel::Scalar,
             (D::Avx512, CodeWidth::U4) if vb == 4 || vb == 8 => Kernel::Avx512Lut16 { nd: vb / 4 },
             (D::Avx2 | D::Avx512, CodeWidth::U4) => Kernel::Avx2Lut16,
-            (D::Avx512, CodeWidth::U8) if vb >= 4 && kstar == 256 => Kernel::Avx512Gather,
+            (D::Avx512, CodeWidth::U8) if vb >= 4 && kstar == 256 => Kernel::Avx512Gather {
+                nd: if vb == 8 || vb == 16 { vb / 4 } else { 0 },
+            },
             (D::Blocked, _) | (D::Avx2 | D::Avx512, CodeWidth::U8) => Kernel::Blocked,
         }
     }
@@ -642,7 +647,8 @@ fn score_block(
             // (asserted for every LUT at the top) is the shape each kernel
             // assumes: for the gather kernel, byte codes with `m >= 4`
             // against 256-entry tables, so every byte code indexes inside
-            // its table; for the AVX-512 LUT16 kernel, nibble rows of
+            // its table, in rows of exactly `4 * nd` bytes for the `nd` 2
+            // and 4 arms; for the AVX-512 LUT16 kernel, nibble rows of
             // `vb = 4 * nd` bytes, with `nd` the arm taken, and 16-entry
             // tables (the u4 assert); the group's length is the `$q` of its
             // arm. The range, table-count, row-offset and sink-length
@@ -658,15 +664,24 @@ fn score_block(
                     (Kernel::Avx512Lut16 { nd: 2 }, 2) => lut16!(2, 2),
                     (Kernel::Avx512Lut16 { nd: 2 }, 3) => lut16!(2, 3),
                     (Kernel::Avx512Lut16 { nd: 2 }, 4) => lut16!(2, 4),
-                    (Kernel::Avx2Lut16 | Kernel::Avx512Gather, _) => {
+                    (Kernel::Avx2Lut16 | Kernel::Avx512Gather { .. }, _) => {
                         let mut done = count;
                         for ((lut, sink), written) in luts.iter().zip(&mut *sinks).zip(&mut written)
                         {
                             let (entries, bias) = (lut.entries(), lut.bias());
-                            (done, *written) = if kernel == Kernel::Avx2Lut16 {
-                                avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, sink)
-                            } else {
-                                avx512::gather_kernel(m, bytes, start, count, entries, bias, sink)
+                            (done, *written) = match kernel {
+                                Kernel::Avx2Lut16 => avx2::lut16_kernel(
+                                    m, vb, bytes, start, count, entries, bias, sink,
+                                ),
+                                Kernel::Avx512Gather { nd: 2 } => avx512::gather_kernel::<2>(
+                                    m, bytes, start, count, entries, bias, sink,
+                                ),
+                                Kernel::Avx512Gather { nd: 4 } => avx512::gather_kernel::<4>(
+                                    m, bytes, start, count, entries, bias, sink,
+                                ),
+                                _ => avx512::gather_kernel::<0>(
+                                    m, bytes, start, count, entries, bias, sink,
+                                ),
                             };
                         }
                         done
@@ -1045,7 +1060,9 @@ mod tests {
 
     /// Every row of [`Kernel::select`] (dispatch × code width × row bytes
     /// × table size) with the kernel it picks and that kernel's group. 19-
-    /// and 40-entry tables are what scarce training data leaves.
+    /// and 40-entry tables are what scarce training data leaves; 8- and
+    /// 16-byte rows of byte codes are the gather kernel's row-loaded
+    /// widths.
     #[test]
     fn select_truth_table_is_exhaustive() {
         use KernelDispatch::{Avx2, Avx512, Blocked, Scalar};
@@ -1055,7 +1072,9 @@ mod tests {
             'A' => Kernel::Avx2Lut16,
             '1' => Kernel::Avx512Lut16 { nd: 1 },
             '2' => Kernel::Avx512Lut16 { nd: 2 },
-            'G' => Kernel::Avx512Gather,
+            'G' => Kernel::Avx512Gather { nd: 0 },
+            'H' => Kernel::Avx512Gather { nd: 2 },
+            'Q' => Kernel::Avx512Gather { nd: 4 },
             _ => panic!("no kernel {c}"),
         };
         let groups = [
@@ -1065,22 +1084,24 @@ mod tests {
             ('1', GROUP),
             ('2', GROUP),
             ('G', 1),
+            ('H', 1),
+            ('Q', 1),
         ];
         for (c, group) in groups {
             assert_eq!(kernel(c).group(), group, "{c}");
         }
-        let row_bytes = [1usize, 2, 4, 8, 12, 33];
+        let row_bytes = [1usize, 2, 4, 8, 12, 16, 33];
         let kstars = [16usize, 19, 40, 256];
         // Per row width, the kernel for each k*.
         let rows = [
-            (Scalar, CodeWidth::U4, "SSSS SSSS SSSS SSSS SSSS SSSS"),
-            (Scalar, CodeWidth::U8, "SSSS SSSS SSSS SSSS SSSS SSSS"),
-            (Blocked, CodeWidth::U4, "BBBB BBBB BBBB BBBB BBBB BBBB"),
-            (Blocked, CodeWidth::U8, "BBBB BBBB BBBB BBBB BBBB BBBB"),
-            (Avx2, CodeWidth::U4, "AAAA AAAA AAAA AAAA AAAA AAAA"),
-            (Avx2, CodeWidth::U8, "BBBB BBBB BBBB BBBB BBBB BBBB"),
-            (Avx512, CodeWidth::U4, "AAAA AAAA 1111 2222 AAAA AAAA"),
-            (Avx512, CodeWidth::U8, "BBBB BBBB BBBG BBBG BBBG BBBG"),
+            (Scalar, CodeWidth::U4, "SSSS SSSS SSSS SSSS SSSS SSSS SSSS"),
+            (Scalar, CodeWidth::U8, "SSSS SSSS SSSS SSSS SSSS SSSS SSSS"),
+            (Blocked, CodeWidth::U4, "BBBB BBBB BBBB BBBB BBBB BBBB BBBB"),
+            (Blocked, CodeWidth::U8, "BBBB BBBB BBBB BBBB BBBB BBBB BBBB"),
+            (Avx2, CodeWidth::U4, "AAAA AAAA AAAA AAAA AAAA AAAA AAAA"),
+            (Avx2, CodeWidth::U8, "BBBB BBBB BBBB BBBB BBBB BBBB BBBB"),
+            (Avx512, CodeWidth::U4, "AAAA AAAA 1111 2222 AAAA AAAA AAAA"),
+            (Avx512, CodeWidth::U8, "BBBB BBBB BBBG BBBH BBBG BBBQ BBBG"),
         ];
         for (dispatch, width, table) in rows {
             for (vb, cells) in row_bytes.into_iter().zip(table.split(' ')) {
@@ -1111,8 +1132,9 @@ mod tests {
     /// position. Nibble shapes cover both AVX-512 row loads (`m` 7 and 8:
     /// 4-byte rows; 16: 8-byte), the width it hands to AVX2 (`m` 24) and
     /// one wider than AVX2 keeps per lane, which it leaves whole to the row
-    /// loop (`m` 66); byte shapes cover the gather kernel with whole dwords
-    /// (`m` 4, 16) and the shifted last dword (`m` 5, 7, 17), and the
+    /// loop (`m` 66); byte shapes cover the gather kernel with gathered
+    /// whole dwords (`m` 4), loaded rows (`m` 8, 16) and the shifted last
+    /// dword (`m` 5, 7, 17), and the
     /// blocked kernel under every dispatch (`m` 2 against a 40-entry
     /// table). Counts sit on both sides of the four-row group, the 16-lane
     /// group, the 32- and 64-lane chunks and a whole tile; tables hold NaN,
@@ -1133,6 +1155,7 @@ mod tests {
             (CodeWidth::U8, 4, 256),
             (CodeWidth::U8, 5, 256),
             (CodeWidth::U8, 7, 256),
+            (CodeWidth::U8, 8, 256),
             (CodeWidth::U8, 16, 256),
             (CodeWidth::U8, 17, 256),
         ];

@@ -5,9 +5,9 @@
 //! codeword `c` of codebook `B_i` to the similarity. With it, scoring one
 //! encoded vector costs `M` lookups and `M − 1` additions.
 
+use anna_quant::dist_table::TableArm;
 use anna_quant::pq::PqCodebook;
-use anna_quant::DimMajor;
-use anna_vector::f16;
+use anna_vector::{f16, Metric};
 use serde::{Deserialize, Serialize};
 
 /// Precision at which LUT entries are stored.
@@ -67,10 +67,25 @@ impl Lut {
     ///
     /// Panics if `q.len() != book.dim()`.
     pub fn build_ip(q: &[f32], book: &PqCodebook, precision: LutPrecision) -> Self {
+        Self::build_ip_with(TableArm::current(), q, book, precision)
+    }
+
+    /// [`Lut::build_ip`] with the distance-table kernel on an explicit
+    /// [`TableArm`] — what the arm-equivalence tests and `kernels_sweep`
+    /// drive.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lut::build_ip`], and if the host cannot run `arm`.
+    pub fn build_ip_with(
+        arm: TableArm,
+        q: &[f32],
+        book: &PqCodebook,
+        precision: LutPrecision,
+    ) -> Self {
         assert_eq!(q.len(), book.dim(), "query dimension mismatch");
         let mut lut = Self::placeholder();
-        lut.fill(q, book, precision, DimMajor::dot_table);
-        lut.apply_precision(precision);
+        lut.fill(arm, Metric::InnerProduct, q, book, precision);
         lut
     }
 
@@ -102,13 +117,13 @@ impl Lut {
     /// L2 table per visit) allocates nothing after warm-up.
     ///
     /// Each of the `m` tables is one pass of the distance-table kernel
-    /// ([`anna_quant::DimMajor::l2_table`]) over the codebook's
-    /// dimension-major copy, vectorised across codewords. The kernel is
-    /// vertical — every entry is `-metric::l2_squared(r_i, B_i[c])` bit
-    /// for bit — and this is the single shared implementation
-    /// ([`build_l2`] delegates here), so a rebuilt table is bit-identical
-    /// to a freshly built one: the parallel engine's determinism guarantee
-    /// rests on this.
+    /// ([`anna_quant::DimMajor::similarities`]) over the codebook's
+    /// dimension-major copy, vectorised across codewords, on the process's
+    /// [`TableArm::current`]. The kernel is vertical — every entry is
+    /// `-metric::l2_squared(r_i, B_i[c])` bit for bit on every arm — and
+    /// this is the single shared implementation ([`build_l2`] delegates
+    /// here), so a rebuilt table is bit-identical to a freshly built one:
+    /// the parallel engine's determinism guarantee rests on this.
     ///
     /// [`build_l2`]: Lut::build_l2
     ///
@@ -123,40 +138,59 @@ impl Lut {
         precision: LutPrecision,
         residual: &mut Vec<f32>,
     ) {
+        self.rebuild_l2_with(TableArm::current(), q, centroid, book, precision, residual);
+    }
+
+    /// [`Lut::rebuild_l2`] with the distance-table kernel on an explicit
+    /// [`TableArm`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Lut::rebuild_l2`], and if the host cannot run `arm`.
+    pub fn rebuild_l2_with(
+        &mut self,
+        arm: TableArm,
+        q: &[f32],
+        centroid: &[f32],
+        book: &PqCodebook,
+        precision: LutPrecision,
+        residual: &mut Vec<f32>,
+    ) {
         assert_eq!(q.len(), book.dim(), "query dimension mismatch");
         assert_eq!(centroid.len(), book.dim(), "centroid dimension mismatch");
         residual.clear();
         residual.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
-        self.fill(residual, book, precision, DimMajor::l2_table);
-        for e in &mut self.entries {
-            *e = -*e;
-        }
-        self.apply_precision(precision);
+        self.fill(arm, Metric::L2, residual, book, precision);
     }
 
-    /// Re-shapes this table for `book` (zero bias) and runs `kernel` once
-    /// per table `i` on sub-vector `v_i`, writing table `i`'s `k*` entries.
+    /// Re-shapes this table for `book` (zero bias) and fills table `i`'s
+    /// `k*` entries with `metric`'s similarities of sub-vector `v_i` to the
+    /// codewords of `B_i`, on `arm`, at `precision`.
     fn fill(
         &mut self,
+        arm: TableArm,
+        metric: Metric,
         v: &[f32],
         book: &PqCodebook,
         precision: LutPrecision,
-        kernel: impl Fn(&DimMajor, &[f32], &mut [f32]),
     ) {
         self.m = book.m();
         self.kstar = book.kstar();
         self.bias = 0.0;
         self.precision = precision;
-        self.entries.clear();
+        // Every entry is written below, so a warm slot keeps its old ones
+        // rather than zeroing them first.
         self.entries.resize(self.m * self.kstar, 0.0);
         let sub = book.sub_dim();
         for i in 0..self.m {
-            kernel(
-                book.dim_major(i),
+            book.dim_major(i).similarities_with(
+                arm,
+                metric,
                 &v[i * sub..(i + 1) * sub],
                 &mut self.entries[i * self.kstar..(i + 1) * self.kstar],
             );
         }
+        self.apply_precision(precision);
     }
 
     fn apply_precision(&mut self, precision: LutPrecision) {

@@ -89,7 +89,7 @@ pub struct ShardedIndex {
     codebook: PqCodebook,
     /// Global coarse centroids — row `g` is cluster `g`, identical to the
     /// unsharded index's, so filtering arithmetic is unchanged.
-    centroids: VectorSet,
+    coarse: KMeans,
     cluster_sizes: Vec<usize>,
     num_vectors: u64,
     shards: Vec<ShardStore>,
@@ -124,7 +124,7 @@ impl ShardedIndex {
             metric: index.metric(),
             dim: index.dim(),
             codebook: index.codebook().clone(),
-            centroids: index.centroids().clone(),
+            coarse: KMeans::from_centroids(index.centroids().clone()),
             cluster_sizes: index.cluster_sizes(),
             num_vectors: index.num_vectors(),
             shards: shards.into_iter().map(ShardStore::Ram).collect(),
@@ -233,7 +233,7 @@ impl ShardedIndex {
             metric: metric_,
             dim,
             codebook: first.codebook().clone(),
-            centroids,
+            coarse: KMeans::from_centroids(centroids),
             cluster_sizes,
             num_vectors,
             shards: shards
@@ -275,7 +275,7 @@ impl ShardedIndex {
 
     /// The global coarse centroids (row `g` = cluster `g`).
     pub fn centroids(&self) -> &VectorSet {
-        &self.centroids
+        self.coarse.centroids()
     }
 
     /// Cumulative tier telemetry summed over the tiered shards (all zero
@@ -298,14 +298,7 @@ impl ShardedIndex {
     /// Panics if `q.len() != self.dim()`.
     pub fn filter_clusters(&self, q: &[f32], nprobe: usize) -> Vec<usize> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let mut top = TopK::new(nprobe.clamp(1, self.num_clusters()));
-        for (i, c) in self.centroids.iter().enumerate() {
-            top.push(i as u64, self.metric.similarity(q, c));
-        }
-        top.into_sorted_vec()
-            .into_iter()
-            .map(|n| n.id as usize)
-            .collect()
+        crate::ivf::filter_clusters(self.coarse.dim_major(), self.metric, q, nprobe)
     }
 
     /// Per-shard visitor lists for a batch: entry `[s][lc]` lists the
@@ -461,7 +454,7 @@ impl ShardedIndex {
                         ShardStore::Tiered(t) => LaneStore::Tiered(t),
                     },
                     // Local cluster `lc` of shard `s` is global `lc·N + s`.
-                    centroids: &self.centroids,
+                    centroids: self.coarse.centroids(),
                     centroid_stride: n,
                     centroid_offset: s,
                 }

@@ -8,7 +8,8 @@
 //! threshold) gets its own test against the per-score-push oracle, from a
 //! pre-warmed selector, over every row-load path and block-edge count of
 //! the AVX2 and AVX-512 LUT16 kernels and of the AVX-512 gather kernel for
-//! byte codes. (The sink itself is private; its "survivors == tile
+//! byte codes (8- and 16-byte rows loaded whole, every other width's code
+//! dwords gathered). (The sink itself is private; its "survivors == tile
 //! filtered by the threshold" property is a unit test beside it in
 //! `kernels/mod.rs`.) The grouped scan (`scan_group_with`, several
 //! visitors of one cluster per call, as the batch engine scans) gets a
@@ -83,72 +84,103 @@ fn random_codes(
 
 /// The full cross-product: dispatch × metric × k* × odd/even m, random
 /// query, random codes, random candidate count — scanned scores must be
-/// bit-identical to the oracle, and so must the kept top-k set.
+/// bit-identical to the oracle, and so must the kept top-k set. Byte codes
+/// in 8- and 16-byte rows (the AVX-512 gather kernel's loaded rows) also
+/// run at every count around the 16-lane group, the 64-lane chunk and the
+/// tile, so masked partial-row loads are hit.
 #[test]
 fn every_dispatch_is_bit_identical_to_scalar_reference() {
     let shapes: Vec<(usize, usize)> = vec![(4, 16), (5, 16), (4, 256), (5, 256)];
     let mut scratch = ScanScratch::new();
+    let counts = [1, 15, 16, 17, 63, 64, 65, 3 * kernels::TILE + 37];
+    let mut rng = TestRng::new(0x80_16_B7);
+    for m in [8usize, 16] {
+        // Random codewords: all 256 of every table are distinct, so the
+        // table is whole and the gather kernel takes it.
+        let books = (0..m)
+            .map(|_| VectorSet::from_fn(3, 256, |_, _| rng.f32(-4.0..4.0)))
+            .collect();
+        let book = PqCodebook::from_books(books);
+        let centroid: Vec<f32> = (0..3 * m).map(|_| rng.f32(-1.0..1.0)).collect();
+        for n in counts {
+            check_every_dispatch(&mut rng, &book, &centroid, Some(n), &mut scratch);
+        }
+    }
     anna_testkit::forall("dispatch x metric x width x parity", 24, |rng| {
         let &(m, kstar) = rng.pick(&shapes);
         let (book, centroid) = trained_book(m, kstar, 3);
-        let dim = book.dim();
-        let q: Vec<f32> = (0..dim)
-            .map(|_| rng.usize(0..13) as f32 * 0.5 - 3.0)
-            .collect();
-        let lut = if rng.usize(0..2) == 0 {
-            Lut::build_ip(&q, &book, LutPrecision::F32)
-        } else {
-            Lut::build_l2(&q, &centroid, &book, LutPrecision::F32)
-        };
-        let width = if kstar == 16 {
-            CodeWidth::U4
-        } else {
-            CodeWidth::U8
-        };
-        // Trained k* can be smaller than configured with scarce data;
-        // random identifiers must stay below what the LUT actually has.
-        let bound = lut.kstar();
-        let n = rng.usize(1..600);
-        let codes = random_codes(rng, m, width, bound, n);
-        let ids: Vec<u64> = (0..n as u64).collect();
-        let want = scalar_reference(&codes, &lut);
+        check_every_dispatch(rng, &book, &centroid, None, &mut scratch);
+    });
+}
 
-        let k = rng.usize(1..20);
-        let mut expect = TopK::new(k);
-        kernels::scan_with(
-            &codes,
-            &ids,
-            &lut,
-            &mut expect,
-            KernelDispatch::Scalar,
-            &mut scratch,
-        );
-        let expect = expect.into_sorted_vec();
+/// One case of [`every_dispatch_is_bit_identical_to_scalar_reference`]: a
+/// random IP table or L2 table (against `centroid`) of `book` for a random
+/// query, and `n` random codes (`None`: a random count below 600).
+fn check_every_dispatch(
+    rng: &mut TestRng,
+    book: &PqCodebook,
+    centroid: &[f32],
+    n: Option<usize>,
+    scratch: &mut ScanScratch,
+) {
+    let (m, kstar) = (book.m(), book.kstar());
+    let dim = book.dim();
+    let q: Vec<f32> = (0..dim)
+        .map(|_| rng.usize(0..13) as f32 * 0.5 - 3.0)
+        .collect();
+    let lut = if rng.usize(0..2) == 0 {
+        Lut::build_ip(&q, book, LutPrecision::F32)
+    } else {
+        Lut::build_l2(&q, centroid, book, LutPrecision::F32)
+    };
+    let width = if kstar == 16 {
+        CodeWidth::U4
+    } else {
+        CodeWidth::U8
+    };
+    // Trained k* can be smaller than configured with scarce data;
+    // random identifiers must stay below what the LUT actually has.
+    let bound = lut.kstar();
+    let n = n.unwrap_or_else(|| rng.usize(1..600));
+    let codes = random_codes(rng, m, width, bound, n);
+    let ids: Vec<u64> = (0..n as u64).collect();
+    let want = scalar_reference(&codes, &lut);
 
-        for dispatch in KernelDispatch::available() {
-            // Raw scores, every vector.
-            let got = kernels::score_all_with(&codes, &lut, dispatch);
-            assert_eq!(got.len(), want.len());
-            for (v, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "m={m} kstar={kstar} dispatch={} vector {v}",
-                    dispatch.name()
-                );
-            }
-            // Pruned top-k set, including tie-breaks.
-            let mut top = TopK::new(k);
-            let tally = kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-            assert_eq!(tally.scanned, n as u64);
+    let k = rng.usize(1..20);
+    let mut expect = TopK::new(k);
+    kernels::scan_with(
+        &codes,
+        &ids,
+        &lut,
+        &mut expect,
+        KernelDispatch::Scalar,
+        scratch,
+    );
+    let expect = expect.into_sorted_vec();
+
+    for dispatch in KernelDispatch::available() {
+        // Raw scores, every vector.
+        let got = kernels::score_all_with(&codes, &lut, dispatch);
+        assert_eq!(got.len(), want.len());
+        for (v, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
-                top.into_sorted_vec(),
-                expect,
-                "m={m} kstar={kstar} k={k} dispatch={}",
+                g.to_bits(),
+                w.to_bits(),
+                "m={m} kstar={kstar} dispatch={} vector {v}",
                 dispatch.name()
             );
         }
-    });
+        // Pruned top-k set, including tie-breaks.
+        let mut top = TopK::new(k);
+        let tally = kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, scratch);
+        assert_eq!(tally.scanned, n as u64);
+        assert_eq!(
+            top.into_sorted_vec(),
+            expect,
+            "m={m} kstar={kstar} n={n} k={k} dispatch={}",
+            dispatch.name()
+        );
+    }
 }
 
 /// Encoded (non-random) codes through the real encoder, both metrics: the
@@ -284,9 +316,9 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
 /// AVX-512 arm delegates to — incl. ragged odd widths and the `nd = 8`
 /// limit; `vb = 33` wider than the AVX2 kernel keeps per lane, so the
 /// shared row loop scores every row. Byte codes cover rows shorter than
-/// a dword (`m` 1–3, which stay on the blocked kernel), whole dwords (4, 8,
-/// 12, 16, 32, 64) and a shifted last dword (5, 7, 17) under the AVX-512
-/// gather kernel, against a 256-entry book and 40- and 19-entry ones (a LUT
+/// a dword (`m` 1–3, which stay on the blocked kernel), gathered whole
+/// dwords (4, 12, 32, 64), rows loaded whole (8, 16) and a shifted last
+/// dword (5, 7, 17) under the AVX-512 gather kernel, against a 256-entry book and 40- and 19-entry ones (a LUT
 /// narrower than 256, as scarce training data leaves it, which takes the
 /// blocked kernel under every dispatch).
 ///
@@ -401,9 +433,11 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     }
     // The kernel each arm selects for the common shapes: only `avx512`
     // has a SIMD kernel for byte codes (the gather kernel, for 256-entry
-    // tables and `m >= 4`); every other arm scores them with the blocked
-    // kernel, `scalar` with the seed scan. Only `avx512`'s LUT16 kernel
-    // scores a group of visitors per pass over a cluster.
+    // tables and `m >= 4`: 8- and 16-byte rows loaded whole, every other
+    // width's code dwords gathered, only the table lookups gathered on
+    // both); every other arm scores them with the blocked kernel, `scalar`
+    // with the seed scan. Only `avx512`'s LUT16 kernel scores a group of
+    // visitors per pass over a cluster.
     let arms: Vec<String> = KernelDispatch::available()
         .iter()
         .map(|&d| {
@@ -411,7 +445,7 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 KernelDispatch::Scalar => ("seed scan", "seed scan"),
                 KernelDispatch::Blocked => ("blocked", "blocked"),
                 KernelDispatch::Avx2 => ("lut16", "blocked"),
-                KernelDispatch::Avx512 => ("lut16 ×4", "gather"),
+                KernelDispatch::Avx512 => ("lut16 ×4", "gather, rows loaded at m 8 and 16"),
             };
             format!("{} (u4: {u4_kernel}, u8: {u8_kernel})", d.name())
         })
@@ -465,11 +499,24 @@ fn warm_selector(
 /// `+inf` included. Nibble codes cover both AVX-512 row loads (`m` 4–8:
 /// 4-byte rows, 9–16: 8-byte) and the widths it hands to AVX2 (`m` 17,
 /// 32); byte codes run the same shapes through the gather and blocked
-/// kernels. Counts sit around the 64-lane chunk and the tile, the last
+/// kernels (`m` 8 and 16: the gather kernel's loaded rows). Counts sit
+/// around the 16-lane group, the 64-lane chunk and the tile, the last
 /// spanning four tiles.
 #[test]
 fn grouped_scan_matches_per_query_scans() {
-    let counts = [1, 63, 64, 65, 255, 256, 257, 3 * kernels::TILE + 37];
+    let counts = [
+        1,
+        15,
+        16,
+        17,
+        63,
+        64,
+        65,
+        255,
+        256,
+        257,
+        3 * kernels::TILE + 37,
+    ];
     let mut rng = TestRng::new(0x64E0_95CA);
     let mut scratch = ScanScratch::new();
     for (width, kstar) in [(CodeWidth::U4, 16usize), (CodeWidth::U8, 256)] {

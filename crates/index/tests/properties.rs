@@ -2,6 +2,7 @@
 //! (seeded `anna-testkit` harness; failures report a replayable seed).
 
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, Lut, LutPrecision, SearchParams};
+use anna_quant::dist_table::TableArm;
 use anna_quant::pq::PqCodebook;
 use anna_testkit::{forall, same_f32_bits, TestRng};
 use anna_vector::{f16, metric, Metric, VectorSet};
@@ -163,7 +164,9 @@ fn stats_match_formula() {
 /// B_i[c])`, rounded through binary16 for `F16`. Covers chunk and tail
 /// sub-dimensions (1..=9), ragged `k*` (a scarce training set yields fewer
 /// codewords than configured), NaN / ±∞ / −0.0 inputs (NaNs compare as a
-/// class, see [`same_f32_bits`]), and a reused slot.
+/// class, see [`same_f32_bits`]), and a reused slot — on every
+/// distance-table arm the host runs, each through the explicit-arm builds
+/// beside the process-wide ones.
 #[test]
 fn lut_entries_equal_the_scalar_metric_oracle() {
     forall("lut entries == scalar metric oracle", 64, |rng| {
@@ -187,6 +190,7 @@ fn lut_entries_equal_the_scalar_metric_oracle() {
         let residual = metric::sub(&q, &centroid);
 
         let mut slot = Lut::placeholder();
+        let mut arm_slot = Lut::placeholder();
         let mut scratch = Vec::new();
         for precision in [LutPrecision::F32, LutPrecision::F16] {
             let round = |x: f32| match precision {
@@ -196,16 +200,23 @@ fn lut_entries_equal_the_scalar_metric_oracle() {
             let l2 = Lut::build_l2(&q, &centroid, &book, precision);
             let ip = Lut::build_ip(&q, &book, precision);
             slot.rebuild_l2(&q, &centroid, &book, precision, &mut scratch);
-            for i in 0..m {
-                let span = i * sub..(i + 1) * sub;
-                for c in 0..kstar {
-                    let w = book.book(i).row(c);
-                    let want_l2 = round(-metric::l2_squared(&residual[span.clone()], w));
-                    let want_ip = round(metric::dot(&q[span.clone()], w));
-                    let at = format!("{precision:?} sub={sub} k*={kstar} entry ({i},{c})");
-                    assert!(same_f32_bits(l2.get(i, c), want_l2), "l2 {at}");
-                    assert!(same_f32_bits(slot.get(i, c), want_l2), "l2 slot {at}");
-                    assert!(same_f32_bits(ip.get(i, c), want_ip), "ip {at}");
+            for arm in TableArm::available() {
+                let arm_ip = Lut::build_ip_with(arm, &q, &book, precision);
+                arm_slot.rebuild_l2_with(arm, &q, &centroid, &book, precision, &mut scratch);
+                for i in 0..m {
+                    let span = i * sub..(i + 1) * sub;
+                    for c in 0..kstar {
+                        let w = book.book(i).row(c);
+                        let want_l2 = round(-metric::l2_squared(&residual[span.clone()], w));
+                        let want_ip = round(metric::dot(&q[span.clone()], w));
+                        let at = format!("{precision:?} sub={sub} k*={kstar} entry ({i},{c})");
+                        assert!(same_f32_bits(l2.get(i, c), want_l2), "l2 {at}");
+                        assert!(same_f32_bits(slot.get(i, c), want_l2), "l2 slot {at}");
+                        assert!(same_f32_bits(ip.get(i, c), want_ip), "ip {at}");
+                        let at = format!("{} {at}", arm.name());
+                        assert!(same_f32_bits(arm_slot.get(i, c), want_l2), "l2 {at}");
+                        assert!(same_f32_bits(arm_ip.get(i, c), want_ip), "ip {at}");
+                    }
                 }
             }
         }

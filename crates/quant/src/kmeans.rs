@@ -88,6 +88,12 @@ impl KMeans {
         &self.centroids
     }
 
+    /// The centroids in dimension-major order: the distance-table kernel
+    /// over them (assignment, and an index's coarse cluster filtering).
+    pub fn dim_major(&self) -> &DimMajor {
+        &self.dim_major
+    }
+
     /// Number of centroids.
     pub fn k(&self) -> usize {
         self.centroids.len()

@@ -17,9 +17,10 @@
 //!   sums), the "slight extension" Section VI sketches for ANNA.
 //! * [`dist_table`] — the one distance-table kernel ([`DimMajor`]): a
 //!   sub-vector against every codeword of a dimension-major codeword set,
-//!   vectorised across codewords and bit-identical to the scalar metric
-//!   functions. LUT construction, PQ encoding and k-means assignment all
-//!   run on it.
+//!   vectorised across codewords on a portable or an AVX-512 arm
+//!   ([`TableArm`]) and bit-identical to the scalar metric functions on
+//!   both. LUT construction, coarse cluster filtering, PQ encoding and
+//!   k-means assignment all run on it.
 //! * [`codes`] — sub-byte code packing: `k* = 16` stores two 4-bit
 //!   identifiers per byte, `k* = 256` one byte each (Section II-D notes the
 //!   CPU's struggle with exactly this 4-bit format; ANNA's EFM unpacker
@@ -51,7 +52,7 @@ pub mod opq;
 pub mod pq;
 
 pub use codes::{CodeWidth, PackedCodes};
-pub use dist_table::DimMajor;
+pub use dist_table::{DimMajor, TableArm};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use opq::{Opq, OpqConfig};
 pub use pq::{PqCodebook, PqConfig};

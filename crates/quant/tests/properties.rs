@@ -3,13 +3,13 @@
 
 use anna_quant::additive::{AqCodebook, AqConfig};
 use anna_quant::codes::{CodeWidth, PackedCodes};
-use anna_quant::dist_table::DimMajor;
+use anna_quant::dist_table::{DimMajor, TableArm};
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::linalg::SmallMat;
 use anna_quant::opq::{Opq, OpqConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_testkit::{forall, same_f32_bits, TestRng};
-use anna_vector::{metric, VectorSet};
+use anna_vector::{metric, Metric, VectorSet};
 
 /// Packed codes always round-trip, at both widths and any m.
 #[test]
@@ -249,11 +249,11 @@ fn nearest_row_major(v: &[f32], rows: &VectorSet) -> (usize, f32) {
     best
 }
 
-/// The distance-table kernel equals `metric::l2_squared` / `metric::dot`
-/// bit for bit on every entry: chunk and tail dimensions (`sub` 1..=9),
-/// full and ragged lane blocks (`k*` 16, 19, 40, 256), NaN / ±∞ / −0.0
-/// inputs (NaNs compare as a class, see [`same_f32_bits`]). `nearest` is
-/// the first minimum of that table.
+/// The distance-table kernel equals `-metric::l2_squared` / `metric::dot`
+/// bit for bit on every entry, on every arm the host runs: chunk and tail
+/// dimensions (`sub` 1..=9), full and ragged lane blocks (`k*` 16, 19, 40,
+/// 256), NaN / ±∞ / −0.0 inputs (NaNs compare as a class, see
+/// [`same_f32_bits`]). `nearest` is the first minimum of that table.
 #[test]
 fn distance_table_kernel_is_bit_identical_to_scalar_metric() {
     forall("distance table kernel == scalar metric", 96, |rng| {
@@ -273,29 +273,95 @@ fn distance_table_kernel_is_bit_identical_to_scalar_metric() {
 
         let dm = DimMajor::new(&rows);
         assert_eq!((dm.k(), dm.dim()), (k, sub));
-        let mut l2 = vec![0.0f32; k];
-        let mut ip = vec![0.0f32; k];
-        dm.l2_table(&v, &mut l2);
-        dm.dot_table(&v, &mut ip);
-        for c in 0..k {
-            let (want_l2, want_ip) = (
-                metric::l2_squared(&v, rows.row(c)),
-                metric::dot(&v, rows.row(c)),
-            );
-            assert!(
-                same_f32_bits(l2[c], want_l2),
-                "l2 sub={sub} k={k} c={c}: {} vs {want_l2}",
-                l2[c]
-            );
-            assert!(
-                same_f32_bits(ip[c], want_ip),
-                "dot sub={sub} k={k} c={c}: {} vs {want_ip}",
-                ip[c]
-            );
+        for arm in TableArm::available() {
+            let mut l2 = vec![0.0f32; k];
+            let mut ip = vec![0.0f32; k];
+            dm.similarities_with(arm, Metric::L2, &v, &mut l2);
+            dm.similarities_with(arm, Metric::InnerProduct, &v, &mut ip);
+            for c in 0..k {
+                let (want_l2, want_ip) = (
+                    -metric::l2_squared(&v, rows.row(c)),
+                    metric::dot(&v, rows.row(c)),
+                );
+                assert!(
+                    same_f32_bits(l2[c], want_l2),
+                    "{arm:?} l2 sub={sub} k={k} c={c}: {} vs {want_l2}",
+                    l2[c]
+                );
+                assert!(
+                    same_f32_bits(ip[c], want_ip),
+                    "{arm:?} dot sub={sub} k={k} c={c}: {} vs {want_ip}",
+                    ip[c]
+                );
+            }
+            let (got, want) = (dm.nearest_with(arm, &v), nearest_row_major(&v, &rows));
+            assert_eq!(got.0, want.0, "{arm:?} nearest sub={sub} k={k}");
+            assert!(same_f32_bits(got.1, want.1), "{arm:?} sub={sub} k={k}");
         }
-        let (got, want) = (dm.nearest(&v), nearest_row_major(&v, &rows));
-        assert_eq!(got.0, want.0, "nearest sub={sub} k={k}");
-        assert!(same_f32_bits(got.1, want.1));
+    });
+}
+
+/// `nearest` is the first strict minimum of the L2 table on every arm, in
+/// the cases a vector argmin gets wrong: a ragged set (`k` 19, 40) whose
+/// codewords all lie far from a query at the origin, so a zero padding
+/// codeword would be nearest if its lane competed; equal minima in one
+/// block and in the same lane of later blocks (the lowest id wins); sets
+/// whose every distance is NaN or `+∞` (`(0, ∞)`, as the scalar scan
+/// returns); `sub` 1..=9.
+#[test]
+fn nearest_is_the_first_minimum_on_every_arm() {
+    forall("nearest == first minimum", 96, |rng| {
+        let sub = rng.usize(1..10);
+        let k = *rng.pick(&[16usize, 19, 40, 256]);
+        let case = rng.usize(0..4);
+        let far = |rng: &mut TestRng| rng.f32(5.0..9.0) * if rng.bool() { 1.0 } else { -1.0 };
+        let mut rows = VectorSet::from_fn(sub, k, |_, _| far(rng));
+        let mut v = vec![0.0f32; sub];
+        let mut want = None;
+        match case {
+            // Padded lanes never win: the origin is nearer to them.
+            0 => {}
+            // Equal minima: copies of one codeword near the origin at
+            // random later ids, the query on it (distance 0) or beside it.
+            1 => {
+                let first = rng.usize(0..k);
+                let word: Vec<f32> = (0..sub).map(|_| rng.f32(-0.5..0.5)).collect();
+                rows.row_mut(first).copy_from_slice(&word);
+                for _ in 0..rng.usize(1..4) {
+                    let at = rng.usize(first..k);
+                    rows.row_mut(at).copy_from_slice(&word);
+                }
+                // The same lane of a later block, too, when there is one.
+                if first + 16 < k {
+                    rows.row_mut(first + 16).copy_from_slice(&word);
+                }
+                let offset = if rng.bool() { 0.0 } else { 0.25 };
+                v = word.iter().map(|x| x + offset).collect();
+                want = Some(first);
+            }
+            // Every distance NaN, or every distance +inf.
+            _ => {
+                let poison = if case == 2 { f32::NAN } else { f32::INFINITY };
+                for c in 0..k {
+                    let d = rng.usize(0..sub);
+                    rows.row_mut(c)[d] = poison;
+                }
+            }
+        }
+        let dm = DimMajor::new(&rows);
+        let oracle = nearest_row_major(&v, &rows);
+        if case >= 2 {
+            assert_eq!(oracle, (0, f32::INFINITY));
+        }
+        if let Some(first) = want {
+            assert_eq!(oracle.0, first, "oracle");
+        }
+        for arm in TableArm::available() {
+            let got = dm.nearest_with(arm, &v);
+            let at = format!("{arm:?} case {case} sub={sub} k={k}");
+            assert_eq!(got.0, oracle.0, "{at}");
+            assert_eq!(got.1.to_bits(), oracle.1.to_bits(), "{at}");
+        }
     });
 }
 
