@@ -88,7 +88,8 @@ pub struct ShardedIndex {
     dim: usize,
     codebook: PqCodebook,
     /// Global coarse centroids — row `g` is cluster `g`, identical to the
-    /// unsharded index's, so filtering arithmetic is unchanged.
+    /// unsharded index's, so filtering arithmetic is unchanged — with the
+    /// dimension-major copy cluster filtering reads.
     coarse: KMeans,
     cluster_sizes: Vec<usize>,
     num_vectors: u64,
