@@ -4,10 +4,11 @@
 //! `reports/kernels_sweep.json`. Every point is cross-checked to return a
 //! bit-identical top-k to the scalar reference. A `lut_build` section
 //! reports LUT construction in tables/sec for L2 and inner product at both
-//! widths on every distance-table arm (`portable`, and `avx512` where the
-//! host has it), every entry cross-checked against the `metric::*` oracle,
-//! and an `encode` section PQ encoding in sub-vectors/sec per width and
-//! arm, every code cross-checked against the row-major scan. A
+//! widths under every dispatch, each row naming the distance-table arm it
+//! ran (`avx512` under the `avx512` dispatch, else `portable`), every
+//! entry cross-checked against the `metric::*` oracle, and an `encode`
+//! section PQ encoding in sub-vectors/sec per width and dispatch, every
+//! code cross-checked against the row-major scan. A
 //! `select` section splits one query's scan → select time into scoring,
 //! threshold filtering and selector pushes per dispatch × `k*` for one
 //! warm selector, and under the process-wide dispatch for 512 cold
@@ -16,8 +17,8 @@
 //! cluster for all its visitors as the batch engine runs it — each point
 //! cross-checked against the scalar path. A
 //! `rerank` section reports ns per candidate of the two-phase rescore per
-//! arm (`portable`, and `f16c` where the host has it) × metric × vector
-//! precision at the benchmark's shape (100 candidates from 100 000 rows of
+//! dispatch (each row naming its arm: `f16c` under `avx2` and `avx512`,
+//! else `portable`) × metric × vector precision at the benchmark's shape (100 candidates from 100 000 rows of
 //! dim 64), each point cross-checked bit for bit against the portable arm.
 //! Any divergence exits non-zero, and so does a report or snapshot that
 //! cannot be written (the error names the path).
@@ -75,8 +76,8 @@ fn main() {
     for p in &sweep.lut_build {
         if !p.identical_to_oracle {
             eprintln!(
-                "FAIL: table arm {} {} k*={} LUT diverged from the metric::* oracle",
-                p.arm, p.metric, p.kstar
+                "FAIL: dispatch {} (table arm {}) {} k*={} LUT diverged from the metric::* oracle",
+                p.dispatch, p.arm, p.metric, p.kstar
             );
             std::process::exit(1);
         }
@@ -84,8 +85,8 @@ fn main() {
     for p in &sweep.encode {
         if !p.identical_to_oracle {
             eprintln!(
-                "FAIL: table arm {} k*={} encoding diverged from the row-major oracle",
-                p.arm, p.kstar
+                "FAIL: dispatch {} (table arm {}) k*={} encoding diverged from the row-major oracle",
+                p.dispatch, p.arm, p.kstar
             );
             std::process::exit(1);
         }
@@ -102,7 +103,8 @@ fn main() {
     for p in &sweep.rerank {
         if !p.identical_to_portable {
             eprintln!(
-                "FAIL: re-rank arm {} ({} {}) diverged from the portable arm",
+                "FAIL: dispatch {} (re-rank arm {}, {} {}) diverged from the portable arm",
+                p.dispatch,
                 p.arm,
                 p.metric,
                 p.precision()

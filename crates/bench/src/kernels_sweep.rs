@@ -11,12 +11,13 @@
 //! assumed.
 //!
 //! A second section, `lut_build`, times LUT construction (the
-//! distance-table kernel) for L2 and inner product at both widths on every
-//! distance-table arm ([`TableArm`]) the host runs, each point
-//! cross-checked entry by entry, bit for bit, against the
-//! `metric::{l2_squared, dot}` oracle; an `encode` row per width and arm
-//! times PQ encoding (`DimMajor::nearest_with`) in sub-vectors per second,
-//! cross-checked against the row-major first-minimum scan.
+//! distance-table kernel) for L2 and inner product at both widths under
+//! every dispatch the host runs, each row naming the distance-table arm
+//! that dispatch ran ([`table_arm_name`]) and each point cross-checked
+//! entry by entry, bit for bit, against the `metric::{l2_squared, dot}`
+//! oracle; an `encode` row per width and dispatch times PQ encoding
+//! (`DimMajor::nearest_with`) in sub-vectors per second, cross-checked
+//! against the row-major first-minimum scan.
 //!
 //! A third section, `select`, splits one query's scan → select time at the
 //! benchmark's shape into scoring, threshold filtering and selector pushes
@@ -25,16 +26,17 @@
 //! [`SelectPoint`]).
 //!
 //! A fourth section, `rerank`, times the two-phase rescore
-//! ([`exact::rescore_subset_with`]) per [`RescoreArm`] × metric × vector
-//! precision at the benchmark's shape, each point cross-checked bit for bit
-//! against the portable arm (see [`RerankPoint`]).
+//! ([`exact::rescore_subset_with`]) per dispatch × metric × vector
+//! precision at the benchmark's shape, each row naming the rescore arm
+//! that ran ([`exact::rescore_arm_name`]) and each point cross-checked bit
+//! for bit against the portable arm (see [`RerankPoint`]).
 
 use anna_index::{kernels, KernelDispatch, Lut, LutPrecision, ScanScratch};
 use anna_quant::codes::{CodeWidth, PackedCodes};
-use anna_quant::dist_table::TableArm;
+use anna_quant::dist_table::table_arm_name;
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::exact::{self, RescoreArm, RescoreScratch};
+use anna_vector::exact::{self, RescoreScratch};
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
 
 use crate::json::Json;
@@ -57,13 +59,15 @@ pub struct KernelPoint {
     pub identical_to_scalar: bool,
 }
 
-/// One measured LUT-construction point: one metric at one `k*` on one
-/// distance-table arm.
+/// One measured LUT-construction point: one metric at one `k*` under one
+/// dispatch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutBuildPoint {
     /// Codewords per table.
     pub kstar: usize,
-    /// Distance-table arm name (`portable` / `avx512`).
+    /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
+    pub dispatch: String,
+    /// The distance-table arm it ran (`portable` / `avx512`).
     pub arm: String,
     /// `l2` (rebuilt per visited cluster) or `inner-product`.
     pub metric: Metric,
@@ -78,13 +82,15 @@ pub struct LutBuildPoint {
 }
 
 /// One measured encoding point: PQ encoding at the benchmark's shape
-/// (`dim 64`, `m 16`) at one `k*` on one distance-table arm — every
-/// sub-vector's nearest codeword through `DimMajor::nearest_with`.
+/// (`dim 64`, `m 16`) at one `k*` under one dispatch — every sub-vector's
+/// nearest codeword through `DimMajor::nearest_with`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodePoint {
     /// Codewords per codebook.
     pub kstar: usize,
-    /// Distance-table arm name (`portable` / `avx512`).
+    /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
+    pub dispatch: String,
+    /// The distance-table arm it ran (`portable` / `avx512`).
     pub arm: String,
     /// Sub-vectors encoded per second, single thread.
     pub subvectors_per_sec: f64,
@@ -156,14 +162,16 @@ pub struct SelectPoint {
     pub identical_to_scalar: bool,
 }
 
-/// One measured re-rank point: one [`RescoreArm`] rescoring the benchmark
+/// One measured re-rank point: one dispatch rescoring the benchmark
 /// `two_phase` workload's per-query candidate lists — 100 candidates drawn
 /// from [`KernelsSweep::rerank_rows`] rows of dim 64 (the benchmark's
 /// 100 000 at the default size), best 10 kept — for one metric at one
 /// vector precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RerankPoint {
-    /// Arm name (`portable` / `f16c`).
+    /// Dispatch name (`scalar` / `blocked` / `avx2` / `avx512`).
+    pub dispatch: String,
+    /// The rescore arm it ran (`portable` / `f16c`).
     pub arm: String,
     /// Similarity metric.
     pub metric: Metric,
@@ -200,24 +208,20 @@ pub struct KernelsSweep {
     pub default_dispatch: String,
     /// Measured points, scalar first within each width.
     pub points: Vec<KernelPoint>,
-    /// What `TableArm::current()` resolved to on this host.
-    pub default_table_arm: String,
     /// LUT-construction points: `k* ∈ {16, 256} × {l2, inner-product} ×`
-    /// every available distance-table arm.
+    /// every available dispatch.
     pub lut_build: Vec<LutBuildPoint>,
-    /// Encoding points: `k* ∈ {16, 256} ×` every available arm.
+    /// Encoding points: `k* ∈ {16, 256} ×` every available dispatch.
     pub encode: Vec<EncodePoint>,
     /// Scan → select splits per `k* ∈ {16, 256}`: warm under every
     /// available dispatch, then cold under the process-wide one, per query
     /// and grouped.
     pub select: Vec<SelectPoint>,
-    /// What `RescoreArm::current()` resolved to on this host.
-    pub default_rescore_arm: String,
     /// Database rows the re-rank candidates are drawn from (100 000, the
     /// benchmark's, at the default size).
     pub rerank_rows: usize,
-    /// Re-rank points: every available arm × {l2, inner-product} × {f16,
-    /// f32}.
+    /// Re-rank points: every available dispatch × {l2, inner-product} ×
+    /// {f16, f32}.
     pub rerank: Vec<RerankPoint>,
 }
 
@@ -346,11 +350,9 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
         passes,
         default_dispatch: KernelDispatch::current().name().to_string(),
         points,
-        default_table_arm: TableArm::current().name().to_string(),
         lut_build: lut_build_points(passes),
         encode: encode_points(passes),
         select: select_points(passes),
-        default_rescore_arm: RescoreArm::current().name().to_string(),
         rerank_rows: rerank_rows(n),
         rerank: rerank_points(rerank_rows(n), passes),
     }
@@ -371,11 +373,11 @@ fn rerank_rows(n: usize) -> usize {
     (n / 2).clamp(RERANK_CANDIDATES, RERANK_ROWS)
 }
 
-/// Times every available [`RescoreArm`] × metric × precision over
-/// candidate lists drawn from `rows` rows ([`RERANK_QUERIES`] lists at the
+/// Times every available dispatch × metric × precision over candidate
+/// lists drawn from `rows` rows ([`RERANK_QUERIES`] lists at the
 /// benchmark's [`RERANK_ROWS`], proportionally fewer below it): the
 /// fastest of `passes` rounds, after a cross-check of every query against
-/// the portable arm.
+/// the portable arm (the `scalar` dispatch's).
 fn rerank_points(rows: usize, passes: usize) -> Vec<RerankPoint> {
     let dim = 64usize;
     let nq = (RERANK_QUERIES * rows / RERANK_ROWS).max(8);
@@ -399,13 +401,13 @@ fn rerank_points(rows: usize, passes: usize) -> Vec<RerankPoint> {
 
     let mut scratch = RescoreScratch::new();
     let mut out = Vec::new();
-    let mut rescore_all = |arm: RescoreArm, metric: Metric, f16_vectors: bool| {
+    let mut rescore_all = |dispatch: KernelDispatch, metric: Metric, f16_vectors: bool| {
         lists
             .iter()
             .enumerate()
             .map(|(qi, ids)| {
                 exact::rescore_subset_with(
-                    arm,
+                    dispatch,
                     queries.row(qi),
                     ids,
                     &db,
@@ -423,18 +425,19 @@ fn rerank_points(rows: usize, passes: usize) -> Vec<RerankPoint> {
     let mut points = Vec::new();
     for metric_kind in [Metric::L2, Metric::InnerProduct] {
         for f16_vectors in [true, false] {
-            let reference = rescore_all(RescoreArm::Portable, metric_kind, f16_vectors);
-            for arm in RescoreArm::available() {
-                let identical = rescore_all(arm, metric_kind, f16_vectors) == reference;
+            let reference = rescore_all(KernelDispatch::Scalar, metric_kind, f16_vectors);
+            for dispatch in KernelDispatch::available() {
+                let identical = rescore_all(dispatch, metric_kind, f16_vectors) == reference;
                 let best_ns = (0..passes.max(1))
                     .map(|_| {
                         let start = std::time::Instant::now();
-                        black_box(rescore_all(arm, metric_kind, f16_vectors));
+                        black_box(rescore_all(dispatch, metric_kind, f16_vectors));
                         start.elapsed().as_secs_f64() * 1e9
                     })
                     .fold(f64::INFINITY, f64::min);
                 points.push(RerankPoint {
-                    arm: arm.name().to_string(),
+                    dispatch: dispatch.name().to_string(),
+                    arm: exact::rescore_arm_name(dispatch).to_string(),
                     metric: metric_kind,
                     f16_vectors,
                     ns_per_candidate: best_ns / (nq * RERANK_CANDIDATES) as f64,
@@ -658,7 +661,7 @@ fn benchmark_shape_book(kstar: usize) -> (PqCodebook, Vec<f32>) {
 }
 
 /// Times LUT construction at the benchmark's shape (`dim 64`, `m 16`, so
-/// 4-dimensional sub-vectors) on every available distance-table arm:
+/// 4-dimensional sub-vectors) under every available dispatch:
 /// `200 × passes` builds per point, after an oracle cross-check of every
 /// entry.
 fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
@@ -671,12 +674,12 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
         let residual_oracle = metric::sub(&q, &centroid);
         let sub = book.sub_dim();
         for metric_kind in [Metric::L2, Metric::InnerProduct] {
-            for arm in TableArm::available() {
+            for dispatch in KernelDispatch::available() {
                 let mut slot = Lut::placeholder();
                 let mut residual = Vec::new();
                 let mut build = |slot: &mut Lut| match metric_kind {
                     Metric::L2 => slot.rebuild_l2_with(
-                        arm,
+                        dispatch,
                         &q,
                         &centroid,
                         &book,
@@ -684,7 +687,7 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
                         &mut residual,
                     ),
                     Metric::InnerProduct => {
-                        *slot = Lut::build_ip_with(arm, &q, &book, LutPrecision::F32)
+                        *slot = Lut::build_ip_with(dispatch, &q, &book, LutPrecision::F32)
                     }
                 };
                 build(&mut slot);
@@ -709,7 +712,8 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
                 let entries = (builds * book.m() * book.kstar()) as f64;
                 points.push(LutBuildPoint {
                     kstar,
-                    arm: arm.name().to_string(),
+                    dispatch: dispatch.name().to_string(),
+                    arm: table_arm_name(dispatch).to_string(),
                     metric: metric_kind,
                     tables_per_sec: builds as f64 / secs,
                     ns_per_entry: secs * 1e9 / entries,
@@ -724,8 +728,8 @@ fn lut_build_points(passes: usize) -> Vec<LutBuildPoint> {
 /// Vectors encoded per round of the `encode` section.
 const ENCODE_VECTORS: usize = 1_000;
 
-/// Times PQ encoding at the benchmark's shape on every available
-/// distance-table arm: `ENCODE_VECTORS × m` sub-vectors per round, `passes`
+/// Times PQ encoding at the benchmark's shape under every available
+/// dispatch: `ENCODE_VECTORS × m` sub-vectors per round, `passes`
 /// rounds, after a cross-check of every code and distance against the
 /// row-major `metric::l2_squared` first-minimum scan.
 fn encode_points(passes: usize) -> Vec<EncodePoint> {
@@ -746,8 +750,8 @@ fn encode_points(passes: usize) -> Vec<EncodePoint> {
             }
             best
         };
-        for arm in TableArm::available() {
-            let encode = |v: &[f32], j: usize| book.dim_major(j).nearest_with(arm, v);
+        for dispatch in KernelDispatch::available() {
+            let encode = |v: &[f32], j: usize| book.dim_major(j).nearest_with(dispatch, v);
             let identical = data.iter().all(|x| {
                 (0..m).all(|j| {
                     let v = &x[j * sub..(j + 1) * sub];
@@ -766,7 +770,8 @@ fn encode_points(passes: usize) -> Vec<EncodePoint> {
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             points.push(EncodePoint {
                 kstar,
-                arm: arm.name().to_string(),
+                dispatch: dispatch.name().to_string(),
+                arm: table_arm_name(dispatch).to_string(),
                 subvectors_per_sec: (passes.max(1) * ENCODE_VECTORS * m) as f64 / secs,
                 identical_to_oracle: identical,
             });
@@ -800,7 +805,6 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
-            .set("default_table_arm", self.default_table_arm.as_str())
             .set(
                 "lut_build",
                 Json::Arr(
@@ -809,6 +813,7 @@ impl KernelsSweep {
                         .map(|p| {
                             Json::obj()
                                 .set("kstar", p.kstar)
+                                .set("dispatch", p.dispatch.as_str())
                                 .set("arm", p.arm.as_str())
                                 .set("metric", p.metric.to_string().as_str())
                                 .set("tables_per_sec", p.tables_per_sec)
@@ -826,6 +831,7 @@ impl KernelsSweep {
                         .map(|p| {
                             Json::obj()
                                 .set("kstar", p.kstar)
+                                .set("dispatch", p.dispatch.as_str())
                                 .set("arm", p.arm.as_str())
                                 .set("subvectors_per_sec", p.subvectors_per_sec)
                                 .set("identical_to_oracle", p.identical_to_oracle)
@@ -856,7 +862,6 @@ impl KernelsSweep {
                         .collect(),
                 ),
             )
-            .set("default_rescore_arm", self.default_rescore_arm.as_str())
             .set("rerank_rows", self.rerank_rows)
             .set(
                 "rerank",
@@ -865,6 +870,7 @@ impl KernelsSweep {
                         .iter()
                         .map(|p| {
                             Json::obj()
+                                .set("dispatch", p.dispatch.as_str())
                                 .set("arm", p.arm.as_str())
                                 .set("metric", p.metric.to_string().as_str())
                                 .set("precision", p.precision())
@@ -894,14 +900,15 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== LUT build (m=16, sub-dim 4; default arm: {}) ===\n{:<6} {:<14} {:<9} {:>12} {:>10} {:>10}\n",
-            self.default_table_arm, "k*", "metric", "arm", "tables/sec", "ns/entry", "identical"
+            "\n=== LUT build (m=16, sub-dim 4) ===\n{:<6} {:<14} {:<9} {:<9} {:>12} {:>10} {:>10}\n",
+            "k*", "metric", "dispatch", "arm", "tables/sec", "ns/entry", "identical"
         ));
         for p in &self.lut_build {
             s.push_str(&format!(
-                "{:<6} {:<14} {:<9} {:>12.0} {:>10.2} {:>10}\n",
+                "{:<6} {:<14} {:<9} {:<9} {:>12.0} {:>10.2} {:>10}\n",
                 p.kstar,
                 p.metric.to_string(),
+                p.dispatch,
                 p.arm,
                 p.tables_per_sec,
                 p.ns_per_entry,
@@ -909,13 +916,14 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== encode (m=16, sub-dim 4, {ENCODE_VECTORS} vectors) ===\n{:<6} {:<9} {:>14} {:>10} {:>10}\n",
-            "k*", "arm", "subvec/sec", "ns/subvec", "identical"
+            "\n=== encode (m=16, sub-dim 4, {ENCODE_VECTORS} vectors) ===\n{:<6} {:<9} {:<9} {:>14} {:>10} {:>10}\n",
+            "k*", "dispatch", "arm", "subvec/sec", "ns/subvec", "identical"
         ));
         for p in &self.encode {
             s.push_str(&format!(
-                "{:<6} {:<9} {:>14.0} {:>10.2} {:>10}\n",
+                "{:<6} {:<9} {:<9} {:>14.0} {:>10.2} {:>10}\n",
                 p.kstar,
+                p.dispatch,
                 p.arm,
                 p.subvectors_per_sec,
                 1e9 / p.subvectors_per_sec,
@@ -944,12 +952,13 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== re-rank (dim 64, {RERANK_CANDIDATES} of {} rows per query, k={RERANK_K}; default arm: {}) ===\n{:<9} {:<14} {:<9} {:>10} {:>10}\n",
-            self.rerank_rows, self.default_rescore_arm, "arm", "metric", "precision", "ns/cand", "identical"
+            "\n=== re-rank (dim 64, {RERANK_CANDIDATES} of {} rows per query, k={RERANK_K}) ===\n{:<9} {:<9} {:<14} {:<9} {:>10} {:>10}\n",
+            self.rerank_rows, "dispatch", "arm", "metric", "precision", "ns/cand", "identical"
         ));
         for p in &self.rerank {
             s.push_str(&format!(
-                "{:<9} {:<14} {:<9} {:>10.1} {:>10}\n",
+                "{:<9} {:<9} {:<14} {:<9} {:>10.1} {:>10}\n",
+                p.dispatch,
                 p.arm,
                 p.metric.to_string(),
                 p.precision(),
@@ -994,32 +1003,19 @@ mod tests {
         }
         assert!(sweep.best_speedup_at(16).is_some());
         assert!(sweep.best_speedup_at(512).is_none());
-        // LUT build: {l2, ip} x {16, 256} x every arm, every entry equal
-        // to the oracle; encode: {16, 256} x every arm.
-        let arms = TableArm::available().len();
-        assert_eq!(sweep.lut_build.len(), 4 * arms);
+        // LUT build: {l2, ip} x {16, 256} x every dispatch, every entry
+        // equal to the oracle; encode: {16, 256} x every dispatch.
+        assert_eq!(sweep.lut_build.len(), 4 * per_width);
         for p in &sweep.lut_build {
-            assert!(
-                p.tables_per_sec > 0.0,
-                "{} {} k*={}",
-                p.arm,
-                p.metric,
-                p.kstar
-            );
-            assert!(
-                p.identical_to_oracle,
-                "{} {} k*={} LUT diverged from metric::*",
-                p.arm, p.metric, p.kstar
-            );
+            let at = format!("{} ({}) {} k*={}", p.dispatch, p.arm, p.metric, p.kstar);
+            assert!(p.tables_per_sec > 0.0, "{at}");
+            assert!(p.identical_to_oracle, "{at} LUT diverged from metric::*");
         }
-        assert_eq!(sweep.encode.len(), 2 * arms);
+        assert_eq!(sweep.encode.len(), 2 * per_width);
         for p in &sweep.encode {
-            assert!(p.subvectors_per_sec > 0.0, "{} k*={}", p.arm, p.kstar);
-            assert!(
-                p.identical_to_oracle,
-                "{} k*={} encode diverged",
-                p.arm, p.kstar
-            );
+            let at = format!("{} ({}) k*={}", p.dispatch, p.arm, p.kstar);
+            assert!(p.subvectors_per_sec > 0.0, "{at}");
+            assert!(p.identical_to_oracle, "{at} encode diverged");
         }
         // Select split: {16, 256} x (warm under every dispatch + cold under
         // the process-wide one, per query and grouped), each bit-identical.
@@ -1040,11 +1036,11 @@ mod tests {
                 p.dispatch, p.kstar
             );
         }
-        // Re-rank: every arm x {l2, ip} x {f16, f32}, each equal to the
-        // portable arm.
-        assert_eq!(sweep.rerank.len(), 4 * RescoreArm::available().len());
+        // Re-rank: every dispatch x {l2, ip} x {f16, f32}, each equal to
+        // the portable arm.
+        assert_eq!(sweep.rerank.len(), 4 * per_width);
         for p in &sweep.rerank {
-            let at = format!("{} {} {}", p.arm, p.metric, p.precision());
+            let at = format!("{} ({}) {} {}", p.dispatch, p.arm, p.metric, p.precision());
             assert!(p.ns_per_candidate > 0.0, "{at}");
             assert!(p.identical_to_portable, "{at} diverged from portable");
         }
@@ -1077,7 +1073,6 @@ mod tests {
             "\"gbps\"",
             "\"speedup_vs_scalar\"",
             "\"identical_to_scalar\"",
-            "\"default_table_arm\"",
             "\"lut_build\"",
             "\"arm\"",
             "\"encode\"",
@@ -1094,7 +1089,6 @@ mod tests {
             "\"grouped\"",
             "\"scan_us\"",
             "\"selector_kb\"",
-            "\"default_rescore_arm\"",
             "\"rerank_rows\"",
             "\"rerank\"",
             "\"precision\"",

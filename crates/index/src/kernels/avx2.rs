@@ -47,13 +47,8 @@
 //! registers and spills only the passing lanes — the software image of the
 //! SCM handing the P-heap nothing but winners (PAPER §III-B(4)).
 
-#![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-
 use super::Sink;
 
-#[cfg(target_arch = "x86")]
-use std::arch::x86 as arch;
-#[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as arch;
 
 /// Most dwords of packed row the SIMD path keeps per lane (`nd ≤ 8` covers

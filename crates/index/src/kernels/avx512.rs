@@ -101,13 +101,8 @@
 //! the block's `count`, a survivors buffer needs `count + SINK_SLACK`
 //! slots (sixteen lanes of slack), which the safe wrapper asserts.
 
-#![cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-
 use super::Sink;
 
-#[cfg(target_arch = "x86")]
-use std::arch::x86 as arch;
-#[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as arch;
 
 use arch::{__m512, __m512i};

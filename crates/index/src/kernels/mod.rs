@@ -6,9 +6,10 @@
 //! The scan is a five-layer subsystem behind one loop,
 //! [`scan_group_with`] ([`scan_with`] is its one-visitor case):
 //!
-//! 1. **Runtime ISA dispatch** ([`KernelDispatch`]) — selected once per
-//!    process from the host's CPU features (or `ANNA_FORCE_SCALAR`); it
-//!    looks at no codes and no tables.
+//! 1. **Runtime ISA dispatch** ([`KernelDispatch`], the workspace's one
+//!    hardware decision) — selected once per process from the host's CPU
+//!    features (or `ANNA_FORCE_SCALAR`); it looks at no codes and no
+//!    tables.
 //! 2. **Kernel** — `Kernel::select` maps the dispatch, the codes' width
 //!    and row bytes and the table size onto one kernel, in one place: the
 //!    seed scalar loops (`scalar`, the reference); the unrolled four-row
@@ -108,15 +109,14 @@
 //! from its own lookup-table SRAM.
 
 mod blocked;
-pub mod dispatch;
 mod scalar;
 
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx512;
 
-pub use dispatch::KernelDispatch;
+pub use anna_vector::KernelDispatch;
 
 use crate::lut::Lut;
 use anna_quant::codes::{CodeWidth, PackedCodes};
@@ -613,14 +613,14 @@ fn score_block(
             }
             done
         }
-        // Off x86 there is no SIMD kernel: the row loop scores the block.
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        // Off x86-64 there is no SIMD kernel: the row loop scores the block.
+        #[cfg(not(target_arch = "x86_64"))]
         _ => 0,
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         _ => {
             let isa_detected = match kernel {
-                Kernel::Avx2Lut16 => dispatch::avx2_supported(),
-                _ => dispatch::avx512_supported(),
+                Kernel::Avx2Lut16 => KernelDispatch::Avx2.is_available(),
+                _ => KernelDispatch::Avx512.is_available(),
             };
             assert!(isa_detected, "SIMD kernel on a host without its ISA");
             /// The grouped LUT16 kernel over rows of `$nd` dwords for the
@@ -642,7 +642,7 @@ fn score_block(
                 }};
             }
             // SAFETY: `isa_detected` (asserted just above) is the feature
-            // set of whichever kernel the match calls (`avx512_supported`
+            // set of whichever kernel the match calls (the `avx512` level
             // covers the `popcnt` of the AVX-512 sinks). `kernel.fits`
             // (asserted for every LUT at the top) is the shape each kernel
             // assumes: for the gather kernel, byte codes with `m >= 4`

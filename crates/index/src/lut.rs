@@ -5,9 +5,8 @@
 //! codeword `c` of codebook `B_i` to the similarity. With it, scoring one
 //! encoded vector costs `M` lookups and `M − 1` additions.
 
-use anna_quant::dist_table::TableArm;
 use anna_quant::pq::PqCodebook;
-use anna_vector::{f16, Metric};
+use anna_vector::{f16, KernelDispatch, Metric};
 use serde::{Deserialize, Serialize};
 
 /// Precision at which LUT entries are stored.
@@ -67,25 +66,25 @@ impl Lut {
     ///
     /// Panics if `q.len() != book.dim()`.
     pub fn build_ip(q: &[f32], book: &PqCodebook, precision: LutPrecision) -> Self {
-        Self::build_ip_with(TableArm::current(), q, book, precision)
+        Self::build_ip_with(KernelDispatch::current(), q, book, precision)
     }
 
-    /// [`Lut::build_ip`] with the distance-table kernel on an explicit
-    /// [`TableArm`] — what the arm-equivalence tests and `kernels_sweep`
-    /// drive.
+    /// [`Lut::build_ip`] with the distance-table kernel on the arm of an
+    /// explicit [`KernelDispatch`] — what the arm-equivalence tests and
+    /// `kernels_sweep` drive.
     ///
     /// # Panics
     ///
-    /// As [`Lut::build_ip`], and if the host cannot run `arm`.
+    /// As [`Lut::build_ip`], and if the host cannot run `dispatch`.
     pub fn build_ip_with(
-        arm: TableArm,
+        dispatch: KernelDispatch,
         q: &[f32],
         book: &PqCodebook,
         precision: LutPrecision,
     ) -> Self {
         assert_eq!(q.len(), book.dim(), "query dimension mismatch");
         let mut lut = Self::placeholder();
-        lut.fill(arm, Metric::InnerProduct, q, book, precision);
+        lut.fill(dispatch, Metric::InnerProduct, q, book, precision);
         lut
     }
 
@@ -118,8 +117,8 @@ impl Lut {
     ///
     /// Each of the `m` tables is one pass of the distance-table kernel
     /// ([`anna_quant::DimMajor::similarities`]) over the codebook's
-    /// dimension-major copy, vectorised across codewords, on the process's
-    /// [`TableArm::current`]. The kernel is vertical — every entry is
+    /// dimension-major copy, vectorised across codewords, on the arm of
+    /// [`KernelDispatch::current`]. The kernel is vertical — every entry is
     /// `-metric::l2_squared(r_i, B_i[c])` bit for bit on every arm — and
     /// this is the single shared implementation ([`build_l2`] delegates
     /// here), so a rebuilt table is bit-identical to a freshly built one:
@@ -138,18 +137,19 @@ impl Lut {
         precision: LutPrecision,
         residual: &mut Vec<f32>,
     ) {
-        self.rebuild_l2_with(TableArm::current(), q, centroid, book, precision, residual);
+        let dispatch = KernelDispatch::current();
+        self.rebuild_l2_with(dispatch, q, centroid, book, precision, residual);
     }
 
-    /// [`Lut::rebuild_l2`] with the distance-table kernel on an explicit
-    /// [`TableArm`].
+    /// [`Lut::rebuild_l2`] with the distance-table kernel on the arm of an
+    /// explicit [`KernelDispatch`].
     ///
     /// # Panics
     ///
-    /// As [`Lut::rebuild_l2`], and if the host cannot run `arm`.
+    /// As [`Lut::rebuild_l2`], and if the host cannot run `dispatch`.
     pub fn rebuild_l2_with(
         &mut self,
-        arm: TableArm,
+        dispatch: KernelDispatch,
         q: &[f32],
         centroid: &[f32],
         book: &PqCodebook,
@@ -160,15 +160,15 @@ impl Lut {
         assert_eq!(centroid.len(), book.dim(), "centroid dimension mismatch");
         residual.clear();
         residual.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
-        self.fill(arm, Metric::L2, residual, book, precision);
+        self.fill(dispatch, Metric::L2, residual, book, precision);
     }
 
     /// Re-shapes this table for `book` (zero bias) and fills table `i`'s
     /// `k*` entries with `metric`'s similarities of sub-vector `v_i` to the
-    /// codewords of `B_i`, on `arm`, at `precision`.
+    /// codewords of `B_i`, on the arm of `dispatch`, at `precision`.
     fn fill(
         &mut self,
-        arm: TableArm,
+        dispatch: KernelDispatch,
         metric: Metric,
         v: &[f32],
         book: &PqCodebook,
@@ -184,7 +184,7 @@ impl Lut {
         let sub = book.sub_dim();
         for i in 0..self.m {
             book.dim_major(i).similarities_with(
-                arm,
+                dispatch,
                 metric,
                 &v[i * sub..(i + 1) * sub],
                 &mut self.entries[i * self.kstar..(i + 1) * self.kstar],

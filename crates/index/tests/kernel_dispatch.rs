@@ -222,7 +222,12 @@ fn encoded_clusters_score_identically_across_dispatches() {
                     KernelDispatch::Scalar,
                     &mut scratch,
                 );
-                assert_eq!(top.into_sorted_vec(), reference.into_sorted_vec());
+                assert_eq!(
+                    top.into_sorted_vec(),
+                    reference.into_sorted_vec(),
+                    "m={m} kstar={kstar} dispatch={} top-k",
+                    dispatch.name()
+                );
             }
         }
     }
@@ -271,9 +276,15 @@ fn process_wide_dispatch_matches_reference() {
     let want = scalar_reference(&codes, &lut);
     let mut top = TopK::new(codes.len());
     let tally = kernels::scan(&codes, &ids, &lut, &mut top);
-    assert_eq!(tally.scanned, codes.len() as u64);
+    let d = KernelDispatch::current().name();
+    assert_eq!(tally.scanned, codes.len() as u64, "{d}");
     for h in top.into_sorted_vec() {
-        assert_eq!(h.score.to_bits(), want[h.id as usize].to_bits());
+        assert_eq!(
+            h.score.to_bits(),
+            want[h.id as usize].to_bits(),
+            "{d} id {}",
+            h.id
+        );
     }
 }
 

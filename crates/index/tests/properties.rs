@@ -1,8 +1,10 @@
 //! Property-based tests for the IVF-PQ index and its execution schedules
 //! (seeded `anna-testkit` harness; failures report a replayable seed).
 
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, Lut, LutPrecision, SearchParams};
-use anna_quant::dist_table::TableArm;
+use anna_index::{
+    BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch, Lut, LutPrecision, SearchParams,
+};
+use anna_quant::dist_table::table_arm_name;
 use anna_quant::pq::PqCodebook;
 use anna_testkit::{forall, same_f32_bits, TestRng};
 use anna_vector::{f16, metric, Metric, VectorSet};
@@ -200,9 +202,9 @@ fn lut_entries_equal_the_scalar_metric_oracle() {
             let l2 = Lut::build_l2(&q, &centroid, &book, precision);
             let ip = Lut::build_ip(&q, &book, precision);
             slot.rebuild_l2(&q, &centroid, &book, precision, &mut scratch);
-            for arm in TableArm::available() {
-                let arm_ip = Lut::build_ip_with(arm, &q, &book, precision);
-                arm_slot.rebuild_l2_with(arm, &q, &centroid, &book, precision, &mut scratch);
+            for dispatch in KernelDispatch::available() {
+                let arm_ip = Lut::build_ip_with(dispatch, &q, &book, precision);
+                arm_slot.rebuild_l2_with(dispatch, &q, &centroid, &book, precision, &mut scratch);
                 for i in 0..m {
                     let span = i * sub..(i + 1) * sub;
                     for c in 0..kstar {
@@ -213,7 +215,8 @@ fn lut_entries_equal_the_scalar_metric_oracle() {
                         assert!(same_f32_bits(l2.get(i, c), want_l2), "l2 {at}");
                         assert!(same_f32_bits(slot.get(i, c), want_l2), "l2 slot {at}");
                         assert!(same_f32_bits(ip.get(i, c), want_ip), "ip {at}");
-                        let at = format!("{} {at}", arm.name());
+                        let arm = table_arm_name(dispatch);
+                        let at = format!("{} ({arm}) {at}", dispatch.name());
                         assert!(same_f32_bits(arm_slot.get(i, c), want_l2), "l2 {at}");
                         assert!(same_f32_bits(arm_ip.get(i, c), want_ip), "ip {at}");
                     }

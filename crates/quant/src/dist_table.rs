@@ -13,20 +13,22 @@
 //!
 //! # Two arms
 //!
-//! Which code runs a pass is a [`TableArm`], chosen once per process like
-//! the re-rank's `RescoreArm`:
+//! Which code runs a pass follows the [`KernelDispatch`] it runs under —
+//! the process's one hardware decision, [`KernelDispatch::current`] unless
+//! a `_with` twin names another ([`table_arm_name`]):
 //!
 //! * **portable** — lane arrays of eight codewords (half a block) that the
 //!   compiler vectorises for the baseline target: on x86-64 two SSE
 //!   registers per array, so four accumulators take 8 of the 16 and
-//!   nothing spills. The reference, and what `ANNA_FORCE_SCALAR` pins.
-//! * **avx512** — x86-64 AVX-512F intrinsics: a whole sixteen-codeword
-//!   block per step, one ZMM register per term. L2 similarities leave it
-//!   negated by a sign-bit flip on the way to the store, and its `nearest`
-//!   keeps a running first minimum per lane in registers. Its loads and
-//!   stores are value-only (the compiler turns them into one full-width
-//!   move each), so the one `unsafe` is the call into it behind its
-//!   detected token.
+//!   nothing spills. The reference, and what every dispatch but `avx512`
+//!   runs (so `ANNA_FORCE_SCALAR`, which pins `scalar`, runs it too).
+//! * **avx512** — under the `avx512` dispatch, x86-64 AVX-512F
+//!   intrinsics: a whole sixteen-codeword block per step, one ZMM register
+//!   per term. L2 similarities leave it negated by a sign-bit flip on the
+//!   way to the store, and its `nearest` keeps a running first minimum per
+//!   lane in registers. Its loads and stores are value-only (the compiler
+//!   turns them into one full-width move each), so the one `unsafe` is the
+//!   call into it behind its detected token.
 //!
 //! # Vertical means bit-identical
 //!
@@ -46,7 +48,7 @@
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
-use anna_vector::{Metric, VectorSet};
+use anna_vector::{KernelDispatch, Metric, VectorSet};
 
 /// Codewords per block of a [`DimMajor`]: one AVX-512 register of f32.
 /// The portable arm walks a block as two halves of eight.
@@ -57,57 +59,42 @@ pub const LANES: usize = 16;
 /// leaving the rest for operands, so nothing spills.
 const HALF: usize = LANES / 2;
 
-/// Which implementation runs the distance-table kernel. Every arm returns
-/// the same entries and the same nearest codeword bit for bit (see the
-/// module docs), so the choice is a pure throughput decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TableArm {
-    /// Eight codewords per step in compiler-vectorised lane arrays: the
-    /// reference the other arm must reproduce, and what
-    /// `ANNA_FORCE_SCALAR` pins.
-    Portable,
-    /// x86-64 AVX-512F: sixteen codewords per step, one ZMM register per
-    /// term.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
+/// Whether `dispatch` runs the distance-table kernel on the AVX-512 arm
+/// (else the portable one): only the `avx512` dispatch does. Both arms
+/// return the same entries and the same nearest codeword bit for bit (see
+/// the module docs), so the choice is a pure throughput decision.
+fn avx512_arm(dispatch: KernelDispatch) -> bool {
+    match dispatch {
+        KernelDispatch::Avx512 => cfg!(target_arch = "x86_64"),
+        KernelDispatch::Scalar | KernelDispatch::Blocked | KernelDispatch::Avx2 => false,
+    }
 }
 
-impl TableArm {
-    /// Stable lowercase name for reports (`portable` / `avx512`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TableArm::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            TableArm::Avx512 => "avx512",
-        }
+/// Stable name of the distance-table arm `dispatch` runs, for reports:
+/// `avx512` under the `avx512` dispatch, else `portable`.
+pub fn table_arm_name(dispatch: KernelDispatch) -> &'static str {
+    if avx512_arm(dispatch) {
+        "avx512"
+    } else {
+        "portable"
     }
+}
 
-    /// Every arm this host runs, the portable one first.
-    pub fn available() -> Vec<TableArm> {
-        let mut arms = vec![TableArm::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if avx512::Avx512::detect().is_some() {
-            arms.push(TableArm::Avx512);
-        }
-        arms
-    }
+/// Panics unless the host runs `dispatch`.
+fn assert_runs_here(dispatch: KernelDispatch) {
+    assert!(
+        dispatch.is_available(),
+        "distance table on the {} dispatch, which this host cannot run",
+        dispatch.name()
+    );
+}
 
-    /// The arm [`DimMajor::similarities`] and [`DimMajor::nearest`] run:
-    /// AVX-512 where the host has it, unless `ANNA_FORCE_SCALAR` pins the
-    /// portable arm. Resolved once per process.
-    pub fn current() -> TableArm {
-        #[cfg(target_arch = "x86_64")]
-        if avx512::Avx512::enabled().is_some() {
-            return TableArm::Avx512;
-        }
-        TableArm::Portable
-    }
-
-    /// The AVX-512 token, for an arm a caller asked for explicitly.
-    #[cfg(target_arch = "x86_64")]
-    fn avx512() -> avx512::Avx512 {
-        avx512::Avx512::detect().expect("the avx512 table arm on a host without AVX-512F")
-    }
+/// The AVX-512 token for a pass under `dispatch` (which runs here), or
+/// `None` for the portable arm.
+#[cfg(target_arch = "x86_64")]
+fn avx512_token(dispatch: KernelDispatch) -> Option<avx512::Avx512> {
+    avx512_arm(dispatch)
+        .then(|| avx512::Avx512::detected().expect("the avx512 table arm without AVX-512F"))
 }
 
 /// A codeword set transposed to dimension-major order in blocks of
@@ -163,32 +150,41 @@ impl DimMajor {
 
     /// `out[c] = metric.similarity(v, codeword c)` for every codeword —
     /// `-‖v − c‖²` for L2, `v · c` for inner product — each entry
-    /// bit-identical to [`Metric::similarity`]. Runs [`TableArm::current`].
+    /// bit-identical to [`Metric::similarity`]. Runs the arm of
+    /// [`KernelDispatch::current`].
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != self.dim()` or `out.len() != self.k()`.
     pub fn similarities(&self, metric: Metric, v: &[f32], out: &mut [f32]) {
-        self.similarities_with(TableArm::current(), metric, v, out);
+        self.similarities_with(KernelDispatch::current(), metric, v, out);
     }
 
-    /// [`DimMajor::similarities`] under an explicit [`TableArm`] — what the
-    /// arm-equivalence tests and `kernels_sweep` drive.
+    /// [`DimMajor::similarities`] on the arm of an explicit
+    /// [`KernelDispatch`] ([`table_arm_name`]) — what the arm-equivalence
+    /// tests and `kernels_sweep` drive.
     ///
     /// # Panics
     ///
-    /// As [`DimMajor::similarities`], and if `arm` is
-    /// [`TableArm::Avx512`] on a host without AVX-512F.
-    pub fn similarities_with(&self, arm: TableArm, metric: Metric, v: &[f32], out: &mut [f32]) {
+    /// As [`DimMajor::similarities`], and if the host cannot run
+    /// `dispatch`.
+    pub fn similarities_with(
+        &self,
+        dispatch: KernelDispatch,
+        metric: Metric,
+        v: &[f32],
+        out: &mut [f32],
+    ) {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
         assert_eq!(out.len(), self.k, "table length mismatch");
-        match (arm, metric) {
-            (TableArm::Portable, Metric::L2) => self.portable_table(v, out, l2_term, |s| -s),
-            (TableArm::Portable, Metric::InnerProduct) => {
-                self.portable_table(v, out, |a, b| a * b, |s| s)
-            }
-            #[cfg(target_arch = "x86_64")]
-            (TableArm::Avx512, _) => TableArm::avx512().similarities(self, metric, v, out),
+        assert_runs_here(dispatch);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(arm) = avx512_token(dispatch) {
+            return arm.similarities(self, metric, v, out);
+        }
+        match metric {
+            Metric::L2 => self.portable_table(v, out, l2_term, |s| -s),
+            Metric::InnerProduct => self.portable_table(v, out, |a, b| a * b, |s| s),
         }
     }
 
@@ -197,41 +193,39 @@ impl DimMajor {
     /// wins, so duplicate codewords resolve to the lowest id, and a
     /// distance that is NaN never wins — the semantics of a `d < best` scan
     /// in ascending codeword order. An empty set, or one whose every
-    /// distance is NaN or `+∞`, yields `(0, ∞)`. Runs
-    /// [`TableArm::current`].
+    /// distance is NaN or `+∞`, yields `(0, ∞)`. Runs the arm of
+    /// [`KernelDispatch::current`].
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != self.dim()`.
     pub fn nearest(&self, v: &[f32]) -> (usize, f32) {
-        self.nearest_with(TableArm::current(), v)
+        self.nearest_with(KernelDispatch::current(), v)
     }
 
-    /// [`DimMajor::nearest`] under an explicit [`TableArm`].
+    /// [`DimMajor::nearest`] on the arm of an explicit [`KernelDispatch`].
     ///
     /// # Panics
     ///
-    /// As [`DimMajor::nearest`], and if `arm` is [`TableArm::Avx512`] on a
-    /// host without AVX-512F.
-    pub fn nearest_with(&self, arm: TableArm, v: &[f32]) -> (usize, f32) {
+    /// As [`DimMajor::nearest`], and if the host cannot run `dispatch`.
+    pub fn nearest_with(&self, dispatch: KernelDispatch, v: &[f32]) -> (usize, f32) {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        match arm {
-            TableArm::Portable => {
-                let mut best = (0usize, f32::INFINITY);
-                for (b, block) in self.blocks().enumerate() {
-                    let c0 = b * LANES;
-                    let sums = block_sums(block, v, l2_term);
-                    for (l, &d) in sums.iter().enumerate().take(self.k - c0) {
-                        if d < best.1 {
-                            best = (c0 + l, d);
-                        }
-                    }
-                }
-                best
-            }
-            #[cfg(target_arch = "x86_64")]
-            TableArm::Avx512 => TableArm::avx512().nearest(self, v),
+        assert_runs_here(dispatch);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(arm) = avx512_token(dispatch) {
+            return arm.nearest(self, v);
         }
+        let mut best = (0usize, f32::INFINITY);
+        for (b, block) in self.blocks().enumerate() {
+            let c0 = b * LANES;
+            let sums = block_sums(block, v, l2_term);
+            for (l, &d) in sums.iter().enumerate().take(self.k - c0) {
+                if d < best.1 {
+                    best = (c0 + l, d);
+                }
+            }
+        }
+        best
     }
 
     /// The `dim × LANES` blocks in ascending codeword order. (Indexed
@@ -325,22 +319,24 @@ mod tests {
         let rows = VectorSet::from_fn(6, 19, |r, c| ((r * 7 + c * 3) % 13) as f32 * 0.37 - 2.0);
         let dm = DimMajor::new(&rows);
         let v = [0.5, -1.25, 3.0, 0.1, -0.7, 2.2];
-        for arm in TableArm::available() {
+        for dispatch in KernelDispatch::available() {
             let mut l2 = vec![0.0; 19];
             let mut ip = vec![0.0; 19];
-            dm.similarities_with(arm, Metric::L2, &v, &mut l2);
-            dm.similarities_with(arm, Metric::InnerProduct, &v, &mut ip);
+            dm.similarities_with(dispatch, Metric::L2, &v, &mut l2);
+            dm.similarities_with(dispatch, Metric::InnerProduct, &v, &mut ip);
             for c in 0..19 {
                 let row = rows.row(c);
                 assert_eq!(
                     l2[c].to_bits(),
                     (-metric::l2_squared(&v, row)).to_bits(),
-                    "{arm:?} l2 {c}"
+                    "{} l2 {c}",
+                    dispatch.name()
                 );
                 assert_eq!(
                     ip[c].to_bits(),
                     metric::dot(&v, row).to_bits(),
-                    "{arm:?} ip {c}"
+                    "{} ip {c}",
+                    dispatch.name()
                 );
             }
         }
@@ -353,8 +349,13 @@ mod tests {
         let dup = rows.row(2).to_vec();
         rows.row_mut(17).copy_from_slice(&dup);
         let dm = DimMajor::new(&rows);
-        for arm in TableArm::available() {
-            assert_eq!(dm.nearest_with(arm, &dup), (2, 0.0), "{arm:?}");
+        for dispatch in KernelDispatch::available() {
+            assert_eq!(
+                dm.nearest_with(dispatch, &dup),
+                (2, 0.0),
+                "{}",
+                dispatch.name()
+            );
         }
     }
 
@@ -370,16 +371,37 @@ mod tests {
     #[test]
     fn empty_set_has_no_nearest() {
         let dm = DimMajor::new(&VectorSet::zeros(4, 0));
-        for arm in TableArm::available() {
-            dm.similarities_with(arm, Metric::L2, &[0.0; 4], &mut []);
-            assert_eq!(dm.nearest_with(arm, &[0.0; 4]), (0, f32::INFINITY));
+        for dispatch in KernelDispatch::available() {
+            dm.similarities_with(dispatch, Metric::L2, &[0.0; 4], &mut []);
+            assert_eq!(dm.nearest_with(dispatch, &[0.0; 4]), (0, f32::INFINITY));
         }
     }
 
     #[test]
     fn the_portable_arm_is_always_available_and_first() {
-        let arms = TableArm::available();
-        assert_eq!(arms[0], TableArm::Portable);
-        assert!(arms.contains(&TableArm::current()));
+        let dispatches = KernelDispatch::available();
+        assert_eq!(table_arm_name(dispatches[0]), "portable");
+        assert!(dispatches.contains(&KernelDispatch::current()));
+    }
+
+    /// The private arm mappings, named for each of the four dispatches on
+    /// x86-64: the distance table runs `avx512` only under `avx512`, the
+    /// rescore runs `f16c` under both vector levels.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn every_dispatch_names_its_table_and_rescore_arm() {
+        use anna_vector::exact::rescore_arm_name;
+        use KernelDispatch::*;
+        let rows = [
+            (Scalar, "portable", "portable"),
+            (Blocked, "portable", "portable"),
+            (Avx2, "portable", "f16c"),
+            (Avx512, "avx512", "f16c"),
+        ];
+        for (dispatch, table, rescore) in rows {
+            let name = dispatch.name();
+            assert_eq!(table_arm_name(dispatch), table, "{name} table arm");
+            assert_eq!(rescore_arm_name(dispatch), rescore, "{name} rescore arm");
+        }
     }
 }

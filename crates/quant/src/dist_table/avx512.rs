@@ -25,17 +25,16 @@
 //! `_mm512_setr_ps` of its sixteen elements, and a register becomes an
 //! array lane by lane; the compiler emits one full-width move for each.
 //! So the functions below are safe `#[target_feature]` functions, and
-//! [`Avx512::run`] — entered only with a token from [`Avx512::detect`] —
+//! [`Avx512::run`] — entered only with a token from [`Avx512::detected`] —
 //! is the one `unsafe` call.
 
 use std::arch::x86_64::*;
-use std::sync::OnceLock;
 
-use anna_vector::Metric;
+use anna_vector::{KernelDispatch, Metric};
 
 use super::{DimMajor, LANES};
 
-/// Proof that the host runs AVX-512F: only [`Avx512::detect`] makes one,
+/// Proof that the host runs AVX-512F: only [`Avx512::detected`] makes one,
 /// which is what lets the safe methods below enter the
 /// `#[target_feature(enable = "avx512f")]` kernel.
 #[derive(Debug, Clone, Copy)]
@@ -50,23 +49,10 @@ enum Pass<'o> {
 }
 
 impl Avx512 {
-    /// The AVX-512 arm, if the host CPU (and OS) run AVX-512F.
-    pub(super) fn detect() -> Option<Avx512> {
-        is_x86_feature_detected!("avx512f").then_some(Avx512(()))
-    }
-
-    /// The arm this process runs: the detected one unless
-    /// `ANNA_FORCE_SCALAR` pins the portable arm. Resolved once, then
-    /// cached.
-    pub(super) fn enabled() -> Option<Avx512> {
-        static ENABLED: OnceLock<Option<Avx512>> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            if anna_vector::env_force_scalar() {
-                None
-            } else {
-                Avx512::detect()
-            }
-        })
+    /// The AVX-512 arm, if the host runs the `avx512` dispatch level,
+    /// whose detection includes AVX-512F.
+    pub(super) fn detected() -> Option<Avx512> {
+        KernelDispatch::Avx512.is_available().then_some(Avx512(()))
     }
 
     /// `out[c] = metric.similarity(v, codeword c)` for every codeword of
@@ -85,7 +71,7 @@ impl Avx512 {
     }
 
     fn run(self, set: &DimMajor, v: &[f32], pass: Pass<'_>) {
-        // SAFETY: `self` exists only where `detect` found AVX-512F, the one
+        // SAFETY: `self` exists only where detection found AVX-512F, the one
         // feature the kernel enables; it touches memory only through the
         // references it is given, by value.
         unsafe { run(set, v, pass) }

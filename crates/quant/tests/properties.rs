@@ -3,13 +3,13 @@
 
 use anna_quant::additive::{AqCodebook, AqConfig};
 use anna_quant::codes::{CodeWidth, PackedCodes};
-use anna_quant::dist_table::{DimMajor, TableArm};
+use anna_quant::dist_table::{table_arm_name, DimMajor};
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::linalg::SmallMat;
 use anna_quant::opq::{Opq, OpqConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_testkit::{forall, same_f32_bits, TestRng};
-use anna_vector::{metric, Metric, VectorSet};
+use anna_vector::{metric, KernelDispatch, Metric, VectorSet};
 
 /// Packed codes always round-trip, at both widths and any m.
 #[test]
@@ -273,11 +273,12 @@ fn distance_table_kernel_is_bit_identical_to_scalar_metric() {
 
         let dm = DimMajor::new(&rows);
         assert_eq!((dm.k(), dm.dim()), (k, sub));
-        for arm in TableArm::available() {
+        for dispatch in KernelDispatch::available() {
+            let arm = format!("{} ({})", dispatch.name(), table_arm_name(dispatch));
             let mut l2 = vec![0.0f32; k];
             let mut ip = vec![0.0f32; k];
-            dm.similarities_with(arm, Metric::L2, &v, &mut l2);
-            dm.similarities_with(arm, Metric::InnerProduct, &v, &mut ip);
+            dm.similarities_with(dispatch, Metric::L2, &v, &mut l2);
+            dm.similarities_with(dispatch, Metric::InnerProduct, &v, &mut ip);
             for c in 0..k {
                 let (want_l2, want_ip) = (
                     -metric::l2_squared(&v, rows.row(c)),
@@ -285,18 +286,18 @@ fn distance_table_kernel_is_bit_identical_to_scalar_metric() {
                 );
                 assert!(
                     same_f32_bits(l2[c], want_l2),
-                    "{arm:?} l2 sub={sub} k={k} c={c}: {} vs {want_l2}",
+                    "{arm} l2 sub={sub} k={k} c={c}: {} vs {want_l2}",
                     l2[c]
                 );
                 assert!(
                     same_f32_bits(ip[c], want_ip),
-                    "{arm:?} dot sub={sub} k={k} c={c}: {} vs {want_ip}",
+                    "{arm} dot sub={sub} k={k} c={c}: {} vs {want_ip}",
                     ip[c]
                 );
             }
-            let (got, want) = (dm.nearest_with(arm, &v), nearest_row_major(&v, &rows));
-            assert_eq!(got.0, want.0, "{arm:?} nearest sub={sub} k={k}");
-            assert!(same_f32_bits(got.1, want.1), "{arm:?} sub={sub} k={k}");
+            let (got, want) = (dm.nearest_with(dispatch, &v), nearest_row_major(&v, &rows));
+            assert_eq!(got.0, want.0, "{arm} nearest sub={sub} k={k}");
+            assert!(same_f32_bits(got.1, want.1), "{arm} sub={sub} k={k}");
         }
     });
 }
@@ -356,9 +357,10 @@ fn nearest_is_the_first_minimum_on_every_arm() {
         if let Some(first) = want {
             assert_eq!(oracle.0, first, "oracle");
         }
-        for arm in TableArm::available() {
-            let got = dm.nearest_with(arm, &v);
-            let at = format!("{arm:?} case {case} sub={sub} k={k}");
+        for dispatch in KernelDispatch::available() {
+            let got = dm.nearest_with(dispatch, &v);
+            let arm = format!("{} ({})", dispatch.name(), table_arm_name(dispatch));
+            let at = format!("{arm} case {case} sub={sub} k={k}");
             assert_eq!(got.0, oracle.0, "{at}");
             assert_eq!(got.1.to_bits(), oracle.1.to_bits(), "{at}");
         }

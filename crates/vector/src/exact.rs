@@ -13,6 +13,7 @@ use crate::f16;
 use crate::matrix::VectorSet;
 use crate::metric::Metric;
 use crate::topk::{sort_neighbors, Neighbor, TopK};
+use crate::KernelDispatch;
 
 /// Searches every query in `queries` against every vector in `db`, returning
 /// the `k` most similar database ids per query (best first).
@@ -124,61 +125,32 @@ pub fn rescore_subset(
     out
 }
 
-/// Which implementation scores candidates. Every arm returns the same
-/// scores bit for bit — each is `metric.similarity(q, x)` on the
-/// (optionally binary16-rounded) row, in that function's addition order —
-/// and both share the ranking (the best `k` selected, then only they
-/// sorted), so the choice is a pure throughput decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RescoreArm {
-    /// One candidate at a time: the row copied, each element rounded by
-    /// the software [`f16::round_trip`], scored by [`Metric::similarity`].
-    /// The reference the other arm must reproduce, and what
-    /// `ANNA_FORCE_SCALAR` pins.
-    Portable,
-    /// x86-64 F16C: elements rounded through binary16 in registers
-    /// (`vcvtps2ph` / `vcvtph2ps`), four candidates scored per pass, each
-    /// in its own 128-bit accumulator.
-    #[cfg(target_arch = "x86_64")]
-    F16c,
+/// Whether `dispatch` rescores on the F16C arm (binary16 rounding in
+/// registers, four candidates per pass) rather than the portable one (the
+/// row copied, rounded by [`f16::round_trip`], scored by
+/// [`Metric::similarity`]). Both return `metric.similarity(q, x)` on the
+/// (optionally rounded) row bit for bit and rank alike.
+fn f16c_arm(dispatch: KernelDispatch) -> bool {
+    match dispatch {
+        KernelDispatch::Avx2 | KernelDispatch::Avx512 => cfg!(target_arch = "x86_64"),
+        KernelDispatch::Scalar | KernelDispatch::Blocked => false,
+    }
 }
 
-impl RescoreArm {
-    /// Stable lowercase name for reports (`portable` / `f16c`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RescoreArm::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            RescoreArm::F16c => "f16c",
-        }
-    }
-
-    /// Every arm this host runs, the portable one first.
-    pub fn available() -> Vec<RescoreArm> {
-        let mut arms = vec![RescoreArm::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if crate::f16c::F16c::detect().is_some() {
-            arms.push(RescoreArm::F16c);
-        }
-        arms
-    }
-
-    /// The arm [`rescore_subset_into`] runs: F16C where the host has it,
-    /// unless `ANNA_FORCE_SCALAR` pins the portable arm. Resolved once per
-    /// process.
-    pub fn current() -> RescoreArm {
-        #[cfg(target_arch = "x86_64")]
-        if crate::f16c::F16c::enabled().is_some() {
-            return RescoreArm::F16c;
-        }
-        RescoreArm::Portable
+/// Stable name of the rescore arm `dispatch` runs, for reports: `f16c`
+/// under `avx2` and `avx512`, else `portable`.
+pub fn rescore_arm_name(dispatch: KernelDispatch) -> &'static str {
+    if f16c_arm(dispatch) {
+        "f16c"
+    } else {
+        "portable"
     }
 }
 
 /// Allocation-free core of [`rescore_subset`]: rescoring goes through
 /// `scratch` and the final top-`k` (best first) replaces the contents of
 /// `out`, so a caller looping over many candidate lists reuses the same
-/// buffers throughout. Runs [`RescoreArm::current`].
+/// buffers throughout. Runs the arm of [`KernelDispatch::current`].
 ///
 /// With `f16_vectors` set, every database element is rounded through
 /// binary16 before scoring ([`f16::round_trip`]) — modelling a re-rank
@@ -199,20 +171,20 @@ pub fn rescore_subset_into(
     scratch: &mut RescoreScratch,
     out: &mut Vec<Neighbor>,
 ) {
-    let arm = RescoreArm::current();
-    rescore_subset_with(arm, q, ids, db, metric, k, f16_vectors, scratch, out);
+    let dispatch = KernelDispatch::current();
+    rescore_subset_with(dispatch, q, ids, db, metric, k, f16_vectors, scratch, out);
 }
 
-/// [`rescore_subset_into`] under an explicit [`RescoreArm`] — what the
-/// arm-equivalence tests and `kernels_sweep` drive.
+/// [`rescore_subset_into`] on the rescore arm of an explicit
+/// [`KernelDispatch`] ([`rescore_arm_name`]) — what the arm-equivalence
+/// tests and `kernels_sweep` drive.
 ///
 /// # Panics
 ///
-/// As [`rescore_subset_into`], and if `arm` is [`RescoreArm::F16c`] on a
-/// host without F16C.
+/// As [`rescore_subset_into`], and if the host cannot run `dispatch`.
 #[allow(clippy::too_many_arguments)]
 pub fn rescore_subset_with(
-    arm: RescoreArm,
+    dispatch: KernelDispatch,
     q: &[f32],
     ids: &[u64],
     db: &VectorSet,
@@ -224,30 +196,33 @@ pub fn rescore_subset_with(
 ) {
     assert_eq!(q.len(), db.dim(), "query/database dimension mismatch");
     assert!(k > 0, "k must be positive");
+    assert!(
+        dispatch.is_available(),
+        "rescore on the {} dispatch, which this host cannot run",
+        dispatch.name()
+    );
     for &id in ids {
         assert!((id as usize) < db.len(), "candidate id {id} out of range");
     }
     let RescoreScratch { hits, row } = scratch;
     hits.clear();
-    match arm {
-        RescoreArm::Portable => {
-            for &id in ids {
-                let x = db.row(id as usize);
-                let score = if f16_vectors {
-                    row.clear();
-                    row.extend(x.iter().map(|&v| f16::round_trip(v)));
-                    metric.similarity(q, row)
-                } else {
-                    metric.similarity(q, x)
-                };
-                hits.push(Neighbor::new(id, score));
-            }
-        }
+    if f16c_arm(dispatch) {
+        // `dispatch` runs here and its level includes F16C.
         #[cfg(target_arch = "x86_64")]
-        RescoreArm::F16c => {
-            let hw =
-                crate::f16c::F16c::detect().expect("the f16c rescore arm on a host without F16C");
-            hw.rescore(q, ids, db, metric, f16_vectors, hits);
+        crate::f16c::F16c::detected()
+            .expect("the f16c rescore arm without F16C")
+            .rescore(q, ids, db, metric, f16_vectors, hits);
+    } else {
+        for &id in ids {
+            let x = db.row(id as usize);
+            let score = if f16_vectors {
+                row.clear();
+                row.extend(x.iter().map(|&v| f16::round_trip(v)));
+                metric.similarity(q, row)
+            } else {
+                metric.similarity(q, x)
+            };
+            hits.push(Neighbor::new(id, score));
         }
     }
     // Only the best `k` need an order: `Neighbor`'s is total over distinct

@@ -18,9 +18,10 @@
 //! x86-64's F16C instructions (`vcvtps2ph` round-to-nearest, `vcvtph2ps`)
 //! compute, bit for bit on all 2³² `f32` inputs (an ignored release test
 //! checks every one). The two-phase rescore
-//! ([`crate::exact::rescore_subset_into`]) runs on those instructions where
-//! the host has F16C — chosen once per process; `ANNA_FORCE_SCALAR` pins the
-//! software path — and gets the same bits either way. [`round_trip_slice`]
+//! ([`crate::exact::rescore_subset_into`]) runs on those instructions
+//! under the `avx2` and `avx512` dispatches (whose detection includes
+//! F16C; `ANNA_FORCE_SCALAR` pins the software path) and gets the same
+//! bits either way. [`round_trip_slice`]
 //! stays on the software conversions.
 
 use serde::{Deserialize, Serialize};
@@ -42,8 +43,6 @@ use serde::{Deserialize, Serialize};
 pub struct F16(u16);
 
 impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
     /// The most negative finite half value (used to initialize top-k state).
     pub const MIN: F16 = F16(0xFBFF);
     /// The most positive finite half value.
@@ -304,11 +303,12 @@ mod tests {
     }
 
     /// Rounds `vs` in place with the F16C instructions and returns `true`,
-    /// or returns `false` on a host without them.
+    /// or returns `false` on a host without the `avx2` dispatch level
+    /// (AVX2 + F16C).
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
     fn f16c_round_trip(vs: &mut [f32]) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if let Some(hw) = crate::f16c::F16c::detect() {
+        if let Some(hw) = crate::f16c::F16c::detected() {
             hw.round_trip_slice(vs);
             return true;
         }
@@ -421,7 +421,8 @@ mod tests {
     /// Every one of the 2³² `f32` bit patterns: the software round trip
     /// equals `vcvtps2ph` + `vcvtph2ps` bit for bit. Minutes in a debug
     /// build, so run it in release: `cargo test --release -p anna-vector
-    /// -- --ignored`. Passes vacuously (and says so) without F16C.
+    /// -- --ignored`. Passes vacuously (and says so) without the `avx2`
+    /// dispatch level (AVX2 + F16C).
     #[test]
     #[ignore]
     fn every_f32_round_trips_like_f16c() {
@@ -432,7 +433,9 @@ mod tests {
                 *v = f32::from_bits(base | lo as u32);
             }
             if !f16c_round_trip(&mut buf) {
-                eprintln!("no F16C on this host: nothing to compare against");
+                eprintln!(
+                    "no avx2 dispatch level (AVX2 + F16C) on this host: nothing to compare against"
+                );
                 return;
             }
             for (lo, r) in buf.iter().enumerate() {

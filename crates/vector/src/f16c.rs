@@ -17,42 +17,29 @@
 //! at once.
 
 use std::arch::x86_64::*;
-use std::sync::OnceLock;
 
 use crate::matrix::VectorSet;
 use crate::metric::Metric;
 use crate::topk::Neighbor;
+use crate::KernelDispatch;
 
-/// Proof that the host runs F16C: only [`F16c::detect`] makes one, which
+/// Proof that the host runs F16C: only [`F16c::detected`] makes one, which
 /// is what lets the safe methods below enter the
 /// `#[target_feature(enable = "f16c")]` kernels.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct F16c(());
 
 impl F16c {
-    /// The F16C arm, if the host CPU has the feature.
-    pub(crate) fn detect() -> Option<F16c> {
-        is_x86_feature_detected!("f16c").then_some(F16c(()))
-    }
-
-    /// The arm this process runs: the detected one unless
-    /// `ANNA_FORCE_SCALAR` pins the portable path. Resolved once, then
-    /// cached.
-    pub(crate) fn enabled() -> Option<F16c> {
-        static ENABLED: OnceLock<Option<F16c>> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            if crate::env_force_scalar() {
-                None
-            } else {
-                F16c::detect()
-            }
-        })
+    /// The F16C arm, if the host runs the `avx2` dispatch level, whose
+    /// detection includes `f16c`.
+    pub(crate) fn detected() -> Option<F16c> {
+        KernelDispatch::Avx2.is_available().then_some(F16c(()))
     }
 
     /// Rounds every element of `vs` through binary16 in place.
     #[cfg(test)]
     pub(crate) fn round_trip_slice(self, vs: &mut [f32]) {
-        // SAFETY: `self` exists only where `detect` found F16C, the one
+        // SAFETY: `self` exists only where detection found F16C, the one
         // feature the kernel enables; it touches memory only through `vs`.
         unsafe { round_trip_slice(vs) }
     }
@@ -70,7 +57,7 @@ impl F16c {
         f16_vectors: bool,
         hits: &mut Vec<Neighbor>,
     ) {
-        // SAFETY: `self` exists only where `detect` found F16C, the one
+        // SAFETY: `self` exists only where detection found F16C, the one
         // feature the kernel enables; it reads only through the slices it
         // is given.
         unsafe { rescore(q, ids, db, metric, f16_vectors, hits) }

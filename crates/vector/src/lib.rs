@@ -10,6 +10,8 @@
 //!   evaluate them.
 //! * [`F16`] (module [`mod@f16`]) — minimal IEEE 754 binary16 conversion used
 //!   to model the accelerator's 2-byte on-chip number format.
+//! * [`KernelDispatch`] — the one per-process decision which instruction
+//!   set the runtime-dispatched kernels of every layer run on.
 //! * [`TopK`] — a bounded selector that keeps the `k` highest-similarity
 //!   candidates seen so far (the software analogue of ANNA's top-k unit).
 //! * [`exact`] — exhaustive (exact) k-nearest-neighbor search, used both to
@@ -36,6 +38,7 @@
 
 #![deny(missing_docs)]
 
+mod dispatch;
 pub mod exact;
 pub mod f16;
 #[cfg(target_arch = "x86_64")]
@@ -44,16 +47,8 @@ pub mod matrix;
 pub mod metric;
 pub mod topk;
 
-pub use exact::search as exact_search;
+pub use dispatch::KernelDispatch;
 pub use f16::F16;
 pub use matrix::VectorSet;
 pub use metric::Metric;
 pub use topk::{sort_neighbors, Neighbor, TopK};
-
-/// `ANNA_FORCE_SCALAR` semantics: set, non-empty and not `"0"` pins every
-/// runtime-dispatched kernel in the workspace to its portable path — the
-/// scan kernels (`anna-index`'s `KernelDispatch`) and this crate's F16C
-/// arm alike. Each caller reads it once per process.
-pub fn env_force_scalar() -> bool {
-    std::env::var_os("ANNA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0")
-}

@@ -2,7 +2,7 @@
 //! harness; failures report a replayable seed).
 
 use anna_testkit::{forall, same_f32_bits, TestRng};
-use anna_vector::{exact, f16, sort_neighbors, Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{exact, f16, sort_neighbors, KernelDispatch, Metric, Neighbor, TopK, VectorSet};
 
 /// Values within f16's dynamic range so round-trips remain finite.
 fn finite_f32(rng: &mut TestRng) -> f32 {
@@ -289,17 +289,20 @@ fn hostile_element(rng: &mut TestRng) -> f32 {
     }
 }
 
-/// Every rescore arm the host runs returns the portable arm's ids and
-/// score bits (NaN scores compared as NaN) — {L2, IP} × {f16, f32} rows,
-/// dims that leave every tail length, hostile elements, duplicated rows
-/// (ties), `k` past the candidate count, and 0–3 candidates left over
-/// after the groups of four.
+/// The rescore arm of every dispatch the host runs returns the portable
+/// arm's ids and score bits (NaN scores compared as NaN) — {L2, IP} ×
+/// {f16, f32} rows, dims that leave every tail length, hostile elements,
+/// duplicated rows (ties), `k` past the candidate count, and 0–3
+/// candidates left over after the groups of four.
 #[test]
 fn rescore_arms_match_the_portable_arm() {
-    let arms = exact::RescoreArm::available();
+    let dispatches = KernelDispatch::available();
     println!(
         "rescore arms covered: {:?}",
-        arms.iter().map(|a| a.name()).collect::<Vec<_>>()
+        dispatches
+            .iter()
+            .map(|&d| format!("{} ({})", d.name(), exact::rescore_arm_name(d)))
+            .collect::<Vec<_>>()
     );
     forall("rescore arms == portable", 48, |rng| {
         for dim in [1usize, 3, 5, 63, 64] {
@@ -324,11 +327,11 @@ fn rescore_arms_match_the_portable_arm() {
                 let k = rng.usize(1..ids.len() + 6);
                 for metric in [Metric::L2, Metric::InnerProduct] {
                     for f16_vectors in [true, false] {
-                        let run = |arm| {
+                        let run = |dispatch| {
                             let mut scratch = exact::RescoreScratch::new();
                             let mut out = vec![Neighbor::new(u64::MAX, 1.0)];
                             exact::rescore_subset_with(
-                                arm,
+                                dispatch,
                                 &q,
                                 ids,
                                 &db,
@@ -340,13 +343,14 @@ fn rescore_arms_match_the_portable_arm() {
                             );
                             out
                         };
-                        let want = run(exact::RescoreArm::Portable);
+                        let want = run(KernelDispatch::Scalar);
                         assert_eq!(want.len(), k.min(ids.len()));
-                        for &arm in &arms {
-                            let got = run(arm);
+                        for &dispatch in &dispatches {
+                            let got = run(dispatch);
                             let at = format!(
-                                "{} dim={dim} c={} k={k} {metric:?} f16={f16_vectors}",
-                                arm.name(),
+                                "{} ({}) dim={dim} c={} k={k} {metric:?} f16={f16_vectors}",
+                                dispatch.name(),
+                                exact::rescore_arm_name(dispatch),
                                 ids.len()
                             );
                             assert_eq!(got.len(), want.len(), "{at}");

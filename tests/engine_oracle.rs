@@ -14,11 +14,11 @@ use anna::engine::{
     plan_uniform, run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine,
 };
 use anna::index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
-    ShardedIndex,
+    BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch, RerankMode, RerankPolicy,
+    RerankPrecision, SearchParams, ShardedIndex,
 };
 use anna::plan::EnginePlan;
-use anna::vector::exact::{self, RescoreArm, RescoreScratch};
+use anna::vector::exact::{self, RescoreScratch};
 use anna::vector::{Metric, Neighbor, VectorSet};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -206,11 +206,12 @@ fn two_phase_engine_matches_the_two_phase_oracle() {
 
 /// The two-phase engine at the repo benchmark's `two_phase` shape
 /// (adaptive α 10, k 10, nprobe 8, dim 64, m 16, k* 16) answers each query
-/// with, bit for bit, the **portable** rescore arm run on that query's
-/// first-pass survivors (the query-at-a-time top `k_first`) at the
-/// controller's precision — so whichever arm the process dispatches (F16C
-/// where the host has it, the portable one under `ANNA_FORCE_SCALAR`), the
-/// engine returns the reference arithmetic. One L2 and one inner-product
+/// with, bit for bit, the **portable** rescore arm (the `scalar`
+/// dispatch's) run on that query's first-pass survivors (the
+/// query-at-a-time top `k_first`) at the controller's precision — so
+/// whichever arm the process dispatches (F16C under `avx2` and `avx512`,
+/// the portable one under `ANNA_FORCE_SCALAR`), the engine returns the
+/// reference arithmetic. One L2 and one inner-product
 /// family, neither integer-valued, so the f16 precision really rounds.
 #[test]
 fn two_phase_engine_matches_the_portable_rescore_at_the_benchmark_shape() {
@@ -259,7 +260,7 @@ fn two_phase_engine_matches_the_portable_rescore_at_the_benchmark_shape() {
                 let decision = policy.query_decision(k_first, pool);
                 let mut out = Vec::new();
                 exact::rescore_subset_with(
-                    RescoreArm::Portable,
+                    KernelDispatch::Scalar,
                     q,
                     &ids,
                     db,

@@ -169,9 +169,9 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 
 /// Grep-proof for retired names: the pre-`plan.*` counter key, the entry
 /// points the `SearchEngine` pipeline replaced, the scan loops the one
-/// round loop replaced, and the scan layer's per-call kernel checks, must
-/// not survive anywhere in the workspace sources or the two design
-/// documents.
+/// round loop replaced, the scan layer's per-call kernel checks, and the
+/// per-layer hardware arms the one dispatch replaced, must not survive
+/// anywhere in the workspace sources or the two design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -201,6 +201,12 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("score_block_", "simd"),
         concat!("survivors_", "only"),
         concat!("scalar::", "score_block"),
+        // The per-layer arm enums and their report keys, which the one
+        // `KernelDispatch` replaced.
+        concat!("Table", "Arm"),
+        concat!("Rescore", "Arm"),
+        concat!("default_", "table_arm"),
+        concat!("default_", "rescore_arm"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.

@@ -1,16 +1,17 @@
 //! The distance-table arms at the repo benchmark's shape, owned by tier-1:
 //! dim 64, `m = 16`, `k*` 16 and 256. The distance-table kernel builds
 //! every LUT, every PQ code, every coarse assignment and every cluster
-//! filter, on the arm [`TableArm::current`] picks once per process
-//! (`avx512` where the host has it, unless `ANNA_FORCE_SCALAR` pins
-//! `portable`). Every arm the host runs must give the portable arm's
-//! results bit for bit: LUT entries (L2 and inner product), codes, coarse
-//! assignments and `filter_clusters` order (both metrics) — and the index
-//! this process built and searches must hold exactly those. A failure
-//! names the arm that diverged and the process-wide one.
+//! filter, on the arm of the process's [`KernelDispatch::current`]
+//! (`avx512` under the `avx512` dispatch, else `portable`; so
+//! `ANNA_FORCE_SCALAR` runs `portable`). The arm of every dispatch the
+//! host runs must give the portable arm's results bit for bit: LUT entries
+//! (L2 and inner product), codes, coarse assignments and `filter_clusters`
+//! order (both metrics) — and the index this process built and searches
+//! must hold exactly those. A failure names the dispatch that diverged,
+//! its arm, and the process-wide dispatch.
 
-use anna::index::{IvfPqConfig, IvfPqIndex, Lut, LutPrecision, Trainer};
-use anna::quant::dist_table::{DimMajor, TableArm};
+use anna::index::{IvfPqConfig, IvfPqIndex, KernelDispatch, Lut, LutPrecision, Trainer};
+use anna::quant::dist_table::{table_arm_name, DimMajor};
 use anna::vector::{Metric, TopK, VectorSet};
 use anna_testkit::TestRng;
 
@@ -25,11 +26,11 @@ fn rows(rng: &mut TestRng, n: usize) -> VectorSet {
     VectorSet::from_vec(DIM, (0..n * DIM).map(|_| rng.below(24) as f32).collect())
 }
 
-/// The `nprobe` centroids most similar to `q` under `metric` on `arm`,
-/// best first: `filter_clusters`' selection over one table.
-fn filter(arm: TableArm, centroids: &DimMajor, metric: Metric, q: &[f32]) -> Vec<u64> {
+/// The `nprobe` centroids most similar to `q` under `metric` on the arm
+/// of `dispatch`, best first: `filter_clusters`' selection over one table.
+fn filter(dispatch: KernelDispatch, centroids: &DimMajor, metric: Metric, q: &[f32]) -> Vec<u64> {
     let mut sims = vec![0.0f32; centroids.k()];
-    centroids.similarities_with(arm, metric, q, &mut sims);
+    centroids.similarities_with(dispatch, metric, q, &mut sims);
     let mut top = TopK::new(NPROBE);
     for (i, &s) in sims.iter().enumerate() {
         top.push(i as u64, s);
@@ -62,15 +63,16 @@ fn every_arm_agrees(kstar: usize) {
     assert_eq!(book.kstar(), kstar, "training left a narrower book");
     let centroids = DimMajor::new(index.centroids());
     let sub = book.sub_dim();
-    let current = TableArm::current().name();
+    let current = KernelDispatch::current().name();
+    let reference = KernelDispatch::Scalar; // runs the portable arm
 
-    // Coarse assignment and residual codes on an explicit arm.
-    let assign = |arm: TableArm, v: &[f32]| centroids.nearest_with(arm, v);
-    let encode = |arm: TableArm, v: &[f32]| -> Vec<u8> {
+    // Coarse assignment and residual codes on an explicit dispatch's arm.
+    let assign = |dispatch, v: &[f32]| centroids.nearest_with(dispatch, v);
+    let encode = |dispatch, v: &[f32]| -> Vec<u8> {
         (0..M)
             .map(|j| {
                 book.dim_major(j)
-                    .nearest_with(arm, &v[j * sub..(j + 1) * sub])
+                    .nearest_with(dispatch, &v[j * sub..(j + 1) * sub])
                     .0 as u8
             })
             .collect()
@@ -89,28 +91,29 @@ fn every_arm_agrees(kstar: usize) {
         for (i, &id) in cluster.ids.iter().enumerate() {
             let v = data.row(id as usize);
             assert_eq!(
-                assign(TableArm::Portable, v).0,
+                assign(reference, v).0,
                 c,
                 "k*={kstar} row {id}: assigned by {current}"
             );
             assert_eq!(
                 cluster.codes.get(i),
-                encode(TableArm::Portable, &residual(v, c)),
+                encode(reference, &residual(v, c)),
                 "k*={kstar} row {id}: encoded by {current}"
             );
         }
     }
 
-    for arm in TableArm::available() {
+    for dispatch in KernelDispatch::available() {
         let at = |what: &str| {
             format!(
-                "k*={kstar} {what}: arm {} (process arm {current})",
-                arm.name()
+                "k*={kstar} {what}: dispatch {} ({}; process dispatch {current})",
+                dispatch.name(),
+                table_arm_name(dispatch)
             )
         };
         for v in data.iter().step_by(7) {
-            let want = assign(TableArm::Portable, v);
-            let got = assign(arm, v);
+            let want = assign(reference, v);
+            let got = assign(dispatch, v);
             assert_eq!(
                 (got.0, got.1.to_bits()),
                 (want.0, want.1.to_bits()),
@@ -119,8 +122,8 @@ fn every_arm_agrees(kstar: usize) {
             );
             let r = residual(v, want.0);
             assert_eq!(
-                encode(arm, &r),
-                encode(TableArm::Portable, &r),
+                encode(dispatch, &r),
+                encode(reference, &r),
                 "{}",
                 at("codes")
             );
@@ -131,8 +134,8 @@ fn every_arm_agrees(kstar: usize) {
         for q in queries.iter() {
             for metric in [Metric::L2, Metric::InnerProduct] {
                 assert_eq!(
-                    filter(arm, &centroids, metric, q),
-                    filter(TableArm::Portable, &centroids, metric, q),
+                    filter(dispatch, &centroids, metric, q),
+                    filter(reference, &centroids, metric, q),
                     "{}",
                     at(&format!("{metric} filter order"))
                 );
@@ -140,16 +143,16 @@ fn every_arm_agrees(kstar: usize) {
             let order = index.filter_clusters(q, NPROBE);
             let want: Vec<u64> = order.iter().map(|&c| c as u64).collect();
             assert_eq!(
-                filter(arm, &centroids, Metric::L2, q),
+                filter(dispatch, &centroids, Metric::L2, q),
                 want,
                 "{}",
                 at("filter_clusters order")
             );
             for &c in &order {
                 let centroid = index.centroids().row(c);
-                slot.rebuild_l2_with(arm, q, centroid, book, LutPrecision::F32, &mut scratch);
+                slot.rebuild_l2_with(dispatch, q, centroid, book, LutPrecision::F32, &mut scratch);
                 portable.rebuild_l2_with(
-                    TableArm::Portable,
+                    reference,
                     q,
                     centroid,
                     book,
@@ -158,8 +161,8 @@ fn every_arm_agrees(kstar: usize) {
                 );
                 assert_eq!(bits(&slot), bits(&portable), "{}", at("L2 LUT"));
             }
-            let ip = Lut::build_ip_with(arm, q, book, LutPrecision::F32);
-            let want = Lut::build_ip_with(TableArm::Portable, q, book, LutPrecision::F32);
+            let ip = Lut::build_ip_with(dispatch, q, book, LutPrecision::F32);
+            let want = Lut::build_ip_with(reference, q, book, LutPrecision::F32);
             assert_eq!(bits(&ip), bits(&want), "{}", at("IP LUT"));
         }
     }
