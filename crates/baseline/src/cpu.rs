@@ -1,4 +1,4 @@
-//! Analytic CPU baseline model, calibratable on the host.
+//! Analytic CPU baseline model.
 //!
 //! Section II-D's profile of ScaNN/Faiss on the 8-core Skylake-X finds the
 //! scan loop either (a) memory-bandwidth-bound streaming encoded vectors
@@ -7,10 +7,6 @@
 //! cost extra); with `k* = 256` the LUT spills to L1 and every lookup is a
 //! load. The model computes both bounds and takes the slower.
 
-use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
-use anna_index::{kernels, IvfPqIndex, Lut, LutPrecision, SearchParams};
-use anna_telemetry::Telemetry;
-use anna_vector::{Metric, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
 
 /// How the software schedules cluster scans across a batch.
@@ -28,10 +24,11 @@ pub enum CpuSchedule {
     },
 }
 
-/// Calibrated per-core kernel rates, in code lookups per second.
+/// Per-core kernel rates, in code lookups per second.
 ///
-/// Obtain defaults representative of the paper's Skylake-X with
-/// [`CpuKernelRates::skylake`] or measure the host with [`calibrate`].
+/// [`CpuKernelRates::skylake`] gives rates representative of the paper's
+/// Skylake-X; measured rates for another host can be stored into
+/// [`CpuModel::rates`] directly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CpuKernelRates {
     /// LUT lookups+adds per second per core with a 16-entry register LUT.
@@ -176,138 +173,6 @@ impl CpuModel {
     }
 }
 
-/// Measures the host's real scan-kernel rates by timing `anna-index`'s
-/// kernels over a synthetic cluster, returning lookups/second/core.
-///
-/// This grounds the CPU model in measured numbers (our Rust kernels stand
-/// in for Faiss/ScaNN per DESIGN.md substitution 2); the returned rates
-/// can be stored into [`CpuModel::rates`].
-pub fn calibrate(vectors: usize, m: usize) -> CpuKernelRates {
-    let dim = m * 2;
-    let data = VectorSet::from_fn(dim, vectors.max(64), |r, c| ((r * 31 + c * 7) % 17) as f32);
-    let mut out = [0.0f64; 2];
-    for (slot, kstar) in [(0usize, 16usize), (1, 256)] {
-        let book = anna_quant::pq::PqCodebook::train(
-            &data,
-            &anna_quant::pq::PqConfig {
-                m,
-                kstar,
-                iters: 2,
-                seed: 0,
-            },
-        );
-        let codes = book.encode_all(&data);
-        let ids: Vec<u64> = (0..data.len() as u64).collect();
-        let q: Vec<f32> = (0..dim).map(|i| (i % 3) as f32).collect();
-        let lut = Lut::build_ip(&q, &book, LutPrecision::F32);
-        // Warm up, then time several passes; one scratch across all passes
-        // so the timing loop stays allocation-free, as production scans do.
-        let dispatch = kernels::KernelDispatch::current();
-        let mut scratch = kernels::ScanScratch::new();
-        let mut top = TopK::new(10);
-        kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-        let passes = 20;
-        let start = std::time::Instant::now();
-        for _ in 0..passes {
-            let mut top = TopK::new(10);
-            kernels::scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        out[slot] = (passes * data.len() * m) as f64 / secs;
-    }
-    CpuKernelRates {
-        u4_lookups_per_sec: out[0],
-        u8_lookups_per_sec: out[1],
-    }
-}
-
-/// Times the query-at-a-time schedule ([`IvfPqIndex::search`] per query,
-/// one worker) over a real index on the host and returns measured QPS
-/// (used for the small-scale, fully-measured points in the report).
-///
-/// # Panics
-///
-/// Panics if `queries.dim() != index.dim()`.
-pub fn measure_qps(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> f64 {
-    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
-    let pass = || {
-        for q in queries.iter() {
-            std::hint::black_box(index.search(q, params));
-        }
-    };
-    pass();
-    let start = std::time::Instant::now();
-    pass();
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    queries.len() as f64 / secs
-}
-
-/// Times the cluster-major batched scan on the host (the Faiss16-like
-/// schedule) and returns measured QPS, using one worker per core.
-pub fn measure_batched_qps(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> f64 {
-    measure_batched_qps_with(index, queries, params, 0)
-}
-
-/// Like [`measure_batched_qps`] but with an explicit worker count
-/// (`threads == 0` means one worker per available core; `1` is the serial
-/// reference schedule). Results are bit-identical across `threads` — only
-/// the wall clock changes — so the sweep in `anna-bench` measures pure
-/// scheduling overhead/speedup.
-pub fn measure_batched_qps_with(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    threads: usize,
-) -> f64 {
-    measure_batched_qps_traced(index, queries, params, threads, &Telemetry::disabled())
-}
-
-/// [`measure_batched_qps_with`] with a telemetry sink.
-///
-/// Each pass is one [`run_pipeline`] (scope, plan, price, execute,
-/// verify) — the whole request path, f32 lookup tables. The warm-up pass
-/// runs uninstrumented; then **three** timed passes run under `cpu.batch`
-/// spans and the best (fastest) one decides the reported QPS, mirroring
-/// how [`measure_stream_bandwidth`] reports its best-of-3 — a single
-/// timed pass let scheduler noise land directly in
-/// `reports/threads_sweep.json`. The snapshot carries the pipeline's
-/// `engine.*` step spans, the executor's stage timings, per-worker
-/// utilization and bridged `plan.*` traffic counters for all three passes
-/// (the `cpu.batch` histogram holds three samples), and the best-pass
-/// throughput lands in the `cpu.qps` gauge.
-///
-/// # Panics
-///
-/// Panics if the engine's measured traffic diverges from its prediction.
-pub fn measure_batched_qps_traced(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    threads: usize,
-    tel: &Telemetry,
-) -> f64 {
-    let scan = anna_index::BatchedScan::new(index);
-    let spec = QuerySpec::from(params);
-    let threads = anna_index::resolve_threads(threads);
-    let pass = |tel: &Telemetry| {
-        run_pipeline(&scan, queries, &spec, &PlanOptions::default(), threads, tel)
-            .expect("batched scan: predicted == measured");
-    };
-    pass(&Telemetry::disabled());
-    let mut best_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        {
-            let _span = tel.span("cpu.batch");
-            pass(tel);
-        }
-        best_secs = best_secs.min(start.elapsed().as_secs_f64().max(1e-9));
-    }
-    let qps = queries.len() as f64 / best_secs;
-    tel.gauge_set("cpu.qps", qps as u64);
-    qps
-}
-
 /// Measures the host's sustained streaming read bandwidth (bytes/second)
 /// with `threads` concurrent readers — the roofline the batched scan is
 /// shaped against.
@@ -346,16 +211,6 @@ pub fn measure_stream_bandwidth(threads: usize) -> f64 {
         best = best.max((words * std::mem::size_of::<u64>()) as f64 / secs);
     }
     best
-}
-
-/// Convenience: metric-appropriate power constant for a software family.
-pub fn package_power_w(metric: Metric, is_scann: bool) -> f64 {
-    let _ = metric;
-    if is_scann {
-        crate::power::CPU_SCANN_W
-    } else {
-        crate::power::CPU_FAISS_W
-    }
 }
 
 #[cfg(test)]
@@ -455,109 +310,5 @@ mod tests {
                 "threads={threads} bandwidth={bw}"
             );
         }
-    }
-
-    #[test]
-    fn calibration_returns_positive_rates() {
-        let rates = calibrate(2000, 4);
-        assert!(
-            rates.u4_lookups_per_sec > 1e6,
-            "u4 rate {}",
-            rates.u4_lookups_per_sec
-        );
-        assert!(
-            rates.u8_lookups_per_sec > 1e6,
-            "u8 rate {}",
-            rates.u8_lookups_per_sec
-        );
-    }
-
-    #[test]
-    fn measured_qps_is_positive() {
-        use anna_index::{IvfPqConfig, IvfPqIndex};
-        let data = VectorSet::from_fn(8, 400, |r, c| ((r * 13 + c * 5) % 23) as f32);
-        let index = IvfPqIndex::build(
-            &data,
-            &IvfPqConfig {
-                num_clusters: 8,
-                m: 4,
-                kstar: 16,
-                ..IvfPqConfig::default()
-            },
-        );
-        let queries = data.gather(&[0, 1, 2, 3]);
-        let params = SearchParams {
-            nprobe: 3,
-            k: 5,
-            ..Default::default()
-        };
-        assert!(measure_qps(&index, &queries, &params) > 0.0);
-        assert!(measure_batched_qps(&index, &queries, &params) > 0.0);
-    }
-
-    #[test]
-    fn threads_knob_measures_every_worker_count() {
-        use anna_index::{IvfPqConfig, IvfPqIndex};
-        let data = VectorSet::from_fn(8, 400, |r, c| ((r * 13 + c * 5) % 23) as f32);
-        let index = IvfPqIndex::build(
-            &data,
-            &IvfPqConfig {
-                num_clusters: 8,
-                m: 4,
-                kstar: 16,
-                ..IvfPqConfig::default()
-            },
-        );
-        let queries = data.gather(&(0..16).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 3,
-            k: 5,
-            ..Default::default()
-        };
-        for threads in [0usize, 1, 2, 4] {
-            let qps = measure_batched_qps_with(&index, &queries, &params, threads);
-            assert!(qps > 0.0, "threads={threads} gave qps={qps}");
-        }
-    }
-
-    #[test]
-    fn traced_measurement_fills_the_snapshot() {
-        use anna_index::{IvfPqConfig, IvfPqIndex};
-        let data = VectorSet::from_fn(8, 400, |r, c| ((r * 13 + c * 5) % 23) as f32);
-        let index = IvfPqIndex::build(
-            &data,
-            &IvfPqConfig {
-                num_clusters: 8,
-                m: 4,
-                kstar: 16,
-                ..IvfPqConfig::default()
-            },
-        );
-        let queries = data.gather(&(0..16).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 3,
-            k: 5,
-            ..Default::default()
-        };
-        let tel = Telemetry::enabled();
-        let qps = measure_batched_qps_traced(&index, &queries, &params, 2, &tel);
-        assert!(qps > 0.0);
-        let snap = tel.snapshot_json().unwrap();
-        for key in [
-            "\"cpu.qps\"",
-            "\"plan.clusters_fetched\"",
-            "\"worker0.busy_ns\"",
-            "\"worker0.idle_ns\"",
-            "\"worker0.tiles\"",
-            "\"cpu.batch\"",
-        ] {
-            assert!(snap.contains(key), "missing {key} in {snap}");
-        }
-        // Best-of-3: all three timed passes must land in the span
-        // histogram (one noisy pass must never decide the report alone).
-        assert!(
-            snap.contains("\"cpu.batch\":{\"count\":3"),
-            "expected 3 timed passes in {snap}"
-        );
     }
 }

@@ -2,7 +2,6 @@
 //! Figure 8 plot ("the QPS of exhaustive, exact nearest neighbor search on
 //! ScaNN (CPU), Faiss (CPU), and Faiss (GPU)").
 
-use anna_vector::{exact, Metric, VectorSet};
 use serde::{Deserialize, Serialize};
 
 /// Analytic exhaustive-search throughput for a platform.
@@ -44,16 +43,6 @@ impl ExhaustiveModel {
     }
 }
 
-/// Measures real exhaustive-search QPS on the host for a (small) database
-/// — the measured counterpart of [`ExhaustiveModel::qps`].
-pub fn measure_qps(db: &VectorSet, queries: &VectorSet, metric: Metric, k: usize) -> f64 {
-    let _warm = exact::search(queries, db, metric, k);
-    let start = std::time::Instant::now();
-    let _ = exact::search(queries, db, metric, k);
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    queries.len() as f64 / secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,12 +68,5 @@ mod tests {
         // hundreds of QPS.
         let qps = ExhaustiveModel::cpu().qps(1_000_000, 128);
         assert!(qps > 100.0 && qps < 10_000.0, "qps {qps}");
-    }
-
-    #[test]
-    fn measured_exhaustive_runs() {
-        let db = VectorSet::from_fn(16, 2000, |r, c| ((r * 7 + c) % 13) as f32);
-        let q = VectorSet::from_fn(16, 8, |r, c| ((r + c) % 5) as f32);
-        assert!(measure_qps(&db, &q, Metric::L2, 10) > 0.0);
     }
 }

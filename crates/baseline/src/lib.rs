@@ -4,18 +4,19 @@
 //! an NVIDIA V100 (Section V-A). Neither binary nor machine is available
 //! here, so this crate provides (see DESIGN.md, substitutions 2/3/5):
 //!
-//! * [`cpu`] — an analytic model of the Skylake-X baselines whose kernel
-//!   rates can be *calibrated on the host* by timing `anna-index`'s real
-//!   scan kernels ([`cpu::calibrate`]), then extrapolated to paper scale.
-//!   It encodes the paper's Section II-D findings: memory-bandwidth-bound
-//!   streaming of encoded vectors, the register-resident 16-entry LUT
-//!   advantage of Faiss16/ScaNN16, the table-in-L1 penalty of Faiss256,
-//!   and Faiss16's batched (cluster-major) reuse schedule.
+//! * [`cpu`] — an analytic model of the Skylake-X baselines (kernel
+//!   rates in [`CpuModel::rates`], Skylake-X defaults in
+//!   [`CpuKernelRates::skylake`]), plus the host streaming-bandwidth
+//!   probe [`cpu::measure_stream_bandwidth`]. It encodes the paper's
+//!   Section II-D findings: memory-bandwidth-bound streaming of encoded
+//!   vectors, the register-resident 16-entry LUT advantage of
+//!   Faiss16/ScaNN16, the table-in-L1 penalty of Faiss256, and Faiss16's
+//!   batched (cluster-major) reuse schedule.
 //! * [`gpu`] — an occupancy/roofline model of Faiss256 on the V100 (900
 //!   GB/s, 96 KB shared memory per SM limiting residency to 3 thread
 //!   blocks, and a low-parallelism top-k kernel).
-//! * [`exhaustive`] — exact-search throughput (the three footnote numbers
-//!   under each Figure 8 plot).
+//! * [`exhaustive`] — analytic exact-search throughput (the three
+//!   footnote numbers under each Figure 8 plot).
 //! * [`power`] — the measured average powers the paper reports, used to
 //!   convert model runtimes to energy for Figure 10.
 

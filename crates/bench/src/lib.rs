@@ -29,7 +29,6 @@
 //!
 //! | Binary | Measures |
 //! |---|---|
-//! | `--bin calibrate` | host kernel rates for the CPU model |
 //! | [`kernels_sweep`] / `--bin kernels_sweep` | scan-kernel dispatch sweep (codes/sec, GB/s) |
 //! | [`threads_sweep`] / `--bin threads_sweep` | worker-count scaling of the batch engine |
 //! | [`serving_sweep`] / `--bin serving_sweep` | online serving: latency vs offered load ([`openloop`] arrivals through `anna-serve`) |

@@ -16,11 +16,11 @@
 //! near 1.0 cannot be made faster by more software; that is the regime
 //! the paper builds ANNA for.
 
-use anna_baseline::cpu::{measure_batched_qps_traced, measure_stream_bandwidth};
+use anna_baseline::cpu::measure_stream_bandwidth;
 use anna_core::ScmAllocation;
 use anna_core::{Anna, AnnaConfig};
 use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_index::{resolve_threads, BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -65,6 +65,55 @@ pub struct ThreadsSweep {
     pub host_cpus: usize,
     /// Measured points, ascending thread count.
     pub points: Vec<ThreadPoint>,
+}
+
+/// Times the cluster-major batched scan on the host and returns measured
+/// QPS (`threads == 0` means one worker per available core; `1` is the
+/// serial reference schedule). Results are bit-identical across
+/// `threads` — only the wall clock changes.
+///
+/// Each pass is one [`run_pipeline`] (scope, plan, price, execute,
+/// verify) — the whole request path, f32 lookup tables. The warm-up pass
+/// runs uninstrumented; then **three** timed passes run under `cpu.batch`
+/// spans and the best (fastest) one decides the reported QPS, mirroring
+/// how [`measure_stream_bandwidth`] reports its best-of-3 — a single
+/// timed pass let scheduler noise land directly in
+/// `reports/threads_sweep.json`. The snapshot carries the pipeline's
+/// `engine.*` step spans, the executor's stage timings, per-worker
+/// utilization and bridged `plan.*` traffic counters for all three passes
+/// (the `cpu.batch` histogram holds three samples), and the best-pass
+/// throughput lands in the `cpu.qps` gauge.
+///
+/// # Panics
+///
+/// Panics if the engine's measured traffic diverges from its prediction.
+fn measure_batched_qps_traced(
+    index: &IvfPqIndex,
+    queries: &VectorSet,
+    params: &SearchParams,
+    threads: usize,
+    tel: &Telemetry,
+) -> f64 {
+    let scan = BatchedScan::new(index);
+    let spec = QuerySpec::from(params);
+    let threads = resolve_threads(threads);
+    let pass = |tel: &Telemetry| {
+        run_pipeline(&scan, queries, &spec, &PlanOptions::default(), threads, tel)
+            .expect("batched scan: predicted == measured");
+    };
+    pass(&Telemetry::disabled());
+    let mut best_secs = f64::INFINITY;
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        {
+            let _span = tel.span("cpu.batch");
+            pass(tel);
+        }
+        best_secs = best_secs.min(start.elapsed().as_secs_f64().max(1e-9));
+    }
+    let qps = queries.len() as f64 / best_secs;
+    tel.gauge_set("cpu.qps", qps as u64);
+    qps
 }
 
 /// Synthetic clustered dataset sized so the scan dominates the wall clock.
@@ -277,6 +326,66 @@ impl ThreadsSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn small_index() -> (IvfPqIndex, VectorSet, SearchParams) {
+        let data = VectorSet::from_fn(8, 400, |r, c| ((r * 13 + c * 5) % 23) as f32);
+        let index = IvfPqIndex::build(
+            &data,
+            &IvfPqConfig {
+                num_clusters: 8,
+                m: 4,
+                kstar: 16,
+                ..IvfPqConfig::default()
+            },
+        );
+        let queries = data.gather(&(0..16).collect::<Vec<_>>());
+        let params = SearchParams {
+            nprobe: 3,
+            k: 5,
+            ..Default::default()
+        };
+        (index, queries, params)
+    }
+
+    #[test]
+    fn threads_knob_measures_every_worker_count() {
+        let (index, queries, params) = small_index();
+        for threads in [0usize, 1, 2, 4] {
+            let qps = measure_batched_qps_traced(
+                &index,
+                &queries,
+                &params,
+                threads,
+                &Telemetry::disabled(),
+            );
+            assert!(qps > 0.0, "threads={threads} gave qps={qps}");
+        }
+    }
+
+    #[test]
+    fn traced_measurement_fills_the_snapshot() {
+        let (index, queries, params) = small_index();
+        let tel = Telemetry::enabled();
+        let qps = measure_batched_qps_traced(&index, &queries, &params, 2, &tel);
+        assert!(qps > 0.0);
+        let snap = tel.snapshot_json().unwrap();
+        for key in [
+            "\"cpu.qps\"",
+            "\"plan.clusters_fetched\"",
+            "\"worker0.busy_ns\"",
+            "\"worker0.idle_ns\"",
+            "\"worker0.tiles\"",
+            "\"cpu.batch\"",
+        ] {
+            assert!(snap.contains(key), "missing {key} in {snap}");
+        }
+        // Best-of-3: all three timed passes must land in the span
+        // histogram (one noisy pass must never decide the report alone).
+        assert!(
+            snap.contains("\"cpu.batch\":{\"count\":3"),
+            "expected 3 timed passes in {snap}"
+        );
+    }
 
     #[test]
     fn sweep_reports_identical_results_for_every_worker_count() {

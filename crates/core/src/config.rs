@@ -135,12 +135,16 @@ impl AnnaConfig {
         Ok(())
     }
 
-    /// DRAM bytes deliverable per clock cycle at the pin
-    /// (`bandwidth [B/ns] / clock [cycles/ns]`).
+    /// DRAM bytes the pipeline sustains per clock cycle: the pin rate
+    /// (`bandwidth [B/ns] / clock [cycles/ns]`) capped by the Memory
+    /// Access Interface (Section III-B(5)).
+    ///
+    /// The MAI reserves one 64 B buffer per outstanding read ("quite
+    /// similar to the MSHR in CPUs"), so by Little's law it sustains at
+    /// most `mai_entries · 64 / mem_latency_cycles` bytes per cycle,
+    /// whatever the DRAM's peak.
     pub fn bytes_per_cycle(&self) -> f64 {
         let peak = self.mem_bandwidth_gbps / self.clock_ghz;
-        // The MAI's outstanding-request capacity bounds what the pipeline
-        // can actually sustain (Little's law; see `modules::mai`).
         let mai_limit = self.mai_entries as f64 * 64.0 / self.mem_latency_cycles;
         peak.min(mai_limit)
     }

@@ -159,12 +159,6 @@ pub mod reference {
     pub const CPU_DIE_MM2: f64 = 325.4;
     /// NVIDIA V100 die, mm² at 12 nm ("815 mm²").
     pub const GPU_DIE_MM2: f64 = 815.0;
-    /// Average CPU package power running ScaNN (W, RAPL).
-    pub const CPU_POWER_SCANN_W: f64 = 116.0;
-    /// Average CPU package power running Faiss (W, RAPL).
-    pub const CPU_POWER_FAISS_W: f64 = 139.0;
-    /// Average GPU power running Faiss (W).
-    pub const GPU_POWER_W: f64 = 151.8;
 }
 
 #[cfg(test)]

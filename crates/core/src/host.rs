@@ -1,4 +1,4 @@
-//! Host-side interface: device memory layout and the command protocol.
+//! Host-side interface: the device memory layout.
 //!
 //! Section III-A: "a host device first needs to i) configure ANNA by
 //! sending a search configuration and ii) place the set of necessary data
@@ -11,8 +11,8 @@
 //! centroids, per-cluster metadata (start address + size, as the EFM's
 //! metadata reader expects), the packed code regions, the query-list
 //! arrays of the traffic optimization (Section IV-A), the intermediate
-//! top-k spill area, and the result region. [`Command`] models the host
-//! command stream.
+//! top-k spill area, and the result region. The command sequence itself
+//! is [`crate::device::Device::boot`] followed by its searches.
 
 use anna_index::IvfPqIndex;
 use serde::Serialize;
@@ -164,71 +164,6 @@ impl MemoryLayout {
     }
 }
 
-/// A host-to-device command (Section III-A's control flow).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum Command {
-    /// Send the search configuration (metric, `k*`, `|C|`, `M`).
-    Configure {
-        /// Number of PQ sub-vectors.
-        m: usize,
-        /// Codewords per codebook.
-        kstar: usize,
-        /// Number of coarse clusters.
-        num_clusters: usize,
-        /// Whether lookup tables depend on the cluster (L2) or not (IP).
-        lut_per_cluster: bool,
-    },
-    /// Load the codebook into on-chip SRAM.
-    LoadCodebook {
-        /// Bytes to load (`2·k*·D`).
-        bytes: u64,
-    },
-    /// Run a search for a batch of queries.
-    Search {
-        /// Number of queries in the batch.
-        batch: usize,
-        /// Clusters to inspect per query.
-        w: usize,
-        /// Results to return per query.
-        k: usize,
-        /// Whether to use the memory-traffic-optimized schedule.
-        optimized: bool,
-    },
-    /// Read back the result region.
-    ReadResults {
-        /// Number of queries whose results to read.
-        batch: usize,
-    },
-}
-
-/// Builds the canonical command sequence for a search session.
-pub fn session_commands(
-    index: &IvfPqIndex,
-    batch: usize,
-    w: usize,
-    k: usize,
-    optimized: bool,
-) -> Vec<Command> {
-    vec![
-        Command::Configure {
-            m: index.codebook().m(),
-            kstar: index.codebook().kstar(),
-            num_clusters: index.num_clusters(),
-            lut_per_cluster: index.metric().lut_depends_on_cluster(),
-        },
-        Command::LoadCodebook {
-            bytes: index.codebook().storage_bytes() as u64,
-        },
-        Command::Search {
-            batch,
-            w,
-            k,
-            optimized,
-        },
-        Command::ReadResults { batch },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,31 +245,6 @@ mod tests {
         let large = MemoryLayout::plan(&cfg, &idx, 100, 4);
         assert_eq!(large.topk_spill.bytes, 10 * small.topk_spill.bytes);
         assert_eq!(small.topk_spill.bytes, 10 * 1000 * 5 * 16);
-    }
-
-    #[test]
-    fn command_sequence_is_configure_load_search_read() {
-        let idx = index();
-        let cmds = session_commands(&idx, 32, 8, 100, true);
-        assert_eq!(cmds.len(), 4);
-        assert!(matches!(
-            cmds[0],
-            Command::Configure {
-                kstar: 16,
-                m: 4,
-                lut_per_cluster: true,
-                ..
-            }
-        ));
-        assert!(matches!(cmds[1], Command::LoadCodebook { .. }));
-        assert!(matches!(
-            cmds[2],
-            Command::Search {
-                optimized: true,
-                ..
-            }
-        ));
-        assert!(matches!(cmds[3], Command::ReadResults { batch: 32 }));
     }
 
     #[test]

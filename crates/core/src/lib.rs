@@ -5,6 +5,9 @@
 //!
 //! * [`config`] — the accelerator's design parameters (`N_cu`, `N_SCM`,
 //!   `N_u`, clock, memory bandwidth, buffer sizes; Section V-A defaults).
+//! * [`modules`] — the CPM, EFM, SCM and crossbar models (Section
+//!   III-B); the MAI enters only as the bandwidth cap in
+//!   [`AnnaConfig::bytes_per_cycle`].
 //! * [`pheap`] — the P-heap hardware top-k unit (Section III-B(4)), both
 //!   functional and metered.
 //! * [`timing`] — workload shapes and timing/traffic/activity reports.
@@ -26,7 +29,8 @@
 //!   [`anna_index::IvfPqIndex`], producing hardware-faithful results
 //!   (f16 LUTs, P-heap selection, spill/fill) together with timing.
 //! * [`device`] — [`device::Device`]: the same datapath over a
-//!   byte-accurate DRAM image laid out by [`host`].
+//!   byte-accurate DRAM image laid out by [`host`]; [`device::Device::boot`]
+//!   is the host protocol (configure, upload the model, then search).
 //!
 //! # Quick start
 //!

@@ -14,8 +14,6 @@
 //!   fetch, sub-byte unpacking, double-buffered segmentation.
 //! * [`scm::Scm`] — Similarity Computation Module: the `N_u`-wide adder
 //!   tree over LUT reads, feeding a P-heap top-k unit.
-//! * [`mai::Mai`] — Memory Access Interface: MSHR-like outstanding-request
-//!   tracking that bounds effective bandwidth.
 //! * [`crossbar::Crossbar`] — the configurable buffer↔SCM switch of the
 //!   traffic optimization (broadcast for inter-query parallelism,
 //!   partitioned stripes for intra-query).
@@ -23,11 +21,9 @@
 pub mod cpm;
 pub mod crossbar;
 pub mod efm;
-pub mod mai;
 pub mod scm;
 
 pub use cpm::Cpm;
 pub use crossbar::Crossbar;
 pub use efm::Efm;
-pub use mai::Mai;
 pub use scm::Scm;

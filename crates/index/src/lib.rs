@@ -76,7 +76,7 @@ pub mod shard;
 pub mod tiered;
 
 pub use batched::{BatchStats, BatchedScan};
-pub use io::{read_index, read_segment_hot, write_index, write_segment, SegmentEntry, SegmentHot};
+pub use io::{read_index, read_segment_hot, write_segment, SegmentEntry, SegmentHot};
 pub use ivf::{IndexStats, IvfPqConfig, IvfPqIndex, Trainer};
 pub use kernels::{KernelDispatch, ScanScratch, ScanTally};
 pub use lut::{Lut, LutPrecision};

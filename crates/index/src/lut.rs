@@ -274,13 +274,6 @@ impl Lut {
         2 * self.kstar * self.m
     }
 
-    /// Arithmetic cost of building this table, in multiply(-subtract)-add
-    /// operations — `k*·D` multiplies (Section II-B), used by the CPU/GPU
-    /// analytic models.
-    pub fn build_madds(&self, dim: usize) -> u64 {
-        self.kstar as u64 * dim as u64
-    }
-
     /// Scores one decoded vector given its identifiers: `Σ L_i[e_i] + bias`
     /// (the equation of Section II-B's "Efficient Similarity Computation
     /// with Memoization").

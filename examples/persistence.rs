@@ -1,5 +1,5 @@
 //! Persistence: exchange vectors in the standard TexMex `.fvecs` format
-//! and save/reload a trained index with the versioned binary format —
+//! and save/reload a trained index as a segment file —
 //! the workflow for running this reproduction on the paper's *real*
 //! datasets when they are available.
 //!
@@ -46,7 +46,7 @@ fn main() -> std::io::Result<()> {
         },
     );
     let index_path = dir.join("model.annaidx");
-    index::write_index(std::fs::File::create(&index_path)?, &built)?;
+    index::write_segment(std::fs::File::create(&index_path)?, &built)?;
     println!(
         "saved trained model ({} bytes) to {}",
         std::fs::metadata(&index_path)?.len(),

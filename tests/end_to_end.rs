@@ -233,3 +233,40 @@ fn scann_trainer_improves_or_matches_mips_recall() {
     );
     assert!(rf > 0.3 && rs > 0.3);
 }
+
+/// The one index file format through the facade: a segment written by
+/// `write_segment` reads back whole (`read_index`) to bit-identical
+/// searches and hot (`read_segment_hot`) to the same centroids and
+/// codebook, and a buffer carrying the retired version-1 magic is an
+/// error, not a panic.
+#[test]
+fn segment_file_round_trips_through_both_readers() {
+    let ds = dataset(Character::SiftLike, 3000);
+    for kstar in [16usize, 256] {
+        let index = build(&ds, kstar, Trainer::Faiss);
+        let mut buf = Vec::new();
+        anna::index::write_segment(&mut buf, &index).unwrap();
+
+        let back = anna::index::read_index(&buf[..]).unwrap();
+        let params = SearchParams {
+            nprobe: 6,
+            k: 10,
+            ..Default::default()
+        };
+        for q in ds.queries.iter() {
+            assert_eq!(
+                back.search(q, &params),
+                index.search(q, &params),
+                "k*={kstar}"
+            );
+        }
+
+        let hot = anna::index::read_segment_hot(&buf[..]).unwrap();
+        assert_eq!(&hot.centroids, index.centroids(), "k*={kstar}");
+        assert_eq!(&hot.codebook, index.codebook(), "k*={kstar}");
+
+        let mut v1 = buf.clone();
+        v1[..8].copy_from_slice(b"ANNAIDX\x01");
+        assert!(anna::index::read_index(&v1[..]).is_err(), "k*={kstar}");
+    }
+}

@@ -169,9 +169,11 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 
 /// Grep-proof for retired names: the pre-`plan.*` counter key, the entry
 /// points the `SearchEngine` pipeline replaced, the scan loops the one
-/// round loop replaced, the scan layer's per-call kernel checks, and the
-/// per-layer hardware arms the one dispatch replaced, must not survive
-/// anywhere in the workspace sources or the two design documents.
+/// round loop replaced, the scan layer's per-call kernel checks, the
+/// per-layer hardware arms the one dispatch replaced, and the deleted
+/// second paths (v1 index writer, host commands, MAI model, calibrate
+/// tool) must not survive anywhere in the workspace sources or the two
+/// design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -207,6 +209,18 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("Rescore", "Arm"),
         concat!("default_", "table_arm"),
         concat!("default_", "rescore_arm"),
+        // Second paths nothing ran: the version-1 index stream writer, the
+        // host command list, the unwired MAI model, the host calibrate
+        // tool and its QPS probes, and zero-caller helpers.
+        concat!("write_", "index"),
+        concat!("session_", "commands"),
+        concat!("mai::", "Mai"),
+        concat!("cpu::", "calibrate"),
+        concat!("measure_", "qps"),
+        concat!("measure_batched_qps_", "with"),
+        concat!("build_", "madds"),
+        concat!("package_", "power_w"),
+        concat!("bin ", "calibrate"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
