@@ -153,6 +153,9 @@ pub struct SelectPoint {
     pub push_ns_per_offer: f64,
     /// `ScanTally::pruned / scanned` of the scan into empty selectors.
     pub pruned_frac: f64,
+    /// `ScanTally::bound_rejected / scanned` of the same scan: the scores
+    /// the `avx512` `k* = 256` bound pass never computed (0 elsewhere).
+    pub bound_rejected_frac: f64,
     /// Live selector storage ([`TopK::buffer_bytes`] summed over the
     /// selectors) after the scan into empty selectors, kB.
     pub selector_kb: f64,
@@ -324,6 +327,7 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             point_tel.counter_add("kernel.codes_scanned", tally.scanned);
             point_tel.counter_add("kernel.pruned", tally.pruned);
+            point_tel.counter_add("kernel.bound_rejected", tally.bound_rejected);
 
             let codes_per_sec = (passes * n) as f64 / secs;
             if dispatch == KernelDispatch::Scalar {
@@ -634,6 +638,7 @@ fn select_regime_points(
             push_us,
             push_ns_per_offer: push_us * 1e3 / offers_per_query.max(1.0),
             pruned_frac: tally.pruned as f64 / tally.scanned as f64,
+            bound_rejected_frac: tally.bound_rejected as f64 / tally.scanned as f64,
             selector_kb: selector_bytes as f64 / 1024.0,
             identical_to_scalar: identical,
         });
@@ -856,6 +861,7 @@ impl KernelsSweep {
                                 .set("push_us", p.push_us)
                                 .set("push_ns_per_offer", p.push_ns_per_offer)
                                 .set("pruned_frac", p.pruned_frac)
+                                .set("bound_rejected_frac", p.bound_rejected_frac)
                                 .set("selector_kb", p.selector_kb)
                                 .set("identical_to_scalar", p.identical_to_scalar)
                         })
@@ -931,12 +937,12 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major, grouped = one scan_group_with per cluster) ===\n{:<6} {:<9} {:>9} {:>7} {:>8} {:>9} {:>10} {:>9} {:>10} {:>8} {:>9} {:>10}\n",
-            "k*", "dispatch", "selectors", "grouped", "scan_us", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "sel_kB", "identical"
+            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major, grouped = one scan_group_with per cluster) ===\n{:<6} {:<9} {:>9} {:>7} {:>8} {:>9} {:>10} {:>9} {:>10} {:>8} {:>8} {:>9} {:>10}\n",
+            "k*", "dispatch", "selectors", "grouped", "scan_us", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "bound", "sel_kB", "identical"
         ));
         for p in &self.select {
             s.push_str(&format!(
-                "{:<6} {:<9} {:>9} {:>7} {:>8.1} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>9.1} {:>10}\n",
+                "{:<6} {:<9} {:>9} {:>7} {:>8.1} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>8.4} {:>9.1} {:>10}\n",
                 p.kstar,
                 p.dispatch,
                 p.selectors,
@@ -947,6 +953,7 @@ impl KernelsSweep {
                 p.push_us,
                 p.push_ns_per_offer,
                 p.pruned_frac,
+                p.bound_rejected_frac,
                 p.selector_kb,
                 p.identical_to_scalar
             ));
@@ -1030,6 +1037,14 @@ mod tests {
             assert!(p.score_us > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!((0.0..=1.0).contains(&p.pruned_frac));
             assert_eq!(p.pruned_frac == 0.0, p.dispatch == "scalar");
+            assert!(p.bound_rejected_frac <= p.pruned_frac);
+            assert_eq!(
+                p.bound_rejected_frac > 0.0,
+                p.kstar == 256 && p.dispatch == "avx512",
+                "{} k*={}",
+                p.dispatch,
+                p.kstar
+            );
             assert!(
                 p.identical_to_scalar,
                 "{} k*={} select diverged from scalar",
@@ -1057,6 +1072,10 @@ mod tests {
             "{snap}"
         );
         assert!(snap.contains("\"blocked_k256.kernel.pruned\""), "{snap}");
+        assert!(
+            snap.contains("\"blocked_k256.kernel.bound_rejected\""),
+            "{snap}"
+        );
     }
 
     #[test]
@@ -1085,6 +1104,7 @@ mod tests {
             "\"push_us\"",
             "\"push_ns_per_offer\"",
             "\"pruned_frac\"",
+            "\"bound_rejected_frac\"",
             "\"selectors\"",
             "\"grouped\"",
             "\"scan_us\"",

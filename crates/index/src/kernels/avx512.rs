@@ -1,8 +1,9 @@
 //! AVX-512 kernels: `k* = 16` codes scored 64 per iteration with one
 //! `vpermps zmm` per sixteen lookups, for up to four queries per pass over
-//! the rows, and `k* = 256` codes scored 64 per iteration with one
+//! the rows; `k* = 256` codes scored 64 per iteration with one
 //! `vgatherdps zmm` per sixteen lookups — the table lookups are the only
-//! gathers where rows are 8 or 16 bytes, which are loaded.
+//! gathers where rows are 8 or 16 bytes, which are loaded — and, over those
+//! rows, a u8 bound pass that decides which rows need the gather at all.
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -22,6 +23,17 @@
 //! sixteen rows as two or four contiguous registers instead of gathering
 //! their code dwords, so at `m = 16` (the benchmark's shape) sixteen rows
 //! cost 16 gathers instead of 20.
+//!
+//! [`bound_kernel`] closes most of the rest by not looking up most rows at
+//! f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes* —
+//! one shared scale, a per-table offset, floor rounding — and a byte table
+//! is four ZMM registers: two `vpermi2b` and a blend look up 64 codes.
+//! Summed in 16-bit lanes, the bytes give every row of a tile an upper
+//! bound on its score; only rows whose bound reaches the tile's threshold
+//! (≈ 4 % at the benchmark's shape, where ≈ 3.4 % survive) are scored
+//! exactly, by the gather kernel's own lookup sequence ([`gathered_sums`]).
+//! The bound's proof is on [`bound_kernel`]: the sink receives exactly the
+//! gather kernel's `(position, score)` pairs.
 //!
 //! # Layout and summation order
 //!
@@ -55,9 +67,13 @@
 //! of sixteen rows (index = lane · `m`, the chunk's position in the base
 //! pointer); when `m` is not a multiple of four, the last fetch takes the
 //! dword that ends at the row's last byte — still inside the row — and
-//! shifts the bytes already summed out of it. Either way only the table
-//! lookups remain gathers. Rows shorter than a dword (`m < 4`) stay on
-//! the blocked kernel.
+//! shifts the bytes already summed out of it ([`gathered_sums`], which
+//! also scores the bound pass's candidates from their row offsets). Either
+//! way only the table lookups remain gathers. Rows shorter than a dword
+//! (`m < 4`) stay on the blocked kernel.
+//!
+//! The bound pass loads a 64-row chunk as `4·ND` plain 64-byte registers
+//! and transposes it in registers (see [`bound_kernel`]).
 //!
 //! # The group loop
 //!
@@ -77,20 +93,22 @@
 //! may leave the row dwords in L1 and shift them straight from memory);
 //! a fifth query would spill accumulators. `k* = 256` has no group: its
 //! gathers are bound by the load ports, which the queries would share
-//! rather than split.
+//! rather than split, and its bound pass needs the 16 row registers and
+//! four table registers of one query.
 //!
 //! # No scalar tail
 //!
-//! Every load, gather, store and compare is under a lane mask. A full
-//! chunk runs with all-ones masks; the last chunk of a block masks off the
-//! lanes past `count` (masked-off lanes are neither read nor written —
-//! fault suppression is architectural), so a kernel always finishes the
-//! block.
+//! Every load, gather, store and compare is under a lane mask (the bound
+//! pass loads a full chunk unmasked). A full chunk runs with all-ones
+//! masks; the last chunk of a block masks off the lanes past `count`
+//! (masked-off lanes are neither read nor written — fault suppression is
+//! architectural), so a kernel always finishes the block.
 //!
 //! # Sinks
 //!
-//! Both kernels end in `finish_group!`. The tile sink is a masked store per
-//! accumulator. The survivors sink does not branch on its outcome: it
+//! The LUT16 and gather kernels end in `finish_group!`; the bound pass's
+//! exact scores go straight to its survivors step, `keep_passing!`. The
+//! tile sink is a masked store per accumulator. The survivors sink does not branch on its outcome: it
 //! compares the finished sums with the broadcast threshold straight into a
 //! mask register (`vcmpps k, GE_OQ`: ordered, so NaN never passes),
 //! compresses the passing scores and their positions in registers
@@ -172,24 +190,56 @@ macro_rules! finish_group {
             _mm512_mask_storeu_ps(f.out.as_mut_ptr().wrapping_add(at), in_block, sum);
             f.written += live;
         } else {
-            // No branch on the outcome: the passing lanes are compressed
-            // in registers and stored full width at `written`, so the
-            // lanes above them are junk the next store (or nothing)
-            // overwrites. `written` trails the lanes scored so far and
-            // never passes `count`, so the store ends inside the
-            // `count + SINK_SLACK` slots the caller promised.
-            let passing = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(in_block, sum, f.vthreshold);
             let positions = _mm512_add_epi32(f.lane, _mm512_set1_epi32(at as i32));
-            _mm512_storeu_ps(
-                f.out.as_mut_ptr().add(f.written),
-                _mm512_maskz_compress_ps(passing, sum),
+            keep_passing!(
+                f.written,
+                f.vthreshold,
+                sum,
+                in_block,
+                positions,
+                f.out.as_mut_ptr(),
+                f.positions.as_mut_ptr()
             );
-            _mm512_storeu_si512(
-                f.positions.as_mut_ptr().add(f.written).cast(),
-                _mm512_maskz_compress_epi32(passing, positions),
-            );
-            f.written += passing.count_ones() as usize;
         }
+    }};
+}
+
+/// The survivors sink's step for sixteen finished scores `$sum` at block
+/// positions `$positions`, of which the lanes under `$in_block` count:
+/// the scores `>= $vthreshold` and their positions are compressed in
+/// registers and stored full width at `$written` in `$scores` /
+/// `$ids`, and `$written` advances by how many passed. No branch on the
+/// outcome: the lanes above the survivors are junk the next store (or
+/// nothing) overwrites. `$written` trails the lanes scored so far and never
+/// passes the block's `count`, so the store ends inside the `count +
+/// SINK_SLACK` slots the caller promised.
+macro_rules! keep_passing {
+    ($written:expr, $vthreshold:expr, $sum:expr, $in_block:expr, $positions:expr, $scores:expr, $ids:expr) => {{
+        let sum: __m512 = $sum;
+        let passing = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>($in_block, sum, $vthreshold);
+        _mm512_storeu_ps(
+            $scores.add($written),
+            _mm512_maskz_compress_ps(passing, sum),
+        );
+        _mm512_storeu_si512(
+            $ids.add($written).cast(),
+            _mm512_maskz_compress_epi32(passing, $positions),
+        );
+        $written += passing.count_ones() as usize;
+    }};
+}
+
+/// Adds table `$i`'s entries for byte `$p` of each lane's `$dword` (under
+/// `$mask`) into `$acc`: one `vgatherdps` per sixteen lookups.
+macro_rules! add_lookup {
+    ($acc:expr, $mask:expr, $dword:expr, $p:literal, $entries:expr, $i:expr) => {{
+        let code = _mm512_and_si512(
+            _mm512_srli_epi32::<{ 8 * $p }>($dword),
+            _mm512_set1_epi32(0xFF),
+        );
+        let table = $entries.as_ptr().add($i * KSTAR_U8);
+        let entry = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), $mask, code, table);
+        $acc = _mm512_add_ps($acc, entry);
     }};
 }
 
@@ -307,7 +357,7 @@ pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
 /// # Safety
 ///
 /// The caller must ensure the host supports `avx512f` and `popcnt`, that
-/// `4 <= m` and `16 * m` fits an `i32`, that `m == 4 * ND` unless `ND` is
+/// `4 <= m` and `64 * m` fits an `i32`, that `m == 4 * ND` unless `ND` is
 /// 0, that `(start + count) * m <= bytes.len()`, that `entries` holds `m`
 /// tables of 256 (so every byte code indexes inside its table), and that a
 /// tile sink holds `count` elements and a survivors sink's slices
@@ -327,7 +377,6 @@ pub(super) unsafe fn gather_kernel<const ND: usize>(
     let mut finish = Finish::new(sink, bias);
     // Byte offset of lane l's row from lane 0's.
     let row_offset = _mm512_mullo_epi32(finish.lane, _mm512_set1_epi32(m as i32));
-    let low_byte = _mm512_set1_epi32(0xFF);
     // De-interleave indices (`vpermt2d`: 0–15 pick from the first register,
     // 16–31 from the second). Sixteen 8-byte rows are two registers, row r
     // at dwords 2r, 2r + 1: `even` and `odd` pick dword 0 and dword 1 of
@@ -350,19 +399,7 @@ pub(super) unsafe fn gather_kernel<const ND: usize>(
         // computed without the in-bounds promise `add` makes.
         let chunk = bytes.as_ptr().wrapping_add((start + j) * m);
 
-        let mut acc = [_mm512_setzero_ps(); 4];
-        // Byte `$p` of `$dword` is each row's code for subquantizer `$i`:
-        // lane group `$g` adds table `$i`'s entries into its accumulator.
-        macro_rules! lookup {
-            ($g:expr, $dword:expr, $p:literal, $i:expr) => {{
-                let code = _mm512_and_si512(_mm512_srli_epi32::<{ 8 * $p }>($dword), low_byte);
-                let table = entries.as_ptr().add($i * KSTAR_U8);
-                let entry =
-                    _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), masks[$g], code, table);
-                acc[$g] = _mm512_add_ps(acc[$g], entry);
-            }};
-        }
-        if ND > 0 {
+        let acc = if ND > 0 {
             // Whole rows: the `ND` dwords of each lane group's sixteen rows
             // loaded and de-interleaved into "dword d of every row" (lanes
             // past `live[g]` read nothing and hold code 0), all four groups
@@ -396,49 +433,22 @@ pub(super) unsafe fn gather_kernel<const ND: usize>(
                     rows[3] = _mm512_permutex2var_epi32(a23, high, b23);
                 }
             }
+            let mut acc = [_mm512_setzero_ps(); 4];
             for (g, rows) in rows.iter().enumerate() {
                 for (d, &dword) in rows.iter().enumerate().take(ND) {
-                    lookup!(g, dword, 0, 4 * d);
-                    lookup!(g, dword, 1, 4 * d + 1);
-                    lookup!(g, dword, 2, 4 * d + 2);
-                    lookup!(g, dword, 3, 4 * d + 3);
+                    add_lookup!(acc[g], masks[g], dword, 0, entries, 4 * d);
+                    add_lookup!(acc[g], masks[g], dword, 1, entries, 4 * d + 1);
+                    add_lookup!(acc[g], masks[g], dword, 2, entries, 4 * d + 2);
+                    add_lookup!(acc[g], masks[g], dword, 3, entries, 4 * d + 3);
                 }
             }
+            acc
         } else {
-            // Subquantizers `first .. first + 4` per gathered code dword.
-            let mut first = 0;
-            while first < m {
-                // Past the last whole dword, fetch the one ending at the
-                // row's last byte and shift out the bytes already summed.
-                let at = first.min(m - 4);
-                let summed = _mm512_set1_epi32(8 * (first - at) as i32);
-                let codes: [__m512i; 4] = std::array::from_fn(|g| {
-                    let p = chunk.wrapping_add(16 * g * m + at) as *const i32;
-                    let dword = _mm512_mask_i32gather_epi32::<1>(
-                        _mm512_setzero_si512(),
-                        masks[g],
-                        row_offset,
-                        p,
-                    );
-                    _mm512_srlv_epi32(dword, summed)
-                });
-                macro_rules! step {
-                    ($p:literal) => {
-                        let i = first + $p;
-                        if i < m {
-                            for g in 0..4 {
-                                lookup!(g, codes[g], $p, i);
-                            }
-                        }
-                    };
-                }
-                step!(0);
-                step!(1);
-                step!(2);
-                step!(3);
-                first += 4;
-            }
-        }
+            let offsets = std::array::from_fn(|g| {
+                _mm512_add_epi32(row_offset, _mm512_set1_epi32((16 * g * m) as i32))
+            });
+            gathered_sums::<4>(m, chunk, offsets, masks, entries)
+        };
 
         for (g, acc) in acc.into_iter().enumerate() {
             finish_group!(&mut finish, acc, j + 16 * g, live[g]);
@@ -446,4 +456,380 @@ pub(super) unsafe fn gather_kernel<const ND: usize>(
         j += CHUNK;
     }
     (count, finish.written)
+}
+
+/// The scores, less bias, of `G` lane groups of rows of `m >= 4` byte
+/// codes, group `g`'s rows at byte offsets `offsets[g]` from `base` (only
+/// the lanes under `masks[g]` are read): per four subquantizers one
+/// `vpgatherdd` fetches the same code dword of sixteen rows, and table
+/// entries are gathered and added in `i = 0..m` order. When `m` is not a
+/// multiple of four, the last fetch takes the dword that ends at the row's
+/// last byte — still inside the row — and shifts the bytes already summed
+/// out of it.
+///
+/// # Safety
+///
+/// `avx512f`; every row a live lane names lies inside one allocation, and
+/// `entries` holds `m` tables of 256.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn gathered_sums<const G: usize>(
+    m: usize,
+    base: *const u8,
+    offsets: [__m512i; G],
+    masks: [u16; G],
+    entries: &[f32],
+) -> [__m512; G] {
+    use arch::*;
+
+    let mut acc = [_mm512_setzero_ps(); G];
+    // Subquantizers `first .. first + 4` per gathered code dword.
+    let mut first = 0;
+    while first < m {
+        // Past the last whole dword, fetch the one ending at the row's last
+        // byte and shift out the bytes already summed.
+        let at = first.min(m - 4);
+        let summed = _mm512_set1_epi32(8 * (first - at) as i32);
+        let codes: [__m512i; G] = std::array::from_fn(|g| {
+            let p = base.wrapping_add(at) as *const i32;
+            let dword =
+                _mm512_mask_i32gather_epi32::<1>(_mm512_setzero_si512(), masks[g], offsets[g], p);
+            _mm512_srlv_epi32(dword, summed)
+        });
+        macro_rules! step {
+            ($p:literal) => {
+                let i = first + $p;
+                if i < m {
+                    for g in 0..G {
+                        add_lookup!(acc[g], masks[g], codes[g], $p, entries, i);
+                    }
+                }
+            };
+        }
+        step!(0);
+        step!(1);
+        step!(2);
+        step!(3);
+        first += 4;
+    }
+    acc
+}
+
+/// Most tables the bound pass quantises: rows of at most four dwords.
+pub(super) const BOUND_TABLES: usize = 16;
+
+/// The u8 image of a LUT's `m` tables of 256 (see [`bound_kernel`]):
+/// entry `v` of table `i` becomes `q = min(255, ⌊(e − lo_i) · (1/s)⌋)`, all
+/// three operations rounded in f32, where `lo_i` is table `i`'s least
+/// entry and `s = fl(max_i fl(hi_i − lo_i) / 255)` is one scale shared by
+/// every table, so that the bytes of different tables add. Writes the
+/// `m · 256` bytes to `tables` and returns `(s, Σ lo_i, Σ max_v |e_iv|)`,
+/// the sums in f64; returns `None` — and the scan keeps the gather — when
+/// an entry is NaN or infinite or every table is constant (`s` would be 0
+/// or subnormal).
+///
+/// # Safety
+///
+/// `avx512f` and `avx512bw`; `m <= BOUND_TABLES`, `entries` holds `m`
+/// tables of 256 and `tables` `m · 256` bytes.
+#[target_feature(enable = "avx512f,avx512bw")]
+pub(super) unsafe fn quantise(
+    m: usize,
+    entries: &[f32],
+    tables: &mut [u8],
+) -> Option<(f32, f64, f64)> {
+    use arch::*;
+
+    let mut lo = [0.0f32; BOUND_TABLES];
+    let (mut range, mut floor, mut magnitude) = (0.0f32, 0.0f64, 0.0f64);
+    let infinity = _mm512_set1_ps(f32::INFINITY);
+    for (i, lo) in lo.iter_mut().enumerate().take(m) {
+        let table = entries.as_ptr().add(i * KSTAR_U8);
+        let v: [__m512; KSTAR_U8 / 16] =
+            std::array::from_fn(|c| _mm512_loadu_ps(table.add(16 * c)));
+        // Ordered: NaN fails, and so does ±inf.
+        let finite = v.iter().fold(u16::MAX, |finite, &v| {
+            finite & _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(v), infinity)
+        });
+        if finite != u16::MAX {
+            return None;
+        }
+        // Pairwise, so the reduction is four dependent steps, not sixteen.
+        macro_rules! tree {
+            ($reduce:ident) => {{
+                let mut v = v;
+                let mut n = v.len();
+                while n > 1 {
+                    n /= 2;
+                    for k in 0..n {
+                        v[k] = $reduce(v[k], v[k + n]);
+                    }
+                }
+                v[0]
+            }};
+        }
+        let least = _mm512_reduce_min_ps(tree!(_mm512_min_ps));
+        let most = _mm512_reduce_max_ps(tree!(_mm512_max_ps));
+        *lo = least;
+        range = range.max(most - least);
+        floor += f64::from(least);
+        magnitude += f64::from(least.abs().max(most.abs()));
+    }
+    let scale = range / 255.0;
+    if scale < f32::MIN_POSITIVE {
+        return None;
+    }
+    let inverse = _mm512_set1_ps(1.0 / scale);
+    let top = _mm512_set1_ps(255.0);
+    // `vpackus*` pack per 128-bit lane: this puts the packed dwords of
+    // sixty-four entries back in entry order.
+    let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+    for (i, &lo) in lo.iter().enumerate().take(m) {
+        let (table, out) = (
+            entries.as_ptr().add(i * KSTAR_U8),
+            tables.as_mut_ptr().add(i * KSTAR_U8),
+        );
+        let lo = _mm512_set1_ps(lo);
+        for c in 0..KSTAR_U8 / 64 {
+            let q: [__m512i; 4] = std::array::from_fn(|k| {
+                let v = _mm512_loadu_ps(table.add(64 * c + 16 * k));
+                // `v >= lo`, so the product is `>= 0` and truncation
+                // floors it.
+                let t = _mm512_mul_ps(_mm512_sub_ps(v, lo), inverse);
+                _mm512_cvttps_epi32(_mm512_min_ps(t, top))
+            });
+            let words = (
+                _mm512_packus_epi32(q[0], q[1]),
+                _mm512_packus_epi32(q[2], q[3]),
+            );
+            let bytes = _mm512_packus_epi16(words.0, words.1);
+            _mm512_storeu_si512(
+                out.add(64 * c).cast(),
+                _mm512_permutexvar_epi32(order, bytes),
+            );
+        }
+    }
+    Some((scale, floor, magnitude))
+}
+
+/// Where each row of a 64-row chunk lands among the 64 byte lanes of the
+/// bound pass's transposed registers, for rows of `nd` dwords (2 or 4):
+/// `row_lanes(nd)[r]` is row `r`'s lane. The transpose (see
+/// [`bound_kernel`]) moves row bits 5, 4, 3 — which input register half a
+/// row sits in — to lane bits 0, 1, 2, and the row's place inside its
+/// register to lane bits 3–5.
+const fn row_lanes(nd: usize) -> [u8; 64] {
+    let mut lanes = [0u8; 64];
+    let mut r = 0;
+    while r < 64 {
+        let high = ((r >> 5) & 1) | ((r >> 3) & 2) | ((r >> 1) & 4);
+        let low = if nd == 4 {
+            ((r & 1) << 4) | ((r & 2) << 4) | ((r & 4) << 1)
+        } else {
+            ((r & 1) << 3) | ((r & 2) << 3) | ((r & 4) << 3)
+        };
+        lanes[r] = (high | low) as u8;
+        r += 1;
+    }
+    lanes
+}
+
+/// [`row_lanes`] for 8-byte rows, then for 16-byte rows.
+const ROW_LANES: [[u8; 64]; 2] = [row_lanes(2), row_lanes(4)];
+
+/// The bounded scan of byte codes in rows of `ND` whole dwords (`m = 4·ND`,
+/// `ND` 2 or 4) against `k* = 256` tables, into a survivors sink: a u8
+/// upper bound on every score of the block, then exact scores for only
+/// the rows whose bound reaches the sink's threshold. `tables` is the LUT's
+/// u8 image ([`quantise`]) and `min_sum` the least byte sum that can still
+/// reach the threshold (the scan layer's `ByteBound::min_sum`). Returns
+/// `(count, scores the sink received, rows the bound rejected)`. The sink
+/// receives exactly what [`gather_kernel`] would hand it: the exact scores
+/// are the gather kernel's own lookup sequence ([`gathered_sums`], `i =
+/// 0..m`, bias last), and a rejected row's score is below the threshold.
+///
+/// # The bound pass
+///
+/// Per 64-row chunk, the `4·ND` 64-byte registers of rows are transposed
+/// in registers by a four-stage `vpunpck{lbw,lwd,ldq,lqdq}` network (stage
+/// `w` pairs register `k` with register `k + 2ND` into outputs `2k` and
+/// `2k + 1`), after which register `i` holds byte `i` of all 64 rows —
+/// subquantizer `i`'s codes, row `r` in lane `row_lanes(ND)[r]`. Each
+/// code is looked up in its table's 256 bytes, held in four registers: two
+/// `vpermi2b` read the low and high 128 entries and `vpmovb2m` of the code
+/// (its bit 7) blends them. The bytes are summed into 16-bit lanes without
+/// a mask: one accumulator adds whole words (`even + 256·odd`), the other
+/// the odd bytes alone, and the even sums are the difference; `m · 255 <=
+/// 4080` fits either. Both halves are compared with `min_sum`, the two
+/// masks interleaved back into byte lanes, and one `vpermb` puts them in
+/// row order, so candidates are compressed in ascending position.
+///
+/// # Why the bound is exact
+///
+/// Write `e_i` for row `r`'s entry in table `i`, `q_i` for its byte, `Q =
+/// Σ q_i`, `A = Σ_i max_v |e_iv|`, `b` the bias, `u = 2^-24`. Four steps
+/// take the f32 score `S = fl(fl(Σ e_i) + b)`, summed in `i = 0..m` order,
+/// to a test on `Q` alone.
+///
+/// 1. **Quantisation floor.** `q = min(255, ⌊t⌋)` with `t = fl(fl(e − lo)
+///    · fl(1/s))`, each rounding relative at most `u` (a product below
+///    `2^-126` errs by at most `2^-149` absolute, which the slack below
+///    covers too), so `(e − lo)/s <= t(1 + 4u)`. Unclamped, `t < q + 1 <=
+///    256`; clamped, `e − lo <= hi − lo <= 255·s·(1 + 2u)`. Either way
+///    `e_i <= lo_i + s·(q_i + 1 + 2^-14)`, and summed over the tables,
+///    `Σ e_i <= Σ lo_i + s·(Q + m) + m·s·2^-14`.
+/// 2. **f32 summation error.** The sequential sum of `m` finite terms
+///    (nothing overflows: `A + |b| < 2^120`) is within `γ_{m−1}·Σ|e_i| <=
+///    (m − 1)·u·(1 + 2mu)·A` of the real sum (subnormal sums are exact).
+/// 3. **Bias addition.** `fl(x + b) <= (x + b) + u·|x + b|`, and
+///    `|x + b| <= A(1 + 2mu) + |b|`. With step 2, the score is at most
+///    `Σ e_i + b + (m + 1)·2^-23·(A + |b|)`.
+/// 4. **`>=` at the threshold.** Let `slack` be `m·s·2^-14 + (m +
+///    1)·2^-23·(A + |b|) + 2^-40·(|T| + A + |b|)` and `x = (T − Σ lo_i −
+///    b − slack)/s − m`. Computed in f64, the subtraction errs by a few
+///    `2^-53·(|T| + A + |b|)`, which the slack's last term exceeds; the
+///    division and `− m` err by far less than one step wherever `x` is
+///    below `2^16` (beyond it, every row's bound is below `T`, and
+///    `min_sum` saturates at `u16::MAX`), and `min_sum = ⌊x⌋ − 1`
+///    absorbs that. So a rejected row, `Q <= min_sum − 1`, has `Q <= x −
+///    1` for the exact `x`, and by steps 1–3 its score is at most
+///    `Σ lo_i + b + s·(x − 1 + m) + slack = T − s < T`: strictly below,
+///    so a score *equal* to the threshold is never rejected and ties are
+///    still offered. A finite threshold is required (`-inf` tiles keep
+///    the gather).
+///
+/// # Candidates in place
+///
+/// The bound pass writes candidate positions into the sink's positions
+/// slice and the exact pass reads them back, sixteen at a time, before
+/// writing survivors over them: each batch's positions are loaded into a
+/// register before its store, and survivors never outnumber the
+/// candidates read, so no store reaches a candidate not yet read.
+///
+/// # Safety
+///
+/// The caller must ensure the host supports `avx512f`, `avx512bw`,
+/// `avx512vbmi` and `popcnt`; that `ND` is 2 or 4 and `m == 4 * ND`; that
+/// `(start + count) * m <= bytes.len()` and `count * m` fits an `i32`;
+/// that `entries` holds `m` tables of 256 and `tables` their `m · 256`
+/// bytes; and that `sink` is a survivors sink whose slices hold `count +
+/// SINK_SLACK`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn bound_kernel<const ND: usize>(
+    m: usize,
+    bytes: &[u8],
+    start: usize,
+    count: usize,
+    tables: &[u8],
+    min_sum: u16,
+    entries: &[f32],
+    bias: f32,
+    sink: &mut Sink<'_>,
+) -> (usize, usize, usize) {
+    use arch::*;
+
+    let (Some(threshold), scores, positions) = sink.parts() else {
+        unreachable!("the bound pass feeds a survivors sink");
+    };
+    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
+    // Input registers per chunk, and rows per register.
+    let regs = 4 * ND;
+    let per_reg = 16 / ND;
+    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let lanes_of_rows = _mm512_loadu_si512(ROW_LANES[ND / 4].as_ptr().cast());
+    let vmin_sum = _mm512_set1_epi16(min_sum as i16);
+
+    // The bound pass: candidate positions, ascending, into `positions`.
+    let mut candidates = 0;
+    let mut j = 0;
+    while j < count {
+        let left = count - j;
+        let chunk = bytes.as_ptr().wrapping_add((start + j) * m);
+        let mut x = [_mm512_setzero_si512(); 16];
+        for (r, x) in x.iter_mut().enumerate().take(regs) {
+            let p = chunk.wrapping_add(64 * r);
+            *x = if left >= CHUNK {
+                _mm512_loadu_si512(p.cast())
+            } else {
+                // One mask bit per live dword: `ND` per live row; rows past
+                // the block read nothing and hold code 0.
+                let live = left.saturating_sub(r * per_reg).min(per_reg);
+                _mm512_maskz_loadu_epi32(((1u32 << (ND * live)) - 1) as u16, p.cast())
+            };
+        }
+        macro_rules! stage {
+            ($lo:ident, $hi:ident) => {{
+                let y = x;
+                for k in 0..regs / 2 {
+                    x[2 * k] = $lo(y[k], y[k + regs / 2]);
+                    x[2 * k + 1] = $hi(y[k], y[k + regs / 2]);
+                }
+            }};
+        }
+        stage!(_mm512_unpacklo_epi8, _mm512_unpackhi_epi8);
+        stage!(_mm512_unpacklo_epi16, _mm512_unpackhi_epi16);
+        stage!(_mm512_unpacklo_epi32, _mm512_unpackhi_epi32);
+        stage!(_mm512_unpacklo_epi64, _mm512_unpackhi_epi64);
+
+        let (mut words, mut odd) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        for (i, &codes) in x.iter().enumerate().take(m) {
+            let t = tables.as_ptr().add(i * KSTAR_U8).cast::<__m512i>();
+            let low = _mm512_permutex2var_epi8(
+                _mm512_loadu_si512(t),
+                codes,
+                _mm512_loadu_si512(t.add(1)),
+            );
+            let high = _mm512_permutex2var_epi8(
+                _mm512_loadu_si512(t.add(2)),
+                codes,
+                _mm512_loadu_si512(t.add(3)),
+            );
+            let q = _mm512_mask_blend_epi8(_mm512_movepi8_mask(codes), low, high);
+            words = _mm512_add_epi16(words, q);
+            odd = _mm512_add_epi16(odd, _mm512_srli_epi16::<8>(q));
+        }
+        let even = _mm512_sub_epi16(words, _mm512_slli_epi16::<8>(odd));
+        let reach = _mm512_mask_blend_epi8(
+            0xAAAA_AAAA_AAAA_AAAA,
+            _mm512_movm_epi16(_mm512_cmpge_epu16_mask(even, vmin_sum)),
+            _mm512_movm_epi16(_mm512_cmpge_epu16_mask(odd, vmin_sum)),
+        );
+        let in_block = match left {
+            0..64 => (1u64 << left) - 1,
+            _ => u64::MAX,
+        };
+        let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(lanes_of_rows, reach)) & in_block;
+        for g in 0..4 {
+            let kept = (rows >> (16 * g)) as u16;
+            if kept != 0 {
+                let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
+                _mm512_storeu_si512(
+                    positions.add(candidates).cast(),
+                    _mm512_maskz_compress_epi32(kept, at),
+                );
+                candidates += kept.count_ones() as usize;
+            }
+        }
+        j += CHUNK;
+    }
+
+    // The exact pass over the candidates, sixteen at a time: a gather
+    // costs about the same for any number of live lanes, so the tile's
+    // candidates are batched rather than scored per chunk.
+    let base = bytes.as_ptr().add(start * m);
+    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(threshold));
+    let row_bytes = _mm512_set1_epi32(m as i32);
+    let mut written = 0;
+    let mut c = 0;
+    while c < candidates {
+        let live = lane_mask((candidates - c).min(16));
+        let at = _mm512_maskz_loadu_epi32(live, positions.add(c).cast());
+        let offsets = [_mm512_mullo_epi32(at, row_bytes)];
+        let [acc] = gathered_sums::<1>(m, base, offsets, [live], entries);
+        let sum = _mm512_add_ps(acc, vbias);
+        keep_passing!(written, vthreshold, sum, live, at, scores, positions);
+        c += 16;
+    }
+    (count, written, count - candidates)
 }

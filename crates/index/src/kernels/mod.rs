@@ -18,7 +18,15 @@
 //!    and 8-byte rows; `avx2`: two YMM halves, 32, every other width); and
 //!    the `avx512` gather kernel for `k* = 256` (one `vgatherdps` per
 //!    sixteen lookups, rows of at least four bytes; 8- and 16-byte rows
-//!    are loaded whole, every other width's code dwords gathered).
+//!    are loaded whole, every other width's code dwords gathered). Over
+//!    8- and 16-byte rows a survivors scan puts a **u8 bound pass** ahead
+//!    of the gather: once per visitor the LUT is quantised into 256-byte
+//!    tables (`ByteBound`), four ZMM registers each; per tile, every row's
+//!    upper bound is two `vpermi2b` and a blend per subquantizer, and
+//!    only the rows whose bound reaches the tile's threshold are scored
+//!    exactly, by the gather kernel's own lookup sequence. The sink
+//!    receives the same pairs; rows skipped are
+//!    [`ScanTally::bound_rejected`].
 //! 3. **Visitor groups** — a cluster's visitors are scanned in groups of
 //!    the kernel's size: up to four for the `avx512` LUT16 kernel, which
 //!    loads each chunk of rows, de-interleaves it and shifts out its nibble
@@ -36,9 +44,10 @@
 //!    `(position, score)` pairs in ascending position in that query's
 //!    buffer. ANNA's SCM never materialises a score either — each sum
 //!    leaves the adder tree, meets the P-heap minimum, and only winners
-//!    enter the heap (PAPER §III-B(4)). Whatever rows a kernel leaves are
-//!    finished by one shared row loop (`score_row`). The hot loop is
-//!    allocation-free.
+//!    enter the heap (PAPER §III-B(4)); the `k* = 256` bound pass goes one
+//!    step further and meets the minimum with a u8 upper bound before the
+//!    f32 score exists. Whatever rows a kernel leaves are finished by one
+//!    shared row loop (`score_row`). The hot loop is allocation-free.
 //! 5. **Threshold-pruned selection** — every kernel but the seed scan ends
 //!    in a survivors sink, and one loop re-tests each kept lane against the
 //!    live threshold, in the same ascending order, one query of the group
@@ -102,11 +111,17 @@
 //! The two code widths mirror the paper's CPU story: `k* = 16`
 //! (Faiss16/ScaNN16) is fast because the 16-entry LUT fits vector
 //! registers; `k* = 256` (Faiss256) cannot, which is why the paper finds
-//! it slow on CPUs (§II-C/§II-D). The `avx512` gather kernel narrows that
-//! gap but does not close it: the 1 KiB tables still live in cache, not in
-//! a register, and a gather issues one load per lane, so the `k* = 256`
-//! scan stays bound by the core's load ports — the work ANNA's SCM does
-//! from its own lookup-table SRAM.
+//! it slow on CPUs (§II-C/§II-D). At f32 the 1 KiB tables still live in
+//! cache, and a gather issues one load per lane, so an exact `k* = 256`
+//! score stays bound by the core's load ports — the work ANNA's SCM does
+//! from its own lookup-table SRAM. The `avx512` scan sidesteps most of
+//! those loads rather than speeding them up: a u8 image of a table is
+//! 256 bytes and *does* fit registers (four ZMM), so a cheap low-precision
+//! pass bounds every score and full precision decides only the few rows
+//! that can still enter the top-k (ANNS-AMP's adaptive mixed precision,
+//! applied as a filter rather than an approximation). The bound is an
+//! upper bound by construction (`avx512::bound_kernel` proves it), so
+//! scores, offers and top-k sets are the gather kernel's bit for bit.
 
 mod blocked;
 mod scalar;
@@ -146,11 +161,19 @@ const SINK_SLACK: usize = 16;
 const SURVIVOR_SLOTS: usize = TILE + SINK_SLACK;
 
 /// Reusable scratch for the scan: one survivors buffer (positions and
-/// scores) per member of a visitor group. Thread one instance through a
+/// scores) per member of a visitor group, and the u8 image of the LUT the
+/// `avx512` `k* = 256` bound pass reads. Thread one instance through a
 /// scan loop (per worker, per search) and the hot path performs zero
 /// allocations after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
+    survivors: Survivors,
+    tables: Vec<u8>,
+}
+
+/// The survivors buffers of a [`ScanScratch`].
+#[derive(Debug, Default, Clone)]
+struct Survivors {
     scores: Vec<f32>,
     positions: Vec<u32>,
 }
@@ -160,11 +183,13 @@ impl ScanScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl Survivors {
     /// Grows (never shrinks) the survivors buffers and hands out one
     /// [`Sink::Survivors`] per threshold, member `g`'s in slot `g`, each
     /// [`SURVIVOR_SLOTS`] long.
-    fn survivor_sinks(&mut self, thresholds: [f32; GROUP]) -> [Sink<'_>; GROUP] {
+    fn sinks(&mut self, thresholds: [f32; GROUP]) -> [Sink<'_>; GROUP] {
         let need = GROUP * SURVIVOR_SLOTS;
         if self.scores.len() < need {
             self.scores.resize(need, 0.0);
@@ -186,16 +211,99 @@ impl ScanScratch {
         })
     }
 
-    /// The first `kept` `(positions, scores)` of member `g`'s survivors
-    /// slot, as the last [`Self::survivor_sinks`] filled it.
-    fn survivors(&self, g: usize, kept: usize) -> (&[u32], &[f32]) {
+    /// The first `kept` `(positions, scores)` of member `g`'s slot, as the
+    /// last [`Self::sinks`] filled it.
+    fn kept(&self, g: usize, kept: usize) -> (&[u32], &[f32]) {
         let at = g * SURVIVOR_SLOTS;
         (&self.positions[at..at + kept], &self.scores[at..at + kept])
     }
 }
 
+/// The u8 image of one LUT that the `avx512` `k* = 256` scan bounds its
+/// scores with: `m` tables of 256 bytes sharing one scale `s`, table `i`
+/// offset by its least entry (`avx512::quantise`), plus what turns a
+/// threshold into the least byte sum that can still reach it
+/// ([`Self::min_sum`]; the proof is `avx512::bound_kernel`'s).
+#[derive(Debug, Clone, Copy)]
+struct ByteBound<'a> {
+    tables: &'a [u8],
+    m: usize,
+    /// `s`: one byte step, in score units.
+    scale: f32,
+    /// `Σ lo_i + bias`: the score of an all-zero byte row, less the steps.
+    floor: f64,
+    /// `Σ_i max_v |e_iv| + |bias|`: what the f32 rounding is relative to.
+    magnitude: f64,
+}
+
+impl<'a> ByteBound<'a> {
+    /// Quantises `lut` into `tables` (grown, never shrunk) for the bound
+    /// pass; `None` — the scan keeps the plain gather — unless the kernel
+    /// is the `avx512` gather over rows of two or four whole dwords, or
+    /// when the LUT holds a non-finite entry or bias, every table is
+    /// constant, or entries and bias are too large to sum without
+    /// overflow (`Σ_i max_v |e_iv| + |bias|` reaching `2^120`).
+    fn quantise(kernel: Kernel, lut: &Lut, tables: &'a mut Vec<u8>) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let Kernel::Avx512Gather { nd: 2 | 4 } = kernel else {
+                return None;
+            };
+            let m = lut.m();
+            assert!(
+                lut.kstar() == 256 && m <= avx512::BOUND_TABLES && lut.entries().len() >= m * 256
+            );
+            assert!(
+                KernelDispatch::Avx512.is_available(),
+                "bound pass without its ISA"
+            );
+            if !lut.bias().is_finite() {
+                return None;
+            }
+            if tables.len() < m * 256 {
+                tables.resize(m * 256, 0);
+            }
+            // SAFETY: the `avx512` level (asserted above) includes
+            // `avx512f` and `avx512bw`; `m` is at most `BOUND_TABLES`, the
+            // LUT holds `m` tables of 256 and `tables` `m · 256` bytes.
+            let (scale, floor, magnitude) = unsafe { avx512::quantise(m, lut.entries(), tables) }?;
+            let bias = f64::from(lut.bias());
+            let magnitude = magnitude + bias.abs();
+            // Below `2^120`, no partial sum of a score can overflow.
+            (magnitude < 2f64.powi(120)).then_some(ByteBound {
+                tables,
+                m,
+                scale,
+                floor: floor + bias,
+                magnitude,
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (kernel, lut, tables);
+            None
+        }
+    }
+
+    /// The least byte sum `Q` a row needs for its exact score to possibly
+    /// reach `threshold`: every row with `Q < min_sum` scores below it.
+    /// `None` when the bound cannot reject anything: a non-finite
+    /// threshold, or one every row's bound reaches.
+    fn min_sum(&self, threshold: f32) -> Option<u16> {
+        if !threshold.is_finite() {
+            return None;
+        }
+        let (m, s, t) = (self.m as f64, f64::from(self.scale), f64::from(threshold));
+        let slack = m * s * 2f64.powi(-14)
+            + (m + 1.0) * 2f64.powi(-23) * self.magnitude
+            + 2f64.powi(-40) * (t.abs() + self.magnitude);
+        let least = ((t - self.floor - slack) / s - m).floor() - 1.0;
+        (least >= 1.0).then(|| least.min(f64::from(u16::MAX)) as u16)
+    }
+}
+
 /// Work counters returned by a scan. Feeds the `kernel.codes_scanned` /
-/// `kernel.pruned` telemetry counters.
+/// `kernel.pruned` / `kernel.bound_rejected` telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanTally {
     /// Encoded vectors scored, once per visitor (a grouped scan of `n`
@@ -216,6 +324,12 @@ pub struct ScanTally {
     /// Schedule-dependent (the threshold tightens as the scan proceeds),
     /// so this is a telemetry quantity, not a determinism-checked one.
     pub pruned: u64,
+    /// Of `pruned`, the scores the `avx512` `k* = 256` scan never computed:
+    /// rows whose u8 upper bound fell below the tile's frozen threshold
+    /// (`avx512::bound_kernel`). Always `<= pruned` — such a score is below
+    /// the live threshold too — and 0 on every other kernel. Schedule-
+    /// dependent like `pruned`.
+    pub bound_rejected: u64,
 }
 
 impl ScanTally {
@@ -223,6 +337,7 @@ impl ScanTally {
     pub fn accumulate(&mut self, other: &ScanTally) {
         self.scanned += other.scanned;
         self.pruned += other.pruned;
+        self.bound_rejected += other.bound_rejected;
     }
 }
 
@@ -244,7 +359,9 @@ enum Kernel {
     /// The AVX-512 gather kernel (`avx512`): byte codes in rows of four
     /// bytes or more against 256-entry tables. Rows of `nd` whole dwords
     /// (`nd` 2 or 4: 8- and 16-byte rows) are loaded sixteen at a time and
-    /// de-interleaved; every other width (`nd` 0) gathers its code dwords.
+    /// de-interleaved, and a survivors scan over them runs the u8 bound
+    /// pass first (`avx512::bound_kernel`); every other width (`nd` 0)
+    /// gathers its code dwords.
     Avx512Gather { nd: usize },
 }
 
@@ -351,7 +468,10 @@ pub fn scan_with(
 /// 8-byte rows), up to four visitors share each block: one pass over the
 /// rows feeds every query's tables, and each query's survivors are offered
 /// to its own selector before the next block freezes thresholds. Every
-/// other kernel scans the visitors one after another. Either way each
+/// other kernel scans the visitors one after another; where the AVX-512
+/// gather kernel runs over 8- or 16-byte rows, each visitor's LUT is first
+/// quantised into `scratch` and every tile with a finite threshold is
+/// bounded before it is scored. Either way each
 /// selector meets the same offers in the same order as a [`scan_with`] of
 /// its own, so every `top` and the returned tally (summed over the
 /// visitors) are bit-identical to that on every dispatch (see the module
@@ -391,14 +511,20 @@ pub fn scan_group_with(
                 CodeWidth::U4 => scalar::scan_u4(codes, ids, lut, top),
             }
         }
-        return ScanTally { scanned, pruned: 0 };
+        return ScanTally {
+            scanned,
+            ..ScanTally::default()
+        };
     }
 
     let vb = codes.vector_bytes();
     let group = kernel.group();
-    // Candidates handed to `TopK::push`.
-    let mut offered = 0u64;
+    // Candidates handed to `TopK::push`, and rows the bound rejected.
+    let (mut offered, mut bound_rejected) = (0u64, 0u64);
     for (luts, tops) in luts.chunks(group).zip(tops.chunks_mut(group)) {
+        // Once per visitor: the u8 image the `avx512` `k* = 256` scan
+        // bounds its scores with (its group is one).
+        let bound = ByteBound::quantise(kernel, &luts[0], &mut scratch.tables);
         let mut start = 0;
         while start < n {
             let count = (n - start).min(TILE);
@@ -420,12 +546,21 @@ pub fn scan_group_with(
             // equal-score/lower-id tie-break exact.
             let thresholds =
                 std::array::from_fn(|g| tops.get(g).map_or(f32::INFINITY, TopK::threshold));
-            let kept = {
-                let mut sinks = scratch.survivor_sinks(thresholds);
-                score_block(kernel, codes, start, count, luts, &mut sinks[..luts.len()])
+            let (kept, rejected) = {
+                let mut sinks = scratch.survivors.sinks(thresholds);
+                score_block(
+                    kernel,
+                    codes,
+                    start,
+                    count,
+                    luts,
+                    &mut sinks[..luts.len()],
+                    bound,
+                )
             };
+            bound_rejected += rejected as u64;
             for (g, top) in tops.iter_mut().enumerate() {
-                let (positions, scores) = scratch.survivors(g, kept[g]);
+                let (positions, scores) = scratch.survivors.kept(g, kept[g]);
                 for (&j, &score) in positions.iter().zip(scores) {
                     if score >= top.threshold() {
                         offered += 1;
@@ -439,6 +574,7 @@ pub fn scan_group_with(
     ScanTally {
         scanned,
         pruned: scanned - offered,
+        bound_rejected,
     }
 }
 
@@ -543,7 +679,13 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
 /// Scores vectors `[start, start + count)` against each of `luts` with
 /// `kernel` into the sink beside it; returns how many scores each sink
 /// received (`count` for [`Sink::Tile`], the survivor count for
-/// [`Sink::Survivors`]), in `luts` order.
+/// [`Sink::Survivors`]), in `luts` order, and how many rows the bound pass
+/// rejected.
+///
+/// `bound`, the u8 image of the one LUT of a gather-kernel block, lets a
+/// survivors sink with a finite threshold skip the exact score of every
+/// row whose bound falls below it (`avx512::bound_kernel`); the sink
+/// receives the same pairs either way. A tile sink ignores it.
 ///
 /// Whatever rows a kernel leaves — the blocked kernel's last `count % 4`,
 /// the AVX2 kernel's past its last whole 32-vector chunk (all of them for
@@ -560,7 +702,8 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
 /// reads each table at its own stride), a LUT has fewer tables than the
 /// codes have subquantizers, the range exceeds `codes.len()`, a tile is
 /// shorter than `count` or a survivors slice shorter than
-/// `count + SINK_SLACK`.
+/// `count + SINK_SLACK`, or `bound` comes with more than one LUT or does
+/// not have its tables.
 fn score_block(
     kernel: Kernel,
     codes: &PackedCodes,
@@ -568,7 +711,8 @@ fn score_block(
     count: usize,
     luts: &[Lut],
     sinks: &mut [Sink<'_>],
-) -> [usize; GROUP] {
+    bound: Option<ByteBound<'_>>,
+) -> ([usize; GROUP], usize) {
     let (m, width, vb) = (codes.m(), codes.width(), codes.vector_bytes());
     let group = luts.len();
     assert!(
@@ -587,9 +731,15 @@ fn score_block(
         }
         assert!(m * kstar <= lut.entries().len());
     }
+    if let Some(bound) = bound {
+        assert!(group == 1 && bound.m == m && bound.tables.len() >= m * 256);
+    }
     let bytes = codes.bytes();
     assert!((start + count) * vb <= bytes.len());
-    assert!(16 * vb <= i32::MAX as usize, "row offsets must fit an i32");
+    assert!(
+        count.max(64) * vb <= i32::MAX as usize,
+        "row offsets must fit an i32"
+    );
     for sink in sinks.iter() {
         match sink {
             Sink::Tile(out) => assert!(count <= out.len()),
@@ -603,6 +753,7 @@ fn score_block(
     }
 
     let mut written = [0; GROUP];
+    let mut rejected = 0;
     // Every kernel but the AVX-512 LUT16 one runs once per table.
     let done = match kernel {
         Kernel::Scalar => 0,
@@ -643,12 +794,15 @@ fn score_block(
             }
             // SAFETY: `isa_detected` (asserted just above) is the feature
             // set of whichever kernel the match calls (the `avx512` level
-            // covers the `popcnt` of the AVX-512 sinks). `kernel.fits`
-            // (asserted for every LUT at the top) is the shape each kernel
-            // assumes: for the gather kernel, byte codes with `m >= 4`
-            // against 256-entry tables, so every byte code indexes inside
-            // its table, in rows of exactly `4 * nd` bytes for the `nd` 2
-            // and 4 arms; for the AVX-512 LUT16 kernel, nibble rows of
+            // covers the `popcnt` of the AVX-512 sinks and the `avx512bw` /
+            // `avx512vbmi` of the bound pass). `kernel.fits` (asserted for
+            // every LUT at the top) is the shape each kernel assumes: for
+            // the gather kernel, byte codes with `m >= 4` against
+            // 256-entry tables, so every byte code indexes inside its
+            // table, in rows of exactly `4 * nd` bytes for the `nd` 2 and
+            // 4 arms (the only ones the bound pass takes, with the `m ·
+            // 256` image bytes asserted at the top and a survivors sink,
+            // matched below); for the AVX-512 LUT16 kernel, nibble rows of
             // `vb = 4 * nd` bytes, with `nd` the arm taken, and 16-entry
             // tables (the u4 assert); the group's length is the `$q` of its
             // arm. The range, table-count, row-offset and sink-length
@@ -669,14 +823,38 @@ fn score_block(
                         for ((lut, sink), written) in luts.iter().zip(&mut *sinks).zip(&mut written)
                         {
                             let (entries, bias) = (lut.entries(), lut.bias());
-                            (done, *written) = match kernel {
-                                Kernel::Avx2Lut16 => avx2::lut16_kernel(
+                            // The bound pass, where the tile's threshold
+                            // lets it reject anything.
+                            let bounded = match (bound, &*sink) {
+                                (Some(bound), Sink::Survivors { threshold, .. }) => bound
+                                    .min_sum(*threshold)
+                                    .map(|min_sum| (bound.tables, min_sum)),
+                                _ => None,
+                            };
+                            (done, *written) = match (kernel, bounded) {
+                                (Kernel::Avx2Lut16, _) => avx2::lut16_kernel(
                                     m, vb, bytes, start, count, entries, bias, sink,
                                 ),
-                                Kernel::Avx512Gather { nd: 2 } => avx512::gather_kernel::<2>(
+                                (Kernel::Avx512Gather { nd: 2 }, Some((tables, min_sum))) => {
+                                    let (done, kept, skipped) = avx512::bound_kernel::<2>(
+                                        m, bytes, start, count, tables, min_sum, entries, bias,
+                                        sink,
+                                    );
+                                    rejected += skipped;
+                                    (done, kept)
+                                }
+                                (Kernel::Avx512Gather { nd: 4 }, Some((tables, min_sum))) => {
+                                    let (done, kept, skipped) = avx512::bound_kernel::<4>(
+                                        m, bytes, start, count, tables, min_sum, entries, bias,
+                                        sink,
+                                    );
+                                    rejected += skipped;
+                                    (done, kept)
+                                }
+                                (Kernel::Avx512Gather { nd: 2 }, _) => avx512::gather_kernel::<2>(
                                     m, bytes, start, count, entries, bias, sink,
                                 ),
-                                Kernel::Avx512Gather { nd: 4 } => avx512::gather_kernel::<4>(
+                                (Kernel::Avx512Gather { nd: 4 }, _) => avx512::gather_kernel::<4>(
                                     m, bytes, start, count, entries, bias, sink,
                                 ),
                                 _ => avx512::gather_kernel::<0>(
@@ -697,7 +875,7 @@ fn score_block(
             *written = sink.put(*written, j, score_row(codes, lut, start + j));
         }
     }
-    written
+    (written, rejected)
 }
 
 /// Scores a cluster without top-k, returning raw scores (used by tests and
@@ -729,6 +907,7 @@ pub fn score_all_with(codes: &PackedCodes, lut: &Lut, dispatch: KernelDispatch) 
             count,
             std::slice::from_ref(lut),
             &mut [Sink::Tile(tile)],
+            None,
         );
     }
     out
@@ -1120,30 +1299,114 @@ mod tests {
         }
     }
 
+    /// A LUT whose entries are `words` (`m` tables of `kstar`): one-
+    /// dimensional codewords against a query of ones.
+    fn lut_of(words: &[f32], m: usize, kstar: usize) -> Lut {
+        let book = PqCodebook::from_books(
+            words
+                .chunks(kstar)
+                .map(|book| VectorSet::from_vec(1, book.to_vec()))
+                .collect(),
+        );
+        Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32)
+    }
+
+    /// The table families the survivors and bound tests draw from: entries
+    /// uniform in `±8` with NaN, `±inf` and `-0.0` planted (no u8 image);
+    /// the same, finite (`-0.0` only); every table constant (zero range,
+    /// no image); one outlier of `±1e6` per table beside entries in `±1`,
+    /// table 0 constant; magnitudes spread from `1e-30` to `1e30`, either
+    /// sign; and entries a hair below a quantisation step (`0` and `255`
+    /// fix the step at 1, every other entry is `k + 1 − 2^-10`), where the
+    /// bound is within `m · 2^-10` of the score.
+    const FAMILIES: [&str; 6] = [
+        "hostile",
+        "uniform",
+        "constant",
+        "outlier",
+        "magnitudes",
+        "steps",
+    ];
+
+    fn family_words(
+        rng: &mut anna_testkit::TestRng,
+        family: &str,
+        m: usize,
+        kstar: usize,
+    ) -> Vec<f32> {
+        let mut words: Vec<f32> = match family {
+            "constant" => (0..m)
+                .flat_map(|_| vec![rng.f32(-8.0..8.0); kstar])
+                .collect(),
+            "outlier" => (0..m * kstar).map(|_| rng.f32(-1.0..1.0)).collect(),
+            "magnitudes" => (0..m * kstar)
+                .map(|_| {
+                    let sign = if rng.below(2) == 0 { -1.0 } else { 1.0 };
+                    sign * 10f32.powf(rng.f32(-30.0..30.0))
+                })
+                .collect(),
+            "steps" => (0..m * kstar)
+                .map(|at| match at % kstar {
+                    0 => 0.0,
+                    c if c == kstar - 1 => 255.0,
+                    _ => (rng.below(255) + 1) as f32 - 2f32.powi(-10),
+                })
+                .collect(),
+            _ => (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect(),
+        };
+        match family {
+            "hostile" => {
+                for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+                    let at = rng.usize(0..words.len());
+                    words[at] = hostile;
+                }
+            }
+            "uniform" => {
+                let at = rng.usize(0..words.len());
+                words[at] = -0.0;
+            }
+            "outlier" => {
+                for (i, table) in words.chunks_mut(kstar).enumerate() {
+                    if i == 0 {
+                        table.fill(0.25);
+                    } else {
+                        let at = rng.usize(0..kstar);
+                        table[at] = if rng.below(2) == 0 { -1e6 } else { 1e6 };
+                    }
+                }
+            }
+            _ => {}
+        }
+        words
+    }
+
     /// The sink-level statement behind the survivors scan: under the
     /// kernel of every available dispatch, what [`Sink::Survivors`]
     /// receives is exactly what [`Sink::Tile`] receives filtered by
     /// `score >= threshold`, positions ascending — for a threshold that
-    /// keeps everything but NaN (`-inf`), two inside the score range, and
-    /// one only `+inf` scores reach — and nothing is written past the
-    /// sink's `count + SINK_SLACK` slots. Each block is scored for groups
-    /// of one to [`GROUP`] tables at once, every member against its own
-    /// table and its own threshold, each threshold at every member
-    /// position. Nibble shapes cover both AVX-512 row loads (`m` 7 and 8:
-    /// 4-byte rows; 16: 8-byte), the width it hands to AVX2 (`m` 24) and
-    /// one wider than AVX2 keeps per lane, which it leaves whole to the row
-    /// loop (`m` 66); byte shapes cover the gather kernel with gathered
-    /// whole dwords (`m` 4), loaded rows (`m` 8, 16) and the shifted last
-    /// dword (`m` 5, 7, 17), and the
-    /// blocked kernel under every dispatch (`m` 2 against a 40-entry
-    /// table). Counts sit on both sides of the four-row group, the 16-lane
-    /// group, the 32- and 64-lane chunks and a whole tile; tables hold NaN,
-    /// `±inf` and `-0.0`.
+    /// keeps everything but NaN (`-inf`), two inside the score range, one
+    /// only `+inf` scores reach, and, at the edge of the `avx512` bound
+    /// pass, each block's own best score, a middle one, and the next f32
+    /// above and below each — and nothing is written past the sink's
+    /// `count + SINK_SLACK` slots. Each block is scored for groups of one
+    /// to [`GROUP`] tables at once, every member against its own table
+    /// and its own threshold, each threshold at every member position; a
+    /// lone byte-code table scans through its u8 image where it has one,
+    /// as the scan does. Nibble shapes cover both AVX-512 row loads (`m` 7
+    /// and 8: 4-byte rows; 16: 8-byte), the width it hands to AVX2 (`m`
+    /// 24) and one wider than AVX2 keeps per lane, which it leaves whole
+    /// to the row loop (`m` 66); byte shapes cover the gather kernel with
+    /// gathered whole dwords (`m` 4), loaded rows and the bound pass (`m`
+    /// 8, 16) and the shifted last dword (`m` 5, 7, 17), and the blocked
+    /// kernel under every dispatch (`m` 2 against a 40-entry table).
+    /// Counts sit on both sides of the four-row group, the 16-lane group,
+    /// the 32- and 64-lane chunks and a whole tile; tables come from every
+    /// one of [`FAMILIES`].
     #[test]
     fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
         const GUARD: usize = 8;
         const UNTOUCHED: u32 = 0x7FC0_DEAD;
-        let thresholds = [f32::NEG_INFINITY, 0.5, f32::INFINITY, -3.0];
+        let fixed = [f32::NEG_INFINITY, 0.5, f32::INFINITY, -3.0];
         let mut rng = anna_testkit::TestRng::new(0x51_4E_4B);
         let shapes = [
             (CodeWidth::U4, 7usize, 16usize),
@@ -1159,102 +1422,272 @@ mod tests {
             (CodeWidth::U8, 16, 256),
             (CodeWidth::U8, 17, 256),
         ];
+        let mut tables = Vec::new();
+        let mut rejected = 0;
         for (width, m, kstar) in shapes {
-            let luts: Vec<Lut> = (0..GROUP)
-                .map(|_| {
-                    let mut words: Vec<f32> = (0..m * kstar).map(|_| rng.f32(-8.0..8.0)).collect();
-                    for hostile in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
-                        let at = rng.usize(0..words.len());
-                        words[at] = hostile;
-                    }
-                    // One-dimensional codewords against a query of ones:
-                    // the LUT entries are the codewords.
-                    let book = PqCodebook::from_books(
-                        words
-                            .chunks(kstar)
-                            .map(|book| VectorSet::from_vec(1, book.to_vec()))
-                            .collect(),
-                    );
-                    Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32)
-                })
-                .collect();
-            for n in [1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256] {
-                let codes = random_codes(&mut rng, m, width, kstar, n + 3);
-                // A block that starts inside the stream, as tiles do.
-                let start = 3;
-                for dispatch in KernelDispatch::available() {
-                    let kernel = Kernel::select(dispatch, &codes, kstar);
-                    let tiles: Vec<Vec<f32>> = luts
-                        .iter()
-                        .map(|lut| {
-                            let mut tile = vec![0.0f32; n];
-                            let stored = score_block(
-                                kernel,
-                                &codes,
-                                start,
-                                n,
-                                std::slice::from_ref(lut),
-                                &mut [Sink::Tile(&mut tile)],
-                            );
-                            assert_eq!(stored[0], n);
-                            tile
-                        })
-                        .collect();
-                    for group in 1..=GROUP {
-                        for rotation in 0..thresholds.len() {
-                            let threshold =
-                                |g: usize| thresholds[(g + rotation) % thresholds.len()];
-                            let slots = n + SINK_SLACK + GUARD;
-                            let mut buffers: Vec<(Vec<u32>, Vec<f32>)> = (0..group)
-                                .map(|_| {
-                                    (
-                                        vec![UNTOUCHED; slots],
-                                        vec![f32::from_bits(UNTOUCHED); slots],
-                                    )
-                                })
-                                .collect();
-                            let mut sinks: Vec<Sink<'_>> = buffers
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(g, (positions, scores))| Sink::Survivors {
-                                    threshold: threshold(g),
-                                    positions,
-                                    scores,
-                                })
-                                .collect();
-                            let kept =
-                                score_block(kernel, &codes, start, n, &luts[..group], &mut sinks);
-                            drop(sinks);
-                            for (g, (positions, scores)) in buffers.iter().enumerate() {
-                                let at = format!(
-                                    "{width:?} m={m} n={n} member {g} of {group} threshold={} {} {kernel:?}",
-                                    threshold(g),
-                                    dispatch.name()
+            let families: &[&str] = if width == CodeWidth::U8 {
+                &FAMILIES
+            } else {
+                &FAMILIES[..1]
+            };
+            for family in families {
+                let luts: Vec<Lut> = (0..GROUP)
+                    .map(|_| lut_of(&family_words(&mut rng, family, m, kstar), m, kstar))
+                    .collect();
+                for n in [1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256] {
+                    let codes = random_codes(&mut rng, m, width, kstar, n + 3);
+                    // A block that starts inside the stream, as tiles do.
+                    let start = 3;
+                    for dispatch in KernelDispatch::available() {
+                        let kernel = Kernel::select(dispatch, &codes, kstar);
+                        let tiles: Vec<Vec<f32>> = luts
+                            .iter()
+                            .map(|lut| {
+                                let mut tile = vec![0.0f32; n];
+                                let (stored, _) = score_block(
+                                    kernel,
+                                    &codes,
+                                    start,
+                                    n,
+                                    std::slice::from_ref(lut),
+                                    &mut [Sink::Tile(&mut tile)],
+                                    None,
                                 );
-                                let want: Vec<(u32, u32)> = (0..n as u32)
-                                    .zip(&tiles[g])
-                                    .filter(|&(_, &score)| score >= threshold(g))
-                                    .map(|(j, score)| (j, score.to_bits()))
+                                assert_eq!(stored[0], n);
+                                tile
+                            })
+                            .collect();
+                        // Per member: the fixed thresholds, then (byte
+                        // codes) its own tile's best and middle finite
+                        // scores with their f32 neighbours.
+                        let thresholds: Vec<Vec<f32>> = tiles
+                            .iter()
+                            .map(|tile| {
+                                let mut list = fixed.to_vec();
+                                if width == CodeWidth::U8 {
+                                    let mut finite: Vec<f32> =
+                                        tile.iter().copied().filter(|s| s.is_finite()).collect();
+                                    finite.sort_by(f32::total_cmp);
+                                    for at in [finite.len().saturating_sub(1), finite.len() / 2] {
+                                        let t = finite.get(at).copied().unwrap_or(0.0);
+                                        list.extend([t, t.next_up(), t.next_down()]);
+                                    }
+                                }
+                                list
+                            })
+                            .collect();
+                        let rotations = thresholds[0].len();
+                        for group in 1..=GROUP {
+                            for rotation in 0..rotations {
+                                let threshold =
+                                    |g: usize| thresholds[g][(g + rotation) % rotations];
+                                let slots = n + SINK_SLACK + GUARD;
+                                let mut buffers: Vec<(Vec<u32>, Vec<f32>)> = (0..group)
+                                    .map(|_| {
+                                        (
+                                            vec![UNTOUCHED; slots],
+                                            vec![f32::from_bits(UNTOUCHED); slots],
+                                        )
+                                    })
                                     .collect();
-                                let got: Vec<(u32, u32)> = positions[..kept[g]]
-                                    .iter()
-                                    .zip(&scores[..kept[g]])
-                                    .map(|(&j, score)| (j, score.to_bits()))
+                                let mut sinks: Vec<Sink<'_>> = buffers
+                                    .iter_mut()
+                                    .enumerate()
+                                    .map(|(g, (positions, scores))| Sink::Survivors {
+                                        threshold: threshold(g),
+                                        positions,
+                                        scores,
+                                    })
                                     .collect();
-                                assert_eq!(got, want, "{at}");
-                                // The slack is the sink's; past it, nothing.
-                                let beyond = n + SINK_SLACK;
-                                assert!(
-                                    positions[beyond..].iter().all(|&p| p == UNTOUCHED),
-                                    "{at}"
+                                let bound = match group {
+                                    1 => ByteBound::quantise(kernel, &luts[0], &mut tables),
+                                    _ => None,
+                                };
+                                let (kept, skipped) = score_block(
+                                    kernel,
+                                    &codes,
+                                    start,
+                                    n,
+                                    &luts[..group],
+                                    &mut sinks,
+                                    bound,
                                 );
-                                assert!(
-                                    scores[beyond..].iter().all(|s| s.to_bits() == UNTOUCHED),
-                                    "{at}"
-                                );
+                                drop(sinks);
+                                rejected += skipped;
+                                for (g, (positions, scores)) in buffers.iter().enumerate() {
+                                    let at = format!(
+                                        "{width:?} m={m} {family} n={n} member {g} of {group} threshold={} {} {kernel:?}",
+                                        threshold(g),
+                                        dispatch.name()
+                                    );
+                                    let want: Vec<(u32, u32)> = (0..n as u32)
+                                        .zip(&tiles[g])
+                                        .filter(|&(_, &score)| score >= threshold(g))
+                                        .map(|(j, score)| (j, score.to_bits()))
+                                        .collect();
+                                    let got: Vec<(u32, u32)> = positions[..kept[g]]
+                                        .iter()
+                                        .zip(&scores[..kept[g]])
+                                        .map(|(&j, score)| (j, score.to_bits()))
+                                        .collect();
+                                    assert_eq!(got, want, "{at}");
+                                    // The slack is the sink's; past it, nothing.
+                                    let beyond = n + SINK_SLACK;
+                                    assert!(
+                                        positions[beyond..].iter().all(|&p| p == UNTOUCHED),
+                                        "{at}"
+                                    );
+                                    assert!(
+                                        scores[beyond..].iter().all(|s| s.to_bits() == UNTOUCHED),
+                                        "{at}"
+                                    );
+                                }
                             }
                         }
                     }
+                }
+            }
+        }
+        // The bound pass ran and rejected rows wherever the host has it.
+        assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+    }
+
+    /// The bound pass's premise, row by row: for LUTs of every finite
+    /// family at the bounded shapes (`m` 8 and 16) and biases from zero to
+    /// `±1e6` and subnormal, a row whose exact f32 score — summed in `i =
+    /// 0..m` order, bias added last — is the threshold is never rejected:
+    /// its byte sum reaches [`ByteBound::min_sum`] of its own score, so
+    /// the u8 upper bound is at least the score. Rows are random, all-zero,
+    /// all-255 and each table's best code; the bound must also be tight
+    /// enough to reject the worst random row against the best on the
+    /// `uniform` family.
+    #[test]
+    fn byte_bound_is_at_least_the_exact_score_of_every_row() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        let mut rng = anna_testkit::TestRng::new(0xB0_0D);
+        let mut tables = Vec::new();
+        for m in [8usize, 16] {
+            let codes = PackedCodes::new(m, CodeWidth::U8);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+            for family in FAMILIES {
+                for bias in [0.0f32, 1e6, -1e6, 3.5, f32::from_bits(1)] {
+                    let words = family_words(&mut rng, family, m, 256);
+                    let lut = lut_of(&words, m, 256).with_bias(bias);
+                    let Some(bound) = ByteBound::quantise(kernel, &lut, &mut tables) else {
+                        assert!(
+                            matches!(family, "hostile" | "constant"),
+                            "{family} has no image"
+                        );
+                        continue;
+                    };
+                    let mut rows: Vec<Vec<u8>> = (0..2_000)
+                        .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
+                        .collect();
+                    rows.push(vec![0; m]);
+                    rows.push(vec![255; m]);
+                    rows.push(
+                        (0..m)
+                            .map(|i| {
+                                let table = &lut.entries()[i * 256..(i + 1) * 256];
+                                (0..256)
+                                    .max_by(|&a, &b| table[a].total_cmp(&table[b]))
+                                    .unwrap() as u8
+                            })
+                            .collect(),
+                    );
+                    let scored: Vec<(f32, u32)> = rows
+                        .iter()
+                        .map(|row| {
+                            let mut score = 0.0f32;
+                            let mut sum = 0u32;
+                            for (i, &c) in row.iter().enumerate() {
+                                score += lut.get(i, c as usize);
+                                sum += u32::from(bound.tables[i * 256 + c as usize]);
+                            }
+                            (score + lut.bias(), sum)
+                        })
+                        .collect();
+                    for (row, &(score, sum)) in rows.iter().zip(&scored) {
+                        if let Some(least) = bound.min_sum(score) {
+                            assert!(
+                                sum >= u32::from(least),
+                                "{family} m={m} bias={bias} row {row:?}: score {score}, bytes {sum} < {least}"
+                            );
+                        }
+                    }
+                    if family == "uniform" {
+                        let best = scored.iter().map(|s| s.0).fold(f32::MIN, f32::max);
+                        let least = bound.min_sum(best).expect("a finite best score");
+                        let worst = scored.iter().map(|s| s.1).min().unwrap();
+                        assert!(
+                            worst < u32::from(least),
+                            "m={m} bias={bias}: nothing rejected"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bound pass's transpose puts row `r` of a chunk in byte lane
+    /// `row_lanes[r]` of every subquantizer's register, as the candidate
+    /// mask's `vpermb` assumes: a block whose row `r` has code `r` for
+    /// every subquantizer, against tables that map code `c` to byte `c`,
+    /// bounds each row by its own index, so a threshold between two rows
+    /// rejects exactly the rows below it.
+    #[test]
+    fn bound_pass_rejects_exactly_the_rows_below_its_threshold() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        let mut tables = Vec::new();
+        for m in [8usize, 16] {
+            // Table i's entry c is c (the image is then `c` itself, up to
+            // the shared scale), so a row's score is `m · r`.
+            let words: Vec<f32> = (0..m).flat_map(|_| (0..256).map(|c| c as f32)).collect();
+            let lut = lut_of(&words, m, 256);
+            let mut codes = PackedCodes::new(m, CodeWidth::U8);
+            for r in 0..200u8 {
+                codes.push(&vec![r; m]);
+            }
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+            for (start, n) in [(0, 64), (0, 200), (7, 150), (130, 70)] {
+                for cut in [0usize, 1, 31, 63, 64, 100, 199] {
+                    let bound = ByteBound::quantise(kernel, &lut, &mut tables).expect("an image");
+                    let threshold = (m * cut) as f32;
+                    let mut positions = vec![0u32; n + SINK_SLACK];
+                    let mut scores = vec![0.0f32; n + SINK_SLACK];
+                    let mut sinks = [Sink::Survivors {
+                        threshold,
+                        positions: &mut positions,
+                        scores: &mut scores,
+                    }];
+                    let (kept, rejected) = score_block(
+                        kernel,
+                        &codes,
+                        start,
+                        n,
+                        std::slice::from_ref(&lut),
+                        &mut sinks,
+                        Some(bound),
+                    );
+                    let want: Vec<u32> = (0..n as u32)
+                        .filter(|&j| start + j as usize >= cut)
+                        .collect();
+                    assert_eq!(
+                        positions[..kept[0]],
+                        want[..],
+                        "m={m} start={start} n={n} cut={cut}"
+                    );
+                    // The bound is within a byte step or two of the
+                    // score, so it rejects nearly every row below the cut.
+                    let below = n - want.len();
+                    assert!(
+                        rejected <= below && rejected + 2 >= below,
+                        "m={m} cut={cut}: {rejected} of {below}"
+                    );
                 }
             }
         }

@@ -8,8 +8,8 @@
 //! threshold) gets its own test against the per-score-push oracle, from a
 //! pre-warmed selector, over every row-load path and block-edge count of
 //! the AVX2 and AVX-512 LUT16 kernels and of the AVX-512 gather kernel for
-//! byte codes (8- and 16-byte rows loaded whole, every other width's code
-//! dwords gathered). (The sink itself is private; its "survivors == tile
+//! byte codes (8- and 16-byte rows loaded whole and bounded first by the
+//! u8 pass, every other width's code dwords gathered). (The sink itself is private; its "survivors == tile
 //! filtered by the threshold" property is a unit test beside it in
 //! `kernels/mod.rs`.) The grouped scan (`scan_group_with`, several
 //! visitors of one cluster per call, as the batch engine scans) gets a
@@ -444,7 +444,8 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     }
     // The kernel each arm selects for the common shapes: only `avx512`
     // has a SIMD kernel for byte codes (the gather kernel, for 256-entry
-    // tables and `m >= 4`: 8- and 16-byte rows loaded whole, every other
+    // tables and `m >= 4`: 8- and 16-byte rows loaded whole and, in a
+    // scan, bounded by the u8 pass before any row is gathered; every other
     // width's code dwords gathered, only the table lookups gathered on
     // both); every other arm scores them with the blocked kernel, `scalar`
     // with the seed scan. Only `avx512`'s LUT16 kernel scores a group of
@@ -456,7 +457,10 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 KernelDispatch::Scalar => ("seed scan", "seed scan"),
                 KernelDispatch::Blocked => ("blocked", "blocked"),
                 KernelDispatch::Avx2 => ("lut16", "blocked"),
-                KernelDispatch::Avx512 => ("lut16 ×4", "gather, rows loaded at m 8 and 16"),
+                KernelDispatch::Avx512 => (
+                    "lut16 ×4",
+                    "gather, rows loaded and u8-bounded at m 8 and 16",
+                ),
             };
             format!("{} (u4: {u4_kernel}, u8: {u8_kernel})", d.name())
         })

@@ -21,8 +21,11 @@ use std::sync::OnceLock;
 /// | `scalar`  | — (`ANNA_FORCE_SCALAR`)              | seed scalar loops        | `portable`                    | `portable`        |
 /// | `blocked` | none                                 | blocked                  | `portable`                    | `portable`        |
 /// | `avx2`    | `avx2 + f16c`                        | LUT16 (AVX2) / blocked   | `portable`                    | `f16c`            |
-/// | `avx512`  | `avx2 + f16c + avx512f + popcnt`     | LUT16 ×4 / gather        | `avx512`                      | `f16c`            |
+/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | LUT16 ×4 / u8 bound + gather | `avx512`          | `f16c`            |
 ///
+/// A host with AVX-512F but without AVX-512BW/VBMI (Skylake-SP, Cascade
+/// Lake) resolves to `avx2`: the `avx512` level is every feature its arms
+/// use, and the `k* = 256` bound pass looks bytes up with `vpermi2b`.
 /// The kernel each variant scans given codes and tables with is the scan
 /// layer's `Kernel::select` decision. Every arm produces bit-identical
 /// scores, tables and top-k sets (each layer's module docs state its
@@ -42,11 +45,13 @@ pub enum KernelDispatch {
     /// (`vpermps` shuffles, the f32 analogue of Faiss16/ScaNN16's
     /// `pshufb`), the blocked kernel for `k* = 256`, and the F16C rescore.
     Avx2,
-    /// Everything `Avx2` needs plus `avx512f` and `popcnt`: one ZMM
-    /// register per 16-entry table (up to four visitors of a cluster per
-    /// pass), one `vgatherdps` per sixteen lookups of a 256-entry table —
-    /// which narrows the paper's §II-C gap without closing it — and every
-    /// distance table built sixteen codewords per step.
+    /// Everything `Avx2` needs plus `avx512f`, `avx512bw`, `avx512vbmi`
+    /// and `popcnt`: one ZMM register per 16-entry table (up to four
+    /// visitors of a cluster per pass); for a 256-entry table, a u8 image
+    /// in four ZMM registers (`vpermi2b`) that bounds 64 scores at once,
+    /// and one `vgatherdps` per sixteen exact lookups for the rows the
+    /// bound keeps; and every distance table built sixteen codewords per
+    /// step.
     Avx512,
 }
 
@@ -56,20 +61,21 @@ pub enum KernelDispatch {
 fn detected() -> (KernelDispatch, KernelDispatch) {
     static DETECTED: OnceLock<(KernelDispatch, KernelDispatch)> = OnceLock::new();
     *DETECTED.get_or_init(|| {
-        let (avx2_f16c, avx512f_popcnt) = features();
-        let widest = KernelDispatch::resolve(false, avx2_f16c, avx512f_popcnt);
-        let current = KernelDispatch::resolve(env_force_scalar(), avx2_f16c, avx512f_popcnt);
+        let (avx2_f16c, avx512) = features();
+        let widest = KernelDispatch::resolve(false, avx2_f16c, avx512);
+        let current = KernelDispatch::resolve(env_force_scalar(), avx2_f16c, avx512);
         (widest, current)
     })
 }
 
-/// The two detection inputs: `avx2 + f16c`, and `avx512f + popcnt`.
+/// The two detection inputs: `avx2 + f16c`, and `avx512f + avx512bw +
+/// avx512vbmi + popcnt`.
 #[cfg(target_arch = "x86_64")]
 fn features() -> (bool, bool) {
     use std::arch::is_x86_feature_detected as has;
     (
         has!("avx2") && has!("f16c"),
-        has!("avx512f") && has!("popcnt"),
+        has!("avx512f") && has!("avx512bw") && has!("avx512vbmi") && has!("popcnt"),
     )
 }
 
@@ -128,10 +134,10 @@ impl KernelDispatch {
     /// The pure selection rule, separated from environment/CPU probing so
     /// it can be unit-tested exhaustively. Each level needs every feature
     /// of the levels below it.
-    fn resolve(force_scalar: bool, avx2_f16c: bool, avx512f_popcnt: bool) -> KernelDispatch {
+    fn resolve(force_scalar: bool, avx2_f16c: bool, avx512: bool) -> KernelDispatch {
         if force_scalar {
             KernelDispatch::Scalar
-        } else if avx2_f16c && avx512f_popcnt {
+        } else if avx2_f16c && avx512 {
             KernelDispatch::Avx512
         } else if avx2_f16c {
             KernelDispatch::Avx2
@@ -146,9 +152,11 @@ mod tests {
     use super::*;
 
     /// All eight rows of `resolve(force_scalar, avx2 + f16c, avx512f +
-    /// popcnt)`: the env override beats detection, the widest detected
-    /// level wins, and AVX-512 without the AVX2 level below it is not a
-    /// level.
+    /// avx512bw + avx512vbmi + popcnt)`: the env override beats detection,
+    /// the widest detected level wins, and AVX-512 without the AVX2 level
+    /// below it is not a level. (A host with `avx512f` but without
+    /// `avx512bw + avx512vbmi` reads `false` in the third column: the
+    /// `(false, true, false)` row, `Avx2`.)
     #[test]
     fn resolve_truth_table_is_exhaustive() {
         use KernelDispatch::*;
@@ -162,11 +170,11 @@ mod tests {
             (true, false, true, Scalar),
             (true, true, true, Scalar),
         ];
-        for (force_scalar, avx2_f16c, avx512f_popcnt, want) in rows {
+        for (force_scalar, avx2_f16c, avx512, want) in rows {
             assert_eq!(
-                KernelDispatch::resolve(force_scalar, avx2_f16c, avx512f_popcnt),
+                KernelDispatch::resolve(force_scalar, avx2_f16c, avx512),
                 want,
-                "resolve({force_scalar}, {avx2_f16c}, {avx512f_popcnt})"
+                "resolve({force_scalar}, {avx2_f16c}, {avx512})"
             );
         }
     }
@@ -178,12 +186,9 @@ mod tests {
             avail[..2],
             [KernelDispatch::Scalar, KernelDispatch::Blocked]
         );
-        let (avx2_f16c, avx512f_popcnt) = features();
+        let (avx2_f16c, avx512) = features();
         assert_eq!(avail.contains(&KernelDispatch::Avx2), avx2_f16c);
-        assert_eq!(
-            avail.contains(&KernelDispatch::Avx512),
-            avx2_f16c && avx512f_popcnt
-        );
+        assert_eq!(avail.contains(&KernelDispatch::Avx512), avx2_f16c && avx512);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! dispatch, so the filtering dispatches (`blocked` and every SIMD arm the
 //! host has) must agree on it too. A failure names the arm that diverged
 //! and the process-wide [`KernelDispatch::current`] — the arm every engine
-//! in this process actually runs.
+//! in this process actually runs. At `k* = 256` under `avx512` the scan
+//! bounds every score from the LUT's u8 image first and scores exactly only
+//! the rows that can still reach the threshold; the k\*=256 tests also
+//! hold `ScanTally::bound_rejected` to be nonzero there (the bound
+//! engaged), at most `pruned`, and zero on every other arm.
 //!
 //! The batch engine does not scan one query at a time: it runs cluster-
 //! major, so consecutive visits feed different queries' selectors, each
@@ -100,6 +104,7 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
             .map(|dispatch| {
                 let mut top = TopK::new(K);
                 let mut trail = Vec::new();
+                let (mut bound_rejected, mut pruned) = (0, 0);
                 for (cluster, lut) in clusters.iter().zip(&luts) {
                     let tally = kernels::scan_with(
                         &cluster.codes,
@@ -111,7 +116,10 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
                     );
                     assert_eq!(tally.scanned, LIST_LEN as u64);
                     trail.push((kept(&top), tally.pruned));
+                    bound_rejected += tally.bound_rejected;
+                    pruned += tally.pruned;
                 }
+                assert_bound_engaged(dispatch, kstar, bound_rejected, pruned);
                 (dispatch, trail)
             })
             .collect();
@@ -143,13 +151,30 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
     }
 }
 
+/// The u8 bound pass runs exactly where it should: under `avx512` at
+/// `k* = 256` it rejected rows without scoring them, never more than the
+/// scan pruned; everywhere else it rejected nothing.
+fn assert_bound_engaged(dispatch: KernelDispatch, kstar: usize, bound_rejected: u64, pruned: u64) {
+    let at = format!("k*={kstar} {}", dispatch.name());
+    assert!(
+        bound_rejected <= pruned,
+        "{at}: {bound_rejected} > {pruned}"
+    );
+    if dispatch == KernelDispatch::Avx512 && kstar == 256 {
+        assert!(bound_rejected > 0, "{at}: the bound never engaged");
+    } else {
+        assert_eq!(bound_rejected, 0, "{at}");
+    }
+}
+
 #[test]
 fn every_dispatch_keeps_the_scalar_top_k_at_the_benchmark_shape() {
     every_dispatch_keeps_the_scalar_top_k(16, 8);
 }
 
-/// The `batch_k256` shape: under `avx512` this is the gather kernel and
-/// its survivors sink; under every other arm, the blocked kernel.
+/// The `batch_k256` shape: under `avx512` this is the u8 bound pass ahead
+/// of the gather kernel and its survivors sink; under every other arm, the
+/// blocked kernel.
 #[test]
 fn every_dispatch_keeps_the_scalar_top_k_at_the_k256_benchmark_shape() {
     every_dispatch_keeps_the_scalar_top_k(256, 16);
@@ -194,7 +219,7 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
         .map(|dispatch| {
             let mut tops: Vec<TopK> = (0..QUERIES).map(|_| TopK::new(K)).collect();
             let mut trail = Vec::new();
-            let mut pruned = 0;
+            let (mut pruned, mut bound_rejected) = (0, 0);
             for (cluster, luts) in clusters.iter().zip(&luts) {
                 if grouped {
                     let tally = kernels::scan_group_with(
@@ -207,6 +232,7 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
                     );
                     assert_eq!(tally.scanned, (QUERIES * LIST_LEN) as u64);
                     pruned += tally.pruned;
+                    bound_rejected += tally.bound_rejected;
                 } else {
                     for (top, lut) in tops.iter_mut().zip(luts) {
                         let tally = kernels::scan_with(
@@ -218,10 +244,12 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
                             &mut scratch,
                         );
                         pruned += tally.pruned;
+                        bound_rejected += tally.bound_rejected;
                     }
                 }
                 trail.push(tops.iter().map(kept).collect::<Vec<_>>());
             }
+            assert_bound_engaged(dispatch, kstar, bound_rejected, pruned);
             (dispatch, trail, pruned)
         })
         .collect();
