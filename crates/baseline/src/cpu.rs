@@ -173,46 +173,6 @@ impl CpuModel {
     }
 }
 
-/// Measures the host's sustained streaming read bandwidth (bytes/second)
-/// with `threads` concurrent readers — the roofline the batched scan is
-/// shaped against.
-///
-/// Each worker sweeps its chunk of a shared 32 MiB `u64` buffer (large
-/// enough to defeat L2 on common parts, small enough to finish in
-/// milliseconds), folding the words so the loads cannot be elided; the
-/// best of three passes is returned, mirroring how STREAM reports its
-/// triad. `threads == 0` uses one reader per available core.
-pub fn measure_stream_bandwidth(threads: usize) -> f64 {
-    let workers = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let words = (32usize << 20) / std::mem::size_of::<u64>();
-    let buf: Vec<u64> = (0..words as u64).collect();
-    let chunk = words.div_ceil(workers);
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for slice in buf.chunks(chunk) {
-                s.spawn(move || {
-                    let mut acc = 0u64;
-                    for &w in slice {
-                        acc = acc.wrapping_add(w);
-                    }
-                    std::hint::black_box(acc)
-                });
-            }
-        });
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        best = best.max((words * std::mem::size_of::<u64>()) as f64 / secs);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,16 +259,5 @@ mod tests {
             CpuSchedule::ClusterMajor { batch: 1000 },
         ) / 1000.0;
         assert!(batched < lat, "batched per-query time must beat latency");
-    }
-
-    #[test]
-    fn stream_bandwidth_is_positive_and_finite() {
-        for threads in [1usize, 2] {
-            let bw = measure_stream_bandwidth(threads);
-            assert!(
-                bw.is_finite() && bw > 1e6,
-                "threads={threads} bandwidth={bw}"
-            );
-        }
     }
 }

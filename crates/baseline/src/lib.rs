@@ -6,8 +6,7 @@
 //!
 //! * [`cpu`] — an analytic model of the Skylake-X baselines (kernel
 //!   rates in [`CpuModel::rates`], Skylake-X defaults in
-//!   [`CpuKernelRates::skylake`]), plus the host streaming-bandwidth
-//!   probe [`cpu::measure_stream_bandwidth`]. It encodes the paper's
+//!   [`CpuKernelRates::skylake`]). It encodes the paper's
 //!   Section II-D findings: memory-bandwidth-bound streaming of encoded
 //!   vectors, the register-resident 16-entry LUT advantage of
 //!   Faiss16/ScaNN16, the table-in-L1 penalty of Faiss256, and Faiss16's

@@ -24,14 +24,12 @@
 //! default quick profile finishes in seconds per figure and writes
 //! nothing. Run with `--release`.
 //!
-//! Host tools — their output depends on the machine, so it is uploaded
-//! by CI and not committed:
+//! Host tool — its output depends on the machine, so it is uploaded by
+//! CI and not committed:
 //!
 //! | Binary | Measures |
 //! |---|---|
 //! | [`kernels_sweep`] / `--bin kernels_sweep` | scan-kernel dispatch sweep (codes/sec, GB/s) |
-//! | [`threads_sweep`] / `--bin threads_sweep` | worker-count scaling of the batch engine |
-//! | [`serving_sweep`] / `--bin serving_sweep` | online serving: latency vs offered load ([`openloop`] arrivals through `anna-serve`) |
 
 #![deny(missing_docs)]
 
@@ -45,14 +43,11 @@ pub mod graph_sweep;
 pub mod harness;
 pub mod json;
 pub mod kernels_sweep;
-pub mod openloop;
 pub mod related;
 pub mod reports;
 pub mod rerank_sweep;
 pub mod scale;
-pub mod serving_sweep;
 pub mod table1;
-pub mod threads_sweep;
 pub mod tiered_sweep;
 pub mod timeline;
 pub mod traffic_opt;

@@ -197,7 +197,9 @@ fn inner_product_kstar256_parallel_matches_serial() {
 /// it. (The serial reference here runs uninstrumented, so this also pins
 /// instrumented == uninstrumented.) The sink must also show every round
 /// scored exactly once; *which* worker took a round is scheduling and is
-/// not asserted.
+/// not asserted. It must also carry the bridged `plan.clusters_fetched`
+/// counter, the per-round `batch.tile_scan` trace events, and each
+/// worker's `busy_ns` / `idle_ns` beside its `tiles`.
 #[test]
 fn telemetry_enabled_run_stays_bit_identical_to_serial() {
     for inputs in [&TIE_HEAVY, &SKEWED] {
@@ -234,6 +236,27 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
                     plan.rounds.len() as u64,
                     "threads={threads} group={group}: rounds scored != rounds planned: {snap}"
                 );
+                assert_eq!(
+                    registry.counter("plan.clusters_fetched").get(),
+                    par_stats.clusters_fetched,
+                    "threads={threads}: bridged plan counter != measured stats"
+                );
+                let trace = tel.chrome_trace_json().expect("telemetry enabled");
+                assert!(trace.contains("batch.tile_scan"), "no tile spans: {trace}");
+                // Every worker that flushed reports its busy and idle
+                // time beside its tiles.
+                let flushed: Vec<usize> = (0..threads)
+                    .filter(|w| snap.contains(&format!("\"worker{w}.tiles\"")))
+                    .collect();
+                assert!(flushed.contains(&0), "worker0 never flushed: {snap}");
+                for w in flushed {
+                    for key in ["busy_ns", "idle_ns"] {
+                        assert!(
+                            snap.contains(&format!("\"worker{w}.{key}\"")),
+                            "threads={threads}: worker{w}.{key} missing: {snap}"
+                        );
+                    }
+                }
             }
         });
     }

@@ -74,8 +74,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Predicted service rate in priced bytes per second, used for the
     /// virtual-time queue dynamics (server-busy deferral, deadline
-    /// prediction). Calibrate with [`crate::calibrate_service_rate`] or
-    /// fix it in tests for exact replay.
+    /// prediction). A fixed figure, never measured, so a trace replays to
+    /// the identical schedule (the benchmark's `serve_poisson`: 300 MB/s).
     pub service_bytes_per_sec: u64,
     /// How many candidate prefix shapes the batcher prices per close
     /// (including the full prefix; at least 1).
@@ -99,7 +99,7 @@ impl Default for ServeConfig {
             max_batch: 64,
             max_wait_ns: 2_000_000, // 2 ms
             queue_capacity: 512,
-            service_bytes_per_sec: 4_000_000_000, // ~4 GB/s until calibrated
+            service_bytes_per_sec: 4_000_000_000, // ~4 GB/s
             shape_candidates: 3,
             rerank: None,
             tier: None,

@@ -34,9 +34,9 @@
 //! [`execute`] (given the full-precision vectors) verifies them against
 //! the measured stats component for component.
 //!
-//! The open-loop arrival generator (seeded Poisson, bursty, diurnal) and
-//! the offered-load sweep live in `anna-bench` (`openloop` /
-//! `serving_sweep`), which emits `reports/serving_sweep.json`.
+//! The open-loop serving curve is the repo benchmark's `serve_poisson`
+//! workload (`benchmark/`): a seeded Poisson trace through [`compose`] and
+//! [`execute`], reporting latency quantiles, shedding and deadlines.
 
 #![deny(missing_docs)]
 
@@ -48,4 +48,4 @@ pub use batcher::{
     compose, Admission, BatchSchedule, PlannedBatch, ServeConfig, ShapeQuote, TierPricing,
 };
 pub use request::{Outcome, Request};
-pub use server::{calibrate_service_rate, execute, BatchReport, LatencySummary, ServeReport};
+pub use server::{execute, BatchReport, LatencySummary, ServeReport};

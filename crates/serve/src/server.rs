@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use crate::batcher::BatchSchedule;
 use crate::request::{Outcome, Request};
-use anna_engine::{PlanOptions, QuerySpec, SearchEngine};
+use anna_engine::SearchEngine;
 use anna_telemetry::{Histogram, Telemetry};
 use anna_vector::{Neighbor, VectorSet};
 
@@ -202,37 +202,4 @@ pub fn execute(
         deadline_missed,
         all_traffic_match,
     }
-}
-
-/// Measures an engine's service rate in TrafficModel bytes per second,
-/// for configuring [`crate::ServeConfig::service_bytes_per_sec`].
-///
-/// Plans a uniform batch at `spec` through the engine's own pipeline,
-/// runs it once to warm caches, then takes the best of three timed
-/// passes (the same protocol as the CPU baseline's bandwidth probes:
-/// best-of-N rejects scheduler noise, which only ever slows a pass down).
-pub fn calibrate_service_rate(
-    engine: &dyn SearchEngine,
-    queries: &VectorSet,
-    spec: &QuerySpec,
-    threads: usize,
-) -> u64 {
-    let specs = vec![*spec; queries.len()];
-    let scopes: Vec<Vec<usize>> = queries
-        .iter()
-        .map(|q| engine.query_scope(q, spec))
-        .collect();
-    let plan = engine.plan(queries, &specs, &scopes, &PlanOptions::default());
-    let predicted = engine.price(&plan);
-    let tel = Telemetry::disabled();
-    engine.execute(queries, &plan, threads, &tel); // warm-up
-    let mut best_ns = u64::MAX;
-    for _ in 0..3 {
-        let start = Instant::now();
-        engine.execute(queries, &plan, threads, &tel);
-        best_ns = best_ns.min(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-    ((predicted.total() as u128 * 1_000_000_000) / best_ns.max(1) as u128)
-        .min(u64::MAX as u128)
-        .max(1) as u64
 }

@@ -37,11 +37,16 @@ fn build(metric: Metric, salt: usize) -> (VectorSet, IvfPqIndex) {
 }
 
 /// A sorted open-loop trace with heterogeneous k / nprobe / deadlines.
+/// Half the traces are bursty: each gap is zero with probability 1/2, so
+/// the batcher also meets clusters of simultaneous arrivals.
 fn arb_trace(rng: &mut TestRng, n: usize, pool: usize) -> Vec<Request> {
+    let bursty = rng.bool();
     let mut t = 0u64;
     (0..n)
         .map(|i| {
-            t += rng.u64(0..400_000);
+            if !(bursty && rng.bool()) {
+                t += rng.u64(0..400_000);
+            }
             Request {
                 id: i as u64,
                 query_row: rng.usize(0..pool),
@@ -68,7 +73,9 @@ fn serve_cfg(rng: &mut TestRng) -> ServeConfig {
 
 /// The tentpole determinism property: composing the same seeded trace
 /// twice yields `==` schedules — identical batch compositions, plans,
-/// priced quotes, and admission decisions.
+/// priced quotes, and admission decisions — and the schedule is
+/// consistent: batches dispatch in nondecreasing virtual time, no request
+/// is dispatched twice, and none before it arrives.
 #[test]
 fn composition_is_replay_identical() {
     forall("serve composition replay", 8, |rng| {
@@ -89,6 +96,23 @@ fn composition_is_replay_identical() {
             trace.len(),
             "requests leaked"
         );
+        let mut seen = vec![false; trace.len()];
+        let mut last_dispatch = 0;
+        for batch in &a.batches {
+            assert!(
+                batch.dispatch_ns >= last_dispatch,
+                "dispatch went backwards"
+            );
+            last_dispatch = batch.dispatch_ns;
+            for &i in &batch.requests {
+                assert!(!seen[i], "request {i} dispatched twice");
+                seen[i] = true;
+                assert!(
+                    trace[i].arrival_ns <= batch.dispatch_ns,
+                    "request {i} dispatched before it arrived"
+                );
+            }
+        }
     });
 }
 

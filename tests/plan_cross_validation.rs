@@ -172,8 +172,8 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 /// round loop replaced, the scan layer's per-call kernel checks, the
 /// per-layer hardware arms the one dispatch replaced, and the deleted
 /// second paths (v1 index writer, host commands, MAI model, calibrate
-/// tool) must not survive anywhere in the workspace sources or the two
-/// design documents.
+/// tool, threads and serving sweeps) must not survive anywhere in the
+/// workspace sources or the two design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -221,6 +221,14 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("build_", "madds"),
         concat!("package_", "power_w"),
         concat!("bin ", "calibrate"),
+        // The host sweeps whose gates tests own (parallel == serial,
+        // per-batch predicted == measured), and the probes only they ran.
+        concat!("threads_", "sweep"),
+        concat!("serving_", "sweep"),
+        concat!("open", "loop"),
+        concat!("calibrate_service_", "rate"),
+        concat!("measure_stream_", "bandwidth"),
+        concat!("measure_batched_qps_", "traced"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
