@@ -14,8 +14,7 @@
 //! engine's seeded tie-pinned traversal makes that an equality, not a
 //! tolerance.
 //!
-//! The emitted report (`reports/graph_sweep.json`, and
-//! `graph_sweep_smoke.json` at a sixth of the size) holds one
+//! The emitted report (`reports/graph_sweep.json`) holds one
 //! recall-vs-bytes point per `(engine, scope)` pair so the two frontiers
 //! plot on one axis; `runall` fails if any point fails either gate.
 

@@ -13,11 +13,11 @@
 //! | [`compression`] / `runall compression` | §V-B 16:1 recall-collapse text claim |
 //! | [`timeline`] / `runall timeline` | Figure 7: steady-state execution timeline |
 //! | [`related`] / `runall related_work` | §VI comparison points |
-//! | [`rerank_sweep`] / `runall rerank_sweep rerank_sweep_smoke` | two-phase re-rank: fixed-precision vs adaptive bytes/recall frontier |
-//! | [`tiered_sweep`] / `runall tiered_sweep tiered_sweep_smoke` | sharded tiered engine: bytes-from-storage vs cluster-cache capacity |
-//! | [`graph_sweep`] / `runall graph_sweep graph_sweep_smoke` | graph vs IVF-PQ recall-vs-bytes frontiers through the shared `SearchEngine` pipeline |
+//! | [`rerank_sweep`] / `runall rerank_sweep` | two-phase re-rank: fixed-precision vs adaptive bytes/recall frontier |
+//! | [`tiered_sweep`] / `runall tiered_sweep` | sharded tiered engine: bytes-from-storage vs cluster-cache capacity |
+//! | [`graph_sweep`] / `runall graph_sweep` | graph vs IVF-PQ recall-vs-bytes frontiers through the shared `SearchEngine` pipeline |
 //!
-//! `runall` regenerates the named reports (all fifteen when none is
+//! `runall` regenerates the named reports (all twelve when none is
 //! named) and prints them; `--full` selects the full-scale profile (see
 //! [`scale::Scale`]) and writes `reports/*.json`, `--check` compares a
 //! fresh full-profile run with the committed files byte for byte. The

@@ -56,27 +56,14 @@ fn ungated<T>(_: &T) -> Result<(), String> {
     Ok(())
 }
 
-// The rerank dataset's cohort structure (see rerank_sweep::value) is sized
-// for this row count; the full size widens the query set instead.
-fn rerank(queries_per_region: usize) -> RerankSweep {
-    rerank_sweep::run(
-        4_000,
-        queries_per_region,
-        queries_per_region,
-        &[0.90, 0.95, 0.97],
-    )
-}
-
 /// Regenerates one report; the contexts carry the profile and the models
 /// earlier entries already trained.
 pub type Run = fn(&mut Contexts) -> Outcome;
 
 /// Every committed report — file stem under `reports/`, which is also the
 /// name `runall` selects it by — in the order `runall` regenerates them.
-/// The `_smoke` entries are the same sweeps at sizes CI can afford twice
-/// per commit (once per kernel dispatch).
 #[rustfmt::skip]
-pub const REPORTS: [(&str, Run); 15] = [
+pub const REPORTS: [(&str, Run); 12] = [
     ("table1", |_| outcome((), |_| table1::to_json(), |_| table1::render(), ungated)),
     ("fig8", |c| outcome(fig8::run(c), Fig8::to_json, Fig8::render, ungated)),
     ("fig9", |c| outcome(fig9::run(&PaperDataset::ALL, c), Fig9::to_json, Fig9::render, ungated)),
@@ -88,17 +75,13 @@ pub const REPORTS: [(&str, Run); 15] = [
     ("compression", |c| outcome(compression::run(c), Compression::to_json, Compression::render, ungated)),
     ("timeline", |c| outcome(timeline::run(256, 8, c.scale.seed),
         Timeline::to_json, |t| t.render(6), ungated)),
-    ("rerank_sweep", |_| outcome(rerank(64),
-        RerankSweep::to_json, RerankSweep::render, RerankSweep::gate)),
-    ("rerank_sweep_smoke", |_| outcome(rerank(32),
+    // The rerank dataset's cohort structure (see rerank_sweep::value) is
+    // sized for its 4 000 rows; the full size widens the query set instead.
+    ("rerank_sweep", |_| outcome(rerank_sweep::run(4_000, 64, 64, &[0.90, 0.95, 0.97]),
         RerankSweep::to_json, RerankSweep::render, RerankSweep::gate)),
     ("tiered_sweep", |_| outcome(tiered_sweep::run(40_000, 4, 48),
         TieredSweep::to_json, TieredSweep::render, TieredSweep::gate)),
-    ("tiered_sweep_smoke", |_| outcome(tiered_sweep::run(6_000, 3, 16),
-        TieredSweep::to_json, TieredSweep::render, TieredSweep::gate)),
     ("graph_sweep", |_| outcome(graph_sweep::run(12_000, 48),
-        GraphSweep::to_json, GraphSweep::render, GraphSweep::gate)),
-    ("graph_sweep_smoke", |_| outcome(graph_sweep::run(2_000, 16),
         GraphSweep::to_json, GraphSweep::render, GraphSweep::gate)),
 ];
 
@@ -189,6 +172,26 @@ mod tests {
 
     fn files_in(dir: &Path) -> usize {
         std::fs::read_dir(dir).unwrap().count()
+    }
+
+    /// `reports/README.md`'s rule: everything under `reports/` but the host
+    /// tool's gitignored output is the golden set, so a file whose entry is
+    /// gone, or an entry with no file, fails here.
+    #[test]
+    fn committed_reports_are_exactly_the_report_table() {
+        let host_tool = ["kernels_sweep.json", "kernels_telemetry.json"];
+        let mut files: Vec<String> = std::fs::read_dir(reports_dir().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|file| file.ends_with(".json") && !host_tool.contains(&file.as_str()))
+            .collect();
+        files.sort();
+        let mut entries: Vec<String> = REPORTS
+            .iter()
+            .map(|(name, _)| format!("{name}.json"))
+            .collect();
+        entries.sort();
+        assert_eq!(files, entries, "reports/*.json against the REPORTS table");
     }
 
     #[test]

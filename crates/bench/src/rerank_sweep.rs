@@ -23,8 +23,7 @@
 //! on all six traffic components; the
 //! frontier rows then compare, per recall target, the cheapest adaptive
 //! point against the cheapest fixed-precision point. Emitted as
-//! `reports/rerank_sweep.json` (and `rerank_sweep_smoke.json`, a
-//! narrower query set) by `runall`.
+//! `reports/rerank_sweep.json` by `runall`.
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision};

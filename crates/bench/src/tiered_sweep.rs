@@ -20,8 +20,7 @@
 //!    the plan-side prediction *exactly* (the cache simulator and the
 //!    runtime cache replay the same decisions in the same order).
 //!
-//! The emitted curve (`reports/tiered_sweep.json`, and
-//! `tiered_sweep_smoke.json` at a smaller size) must show
+//! The emitted curve (`reports/tiered_sweep.json`) must show
 //! bytes-from-storage monotonically non-increasing in capacity; `runall`
 //! fails if the curve bends the wrong way or any equality above fails.
 

@@ -71,7 +71,6 @@ pub mod ivf;
 pub mod kernels;
 pub mod lut;
 pub mod parallel;
-pub mod rerank;
 pub mod shard;
 pub mod tiered;
 
@@ -81,7 +80,6 @@ pub use ivf::{IndexStats, IvfPqConfig, IvfPqIndex, Trainer};
 pub use kernels::{KernelDispatch, ScanScratch, ScanTally};
 pub use lut::{Lut, LutPrecision};
 pub use parallel::resolve_threads;
-pub use rerank::{RerankController, RungMeasurement};
 pub use shard::{ShardedIndex, ShardedStats};
 pub use tiered::{FetchedCluster, TieredIndex};
 

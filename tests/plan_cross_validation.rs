@@ -172,8 +172,9 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 /// round loop replaced, the scan layer's per-call kernel checks, the
 /// per-layer hardware arms the one dispatch replaced, and the deleted
 /// second paths (v1 index writer, host commands, MAI model, calibrate
-/// tool, threads and serving sweeps) must not survive anywhere in the
-/// workspace sources or the two design documents.
+/// tool, threads and serving sweeps, re-rank controller, the sweeps'
+/// smoke sizes) must not survive anywhere in the workspace sources or the
+/// two design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -229,6 +230,11 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("calibrate_service_", "rate"),
         concat!("measure_stream_", "bandwidth"),
         concat!("measure_batched_qps_", "traced"),
+        // The uncalled second ladder → frontier controller (`rerank_sweep`
+        // is the one), and the second, smaller size of each golden sweep.
+        concat!("Rerank", "Controller"),
+        concat!("Rung", "Measurement"),
+        concat!("sweep_", "smoke"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.

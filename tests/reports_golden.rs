@@ -2,11 +2,11 @@
 //! `runall --full` regenerates from this source tree, byte for byte.
 //!
 //! This suite checks the entries that regenerate in about two seconds or
-//! less — the analytic reports and the six sweep files — so a change that
+//! less — the analytic reports and the three sweeps — so a change that
 //! moves a committed number, or breaks a sweep's own gate (predicted ==
 //! measured, identical to the oracle, identical across thread counts),
 //! fails `cargo test -q`. The five trained figure reports are checked by
-//! CI's `reports-golden` job (`runall --check`, minutes).
+//! CI's `reports-golden` job (`runall --full --check`, minutes).
 
 use anna_bench::{harness, reports};
 
@@ -25,15 +25,15 @@ fn analytic_reports_match_their_committed_bytes() {
 
 #[test]
 fn two_phase_sweeps_match_their_committed_bytes() {
-    check(&["rerank_sweep", "rerank_sweep_smoke"]);
+    check(&["rerank_sweep"]);
 }
 
 #[test]
 fn tiered_sweeps_match_their_committed_bytes() {
-    check(&["tiered_sweep", "tiered_sweep_smoke"]);
+    check(&["tiered_sweep"]);
 }
 
 #[test]
 fn graph_sweeps_match_their_committed_bytes() {
-    check(&["graph_sweep", "graph_sweep_smoke"]);
+    check(&["graph_sweep"]);
 }
