@@ -6,20 +6,15 @@
 //! the baseline single-query pipeline (`search_one`) and the
 //! memory-traffic-optimized Section IV schedule (`search_batch`), which
 //! executes a [`BatchPlan`](anna_plan::BatchPlan) exactly as the plan
-//! prices it. Both are generic over a private `Store`: *where the
-//! accelerator's state lives*. [`Anna`] runs them over the host's index
-//! structures; [`crate::device::Device`] runs the very same code over a
-//! byte-accurate DRAM image. Results are therefore *bit-faithful to the
-//! hardware datapath*, and each run returns the [`TimingReport`] the
-//! analytic engine prices for the same workload.
+//! prices it. [`Anna`] runs them over the index's own structures. Results
+//! are therefore *bit-faithful to the hardware datapath*, and each run
+//! returns the [`TimingReport`] the analytic engine prices for the same
+//! workload.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use anna_index::ivf::Cluster;
 use anna_index::{IvfPqIndex, Lut};
 use anna_plan::ScmAllocation;
-use anna_quant::pq::PqCodebook;
 use anna_telemetry::Telemetry;
 use anna_vector::{f16, metric, Metric, Neighbor, VectorSet};
 
@@ -31,90 +26,21 @@ use crate::modules::{Cpm, Efm, Scm};
 use crate::pheap::{PHeap, PHeapStats};
 use crate::timing::{BatchWorkload, QueryWorkload, SearchShape, TimingReport};
 
-/// Where the accelerator's off-chip state lives: the model the host
-/// uploaded (centroids, cluster codes and ids; the codebook sits in
-/// on-chip SRAM either way), the per-(query, partition) top-k spill slots,
-/// and the result records. The datapath reads and writes only through
-/// this, so a store decides a *format* — host structures or DRAM bytes —
-/// and nothing about the schedule.
-pub(crate) trait Store {
-    /// The similarity metric the model was built for.
-    fn metric(&self) -> Metric;
-    /// The PQ codebook (on-chip SRAM contents).
-    fn codebook(&self) -> &PqCodebook;
-    /// The centroid table as the CPM reads it.
-    fn centroids(&self) -> &VectorSet;
-    /// `|C_i|` for every cluster, as the cluster metadata records it.
-    fn cluster_sizes(&self) -> Vec<usize>;
-    /// Cluster `cid`'s packed codes and ids, as the EFM reads them.
-    fn cluster(&self, cid: usize) -> Cow<'_, Cluster>;
-    /// Writes one SCM partition's partial top-k records to its spill slot.
-    fn spill(&mut self, query: usize, part: usize, records: Vec<Neighbor>);
-    /// Reads a spill slot back.
-    fn fill(&mut self, query: usize, part: usize) -> Vec<Neighbor>;
-    /// Stores a finished query's result records and returns them as the
-    /// host reads them back.
-    fn store_result(&mut self, query: usize, records: Vec<Neighbor>) -> Vec<Neighbor>;
-}
-
-/// The store behind [`Anna`]: the index's own structures, with spill slots
-/// held as record vectors.
-struct HostStore<'a> {
-    index: &'a IvfPqIndex,
-    spilled: HashMap<(usize, usize), Vec<Neighbor>>,
-}
-
-impl<'a> HostStore<'a> {
-    fn new(index: &'a IvfPqIndex) -> Self {
-        Self {
-            index,
-            spilled: HashMap::new(),
-        }
-    }
-}
-
-impl Store for HostStore<'_> {
-    fn metric(&self) -> Metric {
-        self.index.metric()
-    }
-    fn codebook(&self) -> &PqCodebook {
-        self.index.codebook()
-    }
-    fn centroids(&self) -> &VectorSet {
-        self.index.centroids()
-    }
-    fn cluster_sizes(&self) -> Vec<usize> {
-        self.index.cluster_sizes()
-    }
-    fn cluster(&self, cid: usize) -> Cow<'_, Cluster> {
-        Cow::Borrowed(self.index.cluster(cid))
-    }
-    fn spill(&mut self, query: usize, part: usize, records: Vec<Neighbor>) {
-        self.spilled.insert((query, part), records);
-    }
-    fn fill(&mut self, query: usize, part: usize) -> Vec<Neighbor> {
-        self.spilled
-            .remove(&(query, part))
-            .expect("fill of a slot that was never spilled")
-    }
-    fn store_result(&mut self, _query: usize, records: Vec<Neighbor>) -> Vec<Neighbor> {
-        records
-    }
-}
-
 /// A cluster staged in the encoded-vector buffer: unpacked identifier rows
 /// plus the ids they belong to. Stays valid across the rounds of one
 /// cluster, so only the first of them fetches.
-struct Buffered {
-    ids: Vec<u64>,
+struct Buffered<'a> {
+    ids: &'a [u64],
     rows: Vec<Vec<u8>>,
 }
 
-/// The on-chip modules of one run over a [`Store`], plus the counters of
-/// the per-round SCM groups (whose instances are throwaways).
-struct Datapath<'a, S: Store> {
+/// The on-chip modules of one run over an index, plus the counters of
+/// the per-round SCM groups (whose instances are throwaways) and the
+/// per-(query, partition) top-k spill slots.
+struct Datapath<'a> {
     cfg: &'a AnnaConfig,
-    store: &'a mut S,
+    index: &'a IvfPqIndex,
+    spilled: HashMap<(usize, usize), Vec<Neighbor>>,
     k: usize,
     cpm: Cpm,
     efm: Efm,
@@ -122,30 +48,31 @@ struct Datapath<'a, S: Store> {
     pheap: PHeapStats,
 }
 
-impl<'a, S: Store> Datapath<'a, S> {
-    fn new(cfg: &'a AnnaConfig, store: &'a mut S, k: usize) -> Self {
+impl<'a> Datapath<'a> {
+    fn new(cfg: &'a AnnaConfig, index: &'a IvfPqIndex, k: usize) -> Self {
         Self {
             cpm: Cpm::new(cfg.n_cu),
             efm: Efm::new(cfg.encoded_buffer_bytes),
             scm: ScmStats::default(),
             pheap: PHeapStats::default(),
             cfg,
-            store,
+            index,
+            spilled: HashMap::new(),
             k,
         }
     }
 
     /// CPM Mode 1 with the hardware's f16 score compare.
     fn filter(&mut self, q: &[f32], w: usize) -> Vec<usize> {
-        let (centroids, metric) = (self.store.centroids(), self.store.metric());
+        let (centroids, metric) = (self.index.centroids(), self.index.metric());
         self.cpm.filter_clusters(q, centroids, metric, w)
     }
 
     /// The cluster-invariant inner-product base LUT (none under L2, whose
     /// tables depend on the residual).
     fn ip_base(&mut self, q: &[f32]) -> Option<Lut> {
-        match self.store.metric() {
-            Metric::InnerProduct => Some(self.cpm.build_ip_lut(q, self.store.codebook())),
+        match self.index.metric() {
+            Metric::InnerProduct => Some(self.cpm.build_ip_lut(q, self.index.codebook())),
             Metric::L2 => None,
         }
     }
@@ -153,24 +80,24 @@ impl<'a, S: Store> Datapath<'a, S> {
     /// The LUT for (`q`, cluster `cid`) through the CPM (f16 entries,
     /// f16-rounded inner-product bias).
     fn lut(&mut self, ip_base: Option<&Lut>, q: &[f32], cid: usize) -> Lut {
-        let centroid = self.store.centroids().row(cid);
+        let centroid = self.index.centroids().row(cid);
         match ip_base {
             Some(base) => base.with_bias(f16::round_trip(metric::dot(q, centroid))),
-            None => self.cpm.build_l2_lut(q, centroid, self.store.codebook()),
+            None => self.cpm.build_l2_lut(q, centroid, self.index.codebook()),
         }
     }
 
     /// Pulls cluster `cid` through the EFM into the encoded-vector buffer.
-    fn fetch(&mut self, cid: usize) -> Buffered {
-        let cluster = self.store.cluster(cid);
+    fn fetch(&mut self, cid: usize) -> Buffered<'a> {
+        let cluster = self.index.cluster(cid);
         let rows = self
             .efm
-            .fetch(&cluster)
+            .fetch(cluster)
             .into_iter()
             .flat_map(|(_, rows)| rows)
             .collect();
         Buffered {
-            ids: cluster.ids.clone(),
+            ids: &cluster.ids,
             rows,
         }
     }
@@ -202,7 +129,7 @@ impl<'a, S: Store> Datapath<'a, S> {
     }
 
     /// Scans the buffered cluster, striped across the group's SCMs.
-    fn scan(&self, scms: &mut [Scm], buf: &Buffered, lut: &Lut) {
+    fn scan(&self, scms: &mut [Scm], buf: &Buffered<'_>, lut: &Lut) {
         let len = buf.ids.len();
         let chunk = len.div_ceil(scms.len()).max(1);
         for (part, scm) in scms.iter_mut().enumerate() {
@@ -238,8 +165,8 @@ impl<'a, S: Store> Datapath<'a, S> {
     /// CPM so the plan matches what the silicon would select.
     fn workload(&mut self, queries: &VectorSet, w: usize) -> BatchWorkload {
         BatchWorkload {
-            shape: shape_of(self.store, self.k),
-            cluster_sizes: self.store.cluster_sizes(),
+            shape: shape_of(self.index, self.k),
+            cluster_sizes: self.index.cluster_sizes(),
             visits: queries.iter().map(|q| self.filter(q, w)).collect(),
         }
     }
@@ -269,13 +196,13 @@ impl<'a, S: Store> Datapath<'a, S> {
     }
 }
 
-fn shape_of(store: &impl Store, k: usize) -> SearchShape {
-    let (book, centroids) = (store.codebook(), store.centroids());
+fn shape_of(index: &IvfPqIndex, k: usize) -> SearchShape {
+    let (book, centroids) = (index.codebook(), index.centroids());
     SearchShape {
         d: centroids.dim(),
         m: book.m(),
         kstar: book.kstar(),
-        metric: store.metric(),
+        metric: index.metric(),
         num_clusters: centroids.len(),
         k,
     }
@@ -289,14 +216,14 @@ fn shape_of(store: &impl Store, k: usize) -> SearchShape {
 /// # Panics
 ///
 /// Panics if `q` mismatches the model's dimension or `k` is out of range.
-pub(crate) fn search_one<S: Store>(
+fn search_one(
     cfg: &AnnaConfig,
-    store: &mut S,
+    index: &IvfPqIndex,
     q: &[f32],
     w: usize,
     k: usize,
 ) -> (Vec<Neighbor>, TimingReport) {
-    let mut dp = Datapath::new(cfg, store, k);
+    let mut dp = Datapath::new(cfg, index, k);
     let selected = dp.filter(q, w);
     let ip_base = dp.ip_base(q);
     let g = cfg.n_scm;
@@ -308,10 +235,9 @@ pub(crate) fn search_one<S: Store>(
         dp.scan(&mut scms, &buf, &lut);
         visited_cluster_sizes.push(buf.ids.len());
     }
-    let records = dp.finish(scms);
-    let hits = dp.store.store_result(0, records);
+    let hits = dp.finish(scms);
     let workload = QueryWorkload {
-        shape: shape_of(dp.store, k),
+        shape: shape_of(index, k),
         visited_cluster_sizes,
     };
     (hits, analytic::single_query(cfg, &workload, g))
@@ -332,21 +258,17 @@ pub(crate) fn search_one<S: Store>(
 /// # Panics
 ///
 /// Panics if dimensions mismatch or `k` is out of range.
-pub(crate) fn search_batch<S: Store>(
+fn search_batch(
     cfg: &AnnaConfig,
-    store: &mut S,
+    index: &IvfPqIndex,
     queries: &VectorSet,
     w: usize,
     k: usize,
     alloc: ScmAllocation,
     tel: &Telemetry,
 ) -> (Vec<Vec<Neighbor>>, TimingReport) {
-    let mut dp = Datapath::new(cfg, store, k);
-    assert_eq!(
-        queries.dim(),
-        dp.store.centroids().dim(),
-        "query dimension mismatch"
-    );
+    let mut dp = Datapath::new(cfg, index, k);
+    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
     let workload = {
         let _span = tel.span("accel.plan");
         dp.workload(queries, w)
@@ -382,21 +304,24 @@ pub(crate) fn search_batch<S: Store>(
             let mut scms = dp.scm_group(g);
             if resuming[qi] {
                 for (part, scm) in scms.iter_mut().enumerate() {
-                    scm.fill(&dp.store.fill(qi, part), record);
+                    let slot = dp
+                        .spilled
+                        .remove(&(qi, part))
+                        .expect("fill of a slot that was never spilled");
+                    scm.fill(&slot, record);
                 }
             }
             dp.scan(&mut scms, buf, &lut);
             rounds_left[qi] -= 1;
             if rounds_left[qi] > 0 {
                 for (part, scm) in scms.iter_mut().enumerate() {
-                    dp.store.spill(qi, part, scm.spill(record));
+                    dp.spilled.insert((qi, part), scm.spill(record));
                 }
                 resuming[qi] = true;
                 dp.retire(&mut scms);
             } else {
                 let _span = tel.span("accel.merge");
-                let records = dp.finish(scms);
-                results[qi] = dp.store.store_result(qi, records);
+                results[qi] = dp.finish(scms);
             }
         }
         if timed {
@@ -444,13 +369,19 @@ impl<'a> Anna<'a> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid or the index's
-    /// `k*` is not supported by the hardware (16 or 256).
+    /// Returns an error if the configuration is invalid, the index's `k*`
+    /// is not supported by the hardware (16 or 256), or a database id does
+    /// not fit the 3-byte id of a top-k record (3 B id + 2 B score,
+    /// Section IV-B), which would silently corrupt results.
     pub fn new(cfg: AnnaConfig, index: &'a IvfPqIndex) -> Result<Self, ValidateConfigError> {
         cfg.validate()?;
         let kstar = index.codebook().kstar();
         if kstar != 16 && kstar != 256 {
             return Err(ValidateConfigError::unsupported_kstar(kstar));
+        }
+        let max_id = (1u64 << 24) - 1;
+        if (0..index.num_clusters()).any(|c| index.cluster(c).ids.iter().any(|&id| id > max_id)) {
+            return Err(ValidateConfigError::id_overflow());
         }
         Ok(Self { cfg, index })
     }
@@ -467,7 +398,7 @@ impl<'a> Anna<'a> {
 
     /// The timing shape for a top-`k` search against this index.
     pub fn shape(&self, k: usize) -> SearchShape {
-        shape_of(&HostStore::new(self.index), k)
+        shape_of(self.index, k)
     }
 
     /// Runs one query in baseline mode, visiting the `w` most similar
@@ -480,15 +411,14 @@ impl<'a> Anna<'a> {
     /// Panics if `q.len() != index.dim()`, `k == 0` or `k` exceeds the
     /// configured top-k capacity.
     pub fn search(&self, q: &[f32], w: usize, k: usize) -> (Vec<Neighbor>, TimingReport) {
-        search_one(&self.cfg, &mut HostStore::new(self.index), q, w, k)
+        search_one(&self.cfg, self.index, q, w, k)
     }
 
     /// Builds the batch workload (visit lists) for a query set, using the
     /// CPM's hardware filtering (f16 score compare) so the plan matches
     /// what the silicon would select.
     pub fn plan_batch(&self, queries: &VectorSet, w: usize, k: usize) -> BatchWorkload {
-        let mut store = HostStore::new(self.index);
-        Datapath::new(&self.cfg, &mut store, k).workload(queries, w)
+        Datapath::new(&self.cfg, self.index, k).workload(queries, w)
     }
 
     /// Runs a batch under the memory-traffic-optimized schedule
@@ -527,8 +457,7 @@ impl<'a> Anna<'a> {
         alloc: ScmAllocation,
         tel: &Telemetry,
     ) -> (Vec<Vec<Neighbor>>, TimingReport) {
-        let store = &mut HostStore::new(self.index);
-        search_batch(&self.cfg, store, queries, w, k, alloc, tel)
+        search_batch(&self.cfg, self.index, queries, w, k, alloc, tel)
     }
 }
 
@@ -868,6 +797,39 @@ mod tests {
             ..AnnaConfig::paper()
         };
         assert!(Anna::new(bad, &index).is_err());
+    }
+
+    #[test]
+    fn new_rejects_oversized_ids() {
+        use anna_index::ivf::Cluster;
+        use anna_quant::codes::{CodeWidth, PackedCodes};
+        use anna_quant::kmeans::KMeans;
+        // Hand-build an index whose id exceeds 2^24 - 1.
+        let (_, index) = setup(Metric::L2);
+        let with_id = |id: u64| {
+            let mut codes = PackedCodes::new(4, CodeWidth::U4);
+            codes.push(&[0, 0, 0, 0]);
+            let mut clusters: Vec<Cluster> = (0..index.num_clusters())
+                .map(|i| index.cluster(i).clone())
+                .collect();
+            clusters[0] = Cluster {
+                ids: vec![id],
+                codes,
+            };
+            IvfPqIndex::from_parts(
+                Metric::L2,
+                KMeans::from_centroids(index.centroids().clone()),
+                index.codebook().clone(),
+                clusters,
+            )
+        };
+        let edge = with_id((1 << 24) - 1);
+        assert!(Anna::new(AnnaConfig::paper(), &edge).is_ok());
+        let bad = with_id(1 << 24);
+        assert_eq!(
+            Anna::new(AnnaConfig::paper(), &bad).unwrap_err(),
+            ValidateConfigError::id_overflow()
+        );
     }
 
     #[test]

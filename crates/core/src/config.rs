@@ -104,14 +104,17 @@ impl AnnaConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any parameter is zero or non-positive.
+    /// Returns an error if any parameter is zero or non-positive, or a
+    /// real-valued one (clock, bandwidth, memory latency) is not finite.
     pub fn validate(&self) -> Result<(), ValidateConfigError> {
+        // NaN fails every comparison, so test for the valid range.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
         if self.n_cu == 0 || self.n_scm == 0 || self.n_u == 0 {
             return Err(ValidateConfigError("unit counts must be positive".into()));
         }
-        if self.clock_ghz <= 0.0 || self.mem_bandwidth_gbps <= 0.0 {
+        if !positive(self.clock_ghz) || !positive(self.mem_bandwidth_gbps) {
             return Err(ValidateConfigError(
-                "clock and bandwidth must be positive".into(),
+                "clock and bandwidth must be finite and positive".into(),
             ));
         }
         if self.encoded_buffer_bytes == 0 {
@@ -127,9 +130,9 @@ impl AnnaConfig {
                 "top-k record size must be positive".into(),
             ));
         }
-        if self.mai_entries == 0 || self.mem_latency_cycles <= 0.0 {
+        if self.mai_entries == 0 || !positive(self.mem_latency_cycles) {
             return Err(ValidateConfigError(
-                "MAI entries and memory latency must be positive".into(),
+                "MAI entries and memory latency must be finite and positive".into(),
             ));
         }
         Ok(())
@@ -210,11 +213,33 @@ mod tests {
 
     #[test]
     fn negative_bandwidth_rejected() {
-        let cfg = AnnaConfig {
-            mem_bandwidth_gbps: -1.0,
-            ..AnnaConfig::paper()
-        };
-        assert!(cfg.validate().is_err());
+        let paper = AnnaConfig::paper;
+        for cfg in [
+            AnnaConfig {
+                mem_bandwidth_gbps: -1.0,
+                ..paper()
+            },
+            // Non-finite values would poison `cycles_to_seconds` or
+            // silently change `bytes_per_cycle`.
+            AnnaConfig {
+                clock_ghz: f64::NAN,
+                ..paper()
+            },
+            AnnaConfig {
+                mem_bandwidth_gbps: f64::NAN,
+                ..paper()
+            },
+            AnnaConfig {
+                mem_latency_cycles: f64::NAN,
+                ..paper()
+            },
+            AnnaConfig {
+                clock_ghz: f64::INFINITY,
+                ..paper()
+            },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //!   and [`Anna`]: that datapath bound to a real
 //!   [`anna_index::IvfPqIndex`], producing hardware-faithful results
 //!   (f16 LUTs, P-heap selection, spill/fill) together with timing.
-//! * [`device`] — [`device::Device`]: the same datapath over a
-//!   byte-accurate DRAM image laid out by [`host`]; [`device::Device::boot`]
-//!   is the host protocol (configure, upload the model, then search).
 //!
 //! # Quick start
 //!
@@ -55,10 +52,8 @@
 
 pub mod accel;
 pub mod config;
-pub mod device;
 pub mod energy;
 pub mod engine;
-pub mod host;
 pub mod modules;
 pub mod pheap;
 pub mod timing;

@@ -2,13 +2,11 @@
 //! harness; failures report a replayable seed).
 
 use anna_core::engine::{analytic, cycle};
-use anna_core::host::MemoryLayout;
 use anna_core::{
     plan, AnnaConfig, BatchWorkload, PHeap, QueryWorkload, ScmAllocation, SearchShape,
 };
-use anna_index::{IvfPqConfig, IvfPqIndex};
 use anna_testkit::{forall, TestRng};
-use anna_vector::{f16, Metric, TopK, VectorSet};
+use anna_vector::{f16, Metric, TopK};
 
 fn arb_shape(rng: &mut TestRng) -> SearchShape {
     let (kstar, m) = *rng.pick(&[(16usize, 4usize), (16, 8), (256, 4), (256, 8)]);
@@ -213,48 +211,6 @@ fn event_engine_tracks_analytic() {
         let serial = analytic::single_query_unbuffered(&cfg, &w, g);
         assert!(serial.cycles + 1e-6 >= a.cycles, "unbuffered beat buffered");
         assert_eq!(serial.traffic.total(), a.traffic.total());
-    });
-}
-
-/// Device memory layouts are always line-aligned and pairwise
-/// disjoint, for random index shapes and batch plans.
-#[test]
-fn memory_layouts_never_overlap() {
-    forall("memory layouts never overlap", 24, |rng| {
-        let n = rng.usize(50..300);
-        let clusters = rng.usize(2..12);
-        let batch = rng.usize(1..64);
-        let w = rng.usize(1..8);
-        let data = VectorSet::from_fn(8, n, |r, c| ((r * 31 + c * 7) % 23) as f32);
-        let index = IvfPqIndex::build(
-            &data,
-            &IvfPqConfig {
-                num_clusters: clusters,
-                m: 4,
-                kstar: 16,
-                coarse_iters: 2,
-                pq_iters: 1,
-                ..IvfPqConfig::default()
-            },
-        );
-        let layout = MemoryLayout::plan(&AnnaConfig::paper(), &index, batch, w);
-        let regions = layout.regions();
-        for r in &regions {
-            assert_eq!(r.base % 64, 0);
-        }
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                assert!(
-                    !regions[i].overlaps(&regions[j]),
-                    "regions {i} and {j} overlap"
-                );
-            }
-        }
-        // Every cluster's codes sit inside the code region.
-        for (i, m) in layout.meta.iter().enumerate() {
-            let end = m.code_base + index.cluster(i).encoded_bytes();
-            assert!(m.code_base >= layout.codes.base && end <= layout.codes.end());
-        }
     });
 }
 

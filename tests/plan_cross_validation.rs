@@ -235,6 +235,13 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("Rerank", "Controller"),
         concat!("Rung", "Measurement"),
         concat!("sweep_", "smoke"),
+        // The second functional accelerator over a DRAM image, its memory
+        // layout, and the store trait that let both share the datapath.
+        concat!("Device", "Memory"),
+        concat!("Memory", "Layout"),
+        concat!("Host", "Store"),
+        concat!("Device::", "boot"),
+        concat!("device::", "Device"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
