@@ -151,10 +151,13 @@ pub struct SelectPoint {
     pub push_us: f64,
     /// `push_us` per candidate offered to [`TopK::push`], in ns.
     pub push_ns_per_offer: f64,
+    /// Candidates offered to [`TopK::push`] per query (`scanned −
+    /// pruned`, over the selectors) in the scan into empty selectors.
+    pub offers_per_query: f64,
     /// `ScanTally::pruned / scanned` of the scan into empty selectors.
     pub pruned_frac: f64,
     /// `ScanTally::bound_rejected / scanned` of the same scan: the scores
-    /// the `avx512` `k* = 256` bound pass never computed (0 elsewhere).
+    /// an `avx512` `k* = 256` seeded visit never computed (0 elsewhere).
     pub bound_rejected_frac: f64,
     /// Live selector storage ([`TopK::buffer_bytes`] summed over the
     /// selectors) after the scan into empty selectors, kB.
@@ -637,6 +640,7 @@ fn select_regime_points(
             filter_us: saturated_us - score_us,
             push_us,
             push_ns_per_offer: push_us * 1e3 / offers_per_query.max(1.0),
+            offers_per_query,
             pruned_frac: tally.pruned as f64 / tally.scanned as f64,
             bound_rejected_frac: tally.bound_rejected as f64 / tally.scanned as f64,
             selector_kb: selector_bytes as f64 / 1024.0,
@@ -860,6 +864,7 @@ impl KernelsSweep {
                                 .set("filter_us", p.filter_us)
                                 .set("push_us", p.push_us)
                                 .set("push_ns_per_offer", p.push_ns_per_offer)
+                                .set("offers_per_query", p.offers_per_query)
                                 .set("pruned_frac", p.pruned_frac)
                                 .set("bound_rejected_frac", p.bound_rejected_frac)
                                 .set("selector_kb", p.selector_kb)
@@ -937,12 +942,12 @@ impl KernelsSweep {
             ));
         }
         s.push_str(&format!(
-            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major, grouped = one scan_group_with per cluster) ===\n{:<6} {:<9} {:>9} {:>7} {:>8} {:>9} {:>10} {:>9} {:>10} {:>8} {:>8} {:>9} {:>10}\n",
-            "k*", "dispatch", "selectors", "grouped", "scan_us", "score_us", "filter_us", "push_us", "ns/offer", "pruned", "bound", "sel_kB", "identical"
+            "\n=== scan -> select split (m=16, 8 x 3125 codes, k=100; us/query; cold = selectors fed cluster-major, grouped = one scan_group_with per cluster) ===\n{:<6} {:<9} {:>9} {:>7} {:>8} {:>9} {:>10} {:>9} {:>10} {:>7} {:>8} {:>8} {:>9} {:>10}\n",
+            "k*", "dispatch", "selectors", "grouped", "scan_us", "score_us", "filter_us", "push_us", "ns/offer", "offers", "pruned", "bound", "sel_kB", "identical"
         ));
         for p in &self.select {
             s.push_str(&format!(
-                "{:<6} {:<9} {:>9} {:>7} {:>8.1} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>8.4} {:>8.4} {:>9.1} {:>10}\n",
+                "{:<6} {:<9} {:>9} {:>7} {:>8.1} {:>9.1} {:>10.1} {:>9.1} {:>10.1} {:>7.0} {:>8.4} {:>8.4} {:>9.1} {:>10}\n",
                 p.kstar,
                 p.dispatch,
                 p.selectors,
@@ -952,6 +957,7 @@ impl KernelsSweep {
                 p.filter_us,
                 p.push_us,
                 p.push_ns_per_offer,
+                p.offers_per_query,
                 p.pruned_frac,
                 p.bound_rejected_frac,
                 p.selector_kb,
@@ -1103,6 +1109,7 @@ mod tests {
             "\"filter_us\"",
             "\"push_us\"",
             "\"push_ns_per_offer\"",
+            "\"offers_per_query\"",
             "\"pruned_frac\"",
             "\"bound_rejected_frac\"",
             "\"selectors\"",

@@ -3,7 +3,9 @@
 //! the rows; `k* = 256` codes scored 64 per iteration with one
 //! `vgatherdps zmm` per sixteen lookups — the table lookups are the only
 //! gathers where rows are 8 or 16 bytes, which are loaded — and, over those
-//! rows, a u8 bound pass that decides which rows need the gather at all.
+//! rows, a seeded visit: one u8 pass over the whole cluster that bounds
+//! every row's score and the visit's `k`-th best, then the gather for only
+//! the rows that can still reach it.
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -24,16 +26,23 @@
 //! their code dwords, so at `m = 16` (the benchmark's shape) sixteen rows
 //! cost 16 gathers instead of 20.
 //!
-//! [`bound_kernel`] closes most of the rest by not looking up most rows at
-//! f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes* —
+//! The seeded visit closes most of the rest by not looking up most rows
+//! at f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes* —
 //! one shared scale, a per-table offset, floor rounding — and a byte table
 //! is four ZMM registers: two `vpermi2b` and a blend look up 64 codes.
-//! Summed in 16-bit lanes, the bytes give every row of a tile an upper
-//! bound on its score; only rows whose bound reaches the tile's threshold
-//! (≈ 4 % at the benchmark's shape, where ≈ 3.4 % survive) are scored
-//! exactly, by the gather kernel's own lookup sequence ([`gathered_sums`]).
-//! The bound's proof is on [`bound_kernel`]: the sink receives exactly the
-//! gather kernel's `(position, score)` pairs.
+//! Summed in 16-bit lanes, the bytes give every row of the cluster both an
+//! upper and a lower bound on its score ([`byte_sums`], which keeps every
+//! row's sum and the largest sum of each of 256 disjoint row groups). The
+//! `k`-th largest group maximum ([`kth_largest`]) is the byte sum of `k`
+//! distinct rows, so its lower bound is a proven lower bound on the
+//! visit's `k`-th best score: the threshold starts there instead of at the
+//! selector's lagging floor. Only rows whose upper bound reaches that
+//! threshold (≈ 2.6 % at the benchmark's shape, where ≈ 1.8 % are
+//! offered) are scored exactly, by the gather kernel's own lookup sequence
+//! ([`gathered_sums`], in [`bounded_gather`]). Both bounds' proofs are on
+//! [`byte_sums`]: the sink receives exactly the gather kernel's
+//! `(position, score)` pairs above a threshold nothing in the top-k is
+//! below.
 //!
 //! # Layout and summation order
 //!
@@ -68,12 +77,12 @@
 //! pointer); when `m` is not a multiple of four, the last fetch takes the
 //! dword that ends at the row's last byte — still inside the row — and
 //! shifts the bytes already summed out of it ([`gathered_sums`], which
-//! also scores the bound pass's candidates from their row offsets). Either
+//! also scores a seeded visit's candidates from their row offsets). Either
 //! way only the table lookups remain gathers. Rows shorter than a dword
 //! (`m < 4`) stay on the blocked kernel.
 //!
-//! The bound pass loads a 64-row chunk as `4·ND` plain 64-byte registers
-//! and transposes it in registers (see [`bound_kernel`]).
+//! The byte-sum pass loads a 64-row chunk as `4·ND` plain 64-byte
+//! registers and transposes it in registers (see [`byte_sums`]).
 //!
 //! # The group loop
 //!
@@ -91,22 +100,27 @@
 //! 8-byte-row chunk that is 24 of the 32 ZMM registers, and the rest hold
 //! the shifted index, the tables and the permute results (the compiler
 //! may leave the row dwords in L1 and shift them straight from memory);
-//! a fifth query would spill accumulators. `k* = 256` has no group: its
-//! gathers are bound by the load ports, which the queries would share
-//! rather than split, and its bound pass needs the 16 row registers and
-//! four table registers of one query.
+//! a fifth query would spill accumulators.
+//!
+//! A seeded `k* = 256` visit groups the same way, in its byte-sum pass
+//! only ([`byte_sums`]): the row loads and the transpose (`16·ND`
+//! shuffles per chunk, twice one query's `8·ND` table permutes) are done
+//! once for up to four queries, whose lookups then read their own u8
+//! images. Its
+//! gathers are not grouped: they are bound by the load ports, which the
+//! queries would share rather than split.
 //!
 //! # No scalar tail
 //!
-//! Every load, gather, store and compare is under a lane mask (the bound
-//! pass loads a full chunk unmasked). A full chunk runs with all-ones
+//! Every load, gather, store and compare is under a lane mask (the
+//! byte-sum pass loads a full chunk unmasked). A full chunk runs with all-ones
 //! masks; the last chunk of a block masks off the lanes past `count`
 //! (masked-off lanes are neither read nor written — fault suppression is
 //! architectural), so a kernel always finishes the block.
 //!
 //! # Sinks
 //!
-//! The LUT16 and gather kernels end in `finish_group!`; the bound pass's
+//! The LUT16 and gather kernels end in `finish_group!`; a seeded visit's
 //! exact scores go straight to its survivors step, `keep_passing!`. The
 //! tile sink is a masked store per accumulator. The survivors sink does not branch on its outcome: it
 //! compares the finished sums with the broadcast threshold straight into a
@@ -119,7 +133,7 @@
 //! the block's `count`, a survivors buffer needs `count + SINK_SLACK`
 //! slots (sixteen lanes of slack), which the safe wrapper asserts.
 
-use super::Sink;
+use super::{Sink, SEED_GROUPS};
 
 use std::arch::x86_64 as arch;
 
@@ -515,10 +529,10 @@ unsafe fn gathered_sums<const G: usize>(
     acc
 }
 
-/// Most tables the bound pass quantises: rows of at most four dwords.
+/// Most tables the byte-sum pass quantises: rows of at most four dwords.
 pub(super) const BOUND_TABLES: usize = 16;
 
-/// The u8 image of a LUT's `m` tables of 256 (see [`bound_kernel`]):
+/// The u8 image of a LUT's `m` tables of 256 (see [`byte_sums`]):
 /// entry `v` of table `i` becomes `q = min(255, ⌊(e − lo_i) · (1/s)⌋)`, all
 /// three operations rounded in f32, where `lo_i` is table `i`'s least
 /// entry and `s = fl(max_i fl(hi_i − lo_i) / 255)` is one scale shared by
@@ -613,9 +627,9 @@ pub(super) unsafe fn quantise(
 }
 
 /// Where each row of a 64-row chunk lands among the 64 byte lanes of the
-/// bound pass's transposed registers, for rows of `nd` dwords (2 or 4):
+/// byte-sum pass's transposed registers, for rows of `nd` dwords (2 or 4):
 /// `row_lanes(nd)[r]` is row `r`'s lane. The transpose (see
-/// [`bound_kernel`]) moves row bits 5, 4, 3 — which input register half a
+/// [`byte_sums`]) moves row bits 5, 4, 3 — which input register half a
 /// row sits in — to lane bits 0, 1, 2, and the row's place inside its
 /// register to lane bits 3–5.
 const fn row_lanes(nd: usize) -> [u8; 64] {
@@ -634,42 +648,65 @@ const fn row_lanes(nd: usize) -> [u8; 64] {
     lanes
 }
 
-/// [`row_lanes`] for 8-byte rows, then for 16-byte rows.
-const ROW_LANES: [[u8; 64]; 2] = [row_lanes(2), row_lanes(4)];
+/// The inverse of [`row_lanes`]: `lane_rows(nd)[l]` is the row in lane `l`.
+const fn lane_rows(nd: usize) -> [u8; 64] {
+    let lanes = row_lanes(nd);
+    let mut rows = [0u8; 64];
+    let mut r = 0;
+    while r < 64 {
+        rows[lanes[r] as usize] = r as u8;
+        r += 1;
+    }
+    rows
+}
 
-/// The bounded scan of byte codes in rows of `ND` whole dwords (`m = 4·ND`,
-/// `ND` 2 or 4) against `k* = 256` tables, into a survivors sink: a u8
-/// upper bound on every score of the block, then exact scores for only
-/// the rows whose bound reaches the sink's threshold. `tables` is the LUT's
-/// u8 image ([`quantise`]) and `min_sum` the least byte sum that can still
-/// reach the threshold (the scan layer's `ByteBound::min_sum`). Returns
-/// `(count, scores the sink received, rows the bound rejected)`. The sink
-/// receives exactly what [`gather_kernel`] would hand it: the exact scores
-/// are the gather kernel's own lookup sequence ([`gathered_sums`], `i =
-/// 0..m`, bias last), and a rejected row's score is below the threshold.
+/// [`row_lanes`] for 8-byte rows, then for 16-byte rows.
+pub(super) const ROW_LANES: [[u8; 64]; 2] = [row_lanes(2), row_lanes(4)];
+
+/// [`lane_rows`] for 8-byte rows, then for 16-byte rows.
+const LANE_ROWS: [[u8; 64]; 2] = [lane_rows(2), lane_rows(4)];
+
+/// The byte-sum pass of a seeded visit over rows of `ND` whole dwords
+/// (`m = 4·ND`, `ND` 2 or 4), for a group of `Q` visitors (one to four):
+/// the u16 byte sum of every row in `[start, start + count)` against
+/// visitor `q`'s u8 image `tables[q]` ([`quantise`]), written to
+/// `sums[q]`, and the largest sum of each of [`SEED_GROUPS`] disjoint
+/// groups of those rows, per visitor. Chunk `c` (rows `64c .. 64c + 64` of
+/// the block) leaves its sums at `sums[q][64c .. 64c + 64]` in lane order
+/// — the 32 even byte lanes, then the 32 odd ones, row `r` of the chunk in
+/// lane [`ROW_LANES`]`[ND / 4][r]` — and group `64·(c mod 4) + w` holds
+/// the rows of sum slot `w` of every chunk `c` with that residue. Only
+/// rows inside the block enter a maximum (a group with none keeps 0).
+/// Which group a row is in does not matter to the seed, only that the
+/// groups are disjoint: the `k`-th largest maximum is the sum of `k`
+/// distinct rows, each at least it.
 ///
-/// # The bound pass
+/// # The pass
 ///
 /// Per 64-row chunk, the `4·ND` 64-byte registers of rows are transposed
 /// in registers by a four-stage `vpunpck{lbw,lwd,ldq,lqdq}` network (stage
 /// `w` pairs register `k` with register `k + 2ND` into outputs `2k` and
 /// `2k + 1`), after which register `i` holds byte `i` of all 64 rows —
-/// subquantizer `i`'s codes, row `r` in lane `row_lanes(ND)[r]`. Each
-/// code is looked up in its table's 256 bytes, held in four registers: two
-/// `vpermi2b` read the low and high 128 entries and `vpmovb2m` of the code
-/// (its bit 7) blends them. The bytes are summed into 16-bit lanes without
-/// a mask: one accumulator adds whole words (`even + 256·odd`), the other
-/// the odd bytes alone, and the even sums are the difference; `m · 255 <=
-/// 4080` fits either. Both halves are compared with `min_sum`, the two
-/// masks interleaved back into byte lanes, and one `vpermb` puts them in
-/// row order, so candidates are compressed in ascending position.
+/// subquantizer `i`'s codes. The loads and the transpose are the same for
+/// every visitor, so they are done once for the group: `16·ND` shuffles
+/// per chunk, twice one visitor's `8·ND` table permutes. Each code is then
+/// looked up in each visitor's table of 256 bytes, held in four
+/// registers: two `vpermi2b` read the low and high 128 entries and
+/// `vpmovb2m` of the code (its bit 7, once for the group) blends them. The
+/// bytes are summed into 16-bit lanes without a mask: one accumulator adds
+/// whole words (`even + 256·odd`), the other the odd bytes alone, and the
+/// even sums are the difference; `m · 255 <= 4080` fits either. A
+/// visitor's two sum registers are stored as they are and folded into its
+/// chunk residue's maxima by a `vpmaxuw` under the mask of lanes whose row
+/// is in the block (rows past `count` read nothing and hold code 0, whose
+/// sum is no row's).
 ///
-/// # Why the bound is exact
+/// # Why the upper bound is exact
 ///
 /// Write `e_i` for row `r`'s entry in table `i`, `q_i` for its byte, `Q =
 /// Σ q_i`, `A = Σ_i max_v |e_iv|`, `b` the bias, `u = 2^-24`. Four steps
 /// take the f32 score `S = fl(fl(Σ e_i) + b)`, summed in `i = 0..m` order,
-/// to a test on `Q` alone.
+/// to a test on `Q` alone (the scan layer's `ByteBound::min_sum`).
 ///
 /// 1. **Quantisation floor.** `q = min(255, ⌊t⌋)` with `t = fl(fl(e − lo)
 ///    · fl(1/s))`, each rounding relative at most `u` (a product below
@@ -695,68 +732,81 @@ const ROW_LANES: [[u8; 64]; 2] = [row_lanes(2), row_lanes(4)];
 ///    1` for the exact `x`, and by steps 1–3 its score is at most
 ///    `Σ lo_i + b + s·(x − 1 + m) + slack = T − s < T`: strictly below,
 ///    so a score *equal* to the threshold is never rejected and ties are
-///    still offered. A finite threshold is required (`-inf` tiles keep
-///    the gather).
+///    still offered. A finite threshold is required (`-inf` keeps every
+///    row).
 ///
-/// # Candidates in place
+/// # Why the lower bound is exact
 ///
-/// The bound pass writes candidate positions into the sink's positions
-/// slice and the exact pass reads them back, sixteen at a time, before
-/// writing survivors over them: each batch's positions are loaded into a
-/// register before its store, and survivors never outnumber the
-/// candidates read, so no store reaches a candidate not yet read.
+/// The same quantities bound a score from below by its byte sum (the scan
+/// layer's `ByteBound::lower`), with the same slack terms.
+///
+/// 1. **Quantisation floor.** `q <= t` (the clamp and the truncation only
+///    lower it), and `t <= (e − lo)/s · (1 + u)^3 + 2^-149`, so `e − lo >=
+///    s·(q − 2^-149)·(1 − 3u) >= s·q − s·(765u + 2^-149) >= s·(q −
+///    2^-14)`, and summed over the tables, `Σ e_i >= Σ lo_i + s·Q −
+///    m·s·2^-14`.
+/// 2. **Rounding.** Steps 2 and 3 above bound the summation and bias
+///    errors in both directions: the score is at least `Σ e_i + b − (m +
+///    1)·2^-23·(A + |b|)`.
+/// 3. **The bound.** So `S >= R(Q) = Σ lo_i + b + s·Q − m·s·2^-14 − (m +
+///    1)·2^-23·(A + |b|)`, and `R` rises with `Q`. `lower(Q)` evaluates
+///    `R(Q) − 2^-40·(s·Q + A + |b|)` in f64 — the last term exceeds the
+///    few `2^-53·(s·Q + A + |b|)` that evaluation errs by — and rounds it
+///    toward `−∞` to an f32, so `lower(Q) <= R(Q)`.
+///
+/// Hence every row whose byte sum is at least `Q` scores at least
+/// `lower(Q)`; with `Q` the `k`-th largest group maximum, `k` distinct
+/// rows do, so the visit's `k`-th best score is at least `lower(Q)`.
 ///
 /// # Safety
 ///
-/// The caller must ensure the host supports `avx512f`, `avx512bw`,
-/// `avx512vbmi` and `popcnt`; that `ND` is 2 or 4 and `m == 4 * ND`; that
-/// `(start + count) * m <= bytes.len()` and `count * m` fits an `i32`;
-/// that `entries` holds `m` tables of 256 and `tables` their `m · 256`
-/// bytes; and that `sink` is a survivors sink whose slices hold `count +
-/// SINK_SLACK`.
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn bound_kernel<const ND: usize>(
+/// The caller must ensure the host supports `avx512f`, `avx512bw` and
+/// `avx512vbmi`; that `ND` is 2 or 4 and `m == 4 * ND`; that `(start +
+/// count) * m <= bytes.len()`; that each of `tables` holds the `m · 256`
+/// bytes of an image; and that each of `sums` holds `count` rounded up to
+/// a whole chunk.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
     m: usize,
     bytes: &[u8],
     start: usize,
     count: usize,
-    tables: &[u8],
-    min_sum: u16,
-    entries: &[f32],
-    bias: f32,
-    sink: &mut Sink<'_>,
-) -> (usize, usize, usize) {
+    tables: [&[u8]; Q],
+    sums: [&mut [u16]; Q],
+) -> [[u16; SEED_GROUPS]; Q] {
     use arch::*;
 
-    let (Some(threshold), scores, positions) = sink.parts() else {
-        unreachable!("the bound pass feeds a survivors sink");
-    };
-    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
     // Input registers per chunk, and rows per register.
     let regs = 4 * ND;
     let per_reg = 16 / ND;
-    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let lanes_of_rows = _mm512_loadu_si512(ROW_LANES[ND / 4].as_ptr().cast());
-    let vmin_sum = _mm512_set1_epi16(min_sum as i16);
+    let lane_rows = _mm512_loadu_si512(LANE_ROWS[ND / 4].as_ptr().cast());
+    let (even_lanes, odd_lanes) = (_mm512_set1_epi16(0x00FF), _mm512_set1_epi16(-0x100));
+    // Per visitor and chunk residue, the even lanes' maxima and the odd
+    // lanes'.
+    let mut maxima = [[[_mm512_setzero_si512(); 2]; 4]; Q];
 
-    // The bound pass: candidate positions, ascending, into `positions`.
-    let mut candidates = 0;
     let mut j = 0;
     while j < count {
         let left = count - j;
         let chunk = bytes.as_ptr().wrapping_add((start + j) * m);
-        let mut x = [_mm512_setzero_si512(); 16];
-        for (r, x) in x.iter_mut().enumerate().take(regs) {
+        let load = |r: usize| {
             let p = chunk.wrapping_add(64 * r);
-            *x = if left >= CHUNK {
+            if left >= CHUNK {
                 _mm512_loadu_si512(p.cast())
             } else {
                 // One mask bit per live dword: `ND` per live row; rows past
                 // the block read nothing and hold code 0.
                 let live = left.saturating_sub(r * per_reg).min(per_reg);
                 _mm512_maskz_loadu_epi32(((1u32 << (ND * live)) - 1) as u16, p.cast())
-            };
+            }
+        };
+        // The first stage of the transpose reads the rows straight from
+        // memory (a loop of loads into an array compiles to a `memcpy`).
+        let mut x = [_mm512_setzero_si512(); 16];
+        for k in 0..regs / 2 {
+            let (a, b) = (load(k), load(k + regs / 2));
+            x[2 * k] = _mm512_unpacklo_epi8(a, b);
+            x[2 * k + 1] = _mm512_unpackhi_epi8(a, b);
         }
         macro_rules! stage {
             ($lo:ident, $hi:ident) => {{
@@ -767,36 +817,162 @@ pub(super) unsafe fn bound_kernel<const ND: usize>(
                 }
             }};
         }
-        stage!(_mm512_unpacklo_epi8, _mm512_unpackhi_epi8);
         stage!(_mm512_unpacklo_epi16, _mm512_unpackhi_epi16);
         stage!(_mm512_unpacklo_epi32, _mm512_unpackhi_epi32);
         stage!(_mm512_unpacklo_epi64, _mm512_unpackhi_epi64);
 
-        let (mut words, mut odd) = (_mm512_setzero_si512(), _mm512_setzero_si512());
-        for (i, &codes) in x.iter().enumerate().take(m) {
-            let t = tables.as_ptr().add(i * KSTAR_U8).cast::<__m512i>();
-            let low = _mm512_permutex2var_epi8(
-                _mm512_loadu_si512(t),
-                codes,
-                _mm512_loadu_si512(t.add(1)),
-            );
-            let high = _mm512_permutex2var_epi8(
-                _mm512_loadu_si512(t.add(2)),
-                codes,
-                _mm512_loadu_si512(t.add(3)),
-            );
-            let q = _mm512_mask_blend_epi8(_mm512_movepi8_mask(codes), low, high);
-            words = _mm512_add_epi16(words, q);
-            odd = _mm512_add_epi16(odd, _mm512_srli_epi16::<8>(q));
+        let (mut words, mut odd) = ([_mm512_setzero_si512(); Q], [_mm512_setzero_si512(); Q]);
+        for (i, &codes) in x.iter().enumerate().take(regs) {
+            let high_half = _mm512_movepi8_mask(codes);
+            for q in 0..Q {
+                let t = tables[q].as_ptr().add(i * KSTAR_U8).cast::<__m512i>();
+                let low = _mm512_permutex2var_epi8(
+                    _mm512_loadu_si512(t),
+                    codes,
+                    _mm512_loadu_si512(t.add(1)),
+                );
+                let high = _mm512_permutex2var_epi8(
+                    _mm512_loadu_si512(t.add(2)),
+                    codes,
+                    _mm512_loadu_si512(t.add(3)),
+                );
+                let byte = _mm512_mask_blend_epi8(high_half, low, high);
+                words[q] = _mm512_add_epi16(words[q], byte);
+                odd[q] = _mm512_add_epi16(odd[q], _mm512_srli_epi16::<8>(byte));
+            }
         }
-        let even = _mm512_sub_epi16(words, _mm512_slli_epi16::<8>(odd));
+
+        // The byte lanes whose row is in the block (`left.min(CHUNK)` fits
+        // an `i8`), as even and odd sum lanes.
+        let live = _mm512_movm_epi8(_mm512_cmplt_epu8_mask(
+            lane_rows,
+            _mm512_set1_epi8(left.min(CHUNK) as i8),
+        ));
+        let live = [
+            _mm512_test_epi16_mask(live, even_lanes),
+            _mm512_test_epi16_mask(live, odd_lanes),
+        ];
+        for q in 0..Q {
+            let halves = [
+                _mm512_sub_epi16(words[q], _mm512_slli_epi16::<8>(odd[q])),
+                odd[q],
+            ];
+            let group = &mut maxima[q][(j / CHUNK) % 4];
+            for h in 0..2 {
+                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), halves[h]);
+                group[h] = _mm512_mask_max_epu16(group[h], live[h], group[h], halves[h]);
+            }
+        }
+        j += CHUNK;
+    }
+
+    let mut out = [[0u16; SEED_GROUPS]; Q];
+    for (out, maxima) in out.iter_mut().zip(maxima) {
+        for (at, group) in out.chunks_exact_mut(CHUNK).zip(maxima) {
+            _mm512_storeu_si512(at.as_mut_ptr().cast(), group[0]);
+            _mm512_storeu_si512(at.as_mut_ptr().add(32).cast(), group[1]);
+        }
+    }
+    out
+}
+
+/// The `k`-th largest of `values` (`1 <= k <= SEED_GROUPS`), each at most
+/// `m · 255` for `m <=` [`BOUND_TABLES`]: the largest `v` with at least
+/// `k` values `>= v`, found by bisection over `0 ..= 4080` — twelve steps,
+/// each one `vpcmpuw` and `popcnt` per 32 values.
+///
+/// # Safety
+///
+/// The caller must ensure the host supports `avx512f`, `avx512bw` and
+/// `popcnt`.
+#[target_feature(enable = "avx512f,avx512bw,popcnt")]
+pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
+    use arch::*;
+
+    let v: [__m512i; SEED_GROUPS / 32] =
+        std::array::from_fn(|r| _mm512_loadu_si512(values.as_ptr().add(32 * r).cast()));
+    // At least `k` values reach `lo`; fewer than `k` reach `hi`.
+    let (mut lo, mut hi) = (0u32, (BOUND_TABLES * 255 + 1) as u32);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        let vmid = _mm512_set1_epi16(mid as i16);
+        let reach: u32 = v
+            .iter()
+            .map(|&v| _mm512_cmpge_epu16_mask(v, vmid).count_ones())
+            .sum();
+        if reach as usize >= k {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo as u16
+}
+
+/// The candidate and exact steps of a seeded visit, into a survivors sink
+/// over `[start, start + count)`: every row whose byte sum in `sums` (as
+/// [`byte_sums`] left them) reaches `min_sum` is compacted into the sink's
+/// positions slice in ascending position, and only those rows are scored
+/// exactly — by the gather kernel's own lookup sequence
+/// ([`gathered_sums`], `i = 0..m`, bias last), sixteen candidates per
+/// gather — and kept if their score reaches the sink's threshold. Returns
+/// `(scores the sink received, rows never scored)`. With `min_sum` from
+/// the scan layer's `ByteBound::min_sum` of the sink's threshold, a row
+/// never scored scores below the threshold ([`byte_sums`]' upper bound),
+/// so the sink receives exactly what [`gather_kernel`] would hand it.
+///
+/// # Candidates in place
+///
+/// The compaction writes candidate positions into the sink's positions
+/// slice and the exact pass reads them back, sixteen at a time, before
+/// writing survivors over them: each batch's positions are loaded into a
+/// register before its store, and survivors never outnumber the
+/// candidates read, so no store reaches a candidate not yet read.
+///
+/// # Safety
+///
+/// The caller must ensure the host supports `avx512f`, `avx512bw`,
+/// `avx512vbmi` and `popcnt`; that `ND` is 2 or 4 and `m == 4 * ND`; that
+/// `(start + count) * m <= bytes.len()` and `count * m` fits an `i32`;
+/// that `entries` holds `m` tables of 256; that `sums` holds `count`
+/// rounded up to a whole chunk; and that `sink` is a survivors sink whose
+/// slices hold `count + SINK_SLACK`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn bounded_gather<const ND: usize>(
+    m: usize,
+    bytes: &[u8],
+    start: usize,
+    count: usize,
+    sums: &[u16],
+    min_sum: u16,
+    entries: &[f32],
+    bias: f32,
+    sink: &mut Sink<'_>,
+) -> (usize, usize) {
+    use arch::*;
+
+    let (Some(threshold), scores, positions) = sink.parts() else {
+        unreachable!("a seeded visit feeds a survivors sink");
+    };
+    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
+    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let lanes_of_rows = _mm512_loadu_si512(ROW_LANES[ND / 4].as_ptr().cast());
+    let vmin_sum = _mm512_set1_epi16(min_sum as i16);
+
+    // The candidates: positions, ascending, into `positions`.
+    let mut candidates = 0;
+    let mut j = 0;
+    while j < count {
+        let even = _mm512_loadu_si512(sums.as_ptr().add(j).cast());
+        let odd = _mm512_loadu_si512(sums.as_ptr().add(j + 32).cast());
         let reach = _mm512_mask_blend_epi8(
             0xAAAA_AAAA_AAAA_AAAA,
             _mm512_movm_epi16(_mm512_cmpge_epu16_mask(even, vmin_sum)),
             _mm512_movm_epi16(_mm512_cmpge_epu16_mask(odd, vmin_sum)),
         );
-        let in_block = match left {
-            0..64 => (1u64 << left) - 1,
+        let in_block = match count - j {
+            left @ 0..64 => (1u64 << left) - 1,
             _ => u64::MAX,
         };
         let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(lanes_of_rows, reach)) & in_block;
@@ -815,7 +991,7 @@ pub(super) unsafe fn bound_kernel<const ND: usize>(
     }
 
     // The exact pass over the candidates, sixteen at a time: a gather
-    // costs about the same for any number of live lanes, so the tile's
+    // costs about the same for any number of live lanes, so the visit's
     // candidates are batched rather than scored per chunk.
     let base = bytes.as_ptr().add(start * m);
     let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(threshold));
@@ -831,5 +1007,5 @@ pub(super) unsafe fn bound_kernel<const ND: usize>(
         keep_passing!(written, vthreshold, sum, live, at, scores, positions);
         c += 16;
     }
-    (count, written, count - candidates)
+    (written, count - candidates)
 }

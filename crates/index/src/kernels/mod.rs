@@ -19,14 +19,16 @@
 //!    the `avx512` gather kernel for `k* = 256` (one `vgatherdps` per
 //!    sixteen lookups, rows of at least four bytes; 8- and 16-byte rows
 //!    are loaded whole, every other width's code dwords gathered). Over
-//!    8- and 16-byte rows a survivors scan puts a **u8 bound pass** ahead
-//!    of the gather: once per visitor the LUT is quantised into 256-byte
-//!    tables (`ByteBound`), four ZMM registers each; per tile, every row's
-//!    upper bound is two `vpermi2b` and a blend per subquantizer, and
-//!    only the rows whose bound reaches the tile's threshold are scored
-//!    exactly, by the gather kernel's own lookup sequence. The sink
-//!    receives the same pairs; rows skipped are
-//!    [`ScanTally::bound_rejected`].
+//!    8- and 16-byte rows a scan runs a **seeded visit** instead of tiles:
+//!    once per visitor the LUT is quantised into 256-byte tables
+//!    (`ByteBound`), four ZMM registers each, and one pass over the whole
+//!    cluster gives every row's u16 byte sum (two `vpermi2b` and a blend
+//!    per subquantizer) and the largest sum of each of 256 disjoint row
+//!    groups. The `k`-th largest of those maxima seeds the threshold with a
+//!    proven lower bound on the visit's `k`-th best score; then only the
+//!    rows whose byte sum can still reach it are scored exactly, by the
+//!    gather kernel's own lookup sequence, and offered. Rows never scored
+//!    are [`ScanTally::bound_rejected`].
 //! 3. **Visitor groups** — a cluster's visitors are scanned in groups of
 //!    the kernel's size: up to four for the `avx512` LUT16 kernel, which
 //!    loads each chunk of rows, de-interleaves it and shifts out its nibble
@@ -34,7 +36,11 @@
 //!    query's register-resident table into that query's own accumulators —
 //!    the software form of ANNA's crossbar handing one fetched cluster
 //!    block to the SCM of every query in the group (PAPER §III-B, §IV).
-//!    Every other kernel takes the visitors one at a time.
+//!    Seeded `k* = 256` visits are grouped the same way: one byte-sum
+//!    pass loads and transposes each chunk of rows once and looks it up in
+//!    every member's u8 image; each member then seeds, scores and offers
+//!    its own candidates. Every other kernel takes the visitors one at a
+//!    time.
 //! 4. **Block scoring** — a cluster is walked in blocks of [`TILE`]
 //!    vectors, each scored by one `score_block` call into a `Sink` per
 //!    query: a tile of every score (what [`score_all`] reads) or, in a
@@ -44,10 +50,12 @@
 //!    `(position, score)` pairs in ascending position in that query's
 //!    buffer. ANNA's SCM never materialises a score either — each sum
 //!    leaves the adder tree, meets the P-heap minimum, and only winners
-//!    enter the heap (PAPER §III-B(4)); the `k* = 256` bound pass goes one
-//!    step further and meets the minimum with a u8 upper bound before the
-//!    f32 score exists. Whatever rows a kernel leaves are finished by one
-//!    shared row loop (`score_row`). The hot loop is allocation-free.
+//!    enter the heap (PAPER §III-B(4)); a seeded `k* = 256` visit goes one
+//!    step further: one block of the whole cluster, whose threshold the
+//!    u8 pass has already raised to a proven `k`-th best bound, and which
+//!    meets it with a u8 upper bound before the f32 score exists. Whatever
+//!    rows a kernel leaves are finished by one shared row loop
+//!    (`score_row`). The hot loop is allocation-free.
 //! 5. **Threshold-pruned selection** — every kernel but the seed scan ends
 //!    in a survivors sink, and one loop re-tests each kept lane against the
 //!    live threshold, in the same ascending order, one query of the group
@@ -73,9 +81,10 @@
 //! the live threshold would offer is among the kept lanes, and the few
 //! extra lanes that passed only the stale copy are dropped by the re-test.
 //! (`push` would reject them anyway; the re-test saves that call and keeps
-//! [`ScanTally::pruned`] meaning the same thing on every dispatch.) Offers
-//! therefore reach the selector in the same order, against the same live
-//! threshold, as in a scan that tested every score as it was made.
+//! [`ScanTally::pruned`] the same on every dispatch that tests against the
+//! live threshold.) Offers therefore reach the selector in the same order,
+//! against the same live threshold, as in a scan that tested every score
+//! as it was made.
 //!
 //! The same holds per query within a group. A group's selectors are
 //! distinct (`&mut [TopK]`), so each is raised only by its own offers; its
@@ -85,6 +94,33 @@
 //! the group were scored in the same pass changes none of the three, so
 //! each selector sees exactly the offers, order and threshold sequence of
 //! a [`scan_with`] of its own, and keeps the same top-k and tally.
+//!
+//! # Why a seeded threshold is exact
+//!
+//! A seeded visit does not start from the selector's floor. Its byte-sum
+//! pass puts every row of the cluster in one of 256 disjoint groups and
+//! keeps each group's largest byte sum. When `k < 256` and the cluster has
+//! at least `k` rows, at least `k` groups hold a row, so the `k`-th
+//! largest maximum `Q*` is reached by `k` distinct rows, one per group.
+//! Every row whose byte sum is at least `Q*` scores at least
+//! `ByteBound::lower(Q*)` (the proof is `avx512::byte_sums`'), so this
+//! visit alone holds `k` rows scoring at least that **seed**, and the
+//! query's true `k`-th best — which other visits can only raise — is at
+//! least the seed as well. The visit's threshold `T = max(seed, floor)` is
+//! therefore a lower bound on the `k`-th best, exactly as the floor is:
+//! every row that belongs in the top-k scores `>= T`, so its u8 upper
+//! bound reaches `T` and it is a candidate, it is kept (`>=`, so ties at
+//! `T` are too), and it is offered in ascending position against the live
+//! threshold — every kept score already reaches the seed, so that is the
+//! re-test against `max(seed, live)`. NaN cannot arise: a LUT has a u8
+//! image only when its entries and bias are finite. The selector's order
+//! is total, so its kept set is the best `k` of what was offered, which
+//! includes everything that belongs there: the scalar path's, bit for
+//! bit. Only the count of offers changes: rows between the floor and the
+//! seed are pruned without being offered, so [`ScanTally::pruned`] reads
+//! higher on a seeded visit than on a dispatch that tests against the
+//! floor alone. With fewer than `k` rows, or `k >= 256`, there is no seed
+//! and `T` is the floor.
 //!
 //! # The summation-order invariant
 //!
@@ -119,9 +155,9 @@
 //! 256 bytes and *does* fit registers (four ZMM), so a cheap low-precision
 //! pass bounds every score and full precision decides only the few rows
 //! that can still enter the top-k (ANNS-AMP's adaptive mixed precision,
-//! applied as a filter rather than an approximation). The bound is an
-//! upper bound by construction (`avx512::bound_kernel` proves it), so
-//! scores, offers and top-k sets are the gather kernel's bit for bit.
+//! applied as a filter rather than an approximation). Both bounds hold by
+//! construction (`avx512::byte_sums` proves them), so scores and top-k sets
+//! are the gather kernel's bit for bit; only the offers fall.
 
 mod blocked;
 mod scalar;
@@ -148,7 +184,10 @@ pub const TILE: usize = 256;
 /// four accumulators (64 lanes) per query is 16 for four queries, plus 8
 /// for the de-interleaved dwords of sixteen 8-byte rows in each of the
 /// four lane groups, leaves 8 for the shifted nibble indices, the tables
-/// and the permute results. A fifth query would spill accumulators.
+/// and the permute results. A fifth query would spill accumulators. A
+/// seeded `k* = 256` visit's byte-sum pass fits the same group: the 16
+/// transposed code registers of a chunk of 16-byte rows and two sum
+/// accumulators per member are 24.
 pub(crate) const GROUP: usize = 4;
 
 /// Lanes a survivors sink may write past the last survivor: the AVX-512
@@ -161,14 +200,16 @@ const SINK_SLACK: usize = 16;
 const SURVIVOR_SLOTS: usize = TILE + SINK_SLACK;
 
 /// Reusable scratch for the scan: one survivors buffer (positions and
-/// scores) per member of a visitor group, and the u8 image of the LUT the
-/// `avx512` `k* = 256` bound pass reads. Thread one instance through a
-/// scan loop (per worker, per search) and the hot path performs zero
-/// allocations after warm-up.
+/// scores) per member of a visitor group — or one cluster-wide candidate
+/// list for a seeded visit — and the u8 image of the LUT and every row's
+/// byte sum that an `avx512` `k* = 256` seeded visit reads. Thread one
+/// instance through a scan loop (per worker, per search) and the hot path
+/// performs zero allocations after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     survivors: Survivors,
     tables: Vec<u8>,
+    sums: Vec<u16>,
 }
 
 /// The survivors buffers of a [`ScanScratch`].
@@ -190,13 +231,7 @@ impl Survivors {
     /// [`Sink::Survivors`] per threshold, member `g`'s in slot `g`, each
     /// [`SURVIVOR_SLOTS`] long.
     fn sinks(&mut self, thresholds: [f32; GROUP]) -> [Sink<'_>; GROUP] {
-        let need = GROUP * SURVIVOR_SLOTS;
-        if self.scores.len() < need {
-            self.scores.resize(need, 0.0);
-        }
-        if self.positions.len() < need {
-            self.positions.resize(need, 0);
-        }
+        self.grow(GROUP * SURVIVOR_SLOTS);
         let mut slots = self
             .positions
             .chunks_exact_mut(SURVIVOR_SLOTS)
@@ -211,19 +246,55 @@ impl Survivors {
         })
     }
 
+    /// Grows (never shrinks) the buffers to `rows + SINK_SLACK` slots and
+    /// hands out the first `rows + SINK_SLACK` as one [`Sink::Survivors`]:
+    /// a seeded visit's cluster-wide candidate list, which
+    /// [`Self::kept`]`(0, ..)` reads back.
+    fn whole(&mut self, threshold: f32, rows: usize) -> Sink<'_> {
+        let need = rows + SINK_SLACK;
+        self.grow(need);
+        Sink::Survivors {
+            threshold,
+            positions: &mut self.positions[..need],
+            scores: &mut self.scores[..need],
+        }
+    }
+
+    fn grow(&mut self, need: usize) {
+        if self.scores.len() < need {
+            self.scores.resize(need, 0.0);
+        }
+        if self.positions.len() < need {
+            self.positions.resize(need, 0);
+        }
+    }
+
     /// The first `kept` `(positions, scores)` of member `g`'s slot, as the
-    /// last [`Self::sinks`] filled it.
+    /// last [`Self::sinks`] (or, for `g` 0, [`Self::whole`]) filled it.
     fn kept(&self, g: usize, kept: usize) -> (&[u32], &[f32]) {
         let at = g * SURVIVOR_SLOTS;
         (&self.positions[at..at + kept], &self.scores[at..at + kept])
     }
 }
 
-/// The u8 image of one LUT that the `avx512` `k* = 256` scan bounds its
-/// scores with: `m` tables of 256 bytes sharing one scale `s`, table `i`
-/// offset by its least entry (`avx512::quantise`), plus what turns a
-/// threshold into the least byte sum that can still reach it
-/// ([`Self::min_sum`]; the proof is `avx512::bound_kernel`'s).
+/// Disjoint row groups a seeded visit takes byte-sum maxima over (each of
+/// a 64-row chunk's sum lanes, per chunk index mod 4); a selector of
+/// `k >= SEED_GROUPS` gets no seed.
+const SEED_GROUPS: usize = 256;
+
+/// `count` rounded up to whole 64-row chunks: the byte sums a seeded visit
+/// keeps per member for `count` rows.
+fn whole_chunks(count: usize) -> usize {
+    count.div_ceil(64) * 64
+}
+
+/// The u8 image of one LUT that an `avx512` `k* = 256` seeded visit bounds
+/// its scores with: `m` tables of 256 bytes sharing one scale `s`, table
+/// `i` offset by its least entry (`avx512::quantise`), plus what turns a
+/// row's byte sum into bounds on its score: [`Self::min_sum`], the least
+/// byte sum that can still reach a threshold, and [`Self::lower`], the
+/// least score a byte sum guarantees (both proofs are
+/// `avx512::byte_sums`').
 #[derive(Debug, Clone, Copy)]
 struct ByteBound<'a> {
     tables: &'a [u8],
@@ -237,32 +308,34 @@ struct ByteBound<'a> {
 }
 
 impl<'a> ByteBound<'a> {
-    /// Quantises `lut` into `tables` (grown, never shrunk) for the bound
-    /// pass; `None` — the scan keeps the plain gather — unless the kernel
-    /// is the `avx512` gather over rows of two or four whole dwords, or
-    /// when the LUT holds a non-finite entry or bias, every table is
+    /// Quantises `lut` into the first `m · 256` bytes of `tables` for a
+    /// seeded visit; `None` — the scan keeps the plain gather — unless the
+    /// kernel is the `avx512` gather over rows of two or four whole dwords,
+    /// or when the LUT holds a non-finite entry or bias, every table is
     /// constant, or entries and bias are too large to sum without
     /// overflow (`Σ_i max_v |e_iv| + |bias|` reaching `2^120`).
-    fn quantise(kernel: Kernel, lut: &Lut, tables: &'a mut Vec<u8>) -> Option<Self> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel seeds and `tables` is shorter than `m · 256`.
+    fn quantise(kernel: Kernel, lut: &Lut, tables: &'a mut [u8]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         {
-            let Kernel::Avx512Gather { nd: 2 | 4 } = kernel else {
+            if !kernel.seeds() {
                 return None;
-            };
+            }
             let m = lut.m();
             assert!(
                 lut.kstar() == 256 && m <= avx512::BOUND_TABLES && lut.entries().len() >= m * 256
             );
             assert!(
                 KernelDispatch::Avx512.is_available(),
-                "bound pass without its ISA"
+                "seeded visit without its ISA"
             );
             if !lut.bias().is_finite() {
                 return None;
             }
-            if tables.len() < m * 256 {
-                tables.resize(m * 256, 0);
-            }
+            let tables = &mut tables[..m * 256];
             // SAFETY: the `avx512` level (asserted above) includes
             // `avx512f` and `avx512bw`; `m` is at most `BOUND_TABLES`, the
             // LUT holds `m` tables of 256 and `tables` `m · 256` bytes.
@@ -300,6 +373,211 @@ impl<'a> ByteBound<'a> {
         let least = ((t - self.floor - slack) / s - m).floor() - 1.0;
         (least >= 1.0).then(|| least.min(f64::from(u16::MAX)) as u16)
     }
+
+    /// A score every row whose byte sum is at least `sum` reaches: the
+    /// mirror of [`Self::min_sum`], with the same slack terms, rounded
+    /// toward `−∞` to an f32. Finite: the image's entries and bias are.
+    fn lower(&self, sum: u16) -> f32 {
+        let (m, s, q) = (self.m as f64, f64::from(self.scale), f64::from(sum));
+        let slack = m * s * 2f64.powi(-14)
+            + (m + 1.0) * 2f64.powi(-23) * self.magnitude
+            + 2f64.powi(-40) * (s * q + self.magnitude);
+        let least = self.floor + s * q - slack;
+        let rounded = least as f32;
+        if f64::from(rounded) > least {
+            rounded.next_down()
+        } else {
+            rounded
+        }
+    }
+
+    /// The seed of a visit to `n` rows by a selector of `k`, given the
+    /// [`SEED_GROUPS`] maxima [`Self::byte_sums`] returned for them:
+    /// [`Self::lower`] of the `k`-th largest maximum, which at least `k`
+    /// distinct rows of the visit score. `None` when fewer than `k` groups
+    /// are sure to hold a row (`n < k`) or `k >= SEED_GROUPS`.
+    fn seed(&self, maxima: &[u16; SEED_GROUPS], n: usize, k: usize) -> Option<f32> {
+        if k == 0 || k > n || k >= SEED_GROUPS {
+            return None;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: an image exists only where `quantise` asserted the
+            // `avx512` level, which includes `avx512f`, `avx512bw` and
+            // `popcnt`.
+            let kth = unsafe { avx512::kth_largest(maxima, k) };
+            Some(self.lower(kth))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no u8 image off x86-64")
+    }
+
+    /// Asserts what the image's kernels assume of `codes[start .. start +
+    /// count]`: byte codes in rows of the image's `m` bytes (8 or 16, as
+    /// `quantise` admits), inside the stream, row offsets within an `i32`.
+    fn check(&self, codes: &PackedCodes, start: usize, count: usize) {
+        let m = self.m;
+        assert!(
+            codes.width() == CodeWidth::U8 && codes.m() == m && codes.vector_bytes() == m,
+            "a u8 image of {m} tables against {:?} codes, m = {}",
+            codes.width(),
+            codes.m()
+        );
+        assert!(matches!(m, 8 | 16) && self.tables.len() >= m * 256);
+        assert!((start + count) * m <= codes.bytes().len());
+        assert!(
+            count.max(64) * m <= i32::MAX as usize,
+            "row offsets must fit an i32"
+        );
+    }
+
+    /// The byte-sum pass of a visitor group, one pass over the rows for
+    /// every member with an image (`images[g]` for member `g`; `None`
+    /// skips it): writes the byte sum of every row of `codes[start ..
+    /// start + count]` against member `g`'s image to `sums[g · padded ..
+    /// (g + 1) · padded]`, `padded` the count rounded up to whole 64-row
+    /// chunks ([`whole_chunks`]; `sums` is grown, never shrunk, to
+    /// `images.len()` of them), and returns, at `[g]`, the largest sum of
+    /// each of [`SEED_GROUPS`] disjoint groups of those rows, 0 for a group
+    /// with none (`avx512::byte_sums`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is empty or longer than [`GROUP`], or if `codes`
+    /// are not byte codes in rows of each image's `m` bytes or the range
+    /// exceeds them.
+    fn byte_sums(
+        images: &[Option<Self>],
+        codes: &PackedCodes,
+        start: usize,
+        count: usize,
+        sums: &mut Vec<u16>,
+    ) -> [[u16; SEED_GROUPS]; GROUP] {
+        assert!((1..=GROUP).contains(&images.len()));
+        for image in images.iter().flatten() {
+            image.check(codes, start, count);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no u8 image off x86-64");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut maxima = [[0; SEED_GROUPS]; GROUP];
+            let padded = whole_chunks(count);
+            if padded == 0 {
+                return maxima;
+            }
+            if sums.len() < images.len() * padded {
+                sums.resize(images.len() * padded, 0);
+            }
+            // The members with an image, in group order: their tables,
+            // their slots and their sums.
+            let (mut tables, mut slots, mut q) = ([&[][..]; GROUP], [0; GROUP], 0);
+            for (g, image) in images.iter().enumerate() {
+                if let Some(image) = image {
+                    (tables[q], slots[q]) = (image.tables, g);
+                    q += 1;
+                }
+            }
+            let mut member_sums = sums
+                .chunks_exact_mut(padded)
+                .zip(images)
+                .filter_map(|(sums, image)| image.is_some().then_some(sums));
+            let bytes = codes.bytes();
+            /// The pass over rows of `$nd` dwords for the `$q` members.
+            macro_rules! pass {
+                ($nd:literal, $q:literal) => {{
+                    let sums: [&mut [u16]; $q] =
+                        std::array::from_fn(|_| member_sums.next().expect("sums per member"));
+                    let tables: [&[u8]; $q] = std::array::from_fn(|i| tables[i]);
+                    let out =
+                        avx512::byte_sums::<$nd, $q>(4 * $nd, bytes, start, count, tables, sums);
+                    for (slot, out) in slots.into_iter().zip(out) {
+                        maxima[slot] = out;
+                    }
+                }};
+            }
+            // SAFETY: an image exists only where `quantise` asserted the
+            // `avx512` level (`avx512f`, `avx512bw`, `avx512vbmi`); `check`
+            // asserted, for every member, rows of exactly `m` bytes, `m` 8
+            // or 16 (so `ND` is `m / 4`), the range inside the stream and
+            // the image's `m · 256` bytes; each member's sums are a chunk
+            // of `padded`, the range in whole chunks; `$q` is the number
+            // of members.
+            unsafe {
+                match (codes.m(), q) {
+                    (_, 0) => {}
+                    (8, 1) => pass!(2, 1),
+                    (8, 2) => pass!(2, 2),
+                    (8, 3) => pass!(2, 3),
+                    (8, _) => pass!(2, 4),
+                    (_, 1) => pass!(4, 1),
+                    (_, 2) => pass!(4, 2),
+                    (_, 3) => pass!(4, 3),
+                    _ => pass!(4, 4),
+                }
+            }
+            maxima
+        }
+    }
+
+    /// Scores exactly against `lut` — the LUT the image was quantised
+    /// from — every row of `codes[start .. start + count]` whose byte sum
+    /// in `sums` (as [`Self::byte_sums`] left this member's for the same range) can
+    /// reach the survivors `sink`'s threshold, and keeps those that do
+    /// (`avx512::bounded_gather`). Returns `(scores the sink received, rows
+    /// never scored)`; the sink receives exactly what the gather kernel
+    /// would hand it.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Self::byte_sums`] does, if `lut` does not hold `m`
+    /// tables of 256, if `sums` is shorter than the range in whole chunks,
+    /// or if `sink` is not a survivors sink of `count + SINK_SLACK` slots.
+    fn survivors(
+        &self,
+        codes: &PackedCodes,
+        start: usize,
+        count: usize,
+        lut: &Lut,
+        sums: &[u16],
+        sink: &mut Sink<'_>,
+    ) -> (usize, usize) {
+        self.check(codes, start, count);
+        let m = self.m;
+        assert!(lut.kstar() == 256 && lut.m() == m && lut.entries().len() >= m * 256);
+        assert!(sums.len() >= whole_chunks(count));
+        let Sink::Survivors {
+            threshold,
+            positions,
+            scores,
+        } = &*sink
+        else {
+            panic!("a seeded visit feeds a survivors sink");
+        };
+        assert!(
+            count + SINK_SLACK <= positions.len().min(scores.len()),
+            "survivors buffers need {SINK_SLACK} slots of slack"
+        );
+        // No bound below the threshold: every row is a candidate.
+        let min_sum = self.min_sum(*threshold).unwrap_or(0);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `byte_sums`, plus `popcnt` (in the `avx512` level);
+        // the LUT's `m` tables of 256, the whole chunks of `sums` and the
+        // survivors slices of `count + SINK_SLACK` are asserted above.
+        unsafe {
+            let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
+            match m {
+                8 => avx512::bounded_gather::<2>(
+                    8, bytes, start, count, sums, min_sum, entries, bias, sink,
+                ),
+                _ => avx512::bounded_gather::<4>(
+                    16, bytes, start, count, sums, min_sum, entries, bias, sink,
+                ),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no u8 image off x86-64")
+    }
 }
 
 /// Work counters returned by a scan. Feeds the `kernel.codes_scanned` /
@@ -309,26 +587,30 @@ pub struct ScanTally {
     /// Encoded vectors scored, once per visitor (a grouped scan of `n`
     /// codes for `q` visitors scores `q · n`).
     pub scanned: u64,
-    /// `scanned` minus the candidates actually offered to [`TopK::push`],
-    /// on every dispatch: a score counts as pruned exactly when it was
-    /// below the selector's threshold *at the moment it would have been
-    /// offered*. The survivors sink compares against a threshold frozen
-    /// per tile, but the lanes it keeps are re-checked against the live
-    /// one before the push, so the frozen copy never shows here — from the
-    /// same starting `TopK`, `Blocked`, `Avx2` and `Avx512` report the same
-    /// number (and `Scalar`, which pushes every score, reports 0).
+    /// `scanned` minus the candidates actually offered to [`TopK::push`]:
+    /// a score counts as pruned exactly when it was below the visit's
+    /// threshold *at the moment it would have been offered*. Dispatches
+    /// that share a threshold source report the same number from the same
+    /// starting `TopK`. Every tiled scan (`Blocked`, `Avx2`, `Avx512` at
+    /// `k* = 16`, and the `k* = 256` gather where a LUT has no u8 image)
+    /// tests against the selector's live threshold: the survivors sink
+    /// compares against a copy frozen per tile, but the lanes it keeps are
+    /// re-checked against the live one before the push, so the frozen copy
+    /// never shows here (`Scalar`, which pushes every score, reports 0).
     /// The live threshold is the selector's floor, which lags the true
-    /// `k`-th best between settles, so fewer scores prune than an always
-    /// exact threshold would allow (at the benchmark's shape, `pruned /
-    /// scanned` ≈ 0.964 where a heap's exact threshold gave ≈ 0.974).
-    /// Schedule-dependent (the threshold tightens as the scan proceeds),
-    /// so this is a telemetry quantity, not a determinism-checked one.
+    /// `k`-th best between settles. An `avx512` `k* = 256` seeded visit
+    /// tests against the higher of the floor and its seed, a proven lower
+    /// bound on the `k`-th best (module docs), so it prunes more (at the
+    /// benchmark's shape, `pruned / scanned` ≈ 0.983 where the floor alone
+    /// gives ≈ 0.966). Schedule-dependent (the threshold tightens as the
+    /// scan proceeds), so this is a telemetry quantity, not a
+    /// determinism-checked one.
     pub pruned: u64,
-    /// Of `pruned`, the scores the `avx512` `k* = 256` scan never computed:
-    /// rows whose u8 upper bound fell below the tile's frozen threshold
-    /// (`avx512::bound_kernel`). Always `<= pruned` — such a score is below
-    /// the live threshold too — and 0 on every other kernel. Schedule-
-    /// dependent like `pruned`.
+    /// Of `pruned`, the scores an `avx512` `k* = 256` seeded visit never
+    /// computed: rows whose u8 upper bound fell below the visit's
+    /// threshold (`avx512::bounded_gather`). Always `<= pruned` — such a
+    /// score is below that threshold too — and 0 on every other kernel.
+    /// Schedule-dependent like `pruned`.
     pub bound_rejected: u64,
 }
 
@@ -359,8 +641,8 @@ enum Kernel {
     /// The AVX-512 gather kernel (`avx512`): byte codes in rows of four
     /// bytes or more against 256-entry tables. Rows of `nd` whole dwords
     /// (`nd` 2 or 4: 8- and 16-byte rows) are loaded sixteen at a time and
-    /// de-interleaved, and a survivors scan over them runs the u8 bound
-    /// pass first (`avx512::bound_kernel`); every other width (`nd` 0)
+    /// de-interleaved, and a scan over them with a u8 image of the LUT runs
+    /// a seeded visit instead (`ByteBound`); every other width (`nd` 0)
     /// gathers its code dwords.
     Avx512Gather { nd: usize },
 }
@@ -383,12 +665,21 @@ impl Kernel {
     }
 
     /// How many visitors of one cluster this kernel scores per call:
-    /// [`GROUP`] for the AVX-512 LUT16 kernel, one for every other.
+    /// [`GROUP`] for the AVX-512 LUT16 kernel and for the seeded gather,
+    /// one for every other.
     fn group(self) -> usize {
         match self {
             Kernel::Avx512Lut16 { .. } => GROUP,
+            _ if self.seeds() => GROUP,
             _ => 1,
         }
+    }
+
+    /// Whether a scan with this kernel takes seeded visits: the `avx512`
+    /// gather over rows of two or four whole dwords, for every visitor
+    /// whose LUT has a u8 image (`ByteBound`).
+    fn seeds(self) -> bool {
+        matches!(self, Kernel::Avx512Gather { nd: 2 | 4 })
     }
 
     /// Whether some dispatch selects this kernel for `codes` and a
@@ -467,15 +758,18 @@ pub fn scan_with(
 /// are offered. Where the AVX-512 LUT16 kernel runs (nibble codes in 4- or
 /// 8-byte rows), up to four visitors share each block: one pass over the
 /// rows feeds every query's tables, and each query's survivors are offered
-/// to its own selector before the next block freezes thresholds. Every
-/// other kernel scans the visitors one after another; where the AVX-512
-/// gather kernel runs over 8- or 16-byte rows, each visitor's LUT is first
-/// quantised into `scratch` and every tile with a finite threshold is
-/// bounded before it is scored. Either way each
+/// to its own selector before the next block freezes thresholds. Where the
+/// AVX-512 gather kernel runs over 8- or 16-byte rows, up to four visitors
+/// share a seeded visit instead of tiles: each visitor's LUT is quantised
+/// into `scratch`, one pass over the rows gives every visitor with a u8
+/// image the byte sums it seeds and bounds its scan with, and each scores
+/// and offers its own candidates (a visitor without one is scanned in
+/// tiles). Every other kernel scans the visitors one after another, tile
+/// by tile. Either way each
 /// selector meets the same offers in the same order as a [`scan_with`] of
 /// its own, so every `top` and the returned tally (summed over the
-/// visitors) are bit-identical to that on every dispatch (see the module
-/// docs).
+/// visitors) are bit-identical to that; every `top` is bit-identical on
+/// every dispatch (see the module docs).
 ///
 /// # Panics
 ///
@@ -517,58 +811,24 @@ pub fn scan_group_with(
         };
     }
 
-    let vb = codes.vector_bytes();
     let group = kernel.group();
     // Candidates handed to `TopK::push`, and rows the bound rejected.
     let (mut offered, mut bound_rejected) = (0u64, 0u64);
     for (luts, tops) in luts.chunks(group).zip(tops.chunks_mut(group)) {
-        // Once per visitor: the u8 image the `avx512` `k* = 256` scan
-        // bounds its scores with (its group is one).
-        let bound = ByteBound::quantise(kernel, &luts[0], &mut scratch.tables);
-        let mut start = 0;
-        while start < n {
-            let count = (n - start).min(TILE);
-            // Overlap the next block's DRAM fetch with this block's
-            // scoring: the scan streams each cluster exactly once, so the
-            // hardware prefetcher restarts cold at every cluster boundary —
-            // a software hint per upcoming tile keeps the scan
-            // bandwidth-shaped instead of latency-bound (the EFM's job in
-            // hardware, Section III-B).
-            let next = start + count;
-            if next < n {
-                prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
+        if !kernel.seeds() {
+            offered += tiled_visit(kernel, codes, ids, luts, tops, &mut scratch.survivors);
+            continue;
+        }
+        let (seeded, rejected, imaged) = seeded_visits(kernel, codes, ids, luts, tops, scratch);
+        offered += seeded;
+        bound_rejected += rejected;
+        // A LUT with no u8 image (a non-finite entry, or every table
+        // constant) keeps the plain gather, tile by tile.
+        for ((lut, top), imaged) in luts.iter().zip(tops).zip(imaged) {
+            if !imaged {
+                let (lut, top) = (std::slice::from_ref(lut), std::slice::from_mut(top));
+                offered += tiled_visit(kernel, codes, ids, lut, top, &mut scratch.survivors);
             }
-            let ids = &ids[start..next];
-            // The kernel filters against copies of the thresholds frozen
-            // for this tile. A live one only rises, so its frozen copy
-            // admits a superset of what can still enter; each kept lane is
-            // re-checked before it pays the push. `>=` (not `>`) keeps the
-            // equal-score/lower-id tie-break exact.
-            let thresholds =
-                std::array::from_fn(|g| tops.get(g).map_or(f32::INFINITY, TopK::threshold));
-            let (kept, rejected) = {
-                let mut sinks = scratch.survivors.sinks(thresholds);
-                score_block(
-                    kernel,
-                    codes,
-                    start,
-                    count,
-                    luts,
-                    &mut sinks[..luts.len()],
-                    bound,
-                )
-            };
-            bound_rejected += rejected as u64;
-            for (g, top) in tops.iter_mut().enumerate() {
-                let (positions, scores) = scratch.survivors.kept(g, kept[g]);
-                for (&j, &score) in positions.iter().zip(scores) {
-                    if score >= top.threshold() {
-                        offered += 1;
-                        top.push(ids[j as usize], score);
-                    }
-                }
-            }
-            start = next;
         }
     }
     ScanTally {
@@ -576,6 +836,120 @@ pub fn scan_group_with(
         pruned: scanned - offered,
         bound_rejected,
     }
+}
+
+/// Scans all of `codes` for a group of visitors — `luts[g]` into `tops[g]`
+/// — tile by tile: each tile is scored into one survivors sink per member
+/// against its threshold frozen for the tile, and the kept lanes are
+/// offered, one member after another, before the next tile. Returns how
+/// many candidates it offered.
+fn tiled_visit(
+    kernel: Kernel,
+    codes: &PackedCodes,
+    ids: &[u64],
+    luts: &[Lut],
+    tops: &mut [TopK],
+    survivors: &mut Survivors,
+) -> u64 {
+    let (n, vb) = (codes.len(), codes.vector_bytes());
+    let mut offered = 0;
+    let mut start = 0;
+    while start < n {
+        let count = (n - start).min(TILE);
+        // Overlap the next block's DRAM fetch with this block's scoring:
+        // the scan streams each cluster exactly once, so the hardware
+        // prefetcher restarts cold at every cluster boundary — a software
+        // hint per upcoming tile keeps the scan bandwidth-shaped instead
+        // of latency-bound (the EFM's job in hardware, Section III-B).
+        let next = start + count;
+        if next < n {
+            prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
+        }
+        let ids = &ids[start..next];
+        // The kernel filters against copies of the thresholds frozen for
+        // this tile. A live one only rises, so its frozen copy admits a
+        // superset of what can still enter; each kept lane is re-checked
+        // before it pays the push. `>=` (not `>`) keeps the
+        // equal-score/lower-id tie-break exact.
+        let thresholds =
+            std::array::from_fn(|g| tops.get(g).map_or(f32::INFINITY, TopK::threshold));
+        let kept = {
+            let mut sinks = survivors.sinks(thresholds);
+            score_block(kernel, codes, start, count, luts, &mut sinks[..luts.len()])
+        };
+        for (g, top) in tops.iter_mut().enumerate() {
+            let (positions, scores) = survivors.kept(g, kept[g]);
+            offered += offer(top, ids, positions, scores);
+        }
+        start = next;
+    }
+    offered
+}
+
+/// Offers `top` the kept lanes of a block, `(positions, scores)` in
+/// ascending position, that still pass its live threshold, as `(ids[j],
+/// score)`; returns how many it offered.
+fn offer(top: &mut TopK, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 {
+    let mut offered = 0;
+    for (&j, &score) in positions.iter().zip(scores) {
+        if score >= top.threshold() {
+            offered += 1;
+            top.push(ids[j as usize], score);
+        }
+    }
+    offered
+}
+
+/// The seeded visit (module docs, "Why a seeded threshold is exact") of
+/// every member of a visitor group — `luts[g]` into `tops[g]` — whose LUT
+/// has a u8 image: the images are quantised into `scratch`; one byte-sum
+/// pass over the rows gives each member every row's byte sum and
+/// [`SEED_GROUPS`] disjoint groups' maxima; then, one member after
+/// another, the threshold is the higher of its selector's and its seed
+/// where there is one, every row whose byte sum can reach it is scored
+/// exactly into one cluster-wide candidate list, and the kept lanes are
+/// offered in ascending position. Returns `(offered, rows never scored,
+/// which members it visited)`.
+fn seeded_visits(
+    kernel: Kernel,
+    codes: &PackedCodes,
+    ids: &[u64],
+    luts: &[Lut],
+    tops: &mut [TopK],
+    scratch: &mut ScanScratch,
+) -> (u64, u64, [bool; GROUP]) {
+    let n = codes.len();
+    let image_bytes = codes.m() * 256;
+    if scratch.tables.len() < luts.len() * image_bytes {
+        scratch.tables.resize(luts.len() * image_bytes, 0);
+    }
+    let mut images = [None; GROUP];
+    for ((lut, tables), image) in luts
+        .iter()
+        .zip(scratch.tables.chunks_exact_mut(image_bytes))
+        .zip(&mut images)
+    {
+        *image = ByteBound::quantise(kernel, lut, tables);
+    }
+    let images = &images[..luts.len()];
+    let maxima = ByteBound::byte_sums(images, codes, 0, n, &mut scratch.sums);
+    let padded = whole_chunks(n);
+    let (mut offered, mut rejected) = (0, 0);
+    for (g, ((lut, top), image)) in luts.iter().zip(tops).zip(images).enumerate() {
+        let Some(image) = image else { continue };
+        let floor = top.threshold();
+        let threshold = image
+            .seed(&maxima[g], n, top.k())
+            .map_or(floor, |seed| seed.max(floor));
+        let sums = &scratch.sums[g * padded..(g + 1) * padded];
+        let mut sink = scratch.survivors.whole(threshold, n);
+        let (kept, never_scored) = image.survivors(codes, 0, n, lut, sums, &mut sink);
+        let (positions, scores) = scratch.survivors.kept(0, kept);
+        offered += offer(top, ids, positions, scores);
+        rejected += never_scored as u64;
+    }
+    let imaged = std::array::from_fn(|g| images.get(g).is_some_and(Option::is_some));
+    (offered, rejected, imaged)
 }
 
 /// Issues a read prefetch hint for `bytes[offset..offset + len]`, one
@@ -679,13 +1053,7 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
 /// Scores vectors `[start, start + count)` against each of `luts` with
 /// `kernel` into the sink beside it; returns how many scores each sink
 /// received (`count` for [`Sink::Tile`], the survivor count for
-/// [`Sink::Survivors`]), in `luts` order, and how many rows the bound pass
-/// rejected.
-///
-/// `bound`, the u8 image of the one LUT of a gather-kernel block, lets a
-/// survivors sink with a finite threshold skip the exact score of every
-/// row whose bound falls below it (`avx512::bound_kernel`); the sink
-/// receives the same pairs either way. A tile sink ignores it.
+/// [`Sink::Survivors`]), in `luts` order.
 ///
 /// Whatever rows a kernel leaves — the blocked kernel's last `count % 4`,
 /// the AVX2 kernel's past its last whole 32-vector chunk (all of them for
@@ -702,8 +1070,7 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
 /// reads each table at its own stride), a LUT has fewer tables than the
 /// codes have subquantizers, the range exceeds `codes.len()`, a tile is
 /// shorter than `count` or a survivors slice shorter than
-/// `count + SINK_SLACK`, or `bound` comes with more than one LUT or does
-/// not have its tables.
+/// `count + SINK_SLACK`.
 fn score_block(
     kernel: Kernel,
     codes: &PackedCodes,
@@ -711,8 +1078,7 @@ fn score_block(
     count: usize,
     luts: &[Lut],
     sinks: &mut [Sink<'_>],
-    bound: Option<ByteBound<'_>>,
-) -> ([usize; GROUP], usize) {
+) -> [usize; GROUP] {
     let (m, width, vb) = (codes.m(), codes.width(), codes.vector_bytes());
     let group = luts.len();
     assert!(
@@ -730,9 +1096,6 @@ fn score_block(
             assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
         }
         assert!(m * kstar <= lut.entries().len());
-    }
-    if let Some(bound) = bound {
-        assert!(group == 1 && bound.m == m && bound.tables.len() >= m * 256);
     }
     let bytes = codes.bytes();
     assert!((start + count) * vb <= bytes.len());
@@ -753,7 +1116,6 @@ fn score_block(
     }
 
     let mut written = [0; GROUP];
-    let mut rejected = 0;
     // Every kernel but the AVX-512 LUT16 one runs once per table.
     let done = match kernel {
         Kernel::Scalar => 0,
@@ -794,15 +1156,12 @@ fn score_block(
             }
             // SAFETY: `isa_detected` (asserted just above) is the feature
             // set of whichever kernel the match calls (the `avx512` level
-            // covers the `popcnt` of the AVX-512 sinks and the `avx512bw` /
-            // `avx512vbmi` of the bound pass). `kernel.fits` (asserted for
-            // every LUT at the top) is the shape each kernel assumes: for
-            // the gather kernel, byte codes with `m >= 4` against
-            // 256-entry tables, so every byte code indexes inside its
-            // table, in rows of exactly `4 * nd` bytes for the `nd` 2 and
-            // 4 arms (the only ones the bound pass takes, with the `m ·
-            // 256` image bytes asserted at the top and a survivors sink,
-            // matched below); for the AVX-512 LUT16 kernel, nibble rows of
+            // covers the `popcnt` of the AVX-512 sinks). `kernel.fits`
+            // (asserted for every LUT at the top) is the shape each kernel
+            // assumes: for the gather kernel, byte codes with `m >= 4`
+            // against 256-entry tables, so every byte code indexes inside
+            // its table, in rows of exactly `4 * nd` bytes for the `nd` 2
+            // and 4 arms; for the AVX-512 LUT16 kernel, nibble rows of
             // `vb = 4 * nd` bytes, with `nd` the arm taken, and 16-entry
             // tables (the u4 assert); the group's length is the `$q` of its
             // arm. The range, table-count, row-offset and sink-length
@@ -823,38 +1182,14 @@ fn score_block(
                         for ((lut, sink), written) in luts.iter().zip(&mut *sinks).zip(&mut written)
                         {
                             let (entries, bias) = (lut.entries(), lut.bias());
-                            // The bound pass, where the tile's threshold
-                            // lets it reject anything.
-                            let bounded = match (bound, &*sink) {
-                                (Some(bound), Sink::Survivors { threshold, .. }) => bound
-                                    .min_sum(*threshold)
-                                    .map(|min_sum| (bound.tables, min_sum)),
-                                _ => None,
-                            };
-                            (done, *written) = match (kernel, bounded) {
-                                (Kernel::Avx2Lut16, _) => avx2::lut16_kernel(
+                            (done, *written) = match kernel {
+                                Kernel::Avx2Lut16 => avx2::lut16_kernel(
                                     m, vb, bytes, start, count, entries, bias, sink,
                                 ),
-                                (Kernel::Avx512Gather { nd: 2 }, Some((tables, min_sum))) => {
-                                    let (done, kept, skipped) = avx512::bound_kernel::<2>(
-                                        m, bytes, start, count, tables, min_sum, entries, bias,
-                                        sink,
-                                    );
-                                    rejected += skipped;
-                                    (done, kept)
-                                }
-                                (Kernel::Avx512Gather { nd: 4 }, Some((tables, min_sum))) => {
-                                    let (done, kept, skipped) = avx512::bound_kernel::<4>(
-                                        m, bytes, start, count, tables, min_sum, entries, bias,
-                                        sink,
-                                    );
-                                    rejected += skipped;
-                                    (done, kept)
-                                }
-                                (Kernel::Avx512Gather { nd: 2 }, _) => avx512::gather_kernel::<2>(
+                                Kernel::Avx512Gather { nd: 2 } => avx512::gather_kernel::<2>(
                                     m, bytes, start, count, entries, bias, sink,
                                 ),
-                                (Kernel::Avx512Gather { nd: 4 }, _) => avx512::gather_kernel::<4>(
+                                Kernel::Avx512Gather { nd: 4 } => avx512::gather_kernel::<4>(
                                     m, bytes, start, count, entries, bias, sink,
                                 ),
                                 _ => avx512::gather_kernel::<0>(
@@ -875,7 +1210,7 @@ fn score_block(
             *written = sink.put(*written, j, score_row(codes, lut, start + j));
         }
     }
-    (written, rejected)
+    written
 }
 
 /// Scores a cluster without top-k, returning raw scores (used by tests and
@@ -907,7 +1242,6 @@ pub fn score_all_with(codes: &PackedCodes, lut: &Lut, dispatch: KernelDispatch) 
             count,
             std::slice::from_ref(lut),
             &mut [Sink::Tile(tile)],
-            None,
         );
     }
     out
@@ -1263,8 +1597,8 @@ mod tests {
             ('1', GROUP),
             ('2', GROUP),
             ('G', 1),
-            ('H', 1),
-            ('Q', 1),
+            ('H', GROUP),
+            ('Q', GROUP),
         ];
         for (c, group) in groups {
             assert_eq!(kernel(c).group(), group, "{c}");
@@ -1391,12 +1725,14 @@ mod tests {
     /// `count + SINK_SLACK` slots. Each block is scored for groups of one
     /// to [`GROUP`] tables at once, every member against its own table
     /// and its own threshold, each threshold at every member position; a
-    /// lone byte-code table scans through its u8 image where it has one,
-    /// as the scan does. Nibble shapes cover both AVX-512 row loads (`m` 7
+    /// byte-code table goes through its u8 image where it has one (one
+    /// byte-sum pass for the group's images, then each member's bounded
+    /// gather), as a seeded visit does.
+    /// Nibble shapes cover both AVX-512 row loads (`m` 7
     /// and 8: 4-byte rows; 16: 8-byte), the width it hands to AVX2 (`m`
     /// 24) and one wider than AVX2 keeps per lane, which it leaves whole
     /// to the row loop (`m` 66); byte shapes cover the gather kernel with
-    /// gathered whole dwords (`m` 4), loaded rows and the bound pass (`m`
+    /// gathered whole dwords (`m` 4), loaded rows and the u8 image (`m`
     /// 8, 16) and the shifted last dword (`m` 5, 7, 17), and the blocked
     /// kernel under every dispatch (`m` 2 against a 40-entry table).
     /// Counts sit on both sides of the four-row group, the 16-lane group,
@@ -1422,7 +1758,7 @@ mod tests {
             (CodeWidth::U8, 16, 256),
             (CodeWidth::U8, 17, 256),
         ];
-        let mut tables = Vec::new();
+        let (mut tables, mut sums) = (vec![0; GROUP * 16 * 256], Vec::new());
         let mut rejected = 0;
         for (width, m, kstar) in shapes {
             let families: &[&str] = if width == CodeWidth::U8 {
@@ -1444,14 +1780,13 @@ mod tests {
                             .iter()
                             .map(|lut| {
                                 let mut tile = vec![0.0f32; n];
-                                let (stored, _) = score_block(
+                                let stored = score_block(
                                     kernel,
                                     &codes,
                                     start,
                                     n,
                                     std::slice::from_ref(lut),
                                     &mut [Sink::Tile(&mut tile)],
-                                    None,
                                 );
                                 assert_eq!(stored[0], n);
                                 tile
@@ -1499,21 +1834,50 @@ mod tests {
                                         scores,
                                     })
                                     .collect();
-                                let bound = match group {
-                                    1 => ByteBound::quantise(kernel, &luts[0], &mut tables),
-                                    _ => None,
+                                let images: Vec<Option<ByteBound>> = luts[..group]
+                                    .iter()
+                                    .zip(tables.chunks_exact_mut(16 * 256))
+                                    .map(|(lut, tables)| ByteBound::quantise(kernel, lut, tables))
+                                    .collect();
+                                let kept = if images.iter().any(Option::is_some) {
+                                    ByteBound::byte_sums(&images, &codes, start, n, &mut sums);
+                                    let padded = whole_chunks(n);
+                                    let mut kept = [0; GROUP];
+                                    for (g, image) in images.iter().enumerate() {
+                                        let sink = &mut sinks[g..=g];
+                                        kept[g] = match image {
+                                            Some(image) => {
+                                                let sums = &sums[g * padded..][..padded];
+                                                let lut = &luts[g];
+                                                let (kept, skipped) = image.survivors(
+                                                    &codes,
+                                                    start,
+                                                    n,
+                                                    lut,
+                                                    sums,
+                                                    &mut sink[0],
+                                                );
+                                                rejected += skipped;
+                                                kept
+                                            }
+                                            None => {
+                                                let lut = &luts[g..=g];
+                                                score_block(kernel, &codes, start, n, lut, sink)[0]
+                                            }
+                                        };
+                                    }
+                                    kept
+                                } else {
+                                    score_block(
+                                        kernel,
+                                        &codes,
+                                        start,
+                                        n,
+                                        &luts[..group],
+                                        &mut sinks,
+                                    )
                                 };
-                                let (kept, skipped) = score_block(
-                                    kernel,
-                                    &codes,
-                                    start,
-                                    n,
-                                    &luts[..group],
-                                    &mut sinks,
-                                    bound,
-                                );
                                 drop(sinks);
-                                rejected += skipped;
                                 for (g, (positions, scores)) in buffers.iter().enumerate() {
                                     let at = format!(
                                         "{width:?} m={m} {family} n={n} member {g} of {group} threshold={} {} {kernel:?}",
@@ -1548,7 +1912,7 @@ mod tests {
                 }
             }
         }
-        // The bound pass ran and rejected rows wherever the host has it.
+        // The bounded gather ran and rejected rows wherever the host has it.
         assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
     }
 
@@ -1567,7 +1931,7 @@ mod tests {
             return;
         }
         let mut rng = anna_testkit::TestRng::new(0xB0_0D);
-        let mut tables = Vec::new();
+        let mut tables = vec![0; 16 * 256];
         for m in [8usize, 16] {
             let codes = PackedCodes::new(m, CodeWidth::U8);
             let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
@@ -1631,7 +1995,7 @@ mod tests {
         }
     }
 
-    /// The bound pass's transpose puts row `r` of a chunk in byte lane
+    /// The byte-sum pass's transpose puts row `r` of a chunk in byte lane
     /// `row_lanes[r]` of every subquantizer's register, as the candidate
     /// mask's `vpermb` assumes: a block whose row `r` has code `r` for
     /// every subquantizer, against tables that map code `c` to byte `c`,
@@ -1642,7 +2006,7 @@ mod tests {
         if !KernelDispatch::Avx512.is_available() {
             return;
         }
-        let mut tables = Vec::new();
+        let (mut tables, mut sums) = (vec![0; 16 * 256], Vec::new());
         for m in [8usize, 16] {
             // Table i's entry c is c (the image is then `c` itself, up to
             // the shared scale), so a row's score is `m · r`.
@@ -1659,25 +2023,19 @@ mod tests {
                     let threshold = (m * cut) as f32;
                     let mut positions = vec![0u32; n + SINK_SLACK];
                     let mut scores = vec![0.0f32; n + SINK_SLACK];
-                    let mut sinks = [Sink::Survivors {
+                    let mut sink = Sink::Survivors {
                         threshold,
                         positions: &mut positions,
                         scores: &mut scores,
-                    }];
-                    let (kept, rejected) = score_block(
-                        kernel,
-                        &codes,
-                        start,
-                        n,
-                        std::slice::from_ref(&lut),
-                        &mut sinks,
-                        Some(bound),
-                    );
+                    };
+                    ByteBound::byte_sums(&[Some(bound)], &codes, start, n, &mut sums);
+                    let (kept, rejected) =
+                        bound.survivors(&codes, start, n, &lut, &sums, &mut sink);
                     let want: Vec<u32> = (0..n as u32)
                         .filter(|&j| start + j as usize >= cut)
                         .collect();
                     assert_eq!(
-                        positions[..kept[0]],
+                        positions[..kept],
                         want[..],
                         "m={m} start={start} n={n} cut={cut}"
                     );
@@ -1688,6 +2046,413 @@ mod tests {
                         rejected <= below && rejected + 2 >= below,
                         "m={m} cut={cut}: {rejected} of {below}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The seed's premise, row by row, mirroring
+    /// [`byte_bound_is_at_least_the_exact_score_of_every_row`]: for LUTs of
+    /// every finite family at the seeded shapes (`m` 8 and 16) and biases
+    /// from zero to `±1e6` and subnormal, [`ByteBound::lower`] of a row's
+    /// byte sum is at most its exact f32 score — summed in `i = 0..m`
+    /// order, bias added last. Rows are random, all-zero, all-255 and each
+    /// table's best and worst code; the bound must also be tight enough
+    /// that the best row's lower bound beats the worst row's score on the
+    /// `uniform` family.
+    #[test]
+    fn byte_bound_lower_is_at_most_the_exact_score_of_every_row() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        let mut rng = anna_testkit::TestRng::new(0x10_3E);
+        let mut tables = vec![0; 16 * 256];
+        for m in [8usize, 16] {
+            let codes = PackedCodes::new(m, CodeWidth::U8);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+            for family in FAMILIES {
+                for bias in [0.0f32, 1e6, -1e6, 3.5, f32::from_bits(1)] {
+                    let words = family_words(&mut rng, family, m, 256);
+                    let lut = lut_of(&words, m, 256).with_bias(bias);
+                    let Some(bound) = ByteBound::quantise(kernel, &lut, &mut tables) else {
+                        assert!(
+                            matches!(family, "hostile" | "constant"),
+                            "{family} has no image"
+                        );
+                        continue;
+                    };
+                    let mut rows: Vec<Vec<u8>> = (0..2_000)
+                        .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
+                        .collect();
+                    rows.push(vec![0; m]);
+                    rows.push(vec![255; m]);
+                    for best in [true, false] {
+                        rows.push(
+                            (0..m)
+                                .map(|i| {
+                                    let table = &lut.entries()[i * 256..(i + 1) * 256];
+                                    let order =
+                                        |a: &usize, b: &usize| table[*a].total_cmp(&table[*b]);
+                                    let code = if best {
+                                        (0..256).max_by(order)
+                                    } else {
+                                        (0..256).min_by(order)
+                                    };
+                                    code.unwrap() as u8
+                                })
+                                .collect(),
+                        );
+                    }
+                    let scored: Vec<(f32, u16)> = rows
+                        .iter()
+                        .map(|row| {
+                            let mut score = 0.0f32;
+                            let mut sum = 0u16;
+                            for (i, &c) in row.iter().enumerate() {
+                                score += lut.get(i, c as usize);
+                                sum += u16::from(bound.tables[i * 256 + c as usize]);
+                            }
+                            (score + lut.bias(), sum)
+                        })
+                        .collect();
+                    for (row, &(score, sum)) in rows.iter().zip(&scored) {
+                        let lower = bound.lower(sum);
+                        assert!(
+                            lower.is_finite() && lower <= score,
+                            "{family} m={m} bias={bias} row {row:?}: score {score} < lower({sum}) = {lower}"
+                        );
+                    }
+                    if family == "uniform" {
+                        let best = scored.iter().map(|s| s.1).max().unwrap();
+                        let worst = scored.iter().map(|s| s.0).fold(f32::MAX, f32::min);
+                        assert!(
+                            bound.lower(best) > worst,
+                            "m={m} bias={bias}: the lower bound is too loose to seed anything"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The byte-sum pass keeps every row of the block for every member of
+    /// a group: row `r`'s sum against member `g`'s image lands in member
+    /// `g`'s sums, in its chunk's sum slot for the lane the transpose put
+    /// it in, and each of member `g`'s [`SEED_GROUPS`] maxima is the
+    /// largest sum of its group — slot `w` of every chunk with the same
+    /// index mod 4 — or 0 for a group with no row. Groups of one to
+    /// [`GROUP`] members, some without an image (left out of the pass, 0
+    /// maxima), each member with tables of its own. Code 0 maps to the top
+    /// byte of every table, so the zero-code rows past the block's end
+    /// would dominate any maximum they entered. Counts sit on both sides
+    /// of a chunk, four chunks and the benchmark's list length, from the
+    /// stream's start and inside it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn byte_sums_keep_every_row_and_each_groups_maximum() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        let mut rng = anna_testkit::TestRng::new(0x5A_5A);
+        let (mut tables, mut sums) = (vec![0; GROUP * 16 * 256], Vec::new());
+        let patterns: [&[bool]; 5] = [
+            &[true],
+            &[true, true],
+            &[false, true, true],
+            &[true, false, true, false],
+            &[true; GROUP],
+        ];
+        for m in [8usize, 16] {
+            let codes = random_codes(&mut rng, m, CodeWidth::U8, 256, 3_125 + 5);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+            let images: Vec<ByteBound> = tables
+                .chunks_exact_mut(16 * 256)
+                .map(|tables| {
+                    let mut words = family_words(&mut rng, "uniform", m, 256);
+                    for table in words.chunks_mut(256) {
+                        table[0] = 9.0;
+                    }
+                    let lut = lut_of(&words, m, 256);
+                    ByteBound::quantise(kernel, &lut, tables).expect("an image")
+                })
+                .collect();
+            let lanes = avx512::ROW_LANES[m / 16];
+            let mut row = vec![0u8; m];
+            for pattern in patterns {
+                let group: Vec<Option<ByteBound>> = pattern
+                    .iter()
+                    .zip(&images)
+                    .map(|(&imaged, &image)| imaged.then_some(image))
+                    .collect();
+                for start in [0usize, 5] {
+                    for n in [1usize, 63, 64, 65, 255, 256, 257, 3_125] {
+                        let maxima = ByteBound::byte_sums(&group, &codes, start, n, &mut sums);
+                        let padded = whole_chunks(n);
+                        for (g, image) in group.iter().enumerate() {
+                            let at = format!("m={m} {pattern:?} member {g} start={start} n={n}");
+                            let mut want = [0u16; SEED_GROUPS];
+                            let Some(image) = image else {
+                                assert_eq!(maxima[g], want, "{at}");
+                                continue;
+                            };
+                            for r in 0..n {
+                                codes.read_into(start + r, &mut row);
+                                let sum: u16 = row
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, &c)| u16::from(image.tables[i * 256 + c as usize]))
+                                    .sum();
+                                let lane = usize::from(lanes[r % 64]);
+                                let slot = lane / 2 + 32 * (lane % 2);
+                                let got = sums[g * padded + 64 * (r / 64) + slot];
+                                assert_eq!(got, sum, "{at} row {r}");
+                                let group = &mut want[64 * ((r / 64) % 4) + slot];
+                                *group = (*group).max(sum);
+                            }
+                            assert_eq!(maxima[g], want, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`avx512::kth_largest`] is the `k`-th order statistic, largest
+    /// first, for every `k` of one to [`SEED_GROUPS`]: on random sums, on
+    /// sums heavy with ties, and on all-equal ones at both ends of the
+    /// range.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn kth_largest_is_the_kth_order_statistic() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        let mut rng = anna_testkit::TestRng::new(0x0_5E1);
+        let top = (avx512::BOUND_TABLES * 255) as u64;
+        let sets: Vec<[u16; SEED_GROUPS]> = vec![
+            std::array::from_fn(|_| rng.below(top + 1) as u16),
+            std::array::from_fn(|_| 100 * rng.below(4) as u16),
+            [0; SEED_GROUPS],
+            [top as u16; SEED_GROUPS],
+        ];
+        for values in sets {
+            let mut sorted = values;
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            for k in 1..=SEED_GROUPS {
+                // SAFETY: the host has the `avx512` level (checked above).
+                let got = unsafe { avx512::kth_largest(&values, k) };
+                assert_eq!(got, sorted[k - 1], "k={k}");
+            }
+        }
+    }
+
+    /// What `top` keeps, as `(id, score bits)` best first.
+    fn kept(top: &TopK) -> Vec<(u64, u32)> {
+        top.clone()
+            .into_sorted_vec()
+            .iter()
+            .map(|h| (h.id, h.score.to_bits()))
+            .collect()
+    }
+
+    /// Seeded visits at their edges, through [`scan_with`] against the
+    /// scalar oracle: two visits (a cold selector, then a warm one) under
+    /// every available dispatch keep what the scalar path keeps, bit for
+    /// bit, for `n` ∈ {k − 1, k, 63, 64, 65, 255, 256, 257, 3125} × `k`
+    /// ∈ {1, 100, 255, 256, 300} — with no seed where `n < k` or `k >=
+    /// SEED_GROUPS` — over random rows and over one row repeated `n`
+    /// times, at `m` 8 and 16, for tables with a u8 image and without one
+    /// (`hostile`: a non-finite entry, the plain gather). This is also
+    /// the local check of the seeded visit's `unsafe` preconditions: the
+    /// byte sums padded to whole chunks and the candidate list of `n +
+    /// SINK_SLACK`, both grown in one reused scratch.
+    #[test]
+    fn seeded_visits_keep_the_oracle_top_k_at_the_edges() {
+        let mut rng = anna_testkit::TestRng::new(0x5EED);
+        let mut scratch = ScanScratch::new();
+        let mut rejected = 0;
+        for m in [8usize, 16] {
+            for family in ["uniform", "steps", "hostile"] {
+                let luts: Vec<Lut> = (0..2)
+                    .map(|_| lut_of(&family_words(&mut rng, family, m, 256), m, 256))
+                    .collect();
+                for k in [1usize, 100, 255, 256, 300] {
+                    for n in [k - 1, k, 63, 64, 65, 255, 256, 257, 3_125] {
+                        for repeated in [false, true] {
+                            let codes = if repeated {
+                                let row: Vec<u8> = (0..m).map(|_| rng.below(256) as u8).collect();
+                                let mut codes = PackedCodes::new(m, CodeWidth::U8);
+                                for _ in 0..n {
+                                    codes.push(&row);
+                                }
+                                codes
+                            } else {
+                                random_codes(&mut rng, m, CodeWidth::U8, 256, n)
+                            };
+                            // Distinct ids per visit, interleaved.
+                            let ids: Vec<Vec<u64>> = (0..2u64)
+                                .map(|v| (0..n as u64).map(|i| 2 * i + v).collect())
+                                .collect();
+                            let mut oracle = Vec::new();
+                            for dispatch in KernelDispatch::available() {
+                                let mut top = TopK::new(k);
+                                for (visit, (lut, ids)) in luts.iter().zip(&ids).enumerate() {
+                                    let tally = scan_with(
+                                        &codes,
+                                        ids,
+                                        lut,
+                                        &mut top,
+                                        dispatch,
+                                        &mut scratch,
+                                    );
+                                    let at = format!(
+                                        "m={m} {family} k={k} n={n} repeated={repeated} visit {visit} {}",
+                                        dispatch.name()
+                                    );
+                                    assert_eq!(tally.scanned, n as u64, "{at}");
+                                    assert!(tally.bound_rejected <= tally.pruned, "{at}");
+                                    rejected += tally.bound_rejected;
+                                    if dispatch == KernelDispatch::Scalar {
+                                        oracle.push(kept(&top));
+                                    } else {
+                                        assert_eq!(kept(&top), oracle[visit], "{at}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+    }
+
+    /// A visitor group's seeded visits are each member's own: for groups
+    /// of up to five visitors (a full group and a lone one), some of whose
+    /// LUTs have no u8 image (`hostile`, `constant`: those members take
+    /// the plain gather in tiles), one [`scan_group_with`] call leaves every
+    /// selector exactly as a [`scan_with`] of its own does, and returns the
+    /// sum of their tallies, on every available dispatch, cold and warm.
+    #[test]
+    fn grouped_seeded_visits_are_each_members_own() {
+        let mut rng = anna_testkit::TestRng::new(0x6_0_0_9);
+        let (mut single, mut grouped) = (ScanScratch::new(), ScanScratch::new());
+        let families = ["uniform", "hostile", "steps", "constant", "outlier"];
+        for m in [8usize, 16] {
+            for n in [0usize, 1, 65, 257, 3_125] {
+                for k in [1usize, 100, 300] {
+                    let codes = random_codes(&mut rng, m, CodeWidth::U8, 256, n);
+                    let ids: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+                    for visitors in [1, 3, 5] {
+                        let luts: Vec<Lut> = families[..visitors]
+                            .iter()
+                            .map(|family| lut_of(&family_words(&mut rng, family, m, 256), m, 256))
+                            .collect();
+                        for dispatch in KernelDispatch::available() {
+                            let at = format!(
+                                "m={m} n={n} k={k} {visitors} visitors {}",
+                                dispatch.name()
+                            );
+                            let mut own: Vec<TopK> = (0..visitors).map(|_| TopK::new(k)).collect();
+                            let mut together = own.clone();
+                            // Cold, then warm.
+                            for _ in 0..2 {
+                                let mut want = ScanTally::default();
+                                for (lut, top) in luts.iter().zip(&mut own) {
+                                    let tally =
+                                        scan_with(&codes, &ids, lut, top, dispatch, &mut single);
+                                    want.accumulate(&tally);
+                                }
+                                let got = scan_group_with(
+                                    &codes,
+                                    &ids,
+                                    &luts,
+                                    &mut together,
+                                    dispatch,
+                                    &mut grouped,
+                                );
+                                assert_eq!(got, want, "{at}");
+                                for (g, (a, b)) in together.iter().zip(&own).enumerate() {
+                                    assert_eq!(kept(a), kept(b), "{at} member {g}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ties at the seed: a cluster holding `k` + 1 copies of one row —
+    /// its best, or its `k/2`-th best — so that its `k`-th order statistic
+    /// `S` is shared by at least `k` rows, scanned into a selector that is
+    /// cold, or already holds `k` entries at `S` or one ulp above or below
+    /// it, with ids both below and above the cluster's. Every dispatch
+    /// keeps what the scalar path keeps, bit for bit: ties at the seeded
+    /// threshold are still offered and the lower id wins.
+    #[test]
+    fn seeded_visits_keep_ties_at_the_seed() {
+        let mut rng = anna_testkit::TestRng::new(0x71E5);
+        let mut scratch = ScanScratch::new();
+        let m = 16;
+        let lut = lut_of(&family_words(&mut rng, "uniform", m, 256), m, 256);
+        let score = |row: &[u8]| {
+            let sum = row
+                .iter()
+                .enumerate()
+                .fold(0.0f32, |sum, (i, &c)| sum + lut.get(i, c as usize));
+            sum + lut.bias()
+        };
+        for k in [1usize, 10, 100, 255] {
+            let random: Vec<Vec<u8>> = (0..600)
+                .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
+                .collect();
+            let mut ranked = random.clone();
+            ranked.sort_by(|a, b| score(b).total_cmp(&score(a)));
+            for rank in [0, k / 2] {
+                let mut rows = random.clone();
+                for _ in 0..k {
+                    let at = rng.usize(0..rows.len() + 1);
+                    rows.insert(at, ranked[rank].clone());
+                }
+                let mut codes = PackedCodes::new(m, CodeWidth::U8);
+                for row in &rows {
+                    codes.push(row);
+                }
+                let ids: Vec<u64> = (0..rows.len() as u64).map(|i| 2 * i + 1).collect();
+                let mut scores: Vec<f32> = rows.iter().map(|row| score(row)).collect();
+                scores.sort_by(|a, b| b.total_cmp(a));
+                let kth = scores[k - 1];
+                assert_eq!(kth, score(&ranked[rank]));
+                let selectors = [None, Some(kth), Some(kth.next_up()), Some(kth.next_down())];
+                for held in selectors {
+                    let mut start = TopK::new(k);
+                    if let Some(t) = held {
+                        // Even ids from 0 up: below and above the copies'.
+                        for i in 0..k as u64 {
+                            start.push(4 * i * rows.len() as u64 / k as u64, t);
+                        }
+                        assert_eq!(start.threshold(), t);
+                    }
+                    let mut oracle = start.clone();
+                    scan_with(
+                        &codes,
+                        &ids,
+                        &lut,
+                        &mut oracle,
+                        KernelDispatch::Scalar,
+                        &mut scratch,
+                    );
+                    for dispatch in KernelDispatch::available() {
+                        let mut top = start.clone();
+                        scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
+                        assert_eq!(
+                            kept(&top),
+                            kept(&oracle),
+                            "k={k} rank={rank} held at {held:?} {}",
+                            dispatch.name()
+                        );
+                    }
                 }
             }
         }

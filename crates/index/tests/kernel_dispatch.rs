@@ -340,7 +340,9 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
 /// mid-stream. The score tile of every dispatch must equal the scalar
 /// reference bit for bit, and `ScanTally::pruned` must be
 /// `scanned − offered` on every dispatch, hence equal across the filtering
-/// dispatches (`Blocked`, `Avx2`, `Avx512`) from the same starting selector.
+/// dispatches (`Blocked`, `Avx2`, `Avx512`) from the same starting selector:
+/// every book here has a non-finite entry, so no LUT has the u8 image a
+/// seeded visit (which prunes against a threshold of its own) needs.
 #[test]
 fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     let counts = [
@@ -445,11 +447,12 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     // The kernel each arm selects for the common shapes: only `avx512`
     // has a SIMD kernel for byte codes (the gather kernel, for 256-entry
     // tables and `m >= 4`: 8- and 16-byte rows loaded whole and, in a
-    // scan, bounded by the u8 pass before any row is gathered; every other
-    // width's code dwords gathered, only the table lookups gathered on
-    // both); every other arm scores them with the blocked kernel, `scalar`
-    // with the seed scan. Only `avx512`'s LUT16 kernel scores a group of
-    // visitors per pass over a cluster.
+    // scan, seeded and bounded by the u8 pass before any row is gathered;
+    // every other width's code dwords gathered, only the table lookups
+    // gathered on both); every other arm scores them with the blocked
+    // kernel, `scalar` with the seed scan. Only `avx512` scores a group of
+    // visitors per pass over a cluster: its LUT16 kernel, and the byte-sum
+    // pass of its seeded gather.
     let arms: Vec<String> = KernelDispatch::available()
         .iter()
         .map(|&d| {
@@ -459,7 +462,7 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 KernelDispatch::Avx2 => ("lut16", "blocked"),
                 KernelDispatch::Avx512 => (
                     "lut16 ×4",
-                    "gather, rows loaded and u8-bounded at m 8 and 16",
+                    "gather, rows loaded and seeded ×4 at m 8 and 16",
                 ),
             };
             format!("{} (u4: {u4_kernel}, u8: {u8_kernel})", d.name())
