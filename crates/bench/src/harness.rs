@@ -373,11 +373,6 @@ pub fn write_report_in(dir: &Path, name: &str, json: &Json) -> io::Result<PathBu
     Ok(path)
 }
 
-/// Writes a JSON report into [`reports_dir`].
-pub fn write_report(name: &str, json: &Json) -> io::Result<PathBuf> {
-    write_report_in(&reports_dir()?, name, json)
-}
-
 /// Formats a QPS number the way the paper's log-scale plots read.
 pub fn fmt_qps(q: f64) -> String {
     if q >= 1000.0 {

@@ -23,13 +23,6 @@
 //! fresh full-profile run with the committed files byte for byte. The
 //! default quick profile finishes in seconds per figure and writes
 //! nothing. Run with `--release`.
-//!
-//! Host tool — its output depends on the machine, so it is uploaded by
-//! CI and not committed:
-//!
-//! | Binary | Measures |
-//! |---|---|
-//! | [`kernels_sweep`] / `--bin kernels_sweep` | scan-kernel dispatch sweep (codes/sec, GB/s) |
 
 #![deny(missing_docs)]
 
@@ -42,7 +35,6 @@ pub mod fig9;
 pub mod graph_sweep;
 pub mod harness;
 pub mod json;
-pub mod kernels_sweep;
 pub mod related;
 pub mod reports;
 pub mod rerank_sweep;
@@ -52,5 +44,5 @@ pub mod tiered_sweep;
 pub mod timeline;
 pub mod traffic_opt;
 
-pub use harness::{run_plot, write_report, Plot, Series, SeriesPoint};
+pub use harness::{run_plot, Plot, Series, SeriesPoint};
 pub use scale::Scale;

@@ -174,16 +174,14 @@ mod tests {
         std::fs::read_dir(dir).unwrap().count()
     }
 
-    /// `reports/README.md`'s rule: everything under `reports/` but the host
-    /// tool's gitignored output is the golden set, so a file whose entry is
-    /// gone, or an entry with no file, fails here.
+    /// `reports/README.md`'s rule: every `reports/*.json` is golden, so a
+    /// file whose entry is gone, or an entry with no file, fails here.
     #[test]
     fn committed_reports_are_exactly_the_report_table() {
-        let host_tool = ["kernels_sweep.json", "kernels_telemetry.json"];
         let mut files: Vec<String> = std::fs::read_dir(reports_dir().unwrap())
             .unwrap()
             .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|file| file.ends_with(".json") && !host_tool.contains(&file.as_str()))
+            .filter(|file| file.ends_with(".json"))
             .collect();
         files.sort();
         let mut entries: Vec<String> = REPORTS

@@ -3,7 +3,7 @@
 //! One vector at a time, identifiers accumulated in subquantizer order
 //! (`i = 0..M`), bias added last, every score pushed through the top-k
 //! heap. Every other dispatch path must reproduce these scores bit for
-//! bit; `kernels_sweep` also times this path as the "before" measurement.
+//! bit; the oracle tests hold each one to them.
 //! Each score comes from the shared row loop (`super::score_row`), which
 //! also scores a tile without a selector (`score_all` under the `Scalar`
 //! dispatch) and finishes the rows the other kernels leave.

@@ -70,8 +70,8 @@ impl Lut {
     }
 
     /// [`Lut::build_ip`] with the distance-table kernel on the arm of an
-    /// explicit [`KernelDispatch`] — what the arm-equivalence tests and
-    /// `kernels_sweep` drive.
+    /// explicit [`KernelDispatch`] — what the arm-equivalence tests
+    /// drive.
     ///
     /// # Panics
     ///

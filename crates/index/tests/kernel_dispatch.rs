@@ -319,7 +319,8 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
 /// The survivors path against the scalar per-score-push oracle, starting
 /// from a **pre-warmed** selector (so the first tile already filters
 /// against a real threshold, and the frozen-per-tile copy goes stale inside
-/// a tile).
+/// a tile), and from one full of `+inf` scores (a threshold no finite
+/// score passes).
 ///
 /// Nibble codes (`k* = 16`) cover every LUT16 row-load path: `vb = 4` one
 /// load, with `m = 7` leaving the top nibble unused; `vb = 8` two loads
@@ -412,6 +413,19 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                     .iter()
                     .all(|&(_, bits)| !f32::from_bits(bits).is_nan()));
                 let reference = scalar_reference(&codes, lut);
+                // And from a selector full of `+inf` scores, where only a
+                // `+inf` score with a lower id can still enter.
+                let saturated = warm_selector(&mut rng, 1, k, lut, width, &mut scratch);
+                let mut expect_saturated = saturated.clone();
+                kernels::scan_with(
+                    &codes,
+                    &ids,
+                    lut,
+                    &mut expect_saturated,
+                    KernelDispatch::Scalar,
+                    &mut scratch,
+                );
+                let expect_saturated = kept(expect_saturated);
 
                 let mut pruned = Vec::new();
                 for dispatch in KernelDispatch::available() {
@@ -434,6 +448,9 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                         kernels::scan_with(&codes, &ids, lut, &mut top, dispatch, &mut scratch);
                     assert_eq!(tally.scanned, n as u64, "{at}");
                     assert_eq!(kept(top), expect, "{at}");
+                    let mut top = saturated.clone();
+                    kernels::scan_with(&codes, &ids, lut, &mut top, dispatch, &mut scratch);
+                    assert_eq!(kept(top), expect_saturated, "{at} from +inf");
                     if dispatch != KernelDispatch::Scalar {
                         pruned.push((tally.pruned, at));
                     }

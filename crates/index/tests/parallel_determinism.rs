@@ -81,12 +81,13 @@ const SKEWED: Inputs = Inputs {
 };
 
 impl Inputs {
-    fn build(&self, metric: Metric, kstar: usize) -> (VectorSet, IvfPqIndex) {
+    /// The dataset (dim 8) and its index with `m` sub-quantizers.
+    fn build(&self, metric: Metric, kstar: usize, m: usize) -> (VectorSet, IvfPqIndex) {
         let data = VectorSet::from_fn(8, self.rows, self.value);
         let cfg = IvfPqConfig {
             metric,
             num_clusters: self.num_clusters,
-            m: 4,
+            m,
             kstar,
             ..IvfPqConfig::default()
         };
@@ -139,7 +140,7 @@ fn plan_with_group(
 /// stats exactly.
 fn parallel_matches_serial(metric: Metric, kstar: usize) {
     for inputs in [&TIE_HEAVY, &SKEWED] {
-        let (data, index) = inputs.build(metric, kstar);
+        let (data, index) = inputs.build(metric, kstar, 4);
         let scan = BatchedScan::new(&index);
         let name = format!(
             "parallel == serial ({}, {metric:?}, kstar={kstar})",
@@ -200,12 +201,29 @@ fn inner_product_kstar256_parallel_matches_serial() {
 /// not asserted. It must also carry the bridged `plan.clusters_fetched`
 /// counter, the per-round `batch.tile_scan` trace events, and each
 /// worker's `busy_ns` / `idle_ns` beside its `tiles`.
+///
+/// The engine's `kernel.*` counters, at both code widths and `m = 8` (row
+/// shapes whose AVX-512 kernels score four visitors per pass): every code
+/// the stats price was scanned (`kernel.codes_scanned` × bytes per encoded
+/// row == [`anna_index::BatchStats::conventional_code_bytes`]),
+/// `kernel.bound_rejected` ≤ `kernel.pruned` ≤ `kernel.codes_scanned`,
+/// `kernel.grouped_visits` counts no more than the visits, and
+/// `kernel.codes_scanned` and `kernel.grouped_visits` are the same under
+/// every worker count (`kernel.pruned` is not: see the
+/// [`anna_index::parallel`] docs).
 #[test]
 fn telemetry_enabled_run_stays_bit_identical_to_serial() {
-    for inputs in [&TIE_HEAVY, &SKEWED] {
-        let (data, index) = inputs.build(Metric::L2, 16);
+    for (inputs, kstar) in [&TIE_HEAVY, &SKEWED]
+        .into_iter()
+        .flat_map(|inputs| [(inputs, 16), (inputs, 256)])
+    {
+        let (data, index) = inputs.build(Metric::L2, kstar, 8);
         let scan = BatchedScan::new(&index);
-        let name = format!("telemetry on: parallel == serial ({})", inputs.name);
+        let row_bytes = index.cluster(0).codes.vector_bytes() as u64;
+        let name = format!(
+            "telemetry on: parallel == serial ({}, kstar={kstar})",
+            inputs.name
+        );
         forall(&name, 6, |rng: &mut TestRng| {
             let (_, queries, params, group) = inputs.draw(&data, rng);
 
@@ -213,6 +231,7 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
             let (serial, serial_stats) =
                 scan.run_plan(&queries, &params, &reference, 1, &Telemetry::disabled());
             let plan = plan_with_group(&scan, &queries, &params, group);
+            let mut invariant_counters = Vec::new();
             for threads in THREADS {
                 let tel = Telemetry::enabled();
                 let (par, par_stats) = scan.run_plan(&queries, &params, &plan, threads, &tel);
@@ -257,6 +276,33 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
                         );
                     }
                 }
+                let counter = |key: &str| registry.counter(&format!("kernel.{key}")).get();
+                let scanned = counter("codes_scanned");
+                assert_eq!(
+                    scanned * row_bytes,
+                    par_stats.conventional_code_bytes,
+                    "threads={threads}: codes scanned != codes the stats price"
+                );
+                let (pruned, bound_rejected) = (counter("pruned"), counter("bound_rejected"));
+                assert!(
+                    bound_rejected <= pruned && pruned <= scanned,
+                    "threads={threads}: bound_rejected {bound_rejected}, pruned {pruned}, scanned {scanned}"
+                );
+                let grouped = counter("grouped_visits");
+                assert!(
+                    grouped <= par_stats.query_cluster_visits,
+                    "threads={threads}: {grouped} grouped visits of {}",
+                    par_stats.query_cluster_visits
+                );
+                invariant_counters.push((threads, scanned, grouped));
+            }
+            let (_, scanned, grouped) = invariant_counters[0];
+            for &(threads, s, g) in &invariant_counters {
+                assert_eq!(
+                    (s, g),
+                    (scanned, grouped),
+                    "threads={threads}: (codes_scanned, grouped_visits) differ from 1 worker's"
+                );
             }
         });
     }
@@ -271,7 +317,7 @@ fn parallel_batch_matches_query_major_search() {
         (&TIE_HEAVY, Metric::L2, 4),
         (&SKEWED, Metric::InnerProduct, 8),
     ] {
-        let (data, index) = inputs.build(metric, 16);
+        let (data, index) = inputs.build(metric, 16, 4);
         let scan = BatchedScan::new(&index);
         let name = format!("parallel batch == query-major search ({})", inputs.name);
         forall(&name, 6, |rng| {

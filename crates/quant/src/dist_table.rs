@@ -162,7 +162,7 @@ impl DimMajor {
 
     /// [`DimMajor::similarities`] on the arm of an explicit
     /// [`KernelDispatch`] ([`table_arm_name`]) — what the arm-equivalence
-    /// tests and `kernels_sweep` drive.
+    /// tests drive.
     ///
     /// # Panics
     ///

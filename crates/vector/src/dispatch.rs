@@ -104,7 +104,7 @@ impl KernelDispatch {
     }
 
     /// Every dispatch runnable on this host, scalar first — what the
-    /// property tests and `kernels_sweep` iterate over.
+    /// property and oracle tests iterate over.
     pub fn available() -> Vec<KernelDispatch> {
         [Self::Scalar, Self::Blocked, Self::Avx2, Self::Avx512]
             .into_iter()

@@ -177,7 +177,7 @@ pub fn rescore_subset_into(
 
 /// [`rescore_subset_into`] on the rescore arm of an explicit
 /// [`KernelDispatch`] ([`rescore_arm_name`]) — what the arm-equivalence
-/// tests and `kernels_sweep` drive.
+/// tests drive.
 ///
 /// # Panics
 ///

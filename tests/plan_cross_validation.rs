@@ -172,9 +172,9 @@ fn engines_agree_on_clusters_fetched_and_scan_work() {
 /// round loop replaced, the scan layer's per-call kernel checks, the
 /// per-layer hardware arms the one dispatch replaced, and the deleted
 /// second paths (v1 index writer, host commands, MAI model, calibrate
-/// tool, threads and serving sweeps, re-rank controller, the sweeps'
-/// smoke sizes) must not survive anywhere in the workspace sources or the
-/// two design documents.
+/// tool, threads, serving and kernel sweeps, re-rank controller, the
+/// sweeps' smoke sizes) must not survive anywhere in the workspace sources
+/// or the two design documents.
 #[test]
 fn retired_telemetry_key_is_gone_from_sources() {
     // Built via concat! so this test file does not match itself.
@@ -242,6 +242,11 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("Host", "Store"),
         concat!("Device::", "boot"),
         concat!("device::", "Device"),
+        // The host kernel timer beside the benchmark, whose oracle checks
+        // the kernel, table-arm and rescore tests own.
+        concat!("kernels_", "sweep"),
+        concat!("Kernels", "Sweep"),
+        concat!("Select", "Point"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
