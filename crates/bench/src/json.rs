@@ -161,12 +161,6 @@ impl From<usize> for Json {
     }
 }
 
-impl From<i32> for Json {
-    fn from(v: i32) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
 impl From<u32> for Json {
     fn from(v: u32) -> Json {
         Json::Num(v as f64)
@@ -236,7 +230,10 @@ mod tests {
     fn path_at_names_the_value_holding_a_byte() {
         let j = Json::obj().set("a", 1.5).set(
             "rows",
-            Json::Arr(vec![Json::obj().set("x", 10), Json::obj().set("x", 27)]),
+            Json::Arr(vec![
+                Json::obj().set("x", 10u64),
+                Json::obj().set("x", 27u64),
+            ]),
         );
         let text = j.to_string();
         assert_eq!(text, r#"{"a":1.5,"rows":[{"x":10},{"x":27}]}"#);
@@ -249,6 +246,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-object")]
     fn set_on_array_panics() {
-        let _ = Json::Arr(vec![]).set("x", 1);
+        let _ = Json::Arr(vec![]).set("x", 1u64);
     }
 }

@@ -1,11 +1,11 @@
 //! AVX-512 kernels: `k* = 16` codes scored 64 per iteration with one
-//! `vpermps zmm` per sixteen lookups, for up to four queries per pass over
-//! the rows; `k* = 256` codes scored 64 per iteration with one
-//! `vgatherdps zmm` per sixteen lookups — the table lookups are the only
-//! gathers where rows are 8 or 16 bytes, which are loaded — and, over those
-//! rows, a seeded visit: one u8 pass over the whole cluster that bounds
-//! every row's score and the visit's `k`-th best, then the gather for only
-//! the rows that can still reach it.
+//! `vpermps zmm` per sixteen lookups; `k* = 256` codes scored 64 per
+//! iteration with one `vgatherdps zmm` per sixteen lookups — the table
+//! lookups are the only gathers where rows are 8 or 16 bytes, which are
+//! loaded — and, at both widths over the row-loaded shapes, a seeded
+//! visit: one u8 pass over the whole cluster that bounds every row's score
+//! and the visit's `k`-th best, then the exact kernel for only the rows
+//! that can still reach it.
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -14,7 +14,7 @@
 //! instruction reads bits 3:0 of each index lane and ignores the rest, so
 //! `row >> 4p` (an immediate shift, no mask) already *is* the index of
 //! nibble `p` — the AVX2 kernel's second shuffle, its high-half blend and
-//! the sign-bit shift feeding it all disappear.
+//! the sign-bit shift feeding it all disappear ([`nibble_sums`]).
 //!
 //! A 256-entry table (Faiss256) is 1 KiB and fits no register, which is
 //! the paper's case for the SCM's lookup SRAM. [`gather_kernel`] narrows
@@ -27,31 +27,32 @@
 //! cost 16 gathers instead of 20.
 //!
 //! The seeded visit closes most of the rest by not looking up most rows
-//! at f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes* —
-//! one shared scale, a per-table offset, floor rounding — and a byte table
-//! is four ZMM registers: two `vpermi2b` and a blend look up 64 codes.
-//! Summed in 16-bit lanes, the bytes give every row of the cluster both an
-//! upper and a lower bound on its score ([`byte_sums`], which keeps every
-//! row's sum and the largest sum of each of 256 disjoint row groups). The
-//! `k`-th largest group maximum ([`kth_largest`]) is the byte sum of `k`
-//! distinct rows, so its lower bound is a proven lower bound on the
-//! visit's `k`-th best score: the threshold starts there instead of at the
-//! selector's lagging floor. Only rows whose upper bound reaches that
-//! threshold (≈ 2.6 % at the benchmark's shape, where ≈ 1.8 % are
-//! offered) are scored exactly, by the gather kernel's own lookup sequence
-//! ([`gathered_sums`], in [`bounded_gather`]). Both bounds' proofs are on
-//! [`byte_sums`]: the sink receives exactly the gather kernel's
-//! `(position, score)` pairs above a threshold nothing in the top-k is
-//! below.
+//! at f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes*
+//! (or of 16) — one shared scale, a per-table offset, floor rounding — and
+//! a byte table is four ZMM registers (all sixteen 16-byte tables are four
+//! too): two `vpermi2b` and a blend look up 64 codes (one `vpermi2b`, 64
+//! nibbles). Summed in 16-bit lanes, the bytes give every row of the
+//! cluster both an upper and a lower bound on its score ([`byte_sums`],
+//! which keeps every row's sum and the largest sum of each of 256 disjoint
+//! row groups; [`half_sums`] for nibbles). The `k`-th largest group maximum
+//! ([`kth_largest`]) is the sum of `k` distinct rows, so its lower bound is
+//! a proven lower bound on the visit's `k`-th best score: the threshold
+//! starts there instead of at the selector's lagging floor. Only rows whose
+//! upper bound reaches that threshold are scored exactly, by the tiled
+//! kernel's own lookup sequence ([`gathered_sums`] in [`bounded_gather`],
+//! [`nibble_sums`] in [`bounded_lut16`]). Both bounds' proofs are on
+//! [`byte_sums`], carried to half sums on [`half_sums`]: the sink receives
+//! exactly the tiled kernel's `(position, score)` pairs above a threshold
+//! nothing in the top-k is below.
 //!
 //! # Layout and summation order
 //!
-//! As in [`super::avx2`], both kernels are **vertical**: lane `l` of an
-//! accumulator owns vector `j + l`, subquantizers are walked in
+//! As in [`super::avx2`], the exact kernels are **vertical**: lane `l` of
+//! an accumulator owns vector `j + l`, subquantizers are walked in
 //! `i = 0..M` order and the bias is added last, so every lane performs the
 //! scalar reference's addition sequence and scores are bit-identical by
-//! construction. Four accumulators (64 lanes) per query amortize each
-//! table load or each code fetch.
+//! construction. Four accumulators (64 lanes) amortize each table load or
+//! each code fetch.
 //!
 //! # Row loads
 //!
@@ -60,7 +61,8 @@
 //! rows (`m = 16`, the benchmark's shape) are two, de-interleaved into
 //! "dword 0 of every row" and "dword 1 of every row" by one `vpermt2d`
 //! each. Every other row width runs the AVX2 kernel (`Kernel::select`'s
-//! choice, see [`super::Kernel`]).
+//! choice, see [`super::Kernel`]). A seeded visit's candidates are
+//! scattered, so [`bounded_lut16`] gathers each one's dwords instead.
 //!
 //! The gather kernel reads the unchanged row-major byte codes. Rows of
 //! `ND` whole dwords (`ND` 2 or 4: `m` 8 and 16, `Avx512Gather { nd }`)
@@ -82,38 +84,28 @@
 //! (`m < 4`) stay on the blocked kernel.
 //!
 //! The byte-sum pass loads a 64-row chunk as `4·ND` plain 64-byte
-//! registers and transposes it in registers (see [`byte_sums`]).
+//! registers and transposes it in registers (see [`byte_sums`]); the
+//! nibble pass reads the same registers row-major, untransposed (see
+//! [`half_sums`]).
 //!
 //! # The group loop
 //!
-//! Nothing about a chunk's row loads, its de-interleave or its nibble
-//! shifts depends on the query, so [`lut16_kernel`] does them once for a
-//! group of `Q` queries (one to four, a const parameter): per chunk it
-//! loads and de-interleaves the rows; per subquantizer it shifts each lane
-//! group's row dword once and looks the index up in each query's table,
-//! adding into that query's accumulators; each query ends in its own sink.
-//! Per subquantizer and 64 codes that is 4 shifts, `4Q` permutes and `4Q`
-//! adds on the two vector ports instead of `Q` times 4 + 4 + 4.
-//!
-//! The group is sized by the register budget ([`super::GROUP`]): `Q` = 4
-//! takes 16 accumulators, beside the 8 de-interleaved row dwords of an
-//! 8-byte-row chunk that is 24 of the 32 ZMM registers, and the rest hold
-//! the shifted index, the tables and the permute results (the compiler
-//! may leave the row dwords in L1 and shift them straight from memory);
-//! a fifth query would spill accumulators.
-//!
-//! A seeded `k* = 256` visit groups the same way, in its byte-sum pass
-//! only ([`byte_sums`]): the row loads and the transpose (`16·ND`
-//! shuffles per chunk, twice one query's `8·ND` table permutes) are done
-//! once for up to four queries, whose lookups then read their own u8
-//! images. Its
-//! gathers are not grouped: they are bound by the load ports, which the
-//! queries would share rather than split.
+//! A seeded visit serves up to four queries ([`super::GROUP`]) in its sum
+//! pass only: nothing about a chunk's row loads, its transpose or its
+//! nibble indices depends on the query, so they are done once for the
+//! group, whose lookups then read their own u8 images — per 64 nibble rows
+//! of 8 bytes, 8 loads and 24 index operations for the group beside 16
+//! permutes, 8 averages and 8 `vpsadbw` per query. The group is sized by
+//! the register budget: four 16-entry images are 16 of the 32 ZMM
+//! registers, and a fifth query would spill. The exact steps are not
+//! grouped: they touch a few percent of rows, and their gathers are bound
+//! by the load ports, which the queries would share rather than split. The
+//! tiled kernels score one query per pass.
 //!
 //! # No scalar tail
 //!
-//! Every load, gather, store and compare is under a lane mask (the
-//! byte-sum pass loads a full chunk unmasked). A full chunk runs with all-ones
+//! Every load, gather, store and compare is under a lane mask (the sum
+//! passes load a full chunk unmasked). A full chunk runs with all-ones
 //! masks; the last chunk of a block masks off the lanes past `count`
 //! (masked-off lanes are neither read nor written — fault suppression is
 //! architectural), so a kernel always finishes the block.
@@ -257,39 +249,35 @@ macro_rules! add_lookup {
     }};
 }
 
-/// The register-resident LUT16 loop over rows of `ND` whole dwords, for a
-/// group of `Q` queries; `bytes` is the full packed row-major code stream,
-/// and query `q` looks up `tables[q]`, adds `biases[q]` and ends in
-/// `sinks[q]`. Returns the number of scores each sink received; the kernel
-/// never leaves a tail.
+/// The register-resident LUT16 loop over rows of `ND` whole dwords;
+/// `bytes` is the full packed row-major code stream, `table` holds the `m`
+/// tables of 16 and `bias` is added last. Returns `(count, scores the sink
+/// received)`; the kernel never leaves a tail.
 ///
 /// # Safety
 ///
 /// The caller must ensure the host supports `avx512f` and `popcnt`, that
 /// the row width is exactly `4 * ND` bytes (so `m <= 8 * ND`), that
-/// `(start + count) * 4 * ND <= bytes.len()`, that each of `tables` holds
-/// `m` tables of 16, that every tile sink holds `count` elements and that
-/// every survivors sink slice holds `count + SINK_SLACK`.
+/// `(start + count) * 4 * ND <= bytes.len()`, that `table` holds `m`
+/// tables of 16, that a tile sink holds `count` elements and that a
+/// survivors sink's slices hold `count + SINK_SLACK`.
 #[target_feature(enable = "avx512f,popcnt")]
-pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
+pub(super) unsafe fn lut16_kernel<const ND: usize>(
     m: usize,
     bytes: &[u8],
     start: usize,
     count: usize,
-    tables: [&[f32]; Q],
-    biases: [f32; Q],
-    sinks: &mut [Sink<'_>; Q],
-) -> [usize; Q] {
+    table: &[f32],
+    bias: f32,
+    sink: &mut Sink<'_>,
+) -> (usize, usize) {
     use arch::*;
 
     let vb = 4 * ND;
-    let mut finish: [Finish; Q] = {
-        let mut sinks = sinks.iter_mut();
-        std::array::from_fn(|q| Finish::new(sinks.next().expect("one sink per query"), biases[q]))
-    };
+    let mut finish = Finish::new(sink, bias);
     // Of the 32 dwords of sixteen 8-byte rows (two registers), the even
     // ones are every row's dword 0 and the odd ones every row's dword 1.
-    let even = _mm512_slli_epi32::<1>(finish[0].lane);
+    let even = _mm512_slli_epi32::<1>(finish.lane);
     let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
 
     let mut j = 0;
@@ -299,8 +287,8 @@ pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
         // computed without the in-bounds promise `add` makes.
         let chunk = bytes.as_ptr().wrapping_add((start + j) * vb);
 
-        // The `ND` row dwords of the sixteen lanes of each group, shared
-        // by every query; lanes past `live[g]` read nothing and hold code 0.
+        // The `ND` row dwords of the sixteen lanes of each group; lanes
+        // past `live[g]` read nothing and hold code 0.
         let mut rows = [[_mm512_setzero_si512(); ND]; 4];
         for (g, row) in rows.iter_mut().enumerate() {
             let p = chunk.wrapping_add(16 * g * vb) as *const i32;
@@ -317,48 +305,60 @@ pub(super) unsafe fn lut16_kernel<const ND: usize, const Q: usize>(
             }
         }
 
-        let mut acc = [[_mm512_setzero_ps(); 4]; Q];
-        for d in 0..ND {
-            // Subquantizer 8d + p is nibble p of dword d (low nibble
-            // first, matching PackedCodes).
-            macro_rules! step {
-                ($p:literal) => {
-                    let i = 8 * d + $p;
-                    if i < m {
-                        for (g, row) in rows.iter().enumerate() {
-                            // The permute ignores index bits above 3:0, so
-                            // the shifted row is the index — once for all
-                            // `Q` lookups.
-                            let index = _mm512_srli_epi32::<{ 4 * $p }>(row[d]);
-                            for q in 0..Q {
-                                // Table i of query q: one register for
-                                // sixteen lookups.
-                                let t = _mm512_loadu_ps(tables[q].as_ptr().add(i * 16));
-                                acc[q][g] =
-                                    _mm512_add_ps(acc[q][g], _mm512_permutexvar_ps(index, t));
-                            }
-                        }
-                    }
-                };
-            }
-            step!(0);
-            step!(1);
-            step!(2);
-            step!(3);
-            step!(4);
-            step!(5);
-            step!(6);
-            step!(7);
-        }
-
-        for (finish, acc) in finish.iter_mut().zip(acc) {
-            for (g, acc) in acc.into_iter().enumerate() {
-                finish_group!(finish, acc, j + 16 * g, live[g]);
-            }
+        let acc = nibble_sums::<ND, 4>(m, &rows, table);
+        for (g, acc) in acc.into_iter().enumerate() {
+            finish_group!(&mut finish, acc, j + 16 * g, live[g]);
         }
         j += CHUNK;
     }
-    finish.map(|f| f.written)
+    (count, finish.written)
+}
+
+/// The scores, less bias, of `G` lane groups of sixteen rows of `m`
+/// nibble codes, group `g`'s held as `ND` de-interleaved dwords (`rows[g][d]`
+/// is dword `d` of every lane's row): subquantizer `8d + p` is nibble `p`
+/// of dword `d` (low nibble first, matching `PackedCodes`), looked up in
+/// table `i = 8d + p` of `table` — one `vpermps` per sixteen lookups — and
+/// added in `i = 0..m` order, each subquantizer into every group's
+/// accumulator before the next. The permute reads bits 3:0 of each index
+/// lane and ignores the rest, so the shifted dword already is the index.
+///
+/// # Safety
+///
+/// `avx512f`; `m <= 8 * ND` and `table` holds `m` tables of 16.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn nibble_sums<const ND: usize, const G: usize>(
+    m: usize,
+    rows: &[[__m512i; ND]; G],
+    table: &[f32],
+) -> [__m512; G] {
+    use arch::*;
+
+    let mut acc = [_mm512_setzero_ps(); G];
+    for d in 0..ND {
+        macro_rules! step {
+            ($p:literal) => {
+                let i = 8 * d + $p;
+                if i < m {
+                    let t = _mm512_loadu_ps(table.as_ptr().add(i * 16));
+                    for (acc, row) in acc.iter_mut().zip(rows) {
+                        let index = _mm512_srli_epi32::<{ 4 * $p }>(row[d]);
+                        *acc = _mm512_add_ps(*acc, _mm512_permutexvar_ps(index, t));
+                    }
+                }
+            };
+        }
+        step!(0);
+        step!(1);
+        step!(2);
+        step!(3);
+        step!(4);
+        step!(5);
+        step!(6);
+        step!(7);
+    }
+    acc
 }
 
 /// The gather loop for byte codes against `k* = 256` tables: rows of `m`
@@ -529,25 +529,46 @@ unsafe fn gathered_sums<const G: usize>(
     acc
 }
 
-/// Most tables the byte-sum pass quantises: rows of at most four dwords.
+/// Most tables an image holds: byte codes in rows of at most four dwords,
+/// nibble codes in rows of at most two.
 pub(super) const BOUND_TABLES: usize = 16;
 
-/// The u8 image of a LUT's `m` tables of 256 (see [`byte_sums`]):
-/// entry `v` of table `i` becomes `q = min(255, ⌊(e − lo_i) · (1/s)⌋)`, all
-/// three operations rounded in f32, where `lo_i` is table `i`'s least
-/// entry and `s = fl(max_i fl(hi_i − lo_i) / 255)` is one scale shared by
-/// every table, so that the bytes of different tables add. Writes the
-/// `m · 256` bytes to `tables` and returns `(s, Σ lo_i, Σ max_v |e_iv|)`,
-/// the sums in f64; returns `None` — and the scan keeps the gather — when
-/// an entry is NaN or infinite or every table is constant (`s` would be 0
-/// or subnormal).
+/// Bytes of the u8 image of a 16-entry LUT: sixteen tables of sixteen,
+/// whatever `m` — the tables of the subquantizers a row does not have
+/// are zero.
+const NIBBLE_IMAGE: usize = BOUND_TABLES * 16;
+
+/// Where table `i` of `KSTAR` entries starts in a u8 image: table after
+/// table for `k* = 256`; for `k* = 16`, the tables of the even (low-nibble)
+/// subquantizers in the image's first 128 bytes and those of the odd
+/// (high-nibble) ones in the last 128, so that byte `b` of a row looks both
+/// of its nibbles up at `16·b` in one half ([`half_sums`]).
+const fn image_table<const KSTAR: usize>(i: usize) -> usize {
+    if KSTAR == 16 {
+        128 * (i % 2) + 16 * (i / 2)
+    } else {
+        i * KSTAR
+    }
+}
+
+/// The u8 image of a LUT's `m` tables of `KSTAR` entries (256 or 16; see
+/// [`byte_sums`]): entry `v` of table `i` becomes `q = min(255, ⌊(e − lo_i)
+/// · (1/s)⌋)`, all three operations rounded in f32, where `lo_i` is table
+/// `i`'s least entry and `s = fl(max_i fl(hi_i − lo_i) / 255)` is one scale
+/// shared by every table, so that the bytes of different tables add.
+/// Writes table `i` at [`image_table`]`(i)` of `tables` (a 16-entry image
+/// is [`NIBBLE_IMAGE`] bytes, zero past table `m`) and returns `(s, Σ lo_i,
+/// Σ max_v |e_iv|)`, the sums in f64; returns `None` — and the scan keeps
+/// its plain kernel — when an entry is NaN or infinite or every table is
+/// constant (`s` would be 0 or subnormal).
 ///
 /// # Safety
 ///
-/// `avx512f` and `avx512bw`; `m <= BOUND_TABLES`, `entries` holds `m`
-/// tables of 256 and `tables` `m · 256` bytes.
+/// `avx512f` and `avx512bw`; `KSTAR` is 16 or 256, `m <= BOUND_TABLES`,
+/// `entries` holds `m` tables of `KSTAR` and `tables` the image's `m · 256`
+/// bytes (`k* = 256`) or [`NIBBLE_IMAGE`] (`k* = 16`).
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(super) unsafe fn quantise(
+pub(super) unsafe fn quantise<const KSTAR: usize>(
     m: usize,
     entries: &[f32],
     tables: &mut [u8],
@@ -558,11 +579,12 @@ pub(super) unsafe fn quantise(
     let (mut range, mut floor, mut magnitude) = (0.0f32, 0.0f64, 0.0f64);
     let infinity = _mm512_set1_ps(f32::INFINITY);
     for (i, lo) in lo.iter_mut().enumerate().take(m) {
-        let table = entries.as_ptr().add(i * KSTAR_U8);
-        let v: [__m512; KSTAR_U8 / 16] =
-            std::array::from_fn(|c| _mm512_loadu_ps(table.add(16 * c)));
+        // The table's `n` registers (one at `k* = 16`), the rest of the
+        // array unused.
+        let (table, n) = (entries.as_ptr().add(i * KSTAR), KSTAR / 16);
+        let v: [__m512; 16] = std::array::from_fn(|c| _mm512_loadu_ps(table.add(16 * (c % n))));
         // Ordered: NaN fails, and so does ±inf.
-        let finite = v.iter().fold(u16::MAX, |finite, &v| {
+        let finite = v[..n].iter().fold(u16::MAX, |finite, &v| {
             finite & _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(v), infinity)
         });
         if finite != u16::MAX {
@@ -572,7 +594,7 @@ pub(super) unsafe fn quantise(
         macro_rules! tree {
             ($reduce:ident) => {{
                 let mut v = v;
-                let mut n = v.len();
+                let mut n = n;
                 while n > 1 {
                     n /= 2;
                     for k in 0..n {
@@ -595,23 +617,31 @@ pub(super) unsafe fn quantise(
     }
     let inverse = _mm512_set1_ps(1.0 / scale);
     let top = _mm512_set1_ps(255.0);
+    let quantised = |v: __m512, lo: __m512| {
+        // `v >= lo`, so the product is `>= 0` and truncation floors it.
+        let t = _mm512_mul_ps(_mm512_sub_ps(v, lo), inverse);
+        _mm512_cvttps_epi32(_mm512_min_ps(t, top))
+    };
+    if KSTAR == 16 {
+        tables[..NIBBLE_IMAGE].fill(0);
+    }
     // `vpackus*` pack per 128-bit lane: this puts the packed dwords of
     // sixty-four entries back in entry order.
     let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
     for (i, &lo) in lo.iter().enumerate().take(m) {
         let (table, out) = (
-            entries.as_ptr().add(i * KSTAR_U8),
-            tables.as_mut_ptr().add(i * KSTAR_U8),
+            entries.as_ptr().add(i * KSTAR),
+            tables.as_mut_ptr().add(image_table::<KSTAR>(i)),
         );
         let lo = _mm512_set1_ps(lo);
-        for c in 0..KSTAR_U8 / 64 {
-            let q: [__m512i; 4] = std::array::from_fn(|k| {
-                let v = _mm512_loadu_ps(table.add(64 * c + 16 * k));
-                // `v >= lo`, so the product is `>= 0` and truncation
-                // floors it.
-                let t = _mm512_mul_ps(_mm512_sub_ps(v, lo), inverse);
-                _mm512_cvttps_epi32(_mm512_min_ps(t, top))
-            });
+        if KSTAR == 16 {
+            let q = quantised(_mm512_loadu_ps(table), lo);
+            _mm_storeu_si128(out.cast(), _mm512_cvtepi32_epi8(q));
+            continue;
+        }
+        for c in 0..KSTAR / 64 {
+            let q: [__m512i; 4] =
+                std::array::from_fn(|k| quantised(_mm512_loadu_ps(table.add(64 * c + 16 * k)), lo));
             let words = (
                 _mm512_packus_epi32(q[0], q[1]),
                 _mm512_packus_epi32(q[2], q[3]),
@@ -660,21 +690,69 @@ const fn lane_rows(nd: usize) -> [u8; 64] {
     rows
 }
 
-/// [`row_lanes`] for 8-byte rows, then for 16-byte rows.
-pub(super) const ROW_LANES: [[u8; 64]; 2] = [row_lanes(2), row_lanes(4)];
-
 /// [`lane_rows`] for 8-byte rows, then for 16-byte rows.
 const LANE_ROWS: [[u8; 64]; 2] = [lane_rows(2), lane_rows(4)];
 
-/// The byte-sum pass of a seeded visit over rows of `ND` whole dwords
-/// (`m = 4·ND`, `ND` 2 or 4), for a group of `Q` visitors (one to four):
-/// the u16 byte sum of every row in `[start, start + count)` against
+/// The sum slot of each row of a 64-row chunk after [`byte_sums`] over
+/// rows of `nd` dwords: lane `l`'s sum is stored in slot `l / 2` (an even
+/// lane) or `32 + l / 2` (an odd one).
+const fn byte_slots(nd: usize) -> [u8; 64] {
+    let lanes = row_lanes(nd);
+    let mut slots = [0u8; 64];
+    let mut r = 0;
+    while r < 64 {
+        let lane = lanes[r];
+        slots[r] = lane / 2 + 32 * (lane % 2);
+        r += 1;
+    }
+    slots
+}
+
+/// The sum slot of each row of a 64-row chunk after [`half_sums`] over
+/// rows of `nd` dwords (1 or 2). A register holds `16 / nd` rows, a half
+/// chunk `32 / per_reg` registers, and register `a` of half `h` leaves row
+/// `b` of its own in word `(32 / per_reg)·b + a` of that half's sums.
+const fn nibble_slots(nd: usize) -> [u8; 64] {
+    let per_reg = 16 / nd;
+    let mut slots = [0u8; 64];
+    let mut r = 0;
+    while r < 64 {
+        let (h, a, b) = (r / 32, (r % 32) / per_reg, r % per_reg);
+        slots[r] = (32 * h + (32 / per_reg) * b + a) as u8;
+        r += 1;
+    }
+    slots
+}
+
+/// The inverse of a slot table: the row in each slot.
+const fn slot_rows(slots: [u8; 64]) -> [u8; 64] {
+    let mut rows = [0u8; 64];
+    let mut r = 0;
+    while r < 64 {
+        rows[slots[r] as usize] = r as u8;
+        r += 1;
+    }
+    rows
+}
+
+/// [`byte_slots`] for 8-byte rows, then for 16-byte rows.
+pub(super) const BYTE_SLOTS: [[u8; 64]; 2] = [byte_slots(2), byte_slots(4)];
+
+/// [`nibble_slots`] for 4-byte rows, then for 8-byte rows.
+pub(super) const NIBBLE_SLOTS: [[u8; 64]; 2] = [nibble_slots(1), nibble_slots(2)];
+
+/// The rows in [`NIBBLE_SLOTS`]' slots.
+const NIBBLE_ROWS: [[u8; 64]; 2] = [slot_rows(NIBBLE_SLOTS[0]), slot_rows(NIBBLE_SLOTS[1])];
+
+/// The byte-sum pass of a seeded `k* = 256` visit over rows of `ND` whole
+/// dwords (`m = 4·ND`, `ND` 2 or 4), for a group of `Q` visitors (one to
+/// four): the u16 byte sum of every row in `[start, start + count)` against
 /// visitor `q`'s u8 image `tables[q]` ([`quantise`]), written to
 /// `sums[q]`, and the largest sum of each of [`SEED_GROUPS`] disjoint
 /// groups of those rows, per visitor. Chunk `c` (rows `64c .. 64c + 64` of
 /// the block) leaves its sums at `sums[q][64c .. 64c + 64]` in lane order
-/// — the 32 even byte lanes, then the 32 odd ones, row `r` of the chunk in
-/// lane [`ROW_LANES`]`[ND / 4][r]` — and group `64·(c mod 4) + w` holds
+/// — the 32 even byte lanes, then the 32 odd ones, so row `r` of the chunk
+/// is in slot [`BYTE_SLOTS`]`[ND / 4][r]` — and group `64·(c mod 4) + w` holds
 /// the rows of sum slot `w` of every chunk `c` with that residue. Only
 /// rows inside the block enter a maximum (a group with none keeps 0).
 /// Which group a row is in does not matter to the seed, only that the
@@ -761,13 +839,12 @@ const LANE_ROWS: [[u8; 64]; 2] = [lane_rows(2), lane_rows(4)];
 /// # Safety
 ///
 /// The caller must ensure the host supports `avx512f`, `avx512bw` and
-/// `avx512vbmi`; that `ND` is 2 or 4 and `m == 4 * ND`; that `(start +
-/// count) * m <= bytes.len()`; that each of `tables` holds the `m · 256`
-/// bytes of an image; and that each of `sums` holds `count` rounded up to
+/// `avx512vbmi`; that `ND` is 2 or 4 and rows are `m = 4 * ND` bytes; that
+/// `(start + count) * m <= bytes.len()`; that each of `tables` holds the
+/// `m · 256` bytes of an image; and that each of `sums` holds `count` rounded up to
 /// a whole chunk.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
-    m: usize,
     bytes: &[u8],
     start: usize,
     count: usize,
@@ -776,8 +853,8 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
 ) -> [[u16; SEED_GROUPS]; Q] {
     use arch::*;
 
-    // Input registers per chunk, and rows per register.
-    let regs = 4 * ND;
+    // Row bytes, input registers per chunk, and rows per register.
+    let (m, regs) = (4 * ND, 4 * ND);
     let per_reg = 16 / ND;
     let lane_rows = _mm512_loadu_si512(LANE_ROWS[ND / 4].as_ptr().cast());
     let (even_lanes, odd_lanes) = (_mm512_set1_epi16(0x00FF), _mm512_set1_epi16(-0x100));
@@ -876,6 +953,165 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
     out
 }
 
+/// The byte-sum pass of a seeded `k* = 16` visit over rows of `ND` whole
+/// dwords of nibble codes (`ND` 1 or 2: 4- and 8-byte rows), for a group
+/// of `Q` visitors (one to four): the u16 **half sum** of every row in
+/// `[start, start + count)` against visitor `q`'s u8 image `tables[q]`
+/// ([`quantise`]`::<16>`), written to `sums[q]`, and the largest half sum
+/// of each of [`SEED_GROUPS`] disjoint groups of those rows, per visitor.
+/// Chunk `c` (rows `64c .. 64c + 64` of the block) leaves its half sums at
+/// `sums[q][64c .. 64c + 64]`, row `r` of the chunk in slot
+/// [`NIBBLE_SLOTS`]`[ND − 1][r]`, and group `64·(c mod 4) + w` holds the
+/// rows of slot `w` of every chunk `c` with that residue, as in
+/// [`byte_sums`]. Only rows inside the block enter a maximum (a group with
+/// none keeps 0).
+///
+/// # The pass
+///
+/// No transpose: each 64-byte register of rows is read row-major. Byte `b`
+/// of a row holds the nibbles of subquantizers `2b` (low) and `2b + 1`
+/// (high); one `vpternlogd` per nibble makes the index `16·b + nibble`
+/// ([`image_table`] puts table `2b` at `16·b` of the image's first half
+/// and table `2b + 1` at `16·b` of its second), once for the group. Each
+/// visitor then looks both indices up in its own image — one `vpermb` per
+/// half for 4-byte rows (a half's 64 bytes hold its four tables), one
+/// `vpermi2b` over two registers for 8-byte rows — and averages the two
+/// bytes, rounding up (`vpavgb`). One `vpsadbw` per register sums each
+/// 8-byte row's eight averages into a qword; for 4-byte rows `vpmaddubsw`
+/// and `vpmaddwd` sum each row's four into a dword. The qwords (dwords) of
+/// a half chunk's registers are shifted into the 16-bit lanes of one
+/// register of 32 sums, stored as they are, and folded into the chunk
+/// residue's maxima by a `vpmaxuw` under the mask of slots whose row is in
+/// the block (rows past `count` read nothing and hold code 0, whose sum is
+/// no row's).
+///
+/// # Why half sums keep both bounds
+///
+/// With `q_i` the row's byte in table `i` (0 for a table past `m`) and `Q =
+/// Σ q_i` the byte sum [`byte_sums`]' proofs are about, each of the row's
+/// `4·ND` bytes contributes `⌈(q_{2b} + q_{2b+1}) / 2⌉`, which lies in
+/// `[(q_{2b} + q_{2b+1}) / 2, (q_{2b} + q_{2b+1} + 1) / 2]`. So a row's
+/// half sum `H` satisfies `2H − 4·ND <= Q <= 2H`. A row is rejected only
+/// when `2H` is below the least byte sum that can reach the threshold,
+/// and then `Q` is too: the upper bound holds. `k` distinct rows with half
+/// sums at least `H*` have `Q >= 2H* − 4·ND`, so the lower bound of that
+/// byte sum is a lower bound on their scores: the seed holds. (The scan
+/// layer's `ByteBound` makes both conversions.) Averaging in place of a
+/// 16-bit add keeps one `vpsadbw` per register and costs at most half a
+/// step per byte.
+///
+/// # Safety
+///
+/// The caller must ensure the host supports `avx512f`, `avx512bw` and
+/// `avx512vbmi`; that `ND` is 1 or 2 and rows are `4 * ND` bytes; that
+/// `(start + count) * 4 * ND <= bytes.len()`; that each of `tables` holds
+/// the [`NIBBLE_IMAGE`] bytes of an image; and that each of `sums` holds
+/// `count` rounded up to a whole chunk.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+pub(super) unsafe fn half_sums<const ND: usize, const Q: usize>(
+    bytes: &[u8],
+    start: usize,
+    count: usize,
+    tables: [&[u8]; Q],
+    sums: [&mut [u16]; Q],
+) -> [[u16; SEED_GROUPS]; Q] {
+    use arch::*;
+
+    let vb = 4 * ND;
+    // Rows per register, and registers per half chunk.
+    let per_reg = 16 / ND;
+    let regs = 2 * ND;
+    let nibble = _mm512_set1_epi8(0x0F);
+    // Byte lane `l` holds byte `l mod vb` of its row, whose tables start at
+    // `16 · (l mod vb)` of either half of the image.
+    let at_byte: [u8; 64] = std::array::from_fn(|l| (16 * (l % vb)) as u8);
+    let at_byte = _mm512_loadu_si512(at_byte.as_ptr().cast());
+    let slot_rows = _mm512_loadu_si512(NIBBLE_ROWS[ND - 1].as_ptr().cast());
+    let (ones8, ones16) = (_mm512_set1_epi8(1), _mm512_set1_epi16(1));
+    // Per visitor, its image's low-nibble half and high-nibble half, two
+    // registers each (the second unread for 4-byte rows).
+    let images: [[__m512i; 4]; Q] = std::array::from_fn(|q| {
+        std::array::from_fn(|r| _mm512_loadu_si512(tables[q].as_ptr().add(64 * r).cast()))
+    });
+    // Per visitor and chunk residue, each half chunk's maxima.
+    let mut maxima = [[[_mm512_setzero_si512(); 2]; 4]; Q];
+
+    let mut j = 0;
+    while j < count {
+        let left = count - j;
+        let chunk = bytes.as_ptr().wrapping_add((start + j) * vb);
+        // The slots whose row is in the block (`left.min(CHUNK)` fits an
+        // `i8`).
+        let live = _mm512_cmplt_epu8_mask(slot_rows, _mm512_set1_epi8(left.min(CHUNK) as i8));
+        for (h, in_block) in [live as u32, (live >> 32) as u32].into_iter().enumerate() {
+            let mut packed = [_mm512_setzero_si512(); Q];
+            for a in 0..regs {
+                let reg = h * regs + a;
+                let p = chunk.wrapping_add(64 * reg);
+                let x = if left >= CHUNK {
+                    _mm512_loadu_si512(p.cast())
+                } else {
+                    // One mask bit per live dword: `ND` per live row; rows
+                    // past the block read nothing and hold code 0.
+                    let live = left.saturating_sub(reg * per_reg).min(per_reg);
+                    _mm512_maskz_loadu_epi32(((1u32 << (ND * live)) - 1) as u16, p.cast())
+                };
+                // `(x & 0x0F) | at_byte`, for each nibble.
+                let low = _mm512_ternarylogic_epi32::<0xEA>(x, nibble, at_byte);
+                let high =
+                    _mm512_ternarylogic_epi32::<0xEA>(_mm512_srli_epi16::<4>(x), nibble, at_byte);
+                for q in 0..Q {
+                    let image = &images[q];
+                    let averages = if ND == 1 {
+                        _mm512_avg_epu8(
+                            _mm512_permutexvar_epi8(low, image[0]),
+                            _mm512_permutexvar_epi8(high, image[2]),
+                        )
+                    } else {
+                        _mm512_avg_epu8(
+                            _mm512_permutex2var_epi8(image[0], low, image[1]),
+                            _mm512_permutex2var_epi8(image[2], high, image[3]),
+                        )
+                    };
+                    // Row `b` of the register's half sum, in the low word of
+                    // its qword (its dword), shifted to word `a` of it.
+                    let row_sums = if ND == 1 {
+                        let s = _mm512_madd_epi16(_mm512_maddubs_epi16(averages, ones8), ones16);
+                        match a {
+                            0 => s,
+                            _ => _mm512_slli_epi32::<16>(s),
+                        }
+                    } else {
+                        let s = _mm512_sad_epu8(averages, _mm512_setzero_si512());
+                        match a {
+                            0 => s,
+                            1 => _mm512_slli_epi64::<16>(s),
+                            2 => _mm512_slli_epi64::<32>(s),
+                            _ => _mm512_slli_epi64::<48>(s),
+                        }
+                    };
+                    packed[q] = _mm512_or_si512(packed[q], row_sums);
+                }
+            }
+            for q in 0..Q {
+                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), packed[q]);
+                let group = &mut maxima[q][(j / CHUNK) % 4][h];
+                *group = _mm512_mask_max_epu16(*group, in_block, *group, packed[q]);
+            }
+        }
+        j += CHUNK;
+    }
+
+    let mut out = [[0u16; SEED_GROUPS]; Q];
+    for (out, maxima) in out.iter_mut().zip(maxima) {
+        for (at, group) in out.chunks_exact_mut(CHUNK).zip(maxima) {
+            _mm512_storeu_si512(at.as_mut_ptr().cast(), group[0]);
+            _mm512_storeu_si512(at.as_mut_ptr().add(32).cast(), group[1]);
+        }
+    }
+    out
+}
+
 /// The `k`-th largest of `values` (`1 <= k <= SEED_GROUPS`), each at most
 /// `m · 255` for `m <=` [`BOUND_TABLES`]: the largest `v` with at least
 /// `k` values `>= v`, found by bisection over `0 ..= 4080` — twelve steps,
@@ -909,17 +1145,71 @@ pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
     lo as u16
 }
 
-/// The candidate and exact steps of a seeded visit, into a survivors sink
-/// over `[start, start + count)`: every row whose byte sum in `sums` (as
-/// [`byte_sums`] left them) reaches `min_sum` is compacted into the sink's
-/// positions slice in ascending position, and only those rows are scored
-/// exactly — by the gather kernel's own lookup sequence
-/// ([`gathered_sums`], `i = 0..m`, bias last), sixteen candidates per
-/// gather — and kept if their score reaches the sink's threshold. Returns
-/// `(scores the sink received, rows never scored)`. With `min_sum` from
-/// the scan layer's `ByteBound::min_sum` of the sink's threshold, a row
-/// never scored scores below the threshold ([`byte_sums`]' upper bound),
-/// so the sink receives exactly what [`gather_kernel`] would hand it.
+/// The candidate step of a seeded visit over a block of `count` rows:
+/// compacts into `positions`, in ascending position, every row whose
+/// stored sum in `sums` reaches `least` — chunk `c`'s 64 sums at `64c`,
+/// row `r` of the chunk in slot `slots[r]` — and returns how many.
+///
+/// # Safety
+///
+/// `avx512f`, `avx512bw`, `avx512vbmi` and `popcnt`; `sums` holds `count`
+/// rounded up to a whole chunk and `positions` `count + SINK_SLACK` slots.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
+unsafe fn candidates(
+    sums: &[u16],
+    count: usize,
+    least: u16,
+    slots: &[u8; 64],
+    positions: *mut u32,
+) -> usize {
+    use arch::*;
+
+    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let slots = _mm512_loadu_si512(slots.as_ptr().cast());
+    let vleast = _mm512_set1_epi16(least as i16);
+    let mut candidates = 0;
+    let mut j = 0;
+    while j < count {
+        let reach = |at: usize| {
+            let sums = _mm512_loadu_si512(sums.as_ptr().add(j + at).cast());
+            u64::from(_mm512_cmpge_epu16_mask(sums, vleast))
+        };
+        // One byte per slot, then one per row.
+        let reach = _mm512_movm_epi8(reach(0) | reach(32) << 32);
+        let in_block = match count - j {
+            left @ 0..64 => (1u64 << left) - 1,
+            _ => u64::MAX,
+        };
+        let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(slots, reach)) & in_block;
+        for g in 0..4 {
+            let kept = (rows >> (16 * g)) as u16;
+            if kept != 0 {
+                let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
+                _mm512_storeu_si512(
+                    positions.add(candidates).cast(),
+                    _mm512_maskz_compress_epi32(kept, at),
+                );
+                candidates += kept.count_ones() as usize;
+            }
+        }
+        j += CHUNK;
+    }
+    candidates
+}
+
+/// The candidate and exact steps of a seeded `k* = 256` visit, into a
+/// survivors sink over `[start, start + count)`: every row whose byte sum
+/// in `sums` (as [`byte_sums`] left them) reaches `min_sum` is compacted
+/// into the sink's positions slice in ascending position ([`candidates`]),
+/// and only those rows are scored exactly — by the gather kernel's own
+/// lookup sequence ([`gathered_sums`], `i = 0..m`, bias last), sixteen
+/// candidates per gather — and kept if their score reaches the sink's
+/// threshold. Returns `(scores the sink received, rows never scored)`. With
+/// `min_sum` from the scan layer's `ByteBound::min_sum` of the sink's
+/// threshold, a row never scored scores below the threshold ([`byte_sums`]'
+/// upper bound), so the sink receives exactly what [`gather_kernel`] would
+/// hand it.
 ///
 /// # Candidates in place
 ///
@@ -928,6 +1218,7 @@ pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
 /// writing survivors over them: each batch's positions are loaded into a
 /// register before its store, and survivors never outnumber the
 /// candidates read, so no store reaches a candidate not yet read.
+/// [`bounded_lut16`] shares this.
 ///
 /// # Safety
 ///
@@ -956,39 +1247,7 @@ pub(super) unsafe fn bounded_gather<const ND: usize>(
         unreachable!("a seeded visit feeds a survivors sink");
     };
     let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
-    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let lanes_of_rows = _mm512_loadu_si512(ROW_LANES[ND / 4].as_ptr().cast());
-    let vmin_sum = _mm512_set1_epi16(min_sum as i16);
-
-    // The candidates: positions, ascending, into `positions`.
-    let mut candidates = 0;
-    let mut j = 0;
-    while j < count {
-        let even = _mm512_loadu_si512(sums.as_ptr().add(j).cast());
-        let odd = _mm512_loadu_si512(sums.as_ptr().add(j + 32).cast());
-        let reach = _mm512_mask_blend_epi8(
-            0xAAAA_AAAA_AAAA_AAAA,
-            _mm512_movm_epi16(_mm512_cmpge_epu16_mask(even, vmin_sum)),
-            _mm512_movm_epi16(_mm512_cmpge_epu16_mask(odd, vmin_sum)),
-        );
-        let in_block = match count - j {
-            left @ 0..64 => (1u64 << left) - 1,
-            _ => u64::MAX,
-        };
-        let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(lanes_of_rows, reach)) & in_block;
-        for g in 0..4 {
-            let kept = (rows >> (16 * g)) as u16;
-            if kept != 0 {
-                let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
-                _mm512_storeu_si512(
-                    positions.add(candidates).cast(),
-                    _mm512_maskz_compress_epi32(kept, at),
-                );
-                candidates += kept.count_ones() as usize;
-            }
-        }
-        j += CHUNK;
-    }
+    let candidates = candidates(sums, count, min_sum, &BYTE_SLOTS[ND / 4], positions);
 
     // The exact pass over the candidates, sixteen at a time: a gather
     // costs about the same for any number of live lanes, so the visit's
@@ -1003,6 +1262,71 @@ pub(super) unsafe fn bounded_gather<const ND: usize>(
         let at = _mm512_maskz_loadu_epi32(live, positions.add(c).cast());
         let offsets = [_mm512_mullo_epi32(at, row_bytes)];
         let [acc] = gathered_sums::<1>(m, base, offsets, [live], entries);
+        let sum = _mm512_add_ps(acc, vbias);
+        keep_passing!(written, vthreshold, sum, live, at, scores, positions);
+        c += 16;
+    }
+    (written, count - candidates)
+}
+
+/// The candidate and exact steps of a seeded `k* = 16` visit, into a
+/// survivors sink over `[start, start + count)` of rows of `ND` whole
+/// dwords of `m` nibble codes: every row whose half sum in `sums` (as
+/// [`half_sums`] left them) reaches `least` is compacted into the sink's
+/// positions slice in ascending position ([`candidates`], in place as in
+/// [`bounded_gather`]), and only those rows are scored exactly — sixteen
+/// candidates' dwords per `vpgatherdd`, then the LUT16 kernel's own lookup
+/// sequence ([`nibble_sums`]: one `vpermps` per subquantizer, `i = 0..m`,
+/// bias last) — and kept if their score reaches the sink's threshold.
+/// Returns `(scores the sink received, rows never scored)`. With `least`
+/// from the scan layer's `ByteBound` for the sink's threshold, a row never
+/// scored scores below the threshold ([`half_sums`]), so the sink receives
+/// exactly what [`lut16_kernel`] would hand it.
+///
+/// # Safety
+///
+/// The caller must ensure the host supports `avx512f`, `avx512bw`,
+/// `avx512vbmi` and `popcnt`; that `ND` is 1 or 2, rows are `4 * ND` bytes
+/// and `m <= 8 * ND`; that `(start + count) * 4 * ND <= bytes.len()` and
+/// `count * 4 * ND` fits an `i32`; that `table` holds `m` tables of 16;
+/// that `sums` holds `count` rounded up to a whole chunk; and that `sink`
+/// is a survivors sink whose slices hold `count + SINK_SLACK`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn bounded_lut16<const ND: usize>(
+    m: usize,
+    bytes: &[u8],
+    start: usize,
+    count: usize,
+    sums: &[u16],
+    least: u16,
+    table: &[f32],
+    bias: f32,
+    sink: &mut Sink<'_>,
+) -> (usize, usize) {
+    use arch::*;
+
+    let (Some(threshold), scores, positions) = sink.parts() else {
+        unreachable!("a seeded visit feeds a survivors sink");
+    };
+    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
+    let candidates = candidates(sums, count, least, &NIBBLE_SLOTS[ND - 1], positions);
+
+    let base = bytes.as_ptr().add(start * 4 * ND).cast::<i32>();
+    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(threshold));
+    let row_bytes = _mm512_set1_epi32(4 * ND as i32);
+    let mut written = 0;
+    let mut c = 0;
+    while c < candidates {
+        let live = lane_mask((candidates - c).min(16));
+        let at = _mm512_maskz_loadu_epi32(live, positions.add(c).cast());
+        let offsets = _mm512_mullo_epi32(at, row_bytes);
+        // Dword `d` of each candidate's row; lanes past the candidates
+        // read nothing.
+        let row: [__m512i; ND] = std::array::from_fn(|d| {
+            _mm512_mask_i32gather_epi32::<1>(_mm512_setzero_si512(), live, offsets, base.add(d))
+        });
+        let [acc] = nibble_sums::<ND, 1>(m, &[row], table);
         let sum = _mm512_add_ps(acc, vbias);
         keep_passing!(written, vthreshold, sum, live, at, scores, positions);
         c += 16;

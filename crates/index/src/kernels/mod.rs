@@ -18,48 +18,49 @@
 //!    and 8-byte rows; `avx2`: two YMM halves, 32, every other width); and
 //!    the `avx512` gather kernel for `k* = 256` (one `vgatherdps` per
 //!    sixteen lookups, rows of at least four bytes; 8- and 16-byte rows
-//!    are loaded whole, every other width's code dwords gathered). Over
-//!    8- and 16-byte rows a scan runs a **seeded visit** instead of tiles:
-//!    once per visitor the LUT is quantised into 256-byte tables
-//!    (`ByteBound`), four ZMM registers each, and one pass over the whole
-//!    cluster gives every row's u16 byte sum (two `vpermi2b` and a blend
-//!    per subquantizer) and the largest sum of each of 256 disjoint row
-//!    groups. The `k`-th largest of those maxima seeds the threshold with a
-//!    proven lower bound on the visit's `k`-th best score; then only the
-//!    rows whose byte sum can still reach it are scored exactly, by the
-//!    gather kernel's own lookup sequence, and offered. Rows never scored
-//!    are [`ScanTally::bound_rejected`].
+//!    are loaded whole, every other width's code dwords gathered). Both
+//!    `avx512` widths scan their row-loaded shapes — nibbles in 4- and
+//!    8-byte rows, bytes in 8- and 16-byte rows — as a **seeded visit**
+//!    instead of tiles: once per visitor the LUT is quantised into a u8
+//!    image (`ByteBound`: tables of 256 bytes, four ZMM registers each, or
+//!    of 16 bytes, all sixteen in four registers), and one pass over the
+//!    whole cluster gives every row's u16 sum — a byte sum (two
+//!    `vpermi2b` and a blend per subquantizer of a transposed chunk), or,
+//!    for nibbles, a half sum (one `vpermi2b` per nibble of a row-major
+//!    register, a `vpavgb` and a `vpsadbw`) — and the largest sum of each
+//!    of 256 disjoint row groups. The `k`-th largest of those maxima seeds
+//!    the threshold with a proven lower bound on the visit's `k`-th best
+//!    score; then only the rows whose sum can still reach it are scored
+//!    exactly, by the kernel's own lookup sequence, and offered. Rows
+//!    never scored are [`ScanTally::bound_rejected`].
 //! 3. **Visitor groups** — a cluster's visitors are scanned in groups of
-//!    the kernel's size: up to four for the `avx512` LUT16 kernel, which
-//!    loads each chunk of rows, de-interleaves it and shifts out its nibble
-//!    indices once for the whole group, then looks every index up in each
-//!    query's register-resident table into that query's own accumulators —
-//!    the software form of ANNA's crossbar handing one fetched cluster
-//!    block to the SCM of every query in the group (PAPER §III-B, §IV).
-//!    Seeded `k* = 256` visits are grouped the same way: one byte-sum
-//!    pass loads and transposes each chunk of rows once and looks it up in
-//!    every member's u8 image; each member then seeds, scores and offers
-//!    its own candidates. Every other kernel takes the visitors one at a
-//!    time.
-//! 4. **Block scoring** — a cluster is walked in blocks of [`TILE`]
-//!    vectors, each scored by one `score_block` call into a `Sink` per
-//!    query: a tile of every score (what [`score_all`] reads) or, in a
+//!    the kernel's size: up to four for the seeded `avx512` kernels, whose
+//!    sum pass loads each chunk of rows once — and transposes it, or makes
+//!    its nibble indices — for the whole group, then looks it up in every
+//!    member's u8 image; each member then seeds, scores and offers its own
+//!    candidates — the software form of ANNA's crossbar handing one fetched
+//!    cluster block to the SCM of every query in the group (PAPER §III-B,
+//!    §IV). Every other kernel, and a member whose LUT has no image, takes
+//!    the visitors one at a time.
+//! 4. **Block scoring** — a tiled visit walks a cluster in blocks of
+//!    [`TILE`] vectors, each scored by one `score_block` call into a
+//!    `Sink`: a tile of every score (what [`score_all`] reads) or, in a
 //!    scan, a **survivors sink** — the finished sums are compared with the
 //!    query's [`TopK::threshold`] (in registers for the SIMD kernels:
 //!    `vcmpps GE_OQ` into a mask) and only the passing vectors are kept, as
-//!    `(position, score)` pairs in ascending position in that query's
+//!    `(position, score)` pairs in ascending position in the query's
 //!    buffer. ANNA's SCM never materialises a score either — each sum
 //!    leaves the adder tree, meets the P-heap minimum, and only winners
-//!    enter the heap (PAPER §III-B(4)); a seeded `k* = 256` visit goes one
-//!    step further: one block of the whole cluster, whose threshold the
-//!    u8 pass has already raised to a proven `k`-th best bound, and which
-//!    meets it with a u8 upper bound before the f32 score exists. Whatever
-//!    rows a kernel leaves are finished by one shared row loop
-//!    (`score_row`). The hot loop is allocation-free.
+//!    enter the heap (PAPER §III-B(4)); a seeded visit goes one step
+//!    further: one block of the whole cluster, whose threshold the u8 pass
+//!    has already raised to a proven `k`-th best bound, and which meets it
+//!    with a u8 upper bound before the f32 score exists. Whatever rows a
+//!    kernel leaves are finished by one shared row loop (`score_row`). The
+//!    hot loop is allocation-free.
 //! 5. **Threshold-pruned selection** — every kernel but the seed scan ends
 //!    in a survivors sink, and one loop re-tests each kept lane against the
-//!    live threshold, in the same ascending order, one query of the group
-//!    after another before the next block is scored: only scores passing
+//!    live threshold, in the same ascending order, before the next block is
+//!    scored: only scores passing
 //!    `score >= top.threshold()` are offered to [`TopK::push`] (almost
 //!    every score in a warm scan loses to the selector's floor, a `k`-th
 //!    best as of its last settle). The filter is exact, not approximate:
@@ -87,32 +88,38 @@
 //! as it was made.
 //!
 //! The same holds per query within a group. A group's selectors are
-//! distinct (`&mut [TopK]`), so each is raised only by its own offers; its
-//! frozen copy is taken at the start of each tile, after its offers from
-//! the previous tile; and its offers of a tile are made in ascending
-//! position before the next tile is scored. Whether the other members of
-//! the group were scored in the same pass changes none of the three, so
-//! each selector sees exactly the offers, order and threshold sequence of
-//! a [`scan_with`] of its own, and keeps the same top-k and tally.
+//! distinct (`&mut [TopK]`), so each is raised only by its own offers, and
+//! a seeded visit's members share only the sum pass, which reads no
+//! selector: each member's threshold, candidates and offers are its own,
+//! made in ascending position before the next member's. So each selector
+//! sees exactly the offers, order and threshold sequence of a
+//! [`scan_with`] of its own, and keeps the same top-k and tally.
 //!
 //! # Why a seeded threshold is exact
 //!
-//! A seeded visit does not start from the selector's floor. Its byte-sum
-//! pass puts every row of the cluster in one of 256 disjoint groups and
-//! keeps each group's largest byte sum. When `k < 256` and the cluster has
-//! at least `k` rows, at least `k` groups hold a row, so the `k`-th
-//! largest maximum `Q*` is reached by `k` distinct rows, one per group.
-//! Every row whose byte sum is at least `Q*` scores at least
-//! `ByteBound::lower(Q*)` (the proof is `avx512::byte_sums`'), so this
-//! visit alone holds `k` rows scoring at least that **seed**, and the
-//! query's true `k`-th best — which other visits can only raise — is at
-//! least the seed as well. The visit's threshold `T = max(seed, floor)` is
-//! therefore a lower bound on the `k`-th best, exactly as the floor is:
-//! every row that belongs in the top-k scores `>= T`, so its u8 upper
-//! bound reaches `T` and it is a candidate, it is kept (`>=`, so ties at
-//! `T` are too), and it is offered in ascending position against the live
-//! threshold — every kept score already reaches the seed, so that is the
-//! re-test against `max(seed, live)`. NaN cannot arise: a LUT has a u8
+//! A seeded visit does not start from the selector's floor. Its sum pass
+//! puts every row of the cluster in one of 256 disjoint groups and keeps
+//! each group's largest stored sum. When `k < 256` and the cluster has at
+//! least `k` rows, at least `k` groups hold a row, so the `k`-th largest
+//! maximum `H*` is reached by `k` distinct rows, one per group. Each of
+//! them has a byte sum of at least `Q* = ByteBound::guaranteed(H*)` — `H*`
+//! itself at `k* = 256`, `2H* − vb` for the half sums of `vb`-byte nibble
+//! rows (`avx512::half_sums`) — and every row whose byte sum is at least
+//! `Q*` scores at least `ByteBound::lower(Q*)` (the proof is
+//! `avx512::byte_sums`'; it uses only `m`, the scale and the magnitude, so
+//! it holds for either image), so this visit alone holds `k` rows scoring
+//! at least that **seed**, and the query's true `k`-th best — which other
+//! visits can only raise — is at least the seed as well. The visit's
+//! threshold `T = max(seed, floor)` is therefore a lower bound on the
+//! `k`-th best, exactly as the floor is: every row that belongs in the
+//! top-k scores `>= T`, so its u8 upper bound reaches `T` and it is a
+//! candidate, it is kept (`>=`, so ties at `T` are too), and it is offered
+//! in ascending position against the live threshold — every kept score
+//! already reaches the seed, so that is the re-test against `max(seed,
+//! live)`. A candidate's exact score is the tiled kernel's own — the
+//! gather kernel's lookup sequence at `k* = 256`, the LUT16 kernel's
+//! `vpermps` per subquantizer at `k* = 16`, `i` ascending, bias last — so
+//! it is the scalar score bit for bit. NaN cannot arise: a LUT has a u8
 //! image only when its entries and bias are finite. The selector's order
 //! is total, so its kept set is the best `k` of what was offered, which
 //! includes everything that belongs there: the scalar path's, bit for
@@ -155,9 +162,13 @@
 //! 256 bytes and *does* fit registers (four ZMM), so a cheap low-precision
 //! pass bounds every score and full precision decides only the few rows
 //! that can still enter the top-k (ANNS-AMP's adaptive mixed precision,
-//! applied as a filter rather than an approximation). Both bounds hold by
-//! construction (`avx512::byte_sums` proves them), so scores and top-k sets
-//! are the gather kernel's bit for bit; only the offers fall.
+//! applied as a filter rather than an approximation). At `k* = 16` the f32
+//! tables already fit, but the same filter still pays: sixteen u8 tables
+//! are four registers, one byte lookup serves 64 codes where `vpermps`
+//! serves 16, and the seed spares the selector most of its offers. Both
+//! bounds hold by construction (`avx512::byte_sums` proves them,
+//! `avx512::half_sums` carries them to nibbles), so scores and top-k sets
+//! are the tiled kernels' bit for bit; only the offers fall.
 
 mod blocked;
 mod scalar;
@@ -178,16 +189,14 @@ use anna_vector::TopK;
 /// stays L1-resident.
 pub const TILE: usize = 256;
 
-/// Most visitors of one cluster a kernel call scores together. The AVX-512
-/// LUT16 kernel holds one chunk's rows in registers and runs every query of
-/// the group over them, so the group is sized by the 32 ZMM registers:
-/// four accumulators (64 lanes) per query is 16 for four queries, plus 8
-/// for the de-interleaved dwords of sixteen 8-byte rows in each of the
-/// four lane groups, leaves 8 for the shifted nibble indices, the tables
-/// and the permute results. A fifth query would spill accumulators. A
-/// seeded `k* = 256` visit's byte-sum pass fits the same group: the 16
-/// transposed code registers of a chunk of 16-byte rows and two sum
-/// accumulators per member are 24.
+/// Most visitors of one cluster a seeded visit's byte-sum pass serves:
+/// each chunk of rows is loaded once — and, for nibble codes, its indices
+/// made once — for every member, whose lookups then read its own u8 image.
+/// The group is sized by the 32 ZMM registers. Four 16-entry images over
+/// 8-byte rows are 16 registers, plus one packed sum register per member
+/// and the two shared index registers; the 16 transposed code registers of
+/// a chunk of 16-byte rows and two sum accumulators per member are 24. A
+/// fifth member would spill.
 pub(crate) const GROUP: usize = 4;
 
 /// Lanes a survivors sink may write past the last survivor: the AVX-512
@@ -196,15 +205,11 @@ pub(crate) const GROUP: usize = 4;
 /// `count`-vector block holds `count + SINK_SLACK` slots.
 const SINK_SLACK: usize = 16;
 
-/// Slots per survivors buffer: a whole tile plus the sink's slack.
-const SURVIVOR_SLOTS: usize = TILE + SINK_SLACK;
-
 /// Reusable scratch for the scan: one survivors buffer (positions and
-/// scores) per member of a visitor group — or one cluster-wide candidate
-/// list for a seeded visit — and the u8 image of the LUT and every row's
-/// byte sum that an `avx512` `k* = 256` seeded visit reads. Thread one
-/// instance through a scan loop (per worker, per search) and the hot path
-/// performs zero allocations after warm-up.
+/// scores) — a tile's, or a seeded visit's cluster-wide candidate list —
+/// and the u8 images of the LUTs and every row's byte sum that an `avx512`
+/// seeded visit reads. Thread one instance through a scan loop (per worker,
+/// per search) and the hot path performs zero allocations after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     survivors: Survivors,
@@ -212,7 +217,7 @@ pub struct ScanScratch {
     sums: Vec<u16>,
 }
 
-/// The survivors buffers of a [`ScanScratch`].
+/// The survivors buffer of a [`ScanScratch`].
 #[derive(Debug, Default, Clone)]
 struct Survivors {
     scores: Vec<f32>,
@@ -227,32 +232,17 @@ impl ScanScratch {
 }
 
 impl Survivors {
-    /// Grows (never shrinks) the survivors buffers and hands out one
-    /// [`Sink::Survivors`] per threshold, member `g`'s in slot `g`, each
-    /// [`SURVIVOR_SLOTS`] long.
-    fn sinks(&mut self, thresholds: [f32; GROUP]) -> [Sink<'_>; GROUP] {
-        self.grow(GROUP * SURVIVOR_SLOTS);
-        let mut slots = self
-            .positions
-            .chunks_exact_mut(SURVIVOR_SLOTS)
-            .zip(self.scores.chunks_exact_mut(SURVIVOR_SLOTS));
-        std::array::from_fn(|g| {
-            let (positions, scores) = slots.next().expect("a slot per group member");
-            Sink::Survivors {
-                threshold: thresholds[g],
-                positions,
-                scores,
-            }
-        })
-    }
-
     /// Grows (never shrinks) the buffers to `rows + SINK_SLACK` slots and
-    /// hands out the first `rows + SINK_SLACK` as one [`Sink::Survivors`]:
-    /// a seeded visit's cluster-wide candidate list, which
-    /// [`Self::kept`]`(0, ..)` reads back.
-    fn whole(&mut self, threshold: f32, rows: usize) -> Sink<'_> {
+    /// hands out the first `rows + SINK_SLACK` as one [`Sink::Survivors`]
+    /// for a block of `rows`, which [`Self::kept`] reads back.
+    fn sink(&mut self, threshold: f32, rows: usize) -> Sink<'_> {
         let need = rows + SINK_SLACK;
-        self.grow(need);
+        if self.scores.len() < need {
+            self.scores.resize(need, 0.0);
+        }
+        if self.positions.len() < need {
+            self.positions.resize(need, 0);
+        }
         Sink::Survivors {
             threshold,
             positions: &mut self.positions[..need],
@@ -260,45 +250,41 @@ impl Survivors {
         }
     }
 
-    fn grow(&mut self, need: usize) {
-        if self.scores.len() < need {
-            self.scores.resize(need, 0.0);
-        }
-        if self.positions.len() < need {
-            self.positions.resize(need, 0);
-        }
-    }
-
-    /// The first `kept` `(positions, scores)` of member `g`'s slot, as the
-    /// last [`Self::sinks`] (or, for `g` 0, [`Self::whole`]) filled it.
-    fn kept(&self, g: usize, kept: usize) -> (&[u32], &[f32]) {
-        let at = g * SURVIVOR_SLOTS;
-        (&self.positions[at..at + kept], &self.scores[at..at + kept])
+    /// The first `kept` `(positions, scores)`, as the last [`Self::sink`]
+    /// was filled.
+    fn kept(&self, kept: usize) -> (&[u32], &[f32]) {
+        (&self.positions[..kept], &self.scores[..kept])
     }
 }
 
-/// Disjoint row groups a seeded visit takes byte-sum maxima over (each of
-/// a 64-row chunk's sum lanes, per chunk index mod 4); a selector of
-/// `k >= SEED_GROUPS` gets no seed.
+/// Disjoint row groups a seeded visit takes sum maxima over (each of a
+/// 64-row chunk's sum slots, per chunk index mod 4); a selector of `k >=
+/// SEED_GROUPS` gets no seed.
 const SEED_GROUPS: usize = 256;
 
-/// `count` rounded up to whole 64-row chunks: the byte sums a seeded visit
+/// `count` rounded up to whole 64-row chunks: the sums a seeded visit
 /// keeps per member for `count` rows.
 fn whole_chunks(count: usize) -> usize {
     count.div_ceil(64) * 64
 }
 
-/// The u8 image of one LUT that an `avx512` `k* = 256` seeded visit bounds
-/// its scores with: `m` tables of 256 bytes sharing one scale `s`, table
-/// `i` offset by its least entry (`avx512::quantise`), plus what turns a
-/// row's byte sum into bounds on its score: [`Self::min_sum`], the least
-/// byte sum that can still reach a threshold, and [`Self::lower`], the
-/// least score a byte sum guarantees (both proofs are
-/// `avx512::byte_sums`').
+/// The u8 image of one LUT that an `avx512` seeded visit bounds its scores
+/// with: `m` tables of 256 bytes (byte codes) or of 16 (nibble codes),
+/// sharing one scale `s`, table `i` offset by its least entry
+/// (`avx512::quantise`), plus what turns a row's byte sum `Q` into bounds on
+/// its score: [`Self::min_sum`], the least byte sum that can still reach a
+/// threshold, and [`Self::lower`], the least score a byte sum guarantees.
+/// Both depend only on `m`, the scale and the magnitude, never on the
+/// table size, so `avx512::byte_sums`' proofs hold for either image. The
+/// nibble pass stores each row's half sum `H` rather than `Q`, with `2H −
+/// vb <= Q <= 2H` for rows of `vb` bytes (`avx512::half_sums`);
+/// [`Self::least_stored`] and [`Self::guaranteed`] convert.
 #[derive(Debug, Clone, Copy)]
 struct ByteBound<'a> {
     tables: &'a [u8],
     m: usize,
+    /// Entries per table of the LUT quantised: 256 or 16.
+    kstar: usize,
     /// `s`: one byte step, in score units.
     scale: f32,
     /// `Σ lo_i + bias`: the score of an all-zero byte row, less the steps.
@@ -308,25 +294,29 @@ struct ByteBound<'a> {
 }
 
 impl<'a> ByteBound<'a> {
-    /// Quantises `lut` into the first `m · 256` bytes of `tables` for a
-    /// seeded visit; `None` — the scan keeps the plain gather — unless the
-    /// kernel is the `avx512` gather over rows of two or four whole dwords,
-    /// or when the LUT holds a non-finite entry or bias, every table is
-    /// constant, or entries and bias are too large to sum without
-    /// overflow (`Σ_i max_v |e_iv| + |bias|` reaching `2^120`).
+    /// Quantises `lut` into the first [`Self::image_len`] of `tables` for
+    /// a seeded visit; `None` — the scan keeps the kernel's tiles — unless
+    /// the kernel seeds (the `avx512` LUT16 kernel, or the `avx512` gather
+    /// over rows of two or four whole dwords), or when the LUT holds a
+    /// non-finite entry or bias, every table is constant, or entries and
+    /// bias are too large to sum without overflow (`Σ_i max_v |e_iv| +
+    /// |bias|` reaching `2^120`).
     ///
     /// # Panics
     ///
-    /// Panics if the kernel seeds and `tables` is shorter than `m · 256`.
+    /// Panics if the kernel seeds and `tables` is shorter than the image.
     fn quantise(kernel: Kernel, lut: &Lut, tables: &'a mut [u8]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         {
             if !kernel.seeds() {
                 return None;
             }
-            let m = lut.m();
+            let (m, kstar) = (lut.m(), lut.kstar());
+            let nibbles = matches!(kernel, Kernel::Avx512Lut16 { .. });
             assert!(
-                lut.kstar() == 256 && m <= avx512::BOUND_TABLES && lut.entries().len() >= m * 256
+                kstar == if nibbles { 16 } else { 256 }
+                    && m <= avx512::BOUND_TABLES
+                    && lut.entries().len() >= m * kstar
             );
             assert!(
                 KernelDispatch::Avx512.is_available(),
@@ -335,17 +325,25 @@ impl<'a> ByteBound<'a> {
             if !lut.bias().is_finite() {
                 return None;
             }
-            let tables = &mut tables[..m * 256];
+            let tables = &mut tables[..Self::image_len(kstar, m)];
             // SAFETY: the `avx512` level (asserted above) includes
             // `avx512f` and `avx512bw`; `m` is at most `BOUND_TABLES`, the
-            // LUT holds `m` tables of 256 and `tables` `m · 256` bytes.
-            let (scale, floor, magnitude) = unsafe { avx512::quantise(m, lut.entries(), tables) }?;
+            // LUT holds `m` tables of `kstar` (16 or 256, the const
+            // argument) and `tables` that image's bytes.
+            let (scale, floor, magnitude) = unsafe {
+                if nibbles {
+                    avx512::quantise::<16>(m, lut.entries(), tables)
+                } else {
+                    avx512::quantise::<256>(m, lut.entries(), tables)
+                }
+            }?;
             let bias = f64::from(lut.bias());
             let magnitude = magnitude + bias.abs();
             // Below `2^120`, no partial sum of a score can overflow.
             (magnitude < 2f64.powi(120)).then_some(ByteBound {
                 tables,
                 m,
+                kstar,
                 scale,
                 floor: floor + bias,
                 magnitude,
@@ -355,6 +353,57 @@ impl<'a> ByteBound<'a> {
         {
             let _ = (kernel, lut, tables);
             None
+        }
+    }
+
+    /// Bytes of an image of `m` tables of `kstar` entries: `m · 256`, or
+    /// sixteen tables of 16 whatever `m`.
+    fn image_len(kstar: usize, m: usize) -> usize {
+        if kstar == 16 {
+            16 * 16
+        } else {
+            m * 256
+        }
+    }
+
+    /// Table `i`'s byte for code `c`.
+    #[cfg(test)]
+    fn byte(&self, i: usize, c: usize) -> u8 {
+        let at = if self.kstar == 16 {
+            128 * (i % 2) + 16 * (i / 2)
+        } else {
+            i * 256
+        };
+        self.tables[at + c]
+    }
+
+    /// Bytes per row of the codes the image scores: `m` byte codes, or `m`
+    /// nibbles two to a byte.
+    fn row_bytes(&self) -> usize {
+        if self.kstar == 16 {
+            self.m.div_ceil(2)
+        } else {
+            self.m
+        }
+    }
+
+    /// The least stored sum of a row whose byte sum may reach `min_sum`:
+    /// `min_sum` itself, or for a half sum `H` (`Q <= 2H`) `⌈min_sum / 2⌉`.
+    fn least_stored(&self, min_sum: u16) -> u16 {
+        if self.kstar == 16 {
+            min_sum.div_ceil(2)
+        } else {
+            min_sum
+        }
+    }
+
+    /// The byte sum every row with stored sum at least `stored` reaches:
+    /// `stored` itself, or for a half sum `2·stored − vb`, at least 0.
+    fn guaranteed(&self, stored: u16) -> u16 {
+        if self.kstar == 16 {
+            (2 * stored).saturating_sub(self.row_bytes() as u16)
+        } else {
+            stored
         }
     }
 
@@ -393,9 +442,10 @@ impl<'a> ByteBound<'a> {
 
     /// The seed of a visit to `n` rows by a selector of `k`, given the
     /// [`SEED_GROUPS`] maxima [`Self::byte_sums`] returned for them:
-    /// [`Self::lower`] of the `k`-th largest maximum, which at least `k`
-    /// distinct rows of the visit score. `None` when fewer than `k` groups
-    /// are sure to hold a row (`n < k`) or `k >= SEED_GROUPS`.
+    /// [`Self::lower`] of the byte sum the `k`-th largest maximum
+    /// guarantees, which at least `k` distinct rows of the visit reach.
+    /// `None` when fewer than `k` groups are sure to hold a row (`n < k`)
+    /// or `k >= SEED_GROUPS`.
     fn seed(&self, maxima: &[u16; SEED_GROUPS], n: usize, k: usize) -> Option<f32> {
         if k == 0 || k > n || k >= SEED_GROUPS {
             return None;
@@ -406,46 +456,53 @@ impl<'a> ByteBound<'a> {
             // `avx512` level, which includes `avx512f`, `avx512bw` and
             // `popcnt`.
             let kth = unsafe { avx512::kth_largest(maxima, k) };
-            Some(self.lower(kth))
+            Some(self.lower(self.guaranteed(kth)))
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("no u8 image off x86-64")
     }
 
     /// Asserts what the image's kernels assume of `codes[start .. start +
-    /// count]`: byte codes in rows of the image's `m` bytes (8 or 16, as
-    /// `quantise` admits), inside the stream, row offsets within an `i32`.
+    /// count]`: codes of the image's width in rows of [`Self::row_bytes`]
+    /// (8 or 16 byte codes, 4 or 8 bytes of nibbles, as `quantise` admits),
+    /// inside the stream, row offsets within an `i32`.
     fn check(&self, codes: &PackedCodes, start: usize, count: usize) {
-        let m = self.m;
+        let (m, vb) = (self.m, self.row_bytes());
+        let (width, rows) = if self.kstar == 16 {
+            (CodeWidth::U4, [4, 8])
+        } else {
+            (CodeWidth::U8, [8, 16])
+        };
         assert!(
-            codes.width() == CodeWidth::U8 && codes.m() == m && codes.vector_bytes() == m,
-            "a u8 image of {m} tables against {:?} codes, m = {}",
+            codes.width() == width && codes.m() == m && codes.vector_bytes() == vb,
+            "a u8 image of {m} tables of {} against {:?} codes, m = {}",
+            self.kstar,
             codes.width(),
             codes.m()
         );
-        assert!(matches!(m, 8 | 16) && self.tables.len() >= m * 256);
-        assert!((start + count) * m <= codes.bytes().len());
+        assert!(rows.contains(&vb) && self.tables.len() >= Self::image_len(self.kstar, m));
+        assert!((start + count) * vb <= codes.bytes().len());
         assert!(
-            count.max(64) * m <= i32::MAX as usize,
+            count.max(64) * vb <= i32::MAX as usize,
             "row offsets must fit an i32"
         );
     }
 
     /// The byte-sum pass of a visitor group, one pass over the rows for
     /// every member with an image (`images[g]` for member `g`; `None`
-    /// skips it): writes the byte sum of every row of `codes[start ..
-    /// start + count]` against member `g`'s image to `sums[g · padded ..
-    /// (g + 1) · padded]`, `padded` the count rounded up to whole 64-row
-    /// chunks ([`whole_chunks`]; `sums` is grown, never shrunk, to
-    /// `images.len()` of them), and returns, at `[g]`, the largest sum of
-    /// each of [`SEED_GROUPS`] disjoint groups of those rows, 0 for a group
-    /// with none (`avx512::byte_sums`).
+    /// skips it): writes the stored sum (byte sum, or half sum for nibble
+    /// codes) of every row of `codes[start .. start + count]` against
+    /// member `g`'s image to `sums[g · padded .. (g + 1) · padded]`,
+    /// `padded` the count rounded up to whole 64-row chunks
+    /// ([`whole_chunks`]; `sums` is grown, never shrunk, to `images.len()`
+    /// of them), and returns, at `[g]`, the largest stored sum of each of
+    /// [`SEED_GROUPS`] disjoint groups of those rows, 0 for a group with
+    /// none (`avx512::byte_sums`, `avx512::half_sums`).
     ///
     /// # Panics
     ///
     /// Panics if `images` is empty or longer than [`GROUP`], or if `codes`
-    /// are not byte codes in rows of each image's `m` bytes or the range
-    /// exceeds them.
+    /// do not fit each image ([`Self::check`]).
     fn byte_sums(
         images: &[Option<Self>],
         codes: &PackedCodes,
@@ -483,37 +540,48 @@ impl<'a> ByteBound<'a> {
                 .zip(images)
                 .filter_map(|(sums, image)| image.is_some().then_some(sums));
             let bytes = codes.bytes();
-            /// The pass over rows of `$nd` dwords for the `$q` members.
+            /// The pass `$pass` over rows of `$nd` dwords for the `$q`
+            /// members.
             macro_rules! pass {
-                ($nd:literal, $q:literal) => {{
+                ($pass:ident, $nd:literal, $q:literal) => {{
                     let sums: [&mut [u16]; $q] =
                         std::array::from_fn(|_| member_sums.next().expect("sums per member"));
                     let tables: [&[u8]; $q] = std::array::from_fn(|i| tables[i]);
-                    let out =
-                        avx512::byte_sums::<$nd, $q>(4 * $nd, bytes, start, count, tables, sums);
-                    for (slot, out) in slots.into_iter().zip(out) {
+                    for (slot, out) in slots
+                        .into_iter()
+                        .zip(avx512::$pass::<$nd, $q>(bytes, start, count, tables, sums))
+                    {
                         maxima[slot] = out;
                     }
                 }};
             }
             // SAFETY: an image exists only where `quantise` asserted the
             // `avx512` level (`avx512f`, `avx512bw`, `avx512vbmi`); `check`
-            // asserted, for every member, rows of exactly `m` bytes, `m` 8
-            // or 16 (so `ND` is `m / 4`), the range inside the stream and
-            // the image's `m · 256` bytes; each member's sums are a chunk
-            // of `padded`, the range in whole chunks; `$q` is the number
-            // of members.
+            // asserted, for every member, codes of the image's width in
+            // rows of `4 · $nd` bytes (the arm taken: 4 and 8 for nibbles,
+            // 8 and 16 for bytes, with `m == 4 · $nd` for bytes), the range
+            // inside the stream and the image's bytes; each member's sums
+            // are a chunk of `padded`, the range in whole chunks; `$q` is
+            // the number of members.
             unsafe {
-                match (codes.m(), q) {
-                    (_, 0) => {}
-                    (8, 1) => pass!(2, 1),
-                    (8, 2) => pass!(2, 2),
-                    (8, 3) => pass!(2, 3),
-                    (8, _) => pass!(2, 4),
-                    (_, 1) => pass!(4, 1),
-                    (_, 2) => pass!(4, 2),
-                    (_, 3) => pass!(4, 3),
-                    _ => pass!(4, 4),
+                match (codes.width(), codes.vector_bytes(), q) {
+                    (_, _, 0) => {}
+                    (CodeWidth::U4, 4, 1) => pass!(half_sums, 1, 1),
+                    (CodeWidth::U4, 4, 2) => pass!(half_sums, 1, 2),
+                    (CodeWidth::U4, 4, 3) => pass!(half_sums, 1, 3),
+                    (CodeWidth::U4, 4, _) => pass!(half_sums, 1, 4),
+                    (CodeWidth::U4, _, 1) => pass!(half_sums, 2, 1),
+                    (CodeWidth::U4, _, 2) => pass!(half_sums, 2, 2),
+                    (CodeWidth::U4, _, 3) => pass!(half_sums, 2, 3),
+                    (CodeWidth::U4, _, _) => pass!(half_sums, 2, 4),
+                    (_, 8, 1) => pass!(byte_sums, 2, 1),
+                    (_, 8, 2) => pass!(byte_sums, 2, 2),
+                    (_, 8, 3) => pass!(byte_sums, 2, 3),
+                    (_, 8, _) => pass!(byte_sums, 2, 4),
+                    (_, _, 1) => pass!(byte_sums, 4, 1),
+                    (_, _, 2) => pass!(byte_sums, 4, 2),
+                    (_, _, 3) => pass!(byte_sums, 4, 3),
+                    _ => pass!(byte_sums, 4, 4),
                 }
             }
             maxima
@@ -521,18 +589,19 @@ impl<'a> ByteBound<'a> {
     }
 
     /// Scores exactly against `lut` — the LUT the image was quantised
-    /// from — every row of `codes[start .. start + count]` whose byte sum
-    /// in `sums` (as [`Self::byte_sums`] left this member's for the same range) can
-    /// reach the survivors `sink`'s threshold, and keeps those that do
-    /// (`avx512::bounded_gather`). Returns `(scores the sink received, rows
-    /// never scored)`; the sink receives exactly what the gather kernel
-    /// would hand it.
+    /// from — every row of `codes[start .. start + count]` whose stored sum
+    /// in `sums` (as [`Self::byte_sums`] left this member's for the same
+    /// range) can reach the survivors `sink`'s threshold, and keeps those
+    /// that do (`avx512::bounded_gather`, `avx512::bounded_lut16`). Returns
+    /// `(scores the sink received, rows never scored)`; the sink receives
+    /// exactly what the kernel's tiles would hand it.
     ///
     /// # Panics
     ///
-    /// Panics as [`Self::byte_sums`] does, if `lut` does not hold `m`
-    /// tables of 256, if `sums` is shorter than the range in whole chunks,
-    /// or if `sink` is not a survivors sink of `count + SINK_SLACK` slots.
+    /// Panics as [`Self::byte_sums`] does, if `lut` does not hold the `m`
+    /// tables the image was quantised from, if `sums` is shorter than the
+    /// range in whole chunks, or if `sink` is not a survivors sink of
+    /// `count + SINK_SLACK` slots.
     fn survivors(
         &self,
         codes: &PackedCodes,
@@ -544,7 +613,7 @@ impl<'a> ByteBound<'a> {
     ) -> (usize, usize) {
         self.check(codes, start, count);
         let m = self.m;
-        assert!(lut.kstar() == 256 && lut.m() == m && lut.entries().len() >= m * 256);
+        assert!(lut.kstar() == self.kstar && lut.m() == m && lut.entries().len() >= m * self.kstar);
         assert!(sums.len() >= whole_chunks(count));
         let Sink::Survivors {
             threshold,
@@ -559,20 +628,23 @@ impl<'a> ByteBound<'a> {
             "survivors buffers need {SINK_SLACK} slots of slack"
         );
         // No bound below the threshold: every row is a candidate.
-        let min_sum = self.min_sum(*threshold).unwrap_or(0);
+        let least = self.least_stored(self.min_sum(*threshold).unwrap_or(0));
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `byte_sums`, plus `popcnt` (in the `avx512` level);
-        // the LUT's `m` tables of 256, the whole chunks of `sums` and the
-        // survivors slices of `count + SINK_SLACK` are asserted above.
+        // the LUT's `m` tables of `kstar`, the whole chunks of `sums` and
+        // the survivors slices of `count + SINK_SLACK` are asserted above.
         unsafe {
             let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
-            match m {
-                8 => avx512::bounded_gather::<2>(
-                    8, bytes, start, count, sums, min_sum, entries, bias, sink,
-                ),
-                _ => avx512::bounded_gather::<4>(
-                    16, bytes, start, count, sums, min_sum, entries, bias, sink,
-                ),
+            macro_rules! bounded {
+                ($kernel:ident, $nd:literal) => {
+                    avx512::$kernel::<$nd>(m, bytes, start, count, sums, least, entries, bias, sink)
+                };
+            }
+            match (self.kstar, self.row_bytes()) {
+                (16, 4) => bounded!(bounded_lut16, 1),
+                (16, _) => bounded!(bounded_lut16, 2),
+                (_, 8) => bounded!(bounded_gather, 2),
+                _ => bounded!(bounded_gather, 4),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -591,26 +663,28 @@ pub struct ScanTally {
     /// a score counts as pruned exactly when it was below the visit's
     /// threshold *at the moment it would have been offered*. Dispatches
     /// that share a threshold source report the same number from the same
-    /// starting `TopK`. Every tiled scan (`Blocked`, `Avx2`, `Avx512` at
-    /// `k* = 16`, and the `k* = 256` gather where a LUT has no u8 image)
-    /// tests against the selector's live threshold: the survivors sink
-    /// compares against a copy frozen per tile, but the lanes it keeps are
-    /// re-checked against the live one before the push, so the frozen copy
-    /// never shows here (`Scalar`, which pushes every score, reports 0).
-    /// The live threshold is the selector's floor, which lags the true
-    /// `k`-th best between settles. An `avx512` `k* = 256` seeded visit
-    /// tests against the higher of the floor and its seed, a proven lower
-    /// bound on the `k`-th best (module docs), so it prunes more (at the
-    /// benchmark's shape, `pruned / scanned` ≈ 0.983 where the floor alone
-    /// gives ≈ 0.966). Schedule-dependent (the threshold tightens as the
-    /// scan proceeds), so this is a telemetry quantity, not a
-    /// determinism-checked one.
+    /// starting `TopK`. Every tiled scan (`Blocked`, `Avx2`, and the
+    /// `avx512` kernels where they take no seeded visit: other row widths,
+    /// or a LUT with no u8 image) tests against the selector's live
+    /// threshold: the survivors sink compares against a copy frozen per
+    /// tile, but the lanes it keeps are re-checked against the live one
+    /// before the push, so the frozen copy never shows here (`Scalar`,
+    /// which pushes every score, reports 0). The live threshold is the
+    /// selector's floor, which lags the true `k`-th best between settles.
+    /// An `avx512` seeded visit — `k* = 16` over 4- and 8-byte rows, `k* =
+    /// 256` over 8- and 16-byte rows — tests against the higher of the
+    /// floor and its seed, a proven lower bound on the `k`-th best (module
+    /// docs), so it prunes more: one query's visit list at the benchmark's
+    /// shape (`tests/scan_select_oracle.rs`) offers at most 0.6× what the
+    /// floor alone lets through, at either width. Schedule-dependent (the
+    /// threshold tightens as the scan proceeds), so this is a telemetry
+    /// quantity, not a determinism-checked one.
     pub pruned: u64,
-    /// Of `pruned`, the scores an `avx512` `k* = 256` seeded visit never
-    /// computed: rows whose u8 upper bound fell below the visit's
-    /// threshold (`avx512::bounded_gather`). Always `<= pruned` — such a
-    /// score is below that threshold too — and 0 on every other kernel.
-    /// Schedule-dependent like `pruned`.
+    /// Of `pruned`, the scores an `avx512` seeded visit never computed:
+    /// rows whose u8 upper bound fell below the visit's threshold
+    /// (`avx512::bounded_gather`, `avx512::bounded_lut16`). Always `<=
+    /// pruned` — such a score is below that threshold too — and 0 on every
+    /// other dispatch and row shape. Schedule-dependent like `pruned`.
     pub bound_rejected: u64,
 }
 
@@ -635,8 +709,9 @@ enum Kernel {
     /// The AVX2 LUT16 kernel (`avx2`): nibble codes against 16-entry
     /// tables, 32 per iteration, rows of at most eight dwords.
     Avx2Lut16,
-    /// The AVX-512 LUT16 kernel (`avx512`) over rows of `nd` whole dwords,
-    /// up to [`GROUP`] tables per pass over the rows.
+    /// The AVX-512 LUT16 kernel (`avx512`) over rows of `nd` whole dwords
+    /// (4- and 8-byte rows); a scan with a u8 image of the LUT runs a
+    /// seeded visit instead of tiles (`ByteBound`).
     Avx512Lut16 { nd: usize },
     /// The AVX-512 gather kernel (`avx512`): byte codes in rows of four
     /// bytes or more against 256-entry tables. Rows of `nd` whole dwords
@@ -665,21 +740,24 @@ impl Kernel {
     }
 
     /// How many visitors of one cluster this kernel scores per call:
-    /// [`GROUP`] for the AVX-512 LUT16 kernel and for the seeded gather,
-    /// one for every other.
+    /// [`GROUP`] for the kernels that seed, one for every other.
     fn group(self) -> usize {
-        match self {
-            Kernel::Avx512Lut16 { .. } => GROUP,
-            _ if self.seeds() => GROUP,
-            _ => 1,
+        if self.seeds() {
+            GROUP
+        } else {
+            1
         }
     }
 
-    /// Whether a scan with this kernel takes seeded visits: the `avx512`
-    /// gather over rows of two or four whole dwords, for every visitor
-    /// whose LUT has a u8 image (`ByteBound`).
+    /// Whether a scan with this kernel takes seeded visits, for every
+    /// visitor whose LUT has a u8 image (`ByteBound`): the `avx512` LUT16
+    /// kernel, and the `avx512` gather over rows of two or four whole
+    /// dwords.
     fn seeds(self) -> bool {
-        matches!(self, Kernel::Avx512Gather { nd: 2 | 4 })
+        matches!(
+            self,
+            Kernel::Avx512Lut16 { .. } | Kernel::Avx512Gather { nd: 2 | 4 }
+        )
     }
 
     /// Whether some dispatch selects this kernel for `codes` and a
@@ -753,23 +831,20 @@ pub fn scan_with(
 ///
 /// [`KernelDispatch::Scalar`] runs the seed path (per-score heap push)
 /// one visitor at a time. Under every other dispatch, the kernel the
-/// dispatch selects for the codes scores a block into one survivors sink
-/// per visitor, and only the kept lanes that still pass the live threshold
-/// are offered. Where the AVX-512 LUT16 kernel runs (nibble codes in 4- or
-/// 8-byte rows), up to four visitors share each block: one pass over the
-/// rows feeds every query's tables, and each query's survivors are offered
-/// to its own selector before the next block freezes thresholds. Where the
-/// AVX-512 gather kernel runs over 8- or 16-byte rows, up to four visitors
-/// share a seeded visit instead of tiles: each visitor's LUT is quantised
-/// into `scratch`, one pass over the rows gives every visitor with a u8
-/// image the byte sums it seeds and bounds its scan with, and each scores
-/// and offers its own candidates (a visitor without one is scanned in
-/// tiles). Every other kernel scans the visitors one after another, tile
-/// by tile. Either way each
-/// selector meets the same offers in the same order as a [`scan_with`] of
-/// its own, so every `top` and the returned tally (summed over the
-/// visitors) are bit-identical to that; every `top` is bit-identical on
-/// every dispatch (see the module docs).
+/// dispatch selects for the codes scores a block into a survivors sink,
+/// and only the kept lanes that still pass the live threshold are offered.
+/// Where an `avx512` kernel seeds — the LUT16 kernel over nibble codes in
+/// 4- or 8-byte rows, the gather over byte codes in 8- or 16-byte rows —
+/// up to four visitors share a seeded visit instead of tiles: each
+/// visitor's LUT is quantised into `scratch`, one pass over the rows gives
+/// every visitor with a u8 image the sums it seeds and bounds its scan
+/// with, and each scores and offers its own candidates (a visitor without
+/// one is scanned in tiles). Every other kernel scans the visitors one
+/// after another, tile by tile. Either way each selector meets the same
+/// offers in the same order as a [`scan_with`] of its own, so every `top`
+/// and the returned tally (summed over the visitors) are bit-identical to
+/// that; every `top` is bit-identical on every dispatch (see the module
+/// docs).
 ///
 /// # Panics
 ///
@@ -811,22 +886,25 @@ pub fn scan_group_with(
         };
     }
 
-    let group = kernel.group();
     // Candidates handed to `TopK::push`, and rows the bound rejected.
     let (mut offered, mut bound_rejected) = (0u64, 0u64);
-    for (luts, tops) in luts.chunks(group).zip(tops.chunks_mut(group)) {
-        if !kernel.seeds() {
-            offered += tiled_visit(kernel, codes, ids, luts, tops, &mut scratch.survivors);
-            continue;
-        }
-        let (seeded, rejected, imaged) = seeded_visits(kernel, codes, ids, luts, tops, scratch);
-        offered += seeded;
-        bound_rejected += rejected;
+    for (luts, tops) in luts
+        .chunks(kernel.group())
+        .zip(tops.chunks_mut(kernel.group()))
+    {
+        let imaged = if kernel.seeds() {
+            let (seeded, rejected, imaged) =
+                seeded_visits(kernel, kstar, codes, ids, luts, tops, scratch);
+            offered += seeded;
+            bound_rejected += rejected;
+            imaged
+        } else {
+            [false; GROUP]
+        };
         // A LUT with no u8 image (a non-finite entry, or every table
-        // constant) keeps the plain gather, tile by tile.
+        // constant) keeps the kernel's tiles.
         for ((lut, top), imaged) in luts.iter().zip(tops).zip(imaged) {
             if !imaged {
-                let (lut, top) = (std::slice::from_ref(lut), std::slice::from_mut(top));
                 offered += tiled_visit(kernel, codes, ids, lut, top, &mut scratch.survivors);
             }
         }
@@ -838,17 +916,16 @@ pub fn scan_group_with(
     }
 }
 
-/// Scans all of `codes` for a group of visitors — `luts[g]` into `tops[g]`
-/// — tile by tile: each tile is scored into one survivors sink per member
-/// against its threshold frozen for the tile, and the kept lanes are
-/// offered, one member after another, before the next tile. Returns how
-/// many candidates it offered.
+/// Scans all of `codes` for one visitor — `lut` into `top` — tile by tile:
+/// each tile is scored into a survivors sink against the threshold frozen
+/// for the tile, and the kept lanes are offered before the next tile.
+/// Returns how many candidates it offered.
 fn tiled_visit(
     kernel: Kernel,
     codes: &PackedCodes,
     ids: &[u64],
-    luts: &[Lut],
-    tops: &mut [TopK],
+    lut: &Lut,
+    top: &mut TopK,
     survivors: &mut Survivors,
 ) -> u64 {
     let (n, vb) = (codes.len(), codes.vector_bytes());
@@ -865,22 +942,21 @@ fn tiled_visit(
         if next < n {
             prefetch_read(codes.bytes(), next * vb, (n - next).min(TILE) * vb);
         }
-        let ids = &ids[start..next];
-        // The kernel filters against copies of the thresholds frozen for
-        // this tile. A live one only rises, so its frozen copy admits a
+        // The kernel filters against a copy of the threshold frozen for
+        // this tile. The live one only rises, so its frozen copy admits a
         // superset of what can still enter; each kept lane is re-checked
         // before it pays the push. `>=` (not `>`) keeps the
         // equal-score/lower-id tie-break exact.
-        let thresholds =
-            std::array::from_fn(|g| tops.get(g).map_or(f32::INFINITY, TopK::threshold));
-        let kept = {
-            let mut sinks = survivors.sinks(thresholds);
-            score_block(kernel, codes, start, count, luts, &mut sinks[..luts.len()])
-        };
-        for (g, top) in tops.iter_mut().enumerate() {
-            let (positions, scores) = survivors.kept(g, kept[g]);
-            offered += offer(top, ids, positions, scores);
-        }
+        let kept = score_block(
+            kernel,
+            codes,
+            start,
+            count,
+            lut,
+            &mut survivors.sink(top.threshold(), count),
+        );
+        let (positions, scores) = survivors.kept(kept);
+        offered += offer(top, &ids[start..next], positions, scores);
         start = next;
     }
     offered
@@ -901,17 +977,18 @@ fn offer(top: &mut TopK, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 
 }
 
 /// The seeded visit (module docs, "Why a seeded threshold is exact") of
-/// every member of a visitor group — `luts[g]` into `tops[g]` — whose LUT
-/// has a u8 image: the images are quantised into `scratch`; one byte-sum
-/// pass over the rows gives each member every row's byte sum and
-/// [`SEED_GROUPS`] disjoint groups' maxima; then, one member after
-/// another, the threshold is the higher of its selector's and its seed
-/// where there is one, every row whose byte sum can reach it is scored
+/// every member of a visitor group — `luts[g]` into `tops[g]`, tables of
+/// `kstar` entries — whose LUT has a u8 image: the images are quantised
+/// into `scratch`; one byte-sum pass over the rows gives each member every
+/// row's stored sum and [`SEED_GROUPS`] disjoint groups' maxima; then, one
+/// member after another, the threshold is the higher of its selector's and
+/// its seed where there is one, every row whose sum can reach it is scored
 /// exactly into one cluster-wide candidate list, and the kept lanes are
 /// offered in ascending position. Returns `(offered, rows never scored,
 /// which members it visited)`.
 fn seeded_visits(
     kernel: Kernel,
+    kstar: usize,
     codes: &PackedCodes,
     ids: &[u64],
     luts: &[Lut],
@@ -919,14 +996,14 @@ fn seeded_visits(
     scratch: &mut ScanScratch,
 ) -> (u64, u64, [bool; GROUP]) {
     let n = codes.len();
-    let image_bytes = codes.m() * 256;
-    if scratch.tables.len() < luts.len() * image_bytes {
-        scratch.tables.resize(luts.len() * image_bytes, 0);
+    let image_len = ByteBound::image_len(kstar, codes.m());
+    if scratch.tables.len() < luts.len() * image_len {
+        scratch.tables.resize(luts.len() * image_len, 0);
     }
     let mut images = [None; GROUP];
     for ((lut, tables), image) in luts
         .iter()
-        .zip(scratch.tables.chunks_exact_mut(image_bytes))
+        .zip(scratch.tables.chunks_exact_mut(image_len))
         .zip(&mut images)
     {
         *image = ByteBound::quantise(kernel, lut, tables);
@@ -942,9 +1019,9 @@ fn seeded_visits(
             .seed(&maxima[g], n, top.k())
             .map_or(floor, |seed| seed.max(floor));
         let sums = &scratch.sums[g * padded..(g + 1) * padded];
-        let mut sink = scratch.survivors.whole(threshold, n);
+        let mut sink = scratch.survivors.sink(threshold, n);
         let (kept, never_scored) = image.survivors(codes, 0, n, lut, sums, &mut sink);
-        let (positions, scores) = scratch.survivors.kept(0, kept);
+        let (positions, scores) = scratch.survivors.kept(kept);
         offered += offer(top, ids, positions, scores);
         rejected += never_scored as u64;
     }
@@ -1050,10 +1127,9 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
     sum + lut.bias()
 }
 
-/// Scores vectors `[start, start + count)` against each of `luts` with
-/// `kernel` into the sink beside it; returns how many scores each sink
-/// received (`count` for [`Sink::Tile`], the survivor count for
-/// [`Sink::Survivors`]), in `luts` order.
+/// Scores vectors `[start, start + count)` against `lut` with `kernel`
+/// into `sink`; returns how many scores the sink received (`count` for
+/// [`Sink::Tile`], the survivor count for [`Sink::Survivors`]).
 ///
 /// Whatever rows a kernel leaves — the blocked kernel's last `count % 4`,
 /// the AVX2 kernel's past its last whole 32-vector chunk (all of them for
@@ -1063,72 +1139,53 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if `luts` is empty, longer than [`GROUP`] or not as long as
-/// `sinks`, `kernel` does not fit the codes and a LUT ([`Kernel::fits`]),
-/// the host lacks the ISA a SIMD kernel needs, u4 codes meet a
-/// non-16-entry LUT under any kernel but [`Kernel::Scalar`] (the row loop
-/// reads each table at its own stride), a LUT has fewer tables than the
-/// codes have subquantizers, the range exceeds `codes.len()`, a tile is
-/// shorter than `count` or a survivors slice shorter than
-/// `count + SINK_SLACK`.
+/// Panics if `kernel` does not fit the codes and the LUT
+/// ([`Kernel::fits`]), the host lacks the ISA a SIMD kernel needs, u4
+/// codes meet a non-16-entry LUT under any kernel but [`Kernel::Scalar`]
+/// (the row loop reads each table at its own stride), the LUT has fewer
+/// tables than the codes have subquantizers, the range exceeds
+/// `codes.len()`, a tile is shorter than `count` or a survivors slice
+/// shorter than `count + SINK_SLACK`.
 fn score_block(
     kernel: Kernel,
     codes: &PackedCodes,
     start: usize,
     count: usize,
-    luts: &[Lut],
-    sinks: &mut [Sink<'_>],
-) -> [usize; GROUP] {
-    let (m, width, vb) = (codes.m(), codes.width(), codes.vector_bytes());
-    let group = luts.len();
+    lut: &Lut,
+    sink: &mut Sink<'_>,
+) -> usize {
+    let (m, width, vb, kstar) = (codes.m(), codes.width(), codes.vector_bytes(), lut.kstar());
     assert!(
-        (1..=GROUP).contains(&group) && sinks.len() == group,
-        "{group} LUTs for {} sinks",
-        sinks.len()
+        kernel.fits(codes, kstar),
+        "{kernel:?} cannot score {width:?} codes, m = {m}, k* = {kstar}"
     );
-    for lut in luts {
-        let kstar = lut.kstar();
-        assert!(
-            kernel.fits(codes, kstar),
-            "{kernel:?} cannot score {width:?} codes, m = {m}, k* = {kstar}"
-        );
-        if width == CodeWidth::U4 && kernel != Kernel::Scalar {
-            assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
-        }
-        assert!(m * kstar <= lut.entries().len());
+    if width == CodeWidth::U4 && kernel != Kernel::Scalar {
+        assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
     }
+    assert!(m * kstar <= lut.entries().len());
     let bytes = codes.bytes();
     assert!((start + count) * vb <= bytes.len());
     assert!(
         count.max(64) * vb <= i32::MAX as usize,
         "row offsets must fit an i32"
     );
-    for sink in sinks.iter() {
-        match sink {
-            Sink::Tile(out) => assert!(count <= out.len()),
-            Sink::Survivors {
-                positions, scores, ..
-            } => assert!(
-                count + SINK_SLACK <= positions.len().min(scores.len()),
-                "survivors buffers need {SINK_SLACK} slots of slack"
-            ),
-        }
+    match sink {
+        Sink::Tile(out) => assert!(count <= out.len()),
+        Sink::Survivors {
+            positions, scores, ..
+        } => assert!(
+            count + SINK_SLACK <= positions.len().min(scores.len()),
+            "survivors buffers need {SINK_SLACK} slots of slack"
+        ),
     }
 
-    let mut written = [0; GROUP];
-    // Every kernel but the AVX-512 LUT16 one runs once per table.
-    let done = match kernel {
-        Kernel::Scalar => 0,
-        Kernel::Blocked => {
-            let mut done = count;
-            for ((lut, sink), written) in luts.iter().zip(sinks.iter_mut()).zip(&mut written) {
-                (done, *written) = blocked::score_block(codes, start, count, lut, sink);
-            }
-            done
-        }
+    let (entries, bias) = (lut.entries(), lut.bias());
+    let (done, mut written) = match kernel {
+        Kernel::Scalar => (0, 0),
+        Kernel::Blocked => blocked::score_block(codes, start, count, lut, sink),
         // Off x86-64 there is no SIMD kernel: the row loop scores the block.
         #[cfg(not(target_arch = "x86_64"))]
-        _ => 0,
+        _ => (0, 0),
         #[cfg(target_arch = "x86_64")]
         _ => {
             let isa_detected = match kernel {
@@ -1136,79 +1193,43 @@ fn score_block(
                 _ => KernelDispatch::Avx512.is_available(),
             };
             assert!(isa_detected, "SIMD kernel on a host without its ISA");
-            /// The grouped LUT16 kernel over rows of `$nd` dwords for the
-            /// `$q` tables of the group.
-            macro_rules! lut16 {
-                ($nd:literal, $q:literal) => {{
-                    let sinks: &mut [Sink<'_>; $q] = sinks.try_into().expect("one sink per LUT");
-                    let kept = avx512::lut16_kernel::<$nd, $q>(
-                        m,
-                        bytes,
-                        start,
-                        count,
-                        std::array::from_fn(|q| luts[q].entries()),
-                        std::array::from_fn(|q| luts[q].bias()),
-                        sinks,
-                    );
-                    written[..$q].copy_from_slice(&kept);
-                    count
-                }};
-            }
             // SAFETY: `isa_detected` (asserted just above) is the feature
             // set of whichever kernel the match calls (the `avx512` level
             // covers the `popcnt` of the AVX-512 sinks). `kernel.fits`
-            // (asserted for every LUT at the top) is the shape each kernel
-            // assumes: for the gather kernel, byte codes with `m >= 4`
-            // against 256-entry tables, so every byte code indexes inside
-            // its table, in rows of exactly `4 * nd` bytes for the `nd` 2
-            // and 4 arms; for the AVX-512 LUT16 kernel, nibble rows of
-            // `vb = 4 * nd` bytes, with `nd` the arm taken, and 16-entry
-            // tables (the u4 assert); the group's length is the `$q` of its
-            // arm. The range, table-count, row-offset and sink-length
-            // asserts at the top of this function are the kernels' other
-            // preconditions.
+            // (asserted at the top) is the shape each kernel assumes: for
+            // the gather kernel, byte codes with `m >= 4` against
+            // 256-entry tables, so every byte code indexes inside its
+            // table, in rows of exactly `4 * nd` bytes for the `nd` 2 and
+            // 4 arms; for the AVX-512 LUT16 kernel, nibble rows of `vb = 4
+            // * nd` bytes, with `nd` the arm taken, and 16-entry tables
+            // (the u4 assert). The range, table-count, row-offset and
+            // sink-length asserts at the top of this function are the
+            // kernels' other preconditions.
             unsafe {
-                match (kernel, group) {
-                    (Kernel::Avx512Lut16 { nd: 1 }, 1) => lut16!(1, 1),
-                    (Kernel::Avx512Lut16 { nd: 1 }, 2) => lut16!(1, 2),
-                    (Kernel::Avx512Lut16 { nd: 1 }, 3) => lut16!(1, 3),
-                    (Kernel::Avx512Lut16 { nd: 1 }, 4) => lut16!(1, 4),
-                    (Kernel::Avx512Lut16 { nd: 2 }, 1) => lut16!(2, 1),
-                    (Kernel::Avx512Lut16 { nd: 2 }, 2) => lut16!(2, 2),
-                    (Kernel::Avx512Lut16 { nd: 2 }, 3) => lut16!(2, 3),
-                    (Kernel::Avx512Lut16 { nd: 2 }, 4) => lut16!(2, 4),
-                    (Kernel::Avx2Lut16 | Kernel::Avx512Gather { .. }, _) => {
-                        let mut done = count;
-                        for ((lut, sink), written) in luts.iter().zip(&mut *sinks).zip(&mut written)
-                        {
-                            let (entries, bias) = (lut.entries(), lut.bias());
-                            (done, *written) = match kernel {
-                                Kernel::Avx2Lut16 => avx2::lut16_kernel(
-                                    m, vb, bytes, start, count, entries, bias, sink,
-                                ),
-                                Kernel::Avx512Gather { nd: 2 } => avx512::gather_kernel::<2>(
-                                    m, bytes, start, count, entries, bias, sink,
-                                ),
-                                Kernel::Avx512Gather { nd: 4 } => avx512::gather_kernel::<4>(
-                                    m, bytes, start, count, entries, bias, sink,
-                                ),
-                                _ => avx512::gather_kernel::<0>(
-                                    m, bytes, start, count, entries, bias, sink,
-                                ),
-                            };
-                        }
-                        done
+                match kernel {
+                    Kernel::Avx2Lut16 => {
+                        avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, sink)
                     }
-                    _ => unreachable!("{kernel:?} for a group of {group}"),
+                    Kernel::Avx512Lut16 { nd: 1 } => {
+                        avx512::lut16_kernel::<1>(m, bytes, start, count, entries, bias, sink)
+                    }
+                    Kernel::Avx512Lut16 { .. } => {
+                        avx512::lut16_kernel::<2>(m, bytes, start, count, entries, bias, sink)
+                    }
+                    Kernel::Avx512Gather { nd: 2 } => {
+                        avx512::gather_kernel::<2>(m, bytes, start, count, entries, bias, sink)
+                    }
+                    Kernel::Avx512Gather { nd: 4 } => {
+                        avx512::gather_kernel::<4>(m, bytes, start, count, entries, bias, sink)
+                    }
+                    _ => avx512::gather_kernel::<0>(m, bytes, start, count, entries, bias, sink),
                 }
             }
         }
     };
 
-    for ((lut, sink), written) in luts.iter().zip(sinks.iter_mut()).zip(&mut written) {
-        for j in done..count {
-            *written = sink.put(*written, j, score_row(codes, lut, start + j));
-        }
+    for j in done..count {
+        written = sink.put(written, j, score_row(codes, lut, start + j));
     }
     written
 }
@@ -1240,8 +1261,8 @@ pub fn score_all_with(codes: &PackedCodes, lut: &Lut, dispatch: KernelDispatch) 
             codes,
             block * TILE,
             count,
-            std::slice::from_ref(lut),
-            &mut [Sink::Tile(tile)],
+            lut,
+            &mut Sink::Tile(tile),
         );
     }
     out
@@ -1722,22 +1743,21 @@ mod tests {
     /// only `+inf` scores reach, and, at the edge of the `avx512` bound
     /// pass, each block's own best score, a middle one, and the next f32
     /// above and below each — and nothing is written past the sink's
-    /// `count + SINK_SLACK` slots. Each block is scored for groups of one
-    /// to [`GROUP`] tables at once, every member against its own table
-    /// and its own threshold, each threshold at every member position; a
-    /// byte-code table goes through its u8 image where it has one (one
-    /// byte-sum pass for the group's images, then each member's bounded
-    /// gather), as a seeded visit does.
-    /// Nibble shapes cover both AVX-512 row loads (`m` 7
-    /// and 8: 4-byte rows; 16: 8-byte), the width it hands to AVX2 (`m`
-    /// 24) and one wider than AVX2 keeps per lane, which it leaves whole
-    /// to the row loop (`m` 66); byte shapes cover the gather kernel with
-    /// gathered whole dwords (`m` 4), loaded rows and the u8 image (`m`
-    /// 8, 16) and the shifted last dword (`m` 5, 7, 17), and the blocked
-    /// kernel under every dispatch (`m` 2 against a 40-entry table).
-    /// Counts sit on both sides of the four-row group, the 16-lane group,
-    /// the 32- and 64-lane chunks and a whole tile; tables come from every
-    /// one of [`FAMILIES`].
+    /// `count + SINK_SLACK` slots. A table goes through its u8 image where
+    /// it has one, as a seeded visit does: one byte-sum pass for a group
+    /// of one to [`GROUP`] images, every member with its own table and its
+    /// own threshold, each threshold at every member position, then each
+    /// member's bounded exact step; a table without one is scored by
+    /// [`score_block`]. Nibble shapes cover both AVX-512 row loads and
+    /// images (`m` 7 and 8: 4-byte rows; 16: 8-byte), the width it hands
+    /// to AVX2 (`m` 24) and one wider than AVX2 keeps per lane, which it
+    /// leaves whole to the row loop (`m` 66); byte shapes cover the gather
+    /// kernel with gathered whole dwords (`m` 4), loaded rows and the u8
+    /// image (`m` 8, 16) and the shifted last dword (`m` 5, 7, 17), and
+    /// the blocked kernel under every dispatch (`m` 2 against a 40-entry
+    /// table). Counts sit on both sides of the four-row group, the 16-lane
+    /// group, the 32- and 64-lane chunks and a whole tile; tables come from
+    /// every one of [`FAMILIES`].
     #[test]
     fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
         const GUARD: usize = 8;
@@ -1759,14 +1779,9 @@ mod tests {
             (CodeWidth::U8, 17, 256),
         ];
         let (mut tables, mut sums) = (vec![0; GROUP * 16 * 256], Vec::new());
-        let mut rejected = 0;
+        let mut rejected = [0; 2];
         for (width, m, kstar) in shapes {
-            let families: &[&str] = if width == CodeWidth::U8 {
-                &FAMILIES
-            } else {
-                &FAMILIES[..1]
-            };
-            for family in families {
+            for family in FAMILIES {
                 let luts: Vec<Lut> = (0..GROUP)
                     .map(|_| lut_of(&family_words(&mut rng, family, m, kstar), m, kstar))
                     .collect();
@@ -1780,33 +1795,25 @@ mod tests {
                             .iter()
                             .map(|lut| {
                                 let mut tile = vec![0.0f32; n];
-                                let stored = score_block(
-                                    kernel,
-                                    &codes,
-                                    start,
-                                    n,
-                                    std::slice::from_ref(lut),
-                                    &mut [Sink::Tile(&mut tile)],
-                                );
-                                assert_eq!(stored[0], n);
+                                let mut sink = Sink::Tile(&mut tile);
+                                let stored = score_block(kernel, &codes, start, n, lut, &mut sink);
+                                assert_eq!(stored, n);
                                 tile
                             })
                             .collect();
-                        // Per member: the fixed thresholds, then (byte
-                        // codes) its own tile's best and middle finite
-                        // scores with their f32 neighbours.
+                        // Per member: the fixed thresholds, then its own
+                        // tile's best and middle finite scores with their
+                        // f32 neighbours.
                         let thresholds: Vec<Vec<f32>> = tiles
                             .iter()
                             .map(|tile| {
                                 let mut list = fixed.to_vec();
-                                if width == CodeWidth::U8 {
-                                    let mut finite: Vec<f32> =
-                                        tile.iter().copied().filter(|s| s.is_finite()).collect();
-                                    finite.sort_by(f32::total_cmp);
-                                    for at in [finite.len().saturating_sub(1), finite.len() / 2] {
-                                        let t = finite.get(at).copied().unwrap_or(0.0);
-                                        list.extend([t, t.next_up(), t.next_down()]);
-                                    }
+                                let mut finite: Vec<f32> =
+                                    tile.iter().copied().filter(|s| s.is_finite()).collect();
+                                finite.sort_by(f32::total_cmp);
+                                for at in [finite.len().saturating_sub(1), finite.len() / 2] {
+                                    let t = finite.get(at).copied().unwrap_or(0.0);
+                                    list.extend([t, t.next_up(), t.next_down()]);
                                 }
                                 list
                             })
@@ -1825,59 +1832,41 @@ mod tests {
                                         )
                                     })
                                     .collect();
-                                let mut sinks: Vec<Sink<'_>> = buffers
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(g, (positions, scores))| Sink::Survivors {
-                                        threshold: threshold(g),
-                                        positions,
-                                        scores,
-                                    })
-                                    .collect();
                                 let images: Vec<Option<ByteBound>> = luts[..group]
                                     .iter()
                                     .zip(tables.chunks_exact_mut(16 * 256))
                                     .map(|(lut, tables)| ByteBound::quantise(kernel, lut, tables))
                                     .collect();
-                                let kept = if images.iter().any(Option::is_some) {
+                                if images.iter().any(Option::is_some) {
                                     ByteBound::byte_sums(&images, &codes, start, n, &mut sums);
-                                    let padded = whole_chunks(n);
-                                    let mut kept = [0; GROUP];
-                                    for (g, image) in images.iter().enumerate() {
-                                        let sink = &mut sinks[g..=g];
-                                        kept[g] = match image {
+                                }
+                                let padded = whole_chunks(n);
+                                let kept: Vec<usize> = buffers
+                                    .iter_mut()
+                                    .zip(&images)
+                                    .enumerate()
+                                    .map(|(g, ((positions, scores), image))| {
+                                        let mut sink = Sink::Survivors {
+                                            threshold: threshold(g),
+                                            positions,
+                                            scores,
+                                        };
+                                        let lut = &luts[g];
+                                        match image {
                                             Some(image) => {
                                                 let sums = &sums[g * padded..][..padded];
-                                                let lut = &luts[g];
                                                 let (kept, skipped) = image.survivors(
-                                                    &codes,
-                                                    start,
-                                                    n,
-                                                    lut,
-                                                    sums,
-                                                    &mut sink[0],
+                                                    &codes, start, n, lut, sums, &mut sink,
                                                 );
-                                                rejected += skipped;
+                                                rejected[usize::from(kstar == 16)] += skipped;
                                                 kept
                                             }
-                                            None => {
-                                                let lut = &luts[g..=g];
-                                                score_block(kernel, &codes, start, n, lut, sink)[0]
-                                            }
-                                        };
-                                    }
-                                    kept
-                                } else {
-                                    score_block(
-                                        kernel,
-                                        &codes,
-                                        start,
-                                        n,
-                                        &luts[..group],
-                                        &mut sinks,
-                                    )
-                                };
-                                drop(sinks);
+                                            None => score_block(
+                                                kernel, &codes, start, n, lut, &mut sink,
+                                            ),
+                                        }
+                                    })
+                                    .collect();
                                 for (g, (positions, scores)) in buffers.iter().enumerate() {
                                     let at = format!(
                                         "{width:?} m={m} {family} n={n} member {g} of {group} threshold={} {} {kernel:?}",
@@ -1912,19 +1901,55 @@ mod tests {
                 }
             }
         }
-        // The bounded gather ran and rejected rows wherever the host has it.
-        assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+        // The bounded steps ran and rejected rows at both table sizes
+        // wherever the host has them.
+        for rejected in rejected {
+            assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+        }
+    }
+
+    /// The shapes that take seeded visits under `avx512`, as `(code width,
+    /// m, k*)`: byte codes in 8- and 16-byte rows, nibble codes in 4-byte
+    /// rows (`m` 7, with a padding nibble, and 8) and 8-byte rows.
+    const SEEDED_SHAPES: [(CodeWidth, usize, usize); 5] = [
+        (CodeWidth::U8, 8, 256),
+        (CodeWidth::U8, 16, 256),
+        (CodeWidth::U4, 7, 16),
+        (CodeWidth::U4, 8, 16),
+        (CodeWidth::U4, 16, 16),
+    ];
+
+    /// A row's byte sum `Q` against `bound`'s image, and the sum the pass
+    /// stores for it: `Q` itself for byte codes, the half sum
+    /// `Σ_b ⌈(q_2b + q_2b+1) / 2⌉` over its bytes for nibble codes (a
+    /// table past `m` contributes 0).
+    fn image_sums(bound: &ByteBound, row: &[u8]) -> (u16, u16) {
+        let byte = |i: usize| {
+            row.get(i)
+                .map_or(0, |&c| u16::from(bound.byte(i, c as usize)))
+        };
+        let q: u16 = (0..row.len()).map(byte).sum();
+        if bound.kstar == 256 {
+            return (q, q);
+        }
+        let half = (0..bound.row_bytes())
+            .map(|b| (byte(2 * b) + byte(2 * b + 1)).div_ceil(2))
+            .sum();
+        (q, half)
     }
 
     /// The bound pass's premise, row by row: for LUTs of every finite
-    /// family at the bounded shapes (`m` 8 and 16) and biases from zero to
-    /// `±1e6` and subnormal, a row whose exact f32 score — summed in `i =
-    /// 0..m` order, bias added last — is the threshold is never rejected:
-    /// its byte sum reaches [`ByteBound::min_sum`] of its own score, so
-    /// the u8 upper bound is at least the score. Rows are random, all-zero,
-    /// all-255 and each table's best code; the bound must also be tight
-    /// enough to reject the worst random row against the best on the
-    /// `uniform` family.
+    /// family at the seeded shapes ([`SEEDED_SHAPES`]: 256-entry and
+    /// 16-entry images) and biases from zero to `±1e6` and subnormal, a row
+    /// whose exact f32 score — summed in `i = 0..m` order, bias added last
+    /// — is the threshold is never rejected: its byte sum reaches
+    /// [`ByteBound::min_sum`] of its own score, so the u8 upper bound is at
+    /// least the score, and so does the sum the pass stores for it (a
+    /// nibble row's half sum) against [`ByteBound::least_stored`]. Rows
+    /// are random, all-zero, all-top, alternating zero and top (where the
+    /// half sum's slack is spent) and each table's best code; the bound
+    /// must also be tight enough to reject the worst random row against
+    /// the best on the `uniform` family.
     #[test]
     fn byte_bound_is_at_least_the_exact_score_of_every_row() {
         if !KernelDispatch::Avx512.is_available() {
@@ -1932,13 +1957,13 @@ mod tests {
         }
         let mut rng = anna_testkit::TestRng::new(0xB0_0D);
         let mut tables = vec![0; 16 * 256];
-        for m in [8usize, 16] {
-            let codes = PackedCodes::new(m, CodeWidth::U8);
-            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+        for (width, m, kstar) in SEEDED_SHAPES {
+            let codes = PackedCodes::new(m, width);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, kstar);
             for family in FAMILIES {
                 for bias in [0.0f32, 1e6, -1e6, 3.5, f32::from_bits(1)] {
-                    let words = family_words(&mut rng, family, m, 256);
-                    let lut = lut_of(&words, m, 256).with_bias(bias);
+                    let words = family_words(&mut rng, family, m, kstar);
+                    let lut = lut_of(&words, m, kstar).with_bias(bias);
                     let Some(bound) = ByteBound::quantise(kernel, &lut, &mut tables) else {
                         assert!(
                             matches!(family, "hostile" | "constant"),
@@ -1947,47 +1972,62 @@ mod tests {
                         continue;
                     };
                     let mut rows: Vec<Vec<u8>> = (0..2_000)
-                        .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
+                        .map(|_| (0..m).map(|_| rng.below(kstar as u64) as u8).collect())
                         .collect();
                     rows.push(vec![0; m]);
-                    rows.push(vec![255; m]);
+                    rows.push(vec![(kstar - 1) as u8; m]);
+                    // Codes 0 and the last alternating: on the `steps`
+                    // family both sit exactly on a step, and every nibble
+                    // pair sums odd, so the half sum's `2H − vb` is the
+                    // byte sum itself.
+                    for first in [0, kstar - 1] {
+                        rows.push(
+                            (0..m)
+                                .map(|i| (first ^ (i % 2 * (kstar - 1))) as u8)
+                                .collect(),
+                        );
+                    }
                     rows.push(
                         (0..m)
                             .map(|i| {
-                                let table = &lut.entries()[i * 256..(i + 1) * 256];
-                                (0..256)
+                                let table = &lut.entries()[i * kstar..(i + 1) * kstar];
+                                (0..kstar)
                                     .max_by(|&a, &b| table[a].total_cmp(&table[b]))
                                     .unwrap() as u8
                             })
                             .collect(),
                     );
-                    let scored: Vec<(f32, u32)> = rows
+                    let scored: Vec<(f32, u16, u16)> = rows
                         .iter()
                         .map(|row| {
                             let mut score = 0.0f32;
-                            let mut sum = 0u32;
                             for (i, &c) in row.iter().enumerate() {
                                 score += lut.get(i, c as usize);
-                                sum += u32::from(bound.tables[i * 256 + c as usize]);
                             }
-                            (score + lut.bias(), sum)
+                            let (sum, stored) = image_sums(&bound, row);
+                            (score + lut.bias(), sum, stored)
                         })
                         .collect();
-                    for (row, &(score, sum)) in rows.iter().zip(&scored) {
+                    for (row, &(score, sum, stored)) in rows.iter().zip(&scored) {
                         if let Some(least) = bound.min_sum(score) {
+                            let at = format!(
+                                "{family} m={m} k*={kstar} bias={bias} row {row:?}: score {score}"
+                            );
+                            assert!(sum >= least, "{at}, bytes {sum} < {least}");
                             assert!(
-                                sum >= u32::from(least),
-                                "{family} m={m} bias={bias} row {row:?}: score {score}, bytes {sum} < {least}"
+                                stored >= bound.least_stored(least),
+                                "{at}, stored {stored} < {}",
+                                bound.least_stored(least)
                             );
                         }
                     }
                     if family == "uniform" {
                         let best = scored.iter().map(|s| s.0).fold(f32::MIN, f32::max);
                         let least = bound.min_sum(best).expect("a finite best score");
-                        let worst = scored.iter().map(|s| s.1).min().unwrap();
+                        let worst = scored.iter().map(|s| s.2).min().unwrap();
                         assert!(
-                            worst < u32::from(least),
-                            "m={m} bias={bias}: nothing rejected"
+                            worst < bound.least_stored(least),
+                            "m={m} k*={kstar} bias={bias}: nothing rejected"
                         );
                     }
                 }
@@ -1995,32 +2035,45 @@ mod tests {
         }
     }
 
-    /// The byte-sum pass's transpose puts row `r` of a chunk in byte lane
-    /// `row_lanes[r]` of every subquantizer's register, as the candidate
-    /// mask's `vpermb` assumes: a block whose row `r` has code `r` for
-    /// every subquantizer, against tables that map code `c` to byte `c`,
-    /// bounds each row by its own index, so a threshold between two rows
-    /// rejects exactly the rows below it.
+    /// The candidate step puts row `r` of a chunk where the sum pass left
+    /// it ([`avx512::BYTE_SLOTS`], [`avx512::NIBBLE_SLOTS`]): a block whose
+    /// row `r` has one code `v(r)` for every subquantizer — `r` itself for
+    /// byte codes, a scrambled nibble for nibble codes, so that no two
+    /// rows of a register or a slot pattern share it by construction —
+    /// against tables whose image is the code's own byte (`c`, or `17·c`
+    /// at `k* = 16`), bounds each row by its own score, so a threshold
+    /// between two rows rejects exactly the rows below it.
     #[test]
     fn bound_pass_rejects_exactly_the_rows_below_its_threshold() {
         if !KernelDispatch::Avx512.is_available() {
             return;
         }
         let (mut tables, mut sums) = (vec![0; 16 * 256], Vec::new());
-        for m in [8usize, 16] {
-            // Table i's entry c is c (the image is then `c` itself, up to
-            // the shared scale), so a row's score is `m · r`.
-            let words: Vec<f32> = (0..m).flat_map(|_| (0..256).map(|c| c as f32)).collect();
-            let lut = lut_of(&words, m, 256);
-            let mut codes = PackedCodes::new(m, CodeWidth::U8);
-            for r in 0..200u8 {
-                codes.push(&vec![r; m]);
+        for (width, m, kstar) in SEEDED_SHAPES {
+            // Table i's entry c is c (or 17c over sixteen entries): the
+            // image is that entry itself, so a row's score is `m` steps of
+            // its code.
+            let step = 255 / (kstar - 1);
+            let words: Vec<f32> = (0..m)
+                .flat_map(|_| (0..kstar).map(|c| (step * c) as f32))
+                .collect();
+            let lut = lut_of(&words, m, kstar);
+            let code = |r: usize| {
+                if kstar == 256 {
+                    r
+                } else {
+                    ((r * 37) ^ (r >> 3)) % 16
+                }
+            };
+            let mut codes = PackedCodes::new(m, width);
+            for r in 0..200 {
+                codes.push(&vec![code(r) as u8; m]);
             }
-            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, kstar);
             for (start, n) in [(0, 64), (0, 200), (7, 150), (130, 70)] {
-                for cut in [0usize, 1, 31, 63, 64, 100, 199] {
+                for cut in [0usize, 1, 7, 15, 31, 63, 64, 100, 199] {
                     let bound = ByteBound::quantise(kernel, &lut, &mut tables).expect("an image");
-                    let threshold = (m * cut) as f32;
+                    let threshold = (m * step * cut) as f32;
                     let mut positions = vec![0u32; n + SINK_SLACK];
                     let mut scores = vec![0.0f32; n + SINK_SLACK];
                     let mut sink = Sink::Survivors {
@@ -2032,19 +2085,16 @@ mod tests {
                     let (kept, rejected) =
                         bound.survivors(&codes, start, n, &lut, &sums, &mut sink);
                     let want: Vec<u32> = (0..n as u32)
-                        .filter(|&j| start + j as usize >= cut)
+                        .filter(|&j| code(start + j as usize) >= cut)
                         .collect();
-                    assert_eq!(
-                        positions[..kept],
-                        want[..],
-                        "m={m} start={start} n={n} cut={cut}"
-                    );
+                    let at = format!("m={m} k*={kstar} start={start} n={n} cut={cut}");
+                    assert_eq!(positions[..kept], want[..], "{at}");
                     // The bound is within a byte step or two of the
                     // score, so it rejects nearly every row below the cut.
                     let below = n - want.len();
                     assert!(
                         rejected <= below && rejected + 2 >= below,
-                        "m={m} cut={cut}: {rejected} of {below}"
+                        "{at}: {rejected} of {below}"
                     );
                 }
             }
@@ -2053,11 +2103,16 @@ mod tests {
 
     /// The seed's premise, row by row, mirroring
     /// [`byte_bound_is_at_least_the_exact_score_of_every_row`]: for LUTs of
-    /// every finite family at the seeded shapes (`m` 8 and 16) and biases
-    /// from zero to `±1e6` and subnormal, [`ByteBound::lower`] of a row's
-    /// byte sum is at most its exact f32 score — summed in `i = 0..m`
-    /// order, bias added last. Rows are random, all-zero, all-255 and each
-    /// table's best and worst code; the bound must also be tight enough
+    /// every finite family at the seeded shapes ([`SEEDED_SHAPES`]) and
+    /// biases from zero to `±1e6` and subnormal, [`ByteBound::lower`] of a
+    /// row's byte sum is at most its exact f32 score — summed in `i =
+    /// 0..m` order, bias added last — and so is `lower` of what
+    /// [`ByteBound::guaranteed`] makes of the sum the pass stores for it (a
+    /// nibble row's half sum). Rows are random, all-zero, all-top,
+    /// alternating zero and top (on the `steps` family, rows whose byte sum
+    /// is exactly `2H − vb` and whose score is exactly its lower bound's
+    /// premise) and each table's best and worst code; the bound must also
+    /// be tight enough
     /// that the best row's lower bound beats the worst row's score on the
     /// `uniform` family.
     #[test]
@@ -2067,13 +2122,13 @@ mod tests {
         }
         let mut rng = anna_testkit::TestRng::new(0x10_3E);
         let mut tables = vec![0; 16 * 256];
-        for m in [8usize, 16] {
-            let codes = PackedCodes::new(m, CodeWidth::U8);
-            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+        for (width, m, kstar) in SEEDED_SHAPES {
+            let codes = PackedCodes::new(m, width);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, kstar);
             for family in FAMILIES {
                 for bias in [0.0f32, 1e6, -1e6, 3.5, f32::from_bits(1)] {
-                    let words = family_words(&mut rng, family, m, 256);
-                    let lut = lut_of(&words, m, 256).with_bias(bias);
+                    let words = family_words(&mut rng, family, m, kstar);
+                    let lut = lut_of(&words, m, kstar).with_bias(bias);
                     let Some(bound) = ByteBound::quantise(kernel, &lut, &mut tables) else {
                         assert!(
                             matches!(family, "hostile" | "constant"),
@@ -2082,52 +2137,67 @@ mod tests {
                         continue;
                     };
                     let mut rows: Vec<Vec<u8>> = (0..2_000)
-                        .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
+                        .map(|_| (0..m).map(|_| rng.below(kstar as u64) as u8).collect())
                         .collect();
                     rows.push(vec![0; m]);
-                    rows.push(vec![255; m]);
+                    rows.push(vec![(kstar - 1) as u8; m]);
+                    // Codes 0 and the last alternating: on the `steps`
+                    // family both sit exactly on a step, and every nibble
+                    // pair sums odd, so the half sum's `2H − vb` is the
+                    // byte sum itself.
+                    for first in [0, kstar - 1] {
+                        rows.push(
+                            (0..m)
+                                .map(|i| (first ^ (i % 2 * (kstar - 1))) as u8)
+                                .collect(),
+                        );
+                    }
                     for best in [true, false] {
                         rows.push(
                             (0..m)
                                 .map(|i| {
-                                    let table = &lut.entries()[i * 256..(i + 1) * 256];
+                                    let table = &lut.entries()[i * kstar..(i + 1) * kstar];
                                     let order =
                                         |a: &usize, b: &usize| table[*a].total_cmp(&table[*b]);
                                     let code = if best {
-                                        (0..256).max_by(order)
+                                        (0..kstar).max_by(order)
                                     } else {
-                                        (0..256).min_by(order)
+                                        (0..kstar).min_by(order)
                                     };
                                     code.unwrap() as u8
                                 })
                                 .collect(),
                         );
                     }
-                    let scored: Vec<(f32, u16)> = rows
+                    let scored: Vec<(f32, u16, u16)> = rows
                         .iter()
                         .map(|row| {
                             let mut score = 0.0f32;
-                            let mut sum = 0u16;
                             for (i, &c) in row.iter().enumerate() {
                                 score += lut.get(i, c as usize);
-                                sum += u16::from(bound.tables[i * 256 + c as usize]);
                             }
-                            (score + lut.bias(), sum)
+                            let (sum, stored) = image_sums(&bound, row);
+                            (score + lut.bias(), sum, stored)
                         })
                         .collect();
-                    for (row, &(score, sum)) in rows.iter().zip(&scored) {
+                    for (row, &(score, sum, stored)) in rows.iter().zip(&scored) {
+                        let at = format!(
+                            "{family} m={m} k*={kstar} bias={bias} row {row:?}: score {score}"
+                        );
                         let lower = bound.lower(sum);
                         assert!(
                             lower.is_finite() && lower <= score,
-                            "{family} m={m} bias={bias} row {row:?}: score {score} < lower({sum}) = {lower}"
+                            "{at} < lower({sum}) = {lower}"
                         );
+                        let lower = bound.lower(bound.guaranteed(stored));
+                        assert!(lower <= score, "{at} < lower of stored {stored} = {lower}");
                     }
                     if family == "uniform" {
-                        let best = scored.iter().map(|s| s.1).max().unwrap();
+                        let best = scored.iter().map(|s| s.2).max().unwrap();
                         let worst = scored.iter().map(|s| s.0).fold(f32::MAX, f32::min);
                         assert!(
-                            bound.lower(best) > worst,
-                            "m={m} bias={bias}: the lower bound is too loose to seed anything"
+                            bound.lower(bound.guaranteed(best)) > worst,
+                            "m={m} k*={kstar} bias={bias}: the lower bound is too loose to seed anything"
                         );
                     }
                 }
@@ -2135,18 +2205,20 @@ mod tests {
         }
     }
 
-    /// The byte-sum pass keeps every row of the block for every member of
-    /// a group: row `r`'s sum against member `g`'s image lands in member
-    /// `g`'s sums, in its chunk's sum slot for the lane the transpose put
-    /// it in, and each of member `g`'s [`SEED_GROUPS`] maxima is the
-    /// largest sum of its group — slot `w` of every chunk with the same
-    /// index mod 4 — or 0 for a group with no row. Groups of one to
-    /// [`GROUP`] members, some without an image (left out of the pass, 0
-    /// maxima), each member with tables of its own. Code 0 maps to the top
-    /// byte of every table, so the zero-code rows past the block's end
-    /// would dominate any maximum they entered. Counts sit on both sides
-    /// of a chunk, four chunks and the benchmark's list length, from the
-    /// stream's start and inside it.
+    /// The sum passes keep every row of the block for every member of a
+    /// group, against a scalar model ([`image_sums`]): row `r`'s stored sum
+    /// against member `g`'s image — its byte sum for byte codes, its half
+    /// sum for nibble codes — lands in member `g`'s sums, in its chunk's
+    /// sum slot ([`avx512::BYTE_SLOTS`], [`avx512::NIBBLE_SLOTS`]), and
+    /// each of member `g`'s [`SEED_GROUPS`] maxima is the largest sum of
+    /// its group — slot `w` of every chunk with the same index mod 4 — or 0
+    /// for a group with no row. Every seeded shape ([`SEEDED_SHAPES`]);
+    /// groups of one to [`GROUP`] members, some without an image (left out
+    /// of the pass, 0 maxima), each member with tables of its own. Code 0
+    /// maps to the top byte of every table, so the zero-code rows past the
+    /// block's end would dominate any maximum they entered. Counts sit on
+    /// both sides of a chunk, four chunks and the benchmark's list length,
+    /// from the stream's start and inside it.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn byte_sums_keep_every_row_and_each_groups_maximum() {
@@ -2162,21 +2234,24 @@ mod tests {
             &[true, false, true, false],
             &[true; GROUP],
         ];
-        for m in [8usize, 16] {
-            let codes = random_codes(&mut rng, m, CodeWidth::U8, 256, 3_125 + 5);
-            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, 256);
+        for (width, m, kstar) in SEEDED_SHAPES {
+            let codes = random_codes(&mut rng, m, width, kstar, 3_125 + 5);
+            let kernel = Kernel::select(KernelDispatch::Avx512, &codes, kstar);
             let images: Vec<ByteBound> = tables
                 .chunks_exact_mut(16 * 256)
                 .map(|tables| {
-                    let mut words = family_words(&mut rng, "uniform", m, 256);
-                    for table in words.chunks_mut(256) {
+                    let mut words = family_words(&mut rng, "uniform", m, kstar);
+                    for table in words.chunks_mut(kstar) {
                         table[0] = 9.0;
                     }
-                    let lut = lut_of(&words, m, 256);
+                    let lut = lut_of(&words, m, kstar);
                     ByteBound::quantise(kernel, &lut, tables).expect("an image")
                 })
                 .collect();
-            let lanes = avx512::ROW_LANES[m / 16];
+            let slots = match (width, codes.vector_bytes()) {
+                (CodeWidth::U8, vb) => avx512::BYTE_SLOTS[vb / 16],
+                (CodeWidth::U4, vb) => avx512::NIBBLE_SLOTS[vb / 8],
+            };
             let mut row = vec![0u8; m];
             for pattern in patterns {
                 let group: Vec<Option<ByteBound>> = pattern
@@ -2189,7 +2264,9 @@ mod tests {
                         let maxima = ByteBound::byte_sums(&group, &codes, start, n, &mut sums);
                         let padded = whole_chunks(n);
                         for (g, image) in group.iter().enumerate() {
-                            let at = format!("m={m} {pattern:?} member {g} start={start} n={n}");
+                            let at = format!(
+                                "m={m} k*={kstar} {pattern:?} member {g} start={start} n={n}"
+                            );
                             let mut want = [0u16; SEED_GROUPS];
                             let Some(image) = image else {
                                 assert_eq!(maxima[g], want, "{at}");
@@ -2197,13 +2274,8 @@ mod tests {
                             };
                             for r in 0..n {
                                 codes.read_into(start + r, &mut row);
-                                let sum: u16 = row
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, &c)| u16::from(image.tables[i * 256 + c as usize]))
-                                    .sum();
-                                let lane = usize::from(lanes[r % 64]);
-                                let slot = lane / 2 + 32 * (lane % 2);
+                                let (_, sum) = image_sums(image, &row);
+                                let slot = usize::from(slots[r % 64]);
                                 let got = sums[g * padded + 64 * (r / 64) + slot];
                                 assert_eq!(got, sum, "{at} row {r}");
                                 let group = &mut want[64 * ((r / 64) % 4) + slot];
@@ -2261,33 +2333,35 @@ mod tests {
     /// bit, for `n` ∈ {k − 1, k, 63, 64, 65, 255, 256, 257, 3125} × `k`
     /// ∈ {1, 100, 255, 256, 300} — with no seed where `n < k` or `k >=
     /// SEED_GROUPS` — over random rows and over one row repeated `n`
-    /// times, at `m` 8 and 16, for tables with a u8 image and without one
-    /// (`hostile`: a non-finite entry, the plain gather). This is also
-    /// the local check of the seeded visit's `unsafe` preconditions: the
-    /// byte sums padded to whole chunks and the candidate list of `n +
-    /// SINK_SLACK`, both grown in one reused scratch.
+    /// times, at every seeded shape ([`SEEDED_SHAPES`]: byte codes at `m`
+    /// 8 and 16, nibble codes at `m` 7, 8 and 16), for tables with a u8
+    /// image and without one (`hostile`: a non-finite entry, the kernel's
+    /// tiles). This is also the local check of the seeded visit's `unsafe`
+    /// preconditions: the sums padded to whole chunks and the candidate
+    /// list of `n + SINK_SLACK`, both grown in one reused scratch.
     #[test]
     fn seeded_visits_keep_the_oracle_top_k_at_the_edges() {
         let mut rng = anna_testkit::TestRng::new(0x5EED);
         let mut scratch = ScanScratch::new();
-        let mut rejected = 0;
-        for m in [8usize, 16] {
+        let mut rejected = [0; 2];
+        for (width, m, kstar) in SEEDED_SHAPES {
             for family in ["uniform", "steps", "hostile"] {
                 let luts: Vec<Lut> = (0..2)
-                    .map(|_| lut_of(&family_words(&mut rng, family, m, 256), m, 256))
+                    .map(|_| lut_of(&family_words(&mut rng, family, m, kstar), m, kstar))
                     .collect();
                 for k in [1usize, 100, 255, 256, 300] {
                     for n in [k - 1, k, 63, 64, 65, 255, 256, 257, 3_125] {
                         for repeated in [false, true] {
                             let codes = if repeated {
-                                let row: Vec<u8> = (0..m).map(|_| rng.below(256) as u8).collect();
-                                let mut codes = PackedCodes::new(m, CodeWidth::U8);
+                                let row: Vec<u8> =
+                                    (0..m).map(|_| rng.below(kstar as u64) as u8).collect();
+                                let mut codes = PackedCodes::new(m, width);
                                 for _ in 0..n {
                                     codes.push(&row);
                                 }
                                 codes
                             } else {
-                                random_codes(&mut rng, m, CodeWidth::U8, 256, n)
+                                random_codes(&mut rng, m, width, kstar, n)
                             };
                             // Distinct ids per visit, interleaved.
                             let ids: Vec<Vec<u64>> = (0..2u64)
@@ -2306,12 +2380,12 @@ mod tests {
                                         &mut scratch,
                                     );
                                     let at = format!(
-                                        "m={m} {family} k={k} n={n} repeated={repeated} visit {visit} {}",
+                                        "m={m} k*={kstar} {family} k={k} n={n} repeated={repeated} visit {visit} {}",
                                         dispatch.name()
                                     );
                                     assert_eq!(tally.scanned, n as u64, "{at}");
                                     assert!(tally.bound_rejected <= tally.pruned, "{at}");
-                                    rejected += tally.bound_rejected;
+                                    rejected[usize::from(kstar == 16)] += tally.bound_rejected;
                                     if dispatch == KernelDispatch::Scalar {
                                         oracle.push(kept(&top));
                                     } else {
@@ -2324,33 +2398,38 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+        for rejected in rejected {
+            assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
+        }
     }
 
     /// A visitor group's seeded visits are each member's own: for groups
     /// of up to five visitors (a full group and a lone one), some of whose
     /// LUTs have no u8 image (`hostile`, `constant`: those members take
-    /// the plain gather in tiles), one [`scan_group_with`] call leaves every
+    /// the kernel's tiles), one [`scan_group_with`] call leaves every
     /// selector exactly as a [`scan_with`] of its own does, and returns the
-    /// sum of their tallies, on every available dispatch, cold and warm.
+    /// sum of their tallies, on every available dispatch, cold and warm,
+    /// at every seeded shape ([`SEEDED_SHAPES`]).
     #[test]
     fn grouped_seeded_visits_are_each_members_own() {
         let mut rng = anna_testkit::TestRng::new(0x6_0_0_9);
         let (mut single, mut grouped) = (ScanScratch::new(), ScanScratch::new());
         let families = ["uniform", "hostile", "steps", "constant", "outlier"];
-        for m in [8usize, 16] {
+        for (width, m, kstar) in SEEDED_SHAPES {
             for n in [0usize, 1, 65, 257, 3_125] {
                 for k in [1usize, 100, 300] {
-                    let codes = random_codes(&mut rng, m, CodeWidth::U8, 256, n);
+                    let codes = random_codes(&mut rng, m, width, kstar, n);
                     let ids: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
                     for visitors in [1, 3, 5] {
                         let luts: Vec<Lut> = families[..visitors]
                             .iter()
-                            .map(|family| lut_of(&family_words(&mut rng, family, m, 256), m, 256))
+                            .map(|family| {
+                                lut_of(&family_words(&mut rng, family, m, kstar), m, kstar)
+                            })
                             .collect();
                         for dispatch in KernelDispatch::available() {
                             let at = format!(
-                                "m={m} n={n} k={k} {visitors} visitors {}",
+                                "m={m} k*={kstar} n={n} k={k} {visitors} visitors {}",
                                 dispatch.name()
                             );
                             let mut own: Vec<TopK> = (0..visitors).map(|_| TopK::new(k)).collect();
@@ -2383,7 +2462,9 @@ mod tests {
         }
     }
 
-    /// Ties at the seed: a cluster holding `k` + 1 copies of one row —
+    /// Ties at the seed, at `m = 16` over both table sizes (byte codes in
+    /// 16-byte rows, nibble codes in 8-byte rows): a cluster holding `k` +
+    /// 1 copies of one row —
     /// its best, or its `k/2`-th best — so that its `k`-th order statistic
     /// `S` is shared by at least `k` rows, scanned into a selector that is
     /// cold, or already holds `k` entries at `S` or one ulp above or below
@@ -2395,63 +2476,65 @@ mod tests {
         let mut rng = anna_testkit::TestRng::new(0x71E5);
         let mut scratch = ScanScratch::new();
         let m = 16;
-        let lut = lut_of(&family_words(&mut rng, "uniform", m, 256), m, 256);
-        let score = |row: &[u8]| {
-            let sum = row
-                .iter()
-                .enumerate()
-                .fold(0.0f32, |sum, (i, &c)| sum + lut.get(i, c as usize));
-            sum + lut.bias()
-        };
-        for k in [1usize, 10, 100, 255] {
-            let random: Vec<Vec<u8>> = (0..600)
-                .map(|_| (0..m).map(|_| rng.below(256) as u8).collect())
-                .collect();
-            let mut ranked = random.clone();
-            ranked.sort_by(|a, b| score(b).total_cmp(&score(a)));
-            for rank in [0, k / 2] {
-                let mut rows = random.clone();
-                for _ in 0..k {
-                    let at = rng.usize(0..rows.len() + 1);
-                    rows.insert(at, ranked[rank].clone());
-                }
-                let mut codes = PackedCodes::new(m, CodeWidth::U8);
-                for row in &rows {
-                    codes.push(row);
-                }
-                let ids: Vec<u64> = (0..rows.len() as u64).map(|i| 2 * i + 1).collect();
-                let mut scores: Vec<f32> = rows.iter().map(|row| score(row)).collect();
-                scores.sort_by(|a, b| b.total_cmp(a));
-                let kth = scores[k - 1];
-                assert_eq!(kth, score(&ranked[rank]));
-                let selectors = [None, Some(kth), Some(kth.next_up()), Some(kth.next_down())];
-                for held in selectors {
-                    let mut start = TopK::new(k);
-                    if let Some(t) = held {
-                        // Even ids from 0 up: below and above the copies'.
-                        for i in 0..k as u64 {
-                            start.push(4 * i * rows.len() as u64 / k as u64, t);
-                        }
-                        assert_eq!(start.threshold(), t);
+        for (width, kstar) in [(CodeWidth::U8, 256), (CodeWidth::U4, 16)] {
+            let lut = lut_of(&family_words(&mut rng, "uniform", m, kstar), m, kstar);
+            let score = |row: &[u8]| {
+                let sum = row
+                    .iter()
+                    .enumerate()
+                    .fold(0.0f32, |sum, (i, &c)| sum + lut.get(i, c as usize));
+                sum + lut.bias()
+            };
+            for k in [1usize, 10, 100, 255] {
+                let random: Vec<Vec<u8>> = (0..600)
+                    .map(|_| (0..m).map(|_| rng.below(kstar as u64) as u8).collect())
+                    .collect();
+                let mut ranked = random.clone();
+                ranked.sort_by(|a, b| score(b).total_cmp(&score(a)));
+                for rank in [0, k / 2] {
+                    let mut rows = random.clone();
+                    for _ in 0..k {
+                        let at = rng.usize(0..rows.len() + 1);
+                        rows.insert(at, ranked[rank].clone());
                     }
-                    let mut oracle = start.clone();
-                    scan_with(
-                        &codes,
-                        &ids,
-                        &lut,
-                        &mut oracle,
-                        KernelDispatch::Scalar,
-                        &mut scratch,
-                    );
-                    for dispatch in KernelDispatch::available() {
-                        let mut top = start.clone();
-                        scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
-                        assert_eq!(
-                            kept(&top),
-                            kept(&oracle),
-                            "k={k} rank={rank} held at {held:?} {}",
-                            dispatch.name()
+                    let mut codes = PackedCodes::new(m, width);
+                    for row in &rows {
+                        codes.push(row);
+                    }
+                    let ids: Vec<u64> = (0..rows.len() as u64).map(|i| 2 * i + 1).collect();
+                    let mut scores: Vec<f32> = rows.iter().map(|row| score(row)).collect();
+                    scores.sort_by(|a, b| b.total_cmp(a));
+                    let kth = scores[k - 1];
+                    assert_eq!(kth, score(&ranked[rank]));
+                    let selectors = [None, Some(kth), Some(kth.next_up()), Some(kth.next_down())];
+                    for held in selectors {
+                        let mut start = TopK::new(k);
+                        if let Some(t) = held {
+                            // Even ids from 0 up: below and above the copies'.
+                            for i in 0..k as u64 {
+                                start.push(4 * i * rows.len() as u64 / k as u64, t);
+                            }
+                            assert_eq!(start.threshold(), t);
+                        }
+                        let mut oracle = start.clone();
+                        scan_with(
+                            &codes,
+                            &ids,
+                            &lut,
+                            &mut oracle,
+                            KernelDispatch::Scalar,
+                            &mut scratch,
                         );
+                        for dispatch in KernelDispatch::available() {
+                            let mut top = start.clone();
+                            scan_with(&codes, &ids, &lut, &mut top, dispatch, &mut scratch);
+                            assert_eq!(
+                                kept(&top),
+                                kept(&oracle),
+                                "k*={kstar} k={k} rank={rank} held at {held:?} {}",
+                                dispatch.name()
+                            );
+                        }
                     }
                 }
             }

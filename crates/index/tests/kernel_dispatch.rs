@@ -467,9 +467,10 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
     // scan, seeded and bounded by the u8 pass before any row is gathered;
     // every other width's code dwords gathered, only the table lookups
     // gathered on both); every other arm scores them with the blocked
-    // kernel, `scalar` with the seed scan. Only `avx512` scores a group of
-    // visitors per pass over a cluster: its LUT16 kernel, and the byte-sum
-    // pass of its seeded gather.
+    // kernel, `scalar` with the seed scan. Only `avx512` seeds, at both
+    // widths (its LUT16 kernel over 4- and 8-byte rows scores only the
+    // rows its u8 pass over nibbles lets through), and only its seeded
+    // visits serve a group of visitors per pass over a cluster.
     let arms: Vec<String> = KernelDispatch::available()
         .iter()
         .map(|&d| {
@@ -478,7 +479,7 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 KernelDispatch::Blocked => ("blocked", "blocked"),
                 KernelDispatch::Avx2 => ("lut16", "blocked"),
                 KernelDispatch::Avx512 => (
-                    "lut16 ×4",
+                    "lut16, seeded ×4 over 4- and 8-byte rows",
                     "gather, rows loaded and seeded ×4 at m 8 and 16",
                 ),
             };

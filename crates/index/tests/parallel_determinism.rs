@@ -4,6 +4,8 @@
 //!
 //! * metric in {L2, InnerProduct},
 //! * code width in {k* = 16, k* = 256},
+//! * sub-quantizers in {4, 8} ([`MS`]: row shapes with and without the
+//!   seeded `avx512` visits),
 //! * worker count in {1, 2, 4, 8},
 //! * tile bound (queries per round) in {0 = the engine's cost-shaped
 //!   plan, small = the accelerator's fixed grouping},
@@ -135,15 +137,24 @@ fn plan_with_group(
     )
 }
 
+/// Sub-quantizer counts every matrix test builds at (dim 8): `m = 4`
+/// gives rows of 2 (nibbles) and 4 bytes, which take neither seeded scan;
+/// `m = 8` gives 4-byte nibble rows and 8-byte byte rows, which under
+/// `avx512` take the seeded `k* = 16` and `k* = 256` visits.
+const MS: [usize; 2] = [4, 8];
+
 /// Core property: for random queries, probe widths, k, table precisions
 /// and tile bounds, all worker counts reproduce the serial neighbors and
 /// stats exactly.
 fn parallel_matches_serial(metric: Metric, kstar: usize) {
-    for inputs in [&TIE_HEAVY, &SKEWED] {
-        let (data, index) = inputs.build(metric, kstar, 4);
+    for (inputs, m) in [&TIE_HEAVY, &SKEWED]
+        .into_iter()
+        .flat_map(|inputs| MS.map(|m| (inputs, m)))
+    {
+        let (data, index) = inputs.build(metric, kstar, m);
         let scan = BatchedScan::new(&index);
         let name = format!(
-            "parallel == serial ({}, {metric:?}, kstar={kstar})",
+            "parallel == serial ({}, {metric:?}, kstar={kstar}, m={m})",
             inputs.name
         );
         forall(&name, 10, |rng: &mut TestRng| {
@@ -203,7 +214,7 @@ fn inner_product_kstar256_parallel_matches_serial() {
 /// worker's `busy_ns` / `idle_ns` beside its `tiles`.
 ///
 /// The engine's `kernel.*` counters, at both code widths and `m = 8` (row
-/// shapes whose AVX-512 kernels score four visitors per pass): every code
+/// shapes whose AVX-512 seeded visits serve four visitors per pass): every code
 /// the stats price was scanned (`kernel.codes_scanned` × bytes per encoded
 /// row == [`anna_index::BatchStats::conventional_code_bytes`]),
 /// `kernel.bound_rejected` ≤ `kernel.pruned` ≤ `kernel.codes_scanned`,
@@ -217,7 +228,7 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
         .into_iter()
         .flat_map(|inputs| [(inputs, 16), (inputs, 256)])
     {
-        let (data, index) = inputs.build(Metric::L2, kstar, 8);
+        let (data, index) = inputs.build(Metric::L2, kstar, MS[1]);
         let scan = BatchedScan::new(&index);
         let row_bytes = index.cluster(0).codes.vector_bytes() as u64;
         let name = format!(
@@ -310,16 +321,23 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
 
 /// The parallel batch engine must also agree with per-query search — the
 /// end-to-end determinism chain (query-major == cluster-major serial ==
-/// cluster-major parallel).
+/// cluster-major parallel) — at `k* = 16` for both `m`, and at `k* = 256`
+/// through the seeded gather (`m = 8`).
 #[test]
 fn parallel_batch_matches_query_major_search() {
-    for (inputs, metric, threads) in [
+    for ((inputs, metric, threads), (kstar, m)) in [
         (&TIE_HEAVY, Metric::L2, 4),
         (&SKEWED, Metric::InnerProduct, 8),
-    ] {
-        let (data, index) = inputs.build(metric, 16, 4);
+    ]
+    .into_iter()
+    .flat_map(|inputs| [(16, MS[0]), (16, MS[1]), (256, MS[1])].map(|shape| (inputs, shape)))
+    {
+        let (data, index) = inputs.build(metric, kstar, m);
         let scan = BatchedScan::new(&index);
-        let name = format!("parallel batch == query-major search ({})", inputs.name);
+        let name = format!(
+            "parallel batch == query-major search ({}, kstar={kstar}, m={m})",
+            inputs.name
+        );
         forall(&name, 6, |rng| {
             let (ids, queries, params, _) = inputs.draw(&data, rng);
             let plan = common::engine_plan(&scan, &queries, &params);

@@ -21,11 +21,12 @@ use std::sync::OnceLock;
 /// | `scalar`  | — (`ANNA_FORCE_SCALAR`)              | seed scalar loops        | `portable`                    | `portable`        |
 /// | `blocked` | none                                 | blocked                  | `portable`                    | `portable`        |
 /// | `avx2`    | `avx2 + f16c`                        | LUT16 (AVX2) / blocked   | `portable`                    | `f16c`            |
-/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | LUT16 ×4 / u8 bound + gather | `avx512`          | `f16c`            |
+/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | u8 bound + LUT16 / u8 bound + gather | `avx512`  | `f16c`            |
 ///
 /// A host with AVX-512F but without AVX-512BW/VBMI (Skylake-SP, Cascade
 /// Lake) resolves to `avx2`: the `avx512` level is every feature its arms
-/// use, and the `k* = 256` bound pass looks bytes up with `vpermi2b`.
+/// use, and the bound passes of both widths look bytes up with
+/// `vpermb`/`vpermi2b`.
 /// The kernel each variant scans given codes and tables with is the scan
 /// layer's `Kernel::select` decision. Every arm produces bit-identical
 /// scores, tables and top-k sets (each layer's module docs state its

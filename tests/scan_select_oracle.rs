@@ -10,15 +10,15 @@
 //! (`blocked` and every SIMD arm the host has, but the seeded one) must
 //! agree on it too. A failure names the arm that diverged and the
 //! process-wide [`KernelDispatch::current`] — the arm every engine in this
-//! process actually runs. At `k* = 256` under `avx512` the scan is a
-//! seeded visit: it bounds every score from the LUT's u8 image first,
-//! raises the threshold to a proven lower bound on the visit's `k`-th best
-//! and scores exactly only the rows that can still reach it. It offers
-//! fewer candidates than the live threshold lets through, so there the
-//! k\*=256 tests hold its offers to at most [`SEEDED_OFFERS`] of
-//! `blocked`'s instead of equal, and `ScanTally::bound_rejected` to be
-//! nonzero (the bound engaged) and at most `pruned`; it is zero on every
-//! other arm.
+//! process actually runs. Under `avx512` the scan is a seeded visit at
+//! both `k*` (nibbles in 8-byte rows, bytes in 16-byte rows): it bounds
+//! every score from the LUT's u8 image first, raises the threshold to a
+//! proven lower bound on the visit's `k`-th best and scores exactly only
+//! the rows that can still reach it. It offers fewer candidates than the
+//! live threshold lets through, so the tests hold its offers to at most
+//! [`SEEDED_OFFERS`] of `blocked`'s instead of equal, and
+//! `ScanTally::bound_rejected` to be nonzero (the bound engaged) and at
+//! most `pruned`; it is zero on every other arm.
 //!
 //! The batch engine does not scan one query at a time: it runs cluster-
 //! major, so consecutive visits feed different queries' selectors, each
@@ -43,17 +43,18 @@ const K: usize = 100;
 /// alone (the `blocked` arm) lets through from the same selectors.
 const SEEDED_OFFERS: f64 = 0.6;
 
-/// Whether `dispatch` scans `k*`-entry tables in seeded visits, which
-/// prune against a threshold of their own rather than the live one.
-fn seeded(dispatch: KernelDispatch, kstar: usize) -> bool {
-    dispatch == KernelDispatch::Avx512 && kstar == 256
+/// Whether `dispatch` scans the benchmark's shapes in seeded visits, which
+/// prune against a threshold of their own rather than the live one: under
+/// `avx512`, at both `k*`.
+fn seeded(dispatch: KernelDispatch) -> bool {
+    dispatch == KernelDispatch::Avx512
 }
 
 /// Holds the offers (`scanned − pruned`) of `dispatch` to those of the
 /// first filtering arm, `blocked`: equal where both test against the live
 /// threshold, at most [`SEEDED_OFFERS`] of them for a seeded visit.
-fn assert_offers(at: &str, dispatch: KernelDispatch, kstar: usize, offers: u64, blocked: u64) {
-    if seeded(dispatch, kstar) {
+fn assert_offers(at: &str, dispatch: KernelDispatch, offers: u64, blocked: u64) {
+    if seeded(dispatch) {
         assert!(
             offers as f64 <= SEEDED_OFFERS * blocked as f64,
             "{at}: seeded visits offered {offers}, blocked {blocked}"
@@ -175,11 +176,11 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
             );
             for (visit, ((kept, pruned), (want, _))) in trail.iter().zip(oracle).enumerate() {
                 assert_eq!(kept, want, "{at} visit {visit}");
-                if !seeded(*dispatch, kstar) {
+                if !seeded(*dispatch) {
                     assert_eq!(*pruned, first[visit].1, "{at} visit {visit}");
                 }
             }
-            assert_offers(&at, *dispatch, kstar, offers(trail), offers(first));
+            assert_offers(&at, *dispatch, offers(trail), offers(first));
             // Once the selector is warm the filter must actually engage.
             let (_, last_pruned) = trail[CLUSTERS - 1];
             assert!(
@@ -190,8 +191,8 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
     }
 }
 
-/// The u8 bound pass runs exactly where it should: under `avx512` at
-/// `k* = 256` it rejected rows without scoring them, never more than the
+/// The u8 bound pass runs exactly where it should: under `avx512`, at
+/// both `k*`, it rejected rows without scoring them, never more than the
 /// scan pruned; everywhere else it rejected nothing.
 fn assert_bound_engaged(dispatch: KernelDispatch, kstar: usize, bound_rejected: u64, pruned: u64) {
     let at = format!("k*={kstar} {}", dispatch.name());
@@ -199,7 +200,7 @@ fn assert_bound_engaged(dispatch: KernelDispatch, kstar: usize, bound_rejected: 
         bound_rejected <= pruned,
         "{at}: {bound_rejected} > {pruned}"
     );
-    if dispatch == KernelDispatch::Avx512 && kstar == 256 {
+    if seeded(dispatch) {
         assert!(bound_rejected > 0, "{at}: the bound never engaged");
     } else {
         assert_eq!(bound_rejected, 0, "{at}");
@@ -227,9 +228,8 @@ const QUERIES: usize = 64;
 /// `TopK` (k = 100) under every available dispatch: one query at a time
 /// through `scan_with`, or, `grouped`, each cluster's 64 visitors at once
 /// through `scan_group_with`, the batch engine's round loop (under
-/// `avx512`, the LUT16 kernel scoring four queries per pass over the rows
-/// at `k* = 16`, and four seeded visits sharing one byte-sum pass at
-/// `k* = 256`). After every cluster, each query's kept top-k must equal
+/// `avx512`, four seeded visits sharing one u8 sum pass, at either `k*`).
+/// After every cluster, each query's kept top-k must equal
 /// the scalar path's bit for bit, and the filtering dispatches must agree
 /// on how many scores they pruned (a seeded visit: offer at most
 /// [`SEEDED_OFFERS`] of what `blocked` offers).
@@ -313,13 +313,7 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
                 assert_eq!(got, want, "{at} cluster {c} query {qi}");
             }
         }
-        assert_offers(
-            &at,
-            *dispatch,
-            kstar,
-            scanned - pruned,
-            scanned - blocked_pruned,
-        );
+        assert_offers(&at, *dispatch, scanned - pruned, scanned - blocked_pruned);
     }
     runs.into_iter().map(|(d, _, pruned)| (d, pruned)).collect()
 }
