@@ -41,11 +41,11 @@
 //!
 //! # Sinks
 //!
-//! One kernel, two destinations ([`Sink`]): the *tile* sink stores every
-//! score (what `score_all` and the oracle paths read), the *survivors*
-//! sink compares the 32 finished sums with a broadcast threshold in
-//! registers and spills only the passing lanes — the software image of the
-//! SCM handing the P-heap nothing but winners (PAPER §III-B(4)).
+//! One destination, the survivors [`Sink`]: the 32 finished sums are
+//! compared with a broadcast threshold in registers and only the passing
+//! lanes are spilled — the software image of the SCM handing the P-heap
+//! nothing but winners (PAPER §III-B(4)). `score_all` reads every score
+//! through the same sink at `−∞`.
 
 use super::Sink;
 
@@ -64,7 +64,7 @@ const MAX_ROW_DWORDS: usize = 8;
 ///
 /// The caller must ensure the host supports AVX2, that
 /// `(start + count) * vb <= bytes.len()`, that `entries` holds `m` tables
-/// of 16, and that every sink slice holds `count` elements.
+/// of 16, and that both sink slices hold `count` elements.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(super) unsafe fn lut16_kernel(
@@ -79,7 +79,6 @@ pub(super) unsafe fn lut16_kernel(
 ) -> (usize, usize) {
     use arch::*;
 
-    let (keep_from, out, positions) = sink.parts();
     let mut written = 0;
 
     // Byte offset of lane l's row relative to lane 0 (gather path).
@@ -98,7 +97,7 @@ pub(super) unsafe fn lut16_kernel(
     // must never read past the buffer, hence the bound check below.
     let nd = vb.div_ceil(4);
     let vbias = _mm256_set1_ps(bias);
-    let vthreshold = _mm256_set1_ps(keep_from.unwrap_or(f32::NEG_INFINITY));
+    let vthreshold = _mm256_set1_ps(sink.threshold);
 
     /// Eight f32 lookups of nibble `$p` of each lane's dword: both table
     /// halves shuffled by the nibble's low three bits, the half chosen by
@@ -200,31 +199,23 @@ pub(super) unsafe fn lut16_kernel(
                 _mm256_add_ps(acc3, vbias),
             ];
 
-            if keep_from.is_none() {
-                let o = out.as_mut_ptr().add(j);
+            // Bit l of `passing` = lane l scored >= threshold.
+            let mut passing = 0u32;
+            for (g, &sum) in sums.iter().enumerate() {
+                let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(sum, vthreshold);
+                passing |= (_mm256_movemask_ps(ge) as u32) << (8 * g);
+            }
+            if passing != 0 {
+                let mut lanes = [0.0f32; 32];
                 for (g, &sum) in sums.iter().enumerate() {
-                    _mm256_storeu_ps(o.add(8 * g), sum);
+                    _mm256_storeu_ps(lanes.as_mut_ptr().add(8 * g), sum);
                 }
-                written += 32;
-            } else {
-                // Bit l of `passing` = lane l scored >= threshold.
-                let mut passing = 0u32;
-                for (g, &sum) in sums.iter().enumerate() {
-                    let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(sum, vthreshold);
-                    passing |= (_mm256_movemask_ps(ge) as u32) << (8 * g);
-                }
-                if passing != 0 {
-                    let mut lanes = [0.0f32; 32];
-                    for (g, &sum) in sums.iter().enumerate() {
-                        _mm256_storeu_ps(lanes.as_mut_ptr().add(8 * g), sum);
-                    }
-                    while passing != 0 {
-                        let l = passing.trailing_zeros() as usize;
-                        positions[written] = (j + l) as u32;
-                        out[written] = lanes[l];
-                        written += 1;
-                        passing &= passing - 1;
-                    }
+                while passing != 0 {
+                    let l = passing.trailing_zeros() as usize;
+                    sink.positions[written] = (j + l) as u32;
+                    sink.scores[written] = lanes[l];
+                    written += 1;
+                    passing &= passing - 1;
                 }
             }
             j += 32;

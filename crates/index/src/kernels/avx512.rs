@@ -1,11 +1,9 @@
-//! AVX-512 kernels: `k* = 16` codes scored 64 per iteration with one
-//! `vpermps zmm` per sixteen lookups; `k* = 256` codes scored 64 per
-//! iteration with one `vgatherdps zmm` per sixteen lookups — the table
-//! lookups are the only gathers where rows are 8 or 16 bytes, which are
-//! loaded — and, at both widths over the row-loaded shapes, a seeded
-//! visit: one u8 pass over the whole cluster that bounds every row's score
-//! and the visit's `k`-th best, then the exact kernel for only the rows
-//! that can still reach it.
+//! AVX-512 kernels. Over the row shapes that seed — nibble codes in 4- and
+//! 8-byte rows, byte codes in 8- and 16-byte rows — a scan is a seeded
+//! visit: one u8 pass over the whole cluster bounds every row's score and
+//! the visit's `k`-th best, then one exact step ([`exact`]) scores only
+//! the rows that can still reach it. Byte codes in rows of every other
+//! width of at least four bytes run the gather kernel ([`gather_kernel`]).
 //!
 //! PAPER §II-C: Faiss16/ScaNN16 are fast on CPUs because a 16-entry table
 //! fits *one* vector register. At f32 width that is literally true only of
@@ -17,14 +15,10 @@
 //! the sign-bit shift feeding it all disappear ([`nibble_sums`]).
 //!
 //! A 256-entry table (Faiss256) is 1 KiB and fits no register, which is
-//! the paper's case for the SCM's lookup SRAM. [`gather_kernel`] narrows
+//! the paper's case for the SCM's lookup SRAM. [`gathered_sums`] narrows
 //! that gap without closing it: sixteen lookups are one `vgatherdps`
 //! instead of sixteen scalar loads, but a gather still issues one load per
-//! lane, so the kernel stays bound by the load ports. What it can shed is
-//! every other load: where a row is two or four whole dwords it loads
-//! sixteen rows as two or four contiguous registers instead of gathering
-//! their code dwords, so at `m = 16` (the benchmark's shape) sixteen rows
-//! cost 16 gathers instead of 20.
+//! lane, so scoring stays bound by the load ports.
 //!
 //! The seeded visit closes most of the rest by not looking up most rows
 //! at f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes*
@@ -38,50 +32,37 @@
 //! ([`kth_largest`]) is the sum of `k` distinct rows, so its lower bound is
 //! a proven lower bound on the visit's `k`-th best score: the threshold
 //! starts there instead of at the selector's lagging floor. Only rows whose
-//! upper bound reaches that threshold are scored exactly, by the tiled
-//! kernel's own lookup sequence ([`gathered_sums`] in [`bounded_gather`],
-//! [`nibble_sums`] in [`bounded_lut16`]). Both bounds' proofs are on
-//! [`byte_sums`], carried to half sums on [`half_sums`]: the sink receives
-//! exactly the tiled kernel's `(position, score)` pairs above a threshold
-//! nothing in the top-k is below.
+//! upper bound reaches that threshold become candidates ([`candidates`]),
+//! and only candidates are scored at f32 ([`exact`]). Both bounds' proofs
+//! are on [`byte_sums`], carried to half sums on [`half_sums`]: the sink
+//! receives exactly the `(position, score)` pairs of every row at or above
+//! a threshold nothing in the top-k is below.
 //!
 //! # Layout and summation order
 //!
-//! As in [`super::avx2`], the exact kernels are **vertical**: lane `l` of
-//! an accumulator owns vector `j + l`, subquantizers are walked in
-//! `i = 0..M` order and the bias is added last, so every lane performs the
-//! scalar reference's addition sequence and scores are bit-identical by
-//! construction. Four accumulators (64 lanes) amortize each table load or
-//! each code fetch.
+//! As in [`super::avx2`], the f32 scorers are **vertical**: lane `l` of an
+//! accumulator owns one vector, subquantizers are walked in `i = 0..M`
+//! order and the bias is added last, so every lane performs the scalar
+//! reference's addition sequence and scores are bit-identical by
+//! construction. The gather kernel keeps four accumulators (64 lanes) in
+//! flight to amortize each code fetch.
 //!
 //! # Row loads
 //!
-//! The LUT16 kernel handles only whole-dword rows (`ND` dwords,
-//! `vb = 4·ND`): sixteen 4-byte rows are one 64-byte load; sixteen 8-byte
-//! rows (`m = 16`, the benchmark's shape) are two, de-interleaved into
-//! "dword 0 of every row" and "dword 1 of every row" by one `vpermt2d`
-//! each. Every other row width runs the AVX2 kernel (`Kernel::select`'s
-//! choice, see [`super::Kernel`]). A seeded visit's candidates are
-//! scattered, so [`bounded_lut16`] gathers each one's dwords instead.
-//!
-//! The gather kernel reads the unchanged row-major byte codes. Rows of
-//! `ND` whole dwords (`ND` 2 or 4: `m` 8 and 16, `Avx512Gather { nd }`)
-//! are loaded like the LUT16 kernel's: sixteen 8-byte rows are two masked
-//! 64-byte loads de-interleaved by one `vpermt2d` per dword; sixteen
-//! 16-byte rows are four loads, de-interleaved in two rounds — `vpermt2d`
-//! over each pair of registers (eight rows) gathers dwords 0 and 1, and 2
-//! and 3, into the two halves of a register, and a second `vpermt2d` joins
-//! the two pairs' halves into "dword d of all sixteen rows". All four lane
-//! groups' rows are loaded first, then each group's sixteen lookups run in
-//! subquantizer order. Every other width (`nd` 0) gathers its code
-//! dwords: per four subquantizers, one `vpgatherdd` fetches the same dword
-//! of sixteen rows (index = lane · `m`, the chunk's position in the base
-//! pointer); when `m` is not a multiple of four, the last fetch takes the
-//! dword that ends at the row's last byte — still inside the row — and
-//! shifts the bytes already summed out of it ([`gathered_sums`], which
-//! also scores a seeded visit's candidates from their row offsets). Either
-//! way only the table lookups remain gathers. Rows shorter than a dword
-//! (`m < 4`) stay on the blocked kernel.
+//! The exact step scores a list of row positions, sixteen at a time: each
+//! candidate's row offset (position · row bytes) indexes one `vpgatherdd`
+//! per code dword — per dword of a nibble row, per four subquantizers of a
+//! byte row. The list is whatever its caller hands it: a seeded visit's
+//! candidates, every row of a visit whose LUT has no u8 image (at the
+//! selector's floor), or every row of a [`super::score_all`] tile (at
+//! `−∞`). The gather kernel reads the other byte widths in place, lane `l`
+//! of a group at offset `l · m`: per four subquantizers, one `vpgatherdd`
+//! fetches the same dword of sixteen rows; when `m` is not a multiple of
+//! four, the last fetch takes the dword that ends at the row's last byte —
+//! still inside the row — and shifts the bytes already summed out of it
+//! ([`gathered_sums`]). Rows shorter than a dword (`m < 4`) stay on the
+//! blocked kernel, nibble rows of other widths on the AVX2 kernel
+//! (`Kernel::select`'s choice, see [`super::Kernel`]).
 //!
 //! The byte-sum pass loads a 64-row chunk as `4·ND` plain 64-byte
 //! registers and transposes it in registers (see [`byte_sums`]); the
@@ -99,31 +80,29 @@
 //! the register budget: four 16-entry images are 16 of the 32 ZMM
 //! registers, and a fifth query would spill. The exact steps are not
 //! grouped: they touch a few percent of rows, and their gathers are bound
-//! by the load ports, which the queries would share rather than split. The
-//! tiled kernels score one query per pass.
+//! by the load ports, which the queries would share rather than split.
 //!
 //! # No scalar tail
 //!
 //! Every load, gather, store and compare is under a lane mask (the sum
 //! passes load a full chunk unmasked). A full chunk runs with all-ones
-//! masks; the last chunk of a block masks off the lanes past `count`
-//! (masked-off lanes are neither read nor written — fault suppression is
-//! architectural), so a kernel always finishes the block.
+//! masks; the last chunk of a block (or batch of candidates) masks off the
+//! lanes past its end (masked-off lanes are neither read nor written —
+//! fault suppression is architectural), so a kernel always finishes.
 //!
 //! # Sinks
 //!
-//! The LUT16 and gather kernels end in `finish_group!`; a seeded visit's
-//! exact scores go straight to its survivors step, `keep_passing!`. The
-//! tile sink is a masked store per accumulator. The survivors sink does not branch on its outcome: it
-//! compares the finished sums with the broadcast threshold straight into a
-//! mask register (`vcmpps k, GE_OQ`: ordered, so NaN never passes),
-//! compresses the passing scores and their positions in registers
-//! (`vcompressps` / `vpcompressd`, which keep lane order, so positions
-//! ascend), stores both full width at the survivor count and advances the
-//! count by `popcnt` of the mask. The lanes stored above the survivors are
-//! junk the next group's store overwrites; since the count never passes
-//! the block's `count`, a survivors buffer needs `count + SINK_SLACK`
-//! slots (sixteen lanes of slack), which the safe wrapper asserts.
+//! Both f32 scorers end in the survivors sink, `keep_passing!`, which does
+//! not branch on its outcome: it compares the finished sums with the
+//! broadcast threshold straight into a mask register (`vcmpps k, GE_OQ`:
+//! ordered, so NaN never passes), compresses the passing scores and their
+//! positions in registers (`vcompressps` / `vpcompressd`, which keep lane
+//! order, so positions ascend), stores both full width at the survivor
+//! count and advances the count by `popcnt` of the mask. The lanes stored
+//! above the survivors are junk the next group's store overwrites; since
+//! the count never passes the rows scored, a survivors buffer needs
+//! `count + SINK_SLACK` slots (sixteen lanes of slack), which the safe
+//! wrappers assert.
 
 use super::{Sink, SEED_GROUPS};
 
@@ -149,67 +128,6 @@ fn lane_mask(live: usize) -> u16 {
     ((1u32 << live) - 1) as u16
 }
 
-/// The end both kernels share (`finish_group!`): adds the bias to a
-/// group's sixteen sums and hands the lanes inside the block to the sink,
-/// counting what it took.
-struct Finish<'s> {
-    /// `None` for a tile sink, the survivors' threshold otherwise.
-    keep_from: Option<f32>,
-    vbias: __m512,
-    vthreshold: __m512,
-    lane: __m512i,
-    out: &'s mut [f32],
-    positions: &'s mut [u32],
-    written: usize,
-}
-
-impl<'s> Finish<'s> {
-    #[target_feature(enable = "avx512f")]
-    fn new(sink: &'s mut Sink<'_>, bias: f32) -> Self {
-        use arch::*;
-        let (keep_from, out, positions) = sink.parts();
-        Finish {
-            keep_from,
-            vbias: _mm512_set1_ps(bias),
-            vthreshold: _mm512_set1_ps(keep_from.unwrap_or(f32::NEG_INFINITY)),
-            lane: _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            out,
-            positions,
-            written: 0,
-        }
-    }
-}
-
-/// Sinks `$acc + bias` through the `Finish` `$finish` for the sixteen
-/// lanes at block positions `$at .. $at + 16`, of which the first `$live`
-/// are in the block. A macro rather than a method, so that its stores rest
-/// on the calling kernel's `# Safety` contract (a tile holds `count`
-/// elements, a survivors slice `count + SINK_SLACK`, and `$at + $live <=
-/// count`) and its `popcnt` compiles to the instruction.
-macro_rules! finish_group {
-    ($finish:expr, $acc:expr, $at:expr, $live:expr) => {{
-        let f: &mut Finish = $finish;
-        let (at, live): (usize, usize) = ($at, $live);
-        let sum = _mm512_add_ps($acc, f.vbias);
-        let in_block = lane_mask(live);
-        if f.keep_from.is_none() {
-            _mm512_mask_storeu_ps(f.out.as_mut_ptr().wrapping_add(at), in_block, sum);
-            f.written += live;
-        } else {
-            let positions = _mm512_add_epi32(f.lane, _mm512_set1_epi32(at as i32));
-            keep_passing!(
-                f.written,
-                f.vthreshold,
-                sum,
-                in_block,
-                positions,
-                f.out.as_mut_ptr(),
-                f.positions.as_mut_ptr()
-            );
-        }
-    }};
-}
-
 /// The survivors sink's step for sixteen finished scores `$sum` at block
 /// positions `$positions`, of which the lanes under `$in_block` count:
 /// the scores `>= $vthreshold` and their positions are compressed in
@@ -217,8 +135,10 @@ macro_rules! finish_group {
 /// `$ids`, and `$written` advances by how many passed. No branch on the
 /// outcome: the lanes above the survivors are junk the next store (or
 /// nothing) overwrites. `$written` trails the lanes scored so far and never
-/// passes the block's `count`, so the store ends inside the `count +
-/// SINK_SLACK` slots the caller promised.
+/// passes the rows scored, so the store ends inside the `count +
+/// SINK_SLACK` slots the caller promised. A macro rather than a function,
+/// so that its stores rest on the calling kernel's `# Safety` contract and
+/// its `popcnt` compiles to the instruction.
 macro_rules! keep_passing {
     ($written:expr, $vthreshold:expr, $sum:expr, $in_block:expr, $positions:expr, $scores:expr, $ids:expr) => {{
         let sum: __m512 = $sum;
@@ -249,103 +169,31 @@ macro_rules! add_lookup {
     }};
 }
 
-/// The register-resident LUT16 loop over rows of `ND` whole dwords;
-/// `bytes` is the full packed row-major code stream, `table` holds the `m`
-/// tables of 16 and `bias` is added last. Returns `(count, scores the sink
-/// received)`; the kernel never leaves a tail.
-///
-/// # Safety
-///
-/// The caller must ensure the host supports `avx512f` and `popcnt`, that
-/// the row width is exactly `4 * ND` bytes (so `m <= 8 * ND`), that
-/// `(start + count) * 4 * ND <= bytes.len()`, that `table` holds `m`
-/// tables of 16, that a tile sink holds `count` elements and that a
-/// survivors sink's slices hold `count + SINK_SLACK`.
-#[target_feature(enable = "avx512f,popcnt")]
-pub(super) unsafe fn lut16_kernel<const ND: usize>(
-    m: usize,
-    bytes: &[u8],
-    start: usize,
-    count: usize,
-    table: &[f32],
-    bias: f32,
-    sink: &mut Sink<'_>,
-) -> (usize, usize) {
-    use arch::*;
-
-    let vb = 4 * ND;
-    let mut finish = Finish::new(sink, bias);
-    // Of the 32 dwords of sixteen 8-byte rows (two registers), the even
-    // ones are every row's dword 0 and the odd ones every row's dword 1.
-    let even = _mm512_slli_epi32::<1>(finish.lane);
-    let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
-
-    let mut j = 0;
-    while j < count {
-        let live = live_lanes(count - j);
-        // Masked-off rows may lie past the buffer, so their address is
-        // computed without the in-bounds promise `add` makes.
-        let chunk = bytes.as_ptr().wrapping_add((start + j) * vb);
-
-        // The `ND` row dwords of the sixteen lanes of each group; lanes
-        // past `live[g]` read nothing and hold code 0.
-        let mut rows = [[_mm512_setzero_si512(); ND]; 4];
-        for (g, row) in rows.iter_mut().enumerate() {
-            let p = chunk.wrapping_add(16 * g * vb) as *const i32;
-            // One mask bit per live dword: `ND` per live row.
-            let dwords = ((1u64 << (ND * live[g])) - 1) as u32;
-            let a = _mm512_maskz_loadu_epi32(dwords as u16, p);
-            if ND == 1 {
-                row[0] = a;
-            } else {
-                let b = _mm512_maskz_loadu_epi32((dwords >> 16) as u16, p.wrapping_add(16));
-                // `ND` is 2 here: dword 0, then dword 1.
-                row[0] = _mm512_permutex2var_epi32(a, even, b);
-                row[ND - 1] = _mm512_permutex2var_epi32(a, odd, b);
-            }
-        }
-
-        let acc = nibble_sums::<ND, 4>(m, &rows, table);
-        for (g, acc) in acc.into_iter().enumerate() {
-            finish_group!(&mut finish, acc, j + 16 * g, live[g]);
-        }
-        j += CHUNK;
-    }
-    (count, finish.written)
-}
-
-/// The scores, less bias, of `G` lane groups of sixteen rows of `m`
-/// nibble codes, group `g`'s held as `ND` de-interleaved dwords (`rows[g][d]`
-/// is dword `d` of every lane's row): subquantizer `8d + p` is nibble `p`
-/// of dword `d` (low nibble first, matching `PackedCodes`), looked up in
-/// table `i = 8d + p` of `table` — one `vpermps` per sixteen lookups — and
-/// added in `i = 0..m` order, each subquantizer into every group's
-/// accumulator before the next. The permute reads bits 3:0 of each index
-/// lane and ignores the rest, so the shifted dword already is the index.
+/// The scores, less bias, of sixteen rows of `m` nibble codes held as `ND`
+/// de-interleaved dwords (`rows[d]` is dword `d` of every lane's row):
+/// subquantizer `8d + p` is nibble `p` of dword `d` (low nibble first,
+/// matching `PackedCodes`), looked up in table `i = 8d + p` of `table` —
+/// one `vpermps` per sixteen lookups — and added in `i = 0..m` order. The
+/// permute reads bits 3:0 of each index lane and ignores the rest, so the
+/// shifted dword already is the index.
 ///
 /// # Safety
 ///
 /// `avx512f`; `m <= 8 * ND` and `table` holds `m` tables of 16.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn nibble_sums<const ND: usize, const G: usize>(
-    m: usize,
-    rows: &[[__m512i; ND]; G],
-    table: &[f32],
-) -> [__m512; G] {
+unsafe fn nibble_sums<const ND: usize>(m: usize, rows: &[__m512i; ND], table: &[f32]) -> __m512 {
     use arch::*;
 
-    let mut acc = [_mm512_setzero_ps(); G];
-    for d in 0..ND {
+    let mut acc = _mm512_setzero_ps();
+    for (d, &row) in rows.iter().enumerate() {
         macro_rules! step {
             ($p:literal) => {
                 let i = 8 * d + $p;
                 if i < m {
                     let t = _mm512_loadu_ps(table.as_ptr().add(i * 16));
-                    for (acc, row) in acc.iter_mut().zip(rows) {
-                        let index = _mm512_srli_epi32::<{ 4 * $p }>(row[d]);
-                        *acc = _mm512_add_ps(*acc, _mm512_permutexvar_ps(index, t));
-                    }
+                    let index = _mm512_srli_epi32::<{ 4 * $p }>(row);
+                    acc = _mm512_add_ps(acc, _mm512_permutexvar_ps(index, t));
                 }
             };
         }
@@ -361,23 +209,21 @@ unsafe fn nibble_sums<const ND: usize, const G: usize>(
     acc
 }
 
-/// The gather loop for byte codes against `k* = 256` tables: rows of `m`
-/// bytes, `bytes` the full row-major code stream. With `ND` 2 or 4 a row
-/// is exactly `ND` dwords (`m = 4·ND`: 8- and 16-byte rows) and sixteen
-/// rows are loaded whole and de-interleaved; with `ND` 0 (any `m >= 4`)
-/// each dword of sixteen rows is gathered. Returns `(count, scores the
-/// sink received)`; like [`lut16_kernel`] it never leaves a tail.
+/// The gather loop for byte codes against `k* = 256` tables over rows of
+/// any `m >= 4` bytes, `bytes` the full row-major code stream: each dword
+/// of sixteen rows is gathered ([`gathered_sums`], four lane groups in
+/// flight) and every score of the block goes to the survivors `sink`.
+/// Returns `(count, scores the sink received)`; it never leaves a tail.
 ///
 /// # Safety
 ///
 /// The caller must ensure the host supports `avx512f` and `popcnt`, that
-/// `4 <= m` and `64 * m` fits an `i32`, that `m == 4 * ND` unless `ND` is
-/// 0, that `(start + count) * m <= bytes.len()`, that `entries` holds `m`
-/// tables of 256 (so every byte code indexes inside its table), and that a
-/// tile sink holds `count` elements and a survivors sink's slices
+/// `4 <= m` and `64 * m` fits an `i32`, that `(start + count) * m <=
+/// bytes.len()`, that `entries` holds `m` tables of 256 (so every byte
+/// code indexes inside its table), and that the sink's slices hold
 /// `count + SINK_SLACK`.
 #[target_feature(enable = "avx512f,popcnt")]
-pub(super) unsafe fn gather_kernel<const ND: usize>(
+pub(super) unsafe fn gather_kernel(
     m: usize,
     bytes: &[u8],
     start: usize,
@@ -388,88 +234,30 @@ pub(super) unsafe fn gather_kernel<const ND: usize>(
 ) -> (usize, usize) {
     use arch::*;
 
-    let mut finish = Finish::new(sink, bias);
+    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     // Byte offset of lane l's row from lane 0's.
-    let row_offset = _mm512_mullo_epi32(finish.lane, _mm512_set1_epi32(m as i32));
-    // De-interleave indices (`vpermt2d`: 0–15 pick from the first register,
-    // 16–31 from the second). Sixteen 8-byte rows are two registers, row r
-    // at dwords 2r, 2r + 1: `even` and `odd` pick dword 0 and dword 1 of
-    // every row. Sixteen 16-byte rows are four, row r at dwords 4r .. 4r +
-    // 4 of the pair holding it: `d01` picks dwords 0 (lanes 0–7) and 1
-    // (lanes 8–15) of a pair's eight rows, `d23` dwords 2 and 3; `low` and
-    // `high` then join the two pairs' halves into all sixteen rows.
-    let even = _mm512_slli_epi32::<1>(finish.lane);
-    let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
-    let d01 = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5, 9, 13, 17, 21, 25, 29);
-    let d23 = _mm512_or_si512(d01, _mm512_set1_epi32(2));
-    let low = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23);
-    let high = _mm512_or_si512(low, _mm512_set1_epi32(8));
-
+    let row_offset = _mm512_mullo_epi32(lane, _mm512_set1_epi32(m as i32));
+    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(sink.threshold));
+    let (scores, positions) = (sink.scores.as_mut_ptr(), sink.positions.as_mut_ptr());
+    let mut written = 0;
     let mut j = 0;
     while j < count {
-        let live = live_lanes(count - j);
-        let masks = live.map(lane_mask);
+        let masks = live_lanes(count - j).map(lane_mask);
         // Masked-off rows may lie past the buffer, so their address is
         // computed without the in-bounds promise `add` makes.
         let chunk = bytes.as_ptr().wrapping_add((start + j) * m);
-
-        let acc = if ND > 0 {
-            // Whole rows: the `ND` dwords of each lane group's sixteen rows
-            // loaded and de-interleaved into "dword d of every row" (lanes
-            // past `live[g]` read nothing and hold code 0), all four groups
-            // first; then each group's lookups in subquantizer order.
-            let mut rows = [[_mm512_setzero_si512(); 4]; 4];
-            for (g, rows) in rows.iter_mut().enumerate() {
-                let p = chunk.wrapping_add(16 * g * m) as *const i32;
-                // One mask bit per live dword: `ND` per live row.
-                let dwords = match ND * live[g] {
-                    64 => u64::MAX,
-                    n => (1u64 << n) - 1,
-                };
-                let load = |r: usize| {
-                    _mm512_maskz_loadu_epi32((dwords >> (16 * r)) as u16, p.wrapping_add(16 * r))
-                };
-                if ND == 2 {
-                    let (a, b) = (load(0), load(1));
-                    rows[0] = _mm512_permutex2var_epi32(a, even, b);
-                    rows[1] = _mm512_permutex2var_epi32(a, odd, b);
-                } else {
-                    // `ND` is 4: rows 0–7 in the first pair, 8–15 in the
-                    // second.
-                    let (a, b) = ((load(0), load(1)), (load(2), load(3)));
-                    let a01 = _mm512_permutex2var_epi32(a.0, d01, a.1);
-                    let b01 = _mm512_permutex2var_epi32(b.0, d01, b.1);
-                    let a23 = _mm512_permutex2var_epi32(a.0, d23, a.1);
-                    let b23 = _mm512_permutex2var_epi32(b.0, d23, b.1);
-                    rows[0] = _mm512_permutex2var_epi32(a01, low, b01);
-                    rows[1] = _mm512_permutex2var_epi32(a01, high, b01);
-                    rows[2] = _mm512_permutex2var_epi32(a23, low, b23);
-                    rows[3] = _mm512_permutex2var_epi32(a23, high, b23);
-                }
-            }
-            let mut acc = [_mm512_setzero_ps(); 4];
-            for (g, rows) in rows.iter().enumerate() {
-                for (d, &dword) in rows.iter().enumerate().take(ND) {
-                    add_lookup!(acc[g], masks[g], dword, 0, entries, 4 * d);
-                    add_lookup!(acc[g], masks[g], dword, 1, entries, 4 * d + 1);
-                    add_lookup!(acc[g], masks[g], dword, 2, entries, 4 * d + 2);
-                    add_lookup!(acc[g], masks[g], dword, 3, entries, 4 * d + 3);
-                }
-            }
-            acc
-        } else {
-            let offsets = std::array::from_fn(|g| {
-                _mm512_add_epi32(row_offset, _mm512_set1_epi32((16 * g * m) as i32))
-            });
-            gathered_sums::<4>(m, chunk, offsets, masks, entries)
-        };
-
+        let offsets = std::array::from_fn(|g| {
+            _mm512_add_epi32(row_offset, _mm512_set1_epi32((16 * g * m) as i32))
+        });
+        let acc = gathered_sums::<4>(m, chunk, offsets, masks, entries);
         for (g, acc) in acc.into_iter().enumerate() {
-            finish_group!(&mut finish, acc, j + 16 * g, live[g]);
+            let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
+            let sum = _mm512_add_ps(acc, vbias);
+            keep_passing!(written, vthreshold, sum, masks[g], at, scores, positions);
         }
         j += CHUNK;
     }
-    (count, finish.written)
+    (count, written)
 }
 
 /// The scores, less bias, of `G` lane groups of rows of `m >= 4` byte
@@ -1148,20 +936,21 @@ pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
 /// The candidate step of a seeded visit over a block of `count` rows:
 /// compacts into `positions`, in ascending position, every row whose
 /// stored sum in `sums` reaches `least` — chunk `c`'s 64 sums at `64c`,
-/// row `r` of the chunk in slot `slots[r]` — and returns how many.
+/// row `r` of the chunk in slot `slots[r]` — and returns how many. With
+/// `least` from the scan layer's `ByteBound` for a threshold, every row
+/// left out scores below that threshold ([`byte_sums`], [`half_sums`]).
 ///
 /// # Safety
 ///
 /// `avx512f`, `avx512bw`, `avx512vbmi` and `popcnt`; `sums` holds `count`
 /// rounded up to a whole chunk and `positions` `count + SINK_SLACK` slots.
-#[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
-unsafe fn candidates(
+pub(super) unsafe fn candidates(
     sums: &[u16],
     count: usize,
     least: u16,
     slots: &[u8; 64],
-    positions: *mut u32,
+    positions: &mut [u32],
 ) -> usize {
     use arch::*;
 
@@ -1187,7 +976,7 @@ unsafe fn candidates(
             if kept != 0 {
                 let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
                 _mm512_storeu_si512(
-                    positions.add(candidates).cast(),
+                    positions.as_mut_ptr().add(candidates).cast(),
                     _mm512_maskz_compress_epi32(kept, at),
                 );
                 candidates += kept.count_ones() as usize;
@@ -1198,138 +987,69 @@ unsafe fn candidates(
     candidates
 }
 
-/// The candidate and exact steps of a seeded `k* = 256` visit, into a
-/// survivors sink over `[start, start + count)`: every row whose byte sum
-/// in `sums` (as [`byte_sums`] left them) reaches `min_sum` is compacted
-/// into the sink's positions slice in ascending position ([`candidates`]),
-/// and only those rows are scored exactly — by the gather kernel's own
-/// lookup sequence ([`gathered_sums`], `i = 0..m`, bias last), sixteen
-/// candidates per gather — and kept if their score reaches the sink's
-/// threshold. Returns `(scores the sink received, rows never scored)`. With
-/// `min_sum` from the scan layer's `ByteBound::min_sum` of the sink's
-/// threshold, a row never scored scores below the threshold ([`byte_sums`]'
-/// upper bound), so the sink receives exactly what [`gather_kernel`] would
-/// hand it.
+/// The exact step of the seeded shapes, their only f32 scorer: scores the
+/// `candidates` rows whose positions — relative to `start`, ascending —
+/// open the survivors `sink`'s positions slice, sixteen at a time, and
+/// keeps those whose score reaches the sink's threshold. `KSTAR` 16:
+/// nibble rows of `ND` dwords, each candidate's dwords gathered, then one
+/// `vpermps` per subquantizer ([`nibble_sums`]); `KSTAR` 256: byte rows of
+/// `m = 4·ND`, one `vpgatherdd` per four subquantizers and one
+/// `vgatherdps` per lookup ([`gathered_sums`]). Either way `i = 0..m`, bias
+/// last: the scalar score bit for bit. A gather costs about the same for
+/// any number of live lanes, so a visit's candidates are batched rather
+/// than scored per chunk. Returns how many scores the sink kept.
 ///
 /// # Candidates in place
 ///
-/// The compaction writes candidate positions into the sink's positions
-/// slice and the exact pass reads them back, sixteen at a time, before
+/// The exact step reads the positions back, sixteen at a time, before
 /// writing survivors over them: each batch's positions are loaded into a
 /// register before its store, and survivors never outnumber the
 /// candidates read, so no store reaches a candidate not yet read.
-/// [`bounded_lut16`] shares this.
 ///
 /// # Safety
 ///
-/// The caller must ensure the host supports `avx512f`, `avx512bw`,
-/// `avx512vbmi` and `popcnt`; that `ND` is 2 or 4 and `m == 4 * ND`; that
-/// `(start + count) * m <= bytes.len()` and `count * m` fits an `i32`;
-/// that `entries` holds `m` tables of 256; that `sums` holds `count`
-/// rounded up to a whole chunk; and that `sink` is a survivors sink whose
-/// slices hold `count + SINK_SLACK`.
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn bounded_gather<const ND: usize>(
+/// The caller must ensure the host supports `avx512f` and `popcnt`; that
+/// `KSTAR` is 16 with `ND` 1 or 2 and `m <= 8 * ND`, or 256 with `ND` 2 or
+/// 4 and `m == 4 * ND`; that every candidate position `p` has
+/// `(start + p + 1) * 4 * ND <= bytes.len()` and `p * 4 * ND` fits an
+/// `i32`; that `entries` holds `m` tables of `KSTAR`; and that the sink's
+/// slices hold `candidates + SINK_SLACK`.
+#[target_feature(enable = "avx512f,popcnt")]
+pub(super) unsafe fn exact<const KSTAR: usize, const ND: usize>(
     m: usize,
     bytes: &[u8],
     start: usize,
-    count: usize,
-    sums: &[u16],
-    min_sum: u16,
+    candidates: usize,
     entries: &[f32],
     bias: f32,
     sink: &mut Sink<'_>,
-) -> (usize, usize) {
+) -> usize {
     use arch::*;
 
-    let (Some(threshold), scores, positions) = sink.parts() else {
-        unreachable!("a seeded visit feeds a survivors sink");
-    };
-    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
-    let candidates = candidates(sums, count, min_sum, &BYTE_SLOTS[ND / 4], positions);
-
-    // The exact pass over the candidates, sixteen at a time: a gather
-    // costs about the same for any number of live lanes, so the visit's
-    // candidates are batched rather than scored per chunk.
-    let base = bytes.as_ptr().add(start * m);
-    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(threshold));
-    let row_bytes = _mm512_set1_epi32(m as i32);
-    let mut written = 0;
-    let mut c = 0;
-    while c < candidates {
-        let live = lane_mask((candidates - c).min(16));
-        let at = _mm512_maskz_loadu_epi32(live, positions.add(c).cast());
-        let offsets = [_mm512_mullo_epi32(at, row_bytes)];
-        let [acc] = gathered_sums::<1>(m, base, offsets, [live], entries);
-        let sum = _mm512_add_ps(acc, vbias);
-        keep_passing!(written, vthreshold, sum, live, at, scores, positions);
-        c += 16;
-    }
-    (written, count - candidates)
-}
-
-/// The candidate and exact steps of a seeded `k* = 16` visit, into a
-/// survivors sink over `[start, start + count)` of rows of `ND` whole
-/// dwords of `m` nibble codes: every row whose half sum in `sums` (as
-/// [`half_sums`] left them) reaches `least` is compacted into the sink's
-/// positions slice in ascending position ([`candidates`], in place as in
-/// [`bounded_gather`]), and only those rows are scored exactly — sixteen
-/// candidates' dwords per `vpgatherdd`, then the LUT16 kernel's own lookup
-/// sequence ([`nibble_sums`]: one `vpermps` per subquantizer, `i = 0..m`,
-/// bias last) — and kept if their score reaches the sink's threshold.
-/// Returns `(scores the sink received, rows never scored)`. With `least`
-/// from the scan layer's `ByteBound` for the sink's threshold, a row never
-/// scored scores below the threshold ([`half_sums`]), so the sink receives
-/// exactly what [`lut16_kernel`] would hand it.
-///
-/// # Safety
-///
-/// The caller must ensure the host supports `avx512f`, `avx512bw`,
-/// `avx512vbmi` and `popcnt`; that `ND` is 1 or 2, rows are `4 * ND` bytes
-/// and `m <= 8 * ND`; that `(start + count) * 4 * ND <= bytes.len()` and
-/// `count * 4 * ND` fits an `i32`; that `table` holds `m` tables of 16;
-/// that `sums` holds `count` rounded up to a whole chunk; and that `sink`
-/// is a survivors sink whose slices hold `count + SINK_SLACK`.
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn bounded_lut16<const ND: usize>(
-    m: usize,
-    bytes: &[u8],
-    start: usize,
-    count: usize,
-    sums: &[u16],
-    least: u16,
-    table: &[f32],
-    bias: f32,
-    sink: &mut Sink<'_>,
-) -> (usize, usize) {
-    use arch::*;
-
-    let (Some(threshold), scores, positions) = sink.parts() else {
-        unreachable!("a seeded visit feeds a survivors sink");
-    };
-    let (scores, positions) = (scores.as_mut_ptr(), positions.as_mut_ptr());
-    let candidates = candidates(sums, count, least, &NIBBLE_SLOTS[ND - 1], positions);
-
-    let base = bytes.as_ptr().add(start * 4 * ND).cast::<i32>();
-    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(threshold));
+    let base = bytes.as_ptr().add(start * 4 * ND);
+    let (vbias, vthreshold) = (_mm512_set1_ps(bias), _mm512_set1_ps(sink.threshold));
     let row_bytes = _mm512_set1_epi32(4 * ND as i32);
+    let (scores, positions) = (sink.scores.as_mut_ptr(), sink.positions.as_mut_ptr());
     let mut written = 0;
     let mut c = 0;
     while c < candidates {
         let live = lane_mask((candidates - c).min(16));
         let at = _mm512_maskz_loadu_epi32(live, positions.add(c).cast());
         let offsets = _mm512_mullo_epi32(at, row_bytes);
-        // Dword `d` of each candidate's row; lanes past the candidates
-        // read nothing.
-        let row: [__m512i; ND] = std::array::from_fn(|d| {
-            _mm512_mask_i32gather_epi32::<1>(_mm512_setzero_si512(), live, offsets, base.add(d))
-        });
-        let [acc] = nibble_sums::<ND, 1>(m, &[row], table);
+        let acc = if KSTAR == 16 {
+            // Dword `d` of each candidate's row; lanes past the candidates
+            // read nothing.
+            let row: [__m512i; ND] = std::array::from_fn(|d| {
+                let p = base.add(4 * d).cast();
+                _mm512_mask_i32gather_epi32::<1>(_mm512_setzero_si512(), live, offsets, p)
+            });
+            nibble_sums::<ND>(m, &row, entries)
+        } else {
+            gathered_sums::<1>(m, base, [offsets], [live], entries)[0]
+        };
         let sum = _mm512_add_ps(acc, vbias);
         keep_passing!(written, vthreshold, sum, live, at, scores, positions);
         c += 16;
     }
-    (written, count - candidates)
+    written
 }

@@ -13,50 +13,52 @@
 //! 2. **Kernel** — `Kernel::select` maps the dispatch, the codes' width
 //!    and row bytes and the table size onto one kernel, in one place: the
 //!    seed scalar loops (`scalar`, the reference); the unrolled four-row
-//!    `blocked` kernel; the register-resident LUT16 kernels for `k* = 16`
-//!    (`avx512`: one ZMM register per table, 64 codes per iteration, 4-
-//!    and 8-byte rows; `avx2`: two YMM halves, 32, every other width); and
-//!    the `avx512` gather kernel for `k* = 256` (one `vgatherdps` per
-//!    sixteen lookups, rows of at least four bytes; 8- and 16-byte rows
-//!    are loaded whole, every other width's code dwords gathered). Both
-//!    `avx512` widths scan their row-loaded shapes — nibbles in 4- and
-//!    8-byte rows, bytes in 8- and 16-byte rows — as a **seeded visit**
-//!    instead of tiles: once per visitor the LUT is quantised into a u8
-//!    image (`ByteBound`: tables of 256 bytes, four ZMM registers each, or
-//!    of 16 bytes, all sixteen in four registers), and one pass over the
-//!    whole cluster gives every row's u16 sum — a byte sum (two
-//!    `vpermi2b` and a blend per subquantizer of a transposed chunk), or,
-//!    for nibbles, a half sum (one `vpermi2b` per nibble of a row-major
-//!    register, a `vpavgb` and a `vpsadbw`) — and the largest sum of each
-//!    of 256 disjoint row groups. The `k`-th largest of those maxima seeds
-//!    the threshold with a proven lower bound on the visit's `k`-th best
-//!    score; then only the rows whose sum can still reach it are scored
-//!    exactly, by the kernel's own lookup sequence, and offered. Rows
-//!    never scored are [`ScanTally::bound_rejected`].
+//!    `blocked` kernel; the AVX2 LUT16 kernel for `k* = 16` (two YMM
+//!    halves per table, 32 codes per iteration); the `avx512` gather kernel
+//!    for `k* = 256` byte codes in rows of four bytes or more other than 8
+//!    and 16 (one `vgatherdps` per sixteen lookups, code dwords gathered);
+//!    and the two `avx512` kernels that **seed** — nibbles in 4- and 8-byte
+//!    rows, bytes in 8- and 16-byte rows. A seeded kernel scans a cluster
+//!    as one visit: once per visitor the LUT is quantised into a u8 image
+//!    (`ByteBound`: tables of 256 bytes, four ZMM registers each, or of 16
+//!    bytes, all sixteen in four registers), and one pass over the whole
+//!    cluster gives every row's u16 sum — a byte sum (two `vpermi2b` and a
+//!    blend per subquantizer of a transposed chunk), or, for nibbles, a
+//!    half sum (one `vpermi2b` per nibble of a row-major register, a
+//!    `vpavgb` and a `vpsadbw`) — and the largest sum of each of 256
+//!    disjoint row groups. The `k`-th largest of those maxima seeds the
+//!    threshold with a proven lower bound on the visit's `k`-th best score;
+//!    only the rows whose sum can still reach it become candidates, and one
+//!    **exact step** scores the candidate list at f32. Rows never scored
+//!    are [`ScanTally::bound_rejected`]. The exact step is the seeded
+//!    shapes' only f32 scorer: a visitor whose LUT has no u8 image hands
+//!    it every row at its selector's floor, and [`score_all`] every row at
+//!    `−∞`.
 //! 3. **Visitor groups** — a cluster's visitors are scanned in groups of
-//!    the kernel's size: up to four for the seeded `avx512` kernels, whose
-//!    sum pass loads each chunk of rows once — and transposes it, or makes
-//!    its nibble indices — for the whole group, then looks it up in every
+//!    the kernel's size: up to four for the seeded kernels, whose sum pass
+//!    loads each chunk of rows once — and transposes it, or makes its
+//!    nibble indices — for the whole group, then looks it up in every
 //!    member's u8 image; each member then seeds, scores and offers its own
 //!    candidates — the software form of ANNA's crossbar handing one fetched
 //!    cluster block to the SCM of every query in the group (PAPER §III-B,
-//!    §IV). Every other kernel, and a member whose LUT has no image, takes
-//!    the visitors one at a time.
-//! 4. **Block scoring** — a tiled visit walks a cluster in blocks of
-//!    [`TILE`] vectors, each scored by one `score_block` call into a
-//!    `Sink`: a tile of every score (what [`score_all`] reads) or, in a
-//!    scan, a **survivors sink** — the finished sums are compared with the
-//!    query's [`TopK::threshold`] (in registers for the SIMD kernels:
-//!    `vcmpps GE_OQ` into a mask) and only the passing vectors are kept, as
-//!    `(position, score)` pairs in ascending position in the query's
-//!    buffer. ANNA's SCM never materialises a score either — each sum
-//!    leaves the adder tree, meets the P-heap minimum, and only winners
-//!    enter the heap (PAPER §III-B(4)); a seeded visit goes one step
-//!    further: one block of the whole cluster, whose threshold the u8 pass
-//!    has already raised to a proven `k`-th best bound, and which meets it
-//!    with a u8 upper bound before the f32 score exists. Whatever rows a
-//!    kernel leaves are finished by one shared row loop (`score_row`). The
-//!    hot loop is allocation-free.
+//!    §IV). A member whose LUT has no image sits out the sum pass. Every
+//!    other kernel takes the visitors one at a time.
+//! 4. **Block scoring** — every kernel scores into one destination, the
+//!    **survivors sink**: the finished sums are compared with a threshold
+//!    (in registers for the SIMD kernels: `vcmpps GE_OQ` into a mask) and
+//!    only the passing vectors are kept, as `(position, score)` pairs in
+//!    ascending position in the query's buffer. ANNA's SCM never
+//!    materialises a score either — each sum leaves the adder tree, meets
+//!    the P-heap minimum, and only winners enter the heap (PAPER
+//!    §III-B(4)). A kernel that does not seed walks a cluster in blocks of
+//!    [`TILE`] vectors, each scored by one `score_block` call against the
+//!    threshold as the block starts; a seeded visit is one block of the
+//!    whole cluster, whose threshold the u8 pass has already raised to a
+//!    proven `k`-th best bound, and which meets it with a u8 upper bound
+//!    before the f32 score exists. [`score_all`] is the same sink at `−∞`
+//!    scattered into place: `−∞` keeps every score but NaN, and the row
+//!    loop fills those in. Whatever rows a kernel leaves are finished by
+//!    one shared row loop (`score_row`). The hot loop is allocation-free.
 //! 5. **Threshold-pruned selection** — every kernel but the seed scan ends
 //!    in a survivors sink, and one loop re-tests each kept lane against the
 //!    live threshold, in the same ascending order, before the next block is
@@ -74,8 +76,9 @@
 //! # Why a frozen threshold is exact
 //!
 //! The survivors sink compares each query's sums against a copy of that
-//! query's threshold taken when the tile starts, while pushes from that
-//! same tile can settle the selector and raise the live one. That is sound
+//! query's threshold taken when the block starts — a tile, or a seeded
+//! kernel's whole cluster — while pushes from that same block can settle
+//! the selector and raise the live one. That is sound
 //! because the threshold only ever rises and never passes the true `k`-th
 //! best: `frozen <= live <= k-th best` at every moment, so `score >= live`
 //! implies `score >= frozen` — every candidate a per-score test against
@@ -116,10 +119,10 @@
 //! candidate, it is kept (`>=`, so ties at `T` are too), and it is offered
 //! in ascending position against the live threshold — every kept score
 //! already reaches the seed, so that is the re-test against `max(seed,
-//! live)`. A candidate's exact score is the tiled kernel's own — the
-//! gather kernel's lookup sequence at `k* = 256`, the LUT16 kernel's
-//! `vpermps` per subquantizer at `k* = 16`, `i` ascending, bias last — so
-//! it is the scalar score bit for bit. NaN cannot arise: a LUT has a u8
+//! live)`. A candidate's score comes from the exact step — one
+//! `vgatherdps` per lookup at `k* = 256`, one `vpermps` per subquantizer
+//! at `k* = 16`, `i` ascending, bias last — so it is the scalar score bit
+//! for bit. NaN cannot arise: a LUT has a u8
 //! image only when its entries and bias are finite. The selector's order
 //! is total, so its kept set is the best `k` of what was offered, which
 //! includes everything that belongs there: the scalar path's, bit for
@@ -127,7 +130,9 @@
 //! seed are pruned without being offered, so [`ScanTally::pruned`] reads
 //! higher on a seeded visit than on a dispatch that tests against the
 //! floor alone. With fewer than `k` rows, or `k >= 256`, there is no seed
-//! and `T` is the floor.
+//! and `T` is the floor. A visitor whose LUT has no u8 image has neither
+//! seed nor bound: every row is a candidate, at the floor frozen once for
+//! the cluster — the frozen threshold above, over one block.
 //!
 //! # The summation-order invariant
 //!
@@ -168,7 +173,7 @@
 //! serves 16, and the seed spares the selector most of its offers. Both
 //! bounds hold by construction (`avx512::byte_sums` proves them,
 //! `avx512::half_sums` carries them to nibbles), so scores and top-k sets
-//! are the tiled kernels' bit for bit; only the offers fall.
+//! are the scalar path's bit for bit; only the offers fall.
 
 mod blocked;
 mod scalar;
@@ -233,8 +238,8 @@ impl ScanScratch {
 
 impl Survivors {
     /// Grows (never shrinks) the buffers to `rows + SINK_SLACK` slots and
-    /// hands out the first `rows + SINK_SLACK` as one [`Sink::Survivors`]
-    /// for a block of `rows`, which [`Self::kept`] reads back.
+    /// hands out the first `rows + SINK_SLACK` as one [`Sink`] for a block
+    /// of `rows`, which [`Self::kept`] reads back.
     fn sink(&mut self, threshold: f32, rows: usize) -> Sink<'_> {
         let need = rows + SINK_SLACK;
         if self.scores.len() < need {
@@ -243,7 +248,7 @@ impl Survivors {
         if self.positions.len() < need {
             self.positions.resize(need, 0);
         }
-        Sink::Survivors {
+        Sink {
             threshold,
             positions: &mut self.positions[..need],
             scores: &mut self.scores[..need],
@@ -295,10 +300,9 @@ struct ByteBound<'a> {
 
 impl<'a> ByteBound<'a> {
     /// Quantises `lut` into the first [`Self::image_len`] of `tables` for
-    /// a seeded visit; `None` — the scan keeps the kernel's tiles — unless
-    /// the kernel seeds (the `avx512` LUT16 kernel, or the `avx512` gather
-    /// over rows of two or four whole dwords), or when the LUT holds a
-    /// non-finite entry or bias, every table is constant, or entries and
+    /// a seeded visit; `None` — the visitor's candidates are then every row
+    /// — unless the kernel seeds ([`Kernel::seeds`]), or when the LUT holds
+    /// a non-finite entry or bias, every table is constant, or entries and
     /// bias are too large to sum without overflow (`Σ_i max_v |e_iv| +
     /// |bias|` reaching `2^120`).
     ///
@@ -587,69 +591,82 @@ impl<'a> ByteBound<'a> {
             maxima
         }
     }
+}
 
-    /// Scores exactly against `lut` — the LUT the image was quantised
-    /// from — every row of `codes[start .. start + count]` whose stored sum
-    /// in `sums` (as [`Self::byte_sums`] left this member's for the same
-    /// range) can reach the survivors `sink`'s threshold, and keeps those
-    /// that do (`avx512::bounded_gather`, `avx512::bounded_lut16`). Returns
-    /// `(scores the sink received, rows never scored)`; the sink receives
-    /// exactly what the kernel's tiles would hand it.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::byte_sums`] does, if `lut` does not hold the `m`
-    /// tables the image was quantised from, if `sums` is shorter than the
-    /// range in whole chunks, or if `sink` is not a survivors sink of
-    /// `count + SINK_SLACK` slots.
-    fn survivors(
-        &self,
-        codes: &PackedCodes,
-        start: usize,
-        count: usize,
-        lut: &Lut,
-        sums: &[u16],
-        sink: &mut Sink<'_>,
-    ) -> (usize, usize) {
-        self.check(codes, start, count);
-        let m = self.m;
-        assert!(lut.kstar() == self.kstar && lut.m() == m && lut.entries().len() >= m * self.kstar);
-        assert!(sums.len() >= whole_chunks(count));
-        let Sink::Survivors {
-            threshold,
-            positions,
-            scores,
-        } = &*sink
-        else {
-            panic!("a seeded visit feeds a survivors sink");
-        };
-        assert!(
-            count + SINK_SLACK <= positions.len().min(scores.len()),
-            "survivors buffers need {SINK_SLACK} slots of slack"
-        );
+/// The exact step of a seeded kernel (module docs, layer 2), the seeded
+/// shapes' only f32 scorer: scores against `lut` the candidates among rows
+/// `[start, start + count)` of `codes` and keeps in `sink` those whose
+/// score reaches its threshold, positions ascending. With `bound` — the u8
+/// image quantised from `lut` and the stored sums [`ByteBound::byte_sums`]
+/// left it for the same range — the candidates are the rows whose sum can
+/// reach the threshold (`avx512::candidates`); without one, every row.
+/// Returns `(scores the sink kept, rows never scored)`.
+///
+/// # Panics
+///
+/// Panics if `kernel` does not seed, as [`score_block`] does, if the image
+/// does not fit the codes and `lut` ([`ByteBound::check`]) or if `sums` is
+/// shorter than the range in whole chunks.
+fn exact_step(
+    kernel: Kernel,
+    codes: &PackedCodes,
+    start: usize,
+    count: usize,
+    lut: &Lut,
+    bound: Option<(ByteBound<'_>, &[u16])>,
+    sink: &mut Sink<'_>,
+) -> (usize, usize) {
+    assert!(kernel.seeds(), "{kernel:?} has no exact step");
+    check_block(kernel, codes, start, count, lut, sink);
+    let bound = bound.map(|(image, sums)| {
+        image.check(codes, start, count);
+        assert!(image.kstar == lut.kstar() && sums.len() >= whole_chunks(count));
         // No bound below the threshold: every row is a candidate.
-        let least = self.least_stored(self.min_sum(*threshold).unwrap_or(0));
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `byte_sums`, plus `popcnt` (in the `avx512` level);
-        // the LUT's `m` tables of `kstar`, the whole chunks of `sums` and
-        // the survivors slices of `count + SINK_SLACK` are asserted above.
-        unsafe {
-            let (bytes, entries, bias) = (codes.bytes(), lut.entries(), lut.bias());
-            macro_rules! bounded {
-                ($kernel:ident, $nd:literal) => {
-                    avx512::$kernel::<$nd>(m, bytes, start, count, sums, least, entries, bias, sink)
-                };
-            }
-            match (self.kstar, self.row_bytes()) {
-                (16, 4) => bounded!(bounded_lut16, 1),
-                (16, _) => bounded!(bounded_lut16, 2),
-                (_, 8) => bounded!(bounded_gather, 2),
-                _ => bounded!(bounded_gather, 4),
-            }
+        let least = image.least_stored(image.min_sum(sink.threshold).unwrap_or(0));
+        (image, sums, least)
+    });
+    if bound.is_none() {
+        for (j, position) in sink.positions[..count].iter_mut().enumerate() {
+            *position = j as u32;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("no u8 image off x86-64")
     }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `check_block` asserted the `avx512` level (`avx512f`,
+    // `avx512bw`, `avx512vbmi`, `popcnt`) and, through `kernel.fits`, the
+    // row shape of the arm taken — nibbles in rows of `4 · nd` bytes against
+    // 16-entry tables, or `m = 4 · nd` byte codes against 256-entry ones —
+    // the table count, the range, the row offsets and the `count +
+    // SINK_SLACK` sink slots; `check` and the assert above, the image's
+    // slot layout and the sums' whole chunks. Every candidate is a row of
+    // the range: all of them, or those the compaction keeps.
+    unsafe {
+        let candidates = match bound {
+            Some((image, sums, least)) => {
+                let slots = match (image.kstar, image.row_bytes()) {
+                    (16, vb) => &avx512::NIBBLE_SLOTS[vb / 8],
+                    (_, vb) => &avx512::BYTE_SLOTS[vb / 16],
+                };
+                avx512::candidates(sums, count, least, slots, sink.positions)
+            }
+            None => count,
+        };
+        let (m, entries, bias) = (codes.m(), lut.entries(), lut.bias());
+        let bytes = codes.bytes();
+        macro_rules! exact {
+            ($kstar:literal, $nd:literal) => {
+                avx512::exact::<$kstar, $nd>(m, bytes, start, candidates, entries, bias, sink)
+            };
+        }
+        let kept = match kernel {
+            Kernel::Avx512Lut16 { nd: 1 } => exact!(16, 1),
+            Kernel::Avx512Lut16 { .. } => exact!(16, 2),
+            Kernel::Avx512Gather { nd: 2 } => exact!(256, 2),
+            _ => exact!(256, 4),
+        };
+        (kept, count - candidates)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("no AVX-512 off x86-64")
 }
 
 /// Work counters returned by a scan. Feeds the `kernel.codes_scanned` /
@@ -663,13 +680,13 @@ pub struct ScanTally {
     /// a score counts as pruned exactly when it was below the visit's
     /// threshold *at the moment it would have been offered*. Dispatches
     /// that share a threshold source report the same number from the same
-    /// starting `TopK`. Every tiled scan (`Blocked`, `Avx2`, and the
-    /// `avx512` kernels where they take no seeded visit: other row widths,
-    /// or a LUT with no u8 image) tests against the selector's live
-    /// threshold: the survivors sink compares against a copy frozen per
-    /// tile, but the lanes it keeps are re-checked against the live one
-    /// before the push, so the frozen copy never shows here (`Scalar`,
-    /// which pushes every score, reports 0). The live threshold is the
+    /// starting `TopK`. Every scan without a seed (`Blocked`, `Avx2`, the
+    /// `avx512` gather kernel, and a seeded kernel's visitor whose LUT has
+    /// no u8 image) tests against the selector's live threshold: the
+    /// survivors sink compares against a copy frozen per block (a tile, or
+    /// the whole cluster), but the lanes it keeps are re-checked against
+    /// the live one before the push, so the frozen copy never shows here
+    /// (`Scalar`, which pushes every score, reports 0). The live threshold is the
     /// selector's floor, which lags the true `k`-th best between settles.
     /// An `avx512` seeded visit — `k* = 16` over 4- and 8-byte rows, `k* =
     /// 256` over 8- and 16-byte rows — tests against the higher of the
@@ -682,7 +699,7 @@ pub struct ScanTally {
     pub pruned: u64,
     /// Of `pruned`, the scores an `avx512` seeded visit never computed:
     /// rows whose u8 upper bound fell below the visit's threshold
-    /// (`avx512::bounded_gather`, `avx512::bounded_lut16`). Always `<=
+    /// (`avx512::candidates`). Always `<=
     /// pruned` — such a score is below that threshold too — and 0 on every
     /// other dispatch and row shape. Schedule-dependent like `pruned`.
     pub bound_rejected: u64,
@@ -702,23 +719,21 @@ impl ScanTally {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     /// The seed scan (`scalar`): every score pushed, no block scored. A
-    /// tile under it ([`score_all`]) comes from the row loop alone.
+    /// block under it ([`score_all`]) comes from the row loop alone.
     Scalar,
     /// The four-row blocked kernel (`blocked`), both widths.
     Blocked,
     /// The AVX2 LUT16 kernel (`avx2`): nibble codes against 16-entry
     /// tables, 32 per iteration, rows of at most eight dwords.
     Avx2Lut16,
-    /// The AVX-512 LUT16 kernel (`avx512`) over rows of `nd` whole dwords
-    /// (4- and 8-byte rows); a scan with a u8 image of the LUT runs a
-    /// seeded visit instead of tiles (`ByteBound`).
+    /// The AVX-512 seeded kernel for nibble codes in rows of `nd` whole
+    /// dwords (4- and 8-byte rows): a seeded visit per cluster, its
+    /// candidates scored by [`exact_step`].
     Avx512Lut16 { nd: usize },
-    /// The AVX-512 gather kernel (`avx512`): byte codes in rows of four
-    /// bytes or more against 256-entry tables. Rows of `nd` whole dwords
-    /// (`nd` 2 or 4: 8- and 16-byte rows) are loaded sixteen at a time and
-    /// de-interleaved, and a scan over them with a u8 image of the LUT runs
-    /// a seeded visit instead (`ByteBound`); every other width (`nd` 0)
-    /// gathers its code dwords.
+    /// The AVX-512 kernels for byte codes in rows of four bytes or more
+    /// against 256-entry tables. Rows of `nd` whole dwords (`nd` 2 or 4: 8-
+    /// and 16-byte rows) seed, as `Avx512Lut16` does; every other width
+    /// (`nd` 0) runs the gather kernel, its code dwords gathered.
     Avx512Gather { nd: usize },
 }
 
@@ -749,10 +764,10 @@ impl Kernel {
         }
     }
 
-    /// Whether a scan with this kernel takes seeded visits, for every
-    /// visitor whose LUT has a u8 image (`ByteBound`): the `avx512` LUT16
-    /// kernel, and the `avx512` gather over rows of two or four whole
-    /// dwords.
+    /// Whether a scan with this kernel takes seeded visits — bounded for
+    /// every visitor whose LUT has a u8 image (`ByteBound`) — and scores
+    /// with [`exact_step`]: nibble codes in 4- and 8-byte rows and byte
+    /// codes in 8- and 16-byte rows, under `avx512`.
     fn seeds(self) -> bool {
         matches!(
             self,
@@ -833,14 +848,13 @@ pub fn scan_with(
 /// one visitor at a time. Under every other dispatch, the kernel the
 /// dispatch selects for the codes scores a block into a survivors sink,
 /// and only the kept lanes that still pass the live threshold are offered.
-/// Where an `avx512` kernel seeds — the LUT16 kernel over nibble codes in
-/// 4- or 8-byte rows, the gather over byte codes in 8- or 16-byte rows —
-/// up to four visitors share a seeded visit instead of tiles: each
-/// visitor's LUT is quantised into `scratch`, one pass over the rows gives
-/// every visitor with a u8 image the sums it seeds and bounds its scan
-/// with, and each scores and offers its own candidates (a visitor without
-/// one is scanned in tiles). Every other kernel scans the visitors one
-/// after another, tile by tile. Either way each selector meets the same
+/// Where an `avx512` kernel seeds — nibble codes in 4- or 8-byte rows,
+/// byte codes in 8- or 16-byte rows — up to four visitors share a seeded
+/// visit instead of tiles: each visitor's LUT is quantised into `scratch`,
+/// one pass over the rows gives every visitor with a u8 image the sums it
+/// seeds and bounds its scan with, and each scores and offers its own
+/// candidates (a visitor without one, every row). Every other kernel scans
+/// the visitors one after another, tile by tile. Either way each selector meets the same
 /// offers in the same order as a [`scan_with`] of its own, so every `top`
 /// and the returned tally (summed over the visitors) are bit-identical to
 /// that; every `top` is bit-identical on every dispatch (see the module
@@ -892,19 +906,12 @@ pub fn scan_group_with(
         .chunks(kernel.group())
         .zip(tops.chunks_mut(kernel.group()))
     {
-        let imaged = if kernel.seeds() {
-            let (seeded, rejected, imaged) =
-                seeded_visits(kernel, kstar, codes, ids, luts, tops, scratch);
+        if kernel.seeds() {
+            let (seeded, rejected) = seeded_visits(kernel, kstar, codes, ids, luts, tops, scratch);
             offered += seeded;
             bound_rejected += rejected;
-            imaged
         } else {
-            [false; GROUP]
-        };
-        // A LUT with no u8 image (a non-finite entry, or every table
-        // constant) keeps the kernel's tiles.
-        for ((lut, top), imaged) in luts.iter().zip(tops).zip(imaged) {
-            if !imaged {
+            for (lut, top) in luts.iter().zip(tops) {
                 offered += tiled_visit(kernel, codes, ids, lut, top, &mut scratch.survivors);
             }
         }
@@ -978,14 +985,14 @@ fn offer(top: &mut TopK, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 
 
 /// The seeded visit (module docs, "Why a seeded threshold is exact") of
 /// every member of a visitor group — `luts[g]` into `tops[g]`, tables of
-/// `kstar` entries — whose LUT has a u8 image: the images are quantised
-/// into `scratch`; one byte-sum pass over the rows gives each member every
-/// row's stored sum and [`SEED_GROUPS`] disjoint groups' maxima; then, one
-/// member after another, the threshold is the higher of its selector's and
-/// its seed where there is one, every row whose sum can reach it is scored
-/// exactly into one cluster-wide candidate list, and the kept lanes are
-/// offered in ascending position. Returns `(offered, rows never scored,
-/// which members it visited)`.
+/// `kstar` entries: the images are quantised into `scratch`; one byte-sum
+/// pass over the rows gives each member with an image every row's stored
+/// sum and [`SEED_GROUPS`] disjoint groups' maxima; then, one member after
+/// another, the threshold is the higher of its selector's and its seed
+/// where there is one, every row whose sum can reach it (every row, for a
+/// member without an image) is scored by the exact step into one
+/// cluster-wide candidate list, and the kept lanes are offered in
+/// ascending position. Returns `(offered, rows never scored)`.
 fn seeded_visits(
     kernel: Kernel,
     kstar: usize,
@@ -994,7 +1001,7 @@ fn seeded_visits(
     luts: &[Lut],
     tops: &mut [TopK],
     scratch: &mut ScanScratch,
-) -> (u64, u64, [bool; GROUP]) {
+) -> (u64, u64) {
     let n = codes.len();
     let image_len = ByteBound::image_len(kstar, codes.m());
     if scratch.tables.len() < luts.len() * image_len {
@@ -1012,21 +1019,19 @@ fn seeded_visits(
     let maxima = ByteBound::byte_sums(images, codes, 0, n, &mut scratch.sums);
     let padded = whole_chunks(n);
     let (mut offered, mut rejected) = (0, 0);
-    for (g, ((lut, top), image)) in luts.iter().zip(tops).zip(images).enumerate() {
-        let Some(image) = image else { continue };
+    for (g, ((lut, top), &image)) in luts.iter().zip(tops).zip(images).enumerate() {
         let floor = top.threshold();
         let threshold = image
-            .seed(&maxima[g], n, top.k())
+            .and_then(|image| image.seed(&maxima[g], n, top.k()))
             .map_or(floor, |seed| seed.max(floor));
-        let sums = &scratch.sums[g * padded..(g + 1) * padded];
+        let bound = image.map(|image| (image, &scratch.sums[g * padded..(g + 1) * padded]));
         let mut sink = scratch.survivors.sink(threshold, n);
-        let (kept, never_scored) = image.survivors(codes, 0, n, lut, sums, &mut sink);
+        let (kept, never_scored) = exact_step(kernel, codes, 0, n, lut, bound, &mut sink);
         let (positions, scores) = scratch.survivors.kept(kept);
         offered += offer(top, ids, positions, scores);
         rejected += never_scored as u64;
     }
-    let imaged = std::array::from_fn(|g| images.get(g).is_some_and(Option::is_some));
-    (offered, rejected, imaged)
+    (offered, rejected)
 }
 
 /// Issues a read prefetch hint for `bytes[offset..offset + len]`, one
@@ -1051,50 +1056,29 @@ fn prefetch_read(bytes: &[u8], offset: usize, len: usize) {
     }
 }
 
-/// Where a kernel puts the scores of a block.
-enum Sink<'a> {
-    /// Every score, at its vector's position in the block.
-    Tile(&'a mut [f32]),
-    /// Only the vectors with `score >= threshold`, as parallel
-    /// `(position in the block, score)` arrays in ascending position. NaN
-    /// scores never pass (the comparison is ordered). Both slices must
-    /// hold at least the block's vector count plus [`SINK_SLACK`]; what
-    /// lies past the survivors afterwards is junk.
-    Survivors {
-        threshold: f32,
-        positions: &'a mut [u32],
-        scores: &'a mut [f32],
-    },
+/// Where a kernel puts the scores of a block: only the vectors with
+/// `score >= threshold`, as parallel `(position in the block, score)`
+/// arrays in ascending position. NaN scores never pass (the comparison is
+/// ordered). Both slices must hold at least the block's vector count plus
+/// [`SINK_SLACK`]; what lies past the survivors afterwards is junk.
+struct Sink<'a> {
+    threshold: f32,
+    positions: &'a mut [u32],
+    scores: &'a mut [f32],
 }
 
 impl Sink<'_> {
-    /// `(threshold to keep from, scores out, positions out)`: the scores
-    /// slice is the tile, or the survivors' scores beside `positions`; a
-    /// tile keeps everything and has no positions.
-    fn parts(&mut self) -> (Option<f32>, &mut [f32], &mut [u32]) {
-        match self {
-            Sink::Tile(out) => (None, out, &mut []),
-            Sink::Survivors {
-                threshold,
-                positions,
-                scores,
-            } => (Some(*threshold), scores, positions),
-        }
-    }
-
     /// Hands the sink the score of block position `j`, with `written`
     /// scores already in it; returns how many it holds afterwards. Scalar
     /// kernels put their scores one at a time, in ascending position.
     fn put(&mut self, written: usize, j: usize, score: f32) -> usize {
-        match self.parts() {
-            (None, out, _) => out[j] = score,
-            (Some(threshold), scores, positions) if score >= threshold => {
-                positions[written] = j as u32;
-                scores[written] = score;
-            }
-            (Some(_), ..) => return written,
+        if score >= self.threshold {
+            self.positions[written] = j as u32;
+            self.scores[written] = score;
+            written + 1
+        } else {
+            written
         }
-        written + 1
     }
 }
 
@@ -1127,33 +1111,17 @@ fn score_row(codes: &PackedCodes, lut: &Lut, v: usize) -> f32 {
     sum + lut.bias()
 }
 
-/// Scores vectors `[start, start + count)` against `lut` with `kernel`
-/// into `sink`; returns how many scores the sink received (`count` for
-/// [`Sink::Tile`], the survivor count for [`Sink::Survivors`]).
-///
-/// Whatever rows a kernel leaves — the blocked kernel's last `count % 4`,
-/// the AVX2 kernel's past its last whole 32-vector chunk (all of them for
-/// rows wider than it keeps per lane), and every row under
-/// [`Kernel::Scalar`] and, off x86, the SIMD kernels — are finished by
-/// [`score_row`] in ascending position.
-///
-/// # Panics
-///
-/// Panics if `kernel` does not fit the codes and the LUT
-/// ([`Kernel::fits`]), the host lacks the ISA a SIMD kernel needs, u4
-/// codes meet a non-16-entry LUT under any kernel but [`Kernel::Scalar`]
-/// (the row loop reads each table at its own stride), the LUT has fewer
-/// tables than the codes have subquantizers, the range exceeds
-/// `codes.len()`, a tile is shorter than `count` or a survivors slice
-/// shorter than `count + SINK_SLACK`.
-fn score_block(
+/// Asserts what every kernel assumes of a block of `codes[start ..
+/// start + count]` scored against `lut` into `sink`: see
+/// [`score_block`]'s panics.
+fn check_block(
     kernel: Kernel,
     codes: &PackedCodes,
     start: usize,
     count: usize,
     lut: &Lut,
-    sink: &mut Sink<'_>,
-) -> usize {
+    sink: &Sink<'_>,
+) {
     let (m, width, vb, kstar) = (codes.m(), codes.width(), codes.vector_bytes(), lut.kstar());
     assert!(
         kernel.fits(codes, kstar),
@@ -1162,70 +1130,78 @@ fn score_block(
     if width == CodeWidth::U4 && kernel != Kernel::Scalar {
         assert_eq!(kstar, 16, "u4 kernel requires a 16-entry LUT");
     }
+    let isa = match kernel {
+        Kernel::Scalar | Kernel::Blocked => KernelDispatch::Blocked,
+        Kernel::Avx2Lut16 => KernelDispatch::Avx2,
+        _ => KernelDispatch::Avx512,
+    };
+    assert!(isa.is_available(), "SIMD kernel on a host without its ISA");
     assert!(m * kstar <= lut.entries().len());
-    let bytes = codes.bytes();
-    assert!((start + count) * vb <= bytes.len());
+    assert!((start + count) * vb <= codes.bytes().len());
     assert!(
         count.max(64) * vb <= i32::MAX as usize,
         "row offsets must fit an i32"
     );
-    match sink {
-        Sink::Tile(out) => assert!(count <= out.len()),
-        Sink::Survivors {
-            positions, scores, ..
-        } => assert!(
-            count + SINK_SLACK <= positions.len().min(scores.len()),
-            "survivors buffers need {SINK_SLACK} slots of slack"
-        ),
-    }
+    assert!(
+        count + SINK_SLACK <= sink.positions.len().min(sink.scores.len()),
+        "survivors buffers need {SINK_SLACK} slots of slack"
+    );
+}
 
+/// Scores vectors `[start, start + count)` against `lut` with `kernel`
+/// into `sink`; returns how many scores the sink kept. A seeded kernel
+/// hands every row to its exact step ([`exact_step`]).
+///
+/// Whatever rows a kernel leaves — the blocked kernel's last `count % 4`,
+/// the AVX2 kernel's past its last whole 32-vector chunk (all of them for
+/// rows wider than it keeps per lane), and every row under
+/// [`Kernel::Scalar`] — are finished by [`score_row`] in ascending
+/// position.
+///
+/// # Panics
+///
+/// Panics if `kernel` does not fit the codes and the LUT
+/// ([`Kernel::fits`]), the host lacks the ISA a SIMD kernel needs, u4
+/// codes meet a non-16-entry LUT under any kernel but [`Kernel::Scalar`]
+/// (the row loop reads each table at its own stride), the LUT has fewer
+/// tables than the codes have subquantizers, the range exceeds
+/// `codes.len()`, or a sink slice is shorter than `count + SINK_SLACK`.
+fn score_block(
+    kernel: Kernel,
+    codes: &PackedCodes,
+    start: usize,
+    count: usize,
+    lut: &Lut,
+    sink: &mut Sink<'_>,
+) -> usize {
+    if kernel.seeds() {
+        return exact_step(kernel, codes, start, count, lut, None, sink).0;
+    }
+    check_block(kernel, codes, start, count, lut, sink);
+    let (m, vb, bytes) = (codes.m(), codes.vector_bytes(), codes.bytes());
     let (entries, bias) = (lut.entries(), lut.bias());
     let (done, mut written) = match kernel {
         Kernel::Scalar => (0, 0),
         Kernel::Blocked => blocked::score_block(codes, start, count, lut, sink),
-        // Off x86-64 there is no SIMD kernel: the row loop scores the block.
         #[cfg(not(target_arch = "x86_64"))]
-        _ => (0, 0),
+        _ => unreachable!("no SIMD kernel off x86-64"),
+        // SAFETY: `check_block` asserted the ISA of whichever kernel the
+        // match calls (the `avx512` level covers the gather kernel's
+        // `popcnt`) and, through `kernel.fits`, the shape each assumes: for
+        // the gather kernel, byte codes with `m >= 4` against 256-entry
+        // tables, so every byte code indexes inside its table; for the AVX2
+        // kernel, nibble codes against 16-entry tables (the u4 assert).
+        // Its range, table-count, row-offset and sink-length asserts are
+        // the kernels' other preconditions.
         #[cfg(target_arch = "x86_64")]
-        _ => {
-            let isa_detected = match kernel {
-                Kernel::Avx2Lut16 => KernelDispatch::Avx2.is_available(),
-                _ => KernelDispatch::Avx512.is_available(),
-            };
-            assert!(isa_detected, "SIMD kernel on a host without its ISA");
-            // SAFETY: `isa_detected` (asserted just above) is the feature
-            // set of whichever kernel the match calls (the `avx512` level
-            // covers the `popcnt` of the AVX-512 sinks). `kernel.fits`
-            // (asserted at the top) is the shape each kernel assumes: for
-            // the gather kernel, byte codes with `m >= 4` against
-            // 256-entry tables, so every byte code indexes inside its
-            // table, in rows of exactly `4 * nd` bytes for the `nd` 2 and
-            // 4 arms; for the AVX-512 LUT16 kernel, nibble rows of `vb = 4
-            // * nd` bytes, with `nd` the arm taken, and 16-entry tables
-            // (the u4 assert). The range, table-count, row-offset and
-            // sink-length asserts at the top of this function are the
-            // kernels' other preconditions.
-            unsafe {
-                match kernel {
-                    Kernel::Avx2Lut16 => {
-                        avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, sink)
-                    }
-                    Kernel::Avx512Lut16 { nd: 1 } => {
-                        avx512::lut16_kernel::<1>(m, bytes, start, count, entries, bias, sink)
-                    }
-                    Kernel::Avx512Lut16 { .. } => {
-                        avx512::lut16_kernel::<2>(m, bytes, start, count, entries, bias, sink)
-                    }
-                    Kernel::Avx512Gather { nd: 2 } => {
-                        avx512::gather_kernel::<2>(m, bytes, start, count, entries, bias, sink)
-                    }
-                    Kernel::Avx512Gather { nd: 4 } => {
-                        avx512::gather_kernel::<4>(m, bytes, start, count, entries, bias, sink)
-                    }
-                    _ => avx512::gather_kernel::<0>(m, bytes, start, count, entries, bias, sink),
+        _ => unsafe {
+            match kernel {
+                Kernel::Avx2Lut16 => {
+                    avx2::lut16_kernel(m, vb, bytes, start, count, entries, bias, sink)
                 }
+                _ => avx512::gather_kernel(m, bytes, start, count, entries, bias, sink),
             }
-        }
+        },
     };
 
     for j in done..count {
@@ -1244,7 +1220,10 @@ pub fn score_all(codes: &PackedCodes, lut: &Lut) -> Vec<f32> {
     score_all_with(codes, lut, KernelDispatch::current())
 }
 
-/// [`score_all`] under an explicit dispatch.
+/// [`score_all`] under an explicit dispatch: each tile is scored into
+/// survivors at `−∞` and scattered into place. `−∞` keeps every score but
+/// NaN, so the rows it rejects are exactly the NaN ones, and the row loop
+/// fills those in.
 ///
 /// # Panics
 ///
@@ -1253,17 +1232,21 @@ pub fn score_all(codes: &PackedCodes, lut: &Lut) -> Vec<f32> {
 pub fn score_all_with(codes: &PackedCodes, lut: &Lut, dispatch: KernelDispatch) -> Vec<f32> {
     assert_eq!(codes.m(), lut.m(), "LUT table count mismatch");
     let kernel = Kernel::select(dispatch, codes, lut.kstar());
-    let mut out = vec![0.0f32; codes.len()];
+    let mut survivors = Survivors::default();
+    let mut out = vec![f32::NAN; codes.len()];
     for (block, tile) in out.chunks_mut(TILE).enumerate() {
         let count = tile.len();
-        score_block(
-            kernel,
-            codes,
-            block * TILE,
-            count,
-            lut,
-            &mut Sink::Tile(tile),
-        );
+        let mut sink = survivors.sink(f32::NEG_INFINITY, count);
+        let kept = score_block(kernel, codes, block * TILE, count, lut, &mut sink);
+        let (positions, scores) = survivors.kept(kept);
+        for (&j, &score) in positions.iter().zip(scores) {
+            tile[j as usize] = score;
+        }
+    }
+    for (v, score) in out.iter_mut().enumerate() {
+        if score.is_nan() {
+            *score = score_row(codes, lut, v);
+        }
     }
     out
 }
@@ -1736,30 +1719,33 @@ mod tests {
     }
 
     /// The sink-level statement behind the survivors scan: under the
-    /// kernel of every available dispatch, what [`Sink::Survivors`]
-    /// receives is exactly what [`Sink::Tile`] receives filtered by
+    /// kernel of every available dispatch, what the [`Sink`] keeps at a
+    /// threshold is exactly what [`score_block`] keeps at `−∞` filtered by
     /// `score >= threshold`, positions ascending — for a threshold that
     /// keeps everything but NaN (`-inf`), two inside the score range, one
     /// only `+inf` scores reach, and, at the edge of the `avx512` bound
     /// pass, each block's own best score, a middle one, and the next f32
     /// above and below each — and nothing is written past the sink's
-    /// `count + SINK_SLACK` slots. A table goes through its u8 image where
-    /// it has one, as a seeded visit does: one byte-sum pass for a group
-    /// of one to [`GROUP`] images, every member with its own table and its
-    /// own threshold, each threshold at every member position, then each
-    /// member's bounded exact step; a table without one is scored by
-    /// [`score_block`]. Nibble shapes cover both AVX-512 row loads and
-    /// images (`m` 7 and 8: 4-byte rows; 16: 8-byte), the width it hands
-    /// to AVX2 (`m` 24) and one wider than AVX2 keeps per lane, which it
-    /// leaves whole to the row loop (`m` 66); byte shapes cover the gather
-    /// kernel with gathered whole dwords (`m` 4), loaded rows and the u8
-    /// image (`m` 8, 16) and the shifted last dword (`m` 5, 7, 17), and
+    /// `count + SINK_SLACK` slots. What `−∞` keeps is every row whose score
+    /// is not NaN, each the row loop's ([`score_row`]) bit for bit. A table
+    /// goes through its u8 image where it has one, as a seeded visit does:
+    /// one byte-sum pass for a group of one to [`GROUP`] images, every
+    /// member with its own table and its own threshold, each threshold at
+    /// every member position, then each member's bounded exact step; a
+    /// table without one is scored by [`score_block`] (under a seeded
+    /// kernel, the exact step over every row). Nibble shapes cover both
+    /// seeded row widths and images (`m` 7 and 8: 4-byte rows; 16: 8-byte),
+    /// the width `avx512` hands to AVX2 (`m` 24) and one wider than AVX2
+    /// keeps per lane, which it leaves whole to the row loop (`m` 66); byte
+    /// shapes cover the gather kernel with gathered whole dwords (`m` 4),
+    /// the seeded rows and the u8 image (`m` 8, 16) and the shifted last
+    /// dword (`m` 5, 7, 17), and
     /// the blocked kernel under every dispatch (`m` 2 against a 40-entry
     /// table). Counts sit on both sides of the four-row group, the 16-lane
     /// group, the 32- and 64-lane chunks and a whole tile; tables come from
     /// every one of [`FAMILIES`].
     #[test]
-    fn survivors_sink_is_the_tile_sink_filtered_by_the_threshold() {
+    fn survivors_at_a_threshold_are_the_survivors_at_neg_infinity_filtered() {
         const GUARD: usize = 8;
         const UNTOUCHED: u32 = 0x7FC0_DEAD;
         let fixed = [f32::NEG_INFINITY, 0.5, f32::INFINITY, -3.0];
@@ -1779,6 +1765,7 @@ mod tests {
             (CodeWidth::U8, 17, 256),
         ];
         let (mut tables, mut sums) = (vec![0; GROUP * 16 * 256], Vec::new());
+        let mut unfiltered = Survivors::default();
         let mut rejected = [0; 2];
         for (width, m, kstar) in shapes {
             for family in FAMILIES {
@@ -1791,25 +1778,41 @@ mod tests {
                     let start = 3;
                     for dispatch in KernelDispatch::available() {
                         let kernel = Kernel::select(dispatch, &codes, kstar);
-                        let tiles: Vec<Vec<f32>> = luts
+                        // Per member, `(position, score)` of what `−∞` keeps.
+                        let everything: Vec<Vec<(u32, f32)>> = luts
                             .iter()
                             .map(|lut| {
-                                let mut tile = vec![0.0f32; n];
-                                let mut sink = Sink::Tile(&mut tile);
-                                let stored = score_block(kernel, &codes, start, n, lut, &mut sink);
-                                assert_eq!(stored, n);
-                                tile
+                                let mut sink = unfiltered.sink(f32::NEG_INFINITY, n);
+                                let kept = score_block(kernel, &codes, start, n, lut, &mut sink);
+                                let (positions, scores) = unfiltered.kept(kept);
+                                let kept: Vec<(u32, f32)> = positions
+                                    .iter()
+                                    .copied()
+                                    .zip(scores.iter().copied())
+                                    .collect();
+                                let want: Vec<(u32, u32)> = (0..n as u32)
+                                    .map(|j| (j, score_row(&codes, lut, start + j as usize)))
+                                    .filter(|(_, score)| !score.is_nan())
+                                    .map(|(j, score)| (j, score.to_bits()))
+                                    .collect();
+                                let got: Vec<(u32, u32)> =
+                                    kept.iter().map(|&(j, s)| (j, s.to_bits())).collect();
+                                assert_eq!(got, want, "{width:?} m={m} {family} n={n} {kernel:?}");
+                                kept
                             })
                             .collect();
                         // Per member: the fixed thresholds, then its own
-                        // tile's best and middle finite scores with their
+                        // block's best and middle finite scores with their
                         // f32 neighbours.
-                        let thresholds: Vec<Vec<f32>> = tiles
+                        let thresholds: Vec<Vec<f32>> = everything
                             .iter()
-                            .map(|tile| {
+                            .map(|kept| {
                                 let mut list = fixed.to_vec();
-                                let mut finite: Vec<f32> =
-                                    tile.iter().copied().filter(|s| s.is_finite()).collect();
+                                let mut finite: Vec<f32> = kept
+                                    .iter()
+                                    .map(|&(_, s)| s)
+                                    .filter(|s| s.is_finite())
+                                    .collect();
                                 finite.sort_by(f32::total_cmp);
                                 for at in [finite.len().saturating_sub(1), finite.len() / 2] {
                                     let t = finite.get(at).copied().unwrap_or(0.0);
@@ -1846,17 +1849,23 @@ mod tests {
                                     .zip(&images)
                                     .enumerate()
                                     .map(|(g, ((positions, scores), image))| {
-                                        let mut sink = Sink::Survivors {
+                                        let mut sink = Sink {
                                             threshold: threshold(g),
                                             positions,
                                             scores,
                                         };
                                         let lut = &luts[g];
-                                        match image {
+                                        match *image {
                                             Some(image) => {
-                                                let sums = &sums[g * padded..][..padded];
-                                                let (kept, skipped) = image.survivors(
-                                                    &codes, start, n, lut, sums, &mut sink,
+                                                let bound = (image, &sums[g * padded..][..padded]);
+                                                let (kept, skipped) = exact_step(
+                                                    kernel,
+                                                    &codes,
+                                                    start,
+                                                    n,
+                                                    lut,
+                                                    Some(bound),
+                                                    &mut sink,
                                                 );
                                                 rejected[usize::from(kstar == 16)] += skipped;
                                                 kept
@@ -1873,10 +1882,10 @@ mod tests {
                                         threshold(g),
                                         dispatch.name()
                                     );
-                                    let want: Vec<(u32, u32)> = (0..n as u32)
-                                        .zip(&tiles[g])
-                                        .filter(|&(_, &score)| score >= threshold(g))
-                                        .map(|(j, score)| (j, score.to_bits()))
+                                    let want: Vec<(u32, u32)> = everything[g]
+                                        .iter()
+                                        .filter(|&&(_, score)| score >= threshold(g))
+                                        .map(|&(j, score)| (j, score.to_bits()))
                                         .collect();
                                     let got: Vec<(u32, u32)> = positions[..kept[g]]
                                         .iter()
@@ -2076,14 +2085,15 @@ mod tests {
                     let threshold = (m * step * cut) as f32;
                     let mut positions = vec![0u32; n + SINK_SLACK];
                     let mut scores = vec![0.0f32; n + SINK_SLACK];
-                    let mut sink = Sink::Survivors {
+                    let mut sink = Sink {
                         threshold,
                         positions: &mut positions,
                         scores: &mut scores,
                     };
                     ByteBound::byte_sums(&[Some(bound)], &codes, start, n, &mut sums);
+                    let bound = Some((bound, &sums[..]));
                     let (kept, rejected) =
-                        bound.survivors(&codes, start, n, &lut, &sums, &mut sink);
+                        exact_step(kernel, &codes, start, n, &lut, bound, &mut sink);
                     let want: Vec<u32> = (0..n as u32)
                         .filter(|&j| code(start + j as usize) >= cut)
                         .collect();

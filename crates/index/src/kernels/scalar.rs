@@ -5,8 +5,8 @@
 //! heap. Every other dispatch path must reproduce these scores bit for
 //! bit; the oracle tests hold each one to them.
 //! Each score comes from the shared row loop (`super::score_row`), which
-//! also scores a tile without a selector (`score_all` under the `Scalar`
-//! dispatch) and finishes the rows the other kernels leave.
+//! also scores every row of `score_all` under the `Scalar` dispatch and
+//! finishes the rows the other kernels leave.
 
 use super::score_row;
 use crate::lut::Lut;

@@ -4,13 +4,14 @@
 //! `k* = 256` bytes), odd and even subquantizer counts, and arbitrary
 //! random codes — the summation-order invariant of
 //! `anna_index::kernels`, checked end to end. The survivors sink of the
-//! SIMD kernels (scores filtered in registers against a per-tile frozen
-//! threshold) gets its own test against the per-score-push oracle, from a
+//! SIMD kernels (scores filtered in registers against a threshold frozen
+//! per block) gets its own test against the per-score-push oracle, from a
 //! pre-warmed selector, over every row-load path and block-edge count of
-//! the AVX2 and AVX-512 LUT16 kernels and of the AVX-512 gather kernel for
-//! byte codes (8- and 16-byte rows loaded whole and bounded first by the
-//! u8 pass, every other width's code dwords gathered). (The sink itself is private; its "survivors == tile
-//! filtered by the threshold" property is a unit test beside it in
+//! the AVX2 LUT16 kernel, the AVX-512 gather kernel and the AVX-512 exact
+//! step (nibbles in 4- and 8-byte rows, bytes in 8- and 16-byte rows),
+//! and LUTs with no u8 image get one at every shape that seeds. (The sink
+//! itself is private; its "survivors at a threshold == survivors at `−∞`
+//! filtered by it" property is a unit test beside it in
 //! `kernels/mod.rs`.) The grouped scan (`scan_group_with`, several
 //! visitors of one cluster per call, as the batch engine scans) gets a
 //! test against independent one-visitor scans.
@@ -84,21 +85,22 @@ fn random_codes(
 
 /// The full cross-product: dispatch × metric × k* × odd/even m, random
 /// query, random codes, random candidate count — scanned scores must be
-/// bit-identical to the oracle, and so must the kept top-k set. Byte codes
-/// in 8- and 16-byte rows (the AVX-512 gather kernel's loaded rows) also
-/// run at every count around the 16-lane group, the 64-lane chunk and the
-/// tile, so masked partial-row loads are hit.
+/// bit-identical to the oracle, and so must the kept top-k set. The shapes
+/// that seed under `avx512` at `m` 8 and 16 — byte codes in 8- and 16-byte
+/// rows, nibble codes in 4- and 8-byte rows — also run at every count
+/// around the 16-lane group, the 64-lane chunk and the tile, so the exact
+/// step's masked batches are hit by `score_all` and by the scan.
 #[test]
 fn every_dispatch_is_bit_identical_to_scalar_reference() {
     let shapes: Vec<(usize, usize)> = vec![(4, 16), (5, 16), (4, 256), (5, 256)];
     let mut scratch = ScanScratch::new();
     let counts = [1, 15, 16, 17, 63, 64, 65, 3 * kernels::TILE + 37];
     let mut rng = TestRng::new(0x80_16_B7);
-    for m in [8usize, 16] {
-        // Random codewords: all 256 of every table are distinct, so the
-        // table is whole and the gather kernel takes it.
+    for (m, kstar) in [(8usize, 256usize), (16, 256), (8, 16), (16, 16)] {
+        // Random codewords: all `kstar` of every table are distinct, so
+        // the table is whole.
         let books = (0..m)
-            .map(|_| VectorSet::from_fn(3, 256, |_, _| rng.f32(-4.0..4.0)))
+            .map(|_| VectorSet::from_fn(3, kstar, |_, _| rng.f32(-4.0..4.0)))
             .collect();
         let book = PqCodebook::from_books(books);
         let centroid: Vec<f32> = (0..3 * m).map(|_| rng.f32(-1.0..1.0)).collect();
@@ -316,31 +318,46 @@ fn kept(top: TopK) -> Vec<(u64, u32)> {
         .collect()
 }
 
+/// Scores as bits, NaN as `None`: a NaN's payload depends on operand
+/// order, which no dispatch fixes; every other score is compared as bits
+/// (so `-0.0` is not `0.0`).
+fn bits(scores: &[f32]) -> Vec<Option<u32>> {
+    scores
+        .iter()
+        .map(|s| (!s.is_nan()).then(|| s.to_bits()))
+        .collect()
+}
+
 /// The survivors path against the scalar per-score-push oracle, starting
 /// from a **pre-warmed** selector (so the first tile already filters
 /// against a real threshold, and the frozen-per-tile copy goes stale inside
 /// a tile), and from one full of `+inf` scores (a threshold no finite
 /// score passes).
 ///
-/// Nibble codes (`k* = 16`) cover every LUT16 row-load path: `vb = 4` one
-/// load, with `m = 7` leaving the top nibble unused; `vb = 8` two loads
-/// de-interleaved; every other width the AVX2 dword gather — which the
+/// Nibble codes (`k* = 16`) cover every LUT16 row-load path: `vb` 4 and 8
+/// (the AVX2 kernel's contiguous loads; under `avx512`, the exact step
+/// over every row of an image-less visit), with `m = 7` leaving the top
+/// nibble unused; every other width the AVX2 dword gather — which the
 /// AVX-512 arm delegates to — incl. ragged odd widths and the `nd = 8`
 /// limit; `vb = 33` wider than the AVX2 kernel keeps per lane, so the
-/// shared row loop scores every row. Byte codes cover rows shorter than
-/// a dword (`m` 1–3, which stay on the blocked kernel), gathered whole
-/// dwords (4, 12, 32, 64), rows loaded whole (8, 16) and a shifted last
-/// dword (5, 7, 17) under the AVX-512 gather kernel, against a 256-entry book and 40- and 19-entry ones (a LUT
-/// narrower than 256, as scarce training data leaves it, which takes the
-/// blocked kernel under every dispatch).
+/// shared row loop scores every row. Byte codes cover rows shorter than a
+/// dword (`m` 1–3, which stay on the blocked kernel), gathered whole
+/// dwords (4, 12, 32, 64) and a shifted last dword (5, 7, 17) under the
+/// AVX-512 gather kernel, and the exact step's rows (8, 16), against a
+/// 256-entry book and 40- and 19-entry ones (a LUT narrower than 256, as
+/// scarce training data leaves it, which takes the blocked kernel under
+/// every dispatch).
 ///
 /// Every shape runs both metrics, NaN/±inf/−0.0 table entries (NaN scores
 /// must never surface; `+inf` scores tie and fall to the id rule) and
 /// counts around the 16-lane group, the 32- and 64-lane chunks and the
 /// tile, the last spanning four tiles so that three blocks start
-/// mid-stream. The score tile of every dispatch must equal the scalar
-/// reference bit for bit, and `ScanTally::pruned` must be
-/// `scanned − offered` on every dispatch, hence equal across the filtering
+/// mid-stream. What `score_all` returns on every dispatch — the survivors
+/// at `−∞`, NaN rows finished by the row loop — must equal the scalar
+/// reference bit for bit; those scores filtered by the warm selector's
+/// live threshold, in ascending position, must be exactly what the scan
+/// offers (the survivors at that threshold): the same kept set, and
+/// `ScanTally::pruned` the rest, hence equal across the filtering
 /// dispatches (`Blocked`, `Avx2`, `Avx512`) from the same starting selector:
 /// every book here has a non-finite entry, so no LUT has the u8 image a
 /// seeded visit (which prunes against a threshold of its own) needs.
@@ -433,15 +450,18 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                         "{width:?} k*={kstar} vb={vb} m={m} {metric} n={n} k={k} {}",
                         dispatch.name()
                     );
-                    let tile = kernels::score_all_with(&codes, lut, dispatch);
-                    // A NaN's payload depends on operand order, which no
-                    // dispatch fixes; every other score is compared as bits
-                    // (so `-0.0` is not `0.0`).
-                    let bits = |scores: &[f32]| -> Vec<Option<u32>> {
-                        let finite_bits = |s: &f32| (!s.is_nan()).then(|| s.to_bits());
-                        scores.iter().map(finite_bits).collect()
-                    };
-                    assert_eq!(bits(&tile), bits(&reference), "{at}");
+                    let scores = kernels::score_all_with(&codes, lut, dispatch);
+                    assert_eq!(bits(&scores), bits(&reference), "{at}");
+                    // The survivors at `−∞`, filtered by the live threshold.
+                    let mut filtered = warm.clone();
+                    let mut offered = 0;
+                    for (&id, &score) in ids.iter().zip(&scores) {
+                        if score >= filtered.threshold() {
+                            offered += 1;
+                            filtered.push(id, score);
+                        }
+                    }
+                    assert_eq!(kept(filtered), expect, "{at}");
 
                     let mut top = warm.clone();
                     let tally =
@@ -452,6 +472,7 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                     kernels::scan_with(&codes, &ids, lut, &mut top, dispatch, &mut scratch);
                     assert_eq!(kept(top), expect_saturated, "{at} from +inf");
                     if dispatch != KernelDispatch::Scalar {
+                        assert_eq!(tally.pruned, n as u64 - offered, "{at}");
                         pruned.push((tally.pruned, at));
                     }
                 }
@@ -462,15 +483,14 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
         }
     }
     // The kernel each arm selects for the common shapes: only `avx512`
-    // has a SIMD kernel for byte codes (the gather kernel, for 256-entry
-    // tables and `m >= 4`: 8- and 16-byte rows loaded whole and, in a
-    // scan, seeded and bounded by the u8 pass before any row is gathered;
-    // every other width's code dwords gathered, only the table lookups
-    // gathered on both); every other arm scores them with the blocked
+    // has a SIMD kernel for byte codes (for 256-entry tables and `m >=
+    // 4`: 8- and 16-byte rows seeded and bounded by the u8 pass, their
+    // candidates scored by the exact step; every other width by the
+    // gather kernel); every other arm scores them with the blocked
     // kernel, `scalar` with the seed scan. Only `avx512` seeds, at both
-    // widths (its LUT16 kernel over 4- and 8-byte rows scores only the
-    // rows its u8 pass over nibbles lets through), and only its seeded
-    // visits serve a group of visitors per pass over a cluster.
+    // widths (nibbles in 4- and 8-byte rows too; other nibble widths run
+    // the AVX2 kernel), and only its seeded visits serve a group of
+    // visitors per pass over a cluster.
     let arms: Vec<String> = KernelDispatch::available()
         .iter()
         .map(|&d| {
@@ -479,8 +499,8 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
                 KernelDispatch::Blocked => ("blocked", "blocked"),
                 KernelDispatch::Avx2 => ("lut16", "blocked"),
                 KernelDispatch::Avx512 => (
-                    "lut16, seeded ×4 over 4- and 8-byte rows",
-                    "gather, rows loaded and seeded ×4 at m 8 and 16",
+                    "seeded ×4 over 4- and 8-byte rows, else lut16",
+                    "seeded ×4 at m 8 and 16, else gather",
                 ),
             };
             format!("{} (u4: {u4_kernel}, u8: {u8_kernel})", d.name())
@@ -491,6 +511,95 @@ fn survivors_scan_matches_per_score_push_from_a_warm_selector() {
         arms.join(", "),
         KernelDispatch::current().name()
     );
+}
+
+/// LUTs with no u8 image at every shape that seeds under `avx512` (byte
+/// codes at `m` 8 and 16, nibble codes at `m` 7, 8 and 16): a non-finite
+/// entry (`hostile`), every table constant (`constant`), and magnitudes
+/// from `1e-30` to `1e37` whose sum passes `2^120` (`magnitudes`). Such a
+/// visit has no seed and no bound: the exact step scores every row from
+/// the selector's floor. On every dispatch `score_all_with` is the scalar
+/// reference (finite scores bit for bit, NaN rows NaN, with the reference's
+/// own NaN under the scalar dispatch), and from each kind
+/// of starting selector a scan keeps the scalar path's top-k; on every
+/// filtering dispatch its tally — `pruned` included — is the `blocked`
+/// dispatch's.
+#[test]
+fn image_less_luts_score_every_row_from_the_floor() {
+    let shapes = [
+        (CodeWidth::U8, 8usize, 256usize),
+        (CodeWidth::U8, 16, 256),
+        (CodeWidth::U4, 7, 16),
+        (CodeWidth::U4, 8, 16),
+        (CodeWidth::U4, 16, 16),
+    ];
+    let mut rng = TestRng::new(0x1_4A6E);
+    let mut scratch = ScanScratch::new();
+    for (width, m, kstar) in shapes {
+        for family in ["hostile", "constant", "magnitudes"] {
+            let book = match family {
+                "hostile" => hostile_book(&mut rng, m, kstar),
+                _ => {
+                    let mut words: Vec<f32> = match family {
+                        "constant" => (0..m)
+                            .flat_map(|_| vec![rng.f32(-8.0..8.0); kstar])
+                            .collect(),
+                        _ => (0..m * kstar)
+                            .map(|_| {
+                                let sign = if rng.below(2) == 0 { -1.0 } else { 1.0 };
+                                sign * 10f32.powf(rng.f32(-30.0..37.0))
+                            })
+                            .collect(),
+                    };
+                    if family == "magnitudes" {
+                        let at = rng.usize(0..words.len());
+                        words[at] = 1e37;
+                    }
+                    let books = words.chunks(kstar);
+                    PqCodebook::from_books(
+                        books.map(|b| VectorSet::from_vec(1, b.to_vec())).collect(),
+                    )
+                }
+            };
+            let lut = Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32);
+            for n in [1, 63, 64, 65, kernels::TILE + 1, 3 * kernels::TILE + 37] {
+                let codes = random_codes(&mut rng, m, width, kstar, n);
+                let ids: Vec<u64> = (0..n as u64).map(|i| 5 * i + 2).collect();
+                let reference = scalar_reference(&codes, &lut);
+                for kind in 0..4 {
+                    let k = *rng.pick(&[1usize, 10, 100]);
+                    let start = warm_selector(&mut rng, kind, k, &lut, width, &mut scratch);
+                    let scan = |top: &mut TopK, dispatch, scratch: &mut ScanScratch| {
+                        kernels::scan_with(&codes, &ids, &lut, top, dispatch, scratch)
+                    };
+                    let mut oracle = start.clone();
+                    scan(&mut oracle, KernelDispatch::Scalar, &mut scratch);
+                    let mut blocked = start.clone();
+                    let want = scan(&mut blocked, KernelDispatch::Blocked, &mut scratch);
+                    let oracle = kept(oracle);
+                    for dispatch in KernelDispatch::available() {
+                        let at = format!(
+                            "{width:?} m={m} {family} n={n} k={k} start {kind} {}",
+                            dispatch.name()
+                        );
+                        let scores = kernels::score_all_with(&codes, &lut, dispatch);
+                        assert_eq!(bits(&scores), bits(&reference), "{at}");
+                        if dispatch == KernelDispatch::Scalar {
+                            // NaN rows too come from the row loop.
+                            let raw = |s: &[f32]| s.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(raw(&scores), raw(&reference), "{at}");
+                        }
+                        let mut top = start.clone();
+                        let tally = scan(&mut top, dispatch, &mut scratch);
+                        assert_eq!(kept(top), oracle, "{at}");
+                        if dispatch != KernelDispatch::Scalar {
+                            assert_eq!(tally, want, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A selector at one of four distinct starting thresholds, picked by
@@ -529,13 +638,13 @@ fn warm_selector(
 /// every visitor exactly what an independent [`kernels::scan_with`] of its
 /// own keeps (ids and score bits), and its tally is the sum of theirs, on
 /// every available dispatch. One to five visitors cover a group of one, a
-/// partial and a whole group of the AVX-512 LUT16 kernel and a second group
+/// partial and a whole group of a seeded AVX-512 kernel and a second group
 /// after a whole one. Each visitor has its own hostile table (NaN, `±inf`,
 /// `-0.0` entries) and a selector warmed to its own threshold, `-inf` and
-/// `+inf` included. Nibble codes cover both AVX-512 row loads (`m` 4–8:
-/// 4-byte rows, 9–16: 8-byte) and the widths it hands to AVX2 (`m` 17,
-/// 32); byte codes run the same shapes through the gather and blocked
-/// kernels (`m` 8 and 16: the gather kernel's loaded rows). Counts sit
+/// `+inf` included. Nibble codes cover both seeded row widths (`m` 4–8:
+/// 4-byte rows, 9–16: 8-byte) and the widths `avx512` hands to AVX2 (`m`
+/// 17, 32); byte codes run the same shapes through the seeded, gather and
+/// blocked kernels (`m` 8 and 16: the seeded rows). Counts sit
 /// around the 16-lane group, the 64-lane chunk and the tile, the last
 /// spanning four tiles.
 #[test]

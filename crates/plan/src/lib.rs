@@ -18,7 +18,7 @@
 //!   cut: tiles sized in TrafficModel bytes so per-tile dispatch + merge
 //!   overhead stays under 5% of scan work, with hot clusters split for
 //!   load balance.
-//! * [`plan`] — resolves the [`ScmAllocation`] policy to a concrete `g`,
+//! * [`plan()`] — resolves the [`ScmAllocation`] policy to a concrete `g`,
 //!   turns the tiles into [`Round`]s, and packages the result as a
 //!   [`BatchPlan`] with the spill/fill record size precomputed.
 //! * [`RerankStage`] / [`RerankPolicy`] — the optional second phase of a

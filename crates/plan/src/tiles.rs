@@ -4,7 +4,7 @@
 //! through a crossbar: the cluster-major schedule is cut into
 //! *(cluster, query-group)* tiles, and each tile is routed to an SCM group
 //! (Section IV-A). [`crossbar_tiles`] is the single implementation of that
-//! cut — [`plan`](crate::plan) turns the tiles into timed
+//! cut — [`plan()`](crate::plan()) turns the tiles into timed
 //! [`Round`](crate::Round)s, and the software batch engine executes the
 //! same tiles on its worker pool, so every backend agrees on work
 //! placement by construction.

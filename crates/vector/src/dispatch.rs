@@ -47,12 +47,13 @@ pub enum KernelDispatch {
     /// `pshufb`), the blocked kernel for `k* = 256`, and the F16C rescore.
     Avx2,
     /// Everything `Avx2` needs plus `avx512f`, `avx512bw`, `avx512vbmi`
-    /// and `popcnt`: one ZMM register per 16-entry table (up to four
-    /// visitors of a cluster per pass); for a 256-entry table, a u8 image
-    /// in four ZMM registers (`vpermi2b`) that bounds 64 scores at once,
-    /// and one `vgatherdps` per sixteen exact lookups for the rows the
-    /// bound keeps; and every distance table built sixteen codewords per
-    /// step.
+    /// and `popcnt`: a u8 image of each LUT (a 256-entry table in four ZMM
+    /// registers, all sixteen 16-entry tables in four) that bounds 64
+    /// scores per `vpermi2b` for up to four visitors of a cluster per
+    /// pass, then one exact f32 step for the rows the bound keeps (one ZMM
+    /// register per 16-entry table, one `vgatherdps` per sixteen lookups
+    /// of a 256-entry one); and every distance table built sixteen
+    /// codewords per step.
     Avx512,
 }
 
