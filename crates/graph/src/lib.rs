@@ -528,32 +528,38 @@ impl SearchEngine for PqGraph {
         assert!(threads > 0, "at least one worker required");
         let k = workload.shape.k;
         let b = queries.len();
-        let mut slots: Vec<(Vec<Neighbor>, GraphQueryPlan)> = vec![Default::default(); b];
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         let workers = threads.min(b.max(1));
-        // Workers claim query indices off an atomic cursor and write
-        // disjoint per-query slots, so the output is independent of
-        // thread scheduling.
-        let slot_ptr = SlotWriter(slots.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let writer = &slot_ptr;
-                    loop {
-                        let qi = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if qi >= b {
-                            return;
+        // Workers claim query indices off an atomic cursor and return the
+        // `(qi, slot)` pairs they claimed; the caller scatters them after
+        // the join, so the output is independent of thread scheduling.
+        let mut slots: Vec<(Vec<Neighbor>, GraphQueryPlan)> = vec![Default::default(); b];
+        let claimed: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let qi = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if qi >= b {
+                                return mine;
+                            }
+                            let (mut hits, footprint) =
+                                self.traverse(queries.row(qi), workload.beams[qi]);
+                            hits.truncate(k);
+                            mine.push((qi, (hits, footprint)));
                         }
-                        let ef = workload.beams[qi];
-                        let (mut hits, footprint) = self.traverse(queries.row(qi), ef);
-                        hits.truncate(k);
-                        // SAFETY: each qi is claimed exactly once, so no
-                        // two workers write the same slot.
-                        unsafe { writer.write(qi, (hits, footprint)) };
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("graph worker panicked"))
+                .collect()
         });
+        for (qi, slot) in claimed.into_iter().flatten() {
+            slots[qi] = slot;
+        }
         let mut measured = MeasuredTraffic::default();
         let shape = &workload.shape;
         let mut results = Vec::with_capacity(b);
@@ -569,21 +575,6 @@ impl SearchEngine for PqGraph {
         tel.counter_add("engine.graph.visited_nodes", planned_total.visited);
         tel.counter_add("engine.graph.scanned_codes", planned_total.scanned);
         EngineRun { results, measured }
-    }
-}
-
-/// Raw-pointer slot writer for the scoped worker pool: workers claim
-/// disjoint indices, so writes never alias.
-struct SlotWriter<T>(*mut T);
-
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
-impl<T> SlotWriter<T> {
-    /// # Safety
-    ///
-    /// `i` must be in bounds and claimed by exactly one caller.
-    unsafe fn write(&self, i: usize, value: T) {
-        unsafe { self.0.add(i).write(value) };
     }
 }
 

@@ -3,10 +3,12 @@
 //! (single-phase and two-phase re-rank) and the shard-parallel
 //! [`ShardedIndex`] (RAM or tiered shards).
 //!
-//! `plan()` is the only place an engine's schedule is assembled: the
-//! cost-shaped cluster-major plan (with the [`anna_plan::RerankStage`]
-//! under [`PlanOptions::rerank`]) for [`BatchedScan`], the unbounded
-//! per-shard plans plus merge units and tier split for [`ShardedIndex`].
+//! `plan()` is the only place an engine's schedule is assembled. Both
+//! engines tile the same way, one round per visited cluster
+//! ([`BatchPlan::from_visitors`] with an unbounded query group): the
+//! cluster-major plan (with the [`anna_plan::RerankStage`] under
+//! [`PlanOptions::rerank`]) for [`BatchedScan`], the per-shard plans plus
+//! merge units and tier split for [`ShardedIndex`].
 //! `execute()` adapts the two inherent executors,
 //! [`BatchedScan::run_plan`] and [`ShardedIndex::run_plan`] — both feed
 //! the plan they are handed to the crate's one round loop
@@ -18,7 +20,7 @@ use crate::batched::{BatchStats, BatchedScan};
 use crate::shard::{ShardedIndex, ShardedStats};
 use crate::{LutPrecision, SearchParams};
 use anna_engine::{EngineRun, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine};
-use anna_plan::{BatchPlan, EnginePlan, PlanParams, TileShaper, CLUSTER_META_BYTES};
+use anna_plan::{BatchPlan, EnginePlan, PlanParams, CLUSTER_META_BYTES};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
 
@@ -69,12 +71,10 @@ impl ShardedStats {
 /// the largest requested `k` (every query runs at it and per-request
 /// truncation is the caller's concern), the first-pass heap runs at
 /// `policy.k_first(k_exec)` under a re-rank policy, and the round schedule
-/// is the cost-shaped [`BatchPlan::shaped_from_visitors`] tiling: one
-/// tile per visited cluster, except that heavyweight clusters are split
-/// by [`TileShaper`] so no tile dominates a round. The shaping is a pure
-/// function of the workload (never of the runtime thread count), so the
-/// plan — and therefore the measured [`BatchStats`] — is identical
-/// however many workers execute it.
+/// is [`BatchPlan::from_visitors`] with an unbounded query group: one
+/// round per visited cluster. The plan is a pure function of the workload
+/// (never of the runtime thread count), so the measured [`BatchStats`]
+/// are identical however many workers execute it.
 ///
 /// `execute()` pins the lookup tables to [`LutPrecision::F32`] (the CPU
 /// reference precision; f16 tables stay on the inherent
@@ -114,11 +114,10 @@ impl SearchEngine for BatchedScan<'_> {
         let workload = self.workload_from_scopes(scopes.to_vec(), k_scan);
         let params = PlanParams::default();
         let spill_unit = k_scan as u64 * params.topk_record_bytes as u64;
-        let mut plan = BatchPlan::shaped_from_visitors(
+        let mut plan = BatchPlan::from_visitors(
             &workload.visitors_per_cluster(),
             &workload.cluster_sizes,
-            workload.shape.encoded_bytes_per_vector(),
-            &TileShaper::default(),
+            0,
             spill_unit,
         );
         if let Some(policy) = options.rerank {

@@ -7,14 +7,17 @@
 //! * sub-quantizers in {4, 8} ([`MS`]: row shapes with and without the
 //!   seeded `avx512` visits),
 //! * worker count in {1, 2, 4, 8},
-//! * tile bound (queries per round) in {0 = the engine's cost-shaped
-//!   plan, small = the accelerator's fixed grouping},
+//! * tile bound (queries per round) in {0 = the engine's plan, one round
+//!   per visited cluster; small = the accelerator's fixed grouping, which
+//!   splits a busy cluster across rounds},
 //! * f32 and f16 lookup tables, telemetry on and off,
 //!
 //! on two input families ([`TIE_HEAVY`], [`SKEWED`]) chosen so that any
 //! schedule-dependence in scoring, tie-breaking or merging shows up as a
-//! diff. Seeded through `anna-testkit`, so a failure replays from a
-//! printed seed.
+//! diff. The serial reference always runs the engine's plan, so every
+//! nonzero bound also pins that splitting a cluster across rounds moves
+//! no neighbor and no [`anna_index::BatchStats`] counter. Seeded through
+//! `anna-testkit`, so a failure replays from a printed seed.
 
 mod common;
 
@@ -62,11 +65,10 @@ const TIE_HEAVY: Inputs = Inputs {
 };
 
 /// Heavily skewed: most rows fall into one giant blob (one hot cluster,
-/// which the tile shaper splits on the draws whose k is small enough for
-/// a split to pay) while the rest spread across small blobs (many light
-/// rounds, so workers finish at very different times). Large batches with
-/// wide probes under the engine's cost-shaped plan; both table
-/// precisions.
+/// which a bound of 5 splits across rounds) while the rest spread across
+/// small blobs (many light rounds, so workers finish at very different
+/// times). Large batches with wide probes at one round per visited
+/// cluster and at groups of 5; both table precisions.
 const SKEWED: Inputs = Inputs {
     name: "skewed",
     rows: 900,
@@ -78,7 +80,7 @@ const SKEWED: Inputs = Inputs {
     batch: 16..96,
     nprobe: 4..13,
     k: 1..17,
-    groups: &[0],
+    groups: &[0, 5],
     precisions: &[LutPrecision::F32, LutPrecision::F16],
 };
 
@@ -116,18 +118,15 @@ impl Inputs {
     }
 }
 
-/// The schedule under test: the engine's own plan (`group == 0`), or one
-/// round per visited cluster split into groups of at most `group` queries
-/// — the accelerator's fixed `N_SCM / g` grouping.
+/// The schedule under test: one round per visited cluster (`group == 0`,
+/// the engine's own plan), or each cluster's visitors cut into rounds of
+/// at most `group` queries — the accelerator's fixed `N_SCM / g` grouping.
 fn plan_with_group(
     scan: &BatchedScan<'_>,
     queries: &VectorSet,
     params: &SearchParams,
     group: usize,
 ) -> BatchPlan {
-    if group == 0 {
-        return common::engine_plan(scan, queries, params);
-    }
     let workload = scan.workload(queries, params);
     BatchPlan::from_visitors(
         &workload.visitors_per_cluster(),
@@ -144,8 +143,9 @@ fn plan_with_group(
 const MS: [usize; 2] = [4, 8];
 
 /// Core property: for random queries, probe widths, k, table precisions
-/// and tile bounds, all worker counts reproduce the serial neighbors and
-/// stats exactly.
+/// and tile bounds, all worker counts reproduce the neighbors and stats
+/// of the engine's plan (one round per visited cluster) run serially,
+/// exactly.
 fn parallel_matches_serial(metric: Metric, kstar: usize) {
     for (inputs, m) in [&TIE_HEAVY, &SKEWED]
         .into_iter()
@@ -162,6 +162,11 @@ fn parallel_matches_serial(metric: Metric, kstar: usize) {
 
             let tel = Telemetry::disabled();
             let reference = common::engine_plan(&scan, &queries, &params);
+            assert_eq!(
+                reference,
+                plan_with_group(&scan, &queries, &params, 0),
+                "the engine must plan one round per visited cluster"
+            );
             let (serial, serial_stats) = scan.run_plan(&queries, &params, &reference, 1, &tel);
             let plan = plan_with_group(&scan, &queries, &params, group);
             for threads in THREADS {
@@ -171,11 +176,11 @@ fn parallel_matches_serial(metric: Metric, kstar: usize) {
                 // kept hit.
                 assert_eq!(
                     par, serial,
-                    "neighbors diverged: threads={threads} group={group}"
+                    "neighbors diverged from group 0 serial: threads={threads} group={group}"
                 );
                 assert_eq!(
                     par_stats, serial_stats,
-                    "stats diverged: threads={threads} group={group}"
+                    "stats diverged from group 0 serial: threads={threads} group={group}"
                 );
             }
         });

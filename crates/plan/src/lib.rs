@@ -13,11 +13,9 @@
 //!   `|C|`, `k`, cluster sizes, per-query visit lists).
 //! * [`crossbar_tiles`] — cuts per-cluster visitor lists into
 //!   *(cluster, query-group)* [`ClusterTile`]s, mirroring ANNA's crossbar
-//!   arbitration of SCM groups.
-//! * [`TileShaper`] — the software engine's cost-shaped variant of the
-//!   cut: tiles sized in TrafficModel bytes so per-tile dispatch + merge
-//!   overhead stays under 5% of scan work, with hot clusters split for
-//!   load balance.
+//!   arbitration of SCM groups. The software engines take the unbounded
+//!   cut, one tile per visited cluster ([`BatchPlan::from_visitors`] with
+//!   a bound of `0`): a worker scores a cluster's whole visitor list.
 //! * [`plan()`] — resolves the [`ScmAllocation`] policy to a concrete `g`,
 //!   turns the tiles into [`Round`]s, and packages the result as a
 //!   [`BatchPlan`] with the spill/fill record size precomputed.
@@ -49,7 +47,6 @@ mod cache;
 mod engine_plan;
 mod plan;
 mod rerank;
-mod shape;
 mod tiles;
 mod traffic;
 mod workload;
@@ -61,7 +58,6 @@ pub use engine_plan::{
 };
 pub use plan::{plan, BatchPlan, PlanParams, Round, ScmAllocation};
 pub use rerank::{RerankMode, RerankPolicy, RerankPrecision, RerankQuery, RerankStage};
-pub use shape::TileShaper;
 pub use tiles::{crossbar_tiles, ClusterTile};
 pub use traffic::{TrafficModel, TrafficReport, CLUSTER_META_BYTES, QUERY_ID_BYTES};
 pub use workload::{BatchWorkload, QueryWorkload, SearchShape};

@@ -123,8 +123,8 @@ pub struct Round {
 pub struct BatchPlan {
     /// SCMs per query `g`.
     pub scm_per_query: usize,
-    /// Queries per round (`N_SCM / g`; `0` means unbounded, as used by the
-    /// software engine's whole-cluster tiles).
+    /// Queries per round (`N_SCM / g`); `0` means unbounded, one round
+    /// per visited cluster — the plan both software IVF-PQ engines run.
     pub queries_per_round: usize,
     /// Bytes moved per intermediate top-k spill (or fill) of one query:
     /// `min(k, capacity) · g · record_bytes` (Section IV-C).
@@ -201,10 +201,16 @@ impl BatchPlan {
             .fold((0, 0), |(f, s), (rf, rs)| (f + rf, s + rs))
     }
 
-    /// Builds a plan directly from per-cluster visitor lists — the
-    /// software batch engine's entry point, where `g = 1` (a worker scores
-    /// its whole query group) and the spill unit prices `k`-record
-    /// software heaps.
+    /// Builds a plan directly from per-cluster visitor lists with `g = 1`,
+    /// cutting each list into rounds of at most `queries_per_round`
+    /// queries. The software engines pass `0` (one round per visited
+    /// cluster: a worker scores a cluster's whole visitor list) and a
+    /// spill unit that prices `k`-record software heaps.
+    ///
+    /// The bound moves no priced byte: each `(query, cluster)` visit lands
+    /// in exactly one round, only a cluster's first round fetches, and a
+    /// query visits a cluster once, so it crosses the same number of
+    /// rounds however the cluster's visitor list is cut.
     pub fn from_visitors(
         visiting: &[Vec<usize>],
         cluster_sizes: &[usize],
@@ -225,36 +231,6 @@ impl BatchPlan {
         self.rerank = Some(stage);
         self
     }
-
-    /// Like [`BatchPlan::from_visitors`], but with rounds cut by a
-    /// [`TileShaper`](crate::TileShaper) cost heuristic instead of a fixed
-    /// query-group bound: tiles are sized (in TrafficModel bytes) so
-    /// per-tile dispatch + merge overhead stays under the shaper's bound,
-    /// and hot clusters split into near-equal tiles for load balance.
-    ///
-    /// `bytes_per_vector` is the encoded-vector size the scan streams.
-    /// The resulting plan's `queries_per_round` is `0` (group sizes are
-    /// heterogeneous). The shaping is a pure function of the workload —
-    /// deliberately independent of any runtime thread count — so results
-    /// *and* spill/fill statistics stay identical across worker counts.
-    pub fn shaped_from_visitors(
-        visiting: &[Vec<usize>],
-        cluster_sizes: &[usize],
-        bytes_per_vector: usize,
-        shaper: &crate::TileShaper,
-        spill_unit_bytes: u64,
-    ) -> BatchPlan {
-        BatchPlan {
-            scm_per_query: 1,
-            queries_per_round: 0,
-            spill_unit_bytes,
-            rounds: rounds_from_tiles(
-                shaper.shape(visiting, cluster_sizes, bytes_per_vector, spill_unit_bytes),
-                cluster_sizes,
-            ),
-            rerank: None,
-        }
-    }
 }
 
 fn rounds_from_tiles(tiles: Vec<ClusterTile>, cluster_sizes: &[usize]) -> Vec<Round> {
@@ -272,12 +248,12 @@ fn rounds_from_tiles(tiles: Vec<ClusterTile>, cluster_sizes: &[usize]) -> Vec<Ro
 /// Plans the cluster-major schedule for a batch workload.
 ///
 /// The work assignment is delegated to [`crossbar_tiles`] with a
-/// query-group bound of `N_SCM / g` — the *same* tiling the software batch
-/// engine's worker pool executes, so the timed schedule and the functional
-/// reference agree on work placement by construction. Clusters with no
-/// visitors are skipped entirely; clusters with more visitors than fit a
-/// round get multiple consecutive rounds (codes stay buffered, so only the
-/// first round fetches).
+/// query-group bound of `N_SCM / g` — the one cut every backend makes (the
+/// software engines make it unbounded), so the timed schedule and the
+/// functional reference agree on work placement by construction. Clusters
+/// with no visitors are skipped entirely; clusters with more visitors than
+/// fit a round get multiple consecutive rounds (codes stay buffered, so
+/// only the first round fetches).
 ///
 /// # Panics
 ///
@@ -460,33 +436,43 @@ mod tests {
     }
 
     #[test]
-    fn shaped_plan_still_covers_every_visit_exactly_once() {
-        let w = workload(50, 8, 64);
-        let shaped = BatchPlan::shaped_from_visitors(
-            &w.visitors_per_cluster(),
-            &w.cluster_sizes,
-            64,
-            &crate::TileShaper::default(),
-            50,
-        );
-        assert_eq!(shaped.queries_per_round, 0);
-        // Every (query, cluster) visit lands in exactly one round even
-        // when hot clusters are split, so each query is scored W times.
-        let mut count = vec![0usize; 50];
-        for r in &shaped.rounds {
-            for &q in &r.queries {
-                assert!(w.visits[q].contains(&r.cluster));
-                count[q] += 1;
+    fn query_group_bound_moves_no_priced_byte() {
+        // Cutting a cluster's visitor list into rounds leaves every query
+        // in exactly one of that cluster's rounds and only the first round
+        // fetching, so any bound prices like one round per cluster.
+        let model = crate::TrafficModel::new(PlanParams::default());
+        anna_testkit::forall("query-group bound moves no priced byte", 64, |rng| {
+            let clusters = rng.usize(2..12);
+            let b = rng.usize(1..24);
+            // Cluster 0 is never visited; the last is visited by query 0
+            // alone.
+            let visits: Vec<Vec<usize>> = (0..b)
+                .map(|q| {
+                    let mut v: Vec<usize> = (1..clusters - 1).filter(|_| rng.bool()).collect();
+                    if q == 0 {
+                        v.push(clusters - 1);
+                    }
+                    v
+                })
+                .collect();
+            let w = BatchWorkload {
+                shape: SearchShape {
+                    k: rng.usize(1..100),
+                    ..shape(clusters)
+                },
+                cluster_sizes: (0..clusters).map(|_| rng.usize(0..3000)).collect(),
+                visits,
+            };
+            let visitors = w.visitors_per_cluster();
+            let unit = rng.u64(1..500);
+            let whole = BatchPlan::from_visitors(&visitors, &w.cluster_sizes, 0, unit);
+            for q in [1, 2, 3, 7] {
+                let cut = BatchPlan::from_visitors(&visitors, &w.cluster_sizes, q, unit);
+                assert_eq!(model.price(&w, &cut), model.price(&w, &whole), "q={q}");
+                assert_eq!(cut.clusters_fetched(), whole.clusters_fetched(), "q={q}");
+                assert_eq!(cut.total_topk_units(), whole.total_topk_units(), "q={q}");
             }
-        }
-        assert!(count.iter().all(|&c| c == 8));
-        // Splitting never adds code fetches: one per visited cluster.
-        let visited = w
-            .visitors_per_cluster()
-            .iter()
-            .filter(|v| !v.is_empty())
-            .count() as u64;
-        assert_eq!(shaped.clusters_fetched(), visited);
+        });
     }
 
     #[test]

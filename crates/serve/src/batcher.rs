@@ -112,7 +112,7 @@ impl Default for ServeConfig {
 pub struct ShapeQuote {
     /// Prefix length priced.
     pub size: usize,
-    /// TrafficModel-predicted total bytes for that prefix's shaped plan.
+    /// TrafficModel-predicted total bytes for that prefix's engine plan.
     pub predicted_bytes: u64,
     /// Of `predicted_bytes`, the code bytes predicted to come from the
     /// storage tier (cache misses). Zero when no tier is configured.

@@ -247,6 +247,10 @@ fn retired_telemetry_key_is_gone_from_sources() {
         concat!("kernels_", "sweep"),
         concat!("Kernels", "Sweep"),
         concat!("Select", "Point"),
+        // The batch engine's second tiling, a cost heuristic beside the
+        // one round per visited cluster both IVF-PQ engines now plan.
+        concat!("Tile", "Shaper"),
+        concat!("shaped_from_", "visitors"),
     ];
     // `worker<w>.` counters of the wave pipeline; the accelerator model's
     // CPM keeps a counter of the same name.
