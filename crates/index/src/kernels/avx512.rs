@@ -940,6 +940,18 @@ pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
 /// `least` from the scan layer's `ByteBound` for a threshold, every row
 /// left out scores below that threshold ([`byte_sums`], [`half_sums`]).
 ///
+/// A chunk that keeps no row is skipped. In any other chunk every group
+/// `g` of sixteen rows compresses its kept positions into one register
+/// and stores it full width, whether it kept any or not, at the count so
+/// far plus the rows the chunk kept below group `g`; the count then
+/// advances by the chunk's kept rows. A store overwrites only the junk
+/// lanes above the groups before it, so the kept positions end up
+/// contiguous and ascending. At a seeded visit's few percent of rows kept,
+/// a branch per group would mispredict; the skip stays, because at the
+/// lowest densities most chunks keep nothing. Every store starts at or
+/// below the chunk's final count, which never passes the rows of the
+/// block, so it ends at or below `count + SINK_SLACK`.
+///
 /// # Safety
 ///
 /// `avx512f`, `avx512bw`, `avx512vbmi` and `popcnt`; `sums` holds `count`
@@ -971,16 +983,17 @@ pub(super) unsafe fn candidates(
             _ => u64::MAX,
         };
         let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(slots, reach)) & in_block;
-        for g in 0..4 {
-            let kept = (rows >> (16 * g)) as u16;
-            if kept != 0 {
+        if rows != 0 {
+            for g in 0..4 {
+                let kept = (rows >> (16 * g)) as u16;
+                let below = (rows & ((1u64 << (16 * g)) - 1)).count_ones() as usize;
                 let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
                 _mm512_storeu_si512(
-                    positions.as_mut_ptr().add(candidates).cast(),
+                    positions.as_mut_ptr().add(candidates + below).cast(),
                     _mm512_maskz_compress_epi32(kept, at),
                 );
-                candidates += kept.count_ones() as usize;
             }
+            candidates += rows.count_ones() as usize;
         }
         j += CHUNK;
     }

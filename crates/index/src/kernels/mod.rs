@@ -2328,6 +2328,60 @@ mod tests {
         }
     }
 
+    /// [`avx512::candidates`] keeps exactly the rows a scalar filter of
+    /// `sums >= least` keeps, in ascending position, over both slot
+    /// layouts: blocks of whole and partial chunks and of one group, with
+    /// no row, one row, every other row and every row reaching `least`.
+    /// The padded slots past the block reach it too (only the block's rows
+    /// may be kept), and guard slots past the promised `count +
+    /// SINK_SLACK` must come back untouched.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn candidates_are_the_scalar_filter_of_the_sums() {
+        if !KernelDispatch::Avx512.is_available() {
+            return;
+        }
+        const LEAST: u16 = 500;
+        const GUARD: usize = 64;
+        const SENTINEL: u32 = 0xDEAD_BEEF;
+        for slots in [&avx512::BYTE_SLOTS[0], &avx512::NIBBLE_SLOTS[1]] {
+            for count in [1, 15, 16, 17, 63, 64, 65, 127, 3125] {
+                for name in ["none", "one row", "alternating", "all"] {
+                    let reaches = |r: usize| match name {
+                        "none" => false,
+                        "one row" => r == count / 2,
+                        "alternating" => r % 2 == 1,
+                        _ => true,
+                    };
+                    let mut sums = vec![u16::MAX; whole_chunks(count)];
+                    let mut want = Vec::new();
+                    for r in 0..count {
+                        let slot = 64 * (r / 64) + slots[r % 64] as usize;
+                        // Just at `least`, or just below it.
+                        sums[slot] = if reaches(r) { LEAST } else { LEAST - 1 };
+                        if sums[slot] >= LEAST {
+                            want.push(r as u32);
+                        }
+                    }
+                    let mut positions = vec![SENTINEL; count + SINK_SLACK + GUARD];
+                    // SAFETY: the host has the `avx512` level (checked
+                    // above); `sums` holds whole chunks and `positions` more
+                    // than `count + SINK_SLACK` slots.
+                    let n =
+                        unsafe { avx512::candidates(&sums, count, LEAST, slots, &mut positions) };
+                    let at = format!("count {count}, {name}, slots {:?}", &slots[..4]);
+                    assert_eq!(&positions[..n], &want[..], "{at}");
+                    assert!(
+                        positions[count + SINK_SLACK..]
+                            .iter()
+                            .all(|&p| p == SENTINEL),
+                        "{at}: a store passed count + SINK_SLACK"
+                    );
+                }
+            }
+        }
+    }
+
     /// What `top` keeps, as `(id, score bits)` best first.
     fn kept(top: &TopK) -> Vec<(u64, u32)> {
         top.clone()

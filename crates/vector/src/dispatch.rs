@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 /// | `scalar`  | — (`ANNA_FORCE_SCALAR`)              | seed scalar loops        | `portable`                    | `portable`        |
 /// | `blocked` | none                                 | blocked                  | `portable`                    | `portable`        |
 /// | `avx2`    | `avx2 + f16c`                        | LUT16 (AVX2) / blocked   | `portable`                    | `f16c`            |
-/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | u8 bound + LUT16 / u8 bound + gather | `avx512`  | `f16c`            |
+/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | u8 bound + LUT16 / u8 bound + gather | `avx512`  | `avx512`          |
 ///
 /// A host with AVX-512F but without AVX-512BW/VBMI (Skylake-SP, Cascade
 /// Lake) resolves to `avx2`: the `avx512` level is every feature its arms
@@ -52,8 +52,9 @@ pub enum KernelDispatch {
     /// scores per `vpermi2b` for up to four visitors of a cluster per
     /// pass, then one exact f32 step for the rows the bound keeps (one ZMM
     /// register per 16-entry table, one `vgatherdps` per sixteen lookups
-    /// of a 256-entry one); and every distance table built sixteen
-    /// codewords per step.
+    /// of a 256-entry one); every distance table built sixteen
+    /// codewords per step; and the rescore sixteen elements per step
+    /// (binary16 rounding on ZMM registers).
     Avx512,
 }
 

@@ -125,25 +125,23 @@ pub fn rescore_subset(
     out
 }
 
-/// Whether `dispatch` rescores on the F16C arm (binary16 rounding in
-/// registers, four candidates per pass) rather than the portable one (the
-/// row copied, rounded by [`f16::round_trip`], scored by
-/// [`Metric::similarity`]). Both return `metric.similarity(q, x)` on the
-/// (optionally rounded) row bit for bit and rank alike.
-fn f16c_arm(dispatch: KernelDispatch) -> bool {
-    match dispatch {
-        KernelDispatch::Avx2 | KernelDispatch::Avx512 => cfg!(target_arch = "x86_64"),
-        KernelDispatch::Scalar | KernelDispatch::Blocked => false,
-    }
-}
-
-/// Stable name of the rescore arm `dispatch` runs, for reports: `f16c`
-/// under `avx2` and `avx512`, else `portable`.
+/// Stable name of the rescore arm `dispatch` runs, for reports: `avx512`
+/// under `avx512`, `f16c` under `avx2`, else `portable` (also every
+/// dispatch off x86-64). Every arm returns `metric.similarity(q, x)` on
+/// the (optionally rounded) row bit for bit and ranks alike:
+///
+/// - `portable` copies the row, rounds it by [`f16::round_trip`] and
+///   scores it by [`Metric::similarity`], one candidate at a time;
+/// - `f16c` rounds in XMM registers, four candidates per pass and four
+///   elements of each per step;
+/// - `avx512` rounds in ZMM registers, four candidates per pass and
+///   sixteen elements of each per step.
 pub fn rescore_arm_name(dispatch: KernelDispatch) -> &'static str {
-    if f16c_arm(dispatch) {
-        "f16c"
-    } else {
-        "portable"
+    match dispatch {
+        _ if !cfg!(target_arch = "x86_64") => "portable",
+        KernelDispatch::Avx512 => "avx512",
+        KernelDispatch::Avx2 => "f16c",
+        KernelDispatch::Scalar | KernelDispatch::Blocked => "portable",
     }
 }
 
@@ -206,23 +204,29 @@ pub fn rescore_subset_with(
     }
     let RescoreScratch { hits, row } = scratch;
     hits.clear();
-    if f16c_arm(dispatch) {
-        // `dispatch` runs here and its level includes F16C.
+    // The arms `rescore_arm_name` names; `dispatch` runs here, so its
+    // level includes its arm's features.
+    match dispatch {
         #[cfg(target_arch = "x86_64")]
-        crate::f16c::F16c::detected()
+        KernelDispatch::Avx512 => crate::avx512::Avx512::detected()
+            .expect("the avx512 rescore arm without the avx512 level")
+            .rescore(q, ids, db, metric, f16_vectors, hits),
+        #[cfg(target_arch = "x86_64")]
+        KernelDispatch::Avx2 => crate::f16c::F16c::detected()
             .expect("the f16c rescore arm without F16C")
-            .rescore(q, ids, db, metric, f16_vectors, hits);
-    } else {
-        for &id in ids {
-            let x = db.row(id as usize);
-            let score = if f16_vectors {
-                row.clear();
-                row.extend(x.iter().map(|&v| f16::round_trip(v)));
-                metric.similarity(q, row)
-            } else {
-                metric.similarity(q, x)
-            };
-            hits.push(Neighbor::new(id, score));
+            .rescore(q, ids, db, metric, f16_vectors, hits),
+        _ => {
+            for &id in ids {
+                let x = db.row(id as usize);
+                let score = if f16_vectors {
+                    row.clear();
+                    row.extend(x.iter().map(|&v| f16::round_trip(v)));
+                    metric.similarity(q, row)
+                } else {
+                    metric.similarity(q, x)
+                };
+                hits.push(Neighbor::new(id, score));
+            }
         }
     }
     // Only the best `k` need an order: `Neighbor`'s is total over distinct

@@ -17,11 +17,11 @@
 //! bits; [`F16::to_f32`] is exact and quiets a signalling NaN. That is what
 //! x86-64's F16C instructions (`vcvtps2ph` round-to-nearest, `vcvtph2ps`)
 //! compute, bit for bit on all 2³² `f32` inputs (an ignored release test
-//! checks every one). The two-phase rescore
-//! ([`crate::exact::rescore_subset_into`]) runs on those instructions
-//! under the `avx2` and `avx512` dispatches (whose detection includes
-//! F16C; `ANNA_FORCE_SCALAR` pins the software path) and gets the same
-//! bits either way. [`round_trip_slice`]
+//! checks every one, in XMM registers and in ZMM ones). The two-phase
+//! rescore ([`crate::exact::rescore_subset_into`]) runs on those
+//! instructions under the `avx2` (XMM) and `avx512` (ZMM) dispatches
+//! (whose detection includes F16C; `ANNA_FORCE_SCALAR` pins the software
+//! path) and gets the same bits either way. [`round_trip_slice`]
 //! stays on the software conversions.
 
 use serde::{Deserialize, Serialize};
@@ -418,30 +418,50 @@ mod tests {
         }
     }
 
+    /// Rounds `vs` in place with the ZMM forms of the same instructions
+    /// (the `avx512` rescore arm's) and returns `true`, or returns `false`
+    /// on a host without the `avx512` dispatch level.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn zmm_round_trip(vs: &mut [f32]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::avx512::Avx512::detected() {
+            hw.round_trip_slice(vs);
+            return true;
+        }
+        false
+    }
+
     /// Every one of the 2³² `f32` bit patterns: the software round trip
-    /// equals `vcvtps2ph` + `vcvtph2ps` bit for bit. Minutes in a debug
-    /// build, so run it in release: `cargo test --release -p anna-vector
-    /// -- --ignored`. Passes vacuously (and says so) without the `avx2`
-    /// dispatch level (AVX2 + F16C).
+    /// equals `vcvtps2ph` + `vcvtph2ps` bit for bit, in XMM registers and,
+    /// on a host with the `avx512` dispatch level, in ZMM ones. Minutes in
+    /// a debug build, so run it in release: `cargo test --release -p
+    /// anna-vector -- --ignored`. Passes vacuously (and says so) without
+    /// the `avx2` dispatch level (AVX2 + F16C).
     #[test]
     #[ignore]
     fn every_f32_round_trips_like_f16c() {
         let mut buf = vec![0.0f32; 1 << 16];
+        let mut wide = buf.clone();
         for hi in 0..=u16::MAX {
             let base = u32::from(hi) << 16;
             for (lo, v) in buf.iter_mut().enumerate() {
                 *v = f32::from_bits(base | lo as u32);
             }
+            wide.copy_from_slice(&buf);
             if !f16c_round_trip(&mut buf) {
                 eprintln!(
                     "no avx2 dispatch level (AVX2 + F16C) on this host: nothing to compare against"
                 );
                 return;
             }
-            for (lo, r) in buf.iter().enumerate() {
+            let zmm = zmm_round_trip(&mut wide);
+            for (lo, (r, w)) in buf.iter().zip(&wide).enumerate() {
                 let bits = base | lo as u32;
                 let want = round_trip(f32::from_bits(bits));
                 assert_eq!(want.to_bits(), r.to_bits(), "{bits:#010x}");
+                if zmm {
+                    assert_eq!(want.to_bits(), w.to_bits(), "{bits:#010x} (zmm)");
+                }
             }
         }
     }

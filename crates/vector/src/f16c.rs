@@ -15,6 +15,13 @@
 //! tail elements follow one by one. Four candidates share a pass, so four
 //! independent accumulator chains — and four rows' loads — are in flight
 //! at once.
+//!
+//! The candidates are random rows of a database far larger than the
+//! caches, so a pass mostly waits on its rows' misses. Both SIMD arms (this
+//! one and [`crate::avx512`]) therefore ask for every cache line of the
+//! rows [`PREFETCH_GROUPS`] passes ahead ([`prefetch_group`]) before
+//! scoring a pass: a prefetch is a hint with no architectural effect, so
+//! it cannot change a score.
 
 use std::arch::x86_64::*;
 
@@ -64,10 +71,35 @@ impl F16c {
     }
 }
 
+/// How many groups of four candidates ahead of the one being scored the
+/// SIMD rescore arms prefetch rows. Sized on the engine's re-rank stage
+/// at the benchmark's `two_phase` shape (≈ 100 random 64-element rows per
+/// query, 4–5 lines each): prefetching 2, 3, 4 or 6 groups ahead cut its
+/// time by about the same, ≈ a quarter, against none; 3 is the middle.
+pub(crate) const PREFETCH_GROUPS: usize = 3;
+
+/// Prefetches (into every cache level) every line of the rows of the
+/// candidates of group `group` — `ids[4·group..]`, at most four — or
+/// nothing past the end of `ids`. Each id must be a row of `db` (checked
+/// by slicing).
+#[inline]
+pub(crate) fn prefetch_group(db: &VectorSet, ids: &[u64], group: usize) {
+    for &id in ids.get(4 * group..).unwrap_or_default().iter().take(4) {
+        let row = db.row(id as usize);
+        // Every sixteenth element and the last: one per 64-byte line, the
+        // row's last line too when it does not start one.
+        for i in (0..row.len()).step_by(16).chain(row.len().checked_sub(1)) {
+            // SAFETY: the address is an element of `row`; a prefetch reads
+            // nothing architecturally and never faults.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>((&row[i] as *const f32).cast()) }
+        }
+    }
+}
+
 /// Four consecutive elements as one register.
 #[target_feature(enable = "f16c")]
 #[inline]
-fn load(c: &[f32]) -> __m128 {
+pub(crate) fn load(c: &[f32]) -> __m128 {
     let c = &c[..4];
     _mm_set_ps(c[3], c[2], c[1], c[0])
 }
@@ -75,7 +107,7 @@ fn load(c: &[f32]) -> __m128 {
 /// The four lanes of `v`, lane 0 first.
 #[target_feature(enable = "f16c")]
 #[inline]
-fn lanes(v: __m128) -> [f32; 4] {
+pub(crate) fn lanes(v: __m128) -> [f32; 4] {
     [
         _mm_cvtss_f32(v),
         _mm_cvtss_f32(_mm_shuffle_ps::<0b01_01_01_01>(v, v)),
@@ -93,7 +125,7 @@ fn round_trip4(v: __m128) -> __m128 {
 
 #[target_feature(enable = "f16c")]
 #[inline]
-fn round_trip1(v: f32) -> f32 {
+pub(crate) fn round_trip1(v: f32) -> f32 {
     _mm_cvtss_f32(round_trip4(_mm_set_ss(v)))
 }
 
@@ -128,8 +160,9 @@ fn rescore(
 }
 
 /// [`rescore`] for one precision (`ROUND`: through binary16) and one
-/// metric (`L2`, else inner product): groups of four candidates, then the
-/// 0–3 left over one at a time through the same code.
+/// metric (`L2`, else inner product): groups of four candidates, each
+/// prefetching the rows [`PREFETCH_GROUPS`] groups ahead, then the 0–3
+/// left over one at a time through the same code.
 #[target_feature(enable = "f16c")]
 #[inline]
 fn rescore_as<const ROUND: bool, const L2: bool>(
@@ -139,8 +172,12 @@ fn rescore_as<const ROUND: bool, const L2: bool>(
     hits: &mut Vec<Neighbor>,
 ) {
     let row = |id: u64| db.row(id as usize);
+    for group in 0..PREFETCH_GROUPS {
+        prefetch_group(db, ids, group);
+    }
     let mut groups = ids.chunks_exact(4);
-    for g in &mut groups {
+    for (group, g) in (&mut groups).enumerate() {
+        prefetch_group(db, ids, group + PREFETCH_GROUPS);
         let scores = similarities::<4, ROUND, L2>(q, [row(g[0]), row(g[1]), row(g[2]), row(g[3])]);
         hits.extend(g.iter().zip(scores).map(|(&id, s)| Neighbor::new(id, s)));
     }

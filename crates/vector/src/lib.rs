@@ -38,6 +38,8 @@
 
 #![deny(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 mod dispatch;
 pub mod exact;
 pub mod f16;

@@ -291,7 +291,9 @@ fn hostile_element(rng: &mut TestRng) -> f32 {
 
 /// The rescore arm of every dispatch the host runs returns the portable
 /// arm's ids and score bits (NaN scores compared as NaN) — {L2, IP} ×
-/// {f16, f32} rows, dims that leave every tail length, hostile elements,
+/// {f16, f32} rows, dims that leave every remainder mod 16 (so every
+/// count of 4-element chunks and every tail length) after zero, one and
+/// two 16-element blocks, and some up to six blocks, hostile elements,
 /// duplicated rows (ties), `k` past the candidate count, and 0–3
 /// candidates left over after the groups of four.
 #[test]
@@ -305,7 +307,7 @@ fn rescore_arms_match_the_portable_arm() {
             .collect::<Vec<_>>()
     );
     forall("rescore arms == portable", 48, |rng| {
-        for dim in [1usize, 3, 5, 63, 64] {
+        for dim in (1usize..=33).chain([48, 63, 64, 65, 79, 80, 99]) {
             let n = rng.usize(24..48);
             let mut flat: Vec<f32> = (0..n * dim).map(|_| hostile_element(rng)).collect();
             for _ in 0..rng.usize(1..6) {
