@@ -4,11 +4,12 @@
 //! [`ShardedIndex`] (RAM or tiered shards).
 //!
 //! `plan()` is the only place an engine's schedule is assembled. Both
-//! engines tile the same way, one round per visited cluster
-//! ([`BatchPlan::from_visitors`] with an unbounded query group): the
-//! cluster-major plan (with the [`anna_plan::RerankStage`] under
-//! [`PlanOptions::rerank`]) for [`BatchedScan`], the per-shard plans plus
-//! merge units and tier split for [`ShardedIndex`].
+//! engines tile the same way, one round per visited cluster with an
+//! unbounded query group: the cluster-major plan in probe-rank order
+//! ([`BatchPlan::probe_ordered`], with the [`anna_plan::RerankStage`]
+//! under [`PlanOptions::rerank`]) for [`BatchedScan`], the per-shard plans
+//! in cluster-id order ([`BatchPlan::from_visitors`]) plus merge units and
+//! tier split for [`ShardedIndex`].
 //! `execute()` adapts the two inherent executors,
 //! [`BatchedScan::run_plan`] and [`ShardedIndex::run_plan`] — both feed
 //! the plan they are handed to the crate's one round loop
@@ -71,8 +72,14 @@ impl ShardedStats {
 /// the largest requested `k` (every query runs at it and per-request
 /// truncation is the caller's concern), the first-pass heap runs at
 /// `policy.k_first(k_exec)` under a re-rank policy, and the round schedule
-/// is [`BatchPlan::from_visitors`] with an unbounded query group: one
-/// round per visited cluster. The plan is a pure function of the workload
+/// is [`BatchPlan::probe_ordered`]: one round per visited cluster, ordered
+/// by the mean probe rank of the cluster's visitors (their positions in
+/// the nearest-first scopes), ties to the lower cluster id. A lone query
+/// thus visits its clusters nearest-first, as
+/// [`crate::IvfPqIndex::search`] does, and its threshold rises before the
+/// farther clusters offer their rows. The order moves no result and no
+/// priced byte, only how many candidates the selectors are offered. The
+/// plan is a pure function of the workload
 /// (never of the runtime thread count), so the measured [`BatchStats`]
 /// are identical however many workers execute it.
 ///
@@ -114,12 +121,7 @@ impl SearchEngine for BatchedScan<'_> {
         let workload = self.workload_from_scopes(scopes.to_vec(), k_scan);
         let params = PlanParams::default();
         let spill_unit = k_scan as u64 * params.topk_record_bytes as u64;
-        let mut plan = BatchPlan::from_visitors(
-            &workload.visitors_per_cluster(),
-            &workload.cluster_sizes,
-            0,
-            spill_unit,
-        );
+        let mut plan = BatchPlan::probe_ordered(&workload, spill_unit);
         if let Some(policy) = options.rerank {
             plan =
                 plan.with_rerank(policy.stage(&workload, k_exec, params.topk_record_bytes as u64));

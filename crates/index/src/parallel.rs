@@ -10,15 +10,21 @@
 //! each lane serially in plan order:
 //!
 //! * [`BatchedScan`] passes one lane per round, so rounds are balanced
-//!   across workers as they finish;
-//! * [`ShardedIndex`] passes one lane per shard, so a tiered shard's
-//!   cache sees the plan's touch sequence — the one
-//!   [`anna_plan::TrafficModel::price_tiered`] priced — from exactly one
-//!   worker, whatever the thread count.
+//!   across workers as they finish. Its plan orders the rounds by the
+//!   mean probe rank of each cluster's visitors, ties to the lower
+//!   cluster id ([`anna_plan::BatchPlan::probe_ordered`]), so a lone
+//!   query meets its clusters nearest-first and the cursor hands them out
+//!   in that order;
+//! * [`ShardedIndex`] passes one lane per shard, its rounds in cluster-id
+//!   order, so a tiered shard's cache sees the plan's touch sequence — the
+//!   one [`anna_plan::TrafficModel::price_tiered`] priced — from exactly
+//!   one worker, whatever the thread count.
 //!
 //! A round's visitors are taken in groups of up to four consecutive
 //! queries where the scan kernel scores a group per pass over the rows
-//! (`k* = 16` under AVX-512; one query per group elsewhere) — ANNA's
+//! (the seeded visits under AVX-512: nibble codes in 4- and 8-byte rows
+//! at `k* = 16`, byte codes in 8- and 16-byte rows at `k* = 256`; one
+//! query per group elsewhere) — ANNA's
 //! crossbar handing one fetched cluster block to every SCM of the query
 //! group (Section III-B). Each visitor's lookup table is built inline into
 //! one of the worker's reusable [`Lut`] slots, and the group's tables are
@@ -33,7 +39,9 @@
 //! settles them in one partial select every `k` appends, which is what
 //! keeps a cold selector cheap. A query's first partial becomes its
 //! merged result as is; only further workers' partials are merged into
-//! it. The hot loop allocates nothing after warm-up. (The LUT-build/scan
+//! it. The hot loop allocates nothing after warm-up, and a worker leaves
+//! its buffers to the next worker on its thread, so a one-worker batch
+//! (which drains on the caller's thread) starts warm. (The LUT-build/scan
 //! double buffering of Section III-A stays modelled where it belongs, in
 //! `anna-core`'s cycle engine.)
 //!
@@ -74,9 +82,10 @@ use anna_quant::pq::PqCodebook;
 use anna_telemetry::Telemetry;
 use anna_vector::exact::{rescore_subset_into, RescoreScratch};
 use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
+use std::cell::Cell;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The concrete worker count for a `threads` argument: `threads` itself,
 /// or one worker per available core when it is `0`.
@@ -131,9 +140,8 @@ pub(crate) struct Lane<'a> {
 /// One worker's state: a [`TopK`] per batch query it has scored, its
 /// share of the traffic statistics, a per-query count of the rounds it
 /// scored (for the spill/fill accounting), its scan-kernel tally and
-/// grouped-visit count, and the reusable table slots, selector group and
-/// kernel scratch that keep the hot loop allocation-free across every lane
-/// it drains.
+/// grouped-visit count, and the [`Buffers`] that keep the hot loop
+/// allocation-free across every lane it drains.
 struct Worker {
     tops: Vec<Option<TopK>>,
     rounds_scored: Vec<u64>,
@@ -141,6 +149,15 @@ struct Worker {
     tier: TierTraffic,
     tally: ScanTally,
     grouped_visits: u64,
+    buffers: Buffers,
+}
+
+/// A worker's reusable buffers: the table slots, the selector group, the
+/// kernel scratch and the L2 residual. None carries meaning from one
+/// visit to the next (each is refilled before it is read), so a worker
+/// may start with the buffers of any earlier one.
+#[derive(Default)]
+struct Buffers {
     scratch: ScanScratch,
     /// One table slot per member of a visitor group.
     luts: Vec<Lut>,
@@ -150,8 +167,19 @@ struct Worker {
     residual: Vec<f32>,
 }
 
+thread_local! {
+    /// The buffers the last worker on this thread left behind. A
+    /// one-worker batch drains on the caller's thread, so a stream of
+    /// small batches (a lone query per request) starts each worker with
+    /// buffers already grown to the largest cluster it scanned: no
+    /// allocation and no first-touch page faults per batch.
+    static SPARE_BUFFERS: Cell<Option<Buffers>> = const { Cell::new(None) };
+}
+
 impl Worker {
     fn new(nq: usize) -> Self {
+        let mut buffers = SPARE_BUFFERS.take().unwrap_or_default();
+        buffers.luts.resize_with(kernels::GROUP, Lut::placeholder);
         Self {
             tops: (0..nq).map(|_| None).collect(),
             rounds_scored: vec![0; nq],
@@ -159,10 +187,7 @@ impl Worker {
             tier: TierTraffic::default(),
             tally: ScanTally::default(),
             grouped_visits: 0,
-            scratch: ScanScratch::new(),
-            luts: (0..kernels::GROUP).map(|_| Lut::placeholder()).collect(),
-            group: Vec::with_capacity(kernels::GROUP),
-            residual: Vec::new(),
+            buffers,
         }
     }
 
@@ -222,14 +247,14 @@ impl Worker {
             // the kernel scores a group at once.
             let group = kernels::group_size(dispatch, &cluster.codes, job.codebook.kstar());
             for queries in round.queries.chunks(group) {
-                self.group.extend(queries.iter().map(|&qi| {
+                self.buffers.group.extend(queries.iter().map(|&qi| {
                     self.rounds_scored[qi] += 1;
                     self.tops[qi].take().unwrap_or_else(|| TopK::new(job.k))
                 }));
                 if !cluster.is_empty() {
                     // Each visit's table: re-bias the shared inner-product
                     // base, or rebuild the cluster-dependent L2 table.
-                    for (lut, &qi) in self.luts.iter_mut().zip(queries) {
+                    for (lut, &qi) in self.buffers.luts.iter_mut().zip(queries) {
                         let q = job.queries.row(qi);
                         match ip_base {
                             Some(base) => {
@@ -240,24 +265,24 @@ impl Worker {
                                 centroid,
                                 job.codebook,
                                 job.lut_precision,
-                                &mut self.residual,
+                                &mut self.buffers.residual,
                             ),
                         }
                     }
                     let tally = kernels::scan_group_with(
                         &cluster.codes,
                         &cluster.ids,
-                        &self.luts[..queries.len()],
-                        &mut self.group,
+                        &self.buffers.luts[..queries.len()],
+                        &mut self.buffers.group,
                         dispatch,
-                        &mut self.scratch,
+                        &mut self.buffers.scratch,
                     );
                     self.tally.accumulate(&tally);
                     if queries.len() > 1 {
                         self.grouped_visits += queries.len() as u64;
                     }
                 }
-                for (&qi, top) in queries.iter().zip(self.group.drain(..)) {
+                for (&qi, top) in queries.iter().zip(self.buffers.group.drain(..)) {
                     let slot = &mut self.tops[qi];
                     assert!(
                         slot.is_none(),
@@ -419,6 +444,7 @@ pub(crate) fn execute_rounds(
                 .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
         }
         trace.flush(tel, worker, &acc.tally, acc.grouped_visits);
+        SPARE_BUFFERS.set(Some(std::mem::take(&mut acc.buffers)));
         Ok(acc)
     };
     let workers = threads.max(1).min(lanes.len().max(1));
@@ -556,31 +582,34 @@ pub(crate) fn execute_rerank(
             rescore(qi, &mut ids, &mut scratch, out);
         }
     } else {
+        // Each worker returns the queries it rescored; they are scattered
+        // by query index after the join.
         let cursor = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<Neighbor>)>> = Mutex::new(Vec::with_capacity(nq));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (cursor, done, rescore) = (&cursor, &done, &rescore);
-                s.spawn(move || {
-                    let mut scratch = RescoreScratch::new();
-                    let mut ids = Vec::new();
-                    let mut local: Vec<(usize, Vec<Neighbor>)> = Vec::new();
-                    loop {
-                        let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                        if qi >= nq {
-                            break;
+        let done: Vec<Vec<(usize, Vec<Neighbor>)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut scratch = RescoreScratch::new();
+                        let mut ids = Vec::new();
+                        let mut local = Vec::new();
+                        loop {
+                            let qi = cursor.fetch_add(1, Ordering::Relaxed);
+                            if qi >= nq {
+                                return local;
+                            }
+                            let mut out = Vec::new();
+                            rescore(qi, &mut ids, &mut scratch, &mut out);
+                            local.push((qi, out));
                         }
-                        let mut out = Vec::new();
-                        rescore(qi, &mut ids, &mut scratch, &mut out);
-                        local.push((qi, out));
-                    }
-                    done.lock()
-                        .expect("rerank worker poisoned results")
-                        .extend(local);
-                });
-            }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        for (qi, out) in done.into_inner().expect("rerank worker poisoned results") {
+        for (qi, out) in done.into_iter().flatten() {
             results[qi] = out;
         }
     }

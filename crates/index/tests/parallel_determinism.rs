@@ -18,11 +18,17 @@
 //! nonzero bound also pins that splitting a cluster across rounds moves
 //! no neighbor and no [`anna_index::BatchStats`] counter. Seeded through
 //! `anna-testkit`, so a failure replays from a printed seed.
+//!
+//! The engine's own round order (mean probe rank, on a third family,
+//! [`BLOBS`]) is pinned by `probe_rank_order_is_pinned_and_moves_nothing_priced`.
 
 mod common;
 
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
-use anna_plan::{BatchPlan, PlanParams};
+use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{
+    BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch, LutPrecision, SearchParams,
+};
+use anna_plan::{BatchPlan, EnginePlan, PlanParams};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{Metric, VectorSet};
@@ -118,9 +124,10 @@ impl Inputs {
     }
 }
 
-/// The schedule under test: one round per visited cluster (`group == 0`,
-/// the engine's own plan), or each cluster's visitors cut into rounds of
-/// at most `group` queries — the accelerator's fixed `N_SCM / g` grouping.
+/// The schedule under test, in cluster-id order: one round per visited
+/// cluster (`group == 0`, the engine's own rounds), or each cluster's
+/// visitors cut into rounds of at most `group` queries — the
+/// accelerator's fixed `N_SCM / g` grouping.
 fn plan_with_group(
     scan: &BatchedScan<'_>,
     queries: &VectorSet,
@@ -162,8 +169,12 @@ fn parallel_matches_serial(metric: Metric, kstar: usize) {
 
             let tel = Telemetry::disabled();
             let reference = common::engine_plan(&scan, &queries, &params);
+            // The engine's rounds are the bound-0 rounds in probe-rank
+            // order (pinned by `probe_rank_order_is_pinned_and_moves_nothing_priced`).
+            let mut by_cluster = reference.clone();
+            by_cluster.rounds.sort_by_key(|r| r.cluster);
             assert_eq!(
-                reference,
+                by_cluster,
                 plan_with_group(&scan, &queries, &params, 0),
                 "the engine must plan one round per visited cluster"
             );
@@ -353,5 +364,146 @@ fn parallel_batch_matches_query_major_search() {
                 assert_eq!(batched[bi], single, "query row {row} diverged");
             }
         });
+    }
+}
+
+/// Nine-blob data for the round-order test: the blobs spread over 16
+/// clusters, so a query's scope order is far from cluster-id order.
+const BLOBS: Inputs = Inputs {
+    name: "blobs",
+    rows: 1800,
+    value: |r, c| {
+        let blob = r % 9;
+        blob as f32 * 25.0 + ((r * 31 + c * 7) % 11) as f32 * 0.3
+    },
+    num_clusters: 16,
+    batch: 1..2,
+    nprobe: 6..7,
+    k: 20..21,
+    groups: &[0],
+    precisions: &[LutPrecision::F32],
+};
+
+/// The batch engine's round order, at B ∈ {1, 8, 512}, k* ∈ {16, 256}
+/// (`m = 8`: the seeded `avx512` shapes) and both metrics:
+///
+/// (a) rounds follow the mean probe rank of each cluster's visitors (its
+///     positions in their nearest-first scopes), ties to the lower cluster
+///     id, and at B = 1 they are the scope;
+/// (b) the same plan with its rounds re-sorted by cluster id executes to
+///     bit-identical results and an identical `TrafficReport`, and
+///     `verify()` passes on both;
+/// (c) at B = 1, where the `avx512` dispatch runs, the selectors are
+///     offered strictly fewer candidates (`kernel.codes_scanned −
+///     kernel.pruned`) under probe order, summed over single-query batches.
+#[test]
+fn probe_rank_order_is_pinned_and_moves_nothing_priced() {
+    let spec = QuerySpec {
+        k: BLOBS.k.start,
+        scope: BLOBS.nprobe.start,
+    };
+    let by_cluster = |plan: &EnginePlan| {
+        let mut plan = plan.clone();
+        let EnginePlan::ClusterMajor { plan: rounds, .. } = &mut plan else {
+            panic!("the batch engine planned a {} batch", plan.engine());
+        };
+        rounds.rounds.sort_by_key(|r| r.cluster);
+        plan
+    };
+    // Offers, results, measured and priced traffic of one single-threaded
+    // execution.
+    let run = |scan: &BatchedScan<'_>, queries: &VectorSet, plan: &EnginePlan| {
+        let tel = Telemetry::enabled();
+        let run = scan.execute(queries, plan, 1, &tel);
+        let predicted = scan.price(plan);
+        scan.verify(&predicted, None, &run.measured)
+            .unwrap_or_else(|e| panic!("verify failed: {e}"));
+        let registry = tel.registry().expect("enabled");
+        let offers = registry.counter("kernel.codes_scanned").get()
+            - registry.counter("kernel.pruned").get();
+        (offers, run, predicted)
+    };
+    let avx512 = KernelDispatch::current() == KernelDispatch::Avx512;
+    for metric in [Metric::L2, Metric::InnerProduct] {
+        for kstar in [16usize, 256] {
+            let (data, index) = BLOBS.build(metric, kstar, MS[1]);
+            let scan = BatchedScan::new(&index);
+            let mut offers = (0u64, 0u64);
+            for b in [1usize, 8, 512] {
+                let label = format!("{metric:?}, kstar={kstar}, B={b}");
+                // 24 single-query batches at B = 1; one batch otherwise.
+                let batches = if b == 1 { 24 } else { 1 };
+                for batch in 0..batches {
+                    let rows: Vec<usize> =
+                        (0..b).map(|i| (batch * 97 + i * 37) % data.len()).collect();
+                    let queries = data.gather(&rows);
+                    let tel = Telemetry::disabled();
+                    let plan = plan_uniform(&scan, &queries, &spec, &PlanOptions::default(), &tel);
+                    let EnginePlan::ClusterMajor {
+                        workload,
+                        plan: rounds,
+                    } = &plan
+                    else {
+                        panic!(
+                            "{label}: the batch engine planned a {} batch",
+                            plan.engine()
+                        );
+                    };
+
+                    // (a) Mean ranks in f64 are exact enough here: distinct
+                    // means of ranks < 6 over ≤ 512 visitors differ by far
+                    // more than an ulp.
+                    let mut ranks = vec![(0.0f64, 0.0f64); index.num_clusters()];
+                    for scope in &workload.visits {
+                        for (rank, &c) in scope.iter().enumerate() {
+                            ranks[c].0 += rank as f64;
+                            ranks[c].1 += 1.0;
+                        }
+                    }
+                    let key = |c: usize| (ranks[c].0 / ranks[c].1, c);
+                    let order: Vec<usize> = rounds.rounds.iter().map(|r| r.cluster).collect();
+                    for pair in order.windows(2) {
+                        assert!(
+                            key(pair[0]) < key(pair[1]),
+                            "{label}: round on cluster {} before cluster {}",
+                            pair[0],
+                            pair[1]
+                        );
+                    }
+                    let visited = ranks.iter().filter(|r| r.1 > 0.0).count();
+                    assert_eq!(
+                        order.len(),
+                        visited,
+                        "{label}: one round per visited cluster"
+                    );
+                    if b == 1 {
+                        assert_eq!(
+                            order, workload.visits[0],
+                            "{label}: B = 1 is the scope order"
+                        );
+                    }
+
+                    // (b) The cluster-id order moves nothing priced.
+                    let (probe_offers, probe_run, probe_price) = run(&scan, &queries, &plan);
+                    let (id_offers, id_run, id_price) = run(&scan, &queries, &by_cluster(&plan));
+                    assert_eq!(probe_run, id_run, "{label}: results or measured traffic");
+                    assert_eq!(probe_price, id_price, "{label}: priced traffic");
+                    if b == 1 {
+                        offers.0 += probe_offers;
+                        offers.1 += id_offers;
+                    }
+                }
+            }
+            // (c) Nearest-first raises each threshold before the farther
+            // clusters offer their rows.
+            if avx512 {
+                assert!(
+                    offers.0 < offers.1,
+                    "{metric:?}, kstar={kstar}: {} offers under probe order, {} by cluster id",
+                    offers.0,
+                    offers.1
+                );
+            }
+        }
     }
 }

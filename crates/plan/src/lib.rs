@@ -15,7 +15,10 @@
 //!   *(cluster, query-group)* [`ClusterTile`]s, mirroring ANNA's crossbar
 //!   arbitration of SCM groups. The software engines take the unbounded
 //!   cut, one tile per visited cluster ([`BatchPlan::from_visitors`] with
-//!   a bound of `0`): a worker scores a cluster's whole visitor list.
+//!   a bound of `0`): a worker scores a cluster's whole visitor list. The
+//!   batch engine runs those rounds in probe-rank order
+//!   ([`BatchPlan::probe_ordered`]), so each query meets its nearest
+//!   clusters first.
 //! * [`plan()`] — resolves the [`ScmAllocation`] policy to a concrete `g`,
 //!   turns the tiles into [`Round`]s, and packages the result as a
 //!   [`BatchPlan`] with the spill/fill record size precomputed.

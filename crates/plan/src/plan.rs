@@ -124,7 +124,8 @@ pub struct BatchPlan {
     /// SCMs per query `g`.
     pub scm_per_query: usize,
     /// Queries per round (`N_SCM / g`); `0` means unbounded, one round
-    /// per visited cluster — the plan both software IVF-PQ engines run.
+    /// per visited cluster — the plan both software IVF-PQ engines run
+    /// (see [`BatchPlan::probe_ordered`]).
     pub queries_per_round: usize,
     /// Bytes moved per intermediate top-k spill (or fill) of one query:
     /// `min(k, capacity) · g · record_bytes` (Section IV-C).
@@ -203,9 +204,11 @@ impl BatchPlan {
 
     /// Builds a plan directly from per-cluster visitor lists with `g = 1`,
     /// cutting each list into rounds of at most `queries_per_round`
-    /// queries. The software engines pass `0` (one round per visited
-    /// cluster: a worker scores a cluster's whole visitor list) and a
-    /// spill unit that prices `k`-record software heaps.
+    /// queries, in cluster-id order. The sharded engine passes `0` (one
+    /// round per visited cluster: a worker scores a cluster's whole
+    /// visitor list) and a spill unit that prices `k`-record software
+    /// heaps; the batch engine runs the same rounds in probe-rank order
+    /// ([`BatchPlan::probe_ordered`]).
     ///
     /// The bound moves no priced byte: each `(query, cluster)` visit lands
     /// in exactly one round, only a cluster's first round fetches, and a
@@ -222,6 +225,72 @@ impl BatchPlan {
             queries_per_round,
             spill_unit_bytes,
             rounds: rounds_from_tiles(crossbar_tiles(visiting, queries_per_round), cluster_sizes),
+            rerank: None,
+        }
+    }
+
+    /// The software batch engine's schedule for `workload`: one round per
+    /// visited cluster (`g = 1`, an unbounded query group, each round's
+    /// queries ascending), ordered by the **mean probe rank** of the
+    /// cluster's visitors, ties to the lower cluster id.
+    ///
+    /// `workload.visits[q]` is query `q`'s scope, nearest cluster first,
+    /// so a cluster's probe rank for `q` is its position there. A top-k
+    /// unit admits only candidates that beat its running `k`-th best
+    /// (Section III-B(4)), so a query that meets its nearest clusters
+    /// first raises its threshold early and is offered fewer candidates by
+    /// the farther ones. For one query the order is its scope; for a batch
+    /// it serves, on average, each cluster's visitors' nearer probes first.
+    /// Mean ranks are compared exactly, as `sum_a · n_b` against
+    /// `sum_b · n_a`.
+    ///
+    /// The rounds are exactly [`BatchPlan::from_visitors`]'s with a bound
+    /// of `0`, only reordered, and no priced byte depends on round order:
+    /// every cluster is fetched by its one round, and a query's spill/fill
+    /// count depends only on how many rounds it joins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a visit names a cluster outside `workload.cluster_sizes`.
+    pub fn probe_ordered(workload: &BatchWorkload, spill_unit_bytes: u64) -> BatchPlan {
+        let sizes = &workload.cluster_sizes;
+        // (rank sum, visitors) per cluster.
+        let mut tally = vec![(0u64, 0u64); sizes.len()];
+        for scope in &workload.visits {
+            for (rank, &cluster) in scope.iter().enumerate() {
+                tally[cluster].0 += rank as u64;
+                tally[cluster].1 += 1;
+            }
+        }
+        let mut rounds: Vec<Round> = (0..sizes.len())
+            .filter(|&c| tally[c].1 > 0)
+            .map(|cluster| Round {
+                cluster,
+                cluster_size: sizes[cluster],
+                queries: Vec::with_capacity(tally[cluster].1 as usize),
+                fetches_codes: true,
+            })
+            .collect();
+        rounds.sort_unstable_by(|a, b| {
+            let ((sum_a, n_a), (sum_b, n_b)) = (tally[a.cluster], tally[b.cluster]);
+            (sum_a * n_b)
+                .cmp(&(sum_b * n_a))
+                .then(a.cluster.cmp(&b.cluster))
+        });
+        // The tally's first field now names each visited cluster's round.
+        for (i, round) in rounds.iter().enumerate() {
+            tally[round.cluster].0 = i as u64;
+        }
+        for (q, scope) in workload.visits.iter().enumerate() {
+            for &cluster in scope {
+                rounds[tally[cluster].0 as usize].queries.push(q);
+            }
+        }
+        BatchPlan {
+            scm_per_query: 1,
+            queries_per_round: 0,
+            spill_unit_bytes,
+            rounds,
             rerank: None,
         }
     }
@@ -472,6 +541,62 @@ mod tests {
                 assert_eq!(cut.clusters_fetched(), whole.clusters_fetched(), "q={q}");
                 assert_eq!(cut.total_topk_units(), whole.total_topk_units(), "q={q}");
             }
+        });
+    }
+
+    /// The cluster order of `visits`' probe-ordered plan.
+    fn probe_order(visits: Vec<Vec<usize>>, clusters: usize) -> Vec<usize> {
+        let w = BatchWorkload {
+            shape: shape(clusters),
+            cluster_sizes: vec![10; clusters],
+            visits,
+        };
+        let plan = BatchPlan::probe_ordered(&w, 5);
+        plan.rounds.iter().map(|r| r.cluster).collect()
+    }
+
+    #[test]
+    fn probe_order_is_the_scope_for_one_query() {
+        assert_eq!(probe_order(vec![vec![5, 0, 7, 2]], 8), vec![5, 0, 7, 2]);
+        assert!(probe_order(Vec::new(), 8).is_empty());
+    }
+
+    #[test]
+    fn probe_order_sorts_by_mean_rank_then_cluster_id() {
+        // Mean ranks: cluster 0 → (1 + 0) / 2, cluster 1 → 0, cluster 2 →
+        // (0 + 1) / 2, cluster 3 → 2, cluster 4 unvisited. Clusters 0 and
+        // 2 tie at 1/2 and go lower id first.
+        let visits = vec![vec![2, 0, 3], vec![0, 2], vec![1]];
+        assert_eq!(probe_order(visits, 5), vec![1, 0, 2, 3]);
+    }
+
+    #[test]
+    fn probe_ordered_rounds_are_the_bound_0_rounds_reordered() {
+        let model = crate::TrafficModel::new(PlanParams::default());
+        anna_testkit::forall("probe-ordered rounds", 64, |rng| {
+            let clusters = rng.usize(1..12);
+            let visits: Vec<Vec<usize>> = (0..rng.usize(0..24))
+                .map(|_| {
+                    let mut scope: Vec<usize> = (0..clusters).filter(|_| rng.bool()).collect();
+                    for i in (1..scope.len()).rev() {
+                        scope.swap(i, rng.usize(0..i + 1));
+                    }
+                    scope
+                })
+                .collect();
+            let w = BatchWorkload {
+                shape: shape(clusters),
+                cluster_sizes: (0..clusters).map(|_| rng.usize(0..3000)).collect(),
+                visits,
+            };
+            let unit = rng.u64(1..500);
+            let ordered = BatchPlan::probe_ordered(&w, unit);
+            let by_id =
+                BatchPlan::from_visitors(&w.visitors_per_cluster(), &w.cluster_sizes, 0, unit);
+            let mut resorted = ordered.clone();
+            resorted.rounds.sort_by_key(|r| r.cluster);
+            assert_eq!(resorted, by_id);
+            assert_eq!(model.price(&w, &ordered), model.price(&w, &by_id));
         });
     }
 

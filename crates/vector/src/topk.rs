@@ -85,6 +85,12 @@ impl Slot {
     fn rank(&self) -> u128 {
         (u128::from(self.ord) << 64) | u128::from(!self.id)
     }
+
+    /// [`Slot::rank`] in 64 bits, exact when the id fits in 32: on such
+    /// ids `!(id as u32)` orders exactly as `!id` does.
+    fn rank64(&self) -> u64 {
+        (u64::from(self.ord) << 32) | u64::from(!(self.id as u32))
+    }
 }
 
 /// How many candidates a [`TopK`] buffers per kept entry before it
@@ -254,12 +260,22 @@ impl TopK {
         }
     }
 
-    /// Consumes the selector and returns the kept entries, best first.
+    /// Consumes the selector and returns the kept entries, best first:
+    /// one settle to the `k` kept slots, then a sort of only those.
     pub fn into_sorted_vec(mut self) -> Vec<Neighbor> {
+        if self.slots.len() > self.k {
+            self.settle();
+        }
         // Descending rank is `sort_neighbors`' order: no NaN is ever kept.
-        self.slots
-            .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank()));
-        self.slots.truncate(self.k);
+        // Ids below 2^32 sort on the 64-bit key, which orders them exactly
+        // as the full one; a wider id keeps the full key.
+        if self.slots.iter().all(|slot| slot.id <= u64::from(u32::MAX)) {
+            self.slots
+                .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank64()));
+        } else {
+            self.slots
+                .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank()));
+        }
         self.slots
             .iter()
             .map(|slot| Neighbor::new(slot.id, slot.score))
@@ -466,6 +482,37 @@ mod tests {
         let ids_ba: Vec<u64> = ba.into_sorted_vec().iter().map(|n| n.id).collect();
         assert_eq!(ids_ab, vec![5, 10]);
         assert_eq!(ids_ab, ids_ba);
+    }
+
+    #[test]
+    fn sorted_vec_keeps_the_total_order_for_narrow_and_wide_ids() {
+        // A tie-heavy stream (scores from 5 levels, both zeros among them)
+        // read out against a full sort by `Neighbor`'s order: with ids below
+        // 2^32 (the 64-bit key) and with ids that only differ above bit 32
+        // (the full key; their low halves collide).
+        let mut state = 0x9E37_79B9u64;
+        for wide in [false, true] {
+            for k in [1usize, 3, 10, 64] {
+                let mut t = TopK::new(k);
+                let mut all = Vec::new();
+                for i in 0..300u64 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let score = [-1.0f32, -0.0, 0.0, 0.5, 2.0][(state >> 61) as usize % 5];
+                    let id = if wide { (i << 32) | 7 } else { i };
+                    t.push(id, score);
+                    all.push(Neighbor::new(id, score));
+                }
+                sort_neighbors(&mut all);
+                all.truncate(k);
+                // ±0 tie by id; each kept score comes back bit for bit.
+                let bits = |v: &[Neighbor]| -> Vec<(u64, u32)> {
+                    v.iter().map(|n| (n.id, n.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&t.into_sorted_vec()), bits(&all), "wide={wide} k={k}");
+            }
+        }
     }
 
     #[test]
