@@ -8,7 +8,7 @@ use anna_quant::codes::PackedCodes;
 use anna_quant::dist_table::DimMajor;
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
-use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{best_positions, metric, Metric, Neighbor, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
 
 /// Which codebook training objective to use — the difference between the
@@ -115,8 +115,8 @@ impl IndexStats {
 /// Cluster filtering: the `nprobe` centroids of `centroids` most similar to
 /// `q` under `metric`, best first. One pass of the distance-table kernel
 /// scores every centroid — each similarity `metric.similarity(q, c)` bit
-/// for bit — and the selector takes them in centroid order, so ties keep
-/// the lowest id.
+/// for bit — and [`best_positions`] picks the best in the selector's
+/// order: ties keep the lowest id, NaN is never probed.
 pub(crate) fn filter_clusters(
     centroids: &DimMajor,
     metric: Metric,
@@ -125,14 +125,7 @@ pub(crate) fn filter_clusters(
 ) -> Vec<usize> {
     let mut similarities = vec![0.0f32; centroids.k()];
     centroids.similarities(metric, q, &mut similarities);
-    let mut top = TopK::new(nprobe.clamp(1, centroids.k()));
-    for (i, &s) in similarities.iter().enumerate() {
-        top.push(i as u64, s);
-    }
-    top.into_sorted_vec()
-        .into_iter()
-        .map(|n| n.id as usize)
-        .collect()
+    best_positions(&similarities, nprobe.clamp(1, centroids.k()))
 }
 
 /// A two-level product-quantization index.

@@ -67,7 +67,9 @@
 //! The byte-sum pass loads a 64-row chunk as `4·ND` plain 64-byte
 //! registers and transposes it in registers (see [`byte_sums`]); the
 //! nibble pass reads the same registers row-major, untransposed (see
-//! [`half_sums`]).
+//! [`half_sums`]). Either pass makes its sums in its own lane order, folds
+//! them into the group maxima there, and stores them in row order, so the
+//! candidate step ([`candidates`]) reads row `r`'s sum at `r`.
 //!
 //! # The group loop
 //!
@@ -538,11 +540,12 @@ const NIBBLE_ROWS: [[u8; 64]; 2] = [slot_rows(NIBBLE_SLOTS[0]), slot_rows(NIBBLE
 /// visitor `q`'s u8 image `tables[q]` ([`quantise`]), written to
 /// `sums[q]`, and the largest sum of each of [`SEED_GROUPS`] disjoint
 /// groups of those rows, per visitor. Chunk `c` (rows `64c .. 64c + 64` of
-/// the block) leaves its sums at `sums[q][64c .. 64c + 64]` in lane order
-/// — the 32 even byte lanes, then the 32 odd ones, so row `r` of the chunk
-/// is in slot [`BYTE_SLOTS`]`[ND / 4][r]` — and group `64·(c mod 4) + w` holds
-/// the rows of sum slot `w` of every chunk `c` with that residue. Only
-/// rows inside the block enter a maximum (a group with none keeps 0).
+/// the block) leaves its sums at `sums[q][64c .. 64c + 64]` in row order.
+/// The pass makes them in lane order — the 32 even byte lanes, then the 32
+/// odd ones, so row `r` of the chunk is in sum slot
+/// [`BYTE_SLOTS`]`[ND / 4][r]` — and group `64·(c mod 4) + w` holds the
+/// rows of slot `w` of every chunk `c` with that residue. Only rows inside
+/// the block enter a maximum (a group with none keeps 0).
 /// Which group a row is in does not matter to the seed, only that the
 /// groups are disjoint: the `k`-th largest maximum is the sum of `k`
 /// distinct rows, each at least it.
@@ -562,10 +565,12 @@ const NIBBLE_ROWS: [[u8; 64]; 2] = [slot_rows(NIBBLE_SLOTS[0]), slot_rows(NIBBLE
 /// bytes are summed into 16-bit lanes without a mask: one accumulator adds
 /// whole words (`even + 256·odd`), the other the odd bytes alone, and the
 /// even sums are the difference; `m · 255 <= 4080` fits either. A
-/// visitor's two sum registers are stored as they are and folded into its
-/// chunk residue's maxima by a `vpmaxuw` under the mask of lanes whose row
-/// is in the block (rows past `count` read nothing and hold code 0, whose
-/// sum is no row's).
+/// visitor's two sum registers are folded into its chunk residue's maxima
+/// by a `vpmaxuw` under the mask of lanes whose row is in the block (rows
+/// past `count` read nothing and hold code 0, whose sum is no row's), then
+/// put in row order by one two-register word permute (`vpermt2w`) per 32
+/// rows and stored, so that the candidate step reads a row's sum at its
+/// own position.
 ///
 /// # Why the upper bound is exact
 ///
@@ -645,6 +650,13 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
     let (m, regs) = (4 * ND, 4 * ND);
     let per_reg = 16 / ND;
     let lane_rows = _mm512_loadu_si512(LANE_ROWS[ND / 4].as_ptr().cast());
+    // Per half chunk of rows, the sum slot of each row: word indices into
+    // the even lanes' sums, then the odd lanes'.
+    let row_order: [__m512i; 2] = std::array::from_fn(|h| {
+        _mm512_cvtepu8_epi16(_mm256_loadu_si256(
+            BYTE_SLOTS[ND / 4].as_ptr().add(32 * h).cast(),
+        ))
+    });
     let (even_lanes, odd_lanes) = (_mm512_set1_epi16(0x00FF), _mm512_set1_epi16(-0x100));
     // Per visitor and chunk residue, the even lanes' maxima and the odd
     // lanes'.
@@ -724,8 +736,11 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
             ];
             let group = &mut maxima[q][(j / CHUNK) % 4];
             for h in 0..2 {
-                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), halves[h]);
                 group[h] = _mm512_mask_max_epu16(group[h], live[h], group[h], halves[h]);
+            }
+            for (h, &order) in row_order.iter().enumerate() {
+                let rows = _mm512_permutex2var_epi16(halves[0], order, halves[1]);
+                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), rows);
             }
         }
         j += CHUNK;
@@ -748,11 +763,11 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
 /// ([`quantise`]`::<16>`), written to `sums[q]`, and the largest half sum
 /// of each of [`SEED_GROUPS`] disjoint groups of those rows, per visitor.
 /// Chunk `c` (rows `64c .. 64c + 64` of the block) leaves its half sums at
-/// `sums[q][64c .. 64c + 64]`, row `r` of the chunk in slot
-/// [`NIBBLE_SLOTS`]`[ND − 1][r]`, and group `64·(c mod 4) + w` holds the
-/// rows of slot `w` of every chunk `c` with that residue, as in
-/// [`byte_sums`]. Only rows inside the block enter a maximum (a group with
-/// none keeps 0).
+/// `sums[q][64c .. 64c + 64]` in row order. The pass makes them with row
+/// `r` of the chunk in slot [`NIBBLE_SLOTS`]`[ND − 1][r]`, and group
+/// `64·(c mod 4) + w` holds the rows of slot `w` of every chunk `c` with
+/// that residue, as in [`byte_sums`]. Only rows inside the block enter a
+/// maximum (a group with none keeps 0).
 ///
 /// # The pass
 ///
@@ -768,10 +783,10 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
 /// 8-byte row's eight averages into a qword; for 4-byte rows `vpmaddubsw`
 /// and `vpmaddwd` sum each row's four into a dword. The qwords (dwords) of
 /// a half chunk's registers are shifted into the 16-bit lanes of one
-/// register of 32 sums, stored as they are, and folded into the chunk
-/// residue's maxima by a `vpmaxuw` under the mask of slots whose row is in
-/// the block (rows past `count` read nothing and hold code 0, whose sum is
-/// no row's).
+/// register of 32 sums, folded into the chunk residue's maxima by a
+/// `vpmaxuw` under the mask of slots whose row is in the block (rows past
+/// `count` read nothing and hold code 0, whose sum is no row's), then put
+/// in row order by one word permute (`vpermw`) and stored.
 ///
 /// # Why half sums keep both bounds
 ///
@@ -815,6 +830,9 @@ pub(super) unsafe fn half_sums<const ND: usize, const Q: usize>(
     let at_byte: [u8; 64] = std::array::from_fn(|l| (16 * (l % vb)) as u8);
     let at_byte = _mm512_loadu_si512(at_byte.as_ptr().cast());
     let slot_rows = _mm512_loadu_si512(NIBBLE_ROWS[ND - 1].as_ptr().cast());
+    // The slot of each row of a half chunk, as a word index into its sums
+    // (both halves share the layout).
+    let row_order = _mm512_cvtepu8_epi16(_mm256_loadu_si256(NIBBLE_SLOTS[ND - 1].as_ptr().cast()));
     let (ones8, ones16) = (_mm512_set1_epi8(1), _mm512_set1_epi16(1));
     // Per visitor, its image's low-nibble half and high-nibble half, two
     // registers each (the second unread for 4-byte rows).
@@ -882,9 +900,10 @@ pub(super) unsafe fn half_sums<const ND: usize, const Q: usize>(
                 }
             }
             for q in 0..Q {
-                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), packed[q]);
                 let group = &mut maxima[q][(j / CHUNK) % 4][h];
                 *group = _mm512_mask_max_epu16(*group, in_block, *group, packed[q]);
+                let rows = _mm512_permutexvar_epi16(row_order, packed[q]);
+                _mm512_storeu_si512(sums[q].as_mut_ptr().add(j + 32 * h).cast(), rows);
             }
         }
         j += CHUNK;
@@ -935,40 +954,41 @@ pub(super) unsafe fn kth_largest(values: &[u16; SEED_GROUPS], k: usize) -> u16 {
 
 /// The candidate step of a seeded visit over a block of `count` rows:
 /// compacts into `positions`, in ascending position, every row whose
-/// stored sum in `sums` reaches `least` — chunk `c`'s 64 sums at `64c`,
-/// row `r` of the chunk in slot `slots[r]` — and returns how many. With
-/// `least` from the scan layer's `ByteBound` for a threshold, every row
-/// left out scores below that threshold ([`byte_sums`], [`half_sums`]).
+/// stored sum in `sums` — in row order, as the sum passes leave them —
+/// reaches `least`, and returns how many. With `least` from the scan
+/// layer's `ByteBound` for a threshold, every row left out scores below
+/// that threshold ([`byte_sums`], [`half_sums`]).
 ///
-/// A chunk that keeps no row is skipped. In any other chunk every group
-/// `g` of sixteen rows compresses its kept positions into one register
-/// and stores it full width, whether it kept any or not, at the count so
-/// far plus the rows the chunk kept below group `g`; the count then
-/// advances by the chunk's kept rows. A store overwrites only the junk
-/// lanes above the groups before it, so the kept positions end up
-/// contiguous and ascending. At a seeded visit's few percent of rows kept,
-/// a branch per group would mispredict; the skip stays, because at the
-/// lowest densities most chunks keep nothing. Every store starts at or
-/// below the chunk's final count, which never passes the rows of the
-/// block, so it ends at or below `count + SINK_SLACK`.
+/// Per 64-row chunk, two `vpcmpuw` give a mask of the rows kept (cut to
+/// the block), and the positions are extracted from it lowest first, one
+/// trailing-zero count and one clear of the lowest set bit each (plain
+/// scalar ops: the level has no `bmi1`); the kept count is one `popcnt`.
+/// The first four extracts run whatever the
+/// mask holds and write to the four slots from the count so far, which
+/// then advances by how many of them held a row: a chunk that keeps four
+/// rows or fewer — at a seeded visit's few percent of rows kept, nearly
+/// every chunk — takes no branch on its contents, and its stores do not
+/// wait on each other; only rows past the fourth loop. An extract from an
+/// empty mask writes a junk position, which the next kept rows overwrite
+/// or the count leaves behind; the count never passes the rows of the
+/// block, so every write lands below `count + 4`.
 ///
 /// # Safety
 ///
-/// `avx512f`, `avx512bw`, `avx512vbmi` and `popcnt`; `sums` holds `count`
-/// rounded up to a whole chunk and `positions` `count + SINK_SLACK` slots.
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,popcnt")]
+/// `avx512f`, `avx512bw` and `popcnt` (all of the `avx512` level); `sums`
+/// holds `count` rounded up to a whole chunk and `positions` `count + 4`
+/// slots.
+#[target_feature(enable = "avx512f,avx512bw,popcnt")]
 pub(super) unsafe fn candidates(
     sums: &[u16],
     count: usize,
     least: u16,
-    slots: &[u8; 64],
     positions: &mut [u32],
 ) -> usize {
     use arch::*;
 
-    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let slots = _mm512_loadu_si512(slots.as_ptr().cast());
     let vleast = _mm512_set1_epi16(least as i16);
+    let out = positions.as_mut_ptr();
     let mut candidates = 0;
     let mut j = 0;
     while j < count {
@@ -976,24 +996,21 @@ pub(super) unsafe fn candidates(
             let sums = _mm512_loadu_si512(sums.as_ptr().add(j + at).cast());
             u64::from(_mm512_cmpge_epu16_mask(sums, vleast))
         };
-        // One byte per slot, then one per row.
-        let reach = _mm512_movm_epi8(reach(0) | reach(32) << 32);
         let in_block = match count - j {
             left @ 0..64 => (1u64 << left) - 1,
             _ => u64::MAX,
         };
-        let rows = _mm512_movepi8_mask(_mm512_permutexvar_epi8(slots, reach)) & in_block;
-        if rows != 0 {
-            for g in 0..4 {
-                let kept = (rows >> (16 * g)) as u16;
-                let below = (rows & ((1u64 << (16 * g)) - 1)).count_ones() as usize;
-                let at = _mm512_add_epi32(lane, _mm512_set1_epi32((j + 16 * g) as i32));
-                _mm512_storeu_si512(
-                    positions.as_mut_ptr().add(candidates + below).cast(),
-                    _mm512_maskz_compress_epi32(kept, at),
-                );
-            }
-            candidates += rows.count_ones() as usize;
+        let mut rows = (reach(0) | reach(32) << 32) & in_block;
+        let kept = rows.count_ones() as usize;
+        for e in 0..4 {
+            *out.add(candidates + e) = (j + rows.trailing_zeros() as usize) as u32;
+            rows &= rows.wrapping_sub(1);
+        }
+        candidates += kept.min(4);
+        while rows != 0 {
+            *out.add(candidates) = (j + rows.trailing_zeros() as usize) as u32;
+            candidates += 1;
+            rows &= rows - 1;
         }
         j += CHUNK;
     }

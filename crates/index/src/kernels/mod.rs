@@ -26,10 +26,13 @@
 //!    blend per subquantizer of a transposed chunk), or, for nibbles, a
 //!    half sum (one `vpermi2b` per nibble of a row-major register, a
 //!    `vpavgb` and a `vpsadbw`) — and the largest sum of each of 256
-//!    disjoint row groups. The `k`-th largest of those maxima seeds the
-//!    threshold with a proven lower bound on the visit's `k`-th best score;
-//!    only the rows whose sum can still reach it become candidates, and one
-//!    **exact step** scores the candidate list at f32. Rows never scored
+//!    disjoint row groups, folded before the sums are put in row order (one
+//!    word permute per 32 rows). The `k`-th largest of those maxima seeds
+//!    the threshold with a proven lower bound on the visit's `k`-th best
+//!    score; only the rows whose sum can still reach it become candidates —
+//!    a compare per 32 sums, then the kept rows' positions extracted from
+//!    the mask (`avx512::candidates`) — and one **exact step** scores the
+//!    candidate list at f32. Rows never scored
 //!    are [`ScanTally::bound_rejected`]. The exact step is the seeded
 //!    shapes' only f32 scorer: a visitor whose LUT has no u8 image hands
 //!    it every row at its selector's floor, and [`score_all`] every row at
@@ -60,18 +63,20 @@
 //!    loop fills those in. Whatever rows a kernel leaves are finished by
 //!    one shared row loop (`score_row`). The hot loop is allocation-free.
 //! 5. **Threshold-pruned selection** — every kernel but the seed scan ends
-//!    in a survivors sink, and one loop re-tests each kept lane against the
-//!    live threshold, in the same ascending order, before the next block is
-//!    scored: only scores passing
-//!    `score >= top.threshold()` are offered to [`TopK::push`] (almost
-//!    every score in a warm scan loses to the selector's floor, a `k`-th
-//!    best as of its last settle). The filter is exact, not approximate:
-//!    the threshold is a lower bound on the true `k`-th best score, so
-//!    nothing that belongs in the top-k fails it; candidates *at* the
+//!    in a survivors sink, and the selector takes the kept lanes in bulk
+//!    ([`TopK::offer_survivors`]), re-testing each against the live
+//!    threshold, in the same ascending order, before the next block is
+//!    scored: only scores passing `score >= top.threshold()` are offered
+//!    (almost every score in a warm scan loses to the selector's floor, a
+//!    `k`-th best as of its last settle). The filter is exact, not
+//!    approximate: the threshold is a lower bound on the true `k`-th best
+//!    score, so nothing that belongs in the top-k fails it; candidates *at* the
 //!    threshold are still offered (the equal-score/lower-id tie-break can
 //!    rank them above the floor); and NaN fails the comparison — ordered
 //!    in the SIMD compare, `false` in the scalar one — just as
-//!    [`TopK::push`] rejects it.
+//!    [`TopK::push`] rejects it. Each offer is exactly a `score >=
+//!    threshold` test and a push, whichever dispatch's arm of the selector
+//!    runs it.
 //!
 //! # Why a frozen threshold is exact
 //!
@@ -496,8 +501,8 @@ impl<'a> ByteBound<'a> {
     /// every member with an image (`images[g]` for member `g`; `None`
     /// skips it): writes the stored sum (byte sum, or half sum for nibble
     /// codes) of every row of `codes[start .. start + count]` against
-    /// member `g`'s image to `sums[g · padded .. (g + 1) · padded]`,
-    /// `padded` the count rounded up to whole 64-row chunks
+    /// member `g`'s image to `sums[g · padded .. (g + 1) · padded]`, row
+    /// `r` at `r`, `padded` the count rounded up to whole 64-row chunks
     /// ([`whole_chunks`]; `sums` is grown, never shrunk, to `images.len()`
     /// of them), and returns, at `[g]`, the largest stored sum of each of
     /// [`SEED_GROUPS`] disjoint groups of those rows, 0 for a group with
@@ -600,7 +605,7 @@ impl<'a> ByteBound<'a> {
 /// image quantised from `lut` and the stored sums [`ByteBound::byte_sums`]
 /// left it for the same range — the candidates are the rows whose sum can
 /// reach the threshold (`avx512::candidates`); without one, every row.
-/// Returns `(scores the sink kept, rows never scored)`.
+/// Returns `(scores the sink kept, candidates scored)`.
 ///
 /// # Panics
 ///
@@ -636,18 +641,13 @@ fn exact_step(
     // row shape of the arm taken — nibbles in rows of `4 · nd` bytes against
     // 16-entry tables, or `m = 4 · nd` byte codes against 256-entry ones —
     // the table count, the range, the row offsets and the `count +
-    // SINK_SLACK` sink slots; `check` and the assert above, the image's
-    // slot layout and the sums' whole chunks. Every candidate is a row of
-    // the range: all of them, or those the compaction keeps.
+    // SINK_SLACK` sink slots (the compaction writes below `count + 4`);
+    // `check` and the assert above, the image's layout and the sums' whole
+    // chunks, in row order. Every candidate is a row of the range: all of
+    // them, or those the compaction keeps.
     unsafe {
         let candidates = match bound {
-            Some((image, sums, least)) => {
-                let slots = match (image.kstar, image.row_bytes()) {
-                    (16, vb) => &avx512::NIBBLE_SLOTS[vb / 8],
-                    (_, vb) => &avx512::BYTE_SLOTS[vb / 16],
-                };
-                avx512::candidates(sums, count, least, slots, sink.positions)
-            }
+            Some((_, sums, least)) => avx512::candidates(sums, count, least, sink.positions),
             None => count,
         };
         let (m, entries, bias) = (codes.m(), lut.entries(), lut.bias());
@@ -663,20 +663,21 @@ fn exact_step(
             Kernel::Avx512Gather { nd: 2 } => exact!(256, 2),
             _ => exact!(256, 4),
         };
-        (kept, count - candidates)
+        (kept, candidates)
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("no AVX-512 off x86-64")
 }
 
 /// Work counters returned by a scan. Feeds the `kernel.codes_scanned` /
-/// `kernel.pruned` / `kernel.bound_rejected` telemetry counters.
+/// `kernel.pruned` / `kernel.bound_rejected` / `kernel.exact` telemetry
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanTally {
     /// Encoded vectors scored, once per visitor (a grouped scan of `n`
     /// codes for `q` visitors scores `q · n`).
     pub scanned: u64,
-    /// `scanned` minus the candidates actually offered to [`TopK::push`]:
+    /// `scanned` minus the candidates actually offered to the selector:
     /// a score counts as pruned exactly when it was below the visit's
     /// threshold *at the moment it would have been offered*. Dispatches
     /// that share a threshold source report the same number from the same
@@ -703,6 +704,12 @@ pub struct ScanTally {
     /// pruned` — such a score is below that threshold too — and 0 on every
     /// other dispatch and row shape. Schedule-dependent like `pruned`.
     pub bound_rejected: u64,
+    /// Rows scored at f32: on a seeded visit, the candidates its exact
+    /// step scored; on every other scan, every row. So `exact +
+    /// bound_rejected == scanned`, and `exact >= scanned − pruned` (a
+    /// score is offered only once it exists). Schedule-dependent like
+    /// `pruned`.
+    pub exact: u64,
 }
 
 impl ScanTally {
@@ -711,6 +718,7 @@ impl ScanTally {
         self.scanned += other.scanned;
         self.pruned += other.pruned;
         self.bound_rejected += other.bound_rejected;
+        self.exact += other.exact;
     }
 }
 
@@ -896,30 +904,33 @@ pub fn scan_group_with(
         }
         return ScanTally {
             scanned,
+            exact: scanned,
             ..ScanTally::default()
         };
     }
 
-    // Candidates handed to `TopK::push`, and rows the bound rejected.
-    let (mut offered, mut bound_rejected) = (0u64, 0u64);
+    // Candidates offered to the selectors, and rows scored at f32.
+    let (mut offered, mut exact) = (0u64, 0u64);
     for (luts, tops) in luts
         .chunks(kernel.group())
         .zip(tops.chunks_mut(kernel.group()))
     {
         if kernel.seeds() {
-            let (seeded, rejected) = seeded_visits(kernel, kstar, codes, ids, luts, tops, scratch);
+            let (seeded, scored) = seeded_visits(kernel, kstar, codes, ids, luts, tops, scratch);
             offered += seeded;
-            bound_rejected += rejected;
+            exact += scored;
         } else {
             for (lut, top) in luts.iter().zip(tops) {
                 offered += tiled_visit(kernel, codes, ids, lut, top, &mut scratch.survivors);
+                exact += n as u64;
             }
         }
     }
     ScanTally {
         scanned,
         pruned: scanned - offered,
-        bound_rejected,
+        bound_rejected: scanned - exact,
+        exact,
     }
 }
 
@@ -963,22 +974,8 @@ fn tiled_visit(
             &mut survivors.sink(top.threshold(), count),
         );
         let (positions, scores) = survivors.kept(kept);
-        offered += offer(top, &ids[start..next], positions, scores);
+        offered += top.offer_survivors(&ids[start..next], positions, scores);
         start = next;
-    }
-    offered
-}
-
-/// Offers `top` the kept lanes of a block, `(positions, scores)` in
-/// ascending position, that still pass its live threshold, as `(ids[j],
-/// score)`; returns how many it offered.
-fn offer(top: &mut TopK, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 {
-    let mut offered = 0;
-    for (&j, &score) in positions.iter().zip(scores) {
-        if score >= top.threshold() {
-            offered += 1;
-            top.push(ids[j as usize], score);
-        }
     }
     offered
 }
@@ -992,7 +989,7 @@ fn offer(top: &mut TopK, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 
 /// where there is one, every row whose sum can reach it (every row, for a
 /// member without an image) is scored by the exact step into one
 /// cluster-wide candidate list, and the kept lanes are offered in
-/// ascending position. Returns `(offered, rows never scored)`.
+/// ascending position. Returns `(offered, rows scored at f32)`.
 fn seeded_visits(
     kernel: Kernel,
     kstar: usize,
@@ -1018,7 +1015,7 @@ fn seeded_visits(
     let images = &images[..luts.len()];
     let maxima = ByteBound::byte_sums(images, codes, 0, n, &mut scratch.sums);
     let padded = whole_chunks(n);
-    let (mut offered, mut rejected) = (0, 0);
+    let (mut offered, mut scored) = (0, 0);
     for (g, ((lut, top), &image)) in luts.iter().zip(tops).zip(images).enumerate() {
         let floor = top.threshold();
         let threshold = image
@@ -1026,12 +1023,12 @@ fn seeded_visits(
             .map_or(floor, |seed| seed.max(floor));
         let bound = image.map(|image| (image, &scratch.sums[g * padded..(g + 1) * padded]));
         let mut sink = scratch.survivors.sink(threshold, n);
-        let (kept, never_scored) = exact_step(kernel, codes, 0, n, lut, bound, &mut sink);
+        let (kept, candidates) = exact_step(kernel, codes, 0, n, lut, bound, &mut sink);
         let (positions, scores) = scratch.survivors.kept(kept);
-        offered += offer(top, ids, positions, scores);
-        rejected += never_scored as u64;
+        offered += top.offer_survivors(ids, positions, scores);
+        scored += candidates as u64;
     }
-    (offered, rejected)
+    (offered, scored)
 }
 
 /// Issues a read prefetch hint for `bytes[offset..offset + len]`, one
@@ -1858,7 +1855,7 @@ mod tests {
                                         match *image {
                                             Some(image) => {
                                                 let bound = (image, &sums[g * padded..][..padded]);
-                                                let (kept, skipped) = exact_step(
+                                                let (kept, scored) = exact_step(
                                                     kernel,
                                                     &codes,
                                                     start,
@@ -1867,7 +1864,7 @@ mod tests {
                                                     Some(bound),
                                                     &mut sink,
                                                 );
-                                                rejected[usize::from(kstar == 16)] += skipped;
+                                                rejected[usize::from(kstar == 16)] += n - scored;
                                                 kept
                                             }
                                             None => score_block(
@@ -2044,8 +2041,9 @@ mod tests {
         }
     }
 
-    /// The candidate step puts row `r` of a chunk where the sum pass left
-    /// it ([`avx512::BYTE_SLOTS`], [`avx512::NIBBLE_SLOTS`]): a block whose
+    /// The candidate step reads row `r`'s sum where the sum pass left it,
+    /// at `r` (row order, whatever sum slot the pass made it in,
+    /// [`avx512::BYTE_SLOTS`], [`avx512::NIBBLE_SLOTS`]): a block whose
     /// row `r` has one code `v(r)` for every subquantizer — `r` itself for
     /// byte codes, a scrambled nibble for nibble codes, so that no two
     /// rows of a register or a slot pattern share it by construction —
@@ -2092,8 +2090,9 @@ mod tests {
                     };
                     ByteBound::byte_sums(&[Some(bound)], &codes, start, n, &mut sums);
                     let bound = Some((bound, &sums[..]));
-                    let (kept, rejected) =
+                    let (kept, scored) =
                         exact_step(kernel, &codes, start, n, &lut, bound, &mut sink);
+                    let rejected = n - scored;
                     let want: Vec<u32> = (0..n as u32)
                         .filter(|&j| code(start + j as usize) >= cut)
                         .collect();
@@ -2218,11 +2217,11 @@ mod tests {
     /// The sum passes keep every row of the block for every member of a
     /// group, against a scalar model ([`image_sums`]): row `r`'s stored sum
     /// against member `g`'s image — its byte sum for byte codes, its half
-    /// sum for nibble codes — lands in member `g`'s sums, in its chunk's
-    /// sum slot ([`avx512::BYTE_SLOTS`], [`avx512::NIBBLE_SLOTS`]), and
-    /// each of member `g`'s [`SEED_GROUPS`] maxima is the largest sum of
-    /// its group — slot `w` of every chunk with the same index mod 4 — or 0
-    /// for a group with no row. Every seeded shape ([`SEEDED_SHAPES`]);
+    /// sum for nibble codes — lands in member `g`'s sums at `r` (row
+    /// order), and each of member `g`'s [`SEED_GROUPS`] maxima is the
+    /// largest sum of its group — sum slot `w` ([`avx512::BYTE_SLOTS`],
+    /// [`avx512::NIBBLE_SLOTS`]) of every chunk with the same index mod 4 —
+    /// or 0 for a group with no row. Every seeded shape ([`SEEDED_SHAPES`]);
     /// groups of one to [`GROUP`] members, some without an image (left out
     /// of the pass, 0 maxima), each member with tables of its own. Code 0
     /// maps to the top byte of every table, so the zero-code rows past the
@@ -2285,9 +2284,9 @@ mod tests {
                             for r in 0..n {
                                 codes.read_into(start + r, &mut row);
                                 let (_, sum) = image_sums(image, &row);
-                                let slot = usize::from(slots[r % 64]);
-                                let got = sums[g * padded + 64 * (r / 64) + slot];
+                                let got = sums[g * padded + r];
                                 assert_eq!(got, sum, "{at} row {r}");
+                                let slot = usize::from(slots[r % 64]);
                                 let group = &mut want[64 * ((r / 64) % 4) + slot];
                                 *group = (*group).max(sum);
                             }
@@ -2329,12 +2328,13 @@ mod tests {
     }
 
     /// [`avx512::candidates`] keeps exactly the rows a scalar filter of
-    /// `sums >= least` keeps, in ascending position, over both slot
-    /// layouts: blocks of whole and partial chunks and of one group, with
-    /// no row, one row, every other row and every row reaching `least`.
-    /// The padded slots past the block reach it too (only the block's rows
-    /// may be kept), and guard slots past the promised `count +
-    /// SINK_SLACK` must come back untouched.
+    /// `sums >= least` keeps, in ascending position: blocks of whole and
+    /// partial chunks and of one group, with no row, one row, every other
+    /// row, runs of three to six rows per chunk (on both sides of the four
+    /// unconditional extracts) and every row reaching `least`. The padded
+    /// sums past the block reach it too (only the block's rows may be
+    /// kept), and guard slots past the promised `count + 4` must come back
+    /// untouched.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn candidates_are_the_scalar_filter_of_the_sums() {
@@ -2344,40 +2344,35 @@ mod tests {
         const LEAST: u16 = 500;
         const GUARD: usize = 64;
         const SENTINEL: u32 = 0xDEAD_BEEF;
-        for slots in [&avx512::BYTE_SLOTS[0], &avx512::NIBBLE_SLOTS[1]] {
-            for count in [1, 15, 16, 17, 63, 64, 65, 127, 3125] {
-                for name in ["none", "one row", "alternating", "all"] {
-                    let reaches = |r: usize| match name {
-                        "none" => false,
-                        "one row" => r == count / 2,
-                        "alternating" => r % 2 == 1,
-                        _ => true,
-                    };
-                    let mut sums = vec![u16::MAX; whole_chunks(count)];
-                    let mut want = Vec::new();
-                    for r in 0..count {
-                        let slot = 64 * (r / 64) + slots[r % 64] as usize;
-                        // Just at `least`, or just below it.
-                        sums[slot] = if reaches(r) { LEAST } else { LEAST - 1 };
-                        if sums[slot] >= LEAST {
-                            want.push(r as u32);
-                        }
+        for count in [1, 15, 16, 17, 63, 64, 65, 127, 3125] {
+            for name in ["none", "one row", "alternating", "runs", "all"] {
+                let reaches = |r: usize| match name {
+                    "none" => false,
+                    "one row" => r == count / 2,
+                    "alternating" => r % 2 == 1,
+                    "runs" => r % 64 < 3 + (r / 64) % 4,
+                    _ => true,
+                };
+                let mut sums = vec![u16::MAX; whole_chunks(count)];
+                let mut want = Vec::new();
+                for (r, sum) in sums.iter_mut().enumerate().take(count) {
+                    // Just at `least`, or just below it.
+                    *sum = if reaches(r) { LEAST } else { LEAST - 1 };
+                    if *sum >= LEAST {
+                        want.push(r as u32);
                     }
-                    let mut positions = vec![SENTINEL; count + SINK_SLACK + GUARD];
-                    // SAFETY: the host has the `avx512` level (checked
-                    // above); `sums` holds whole chunks and `positions` more
-                    // than `count + SINK_SLACK` slots.
-                    let n =
-                        unsafe { avx512::candidates(&sums, count, LEAST, slots, &mut positions) };
-                    let at = format!("count {count}, {name}, slots {:?}", &slots[..4]);
-                    assert_eq!(&positions[..n], &want[..], "{at}");
-                    assert!(
-                        positions[count + SINK_SLACK..]
-                            .iter()
-                            .all(|&p| p == SENTINEL),
-                        "{at}: a store passed count + SINK_SLACK"
-                    );
                 }
+                let mut positions = vec![SENTINEL; count + 4 + GUARD];
+                // SAFETY: the host has the `avx512` level (checked above);
+                // `sums` holds whole chunks and `positions` more than
+                // `count + 4` slots.
+                let n = unsafe { avx512::candidates(&sums, count, LEAST, &mut positions) };
+                let at = format!("count {count}, {name}");
+                assert_eq!(&positions[..n], &want[..], "{at}");
+                assert!(
+                    positions[count + 4..].iter().all(|&p| p == SENTINEL),
+                    "{at}: a write passed count + 4"
+                );
             }
         }
     }
@@ -2449,6 +2444,14 @@ mod tests {
                                     );
                                     assert_eq!(tally.scanned, n as u64, "{at}");
                                     assert!(tally.bound_rejected <= tally.pruned, "{at}");
+                                    // The exact step scored every row the
+                                    // bound kept, and every offer is one.
+                                    assert_eq!(
+                                        tally.exact + tally.bound_rejected,
+                                        tally.scanned,
+                                        "{at}"
+                                    );
+                                    assert!(tally.exact >= tally.scanned - tally.pruned, "{at}");
                                     rejected[usize::from(kstar == 16)] += tally.bound_rejected;
                                     if dispatch == KernelDispatch::Scalar {
                                         oracle.push(kept(&top));

@@ -358,7 +358,7 @@ impl WorkerTrace {
     /// Flushes the buffered windows and counters: `worker<w>.tiles`
     /// (rounds scored) / `busy_ns` / `idle_ns`, the worker's share of
     /// `kernel.codes_scanned` / `kernel.pruned` / `kernel.bound_rejected` /
-    /// `kernel.grouped_visits`,
+    /// `kernel.exact` / `kernel.grouped_visits`,
     /// plus one `batch.tile_scan` trace event per round on thread lane `w`.
     fn flush(self, tel: &Telemetry, worker: u64, tally: &ScanTally, grouped_visits: u64) {
         if !self.timed {
@@ -372,6 +372,7 @@ impl WorkerTrace {
         tel.counter_add("kernel.codes_scanned", tally.scanned);
         tel.counter_add("kernel.pruned", tally.pruned);
         tel.counter_add("kernel.bound_rejected", tally.bound_rejected);
+        tel.counter_add("kernel.exact", tally.exact);
         tel.counter_add("kernel.grouped_visits", grouped_visits);
         for (start, dur) in self.scan_windows {
             tel.trace_event_ns("batch.tile_scan", worker, start, dur);

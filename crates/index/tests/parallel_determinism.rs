@@ -234,6 +234,8 @@ fn inner_product_kstar256_parallel_matches_serial() {
 /// the stats price was scanned (`kernel.codes_scanned` × bytes per encoded
 /// row == [`anna_index::BatchStats::conventional_code_bytes`]),
 /// `kernel.bound_rejected` ≤ `kernel.pruned` ≤ `kernel.codes_scanned`,
+/// `kernel.exact` + `kernel.bound_rejected` == `kernel.codes_scanned` with
+/// `kernel.exact` at least the offers (`codes_scanned − pruned`),
 /// `kernel.grouped_visits` counts no more than the visits, and
 /// `kernel.codes_scanned` and `kernel.grouped_visits` are the same under
 /// every worker count (`kernel.pruned` is not: see the
@@ -314,6 +316,11 @@ fn telemetry_enabled_run_stays_bit_identical_to_serial() {
                 assert!(
                     bound_rejected <= pruned && pruned <= scanned,
                     "threads={threads}: bound_rejected {bound_rejected}, pruned {pruned}, scanned {scanned}"
+                );
+                let exact = counter("exact");
+                assert!(
+                    exact + bound_rejected == scanned && exact >= scanned - pruned,
+                    "threads={threads}: exact {exact}, bound_rejected {bound_rejected}, pruned {pruned}, scanned {scanned}"
                 );
                 let grouped = counter("grouped_visits");
                 assert!(

@@ -195,11 +195,27 @@ impl BatchPlan {
             .collect()
     }
 
-    /// Total intermediate top-k `(fills, spills)` across the plan.
+    /// Total intermediate top-k `(fills, spills)` across the plan: the sums
+    /// of [`BatchPlan::round_topk_units`], which are equal, `Σ_q (rounds_q
+    /// − 1)` over the queries the plan visits — every visit but each
+    /// query's first. Counted directly: the visits, less the distinct
+    /// queries (one bit set over the query ids).
     pub fn total_topk_units(&self) -> (u64, u64) {
-        self.round_topk_units()
-            .into_iter()
-            .fold((0, 0), |(f, s), (rf, rs)| (f + rf, s + rs))
+        let nq = self
+            .rounds
+            .iter()
+            .flat_map(|r| r.queries.iter())
+            .max()
+            .map_or(0, |&m| m + 1);
+        let mut seen = vec![0u64; nq.div_ceil(64)];
+        let (mut visits, mut queries) = (0u64, 0u64);
+        for &q in self.rounds.iter().flat_map(|r| &r.queries) {
+            let (word, bit) = (q / 64, 1u64 << (q % 64));
+            queries += u64::from(seen[word] & bit == 0);
+            seen[word] |= bit;
+            visits += 1;
+        }
+        (visits - queries, visits - queries)
     }
 
     /// Builds a plan directly from per-cluster visitor lists with `g = 1`,
@@ -502,6 +518,41 @@ mod tests {
         let p = plan(&params, &multi, ScmAllocation::InterQuery);
         assert_eq!(p.round_topk_units(), vec![(0, 1), (1, 1), (1, 0)]);
         assert_eq!(p.total_topk_units(), (2, 2));
+    }
+
+    /// [`BatchPlan::total_topk_units`] counts directly what summing
+    /// [`BatchPlan::round_topk_units`] gives, on rounds of unordered,
+    /// repeated and absent query ids, for batches of a few bit-set words
+    /// and batches of over a hundred.
+    #[test]
+    fn total_topk_units_is_the_sum_of_round_units() {
+        anna_testkit::forall("total top-k units == summed round units", 64, |rng| {
+            let nq = if rng.bool() {
+                rng.usize(1..200)
+            } else {
+                rng.usize(4_000..9_000)
+            };
+            let rounds = (0..rng.usize(0..40))
+                .map(|cluster| Round {
+                    cluster,
+                    cluster_size: 10,
+                    queries: (0..rng.usize(0..300)).map(|_| rng.usize(0..nq)).collect(),
+                    fetches_codes: true,
+                })
+                .collect();
+            let plan = BatchPlan {
+                scm_per_query: 1,
+                queries_per_round: 0,
+                spill_unit_bytes: 1,
+                rounds,
+                rerank: None,
+            };
+            let summed = plan
+                .round_topk_units()
+                .into_iter()
+                .fold((0, 0), |(f, s), (rf, rs)| (f + rf, s + rs));
+            assert_eq!(plan.total_topk_units(), summed);
+        });
     }
 
     #[test]

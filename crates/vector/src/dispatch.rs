@@ -16,12 +16,12 @@ use std::sync::OnceLock;
 /// Which instruction set the runtime-dispatched kernels run on, and so
 /// which arm each layer runs:
 ///
-/// | dispatch  | detected features                    | scan (`anna-index`)      | distance table (`anna-quant`) | rescore (`exact`) |
-/// |-----------|--------------------------------------|--------------------------|-------------------------------|-------------------|
-/// | `scalar`  | — (`ANNA_FORCE_SCALAR`)              | seed scalar loops        | `portable`                    | `portable`        |
-/// | `blocked` | none                                 | blocked                  | `portable`                    | `portable`        |
-/// | `avx2`    | `avx2 + f16c`                        | LUT16 (AVX2) / blocked   | `portable`                    | `f16c`            |
-/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | u8 bound + LUT16 / u8 bound + gather | `avx512`  | `avx512`          |
+/// | dispatch  | detected features                    | scan (`anna-index`)      | distance table (`anna-quant`) | rescore (`exact`) | selector (`TopK`) |
+/// |-----------|--------------------------------------|--------------------------|-------------------------------|-------------------|-------------------|
+/// | `scalar`  | — (`ANNA_FORCE_SCALAR`)              | seed scalar loops        | `portable`                    | `portable`        | `portable`        |
+/// | `blocked` | none                                 | blocked                  | `portable`                    | `portable`        | `portable`        |
+/// | `avx2`    | `avx2 + f16c`                        | LUT16 (AVX2) / blocked   | `portable`                    | `f16c`            | `portable`        |
+/// | `avx512`  | `avx2 + f16c + avx512f + avx512bw + avx512vbmi + popcnt` | u8 bound + LUT16 / u8 bound + gather | `avx512`  | `avx512`          | `avx512`          |
 ///
 /// A host with AVX-512F but without AVX-512BW/VBMI (Skylake-SP, Cascade
 /// Lake) resolves to `avx2`: the `avx512` level is every feature its arms

@@ -53,4 +53,4 @@ pub use dispatch::KernelDispatch;
 pub use f16::F16;
 pub use matrix::VectorSet;
 pub use metric::Metric;
-pub use topk::{sort_neighbors, Neighbor, TopK};
+pub use topk::{best_positions, sort_neighbors, Neighbor, TopK};

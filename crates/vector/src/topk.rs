@@ -7,6 +7,7 @@
 //! structure, and the already tracked entry with the smallest score is
 //! discarded."
 
+use crate::KernelDispatch;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
@@ -54,75 +55,79 @@ impl PartialOrd for Neighbor {
     }
 }
 
-/// One kept candidate, 16 bytes: the score's order-preserving integer
-/// image, the score itself (returned bit for bit, so a kept `-0.0` stays
-/// `-0.0`), and the id.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    ord: u32,
-    score: f32,
-    id: u64,
+/// The score's order-preserving integer image: unsigned order on it is
+/// float order on non-NaN scores. `+ 0.0` folds `-0.0` onto `+0.0` (they
+/// compare equal as floats, so they must share a key); then the usual
+/// sign flip orders `-inf` below every finite score below `+inf`. Every
+/// admissible image is at least `ord(-inf) = 0x007F_FFFF`, above the empty
+/// floor's 0.
+#[inline]
+fn ord(score: f32) -> u32 {
+    let bits = (score + 0.0).to_bits();
+    if bits >> 31 == 0 {
+        bits | 0x8000_0000
+    } else {
+        !bits
+    }
 }
 
-impl Slot {
-    /// `score` must not be NaN.
-    fn new(id: u64, score: f32) -> Self {
-        // `+ 0.0` folds -0.0 onto +0.0 (they compare equal as floats, so
-        // they must share a key); then the usual sign flip makes unsigned
-        // integer order agree with float order from -inf to +inf.
-        let bits = (score + 0.0).to_bits();
-        let ord = if bits >> 31 == 0 {
-            bits | 0x8000_0000
-        } else {
-            !bits
-        };
-        Self { ord, score, id }
-    }
+/// The score whose [`ord`] is `ord`: exact for every score but `-0.0`,
+/// which comes back as `+0.0`.
+#[inline]
+fn score_of(ord: u32) -> f32 {
+    f32::from_bits(if ord >> 31 == 1 {
+        ord & 0x7FFF_FFFF
+    } else {
+        !ord
+    })
+}
 
-    /// The rank key: greater = better, exactly [`Neighbor`]'s order on
-    /// non-NaN scores (higher score, then lower id) as one integer, so a
-    /// comparison is branch-free.
-    fn rank(&self) -> u128 {
-        (u128::from(self.ord) << 64) | u128::from(!self.id)
-    }
-
-    /// [`Slot::rank`] in 64 bits, exact when the id fits in 32: on such
-    /// ids `!(id as u32)` orders exactly as `!id` does.
-    fn rank64(&self) -> u64 {
-        (u64::from(self.ord) << 32) | u64::from(!(self.id as u32))
-    }
+/// The full rank key: greater = better, exactly [`Neighbor`]'s order on
+/// non-NaN scores (higher score, then lower id) as one integer.
+#[inline]
+fn rank(ord: u32, id: u64) -> u128 {
+    (u128::from(ord) << 64) | u128::from(!id)
 }
 
 /// How many candidates a [`TopK`] buffers per kept entry before it
 /// settles: the buffer holds up to `BUFFER_FACTOR * k` slots. A settle
 /// costs O(buffer), so each one is paid for by the `k` appends before it.
-/// Larger buffers (`3k`, `4k`: colder, and a floor that lags further) and
-/// smaller ones (`1.25k`, `1.5k`: more settles) measured no faster at the
-/// repo benchmark's shape.
+/// The factor decides when each settle raises the floor, and so what the
+/// scans' `kernel.pruned` counts; no other factor has been measured since
+/// the seeded visits changed how many offers a selector meets.
 const BUFFER_FACTOR: usize = 2;
 
 /// Keeps the `k` highest-score [`Neighbor`]s pushed into it — the software
 /// P-heap every engine shares.
 ///
-/// An append-only candidate buffer of 16-byte slots plus a **floor**: the
-/// rank of a known `k`-th best slot. A candidate at or below the floor can
-/// never be among the best `k` and is rejected with one integer
-/// comparison; anything else is appended, unordered. When the buffer first
-/// holds `k` slots, and again whenever it reaches `2k`, it **settles**: one
-/// partial select (`select_nth_unstable`) keeps the best `k` and raises the
-/// floor to the worst of them. A push is thus an amortised O(1) sequential
-/// write rather than an O(log k) walk of a heap — which matters when a
-/// batch interleaves hundreds of selectors, one cold selector per visit
-/// (ANNA's P-heap takes one insertion per cycle and spills and fills
-/// intermediate top-k between rounds instead of keeping every heap hot,
-/// §III-B(4), §IV-C).
+/// An append-only candidate buffer plus a **floor**: the rank of a known
+/// `k`-th best slot. A candidate at or below the floor can never be among
+/// the best `k` and is rejected; anything else is appended, unordered.
+/// When the buffer first holds `k` slots, and again whenever it reaches
+/// `2k`, it **settles**: it finds the `k`-th best key, keeps the best `k`
+/// and raises the floor to the worst of them. A push is thus an amortised
+/// O(1) sequential write rather than an O(log k) walk of a heap — which
+/// matters when a batch interleaves hundreds of selectors, one cold
+/// selector per visit (ANNA's P-heap takes one insertion per cycle and
+/// spills and fills intermediate top-k between rounds instead of keeping
+/// every heap hot, §III-B(4), §IV-C).
 ///
-/// Slots are ordered by the integer rank key `(ordered_bits(score + 0.0),
-/// !id)`, which reproduces [`Neighbor`]'s `Ord` exactly where `push` admits
-/// values: NaN is rejected before a key is formed, `-0.0` and `0.0` share
-/// a key (and then tie-break by id), and `!id` makes the *lower* id the
-/// greater key. The order is total, so the kept set — and everything read
-/// from it — is the same whenever the buffer happens to settle.
+/// The buffer is three parallel arrays — each slot's score image
+/// (`ord`), id and score — so a settle reads 4-byte keys: it bisects
+/// the score images for the `k`-th largest, counting how many reach each
+/// probe, and only ids tied at that image decide by id. Under the
+/// `avx512` dispatch the count and the compaction run sixteen slots per
+/// instruction (`avx512::settle`); every other dispatch runs the same
+/// steps one slot at a time (`settle_portable`). Both keep the same set
+/// and floor.
+///
+/// Slots are ordered by the key `(ord(score), !id)`, which reproduces
+/// [`Neighbor`]'s `Ord` exactly where `push` admits values: NaN is
+/// rejected before a key is formed, `-0.0` and `0.0` share an image (and
+/// then tie-break by id), and `!id` makes the *lower* id the greater key.
+/// The order is total, so the kept set — and everything read from it — is
+/// the same whenever the buffer happens to settle. Each kept score is
+/// returned bit for bit (a kept `-0.0` stays `-0.0`).
 ///
 /// # Example
 ///
@@ -141,13 +146,19 @@ const BUFFER_FACTOR: usize = 2;
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
+    // The buffer length that triggers the next settle: `k` until the first
+    // settle, `BUFFER_FACTOR * k` after.
+    settle_at: usize,
     // Rank of a known k-th best slot; 0, below every admissible rank,
     // until the first settle.
     floor: u128,
     // The floor slot's score: the threshold.
     floor_score: f32,
-    // Unordered candidates, every one ranked above `floor`; fewer than 2k.
-    slots: Vec<Slot>,
+    // The unordered candidates, every one ranked above `floor`, fewer than
+    // `BUFFER_FACTOR * k`: slot `i` is `(ords[i], ids[i], scores[i])`.
+    ords: Vec<u32>,
+    ids: Vec<u64>,
+    scores: Vec<f32>,
 }
 
 impl TopK {
@@ -158,11 +169,15 @@ impl TopK {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "top-k requires k > 0");
+        let slots = BUFFER_FACTOR * k;
         Self {
             k,
+            settle_at: k,
             floor: 0,
             floor_score: f32::NEG_INFINITY,
-            slots: Vec::with_capacity(BUFFER_FACTOR * k),
+            ords: Vec::with_capacity(slots),
+            ids: Vec::with_capacity(slots),
+            scores: Vec::with_capacity(slots),
         }
     }
 
@@ -174,18 +189,20 @@ impl TopK {
     /// The number of entries [`TopK::into_sorted_vec`] would return now:
     /// the best-`k`-so-far count (`<= k`).
     pub fn len(&self) -> usize {
-        self.slots.len().min(self.k)
+        self.ords.len().min(self.k)
     }
 
     /// Returns `true` if no entries have been accepted yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.ords.is_empty()
     }
 
-    /// Bytes of candidate storage this selector holds (its buffer's
+    /// Bytes of candidate storage this selector holds (its buffers'
     /// capacity), the cache footprint a batch's live selectors add up to.
     pub fn buffer_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>()
+        self.ords.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<u64>()
+            + self.scores.capacity() * std::mem::size_of::<f32>()
     }
 
     /// The current rejection threshold: the score of the floor, a `k`-th
@@ -215,29 +232,118 @@ impl TopK {
         if score.is_nan() {
             return false;
         }
-        let slot = Slot::new(id, score);
-        if slot.rank() <= self.floor {
+        let ord = ord(score);
+        if rank(ord, id) <= self.floor {
             return false;
         }
-        self.slots.push(slot);
-        // The buffer holds exactly `k` only on the first fill: every
-        // settle leaves `k`, and the next push makes it `k + 1`.
-        if self.slots.len() == self.k || self.slots.len() == BUFFER_FACTOR * self.k {
+        self.append(ord, id, score);
+        true
+    }
+
+    /// Offers one block's survivors: `(ids[positions[i]], scores[i])` for
+    /// each `i` in order, each only if its score still reaches the live
+    /// [`TopK::threshold`] — re-tested per candidate, since a settle on the
+    /// way can raise it. Returns how many passed that test (the scan's
+    /// offers), whether or not the id tie-break then buffered them: the
+    /// same selector state and count as a loop of `score >= threshold`
+    /// tests and [`TopK::push`]es, without a NaN test (NaN fails the
+    /// threshold test) or a full-rank comparison for a score above the
+    /// threshold. One survivor at a time on every dispatch: a sixteen-wide
+    /// `avx512` offer (compare, gather, compress-store appends) measured no
+    /// faster end to end on `batch_k16`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` and `scores` differ in length or a position
+    /// is out of `ids`' range.
+    pub fn offer_survivors(&mut self, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 {
+        assert_eq!(positions.len(), scores.len(), "one score per position");
+        let mut offered = 0;
+        for (&at, &score) in positions.iter().zip(scores) {
+            // NaN fails too.
+            if score
+                .partial_cmp(&self.floor_score)
+                .is_none_or(|o| o.is_lt())
+            {
+                continue;
+            }
+            offered += 1;
+            let (id, ord) = (ids[at as usize], ord(score));
+            // Above the floor's score, the rank is above the floor's too;
+            // at it, the id decides.
+            if score == self.floor_score && rank(ord, id) <= self.floor {
+                continue;
+            }
+            self.append(ord, id, score);
+        }
+        offered
+    }
+
+    /// Buffers a slot ranked above the floor, settling when the buffer
+    /// reaches `settle_at`.
+    #[inline]
+    fn append(&mut self, ord: u32, id: u64, score: f32) {
+        self.ords.push(ord);
+        self.ids.push(id);
+        self.scores.push(score);
+        if self.ords.len() == self.settle_at {
             self.settle();
         }
-        true
     }
 
     /// Keeps the best `k` buffered slots and raises the floor to the worst
     /// of them. Needs at least `k` slots.
     fn settle(&mut self) {
-        let k = self.k;
-        let (_, kth, _) = self
-            .slots
-            .select_nth_unstable_by_key(k - 1, |slot| std::cmp::Reverse(slot.rank()));
-        self.floor = kth.rank();
-        self.floor_score = kth.score;
-        self.slots.truncate(k);
+        #[cfg(target_arch = "x86_64")]
+        if KernelDispatch::current() == KernelDispatch::Avx512 && self.ords.len() <= avx512::SLOTS {
+            // SAFETY: the `avx512` dispatch is current only on a host with
+            // its level, which includes `avx512f` and `popcnt`; the buffer
+            // holds `k` slots or more (every caller's precondition) and at
+            // most `SLOTS`.
+            unsafe { avx512::settle(self) };
+            return;
+        }
+        settle_portable(self);
+    }
+
+    /// Drops every slot past the first `n`.
+    fn keep_first(&mut self, n: usize) {
+        self.ords.truncate(n);
+        self.ids.truncate(n);
+        self.scores.truncate(n);
+    }
+
+    /// The last step of a settle that has kept the best `k` slots, `t`
+    /// their least score image: the floor is the kept slot of image `t`
+    /// with the greatest id (the `k`-th best), and its score is the
+    /// threshold.
+    fn raise_floor(&mut self, t: u32) {
+        let id = self
+            .ords
+            .iter()
+            .zip(&self.ids)
+            .filter(|&(&o, _)| o == t)
+            .map(|(_, &id)| id)
+            .max()
+            .expect("a kept slot of the k-th image");
+        self.set_floor(t, id);
+    }
+
+    /// Makes the kept slot `(t, id)` the floor. Its score is the image's
+    /// own, but for the image both zeros share, where the slot's sign is
+    /// looked up.
+    fn set_floor(&mut self, t: u32, id: u64) {
+        debug_assert_eq!(self.ords.len(), self.k);
+        self.floor = rank(t, id);
+        self.floor_score = if t == ord(0.0) {
+            let at = (self.ords.iter().zip(&self.ids))
+                .position(|(&o, &i)| o == t && i == id)
+                .expect("the floor slot is kept");
+            self.scores[at]
+        } else {
+            score_of(t)
+        };
+        self.settle_at = BUFFER_FACTOR * self.k;
     }
 
     /// Merges another selector's contents into this one.
@@ -255,30 +361,42 @@ impl TopK {
     /// batch engine (`anna-index`) relies on this to produce bit-identical
     /// results for any thread schedule.
     pub fn merge(&mut self, other: &TopK) {
-        for slot in &other.slots {
-            self.push(slot.id, slot.score);
+        for (&id, &score) in other.ids.iter().zip(&other.scores) {
+            self.push(id, score);
         }
     }
 
     /// Consumes the selector and returns the kept entries, best first:
-    /// one settle to the `k` kept slots, then a sort of only those.
+    /// one settle to the `k` kept slots, then a sort of only those. When
+    /// every kept id fits 32 bits and no kept score is `-0.0`, the sort is
+    /// of the 64-bit keys `(ord(score), !(id as u32))` themselves — which
+    /// order those slots exactly as the full key does — and each entry is
+    /// rebuilt from its key, its score from its image (exact for every
+    /// score but `-0.0`); otherwise the entries are sorted by
+    /// [`sort_neighbors`].
     pub fn into_sorted_vec(mut self) -> Vec<Neighbor> {
-        if self.slots.len() > self.k {
+        if self.ords.len() > self.k {
             self.settle();
         }
-        // Descending rank is `sort_neighbors`' order: no NaN is ever kept.
-        // Ids below 2^32 sort on the 64-bit key, which orders them exactly
-        // as the full one; a wider id keeps the full key.
-        if self.slots.iter().all(|slot| slot.id <= u64::from(u32::MAX)) {
-            self.slots
-                .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank64()));
-        } else {
-            self.slots
-                .sort_unstable_by_key(|slot| std::cmp::Reverse(slot.rank()));
+        let narrow = self.ids.iter().all(|&id| id <= u64::from(u32::MAX))
+            && self
+                .scores
+                .iter()
+                .all(|s| s.to_bits() != (-0.0f32).to_bits());
+        if !narrow {
+            let mut hits = self.into_unsorted_vec();
+            sort_neighbors(&mut hits);
+            return hits;
         }
-        self.slots
-            .iter()
-            .map(|slot| Neighbor::new(slot.id, slot.score))
+        // The keys overwrite the ids they are made of, then sort in place.
+        let mut keys = self.ids;
+        for (key, &ord) in keys.iter_mut().zip(&self.ords) {
+            *key = (u64::from(ord) << 32) | u64::from(!(*key as u32));
+        }
+        keys.sort_unstable();
+        keys.iter()
+            .rev()
+            .map(|&key| Neighbor::new(u64::from(!(key as u32)), score_of((key >> 32) as u32)))
             .collect()
     }
 
@@ -287,13 +405,218 @@ impl TopK {
     /// settle and a truncate, no sort. For consumers that reorder the
     /// entries anyway, like the re-rank stage rescoring them.
     pub fn into_unsorted_vec(mut self) -> Vec<Neighbor> {
-        if self.slots.len() > self.k {
+        if self.ords.len() > self.k {
             self.settle();
         }
-        self.slots
+        self.ids
             .iter()
-            .map(|slot| Neighbor::new(slot.id, slot.score))
+            .zip(&self.scores)
+            .map(|(&id, &score)| Neighbor::new(id, score))
             .collect()
+    }
+}
+
+/// The portable settle: [`bisect`] by one-slot-at-a-time counts, then a
+/// branch-free compaction of the slots at or above the `k`-th image, in
+/// buffer order. When more slots than `k` tie at that image,
+/// [`settle_ties`] decides among them by id.
+fn settle_portable(top: &mut TopK) {
+    let ords = &top.ords;
+    let (least, most) = ords
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &o| (lo.min(o), hi.max(o)));
+    let t = bisect(
+        least,
+        most,
+        top.k,
+        |probe| ords.iter().map(|&o| usize::from(o >= probe)).sum(),
+        |probe| ords.iter().copied().filter(|&o| o >= probe).min(),
+    );
+    if ords.iter().filter(|&&o| o >= t).count() > top.k {
+        return settle_ties(top, t);
+    }
+    let mut kept = 0;
+    for i in 0..top.ords.len() {
+        let (o, id, score) = (top.ords[i], top.ids[i], top.scores[i]);
+        (top.ords[kept], top.ids[kept], top.scores[kept]) = (o, id, score);
+        kept += usize::from(o >= t);
+    }
+    top.keep_first(kept);
+    top.raise_floor(t);
+}
+
+/// The `k`-th largest of a buffer's score images, `least` and `most` its
+/// extremes and `1 <= k <=` its length: the largest `t` with at least `k`
+/// images `>= t`, by bisection, `count(probe)` the number of images `>=
+/// probe`. A probe that exactly `k` images reach ends the search at the
+/// least of them, `least_reaching(probe)`.
+#[inline(always)]
+fn bisect(
+    least: u32,
+    most: u32,
+    k: usize,
+    mut count: impl FnMut(u32) -> usize,
+    mut least_reaching: impl FnMut(u32) -> Option<u32>,
+) -> u32 {
+    // At least `k` images reach `lo`; fewer than `k` reach `hi`.
+    let (mut lo, mut hi) = (u64::from(least), u64::from(most) + 1);
+    while hi - lo > 1 {
+        let probe = (lo + (hi - lo) / 2) as u32;
+        let n = count(probe);
+        if n == k {
+            return least_reaching(probe).unwrap_or(probe);
+        }
+        // A select, not a branch: which way a probe goes is a coin toss.
+        let reached = n > k;
+        lo = if reached { u64::from(probe) } else { lo };
+        hi = if reached { hi } else { u64::from(probe) };
+    }
+    lo as u32
+}
+
+/// A settle whose `k`-th image `t` is shared by more slots than the best
+/// `k` can take: the slots above `t` stay, and of those at `t` the ones
+/// with the lowest ids fill the rest (a duplicated offer fills one place
+/// per copy).
+fn settle_ties(top: &mut TopK, t: u32) {
+    let above = top.ords.iter().filter(|&&o| o > t).count();
+    let mut tied: Vec<u64> = top
+        .ords
+        .iter()
+        .zip(&top.ids)
+        .filter(|&(&o, _)| o == t)
+        .map(|(_, &id)| id)
+        .collect();
+    let need = top.k - above;
+    let (_, &mut last, _) = tied.select_nth_unstable(need - 1);
+    // Places left for the copies of `last` once every lower id is in.
+    let mut room = need - tied.iter().filter(|&&id| id < last).count();
+    let mut kept = 0;
+    for i in 0..top.ords.len() {
+        let (o, id, score) = (top.ords[i], top.ids[i], top.scores[i]);
+        let keep = o > t || (o == t && (id < last || (id == last && room > 0)));
+        if o == t && id == last && keep {
+            room -= 1;
+        }
+        if keep {
+            (top.ords[kept], top.ids[kept], top.scores[kept]) = (o, id, score);
+            kept += 1;
+        }
+    }
+    top.keep_first(kept);
+    top.raise_floor(t);
+}
+
+/// The `avx512` settle: the portable one's steps, sixteen slots per
+/// instruction.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{bisect, settle_ties, TopK};
+    use std::arch::x86_64::*;
+
+    /// Most slots [`settle`] keeps in registers: sixteen ZMM registers of
+    /// score images. A larger buffer (`k` above 128) settles portably.
+    pub(super) const SLOTS: usize = 16 * 16;
+
+    /// [`super::settle_portable`] in ZMM registers: the buffer's score
+    /// images are loaded once into sixteen registers (the slots past the
+    /// buffer read as 0, below every admissible image, so no probe counts
+    /// them), each bisection count is one `vpcmpud` and `popcnt` per
+    /// register, and the compaction (`vpcompressd`/`vpcompressq` of each
+    /// array, stored at the kept count under a mask of the lanes kept)
+    /// reads the buffer sixteen slots at a time, masked to the buffer. It
+    /// writes in place: a store at the kept count never passes the slots
+    /// already loaded, since no more are kept than read. If more slots
+    /// than `k` reached the `k`-th image, the compacted buffer — exactly
+    /// the slots at or above it — goes to [`settle_ties`].
+    ///
+    /// # Safety
+    ///
+    /// The host supports `avx512f` and `popcnt`; `top` holds at least `k`
+    /// and at most [`SLOTS`] slots.
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) unsafe fn settle(top: &mut TopK) {
+        let n = top.ords.len();
+        // The masked accesses below read and write all three arrays up to
+        // the images' length.
+        assert!(n <= SLOTS && top.ids.len() == n && top.scores.len() == n);
+        let regs = n.div_ceil(16);
+        // The live lanes of register `r`: all sixteen below the last, none
+        // past it.
+        let live = |r: usize| -> u16 { ((1u32 << (n.saturating_sub(16 * r)).min(16)) - 1) as u16 };
+        let ords = top.ords.as_mut_ptr();
+        // Masked-off lanes read nothing (fault suppression is
+        // architectural), so no load leaves the buffer.
+        let load = |r: usize| _mm512_maskz_loadu_epi32(live(r), ords.wrapping_add(16 * r).cast());
+        let v: [__m512i; SLOTS / 16] = std::array::from_fn(load);
+        let (mut least, mut most) = (_mm512_set1_epi32(-1), _mm512_setzero_si512());
+        for (r, &v) in v.iter().enumerate() {
+            least = _mm512_mask_min_epu32(least, live(r), least, v);
+            most = _mm512_max_epu32(most, v);
+        }
+        let t = bisect(
+            _mm512_reduce_min_epu32(least),
+            _mm512_reduce_max_epu32(most),
+            top.k,
+            |probe| {
+                let probe = _mm512_set1_epi32(probe as i32);
+                v[..regs]
+                    .iter()
+                    .map(|&v| _mm512_cmpge_epu32_mask(v, probe).count_ones() as usize)
+                    .sum()
+            },
+            |probe| {
+                let probe = _mm512_set1_epi32(probe as i32);
+                let mut least = _mm512_set1_epi32(-1);
+                for &v in &v[..regs] {
+                    let reach = _mm512_cmpge_epu32_mask(v, probe);
+                    least = _mm512_mask_min_epu32(least, reach, least, v);
+                }
+                Some(_mm512_reduce_min_epu32(least))
+            },
+        );
+        let (ids, scores) = (top.ids.as_mut_ptr(), top.scores.as_mut_ptr());
+        let vt = _mm512_set1_epi32(t as i32);
+        // The greatest id among the kept slots of image `t`: the floor's.
+        let mut floor_id = _mm512_setzero_si512();
+        let mut kept = 0;
+        for r in 0..regs {
+            let m = live(r);
+            let o = load(r);
+            let s = _mm512_maskz_loadu_ps(m, scores.add(16 * r));
+            let id = [
+                _mm512_maskz_loadu_epi64(m as u8, ids.add(16 * r).cast()),
+                _mm512_maskz_loadu_epi64((m >> 8) as u8, ids.wrapping_add(16 * r + 8).cast()),
+            ];
+            let keep = _mm512_mask_cmpge_epu32_mask(m, o, vt);
+            let at_t = _mm512_mask_cmpeq_epu32_mask(m, o, vt);
+            floor_id = _mm512_mask_max_epu64(floor_id, at_t as u8, floor_id, id[0]);
+            floor_id = _mm512_mask_max_epu64(floor_id, (at_t >> 8) as u8, floor_id, id[1]);
+            let (low, all) = ((keep as u8).count_ones(), keep.count_ones());
+            let out = ((1u32 << all) - 1) as u16;
+            _mm512_mask_storeu_epi32(
+                ords.add(kept).cast(),
+                out,
+                _mm512_maskz_compress_epi32(keep, o),
+            );
+            _mm512_mask_storeu_ps(scores.add(kept), out, _mm512_maskz_compress_ps(keep, s));
+            _mm512_mask_storeu_epi64(
+                ids.add(kept).cast(),
+                ((1u32 << low) - 1) as u8,
+                _mm512_maskz_compress_epi64(keep as u8, id[0]),
+            );
+            _mm512_mask_storeu_epi64(
+                ids.wrapping_add(kept + low as usize).cast(),
+                ((1u32 << (all - low)) - 1) as u8,
+                _mm512_maskz_compress_epi64((keep >> 8) as u8, id[1]),
+            );
+            kept += all as usize;
+        }
+        top.keep_first(kept);
+        if kept > top.k {
+            return settle_ties(top, t);
+        }
+        top.set_floor(t, _mm512_reduce_max_epu64(floor_id));
     }
 }
 
@@ -313,6 +636,38 @@ impl TopK {
 /// same output as a stable one without a scratch allocation.
 pub fn sort_neighbors(v: &mut [Neighbor]) {
     v.sort_unstable_by(|a, b| b.cmp(a));
+}
+
+/// The positions of the `n` best of `scores`, best first, in [`TopK`]'s
+/// order: higher score first, equal scores (`-0.0` and `0.0` among them)
+/// to the lower position, NaN never — so fewer than `n` when fewer scores
+/// are not NaN. The same list as pushing every `(position, score)` into a
+/// `TopK::new(n)` and reading its ids out, with no selector: one partial
+/// select and one sort of the 64-bit keys `(ord(score), !position)`, the
+/// result built in their allocation.
+///
+/// # Panics
+///
+/// Panics if `scores` holds more than `2^32` entries.
+pub fn best_positions(scores: &[f32], n: usize) -> Vec<usize> {
+    assert!(
+        scores.len() <= 1 << 32,
+        "positions must fit the key's 32 bits"
+    );
+    let mut keys: Vec<u64> = scores
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.is_nan())
+        .map(|(at, &s)| (u64::from(ord(s)) << 32) | u64::from(!(at as u32)))
+        .collect();
+    if n == 0 {
+        keys.clear();
+    } else if keys.len() > n {
+        keys.select_nth_unstable_by_key(n - 1, |&key| std::cmp::Reverse(key));
+        keys.truncate(n);
+    }
+    keys.sort_unstable_by_key(|&key| std::cmp::Reverse(key));
+    keys.into_iter().map(|key| !(key as u32) as usize).collect()
 }
 
 impl Extend<Neighbor> for TopK {
