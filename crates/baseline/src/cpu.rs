@@ -7,10 +7,8 @@
 //! cost extra); with `k* = 256` the LUT spills to L1 and every lookup is a
 //! load. The model computes both bounds and takes the slower.
 
-use serde::{Deserialize, Serialize};
-
 /// How the software schedules cluster scans across a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuSchedule {
     /// Query-at-a-time: every query streams its own `W` clusters from DRAM
     /// (ScaNN16, Faiss256 in the paper's analysis).
@@ -29,7 +27,7 @@ pub enum CpuSchedule {
 /// [`CpuKernelRates::skylake`] gives rates representative of the paper's
 /// Skylake-X; measured rates for another host can be stored into
 /// [`CpuModel::rates`] directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuKernelRates {
     /// LUT lookups+adds per second per core with a 16-entry register LUT.
     pub u4_lookups_per_sec: f64,
@@ -54,7 +52,7 @@ impl CpuKernelRates {
 }
 
 /// The CPU platform model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Physical cores (8 on the i7-7820X).
     pub cores: usize,

@@ -2,10 +2,8 @@
 //! Figure 8 plot ("the QPS of exhaustive, exact nearest neighbor search on
 //! ScaNN (CPU), Faiss (CPU), and Faiss (GPU)").
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic exhaustive-search throughput for a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExhaustiveModel {
     /// Sustained multiply-add throughput, ops/s (all cores / SMs).
     pub madds_per_sec: f64,

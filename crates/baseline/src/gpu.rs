@@ -16,10 +16,8 @@
 //! fast at large batch, bandwidth-rich, but beaten by ANNA×12 at equal
 //! aggregate bandwidth — is what it must (and does) reproduce.
 
-use serde::{Deserialize, Serialize};
-
 /// V100 model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Peak memory bandwidth, GB/s (900 for V100).
     pub mem_bandwidth_gbps: f64,

@@ -5,12 +5,11 @@
 use anna_core::{engine::analytic, AnnaConfig, BatchWorkload, ScmAllocation, SearchShape};
 use anna_data::ClusterSizeModel;
 use anna_vector::Metric;
-use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
 /// One ablation data point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationPoint {
     /// Swept parameter name.
     pub parameter: String,

@@ -5,14 +5,13 @@
 //! achieve substantially better maximum recall".
 
 use anna_data::PaperDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::configs::SearchConfig;
 use crate::harness::Contexts;
 use crate::json::Json;
 
 /// Maximum recall one configuration reaches at one compression ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionRow {
     /// Dataset label.
     pub dataset: String,

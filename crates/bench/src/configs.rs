@@ -7,10 +7,9 @@
 
 use anna_baseline::CpuSchedule;
 use anna_index::Trainer;
-use serde::{Deserialize, Serialize};
 
 /// Where a software baseline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// 8-core Skylake-X, query-at-a-time schedule.
     CpuQueryMajor,
@@ -21,7 +20,7 @@ pub enum Platform {
 }
 
 /// One line pair (software + ANNA) of a Figure 8 plot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Software line label.
     pub sw_name: &'static str,

@@ -4,14 +4,13 @@
 use anna_baseline::{power, GpuModel};
 use anna_core::{engine::analytic, AnnaConfig, AreaPowerModel, ScmAllocation};
 use anna_data::PaperDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
 use crate::harness::Contexts;
 use crate::json::Json;
 
 /// One bar of Figure 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyRow {
     /// Dataset label.
     pub dataset: String,

@@ -3,14 +3,13 @@
 use anna_baseline::{CpuModel, GpuModel};
 use anna_core::{engine::analytic, AnnaConfig};
 use anna_data::PaperDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
 use crate::harness::{latency_workload, Contexts};
 use crate::json::Json;
 
 /// One latency bar.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyRow {
     /// Dataset label.
     pub dataset: String,

@@ -5,7 +5,6 @@ use anna_baseline::{CpuModel, GpuModel};
 use anna_core::{engine::analytic, scale_out_qps, AnnaConfig, BatchWorkload, ScmAllocation};
 use anna_data::{recall, synth, ClusterSizeModel, PaperDataset};
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -15,7 +14,7 @@ use crate::json::Json;
 use crate::scale::Scale;
 
 /// One point of a Figure 8 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// `W` used on the scaled index for the recall measurement.
     pub w_scaled: usize,
@@ -28,7 +27,7 @@ pub struct SeriesPoint {
 }
 
 /// One line of a plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct Series {
 }
 
 /// One of the twelve Figure 8 plots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plot {
     /// Dataset label.
     pub dataset: String,

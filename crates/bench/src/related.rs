@@ -7,12 +7,11 @@
 
 use anna_core::{engine::analytic, AnnaConfig, BatchWorkload, ScmAllocation, SearchShape};
 use anna_data::{ClusterSizeModel, PaperDataset};
-use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
 /// One comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelatedRow {
     /// Competitor name.
     pub competitor: String,

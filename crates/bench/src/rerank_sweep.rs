@@ -26,8 +26,8 @@
 //! `reports/rerank_sweep.json` by `runall`.
 
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec, SearchEngine};
-use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision};
-use anna_plan::EnginePlan;
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex};
+use anna_plan::{EnginePlan, RerankMode, RerankPolicy, RerankPrecision};
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
 

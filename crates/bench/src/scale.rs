@@ -7,10 +7,8 @@
 //! (throughput/latency), so each reported series is a monotone
 //! recall-vs-QPS frontier exactly as in Figure 8.
 
-use serde::{Deserialize, Serialize};
-
 /// How big the measured (recall) side of an experiment runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scale {
     /// Scaled database size for recall measurement.
     pub db_n: usize,

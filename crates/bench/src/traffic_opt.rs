@@ -11,7 +11,6 @@ use anna_core::{engine::analytic, AnnaConfig, QueryWorkload, ScmAllocation, Traf
 use anna_data::PaperDataset;
 use anna_index::{BatchedScan, SearchParams};
 use anna_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 use crate::configs::SearchConfig;
 use crate::harness::Contexts;
@@ -19,7 +18,7 @@ use crate::json::Json;
 
 /// Speedup of the optimized schedule for one (config, compression) cell,
 /// averaged (geomean) across datasets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Configuration label.
     pub config: String,

@@ -1,6 +1,5 @@
 //! Accelerator configuration — ANNA's design parameters (Sections III, V-A).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when an [`AnnaConfig`] is inconsistent.
@@ -45,7 +44,7 @@ impl std::error::Error for ValidateConfigError {}
 /// assert!((cfg.bytes_per_cycle() - 64.0).abs() < 1e-9); // 64 GB/s at 1 GHz
 /// cfg.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnaConfig {
     /// Compute units in the CPM, `N_cu`.
     pub n_cu: usize,

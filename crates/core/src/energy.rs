@@ -11,13 +11,11 @@
 //! energy is computed from the simulator's activity counters exactly as
 //! the paper post-processes its own numbers.
 
-use serde::Serialize;
-
 use crate::config::AnnaConfig;
 use crate::timing::TimingReport;
 
 /// One row of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleBudget {
     /// Module name as printed in Table I.
     pub name: &'static str,
@@ -28,7 +26,7 @@ pub struct ModuleBudget {
 }
 
 /// The per-module area/power model (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerModel {
     /// Codebook/Cluster Processing Module.
     pub cpm: ModuleBudget,

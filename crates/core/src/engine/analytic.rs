@@ -4,15 +4,11 @@
 //! Cross-validated against the event-driven [`crate::engine::cycle`]
 //! engine; integration tests assert the two agree within a few percent.
 
-use anna_plan::{BatchPlan, ScmAllocation, TrafficModel};
+use anna_plan::{BatchPlan, ScmAllocation, TrafficModel, CLUSTER_META_BYTES, QUERY_ID_BYTES};
 use anna_vector::Metric;
 
 use crate::config::AnnaConfig;
 use crate::timing::{Activity, BatchWorkload, QueryWorkload, TimingReport, TrafficReport};
-
-// The byte constants live with the `TrafficModel` in the shared plan layer;
-// re-exported here because they originated in this module.
-pub use anna_plan::{CLUSTER_META_BYTES, QUERY_ID_BYTES};
 
 /// Times one query in the baseline (non-batched) mode, with `g` SCMs
 /// assigned to the query (intra-query parallelism; `g = 1` uses a single

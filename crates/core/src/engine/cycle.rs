@@ -25,11 +25,10 @@
 //! how an architect locates the bottleneck the paper's Section IV-B
 //! balance equation talks about.
 
-use anna_plan::{BatchPlan, ScmAllocation, TrafficModel};
+use anna_plan::{BatchPlan, ScmAllocation, TrafficModel, CLUSTER_META_BYTES, QUERY_ID_BYTES};
 use anna_vector::Metric;
 
 use crate::config::AnnaConfig;
-use crate::engine::analytic::{CLUSTER_META_BYTES, QUERY_ID_BYTES};
 use crate::timing::{Activity, BatchWorkload, QueryWorkload, TimingReport, TrafficReport};
 
 /// A serializing DRAM channel delivering `bpc` bytes per cycle.
@@ -211,7 +210,7 @@ pub fn single_query_traced(
 
 /// One round's event times, for timeline rendering (the executable
 /// counterpart of the paper's Figure 7).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundTrace {
     /// Round index in schedule order.
     pub round: usize,
@@ -236,7 +235,7 @@ pub struct RoundTrace {
 /// cycle is exactly one of busy, waiting on a LUT, waiting on data, or
 /// drain. A scan that is throttled by its code stream books its compute
 /// time as busy and only the excess as a data stall.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StallBreakdown {
     /// Cycles the SCM group spent scoring vectors.
     pub scm_busy: f64,

@@ -12,13 +12,12 @@
 use anna_index::{Lut, LutPrecision};
 use anna_quant::pq::PqCodebook;
 use anna_vector::{f16, metric, Metric, VectorSet};
-use serde::Serialize;
 
 use crate::pheap::PHeap;
 
 /// Activity counters for the CPM (consumed by the energy model and
 /// asserted against the analytic engine in tests).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpmStats {
     /// Cycles spent across all modes.
     pub cycles: f64,

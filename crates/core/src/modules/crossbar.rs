@@ -14,10 +14,8 @@
 //! exactly one buffer port, no port oversubscribed — and computes the
 //! per-SCM delivery bandwidth each routing sustains.
 
-use serde::Serialize;
-
 /// Routing mode for one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
     /// One buffer broadcasts the full cluster to all SCMs (inter-query).
     Broadcast,
@@ -42,7 +40,7 @@ impl std::fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// The crossbar: `ports` buffer read ports by `n_scm` SCM inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crossbar {
     /// Buffer read ports available per cycle.
     pub ports: usize,

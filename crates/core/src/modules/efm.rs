@@ -6,10 +6,9 @@
 //! larger than the buffer are streamed in buffer-sized portions.
 
 use anna_index::ivf::Cluster;
-use serde::Serialize;
 
 /// EFM activity counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EfmStats {
     /// Clusters fetched.
     pub clusters_fetched: u64,

@@ -8,12 +8,11 @@
 
 use anna_index::Lut;
 use anna_vector::Neighbor;
-use serde::Serialize;
 
 use crate::pheap::PHeap;
 
 /// SCM activity counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScmStats {
     /// Cycles spent scanning.
     pub cycles: f64,

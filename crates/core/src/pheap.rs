@@ -9,7 +9,6 @@
 //! traffic for the timing and energy models).
 
 use anna_vector::{f16, Neighbor};
-use serde::{Deserialize, Serialize};
 
 /// Activity counters of a P-heap unit, consumed by the energy model.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// [`PHeapStats::accumulate`] is commutative and associative — partial
 /// stats can be combined in any order (the same partition-invariance
 /// contract `BatchStats` keeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PHeapStats {
     /// Inputs offered (one per cycle).
     pub inputs: u64,

@@ -9,14 +9,12 @@
 //! for continuity. This module keeps the simulator-side outcome types:
 //! [`Activity`], [`Bound`] and [`TimingReport`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::AnnaConfig;
 
 pub use anna_plan::{BatchWorkload, QueryWorkload, SearchShape, TrafficReport};
 
 /// Module activity counters, consumed by the energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Activity {
     /// CPM busy cycles (filtering + residuals + LUT fills).
     pub cpm_cycles: f64,
@@ -28,7 +26,7 @@ pub struct Activity {
 }
 
 /// Which resource bounded the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Compute cycles exceeded memory cycles.
     Compute,
@@ -37,7 +35,7 @@ pub enum Bound {
 }
 
 /// The timing outcome of a simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingReport {
     /// End-to-end cycles.
     pub cycles: f64,

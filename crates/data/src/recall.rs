@@ -6,10 +6,9 @@
 //! 1000 candidates the ANNS algorithm returns.
 
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Exact top-X neighbor lists for a query batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     /// `x` of recall `X@Y` — how many true neighbors are stored per query.
     pub x: usize,

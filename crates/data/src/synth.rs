@@ -7,10 +7,9 @@
 use anna_vector::{metric, Metric, VectorSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The statistical character of a generated dataset family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Character {
     /// SIFT-like: non-negative integer-quantized local features, L2 metric.
     SiftLike,
@@ -36,7 +35,7 @@ impl Character {
 }
 
 /// A dataset generation request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Human-readable name (carried into reports).
     pub name: String,
@@ -70,7 +69,7 @@ impl DatasetSpec {
 }
 
 /// A generated dataset: database plus held-out queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Name carried from the spec.
     pub name: String,

@@ -3,10 +3,9 @@
 
 use crate::synth::{Character, DatasetSpec};
 use anna_vector::Metric;
-use serde::{Deserialize, Serialize};
 
 /// The six datasets of the paper's evaluation (Section V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperDataset {
     /// SIFT1M: N=1M, D=128, L2.
     Sift1M,

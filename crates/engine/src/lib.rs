@@ -22,7 +22,7 @@
 //! The trait is deliberately object-safe — `anna-serve`'s batcher holds a
 //! `&dyn SearchEngine` — and the default `price`/`price_tiered`/`verify`
 //! methods delegate to [`TrafficModel::price_engine`] and
-//! [`anna_testkit::traffic_match`], so an engine only has to describe
+//! [`traffic_match`], so an engine only has to describe
 //! scopes, build its tagged [`EnginePlan`], and execute it.
 
 #![deny(missing_docs)]
@@ -32,11 +32,10 @@ use anna_plan::{
 };
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, Neighbor, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Per-query search request, engine-neutral: how many results and how
 /// wide to search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuerySpec {
     /// Number of results to return.
     pub k: usize,
@@ -46,7 +45,7 @@ pub struct QuerySpec {
 }
 
 /// Batch-level planning options.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanOptions {
     /// Optional two-phase re-rank policy (engines that cannot re-rank
     /// panic if set — see each implementation's docs).
@@ -58,7 +57,7 @@ pub struct PlanOptions {
 /// directly (centroid streams, query lists, result stores) are
 /// definitional — they follow from the plan — so only the six measured
 /// counters are compared.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MeasuredTraffic {
     /// Encoded-vector bytes fetched.
     pub code_bytes: u64,
@@ -80,7 +79,7 @@ pub struct MeasuredTraffic {
 
 impl MeasuredTraffic {
     /// `(component, predicted, measured)` triples for the six measured
-    /// byte counters, ready for [`anna_testkit::traffic_match`].
+    /// byte counters, ready for [`traffic_match`].
     pub fn components(&self, predicted: &TrafficReport) -> Vec<(&'static str, u64, u64)> {
         vec![
             ("code_bytes", predicted.code_bytes, self.code_bytes),
@@ -225,7 +224,7 @@ pub trait SearchEngine {
     /// The *verify* step: asserts predicted == measured component by
     /// component (tier split included when both sides carry one),
     /// returning the component-naming error from
-    /// [`anna_testkit::traffic_match`] on mismatch.
+    /// [`traffic_match`] on mismatch.
     fn verify(
         &self,
         predicted: &TrafficReport,
@@ -236,7 +235,7 @@ pub trait SearchEngine {
         if let Some(pt) = predicted_tier {
             components.extend(measured.tier_components(pt));
         }
-        anna_testkit::traffic_match(self.name(), &components)
+        traffic_match(self.name(), &components)
     }
 }
 
@@ -310,6 +309,32 @@ pub fn run_pipeline(
             tel.counter_add("engine.traffic_mismatches", 1);
             Err(msg)
         }
+    }
+}
+
+/// Compares predicted vs measured traffic component by component.
+///
+/// `components` holds `(component_name, predicted_bytes, measured_bytes)`
+/// triples; the caller decides which components an engine accounts (the
+/// engine crates build the triples from their stats types). Returns
+/// `Err` naming every mismatching component with both values, prefixed
+/// with `context` (typically the engine name and batch id), so a failed
+/// run reports *which* byte counter diverged rather than a bare boolean.
+pub fn traffic_match(context: &str, components: &[(&str, u64, u64)]) -> Result<(), String> {
+    let mismatches: Vec<String> = components
+        .iter()
+        .filter(|(_, predicted, measured)| predicted != measured)
+        .map(|(name, predicted, measured)| {
+            format!("{name}: predicted {predicted} B != measured {measured} B")
+        })
+        .collect();
+    if mismatches.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{context}: traffic mismatch [{}]",
+            mismatches.join("; ")
+        ))
     }
 }
 
@@ -525,5 +550,30 @@ mod tests {
                 &MeasuredTraffic::default(),
             )
             .expect("no measured tier to compare");
+    }
+
+    #[test]
+    fn traffic_match_names_every_mismatching_component() {
+        assert!(traffic_match("ok", &[("code_bytes", 10, 10)]).is_ok());
+        assert!(traffic_match("empty", &[]).is_ok());
+        let err = traffic_match(
+            "ivf_pq batch 3",
+            &[
+                ("code_bytes", 10, 12),
+                ("cluster_meta_bytes", 64, 64),
+                ("topk_spill_bytes", 5, 0),
+            ],
+        )
+        .unwrap_err();
+        assert!(err.contains("ivf_pq batch 3"), "{err}");
+        assert!(
+            err.contains("code_bytes: predicted 10 B != measured 12 B"),
+            "{err}"
+        );
+        assert!(
+            err.contains("topk_spill_bytes: predicted 5 B != measured 0 B"),
+            "{err}"
+        );
+        assert!(!err.contains("cluster_meta_bytes"), "{err}");
     }
 }

@@ -27,10 +27,9 @@ use anna_engine::{plan_uniform, PlanOptions, QuerySpec};
 use anna_plan::{BatchPlan, BatchWorkload, EnginePlan, SearchShape};
 use anna_telemetry::Telemetry;
 use anna_vector::{Neighbor, TopK, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Memory-traffic bookkeeping for one batch, in the units of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Clusters actually fetched (each counted once; `≤ |C|`).
     pub clusters_fetched: u64,

@@ -9,11 +9,10 @@ use anna_quant::dist_table::DimMajor;
 use anna_quant::kmeans::{KMeans, KMeansConfig};
 use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_vector::{best_positions, metric, Metric, Neighbor, TopK, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Which codebook training objective to use — the difference between the
 /// paper's "Faiss" and "ScaNN" model families (Section V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trainer {
     /// Plain reconstruction-error k-means per subspace (Faiss).
     Faiss,
@@ -22,7 +21,7 @@ pub enum Trainer {
 }
 
 /// Configuration for [`IvfPqIndex::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IvfPqConfig {
     /// Similarity metric.
     pub metric: Metric,
@@ -61,7 +60,7 @@ impl Default for IvfPqConfig {
 /// One inverted list: the ids and packed residual codes of every database
 /// vector assigned to a cluster, stored contiguously (Section II-C: "these
 /// encoded vectors belonging to this specific cluster are stored together").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Global database ids, aligned with the code rows.
     pub ids: Vec<u64>,
@@ -89,7 +88,7 @@ impl Cluster {
 
 /// Size statistics of a built index, in bytes, for the compression-ratio
 /// bookkeeping of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
     /// Total number of indexed vectors `N`.
     pub num_vectors: u64,
@@ -132,7 +131,7 @@ pub(crate) fn filter_clusters(
 ///
 /// See the [crate-level documentation](crate) for the search pipeline and
 /// an end-to-end example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IvfPqIndex {
     metric: Metric,
     coarse: KMeans,

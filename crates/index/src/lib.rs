@@ -83,17 +83,8 @@ pub use parallel::resolve_threads;
 pub use shard::{ShardedIndex, ShardedStats};
 pub use tiered::{FetchedCluster, TieredIndex};
 
-// The crossbar tiling moved into the shared plan layer (`anna-plan`);
-// re-exported here so software-side callers keep one import path.
-pub use anna_plan::{crossbar_tiles, ClusterTile};
-// The two-phase policy types live in the plan layer (the stage is part of
-// the plan IR); re-exported for the same single-import ergonomics.
-pub use anna_plan::{RerankMode, RerankPolicy, RerankPrecision, RerankQuery, RerankStage};
-
-use serde::{Deserialize, Serialize};
-
 /// Per-query search parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchParams {
     /// Number of clusters to inspect, `W` (the paper's recall/throughput
     /// knob in Figure 8).

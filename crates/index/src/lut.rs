@@ -7,14 +7,13 @@
 
 use anna_quant::pq::PqCodebook;
 use anna_vector::{f16, KernelDispatch, Metric};
-use serde::{Deserialize, Serialize};
 
 /// Precision at which LUT entries are stored.
 ///
 /// ANNA's lookup-table SRAM stores 2-byte entries (`2·k*·M` bytes per SCM,
 /// Section III-B), so the hardware-faithful mode rounds every entry through
 /// binary16. CPU baselines keep f32.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LutPrecision {
     /// 4-byte entries (software).
     F32,

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 /// Measured traffic of one sharded batch: the cluster-major byte counters
 /// plus the storage-tier split (all zero for all-RAM shards, which have no
 /// storage tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardedStats {
     /// Cluster-major traffic counters, summed across shards, with the
     /// cross-shard merge's spill/fill units included.

@@ -182,27 +182,32 @@ impl TieredIndex {
         let entry = self.hot.directory[i];
         let code_bytes = self.cluster_code_bytes(i);
         let mut st = self.state.lock().expect("tier state poisoned");
+        // Read a missing block before the cache decides anything, so a
+        // failed read leaves the sim, the residents and the counters as
+        // they were.
+        let read = if st.sim.is_resident(i) {
+            None
+        } else {
+            let block = read_block(&mut st.file, self.blocks_start, &entry)?;
+            Some(Arc::new(self.hot.parse_block(i, &block)?))
+        };
         let outcome = st.sim.touch(i, code_bytes, visits);
         st.counters.record(&outcome, code_bytes);
-        let cluster = match &outcome {
-            FetchOutcome::Hit => Arc::clone(
+        let cluster = match (&outcome, read) {
+            (FetchOutcome::Hit, _) => Arc::clone(
                 st.resident
                     .get(&i)
                     .expect("cache sim says resident but block is missing"),
             ),
-            FetchOutcome::MissAdmitted { evicted } => {
+            (FetchOutcome::MissAdmitted { evicted }, Some(cluster)) => {
                 for e in evicted {
                     st.resident.remove(e);
                 }
-                let block = read_block(&mut st.file, self.blocks_start, &entry)?;
-                let cluster = Arc::new(self.hot.parse_block(i, &block)?);
                 st.resident.insert(i, Arc::clone(&cluster));
                 cluster
             }
-            FetchOutcome::MissBypassed => {
-                let block = read_block(&mut st.file, self.blocks_start, &entry)?;
-                Arc::new(self.hot.parse_block(i, &block)?)
-            }
+            (FetchOutcome::MissBypassed, Some(cluster)) => cluster,
+            (_, None) => unreachable!("a resident block always hits"),
         };
         Ok(FetchedCluster {
             cluster,
@@ -311,6 +316,35 @@ mod tests {
         assert_eq!(c.cache_hits, 0);
         assert_eq!(c.cache_code_bytes, 0);
         assert_eq!(c.cache_misses, 2 * index.num_clusters() as u64);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn failed_reads_leave_the_cache_untouched() {
+        let index = build();
+        let path = temp_segment(&index);
+        let tiered = TieredIndex::open(&path, u64::MAX).unwrap();
+        let dir = &tiered.hot.directory;
+        let last = (0..dir.len())
+            .max_by_key(|&i| dir[i].offset + dir[i].bytes)
+            .unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let len = file.metadata().unwrap().len();
+        let block_end = tiered.blocks_start + dir[last].offset + dir[last].bytes;
+        assert!(
+            block_end == len && dir[last].bytes >= 4,
+            "cut into the last block"
+        );
+        file.set_len(len - 4).unwrap();
+        for _ in 0..2 {
+            assert!(tiered.fetch_cluster(last, 1).is_err());
+        }
+        assert_eq!(tiered.counters(), TierTraffic::default());
+        assert_eq!(tiered.cache_sim(), ClusterCacheSim::new(u64::MAX));
+        let intact = (last + 1) % dir.len();
+        let fetched = tiered.fetch_cluster(intact, 1).unwrap();
+        assert_eq!(*fetched.cluster, *index.cluster(intact));
+        assert_eq!(tiered.counters().cache_admissions, 1);
         std::fs::remove_file(path).unwrap();
     }
 

@@ -12,9 +12,8 @@
 //!    metrics, codebook sizes, and worker counts.
 
 use anna_engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec};
-use anna_index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
-};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_plan::{RerankMode, RerankPolicy, RerankPrecision};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{exact, Metric, Neighbor, VectorSet};

@@ -14,17 +14,17 @@
 //!   the plan executes.
 //!
 //! Both walk the fetching rounds of the same [`BatchPlan`](crate::BatchPlan)
-//! in the same (ascending-cluster) order, so predicted == measured holds
-//! *exactly* on both tiers — the workspace's headline invariant extended
-//! across the storage hierarchy.
+//! in the plan's round order (probe-ordered for cluster-major plans, see
+//! [`BatchPlan::probe_ordered`](crate::BatchPlan::probe_ordered)), so
+//! predicted == measured holds *exactly* on both tiers — the workspace's
+//! headline invariant extended across the storage hierarchy.
 //!
 //! The policy is **admission by visit frequency**: every fetch bumps the
 //! cluster's cumulative visit count by the number of queries scoring it,
 //! and a missing block is admitted only by evicting residents whose
-//! counts are *strictly lower* (ties keep the resident). The
-//! cluster-major loop already touches clusters in per-batch frequency
-//! order, so the cache converges on the hottest clusters without any
-//! clock or randomness. Capacity is accounted in encoded-code bytes —
+//! counts are *strictly lower* (ties keep the resident). Each fetch
+//! carries the batch's full visitor count for its cluster, so the cache
+//! converges on the hottest clusters without any clock or randomness. Capacity is accounted in encoded-code bytes —
 //! the dominant, priced term — so the policy and the traffic model agree
 //! byte-for-byte by construction.
 
@@ -53,7 +53,7 @@ pub enum FetchOutcome {
 /// components (centroids, metadata, spill/fill, …) always come from
 /// resident hot state and are priced by the base
 /// [`TrafficReport`](crate::TrafficReport) unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierTraffic {
     /// Encoded-code bytes served from the cluster cache.
     pub cache_code_bytes: u64,

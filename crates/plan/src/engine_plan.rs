@@ -22,8 +22,6 @@
 //! Beam state lives on-chip, so graph plans have no centroid stream, no
 //! query lists, and no top-k spill/fill.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{ClusterCacheSim, TierTraffic};
 use crate::plan::BatchPlan;
 use crate::traffic::{TrafficModel, TrafficReport};
@@ -37,7 +35,7 @@ pub const ADJACENCY_ID_BYTES: u64 = 4;
 
 /// The static shape of a graph-search configuration — the graph analogue
 /// of [`crate::SearchShape`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphShape {
     /// Vector dimension `D`.
     pub d: usize,
@@ -76,7 +74,7 @@ impl GraphShape {
 }
 
 /// A batched graph workload: the shape plus each query's beam width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphWorkload {
     /// Graph-search shape.
     pub shape: GraphShape,
@@ -97,7 +95,7 @@ impl GraphWorkload {
 /// the planner *runs* the deterministic traversal and records its
 /// footprint; execution then re-traces the identical walk, which is what
 /// makes the predicted bytes exact rather than estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphQueryPlan {
     /// Nodes whose adjacency list is fetched (beam expansions).
     pub visited: u64,
@@ -106,7 +104,7 @@ pub struct GraphQueryPlan {
 }
 
 /// A planned graph batch: one [`GraphQueryPlan`] per query.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GraphPlan {
     /// Per-query traversal footprints, query order.
     pub per_query: Vec<GraphQueryPlan>,
@@ -127,7 +125,7 @@ impl GraphPlan {
 /// A planned sharded batch: per-shard unbounded cluster-major plans plus
 /// the global merge's spill/fill units, assembled by the sharded engine's
 /// `plan()` and priced by [`TrafficModel::price_sharded`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedBatchPlan {
     /// Per-shard `(workload, plan)` pairs, ascending shard id. Each plan
     /// is the unbounded [`BatchPlan::from_visitors`] schedule over the
@@ -150,7 +148,7 @@ pub struct ShardedBatchPlan {
 /// A priced plan tagged with the engine family that produced it — the
 /// value the `SearchEngine` pipeline hands from `plan()` to `price()` to
 /// `execute()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EnginePlan {
     /// Cluster-major IVF-PQ batch (single-phase or two-phase re-rank).
     ClusterMajor {

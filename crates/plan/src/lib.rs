@@ -40,9 +40,9 @@
 //!   `BatchStats` bytes and the simulators' `TimingReport` traffic,
 //!   exactly.
 //!
-//! The crate depends only on `anna-vector` (for [`anna_vector::Metric`])
-//! and `serde`, so every layer of the stack can consume the IR without
-//! dependency cycles.
+//! The crate depends only on `anna-vector` (for [`anna_vector::Metric`]),
+//! so every layer of the stack can consume the IR without dependency
+//! cycles.
 
 #![deny(missing_docs)]
 

@@ -16,8 +16,6 @@
 //! `g = N_SCM / expected` ("for ANNA with 16 SCMs, we allocate four SCMs to
 //! a single query" when 4 queries are expected per cluster).
 
-use serde::{Deserialize, Serialize};
-
 use crate::tiles::{crossbar_tiles, ClusterTile};
 use crate::workload::BatchWorkload;
 
@@ -25,7 +23,7 @@ use crate::workload::BatchWorkload;
 /// type rather than the full accelerator config, so the plan layer stays
 /// free of dependency cycles (`anna-core` derives one via
 /// `AnnaConfig::plan_params`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanParams {
     /// Number of similarity-computation modules, `N_SCM`.
     pub n_scm: usize,
@@ -49,7 +47,7 @@ impl Default for PlanParams {
 }
 
 /// How SCMs are assigned to queries within a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScmAllocation {
     /// One SCM per query; `N_SCM` queries per round.
     InterQuery,
@@ -103,7 +101,7 @@ impl ScmAllocation {
 }
 
 /// One scheduled round: a set of queries scored against one cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Round {
     /// Cluster id.
     pub cluster: usize,
@@ -119,7 +117,7 @@ pub struct Round {
 /// A full cluster-major batch plan: the IR every execution backend
 /// consumes (software batch engine, analytic and event-driven timing
 /// engines, functional accelerator).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchPlan {
     /// SCMs per query `g`.
     pub scm_per_query: usize,

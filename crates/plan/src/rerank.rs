@@ -33,12 +33,10 @@
 //! `(mode, alpha)` into a per-query [`RerankQuery`] decision — see the
 //! method docs for the adaptive byte-equalizing escalation rule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::BatchWorkload;
 
 /// Element width the re-rank stage fetches candidate vectors at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RerankPrecision {
     /// 2-byte binary16 copies of the vectors (elements rounded through
     /// f16 on fetch, distances accumulated in f32) — half the traffic of
@@ -67,7 +65,7 @@ impl RerankPrecision {
 }
 
 /// The re-rank decision for one query of a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RerankQuery {
     /// First-pass survivors this query rescoring — exactly
     /// `min(k_first, Σ visited cluster sizes)`.
@@ -81,7 +79,7 @@ pub struct RerankQuery {
 /// [`BatchPlan`](crate::BatchPlan) so every consumer (software engine,
 /// traffic model, serving batcher) prices and executes the same second
 /// phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RerankStage {
     /// Final results per query (the first pass over-fetched more).
     pub k: usize,
@@ -131,7 +129,7 @@ impl RerankStage {
 }
 
 /// How the controller assigns per-query re-rank precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RerankMode {
     /// Every query rescored at the same precision.
     Fixed(RerankPrecision),
@@ -158,7 +156,7 @@ impl RerankMode {
 /// A policy is a pure value — the per-query decisions it produces are a
 /// deterministic plan-time function of the workload, so the same policy
 /// over the same workload always prices and executes identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RerankPolicy {
     /// Precision mode (fixed or adaptive escalation).
     pub mode: RerankMode,

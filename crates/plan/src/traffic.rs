@@ -7,8 +7,6 @@
 //! **exact** equality between the predicted report, the software engine's
 //! measured `BatchStats`, and the simulators' `TimingReport` traffic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{ClusterCacheSim, TierTraffic};
 use crate::plan::{BatchPlan, PlanParams};
 use crate::workload::BatchWorkload;
@@ -22,7 +20,7 @@ pub const CLUSTER_META_BYTES: u64 = 64;
 pub const QUERY_ID_BYTES: u64 = 3;
 
 /// Byte-level memory-traffic breakdown of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrafficReport {
     /// Centroid stream during cluster filtering.
     pub centroid_bytes: u64,
@@ -72,7 +70,7 @@ impl TrafficReport {
 /// two timing engines, and the functional accelerator — must account
 /// exactly the bytes this model predicts; the workspace's cross-validation
 /// property tests enforce that equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficModel {
     /// Planning parameters (record sizes the byte accounting depends on).
     pub params: PlanParams,

@@ -9,10 +9,9 @@
 //! structures from a real index.
 
 use anna_vector::Metric;
-use serde::{Deserialize, Serialize};
 
 /// The static shape of a search configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchShape {
     /// Vector dimension `D`.
     pub d: usize,
@@ -88,7 +87,7 @@ impl SearchShape {
 
 /// A single query's timing-relevant workload: the sizes of the `W` clusters
 /// it visits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryWorkload {
     /// Search shape.
     pub shape: SearchShape,
@@ -109,7 +108,7 @@ impl QueryWorkload {
 }
 
 /// A batched workload: cluster sizes plus each query's visit list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchWorkload {
     /// Search shape.
     pub shape: SearchShape,

@@ -22,10 +22,9 @@
 
 use crate::kmeans::{KMeans, KMeansConfig};
 use anna_vector::{f16, metric, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`AqCodebook::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AqConfig {
     /// Number of additive stages `M`.
     pub m: usize,
@@ -53,7 +52,7 @@ impl Default for AqConfig {
 
 /// A trained additive codebook: `M` stages of `k*` full-dimensional
 /// codewords.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AqCodebook {
     dim: usize,
     beam: usize,
@@ -62,7 +61,7 @@ pub struct AqCodebook {
 }
 
 /// An AQ-encoded vector: `M` identifiers plus the 2-byte norm correction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AqCode {
     /// Stage identifiers.
     pub codes: Vec<u8>,

@@ -26,10 +26,9 @@ use crate::kmeans::{KMeans, KMeansConfig};
 use crate::linalg::SmallMat;
 use crate::pq::PqCodebook;
 use anna_vector::{metric, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnisotropicConfig {
     /// Number of sub-vectors `M`.
     pub m: usize,

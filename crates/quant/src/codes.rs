@@ -7,10 +7,8 @@
 //! dedicated shifters. This module is the software model of that layout and
 //! unpacker.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier width of packed codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeWidth {
     /// 4-bit identifiers (`k* = 16`), two per byte, low nibble first.
     U4,
@@ -54,7 +52,7 @@ impl CodeWidth {
 /// assert_eq!(codes.get(1), vec![0, 2, 3]);
 /// assert_eq!(codes.bytes().len(), 4); // two vectors * 2 bytes each
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedCodes {
     m: usize,
     width: CodeWidth,

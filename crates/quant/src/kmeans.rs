@@ -8,10 +8,9 @@ use crate::dist_table::DimMajor;
 use anna_vector::{metric, VectorSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`KMeans::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of centroids to learn.
     pub k: usize,
@@ -32,7 +31,7 @@ impl Default for KMeansConfig {
 }
 
 /// A trained k-means model: the centroid list of Section II-C.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: VectorSet,
     /// `centroids` transposed for the distance-table kernel; always in

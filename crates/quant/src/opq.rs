@@ -19,10 +19,9 @@
 use crate::linalg::SmallMat;
 use crate::pq::{PqCodebook, PqConfig};
 use anna_vector::{metric, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Opq::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpqConfig {
     /// Inner PQ configuration.
     pub pq: PqConfig,

@@ -9,10 +9,9 @@ use crate::codes::{CodeWidth, PackedCodes};
 use crate::dist_table::DimMajor;
 use crate::kmeans::{KMeans, KMeansConfig};
 use anna_vector::{metric, VectorSet};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`PqCodebook::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PqConfig {
     /// Number of sub-vectors `M` each vector is split into.
     pub m: usize,
@@ -76,7 +75,7 @@ impl PqConfig {
 /// Codebook `B_i` holds `k*` codewords of dimension `D/M`; encoding maps
 /// sub-vector `x_i` to `argmax_j s(x_i, B_i[j])` under L2 (i.e. nearest
 /// codeword), exactly as Figure 1 of the paper illustrates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PqCodebook {
     dim: usize,
     m: usize,

@@ -3,11 +3,8 @@
 //! dispatched batch, and mixed-`k` result correctness against the
 //! query-at-a-time reference.
 
-use anna_index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, RerankMode, RerankPolicy, RerankPrecision,
-    SearchParams,
-};
-use anna_plan::{ClusterCacheSim, EnginePlan};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
+use anna_plan::{ClusterCacheSim, EnginePlan, RerankMode, RerankPolicy, RerankPrecision};
 use anna_serve::{compose, execute, Admission, Outcome, Request, ServeConfig, TierPricing};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};

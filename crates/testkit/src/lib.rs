@@ -14,10 +14,6 @@
 //!   [`replay`].
 //! * [`same_f32_bits`] — bit equality of floats with NaNs compared as a
 //!   class, for "kernel A computes exactly what kernel B does" checks.
-//! * [`traffic_match`] / [`assert_traffic_match`] — the workspace's
-//!   shared predicted-vs-measured traffic check: every engine and bench
-//!   compares byte counters component by component through this one
-//!   helper, so mismatch reports always name the offending component.
 //!
 //! There is no shrinking: cases are small by construction, and the
 //! reported seed reproduces the failure exactly.
@@ -211,54 +207,6 @@ pub fn same_f32_bits(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-/// Compares predicted vs measured traffic component by component.
-///
-/// `components` holds `(component_name, predicted_bytes, measured_bytes)`
-/// triples; the caller decides which components an engine accounts (the
-/// engine crates build the triples from their stats types). Returns
-/// `Err` naming every mismatching component with both values, prefixed
-/// with `context` (typically the engine name and batch id), so a failed
-/// run reports *which* byte counter diverged rather than a bare boolean.
-pub fn traffic_match(context: &str, components: &[(&str, u64, u64)]) -> Result<(), String> {
-    let mismatches: Vec<String> = components
-        .iter()
-        .filter(|(_, predicted, measured)| predicted != measured)
-        .map(|(name, predicted, measured)| {
-            format!("{name}: predicted {predicted} B != measured {measured} B")
-        })
-        .collect();
-    if mismatches.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{context}: traffic mismatch [{}]",
-            mismatches.join("; ")
-        ))
-    }
-}
-
-/// Panicking form of [`traffic_match`], for tests and benches that treat
-/// a predicted != measured component as fatal.
-///
-/// # Panics
-///
-/// Panics with the component-naming message when any component
-/// mismatches.
-pub fn assert_traffic_match(context: &str, components: &[(&str, u64, u64)]) {
-    if let Err(msg) = traffic_match(context, components) {
-        panic!("{msg}");
-    }
-}
-
-/// Number of cases `forall` runs, honoring the `ANNA_PROPTEST_CASES`
-/// override (useful to crank coverage locally or trim it in smoke runs).
-pub fn case_count(default_cases: u32) -> u32 {
-    match std::env::var("ANNA_PROPTEST_CASES") {
-        Ok(v) => v.parse().unwrap_or(default_cases),
-        Err(_) => default_cases,
-    }
-}
-
 /// Deterministic per-case seed: FNV-1a over the property name, mixed with
 /// the case index.
 fn case_seed(name: &str, case: u32) -> u64 {
@@ -278,7 +226,7 @@ fn case_seed(name: &str, case: u32) -> u64 {
 ///
 /// Panics (test failure) when the property panics for any case.
 pub fn forall(name: &str, cases: u32, mut property: impl FnMut(&mut TestRng)) {
-    for case in 0..case_count(cases) {
+    for case in 0..cases {
         let seed = case_seed(name, case);
         run_case(name, case, seed, &mut property);
     }
@@ -370,42 +318,6 @@ mod tests {
         replay("capture", seed, |rng| {
             let _ = rng.next_u64();
         });
-    }
-
-    #[test]
-    fn traffic_match_names_every_mismatching_component() {
-        assert!(traffic_match("ok", &[("code_bytes", 10, 10)]).is_ok());
-        assert!(traffic_match("empty", &[]).is_ok());
-        let err = traffic_match(
-            "ivf_pq batch 3",
-            &[
-                ("code_bytes", 10, 12),
-                ("cluster_meta_bytes", 64, 64),
-                ("topk_spill_bytes", 5, 0),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.contains("ivf_pq batch 3"), "{err}");
-        assert!(
-            err.contains("code_bytes: predicted 10 B != measured 12 B"),
-            "{err}"
-        );
-        assert!(
-            err.contains("topk_spill_bytes: predicted 5 B != measured 0 B"),
-            "{err}"
-        );
-        assert!(!err.contains("cluster_meta_bytes"), "{err}");
-    }
-
-    #[test]
-    fn assert_traffic_match_panics_with_component_name() {
-        let err = std::panic::catch_unwind(|| {
-            assert_traffic_match("graph", &[("result_bytes", 1, 2)]);
-        })
-        .expect_err("should panic");
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("graph: traffic mismatch"), "{msg}");
-        assert!(msg.contains("result_bytes"), "{msg}");
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //! path) and gets the same bits either way. [`round_trip_slice`]
 //! stays on the software conversions.
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 754 binary16 value stored as its raw bit pattern.
 ///
 /// # Example
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// let r = F16::from_f32(1.0009766).to_f32();
 /// assert!((r - 1.0009766).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F16(u16);
 
 impl F16 {

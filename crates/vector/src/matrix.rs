@@ -1,7 +1,5 @@
 //! Contiguous row-major storage for sets of equal-dimension vectors.
 
-use serde::{Deserialize, Serialize};
-
 /// A set of `len` vectors of dimension `dim`, stored contiguously in
 /// row-major order.
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(set.len(), 2);
 /// assert_eq!(set.dim(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorSet {
     dim: usize,
     data: Vec<f32>,

@@ -5,8 +5,6 @@
 //! (`s_L2(q, x) = -Σ (q[i]-x[i])²`). Both are *similarities*: larger is more
 //! similar, so a single top-k path serves both.
 
-use serde::{Deserialize, Serialize};
-
 /// The similarity metric used by a search.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Metric::InnerProduct.similarity(&q, &x), 11.0);
 /// assert_eq!(Metric::L2.similarity(&q, &x), -8.0); // -( (1-3)^2 + (2-4)^2 )
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Inner-product similarity (maximum inner product search, MIPS).
     InnerProduct,

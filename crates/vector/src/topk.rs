@@ -8,12 +8,11 @@
 //! discarded."
 
 use crate::KernelDispatch;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A search hit: a database vector id and its similarity to the query
 /// (larger = more similar).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// Database vector id.
     pub id: u64,

@@ -14,10 +14,9 @@ use anna::engine::{
     plan_uniform, run_pipeline, MeasuredTraffic, PlanOptions, QuerySpec, SearchEngine,
 };
 use anna::index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch, RerankMode, RerankPolicy,
-    RerankPrecision, SearchParams, ShardedIndex,
+    BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch, SearchParams, ShardedIndex,
 };
-use anna::plan::EnginePlan;
+use anna::plan::{EnginePlan, RerankMode, RerankPolicy, RerankPrecision};
 use anna::vector::exact::{self, RescoreScratch};
 use anna::vector::{Metric, Neighbor, VectorSet};
 use anna_telemetry::Telemetry;
