@@ -26,7 +26,7 @@ use crate::SearchParams;
 use anna_engine::{plan_uniform, PlanOptions, QuerySpec};
 use anna_plan::{BatchPlan, BatchWorkload, EnginePlan, SearchShape};
 use anna_telemetry::Telemetry;
-use anna_vector::{Neighbor, TopK, VectorSet};
+use anna_vector::{Neighbor, VectorSet};
 
 /// Memory-traffic bookkeeping for one batch, in the units of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -288,7 +288,7 @@ impl<'a> BatchedScan<'a> {
                 stats.rerank_vector_bytes = vector_bytes;
                 results
             }
-            None => merged.into_iter().map(TopK::into_sorted_vec).collect(),
+            None => parallel::read_out(merged, true),
         };
 
         tel.counter_add("plan.queries", queries.len() as u64);

@@ -21,8 +21,9 @@
 //! lane, so scoring stays bound by the load ports.
 //!
 //! The seeded visit closes most of the rest by not looking up most rows
-//! at f32 at all. [`quantise`] turns a LUT into `m` tables of 256 *bytes*
-//! (or of 16) — one shared scale, a per-table offset, floor rounding — and
+//! at f32 at all. [`tables_and_image`] builds a LUT together with its u8
+//! image ([`write_image`]), `m` tables of 256 *bytes* (or of 16) — one
+//! shared scale, a per-table offset, floor rounding — and
 //! a byte table is four ZMM registers (all sixteen 16-byte tables are four
 //! too): two `vpermi2b` and a blend look up 64 codes (one `vpermi2b`, 64
 //! nibbles). Summed in 16-bit lanes, the bytes give every row of the
@@ -107,6 +108,7 @@
 //! wrappers assert.
 
 use super::{Sink, SEED_GROUPS};
+use anna_quant::pq::PqCodebook;
 
 use std::arch::x86_64 as arch;
 
@@ -341,22 +343,22 @@ const fn image_table<const KSTAR: usize>(i: usize) -> usize {
     }
 }
 
-/// The u8 image of a LUT's `m` tables of `KSTAR` entries (256 or 16; see
-/// [`byte_sums`]): entry `v` of table `i` becomes `q = min(255, ⌊(e − lo_i)
-/// · (1/s)⌋)`, all three operations rounded in f32, where `lo_i` is table
-/// `i`'s least entry and `s = fl(max_i fl(hi_i − lo_i) / 255)` is one scale
-/// shared by every table, so that the bytes of different tables add.
-/// Writes table `i` at [`image_table`]`(i)` of `tables` (a 16-entry image
-/// is [`NIBBLE_IMAGE`] bytes, zero past table `m`) and returns `(s, Σ lo_i,
-/// Σ max_v |e_iv|)`, the sums in f64; returns `None` — and the scan keeps
-/// its plain kernel — when an entry is NaN or infinite or every table is
-/// constant (`s` would be 0 or subnormal).
+/// The u8 image ([`write_image`]) of a LUT's `m` tables of `KSTAR`
+/// entries, made after the fact from `entries`: `lo_i` is table `i`'s
+/// least entry and `s = fl(max_i fl(hi_i − lo_i) / 255)`. Returns `(s, Σ
+/// lo_i, Σ max_v |e_iv|)`, the sums in f64 in table order; returns `None`
+/// — and the scan keeps its plain kernel — when an entry is NaN or
+/// infinite or every table is constant (`s` would be 0 or subnormal).
+///
+/// The reference the production pass, [`tables_and_image`], is tested
+/// against: it makes the same image from a table built by any arm.
 ///
 /// # Safety
 ///
 /// `avx512f` and `avx512bw`; `KSTAR` is 16 or 256, `m <= BOUND_TABLES`,
 /// `entries` holds `m` tables of `KSTAR` and `tables` the image's `m · 256`
 /// bytes (`k* = 256`) or [`NIBBLE_IMAGE`] (`k* = 16`).
+#[cfg(test)]
 #[target_feature(enable = "avx512f,avx512bw")]
 pub(super) unsafe fn quantise<const KSTAR: usize>(
     m: usize,
@@ -405,45 +407,280 @@ pub(super) unsafe fn quantise<const KSTAR: usize>(
     if scale < f32::MIN_POSITIVE {
         return None;
     }
+    write_image::<KSTAR>(m, &lo, scale, entries, tables);
+    Some((scale, floor, magnitude))
+}
+
+/// Writes the u8 image of a LUT's `m` tables of `KSTAR` entries (256 or
+/// 16; see [`byte_sums`]) to `tables`: entry `e` of table `i` becomes `q =
+/// min(255, ⌊(e − lo_i) · (1/s)⌋)`, all three operations rounded in f32,
+/// where `lo_i = lo[i]` is table `i`'s least entry and `s = scale` one
+/// scale shared by every table, so that the bytes of different tables add.
+/// Table `i` lands at [`image_table`]`(i)` (a 16-entry image is
+/// [`NIBBLE_IMAGE`] bytes, zero past table `m`), 64 bytes per store — 64
+/// entries of a 256-entry table, or four 16-entry tables side by side.
+///
+/// # Safety
+///
+/// `avx512f` and `avx512bw`; `KSTAR` is 16 or 256, `m <= BOUND_TABLES`,
+/// `entries` holds `m` tables of `KSTAR` and `tables` the image's `m · 256`
+/// bytes (`k* = 256`) or [`NIBBLE_IMAGE`] (`k* = 16`); `scale` is positive
+/// and normal.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn write_image<const KSTAR: usize>(
+    m: usize,
+    lo: &[f32; BOUND_TABLES],
+    scale: f32,
+    entries: &[f32],
+    tables: &mut [u8],
+) {
+    use arch::*;
+
     let inverse = _mm512_set1_ps(1.0 / scale);
     let top = _mm512_set1_ps(255.0);
-    let quantised = |v: __m512, lo: __m512| {
+    // Sixteen entries of table `i` from `at`, quantised to dwords.
+    let quantised = |i: usize, at: usize| {
+        let v = _mm512_loadu_ps(entries.as_ptr().add(i * KSTAR + at));
         // `v >= lo`, so the product is `>= 0` and truncation floors it.
-        let t = _mm512_mul_ps(_mm512_sub_ps(v, lo), inverse);
+        let t = _mm512_mul_ps(_mm512_sub_ps(v, _mm512_set1_ps(lo[i])), inverse);
         _mm512_cvttps_epi32(_mm512_min_ps(t, top))
     };
-    if KSTAR == 16 {
-        tables[..NIBBLE_IMAGE].fill(0);
-    }
-    // `vpackus*` pack per 128-bit lane: this puts the packed dwords of
-    // sixty-four entries back in entry order.
+    // `vpackus*` pack per 128-bit lane: this puts the packed dwords of four
+    // registers back in register order, sixteen bytes each.
     let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
-    for (i, &lo) in lo.iter().enumerate().take(m) {
-        let (table, out) = (
-            entries.as_ptr().add(i * KSTAR),
-            tables.as_mut_ptr().add(image_table::<KSTAR>(i)),
+    let store = |q: [__m512i; 4], out: *mut u8| {
+        let words = (
+            _mm512_packus_epi32(q[0], q[1]),
+            _mm512_packus_epi32(q[2], q[3]),
         );
-        let lo = _mm512_set1_ps(lo);
-        if KSTAR == 16 {
-            let q = quantised(_mm512_loadu_ps(table), lo);
-            _mm_storeu_si128(out.cast(), _mm512_cvtepi32_epi8(q));
-            continue;
+        let bytes = _mm512_packus_epi16(words.0, words.1);
+        _mm512_storeu_si512(out.cast(), _mm512_permutexvar_epi32(order, bytes));
+    };
+    let out = tables.as_mut_ptr();
+    if KSTAR == 16 {
+        // Bytes `64g .. 64g + 64` hold the tables at `image_table` offsets
+        // `64g + 16j`: even tables `8(g % 2) + 2j` for `g < 2`, odd ones
+        // `8(g % 2) + 2j + 1` after.
+        for g in 0..NIBBLE_IMAGE / 64 {
+            let mut q = [_mm512_setzero_si512(); 4];
+            for (j, q) in q.iter_mut().enumerate() {
+                let i = 8 * (g % 2) + 2 * j + g / 2;
+                debug_assert_eq!(image_table::<16>(i), 64 * g + 16 * j);
+                if i < m {
+                    *q = quantised(i, 0);
+                }
+            }
+            store(q, out.add(64 * g));
         }
+        return;
+    }
+    for i in 0..m {
         for c in 0..KSTAR / 64 {
-            let q: [__m512i; 4] =
-                std::array::from_fn(|k| quantised(_mm512_loadu_ps(table.add(64 * c + 16 * k)), lo));
-            let words = (
-                _mm512_packus_epi32(q[0], q[1]),
-                _mm512_packus_epi32(q[2], q[3]),
-            );
-            let bytes = _mm512_packus_epi16(words.0, words.1);
-            _mm512_storeu_si512(
-                out.add(64 * c).cast(),
-                _mm512_permutexvar_epi32(order, bytes),
-            );
+            let mut q = [_mm512_setzero_si512(); 4];
+            for (k, q) in q.iter_mut().enumerate() {
+                *q = quantised(i, 64 * c + 16 * k);
+            }
+            store(q, out.add(image_table::<KSTAR>(i) + 64 * c));
         }
     }
-    Some((scale, floor, magnitude))
+}
+
+/// Lane `t` of the result: the least (`LEAST`) or greatest of the sixteen
+/// lanes of `v[t]` — sixteen horizontal reductions as one transpose, four
+/// levels of two shuffles and a `vminps`/`vmaxps` per pair of registers
+/// (45 steps, not 16 × 8). The lanes' order within a reduction is not the
+/// scalar one, so of a `±0` tie either zero may come out. (Loops, not
+/// `array::from_fn`, whose generic body would keep each step out of line.)
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn across<const LEAST: bool>(v: &[__m512; 16]) -> __m512 {
+    use arch::*;
+
+    macro_rules! op {
+        ($a:expr, $b:expr) => {
+            if LEAST {
+                _mm512_min_ps($a, $b)
+            } else {
+                _mm512_max_ps($a, $b)
+            }
+        };
+    }
+    // Per pair, each register's halves folded: tables `2j`, `2j + 1` in
+    // 128-bit lanes 0–1 and 2–3.
+    let mut w = [_mm512_setzero_ps(); 8];
+    for (j, w) in w.iter_mut().enumerate() {
+        let (a, b) = (v[2 * j], v[2 * j + 1]);
+        *w = op!(
+            _mm512_shuffle_f32x4::<0b01_00_01_00>(a, b),
+            _mm512_shuffle_f32x4::<0b11_10_11_10>(a, b)
+        );
+    }
+    // Table `4j + l` in 128-bit lane `l`.
+    let mut u = [_mm512_setzero_ps(); 4];
+    for (j, u) in u.iter_mut().enumerate() {
+        let (x, y) = (w[2 * j], w[2 * j + 1]);
+        *u = op!(
+            _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y),
+            _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y)
+        );
+    }
+    // In 128-bit lane `l`: table `8j + l` in elements 0–1, `8j + 4 + l`
+    // in 2–3.
+    let mut r = [_mm512_setzero_ps(); 2];
+    for (j, r) in r.iter_mut().enumerate() {
+        let (p, q) = (u[2 * j], u[2 * j + 1]);
+        *r = op!(
+            _mm512_shuffle_ps::<0b01_00_01_00>(p, q),
+            _mm512_shuffle_ps::<0b11_10_11_10>(p, q)
+        );
+    }
+    // Element `e` of 128-bit lane `l`: table `4e + l`.
+    let z = op!(
+        _mm512_shuffle_ps::<0b10_00_10_00>(r[0], r[1]),
+        _mm512_shuffle_ps::<0b11_01_11_01>(r[0], r[1])
+    );
+    let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+    _mm512_permutexvar_ps(order, z)
+}
+
+/// A LUT's set-up in one pass, at a seeded shape: table `i`'s `KSTAR`
+/// entries are written to `entries`, and then, the tables still in L1,
+/// their u8 image ([`write_image`]) to `tables`, returning what the
+/// reference `quantise` returns for those entries. Entry `c` of table `i`
+/// is the distance-table kernel's (`anna_quant::dist_table`) similarity of
+/// `v`'s sub-vector `i` to
+/// codeword `c` of `B_i`, in its arithmetic — one ZMM register per
+/// sixteen codewords, four strided accumulators combined as `((a0 + a1) +
+/// a2) + a3`, then the tail, multiply and add apart — so bit for bit
+/// `-metric::l2_squared` (`L2`, the distance's sign bit flipped) or
+/// `metric::dot`, rounded through binary16 when `F16` (`vcvtps2ph` to
+/// nearest even and back: `f16::round_trip`'s value, NaN included). An L2
+/// accumulator starts at its first term rather than at `0 + term`: a
+/// square is never `−0`, so the sum is the same. Each table's least and
+/// greatest entry and its finiteness are kept in registers as the entries
+/// are made and reduced for all tables at once ([`across`]), and the f64
+/// sums are made from those registers, so the image costs one more read of
+/// each table, not two. `M` and `SUB` fix the table count and the
+/// sub-vector length (the loops unroll, and the tables' extremes stay in
+/// registers), or are 0 for any.
+///
+/// # Safety
+///
+/// `avx512f` and `avx512bw` (`vcvtps2ph` and `vcvtph2ps` on ZMM are
+/// `avx512f`); `KSTAR` is 16 or 256, `book` holds `m <= BOUND_TABLES`
+/// codebooks of exactly `KSTAR` codewords (`m` is `M` and their
+/// dimension `SUB`, for each that is not 0), `v` holds `book.dim()`
+/// values, `entries` `m · KSTAR` and `tables` the image's bytes.
+#[target_feature(enable = "avx512f,avx512bw")]
+pub(super) unsafe fn tables_and_image<
+    const KSTAR: usize,
+    const L2: bool,
+    const F16: bool,
+    const M: usize,
+    const SUB: usize,
+>(
+    book: &PqCodebook,
+    v: &[f32],
+    entries: &mut [f32],
+    tables: &mut [u8],
+) -> Option<(f32, f64, f64)> {
+    use arch::*;
+
+    let m = if M > 0 { M } else { book.m() };
+    // An L2 similarity is the distance with its sign bit flipped.
+    let sign = _mm512_set1_epi32(if L2 { i32::MIN } else { 0 });
+    let infinity = _mm512_set1_ps(f32::INFINITY);
+    let out = entries.as_mut_ptr();
+    let term = |x: f32, c: &[f32; 16]| {
+        let (x, c) = (_mm512_set1_ps(x), _mm512_loadu_ps(c.as_ptr()));
+        if L2 {
+            let d = _mm512_sub_ps(x, c);
+            _mm512_mul_ps(d, d)
+        } else {
+            _mm512_mul_ps(x, c)
+        }
+    };
+    let mut finite = u16::MAX;
+    // Per table, the least and greatest entry in each lane; a 16-entry
+    // table is one register, its own least and greatest.
+    let mut least = [infinity; BOUND_TABLES];
+    let mut most = [_mm512_set1_ps(f32::NEG_INFINITY); BOUND_TABLES];
+    let mut from = 0;
+    for i in 0..m {
+        let set = book.dim_major(i);
+        let sub = if SUB > 0 { SUB } else { set.dim() };
+        let v = &v[from..from + sub];
+        from += sub;
+        // The table's least and greatest so far, in registers: a chain
+        // through `least[i]` in memory would serialise the blocks.
+        let (mut lo, mut hi) = (infinity, _mm512_set1_ps(f32::NEG_INFINITY));
+        for b in 0..KSTAR / 16 {
+            let block = &set.block(b)[..sub];
+            let (quads, v_quads) = (block.chunks_exact(4), v.chunks_exact(4));
+            let (tail, v_tail) = (quads.remainder(), v_quads.remainder());
+            let mut acc = [_mm512_setzero_ps(); 4];
+            for (q, (cols, xs)) in quads.zip(v_quads).enumerate() {
+                for ((a, col), &x) in acc.iter_mut().zip(cols).zip(xs) {
+                    *a = if L2 && q == 0 {
+                        term(x, col)
+                    } else {
+                        _mm512_add_ps(*a, term(x, col))
+                    };
+                }
+            }
+            let mut sum =
+                _mm512_add_ps(_mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
+            for (col, &x) in tail.iter().zip(v_tail) {
+                sum = _mm512_add_ps(sum, term(x, col));
+            }
+            let mut e = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(sum), sign));
+            if F16 {
+                const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+                e = _mm512_cvtph_ps(_mm512_cvtps_ph::<NEAREST>(e));
+            }
+            _mm512_storeu_ps(out.add(i * KSTAR + 16 * b), e);
+            // Ordered: NaN fails, and so does ±inf.
+            finite &= _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(e), infinity);
+            if KSTAR == 16 {
+                lo = e;
+            } else {
+                (lo, hi) = (_mm512_min_ps(lo, e), _mm512_max_ps(hi, e));
+            }
+        }
+        (least[i], most[i]) = (lo, hi);
+    }
+    if finite != u16::MAX {
+        return None;
+    }
+    // Lane `i < m`: table `i`'s least and greatest entry.
+    let most = across::<false>(if KSTAR == 16 { &least } else { &most });
+    let least = across::<true>(&least);
+    let tables_mask = ((1u32 << m) - 1) as u16;
+    // The greatest range: the tables' entries are finite, so their maximum
+    // is one of them whatever the order, and every table past `m` reads 0.
+    let range = _mm512_reduce_max_ps(_mm512_maskz_sub_ps(tables_mask, most, least));
+    let scale = range / 255.0;
+    if scale < f32::MIN_POSITIVE {
+        return None;
+    }
+    let mut lo = [0.0f32; BOUND_TABLES];
+    _mm512_storeu_ps(lo.as_mut_ptr(), least);
+    write_image::<KSTAR>(m, &lo, scale, entries, tables);
+    // `Σ lo_i` and `Σ max(|lo_i|, |hi_i|)` in f64, in table order, as
+    // `quantise` adds them.
+    let magnitude = _mm512_max_ps(_mm512_abs_ps(least), _mm512_abs_ps(most));
+    let in_order = |v: __m512| {
+        let mut wide = [0.0f64; BOUND_TABLES];
+        _mm512_storeu_pd(
+            wide.as_mut_ptr(),
+            _mm512_cvtps_pd(_mm512_castps512_ps256(v)),
+        );
+        let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+        _mm512_storeu_pd(wide.as_mut_ptr().add(8), _mm512_cvtps_pd(high));
+        wide[..m].iter().fold(0.0, |sum, &x| sum + x)
+    };
+    Some((scale, in_order(least), in_order(magnitude)))
 }
 
 /// Where each row of a 64-row chunk lands among the 64 byte lanes of the
@@ -537,7 +774,7 @@ const NIBBLE_ROWS: [[u8; 64]; 2] = [slot_rows(NIBBLE_SLOTS[0]), slot_rows(NIBBLE
 /// The byte-sum pass of a seeded `k* = 256` visit over rows of `ND` whole
 /// dwords (`m = 4·ND`, `ND` 2 or 4), for a group of `Q` visitors (one to
 /// four): the u16 byte sum of every row in `[start, start + count)` against
-/// visitor `q`'s u8 image `tables[q]` ([`quantise`]), written to
+/// visitor `q`'s u8 image `tables[q]` ([`write_image`]), written to
 /// `sums[q]`, and the largest sum of each of [`SEED_GROUPS`] disjoint
 /// groups of those rows, per visitor. Chunk `c` (rows `64c .. 64c + 64` of
 /// the block) leaves its sums at `sums[q][64c .. 64c + 64]` in row order.
@@ -760,7 +997,7 @@ pub(super) unsafe fn byte_sums<const ND: usize, const Q: usize>(
 /// dwords of nibble codes (`ND` 1 or 2: 4- and 8-byte rows), for a group
 /// of `Q` visitors (one to four): the u16 **half sum** of every row in
 /// `[start, start + count)` against visitor `q`'s u8 image `tables[q]`
-/// ([`quantise`]`::<16>`), written to `sums[q]`, and the largest half sum
+/// ([`write_image`]`::<16>`), written to `sums[q]`, and the largest half sum
 /// of each of [`SEED_GROUPS`] disjoint groups of those rows, per visitor.
 /// Chunk `c` (rows `64c .. 64c + 64` of the block) leaves its half sums at
 /// `sums[q][64c .. 64c + 64]` in row order. The pass makes them with row

@@ -19,11 +19,16 @@
 //!    and 16 (one `vgatherdps` per sixteen lookups, code dwords gathered);
 //!    and the two `avx512` kernels that **seed** — nibbles in 4- and 8-byte
 //!    rows, bytes in 8- and 16-byte rows. A seeded kernel scans a cluster
-//!    as one visit: once per visitor the LUT is quantised into a u8 image
-//!    (`ByteBound`: tables of 256 bytes, four ZMM registers each, or of 16
-//!    bytes, all sixteen in four registers), and one pass over the whole
-//!    cluster gives every row's u16 sum — a byte sum (two `vpermi2b` and a
-//!    blend per subquantizer of a transposed chunk), or, for nibbles, a
+//!    as one visit, bounded by each visitor's u8 image of its LUT
+//!    (`ByteImage`: tables of 256 bytes, four ZMM registers each, or of
+//!    16 bytes, all sixteen in four registers). The image is made with the
+//!    table, in the same pass (`avx512::tables_and_image`), whenever a LUT
+//!    is built under `avx512` at a seeded shape — once per visit for L2,
+//!    once per query for inner product, whose re-biased copies share it —
+//!    so the scan only reads it (`ByteBound` adds the visit's bias). One
+//!    pass over the whole cluster gives every row's u16 sum — a byte sum
+//!    (two `vpermi2b` and a blend per subquantizer of a transposed chunk),
+//!    or, for nibbles, a
 //!    half sum (one `vpermi2b` per nibble of a row-major register, a
 //!    `vpavgb` and a `vpsadbw`) — and the largest sum of each of 256
 //!    disjoint row groups, folded before the sums are put in row order (one
@@ -190,9 +195,10 @@ mod avx512;
 
 pub use anna_vector::KernelDispatch;
 
-use crate::lut::Lut;
+use crate::lut::{Lut, LutPrecision};
 use anna_quant::codes::{CodeWidth, PackedCodes};
-use anna_vector::TopK;
+use anna_quant::pq::PqCodebook;
+use anna_vector::{Metric, TopK};
 
 /// Vectors scored per block: large enough to amortize the selection pass
 /// and keep the SIMD main loop busy, small enough that the score tile
@@ -217,13 +223,13 @@ const SINK_SLACK: usize = 16;
 
 /// Reusable scratch for the scan: one survivors buffer (positions and
 /// scores) — a tile's, or a seeded visit's cluster-wide candidate list —
-/// and the u8 images of the LUTs and every row's byte sum that an `avx512`
-/// seeded visit reads. Thread one instance through a scan loop (per worker,
-/// per search) and the hot path performs zero allocations after warm-up.
+/// and every row's byte sum that an `avx512` seeded visit reads (the u8
+/// images it sums travel with their LUTs, `ByteImage`). Thread one
+/// instance through a scan loop (per worker, per search) and the hot path
+/// performs zero allocations after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     survivors: Survivors,
-    tables: Vec<u8>,
     sums: Vec<u16>,
 }
 
@@ -278,10 +284,146 @@ fn whole_chunks(count: usize) -> usize {
     count.div_ceil(64) * 64
 }
 
-/// The u8 image of one LUT that an `avx512` seeded visit bounds its scores
+/// The u8 image of a LUT, made with its tables in one pass
+/// (`avx512::tables_and_image`) wherever a seeded kernel will scan with
+/// it: under the `avx512` dispatch, `k* = 16` tables for nibble rows of 4
+/// or 8 bytes and `k* = 256` tables for byte rows of 8 or 16 bytes. It
+/// travels with its [`Lut`] (re-biasing an inner-product table keeps it:
+/// nothing here depends on the bias), so a LUT is quantised once per build
+/// — once per visit for L2, once per query for inner product — and every
+/// scan of it reads the same bytes. Every other dispatch and shape keeps
+/// the table arms and makes no image.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ByteImage {
+    /// The image's bytes, [`ByteBound::image_len`] of them while `head`
+    /// holds; a warm buffer is reused across builds.
+    bytes: Vec<u8>,
+    /// The image's scale and sums; `None` when the tables have no image:
+    /// built on another dispatch or shape, or a non-finite entry, or every
+    /// table constant.
+    head: Option<ImageHead>,
+}
+
+/// What a [`ByteImage`] holds besides its bytes: the scale `s`, `Σ lo_i`
+/// and `Σ_i max_v |e_iv|`, before the bias adds to the last two.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ImageHead {
+    scale: f32,
+    lo_sum: f64,
+    magnitude: f64,
+}
+
+impl PartialEq for ByteImage {
+    /// Equal images: both absent, or the same head and bytes.
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && (self.head.is_none() || self.bytes == other.bytes)
+    }
+}
+
+impl ByteImage {
+    /// Builds `book`'s `m` tables of `k*` similarities to `v` under
+    /// `metric` at `precision` into `entries` together with this image,
+    /// when `dispatch` scans such tables in seeded visits
+    /// ([`seeded_tables`]); returns whether it did. Otherwise it leaves
+    /// `entries` for the table arms to fill, and the LUT without an image.
+    /// Each entry is the distance-table kernel's, bit for bit (so the
+    /// table arms' too), and the image is the one `avx512::quantise` makes
+    /// of those entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `entries` does not fit `book`, or if `dispatch`
+    /// does not run here.
+    pub(crate) fn fill(
+        &mut self,
+        dispatch: KernelDispatch,
+        metric: Metric,
+        v: &[f32],
+        book: &PqCodebook,
+        precision: LutPrecision,
+        entries: &mut [f32],
+    ) -> bool {
+        self.head = None;
+        let (m, kstar) = (book.m(), book.kstar());
+        if dispatch != KernelDispatch::Avx512 || !seeded_tables(kstar, m) {
+            return false;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            use Metric::{InnerProduct, L2};
+            assert!(dispatch.is_available(), "a table pass without its ISA");
+            assert!(v.len() == book.dim() && entries.len() == m * kstar);
+            self.bytes.resize(ByteBound::image_len(kstar, m), 0);
+            let (tables, f16) = (&mut self.bytes[..], precision == LutPrecision::F16);
+            // Sixteen tables of 4-dimensional sub-vectors (the benchmark's
+            // shape) unrolled, every other shape looped.
+            macro_rules! pass {
+                ($kstar:literal, $m:literal, $sub:literal) => {
+                    match (metric, f16) {
+                        (L2, false) => avx512::tables_and_image::<$kstar, true, false, $m, $sub>,
+                        (L2, true) => avx512::tables_and_image::<$kstar, true, true, $m, $sub>,
+                        (InnerProduct, false) => {
+                            avx512::tables_and_image::<$kstar, false, false, $m, $sub>
+                        }
+                        (InnerProduct, true) => {
+                            avx512::tables_and_image::<$kstar, false, true, $m, $sub>
+                        }
+                    }
+                };
+            }
+            let pass = match (kstar, m, book.dim()) {
+                (16, 16, 64) => pass!(16, 16, 4),
+                (16, _, _) => pass!(16, 0, 0),
+                (_, 16, 64) => pass!(256, 16, 4),
+                _ => pass!(256, 0, 0),
+            };
+            // SAFETY: the `avx512` level (asserted above) includes
+            // `avx512f` and `avx512bw`; a seeded shape has `k*` 16 or 256
+            // (the const argument) and `m <= BOUND_TABLES`; every codebook
+            // of a `PqCodebook` holds its `k*` codewords of `dim / m`
+            // dimensions (the `M` and `SUB` arguments where they are not
+            // 0), and `v`, `entries` and `tables` were sized above.
+            self.head =
+                unsafe { pass(book, v, entries, tables) }.map(|(scale, lo_sum, magnitude)| {
+                    ImageHead {
+                        scale,
+                        lo_sum,
+                        magnitude,
+                    }
+                });
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no avx512 dispatch off x86-64")
+    }
+
+    /// Makes this image a copy of `other`, reusing its buffer.
+    pub(crate) fn clone_from_image(&mut self, other: &ByteImage) {
+        self.head = other.head;
+        if other.head.is_some() {
+            self.bytes.clear();
+            self.bytes.extend_from_slice(&other.bytes);
+        }
+    }
+}
+
+/// Whether `avx512` scans codes against `m` tables of `kstar` entries in
+/// seeded visits — the shapes whose LUTs get a [`ByteImage`]: the codes a
+/// `k*`-entry codebook writes (nibbles for 16, bytes for 256) in rows a
+/// seeded kernel takes ([`Kernel::select`]).
+fn seeded_tables(kstar: usize, m: usize) -> bool {
+    let width = match kstar {
+        16 => CodeWidth::U4,
+        256 => CodeWidth::U8,
+        _ => return false,
+    };
+    Kernel::select(KernelDispatch::Avx512, &PackedCodes::new(m, width), kstar).seeds()
+}
+
+/// A u8 image of a LUT as an `avx512` seeded visit bounds its scores
 /// with: `m` tables of 256 bytes (byte codes) or of 16 (nibble codes),
 /// sharing one scale `s`, table `i` offset by its least entry
-/// (`avx512::quantise`), plus what turns a row's byte sum `Q` into bounds on
+/// (`avx512::write_image`), plus what turns a row's byte sum `Q` into bounds on
 /// its score: [`Self::min_sum`], the least byte sum that can still reach a
 /// threshold, and [`Self::lower`], the least score a byte sum guarantees.
 /// Both depend only on `m`, the scale and the magnitude, never on the
@@ -304,16 +446,51 @@ struct ByteBound<'a> {
 }
 
 impl<'a> ByteBound<'a> {
-    /// Quantises `lut` into the first [`Self::image_len`] of `tables` for
-    /// a seeded visit; `None` — the visitor's candidates are then every row
-    /// — unless the kernel seeds ([`Kernel::seeds`]), or when the LUT holds
-    /// a non-finite entry or bias, every table is constant, or entries and
-    /// bias are too large to sum without overflow (`Σ_i max_v |e_iv| +
-    /// |bias|` reaching `2^120`).
+    /// The bound a seeded visit takes from `lut`'s u8 image ([`ByteImage`])
+    /// at the LUT's bias; `None` — the visitor's candidates are then every
+    /// row — when the LUT has no image, or its bias is not finite, or
+    /// entries and bias are too large to sum without overflow (`Σ_i max_v
+    /// |e_iv| + |bias|` reaching `2^120`).
+    fn of(lut: &'a Lut) -> Option<Self> {
+        let image = lut.image();
+        let head = image.head?;
+        Self::biased(&image.bytes, lut.m(), lut.kstar(), head, lut.bias())
+    }
+
+    /// The bound of an image `head` of `m` tables of `kstar` in `tables`,
+    /// at `bias`: only the floor and the magnitude take the bias.
+    fn biased(
+        tables: &'a [u8],
+        m: usize,
+        kstar: usize,
+        head: ImageHead,
+        bias: f32,
+    ) -> Option<Self> {
+        if !bias.is_finite() {
+            return None;
+        }
+        let bias = f64::from(bias);
+        let magnitude = head.magnitude + bias.abs();
+        // Below `2^120`, no partial sum of a score can overflow.
+        (magnitude < 2f64.powi(120)).then_some(ByteBound {
+            tables: &tables[..Self::image_len(kstar, m)],
+            m,
+            kstar,
+            scale: head.scale,
+            floor: head.lo_sum + bias,
+            magnitude,
+        })
+    }
+
+    /// The reference for [`Self::of`]: quantises `lut`'s entries after the
+    /// fact (`avx512::quantise`) into the first [`Self::image_len`] of
+    /// `tables`; `None` unless the kernel seeds ([`Kernel::seeds`]), and
+    /// wherever [`Self::of`] of a LUT built with its image is `None`.
     ///
     /// # Panics
     ///
     /// Panics if the kernel seeds and `tables` is shorter than the image.
+    #[cfg(test)]
     fn quantise(kernel: Kernel, lut: &Lut, tables: &'a mut [u8]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         {
@@ -339,24 +516,19 @@ impl<'a> ByteBound<'a> {
             // `avx512f` and `avx512bw`; `m` is at most `BOUND_TABLES`, the
             // LUT holds `m` tables of `kstar` (16 or 256, the const
             // argument) and `tables` that image's bytes.
-            let (scale, floor, magnitude) = unsafe {
+            let (scale, lo_sum, magnitude) = unsafe {
                 if nibbles {
                     avx512::quantise::<16>(m, lut.entries(), tables)
                 } else {
                     avx512::quantise::<256>(m, lut.entries(), tables)
                 }
             }?;
-            let bias = f64::from(lut.bias());
-            let magnitude = magnitude + bias.abs();
-            // Below `2^120`, no partial sum of a score can overflow.
-            (magnitude < 2f64.powi(120)).then_some(ByteBound {
-                tables,
-                m,
-                kstar,
+            let head = ImageHead {
                 scale,
-                floor: floor + bias,
+                lo_sum,
                 magnitude,
-            })
+            };
+            Self::biased(tables, m, kstar, head, lut.bias())
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -982,8 +1154,9 @@ fn tiled_visit(
 
 /// The seeded visit (module docs, "Why a seeded threshold is exact") of
 /// every member of a visitor group — `luts[g]` into `tops[g]`, tables of
-/// `kstar` entries: the images are quantised into `scratch`; one byte-sum
-/// pass over the rows gives each member with an image every row's stored
+/// `kstar` entries: each member's bound comes from its LUT's u8 image
+/// ([`ByteBound::of`]); one byte-sum pass over the rows gives each member
+/// with an image every row's stored
 /// sum and [`SEED_GROUPS`] disjoint groups' maxima; then, one member after
 /// another, the threshold is the higher of its selector's and its seed
 /// where there is one, every row whose sum can reach it (every row, for a
@@ -1000,17 +1173,10 @@ fn seeded_visits(
     scratch: &mut ScanScratch,
 ) -> (u64, u64) {
     let n = codes.len();
-    let image_len = ByteBound::image_len(kstar, codes.m());
-    if scratch.tables.len() < luts.len() * image_len {
-        scratch.tables.resize(luts.len() * image_len, 0);
-    }
     let mut images = [None; GROUP];
-    for ((lut, tables), image) in luts
-        .iter()
-        .zip(scratch.tables.chunks_exact_mut(image_len))
-        .zip(&mut images)
-    {
-        *image = ByteBound::quantise(kernel, lut, tables);
+    for (lut, image) in luts.iter().zip(&mut images) {
+        assert_eq!(lut.kstar(), kstar, "a seeded group of one table size");
+        *image = ByteBound::of(lut);
     }
     let images = &images[..luts.len()];
     let maxima = ByteBound::byte_sums(images, codes, 0, n, &mut scratch.sums);
@@ -1635,7 +1801,9 @@ mod tests {
     }
 
     /// A LUT whose entries are `words` (`m` tables of `kstar`): one-
-    /// dimensional codewords against a query of ones.
+    /// dimensional codewords against a query of ones, built on the widest
+    /// dispatch this host runs, so that a seeded scan finds the u8 image
+    /// it would build whatever the process-wide dispatch is.
     fn lut_of(words: &[f32], m: usize, kstar: usize) -> Lut {
         let book = PqCodebook::from_books(
             words
@@ -1643,7 +1811,8 @@ mod tests {
                 .map(|book| VectorSet::from_vec(1, book.to_vec()))
                 .collect(),
         );
-        Lut::build_ip(&vec![1.0; m], &book, LutPrecision::F32)
+        let widest = *KernelDispatch::available().last().expect("scalar runs");
+        Lut::build_ip_with(widest, &vec![1.0; m], &book, LutPrecision::F32)
     }
 
     /// The table families the survivors and bound tests draw from: entries
@@ -1912,6 +2081,195 @@ mod tests {
         for rejected in rejected {
             assert_eq!(rejected > 0, KernelDispatch::Avx512.is_available());
         }
+    }
+
+    /// A codebook of `m` tables of `kstar` codewords of `sub` dimensions,
+    /// a query and a centroid, for [`tables_and_image_are_the_reference`]:
+    /// `uniform` (values in `±8`); `integers` (small integers, the residual
+    /// planted as a codeword of every table, so L2 entries of `−0.0` and
+    /// exact ties); `nan` and `inf` (a NaN, or a `±1e25` in the query and a
+    /// codeword, so some entries are NaN or `±∞`); `constant` (every
+    /// codeword of a table the same); and `edge` (a query of ones, a zero
+    /// centroid and one codeword of the first book at `±E` — `E` among
+    /// `2^60 − 2^36`, `2^60`, `2^120 − 2^100` and `2^120` — so `Σ max |e|`
+    /// lands on either side of `2^120` at either metric).
+    fn table_inputs(
+        rng: &mut anna_testkit::TestRng,
+        family: &str,
+        m: usize,
+        kstar: usize,
+        sub: usize,
+    ) -> (PqCodebook, Vec<f32>, Vec<f32>) {
+        let dim = m * sub;
+        let (mut q, mut centroid) = (rng.vec_f32(dim, -8.0..8.0), rng.vec_f32(dim, -2.0..2.0));
+        let mut books: Vec<Vec<f32>> = (0..m)
+            .map(|_| rng.vec_f32(kstar * sub, -8.0..8.0))
+            .collect();
+        match family {
+            "integers" => {
+                let int = |rng: &mut anna_testkit::TestRng| rng.below(24) as f32;
+                q = (0..dim).map(|_| int(rng)).collect();
+                centroid = (0..dim).map(|_| int(rng)).collect();
+                for (i, book) in books.iter_mut().enumerate() {
+                    book.iter_mut().for_each(|x| *x = int(rng) - 12.0);
+                    let c = rng.usize(0..kstar);
+                    for d in 0..sub {
+                        book[c * sub + d] = q[i * sub + d] - centroid[i * sub + d];
+                    }
+                }
+            }
+            "nan" | "inf" => {
+                let bad = if family == "nan" { f32::NAN } else { 1e25 };
+                q[rng.usize(0..dim)] = bad;
+                let book = rng.usize(0..m);
+                let at = rng.usize(0..kstar * sub);
+                books[book][at] = if rng.bool() { bad } else { -bad };
+            }
+            "constant" => {
+                for book in &mut books {
+                    let word = book[..sub].to_vec();
+                    for c in 0..kstar {
+                        book[c * sub..(c + 1) * sub].copy_from_slice(&word);
+                    }
+                }
+            }
+            "edge" => {
+                q.fill(1.0);
+                centroid.fill(0.0);
+                let edge = *rng.pick(&[
+                    2f32.powi(60) - 2f32.powi(36),
+                    2f32.powi(60),
+                    2f32.powi(120) - 2f32.powi(100),
+                    2f32.powi(120),
+                ]);
+                let c = rng.usize(0..kstar);
+                books[0][c * sub] = if rng.bool() { edge } else { -edge };
+            }
+            _ => {}
+        }
+        let books = books
+            .into_iter()
+            .map(|book| VectorSet::from_vec(sub, book))
+            .collect();
+        (PqCodebook::from_books(books), q, centroid)
+    }
+
+    /// The table-and-image pass ([`ByteImage::fill`]) against its
+    /// reference, the table arms and then the reference quantise
+    /// ([`ByteBound::quantise`]): at every seeded shape (`k* = 16` at `m`
+    /// 7, 8, 15 and 16; `k* = 256` at `m` 8 and 16), sub-vectors of 1, 4,
+    /// 5 and 8 dimensions (a tail alone, one quad, both, two quads), every
+    /// [`table_inputs`] family, F32 and F16, L2 and inner product (biased
+    /// by zero, `±1.5`, `±2^100`, `±∞` and NaN), an `avx512` build's
+    /// entries equal the `scalar` build's bit for bit, and its image's
+    /// bound ([`ByteBound::of`]) is the reference's — bytes, scale, floor
+    /// and magnitude bit for bit, and `None` exactly where the reference
+    /// is `None`. Both sides of `2^120` are reached with finite, varied
+    /// tables.
+    #[test]
+    fn tables_and_image_are_the_reference() {
+        use anna_vector::Metric;
+        use KernelDispatch::{Avx512, Scalar};
+        if !Avx512.is_available() {
+            return;
+        }
+        let mut rng = anna_testkit::TestRng::new(0x7AB1E);
+        let mut tables = vec![0; 16 * 256];
+        // Images, `None`s, and finite varied tables on each side of 2^120.
+        let (mut images, mut nones, mut sides) = (0, 0, [0; 2]);
+        let shapes = [
+            (CodeWidth::U4, 7, 16),
+            (CodeWidth::U4, 8, 16),
+            (CodeWidth::U4, 15, 16),
+            (CodeWidth::U4, 16, 16),
+            (CodeWidth::U8, 8, 256),
+            (CodeWidth::U8, 16, 256),
+        ];
+        let families = ["uniform", "integers", "nan", "inf", "constant", "edge"];
+        for (width, m, kstar) in shapes {
+            let kernel = Kernel::select(Avx512, &PackedCodes::new(m, width), kstar);
+            assert!(
+                kernel.seeds() && seeded_tables(kstar, m),
+                "m={m} k*={kstar}"
+            );
+            for sub in [1, 4, 5, 8] {
+                for family in families {
+                    let (book, q, centroid) = table_inputs(&mut rng, family, m, kstar, sub);
+                    for precision in [LutPrecision::F32, LutPrecision::F16] {
+                        for metric in [Metric::L2, Metric::InnerProduct] {
+                            let build = |dispatch| match metric {
+                                Metric::L2 => {
+                                    Lut::build_l2_with(dispatch, &q, &centroid, &book, precision)
+                                }
+                                Metric::InnerProduct => {
+                                    Lut::build_ip_with(dispatch, &q, &book, precision)
+                                }
+                            };
+                            let (want, got) = (build(Scalar), build(Avx512));
+                            let at = format!(
+                                "m={m} k*={kstar} sub={sub} {family} {precision:?} {metric:?}"
+                            );
+                            let bits = |lut: &Lut| -> Vec<u32> {
+                                lut.entries().iter().map(|e| e.to_bits()).collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{at}");
+                            assert!(
+                                want.image().head.is_none(),
+                                "{at}: a scalar build has an image"
+                            );
+                            let biases: &[f32] = match metric {
+                                Metric::L2 => &[0.0],
+                                Metric::InnerProduct => &[
+                                    0.0,
+                                    1.5,
+                                    -1.5,
+                                    2f32.powi(100),
+                                    -(2f32.powi(100)),
+                                    f32::INFINITY,
+                                    f32::NEG_INFINITY,
+                                    f32::NAN,
+                                ],
+                            };
+                            for &bias in biases {
+                                let (want, got) = (want.with_bias(bias), got.with_bias(bias));
+                                let at = format!("{at} bias={bias}");
+                                let reference = ByteBound::quantise(kernel, &want, &mut tables);
+                                let made = ByteBound::of(&got);
+                                let finite = want.entries().iter().all(|e| e.is_finite())
+                                    && bias.is_finite()
+                                    && family != "constant";
+                                match (reference, made) {
+                                    (None, None) => {
+                                        nones += 1;
+                                        sides[1] += usize::from(finite);
+                                    }
+                                    (Some(a), Some(b)) => {
+                                        images += 1;
+                                        assert_eq!((a.m, a.kstar), (b.m, b.kstar), "{at}");
+                                        assert_eq!(a.tables, b.tables, "{at}");
+                                        assert_eq!(a.scale.to_bits(), b.scale.to_bits(), "{at}");
+                                        assert_eq!(a.floor.to_bits(), b.floor.to_bits(), "{at}");
+                                        assert_eq!(
+                                            a.magnitude.to_bits(),
+                                            b.magnitude.to_bits(),
+                                            "{at}"
+                                        );
+                                        sides[0] += usize::from(a.magnitude > 2f64.powi(119));
+                                    }
+                                    (a, b) => panic!(
+                                        "{at}: reference {}, the pass {}",
+                                        if a.is_some() { "an image" } else { "none" },
+                                        if b.is_some() { "an image" } else { "none" }
+                                    ),
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(images > 0 && nones > 0, "{images} images, {nones} none");
+        assert!(sides.iter().all(|&n| n > 0), "sides of 2^120: {sides:?}");
     }
 
     /// The shapes that take seeded visits under `avx512`, as `(code width,

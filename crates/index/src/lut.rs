@@ -4,7 +4,18 @@
 //! A LUT holds `M × k*` entries; entry `(i, c)` is the contribution of
 //! codeword `c` of codebook `B_i` to the similarity. With it, scoring one
 //! encoded vector costs `M` lookups and `M − 1` additions.
+//!
+//! Where the scan will bound its scores from a u8 image of the tables —
+//! the `avx512` dispatch's seeded shapes, `k* = 16` tables over nibble rows
+//! of 4 or 8 bytes and `k* = 256` tables over byte rows of 8 or 16 — the
+//! image is made with the tables, in one pass specialised to the shape
+//! (ANNA gives LUT construction a pipeline stage of its own, §III-A), and
+//! travels with them: an L2 table gets its image once per visit, an
+//! inner-product base table once per query (its re-biased copies share
+//! it). Every other dispatch and shape builds the tables with the
+//! distance-table kernel's arms alone.
 
+use crate::kernels::ByteImage;
 use anna_quant::pq::PqCodebook;
 use anna_vector::{f16, KernelDispatch, Metric};
 
@@ -36,6 +47,9 @@ pub struct Lut {
     /// hardware-faithful F16 table ([`Lut::with_bias`]) keeps every stored
     /// quantity — entries *and* bias — at the 2-byte SRAM precision.
     precision: LutPrecision,
+    /// The entries' u8 image, where the build made one; independent of the
+    /// bias.
+    image: ByteImage,
 }
 
 impl Lut {
@@ -51,6 +65,7 @@ impl Lut {
             entries: Vec::new(),
             bias: 0.0,
             precision: LutPrecision::F32,
+            image: ByteImage::default(),
         }
     }
 
@@ -103,9 +118,26 @@ impl Lut {
         book: &PqCodebook,
         precision: LutPrecision,
     ) -> Self {
+        Self::build_l2_with(KernelDispatch::current(), q, centroid, book, precision)
+    }
+
+    /// [`Lut::build_l2`] on the arm of an explicit [`KernelDispatch`]: its
+    /// table arm, and its u8 image where that dispatch scans the tables in
+    /// seeded visits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lut::build_l2`], and if the host cannot run `dispatch`.
+    pub fn build_l2_with(
+        dispatch: KernelDispatch,
+        q: &[f32],
+        centroid: &[f32],
+        book: &PqCodebook,
+        precision: LutPrecision,
+    ) -> Self {
         let mut lut = Self::placeholder();
         let mut residual = Vec::new();
-        lut.rebuild_l2(q, centroid, book, precision, &mut residual);
+        lut.rebuild_l2_with(dispatch, q, centroid, book, precision, &mut residual);
         lut
     }
 
@@ -117,11 +149,14 @@ impl Lut {
     /// Each of the `m` tables is one pass of the distance-table kernel
     /// ([`anna_quant::DimMajor::similarities`]) over the codebook's
     /// dimension-major copy, vectorised across codewords, on the arm of
-    /// [`KernelDispatch::current`]. The kernel is vertical — every entry is
-    /// `-metric::l2_squared(r_i, B_i[c])` bit for bit on every arm — and
-    /// this is the single shared implementation ([`build_l2`] delegates
-    /// here), so a rebuilt table is bit-identical to a freshly built one:
-    /// the parallel engine's determinism guarantee rests on this.
+    /// [`KernelDispatch::current`] — or, where that dispatch scans the
+    /// tables in seeded visits, one pass that makes every table and its
+    /// u8 image together (module docs). Every entry is
+    /// `-metric::l2_squared(r_i, B_i[c])` bit for bit on every arm and in
+    /// either pass, and this is the single shared implementation
+    /// ([`build_l2`] delegates here), so a rebuilt table is bit-identical
+    /// to a freshly built one: the parallel engine's determinism guarantee
+    /// rests on this.
     ///
     /// [`build_l2`]: Lut::build_l2
     ///
@@ -164,7 +199,9 @@ impl Lut {
 
     /// Re-shapes this table for `book` (zero bias) and fills table `i`'s
     /// `k*` entries with `metric`'s similarities of sub-vector `v_i` to the
-    /// codewords of `B_i`, on the arm of `dispatch`, at `precision`.
+    /// codewords of `B_i`, on the arm of `dispatch`, at `precision` — with
+    /// the u8 image in the same pass where `dispatch` scans the tables in
+    /// seeded visits ([`ByteImage::fill`]).
     fn fill(
         &mut self,
         dispatch: KernelDispatch,
@@ -180,6 +217,12 @@ impl Lut {
         // Every entry is written below, so a warm slot keeps its old ones
         // rather than zeroing them first.
         self.entries.resize(self.m * self.kstar, 0.0);
+        if self
+            .image
+            .fill(dispatch, metric, v, book, precision, &mut self.entries)
+        {
+            return;
+        }
         let sub = book.sub_dim();
         for i in 0..self.m {
             book.dim_major(i).similarities_with(
@@ -217,13 +260,15 @@ impl Lut {
     /// re-targets the cluster-invariant inner-product table once per
     /// visit; this keeps that re-targeting allocation-free after
     /// warm-up). Bias precision follows `base`, exactly as
-    /// [`Lut::with_bias`] does.
+    /// [`Lut::with_bias`] does. The copy keeps `base`'s u8 image, which
+    /// does not depend on the bias.
     pub fn clone_rebias_from(&mut self, base: &Lut, bias: f32) {
         self.m = base.m;
         self.kstar = base.kstar;
         self.precision = base.precision;
         self.entries.clear();
         self.entries.extend_from_slice(&base.entries);
+        self.image.clone_from_image(&base.image);
         self.bias = match base.precision {
             LutPrecision::F16 => f16::round_trip(bias),
             LutPrecision::F32 => bias,
@@ -264,6 +309,12 @@ impl Lut {
     /// kernels.
     pub fn entries(&self) -> &[f32] {
         &self.entries
+    }
+
+    /// The u8 image the build made of the entries (absent unless the
+    /// build's dispatch scans them in seeded visits).
+    pub(crate) fn image(&self) -> &ByteImage {
+        &self.image
     }
 
     /// Storage footprint in bytes at the ANNA 2-byte entry size:

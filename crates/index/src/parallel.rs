@@ -27,9 +27,12 @@
 //! query per group elsewhere) — ANNA's
 //! crossbar handing one fetched cluster block to every SCM of the query
 //! group (Section III-B). Each visitor's lookup table is built inline into
-//! one of the worker's reusable [`Lut`] slots, and the group's tables are
-//! scanned straight out of L1 together; scores accumulate into **one
-//! [`TopK`] per (worker, query)** across every lane
+//! one of the worker's reusable [`Lut`] slots, on the batch's one
+//! [`KernelDispatch`] — under `avx512`, at a seeded shape, together with
+//! its u8 image, in one pass (an inner-product base table gets its image
+//! once per query, and each visit's re-biased copy keeps it) — and the
+//! group's tables are scanned straight out of L1 together; scores
+//! accumulate into **one [`TopK`] per (worker, query)** across every lane
 //! the worker runs — the software form of the single intermediate top-k
 //! the paper keeps per query (Section IV-C) — so a query's later visits
 //! start from a raised threshold and the kernels' survivors filter prunes
@@ -41,9 +44,11 @@
 //! merged result as is; only further workers' partials are merged into
 //! it. The hot loop allocates nothing after warm-up, and a worker leaves
 //! its buffers to the next worker on its thread, so a one-worker batch
-//! (which drains on the caller's thread) starts warm. (The LUT-build/scan
-//! double buffering of Section III-A stays modelled where it belongs, in
-//! `anna-core`'s cycle engine.)
+//! (which drains on the caller's thread) starts warm — its selectors too:
+//! the read-out (`read_out`) empties each query's merged selector into
+//! the thread's spare buffers, where the next batch's first visits find
+//! them. (The LUT-build/scan double buffering of Section III-A stays
+//! modelled where it belongs, in `anna-core`'s cycle engine.)
 //!
 //! # Determinism
 //!
@@ -153,9 +158,9 @@ struct Worker {
 }
 
 /// A worker's reusable buffers: the table slots, the selector group, the
-/// kernel scratch and the L2 residual. None carries meaning from one
-/// visit to the next (each is refilled before it is read), so a worker
-/// may start with the buffers of any earlier one.
+/// kernel scratch, the L2 residual and spare selectors. None carries
+/// meaning from one visit to the next (each is refilled before it is
+/// read), so a worker may start with the buffers of any earlier one.
 #[derive(Default)]
 struct Buffers {
     scratch: ScanScratch,
@@ -165,15 +170,63 @@ struct Buffers {
     /// the scan and back after it.
     group: Vec<TopK>,
     residual: Vec<f32>,
+    /// Emptied selectors — an earlier batch's, read out ([`read_out`]) or
+    /// merged away — that a query's first visit takes before allocating.
+    selectors: Vec<TopK>,
+}
+
+impl Buffers {
+    /// An empty selector of `k`: a spare one reset, or a new one.
+    fn selector(&mut self, k: usize) -> TopK {
+        match self.selectors.pop() {
+            Some(mut top) => {
+                top.reset(k);
+                top
+            }
+            None => TopK::new(k),
+        }
+    }
 }
 
 thread_local! {
     /// The buffers the last worker on this thread left behind. A
     /// one-worker batch drains on the caller's thread, so a stream of
     /// small batches (a lone query per request) starts each worker with
-    /// buffers already grown to the largest cluster it scanned: no
-    /// allocation and no first-touch page faults per batch.
+    /// buffers already grown to the largest cluster it scanned, and with
+    /// the last batch's selectors: no allocation and no first-touch page
+    /// faults per batch.
     static SPARE_BUFFERS: Cell<Option<Buffers>> = const { Cell::new(None) };
+}
+
+/// Leaves emptied selectors in this thread's spare buffers for the next
+/// batch's worker here, keeping at most `keep` of them (a batch's query
+/// count): a batch whose workers run on other threads adds no more than
+/// that to the caller's.
+fn recycle(selectors: impl IntoIterator<Item = TopK>, keep: usize) {
+    let mut spare = SPARE_BUFFERS.take().unwrap_or_default();
+    spare.selectors.extend(selectors);
+    spare.selectors.truncate(keep);
+    SPARE_BUFFERS.set(Some(spare));
+}
+
+/// Reads each query's merged selector out — best first, or in no order
+/// for a re-rank stage, which reorders them anyway — and recycles the
+/// emptied selectors ([`recycle`]), so the next batch on this thread
+/// allocates none.
+pub(crate) fn read_out(mut merged: Vec<TopK>, sorted: bool) -> Vec<Vec<Neighbor>> {
+    let hits = merged
+        .iter_mut()
+        .map(|top| {
+            if sorted {
+                top.drain_sorted()
+            } else {
+                top.drain_unsorted()
+            }
+        })
+        .collect();
+    let keep = merged.len();
+    recycle(merged, keep);
+    hits
 }
 
 impl Worker {
@@ -247,10 +300,14 @@ impl Worker {
             // the kernel scores a group at once.
             let group = kernels::group_size(dispatch, &cluster.codes, job.codebook.kstar());
             for queries in round.queries.chunks(group) {
-                self.buffers.group.extend(queries.iter().map(|&qi| {
+                for &qi in queries {
                     self.rounds_scored[qi] += 1;
-                    self.tops[qi].take().unwrap_or_else(|| TopK::new(job.k))
-                }));
+                    let top = match self.tops[qi].take() {
+                        Some(top) => top,
+                        None => self.buffers.selector(job.k),
+                    };
+                    self.buffers.group.push(top);
+                }
                 if !cluster.is_empty() {
                     // Each visit's table: re-bias the shared inner-product
                     // base, or rebuild the cluster-dependent L2 table.
@@ -260,7 +317,8 @@ impl Worker {
                             Some(base) => {
                                 lut.clone_rebias_from(&base[qi], metric::dot(q, centroid))
                             }
-                            None => lut.rebuild_l2(
+                            None => lut.rebuild_l2_with(
+                                dispatch,
                                 q,
                                 centroid,
                                 job.codebook,
@@ -303,10 +361,12 @@ impl Worker {
 }
 
 /// Builds the cluster-invariant inner-product base tables (one per
-/// query), fanned out over `threads` scoped workers in fixed chunks.
+/// query, with its u8 image where `dispatch` makes one), fanned out over
+/// `threads` scoped workers in fixed chunks.
 /// Chunking only partitions independent per-query builds, so the output
 /// is identical to the serial collect for any worker count.
 pub(crate) fn build_ip_base(
+    dispatch: KernelDispatch,
     codebook: &PqCodebook,
     queries: &VectorSet,
     precision: LutPrecision,
@@ -317,7 +377,7 @@ pub(crate) fn build_ip_base(
     if workers <= 1 {
         return queries
             .iter()
-            .map(|q| Lut::build_ip(q, codebook, precision))
+            .map(|q| Lut::build_ip_with(dispatch, q, codebook, precision))
             .collect();
     }
     let mut out: Vec<Lut> = (0..nq).map(|_| Lut::placeholder()).collect();
@@ -327,7 +387,7 @@ pub(crate) fn build_ip_base(
             s.spawn(move || {
                 for (j, slot) in slice.iter_mut().enumerate() {
                     let q = queries.row(ci * chunk + j);
-                    *slot = Lut::build_ip(q, codebook, precision);
+                    *slot = Lut::build_ip_with(dispatch, q, codebook, precision);
                 }
             });
         }
@@ -410,13 +470,15 @@ pub(crate) fn execute_rounds(
     tel: &Telemetry,
 ) -> io::Result<(Vec<TopK>, BatchStats, TierTraffic)> {
     let nq = job.queries.len();
+    let dispatch = KernelDispatch::current();
     // Inner-product base tables are cluster-invariant: one per query up
-    // front, re-biased per visit. L2 tables are cluster-specific and
-    // built inside the round loop.
+    // front, with their u8 images, re-biased per visit. L2 tables are
+    // cluster-specific and built inside the round loop.
     let ip_base: Option<Vec<Lut>> = {
         let _span = tel.span("batch.lut_build");
         match job.metric {
             Metric::InnerProduct => Some(build_ip_base(
+                dispatch,
                 job.codebook,
                 job.queries,
                 job.lut_precision,
@@ -425,7 +487,6 @@ pub(crate) fn execute_rounds(
             Metric::L2 => None,
         }
     };
-    let dispatch = KernelDispatch::current();
     if tel.is_enabled() {
         tel.counter_add(&format!("kernel.dispatch.{}", dispatch.name()), 1);
     }
@@ -472,11 +533,15 @@ pub(crate) fn execute_rounds(
     let mut stats = BatchStats::default();
     let mut tier = TierTraffic::default();
     let mut rounds_per_query = vec![0u64; nq];
+    let mut merged_away = Vec::new();
     for acc in done {
         let acc = acc?;
         for (slot, top) in merged.iter_mut().zip(acc.tops) {
             match (slot.as_mut(), top) {
-                (Some(into), Some(top)) => into.merge(&top),
+                (Some(into), Some(top)) => {
+                    into.merge(&top);
+                    merged_away.push(top);
+                }
                 (None, top) => *slot = top,
                 (Some(_), None) => {}
             }
@@ -487,6 +552,7 @@ pub(crate) fn execute_rounds(
         stats.accumulate(&acc.stats);
         tier.accumulate(&acc.tier);
     }
+    recycle(merged_away, nq);
     let crossings: u64 = rounds_per_query.iter().map(|r| r.saturating_sub(1)).sum();
     stats.topk_fill_bytes += crossings * job.spill_unit_bytes;
     stats.topk_spill_bytes += crossings * job.spill_unit_bytes;
@@ -497,9 +563,10 @@ pub(crate) fn execute_rounds(
     Ok((merged, stats, tier))
 }
 
-/// Runs a plan's [`RerankStage`] over the first pass's merged heaps:
-/// every query's survivors are rescored against `db` at the stage's
-/// per-query precision and truncated to the final `stage.k`.
+/// Runs a plan's [`RerankStage`] over the first pass's merged heaps, read
+/// out unsorted ([`read_out`]): every query's survivors are rescored
+/// against `db` at the stage's per-query precision and truncated to the
+/// final `stage.k`.
 ///
 /// Work items (one per query) join the same self-scheduling queue
 /// discipline as the scan lanes — a shared atomic cursor that
@@ -537,7 +604,7 @@ pub(crate) fn execute_rerank(
     // rescore ranks by the total score-then-id order, so its output does
     // not depend on the list's order. The list *is* the candidate-id spill
     // the traffic model prices.
-    let candidates: Vec<Vec<Neighbor>> = merged.into_iter().map(TopK::into_unsorted_vec).collect();
+    let candidates = read_out(merged, false);
     let mut candidate_records = 0u64;
     let mut vector_bytes = 0u64;
     for (qi, list) in candidates.iter().enumerate() {

@@ -18,10 +18,10 @@
 //! admission/eviction decision of a tiered shard — is a deterministic
 //! function of the plan, never of thread scheduling. A worker keeps one
 //! partial top-k per query across all the shards it runs; the partials
-//! fold with [`TopK::merge`], whose total order (score descending, lower
-//! id on ties) makes the fold order-insensitive: results are
-//! bit-identical to a single-shard serial oracle at every shard count and
-//! every thread count.
+//! fold with [`TopK::merge`](anna_vector::TopK::merge), whose total order
+//! (score descending, lower id on ties) makes the fold order-insensitive:
+//! results are bit-identical to a single-shard serial oracle at every
+//! shard count and every thread count.
 //!
 //! Traffic accounting mirrors the plan layer's unbounded
 //! [`BatchPlan::from_visitors`] schedule: a query visiting `W_sq`
@@ -43,7 +43,7 @@ use anna_plan::{
 use anna_quant::kmeans::KMeans;
 use anna_quant::pq::PqCodebook;
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, Neighbor, TopK, VectorSet};
+use anna_vector::{Metric, Neighbor, VectorSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -470,7 +470,7 @@ impl ShardedIndex {
             spill_unit_bytes: plan.spill_unit_bytes,
         };
         let (merged, batch, tier) = parallel::execute_rounds(&job, &lanes, threads, tel)?;
-        let results = merged.into_iter().map(TopK::into_sorted_vec).collect();
+        let results = parallel::read_out(merged, true);
         Ok((results, ShardedStats { batch, tier }))
     }
 }
@@ -660,8 +660,8 @@ mod tests {
     /// Satellite regression: the same code row under identical centroids
     /// placed in two different shards scores identically, and the merged
     /// top-k must keep the lower id — at every shard count — because
-    /// [`TopK`]'s total order breaks score ties by ascending id and
-    /// `merge` preserves it across shard boundaries.
+    /// [`TopK`](anna_vector::TopK)'s total order breaks score ties by
+    /// ascending id and `merge` preserves it across shard boundaries.
     #[test]
     fn duplicate_scores_across_shards_keep_the_lower_id() {
         let dim = 4;

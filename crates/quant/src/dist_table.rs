@@ -233,7 +233,20 @@ impl DimMajor {
     /// whole block at `k* = 16`.)
     #[inline(always)]
     fn blocks(&self) -> impl Iterator<Item = &[[f32; LANES]]> {
-        (0..self.k.div_ceil(LANES)).map(|b| &self.data[b * self.dim..][..self.dim])
+        (0..self.k.div_ceil(LANES)).map(|b| self.block(b))
+    }
+
+    /// Block `b` of `⌈k / LANES⌉`: `block(b)[d][l]` is component `d` of
+    /// codeword `b · LANES + l` (zero past the last codeword) — what a
+    /// kernel that runs this module's arithmetic inside a larger pass
+    /// reads (`anna-index` builds a lookup table and its u8 image in one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b >= ⌈k / LANES⌉`.
+    #[inline(always)]
+    pub fn block(&self, b: usize) -> &[[f32; LANES]] {
+        &self.data[b * self.dim..][..self.dim]
     }
 
     /// The portable table: `out[c] = finish(Σ_d term(v[d], codeword c[d]))`.

@@ -112,13 +112,15 @@ const BUFFER_FACTOR: usize = 2;
 /// every heap hot, §III-B(4), §IV-C).
 ///
 /// The buffer is three parallel arrays — each slot's score image
-/// (`ord`), id and score — so a settle reads 4-byte keys: it bisects
-/// the score images for the `k`-th largest, counting how many reach each
-/// probe, and only ids tied at that image decide by id. Under the
-/// `avx512` dispatch the count and the compaction run sixteen slots per
-/// instruction (`avx512::settle`); every other dispatch runs the same
-/// steps one slot at a time (`settle_portable`). Both keep the same set
-/// and floor.
+/// (`ord`), id and score — of `2k` slots reserved up front, filled through
+/// one length, so an append is three stores and no growth check; a settle
+/// reads 4-byte keys: it bisects the score images for the `k`-th largest,
+/// counting how many reach each probe, and only ids tied at that image
+/// decide by id. Under the `avx512` dispatch the count and the compaction
+/// run sixteen slots per instruction (`avx512::settle`); every other
+/// dispatch runs the same steps one slot at a time (`settle_portable`).
+/// Both keep the same set and floor. [`TopK::reset`] and the `drain_*`
+/// read-outs let a caller reuse one selector's buffers for the next query.
 ///
 /// Slots are ordered by the key `(ord(score), !id)`, which reproduces
 /// [`Neighbor`]'s `Ord` exactly where `push` admits values: NaN is
@@ -154,7 +156,9 @@ pub struct TopK {
     // The floor slot's score: the threshold.
     floor_score: f32,
     // The unordered candidates, every one ranked above `floor`, fewer than
-    // `BUFFER_FACTOR * k`: slot `i` is `(ords[i], ids[i], scores[i])`.
+    // `settle_at`: slot `i < len` is `(ords[i], ids[i], scores[i])`. Each
+    // array holds at least `BUFFER_FACTOR * k` slots, reserved up front.
+    len: usize,
     ords: Vec<u32>,
     ids: Vec<u64>,
     scores: Vec<f32>,
@@ -167,17 +171,40 @@ impl TopK {
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "top-k requires k > 0");
-        let slots = BUFFER_FACTOR * k;
-        Self {
+        let mut top = Self {
             k,
             settle_at: k,
             floor: 0,
             floor_score: f32::NEG_INFINITY,
-            ords: Vec::with_capacity(slots),
-            ids: Vec::with_capacity(slots),
-            scores: Vec::with_capacity(slots),
+            len: 0,
+            ords: Vec::new(),
+            ids: Vec::new(),
+            scores: Vec::new(),
+        };
+        top.reset(k);
+        top
+    }
+
+    /// Empties the selector and makes it keep the best `k`: the state of
+    /// [`TopK::new`]`(k)`, in the buffers this one already holds (grown if
+    /// `k` needs more slots), so a recycled selector allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn reset(&mut self, k: usize) {
+        assert!(k > 0, "top-k requires k > 0");
+        let slots = BUFFER_FACTOR * k;
+        if self.ords.len() < slots {
+            self.ords.resize(slots, 0);
+            self.ids.resize(slots, 0);
+            self.scores.resize(slots, 0.0);
         }
+        self.k = k;
+        self.settle_at = k;
+        self.floor = 0;
+        self.floor_score = f32::NEG_INFINITY;
+        self.len = 0;
     }
 
     /// The configured `k`.
@@ -188,16 +215,17 @@ impl TopK {
     /// The number of entries [`TopK::into_sorted_vec`] would return now:
     /// the best-`k`-so-far count (`<= k`).
     pub fn len(&self) -> usize {
-        self.ords.len().min(self.k)
+        self.len.min(self.k)
     }
 
     /// Returns `true` if no entries have been accepted yet.
     pub fn is_empty(&self) -> bool {
-        self.ords.is_empty()
+        self.len == 0
     }
 
     /// Bytes of candidate storage this selector holds (its buffers'
-    /// capacity), the cache footprint a batch's live selectors add up to.
+    /// capacity: at least `2k` slots), the cache footprint a batch's live
+    /// selectors add up to.
     pub fn buffer_bytes(&self) -> usize {
         self.ords.capacity() * std::mem::size_of::<u32>()
             + self.ids.capacity() * std::mem::size_of::<u64>()
@@ -249,7 +277,9 @@ impl TopK {
     /// threshold test) or a full-rank comparison for a score above the
     /// threshold. One survivor at a time on every dispatch: a sixteen-wide
     /// `avx512` offer (compare, gather, compress-store appends) measured no
-    /// faster end to end on `batch_k16`.
+    /// faster end to end on `batch_k16`. Between settles the floor is
+    /// held in registers and the survivors are appended through one local
+    /// length into the slots up to `settle_at`.
     ///
     /// # Panics
     ///
@@ -258,34 +288,50 @@ impl TopK {
     pub fn offer_survivors(&mut self, ids: &[u64], positions: &[u32], scores: &[f32]) -> u64 {
         assert_eq!(positions.len(), scores.len(), "one score per position");
         let mut offered = 0;
-        for (&at, &score) in positions.iter().zip(scores) {
-            // NaN fails too.
-            if score
-                .partial_cmp(&self.floor_score)
-                .is_none_or(|o| o.is_lt())
-            {
-                continue;
+        let mut survivors = positions.iter().zip(scores);
+        loop {
+            // Until the buffer reaches `settle_at`, the floor stands.
+            let (floor, floor_score, end) = (self.floor, self.floor_score, self.settle_at);
+            let (ords, slot_ids, slot_scores) = (
+                &mut self.ords[..end],
+                &mut self.ids[..end],
+                &mut self.scores[..end],
+            );
+            let mut len = self.len;
+            for (&at, &score) in survivors.by_ref() {
+                // NaN fails too.
+                if score.partial_cmp(&floor_score).is_none_or(|o| o.is_lt()) {
+                    continue;
+                }
+                offered += 1;
+                let (id, ord) = (ids[at as usize], ord(score));
+                // Above the floor's score, the rank is above the floor's
+                // too; at it, the id decides.
+                if score == floor_score && rank(ord, id) <= floor {
+                    continue;
+                }
+                (ords[len], slot_ids[len], slot_scores[len]) = (ord, id, score);
+                len += 1;
+                if len == end {
+                    break;
+                }
             }
-            offered += 1;
-            let (id, ord) = (ids[at as usize], ord(score));
-            // Above the floor's score, the rank is above the floor's too;
-            // at it, the id decides.
-            if score == self.floor_score && rank(ord, id) <= self.floor {
-                continue;
+            self.len = len;
+            if len < end {
+                return offered;
             }
-            self.append(ord, id, score);
+            self.settle();
         }
-        offered
     }
 
     /// Buffers a slot ranked above the floor, settling when the buffer
     /// reaches `settle_at`.
     #[inline]
     fn append(&mut self, ord: u32, id: u64, score: f32) {
-        self.ords.push(ord);
-        self.ids.push(id);
-        self.scores.push(score);
-        if self.ords.len() == self.settle_at {
+        let at = self.len;
+        (self.ords[at], self.ids[at], self.scores[at]) = (ord, id, score);
+        self.len = at + 1;
+        if self.len == self.settle_at {
             self.settle();
         }
     }
@@ -294,7 +340,7 @@ impl TopK {
     /// of them. Needs at least `k` slots.
     fn settle(&mut self) {
         #[cfg(target_arch = "x86_64")]
-        if KernelDispatch::current() == KernelDispatch::Avx512 && self.ords.len() <= avx512::SLOTS {
+        if KernelDispatch::current() == KernelDispatch::Avx512 && self.len <= avx512::SLOTS {
             // SAFETY: the `avx512` dispatch is current only on a host with
             // its level, which includes `avx512f` and `popcnt`; the buffer
             // holds `k` slots or more (every caller's precondition) and at
@@ -307,9 +353,13 @@ impl TopK {
 
     /// Drops every slot past the first `n`.
     fn keep_first(&mut self, n: usize) {
-        self.ords.truncate(n);
-        self.ids.truncate(n);
-        self.scores.truncate(n);
+        self.len = self.len.min(n);
+    }
+
+    /// The buffered slots' score images, ids and scores.
+    fn slots(&self) -> (&[u32], &[u64], &[f32]) {
+        let n = self.len;
+        (&self.ords[..n], &self.ids[..n], &self.scores[..n])
     }
 
     /// The last step of a settle that has kept the best `k` slots, `t`
@@ -317,10 +367,10 @@ impl TopK {
     /// with the greatest id (the `k`-th best), and its score is the
     /// threshold.
     fn raise_floor(&mut self, t: u32) {
-        let id = self
-            .ords
+        let (ords, ids, _) = self.slots();
+        let id = ords
             .iter()
-            .zip(&self.ids)
+            .zip(ids)
             .filter(|&(&o, _)| o == t)
             .map(|(_, &id)| id)
             .max()
@@ -332,13 +382,14 @@ impl TopK {
     /// own, but for the image both zeros share, where the slot's sign is
     /// looked up.
     fn set_floor(&mut self, t: u32, id: u64) {
-        debug_assert_eq!(self.ords.len(), self.k);
+        debug_assert_eq!(self.len, self.k);
         self.floor = rank(t, id);
         self.floor_score = if t == ord(0.0) {
-            let at = (self.ords.iter().zip(&self.ids))
+            let (ords, ids, scores) = self.slots();
+            let at = (ords.iter().zip(ids))
                 .position(|(&o, &i)| o == t && i == id)
                 .expect("the floor slot is kept");
-            self.scores[at]
+            scores[at]
         } else {
             score_of(t)
         };
@@ -360,56 +411,79 @@ impl TopK {
     /// batch engine (`anna-index`) relies on this to produce bit-identical
     /// results for any thread schedule.
     pub fn merge(&mut self, other: &TopK) {
-        for (&id, &score) in other.ids.iter().zip(&other.scores) {
+        let (_, ids, scores) = other.slots();
+        for (&id, &score) in ids.iter().zip(scores) {
             self.push(id, score);
         }
     }
 
     /// Consumes the selector and returns the kept entries, best first:
-    /// one settle to the `k` kept slots, then a sort of only those. When
-    /// every kept id fits 32 bits and no kept score is `-0.0`, the sort is
-    /// of the 64-bit keys `(ord(score), !(id as u32))` themselves — which
-    /// order those slots exactly as the full key does — and each entry is
-    /// rebuilt from its key, its score from its image (exact for every
-    /// score but `-0.0`); otherwise the entries are sorted by
-    /// [`sort_neighbors`].
+    /// [`TopK::drain_sorted`] of a selector no one reuses.
     pub fn into_sorted_vec(mut self) -> Vec<Neighbor> {
-        if self.ords.len() > self.k {
+        self.drain_sorted()
+    }
+
+    /// Returns the kept entries, best first, and leaves the selector empty
+    /// for reuse, as [`TopK::reset`] to the same `k` does: one settle to
+    /// the `k` kept slots, then a sort of only those. When every kept id
+    /// fits 32 bits and no kept score is `-0.0`, the sort is of the 64-bit
+    /// keys `(ord(score), !(id as u32))` themselves — which order those
+    /// slots exactly as the full key does, written over the ids in place —
+    /// and each entry is rebuilt from its key, its score from its image
+    /// (exact for every score but `-0.0`); otherwise the entries are
+    /// sorted by [`sort_neighbors`].
+    pub fn drain_sorted(&mut self) -> Vec<Neighbor> {
+        if self.len > self.k {
             self.settle();
         }
-        let narrow = self.ids.iter().all(|&id| id <= u64::from(u32::MAX))
-            && self
-                .scores
-                .iter()
-                .all(|s| s.to_bits() != (-0.0f32).to_bits());
-        if !narrow {
-            let mut hits = self.into_unsorted_vec();
+        let (_, ids, scores) = self.slots();
+        let narrow = ids.iter().all(|&id| id <= u64::from(u32::MAX))
+            && scores.iter().all(|s| s.to_bits() != (-0.0f32).to_bits());
+        let hits = if narrow {
+            let n = self.len;
+            let keys = &mut self.ids[..n];
+            for (key, &ord) in keys.iter_mut().zip(&self.ords[..n]) {
+                *key = (u64::from(ord) << 32) | u64::from(!(*key as u32));
+            }
+            keys.sort_unstable();
+            keys.iter()
+                .rev()
+                .map(|&key| Neighbor::new(u64::from(!(key as u32)), score_of((key >> 32) as u32)))
+                .collect()
+        } else {
+            let mut hits = self.kept();
             sort_neighbors(&mut hits);
-            return hits;
-        }
-        // The keys overwrite the ids they are made of, then sort in place.
-        let mut keys = self.ids;
-        for (key, &ord) in keys.iter_mut().zip(&self.ords) {
-            *key = (u64::from(ord) << 32) | u64::from(!(*key as u32));
-        }
-        keys.sort_unstable();
-        keys.iter()
-            .rev()
-            .map(|&key| Neighbor::new(u64::from(!(key as u32)), score_of((key >> 32) as u32)))
-            .collect()
+            hits
+        };
+        self.reset(self.k);
+        hits
     }
 
     /// Consumes the selector and returns the kept entries — the set
-    /// [`TopK::into_sorted_vec`] returns — in no particular order: one
-    /// settle and a truncate, no sort. For consumers that reorder the
-    /// entries anyway, like the re-rank stage rescoring them.
+    /// [`TopK::into_sorted_vec`] returns — in no particular order:
+    /// [`TopK::drain_unsorted`] of a selector no one reuses.
     pub fn into_unsorted_vec(mut self) -> Vec<Neighbor> {
-        if self.ords.len() > self.k {
+        self.drain_unsorted()
+    }
+
+    /// Returns the kept entries — the set [`TopK::drain_sorted`] returns —
+    /// in no particular order, and leaves the selector empty for reuse: one
+    /// settle, no sort. For consumers that reorder the entries anyway,
+    /// like the re-rank stage rescoring them.
+    pub fn drain_unsorted(&mut self) -> Vec<Neighbor> {
+        if self.len > self.k {
             self.settle();
         }
-        self.ids
-            .iter()
-            .zip(&self.scores)
+        let hits = self.kept();
+        self.reset(self.k);
+        hits
+    }
+
+    /// The buffered slots as neighbors, in buffer order.
+    fn kept(&self) -> Vec<Neighbor> {
+        let (_, ids, scores) = self.slots();
+        ids.iter()
+            .zip(scores)
             .map(|(&id, &score)| Neighbor::new(id, score))
             .collect()
     }
@@ -420,7 +494,7 @@ impl TopK {
 /// buffer order. When more slots than `k` tie at that image,
 /// [`settle_ties`] decides among them by id.
 fn settle_portable(top: &mut TopK) {
-    let ords = &top.ords;
+    let ords = &top.ords[..top.len];
     let (least, most) = ords
         .iter()
         .fold((u32::MAX, 0), |(lo, hi), &o| (lo.min(o), hi.max(o)));
@@ -435,7 +509,7 @@ fn settle_portable(top: &mut TopK) {
         return settle_ties(top, t);
     }
     let mut kept = 0;
-    for i in 0..top.ords.len() {
+    for i in 0..top.len {
         let (o, id, score) = (top.ords[i], top.ids[i], top.scores[i]);
         (top.ords[kept], top.ids[kept], top.scores[kept]) = (o, id, score);
         kept += usize::from(o >= t);
@@ -478,11 +552,11 @@ fn bisect(
 /// with the lowest ids fill the rest (a duplicated offer fills one place
 /// per copy).
 fn settle_ties(top: &mut TopK, t: u32) {
-    let above = top.ords.iter().filter(|&&o| o > t).count();
-    let mut tied: Vec<u64> = top
-        .ords
+    let (ords, ids, _) = top.slots();
+    let above = ords.iter().filter(|&&o| o > t).count();
+    let mut tied: Vec<u64> = ords
         .iter()
-        .zip(&top.ids)
+        .zip(ids)
         .filter(|&(&o, _)| o == t)
         .map(|(_, &id)| id)
         .collect();
@@ -491,7 +565,7 @@ fn settle_ties(top: &mut TopK, t: u32) {
     // Places left for the copies of `last` once every lower id is in.
     let mut room = need - tied.iter().filter(|&&id| id < last).count();
     let mut kept = 0;
-    for i in 0..top.ords.len() {
+    for i in 0..top.len {
         let (o, id, score) = (top.ords[i], top.ids[i], top.scores[i]);
         let keep = o > t || (o == t && (id < last || (id == last && room > 0)));
         if o == t && id == last && keep {
@@ -535,10 +609,10 @@ mod avx512 {
     /// and at most [`SLOTS`] slots.
     #[target_feature(enable = "avx512f,popcnt")]
     pub(super) unsafe fn settle(top: &mut TopK) {
-        let n = top.ords.len();
+        let n = top.len;
         // The masked accesses below read and write all three arrays up to
-        // the images' length.
-        assert!(n <= SLOTS && top.ids.len() == n && top.scores.len() == n);
+        // the buffer's length.
+        assert!(n <= SLOTS && top.ords.len() >= n && top.ids.len() >= n && top.scores.len() >= n);
         let regs = n.div_ceil(16);
         // The live lanes of register `r`: all sixteen below the last, none
         // past it.
@@ -866,6 +940,38 @@ mod tests {
                 };
                 assert_eq!(bits(&t.into_sorted_vec()), bits(&all), "wide={wide} k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn a_drained_selector_is_a_fresh_one() {
+        // One selector drained and reset across different `k` (growing and
+        // shrinking) and streams must read out what a fresh `TopK::new`
+        // fed the same stream reads out, sorted and unsorted.
+        let mut state = 0x5EED_u64;
+        let mut recycled = TopK::new(3);
+        for (round, k) in [3usize, 40, 7, 7, 120, 1].into_iter().enumerate() {
+            recycled.reset(k);
+            let mut fresh = TopK::new(k);
+            for i in 0..500u64 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let score = ((state >> 40) % 97) as f32 - 48.0;
+                recycled.push(i, score);
+                fresh.push(i, score);
+            }
+            assert_eq!(recycled.threshold(), fresh.threshold(), "round {round}");
+            let want = fresh.into_sorted_vec();
+            if round % 2 == 0 {
+                assert_eq!(recycled.drain_sorted(), want, "round {round}");
+            } else {
+                let mut got = recycled.drain_unsorted();
+                sort_neighbors(&mut got);
+                assert_eq!(got, want, "round {round}");
+            }
+            assert!(recycled.is_empty());
+            assert_eq!(recycled.threshold(), f32::NEG_INFINITY);
         }
     }
 

@@ -15,11 +15,14 @@
 //! ones (`k = 100`, `nprobe = 8`), run at one thread in batches of one
 //! query and of the whole pool. The counts are exact and repeat run to
 //! run: they change only when the work does, so they are the noise-free
-//! half of a timing claim.
+//! half of a timing claim. At seed 1 under the `avx512` dispatch the run
+//! asserts them against the committed ledger below (CI runs it at both
+//! `k*`), so a change that moves offers or exact rows must change those
+//! numbers in its own diff; any other seed or dispatch prints a skip line.
 
 use anna::data::{synth, Character, DatasetSpec};
 use anna::engine::{PlanOptions, QuerySpec, SearchEngine};
-use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, KernelDispatch};
 use anna::vector::VectorSet;
 use anna_telemetry::Telemetry;
 
@@ -58,7 +61,12 @@ fn main() {
     // shadows it).
     let engine: &dyn SearchEngine = &scan;
 
-    println!("seed {seed}, k* = {kstar}, k = 100, nprobe = 8, {POOL} queries, per query:");
+    let dispatch = KernelDispatch::current();
+    println!(
+        "seed {seed}, k* = {kstar}, k = 100, nprobe = 8, {POOL} queries, {} dispatch, per query:",
+        dispatch.name()
+    );
+    let mut ledger = Vec::new();
     for batch in [1, POOL] {
         let tel = Telemetry::enabled();
         for chunk in (0..POOL).collect::<Vec<_>>().chunks(batch) {
@@ -73,13 +81,51 @@ fn main() {
             engine.execute(&queries, &plan, 1, &tel);
         }
         let registry = tel.registry().expect("telemetry enabled");
-        let per_query = |name: &str| registry.counter(name).get() as f64 / POOL as f64;
-        let scanned = per_query("kernel.codes_scanned");
+        let total = |name: &str| registry.counter(name).get();
+        let scanned = total("kernel.codes_scanned");
+        let (offers, exact) = (scanned - total("kernel.pruned"), total("kernel.exact"));
+        let per_query = |n: u64| n as f64 / POOL as f64;
         println!(
-            "  B = {batch:>3}: scanned {scanned:.3}, offers {:.3}, exact {:.3}, bound-rejected {:.3}",
-            scanned - per_query("kernel.pruned"),
-            per_query("kernel.exact"),
-            per_query("kernel.bound_rejected"),
+            "  B = {batch:>3}: scanned {:.3}, offers {:.3}, exact {:.3}, bound-rejected {:.3} \
+             (totals: offers {offers}, exact {exact})",
+            per_query(scanned),
+            per_query(offers),
+            per_query(exact),
+            per_query(total("kernel.bound_rejected")),
         );
+        ledger.push((batch, offers, exact));
     }
+    // The committed ledger: `(k*, batch, offers, exact rows)` over the
+    // whole pool, at seed 1 under the `avx512` dispatch, whose seeded
+    // visits set both. A change that moves offers or exact rows changes
+    // these numbers in its own diff.
+    const SEED_1_AVX512: [(usize, usize, u64, u64); 4] = [
+        (16, 1, 134_562, 175_335),
+        (16, POOL, 215_481, 290_581),
+        (256, 1, 145_525, 207_727),
+        (256, POOL, 218_842, 317_477),
+    ];
+    if seed != 1 || dispatch != KernelDispatch::Avx512 {
+        println!(
+            "skip: the committed ledger is seed 1's under the avx512 dispatch \
+             (this run: seed {seed}, {})",
+            dispatch.name()
+        );
+        return;
+    }
+    for (batch, offers, exact) in ledger {
+        let want = SEED_1_AVX512
+            .iter()
+            .find(|&&(k, b, _, _)| k == kstar && b == batch)
+            .map(|&(_, _, offers, exact)| (offers, exact));
+        match want {
+            Some(want) => assert_eq!(
+                (offers, exact),
+                want,
+                "k* = {kstar}, B = {batch}: (offers, exact) moved from the committed ledger"
+            ),
+            None => println!("skip: no committed ledger for k* = {kstar}"),
+        }
+    }
+    println!("ledger: seed 1, k* = {kstar} matches the committed counts");
 }

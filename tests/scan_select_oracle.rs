@@ -20,6 +20,10 @@
 //! `ScanTally::bound_rejected` to be nonzero (the bound engaged) and at
 //! most `pruned`; it is zero on every other arm.
 //!
+//! Each arm scans tables built on its own dispatch, as the engine builds
+//! them: only an `avx512` build makes the u8 image a seeded visit bounds
+//! with (the entries are the same on every arm).
+//!
 //! The batch engine does not scan one query at a time: it runs cluster-
 //! major, so consecutive visits feed different queries' selectors, each
 //! one cold and part-way through its own buffer, and it scans a cluster's
@@ -124,14 +128,16 @@ fn every_dispatch_keeps_the_scalar_top_k(kstar: usize, vector_bytes: usize) {
     let mut scratch = ScanScratch::new();
     for _query in 0..4 {
         let q = rng.vec_f32(DIM, 0.0..24.0);
-        let luts: Vec<Lut> = clusters
-            .iter()
-            .map(|c| Lut::build_l2(&q, &c.centroid, &book, LutPrecision::F32))
-            .collect();
         // Per dispatch: the kept set after every visit, and the tallies.
         let runs: Vec<_> = KernelDispatch::available()
             .into_iter()
             .map(|dispatch| {
+                let luts: Vec<Lut> = clusters
+                    .iter()
+                    .map(|c| {
+                        Lut::build_l2_with(dispatch, &q, &c.centroid, &book, LutPrecision::F32)
+                    })
+                    .collect();
                 let mut top = TopK::new(K);
                 let mut trail = Vec::new();
                 let (mut bound_rejected, mut pruned) = (0, 0);
@@ -241,16 +247,6 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
     let mut rng = TestRng::new(0xC0 + kstar as u64);
     let (book, clusters) = benchmark_shape(&mut rng, kstar, vector_bytes);
     let queries: Vec<Vec<f32>> = (0..QUERIES).map(|_| rng.vec_f32(DIM, 0.0..24.0)).collect();
-    // One table per (cluster, query), as the engine builds them.
-    let luts: Vec<Vec<Lut>> = clusters
-        .iter()
-        .map(|c| {
-            queries
-                .iter()
-                .map(|q| Lut::build_l2(q, &c.centroid, &book, LutPrecision::F32))
-                .collect()
-        })
-        .collect();
 
     let mut scratch = ScanScratch::new();
     // Per dispatch: every query's kept set after each cluster, and the
@@ -258,6 +254,18 @@ fn cluster_major_selectors_keep_the_scalar_top_k(
     let runs: Vec<_> = KernelDispatch::available()
         .into_iter()
         .map(|dispatch| {
+            // One table per (cluster, query), as the engine builds them.
+            let luts: Vec<Vec<Lut>> = clusters
+                .iter()
+                .map(|c| {
+                    queries
+                        .iter()
+                        .map(|q| {
+                            Lut::build_l2_with(dispatch, q, &c.centroid, &book, LutPrecision::F32)
+                        })
+                        .collect()
+                })
+                .collect();
             let mut tops: Vec<TopK> = (0..QUERIES).map(|_| TopK::new(K)).collect();
             let mut trail = Vec::new();
             let (mut pruned, mut bound_rejected) = (0, 0);
